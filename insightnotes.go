@@ -91,7 +91,7 @@ var (
 	// WithPlanOptions substitutes ablation plan options for one statement;
 	// such SELECTs are not QID-registered and skip the zoom-in cache.
 	WithPlanOptions = engine.WithPlanOptions
-	// WithParallelism overrides the morsel-parallel scan worker count.
+	// WithParallelism overrides the scan worker count.
 	WithParallelism = engine.WithParallelism
 	// WithBatchSize overrides the executor's rows-per-batch granularity.
 	WithBatchSize = engine.WithBatchSize

@@ -35,7 +35,7 @@ func TestConcurrentQueriesAndWrites(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, err := db.QueryContext(context.Background(),
+				if _, err := db.Query(context.Background(),
 					"SELECT id, name, wingspan FROM birds WHERE id <= 3"); err != nil {
 					report(fmt.Errorf("query: %w", err))
 					return
@@ -61,7 +61,7 @@ func TestConcurrentQueriesAndWrites(t *testing.T) {
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		for i := 0; i < 30; i++ {
-			if _, err := db.QueryContext(cancelled, "SELECT id FROM birds"); !errors.Is(err, context.Canceled) {
+			if _, err := db.Query(cancelled, "SELECT id FROM birds"); !errors.Is(err, context.Canceled) {
 				report(fmt.Errorf("cancelled query: got %v, want context.Canceled", err))
 				return
 			}

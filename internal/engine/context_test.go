@@ -11,7 +11,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	db := birdDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := db.QueryContext(ctx, "SELECT id, name FROM birds")
+	_, err := db.Query(ctx, "SELECT id, name FROM birds")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -22,7 +22,7 @@ func TestExecContextCancelledWrite(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// SELECT routed through Exec honors the context too.
-	if _, err := db.ExecContext(ctx, "SELECT id FROM birds"); !errors.Is(err, context.Canceled) {
+	if _, err := db.Exec(ctx, "SELECT id FROM birds"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	// The statement never ran: a fresh query still sees three birds.
@@ -36,7 +36,7 @@ func TestExecScriptContextStopsBetweenStatements(t *testing.T) {
 	db := testDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := db.ExecScriptContext(ctx, "CREATE TABLE t (a INT); INSERT INTO t VALUES (1);")
+	results, err := db.ExecScript(ctx, "CREATE TABLE t (a INT); INSERT INTO t VALUES (1);")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -75,7 +75,7 @@ func TestZoomInCancelledReexecution(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = db.ZoomInContext(ctx, ZoomInRequest{QID: res.QID, Instance: "ClassBird1", Index: 1})
+	_, _, err = db.ZoomIn(ctx, ZoomInRequest{QID: res.QID, Instance: "ClassBird1", Index: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

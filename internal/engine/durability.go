@@ -221,13 +221,22 @@ func (db *DB) Durable() bool { return db.wal != nil }
 // published by atomic rename, and a crash between the rename and the log
 // reset only leaves stale records that recovery skips by LSN.
 func (db *DB) Checkpoint() (CheckpointInfo, error) {
-	var ci CheckpointInfo
 	if db.wal == nil {
-		return ci, fmt.Errorf("engine: CHECKPOINT requires durability (open with a data directory)")
+		return CheckpointInfo{}, fmt.Errorf("engine: CHECKPOINT requires durability (open with a data directory)")
 	}
+	return db.checkpoint(0)
+}
+
+// checkpoint is Checkpoint for a WAL of at least minWALBytes, measured
+// under the statement lock; a shorter log is left alone.
+func (db *DB) checkpoint(minWALBytes int64) (CheckpointInfo, error) {
+	var ci CheckpointInfo
 	start := time.Now()
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
+	if db.wal.Size() < minWALBytes {
+		return ci, nil
+	}
 	ci.LSN = db.wal.LastLSN()
 	ci.ReleasedWALBytes = db.wal.Size()
 	snapPath := filepath.Join(db.walDir, snapshotFileName)
@@ -253,14 +262,17 @@ func (db *DB) Checkpoint() (CheckpointInfo, error) {
 
 // maybeAutoCheckpoint runs a checkpoint when the WAL has outgrown the
 // configured threshold. Called after each statement, outside the
-// statement lock. Errors are reported on stderr rather than failing the
+// statement lock, so the size test here only keeps statements off that
+// lock; checkpoint repeats it under the lock, and of several statements
+// that cross the threshold together only the first serialises the
+// database. Errors are reported on stderr rather than failing the
 // triggering statement — the durability of already-acknowledged records
 // is unaffected by a failed checkpoint.
 func (db *DB) maybeAutoCheckpoint() {
 	if db.wal == nil || db.autoCkptBytes <= 0 || db.wal.Size() < db.autoCkptBytes {
 		return
 	}
-	if _, err := db.Checkpoint(); err != nil {
+	if _, err := db.checkpoint(db.autoCkptBytes); err != nil {
 		fmt.Fprintf(os.Stderr, "insightnotes: auto-checkpoint: %v\n", err)
 	}
 }

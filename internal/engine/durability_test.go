@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"insightnotes/internal/metrics"
@@ -134,6 +136,46 @@ func TestAutoCheckpointBySize(t *testing.T) {
 	}
 	if got := len(mustExec(t, back, "SELECT id FROM t").Rows); got != 1 {
 		t.Errorf("rows = %d, want 1", got)
+	}
+}
+
+// TestAutoCheckpointOncePerCrossing has several writers push the WAL over
+// the threshold at the same moment. Each sees an oversized log when its
+// statement ends, but the log needs — and must get — one checkpoint.
+func TestAutoCheckpointOncePerCrossing(t *testing.T) {
+	db, _, err := OpenDurable(Config{CacheDir: t.TempDir()}, DurabilityOptions{Dir: t.TempDir(), AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE t (id INT, pad TEXT)")
+	for i := 0; i < 64; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, strings.Repeat("x", 200)))
+	}
+	// Any one more record crosses; after the checkpoint empties the log,
+	// the writers' few short records cannot cross again.
+	db.autoCkptBytes = db.wal.Size() + 1
+
+	const writers = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			if _, err := db.Exec(context.Background(), fmt.Sprintf("INSERT INTO t VALUES (%d, 'w')", 1000+w)); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if got := metricValue(t, db, metrics.NameWALCheckpointsTotal); got != 1 {
+		t.Errorf("%s = %v after %d writers crossed the threshold together, want 1", metrics.NameWALCheckpointsTotal, got, writers)
+	}
+	if got := len(mustExec(t, db, "SELECT id FROM t").Rows); got != 64+writers {
+		t.Errorf("rows = %d, want %d", got, 64+writers)
 	}
 }
 

@@ -62,10 +62,10 @@ type Config struct {
 	// (every statement re-parses and re-costs; prepared statements still
 	// work, they just lose the cache). See prepared.go.
 	PlanCacheSize int
-	// ExecWorkers is the scan worker count for morsel-driven parallel
-	// execution: 0 means GOMAXPROCS (parallel scans on by default), 1 keeps
-	// every scan serial, n > 1 uses exactly n workers. Per-statement
-	// WithParallelism overrides it.
+	// ExecWorkers is the worker count base-table scans request for their
+	// morsel pool: 0 means GOMAXPROCS, 1 runs every scan inline, n > 1
+	// allows up to n workers per scan (a scan never uses more workers
+	// than it has morsels). Per-statement WithParallelism overrides it.
 	ExecWorkers int
 	// BatchSize is the executor's rows-per-batch pipeline granularity
 	// (default exec.DefaultBatchSize). Per-statement WithBatchSize

@@ -92,9 +92,9 @@ func newDBMetrics(db *DB) *dbMetrics {
 		zoomCancelled: reg.Counter(metrics.NameZoominCancelledTotal,
 			"Zoom-in requests aborted by context cancellation or deadline."),
 		scanMorsels: reg.Counter(metrics.NameExecScanMorselsTotal,
-			"Morsels processed by parallel scan workers."),
+			"Morsels processed by base-table scans."),
 		scanWorkers: reg.Counter(metrics.NameExecScanWorkersTotal,
-			"Worker goroutines launched by parallel scans."),
+			"Workers that ran base-table scans: one per inline scan, the pool size otherwise."),
 	}
 
 	// Zoom-in materialization cache: the cache's own stats are authoritative.
@@ -196,7 +196,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 	paths.WithFunc("full_scan", func() float64 { return float64(pc.FullScans.Load()) })
 	paths.WithFunc("index_scan", func() float64 { return float64(pc.IndexScans.Load()) })
 	paths.WithFunc("index_range_scan", func() float64 { return float64(pc.IndexRangeScans.Load()) })
-	paths.WithFunc("parallel_scan", func() float64 { return float64(pc.ParallelScans.Load()) })
 
 	// Lifecycle tracer: collection and retention counters read from the
 	// tracer's own bookkeeping at scrape time.

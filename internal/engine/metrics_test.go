@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -39,9 +40,9 @@ func TestStatementMetrics(t *testing.T) {
 	if got := metricValue(t, db, `insightnotes_engine_statement_errors_total{kind="select"}`); got != 1 {
 		t.Errorf("select errors = %v, want 1", got)
 	}
-	// Both successful SELECTs scanned 3 rows each.
-	if got := metricValue(t, db, `insightnotes_exec_op_rows_total{op="scan"}`); got < 6 {
-		t.Errorf("scan op rows = %v, want >= 6", got)
+	// The scans emitted 3 rows and, with a > 1 absorbed, 2.
+	if got := metricValue(t, db, `insightnotes_exec_op_rows_total{op="scan"}`); got != 5 {
+		t.Errorf("scan op rows = %v, want 5", got)
 	}
 	if got := metricValue(t, db, "insightnotes_engine_result_rows_total"); got != 5 {
 		t.Errorf("result rows = %v, want 5", got)
@@ -49,6 +50,31 @@ func TestStatementMetrics(t *testing.T) {
 	// Statement latency histogram saw every statement.
 	if got := metricValue(t, db, `insightnotes_engine_statement_seconds_count{kind="select"}`); got != 3 {
 		t.Errorf("select latency count = %v, want 3", got)
+	}
+
+	// The index row sources report under their own op labels and access
+	// paths. 2000 rows put selective predicates past the cost break-even.
+	var sb strings.Builder
+	sb.WriteString("BULK INSERT INTO t VALUES (4)")
+	for i := 5; i <= 2000; i++ {
+		fmt.Fprintf(&sb, ", (%d)", i)
+	}
+	mustExec(t, db, sb.String())
+	mustExec(t, db, "CREATE INDEX ON t (a)")
+	mustExec(t, db, "SELECT a FROM t WHERE a = 1234")
+	mustExec(t, db, "SELECT a FROM t WHERE a BETWEEN 10 AND 14")
+	for name, want := range map[string]float64{
+		`insightnotes_exec_op_rows_total{op="index_scan"}`:              1,
+		`insightnotes_exec_op_batches_total{op="index_scan"}`:           1,
+		`insightnotes_exec_op_rows_total{op="index_range_scan"}`:        5,
+		`insightnotes_plan_access_paths_total{path="index_scan"}`:       1,
+		`insightnotes_plan_access_paths_total{path="index_range_scan"}`: 1,
+		`insightnotes_plan_access_paths_total{path="full_scan"}`:        2,
+		`insightnotes_exec_scan_morsels_total`:                          4,
+	} {
+		if got := metricValue(t, db, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }
 
@@ -125,7 +151,7 @@ func TestZoomInCancelledCounter(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, zerr := db.ZoomInContext(ctx, ZoomInRequest{QID: res.QID, Instance: "x", Index: 1})
+	_, _, zerr := db.ZoomIn(ctx, ZoomInRequest{QID: res.QID, Instance: "x", Index: 1})
 	if zerr == nil {
 		t.Fatal("cancelled zoom-in must fail")
 	}
@@ -228,7 +254,7 @@ func TestSlowQueryLog(t *testing.T) {
 	buf.Reset()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, qerr := db.QueryContext(ctx, "SELECT a FROM t"); qerr == nil {
+	if _, qerr := db.Query(ctx, "SELECT a FROM t"); qerr == nil {
 		t.Fatal("expected cancellation error")
 	}
 	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &e); err != nil {

@@ -61,9 +61,9 @@ func WithPlanOptions(po plan.Options) StatementOption {
 	return func(so *stmtOptions) { so.planOpts = &po }
 }
 
-// WithParallelism sets this statement's scan worker count: 1 forces serial
-// execution, n > 1 plans full table scans as morsel-parallel with n
-// workers. Values below 1 are treated as 1.
+// WithParallelism sets the worker count this statement's scans request: 1
+// runs every scan inline, n > 1 gives each scan a pool of up to n workers
+// (never more than it has morsels). Values below 1 are treated as 1.
 func WithParallelism(n int) StatementOption {
 	if n < 1 {
 		n = 1
@@ -94,7 +94,7 @@ func WithQueueWait(d time.Duration) StatementOption {
 
 // parallelism resolves the scan worker count for one statement: the
 // per-statement override wins, then Config.ExecWorkers, where 0 means
-// GOMAXPROCS (parallel scans on by default) and 1 keeps every scan serial.
+// GOMAXPROCS and 1 runs every scan inline.
 func (db *DB) parallelism(so stmtOptions) int {
 	n := db.cfg.ExecWorkers
 	if so.parallelism > 0 {

@@ -18,8 +18,8 @@ type OpStat struct {
 	Merges     int64  `json:"merges,omitempty"`
 	Curates    int64  `json:"curates,omitempty"`
 	WallMicros int64  `json:"wall_us,omitempty"`
-	// Workers and Morsels are set by morsel-parallel scans: the worker pool
-	// size and the number of morsels its workers processed.
+	// Workers and Morsels are set by base-table scans: the workers that ran
+	// the scan (1 when it ran inline) and the morsels they processed.
 	Workers int   `json:"workers,omitempty"`
 	Morsels int64 `json:"morsels,omitempty"`
 }

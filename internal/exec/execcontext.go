@@ -14,7 +14,7 @@ import (
 const DefaultBatchSize = 256
 
 // DefaultMorselSize is the number of base-table rows in one morsel of a
-// parallel scan — the unit of work a worker claims at a time. A few
+// scan — the unit of work a worker claims at a time. A few
 // batches' worth: big enough that claiming is cheap, small enough that
 // work stays balanced across workers.
 const DefaultMorselSize = 1024
@@ -40,7 +40,7 @@ type StatementTotals struct {
 // the per-statement trace sink.
 //
 // One ExecContext belongs to exactly one statement execution on one
-// goroutine; it is not safe for concurrent use. Parallel operators give
+// goroutine; it is not safe for concurrent use. Scans give
 // each worker a private fork (forkWorker) and fold the workers' counters
 // back when the pipeline drains. A nil *ExecContext is tolerated
 // everywhere (no cancellation, no stats, no trace), which keeps ad-hoc
@@ -132,11 +132,11 @@ func (ec *ExecContext) BatchSize() int {
 	return ec.batch
 }
 
-// forkWorker returns a private execution context for one worker goroutine
-// of a parallel operator: it shares the cancellation context, batch size,
-// and timing flag, but owns its counters — the parallel operator folds
-// worker counters back into the parent when the pipeline drains, so the
-// parent's totals are never written concurrently.
+// forkWorker returns a private execution context for one worker of a
+// scan: it shares the cancellation context, batch size, and timing flag,
+// but owns its counters — the scan folds worker counters back into the
+// parent when it finishes, so the parent's totals are never written
+// concurrently.
 func (ec *ExecContext) forkWorker() *ExecContext {
 	if ec == nil {
 		return nil
@@ -147,7 +147,7 @@ func (ec *ExecContext) forkWorker() *ExecContext {
 }
 
 // foldWorker adds a drained worker fork's statement totals into ec. Called
-// by the owning parallel operator after the worker goroutine has exited.
+// by the owning scan after the worker has stopped.
 func (ec *ExecContext) foldWorker(w *ExecContext) {
 	if ec == nil || w == nil {
 		return
@@ -204,7 +204,7 @@ func (ec *ExecContext) Err() error {
 }
 
 // checkCancel is the batch-granularity cancellation poll: row-producing
-// leaf operators (and parallel workers, per morsel) call it once per
+// leaf operators (and scan workers, per morsel) call it once per
 // NextBatch, so a statement observes cancellation within one batch of
 // rows without paying a context poll per row.
 func (ec *ExecContext) checkCancel() error {
@@ -228,15 +228,15 @@ type OpStats struct {
 	// Curates counts envelope curation (coverage remap) operations.
 	Curates int64
 	// Wall is cumulative time spent inside NextBatch, inclusive of
-	// children. For parallel operators it is the busiest worker's time
-	// (the operator's critical path), not the sum across workers.
+	// children. For scans it is the busiest worker's time (the operator's
+	// critical path), not the sum across workers.
 	// Collected only when the context enables timing.
 	Wall time.Duration
-	// Workers is the number of worker goroutines that executed the
-	// operator (0 for serial operators).
+	// Workers is the number of workers that ran a scan: min(requested,
+	// morsels), 1 meaning it ran inline (0 for other operators).
 	Workers int
-	// Morsels is the number of morsels processed by a parallel scan
-	// (0 for serial operators).
+	// Morsels is the number of morsels a scan processed (0 for other
+	// operators).
 	Morsels int64
 }
 

@@ -73,23 +73,6 @@ func explainAnalyzeInto(b *strings.Builder, op Operator, depth int) {
 }
 
 // Describe implements Described.
-func (s *Scan) Describe() string {
-	return fmt.Sprintf("Scan %s AS %s %s%s", s.table.Name(), s.alias, s.schema, s.describeEst())
-}
-
-// Children implements Described.
-func (s *Scan) Children() []Operator { return nil }
-
-// Describe implements Described.
-func (s *IndexScan) Describe() string {
-	return fmt.Sprintf("IndexScan %s AS %s ON %s = %s%s",
-		s.table.Name(), s.alias, s.col, s.val, s.describeEst())
-}
-
-// Children implements Described.
-func (s *IndexScan) Children() []Operator { return nil }
-
-// Describe implements Described.
 func (v *ValuesOp) Describe() string { return fmt.Sprintf("Values (%d rows)", len(v.rows)) }
 
 // Children implements Described.
@@ -108,9 +91,13 @@ func (f *RowFilter) Describe() string { return "SummaryFilter " + f.pred.String(
 func (f *RowFilter) Children() []Operator { return []Operator{f.child} }
 
 // Describe implements Described.
-func (p *Project) Describe() string {
-	cols := make([]string, len(p.items))
-	for i, it := range p.items {
+func (p *Project) Describe() string { return describeItems(p.items) }
+
+// describeItems renders a curating projection, standalone or absorbed
+// into a Scan.
+func describeItems(items []ProjectItem) string {
+	cols := make([]string, len(items))
+	for i, it := range items {
 		cols[i] = it.Expr.String()
 	}
 	return "Project+Curate [" + strings.Join(cols, ", ") + "]"

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"insightnotes/internal/annotation"
@@ -100,7 +101,7 @@ func TestScanProducesRowsWithEnvelopes(t *testing.T) {
 	f := newFixture(t)
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 3, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(2), types.NewInt(3), types.NewString("v")}, 0, 0, 0)
-	scan := NewScan(f.r, "r", f.envs)
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	rows, err := Collect(scan)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestFilterPassesEnvelopesUnchanged(t *testing.T) {
 	f := newFixture(t)
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 2, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(5), types.NewInt(2), types.NewString("v")}, 10, 1, annotation.WholeRow(3))
-	scan := NewScan(f.r, "r", f.envs)
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	pred := compileWhere(t, "r.a = 1", scan.Schema())
 	rows, err := Collect(NewFilter(scan, pred))
 	if err != nil {
@@ -152,7 +153,7 @@ func TestProjectCuratesEnvelope(t *testing.T) {
 	env.Add(f.cls, f.cls.Summarize(annotation.Annotation{ID: 2, Text: "derived from experiment"}), annotation.Col(2))
 	f.envs["R"][row] = env
 
-	scan := NewScan(f.r, "r", f.envs)
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	items := []ProjectItem{
 		{Expr: colRef(t, "r.a", scan.Schema()), Col: types.Column{Table: "r", Name: "a", Kind: types.KindInt}},
 		{Expr: colRef(t, "r.b", scan.Schema()), Col: types.Column{Table: "r", Name: "b", Kind: types.KindInt}},
@@ -179,7 +180,7 @@ func TestProjectComputedExpressionCoverage(t *testing.T) {
 	env := summary.NewEnvelope()
 	env.Add(f.cls, f.cls.Summarize(annotation.Annotation{ID: 5, Text: "note"}), annotation.Col(1))
 	f.envs["R"][row] = env
-	scan := NewScan(f.r, "r", f.envs)
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	// Output: a+b — annotation on b must follow the computed column.
 	sum, err := Compile(&sql.BinaryExpr{Op: "+", L: &sql.ColRef{Name: "r.a"}, R: &sql.ColRef{Name: "r.b"}}, scan.Schema())
 	if err != nil {
@@ -205,8 +206,8 @@ func TestHashJoinMergesEnvelopes(t *testing.T) {
 	f.addRow(t, f.s, types.Tuple{types.NewInt(1), types.NewString("z1")}, 11, 1, annotation.WholeRow(2))
 	f.addRow(t, f.s, types.Tuple{types.NewInt(9), types.NewString("z9")}, 12, 1, annotation.WholeRow(2))
 
-	left := NewScan(f.r, "r", f.envs)
-	right := NewScan(f.s, "s", f.envs)
+	left := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	right := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
 	join := NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())})
@@ -243,8 +244,8 @@ func TestHashJoinSharedAnnotationDedup(t *testing.T) {
 	f.envs["R"][rRow] = rEnv
 	f.envs["S"][sRow] = sEnv
 
-	left := NewScan(f.r, "r", f.envs)
-	right := NewScan(f.s, "s", f.envs)
+	left := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	right := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
 	rows, err := Collect(NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())}))
@@ -260,8 +261,8 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	f := newFixture(t)
 	f.r.Insert(types.Tuple{types.Null(), types.NewInt(2), types.NewString("u")})
 	f.s.Insert(types.Tuple{types.Null(), types.NewString("z")})
-	left := NewScan(f.r, "r", f.envs)
-	right := NewScan(f.s, "s", f.envs)
+	left := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	right := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
 	rows, err := Collect(NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())}))
@@ -278,8 +279,8 @@ func TestNestedLoopJoinCondition(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(5), types.NewInt(2), types.NewString("v")}, 0, 0, 0)
 	f.addRow(t, f.s, types.Tuple{types.NewInt(3), types.NewString("z")}, 21, 1, annotation.WholeRow(2))
-	left := NewScan(f.r, "r", f.envs)
-	right := NewScan(f.s, "s", f.envs)
+	left := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	right := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
 	joined := left.Schema().Concat(right.Schema())
 	cond, err := Compile(&sql.BinaryExpr{Op: "<", L: &sql.ColRef{Name: "r.a"}, R: &sql.ColRef{Name: "s.x"}}, joined)
 	if err != nil {
@@ -296,8 +297,8 @@ func TestNestedLoopJoinCondition(t *testing.T) {
 		t.Error("NL join envelope merge wrong")
 	}
 	// Cross join (nil condition).
-	left2 := NewScan(f.r, "r", f.envs)
-	right2 := NewScan(f.s, "s", f.envs)
+	left2 := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	right2 := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
 	rows, err = Collect(NewNestedLoopJoin(left2, right2, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +313,7 @@ func TestGroupAggregateValuesAndEnvelopes(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(10), types.NewString("g1")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(20), types.NewString("g1")}, 2, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(2), types.NewInt(30), types.NewString("g2")}, 3, 1, annotation.WholeRow(3))
-	scan := NewScan(f.r, "r", f.envs)
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	keys := []*Compiled{colRef(t, "r.a", scan.Schema())}
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, keys,
@@ -351,7 +352,7 @@ func TestGroupAggregateValuesAndEnvelopes(t *testing.T) {
 
 func TestGroupAggregateGlobalOverEmptyInput(t *testing.T) {
 	f := newFixture(t)
-	scan := NewScan(f.r, "r", f.envs)
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, nil, nil,
 		[]AggSpec{{Func: "COUNT"}, {Func: "SUM", Arg: bArg}},
@@ -372,7 +373,7 @@ func TestGroupAggregateCountDistinctNulls(t *testing.T) {
 	f := newFixture(t)
 	f.r.Insert(types.Tuple{types.NewInt(1), types.Null(), types.NewString("x")})
 	f.r.Insert(types.Tuple{types.NewInt(1), types.NewInt(5), types.NewString("x")})
-	scan := NewScan(f.r, "r", f.envs)
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, nil, nil,
 		[]AggSpec{{Func: "COUNT"}, {Func: "COUNT", Arg: bArg}},
@@ -392,7 +393,7 @@ func TestDistinctCombinesDuplicateEnvelopes(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("dup")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("dup")}, 2, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(9), types.NewInt(9), types.NewString("uniq")}, 0, 0, 0)
-	rows, err := Collect(NewDistinct(NewScan(f.r, "r", f.envs)))
+	rows, err := Collect(NewDistinct(NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestSortAndLimit(t *testing.T) {
 	for _, v := range []int64{3, 1, 2} {
 		f.r.Insert(types.Tuple{types.NewInt(v), types.NewInt(0), types.NewString("x")})
 	}
-	scan := NewScan(f.r, "r", f.envs)
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	keys := []SortKey{{Expr: colRef(t, "r.a", scan.Schema()), Desc: false}}
 	rows, err := Collect(NewSort(scan, keys))
 	if err != nil {
@@ -421,13 +422,13 @@ func TestSortAndLimit(t *testing.T) {
 		t.Errorf("sorted = %v %v %v", rows[0].Tuple, rows[1].Tuple, rows[2].Tuple)
 	}
 	// DESC.
-	scan2 := NewScan(f.r, "r", f.envs)
+	scan2 := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	rows, _ = Collect(NewSort(scan2, []SortKey{{Expr: colRef(t, "r.a", scan2.Schema()), Desc: true}}))
 	if rows[0].Tuple[0].Int() != 3 {
 		t.Errorf("desc sorted head = %v", rows[0].Tuple)
 	}
 	// Limit.
-	scan3 := NewScan(f.r, "r", f.envs)
+	scan3 := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
 	rows, _ = Collect(NewLimit(NewSort(scan3, []SortKey{{Expr: colRef(t, "r.a", scan3.Schema())}}), 2))
 	if len(rows) != 2 {
 		t.Errorf("limit rows = %d", len(rows))
@@ -443,7 +444,7 @@ func TestIndexScan(t *testing.T) {
 	if err := f.r.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(NewIndexScan(f.r, "r", "a", types.NewInt(1), f.envs))
+	rows, err := Collect(NewScan(f.r, "r", f.envs, IndexEq("a", types.NewInt(1)), nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,6 +457,113 @@ func TestIndexScan(t *testing.T) {
 		}
 		if r.Env == nil {
 			t.Error("index scan lost envelope")
+		}
+	}
+	lo, hi := types.NewInt(1), types.NewInt(2)
+	rows, err = Collect(NewScan(f.r, "r", f.envs, IndexRange("a", &lo, &hi, false, true), nil, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 || rows[0].Tuple[0].Int() != 2 || rows[0].Env == nil {
+		t.Fatalf("index range (1, 2] = %d rows, first %v", len(rows), rows)
+	}
+}
+
+// morselFixture fills R with n rows (a = row number) and returns a scan of
+// it cut into morsels of two rows, so a handful of rows exercises the
+// worker pool.
+func morselFixture(t *testing.T, n, workers int) (*fixture, *Scan) {
+	t.Helper()
+	f := newFixture(t)
+	for i := 0; i < n; i++ {
+		f.addRow(t, f.r, types.Tuple{types.NewInt(int64(i)), types.NewInt(0), types.NewString("x")},
+			annotation.ID(100+i), 1, annotation.WholeRow(3))
+	}
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, workers)
+	scan.morsel = 2
+	return f, scan
+}
+
+func TestScanPoolIsOrderedAndCappedByMorsels(t *testing.T) {
+	_, scan := morselFixture(t, 7, 16) // 4 morsels
+	rows, err := CollectContext(Background().WithBatchSize(3), scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 7 {
+		t.Fatalf("rows = %d, want 7", len(rows))
+	}
+	for i, r := range rows {
+		if r.Tuple[0].Int() != int64(i) || r.Env == nil {
+			t.Errorf("row %d = %v (env %v): gather out of order or envelope lost", i, r.Tuple, r.Env)
+		}
+	}
+	if st := scan.Stats(); st.Workers != 4 || st.Morsels != 4 || st.Rows != 7 {
+		t.Errorf("stats = %+v, want 4 workers, 4 morsels, 7 rows", st)
+	}
+}
+
+func TestScanEmptyTableStartsNoWorkers(t *testing.T) {
+	_, scan := morselFixture(t, 0, 4)
+	before := runtime.NumGoroutine()
+	if err := scan.Open(Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("goroutines %d → %d across Open of an empty table", before, got)
+	}
+	if b, err := scan.NextBatch(Background()); b != nil || err != nil {
+		t.Errorf("NextBatch = %v, %v; want end of stream", b, err)
+	}
+	scan.Close()
+	if st := scan.Stats(); st.Workers != 0 || st.Morsels != 0 {
+		t.Errorf("stats = %+v, want no workers and no morsels", st)
+	}
+}
+
+func TestScanOneMorselRunsInline(t *testing.T) {
+	_, scan := morselFixture(t, 2, 4)
+	before := runtime.NumGoroutine()
+	ec := Background()
+	if err := scan.Open(ec); err != nil {
+		t.Fatal(err)
+	}
+	b, err := scan.NextBatch(ec)
+	if err != nil || b.Len() != 2 {
+		t.Fatalf("NextBatch = %d rows, %v", b.Len(), err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("goroutines %d → %d: a one-morsel scan must run inline", before, got)
+	}
+	scan.Close()
+	if st := scan.Stats(); st.Workers != 1 || st.Morsels != 1 {
+		t.Errorf("stats = %+v, want 1 worker and 1 morsel", st)
+	}
+}
+
+// TestScanReopenWithoutClose abandons a pooled run after one batch and
+// opens the scan again: the second run must wait out the first run's
+// workers (the race detector sees them share the snapshot otherwise) and
+// produce the whole table.
+func TestScanReopenWithoutClose(t *testing.T) {
+	_, scan := morselFixture(t, 40, 4)
+	ec := Background().WithBatchSize(1)
+	if err := scan.Open(ec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scan.NextBatch(ec); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := CollectContext(ec, scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 40 {
+		t.Fatalf("rows after re-open = %d, want 40", len(rows))
+	}
+	for i, r := range rows {
+		if r.Tuple[0].Int() != int64(i) {
+			t.Fatalf("row %d = %v after re-open", i, r.Tuple)
 		}
 	}
 }

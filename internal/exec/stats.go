@@ -5,15 +5,9 @@ package exec
 // insightnotes_exec_op_* metric families, so they must stay stable across
 // releases: dashboards and the slow-query log key on them.
 func OperatorName(op Operator) string {
-	switch op.(type) {
+	switch op := op.(type) {
 	case *Scan:
-		return "scan"
-	case *ParallelScan:
-		return "parallel_scan"
-	case *IndexScan:
-		return "index_scan"
-	case *IndexRangeScan:
-		return "index_range_scan"
+		return op.src.opName()
 	case *ValuesOp:
 		return "values"
 	case *Filter:

@@ -5,7 +5,7 @@
 // tests enable an action — return an error, simulate a crash-stop, or
 // panic — for the points they want to exercise.
 //
-// Every name is declared in names.go; scripts/check.sh lints that no
+// Every name is declared in names.go; internal/lint checks that no
 // undeclared fp/* literal exists in the tree.
 //
 // The disabled fast path is one atomic load, so leaving Eval calls in

@@ -1,7 +1,7 @@
 package failpoint
 
 // Every failpoint name the engine evaluates, declared once. The naming
-// scheme is fp/<layer>/<point>; the scripts/check.sh lint rejects any
+// scheme is fp/<layer>/<point>; the internal/lint test rejects any
 // fp/* string literal anywhere in the tree that is not declared in this
 // file, so the failpoint catalog stays reviewable in one place (mirroring
 // the metric-name lint over internal/metrics/names.go).

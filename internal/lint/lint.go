@@ -1,0 +1,150 @@
+// Package lint holds the repository's naming lints, written over go/ast
+// so they run as ordinary tests under `go test ./...`. Three vocabularies
+// are each declared once — metric names in internal/metrics/names.go,
+// failpoint names in internal/failpoint/names.go, lifecycle span names in
+// internal/trace/names.go — and the lints keep the rest of the tree from
+// growing names those files do not list.
+package lint
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+)
+
+// Sources is a set of parsed Go files, keyed for reporting by the path
+// each was parsed under.
+type Sources struct {
+	fset  *token.FileSet
+	files []*ast.File
+}
+
+// Parse adds one file to the set. src follows parser.ParseFile: nil reads
+// path from disk, a string is parsed as the file's content.
+func (s *Sources) Parse(path string, src any) error {
+	if s.fset == nil {
+		s.fset = token.NewFileSet()
+	}
+	f, err := parser.ParseFile(s.fset, path, src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	s.files = append(s.files, f)
+	return nil
+}
+
+// ParseTree adds every non-test Go file under the given directories.
+func (s *Sources) ParseTree(dirs ...string) error {
+	for _, dir := range dirs {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			return s.Parse(path, nil)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// path is the path f was parsed under, slash-separated.
+func (s *Sources) path(f *ast.File) string {
+	return filepath.ToSlash(s.fset.Position(f.Pos()).Filename)
+}
+
+// stringLits calls fn for every string literal in f with its value.
+func (s *Sources) stringLits(f *ast.File, fn func(lit *ast.BasicLit, val string)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if val, err := strconv.Unquote(lit.Value); err == nil {
+				fn(lit, val)
+			}
+		}
+		return true
+	})
+}
+
+// Declared returns the string literals of the one file whose path ends in
+// catalog — the names a names.go declares.
+func (s *Sources) Declared(catalog string) []string {
+	var names []string
+	for _, f := range s.files {
+		if strings.HasSuffix(s.path(f), catalog) {
+			s.stringLits(f, func(_ *ast.BasicLit, val string) { names = append(names, val) })
+		}
+	}
+	return names
+}
+
+// Undeclared reports every string literal outside the catalog file that
+// matches shape in full and is not among the catalog's declarations: a
+// name in use that its vocabulary file does not list.
+func (s *Sources) Undeclared(shape *regexp.Regexp, catalog string) []string {
+	declared := map[string]bool{}
+	for _, name := range s.Declared(catalog) {
+		declared[name] = true
+	}
+	var problems []string
+	for _, f := range s.files {
+		if strings.HasSuffix(s.path(f), catalog) {
+			continue
+		}
+		s.stringLits(f, func(lit *ast.BasicLit, val string) {
+			if shape.MatchString(val) && !declared[val] {
+				problems = append(problems, fmt.Sprintf("%s: %q is not declared in %s",
+					s.fset.Position(lit.Pos()), val, catalog))
+			}
+		})
+	}
+	return problems
+}
+
+// Malformed reports the catalog's declarations that do not match scheme.
+func (s *Sources) Malformed(scheme *regexp.Regexp, catalog string) []string {
+	var problems []string
+	for _, name := range s.Declared(catalog) {
+		if !scheme.MatchString(name) {
+			problems = append(problems, fmt.Sprintf("%s: declared name %q violates %s", catalog, name, scheme))
+		}
+	}
+	return problems
+}
+
+// InlineCallNames reports calls x.M("literal", ...) for M in methods in
+// files whose path does not contain exempt: call sites that spell a name
+// inline where a declared constant is required.
+func (s *Sources) InlineCallNames(methods []string, exempt string) []string {
+	var problems []string
+	for _, f := range s.files {
+		if strings.Contains(s.path(f), exempt) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if !ok || !isLit || lit.Kind != token.STRING {
+				return true
+			}
+			for _, m := range methods {
+				if sel.Sel.Name == m {
+					problems = append(problems, fmt.Sprintf("%s: %s(%s) spells a name inline; use a declared constant",
+						s.fset.Position(call.Pos()), m, lit.Value))
+				}
+			}
+			return true
+		})
+	}
+	return problems
+}

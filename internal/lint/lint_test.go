@@ -1,0 +1,119 @@
+package lint
+
+import (
+	"regexp"
+	"strings"
+	"testing"
+)
+
+const (
+	metricCatalog    = "internal/metrics/names.go"
+	failpointCatalog = "internal/failpoint/names.go"
+	spanCatalog      = "internal/trace/names.go"
+)
+
+var (
+	metricShape = regexp.MustCompile(`^insightnotes_[a-z0-9_]+$`)
+	// The <layer> segment comes from this list, so a typo'd family
+	// (insightnotes_replication_* beside insightnotes_repl_*) or an
+	// unreviewed new layer fails here instead of fragmenting dashboards.
+	// Extend it deliberately.
+	metricScheme = regexp.MustCompile(`^insightnotes_(engine|summary|exec|bufferpool|plan|plancache|zoomin|server|admission|wal|maintenance|trace|build|process|repl|integrity)_[a-z][a-z0-9_]*$`)
+
+	failpointShape = regexp.MustCompile(`^fp/[a-z0-9_/]+$`)
+
+	// Span names are <layer>.<step>; a prefix constant may end in a bare
+	// dot (op.).
+	spanScheme = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.([a-z][a-z0-9_]*)?)?$`)
+	spanCalls  = []string{"StartSpan", "Child", "AddChild"}
+)
+
+// tree parses the repository's non-test code plus extra synthetic files
+// (path, content pairs).
+func tree(t *testing.T, extra ...string) *Sources {
+	t.Helper()
+	var s Sources
+	if err := s.ParseTree("../../internal", "../../cmd"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(extra); i += 2 {
+		if err := s.Parse(extra[i], extra[i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &s
+}
+
+// expect checks that problems are exactly the ones containing each of
+// want, in any order; with no want, that there are none.
+func expect(t *testing.T, problems []string, want ...string) {
+	t.Helper()
+	for _, p := range problems {
+		found := false
+		for _, w := range want {
+			found = found || strings.Contains(p, w)
+		}
+		if !found {
+			t.Error(p)
+		}
+	}
+	for _, w := range want {
+		if !strings.Contains(strings.Join(problems, "\n"), w) {
+			t.Errorf("not reported: %s", w)
+		}
+	}
+}
+
+// Every insightnotes_* literal in non-test code is declared in
+// internal/metrics/names.go, and every declared name follows
+// insightnotes_<layer>_<name> with a known layer — the metric taxonomy
+// stays reviewable in one file, and a rename that skips it fails here.
+func TestMetricNames(t *testing.T) {
+	s := tree(t)
+	if len(s.Declared(metricCatalog)) == 0 {
+		t.Fatal("no declarations found in " + metricCatalog)
+	}
+	expect(t, s.Undeclared(metricShape, metricCatalog))
+	expect(t, s.Malformed(metricScheme, metricCatalog))
+
+	bad := tree(t,
+		"internal/x/x.go", `package x; var n = "insightnotes_exec_bogus_total"`,
+		"fake/"+metricCatalog, `package metrics; const A, B = "insightnotes_replication_lag", "insightnotes_engine"`)
+	expect(t, bad.Undeclared(metricShape, metricCatalog), `"insightnotes_exec_bogus_total" is not declared`)
+	expect(t, bad.Malformed(metricScheme, metricCatalog),
+		`"insightnotes_replication_lag" violates`, `"insightnotes_engine" violates`)
+}
+
+// Every fp/* literal in non-test code is declared in
+// internal/failpoint/names.go: the declarations are the catalog the
+// crash-recovery suite iterates over, so an inline literal would be a
+// crash site with no fault-injection coverage.
+func TestFailpointNames(t *testing.T) {
+	s := tree(t)
+	if len(s.Declared(failpointCatalog)) == 0 {
+		t.Fatal("no declarations found in " + failpointCatalog)
+	}
+	expect(t, s.Undeclared(failpointShape, failpointCatalog))
+
+	bad := tree(t, "internal/x/x.go", `package x; func f() { eval("fp/wal/bogus") }`)
+	expect(t, bad.Undeclared(failpointShape, failpointCatalog), `"fp/wal/bogus" is not declared`)
+}
+
+// Span call sites outside internal/trace use the trace.Span* constants
+// (or trace.OpSpan), never an inline literal — a span opened with one
+// would add vocabulary nobody can find — and every name declared in
+// internal/trace/names.go follows <layer>.<step>.
+func TestSpanNames(t *testing.T) {
+	s := tree(t)
+	if len(s.Declared(spanCatalog)) == 0 {
+		t.Fatal("no declarations found in " + spanCatalog)
+	}
+	expect(t, s.InlineCallNames(spanCalls, "internal/trace/"))
+	expect(t, s.Malformed(spanScheme, spanCatalog))
+
+	bad := tree(t,
+		"internal/x/x.go", `package x; func f() { sp.Child("engine.inline").End() }`,
+		"fake/"+spanCatalog, `package trace; const SpanBad = "Stmt.Parse.extra"`)
+	expect(t, bad.InlineCallNames(spanCalls, "internal/trace/"), `Child("engine.inline")`)
+	expect(t, bad.Malformed(spanScheme, spanCatalog), `"Stmt.Parse.extra" violates`)
+}

@@ -12,7 +12,7 @@
 //
 // Metric names follow the taxonomy insightnotes_<layer>_<name>{label} and
 // are validated at registration; every name used by the engine is declared
-// once in names.go (enforced by the scripts/check.sh lint).
+// once in names.go (enforced by internal/lint).
 //
 // Registration is get-or-create: asking twice for the same name with the
 // same shape returns the same collector, so independent subsystems sharing

@@ -2,7 +2,7 @@ package metrics
 
 // Every metric name the engine registers, declared once. The taxonomy is
 // insightnotes_<layer>_<name>{label}; counters end in _total. The
-// scripts/check.sh lint rejects any insightnotes_* string literal in
+// internal/lint test rejects any insightnotes_* string literal in
 // non-test code that is not declared in this file, so renames happen here
 // (and show up in review) or not at all.
 const (
@@ -33,9 +33,9 @@ const (
 	NameExecOpMergesTotal  = "insightnotes_exec_op_merges_total"  // counter{op}
 	NameExecOpCuratesTotal = "insightnotes_exec_op_curates_total" // counter{op}
 
-	// exec layer — morsel-driven parallel scans.
-	NameExecScanMorselsTotal = "insightnotes_exec_scan_morsels_total" // counter (morsels processed by workers)
-	NameExecScanWorkersTotal = "insightnotes_exec_scan_workers_total" // counter (worker goroutines launched)
+	// exec layer — morsel-driven base-table scans.
+	NameExecScanMorselsTotal = "insightnotes_exec_scan_morsels_total" // counter (morsels processed)
+	NameExecScanWorkersTotal = "insightnotes_exec_scan_workers_total" // counter (scan workers: 1 per inline scan, the pool size otherwise)
 
 	// bufferpool layer — frame cache over the page store. These counters
 	// predate the _total convention in ISSUE 6's acceptance wording and are

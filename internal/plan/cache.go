@@ -199,7 +199,12 @@ type PathMemo struct {
 // NewPathMemo builds an empty memo.
 func NewPathMemo() *PathMemo { return &PathMemo{paths: make(map[string]pathChoice)} }
 
+// lookup and record tolerate a nil memo (uncached statements): nothing is
+// found and nothing is kept.
 func (m *PathMemo) lookup(alias string) (pathChoice, bool) {
+	if m == nil {
+		return pathChoice{}, false
+	}
 	m.mu.Lock()
 	c, ok := m.paths[alias]
 	m.mu.Unlock()
@@ -207,6 +212,9 @@ func (m *PathMemo) lookup(alias string) (pathChoice, bool) {
 }
 
 func (m *PathMemo) record(alias string, c pathChoice) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	if _, dup := m.paths[alias]; !dup {
 		m.paths[alias] = c

@@ -56,66 +56,73 @@ func diveLimit(seqCost float64) int {
 // indexCandidate is one pushed-down predicate an index can serve, with its
 // dive-based cardinality estimate.
 type indexCandidate struct {
-	expr sql.Expr
-	col  string // unqualified indexed column name
-	est  int
+	col string // unqualified indexed column name
+	est int
 	// equality candidates carry val; range candidates carry rng.
 	isRange bool
 	val     types.Value
 	rng     valueRange
 }
 
-// chooseAccessPath picks the cheapest access path for relation r given its
+// source is the row source that resolves the candidate.
+func (c *indexCandidate) source() exec.RowSource {
+	if c.isRange {
+		return exec.IndexRange(c.col, c.rng.lo, c.rng.hi, c.rng.loInc, c.rng.hiInc)
+	}
+	return exec.IndexEq(c.col, c.val)
+}
+
+// bestIndexCandidate returns the conjunct of lowest estimated match count
+// that an index of tbl can serve, or nil when there is none. Estimates are
+// index dives capped at limit; a capped dive already proves the index
+// loses, so its candidate is dropped.
+func bestIndexCandidate(tbl *catalog.Table, schema types.Schema, conjuncts []sql.Expr, limit int) *indexCandidate {
+	var best *indexCandidate
+	for _, e := range conjuncts {
+		var c indexCandidate
+		var capped, ok bool
+		if col, val, isEq := constEquality(e, schema); isEq {
+			_, c.col = types.SplitQualified(col)
+			c.val = val
+			c.est, capped, ok = tbl.EstimateIndexEquality(c.col, val, limit)
+		} else if rng, isRange := constRange(e, schema); isRange {
+			_, c.col = types.SplitQualified(rng.col)
+			c.isRange, c.rng = true, rng
+			c.est, capped, ok = tbl.EstimateIndexRange(c.col, rng.lo, rng.hi, rng.loInc, rng.hiInc, limit)
+		}
+		if ok && !capped && (best == nil || c.est < best.est) {
+			cc := c
+			best = &cc
+		}
+	}
+	return best
+}
+
+// chooseAccessPath picks the cheapest row source for relation r given its
 // pushed-down local predicates: the best eligible index candidate when its
-// estimated cost undercuts the sequential scan, the sequential (possibly
-// morsel-parallel) scan otherwise. It returns the chosen scan operator with
-// the planner's row estimate attached.
-func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) exec.Operator {
+// estimated cost undercuts the sequential scan, the full heap otherwise.
+// It returns the source with the planner's row estimate for it.
+func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) (exec.RowSource, int) {
 	alias := strings.ToLower(r.ref.EffectiveAlias())
-	if m := p.opts.Memo; m != nil && !p.opts.DisableIndexScan {
-		if ch, ok := m.lookup(alias); ok {
-			if op, replayed := p.replayPath(r, local, ch); replayed {
-				if sp := p.opts.Span; sp != nil {
-					sp.Attr("path_memo."+alias, ch.kind)
-				}
-				return op
+	st := r.table.Stats()
+	memo := p.opts.Memo
+	if p.opts.DisableIndexScan {
+		memo = nil
+	}
+	if ch, ok := memo.lookup(alias); ok {
+		if src, replayed := replayPath(r, local, ch); replayed {
+			p.opts.Span.Attr("path_memo."+alias, ch.kind)
+			if ch.kind == "full" {
+				ch.est = st.Rows // the heap's size is read, never memoized
 			}
+			return src, ch.est
 		}
 	}
 
-	st := r.table.Stats()
 	seq := seqScanCost(st)
-
 	var best *indexCandidate
 	if !p.opts.DisableIndexScan {
-		limit := diveLimit(seq)
-		for _, e := range local {
-			if col, val, ok := constEquality(e, r.schema); ok {
-				_, name := types.SplitQualified(col)
-				est, capped, ok := r.table.EstimateIndexEquality(name, val, limit)
-				if !ok || capped {
-					continue
-				}
-				c := indexCandidate{expr: e, col: name, est: est, val: val}
-				if best == nil || c.est < best.est {
-					cc := c
-					best = &cc
-				}
-				continue
-			}
-			if rng, ok := constRange(e, r.schema); ok {
-				_, name := types.SplitQualified(rng.col)
-				est, capped, ok := r.table.EstimateIndexRange(name, rng.lo, rng.hi, rng.loInc, rng.hiInc, limit)
-				if !ok || capped {
-					continue
-				}
-				c := indexCandidate{expr: e, col: name, est: est, isRange: true, rng: rng}
-				if best == nil || c.est < best.est {
-					cc := c
-					best = &cc
-				}
-			}
-		}
+		best = bestIndexCandidate(r.table, r.schema, local, diveLimit(seq))
 	}
 
 	if sp := p.opts.Span; sp != nil {
@@ -127,62 +134,37 @@ func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) exec.Operator 
 		}
 	}
 	if best != nil && indexCost(best.est) < seq {
-		if m := p.opts.Memo; m != nil && !p.opts.DisableIndexScan {
-			kind := "index"
-			if best.isRange {
-				kind = "index_range"
-			}
-			m.record(alias, pathChoice{kind: kind, col: best.col, est: best.est})
-		}
-		if best.isRange {
-			op := exec.NewIndexRangeScan(r.table, r.ref.EffectiveAlias(), best.col,
-				best.rng.lo, best.rng.hi, best.rng.loInc, best.rng.hiInc, p.envs)
-			op.SetEstimatedRows(best.est)
-			return op
-		}
-		op := exec.NewIndexScan(r.table, r.ref.EffectiveAlias(), best.col, best.val, p.envs)
-		op.SetEstimatedRows(best.est)
-		return op
+		src := best.source()
+		memo.record(alias, pathChoice{kind: src.Path(), col: best.col, est: best.est})
+		return src, best.est
 	}
-	if m := p.opts.Memo; m != nil && !p.opts.DisableIndexScan {
-		m.record(alias, pathChoice{kind: "full"})
-	}
-	return nil // sequential scan wins; accessPath builds it
+	memo.record(alias, pathChoice{kind: "full"})
+	return exec.FullHeap(), st.Rows
 }
 
-// replayPath rebuilds the memoized access path for r, pulling probe
-// values from the current (bound) predicates. It reports false when the
-// recorded shape no longer matches the predicate set — the caller then
-// falls back to full cost-based selection.
-func (p *Planner) replayPath(r *relation, local []sql.Expr, ch pathChoice) (exec.Operator, bool) {
-	switch ch.kind {
-	case "full":
-		return nil, true
-	case "index":
-		for _, e := range local {
-			col, val, ok := constEquality(e, r.schema)
-			if !ok {
-				continue
+// replayPath rebuilds the memoized row source for r, pulling probe values
+// from the current (bound) predicates. It reports false when the recorded
+// shape no longer matches the predicate set — the caller then falls back
+// to full cost-based selection.
+func replayPath(r *relation, local []sql.Expr, ch pathChoice) (exec.RowSource, bool) {
+	if ch.kind == "full" {
+		return exec.FullHeap(), true
+	}
+	for _, e := range local {
+		switch ch.kind {
+		case "index":
+			if col, val, ok := constEquality(e, r.schema); ok {
+				if _, name := types.SplitQualified(col); name == ch.col {
+					return exec.IndexEq(ch.col, val), true
+				}
 			}
-			if _, name := types.SplitQualified(col); name == ch.col {
-				op := exec.NewIndexScan(r.table, r.ref.EffectiveAlias(), ch.col, val, p.envs)
-				op.SetEstimatedRows(ch.est)
-				return op, true
-			}
-		}
-	case "index_range":
-		for _, e := range local {
-			rng, ok := constRange(e, r.schema)
-			if !ok {
-				continue
-			}
-			if _, name := types.SplitQualified(rng.col); name == ch.col {
-				op := exec.NewIndexRangeScan(r.table, r.ref.EffectiveAlias(), ch.col,
-					rng.lo, rng.hi, rng.loInc, rng.hiInc, p.envs)
-				op.SetEstimatedRows(ch.est)
-				return op, true
+		case "index_range":
+			if rng, ok := constRange(e, r.schema); ok {
+				if _, name := types.SplitQualified(rng.col); name == ch.col {
+					return exec.IndexRange(ch.col, rng.lo, rng.hi, rng.loInc, rng.hiInc), true
+				}
 			}
 		}
 	}
-	return nil, false
+	return exec.RowSource{}, false
 }

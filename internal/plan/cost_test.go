@@ -54,7 +54,7 @@ func TestCostModelPicksIndexForSelectivePredicate(t *testing.T) {
 	w := newWorld(t)
 	costWorld(t, w)
 	out := explainOf(t, w, "SELECT v FROM T WHERE k = 1234", Options{})
-	if !strings.Contains(out, "IndexScan T") {
+	if !strings.Contains(out, "Scan T AS T path=index ON k = 1234") {
 		t.Errorf("selective equality not index-scanned:\n%s", out)
 	}
 	if !strings.Contains(out, "est≈1 rows") {
@@ -62,7 +62,7 @@ func TestCostModelPicksIndexForSelectivePredicate(t *testing.T) {
 	}
 	// A selective range uses the range scan.
 	out = explainOf(t, w, "SELECT v FROM T WHERE k BETWEEN 10 AND 14", Options{})
-	if !strings.Contains(out, "IndexRangeScan T") {
+	if !strings.Contains(out, "Scan T AS T path=index_range ON k [>= 10, <= 14]") {
 		t.Errorf("selective range not index-scanned:\n%s", out)
 	}
 }
@@ -73,17 +73,14 @@ func TestCostModelPicksFullScanForNonSelectivePredicate(t *testing.T) {
 	// k >= 100 matches 95% of the table: the index would resolve ~1900
 	// random lookups, so the sequential scan must win.
 	out := explainOf(t, w, "SELECT v FROM T WHERE k >= 100", Options{})
-	if strings.Contains(out, "IndexScan") || strings.Contains(out, "IndexRangeScan") {
-		t.Errorf("non-selective predicate index-scanned:\n%s", out)
-	}
-	if !strings.Contains(out, "Scan T") {
+	if !strings.Contains(out, "Scan T AS T path=full workers=1") {
 		t.Errorf("expected a full scan:\n%s", out)
 	}
-	// With parallelism the full scan plans as a morsel-parallel scan — the
-	// ParallelScan-otherwise half of the acceptance criterion.
-	out = explainOf(t, w, "SELECT v FROM T WHERE k >= 100", Options{Parallelism: 4})
-	if !strings.Contains(out, "ParallelScan T") {
-		t.Errorf("expected ParallelScan under parallelism:\n%s", out)
+	// The requested worker count changes the workers= attribute and
+	// nothing else about the plan.
+	par := explainOf(t, w, "SELECT v FROM T WHERE k >= 100", Options{Parallelism: 4})
+	if want := strings.Replace(out, "workers=1", "workers=4", 1); par != want {
+		t.Errorf("plan under parallelism:\n%s\nwant:\n%s", par, want)
 	}
 }
 
@@ -93,7 +90,7 @@ func TestCostModelPrefersMostSelectiveIndex(t *testing.T) {
 	// Both predicates are indexed; k = 7 matches 1 row, grp = 3 matches
 	// 100. The planner must pick the k index.
 	out := explainOf(t, w, "SELECT v FROM T WHERE grp = 3 AND k = 7", Options{})
-	if !strings.Contains(out, "IndexScan T AS T ON k = 7") {
+	if !strings.Contains(out, "path=index ON k = 7") {
 		t.Errorf("planner did not pick the most selective index:\n%s", out)
 	}
 }
@@ -106,7 +103,7 @@ func TestCostModelTinyTableFullScans(t *testing.T) {
 	}
 	// A 3-row single-page table is cheaper to scan than to probe.
 	out := explainOf(t, w, "SELECT b FROM R WHERE a = 1", Options{})
-	if strings.Contains(out, "IndexScan") {
+	if !strings.Contains(out, "path=full") {
 		t.Errorf("tiny table index-scanned:\n%s", out)
 	}
 }
@@ -136,9 +133,9 @@ func TestCostModelCountersTrackChoices(t *testing.T) {
 	var c Counters
 	opts := Options{Counters: &c}
 	for _, q := range []string{
-		"SELECT v FROM T WHERE k = 1",       // index scan
-		"SELECT v FROM T WHERE k < 5",       // index range scan
-		"SELECT v FROM T WHERE k >= 100",    // full scan
+		"SELECT v FROM T WHERE k = 1",    // index scan
+		"SELECT v FROM T WHERE k < 5",    // index range scan
+		"SELECT v FROM T WHERE k >= 100", // full scan
 	} {
 		stmt, _ := sql.Parse(q)
 		if _, err := New(w.cat, w.envs, opts).PlanSelect(stmt.(*sql.Select)); err != nil {

@@ -46,36 +46,7 @@ func ChooseDMLPath(tbl *catalog.Table, where sql.Expr, disableIndex bool) DMLPat
 		return path
 	}
 
-	schema := tbl.Schema()
-	limit := diveLimit(seq)
-	var best *indexCandidate
-	for _, e := range exec.SplitConjuncts(where) {
-		if col, val, ok := constEquality(e, schema); ok {
-			_, name := types.SplitQualified(col)
-			est, capped, ok := tbl.EstimateIndexEquality(name, val, limit)
-			if !ok || capped {
-				continue
-			}
-			c := indexCandidate{expr: e, col: name, est: est, val: val}
-			if best == nil || c.est < best.est {
-				cc := c
-				best = &cc
-			}
-			continue
-		}
-		if rng, ok := constRange(e, schema); ok {
-			_, name := types.SplitQualified(rng.col)
-			est, capped, ok := tbl.EstimateIndexRange(name, rng.lo, rng.hi, rng.loInc, rng.hiInc, limit)
-			if !ok || capped {
-				continue
-			}
-			c := indexCandidate{expr: e, col: name, est: est, isRange: true, rng: rng}
-			if best == nil || c.est < best.est {
-				cc := c
-				best = &cc
-			}
-		}
-	}
+	best := bestIndexCandidate(tbl, tbl.Schema(), exec.SplitConjuncts(where), diveLimit(seq))
 	if best == nil || indexCost(best.est) >= seq {
 		if best != nil {
 			path.CostIndex = indexCost(best.est)

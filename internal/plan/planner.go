@@ -35,11 +35,9 @@ type Options struct {
 	// The entries land in the per-statement sink owned by the ExecContext
 	// the plan is executed under.
 	Trace bool
-	// Parallelism is the worker count for morsel-driven parallel base-table
-	// scans. Values above 1 replace the full-scan access path with a
-	// ParallelScan that absorbs the relation's pushed-down predicate and
-	// projection into the worker pool; 0 and 1 keep every scan serial.
-	// Index scans are never parallelized.
+	// Parallelism is the worker count requested for each base-table scan's
+	// morsel pool; a scan never runs more workers than it has morsels, and
+	// runs inline at one. 0 and 1 request one worker.
 	Parallelism int
 	// Counters, when set, receives planning-decision counts (plans built,
 	// access paths chosen). Shared across planner instances; safe for
@@ -67,9 +65,6 @@ type Counters struct {
 	FullScans       atomic.Int64
 	IndexScans      atomic.Int64
 	IndexRangeScans atomic.Int64
-	// ParallelScans counts full scans planned as morsel-parallel (also
-	// counted in FullScans).
-	ParallelScans atomic.Int64
 }
 
 // Planner compiles SELECT statements into operator trees.
@@ -179,12 +174,11 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 	remaining := make([]sql.Expr, 0, len(preds))
 	remainingSummary := make([]sql.Expr, 0, len(summaryPreds))
 	for i, r := range rels {
-		op, consumed, err := p.accessPath(r, preds)
+		scan, err := p.accessPath(r, preds)
 		if err != nil {
 			return nil, err
 		}
-		r.op = op
-		_ = consumed
+		r.op = scan
 		pushedSummary := false
 		for _, e := range summaryPreds {
 			if !p.summaryPredBindsTo(e, r, rels) {
@@ -197,9 +191,10 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 			r.op = exec.NewRowFilter(r.op, c)
 			pushedSummary = true
 		}
+		// A summary filter suppresses the push-down, so the scan is still
+		// the relation's whole pipeline whenever a projection is pushed.
 		if !p.opts.DisableProjectionPushdown && !pushedSummary {
-			r.op, r.schema, err = p.pushProjection(r, needed[i])
-			if err != nil {
+			if r.schema, err = pushProjection(scan, r.schema, needed[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -351,91 +346,50 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 	return cur, nil
 }
 
-// accessPath builds the scan (or index scan) plus pushed single-relation
-// filters for r.
-func (p *Planner) accessPath(r *relation, preds []sql.Expr) (exec.Operator, []sql.Expr, error) {
-	var consumed []sql.Expr
+// accessPath builds r's scan: the cheapest row source (cost.go) with the
+// conjunction of r's single-relation predicates absorbed into it.
+func (p *Planner) accessPath(r *relation, preds []sql.Expr) (*exec.Scan, error) {
 	var local []sql.Expr
+	var all sql.Expr
 	for _, e := range preds {
 		if exec.ReferencesOnly(e, r.schema) && referencesRelation(e, r.schema) {
 			local = append(local, e)
+			all = andExpr(all, e)
 		}
 	}
-	// Cost-based index selection (cost.go): the cheapest index lookup or
-	// range scan a local predicate admits, when it undercuts the estimated
-	// sequential-scan cost; nil when the sequential scan wins.
-	op := p.chooseAccessPath(r, local)
-	absorbed := false
-	if op == nil {
-		if n := p.opts.Parallelism; n > 1 {
-			// Morsel-parallel full scan: the conjunction of the pushed-down
-			// predicates is absorbed into the worker pool instead of stacked
-			// as Filter operators above the scan.
-			var pred *exec.Compiled
-			if len(local) > 0 {
-				var all sql.Expr
-				for _, e := range local {
-					all = andExpr(all, e)
-				}
-				c, err := exec.Compile(all, r.schema)
-				if err != nil {
-					return nil, nil, err
-				}
-				pred = c
-			}
-			ps := exec.NewParallelScan(r.table, r.ref.EffectiveAlias(), p.envs, pred, nil, n)
-			ps.SetEstimatedRows(r.table.Stats().Rows)
-			op = ps
-			consumed = append(consumed, local...)
-			absorbed = true
-		} else {
-			sc := exec.NewScan(r.table, r.ref.EffectiveAlias(), p.envs)
-			sc.SetEstimatedRows(r.table.Stats().Rows)
-			op = sc
+	var pred *exec.Compiled
+	if all != nil {
+		var err error
+		if pred, err = exec.Compile(all, r.schema); err != nil {
+			return nil, err
 		}
 	}
-	pathName := "full_scan"
-	switch op.(type) {
-	case *exec.IndexScan:
-		pathName = "index_scan"
-	case *exec.IndexRangeScan:
-		pathName = "index_range_scan"
-	case *exec.ParallelScan:
-		pathName = "parallel_scan"
-	}
+	src, est := p.chooseAccessPath(r, local)
 	if c := p.opts.Counters; c != nil {
-		switch pathName {
-		case "index_scan":
+		switch src.Path() {
+		case "index":
 			c.IndexScans.Add(1)
-		case "index_range_scan":
+		case "index_range":
 			c.IndexRangeScans.Add(1)
-		case "parallel_scan":
-			c.FullScans.Add(1)
-			c.ParallelScans.Add(1)
 		default:
 			c.FullScans.Add(1)
 		}
 	}
-	p.opts.Span.Attr("path."+strings.ToLower(r.ref.EffectiveAlias()), pathName)
-	if !absorbed {
-		for _, e := range local {
-			c, err := exec.Compile(e, r.schema)
-			if err != nil {
-				return nil, nil, err
-			}
-			op = exec.NewFilter(op, c)
-			consumed = append(consumed, e)
-		}
-	}
-	return op, consumed, nil
+	// full_scan, index_scan, index_range_scan: the values of the
+	// access_paths_total{path} label the counters above feed.
+	p.opts.Span.Attr("path."+strings.ToLower(r.ref.EffectiveAlias()), src.Path()+"_scan")
+	scan := exec.NewScan(r.table, r.ref.EffectiveAlias(), p.envs, src, pred, p.opts.Parallelism)
+	scan.SetEstimatedRows(est)
+	return scan, nil
 }
 
-// pushProjection narrows r's output to the needed column ordinals,
-// curating summary envelopes before any merge (the theorem discipline).
-// All columns are kept when the relation is fully referenced.
-func (p *Planner) pushProjection(r *relation, needed map[int]bool) (exec.Operator, types.Schema, error) {
-	if len(needed) >= r.schema.Len() {
-		return r.op, r.schema, nil
+// pushProjection narrows scan's output to the needed column ordinals of
+// its relation schema, curating summary envelopes before any merge (the
+// theorem discipline), and returns the relation's schema afterwards. All
+// columns are kept when the relation is fully referenced.
+func pushProjection(scan *exec.Scan, schema types.Schema, needed map[int]bool) (types.Schema, error) {
+	if len(needed) >= schema.Len() {
+		return schema, nil
 	}
 	idxs := make([]int, 0, len(needed))
 	for i := range needed {
@@ -449,21 +403,15 @@ func (p *Planner) pushProjection(r *relation, needed map[int]bool) (exec.Operato
 	}
 	items := make([]exec.ProjectItem, len(idxs))
 	for j, ix := range idxs {
-		col := r.schema.Columns[ix]
-		c, err := exec.Compile(&sql.ColRef{Name: col.QualifiedName()}, r.schema)
+		col := schema.Columns[ix]
+		c, err := exec.Compile(&sql.ColRef{Name: col.QualifiedName()}, schema)
 		if err != nil {
-			return nil, types.Schema{}, err
+			return types.Schema{}, err
 		}
 		items[j] = exec.ProjectItem{Expr: c, Col: col}
 	}
-	// A morsel-parallel scan absorbs the pushed projection into its worker
-	// pool, so the per-tuple curation parallelizes with the scan.
-	if ps, ok := r.op.(*exec.ParallelScan); ok {
-		ps.AbsorbProject(items)
-		return ps, ps.Schema(), nil
-	}
-	op := exec.NewProject(r.op, items)
-	return op, op.Schema(), nil
+	scan.AbsorbProject(items)
+	return scan.Schema(), nil
 }
 
 // neededColumns computes, per relation, the set of column ordinals

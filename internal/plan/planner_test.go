@@ -550,8 +550,8 @@ func TestPlanIndexRangeScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(exec.Explain(op), "IndexRangeScan") {
-		t.Errorf("plan missing IndexRangeScan:\n%s", exec.Explain(op))
+	if !strings.Contains(exec.Explain(op), "path=index_range ON b [> 1995, +∞]") {
+		t.Errorf("plan missing the index range path:\n%s", exec.Explain(op))
 	}
 	// Envelope propagation via range scans (r2 has b = 5 and whole-row
 	// annotation 3).

@@ -19,9 +19,7 @@ import (
 //
 // All statement execution goes through Do, the single context-first entry
 // point; behavior (tracing, parameter binding, retry schedules, mutation
-// safety) is expressed as CallOptions. The pre-consolidation methods
-// (Exec, ExecTraced, ExecRetry, ExecMutation) live in compat.go as thin
-// deprecated wrappers.
+// safety) is expressed as CallOptions.
 type Client struct {
 	addr string
 	conn net.Conn

@@ -1,8 +1,8 @@
 package trace
 
 // Every lifecycle span name the engine opens, declared once. The taxonomy
-// is <layer>.<step> (dots separate levels); the scripts/check.sh span-name
-// lint rejects inline span-name literals at StartSpan/Child/AddChild call
+// is <layer>.<step> (dots separate levels); the internal/lint span-name
+// test rejects inline span-name literals at StartSpan/Child/AddChild call
 // sites outside this package and checks the names declared here against
 // the scheme, so the span vocabulary stays reviewable in one file.
 const (

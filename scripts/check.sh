@@ -1,126 +1,18 @@
 #!/bin/sh
-# Pre-merge gate: metric-name lint, go vet, and the full test suite under
-# the race detector. Equivalent to `make check` plus the lint, for
-# environments without make.
+# Pre-merge gate: go vet, the full test suite under the race detector on
+# two host shapes, the crash and chaos soaks, and the fuzz smokes.
+# The naming lints are ordinary tests (internal/lint) and run with the suite.
 set -eu
 cd "$(dirname "$0")/.."
 
-# Metric-name lint: every insightnotes_* metric-name literal used by
-# non-test code must be declared in internal/metrics/names.go, and every
-# declared name must follow the insightnotes_<layer>_<name> scheme. This
-# keeps the metric taxonomy reviewable in one file — a rename that skips
-# names.go fails here.
-echo ">> metric-name lint"
-fail=0
-used=$(grep -rhoE '"insightnotes_[a-z0-9_]+"' \
-	--include='*.go' --exclude='*_test.go' \
-	internal cmd | grep -v 'internal/metrics/names.go' | sort -u || true)
-for lit in $used; do
-	name=$(printf '%s' "$lit" | tr -d '"')
-	if ! grep -q "\"$name\"" internal/metrics/names.go; then
-		echo "  undeclared metric name $name (declare it in internal/metrics/names.go)" >&2
-		fail=1
-	fi
-done
-declared=$(grep -oE '"insightnotes_[a-z0-9_]+"' internal/metrics/names.go | tr -d '"' | sort -u)
-# The <layer> segment must come from the known-layer list below, so a
-# typo'd family (insightnotes_replication_* vs insightnotes_repl_*) or an
-# unreviewed new layer fails here instead of fragmenting dashboards.
-layers='engine|summary|exec|bufferpool|plan|plancache|zoomin|server|admission|wal|maintenance|trace|build|process|repl|integrity'
-for name in $declared; do
-	if ! printf '%s' "$name" | grep -qE '^insightnotes_[a-z][a-z0-9]*_[a-z][a-z0-9_]*$'; then
-		echo "  declared name $name violates the insightnotes_<layer>_<name> scheme" >&2
-		fail=1
-	elif ! printf '%s' "$name" | grep -qE "^insightnotes_($layers)_"; then
-		echo "  declared name $name uses an unknown <layer> (known: $layers; extend the list in scripts/check.sh deliberately)" >&2
-		fail=1
-	fi
-done
-[ "$fail" -eq 0 ] || exit 1
-
-# Failpoint-name lint: every fp/* name literal used by non-test code must
-# be declared in internal/failpoint/names.go. The declarations are the
-# catalog the crash-recovery suite iterates over; an inline literal would
-# be a crash site with no fault-injection coverage.
-echo ">> failpoint-name lint"
-fail=0
-used=$(grep -rhoE '"fp/[a-z0-9_/]+"' \
-	--include='*.go' --exclude='*_test.go' \
-	internal cmd | grep -v 'internal/failpoint/names.go' | sort -u || true)
-for lit in $used; do
-	name=$(printf '%s' "$lit" | tr -d '"')
-	if ! grep -q "\"$name\"" internal/failpoint/names.go; then
-		echo "  undeclared failpoint name $name (declare it in internal/failpoint/names.go)" >&2
-		fail=1
-	fi
-done
-[ "$fail" -eq 0 ] || exit 1
-
-# Span-name lint: lifecycle span names live in internal/trace/names.go
-# (the <layer>.<step> taxonomy). A span opened with an inline string
-# literal would add vocabulary nobody can find, so StartSpan/Child/
-# AddChild call sites outside the trace package must use the trace.Span*
-# constants (or trace.OpSpan), and every declared name must follow the
-# scheme. Prefix constants may end in a bare dot (op.).
-echo ">> span-name lint"
-fail=0
-inline=$(grep -rnE '\.(StartSpan|Child|AddChild)\("' \
-	--include='*.go' --exclude='*_test.go' \
-	internal cmd | grep -v '^internal/trace/' || true)
-if [ -n "$inline" ]; then
-	echo "  inline span-name literal at a span call site (use a trace.Span* constant from internal/trace/names.go):" >&2
-	printf '%s\n' "$inline" >&2
-	fail=1
-fi
-declared=$(grep -oE '= "[a-z][a-z0-9_.]*"' internal/trace/names.go | grep -oE '"[^"]+"' | tr -d '"' | sort -u)
-for name in $declared; do
-	if ! printf '%s' "$name" | grep -qE '^[a-z][a-z0-9_]*(\.([a-z][a-z0-9_]*)?)?$'; then
-		echo "  declared span name $name violates the <layer>.<step> scheme" >&2
-		fail=1
-	fi
-done
-[ "$fail" -eq 0 ] || exit 1
-
-# Deprecated-client-method lint: the wire client is context-first too —
-# Client.Do with CallOptions (WithArgs, WithTrace, WithRetry, WithMutation)
-# replaced ExecTraced/ExecRetry/ExecMutation. The old methods survive only
-# as compat wrappers in internal/server/compat.go; new call sites in
-# non-test code fail here.
-echo ">> deprecated client-method lint"
-fail=0
-found=$(grep -rnE '\.(ExecTraced|ExecRetry|ExecMutation)\(' \
-	--include='*.go' --exclude='*_test.go' \
-	internal cmd examples 2>/dev/null | grep -v '^internal/server/compat.go' || true)
-if [ -n "$found" ]; then
-	echo "  deprecated client method call site (migrate to Client.Do with CallOptions):" >&2
-	printf '%s\n' "$found" >&2
-	fail=1
-fi
-[ "$fail" -eq 0 ] || exit 1
-
-# Context-suffix lint: the statement API is context-first (Query, Exec,
-# ExecScript, ExecStatement, ZoomIn all take a ctx plus options), so new
-# exported ...Context methods on the engine are a design regression. Only
-# the pre-consolidation wrappers in compat.go are allowlisted; add new
-# behavior as a StatementOption instead.
-echo ">> context-suffix API lint"
-fail=0
-allow='QueryContext|QueryTracedContext|ExecContext|ExecScriptContext|ExecStatementContext|ZoomInContext'
-found=$(grep -rhoE 'func \(db \*DB\) [A-Z][A-Za-z0-9]*Context\(' \
-	--include='*.go' --exclude='*_test.go' internal/engine |
-	sed -E 's/func \(db \*DB\) ([A-Za-z0-9]+)\(/\1/' | sort -u || true)
-for name in $found; do
-	if ! printf '%s' "$name" | grep -qE "^($allow)$"; then
-		echo "  new exported ...Context method $name in internal/engine (add a StatementOption to the context-first API instead)" >&2
-		fail=1
-	fi
-done
-[ "$fail" -eq 0 ] || exit 1
-
 echo ">> go vet ./..."
 go vet ./...
-echo ">> go test -race ./..."
-go test -race ./...
+# One core and several: the planner and executor must not let the host's
+# shape decide what a test observes.
+for procs in 1 4; do
+	echo ">> go test -race ./... (GOMAXPROCS=$procs)"
+	GOMAXPROCS=$procs go test -race ./...
+done
 echo ">> crash simulation (x3, race)"
 go test -run TestCrashRecovery -count=3 -race ./internal/engine/
 echo ">> overload soak (short, race)"
@@ -133,9 +25,4 @@ echo ">> storage fuzz smoke: page round-trip, hostile raw pages, key decoding"
 go test -run '^$' -fuzz FuzzPageRoundTrip -fuzztime 3s ./internal/storage/
 go test -run '^$' -fuzz FuzzPageRawBytes -fuzztime 3s ./internal/storage/
 go test -run '^$' -fuzz FuzzDecodeKey -fuzztime 3s ./internal/storage/
-echo ">> batch/parallel equivalence property (race)"
-go test -run TestBatchParallelEquivalence -count=1 -race ./internal/engine/
-echo ">> storage layer: key encoding, heap/B+tree/buffer pool, index-vs-heap crash consistency (race)"
-go test -count=1 -race ./internal/storage/
-go test -run 'TestCrashBetweenHeapAndIndexInsert|TestPageFileBackedEngine|TestInstanceIndexAndEnvelopePersistence' -count=1 -race ./internal/engine/
 echo "OK"
