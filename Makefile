@@ -14,9 +14,10 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the pre-merge gate: static analysis plus the full suite under
-# the race detector (the concurrency and cancellation tests depend on it).
-check: vet race
+# check is the pre-merge gate, scripts/check.sh: vet, the race suite on two
+# host shapes, and the crash-sim, soak and fuzz targets below.
+check:
+	sh scripts/check.sh
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -89,8 +90,9 @@ soak-scrub:
 
 # fuzz runs each storage fuzz target briefly — the page record round-trip,
 # the hostile-raw-page read paths, and the order-preserving key decoder.
-# CI-sized smoke; crank -fuzztime locally for real exploration.
+# A smoke; raise FUZZTIME locally for real exploration.
+FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzPageRoundTrip -fuzztime 10s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzPageRawBytes -fuzztime 10s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime 10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzPageRawBytes -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime $(FUZZTIME) ./internal/storage/

@@ -10,15 +10,9 @@ import (
 	"insightnotes/internal/plan"
 	"insightnotes/internal/sql"
 	"insightnotes/internal/summary"
-	"insightnotes/internal/textmining"
 	"insightnotes/internal/trace"
 	"insightnotes/internal/types"
 )
-
-// newNaiveBayes adapts the textmining constructor for engine use.
-func newNaiveBayes(labels []string) (*textmining.NaiveBayes, error) {
-	return textmining.NewNaiveBayes(labels)
-}
 
 // AnnotationRequest describes one annotation to ingest programmatically.
 type AnnotationRequest struct {
@@ -53,198 +47,126 @@ type TargetSpec struct {
 // properties allow it. It returns the annotation id and the number of
 // tuples annotated.
 func (db *DB) Annotate(req AnnotationRequest) (annotation.ID, int, error) {
-	return db.AnnotateTargets(annotation.Annotation{
-		Author:   req.Author,
-		Created:  req.Created,
-		Text:     req.Text,
-		Title:    req.Title,
-		Document: req.Document,
-	}, []TargetSpec{{Table: req.Table, Columns: req.Columns, Where: req.Where}})
+	return db.AnnotateTargets(req.annotation(), []TargetSpec{{Table: req.Table, Columns: req.Columns, Where: req.Where}})
+}
+
+func (req AnnotationRequest) annotation() annotation.Annotation {
+	return annotation.Annotation{
+		Author: req.Author, Created: req.Created,
+		Text: req.Text, Title: req.Title, Document: req.Document,
+	}
 }
 
 // AnnotateTargets ingests one annotation attached to multiple scopes —
 // possibly across several relations, the case the paper's Figure 2 join
 // semantics and the summarize-once optimization are built around.
 func (db *DB) AnnotateTargets(a annotation.Annotation, specs []TargetSpec) (annotation.ID, int, error) {
-	db.stmtMu.Lock()
-	id, n, err := db.annotateTargets(a, specs)
-	tok := db.takePendingSync()
-	db.stmtMu.Unlock()
-	if serr := db.syncWAL(tok); err == nil {
-		err = serr
-	}
+	ids, n, err := db.annotateCommit([]annotateItem{{ann: a, specs: specs}})
 	if err != nil {
 		return 0, 0, err
 	}
-	return id, n, nil
+	return ids[0], n, nil
 }
 
-func (db *DB) annotateTargets(a annotation.Annotation, specs []TargetSpec) (annotation.ID, int, error) {
-	if len(specs) == 0 {
-		return 0, 0, fmt.Errorf("engine: annotation needs at least one target")
-	}
-	type resolved struct {
-		table string
-		rows  []types.RowID
-		cols  annotation.ColSet
-	}
-	var all []resolved
-	var targets []annotation.Target
-	for _, spec := range specs {
-		tbl, err := db.cat.Table(spec.Table)
-		if err != nil {
-			return 0, 0, err
-		}
-		cols, err := resolveColumns(tbl.Schema(), spec.Columns)
-		if err != nil {
-			return 0, 0, err
-		}
-		rows, err := db.matchRows(tbl, spec.Where)
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(rows) == 0 {
-			return 0, 0, fmt.Errorf("engine: annotation matches no tuples of %s", spec.Table)
-		}
-		all = append(all, resolved{table: tbl.Name(), rows: rows, cols: cols})
-		for _, row := range rows {
-			targets = append(targets, annotation.Target{Table: tbl.Name(), Row: row, Columns: cols})
-		}
-	}
-	if a.Created == 0 {
-		a.Created = db.nextAnnotationTime()
-	}
-	id, err := db.anns.Add(a, targets)
-	if err != nil {
-		return 0, 0, err
-	}
-	a.ID = id
-
-	// Incremental maintenance: update each linked instance's object on
-	// every target tuple — synchronously when fresh, deferred to the
-	// catch-up worker when degraded (see maintenance.go).
-	task := maintTask{ann: a}
-	for _, r := range all {
-		task.targets = append(task.targets, maintTarget{
-			table: r.table, rows: r.rows, cols: r.cols,
-			instances: db.cat.InstancesFor(r.table),
-		})
-	}
-	db.maintain(task)
-
-	// Log the fully resolved annotation — assigned id, engine-clock
-	// timestamp, and the matched target rows — so replay does not depend
-	// on re-evaluating the WHERE clauses.
-	sa := snapshotAnnotate{
-		ID: id, Author: a.Author, Created: a.Created,
-		Text: a.Text, Title: a.Title, Document: a.Document,
-	}
-	for _, tg := range targets {
-		sa.Targets = append(sa.Targets, snapshotTarget{Table: tg.Table, Row: tg.Row, Cols: tg.Columns})
-	}
-	if err := db.logRecord(walTypeAnnotate, walAnnotate{Ann: sa}); err != nil {
-		return 0, 0, err
-	}
-	return id, len(targets), nil
-}
-
-// AnnotateBatch is the COPY-style bulk path for annotation ingest: the
-// whole batch is resolved and validated first (a bad request fails the
-// batch before anything mutates), then applied under ONE exclusive lock
-// acquisition, logged as ONE batched WAL record sharing one commit fsync,
-// and — the half that matters under load — its summary maintenance is fed
-// to the degraded-maintenance queue as one batch append instead of
-// per-annotation lock traffic. It returns the assigned annotation ids and
-// the total number of (annotation, tuple) attachments.
+// AnnotateBatch ingests many annotations as one mutation: all of them or
+// none, under one lock acquisition, one WAL record and one commit fsync,
+// with their summary maintenance handed over as one batch. It returns the
+// assigned annotation ids and the total number of (annotation, tuple)
+// attachments.
 func (db *DB) AnnotateBatch(reqs []AnnotationRequest) ([]annotation.ID, int, error) {
 	if len(reqs) == 0 {
 		return nil, 0, fmt.Errorf("engine: AnnotateBatch needs at least one request")
 	}
-	db.stmtMu.Lock()
-	ids, n, err := db.annotateBatch(reqs)
-	tok := db.takePendingSync()
-	db.stmtMu.Unlock()
-	if serr := db.syncWAL(tok); err == nil {
-		err = serr
+	items := make([]annotateItem, len(reqs))
+	for i, req := range reqs {
+		items[i] = annotateItem{
+			ann:   req.annotation(),
+			specs: []TargetSpec{{Table: req.Table, Columns: req.Columns, Where: req.Where}},
+		}
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return ids, n, nil
+	return db.annotateCommit(items)
 }
 
-func (db *DB) annotateBatch(reqs []AnnotationRequest) ([]annotation.ID, int, error) {
-	// Phase 1: resolve every request against the catalog. Nothing has
-	// mutated yet, so any error here leaves the engine untouched.
-	type resolved struct {
-		ann   annotation.Annotation
-		table string
-		rows  []types.RowID
-		cols  annotation.ColSet
-	}
-	all := make([]resolved, 0, len(reqs))
-	for _, req := range reqs {
-		tbl, err := db.cat.Table(req.Table)
-		if err != nil {
-			return nil, 0, err
+func (db *DB) annotateCommit(items []annotateItem) (ids []annotation.ID, n int, err error) {
+	err = db.commit(nil, func() error {
+		ids, n, err = db.annotate(items)
+		return err
+	})
+	return ids, n, err
+}
+
+// annotateItem is one annotation to ingest and the scopes it attaches to.
+type annotateItem struct {
+	ann   annotation.Annotation
+	specs []TargetSpec
+}
+
+// annotate is annotation ingest; one annotation is a batch of one. Every
+// item is resolved against the catalog first — a bad table, column or
+// predicate, or a scope matching no tuple, fails the batch before anything
+// has mutated. Then ids and timestamps are assigned, the raw annotations
+// stored, their summary maintenance routed as one batch (see maintain),
+// and one WAL record logged carrying the resolved annotations — id,
+// timestamp, matched rows — so replay never re-evaluates a WHERE clause.
+// Callers are inside the commit shell.
+func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
+	tasks := make([]maintTask, len(items))
+	for i, it := range items {
+		if len(it.specs) == 0 {
+			return nil, 0, fmt.Errorf("engine: annotation needs at least one target")
 		}
-		cols, err := resolveColumns(tbl.Schema(), req.Columns)
-		if err != nil {
-			return nil, 0, err
+		tasks[i].ann = it.ann
+		for _, spec := range it.specs {
+			tbl, err := db.cat.Table(spec.Table)
+			if err != nil {
+				return nil, 0, err
+			}
+			cols, err := resolveColumns(tbl.Schema(), spec.Columns)
+			if err != nil {
+				return nil, 0, err
+			}
+			rows, err := db.matchRows(tbl, spec.Where)
+			if err != nil {
+				return nil, 0, err
+			}
+			if len(rows) == 0 {
+				return nil, 0, fmt.Errorf("engine: annotation matches no tuples of %s", spec.Table)
+			}
+			tasks[i].targets = append(tasks[i].targets, maintTarget{
+				table: tbl.Name(), rows: rows, cols: cols,
+				instances: db.cat.InstancesFor(tbl.Name()),
+			})
 		}
-		rows, err := db.matchRows(tbl, req.Where)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(rows) == 0 {
-			return nil, 0, fmt.Errorf("engine: annotation matches no tuples of %s", req.Table)
-		}
-		all = append(all, resolved{
-			ann: annotation.Annotation{
-				Author: req.Author, Created: req.Created,
-				Text: req.Text, Title: req.Title, Document: req.Document,
-			},
-			table: tbl.Name(), rows: rows, cols: cols,
-		})
 	}
 
-	// Phase 2: apply. Ids and timestamps are assigned here; the batched
-	// WAL record carries them fully resolved, like the single path.
-	ids := make([]annotation.ID, 0, len(all))
-	tasks := make([]maintTask, 0, len(all))
-	var wb walAnnotateBatch
+	ids := make([]annotation.ID, len(tasks))
+	rec := walAnnotate{Anns: make([]snapshotAnnotate, len(tasks))}
 	total := 0
-	for i := range all {
-		r := &all[i]
-		if r.ann.Created == 0 {
-			r.ann.Created = db.nextAnnotationTime()
+	for i := range tasks {
+		a := &tasks[i].ann
+		if a.Created == 0 {
+			a.Created = db.nextAnnotationTime()
 		}
-		targets := make([]annotation.Target, len(r.rows))
-		for j, row := range r.rows {
-			targets[j] = annotation.Target{Table: r.table, Row: row, Columns: r.cols}
+		n := 0
+		for _, tg := range tasks[i].targets {
+			n += len(tg.rows)
 		}
-		id, err := db.anns.Add(r.ann, targets)
+		targets := make([]annotation.Target, 0, n)
+		for _, tg := range tasks[i].targets {
+			for _, row := range tg.rows {
+				targets = append(targets, annotation.Target{Table: tg.table, Row: row, Columns: tg.cols})
+			}
+		}
+		id, err := db.anns.Add(*a, targets)
 		if err != nil {
 			return nil, 0, err
 		}
-		r.ann.ID = id
-		ids = append(ids, id)
+		a.ID, ids[i] = id, id
 		total += len(targets)
-		tasks = append(tasks, maintTask{ann: r.ann, targets: []maintTarget{{
-			table: r.table, rows: r.rows, cols: r.cols,
-			instances: db.cat.InstancesFor(r.table),
-		}}})
-		sa := snapshotAnnotate{
-			ID: id, Author: r.ann.Author, Created: r.ann.Created,
-			Text: r.ann.Text, Title: r.ann.Title, Document: r.ann.Document,
-		}
-		for _, tg := range targets {
-			sa.Targets = append(sa.Targets, snapshotTarget{Table: tg.Table, Row: tg.Row, Cols: tg.Columns})
-		}
-		wb.Anns = append(wb.Anns, sa)
+		rec.Anns[i] = newSnapshotAnnotate(*a, targets)
 	}
-	db.maintainBatch(tasks)
-	if err := db.logRecord(walTypeAnnotateBatch, wb); err != nil {
+	db.maintain(tasks)
+	if err := db.logRecord(walTypeAnnotate, rec); err != nil {
 		return nil, 0, err
 	}
 	return ids, total, nil
@@ -357,23 +279,36 @@ func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]types.RowID, erro
 // table's existing annotations under it (the Figure 4 behaviour: the
 // maintained summary objects change when links change).
 func (db *DB) LinkInstance(instanceName, table string) error {
-	db.stmtMu.Lock()
-	err := db.linkInstance(instanceName, table)
-	if err == nil {
-		err = db.logRecord(walTypeLink, walLink{Instance: instanceName, Table: table})
+	return db.commit(nil, func() error { return db.execLink(instanceName, table, false) })
+}
+
+// UnlinkInstance unlinks an instance from a table and removes its objects
+// from the table's maintained envelopes.
+func (db *DB) UnlinkInstance(instanceName, table string) error {
+	return db.commit(nil, func() error { return db.execLink(instanceName, table, true) })
+}
+
+// execLink applies and logs one link change. Callers are inside the commit
+// shell.
+func (db *DB) execLink(instanceName, table string, unlink bool) error {
+	if err := db.setLink(instanceName, table, unlink); err != nil {
+		return err
 	}
-	tok := db.takePendingSync()
-	db.stmtMu.Unlock()
-	if serr := db.syncWAL(tok); err == nil {
-		err = serr
+	return db.logRecord(walTypeLink, walLink{Instance: instanceName, Table: table, Unlink: unlink})
+}
+
+// setLink applies one link change; WAL replay shares it.
+func (db *DB) setLink(instanceName, table string, unlink bool) error {
+	if unlink {
+		return db.unlinkInstance(instanceName, table)
 	}
-	return err
+	return db.linkInstance(instanceName, table)
 }
 
 func (db *DB) linkInstance(instanceName, table string) error {
 	// Link changes rewrite maintained envelopes; deferred maintenance must
 	// land first so catch-up never resurrects pre-link state.
-	db.drainMaintenance()
+	db.maint.drain()
 	in, err := db.cat.Instance(instanceName)
 	if err != nil {
 		return err
@@ -403,26 +338,10 @@ func (db *DB) linkInstance(instanceName, table string) error {
 	return nil
 }
 
-// UnlinkInstance unlinks an instance from a table and removes its objects
-// from the table's maintained envelopes.
-func (db *DB) UnlinkInstance(instanceName, table string) error {
-	db.stmtMu.Lock()
-	err := db.unlinkInstance(instanceName, table)
-	if err == nil {
-		err = db.logRecord(walTypeLink, walLink{Instance: instanceName, Table: table, Unlink: true})
-	}
-	tok := db.takePendingSync()
-	db.stmtMu.Unlock()
-	if serr := db.syncWAL(tok); err == nil {
-		err = serr
-	}
-	return err
-}
-
 func (db *DB) unlinkInstance(instanceName, table string) error {
 	// A queued task holding this instance would re-add its objects after
 	// the unlink removed them; catch up first.
-	db.drainMaintenance()
+	db.maint.drain()
 	tbl, err := db.cat.Table(table)
 	if err != nil {
 		return err
@@ -444,17 +363,19 @@ func (db *DB) unlinkInstance(instanceName, table string) error {
 // baseline that the incremental-maintenance benchmark (E4) compares
 // against. It returns the number of (annotation, tuple) summarization
 // steps performed.
-func (db *DB) RebuildSummaries(table string) (int, error) {
-	db.stmtMu.Lock()
-	defer db.stmtMu.Unlock()
-	return db.rebuildSummaries(table)
+func (db *DB) RebuildSummaries(table string) (steps int, err error) {
+	err = db.commit(nil, func() error {
+		steps, err = db.rebuildSummaries(table)
+		return err
+	})
+	return steps, err
 }
 
 func (db *DB) rebuildSummaries(table string) (int, error) {
 	// The rebuild reads the raw annotations, which already include any
 	// queued ones — draining first keeps the worker from re-applying them
 	// on top of the rebuilt envelopes.
-	db.drainMaintenance()
+	db.maint.drain()
 	tbl, err := db.cat.Table(table)
 	if err != nil {
 		return 0, err
@@ -486,23 +407,22 @@ func (db *DB) rebuildSummaries(table string) (int, error) {
 // Training refines future summarization; existing summary objects are
 // refreshed only by RebuildSummaries (documented behaviour).
 func (db *DB) TrainClassifier(instanceName string, samples [][2]string) error {
-	db.stmtMu.Lock()
-	err := db.trainClassifier(instanceName, samples)
-	if err == nil {
-		err = db.logRecord(walTypeTrain, walTrain{Instance: instanceName, Samples: samples})
+	return db.commit(nil, func() error { return db.execTrain(instanceName, samples) })
+}
+
+// execTrain applies and logs one training batch. Callers are inside the
+// commit shell.
+func (db *DB) execTrain(instanceName string, samples [][2]string) error {
+	if err := db.trainClassifier(instanceName, samples); err != nil {
+		return err
 	}
-	tok := db.takePendingSync()
-	db.stmtMu.Unlock()
-	if serr := db.syncWAL(tok); err == nil {
-		err = serr
-	}
-	return err
+	return db.logRecord(walTypeTrain, walTrain{Instance: instanceName, Samples: samples})
 }
 
 func (db *DB) trainClassifier(instanceName string, samples [][2]string) error {
 	// Queued maintenance must summarize under the pre-training model —
 	// exactly what the synchronous path would have done at ingest time.
-	db.drainMaintenance()
+	db.maint.drain()
 	in, err := db.cat.Instance(instanceName)
 	if err != nil {
 		return err

@@ -81,7 +81,7 @@ func (db *DB) execDelete(s *sql.Delete) (*Result, error) {
 	}
 	// A queued task for a deleted row would recreate its envelope after
 	// the delete dropped it; catch up first.
-	db.drainMaintenance()
+	db.maint.drain()
 	rows, err := db.matchRows(tbl, s.Where)
 	if err != nil {
 		return nil, err
@@ -130,23 +130,22 @@ func (db *DB) deleteRow(tbl *catalog.Table, row types.RowID) ([]annotation.ID, e
 // object — classifier counts decrement, cluster groups shrink and re-elect
 // representatives, snippets disappear.
 func (db *DB) DropAnnotation(id annotation.ID) error {
-	db.stmtMu.Lock()
-	err := db.dropAnnotation(id)
-	if err == nil {
-		err = db.logRecord(walTypeDropAnnotation, walDropAnnotation{ID: id})
+	return db.commit(nil, func() error { return db.execDropAnnotation(id) })
+}
+
+// execDropAnnotation applies and logs one retraction. Callers are inside
+// the commit shell.
+func (db *DB) execDropAnnotation(id annotation.ID) error {
+	if err := db.dropAnnotation(id); err != nil {
+		return err
 	}
-	tok := db.takePendingSync()
-	db.stmtMu.Unlock()
-	if serr := db.syncWAL(tok); err == nil {
-		err = serr
-	}
-	return err
+	return db.logRecord(walTypeDropAnnotation, walDropAnnotation{ID: id})
 }
 
 func (db *DB) dropAnnotation(id annotation.ID) error {
 	// The retraction curates the annotation out of envelopes; a queued
 	// task for it would add it back afterwards. Catch up first.
-	db.drainMaintenance()
+	db.maint.drain()
 	targets, err := db.anns.Remove(id)
 	if err != nil {
 		return err

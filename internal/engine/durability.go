@@ -220,23 +220,22 @@ func (db *DB) Durable() bool { return db.wal != nil }
 // and rotates the WAL. Crash orderings are safe: the snapshot is
 // published by atomic rename, and a crash between the rename and the log
 // reset only leaves stale records that recovery skips by LSN.
-func (db *DB) Checkpoint() (CheckpointInfo, error) {
-	if db.wal == nil {
-		return CheckpointInfo{}, fmt.Errorf("engine: CHECKPOINT requires durability (open with a data directory)")
-	}
-	return db.checkpoint(0)
+func (db *DB) Checkpoint() (ci CheckpointInfo, err error) {
+	err = db.commit(nil, func() error {
+		ci, err = db.checkpointLocked()
+		return err
+	})
+	return ci, err
 }
 
-// checkpoint is Checkpoint for a WAL of at least minWALBytes, measured
-// under the statement lock; a shorter log is left alone.
-func (db *DB) checkpoint(minWALBytes int64) (CheckpointInfo, error) {
+// checkpointLocked is Checkpoint under the exclusive statement lock, which
+// callers hold.
+func (db *DB) checkpointLocked() (CheckpointInfo, error) {
 	var ci CheckpointInfo
-	start := time.Now()
-	db.stmtMu.Lock()
-	defer db.stmtMu.Unlock()
-	if db.wal.Size() < minWALBytes {
-		return ci, nil
+	if db.wal == nil {
+		return ci, fmt.Errorf("engine: CHECKPOINT requires durability (open with a data directory)")
 	}
+	start := time.Now()
 	ci.LSN = db.wal.LastLSN()
 	ci.ReleasedWALBytes = db.wal.Size()
 	snapPath := filepath.Join(db.walDir, snapshotFileName)
@@ -262,17 +261,24 @@ func (db *DB) checkpoint(minWALBytes int64) (CheckpointInfo, error) {
 
 // maybeAutoCheckpoint runs a checkpoint when the WAL has outgrown the
 // configured threshold. Called after each statement, outside the
-// statement lock, so the size test here only keeps statements off that
-// lock; checkpoint repeats it under the lock, and of several statements
-// that cross the threshold together only the first serialises the
-// database. Errors are reported on stderr rather than failing the
-// triggering statement — the durability of already-acknowledged records
-// is unaffected by a failed checkpoint.
+// statement lock, so the first size test only keeps statements off that
+// lock; it is repeated under the lock, and of several statements that
+// cross the threshold together only the first serialises the database.
+// Errors are reported on stderr rather than failing the triggering
+// statement — the durability of already-acknowledged records is
+// unaffected by a failed checkpoint.
 func (db *DB) maybeAutoCheckpoint() {
 	if db.wal == nil || db.autoCkptBytes <= 0 || db.wal.Size() < db.autoCkptBytes {
 		return
 	}
-	if _, err := db.checkpoint(db.autoCkptBytes); err != nil {
+	err := db.commit(nil, func() error {
+		if db.wal.Size() < db.autoCkptBytes {
+			return nil
+		}
+		_, err := db.checkpointLocked()
+		return err
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "insightnotes: auto-checkpoint: %v\n", err)
 	}
 }
@@ -280,7 +286,9 @@ func (db *DB) maybeAutoCheckpoint() {
 // ---- WAL records ----
 
 // Record types. The payloads carry resolved effects (ids, post-images),
-// making replay deterministic; see the package comment above.
+// making replay deterministic; see the package comment above. Row ingest
+// (INSERT and BULK INSERT) and annotation ingest (one annotation or a
+// batch) each write one type, whatever the size of the statement.
 const (
 	walTypeCreateTable    = "create_table"
 	walTypeCreateIndex    = "create_index"
@@ -294,11 +302,12 @@ const (
 	walTypeAnnotate       = "annotate"
 	walTypeDropAnnotation = "drop_annotation"
 	walTypeTrain          = "train"
-	// Batched bulk-ingest records: one record carries a whole BULK INSERT
-	// (walRows payload) or a whole AnnotateBatch (walAnnotateBatch), so the
-	// WAL write and commit fsync are paid once per batch.
-	walTypeBulkInsert    = "bulk_insert"
-	walTypeAnnotateBatch = "annotate_batch"
+	// Retired: no longer written, still replayed — logs written before the
+	// ingest paths were folded, and primaries of that vintage streaming to
+	// this node as a replica, carry them. bulk_insert has the insert
+	// payload; annotate_batch has the annotate payload.
+	walTypeBulkInsertRetired    = "bulk_insert"
+	walTypeAnnotateBatchRetired = "annotate_batch"
 )
 
 type walCreateTable struct {
@@ -342,12 +351,12 @@ type walLink struct {
 	Unlink   bool   `json:"unlink,omitempty"`
 }
 
+// walAnnotate carries one ingest's annotations in id order.
 type walAnnotate struct {
-	Ann snapshotAnnotate `json:"ann"`
-}
-
-type walAnnotateBatch struct {
-	Anns []snapshotAnnotate `json:"anns"`
+	Anns []snapshotAnnotate `json:"anns,omitempty"`
+	// Ann is the payload annotate records had while annotate_batch was a
+	// type of its own: one annotation. Read, never written.
+	Ann *snapshotAnnotate `json:"ann,omitempty"`
 }
 
 type walDropAnnotation struct {
@@ -361,14 +370,13 @@ type walTrain struct {
 
 // logRecord stages one mutation record into the WAL without waiting for
 // its commit fsync, parking the sync token in db.pendingSync. The caller
-// holds stmtMu exclusively; the statement entry point takes the token
-// (takePendingSync) before unlocking and calls syncWAL after, so
-// concurrent writers share commit fsyncs (group commit) instead of
-// serializing an fsync each under the exclusive lock. A nil WAL (no
-// durability, or recovery replay in progress) is a no-op. On error the
-// statement must be reported failed: the in-memory mutation was applied
-// but is not durable, so the caller should treat the engine as
-// compromised and restart from the log.
+// is inside the commit shell, which takes the token (takePendingSync)
+// before unlocking and calls syncWAL after, so concurrent writers share
+// commit fsyncs (group commit) instead of serializing an fsync each under
+// the exclusive lock. A nil WAL (no durability, or recovery replay in
+// progress) is a no-op. On error the statement must be reported failed:
+// the in-memory mutation was applied but is not durable, so the caller
+// should treat the engine as compromised and restart from the log.
 func (db *DB) logRecord(recType string, data any) error {
 	if db.wal == nil {
 		return nil
@@ -385,7 +393,7 @@ func (db *DB) logRecord(recType string, data any) error {
 }
 
 // takePendingSync returns and clears the token of the record staged by
-// the current statement. Must be called while still holding stmtMu
+// the current mutation. Must be called while still holding stmtMu
 // exclusively (the field is guarded by it).
 func (db *DB) takePendingSync() wal.SyncToken {
 	tok := db.pendingSync
@@ -407,13 +415,21 @@ func (db *DB) syncWAL(tok wal.SyncToken) error {
 	return nil
 }
 
-// applyWALRecord replays one logical record during recovery. The WAL is
-// not yet attached, so nothing here re-logs.
+// walDecode unmarshals a record's payload as T.
+func walDecode[T any](rec wal.Record) (T, error) {
+	var r T
+	err := json.Unmarshal(rec.Data, &r)
+	return r, err
+}
+
+// applyWALRecord redoes one logical record: at recovery, and on a replica
+// for every record the primary ships. Nothing here logs — recovery has no
+// WAL attached yet, and a replica stages the primary's record itself.
 func (db *DB) applyWALRecord(rec wal.Record) error {
 	switch rec.Type {
 	case walTypeCreateTable:
-		var r walCreateTable
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walCreateTable](rec)
+		if err != nil {
 			return err
 		}
 		cols := make([]types.Column, len(r.Columns))
@@ -425,11 +441,11 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 		// cached SELECTs. Startup recovery starts with an empty cache, so
 		// the calls are free there. Same below for index/drop records.
 		db.invalidatePlanCache()
-		_, err := db.cat.CreateTable(r.Name, types.Schema{Columns: cols})
+		_, err = db.cat.CreateTable(r.Name, types.Schema{Columns: cols})
 		return err
 	case walTypeCreateIndex:
-		var r walCreateIndex
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walCreateIndex](rec)
+		if err != nil {
 			return err
 		}
 		tbl, err := db.cat.Table(r.Table)
@@ -439,45 +455,34 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 		db.invalidatePlanCache()
 		return tbl.CreateIndex(r.Column)
 	case walTypeDropTable:
-		var r walDropTable
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walDropTable](rec)
+		if err != nil {
 			return err
 		}
 		db.invalidatePlanCache()
 		return db.dropTable(r.Name)
-	case walTypeInsert, walTypeBulkInsert:
-		var r walRows
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+	case walTypeInsert, walTypeBulkInsertRetired, walTypeUpdate:
+		r, err := walDecode[walRows](rec)
+		if err != nil {
 			return err
 		}
 		tbl, err := db.cat.Table(r.Table)
 		if err != nil {
 			return err
 		}
-		for _, row := range r.Rows {
-			if err := tbl.InsertWithID(row.ID, types.Tuple(row.Values)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case walTypeUpdate:
-		var r walRows
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
-		}
-		tbl, err := db.cat.Table(r.Table)
-		if err != nil {
-			return err
+		apply := tbl.InsertWithID
+		if rec.Type == walTypeUpdate {
+			apply = tbl.Update
 		}
 		for _, row := range r.Rows {
-			if err := tbl.Update(row.ID, types.Tuple(row.Values)); err != nil {
+			if err := apply(row.ID, row.Values); err != nil {
 				return err
 			}
 		}
 		return nil
 	case walTypeDelete:
-		var r walDelete
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walDelete](rec)
+		if err != nil {
 			return err
 		}
 		tbl, err := db.cat.Table(r.Table)
@@ -491,8 +496,8 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 		}
 		return nil
 	case walTypeCreateInstance:
-		var r walCreateInstance
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walCreateInstance](rec)
+		if err != nil {
 			return err
 		}
 		in := new(summary.Instance)
@@ -501,64 +506,41 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 		}
 		return db.cat.RegisterInstance(in)
 	case walTypeDropInstance:
-		var r walDropInstance
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walDropInstance](rec)
+		if err != nil {
 			return err
 		}
 		db.invalidatePlanCache()
 		return db.dropInstance(r.Name)
 	case walTypeLink:
-		var r walLink
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walLink](rec)
+		if err != nil {
 			return err
 		}
-		if r.Unlink {
-			return db.unlinkInstance(r.Instance, r.Table)
-		}
-		return db.linkInstance(r.Instance, r.Table)
-	case walTypeAnnotate:
-		var r walAnnotate
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		return db.setLink(r.Instance, r.Table, r.Unlink)
+	case walTypeAnnotate, walTypeAnnotateBatchRetired:
+		r, err := walDecode[walAnnotate](rec)
+		if err != nil {
 			return err
 		}
-		sa := r.Ann
-		a := annotation.Annotation{
-			ID: sa.ID, Author: sa.Author, Created: sa.Created,
-			Text: sa.Text, Title: sa.Title, Document: sa.Document,
-		}
-		targets := make([]annotation.Target, len(sa.Targets))
-		for i, tg := range sa.Targets {
-			targets[i] = annotation.Target{Table: tg.Table, Row: tg.Row, Columns: tg.Cols}
-		}
-		return db.restoreAnnotation(a, targets)
-	case walTypeAnnotateBatch:
-		var r walAnnotateBatch
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
-			return err
+		if r.Ann != nil {
+			r.Anns = append(r.Anns, *r.Ann)
 		}
 		for _, sa := range r.Anns {
-			a := annotation.Annotation{
-				ID: sa.ID, Author: sa.Author, Created: sa.Created,
-				Text: sa.Text, Title: sa.Title, Document: sa.Document,
-			}
-			targets := make([]annotation.Target, len(sa.Targets))
-			for i, tg := range sa.Targets {
-				targets[i] = annotation.Target{Table: tg.Table, Row: tg.Row, Columns: tg.Cols}
-			}
-			if err := db.restoreAnnotation(a, targets); err != nil {
+			if err := db.restoreAnnotation(sa); err != nil {
 				return err
 			}
 		}
 		return nil
 	case walTypeDropAnnotation:
-		var r walDropAnnotation
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walDropAnnotation](rec)
+		if err != nil {
 			return err
 		}
 		return db.dropAnnotation(r.ID)
 	case walTypeTrain:
-		var r walTrain
-		if err := json.Unmarshal(rec.Data, &r); err != nil {
+		r, err := walDecode[walTrain](rec)
+		if err != nil {
 			return err
 		}
 		return db.trainClassifier(r.Instance, r.Samples)

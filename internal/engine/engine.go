@@ -21,6 +21,7 @@ import (
 	"insightnotes/internal/plan"
 	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
+	"insightnotes/internal/textmining"
 	"insightnotes/internal/trace"
 	"insightnotes/internal/types"
 	"insightnotes/internal/wal"
@@ -121,7 +122,8 @@ type Config struct {
 // Concurrency: DB is safe for concurrent use. Statements synchronize on a
 // database-level reader/writer lock — reads (SELECT, SHOW, ZOOMIN, Save)
 // run concurrently with each other; writes (DDL, DML, annotation
-// ingestion/retraction, link changes) are exclusive.
+// ingestion/retraction, link changes) are exclusive, and all of them, SQL
+// or programmatic, take the lock in one place: commit, in statements.go.
 type DB struct {
 	cfg  Config
 	pool *storage.BufferPool
@@ -163,10 +165,11 @@ type DB struct {
 	// tracer owns statement lifecycle traces and the retained-trace ring
 	// (nil when Config.DisableTracing is set).
 	tracer *trace.Tracer
-	// writeSpan is the exec span of the mutating statement currently holding
-	// stmtMu exclusively; logRecord and the DML row matcher hang their spans
-	// (wal.append, stmt.plan) under it without threading a handle through
-	// every call. Guarded by stmtMu (exclusive); nil outside write sections.
+	// writeSpan is the exec span of the mutation currently inside the commit
+	// shell; logRecord and the row matcher hang their spans (wal.append,
+	// stmt.plan) under it without threading a handle through every call.
+	// Guarded by stmtMu (exclusive); nil outside the shell and for untraced
+	// mutations.
 	writeSpan *trace.SpanHandle
 	// start anchors the process-uptime gauge.
 	start time.Time
@@ -195,10 +198,10 @@ type DB struct {
 	walDir        string
 	autoCkptBytes int64
 	// pendingSync holds the group-commit token of the record staged by the
-	// statement currently holding stmtMu exclusively; the statement entry
-	// point takes it (takePendingSync) before unlocking and waits on the
-	// shared commit fsync after release, so concurrent writers batch their
-	// fsyncs. Guarded by stmtMu (exclusive).
+	// mutation currently inside the commit shell; the shell takes it
+	// (takePendingSync) before unlocking and waits on the shared commit
+	// fsync after release, so concurrent writers batch their fsyncs.
+	// Guarded by stmtMu (exclusive).
 	pendingSync wal.SyncToken
 	// recoveredLSN is the included-LSN mark of the snapshot this DB was
 	// loaded from (0 when fresh); WAL replay skips records at or below it.
@@ -370,9 +373,7 @@ func (db *DB) Close() error {
 	if db.scrub != nil {
 		db.scrub.close()
 	}
-	if db.maint != nil {
-		db.maint.close()
-	}
+	db.maint.close()
 	// The engine owns CacheDir only when it generated a temp dir; removing
 	// a user-supplied directory would be hostile. Detect by prefix.
 	var err error
@@ -421,7 +422,7 @@ func instanceFromStatement(name, typeName string, labels []string, opts map[stri
 		if len(labels) < 2 {
 			return nil, fmt.Errorf("engine: classifier instance %q needs LABELS ('a', 'b', ...)", name)
 		}
-		model, err := newNaiveBayes(labels)
+		model, err := textmining.NewNaiveBayes(labels)
 		if err != nil {
 			return nil, err
 		}

@@ -142,42 +142,21 @@ func (m *maintenance) registerMetrics(reg *metrics.Registry) {
 		"Pending deferred updates per summary instance (0 = fresh).", "instance")
 }
 
-// maintain routes one unit of summary maintenance: deferred to the
-// catch-up queue when the engine is degraded (or ordering requires it),
-// applied synchronously otherwise. Callers hold the exclusive statement
-// lock.
-func (db *DB) maintain(t maintTask) {
-	m := db.maint
-	if m != nil && m.deferTask(t) {
-		return
-	}
-	start := time.Now()
-	db.applyMaintenanceTask(t)
-	if m != nil {
-		m.observeSync(time.Since(start))
-	}
-}
-
-// maintainBatch routes a whole ingest batch of maintenance work: one
-// queue append under one lock acquisition when the engine is degraded,
-// synchronous application otherwise. The per-task latency (not the batch
-// total) feeds the degradation EWMA, so a large healthy batch does not
-// read as overload. Callers hold the exclusive statement lock.
-func (db *DB) maintainBatch(tasks []maintTask) {
-	if len(tasks) == 0 {
-		return
-	}
-	m := db.maint
-	if m != nil && m.deferBatch(tasks) {
+// maintain routes the summary maintenance of one ingest (one task per
+// annotation, in ingest order): the whole batch is deferred to the catch-up
+// queue when the engine is degraded or ordering requires it, and applied
+// synchronously otherwise. The per-task latency, not the batch total, feeds
+// the degradation EWMA, so a large healthy batch does not read as overload.
+// Callers hold the exclusive statement lock.
+func (db *DB) maintain(tasks []maintTask) {
+	if len(tasks) == 0 || db.maint.deferTasks(tasks) {
 		return
 	}
 	start := time.Now()
 	for _, t := range tasks {
 		db.applyMaintenanceTask(t)
 	}
-	if m != nil {
-		m.observeSync(time.Since(start) / time.Duration(len(tasks)))
-	}
+	db.maint.observeSync(time.Since(start) / time.Duration(len(tasks)))
 }
 
 // applyMaintenanceTask updates every captured instance's summary objects
@@ -212,56 +191,24 @@ func (db *DB) applyMaintenanceTask(t maintTask) {
 	}
 }
 
-// deferTask queues t when degraded mode (or the ordering invariant: once
-// anything is queued or being applied, everything after it must queue too)
-// demands it, and reports whether it did. A full queue blocks the caller —
-// backpressure — until the worker frees a slot; the worker takes only
-// db.mu, never the statement lock, so the wait always makes progress.
-func (m *maintenance) deferTask(t maintTask) bool {
+// deferTasks queues one ingest's tasks when degraded mode (or the ordering
+// invariant: once anything is queued or being applied, everything after it
+// must queue too) demands it, and reports whether it did. A full queue
+// blocks the caller — backpressure — until the worker frees a slot; the
+// worker takes only db.mu, never the statement lock, so the wait always
+// makes progress. The tasks are then appended together: the queue may
+// transiently exceed capacity by len(tasks)-1, a bounded overshoot accepted
+// so one ingest is never split across the degradation boundary (its tasks
+// either all defer or all apply synchronously, keeping ingest order).
+func (m *maintenance) deferTasks(tasks []maintTask) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	if !(m.manual || m.auto || m.crashed || len(m.queue) > 0 || m.applying) {
+	if m.closed || !m.degradedLocked() {
 		return false
 	}
 	// A crashed worker (failpoint kill mid-catch-up) never drains the
 	// queue; skip backpressure so the dying process doesn't hang — the
 	// summaries are rebuilt from raw annotations at recovery anyway.
-	for len(m.queue) >= m.capacity && !m.closed && !m.crashed {
-		m.cond.Wait()
-	}
-	if m.closed {
-		return false
-	}
-	m.queue = append(m.queue, t)
-	m.deferredN++
-	m.bumpStaleLocked(t, 1)
-	if !m.started && !m.crashed {
-		m.started = true
-		go m.worker()
-	}
-	m.cond.Broadcast()
-	return true
-}
-
-// deferBatch queues a whole ingest batch under one lock acquisition when
-// degraded mode (or the ordering invariant) demands it, reporting whether
-// it did. Backpressure waits for one free slot, then appends the whole
-// batch — the queue may transiently exceed capacity by len(tasks)-1, a
-// bounded overshoot accepted so a batch is never split across the
-// degradation boundary (its tasks either all defer or all apply
-// synchronously, keeping ingest order intact).
-func (m *maintenance) deferBatch(tasks []maintTask) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	if !(m.manual || m.auto || m.crashed || len(m.queue) > 0 || m.applying) {
-		return false
-	}
 	for len(m.queue) >= m.capacity && !m.closed && !m.crashed {
 		m.cond.Wait()
 	}
@@ -279,6 +226,11 @@ func (m *maintenance) deferBatch(tasks []maintTask) bool {
 	}
 	m.cond.Broadcast()
 	return true
+}
+
+// degradedLocked reports whether the next ingest would defer. Requires m.mu.
+func (m *maintenance) degradedLocked() bool {
+	return m.manual || m.auto || m.crashed || len(m.queue) > 0 || m.applying
 }
 
 // bumpStaleLocked adjusts the per-instance pending-update counts for one
@@ -381,7 +333,7 @@ func (m *maintenance) observeSync(d time.Duration) {
 func (m *maintenance) degraded() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.manual || m.auto || m.crashed || len(m.queue) > 0 || m.applying
+	return m.degradedLocked()
 }
 
 // pending counts tasks not yet applied (queued plus in flight).
@@ -397,7 +349,7 @@ func (m *maintenance) pending() int {
 
 // setManual flips operator-forced degradation. Turning it off does not
 // snap summaries fresh: the queue drains in order first (the ordering
-// invariant in deferTask), then new annotations apply synchronously again.
+// invariant in deferTasks), then new annotations apply synchronously again.
 func (m *maintenance) setManual(on bool) {
 	m.mu.Lock()
 	m.manual = on
@@ -440,16 +392,13 @@ type MaintenanceStats struct {
 // MaintenanceStats snapshots the degraded-maintenance state.
 func (db *DB) MaintenanceStats() MaintenanceStats {
 	m := db.maint
-	if m == nil {
-		return MaintenanceStats{}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := MaintenanceStats{
 		Pending:         len(m.queue),
 		Deferred:        m.deferredN,
 		Applied:         m.appliedN,
-		Degraded:        m.manual || m.auto || m.crashed || len(m.queue) > 0 || m.applying,
+		Degraded:        m.degradedLocked(),
 		StaleByInstance: make(map[string]int, len(m.stale)),
 	}
 	if m.applying {
@@ -466,25 +415,9 @@ func (db *DB) MaintenanceStats() MaintenanceStats {
 // synchronously but defers summary updates to the background catch-up
 // worker. Exposed for operators (and the overload tests); the server also
 // degrades automatically via Config.MaintenanceLatencyThreshold.
-func (db *DB) SetDegraded(on bool) {
-	if db.maint != nil {
-		db.maint.setManual(on)
-	}
-}
+func (db *DB) SetDegraded(on bool) { db.maint.setManual(on) }
 
 // WaitMaintenanceIdle blocks until no deferred maintenance is pending —
 // the catch-up worker has drained the queue (or can never: crashed or
 // closed). Primarily for tests and controlled drains.
-func (db *DB) WaitMaintenanceIdle() {
-	if db.maint != nil {
-		db.maint.drain()
-	}
-}
-
-// drainMaintenance is the internal barrier used by statements that read
-// or rewrite the summary store. Callers hold the exclusive statement lock.
-func (db *DB) drainMaintenance() {
-	if db.maint != nil {
-		db.maint.drain()
-	}
-}
+func (db *DB) WaitMaintenanceIdle() { db.maint.drain() }

@@ -8,7 +8,6 @@ import (
 
 	"insightnotes/internal/exec"
 	"insightnotes/internal/metrics"
-	"insightnotes/internal/sql"
 	"insightnotes/internal/trace"
 )
 
@@ -369,59 +368,5 @@ func synthOpSpans(parent *trace.SpanHandle, op exec.Operator) {
 		for _, child := range d.Children() {
 			synthOpSpans(sp, child)
 		}
-	}
-}
-
-// statementKind maps a parsed statement to its metric label. Labels are
-// stable: they are the {kind} values of the insightnotes_engine_statement*
-// families.
-func statementKind(stmt sql.Statement) string {
-	switch stmt.(type) {
-	case *sql.Select:
-		return "select"
-	case *sql.Show:
-		return "show"
-	case *sql.Explain:
-		return "explain"
-	case *sql.ZoomIn:
-		return "zoomin"
-	case *sql.AddAnnotation:
-		return "annotate"
-	case *sql.DropAnnotation:
-		return "drop_annotation"
-	case *sql.TrainSummary:
-		return "train"
-	case *sql.LinkSummary:
-		return "link"
-	case *sql.CreateTable:
-		return "create_table"
-	case *sql.CreateIndex:
-		return "create_index"
-	case *sql.DropTable:
-		return "drop_table"
-	case *sql.Insert:
-		return "insert"
-	case *sql.BulkInsert:
-		return "bulk_insert"
-	case *sql.Prepare:
-		return "prepare"
-	case *sql.Execute:
-		return "execute"
-	case *sql.Deallocate:
-		return "deallocate"
-	case *sql.Update:
-		return "update"
-	case *sql.Delete:
-		return "delete"
-	case *sql.CreateSummaryInstance:
-		return "create_summary"
-	case *sql.DropSummaryInstance:
-		return "drop_summary"
-	case *sql.Checkpoint:
-		return "checkpoint"
-	case *sql.CheckTable:
-		return "check"
-	default:
-		return "other"
 	}
 }

@@ -148,22 +148,27 @@ func (db *DB) writeSnapshot(w io.Writer, lsn uint64) error {
 				if err != nil {
 					return err
 				}
-				sa := snapshotAnnotate{
-					ID: a.ID, Author: a.Author, Created: a.Created,
-					Text: a.Text, Title: a.Title, Document: a.Document,
-				}
-				for _, tg := range db.anns.TargetsOf(ref.ID) {
-					sa.Targets = append(sa.Targets, snapshotTarget{
-						Table: tg.Table, Row: tg.Row, Cols: tg.Columns,
-					})
-				}
-				snap.Annotations = append(snap.Annotations, sa)
+				snap.Annotations = append(snap.Annotations, newSnapshotAnnotate(a, db.anns.TargetsOf(ref.ID)))
 			}
 		}
 	}
 	sortAnnotations(snap.Annotations)
 	enc := json.NewEncoder(w)
 	return enc.Encode(&snap)
+}
+
+// newSnapshotAnnotate is the persisted form — snapshot and WAL alike — of
+// one annotation and its resolved targets; restore is its inverse.
+func newSnapshotAnnotate(a annotation.Annotation, targets []annotation.Target) snapshotAnnotate {
+	sa := snapshotAnnotate{
+		ID: a.ID, Author: a.Author, Created: a.Created,
+		Text: a.Text, Title: a.Title, Document: a.Document,
+		Targets: make([]snapshotTarget, len(targets)),
+	}
+	for i, tg := range targets {
+		sa.Targets[i] = snapshotTarget{Table: tg.Table, Row: tg.Row, Cols: tg.Columns}
+	}
+	return sa
 }
 
 func sortAnnotations(as []snapshotAnnotate) {
@@ -309,12 +314,7 @@ func (db *DB) applySnapshot(snap *snapshot) error {
 		if len(sa.Targets) == 0 {
 			return corruptf("annotation %d has no targets", sa.ID)
 		}
-		a := annotation.Annotation{
-			ID: sa.ID, Author: sa.Author, Created: sa.Created,
-			Text: sa.Text, Title: sa.Title, Document: sa.Document,
-		}
-		targets := make([]annotation.Target, len(sa.Targets))
-		for i, tg := range sa.Targets {
+		for _, tg := range sa.Targets {
 			tbl, err := db.cat.Table(tg.Table)
 			if err != nil {
 				return corruptf("annotation %d targets unknown table %q", sa.ID, tg.Table)
@@ -322,9 +322,8 @@ func (db *DB) applySnapshot(snap *snapshot) error {
 			if _, err := tbl.Get(tg.Row); err != nil {
 				return corruptf("annotation %d targets missing row %d of %q", sa.ID, tg.Row, tg.Table)
 			}
-			targets[i] = annotation.Target{Table: tg.Table, Row: tg.Row, Columns: tg.Cols}
 		}
-		if err := db.restoreAnnotation(a, targets); err != nil {
+		if err := db.restoreAnnotation(sa); err != nil {
 			return corruptf("annotation %d: %v", sa.ID, err)
 		}
 	}
@@ -339,7 +338,15 @@ func (db *DB) applySnapshot(snap *snapshot) error {
 // restoreAnnotation re-adds one annotation under its original id and
 // replays it through incremental maintenance — shared by snapshot Load
 // and WAL replay.
-func (db *DB) restoreAnnotation(a annotation.Annotation, targets []annotation.Target) error {
+func (db *DB) restoreAnnotation(sa snapshotAnnotate) error {
+	a := annotation.Annotation{
+		ID: sa.ID, Author: sa.Author, Created: sa.Created,
+		Text: sa.Text, Title: sa.Title, Document: sa.Document,
+	}
+	targets := make([]annotation.Target, len(sa.Targets))
+	for i, tg := range sa.Targets {
+		targets[i] = annotation.Target{Table: tg.Table, Row: tg.Row, Columns: tg.Cols}
+	}
 	if err := db.anns.Restore(a, targets); err != nil {
 		return err
 	}

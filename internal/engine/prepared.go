@@ -134,7 +134,7 @@ func (db *DB) execExecute(ctx context.Context, s *sql.Execute, so stmtOptions) (
 	// The bound statement's rendering (parameters inlined as literals) is
 	// the re-executable text: zoom-in cache misses re-run it verbatim,
 	// which the template text with its $n placeholders could not support.
-	return db.execStatement(ctx, bound, bound.String(), so)
+	return db.dispatch(ctx, bound, bound.String(), so)
 }
 
 // cachedStatement consults the plan cache for an ad-hoc statement text,

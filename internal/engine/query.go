@@ -87,44 +87,6 @@ type Result struct {
 	TraceID string
 }
 
-// Query plans and executes a SELECT under ctx, assigns a QID, and
-// materializes the result into the zoom-in cache. The statement aborts with
-// the context's error when ctx is cancelled or its deadline expires, polled
-// at batch granularity. Options tune one execution: WithTrace enables the
-// under-the-hood operator log, WithPlanOptions substitutes ablation plan
-// options (such statements are not QID-registered and never touch the
-// zoom-in cache), WithParallelism and WithBatchSize override the executor's
-// worker count and batch size.
-func (db *DB) Query(ctx context.Context, sqlText string, opts ...StatementOption) (*Result, error) {
-	so := gatherOptions(opts)
-	start := db.startLifecycle(&so, sqlText)
-	var sel *sql.Select
-	if stmt, ok := db.cachedStatement(&so, sqlText); ok {
-		sel = stmt.(*sql.Select) // only SELECT templates are cached
-	} else {
-		psp := so.lifecycle.StartSpan(trace.SpanParse, nil)
-		stmt, err := sql.Parse(sqlText)
-		psp.End()
-		if err != nil {
-			so.lifecycle.Finish("parse_error", err)
-			return nil, err
-		}
-		s, isSel := stmt.(*sql.Select)
-		if !isSel {
-			err := fmt.Errorf("engine: Query expects a SELECT; use Exec for %T", stmt)
-			so.lifecycle.Finish(statementKind(stmt), err)
-			return nil, err
-		}
-		sel = s
-		db.cacheStatement(&so, sqlText, stmt)
-	}
-	db.stmtMu.RLock()
-	defer db.stmtMu.RUnlock()
-	res, err := db.querySelect(db.newExecContext(ctx, so), sel, sqlText, so)
-	db.finishStatement("select", sqlText, start, res, err, so)
-	return res, err
-}
-
 // statementStats folds the execution context's counters into the
 // result-level summary.
 func statementStats(ec *exec.ExecContext, rows int) *StatementStats {
@@ -138,50 +100,15 @@ func statementStats(ec *exec.ExecContext, rows int) *StatementStats {
 	}
 }
 
+// querySelect runs a SELECT and, unless its plan was ablated, registers it
+// under a fresh QID and materializes it for zoom-in.
 func (db *DB) querySelect(ec *exec.ExecContext, sel *sql.Select, sqlText string, so stmtOptions) (*Result, error) {
-	popts := db.planOptions(so)
-	if so.memo != nil {
-		popts.Memo = so.memo
-	}
-	psp := so.lifecycle.StartSpan(trace.SpanPlan, nil)
-	if so.planCacheAttr != "" {
-		// "hit": the statement skipped parse and replays memoized access
-		// paths; "miss": this execution records them for the next one.
-		psp.Attr("cache", so.planCacheAttr)
-	}
-	popts.Span = psp
-	p := plan.New(db.cat, db, popts)
-	op, err := p.PlanSelect(sel)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	esp := so.lifecycle.StartSpan(trace.SpanExec, nil)
-	if esp != nil {
-		ec.WithSpan(esp)
-	}
-	var poolHits0, poolFaults0 uint64
-	if esp != nil {
-		poolHits0, poolFaults0 = db.pool.Stats()
-	}
-	rows, err := exec.CollectContext(ec, op)
-	ops := db.foldOpStats(op, ec)
-	if esp != nil {
-		// Pool deltas are process-wide, so concurrent statements bleed into
-		// each other's counts; still the first-order "was this IO-bound"
-		// signal per trace.
-		poolHits1, poolFaults1 := db.pool.Stats()
-		esp.AttrInt("pool_hits", int64(poolHits1-poolHits0))
-		esp.AttrInt("pool_faults", int64(poolFaults1-poolFaults0))
-		esp.End()
-	}
+	op, rows, ops, err := db.collectSelect(ec, sel, so)
 	if err != nil {
 		return nil, err
 	}
 	stats := statementStats(ec, len(rows))
-	if m := db.maint; m != nil {
-		stats.StalePending = m.pending()
-	}
+	stats.StalePending = db.maint.pending()
 	res := &Result{
 		Schema: op.Schema(),
 		Rows:   rows,
@@ -198,12 +125,58 @@ func (db *DB) querySelect(ec *exec.ExecContext, sel *sql.Select, sqlText string,
 	db.mu.Lock()
 	db.queries[qid] = sqlText
 	db.mu.Unlock()
-	cached := zoomin.BuildCachedResult(qid, sqlText, op.Schema(), rows, estimateComplexity(sel, len(rows)))
-	if err := db.cache.Put(cached); err != nil {
+	if _, err := db.materialize(qid, sqlText, sel, op, rows); err != nil {
 		return nil, err
 	}
 	res.QID = qid
 	return res, nil
+}
+
+// collectSelect plans sel and drains the plan: stmt.plan and stmt.exec
+// spans, per-operator stats folded into the metric families. It serves a
+// statement's first execution and a zoom-in's re-execution alike.
+func (db *DB) collectSelect(ec *exec.ExecContext, sel *sql.Select, so stmtOptions) (exec.Operator, []*exec.Row, []OpStat, error) {
+	popts := db.planOptions(so)
+	if so.memo != nil {
+		popts.Memo = so.memo
+	}
+	psp := so.lifecycle.StartSpan(trace.SpanPlan, nil)
+	if so.planCacheAttr != "" {
+		// "hit": the statement skipped parse and replays memoized access
+		// paths; "miss": this execution records them for the next one.
+		psp.Attr("cache", so.planCacheAttr)
+	}
+	popts.Span = psp
+	p := plan.New(db.cat, db, popts)
+	op, err := p.PlanSelect(sel)
+	psp.End()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	esp := so.lifecycle.StartSpan(trace.SpanExec, nil)
+	var poolHits0, poolFaults0 uint64
+	if esp != nil {
+		ec.WithSpan(esp)
+		poolHits0, poolFaults0 = db.pool.Stats()
+	}
+	rows, err := exec.CollectContext(ec, op)
+	ops := db.foldOpStats(op, ec)
+	if esp != nil {
+		// Pool deltas are process-wide, so concurrent statements bleed into
+		// each other's counts; still the first-order "was this IO-bound"
+		// signal per trace.
+		poolHits1, poolFaults1 := db.pool.Stats()
+		esp.AttrInt("pool_hits", int64(poolHits1-poolHits0))
+		esp.AttrInt("pool_faults", int64(poolFaults1-poolFaults0))
+		esp.End()
+	}
+	return op, rows, ops, err
+}
+
+// materialize admits one executed SELECT to the zoom-in cache under qid.
+func (db *DB) materialize(qid int, sqlText string, sel *sql.Select, op exec.Operator, rows []*exec.Row) (*zoomin.CachedResult, error) {
+	cached := zoomin.BuildCachedResult(qid, sqlText, op.Schema(), rows, estimateComplexity(sel, len(rows)))
+	return cached, db.cache.Put(cached)
 }
 
 // estimateComplexity is the RCO cost proxy: relations joined, aggregation,
@@ -245,20 +218,10 @@ func (db *DB) resultFor(ctx context.Context, qid int) (*zoomin.CachedResult, boo
 		return nil, false, err
 	}
 	sel := stmt.(*sql.Select)
-	p := plan.New(db.cat, db, db.planOptions(stmtOptions{}))
-	op, err := p.PlanSelect(sel)
+	op, rows, _, err := db.collectSelect(db.newExecContext(ctx, stmtOptions{}), sel, stmtOptions{})
 	if err != nil {
 		return nil, false, err
 	}
-	ec := db.newExecContext(ctx, stmtOptions{})
-	rows, err := exec.CollectContext(ec, op)
-	db.foldOpStats(op, ec)
-	if err != nil {
-		return nil, false, err
-	}
-	cached = zoomin.BuildCachedResult(qid, sqlText, op.Schema(), rows, estimateComplexity(sel, len(rows)))
-	if err := db.cache.Put(cached); err != nil {
-		return nil, false, err
-	}
-	return cached, false, nil
+	cached, err = db.materialize(qid, sqlText, sel, op, rows)
+	return cached, false, err
 }

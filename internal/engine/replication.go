@@ -159,7 +159,7 @@ func (db *DB) InstallReplicaSnapshot(raw []byte) (uint64, error) {
 // ephemeral paging layer, recreated on open). Callers hold the exclusive
 // statement lock.
 func (db *DB) clearStateLocked() {
-	db.drainMaintenance()
+	db.maint.drain()
 	db.mu.Lock()
 	db.cat = catalog.New(db.pool)
 	db.anns = annotation.NewStore(db.pool)

@@ -21,25 +21,23 @@ import (
 // SELECTs (WithTrace, WithPlanOptions, WithParallelism, WithBatchSize) and
 // ignored by statements they do not apply to.
 func (db *DB) Exec(ctx context.Context, sqlText string, opts ...StatementOption) (*Result, error) {
-	so := gatherOptions(opts)
-	start := db.startLifecycle(&so, sqlText)
-	if stmt, ok := db.cachedStatement(&so, sqlText); ok {
-		// Plan-cache hit: the parse is skipped entirely (no stmt.parse
-		// span) and planning replays the memoized access paths.
-		return db.execLifecycle(ctx, stmt, sqlText, so, start)
-	}
-	psp := so.lifecycle.StartSpan(trace.SpanParse, nil)
-	stmt, err := sql.Parse(sqlText)
-	psp.End()
-	if err != nil {
-		// A statement that never parsed has no kind-labeled metrics, but its
-		// trace is finished (and always retained, being errored) so the
-		// failure is visible in SHOW TRACES.
-		so.lifecycle.Finish("parse_error", err)
-		return nil, err
-	}
-	db.cacheStatement(&so, sqlText, stmt)
-	return db.execLifecycle(ctx, stmt, sqlText, so, start)
+	return db.run(ctx, nil, sqlText, false, opts)
+}
+
+// Query is Exec for callers that expect a SELECT: any other statement is
+// refused before it runs. A SELECT is planned and executed under ctx
+// (polled at batch granularity), assigned a QID, and materialized into the
+// zoom-in cache; a statement carrying WithPlanOptions is not QID-registered
+// and never touches that cache.
+func (db *DB) Query(ctx context.Context, sqlText string, opts ...StatementOption) (*Result, error) {
+	return db.run(ctx, nil, sqlText, true, opts)
+}
+
+// ExecStatement is Exec for an already parsed statement. sqlText is the
+// statement's text: the trace label, and what a zoom-in cache miss
+// re-executes for a SELECT.
+func (db *DB) ExecStatement(ctx context.Context, stmt sql.Statement, sqlText string, opts ...StatementOption) (*Result, error) {
+	return db.run(ctx, stmt, sqlText, false, opts)
 }
 
 // ExecScript executes a semicolon-separated script under ctx (checked
@@ -64,87 +62,162 @@ func (db *DB) ExecScript(ctx context.Context, script string, opts ...StatementOp
 	return out, nil
 }
 
-// ExecStatement dispatches a parsed statement under ctx. sqlText is the
-// original statement text (used to re-execute SELECTs on zoom-in cache
-// misses). Read statements take the shared statement lock; everything else
-// takes it exclusively (see the DB type comment).
+// run is the one statement path. It marks the entry instant — one clock
+// read serves the trace start and the metrics latency baseline — makes sure
+// the statement has a lifecycle trace when tracing is on (the caller's, via
+// WithActiveTrace, or a new one), parses the text unless the caller brought
+// a statement or the plan cache has it, dispatches under a panic guard, and
+// folds the outcome into metrics, the slow-query log and the trace store.
 //
-// A panic in statement execution is contained here: it becomes an error
-// on this statement instead of tearing down the process (the deferred
-// lock releases run during unwinding, so the engine stays usable).
-func (db *DB) ExecStatement(ctx context.Context, stmt sql.Statement, sqlText string, opts ...StatementOption) (*Result, error) {
+// A panic in statement execution becomes an error on this statement
+// instead of tearing down the process: the locks taken below are released
+// by deferred calls during unwinding, so the engine stays usable.
+func (db *DB) run(ctx context.Context, stmt sql.Statement, sqlText string, selectOnly bool, opts []StatementOption) (res *Result, err error) {
 	so := gatherOptions(opts)
-	start := db.startLifecycle(&so, sqlText)
-	return db.execLifecycle(ctx, stmt, sqlText, so, start)
-}
-
-// startLifecycle marks the statement's entry instant and ensures it has an
-// active lifecycle trace when tracing is enabled: the caller-provided one
-// (WithActiveTrace) wins, otherwise the engine starts its own rooted at
-// this statement. The returned instant doubles as the trace start and the
-// metrics latency baseline — one clock read serves both, so a shell trace
-// adds none of its own.
-func (db *DB) startLifecycle(so *stmtOptions, sqlText string) time.Time {
-	now := time.Now()
+	start := time.Now()
 	if so.lifecycle == nil {
-		so.lifecycle = db.tracer.StartAt(sqlText, now)
+		so.lifecycle = db.tracer.StartAt(sqlText, start)
 	}
-	return now
-}
-
-// execLifecycle runs one parsed statement under its lifecycle trace and
-// the panic guard, then folds the outcome into metrics, the slow-query
-// log, and the trace store. start is the statement's entry instant from
-// startLifecycle, so the recorded latency covers parse onwards.
-func (db *DB) execLifecycle(ctx context.Context, stmt sql.Statement, sqlText string, so stmtOptions, start time.Time) (res *Result, err error) {
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				res, err = nil, fmt.Errorf("engine: internal error executing statement: %v", r)
-			}
+	if stmt == nil {
+		if stmt, err = db.parse(&so, sqlText); err != nil {
+			// A statement that never parsed has no kind-labeled metrics, but
+			// its trace is finished (and always retained, being errored) so
+			// the failure is visible in SHOW TRACES.
+			so.lifecycle.Finish("parse_error", err)
+			return nil, err
+		}
+	}
+	if _, isSelect := stmt.(*sql.Select); selectOnly && !isSelect {
+		err = fmt.Errorf("engine: Query expects a SELECT; use Exec for %T", stmt)
+	} else {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					res, err = nil, fmt.Errorf("engine: internal error executing statement: %v", r)
+				}
+			}()
+			res, err = db.dispatch(ctx, stmt, sqlText, so)
 		}()
-		res, err = db.execStatement(ctx, stmt, sqlText, so)
-	}()
-	db.finishStatement(statementKind(stmt), sqlText, start, res, err, so)
+	}
+	db.finishStatement(stmt.Class().Kind, sqlText, start, res, err, so)
 	db.maybeAutoCheckpoint()
 	return res, err
 }
 
-func (db *DB) execStatement(ctx context.Context, stmt sql.Statement, sqlText string, so stmtOptions) (*Result, error) {
+// parse returns the statement for sqlText: the plan cache's template on a
+// hit — lexing and parsing are skipped (no stmt.parse span) and planning
+// replays the memoized access paths — otherwise a fresh parse, admitted to
+// the cache when it is a parameterless SELECT.
+func (db *DB) parse(so *stmtOptions, sqlText string) (sql.Statement, error) {
+	if stmt, ok := db.cachedStatement(so, sqlText); ok {
+		return stmt, nil
+	}
+	psp := so.lifecycle.StartSpan(trace.SpanParse, nil)
+	stmt, err := sql.Parse(sqlText)
+	psp.End()
+	if err != nil {
+		return nil, err
+	}
+	db.cacheStatement(so, sqlText, stmt)
+	return stmt, nil
+}
+
+// dispatch runs one statement under the lock its access class calls for
+// (see sql.Class): reads share the statement lock, writes run inside the
+// commit shell, node-local statements take what they need themselves.
+func (db *DB) dispatch(ctx context.Context, stmt sql.Statement, sqlText string, so stmtOptions) (*Result, error) {
+	switch stmt.Class().Access {
+	case sql.Read:
+		db.stmtMu.RLock()
+		defer db.stmtMu.RUnlock()
+		return db.execRead(ctx, stmt, sqlText, so)
+	case sql.Write:
+		var res *Result
+		err := db.commit(so.lifecycle, func() (err error) {
+			res, err = db.execWrite(stmt)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
+	switch s := stmt.(type) {
+	case *sql.Prepare:
+		return db.execPrepare(s)
+	case *sql.Deallocate:
+		return db.execDeallocate(s)
+	case *sql.Execute:
+		return db.execExecute(ctx, s, so)
+	case *sql.CheckTable:
+		// The sweep verifies under the shared lock and repairs under the
+		// exclusive one, in sections of its own.
+		return db.execCheckTable(s, so)
+	}
+	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+}
+
+// commit is the one write shell: every mutation — a SQL statement or a
+// programmatic mutator — runs inside it. It takes the statement lock
+// exclusively, opens the stmt.exec span and publishes it as db.writeSpan so
+// the layers below can hang stmt.plan and wal.append under it, runs mutate,
+// takes the sync token of whatever mutate staged (logRecord), and releases
+// the lock. Only then does it wait for the record's commit fsync, under
+// wal.commit, so concurrent writers share fsyncs (group commit) instead of
+// each paying one under the lock. lc is nil for programmatic callers; the
+// spans are then no-ops.
+func (db *DB) commit(lc *trace.Active, mutate func() error) error {
+	var tok wal.SyncToken
+	err := func() error {
+		db.stmtMu.Lock()
+		esp := lc.StartSpan(trace.SpanExec, nil)
+		db.writeSpan = esp
+		defer func() {
+			db.writeSpan = nil
+			esp.End()
+			tok = db.takePendingSync()
+			db.stmtMu.Unlock()
+		}()
+		return mutate()
+	}()
+	if db.wal != nil {
+		csp := lc.StartSpan(trace.SpanWALCommit, nil)
+		serr := db.syncWAL(tok)
+		csp.End()
+		if err == nil {
+			err = serr
+		}
+	}
+	return err
+}
+
+// execRead executes one read statement. Callers hold the shared statement
+// lock.
+func (db *DB) execRead(ctx context.Context, stmt sql.Statement, sqlText string, so stmtOptions) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sql.Select:
-		db.stmtMu.RLock()
-		defer db.stmtMu.RUnlock()
 		return db.querySelect(db.newExecContext(ctx, so), s, sqlText, so)
 	case *sql.Show:
-		db.stmtMu.RLock()
-		defer db.stmtMu.RUnlock()
 		return db.execShow(s)
 	case *sql.Explain:
-		db.stmtMu.RLock()
-		defer db.stmtMu.RUnlock()
 		return db.execExplain(ctx, s, so)
 	case *sql.ZoomIn:
 		zsp := so.lifecycle.StartSpan(trace.SpanZoomExpand, nil)
-		results, hit, err := db.ZoomIn(ctx, ZoomInRequest{
+		zsp.AttrInt("qid", int64(s.QID))
+		results, hit, err := db.zoomIn(ctx, ZoomInRequest{
 			QID: s.QID, Where: s.Where, Instance: s.Instance, Index: s.Index,
 		})
-		zsp.AttrInt("qid", int64(s.QID))
 		if err != nil {
 			zsp.End()
 			return nil, err
 		}
+		src, attr := "re-executed", "re_executed"
 		if hit {
-			zsp.Attr("source", "cache_hit")
-		} else {
-			zsp.Attr("source", "re_executed")
+			src, attr = "cache hit", "cache_hit"
 		}
+		zsp.Attr("source", attr)
 		zsp.End()
 		rows := zoomRows(results)
-		src := "cache hit"
-		if !hit {
-			src = "re-executed"
-		}
 		return &Result{
 			Schema:          zoomResultSchema(),
 			Rows:            rows,
@@ -152,118 +225,13 @@ func (db *DB) execStatement(ctx context.Context, stmt sql.Statement, sqlText str
 			Message:         fmt.Sprintf("%d raw annotation(s) retrieved (%s)", len(rows), src),
 			Count:           len(rows),
 		}, nil
-	case *sql.Prepare:
-		// Registry-only: no lock beyond the registry's own, no WAL record,
-		// legal on replicas. Same for DEALLOCATE below.
-		return db.execPrepare(s)
-	case *sql.Deallocate:
-		return db.execDeallocate(s)
-	case *sql.Execute:
-		return db.execExecute(ctx, s, so)
-	case *sql.AddAnnotation:
-		id, n, err := db.Annotate(AnnotationRequest{
-			Text: s.Text, Title: s.Title, Document: s.Document, Author: s.Author,
-			Table: s.Table, Columns: s.Columns, Where: s.Where,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Message: fmt.Sprintf("annotation %d attached to %d tuple(s)", id, n),
-			Count:   n,
-		}, nil
-	case *sql.DropAnnotation:
-		if err := db.DropAnnotation(annotation.ID(s.ID)); err != nil {
-			return nil, err
-		}
-		return &Result{Message: fmt.Sprintf("annotation %d retracted", s.ID), Count: 1}, nil
-	case *sql.TrainSummary:
-		if err := db.TrainClassifier(s.Name, s.Samples); err != nil {
-			return nil, err
-		}
-		return &Result{
-			Message: fmt.Sprintf("%d sample(s) trained into %s", len(s.Samples), s.Name),
-			Count:   len(s.Samples),
-		}, nil
-	case *sql.LinkSummary:
-		if s.Unlink {
-			if err := db.UnlinkInstance(s.Instance, s.Table); err != nil {
-				return nil, err
-			}
-			return &Result{Message: fmt.Sprintf("%s unlinked from %s", s.Instance, s.Table)}, nil
-		}
-		if err := db.LinkInstance(s.Instance, s.Table); err != nil {
-			return nil, err
-		}
-		return &Result{Message: fmt.Sprintf("%s linked to %s", s.Instance, s.Table)}, nil
-	case *sql.Checkpoint:
-		ci, err := db.Checkpoint()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Message: fmt.Sprintf("checkpoint complete: snapshot %d byte(s) at lsn %d, %d wal byte(s) released",
-				ci.SnapshotBytes, ci.LSN, ci.ReleasedWALBytes),
-		}, nil
-	case *sql.CheckTable:
-		// The sweep manages its own locking (shared for verification,
-		// exclusive for repairs), so it is dispatched lock-free like
-		// CHECKPOINT.
-		rep, err := db.CheckTable(s.Table, so.lifecycle)
-		if err != nil {
-			return nil, err
-		}
-		repaired, bad := 0, 0
-		for _, f := range rep.Faults {
-			if f.Repaired {
-				repaired++
-			} else {
-				bad++
-			}
-		}
-		return &Result{
-			Schema: integritySchema(),
-			Rows:   integrityRows(rep.Faults),
-			Message: fmt.Sprintf("table %s: %d fault(s), %d repaired, %d quarantined",
-				s.Table, len(rep.Faults), repaired, bad),
-			Count: len(rep.Faults),
-		}, nil
 	}
-	// Remaining statements are writes executed under the exclusive lock.
-	// The WAL record is staged under the lock; its commit fsync happens
-	// after release so concurrent writers share fsyncs (group commit).
-	res, tok, err := func() (*Result, wal.SyncToken, error) {
-		db.stmtMu.Lock()
-		defer db.stmtMu.Unlock()
-		// The exec span doubles as the anchor for spans opened by layers
-		// below that have no handle to thread (wal.append in logRecord,
-		// stmt.plan in matchRows); see DB.writeSpan.
-		esp := so.lifecycle.StartSpan(trace.SpanExec, nil)
-		db.writeSpan = esp
-		res, err := db.execWriteLocked(stmt)
-		db.writeSpan = nil
-		esp.End()
-		return res, db.takePendingSync(), err
-	}()
-	var serr error
-	if db.wal != nil {
-		csp := so.lifecycle.StartSpan(trace.SpanWALCommit, nil)
-		serr = db.syncWAL(tok)
-		csp.End()
-	}
-	if err == nil {
-		err = serr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
 
-// execWriteLocked executes one mutating statement. Callers hold the
-// exclusive statement lock and are responsible for syncing the WAL
-// record staged here (takePendingSync + syncWAL) after releasing it.
-func (db *DB) execWriteLocked(stmt sql.Statement) (*Result, error) {
+// execWrite executes one mutating statement. Callers are inside the commit
+// shell, which syncs the WAL record staged here after releasing the lock.
+func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sql.CreateTable:
 		db.invalidatePlanCache()
@@ -299,12 +267,43 @@ func (db *DB) execWriteLocked(stmt sql.Statement) (*Result, error) {
 		return &Result{Message: "table dropped"}, nil
 	case *sql.Insert:
 		return db.execInsert(s)
-	case *sql.BulkInsert:
-		return db.execBulkInsert(s)
 	case *sql.Update:
 		return db.execUpdate(s)
 	case *sql.Delete:
 		return db.execDelete(s)
+	case *sql.AddAnnotation:
+		ids, n, err := db.annotate([]annotateItem{{
+			ann:   annotation.Annotation{Author: s.Author, Text: s.Text, Title: s.Title, Document: s.Document},
+			specs: []TargetSpec{{Table: s.Table, Columns: s.Columns, Where: s.Where}},
+		}})
+		if err != nil {
+			return nil, err
+		}
+		return &Result{
+			Message: fmt.Sprintf("annotation %d attached to %d tuple(s)", ids[0], n),
+			Count:   n,
+		}, nil
+	case *sql.DropAnnotation:
+		if err := db.execDropAnnotation(annotation.ID(s.ID)); err != nil {
+			return nil, err
+		}
+		return &Result{Message: fmt.Sprintf("annotation %d retracted", s.ID), Count: 1}, nil
+	case *sql.TrainSummary:
+		if err := db.execTrain(s.Name, s.Samples); err != nil {
+			return nil, err
+		}
+		return &Result{
+			Message: fmt.Sprintf("%d sample(s) trained into %s", len(s.Samples), s.Name),
+			Count:   len(s.Samples),
+		}, nil
+	case *sql.LinkSummary:
+		if err := db.execLink(s.Instance, s.Table, s.Unlink); err != nil {
+			return nil, err
+		}
+		if s.Unlink {
+			return &Result{Message: fmt.Sprintf("%s unlinked from %s", s.Instance, s.Table)}, nil
+		}
+		return &Result{Message: fmt.Sprintf("%s linked to %s", s.Instance, s.Table)}, nil
 	case *sql.CreateSummaryInstance:
 		in, err := instanceFromStatement(s.Name, s.Type, s.Labels, s.Options)
 		if err != nil {
@@ -334,9 +333,38 @@ func (db *DB) execWriteLocked(stmt sql.Statement) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Message: "summary instance dropped"}, nil
-	default:
-		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+	case *sql.Checkpoint:
+		ci, err := db.checkpointLocked()
+		if err != nil {
+			return nil, err
+		}
+		return &Result{
+			Message: fmt.Sprintf("checkpoint complete: snapshot %d byte(s) at lsn %d, %d wal byte(s) released",
+				ci.SnapshotBytes, ci.LSN, ci.ReleasedWALBytes),
+		}, nil
 	}
+	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+}
+
+// execCheckTable runs CHECK TABLE and tabulates what the sweep found.
+func (db *DB) execCheckTable(s *sql.CheckTable, so stmtOptions) (*Result, error) {
+	rep, err := db.CheckTable(s.Table, so.lifecycle)
+	if err != nil {
+		return nil, err
+	}
+	repaired := 0
+	for _, f := range rep.Faults {
+		if f.Repaired {
+			repaired++
+		}
+	}
+	return &Result{
+		Schema: integritySchema(),
+		Rows:   integrityRows(rep.Faults),
+		Message: fmt.Sprintf("table %s: %d fault(s), %d repaired, %d quarantined",
+			s.Table, len(rep.Faults), repaired, len(rep.Faults)-repaired),
+		Count: len(rep.Faults),
+	}, nil
 }
 
 // execExplain plans the query and renders the operator tree, one node per
@@ -391,7 +419,7 @@ func (db *DB) execCreateTable(s *sql.CreateTable) (*Result, error) {
 func (db *DB) dropTable(name string) error {
 	// Queued maintenance targeting this table must not recreate its
 	// envelopes after the drop.
-	db.drainMaintenance()
+	db.maint.drain()
 	if err := db.cat.DropTable(name); err != nil {
 		return err
 	}
@@ -406,7 +434,7 @@ func (db *DB) dropInstance(name string) error {
 	// Queued tasks capture instance pointers; drain so none re-adds this
 	// instance's objects after the drop (unlinkInstance drains too, but an
 	// unlinked instance has no tables to iterate).
-	db.drainMaintenance()
+	db.maint.drain()
 	for _, tbl := range db.cat.TablesFor(name) {
 		if err := db.unlinkInstance(name, tbl); err != nil {
 			return err
@@ -415,66 +443,40 @@ func (db *DB) dropInstance(name string) error {
 	return db.cat.DropInstance(name)
 }
 
+// execInsert is row ingest, INSERT and BULK INSERT alike: every row is
+// evaluated and validated before any is inserted, so a statement with a
+// malformed row mutates nothing, and the rows are logged as one WAL record
+// carrying their assigned ids — N rows cost one lock handoff and one
+// group-commit fsync.
 func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
+	verb, done := "INSERT", "inserted"
+	if s.Bulk {
+		verb, done = "BULK INSERT", "bulk inserted"
+	}
 	tbl, err := db.cat.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	inserted := make([]snapshotRow, 0, len(s.Rows))
-	for _, row := range s.Rows {
-		tu, err := evalConstExprs(row, "INSERT values")
+	inserted := make([]snapshotRow, len(s.Rows))
+	for i, row := range s.Rows {
+		tu, err := evalConstExprs(row, verb+" values")
 		if err != nil {
 			return nil, err
 		}
-		id, err := tbl.Insert(types.Tuple(tu))
-		if err != nil {
+		if err := tbl.Validate(tu); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i+1, err)
+		}
+		inserted[i].Values = tu
+	}
+	for i := range inserted {
+		if inserted[i].ID, err = tbl.Insert(inserted[i].Values); err != nil {
 			return nil, err
 		}
-		inserted = append(inserted, snapshotRow{ID: id, Values: tu})
 	}
 	if err := db.logRecord(walTypeInsert, walRows{Table: tbl.Name(), Rows: inserted}); err != nil {
 		return nil, err
 	}
-	n := len(inserted)
-	return &Result{Message: fmt.Sprintf("%d row(s) inserted into %s", n, tbl.Name()), Count: n}, nil
-}
-
-// execBulkInsert is the COPY-style ingest path: all rows of one BULK
-// INSERT are evaluated up front (the statement mutates nothing when any
-// row is malformed), inserted under the one exclusive lock acquisition the
-// statement already holds, and logged as ONE batched WAL record — so N
-// rows cost one parse, one lock handoff, and one group-commit fsync
-// instead of N of each. Replay applies the batch row-by-row with the
-// assigned ids (see applyWALRecord).
-func (db *DB) execBulkInsert(s *sql.BulkInsert) (*Result, error) {
-	tbl, err := db.cat.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	tuples := make([]types.Tuple, len(s.Rows))
-	for i, row := range s.Rows {
-		tu, err := evalConstExprs(row, "BULK INSERT values")
-		if err != nil {
-			return nil, err
-		}
-		if err := tbl.Validate(types.Tuple(tu)); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i+1, err)
-		}
-		tuples[i] = types.Tuple(tu)
-	}
-	inserted := make([]snapshotRow, 0, len(tuples))
-	for _, tu := range tuples {
-		id, err := tbl.Insert(tu)
-		if err != nil {
-			return nil, err
-		}
-		inserted = append(inserted, snapshotRow{ID: id, Values: tu})
-	}
-	if err := db.logRecord(walTypeBulkInsert, walRows{Table: tbl.Name(), Rows: inserted}); err != nil {
-		return nil, err
-	}
-	n := len(inserted)
-	return &Result{Message: fmt.Sprintf("%d row(s) bulk inserted into %s", n, tbl.Name()), Count: n}, nil
+	return &Result{Message: fmt.Sprintf("%d row(s) %s into %s", len(inserted), done, tbl.Name()), Count: len(inserted)}, nil
 }
 
 func (db *DB) execShow(s *sql.Show) (*Result, error) {

@@ -36,7 +36,12 @@ type ZoomInRequest struct {
 func (db *DB) ZoomIn(ctx context.Context, req ZoomInRequest) ([]ZoomRowResult, bool, error) {
 	db.stmtMu.RLock()
 	defer db.stmtMu.RUnlock()
-	out, hit, err := db.zoomIn(ctx, req)
+	return db.zoomIn(ctx, req)
+}
+
+// zoomIn is ZoomIn under the shared statement lock, which callers hold.
+func (db *DB) zoomIn(ctx context.Context, req ZoomInRequest) ([]ZoomRowResult, bool, error) {
+	out, hit, err := db.expandZoom(ctx, req)
 	if m := db.metrics; m != nil {
 		m.zoomRequests.Inc()
 		if cancellationCause(err) != "" {
@@ -46,7 +51,7 @@ func (db *DB) ZoomIn(ctx context.Context, req ZoomInRequest) ([]ZoomRowResult, b
 	return out, hit, err
 }
 
-func (db *DB) zoomIn(ctx context.Context, req ZoomInRequest) ([]ZoomRowResult, bool, error) {
+func (db *DB) expandZoom(ctx context.Context, req ZoomInRequest) ([]ZoomRowResult, bool, error) {
 	cached, hit, err := db.resultFor(ctx, req.QID)
 	if err != nil {
 		return nil, false, err

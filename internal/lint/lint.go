@@ -1,9 +1,11 @@
-// Package lint holds the repository's naming lints, written over go/ast
-// so they run as ordinary tests under `go test ./...`. Three vocabularies
-// are each declared once — metric names in internal/metrics/names.go,
-// failpoint names in internal/failpoint/names.go, lifecycle span names in
-// internal/trace/names.go — and the lints keep the rest of the tree from
-// growing names those files do not list.
+// Package lint holds the repository's lints, written over go/ast so they
+// run as ordinary tests under `go test ./...`. Three vocabularies are each
+// declared once — metric names in internal/metrics/names.go, failpoint
+// names in internal/failpoint/names.go, lifecycle span names in
+// internal/trace/names.go — and the naming lints keep the rest of the tree
+// from growing names those files do not list. CallsOutside keeps a call
+// confined to the functions allowed to make it; the engine's lock protocol
+// is held to one function that way.
 package lint
 
 import (
@@ -147,4 +149,52 @@ func (s *Sources) InlineCallNames(methods []string, exempt string) []string {
 		})
 	}
 	return problems
+}
+
+// CallsOutside reports calls whose dotted selector chain ends in call
+// ("stmtMu.Lock" matches db.stmtMu.Lock()) made in files under dir from
+// any function not named in allowed. A call inside a function literal
+// belongs to the declared function around it.
+func (s *Sources) CallsOutside(dir, call string, allowed ...string) []string {
+	var problems []string
+	for _, f := range s.files {
+		if !strings.Contains(s.path(f), dir) {
+			continue
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			permitted := false
+			for _, a := range allowed {
+				permitted = permitted || fd.Name.Name == a
+			}
+			if permitted {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok && strings.HasSuffix(selectorChain(c.Fun), "."+call) {
+					problems = append(problems, fmt.Sprintf("%s: %s calls %s; only %s may",
+						s.fset.Position(c.Pos()), fd.Name.Name, call, strings.Join(allowed, ", ")))
+				}
+				return true
+			})
+		}
+	}
+	return problems
+}
+
+// selectorChain renders a.b.c for a chain of selectors over an identifier,
+// and "" for any other expression.
+func selectorChain(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		if head := selectorChain(x.X); head != "" {
+			return head + "." + x.Sel.Name
+		}
+	}
+	return ""
 }

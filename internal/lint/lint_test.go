@@ -117,3 +117,32 @@ func TestSpanNames(t *testing.T) {
 	expect(t, bad.InlineCallNames(spanCalls, "internal/trace/"), `Child("engine.inline")`)
 	expect(t, bad.Malformed(spanScheme, spanCatalog), `"Stmt.Parse.extra" violates`)
 }
+
+// The engine's lock protocol lives in one function. A statement or a
+// programmatic mutator takes the statement lock exclusively, and waits for
+// its WAL record's commit fsync after releasing it, only through DB.commit;
+// a mutator that copied those steps could get their order wrong — fsync
+// under the lock, a staged record nobody waits for. The other holders of
+// the exclusive lock are listed here: replica apply stages a whole shipped
+// batch before one fsync, snapshot install swaps the whole state, and the
+// integrity paths rewrite pages, not logical state.
+func TestCommitShellIsTheOnlyOne(t *testing.T) {
+	const engine = "internal/engine/"
+	lockers := []string{"commit", "ApplyReplicated", "InstallReplicaSnapshot", "repairFaults", "repairIndexes", "FlushPages"}
+	s := tree(t)
+	expect(t, s.CallsOutside(engine, "stmtMu.Lock", lockers...))
+	expect(t, s.CallsOutside(engine, "syncWAL", "commit", "ApplyReplicated"))
+	expect(t, s.CallsOutside(engine, "wal.Sync", "syncWAL"))
+
+	bad := tree(t, engine+"x.go", `package engine
+func (db *DB) Eighth() error {
+	db.stmtMu.Lock()
+	tok := db.takePendingSync()
+	db.stmtMu.Unlock()
+	go func() { db.wal.Sync(tok) }()
+	return db.syncWAL(tok)
+}`)
+	expect(t, bad.CallsOutside(engine, "stmtMu.Lock", lockers...), "Eighth calls stmtMu.Lock")
+	expect(t, bad.CallsOutside(engine, "syncWAL", "commit", "ApplyReplicated"), "Eighth calls syncWAL")
+	expect(t, bad.CallsOutside(engine, "wal.Sync", "syncWAL"), "Eighth calls wal.Sync")
+}

@@ -152,6 +152,11 @@ func TestReplicationStreamsCommits(t *testing.T) {
 	seedSchema(t, p.db)
 	mustExec(t, p.db, "INSERT INTO birds VALUES (1, 'Swan Goose'), (2, 'Mute Swan')")
 	mustExec(t, p.db, "ADD ANNOTATION 'observed feeding on stonewort' ON birds WHERE id = 1")
+	// A statement that fails ships nothing, so it must leave nothing behind
+	// on the primary either: rows of a multi-row INSERT included.
+	if _, err := p.db.Exec(context.Background(), "INSERT INTO birds VALUES (3, 'Tundra Swan'), ('oops', 'x')"); err == nil {
+		t.Fatal("malformed INSERT succeeded")
+	}
 	waitCaughtUp(t, p, r.rcv)
 	assertConverged(t, p.db, r.db)
 

@@ -197,6 +197,81 @@ func TestExecuteOnReplica(t *testing.T) {
 	}
 }
 
+// TestReplicaGateVerdicts pins what replica mode does with every statement
+// kind, within the staleness bound and past it: reads are served then shed
+// STALE, writes are READ_ONLY either way, node-local statements always pass
+// — and EXECUTE gets the verdict of the template it names.
+func TestReplicaGateVerdicts(t *testing.T) {
+	db, err := engine.Open(engine.Config{CacheDir: t.TempDir(), DisableMetrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	for _, stmt := range []string{
+		"PREPARE rd AS SELECT a FROM t WHERE a = $1",
+		"PREPARE wr AS INSERT INTO t VALUES ($1)",
+		"PREPARE ann AS ADD ANNOTATION 'x' ON t WHERE a = $1",
+	} {
+		if _, err := db.Exec(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fake := &fakeReplica{}
+	srv := New(db)
+	srv.Replica = fake
+
+	const pass, readOnly, stale = "", CodeReadOnly, CodeStale
+	for _, tc := range []struct{ stmt, fresh, stale string }{
+		{"SELECT a FROM t", pass, stale},
+		{"SHOW TABLES", pass, stale},
+		{"EXPLAIN SELECT a FROM t", pass, stale},
+		{"ZOOMIN REFERENCE QID 7 ON c INDEX 1", pass, stale},
+		{"CREATE TABLE t (a INT)", readOnly, readOnly},
+		{"CREATE INDEX ON t (a)", readOnly, readOnly},
+		{"DROP TABLE t", readOnly, readOnly},
+		{"INSERT INTO t VALUES (1)", readOnly, readOnly},
+		{"BULK INSERT INTO t VALUES (1), (2)", readOnly, readOnly},
+		{"UPDATE t SET a = 1", readOnly, readOnly},
+		{"DELETE FROM t", readOnly, readOnly},
+		{"ADD ANNOTATION 'x' ON t", readOnly, readOnly},
+		{"DROP ANNOTATION 3", readOnly, readOnly},
+		{"CREATE SUMMARY INSTANCE c TYPE Snippet", readOnly, readOnly},
+		{"DROP SUMMARY INSTANCE c", readOnly, readOnly},
+		{"TRAIN SUMMARY c ('x', 'a')", readOnly, readOnly},
+		{"LINK SUMMARY c TO t", readOnly, readOnly},
+		{"UNLINK SUMMARY c FROM t", readOnly, readOnly},
+		{"CHECKPOINT", readOnly, readOnly},
+		{"CHECK TABLE t", pass, pass},
+		{"PREPARE p AS SELECT a FROM t", pass, pass},
+		{"DEALLOCATE p", pass, pass},
+		{"EXECUTE rd USING 1", pass, stale},
+		{"EXECUTE wr USING 1", readOnly, readOnly},
+		{"EXECUTE ann USING 1", readOnly, readOnly},
+		// No such template: the engine reports it, within the bound.
+		{"EXECUTE nosuch", pass, stale},
+		{"not a statement", pass, pass},
+	} {
+		for _, isStale := range []bool{false, true} {
+			fake.stale = isStale
+			want := tc.fresh
+			if isStale {
+				want = tc.stale
+			}
+			resp, rejected := srv.replicaGate(tc.stmt, nil, nil, "")
+			if resp.Code != want || rejected != (want != pass) {
+				t.Errorf("%s (stale=%v): gate code %q rejected=%v, want %q", tc.stmt, isStale, resp.Code, rejected, want)
+			}
+		}
+	}
+	if resp, _ := srv.replicaGate("EXECUTE wr USING 1", nil, nil, ""); resp.Error != "replica is read-only: EXECUTE wr is a Insert and must run on the primary" {
+		t.Errorf("EXECUTE rejection reads %q", resp.Error)
+	}
+	if resp, _ := srv.replicaGate("DELETE FROM t", nil, nil, ""); resp.Error != "replica is read-only: Delete must run on the primary" {
+		t.Errorf("DELETE rejection reads %q", resp.Error)
+	}
+}
+
 // TestPlanCacheTraceAttribute pins the observability contract: the
 // stmt.plan span records whether the plan came from the cache, so a
 // retained trace distinguishes a cached execution from a cold one.

@@ -526,12 +526,9 @@ func (s *Server) execute(req Request) (resp Response) {
 		opts = append(opts, engine.WithTrace())
 	}
 	var res *engine.Result
-	switch {
-	case preStmt != nil:
+	if preStmt != nil {
 		res, err = s.db.ExecStatement(ctx, preStmt, stmtText, opts...)
-	case req.Trace:
-		res, err = s.db.Query(ctx, stmtText, opts...)
-	default:
+	} else {
 		res, err = s.db.Exec(ctx, stmtText, opts...)
 	}
 	if err != nil {
@@ -648,13 +645,17 @@ func resolveRequest(req Request) (sql.Statement, string, error) {
 	}
 }
 
-// replicaGate classifies one statement for replica mode: mutations are
-// rejected with CodeReadOnly, reads past the staleness bound are shed
-// with CodeStale, and admissible reads pass through (false). Unparsable
-// statements pass through too — the engine produces its usual error.
-// When the request resolved to a pre-built AST (pre non-nil), it is
-// classified directly; its rendered text may elide detail and must not be
-// re-parsed.
+// replicaGate applies replica mode to one statement by its access class
+// (sql.Class): writes are rejected with CodeReadOnly, reads past the
+// staleness bound are shed with CodeStale, admissible reads and node-local
+// statements pass through (false). CHECK TABLE is node-local because it
+// verifies and repairs this node's own pages, and a replica is exactly
+// where on-demand repair from the primary matters; PREPARE and DEALLOCATE
+// because they touch only the local registry — EXECUTE is where the
+// template's class is enforced. Unparsable statements pass through too:
+// the engine produces its usual error. When the request resolved to a
+// pre-built AST (pre non-nil), it is classified directly; its rendered
+// text may elide detail and must not be re-parsed.
 func (s *Server) replicaGate(stmtText string, pre sql.Statement, at *trace.Active, traceID string) (Response, bool) {
 	stmt := pre
 	if stmt == nil {
@@ -664,40 +665,26 @@ func (s *Server) replicaGate(stmtText string, pre sql.Statement, at *trace.Activ
 			return Response{}, false
 		}
 	}
-	switch st := stmt.(type) {
-	case *sql.CheckTable:
-		// CHECK TABLE verifies and repairs this node's own pages — no
-		// logical state changes — and a replica is exactly where
-		// on-demand repair from the primary matters, so it passes even
-		// past the staleness bound (bit rot doesn't wait for the link).
-		return Response{}, false
-	case *sql.Prepare, *sql.Deallocate:
-		// Registry-only operations: they touch the local prepared-statement
-		// registry, never the replicated data, so they pass even past the
-		// staleness bound (a client warming its statements on a lagging
-		// replica is fine — EXECUTE is where staleness is enforced).
-		return Response{}, false
-	case *sql.Execute:
-		// EXECUTE inherits its template's classification. A read template
-		// falls through to the staleness check below; a mutating one is
-		// rejected here so the replica never diverges locally. An unknown
-		// name passes — the engine produces its usual error.
-		if tmpl, ok := s.db.PreparedTemplate(st.Name); ok {
-			switch tmpl.(type) {
-			case *sql.Select, *sql.Show, *sql.Explain, *sql.ZoomIn:
-			default:
-				s.readOnly.Inc()
-				kind := strings.TrimPrefix(fmt.Sprintf("%T", tmpl), "*sql.")
-				rerr := fmt.Errorf("replica is read-only: EXECUTE %s is a %s and must run on the primary", st.Name, kind)
-				at.Finish("read_only_reject", rerr)
-				return Response{Error: rerr.Error(), Code: CodeReadOnly, TraceID: traceID}, true
-			}
+	access := stmt.Class().Access
+	ex, _ := stmt.(*sql.Execute)
+	if ex != nil {
+		// EXECUTE takes the class of the template it runs; with no such
+		// template it is held to the staleness bound like a read.
+		access = sql.Read
+		if tmpl, ok := s.db.PreparedTemplate(ex.Name); ok {
+			stmt, access = tmpl, tmpl.Class().Access
 		}
-	case *sql.Select, *sql.Show, *sql.Explain, *sql.ZoomIn:
-	default:
+	}
+	switch access {
+	case sql.NodeLocal:
+		return Response{}, false
+	case sql.Write:
 		s.readOnly.Inc()
-		kind := strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql.")
-		rerr := fmt.Errorf("replica is read-only: %s must run on the primary", kind)
+		what := strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql.")
+		if ex != nil {
+			what = fmt.Sprintf("EXECUTE %s is a %s and", ex.Name, what)
+		}
+		rerr := fmt.Errorf("replica is read-only: %s must run on the primary", what)
 		at.Finish("read_only_reject", rerr)
 		return Response{Error: rerr.Error(), Code: CodeReadOnly, TraceID: traceID}, true
 	}

@@ -58,6 +58,73 @@ func TestTraceOverWire(t *testing.T) {
 		mustClient(t, c, "INSERT INTO birds VALUES "+strings.Join(vals, ", "))
 	}
 
+	// Every mutating statement runs through the engine's one commit shell,
+	// so each leaves the same trace shape: stmt.exec with the wal.append of
+	// its record underneath, and then, after the lock is released,
+	// wal.commit beside it. One with an indexed predicate — ADD ANNOTATION
+	// as much as UPDATE — shows its access-path decision under stmt.exec.
+	mustClient(t, c, "CREATE SUMMARY INSTANCE C TYPE Classifier LABELS ('Behavior', 'Other')")
+	for _, tc := range []struct{ stmt, kind, planPath string }{
+		{"LINK SUMMARY C TO birds", "link", ""},
+		{"ADD ANNOTATION 'observed feeding on stonewort' ON birds WHERE id = 7", "annotate", "index_scan"},
+		{"TRAIN SUMMARY C ('feeding foraging stonewort', 'Behavior')", "train", ""},
+		{"DROP ANNOTATION 1", "drop_annotation", ""},
+		{"UNLINK SUMMARY C FROM birds", "link", ""},
+		{"INSERT INTO birds VALUES (9000, 0)", "insert", ""},
+		{"BULK INSERT INTO birds VALUES (9001, 0), (9002, 0)", "bulk_insert", ""},
+		{"UPDATE birds SET hits = 1 WHERE id = 7", "update", "index_scan"},
+		{"DELETE FROM birds WHERE id = 9000", "delete", "index_scan"},
+		{"CREATE TABLE other (a INT)", "create_table", ""},
+	} {
+		resp := mustClient(t, c, tc.stmt)
+		id, err := trace.ParseID(resp.TraceID)
+		if err != nil {
+			t.Fatalf("%s: trace id %q: %v", tc.stmt, resp.TraceID, err)
+		}
+		tr, ok := db.Tracer().Get(id)
+		if !ok {
+			t.Fatalf("%s: trace not retained at sample 1", tc.stmt)
+		}
+		if tr.Kind != tc.kind {
+			t.Errorf("%s: trace kind %q, want %q", tc.stmt, tr.Kind, tc.kind)
+		}
+		exec, commit := -1, -1
+		for i, sp := range tr.Spans {
+			switch sp.Name {
+			case trace.SpanExec:
+				exec = i
+			case trace.SpanWALCommit:
+				commit = i
+			}
+		}
+		if exec < 0 || commit < exec || tr.Spans[commit].Parent != tr.Spans[exec].Parent {
+			t.Fatalf("%s: want stmt.exec followed by a sibling wal.commit:\n%s", tc.stmt, strings.Join(trace.RenderTree(tr), "\n"))
+		}
+		under := map[string]trace.Span{}
+		for _, sp := range tr.Spans {
+			if sp.Parent == exec {
+				under[sp.Name] = sp
+			}
+		}
+		if _, ok := under[trace.SpanWALAppend]; !ok {
+			t.Errorf("%s: no wal.append under stmt.exec", tc.stmt)
+		}
+		if tc.planPath != "" {
+			path := ""
+			for _, a := range under[trace.SpanPlan].Attrs {
+				if a.Key == "path" {
+					path = a.Value()
+				}
+			}
+			if path != tc.planPath {
+				t.Errorf("%s: stmt.plan under stmt.exec has path=%q, want %q", tc.stmt, path, tc.planPath)
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("trace of %s:\n%s", tc.stmt, strings.Join(trace.RenderTree(tr), "\n"))
+		}
+	}
+
 	resp := mustClient(t, c, "UPDATE birds SET hits = 1 WHERE id = 7")
 	if resp.TraceID == "" {
 		t.Fatal("mutating response carries no trace_id")
@@ -134,6 +201,24 @@ func TestTraceOverWire(t *testing.T) {
 	}
 	if tj.ID != resp.TraceID || tj.Kind != "update" || len(tj.Spans) == 0 {
 		t.Fatalf("/traces?id returned %+v", tj)
+	}
+}
+
+// The trace option applies to SELECTs and is ignored by everything else; a
+// mutation sent with it must run, not be refused as "not a SELECT".
+func TestTracedMutationOverWire(t *testing.T) {
+	_, c := startServer(t)
+	mustClient(t, c, "CREATE TABLE birds (id INT, name TEXT)")
+	resp, err := c.Do(context.Background(), "INSERT INTO birds VALUES (1, 'Swan Goose')", WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK {
+		t.Fatalf("traced INSERT refused: %s", resp.Error)
+	}
+	sel, err := c.Do(context.Background(), "SELECT name FROM birds", WithTrace())
+	if err != nil || !sel.OK || len(sel.Rows) != 1 || len(sel.Trace) == 0 {
+		t.Fatalf("traced SELECT after traced INSERT: %v %+v", err, sel)
 	}
 }
 

@@ -9,8 +9,35 @@ import (
 
 // Statement is any parsed SQL or InsightNotes statement.
 type Statement interface {
-	stmtNode()
+	// Class is the statement's row in the classification table at the end
+	// of this file.
+	Class() Class
 	String() string
+}
+
+// Access is how a statement touches the database. It decides the lock the
+// engine runs the statement under and what a read replica does with it.
+type Access uint8
+
+const (
+	// Read statements run under the shared statement lock; a replica
+	// serves them while it is within its staleness bound.
+	Read Access = iota
+	// Write statements run in the engine's commit shell (exclusive lock,
+	// WAL record, group-commit fsync); a replica rejects them as READ_ONLY.
+	Write
+	// NodeLocal statements touch only state this node owns — the prepared
+	// registry, its own pages — and take whatever locks they need
+	// themselves; a replica lets them through at any staleness. EXECUTE is
+	// listed here and then takes the class of the template it runs.
+	NodeLocal
+)
+
+// Class says what a statement is: Kind is its label in metrics, traces
+// and the slow-query log, Access its access class.
+type Class struct {
+	Kind   string
+	Access Access
 }
 
 // Expr is any scalar expression.
@@ -197,10 +224,13 @@ type CreateIndex struct {
 // DropTable is DROP TABLE name.
 type DropTable struct{ Name string }
 
-// Insert is INSERT INTO table VALUES (...), (...).
+// Insert is [BULK] INSERT INTO table VALUES (...), (...). Either spelling
+// is one atomic row ingest — one lock acquisition, one WAL record — and
+// Bulk only keeps the two apart in metrics and messages.
 type Insert struct {
 	Table string
 	Rows  [][]Expr
+	Bulk  bool
 }
 
 // Explain is EXPLAIN [ANALYZE] SELECT ...: report the physical plan (the
@@ -365,15 +395,6 @@ type Execute struct {
 // Deallocate is DEALLOCATE [PREPARE] name: drop a prepared statement.
 type Deallocate struct{ Name string }
 
-// BulkInsert is BULK INSERT INTO table VALUES (...), (...): the
-// COPY-style ingest path. Unlike Insert it takes the statement lock
-// once for the whole batch, stages one batched WAL record, and feeds
-// downstream maintenance in batches.
-type BulkInsert struct {
-	Table string
-	Rows  [][]Expr
-}
-
 // Checkpoint is CHECKPOINT: persist a snapshot of the full database
 // state to the durability directory and rotate the write-ahead log.
 // Errors when the engine was opened without durability.
@@ -401,28 +422,30 @@ type Show struct {
 	TraceID string
 }
 
-func (*Explain) stmtNode()               {}
-func (*Update) stmtNode()                {}
-func (*Delete) stmtNode()                {}
-func (*DropAnnotation) stmtNode()        {}
-func (*CreateTable) stmtNode()           {}
-func (*CreateIndex) stmtNode()           {}
-func (*DropTable) stmtNode()             {}
-func (*Insert) stmtNode()                {}
-func (*Select) stmtNode()                {}
-func (*AddAnnotation) stmtNode()         {}
-func (*CreateSummaryInstance) stmtNode() {}
-func (*DropSummaryInstance) stmtNode()   {}
-func (*TrainSummary) stmtNode()          {}
-func (*LinkSummary) stmtNode()           {}
-func (*ZoomIn) stmtNode()                {}
-func (*Show) stmtNode()                  {}
-func (*Checkpoint) stmtNode()            {}
-func (*CheckTable) stmtNode()            {}
-func (*Prepare) stmtNode()               {}
-func (*Execute) stmtNode()               {}
-func (*Deallocate) stmtNode()            {}
-func (*BulkInsert) stmtNode()            {}
+// The classification table: one row per statement type, and the only place
+// that says what a statement is. The engine's dispatcher, its statement
+// metrics and the replica gate all read it.
+func (*Select) Class() Class                { return Class{"select", Read} }
+func (*Show) Class() Class                  { return Class{"show", Read} }
+func (*Explain) Class() Class               { return Class{"explain", Read} }
+func (*ZoomIn) Class() Class                { return Class{"zoomin", Read} }
+func (*CreateTable) Class() Class           { return Class{"create_table", Write} }
+func (*CreateIndex) Class() Class           { return Class{"create_index", Write} }
+func (*DropTable) Class() Class             { return Class{"drop_table", Write} }
+func (s *Insert) Class() Class              { return Class{s.verb("insert", "bulk_insert"), Write} }
+func (*Update) Class() Class                { return Class{"update", Write} }
+func (*Delete) Class() Class                { return Class{"delete", Write} }
+func (*AddAnnotation) Class() Class         { return Class{"annotate", Write} }
+func (*DropAnnotation) Class() Class        { return Class{"drop_annotation", Write} }
+func (*CreateSummaryInstance) Class() Class { return Class{"create_summary", Write} }
+func (*DropSummaryInstance) Class() Class   { return Class{"drop_summary", Write} }
+func (*TrainSummary) Class() Class          { return Class{"train", Write} }
+func (*LinkSummary) Class() Class           { return Class{"link", Write} }
+func (*Checkpoint) Class() Class            { return Class{"checkpoint", Write} }
+func (*CheckTable) Class() Class            { return Class{"check", NodeLocal} }
+func (*Prepare) Class() Class               { return Class{"prepare", NodeLocal} }
+func (*Execute) Class() Class               { return Class{"execute", NodeLocal} }
+func (*Deallocate) Class() Class            { return Class{"deallocate", NodeLocal} }
 
 // String implements Statement.
 func (s *Prepare) String() string {
@@ -449,11 +472,6 @@ func (s *Execute) String() string {
 func (s *Deallocate) String() string { return "DEALLOCATE " + s.Name }
 
 // String implements Statement.
-func (s *BulkInsert) String() string {
-	return fmt.Sprintf("BULK INSERT INTO %s VALUES ... (%d rows)", s.Table, len(s.Rows))
-}
-
-// String implements Statement.
 func (s *Checkpoint) String() string { return "CHECKPOINT" }
 
 // String implements Statement.
@@ -478,7 +496,15 @@ func (s *DropTable) String() string { return "DROP TABLE " + s.Name }
 
 // String implements Statement.
 func (s *Insert) String() string {
-	return fmt.Sprintf("INSERT INTO %s VALUES ... (%d rows)", s.Table, len(s.Rows))
+	return fmt.Sprintf("%s INTO %s VALUES ... (%d rows)", s.verb("INSERT", "BULK INSERT"), s.Table, len(s.Rows))
+}
+
+// verb picks the wording for this statement's spelling.
+func (s *Insert) verb(plain, bulk string) string {
+	if s.Bulk {
+		return bulk
+	}
+	return plain
 }
 
 // String implements Statement.

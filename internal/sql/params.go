@@ -69,10 +69,6 @@ func (b *binder) statement(stmt Statement) Statement {
 		out := *s
 		out.Rows = b.rows(s.Rows)
 		return &out
-	case *BulkInsert:
-		out := *s
-		out.Rows = b.rows(s.Rows)
-		return &out
 	case *Update:
 		out := *s
 		out.Set = make([]SetClause, len(s.Set))
@@ -183,12 +179,6 @@ func walkStatementExprs(stmt Statement, fn func(Expr)) {
 	case *Explain:
 		walkSelectExprs(s.Query, fn)
 	case *Insert:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				walkExpr(e, fn)
-			}
-		}
-	case *BulkInsert:
 		for _, row := range s.Rows {
 			for _, e := range row {
 				walkExpr(e, fn)

@@ -68,12 +68,12 @@ func FuzzParsePlaceholders(f *testing.F) {
 		}
 		// Bound rendering must round-trip through the parser — this is the
 		// invariant the engine's zoom-in re-execution leans on. It only
-		// holds for statements with a faithful String(): Insert and
-		// BulkInsert deliberately elide their row lists in renderings
+		// holds for statements with a faithful String(): Insert
+		// deliberately elides its row list in renderings
 		// (trace labels must stay bounded), and Prepare's Text field
 		// captures source offsets.
 		switch bound.(type) {
-		case *Prepare, *Insert, *BulkInsert:
+		case *Prepare, *Insert:
 			return
 		}
 		if n == 0 {

@@ -175,10 +175,8 @@ func (p *Parser) parseStatement() (Statement, error) {
 		return p.parseCreate()
 	case p.isKeyword("DROP"):
 		return p.parseDrop()
-	case p.isKeyword("INSERT"):
+	case p.isKeyword("INSERT"), p.isKeyword("BULK"):
 		return p.parseInsert()
-	case p.isKeyword("BULK"):
-		return p.parseBulkInsert()
 	case p.isKeyword("PREPARE"):
 		return p.parsePrepare()
 	case p.isKeyword("EXECUTE"):
@@ -489,68 +487,47 @@ func (p *Parser) parseDrop() (Statement, error) {
 	}
 }
 
+// parseInsert parses [BULK] INSERT INTO table VALUES (...), (...).
 func (p *Parser) parseInsert() (Statement, error) {
-	p.advance() // INSERT
-	table, rows, err := p.parseInsertBody()
-	if err != nil {
-		return nil, err
-	}
-	return &Insert{Table: table, Rows: rows}, nil
-}
-
-// parseBulkInsert parses BULK INSERT INTO table VALUES (...), (...) —
-// the same grammar as INSERT, dispatched to the batched ingest path.
-func (p *Parser) parseBulkInsert() (Statement, error) {
-	p.advance() // BULK
+	s := &Insert{Bulk: p.acceptKeyword("BULK")}
 	if err := p.expectKeyword("INSERT"); err != nil {
 		return nil, err
 	}
-	table, rows, err := p.parseInsertBody()
-	if err != nil {
+	if err := p.expectKeyword("INTO"); err != nil {
 		return nil, err
 	}
-	return &BulkInsert{Table: table, Rows: rows}, nil
-}
-
-// parseInsertBody parses INTO table VALUES (...), (...) — the shared
-// tail of INSERT and BULK INSERT (the leading keyword(s) are consumed).
-func (p *Parser) parseInsertBody() (string, [][]Expr, error) {
-	if err := p.expectKeyword("INTO"); err != nil {
-		return "", nil, err
-	}
-	table, err := p.expectIdent("table name")
-	if err != nil {
-		return "", nil, err
+	var err error
+	if s.Table, err = p.expectIdent("table name"); err != nil {
+		return nil, err
 	}
 	if err := p.expectKeyword("VALUES"); err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	var rows [][]Expr
 	for {
 		if err := p.expectOp("("); err != nil {
-			return "", nil, err
+			return nil, err
 		}
 		var row []Expr
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
-				return "", nil, err
+				return nil, err
 			}
 			row = append(row, e)
 			if p.acceptOp(",") {
 				continue
 			}
 			if err := p.expectOp(")"); err != nil {
-				return "", nil, err
+				return nil, err
 			}
 			break
 		}
-		rows = append(rows, row)
+		s.Rows = append(s.Rows, row)
 		if !p.acceptOp(",") {
 			break
 		}
 	}
-	return table, rows, nil
+	return s, nil
 }
 
 // parsePrepare parses PREPARE name AS <statement>. The template's SQL

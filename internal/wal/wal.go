@@ -578,56 +578,31 @@ type ReplayResult struct {
 }
 
 // Replay reads the log at path, calling apply for every intact record
-// with LSN > afterLSN. It stops at the first torn or corrupt frame —
-// short header, short payload, CRC mismatch, unparsable payload, or
-// non-increasing LSN — truncates the file there, and reports it. A
+// with LSN > afterLSN. It stops at the first frame the tail reader will
+// not return — short header, short payload, CRC mismatch, unparsable
+// payload, or non-increasing LSN: nothing is appending, so none of those
+// can still complete — truncates the file there, and reports it. A
 // missing file is an empty log. An apply error aborts the replay: a
 // CRC-valid record that fails to apply means real corruption above the
 // framing layer, and silently dropping committed mutations would be
 // worse than refusing to start.
 func Replay(path string, afterLSN uint64, apply func(Record) error) (ReplayResult, error) {
 	var res ReplayResult
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	t, err := OpenTail(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return res, nil
 		}
 		return res, err
 	}
-	defer f.Close()
-
-	var offset int64
-	header := make([]byte, headerBytes)
-	payload := make([]byte, 0, 4096)
-	prevLSN := uint64(0)
+	defer t.Close()
 	for {
-		if _, err := io.ReadFull(f, header); err != nil {
-			if err == io.EOF {
-				return res, nil // clean end
-			}
-			break // partial header: torn
+		rec, err := t.Next(-1)
+		if err == io.EOF {
+			return res, nil // clean end
 		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length == 0 || length > maxRecordBytes {
-			break // corrupt length field
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break // short payload: torn
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt payload
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break // CRC-valid but unparsable: treat as corrupt tail
-		}
-		if rec.LSN <= prevLSN {
-			break // sequence violation: corrupt tail
+		if err != nil {
+			break
 		}
 		if rec.LSN <= afterLSN {
 			res.Skipped++
@@ -637,16 +612,19 @@ func Replay(path string, afterLSN uint64, apply func(Record) error) (ReplayResul
 			}
 			res.Replayed++
 		}
-		prevLSN = rec.LSN
 		res.LastLSN = rec.LSN
-		offset += int64(headerBytes) + int64(length)
 	}
 	// Torn or corrupt tail: drop it so the next append starts on a clean
 	// frame boundary.
 	res.Torn = true
-	res.TornOffset = offset
-	if err := f.Truncate(offset); err != nil {
-		return res, fmt.Errorf("wal: truncating torn tail at %d: %w", offset, err)
+	res.TornOffset = t.Offset()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return res, err
+	}
+	defer f.Close()
+	if err := f.Truncate(res.TornOffset); err != nil {
+		return res, fmt.Errorf("wal: truncating torn tail at %d: %w", res.TornOffset, err)
 	}
 	if err := f.Sync(); err != nil {
 		return res, fmt.Errorf("wal: syncing truncated log: %w", err)
