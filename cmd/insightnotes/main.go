@@ -70,6 +70,9 @@ func main() {
 		}
 	}
 	repl(db)
+	if err := db.Close(); err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {

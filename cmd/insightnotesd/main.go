@@ -274,14 +274,14 @@ func main() {
 		} else {
 			fmt.Printf("final checkpoint written to %s\n", *dataDir)
 		}
-		if err := db.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "close:", err)
-		}
 	case *snapshot != "":
 		if err := db.SaveFile(*snapshot); err != nil {
 			fatal(fmt.Errorf("saving %s: %w", *snapshot, err))
 		}
 		fmt.Printf("snapshot saved to %s\n", *snapshot)
+	}
+	if err := db.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "close:", err)
 	}
 }
 

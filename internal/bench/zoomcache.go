@@ -71,6 +71,7 @@ func e6WorkingSetBytes(queries int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer db.Close()
 	n := queries / 4
 	if n < 2 {
 		n = 2
@@ -130,6 +131,7 @@ func e6Run(policy zoomin.Policy, budget int64, queries, zoomOps int) (float64, t
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	defer db.Close()
 	g := workload.New(95)
 
 	// Issue the query mix: a small working set of expensive joins plus a

@@ -49,8 +49,9 @@ type Config struct {
 	// snapshot remain the durable source of truth. OpenDurable defaults it
 	// to <dir>/pages.db.
 	PageFile string
-	// CacheDir is the zoom-in materialization directory (default: a fresh
-	// temp directory).
+	// CacheDir is the directory of the zoom-in cache's one spill file,
+	// which is truncated on open (default: a fresh temp directory, removed
+	// again by Close).
 	CacheDir string
 	// CacheBudget bounds the zoom-in cache in bytes (default 4 MiB).
 	CacheBudget int64
@@ -149,8 +150,11 @@ type DB struct {
 	// whose properties allow summarize-once (instance → annotation → digest).
 	digests map[string]map[annotation.ID]summary.Digest
 
-	cache   *zoomin.Cache
-	queries map[int]string // QID → SQL text, for cache-miss re-execution
+	// cache materializes SELECT results for zoom-in and keeps the QID → SQL
+	// registry for re-execution on a miss. ownsCacheDir: Open created its
+	// directory, so Close removes it.
+	cache        *zoomin.Cache
+	ownsCacheDir bool
 
 	// planCache caches parsed statement templates and memoized access-path
 	// choices, keyed on normalized SQL (nil when Config.PlanCacheSize < 0).
@@ -221,7 +225,8 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.CacheBudget <= 0 {
 		cfg.CacheBudget = 4 << 20
 	}
-	if cfg.CacheDir == "" {
+	ownsCacheDir := cfg.CacheDir == ""
+	if ownsCacheDir {
 		dir, err := os.MkdirTemp("", "insightnotes-cache-")
 		if err != nil {
 			return nil, err
@@ -233,6 +238,9 @@ func Open(cfg Config) (*DB, error) {
 	}
 	cache, err := zoomin.NewCache(cfg.CacheDir, cfg.CacheBudget, cfg.CachePolicy)
 	if err != nil {
+		if ownsCacheDir {
+			os.RemoveAll(cfg.CacheDir)
+		}
 		return nil, err
 	}
 	if cfg.PlanOptions.Counters == nil {
@@ -247,6 +255,10 @@ func Open(cfg Config) (*DB, error) {
 		os.Remove(cfg.PageFile)
 		fs, err := storage.OpenFileStore(cfg.PageFile)
 		if err != nil {
+			cache.Close()
+			if ownsCacheDir {
+				os.RemoveAll(cfg.CacheDir)
+			}
 			return nil, err
 		}
 		store = fs
@@ -261,9 +273,10 @@ func Open(cfg Config) (*DB, error) {
 		envs:     newEnvStore(pool),
 		digests:  make(map[string]map[annotation.ID]summary.Digest),
 		cache:    cache,
-		queries:  make(map[int]string),
 		prepared: make(map[string]*preparedStmt),
 		start:    time.Now(),
+
+		ownsCacheDir: ownsCacheDir,
 	}
 	if cfg.PlanCacheSize >= 0 {
 		db.planCache = plan.NewCache(cfg.PlanCacheSize)
@@ -368,17 +381,27 @@ func (db *DB) StoredEnvelope(table string, row types.RowID) *summary.Envelope {
 }
 
 // Close stops the maintenance catch-up worker (draining its queue),
-// releases the durability log when attached, and closes the page store.
+// releases the durability log when attached, closes the zoom-in cache's
+// spill file (removing the cache directory if Open created it), and closes
+// the page store.
 func (db *DB) Close() error {
 	if db.scrub != nil {
 		db.scrub.close()
 	}
 	db.maint.close()
-	// The engine owns CacheDir only when it generated a temp dir; removing
-	// a user-supplied directory would be hostile. Detect by prefix.
 	var err error
 	if db.wal != nil {
 		err = db.wal.Close()
+	}
+	if cerr := db.cache.Close(); err == nil {
+		err = cerr
+	}
+	if db.ownsCacheDir {
+		// Only a directory Open itself created; a user-supplied CacheDir
+		// is left in place.
+		if rerr := os.RemoveAll(db.cfg.CacheDir); err == nil {
+			err = rerr
+		}
 	}
 	if db.store != nil {
 		if serr := db.store.Close(); err == nil {

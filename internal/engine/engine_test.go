@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -379,20 +382,7 @@ func TestExplainRendersPlanTree(t *testing.T) {
 
 func TestCacheMissReexecutesQuery(t *testing.T) {
 	// A cache too small for any result: every zoom-in re-executes.
-	db, err := Open(Config{CacheDir: t.TempDir(), CacheBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.ExecScript(context.Background(), `
-		CREATE TABLE t (a INT);
-		INSERT INTO t VALUES (1);
-		CREATE SUMMARY INSTANCE C TYPE Classifier LABELS ('x', 'y');
-		TRAIN SUMMARY C ('alpha text', 'x'), ('beta text', 'y');
-		LINK SUMMARY C TO t;
-		ADD ANNOTATION 'alpha text here' ON t;
-	`); err != nil {
-		t.Fatal(err)
-	}
+	db := zoomDB(t, Config{CacheDir: t.TempDir(), CacheBudget: 1})
 	res := mustExec(t, db, "SELECT a FROM t")
 	zoom, hit, err := db.ZoomIn(context.Background(), ZoomInRequest{QID: res.QID, Instance: "C", Index: 1})
 	if err != nil {
@@ -406,6 +396,97 @@ func TestCacheMissReexecutesQuery(t *testing.T) {
 	}
 	if zoom[0].Annotations[0].Text != "alpha text here" {
 		t.Errorf("annotation = %q", zoom[0].Annotations[0].Text)
+	}
+}
+
+// zoomDB is a one-row table with a linked classifier and one annotation
+// under label 1, so a zoom-in on any SELECT over it returns that annotation.
+func zoomDB(t *testing.T, cfg Config) *DB {
+	t.Helper()
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecScript(context.Background(), `
+		CREATE TABLE t (a INT);
+		INSERT INTO t VALUES (1);
+		CREATE SUMMARY INSTANCE C TYPE Classifier LABELS ('x', 'y');
+		TRAIN SUMMARY C ('alpha text', 'x'), ('beta text', 'y');
+		LINK SUMMARY C TO t;
+		ADD ANNOTATION 'alpha text here' ON t;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// A SELECT whose result the cache cannot store still returns its rows and
+// a QID, and a zoom-in on that QID re-executes.
+func TestSelectSurvivesCacheWriteFailure(t *testing.T) {
+	db := zoomDB(t, Config{CacheDir: t.TempDir()})
+	defer db.Close()
+	db.Cache().Close() // every spill write fails from here on
+	res, err := db.Exec(context.Background(), "SELECT a FROM t")
+	if err != nil {
+		t.Fatalf("SELECT failed over a cache write: %v", err)
+	}
+	if res.QID == 0 || len(res.Rows) != 1 {
+		t.Fatalf("QID %d, %d row(s)", res.QID, len(res.Rows))
+	}
+	if st := db.Cache().Stats(); st.Rejected != 1 || st.Puts != 0 || db.Cache().Contains(res.QID) {
+		t.Errorf("cache stats %+v", st)
+	}
+	zoom, hit, err := db.ZoomIn(context.Background(), ZoomInRequest{QID: res.QID, Instance: "C", Index: 1})
+	if err != nil || hit || len(zoom) != 1 {
+		t.Fatalf("zoom = %+v, hit=%v, err=%v", zoom, hit, err)
+	}
+}
+
+// A QID that fell out of the bounded registry and out of the cache fails
+// with its own error, not "unknown QID".
+func TestZoomInExpiredQID(t *testing.T) {
+	db := zoomDB(t, Config{CacheDir: t.TempDir(), CacheBudget: 1})
+	defer db.Close()
+	res := mustExec(t, db, "SELECT a FROM t")
+	// The QID 65 536 later takes the same registry slot.
+	db.Cache().Put(&zoomin.CachedResult{QID: res.QID + 1<<16, SQL: "SELECT a FROM t"})
+	_, _, err := db.ZoomIn(context.Background(), ZoomInRequest{QID: res.QID, Instance: "C", Index: 1})
+	if !errors.Is(err, zoomin.ErrQIDExpired) {
+		t.Errorf("zoom-in on an expired QID: %v", err)
+	}
+	_, _, err = db.ZoomIn(context.Background(), ZoomInRequest{QID: res.QID + 1, Instance: "C", Index: 1})
+	if err == nil || errors.Is(err, zoomin.ErrQIDExpired) || !strings.Contains(err.Error(), "unknown QID") {
+		t.Errorf("zoom-in on a QID never issued: %v", err)
+	}
+}
+
+// Close removes the cache directory Open created, and only that one.
+func TestCloseRemovesOnlyItsOwnCacheDir(t *testing.T) {
+	owned := zoomDB(t, Config{})
+	dir := owned.cfg.CacheDir
+	if !strings.HasPrefix(filepath.Base(dir), "insightnotes-cache-") {
+		t.Fatalf("default cache dir = %q", dir)
+	}
+	mustExec(t, owned, "SELECT a FROM t")
+	if err := owned.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("engine-created cache dir survives Close: %v", err)
+	}
+
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "theirs.txt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	supplied := zoomDB(t, Config{CacheDir: dir})
+	mustExec(t, supplied, "SELECT a FROM t")
+	if err := supplied.Close(); err != nil {
+		t.Fatal(err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil || len(left) != 1 || left[0].Name() != "theirs.txt" {
+		t.Errorf("user-supplied cache dir after Close: %v, %v; want only theirs.txt", left, err)
 	}
 }
 

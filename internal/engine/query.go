@@ -121,14 +121,8 @@ func (db *DB) querySelect(ec *exec.ExecContext, sel *sql.Select, sqlText string,
 		// entry, so they cannot pollute zoom-in state.
 		return res, nil
 	}
-	qid := db.allocateQID()
-	db.mu.Lock()
-	db.queries[qid] = sqlText
-	db.mu.Unlock()
-	if _, err := db.materialize(qid, sqlText, sel, op, rows); err != nil {
-		return nil, err
-	}
-	res.QID = qid
+	res.QID = db.allocateQID()
+	db.materialize(res.QID, sqlText, sel, op, rows)
 	return res, nil
 }
 
@@ -173,10 +167,15 @@ func (db *DB) collectSelect(ec *exec.ExecContext, sel *sql.Select, so stmtOption
 	return op, rows, ops, err
 }
 
-// materialize admits one executed SELECT to the zoom-in cache under qid.
-func (db *DB) materialize(qid int, sqlText string, sel *sql.Select, op exec.Operator, rows []*exec.Row) (*zoomin.CachedResult, error) {
+// materialize registers one executed SELECT under qid and admits its
+// result to the zoom-in cache.
+func (db *DB) materialize(qid int, sqlText string, sel *sql.Select, op exec.Operator, rows []*exec.Row) *zoomin.CachedResult {
 	cached := zoomin.BuildCachedResult(qid, sqlText, op.Schema(), rows, estimateComplexity(sel, len(rows)))
-	return cached, db.cache.Put(cached)
+	// The rows are computed and the QID is registered either way: a result
+	// the cache could not store (counted as rejected) is re-executed by the
+	// zoom-in that wants it, so its statement does not fail over it.
+	_ = db.cache.Put(cached)
+	return cached
 }
 
 // estimateComplexity is the RCO cost proxy: relations joined, aggregation,
@@ -207,11 +206,9 @@ func (db *DB) resultFor(ctx context.Context, qid int) (*zoomin.CachedResult, boo
 	if hit {
 		return cached, true, nil
 	}
-	db.mu.RLock()
-	sqlText, ok := db.queries[qid]
-	db.mu.RUnlock()
-	if !ok {
-		return nil, false, fmt.Errorf("engine: unknown QID %d", qid)
+	sqlText, err := db.cache.Query(qid)
+	if err != nil {
+		return nil, false, err
 	}
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
@@ -222,6 +219,5 @@ func (db *DB) resultFor(ctx context.Context, qid int) (*zoomin.CachedResult, boo
 	if err != nil {
 		return nil, false, err
 	}
-	cached, err = db.materialize(qid, sqlText, sel, op, rows)
-	return cached, false, err
+	return db.materialize(qid, sqlText, sel, op, rows), false, nil
 }

@@ -165,7 +165,6 @@ func (db *DB) clearStateLocked() {
 	db.anns = annotation.NewStore(db.pool)
 	db.envs = newEnvStore(db.pool)
 	db.digests = make(map[string]map[annotation.ID]summary.Digest)
-	db.queries = make(map[int]string)
 	db.mu.Unlock()
 	db.annClock.Store(0)
 	db.cache.Clear()

@@ -151,9 +151,10 @@ func (s *Sources) InlineCallNames(methods []string, exempt string) []string {
 	return problems
 }
 
-// CallsOutside reports calls whose dotted selector chain ends in call
-// ("stmtMu.Lock" matches db.stmtMu.Lock()) made in files under dir from
-// any function not named in allowed. A call inside a function literal
+// CallsOutside reports calls whose dotted selector chain is call or ends in
+// it ("stmtMu.Lock" matches db.stmtMu.Lock(), "os.Remove" matches
+// os.Remove()) made in files under dir from any function not named in
+// allowed. A call inside a function literal
 // belongs to the declared function around it.
 func (s *Sources) CallsOutside(dir, call string, allowed ...string) []string {
 	var problems []string
@@ -174,7 +175,7 @@ func (s *Sources) CallsOutside(dir, call string, allowed ...string) []string {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if c, ok := n.(*ast.CallExpr); ok && strings.HasSuffix(selectorChain(c.Fun), "."+call) {
+				if c, ok := n.(*ast.CallExpr); ok && strings.HasSuffix("."+selectorChain(c.Fun), "."+call) {
 					problems = append(problems, fmt.Sprintf("%s: %s calls %s; only %s may",
 						s.fset.Position(c.Pos()), fd.Name.Name, call, strings.Join(allowed, ", ")))
 				}

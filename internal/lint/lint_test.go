@@ -146,3 +146,26 @@ func (db *DB) Eighth() error {
 	expect(t, bad.CallsOutside(engine, "syncWAL", "commit", "ApplyReplicated"), "Eighth calls syncWAL")
 	expect(t, bad.CallsOutside(engine, "wal.Sync", "syncWAL"), "Eighth calls wal.Sync")
 }
+
+// The zoom-in cache keeps every result in one spill file that is opened
+// once: a statement's Put and Get are a positional write and read on that
+// handle. Creating, reading whole or removing a file belongs to the
+// cache's lifecycle and to compaction only, so a per-statement file
+// create or unlink — the cost this layout exists to avoid — fails here.
+func TestZoominFileCallsStayOffTheStatementPath(t *testing.T) {
+	const zoomin = "internal/zoomin/"
+	fileCalls := []string{"os.WriteFile", "os.Create", "os.OpenFile", "os.Remove", "os.ReadFile"}
+	lifecycle := []string{"NewCache", "compact", "Close", "Clear"}
+	s := tree(t)
+	for _, call := range fileCalls {
+		expect(t, s.CallsOutside(zoomin, call, lifecycle...))
+	}
+
+	bad := tree(t, zoomin+"x.go", `package zoomin
+func (c *Cache) Put(r *CachedResult) error {
+	return os.WriteFile(c.path(r.QID), nil, 0o644)
+}
+func (c *Cache) evictOne() { os.Remove(c.path(0)) }`)
+	expect(t, bad.CallsOutside(zoomin, "os.WriteFile", lifecycle...), "Put calls os.WriteFile")
+	expect(t, bad.CallsOutside(zoomin, "os.Remove", lifecycle...), "evictOne calls os.Remove")
+}

@@ -1,28 +1,46 @@
 package zoomin
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
-// entryMeta is the bookkeeping the replacement policies score.
+// spillName is the one file under the cache directory that holds every
+// materialized result.
+const spillName = "zoomin.spill"
+
+// registrySize is how many of the most recent QIDs keep their SQL text for
+// re-execution on a miss.
+const registrySize = 1 << 16
+
+// ErrQIDExpired reports a zoom-in on a QID that is neither resident nor
+// among the registrySize most recent ones: its SQL text is gone.
+var ErrQIDExpired = errors.New("expired from the zoom-in registry")
+
+// entryMeta is the bookkeeping of one resident result: where its bytes lie
+// in the spill file and what the replacement policies score.
 type entryMeta struct {
 	QID        int
 	Size       int64
 	Complexity float64
 	LastRef    int64 // logical clock of the last reference
 	RefCount   int
-	Created    int64
+	off        int64 // offset of the encoded result in the spill file
 }
 
-// Policy chooses an eviction victim among cache entries.
+// Policy gives every resident entry a retention value; under pressure the
+// cache evicts in ascending order of it.
 type Policy interface {
 	// Name identifies the policy in benchmark output.
 	Name() string
-	// Victim returns the index into metas of the entry to evict.
-	Victim(metas []entryMeta, clock int64) int
+	// Score is m's retention value at the given logical clock.
+	Score(m *entryMeta, clock int64) float64
 }
 
 // RCO is the paper's replacement policy: Recency, Complexity, and Overhead.
@@ -35,27 +53,9 @@ type RCO struct{}
 // Name implements Policy.
 func (RCO) Name() string { return "RCO" }
 
-// Victim implements Policy.
-func (RCO) Victim(metas []entryMeta, clock int64) int {
-	best := 0
-	bestVal := rcoValue(metas[0], clock)
-	for i := 1; i < len(metas); i++ {
-		if v := rcoValue(metas[i], clock); v < bestVal {
-			best, bestVal = i, v
-		}
-	}
-	return best
-}
-
-func rcoValue(m entryMeta, clock int64) float64 {
-	recency := 1.0 / float64(1+clock-m.LastRef)
-	frequency := float64(1 + m.RefCount)
-	overhead := m.Complexity // cost to recreate on a miss
-	size := float64(m.Size)
-	if size <= 0 {
-		size = 1
-	}
-	return recency * frequency * overhead / size
+// Score implements Policy: recency × frequency × recreation cost / size.
+func (RCO) Score(m *entryMeta, clock int64) float64 {
+	return float64(1+m.RefCount) * m.Complexity / (float64(1+clock-m.LastRef) * float64(max(m.Size, 1)))
 }
 
 // LRU is the baseline policy: evict the least recently referenced entry.
@@ -64,16 +64,8 @@ type LRU struct{}
 // Name implements Policy.
 func (LRU) Name() string { return "LRU" }
 
-// Victim implements Policy.
-func (LRU) Victim(metas []entryMeta, _ int64) int {
-	best := 0
-	for i := 1; i < len(metas); i++ {
-		if metas[i].LastRef < metas[best].LastRef {
-			best = i
-		}
-	}
-	return best
-}
+// Score implements Policy.
+func (LRU) Score(m *entryMeta, _ int64) float64 { return float64(m.LastRef) }
 
 // CacheStats reports cache effectiveness for the E6 benchmarks and the
 // metrics registry's function-backed collectors.
@@ -83,30 +75,60 @@ type CacheStats struct {
 	Evictions int64
 	// Puts counts results admitted into the cache.
 	Puts int64
-	// Rejected counts results larger than the whole budget, which are never
-	// admitted (the query is re-executed on demand instead).
+	// Rejected counts results that were not admitted: larger than the whole
+	// budget, or lost to a spill-file I/O failure. Either way the query is
+	// re-executed on demand instead.
 	Rejected  int64
 	UsedBytes int64
 	Entries   int
 }
 
 // Cache is the limited disk-based materialization cache for query results.
-// Results are serialized into files under a spill directory and compete for
-// a byte budget under the configured replacement policy.
+// Every result is one extent of a single spill file, written once at the
+// tail; the resident set is an in-memory index over those extents, and the
+// extents compete for a byte budget under the configured replacement
+// policy. Evicting or replacing an entry only edits the index — its bytes
+// go dead in place — and compact reclaims dead bytes once the file has
+// grown past twice the budget. The cache also remembers the SQL text of
+// the most recent QIDs, so a zoom-in on an evicted result can re-execute.
 type Cache struct {
 	mu     sync.Mutex
-	dir    string
 	budget int64
 	policy Policy
 
-	entries map[int]*entryMeta
-	used    int64
+	spillPath string
+	spill     *os.File
+	tail      int64 // next write offset: live plus dead bytes
+
+	entries []entryMeta // the resident set, unordered
+	index   map[int]int // QID → position in entries
+	used    int64       // live bytes
 	clock   int64
 	stats   CacheStats
+	victims []victim // evict's scratch heap, reused between passes
+
+	// registry is a ring indexed by QID: slot qid % registrySize holds the
+	// newest QID that maps to it.
+	registry []registered
 }
 
-// NewCache creates a cache writing under dir with the given byte budget and
-// policy. The directory is created if missing.
+type registered struct {
+	qid int
+	sql string
+}
+
+// victim is one eviction candidate in evict's heap, ordered by score and,
+// among equal scores, by QID.
+type victim struct {
+	score float64
+	qid   int
+}
+
+// NewCache creates a cache spilling into one file under dir with the given
+// byte budget and policy. The directory is created if missing. Nothing in
+// it survives a restart: the spill file is truncated, and per-result
+// qid-*.json files left by releases that wrote one file per result are
+// removed.
 func NewCache(dir string, budget int64, policy Policy) (*Cache, error) {
 	if budget <= 0 {
 		return nil, fmt.Errorf("zoomin: cache budget must be positive")
@@ -117,125 +139,277 @@ func NewCache(dir string, budget int64, policy Policy) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	stale, _ := filepath.Glob(filepath.Join(dir, "qid-*.json")) // the pattern is well-formed
+	for _, path := range stale {
+		if err := os.Remove(path); err != nil {
+			return nil, err
+		}
+	}
+	spillPath := filepath.Join(dir, spillName)
+	spill, err := os.OpenFile(spillPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
 	return &Cache{
-		dir:     dir,
-		budget:  budget,
-		policy:  policy,
-		entries: make(map[int]*entryMeta),
+		budget:    budget,
+		policy:    policy,
+		spillPath: spillPath,
+		spill:     spill,
+		index:     make(map[int]int),
+		registry:  make([]registered, registrySize),
 	}, nil
 }
 
 // PolicyName returns the active replacement policy's name.
 func (c *Cache) PolicyName() string { return c.policy.Name() }
 
-// Clear drops every entry and its spill file. Used when the whole
-// database state is replaced underneath the cache (replica snapshot
-// resync): every materialized result may reference rows that no longer
-// exist. Cumulative stats are preserved.
+// Close releases the spill file and removes it; the directory stays. A
+// closed cache admits nothing and every lookup misses.
+func (c *Cache) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries, c.used = nil, 0
+	clear(c.index)
+	err := c.spill.Close()
+	if rerr := os.Remove(c.spillPath); err == nil && !os.IsNotExist(rerr) {
+		err = rerr
+	}
+	return err
+}
+
+// Clear drops every entry and forgets every registered query. Used when
+// the whole database state is replaced underneath the cache (replica
+// snapshot resync): every materialized result may reference rows that no
+// longer exist. Cumulative stats are preserved.
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for qid := range c.entries {
-		os.Remove(c.path(qid))
-		delete(c.entries, qid)
+	c.entries, c.used = c.entries[:0], 0
+	clear(c.index)
+	clear(c.registry)
+	// With nothing live the file can shrink in place. If it cannot, the
+	// bytes are merely dead and the next compaction drops them.
+	if c.spill.Truncate(0) == nil {
+		c.tail = 0
 	}
-	c.used = 0
 }
 
-func (c *Cache) path(qid int) string {
-	return filepath.Join(c.dir, fmt.Sprintf("qid-%d.json", qid))
-}
-
-// Put materializes a result into the cache, evicting victims until the
-// budget admits it. Results larger than the entire budget are not admitted
-// (the query can always be re-executed).
+// Put registers r's SQL text under its QID and materializes r into the
+// cache, evicting victims until the budget admits it. A result larger than
+// the entire budget is not admitted, and neither is one whose spill write
+// fails (the error is returned): both count as Rejected, stay registered,
+// and are re-executed on demand.
 func (c *Cache) Put(r *CachedResult) error {
 	data, err := r.encode()
-	if err != nil {
-		return err
-	}
 	size := int64(len(data))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock++
-	if size > c.budget {
+	if r.QID > 0 {
+		c.registry[r.QID%registrySize] = registered{r.QID, r.SQL}
+	}
+	c.drop(r.QID)
+	fits := err == nil && size <= c.budget
+	if fits {
+		c.evict(size)
+		err = c.write(data)
+	}
+	if !fits || err != nil {
 		c.stats.Rejected++
-		return nil // too large to cache; skip, recompute on demand
-	}
-	if old, ok := c.entries[r.QID]; ok {
-		c.used -= old.Size
-		delete(c.entries, r.QID)
-	}
-	for c.used+size > c.budget && len(c.entries) > 0 {
-		if err := c.evictOne(); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(c.path(r.QID), data, 0o644); err != nil {
 		return err
 	}
-	c.entries[r.QID] = &entryMeta{
+	c.index[r.QID] = len(c.entries)
+	c.entries = append(c.entries, entryMeta{
 		QID:        r.QID,
 		Size:       size,
 		Complexity: r.Complexity,
 		LastRef:    c.clock,
-		Created:    c.clock,
-	}
+		off:        c.tail - size,
+	})
 	c.used += size
 	c.stats.Puts++
 	return nil
 }
 
-// evictOne removes the policy's victim. Requires c.mu held and a non-empty
-// entry set.
-func (c *Cache) evictOne() error {
-	metas := make([]entryMeta, 0, len(c.entries))
-	for _, m := range c.entries {
-		metas = append(metas, *m)
+// write appends data at the tail of the spill file, compacting first when
+// the file has outgrown twice the budget. Requires c.mu held.
+func (c *Cache) write(data []byte) error {
+	if c.tail > 2*c.budget {
+		if err := c.compact(); err != nil {
+			return err
+		}
 	}
-	victim := metas[c.policy.Victim(metas, c.clock)]
-	if err := os.Remove(c.path(victim.QID)); err != nil && !os.IsNotExist(err) {
+	if _, err := c.spill.WriteAt(data, c.tail); err != nil {
 		return err
 	}
-	c.used -= victim.Size
-	delete(c.entries, victim.QID)
-	c.stats.Evictions++
+	c.tail += int64(len(data))
 	return nil
 }
 
+// compact copies the live extents into a fresh spill file, in file order,
+// and swaps it in, which drops every dead byte. On failure the old file
+// stays in use. Requires c.mu held, so no read is in flight.
+func (c *Cache) compact() error {
+	slices.SortFunc(c.entries, func(a, b entryMeta) int { return cmp.Compare(a.off, b.off) })
+	for i := range c.entries {
+		c.index[c.entries[i].QID] = i
+	}
+	fresh, err := os.OpenFile(c.spillPath+".tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	// One copy per run of adjacent live extents, file to file: the kernel
+	// copies (copy_file_range) and nothing passes through a buffer of ours.
+	for i := 0; i < len(c.entries) && err == nil; {
+		start := c.entries[i].off
+		end := start
+		for ; i < len(c.entries) && c.entries[i].off == end; i++ {
+			end += c.entries[i].Size
+		}
+		if _, err = c.spill.Seek(start, io.SeekStart); err == nil {
+			_, err = io.CopyN(fresh, c.spill, end-start)
+		}
+	}
+	if err == nil {
+		// Unlink before renaming: ext4 answers a rename onto an existing
+		// file by flushing the new file's data to disk, milliseconds that
+		// scratch data has no use for.
+		os.Remove(c.spillPath)
+		err = os.Rename(fresh.Name(), c.spillPath)
+	}
+	if err != nil {
+		fresh.Close()
+		os.Remove(fresh.Name())
+		return err
+	}
+	c.spill.Close() // unlinked above; only the handle kept it alive
+	c.spill, c.tail = fresh, 0
+	for i := range c.entries {
+		c.entries[i].off = c.tail
+		c.tail += c.entries[i].Size
+	}
+	return nil
+}
+
+// drop removes qid from the resident set, if present; its bytes go dead.
+// Requires c.mu held.
+func (c *Cache) drop(qid int) {
+	i, ok := c.index[qid]
+	if !ok {
+		return
+	}
+	c.used -= c.entries[i].Size
+	last := len(c.entries) - 1
+	if i != last {
+		c.entries[i] = c.entries[last]
+		c.index[c.entries[i].QID] = i
+	}
+	c.entries = c.entries[:last]
+	delete(c.index, qid)
+}
+
+// evict makes room for size more bytes. One pass scores every resident
+// entry and evicts in ascending score order — exactly the victims, in the
+// order, that evicting one at a time would choose — and it goes on past
+// the budget down to the low-water mark of 15/16 of it, so the O(resident)
+// scoring is paid once per budget/16 bytes admitted, not once per Put.
+// Requires c.mu held.
+func (c *Cache) evict(size int64) {
+	if c.used+size <= c.budget {
+		return
+	}
+	h := c.victims[:0]
+	for i := range c.entries {
+		h = append(h, victim{c.policy.Score(&c.entries[i], c.clock), c.entries[i].QID})
+	}
+	c.victims = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for low := c.budget - c.budget/16; c.used+size > low && len(h) > 0; {
+		c.drop(h[0].qid)
+		c.stats.Evictions++
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+	}
+}
+
+// siftDown restores the min-heap order of h below position i.
+func siftDown(h []victim, i int) {
+	for {
+		least := i
+		for _, child := range [2]int{2*i + 1, 2*i + 2} {
+			if child < len(h) && (h[child].score < h[least].score ||
+				h[child].score == h[least].score && h[child].qid < h[least].qid) {
+				least = child
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
 // Get loads a cached result, updating reference statistics. The boolean
-// reports a cache hit.
+// reports a cache hit. The bytes are read under the lock, so a hit is
+// always the extent the index names: a concurrent Put that evicts or
+// replaces qid, or compacts the file, comes wholly before or wholly after.
+// An entry that cannot be read back or decoded is dropped and its error
+// returned; the next zoom-in misses and re-executes.
 func (c *Cache) Get(qid int) (*CachedResult, bool, error) {
 	c.mu.Lock()
 	c.clock++
-	meta, ok := c.entries[qid]
+	i, ok := c.index[qid]
 	if !ok {
 		c.stats.Misses++
 		c.mu.Unlock()
 		return nil, false, nil
 	}
-	meta.LastRef = c.clock
-	meta.RefCount++
-	path := c.path(qid)
+	e := &c.entries[i]
+	e.LastRef = c.clock
+	e.RefCount++
 	c.stats.Hits++
+	data := make([]byte, e.Size)
+	_, err := c.spill.ReadAt(data, e.off)
 	c.mu.Unlock()
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false, err
+	var r *CachedResult
+	if err == nil {
+		r, err = decodeResult(data)
 	}
-	r, err := decodeResult(data)
 	if err != nil {
+		c.mu.Lock()
+		c.drop(qid)
+		c.mu.Unlock()
 		return nil, false, err
 	}
 	return r, true, nil
+}
+
+// Query returns the SQL text registered under qid, for re-execution after
+// a miss. Only the registrySize most recent QIDs are remembered; an older
+// one fails with ErrQIDExpired.
+func (c *Cache) Query(qid int) (string, error) {
+	c.mu.Lock()
+	slot := c.registry[uint(qid)%registrySize]
+	c.mu.Unlock()
+	switch {
+	case qid <= 0 || slot.qid < qid:
+		return "", fmt.Errorf("zoomin: unknown QID %d", qid)
+	case slot.qid > qid:
+		return "", fmt.Errorf("zoomin: QID %d %w: only the %d most recent QIDs are kept", qid, ErrQIDExpired, registrySize)
+	}
+	return slot.sql, nil
 }
 
 // Contains reports whether qid is resident without touching statistics.
 func (c *Cache) Contains(qid int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[qid]
+	_, ok := c.index[qid]
 	return ok
 }
 
