@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-metrics bench-wal bench-parallel bench-storage bench-trace bench-prepare crash-sim soak soak-repl soak-scrub fuzz check vet race
+.PHONY: build test bench microbench crash-sim soak soak-repl soak-scrub fuzz check vet race
 
 build:
 	$(GO) build ./...
@@ -19,46 +19,15 @@ race:
 check:
 	sh scripts/check.sh
 
+# bench is the repository benchmark (benchmark/README.md): four workloads
+# through the TCP server, five end-to-end metrics, per-layer numbers.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) run ./benchmark
 
-# bench-metrics measures observability overhead: the raw registry hot paths
-# and the end-to-end statement cost with metrics on vs off. Numbers are
-# recorded in EXPERIMENTS.md (E12) with a ≤5% end-to-end budget.
-bench-metrics:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics/
-	$(GO) test -bench='BenchmarkInstrumentationOverhead|BenchmarkConcurrentReaders' -benchmem -run=^$$ .
-
-# bench-wal measures durability overhead (fsync-per-commit INSERT vs
-# in-memory) and cold-start WAL replay speed. Recorded in E13.
-bench-wal:
-	$(GO) test -bench='BenchmarkInsertMemory|BenchmarkInsertDurable|BenchmarkRecoveryReplay' -benchmem -run=^$$ ./internal/engine/
-
-# bench-parallel measures E14: morsel-driven parallel scan scaling over
-# worker counts and the vectorized batch pipeline vs row-at-a-time
-# execution. Speedup tracks physical cores. Recorded in E14.
-bench-parallel:
-	$(GO) test -bench='BenchmarkParallelScan|BenchmarkBatchPipeline' -benchmem -run=^$$ .
-
-# bench-storage measures the disk-backed storage layer: B+tree index point
-# and range lookups vs forced full heap scans at 10k/100k/1M rows, through
-# the cost-based planner. Recorded in E15.
-bench-storage:
-	$(GO) test -bench='BenchmarkStoragePointLookup|BenchmarkStorageRangeScan' -benchmem -run=^$$ ./internal/engine/
-
-# bench-trace measures lifecycle-tracing overhead: the end-to-end
-# statement cost with tracing off, at the default 5% tail sample, and
-# fully retained. Recorded in E16 with a ≤5% budget at the default rate.
-bench-trace:
-	$(GO) test -bench=BenchmarkTraceOverhead -benchmem -run=^$$ ./internal/engine/
-
-# bench-prepare measures E18: repeated EXECUTE of a prepared statement
-# (plan cache hit, no parse/cost) vs the same query ad-hoc with the cache
-# disabled, and BULK INSERT (one WAL record + fsync per batch) vs
-# row-at-a-time durable inserts. Recorded in E18.
-bench-prepare:
-	$(GO) test -bench='BenchmarkAdhocSelect|BenchmarkPreparedExecute' -benchmem -run=^$$ ./internal/engine/
-	$(GO) test -bench='BenchmarkRowInsertDurable|BenchmarkBulkInsertDurable' -benchmem -run=^$$ ./internal/engine/
+# microbench runs every package-local Benchmark* (EXPERIMENTS.md E11-E18
+# name the ones they record).
+microbench:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
 # crash-sim is the fault-injection gate on its own: every registered
 # failpoint in the WAL/snapshot paths, three runs, race detector on.

@@ -22,9 +22,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
-	"insightnotes/internal/bench"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/server"
 	"insightnotes/internal/workload"
@@ -98,6 +98,37 @@ func replRemote(addr string) {
 	}
 	defer func() { c.Close() }()
 	fmt.Printf("connected to %s (type \\help)\n", addr)
+	readStatements(func(cmd string) bool {
+		if cmd == `\q` || cmd == `\quit` {
+			return false
+		}
+		fmt.Println(`remote mode supports \quit; statements end with ';'`)
+		return true
+	}, func(stmt string) {
+		stmt = strings.TrimSpace(stmt)
+		resp, err := c.Do(ctx, stmt)
+		if err != nil {
+			fmt.Println("connection lost:", err, "— reconnecting...")
+			c.Close()
+			c, err = server.DialRetry(ctx, addr, dialAttempts, dialBackoff)
+			if err != nil {
+				fatal(fmt.Errorf("reconnecting to %s: %w", addr, err))
+			}
+			resp, err = c.Do(ctx, stmt)
+		}
+		if err != nil {
+			fmt.Println("error:", err)
+		} else {
+			printResponse(os.Stdout, resp)
+		}
+	})
+}
+
+// readStatements is the REPL's reader, remote and embedded: a backslash
+// line at the start of a statement goes to command (false ends the
+// session); other lines accumulate until one contains ';' and are then
+// handed to statement.
+func readStatements(command func(cmd string) bool, statement func(stmt string)) {
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -113,71 +144,56 @@ func replRemote(addr string) {
 		line := in.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
-			if trimmed == `\q` || trimmed == `\quit` {
+			if !command(trimmed) {
 				return
 			}
-			fmt.Println(`remote mode supports \quit; statements end with ';'`)
 			prompt()
 			continue
 		}
 		buf.WriteString(line)
 		buf.WriteString("\n")
 		if strings.Contains(line, ";") {
-			stmt := strings.TrimSpace(buf.String())
+			stmt := buf.String()
 			buf.Reset()
-			resp, err := c.Do(ctx, stmt)
-			if err != nil {
-				fmt.Println("connection lost:", err, "— reconnecting...")
-				c.Close()
-				c, err = server.DialRetry(ctx, addr, dialAttempts, dialBackoff)
-				if err != nil {
-					fatal(fmt.Errorf("reconnecting to %s: %w", addr, err))
-				}
-				resp, err = c.Do(ctx, stmt)
-			}
-			if err != nil {
-				fmt.Println("error:", err)
-			} else {
-				printResponse(os.Stdout, resp)
-			}
+			statement(stmt)
 		}
 		prompt()
 	}
 }
 
-// printResponse renders a wire response in the same tabular style the
-// in-process REPL uses for engine results.
-func printResponse(w io.Writer, resp *server.Response) {
-	if resp.Error != "" {
-		fmt.Fprintln(w, "error:", resp.Error)
+// table is what the REPL prints for one statement; printResponse (remote)
+// and printResult (embedded) adapt to it.
+type table struct {
+	message   string
+	headers   []string
+	cells     [][]string // one slice per row, one cell per header
+	summaries [][]string // per row, the "~" lines under it
+	// wide: EXPLAIN and SHOW TRACE output is a single "plan"/"trace" column
+	// whose lines (operator descriptions, span trees) must not be truncated.
+	wide  bool
+	qid   int
+	stats string
+}
+
+func isPlanColumn(name string) bool { return name == "plan" || name == "trace" }
+
+func (t table) print(w io.Writer) {
+	if t.message != "" {
+		fmt.Fprintln(w, t.message)
+	}
+	if len(t.headers) == 0 {
 		return
 	}
-	if resp.Message != "" {
-		fmt.Fprintln(w, resp.Message)
+	widths := make([]int, len(t.headers))
+	for i, h := range t.headers {
+		widths[i] = len(h)
 	}
-	if len(resp.Columns) == 0 {
-		return
-	}
-	widths := make([]int, len(resp.Columns))
-	for i, c := range resp.Columns {
-		widths[i] = len(c)
-	}
-	// EXPLAIN and SHOW TRACE output is a single "plan"/"trace" column whose
-	// lines (operator descriptions, span trees) must not be truncated.
-	planOutput := len(resp.Columns) == 1 &&
-		(resp.Columns[0] == "plan" || resp.Columns[0] == "trace")
-	cells := make([][]string, len(resp.Rows))
-	for r, row := range resp.Rows {
-		cells[r] = make([]string, len(resp.Columns))
-		for i := range resp.Columns {
-			s := ""
-			if i < len(row.Values) {
-				s = row.Values[i].String()
-			}
-			if len(s) > 40 && !planOutput {
+	for _, row := range t.cells {
+		for i, s := range row {
+			if len(s) > 40 && !t.wide {
 				s = s[:37] + "..."
+				row[i] = s
 			}
-			cells[r][i] = s
 			if len(s) > widths[i] {
 				widths[i] = len(s)
 			}
@@ -190,41 +206,83 @@ func printResponse(w io.Writer, resp *server.Response) {
 		}
 		fmt.Fprintln(w, "| "+strings.Join(parts, " | ")+" |")
 	}
-	line(resp.Columns)
-	sep := make([]string, len(resp.Columns))
+	line(t.headers)
+	sep := make([]string, len(t.headers))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for r, row := range resp.Rows {
-		line(cells[r])
-		for _, name := range sortedKeys(row.Summaries) {
-			for _, l := range strings.Split(row.Summaries[name], "\n") {
-				fmt.Fprintf(w, "    ~ %s\n", l)
-			}
+	for r, row := range t.cells {
+		line(row)
+		for _, l := range t.summaries[r] {
+			fmt.Fprintf(w, "    ~ %s\n", l)
 		}
 	}
-	if resp.QID != 0 {
-		fmt.Fprintf(w, "(%d row(s), QID = %d)\n", len(resp.Rows), resp.QID)
+	if t.qid != 0 {
+		fmt.Fprintf(w, "(%d row(s), QID = %d)\n", len(t.cells), t.qid)
 	} else {
-		fmt.Fprintf(w, "(%d row(s))\n", len(resp.Rows))
+		fmt.Fprintf(w, "(%d row(s))\n", len(t.cells))
 	}
-	if resp.Stats != "" {
-		fmt.Fprintf(w, "-- %s\n", resp.Stats)
+	if t.stats != "" {
+		fmt.Fprintf(w, "-- %s\n", t.stats)
 	}
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// printResponse renders a wire response.
+func printResponse(w io.Writer, resp *server.Response) {
+	if resp.Error != "" {
+		fmt.Fprintln(w, "error:", resp.Error)
+		return
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	t := table{
+		message: resp.Message, headers: resp.Columns, qid: resp.QID, stats: resp.Stats,
+		wide: len(resp.Columns) == 1 && isPlanColumn(resp.Columns[0]),
+	}
+	for _, row := range resp.Rows {
+		cells := make([]string, len(resp.Columns))
+		for i := range cells {
+			if i < len(row.Values) {
+				cells[i] = row.Values[i].String()
+			}
 		}
+		names := make([]string, 0, len(row.Summaries))
+		for name := range row.Summaries {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var lines []string
+		for _, name := range names {
+			lines = append(lines, strings.Split(row.Summaries[name], "\n")...)
+		}
+		t.cells = append(t.cells, cells)
+		t.summaries = append(t.summaries, lines)
 	}
-	return keys
+	t.print(w)
+}
+
+// printResult renders an engine result.
+func printResult(w io.Writer, res *engine.Result) {
+	cols := res.Schema.Columns
+	t := table{message: res.Message, qid: res.QID, wide: len(cols) == 1 && isPlanColumn(cols[0].Name)}
+	for _, c := range cols {
+		t.headers = append(t.headers, c.QualifiedName())
+	}
+	for _, row := range res.Rows {
+		cells := make([]string, len(row.Tuple))
+		for i, v := range row.Tuple {
+			cells[i] = v.String()
+		}
+		var lines []string
+		if row.Env != nil && !row.Env.IsEmpty() {
+			lines = strings.Split(row.Env.Render(), "\n")
+		}
+		t.cells = append(t.cells, cells)
+		t.summaries = append(t.summaries, lines)
+	}
+	if res.Stats != nil {
+		t.stats = res.Stats.String()
+	}
+	t.print(w)
 }
 
 const help = `statements end with ';'. SQL: CREATE TABLE / CREATE INDEX / INSERT /
@@ -247,48 +305,20 @@ InsightNotes extensions:
 REPL commands:
   \trace SELECT ...;   run a query with the per-operator summary trace
   \stats               zoom-in cache statistics
-  \bench               run the quick experiment suite
   \help                this text
   \quit                exit`
 
 func repl(db *engine.DB) {
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
 	fmt.Println(`InsightNotes — summary-based annotation management (type \help)`)
-	prompt := func() {
-		if buf.Len() == 0 {
-			fmt.Print("insightnotes> ")
-		} else {
-			fmt.Print("          ... ")
+	readStatements(func(cmd string) bool { return replCommand(db, os.Stdout, cmd) }, func(stmt string) {
+		results, err := db.ExecScript(context.Background(), stmt)
+		for _, res := range results {
+			printResult(os.Stdout, res)
 		}
-	}
-	prompt()
-	for in.Scan() {
-		line := in.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
-			if !replCommand(db, os.Stdout, trimmed) {
-				return
-			}
-			prompt()
-			continue
+		if err != nil {
+			fmt.Println("error:", err)
 		}
-		buf.WriteString(line)
-		buf.WriteString("\n")
-		if strings.Contains(line, ";") {
-			stmt := buf.String()
-			buf.Reset()
-			results, err := db.ExecScript(context.Background(), stmt)
-			for _, res := range results {
-				printResult(os.Stdout, res)
-			}
-			if err != nil {
-				fmt.Println("error:", err)
-			}
-		}
-		prompt()
-	}
+	})
 }
 
 // replCommand handles backslash commands; it returns false to exit.
@@ -302,10 +332,6 @@ func replCommand(db *engine.DB, w io.Writer, cmd string) bool {
 		st := db.Cache().Stats()
 		fmt.Fprintf(w, "zoom-in cache [%s]: %d entries, %d bytes, %d hits, %d misses, %d evictions\n",
 			db.Cache().PolicyName(), st.Entries, st.UsedBytes, st.Hits, st.Misses, st.Evictions)
-	case cmd == `\bench`:
-		if _, err := bench.RunAll(w, bench.Quick); err != nil {
-			fmt.Fprintln(w, "error:", err)
-		}
 	case strings.HasPrefix(cmd, `\trace `):
 		q := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(cmd, `\trace `)), ";")
 		res, err := db.Query(context.Background(), q, engine.WithTrace())
@@ -327,67 +353,4 @@ func replCommand(db *engine.DB, w io.Writer, cmd string) bool {
 		fmt.Fprintln(w, `unknown command (try \help)`)
 	}
 	return true
-}
-
-func printResult(w io.Writer, res *engine.Result) {
-	if res.Message != "" {
-		fmt.Fprintln(w, res.Message)
-	}
-	if res.Schema.Len() == 0 {
-		return
-	}
-	// Header.
-	headers := make([]string, res.Schema.Len())
-	widths := make([]int, res.Schema.Len())
-	for i, c := range res.Schema.Columns {
-		headers[i] = c.QualifiedName()
-		widths[i] = len(headers[i])
-	}
-	// EXPLAIN and SHOW TRACE output is a single "plan"/"trace" column whose
-	// lines (operator descriptions, span trees) must not be truncated.
-	planOutput := res.Schema.Len() == 1 &&
-		(res.Schema.Columns[0].Name == "plan" || res.Schema.Columns[0].Name == "trace")
-	cells := make([][]string, len(res.Rows))
-	for r, row := range res.Rows {
-		cells[r] = make([]string, len(row.Tuple))
-		for i, v := range row.Tuple {
-			s := v.String()
-			if len(s) > 40 && !planOutput {
-				s = s[:37] + "..."
-			}
-			cells[r][i] = s
-			if len(s) > widths[i] {
-				widths[i] = len(s)
-			}
-		}
-	}
-	line := func(cols []string) {
-		parts := make([]string, len(cols))
-		for i, c := range cols {
-			parts[i] = c + strings.Repeat(" ", widths[i]-len(c))
-		}
-		fmt.Fprintln(w, "| "+strings.Join(parts, " | ")+" |")
-	}
-	line(headers)
-	sep := make([]string, len(headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for r, row := range res.Rows {
-		line(cells[r])
-		if row.Env != nil && !row.Env.IsEmpty() {
-			for _, l := range strings.Split(row.Env.Render(), "\n") {
-				fmt.Fprintf(w, "    ~ %s\n", l)
-			}
-		}
-	}
-	if res.QID != 0 {
-		fmt.Fprintf(w, "(%d row(s), QID = %d)\n", len(res.Rows), res.QID)
-	} else {
-		fmt.Fprintf(w, "(%d row(s))\n", len(res.Rows))
-	}
-	if res.Stats != nil {
-		fmt.Fprintf(w, "-- %s\n", res.Stats)
-	}
 }

@@ -15,6 +15,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 	must := func(stmt string) *insightnotes.Result {
 		res, err := db.Exec(context.Background(), stmt)
 		if err != nil {
@@ -49,6 +50,7 @@ func Example() {
 // their annotation summaries.
 func ExampleDB_Query() {
 	db := insightnotes.MustOpen(insightnotes.Config{})
+	defer db.Close()
 	stmts := []string{
 		`CREATE TABLE genes (gid INT, symbol TEXT)`,
 		`INSERT INTO genes VALUES (1, 'BRCA2'), (2, 'TP53')`,
@@ -78,6 +80,7 @@ func ExampleDB_Query() {
 // ExampleDB_SaveFile shows snapshot persistence.
 func ExampleDB_SaveFile() {
 	db := insightnotes.MustOpen(insightnotes.Config{})
+	defer db.Close()
 	db.Exec(context.Background(), `CREATE TABLE t (a INT)`)
 	db.Exec(context.Background(), `INSERT INTO t VALUES (42)`)
 	path := "/tmp/insightnotes-example.json"
@@ -88,6 +91,7 @@ func ExampleDB_SaveFile() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer back.Close()
 	res, _ := back.Query(context.Background(), `SELECT a FROM t`)
 	fmt.Println(res.Rows[0].Tuple[0])
 	// Output:

@@ -12,12 +12,18 @@ import (
 	"insightnotes"
 )
 
-func openDB(t *testing.T) *insightnotes.DB {
+func openDB(t *testing.T) *insightnotes.DB { return openWith(t, insightnotes.Config{}) }
+
+// openWith opens a database whose zoom-in cache lives in the test's temp
+// directory and which is closed when the test ends.
+func openWith(t *testing.T, cfg insightnotes.Config) *insightnotes.DB {
 	t.Helper()
-	db, err := insightnotes.Open(insightnotes.Config{CacheDir: t.TempDir()})
+	cfg.CacheDir = t.TempDir()
+	db, err := insightnotes.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() })
 	return db
 }
 
@@ -88,13 +94,7 @@ func TestPublicAPIPolicies(t *testing.T) {
 	if insightnotes.RCO().Name() != "RCO" || insightnotes.LRU().Name() != "LRU" {
 		t.Error("policy names wrong")
 	}
-	db, err := insightnotes.Open(insightnotes.Config{
-		CacheDir:    t.TempDir(),
-		CachePolicy: insightnotes.LRU(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openWith(t, insightnotes.Config{CachePolicy: insightnotes.LRU()})
 	if db.Cache().PolicyName() != "LRU" {
 		t.Error("configured policy not applied")
 	}

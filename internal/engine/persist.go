@@ -2,10 +2,12 @@ package engine
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/failpoint"
@@ -152,7 +154,7 @@ func (db *DB) writeSnapshot(w io.Writer, lsn uint64) error {
 			}
 		}
 	}
-	sortAnnotations(snap.Annotations)
+	slices.SortFunc(snap.Annotations, func(a, b snapshotAnnotate) int { return cmp.Compare(a.ID, b.ID) })
 	enc := json.NewEncoder(w)
 	return enc.Encode(&snap)
 }
@@ -169,14 +171,6 @@ func newSnapshotAnnotate(a annotation.Annotation, targets []annotation.Target) s
 		sa.Targets[i] = snapshotTarget{Table: tg.Table, Row: tg.Row, Cols: tg.Columns}
 	}
 	return sa
-}
-
-func sortAnnotations(as []snapshotAnnotate) {
-	for i := 1; i < len(as); i++ {
-		for j := i; j > 0 && as[j].ID < as[j-1].ID; j-- {
-			as[j], as[j-1] = as[j-1], as[j]
-		}
-	}
 }
 
 // snapshotToFile writes a snapshot atomically: temp file, flush, fsync,

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -136,5 +138,41 @@ func TestSnapshotEmptyDatabase(t *testing.T) {
 	}
 	if got := back.Catalog().TableNames(); len(got) != 0 {
 		t.Errorf("tables = %v", got)
+	}
+}
+
+// Save walks annotations row by row; ids ascend with row ids only when
+// rows were annotated in row order. A snapshot must list annotations by
+// id regardless (load replays them in that order to rebuild summaries).
+func TestSnapshotAnnotationsInIDOrder(t *testing.T) {
+	db := birdDB(t)
+	for _, id := range []int{3, 2, 1, 3, 1} {
+		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'observed feeding, note for bird %d' ON birds WHERE id = %d", id, id))
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Annotations) != 5 {
+		t.Fatalf("snapshot holds %d annotations, want 5", len(snap.Annotations))
+	}
+	for i, a := range snap.Annotations {
+		if int(a.ID) != i+1 {
+			t.Fatalf("annotation %d in the snapshot has id %d: not in id order", i, a.ID)
+		}
+	}
+	back, err := Load(&buf, Config{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row := 1; row <= 3; row++ {
+		a, b := db.StoredEnvelope("birds", annRow(row)), back.StoredEnvelope("birds", annRow(row))
+		if a == nil || b == nil || !a.Equal(b) {
+			t.Errorf("row %d summaries differ after reload: %v vs %v", row, a, b)
+		}
 	}
 }

@@ -316,7 +316,7 @@ func TestAnnotateBatchDurableReplay(t *testing.T) {
 	}
 }
 
-// --- benchmarks (E18 in EXPERIMENTS.md, driven by make bench-prepare) ---
+// --- benchmarks (E18 in EXPERIMENTS.md) ---
 
 // BenchmarkAdhocSelect / BenchmarkPreparedExecute compare the cold path
 // (lex + parse + cost every time — plan cache disabled) against EXECUTE of

@@ -79,16 +79,15 @@ func (v *ValuesOp) Describe() string { return fmt.Sprintf("Values (%d rows)", le
 func (v *ValuesOp) Children() []Operator { return nil }
 
 // Describe implements Described.
-func (f *Filter) Describe() string { return "Filter " + f.pred.String() }
+func (f *Filter) Describe() string {
+	if f.pred.HasSummaryTerms() {
+		return "SummaryFilter " + f.pred.String()
+	}
+	return "Filter " + f.pred.String()
+}
 
 // Children implements Described.
 func (f *Filter) Children() []Operator { return []Operator{f.child} }
-
-// Describe implements Described.
-func (f *RowFilter) Describe() string { return "SummaryFilter " + f.pred.String() }
-
-// Children implements Described.
-func (f *RowFilter) Children() []Operator { return []Operator{f.child} }
 
 // Describe implements Described.
 func (p *Project) Describe() string { return describeItems(p.items) }
@@ -163,16 +162,25 @@ func (d *Distinct) Describe() string { return "Distinct+CombineSummaries" }
 func (d *Distinct) Children() []Operator { return []Operator{d.child} }
 
 // Describe implements Described.
-func (s *Sort) Describe() string { return "Sort " + describeKeys(s.keys) }
+func (s *Sort) Describe() string {
+	if s.summaryKeys() {
+		return "SummarySort " + describeKeys(s.keys)
+	}
+	return "Sort " + describeKeys(s.keys)
+}
+
+// summaryKeys reports whether any sort key reads summary envelopes.
+func (s *Sort) summaryKeys() bool {
+	for _, k := range s.keys {
+		if k.Expr.HasSummaryTerms() {
+			return true
+		}
+	}
+	return false
+}
 
 // Children implements Described.
 func (s *Sort) Children() []Operator { return []Operator{s.child} }
-
-// Describe implements Described.
-func (s *RowSort) Describe() string { return "SummarySort " + describeKeys(s.keys) }
-
-// Children implements Described.
-func (s *RowSort) Children() []Operator { return []Operator{s.child} }
 
 func describeKeys(keys []SortKey) string {
 	parts := make([]string, len(keys))

@@ -6,7 +6,10 @@ import (
 )
 
 // Filter passes rows whose predicate evaluates to true. Selection does not
-// change the summary objects (Figure 2, step 2).
+// change the summary objects (Figure 2, step 2). The predicate sees the
+// whole pipeline row, so a summary-based predicate (§2.1, compiled with
+// CompileRow) reads the summaries flowing at this plan position — above a
+// base relation's scan, the maintained ones.
 type Filter struct {
 	instr
 	child Operator
@@ -37,7 +40,7 @@ func (f *Filter) NextBatch(ec *ExecContext) (*Batch, error) {
 		}
 		out := make([]*Row, 0, len(b.Rows))
 		for _, row := range b.Rows {
-			v, err := f.pred.Eval(row.Tuple)
+			v, err := f.pred.EvalRow(row)
 			if err != nil {
 				return nil, err
 			}

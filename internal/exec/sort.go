@@ -13,8 +13,9 @@ type SortKey struct {
 }
 
 // Sort materializes and orders the input rows. The sort is stable so that
-// equal keys preserve input order, and it does not touch summary envelopes
-// (ordering is a pure data operation).
+// equal keys preserve input order, and it does not change summary
+// envelopes. Keys see the whole pipeline row: a summary-based key (§2.1,
+// compiled with CompileRow) orders by the summaries as reported.
 type Sort struct {
 	instr
 	child Operator
@@ -45,7 +46,7 @@ func (s *Sort) Open(ec *ExecContext) error {
 	err := drain(ec, s.child, func(row *Row) error {
 		kv := make(types.Tuple, len(s.keys))
 		for i, k := range s.keys {
-			v, err := k.Expr.Eval(row.Tuple)
+			v, err := k.Expr.EvalRow(row)
 			if err != nil {
 				return err
 			}

@@ -11,9 +11,10 @@ func OperatorName(op Operator) string {
 	case *ValuesOp:
 		return "values"
 	case *Filter:
+		if op.pred.HasSummaryTerms() {
+			return "summary_filter"
+		}
 		return "filter"
-	case *RowFilter:
-		return "summary_filter"
 	case *Project:
 		return "project"
 	case *Limit:
@@ -27,9 +28,10 @@ func OperatorName(op Operator) string {
 	case *Distinct:
 		return "distinct"
 	case *Sort:
+		if op.summaryKeys() {
+			return "summary_sort"
+		}
 		return "sort"
-	case *RowSort:
-		return "summary_sort"
 	case *Trace:
 		return "trace"
 	default:

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"insightnotes/internal/annotation"
@@ -61,13 +62,13 @@ func summaryExpr(t *testing.T, cond string, schema types.Schema) *Compiled {
 	return c
 }
 
-func TestRowFilterSummaryCount(t *testing.T) {
+func TestFilterSummaryCount(t *testing.T) {
 	schema, rows, _, _ := summaryRows(t)
 	pred := summaryExpr(t, "SUMMARY_COUNT(C, 'Disease') >= 2", schema)
 	if !pred.HasSummaryTerms() {
 		t.Error("HasSummaryTerms = false")
 	}
-	got, err := Collect(NewRowFilter(NewValues(schema, rows), pred))
+	got, err := Collect(NewFilter(NewValues(schema, rows), pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +77,10 @@ func TestRowFilterSummaryCount(t *testing.T) {
 	}
 }
 
-func TestRowFilterTotalAndGroups(t *testing.T) {
+func TestFilterSummaryTotalAndGroups(t *testing.T) {
 	schema, rows, _, _ := summaryRows(t)
 	pred := summaryExpr(t, "SUMMARY_TOTAL(S) = 0", schema)
-	got, err := Collect(NewRowFilter(NewValues(schema, rows), pred))
+	got, err := Collect(NewFilter(NewValues(schema, rows), pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRowFilterTotalAndGroups(t *testing.T) {
 		t.Fatalf("rows = %v", got)
 	}
 	pred = summaryExpr(t, "SUMMARY_GROUPS(S) = 1", schema)
-	got, err = Collect(NewRowFilter(NewValues(schema, rows), pred))
+	got, err = Collect(NewFilter(NewValues(schema, rows), pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestRowFilterTotalAndGroups(t *testing.T) {
 	}
 }
 
-func TestRowFilterTypeMismatches(t *testing.T) {
+func TestFilterSummaryTypeMismatches(t *testing.T) {
 	schema, rows, _, _ := summaryRows(t)
 	for _, cond := range []string{
 		"SUMMARY_COUNT(S, 'Disease') > 0", // cluster has no labels
@@ -104,19 +105,19 @@ func TestRowFilterTypeMismatches(t *testing.T) {
 		"SUMMARY_COUNT(C, 'Missing') > 0", // unknown label
 	} {
 		pred := summaryExpr(t, cond, schema)
-		if _, err := Collect(NewRowFilter(NewValues(schema, rows), pred)); err == nil {
+		if _, err := Collect(NewFilter(NewValues(schema, rows), pred)); err == nil {
 			t.Errorf("%q evaluated without error", cond)
 		}
 	}
 	// Missing instance yields 0, not an error.
 	pred := summaryExpr(t, "SUMMARY_TOTAL(NoSuch) = 0", schema)
-	got, err := Collect(NewRowFilter(NewValues(schema, rows), pred))
+	got, err := Collect(NewFilter(NewValues(schema, rows), pred))
 	if err != nil || len(got) != 4 {
 		t.Errorf("missing instance: %d rows, %v", len(got), err)
 	}
 }
 
-func TestRowSortBySummary(t *testing.T) {
+func TestSortBySummary(t *testing.T) {
 	schema, rows, _, _ := summaryRows(t)
 	// Sort descending by disease count, ascending id tiebreak.
 	countExpr := summaryCallExpr(t, "SUMMARY_COUNT(C, 'Disease')", schema)
@@ -124,7 +125,7 @@ func TestRowSortBySummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := Collect(NewRowSort(NewValues(schema, rows), []SortKey{
+	sorted, err := Collect(NewSort(NewValues(schema, rows), []SortKey{
 		{Expr: countExpr, Desc: true},
 		{Expr: idExpr},
 	}))
@@ -135,6 +136,34 @@ func TestRowSortBySummary(t *testing.T) {
 	for i, w := range want {
 		if sorted[i].Tuple[0].Int() != w {
 			t.Fatalf("order = %v at %d, want %v", sorted[i].Tuple[0], i, w)
+		}
+	}
+}
+
+// The {op} metric label, the slow log and EXPLAIN name a filter or sort
+// after what its expressions read, so dashboards keyed on summary_filter /
+// summary_sort keep working with one operator each.
+func TestSummaryOperatorNames(t *testing.T) {
+	schema, rows, _, _ := summaryRows(t)
+	idExpr, err := Compile(&sql.ColRef{Name: "id"}, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := NewValues(schema, rows)
+	for _, c := range []struct {
+		op             Operator
+		name, describe string
+	}{
+		{NewFilter(values, summaryExpr(t, "SUMMARY_TOTAL(C) > 0", schema)), "summary_filter", "SummaryFilter "},
+		{NewFilter(values, summaryExpr(t, "id > 0", schema)), "filter", "Filter "},
+		{NewSort(values, []SortKey{{Expr: idExpr}, {Expr: summaryCallExpr(t, "SUMMARY_TOTAL(C)", schema)}}), "summary_sort", "SummarySort "},
+		{NewSort(values, []SortKey{{Expr: idExpr}}), "sort", "Sort "},
+	} {
+		if got := OperatorName(c.op); got != c.name {
+			t.Errorf("OperatorName = %q, want %q", got, c.name)
+		}
+		if got := c.op.(Described).Describe(); !strings.HasPrefix(got, c.describe) {
+			t.Errorf("Describe = %q, want prefix %q", got, c.describe)
 		}
 	}
 }

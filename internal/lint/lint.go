@@ -5,7 +5,9 @@
 // internal/trace/names.go — and the naming lints keep the rest of the tree
 // from growing names those files do not list. CallsOutside keeps a call
 // confined to the functions allowed to make it; the engine's lock protocol
-// is held to one function that way.
+// is held to one function that way. LeakyOpens reads the tests themselves
+// (a test must not leave the zoom-in cache directory Open creates behind),
+// and StaleMakeTargets reads the documentation against the Makefile.
 package lint
 
 import (
@@ -42,10 +44,15 @@ func (s *Sources) Parse(path string, src any) error {
 }
 
 // ParseTree adds every non-test Go file under the given directories.
-func (s *Sources) ParseTree(dirs ...string) error {
+func (s *Sources) ParseTree(dirs ...string) error { return s.parseTree(false, dirs) }
+
+// ParseTests adds every _test.go file under the given directories.
+func (s *Sources) ParseTests(dirs ...string) error { return s.parseTree(true, dirs) }
+
+func (s *Sources) parseTree(tests bool, dirs []string) error {
 	for _, dir := range dirs {
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 				return err
 			}
 			return s.Parse(path, nil)
@@ -198,4 +205,111 @@ func selectorChain(e ast.Expr) string {
 		}
 	}
 	return ""
+}
+
+// engineOpeners maps the functions that open an engine.DB to the position
+// of their Config argument.
+var engineOpeners = map[string]int{"Open": 0, "MustOpen": 0, "OpenDurable": 0, "Load": 1, "LoadFile": 1}
+
+// LeakyOpens reports the functions that open an engine — engine.Open,
+// MustOpen, OpenDurable, Load or LoadFile, through package engine, the root
+// package, or unqualified inside package engine — and neither say where the
+// zoom-in cache goes nor close what they opened. With Config.CacheDir empty
+// Open creates a temporary directory that only DB.Close removes, so a test
+// must do one of three things: name CacheDir (setting it from t.TempDir()),
+// take the Config from a helper call that does, or call Close. A helper
+// that hands its own Config parameter to an opener passes the obligation
+// to its callers.
+func (s *Sources) LeakyOpens() []string {
+	helpers := map[string]int{} // pass-through helper → position of its Config parameter
+	var problems []string
+	// Twice: the first pass finds the pass-through helpers, the second
+	// checks their callers whatever order the files came in.
+	for pass := 0; pass < 2; pass++ {
+		problems = nil
+		for _, f := range s.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				params := map[string]int{}
+				for _, field := range fd.Type.Params.List {
+					for _, name := range field.Names {
+						params[name.Name] = len(params)
+					}
+				}
+				var opens []*ast.CallExpr
+				safe, passes := false, -1
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.Ident:
+						safe = safe || x.Name == "CacheDir"
+					case *ast.CallExpr:
+						pkg, name := "", selectorChain(x.Fun)
+						if i := strings.LastIndex(name, "."); i >= 0 {
+							pkg, name = name[:i], name[i+1:]
+						}
+						safe = safe || name == "Close"
+						arg, opener := engineOpeners[name]
+						if opener {
+							opener = pkg == "engine" || pkg == "insightnotes" || pkg == "" && f.Name.Name == "engine"
+						} else if pkg == "" {
+							arg, opener = helpers[name]
+						}
+						if !opener || arg >= len(x.Args) {
+							break
+						}
+						switch cfg := x.Args[arg].(type) {
+						case *ast.CallExpr: // built by a helper, which is checked where it is declared
+						case *ast.Ident:
+							if i, isParam := params[cfg.Name]; isParam {
+								passes = i
+								break
+							}
+							opens = append(opens, x)
+						default:
+							opens = append(opens, x)
+						}
+					}
+					return true
+				})
+				if safe {
+					continue
+				}
+				if passes >= 0 {
+					helpers[fd.Name.Name] = passes
+				}
+				for _, c := range opens {
+					problems = append(problems, fmt.Sprintf("%s: %s opens an engine with no CacheDir and never closes it; use the package's t.Cleanup-closing helper",
+						s.fset.Position(c.Pos()), fd.Name.Name))
+				}
+			}
+		}
+	}
+	return problems
+}
+
+var (
+	makeTarget  = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
+	makeMention = regexp.MustCompile("`make ([^`]+)`")
+)
+
+// StaleMakeTargets reports each `make <target> ...` written in doc (a text
+// reported under name) whose target makefile does not declare. Words with
+// an '=' are variable assignments, not targets.
+func StaleMakeTargets(makefile, name, doc string) []string {
+	declared := map[string]bool{}
+	for _, m := range makeTarget.FindAllStringSubmatch(makefile, -1) {
+		declared[m[1]] = true
+	}
+	var problems []string
+	for _, m := range makeMention.FindAllStringSubmatch(doc, -1) {
+		for _, word := range strings.Fields(m[1]) {
+			if !strings.Contains(word, "=") && !declared[word] {
+				problems = append(problems, fmt.Sprintf("%s: `make %s` names no Makefile target", name, word))
+			}
+		}
+	}
+	return problems
 }

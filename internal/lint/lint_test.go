@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -168,4 +170,60 @@ func (c *Cache) Put(r *CachedResult) error {
 func (c *Cache) evictOne() { os.Remove(c.path(0)) }`)
 	expect(t, bad.CallsOutside(zoomin, "os.WriteFile", lifecycle...), "Put calls os.WriteFile")
 	expect(t, bad.CallsOutside(zoomin, "os.Remove", lifecycle...), "evictOne calls os.Remove")
+}
+
+// A test that opens an engine with no CacheDir and never closes it leaves
+// an insightnotes-cache-* directory in the temp dir on every run. Each test
+// package has a helper that sets CacheDir from t.TempDir() and closes the
+// DB in t.Cleanup; an opener outside it must do one or the other itself.
+// benchmark/ keeps its data under its own -dir and is not parsed.
+func TestTestsDoNotLeakCacheDirs(t *testing.T) {
+	var s Sources
+	if err := s.ParseTests("../../internal", "../../cmd", "../../examples"); err != nil {
+		t.Fatal(err)
+	}
+	roots, err := filepath.Glob("../../*_test.go")
+	if err != nil || len(roots) == 0 {
+		t.Fatalf("root package tests: %v, %v", roots, err)
+	}
+	for _, root := range roots {
+		if err := s.Parse(root, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect(t, s.LeakyOpens())
+
+	var bad Sources
+	if err := bad.Parse("internal/x/x_test.go", `package x
+func TestLeaks(t *testing.T) { db := engine.MustOpen(engine.Config{PoolFrames: 8}); _ = db }
+func TestDurableLeaks(t *testing.T) { engine.OpenDurable(engine.Config{}, engine.DurabilityOptions{Dir: t.TempDir()}) }
+func TestSetsCacheDir(t *testing.T) { engine.Open(engine.Config{CacheDir: t.TempDir()}) }
+func TestUsesHelperConfig(t *testing.T) { engine.Open(testConfig(t)) }
+func ExampleCloses() { db := insightnotes.MustOpen(insightnotes.Config{}); defer db.Close() }
+func TestOtherOpen(t *testing.T) { wal.Open("x", 0); os.Open("y") }
+func TestThroughHelperLeaks(t *testing.T) { fixture(t, engine.Config{}) }
+func TestThroughHelper(t *testing.T) { fixture(t, engine.Config{CacheDir: t.TempDir()}) }
+func fixture(t *testing.T, cfg engine.Config) *engine.DB { return engine.MustOpen(cfg) }`); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, bad.LeakyOpens(), "TestLeaks opens an engine", "TestDurableLeaks opens an engine", "TestThroughHelperLeaks opens an engine")
+}
+
+// Every `make <target>` the documentation tells a reader to run names a
+// target the Makefile declares, so deleting a target cannot leave stale
+// instructions behind.
+func TestDocumentedMakeTargetsExist(t *testing.T) {
+	read := func(path string) string {
+		data, err := os.ReadFile("../../" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	makefile := read("Makefile")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmark/README.md", ".claude/skills/verify/SKILL.md"} {
+		expect(t, StaleMakeTargets(makefile, doc, read(doc)))
+	}
+	expect(t, StaleMakeTargets(makefile, "x.md", "run `make check`, then `make fuzz FUZZTIME=3s` and `make bench-everything soak`"),
+		"`make bench-everything` names no Makefile target")
 }

@@ -188,7 +188,7 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 			if err != nil {
 				return nil, err
 			}
-			r.op = exec.NewRowFilter(r.op, c)
+			r.op = exec.NewFilter(r.op, c)
 			pushedSummary = true
 		}
 		// A summary filter suppresses the push-down, so the scan is still
@@ -299,7 +299,7 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur = exec.NewRowFilter(cur, c)
+		cur = exec.NewFilter(cur, c)
 	}
 
 	// Aggregation and final projection.
@@ -321,24 +321,16 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 	}
 	if len(s.OrderBy) > 0 {
 		keys := make([]exec.SortKey, len(s.OrderBy))
-		summaryKeys := false
 		for i, o := range s.OrderBy {
+			// CompileRow: summary-based ordering (§2.1) reads the
+			// summaries as reported in the output.
 			c, err := exec.CompileRow(o.Expr, cur.Schema())
 			if err != nil {
 				return nil, fmt.Errorf("plan: ORDER BY must reference output columns: %w", err)
 			}
-			if c.HasSummaryTerms() {
-				summaryKeys = true
-			}
 			keys[i] = exec.SortKey{Expr: c, Desc: o.Desc}
 		}
-		if summaryKeys {
-			// Summary-based ordering (§2.1) reads the summaries as
-			// reported in the output.
-			cur = exec.NewRowSort(cur, keys)
-		} else {
-			cur = exec.NewSort(cur, keys)
-		}
+		cur = exec.NewSort(cur, keys)
 	}
 	if s.Limit >= 0 {
 		cur = exec.NewLimit(cur, s.Limit)
