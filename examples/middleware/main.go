@@ -20,6 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close() // removes the zoom-in spill directory Open created
 	srv, addr, err := insightnotes.Serve(db, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -18,6 +18,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close() // removes the zoom-in spill directory Open created
 
 	must := func(stmt string) *insightnotes.Result {
 		res, err := db.Exec(ctx, stmt)

@@ -24,7 +24,9 @@ func main() {
 	}
 
 	fmt.Println("\n=== cache miss transparently re-executes the query ===")
-	db := setup(insightnotes.RCO(), 1) // 1-byte budget: nothing is admitted
+	// 1-byte budget: nothing is admitted.
+	db := setup(insightnotes.Config{CachePolicy: insightnotes.RCO(), CacheBudget: 1})
+	defer db.Close()
 	res, err := db.Query(ctx, `SELECT id, name FROM birds WHERE id = 1`)
 	if err != nil {
 		log.Fatal(err)
@@ -39,13 +41,12 @@ func main() {
 
 func policyName(p insightnotes.CachePolicy) string { return p.Name() }
 
-// setup builds a small annotated database with the given cache policy and
-// byte budget.
-func setup(policy insightnotes.CachePolicy, budget int64) *insightnotes.DB {
+// setup builds a small annotated database; cfg carries the cache policy
+// and byte budget. The caller closes it, which removes the zoom-in spill
+// directory Open created.
+func setup(cfg insightnotes.Config) *insightnotes.DB {
 	ctx := context.Background()
-	db, err := insightnotes.Open(insightnotes.Config{
-		CachePolicy: policy, CacheBudget: budget,
-	})
+	db, err := insightnotes.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +83,8 @@ func setup(policy insightnotes.CachePolicy, budget int64) *insightnotes.DB {
 // while bursts of fresh cheap queries compete for the cache.
 func run(policy insightnotes.CachePolicy, budget int64) (hitRate float64, mean time.Duration) {
 	ctx := context.Background()
-	db := setup(policy, budget)
+	db := setup(insightnotes.Config{CachePolicy: policy, CacheBudget: budget})
+	defer db.Close()
 	// Expensive working set.
 	var expensive []int
 	for i := 0; i < 3; i++ {

@@ -331,13 +331,15 @@ func (db *DB) Cache() *zoomin.Cache { return db.cache }
 // disabled) — the server's /traces sidecar endpoint reads it.
 func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 
-// EnvelopeFor implements exec.EnvelopeSource: a clone of the maintained
-// envelope of a base tuple (nil when unannotated). The clone is taken
-// under the tuple's stripe lock — not the database mutex — so parallel
-// scan workers fetching envelopes contend only per stripe, and never race
-// with the background catch-up worker mutating the live envelope mid-read.
+// EnvelopeFor implements exec.EnvelopeSource: a copy-on-write view of the
+// maintained envelope of a base tuple (nil when unannotated). The caller
+// may mutate it through the summary methods; the stored envelope is never
+// affected. The view is taken under the tuple's stripe lock — not the
+// database mutex — so parallel scan workers fetching envelopes contend
+// only per stripe, and never race with the background catch-up worker
+// mutating the live envelope mid-read.
 func (db *DB) EnvelopeFor(table string, row types.RowID) *summary.Envelope {
-	return db.envs.clone(table, row)
+	return db.envs.view(table, row)
 }
 
 // digestFor computes (or returns the cached) digest of annotation a under
@@ -373,11 +375,11 @@ func (db *DB) SummaryBytes(table string) int64 {
 	return db.envs.tableBytes(table)
 }
 
-// StoredEnvelope returns a clone of the maintained envelope of a tuple (nil
+// StoredEnvelope returns a view of the maintained envelope of a tuple (nil
 // when unannotated) — the inspection hook used by SHOW, the REPL, and
 // tests.
 func (db *DB) StoredEnvelope(table string, row types.RowID) *summary.Envelope {
-	return db.envs.clone(table, row)
+	return db.envs.view(table, row)
 }
 
 // Close stops the maintenance catch-up worker (draining its queue),

@@ -40,8 +40,14 @@ const envStripes = 32
 //     instance instead of sweeping every stripe's table map.
 //
 // Locking: each stripe guards its own table→row→envelope maps AND the
-// envelopes within them — an envelope is only read or mutated while its
-// stripe lock is held, which is why readers receive clones. The heap and
+// envelopes within them — a stored envelope is only viewed or mutated
+// while its stripe lock is held. Readers receive copy-on-write views
+// (summary.Envelope.View) that share the stored maps and objects; update
+// and mutate are the only in-place writers, and the first summary mutator
+// fn calls on an envelope a reader has viewed since the last write copies
+// the maps (and clones just the objects it changes) before writing, so a
+// held view never changes. A never-viewed envelope is written in place
+// at no extra cost. The heap and
 // the B+tree have their own internal locks and are only called from under
 // a stripe lock (leaf order, no cycles). Writers that also need the digest
 // cache or instance models take db.mu first; the ordering is always
@@ -98,16 +104,11 @@ type persistEnvelope struct {
 }
 
 func encodeEnvelope(table string, row types.RowID, env *summary.Envelope) []byte {
-	rec := persistEnvelope{
-		Table:   table,
-		Row:     row,
-		Cover:   env.Cover,
-		Objects: make(map[string][]annotation.ID, len(env.Objects)),
-	}
+	members := make(map[string][]annotation.ID, len(env.Objects))
 	for name, obj := range env.Objects {
-		rec.Objects[name] = obj.Members()
+		members[name] = obj.Members()
 	}
-	data, _ := json.Marshal(rec)
+	data, _ := json.Marshal(persistEnvelope{Table: table, Row: row, Cover: env.Cover, Objects: members})
 	return data
 }
 
@@ -184,10 +185,10 @@ func (s *envStore) unpersist(st *envStripe, table string, row types.RowID) {
 	}
 }
 
-// clone returns a private copy of the stored envelope of a tuple (nil when
-// unannotated), taken under the stripe lock so readers never observe a
-// mid-update envelope.
-func (s *envStore) clone(table string, row types.RowID) *summary.Envelope {
+// view returns a copy-on-write view of the stored envelope of a tuple (nil
+// when unannotated), taken under the stripe lock so readers never observe
+// a mid-update envelope. It costs the same whatever the envelope's size.
+func (s *envStore) view(table string, row types.RowID) *summary.Envelope {
 	st := s.stripeFor(table, row)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -195,7 +196,7 @@ func (s *envStore) clone(table string, row types.RowID) *summary.Envelope {
 	if env == nil {
 		return nil
 	}
-	return env.Clone()
+	return env.View()
 }
 
 // update applies fn to the stored envelope of a tuple, creating an empty

@@ -13,6 +13,7 @@ import (
 	"insightnotes/internal/plan"
 	"insightnotes/internal/workload"
 	"insightnotes/internal/workload/populate"
+	"insightnotes/internal/zoomin"
 )
 
 func openBench(b *testing.B, cfg engine.Config) *engine.DB {
@@ -120,5 +121,53 @@ func BenchmarkBatchPipeline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// newJoinScanWorld is the benchmark's join_scan corpus in small: 500 birds
+// with 16 annotations each under the three demo instances.
+func newJoinScanWorld(b *testing.B) *engine.DB {
+	b.Helper()
+	db := openBench(b, engine.Config{})
+	if _, err := populate.Birds(db, workload.New(5), populate.BirdCorpusSpec{
+		Tuples: 500, AnnotationsPerTuple: 16, DocumentFraction: 0.05, TrainPerClass: 8,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+const groupByQuery = "SELECT region, COUNT(*) FROM birds WHERE id > 8 GROUP BY region"
+
+// BenchmarkGroupByEnvelopes is the executor's share of join_scan's slowest
+// statement: 492 stored envelopes handed to the scan, rebased onto the
+// grouping column and combined per region. The plan is ablated, so nothing
+// is materialized.
+func BenchmarkGroupByEnvelopes(b *testing.B) {
+	db := newJoinScanWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(context.Background(), groupByQuery, engine.WithPlanOptions(plan.Options{})); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaterialize is the other half: deriving the zoom-in form (labels,
+// element ids, rendered text) of that statement's combined envelopes, which
+// hold hundreds of cluster groups each.
+func BenchmarkMaterialize(b *testing.B) {
+	db := newJoinScanWorld(b)
+	res, err := db.Query(context.Background(), groupByQuery, engine.WithPlanOptions(plan.Options{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := zoomin.BuildCachedResult(1, groupByQuery, res.Schema, res.Rows, 1); len(r.Rows) != len(res.Rows) {
+			b.Fatal("short result")
+		}
 	}
 }

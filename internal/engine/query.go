@@ -64,6 +64,11 @@ type Result struct {
 	// Rows holds the result tuples with their propagated summary
 	// envelopes.
 	Rows []*exec.Row
+	// Materialized is the zoom-in form of Rows, index-aligned, for a SELECT
+	// registered under a QID: each summary object's rendered text, element
+	// labels and element ids, derived once. Nil otherwise (ablated plans
+	// are never materialized).
+	Materialized []zoomin.CachedRow
 	// Message summarizes DDL/DML outcomes.
 	Message string
 	// Count is the number of rows affected/ingested for DML.
@@ -122,7 +127,7 @@ func (db *DB) querySelect(ec *exec.ExecContext, sel *sql.Select, sqlText string,
 		return res, nil
 	}
 	res.QID = db.allocateQID()
-	db.materialize(res.QID, sqlText, sel, op, rows)
+	res.Materialized = db.materialize(res.QID, sqlText, sel, op, rows).Rows
 	return res, nil
 }
 

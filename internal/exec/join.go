@@ -127,7 +127,7 @@ func (j *HashJoin) NextBatch(ec *ExecContext) (*Batch, error) {
 			if right.Env != nil {
 				j.merged(ec)
 			}
-			env := envMerge(envClone(j.cur.Env), right.Env, leftWidth)
+			env := envMerge(envView(j.cur.Env), right.Env, leftWidth)
 			out = append(out, &Row{Tuple: j.cur.Tuple.Concat(right.Tuple), Env: env})
 			continue
 		}
@@ -274,7 +274,7 @@ func (j *NestedLoopJoin) NextBatch(ec *ExecContext) (*Batch, error) {
 		if right.Env != nil {
 			j.merged(ec)
 		}
-		env := envMerge(envClone(j.cur.Env), right.Env, leftWidth)
+		env := envMerge(envView(j.cur.Env), right.Env, leftWidth)
 		out = append(out, &Row{Tuple: joined, Env: env})
 	}
 	if len(out) == 0 {

@@ -84,12 +84,13 @@ func sliceBatch(rows []*Row, pos *int, n int) *Batch {
 
 // ---- envelope helpers (nil-tolerant) ----
 
-// envClone deep-copies an envelope; nil stays nil.
-func envClone(e *summary.Envelope) *summary.Envelope {
+// envView returns a copy-on-write view of an envelope — one input row
+// feeding several output rows; nil stays nil.
+func envView(e *summary.Envelope) *summary.Envelope {
 	if e == nil {
 		return nil
 	}
-	return e.Clone()
+	return e.View()
 }
 
 // envProject narrows an envelope to the kept input columns; empty results
@@ -120,9 +121,9 @@ func envRemap(e *summary.Envelope, mapping []annotation.ColSet) *summary.Envelop
 
 // envMerge merges right into left (owned, mutated) for a join with the
 // given left width, tolerating nils. Merge only reads right — objects it
-// adopts are cloned inside the summary algebra — so callers may pass a
-// shared right envelope (e.g. a hash-join build row matched by several
-// probe rows) without a defensive copy.
+// adopts are shared copy-on-write inside the summary algebra — so callers
+// may pass a shared right envelope (e.g. a hash-join build row matched by
+// several probe rows) without a defensive copy.
 func envMerge(left, right *summary.Envelope, leftWidth int) *summary.Envelope {
 	if right == nil {
 		return left

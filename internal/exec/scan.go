@@ -15,10 +15,11 @@ import (
 
 // EnvelopeSource supplies the stored summary envelope of a base-table
 // tuple; the engine's summary store implements it. Implementations return
-// nil for unannotated tuples and must hand out a private copy (or an
-// otherwise immutable envelope): the pipeline mutates what it receives,
-// and the engine's background catch-up worker may be updating the live
-// envelope concurrently with scans.
+// nil for unannotated tuples and otherwise an envelope the pipeline may
+// mutate through the summary methods without the store noticing — a
+// summary.Envelope.View of the live envelope (or a private copy): the
+// engine's background catch-up worker may be updating the live envelope
+// concurrently with scans.
 type EnvelopeSource interface {
 	EnvelopeFor(table string, row types.RowID) *summary.Envelope
 }

@@ -5,9 +5,11 @@
 // internal/trace/names.go — and the naming lints keep the rest of the tree
 // from growing names those files do not list. CallsOutside keeps a call
 // confined to the functions allowed to make it; the engine's lock protocol
-// is held to one function that way. LeakyOpens reads the tests themselves
-// (a test must not leave the zoom-in cache directory Open creates behind),
-// and StaleMakeTargets reads the documentation against the Makefile.
+// is held to one function that way, and FieldWrites keeps a struct's maps
+// written only by the package that owns them (copy-on-write envelopes).
+// LeakyOpens reads the tests and examples themselves (neither may leave the
+// zoom-in cache directory Open creates behind), and StaleMakeTargets reads
+// the documentation against the Makefile.
 package lint
 
 import (
@@ -189,6 +191,59 @@ func (s *Sources) CallsOutside(dir, call string, allowed ...string) []string {
 				return true
 			})
 		}
+	}
+	return problems
+}
+
+// FieldWrites reports every statement that writes x.F or an element of it
+// — x.F = v, x.F[k] = v, x.F[k]++, delete(x.F, k), clear(x.F) — for F in
+// fields, in files whose path contains none of exempt. The match is by
+// field name, not type: a struct elsewhere that reuses a name is exempted
+// by path or renamed.
+func (s *Sources) FieldWrites(fields []string, exempt ...string) []string {
+	isField := func(e ast.Expr) bool {
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			e = ix.X
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		for _, f := range fields {
+			if sel.Sel.Name == f {
+				return true
+			}
+		}
+		return false
+	}
+	var problems []string
+files:
+	for _, f := range s.files {
+		for _, dir := range exempt {
+			if strings.Contains(s.path(f), dir) {
+				continue files
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var written []ast.Expr
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				written = x.Lhs
+			case *ast.IncDecStmt:
+				written = []ast.Expr{x.X}
+			case *ast.CallExpr:
+				if fn, ok := x.Fun.(*ast.Ident); ok && (fn.Name == "delete" || fn.Name == "clear") && len(x.Args) > 0 {
+					written = x.Args[:1]
+				}
+			}
+			for _, e := range written {
+				if isField(e) {
+					problems = append(problems, fmt.Sprintf("%s: writes a %s map directly; only %s may",
+						s.fset.Position(e.Pos()), strings.Join(fields, "/"), strings.Join(exempt, ", ")))
+				}
+			}
+			return true
+		})
 	}
 	return problems
 }

@@ -209,6 +209,52 @@ func fixture(t *testing.T, cfg engine.Config) *engine.DB { return engine.MustOpe
 	expect(t, bad.LeakyOpens(), "TestLeaks opens an engine", "TestDurableLeaks opens an engine", "TestThroughHelperLeaks opens an engine")
 }
 
+// The examples are programs, not tests: each opens an engine with the
+// default Config, so each must Close it or leave its zoom-in spill
+// directory behind on every run.
+func TestExamplesCloseTheirEngines(t *testing.T) {
+	var s Sources
+	if err := s.ParseTree("../../examples"); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, s.LeakyOpens())
+
+	var bad Sources
+	if err := bad.Parse("examples/x/main.go", `package main
+func main() { db, _ := insightnotes.Open(insightnotes.Config{}); db.Exec(ctx, "CHECKPOINT") }`); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, bad.LeakyOpens(), "main opens an engine")
+}
+
+// Envelopes are copy-on-write: a scan hands out views that share the
+// stored envelope's Cover and Objects maps, and only the summary package's
+// mutators know to copy a shared map (and clone a shared object) before
+// writing. A direct write anywhere else would reach through a view into
+// the store, or into another statement's result. internal/baseline keeps
+// raw annotations in a Row.Cover of its own; it is a different type.
+func TestEnvelopeMapsAreWrittenOnlyBySummary(t *testing.T) {
+	fields := []string{"Cover", "Objects"}
+	owners := []string{"internal/summary/", "internal/baseline/"}
+	s := tree(t)
+	if err := s.ParseTree("../../examples", "../../benchmark"); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, s.FieldWrites(fields, owners...))
+
+	bad := tree(t, "internal/x/x.go", `package x
+func f(env *summary.Envelope, row *exec.Row) {
+	env.Cover[7] = annotation.Col(0)
+	delete(row.Env.Objects, "C")
+	row.Env.Objects["C"], n = obj, 1
+	env.Cover = nil
+	_ = env.Cover[7]
+	for range env.Objects {}
+}`, "internal/summary/y.go", `package summary
+func (e *Envelope) g() { e.Cover[7] = 0 }`)
+	expect(t, bad.FieldWrites(fields, owners...), "x.go:3:2: writes", "x.go:4:9: writes", "x.go:5:2: writes", "x.go:6:2: writes")
+}
+
 // Every `make <target>` the documentation tells a reader to run names a
 // target the Makefile declares, so deleting a target cannot leave stale
 // instructions behind.

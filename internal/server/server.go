@@ -575,15 +575,20 @@ func (s *Server) execute(req Request) (resp Response) {
 	for _, c := range res.Schema.Columns {
 		resp.Columns = append(resp.Columns, c.QualifiedName())
 	}
-	for _, row := range res.Rows {
+	for i, row := range res.Rows {
 		rj := RowJSON{Values: row.Tuple}
-		if row.Env != nil && !row.Env.IsEmpty() {
+		if res.Materialized != nil {
+			// Rendered and labelled once, when the result was materialized.
+			rj.Summaries, rj.ZoomLabels = res.Materialized[i].Rendered, res.Materialized[i].Label
+		} else if row.Env != nil && !row.Env.IsEmpty() {
 			rj.Summaries = map[string]string{}
 			rj.ZoomLabels = map[string][]string{}
 			for _, name := range row.Env.InstanceNames() {
 				obj := row.Env.Object(name)
 				rj.Summaries[name] = obj.Render()
-				rj.ZoomLabels[name] = obj.ZoomLabels()
+				for _, el := range obj.Elements() {
+					rj.ZoomLabels[name] = append(rj.ZoomLabels[name], el.Label)
+				}
 			}
 		}
 		resp.Rows = append(resp.Rows, rj)

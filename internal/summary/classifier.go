@@ -2,7 +2,7 @@ package summary
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"insightnotes/internal/annotation"
@@ -17,6 +17,7 @@ import (
 // and zoom-in (resolving a label to its member ids) possible without the
 // raw annotations.
 type classifierObject struct {
+	sharedFlag
 	inst    *Instance
 	members map[annotation.ID]int // annotation id → label index
 	counts  []int                 // per-label member counts
@@ -96,25 +97,25 @@ func (c *classifierObject) Len() int { return len(c.members) }
 // LabelCount returns the member count of the given 0-based label index.
 func (c *classifierObject) LabelCount(i int) int { return c.counts[i] }
 
-// Zoom implements Object: index is the 1-based class-label position, as in
-// the paper's "On NaiveBayesClass Index 1" addressing the 'refute' label.
-func (c *classifierObject) Zoom(index int) ([]annotation.ID, error) {
-	li := index - 1
-	if li < 0 || li >= len(c.counts) {
-		return nil, fmt.Errorf("summary: classifier %q has no label index %d (1..%d)",
-			c.inst.Name, index, len(c.counts))
+// Elements implements Object: one element per class label, in label order
+// (the paper's "On NaiveBayesClass Index 1" addresses the first label). A
+// label no member carries has a nil id list.
+func (c *classifierObject) Elements() []Element {
+	out := make([]Element, len(c.counts))
+	for i, l := range c.inst.Classifier.Labels() {
+		out[i].Label = l
 	}
-	var ids []annotation.ID
-	for id, l := range c.members {
-		if l == li {
-			ids = append(ids, id)
-		}
+	for id, li := range c.members {
+		out[li].IDs = append(out[li].IDs, id)
 	}
-	return sortedIDs(ids), nil
+	for i := range out {
+		slices.Sort(out[i].IDs)
+	}
+	return out
 }
 
-// ZoomLabels implements Object.
-func (c *classifierObject) ZoomLabels() []string { return c.inst.Classifier.Labels() }
+// Zoom implements Object.
+func (c *classifierObject) Zoom(index int) ([]annotation.ID, error) { return zoom(c, index) }
 
 // Render implements Object.
 func (c *classifierObject) Render() string {
@@ -169,6 +170,6 @@ func mapKeys[V any](m map[annotation.ID]V) []annotation.ID {
 }
 
 func sortedIDs(ids []annotation.ID) []annotation.ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -99,9 +99,9 @@ func TestClassifierZoom(t *testing.T) {
 	if _, err := obj.Zoom(5); err == nil {
 		t.Error("Zoom(5) succeeded")
 	}
-	labels := obj.ZoomLabels()
+	labels := elementLabels(obj)
 	if len(labels) != 4 || labels[0] != "Behavior" {
-		t.Errorf("ZoomLabels = %v", labels)
+		t.Errorf("element labels = %v", labels)
 	}
 }
 

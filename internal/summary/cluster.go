@@ -1,8 +1,10 @@
 package summary
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"insightnotes/internal/annotation"
@@ -38,6 +40,7 @@ const repCandidates = 3
 //     two facts are what make summary propagation identical across
 //     equivalent plans (the Theorem 1&2 property, experiment E3).
 type clusterObject struct {
+	sharedFlag
 	inst   *Instance
 	groups []*clusterGroup
 	// member → its group, the double-count guard and overlap detector.
@@ -90,20 +93,17 @@ func (g *clusterGroup) addCandidate(c repCandidate) {
 }
 
 func sortCandidates(cs []repCandidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].sim != cs[j].sim {
-			return cs[i].sim > cs[j].sim
-		}
-		return cs[i].id < cs[j].id
+	slices.SortFunc(cs, func(a, b repCandidate) int {
+		return cmp.Or(cmp.Compare(b.sim, a.sim), cmp.Compare(a.id, b.id))
 	})
 }
 
+// dedupCandidates keeps the first entry per annotation id. The lists hold
+// at most 2×repCandidates entries, so a quadratic scan beats a map.
 func dedupCandidates(cs []repCandidate) []repCandidate {
-	seen := make(map[annotation.ID]bool, len(cs))
 	out := cs[:0]
 	for _, c := range cs {
-		if !seen[c.id] {
-			seen[c.id] = true
+		if !slices.ContainsFunc(out, func(o repCandidate) bool { return o.id == c.id }) {
 			out = append(out, c)
 		}
 	}
@@ -247,18 +247,19 @@ func (c *clusterObject) MergeFrom(other Object) {
 	if !ok || o.inst.Name != c.inst.Name {
 		panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", c.inst.Name))
 	}
+	var overlap []*clusterGroup // reused across incoming groups
 	for _, og := range o.sortedGroups() {
 		// Find every local group sharing a member with og.
-		overlapSet := map[*clusterGroup]bool{}
+		overlap = overlap[:0]
 		for id := range og.members {
-			if g, ok := c.memberGroup[id]; ok {
-				overlapSet[g] = true
+			if g, ok := c.memberGroup[id]; ok && !slices.Contains(overlap, g) {
+				overlap = append(overlap, g)
 			}
 		}
 		var target *clusterGroup
 		switch {
-		case len(overlapSet) > 0:
-			target = c.combineGroups(overlapSet)
+		case len(overlap) > 0:
+			target = c.combineGroups(overlap)
 		case c.inst.MergeBySimilarity:
 			bestSim := 0.0
 			for _, g := range c.sortedGroups() {
@@ -268,8 +269,14 @@ func (c *clusterObject) MergeFrom(other Object) {
 				}
 			}
 		}
-		if target == nil {
-			target = newClusterGroup()
+		fresh := target == nil
+		if fresh {
+			// A new group starts as og's members and centroid: both maps
+			// are sized once instead of grown from empty.
+			target = &clusterGroup{
+				members:  make(map[annotation.ID]struct{}, len(og.members)),
+				centroid: og.centroid.Clone(),
+			}
 			c.groups = append(c.groups, target)
 		}
 		added := false
@@ -281,7 +288,7 @@ func (c *clusterObject) MergeFrom(other Object) {
 			c.memberGroup[id] = target
 			added = true
 		}
-		if added {
+		if added && !fresh {
 			target.centroid.Add(og.centroid)
 		}
 		target.candidates = append(target.candidates, og.candidates...)
@@ -297,13 +304,9 @@ func (c *clusterObject) MergeFrom(other Object) {
 
 // combineGroups fuses a set of local groups into one (bridged by an
 // incoming group) and returns the fused group.
-func (c *clusterObject) combineGroups(set map[*clusterGroup]bool) *clusterGroup {
+func (c *clusterObject) combineGroups(groups []*clusterGroup) *clusterGroup {
 	// Deterministic fuse order: ascending min member id.
-	groups := make([]*clusterGroup, 0, len(set))
-	for g := range set {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].minID() < groups[j].minID() })
+	slices.SortFunc(groups, byMinID)
 	target := groups[0]
 	for _, g := range groups[1:] {
 		for id := range g.members {
@@ -321,7 +324,7 @@ func (c *clusterObject) combineGroups(set map[*clusterGroup]bool) *clusterGroup 
 		}
 		kept := c.groups[:0]
 		for _, g := range c.groups {
-			if g == target || !set[g] {
+			if g == target || !slices.Contains(groups, g) {
 				kept = append(kept, g)
 			}
 		}
@@ -361,10 +364,12 @@ func (c *clusterObject) Clone() Object {
 // sortedGroups returns the groups in canonical order (ascending minimum
 // member id) — the order used for rendering and 1-based zoom indexes.
 func (c *clusterObject) sortedGroups() []*clusterGroup {
-	gs := append([]*clusterGroup(nil), c.groups...)
-	sort.Slice(gs, func(i, j int) bool { return gs[i].minID() < gs[j].minID() })
+	gs := slices.Clone(c.groups)
+	slices.SortFunc(gs, byMinID)
 	return gs
 }
+
+func byMinID(a, b *clusterGroup) int { return cmp.Compare(a.minID(), b.minID()) }
 
 // Members implements Object.
 func (c *clusterObject) Members() []annotation.ID { return sortedIDs(mapKeys(c.memberGroup)) }
@@ -386,26 +391,43 @@ func (c *clusterObject) Representatives() []annotation.ID {
 	return out
 }
 
-// Zoom implements Object: index is the 1-based group position in canonical
-// order; the result is the group's full membership (the paper's "retrieve
-// all annotations in the cluster represented by annotation A2").
-func (c *clusterObject) Zoom(index int) ([]annotation.ID, error) {
+// Elements implements Object: one element per group in canonical order,
+// labelled by the representative's preview and resolving to the group's
+// full membership (the paper's "retrieve all annotations in the cluster
+// represented by annotation A2").
+func (c *clusterObject) Elements() []Element {
 	gs := c.sortedGroups()
-	if index < 1 || index > len(gs) {
-		return nil, fmt.Errorf("summary: cluster %q has no group %d (1..%d)", c.inst.Name, index, len(gs))
-	}
-	return sortedIDs(mapKeys(gs[index-1].members)), nil
-}
-
-// ZoomLabels implements Object.
-func (c *clusterObject) ZoomLabels() []string {
-	gs := c.sortedGroups()
-	out := make([]string, len(gs))
+	out := make([]Element, len(gs))
+	// One backing array for every id list and one string for every label,
+	// sliced per group: a combined object has hundreds of groups.
+	ids := make([]annotation.ID, 0, len(c.memberGroup))
+	var b strings.Builder
+	ends := make([]int, len(gs))
 	for i, g := range gs {
-		out[i] = fmt.Sprintf("%q ×%d", g.repPreview, len(g.members))
+		from := len(ids)
+		for id := range g.members {
+			ids = append(ids, id)
+		}
+		out[i].IDs = sortedIDs(ids[from:len(ids):len(ids)])
+		g.writeLabel(&b)
+		ends[i] = b.Len()
+	}
+	labels, from := b.String(), 0
+	for i, end := range ends {
+		out[i].Label, from = labels[from:end], end
 	}
 	return out
 }
+
+// writeLabel appends the group's display label, e.g. `"size seems wrong" ×3`.
+func (g *clusterGroup) writeLabel(b *strings.Builder) {
+	writeQuoted(b, g.repPreview)
+	b.WriteString(" ×")
+	b.WriteString(strconv.Itoa(len(g.members)))
+}
+
+// Zoom implements Object.
+func (c *clusterObject) Zoom(index int) ([]annotation.ID, error) { return zoom(c, index) }
 
 // Render implements Object, e.g.
 // `SimCluster {[A12 "found eating stonewort…" ×5] [A3 "size seems wrong" ×1]}`.
@@ -417,7 +439,11 @@ func (c *clusterObject) Render() string {
 		if i > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "[A%d %q ×%d]", g.rep, g.repPreview, len(g.members))
+		b.WriteString("[A")
+		b.WriteString(strconv.FormatUint(uint64(g.rep), 10))
+		b.WriteByte(' ')
+		g.writeLabel(&b)
+		b.WriteByte(']')
 	}
 	b.WriteString("}")
 	return b.String()

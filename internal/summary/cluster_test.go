@@ -241,7 +241,7 @@ func TestClusterCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestClusterRenderAndZoomLabels(t *testing.T) {
+func TestClusterRenderAndElementLabels(t *testing.T) {
 	in := clusterInstance(t, "SimCluster")
 	obj := in.NewObject()
 	obj.Add(in.Summarize(ann(1, "found eating stonewort by the lake")))
@@ -249,9 +249,9 @@ func TestClusterRenderAndZoomLabels(t *testing.T) {
 	if !strings.HasPrefix(got, "SimCluster {[A1 ") || !strings.Contains(got, "×1") {
 		t.Errorf("Render = %q", got)
 	}
-	labels := obj.ZoomLabels()
+	labels := elementLabels(obj)
 	if len(labels) != 1 || !strings.Contains(labels[0], "stonewort") {
-		t.Errorf("ZoomLabels = %v", labels)
+		t.Errorf("element labels = %v", labels)
 	}
 }
 

@@ -1,7 +1,8 @@
 package summary
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"insightnotes/internal/annotation"
@@ -15,12 +16,22 @@ import (
 // eliminate the effect of annotations attached only to projected-out
 // columns "without accessing the raw annotations" (§2.1): coverage is a
 // 64-bit set per annotation, not the annotation itself.
+//
+// Envelopes are copy-on-write. View hands out the same maps in O(1); the
+// first mutator called on either side afterwards copies the two maps, and
+// an object both sides reference is cloned only by the side about to
+// change it. Code outside this package reads Cover and Objects and writes
+// them only through the methods (internal/lint enforces it).
 type Envelope struct {
 	// Cover maps each contributing annotation to the columns of the
 	// current tuple shape it covers.
 	Cover map[annotation.ID]annotation.ColSet
 	// Objects holds the summary objects keyed by instance name.
 	Objects map[string]Object
+	// shared is set while another envelope may reference Cover and
+	// Objects. Atomic because concurrent readers of the engine's store
+	// each set it on the stored envelope under a read lock.
+	shared sharedFlag
 }
 
 // NewEnvelope returns an empty envelope.
@@ -37,8 +48,11 @@ func NewEnvelope() *Envelope {
 // leaves no empty object behind and contributes coverage only if the
 // annotation is a member of at least one object.
 func (e *Envelope) Add(in *Instance, d Digest, cols annotation.ColSet) {
-	obj, existed := e.Objects[in.Name]
-	if !existed {
+	e.write()
+	var obj Object
+	if _, existed := e.Objects[in.Name]; existed {
+		obj = e.own(in.Name)
+	} else {
 		obj = in.NewObject()
 	}
 	obj.Add(d)
@@ -60,14 +74,53 @@ func (e *Envelope) memberAnywhere(id annotation.ID) bool {
 	return false
 }
 
-// Clone returns a deep copy of the envelope.
+// View returns an envelope with e's contents that shares e's maps and
+// objects until either side is mutated. The caller must exclude concurrent
+// mutators of e (the store's stripe lock); concurrent View calls are fine.
+func (e *Envelope) View() *Envelope {
+	e.shared.share()
+	v := &Envelope{Cover: e.Cover, Objects: e.Objects}
+	v.shared.share()
+	return v
+}
+
+// write makes e's maps private before a mutation.
+func (e *Envelope) write() {
+	if e.shared.isShared() {
+		e.Cover = maps.Clone(e.Cover)
+		e.writeObjects()
+	}
+}
+
+// writeObjects is write without the coverage copy, for the caller that
+// replaces Cover anyway. The objects stay where they are and are latched
+// shared: the other holder still references them.
+func (e *Envelope) writeObjects() {
+	objs := make(map[string]Object, len(e.Objects))
+	for name, obj := range e.Objects {
+		obj.share()
+		objs[name] = obj
+	}
+	e.Objects = objs
+	e.shared.on.Store(false)
+}
+
+// own returns e's object of the named instance ready to be changed: a
+// shared one is first replaced by its clone. Callers have called write.
+func (e *Envelope) own(name string) Object {
+	obj := e.Objects[name]
+	if obj.isShared() {
+		obj = obj.Clone()
+		e.Objects[name] = obj
+	}
+	return obj
+}
+
+// Clone returns a deep copy of the envelope, sharing nothing with e.
 func (e *Envelope) Clone() *Envelope {
 	cp := &Envelope{
-		Cover:   make(map[annotation.ID]annotation.ColSet, len(e.Cover)),
+		Cover:   maps.Clone(e.Cover),
 		Objects: make(map[string]Object, len(e.Objects)),
-	}
-	for id, c := range e.Cover {
-		cp.Cover[id] = c
 	}
 	for name, obj := range e.Objects {
 		cp.Objects[name] = obj.Clone()
@@ -97,8 +150,14 @@ func (e *Envelope) Project(keep []int) {
 // input column i contributes to (zero = dropped). Annotations left with
 // empty coverage are removed from all objects.
 func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
-	dropped := make(map[annotation.ID]bool)
-	for id, cover := range e.Cover {
+	src := e.Cover
+	if e.shared.isShared() {
+		// The remapped coverage is written straight into the private map.
+		e.Cover = make(map[annotation.ID]annotation.ColSet, len(src))
+		e.writeObjects()
+	}
+	var dropped map[annotation.ID]bool
+	for id, cover := range src {
 		var out annotation.ColSet
 		for i := 0; i < 64 && i < len(mapping); i++ {
 			if cover.Has(i) {
@@ -106,20 +165,37 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 			}
 		}
 		if out.Empty() {
+			if dropped == nil {
+				dropped = make(map[annotation.ID]bool)
+			}
 			dropped[id] = true
 			delete(e.Cover, id)
 		} else {
 			e.Cover[id] = out
 		}
 	}
+	e.curate(dropped)
+}
+
+// curate retracts the dropped annotations from every object that holds one
+// — only those are cloned when shared — and drops emptied objects.
+func (e *Envelope) curate(dropped map[annotation.ID]bool) {
 	if len(dropped) == 0 {
 		return
 	}
 	drop := func(id annotation.ID) bool { return dropped[id] }
 	for name, obj := range e.Objects {
-		obj.Remove(drop)
-		if obj.Len() == 0 {
+		hits := 0
+		for id := range dropped {
+			if obj.Contains(id) {
+				hits++
+			}
+		}
+		switch {
+		case hits == obj.Len():
 			delete(e.Objects, name)
+		case hits > 0:
+			e.own(name).Remove(drop)
 		}
 	}
 }
@@ -128,8 +204,10 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 // (width leftWidth) concatenated with the right input: o's coverage shifts
 // past leftWidth, and objects of the same instance are merged with the
 // double-count guard; objects present on only one side propagate unchanged
-// (the paper's ClassBird1/TextSummary1 behaviour in Figure 2).
+// (the paper's ClassBird1/TextSummary1 behaviour in Figure 2) — o's are
+// adopted shared, not copied.
 func (e *Envelope) Merge(o *Envelope, leftWidth int) {
+	e.write()
 	for id, c := range o.Cover {
 		e.Cover[id] = e.Cover[id].Union(c.Shift(leftWidth))
 	}
@@ -140,6 +218,7 @@ func (e *Envelope) Merge(o *Envelope, leftWidth int) {
 // tuple shape (grouping, duplicate elimination): coverage unions without
 // shifting.
 func (e *Envelope) Combine(o *Envelope) {
+	e.write()
 	for id, c := range o.Cover {
 		e.Cover[id] = e.Cover[id].Union(c)
 	}
@@ -148,10 +227,11 @@ func (e *Envelope) Combine(o *Envelope) {
 
 func (e *Envelope) mergeObjects(o *Envelope) {
 	for name, obj := range o.Objects {
-		if mine, ok := e.Objects[name]; ok {
-			mine.MergeFrom(obj)
+		if _, ok := e.Objects[name]; ok {
+			e.own(name).MergeFrom(obj)
 		} else {
-			e.Objects[name] = obj.Clone()
+			obj.share()
+			e.Objects[name] = obj
 		}
 	}
 }
@@ -163,14 +243,9 @@ func (e *Envelope) RemoveAnnotation(id annotation.ID) {
 	if _, ok := e.Cover[id]; !ok {
 		return
 	}
+	e.write()
 	delete(e.Cover, id)
-	drop := func(x annotation.ID) bool { return x == id }
-	for name, obj := range e.Objects {
-		obj.Remove(drop)
-		if obj.Len() == 0 {
-			delete(e.Objects, name)
-		}
-	}
+	e.curate(map[annotation.ID]bool{id: true})
 }
 
 // RemoveInstance deletes the named instance's object and drops coverage
@@ -180,6 +255,7 @@ func (e *Envelope) RemoveInstance(name string) {
 	if _, ok := e.Objects[name]; !ok {
 		return
 	}
+	e.write()
 	delete(e.Objects, name)
 	e.PruneCover()
 }
@@ -187,6 +263,7 @@ func (e *Envelope) RemoveInstance(name string) {
 // PruneCover drops coverage entries for annotations that contribute to no
 // object.
 func (e *Envelope) PruneCover() {
+	e.write()
 	live := make(map[annotation.ID]bool)
 	for _, obj := range e.Objects {
 		for _, id := range obj.Members() {
@@ -209,7 +286,7 @@ func (e *Envelope) InstanceNames() []string {
 	for name := range e.Objects {
 		out = append(out, name)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -91,3 +91,13 @@ func behaviorText(i int) string {
 func diseaseText(i int) string {
 	return fmt.Sprintf("signs of avian influenza infection in specimen %d", i)
 }
+
+// elementLabels lists the labels of obj's zoomable elements in index order.
+func elementLabels(obj Object) []string {
+	els := obj.Elements()
+	out := make([]string, len(els))
+	for i, el := range els {
+		out[i] = el.Label
+	}
+	return out
+}

@@ -15,6 +15,7 @@ import (
 // retains the annotation id, document title, and extracted snippet; the
 // full document stays in the raw store and is fetched only by zoom-in.
 type snippetObject struct {
+	sharedFlag
 	inst    *Instance
 	entries map[annotation.ID]snippetEntry
 }
@@ -86,31 +87,26 @@ func (s *snippetObject) Members() []annotation.ID { return sortedIDs(mapKeys(s.e
 // Len implements Object.
 func (s *snippetObject) Len() int { return len(s.entries) }
 
-// Zoom implements Object: index is the 1-based snippet position in member
-// order; the result is that single document annotation (the paper's
-// "retrieves the complete Wikipedia article attached to r1").
-func (s *snippetObject) Zoom(index int) ([]annotation.ID, error) {
+// Elements implements Object: one element per snippet in member order,
+// labelled by the document title (the snippet when untitled) and resolving
+// to that single document annotation (the paper's "retrieves the complete
+// Wikipedia article attached to r1").
+func (s *snippetObject) Elements() []Element {
 	ids := s.Members()
-	if index < 1 || index > len(ids) {
-		return nil, fmt.Errorf("summary: snippet %q has no entry %d (1..%d)", s.inst.Name, index, len(ids))
-	}
-	return []annotation.ID{ids[index-1]}, nil
-}
-
-// ZoomLabels implements Object.
-func (s *snippetObject) ZoomLabels() []string {
-	ids := s.Members()
-	out := make([]string, len(ids))
+	out := make([]Element, len(ids))
 	for i, id := range ids {
 		e := s.entries[id]
 		label := e.Title
 		if label == "" {
 			label = e.Snippet
 		}
-		out[i] = label
+		out[i] = Element{Label: label, IDs: []annotation.ID{id}}
 	}
 	return out
 }
+
+// Zoom implements Object.
+func (s *snippetObject) Zoom(index int) ([]annotation.ID, error) { return zoom(s, index) }
 
 // Render implements Object.
 func (s *snippetObject) Render() string {
@@ -123,10 +119,10 @@ func (s *snippetObject) Render() string {
 		}
 		e := s.entries[id]
 		if e.Title != "" {
-			fmt.Fprintf(&b, "%q: %q", e.Title, e.Snippet)
-		} else {
-			fmt.Fprintf(&b, "%q", e.Snippet)
+			writeQuoted(&b, e.Title)
+			b.WriteString(": ")
 		}
+		writeQuoted(&b, e.Snippet)
 	}
 	b.WriteString("]")
 	return b.String()

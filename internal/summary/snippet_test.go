@@ -76,9 +76,9 @@ func TestSnippetZoom(t *testing.T) {
 	if _, err := obj.Zoom(3); err == nil {
 		t.Error("Zoom(3) succeeded")
 	}
-	labels := obj.ZoomLabels()
+	labels := elementLabels(obj)
 	if len(labels) != 2 || labels[0] != "Experiment E" {
-		t.Errorf("ZoomLabels = %v", labels)
+		t.Errorf("element labels = %v", labels)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestSnippetUntitledRender(t *testing.T) {
 	if !strings.Contains(r, "Untitled doc body") {
 		t.Errorf("Render = %q", r)
 	}
-	labels := obj.ZoomLabels()
+	labels := elementLabels(obj)
 	if len(labels) != 1 || labels[0] == "" {
-		t.Errorf("ZoomLabels = %v", labels)
+		t.Errorf("element labels = %v", labels)
 	}
 }

@@ -16,8 +16,8 @@
 // Objects support the extended-operator algebra of Section 2.1: Remove (the
 // projection curation that drops the effect of annotations attached only to
 // projected-out columns), MergeFrom (the join/group/distinct combination
-// with shared-annotation double-count avoidance), and Zoom (resolving a
-// summary element back to raw annotation ids for zoom-in queries).
+// with shared-annotation double-count avoidance), and Elements (resolving
+// the summary elements back to raw annotation ids for zoom-in queries).
 //
 // Design note: an Object stores, per member annotation, only a compact
 // digest — a class-label index, a pruned term vector and short preview, or
@@ -29,6 +29,10 @@ package summary
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
+	"sync/atomic"
+	"unicode/utf8"
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/textmining"
@@ -110,12 +114,14 @@ type Object interface {
 	Members() []annotation.ID
 	// Len returns the number of contributing annotations.
 	Len() int
-	// Zoom resolves the 1-based element index used by ZoomIn commands —
-	// a class label, cluster group, or snippet position — to the raw
-	// annotation ids behind it.
+	// Elements lists the zoomable elements — class labels, cluster groups,
+	// or snippet positions — in the 1-based index order ZoomIn commands
+	// use, each with its display label and its sorted annotation ids. The
+	// canonical order is computed once per call.
+	Elements() []Element
+	// Zoom resolves one 1-based element index to the raw annotation ids
+	// behind it: Elements()[index-1].IDs, or an error when out of range.
 	Zoom(index int) ([]annotation.ID, error)
-	// ZoomLabels names the zoomable elements in index order (for UIs).
-	ZoomLabels() []string
 	// Render formats the object in the paper's display style.
 	Render() string
 	// ApproxBytes estimates the object's in-memory size, the numerator of
@@ -124,4 +130,68 @@ type Object interface {
 	// Equal reports deep semantic equality with another object, used to
 	// verify the plan-equivalence theorems (E3).
 	Equal(other Object) bool
+
+	// share latches the object as referenced by more than one envelope;
+	// isShared reports it. A shared object is immutable: an envelope
+	// replaces it with its Clone before the first call that changes it.
+	share()
+	isShared() bool
+}
+
+// Element is one zoomable element of a summary object.
+type Element struct {
+	Label string
+	IDs   []annotation.ID
+}
+
+// zoom is the shared body of Object.Zoom.
+func zoom(o Object, index int) ([]annotation.ID, error) {
+	els := o.Elements()
+	if index < 1 || index > len(els) {
+		in := o.Instance()
+		return nil, fmt.Errorf("summary: %s %q has no element %d (1..%d)", in.Type, in.Name, index, len(els))
+	}
+	return els[index-1].IDs, nil
+}
+
+// sharedFlag is embedded in every object type, where it implements share
+// and isShared, and is an envelope's flag for its maps. Envelopes of
+// concurrent statements share objects and stored envelopes, hence atomic.
+type sharedFlag struct{ on atomic.Bool }
+
+func (f *sharedFlag) share() {
+	if !f.on.Load() {
+		f.on.Store(true)
+	}
+}
+
+func (f *sharedFlag) isShared() bool { return f.on.Load() }
+
+// writeQuoted appends strconv.Quote(s) — what %q prints — to b. Previews,
+// titles and snippets rarely hold anything Quote would escape, so the run
+// of printable characters other than `"` and `\` is copied as is and only
+// what follows it, if anything, goes through strconv.
+func writeQuoted(b *strings.Builder, s string) {
+	i := 0
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c < ' ' || c > '~' || c == '"' || c == '\\' {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if size == 1 || !strconv.IsPrint(r) { // invalid UTF-8, or escaped as \u
+			break
+		}
+		i += size
+	}
+	b.WriteByte('"')
+	b.WriteString(s[:i])
+	if i == len(s) {
+		b.WriteByte('"')
+		return
+	}
+	b.WriteString(strconv.Quote(s[i:])[1:])
 }

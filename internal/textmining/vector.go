@@ -1,6 +1,7 @@
 package textmining
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -25,11 +26,10 @@ func VectorOf(text string) Vector {
 
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	for k, w := range v {
-		out[k] = w
+	if v == nil {
+		return Vector{}
 	}
-	return out
+	return maps.Clone(v)
 }
 
 // Add accumulates u into v (v += u).

@@ -25,8 +25,8 @@ type CachedRow struct {
 	Tuple types.Tuple                  `json:"tuple"`
 	Zoom  map[string][][]annotation.ID `json:"zoom,omitempty"`
 	Label map[string][]string          `json:"label,omitempty"`
-	// Rendered carries the display form of each summary object for UIs
-	// re-presenting a cached result.
+	// Rendered carries the display form of each summary object; the wire
+	// response of the SELECT is filled from it and from Label.
 	Rendered map[string]string `json:"rendered,omitempty"`
 }
 
@@ -60,13 +60,11 @@ func BuildCachedResult(qid int, sqlText string, schema types.Schema,
 			cr.Rendered = map[string]string{}
 			for _, name := range row.Env.InstanceNames() {
 				obj := row.Env.Object(name)
-				labels := obj.ZoomLabels()
-				elems := make([][]annotation.ID, len(labels))
-				for i := range labels {
-					ids, err := obj.Zoom(i + 1)
-					if err == nil {
-						elems[i] = ids
-					}
+				els := obj.Elements()
+				labels := make([]string, len(els))
+				elems := make([][]annotation.ID, len(els))
+				for i, el := range els {
+					labels[i], elems[i] = el.Label, el.IDs
 				}
 				cr.Zoom[name] = elems
 				cr.Label[name] = labels

@@ -2,6 +2,7 @@ package zoomin
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -247,5 +248,72 @@ func TestCacheResetStats(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 0 || st.Misses != 0 || st.Entries != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestCachedElementsMatchObject: a merged and then curated result caches,
+// for every row and instance, one id list per label, none of them lost —
+// the lists partition the object's members (a class label no member
+// carries is the only list that may be empty).
+func TestCachedElementsMatchObject(t *testing.T) {
+	nb, err := textmining.NewNaiveBayes([]string{"refute", "approve", "unused"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb.Learn("value wrong invalid needs verification", "refute")
+	nb.Learn("confirmed verified looks correct", "approve")
+	cls, _ := summary.NewClassifierInstance("C", nb)
+	clu, _ := summary.NewClusterInstance("S", summary.DefaultSimThreshold)
+	snp, _ := summary.NewSnippetInstance("T", 2)
+	texts := []string{"value wrong invalid", "confirmed verified correct", "seen feeding at the lake shore", "wingspan measured in the field"}
+	build := func(first annotation.ID, n int) *summary.Envelope {
+		env := summary.NewEnvelope()
+		for k := 0; k < n; k++ {
+			a := annotation.Annotation{ID: first + annotation.ID(k), Text: texts[k%len(texts)]}
+			cols := annotation.Col(k % 3)
+			if k%5 == 0 {
+				a.Title, a.Document = fmt.Sprintf("Doc %d", a.ID), "Experiment results. More detail here."
+			}
+			for _, in := range []*summary.Instance{cls, clu, snp} {
+				env.Add(in, in.Summarize(a), cols)
+			}
+		}
+		return env
+	}
+	var rows []*exec.Row
+	for r := 0; r < 4; r++ {
+		env := build(annotation.ID(1+10*r), 12) // overlaps the next row's ids by two
+		env.Merge(build(annotation.ID(5+10*r), 9), 3)
+		env.Project([]int{0, 2, 4}) // curates: drops what covers only columns 1, 3, 5
+		rows = append(rows, &exec.Row{Tuple: types.Tuple{types.NewInt(int64(r))}, Env: env})
+	}
+	res := BuildCachedResult(7, "SELECT …", resultSchema(), rows, 1)
+	for r, cr := range res.Rows {
+		env := rows[r].Env
+		if len(cr.Zoom) != len(env.Objects) || len(cr.Label) != len(env.Objects) || len(cr.Rendered) != len(env.Objects) {
+			t.Fatalf("row %d: %d zoom, %d label, %d rendered entries for %d objects", r, len(cr.Zoom), len(cr.Label), len(cr.Rendered), len(env.Objects))
+		}
+		for name, obj := range env.Objects {
+			if len(cr.Label[name]) != len(cr.Zoom[name]) || len(cr.Label[name]) == 0 {
+				t.Errorf("row %d %s: %d labels, %d id lists", r, name, len(cr.Label[name]), len(cr.Zoom[name]))
+			}
+			var union []annotation.ID
+			for i, ids := range cr.Zoom[name] {
+				if len(ids) == 0 && !(obj.Instance().Type == summary.TypeClassifier && cr.Label[name][i] == "unused") {
+					t.Errorf("row %d %s: element %d (%s) has no annotations", r, name, i+1, cr.Label[name][i])
+				}
+				if !slices.IsSorted(ids) {
+					t.Errorf("row %d %s: element %d ids not sorted: %v", r, name, i+1, ids)
+				}
+				union = append(union, ids...)
+			}
+			slices.Sort(union)
+			if !slices.Equal(union, obj.Members()) {
+				t.Errorf("row %d %s: elements cover %v, members are %v", r, name, union, obj.Members())
+			}
+			if cr.Rendered[name] != obj.Render() {
+				t.Errorf("row %d %s: rendered %q, object renders %q", r, name, cr.Rendered[name], obj.Render())
+			}
+		}
 	}
 }
