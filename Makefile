@@ -25,7 +25,8 @@ bench:
 	$(GO) run ./benchmark
 
 # microbench runs every package-local Benchmark* (EXPERIMENTS.md E11-E18
-# name the ones they record).
+# name the ones they record; BenchmarkRecover builds a 32 000-annotation
+# data directory first, a few seconds).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
@@ -57,11 +58,13 @@ soak-repl:
 soak-scrub:
 	$(GO) test -run TestScrubSoak -count=1 -race -short -v ./internal/replication/
 
-# fuzz runs each storage fuzz target briefly — the page record round-trip,
-# the hostile-raw-page read paths, and the order-preserving key decoder.
-# A smoke; raise FUZZTIME locally for real exploration.
+# fuzz runs each fuzz target briefly — the page record round-trip, the
+# hostile-raw-page read paths, the order-preserving key decoder, and the
+# tokenizer's ASCII loop against its rune loop. A smoke; raise FUZZTIME
+# locally for real exploration.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzPageRawBytes -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/textmining/

@@ -243,7 +243,7 @@ func TestE4IncrementalMaintenance(t *testing.T) {
 // annotation attached to m tuples is summarized once; with the
 // optimization off, m times. Each annotation is attached through two
 // scopes (the lower and the upper half of the table), so the second scope
-// finds the first one's digest in the summarize-once cache.
+// reuses the digest computed for the first in the same maintenance batch.
 func TestE5SummarizeOnce(t *testing.T) {
 	const rounds = 10
 	for _, m := range []int{4, 16, 64} {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"insightnotes/internal/annotation"
@@ -43,8 +45,8 @@ type TargetSpec struct {
 // Annotate ingests one annotation: it resolves the matching tuples,
 // persists the raw annotation with one target per tuple, and incrementally
 // maintains the summary objects of every instance linked to the table —
-// using the summarize-once digest cache when the instance's invariant
-// properties allow it. It returns the annotation id and the number of
+// summarizing the annotation once for all its tuples when the instance's
+// invariant properties allow it. It returns the annotation id and the number of
 // tuples annotated.
 func (db *DB) Annotate(req AnnotationRequest) (annotation.ID, int, error) {
 	return db.AnnotateTargets(req.annotation(), []TargetSpec{{Table: req.Table, Columns: req.Columns, Where: req.Where}})
@@ -321,21 +323,40 @@ func (db *DB) linkInstance(instanceName, table string) error {
 		return err
 	}
 	// Backfill: summarize existing annotations under the new instance.
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, row := range db.anns.AnnotatedRows(tbl.Name()) {
-		for _, ref := range db.anns.ForTuple(tbl.Name(), row) {
-			a, err := db.anns.Get(ref.ID)
-			if err != nil {
-				return err
+	tasks, err := db.tableTasks(tbl.Name(), []*summary.Instance{in})
+	if err != nil {
+		return err
+	}
+	db.applyTasks(tasks)
+	return nil
+}
+
+// tableTasks builds the maintenance tasks that re-add the stored
+// annotations of table to its envelopes under instances: one task per
+// annotation in id order — the order incremental maintenance saw them —
+// with one target per annotated row.
+func (db *DB) tableTasks(table string, instances []*summary.Instance) ([]maintTask, error) {
+	var tasks []maintTask
+	byID := make(map[annotation.ID]int)
+	for _, row := range db.anns.AnnotatedRows(table) {
+		for _, ref := range db.anns.ForTuple(table, row) {
+			i, ok := byID[ref.ID]
+			if !ok {
+				a, err := db.anns.Get(ref.ID)
+				if err != nil {
+					return nil, err
+				}
+				i = len(tasks)
+				byID[ref.ID] = i
+				tasks = append(tasks, maintTask{ann: a})
 			}
-			d := db.digestFor(in, a)
-			db.envs.update(tbl.Name(), row, func(env *summary.Envelope) {
-				env.Add(in, d, ref.Columns)
+			tasks[i].targets = append(tasks[i].targets, maintTarget{
+				table: table, rows: []types.RowID{row}, cols: ref.Columns, instances: instances,
 			})
 		}
 	}
-	return nil
+	slices.SortFunc(tasks, func(a, b maintTask) int { return cmp.Compare(a.ann.ID, b.ann.ID) })
+	return tasks, nil
 }
 
 func (db *DB) unlinkInstance(instanceName, table string) error {
@@ -359,14 +380,18 @@ func (db *DB) unlinkInstance(instanceName, table string) error {
 }
 
 // RebuildSummaries recomputes every envelope of table from the raw
-// annotations, bypassing the digest cache — the full-recomputation
-// baseline that the incremental-maintenance benchmark (E4) compares
-// against. It returns the number of (annotation, tuple) summarization
-// steps performed.
+// annotations, summarizing each (annotation, tuple) pair afresh — the
+// full-recomputation baseline that the incremental-maintenance benchmark
+// (E4) compares against, and the one way to refresh classifier labels
+// after TRAIN. It is logged, so the refreshed labels survive a restart.
+// It returns the number of (annotation, tuple) summarization steps
+// performed.
 func (db *DB) RebuildSummaries(table string) (steps int, err error) {
 	err = db.commit(nil, func() error {
-		steps, err = db.rebuildSummaries(table)
-		return err
+		if steps, err = db.rebuildSummaries(table); err != nil {
+			return err
+		}
+		return db.logRecord(walTypeRebuild, walRebuild{Table: table})
 	})
 	return steps, err
 }
@@ -381,25 +406,17 @@ func (db *DB) rebuildSummaries(table string) (int, error) {
 		return 0, err
 	}
 	instances := db.cat.InstancesFor(tbl.Name())
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.envs.dropTable(tbl.Name())
-	steps := 0
-	for _, row := range db.anns.AnnotatedRows(tbl.Name()) {
-		for _, ref := range db.anns.ForTuple(tbl.Name(), row) {
-			a, err := db.anns.Get(ref.ID)
-			if err != nil {
-				return steps, err
-			}
-			for _, in := range instances {
-				d := in.Summarize(a)
-				db.envs.update(tbl.Name(), row, func(env *summary.Envelope) {
-					env.Add(in, d, ref.Columns)
-				})
-				steps++
-			}
-		}
+	tasks, err := db.tableTasks(tbl.Name(), instances)
+	if err != nil {
+		return 0, err
 	}
+	steps := 0
+	for i := range tasks {
+		tasks[i].full = true
+		steps += len(tasks[i].targets) * len(instances)
+	}
+	db.envs.dropTable(tbl.Name())
+	db.applyTasks(tasks)
 	return steps, nil
 }
 
@@ -435,10 +452,6 @@ func (db *DB) trainClassifier(instanceName string, samples [][2]string) error {
 			return err
 		}
 	}
-	// Trained model invalidates cached digests for this instance.
-	db.mu.Lock()
-	delete(db.digests, instanceName)
-	db.mu.Unlock()
 	if m := db.metrics; m != nil {
 		m.retrain.Add(int64(len(samples)))
 	}

@@ -117,11 +117,6 @@ func (db *DB) deleteRow(tbl *catalog.Table, row types.RowID) ([]annotation.ID, e
 		return nil, err
 	}
 	db.envs.deleteRow(tbl.Name(), row)
-	db.mu.Lock()
-	for _, id := range orphaned {
-		db.dropDigestsLocked(id)
-	}
-	db.mu.Unlock()
 	return orphaned, nil
 }
 
@@ -164,15 +159,5 @@ func (db *DB) dropAnnotation(id annotation.ID) error {
 			return env.IsEmpty()
 		})
 	}
-	db.mu.Lock()
-	db.dropDigestsLocked(id)
-	db.mu.Unlock()
 	return nil
-}
-
-// dropDigestsLocked evicts an annotation's cached digests. Requires db.mu.
-func (db *DB) dropDigestsLocked(id annotation.ID) {
-	for _, byAnn := range db.digests {
-		delete(byAnn, id)
-	}
 }

@@ -302,6 +302,7 @@ const (
 	walTypeAnnotate       = "annotate"
 	walTypeDropAnnotation = "drop_annotation"
 	walTypeTrain          = "train"
+	walTypeRebuild        = "rebuild"
 	// Retired: no longer written, still replayed — logs written before the
 	// ingest paths were folded, and primaries of that vintage streaming to
 	// this node as a replica, carry them. bulk_insert has the insert
@@ -361,6 +362,10 @@ type walAnnotate struct {
 
 type walDropAnnotation struct {
 	ID annotation.ID `json:"id"`
+}
+
+type walRebuild struct {
+	Table string `json:"table"`
 }
 
 type walTrain struct {
@@ -526,12 +531,7 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 		if r.Ann != nil {
 			r.Anns = append(r.Anns, *r.Ann)
 		}
-		for _, sa := range r.Anns {
-			if err := db.restoreAnnotation(sa); err != nil {
-				return err
-			}
-		}
-		return nil
+		return db.applyAnnotates(r.Anns)
 	case walTypeDropAnnotation:
 		r, err := walDecode[walDropAnnotation](rec)
 		if err != nil {
@@ -544,6 +544,13 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 			return err
 		}
 		return db.trainClassifier(r.Instance, r.Samples)
+	case walTypeRebuild:
+		r, err := walDecode[walRebuild](rec)
+		if err != nil {
+			return err
+		}
+		_, err = db.rebuildSummaries(r.Table)
+		return err
 	default:
 		return fmt.Errorf("engine: unknown wal record type %q", rec.Type)
 	}

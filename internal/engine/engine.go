@@ -73,8 +73,9 @@ type Config struct {
 	// (default exec.DefaultBatchSize). Per-statement WithBatchSize
 	// overrides it.
 	BatchSize int
-	// DisableSummarizeOnce turns off the invariant-driven digest cache,
-	// for the E5 ablation.
+	// DisableSummarizeOnce turns off the invariant-driven summarize-once
+	// optimization (one digest per annotation for all its tuples), for the
+	// E5 ablation.
 	DisableSummarizeOnce bool
 	// DisableMetrics turns off the metrics registry entirely: no counters
 	// are registered and every observation path is a no-op. For overhead
@@ -136,19 +137,16 @@ type DB struct {
 	// stmtMu is the statement-level reader/writer lock described above.
 	stmtMu sync.RWMutex
 
-	// mu guards the digest cache, the instance models it feeds, and the
-	// QID→SQL map. The summary envelopes themselves live in envs, under
-	// N-way striped locks; writers that need both take mu before any
-	// stripe lock.
+	// mu serializes summary maintenance (applyTasks) and guards the store
+	// pointers a replica resync replaces. The summary envelopes themselves
+	// live in envs, under N-way striped locks; writers that need both take
+	// mu before any stripe lock.
 	mu sync.RWMutex
 	// envs is the striped summary store: the maintained per-tuple summary
 	// objects of every annotated tuple (table → row → envelope), sharded
 	// by (table, row) so parallel scan workers don't serialize on one
 	// RWMutex.
 	envs *envStore
-	// digests caches per-annotation summarization results for instances
-	// whose properties allow summarize-once (instance → annotation → digest).
-	digests map[string]map[annotation.ID]summary.Digest
 
 	// cache materializes SELECT results for zoom-in and keeps the QID → SQL
 	// registry for re-execution on a miss. ownsCacheDir: Open created its
@@ -271,7 +269,6 @@ func Open(cfg Config) (*DB, error) {
 		cat:      catalog.New(pool),
 		anns:     annotation.NewStore(pool),
 		envs:     newEnvStore(pool),
-		digests:  make(map[string]map[annotation.ID]summary.Digest),
 		cache:    cache,
 		prepared: make(map[string]*preparedStmt),
 		start:    time.Now(),
@@ -340,33 +337,6 @@ func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 // mutating the live envelope mid-read.
 func (db *DB) EnvelopeFor(table string, row types.RowID) *summary.Envelope {
 	return db.envs.view(table, row)
-}
-
-// digestFor computes (or returns the cached) digest of annotation a under
-// instance in — the summarize-once optimization of §2.3: when both
-// invariant properties hold, an annotation attached to many tuples is
-// summarized exactly once. Callers must hold db.mu.
-func (db *DB) digestFor(in *summary.Instance, a annotation.Annotation) summary.Digest {
-	if db.cfg.DisableSummarizeOnce || !in.Props.SummarizeOnce() {
-		return in.Summarize(a)
-	}
-	byAnn, ok := db.digests[in.Name]
-	if !ok {
-		byAnn = make(map[annotation.ID]summary.Digest)
-		db.digests[in.Name] = byAnn
-	}
-	if d, ok := byAnn[a.ID]; ok {
-		if m := db.metrics; m != nil {
-			m.digestHits.Inc()
-		}
-		return d
-	}
-	if m := db.metrics; m != nil {
-		m.digestMisses.Inc()
-	}
-	d := in.Summarize(a)
-	byAnn[a.ID] = d
-	return d
 }
 
 // SummaryBytes reports the total approximate size of the summary store for

@@ -49,9 +49,8 @@ const envStripes = 32
 // held view never changes. A never-viewed envelope is written in place
 // at no extra cost. The heap and
 // the B+tree have their own internal locks and are only called from under
-// a stripe lock (leaf order, no cycles). Writers that also need the digest
-// cache or instance models take db.mu first; the ordering is always
-// db.mu → stripe, never the reverse.
+// a stripe lock (leaf order, no cycles). Maintenance (applyTasks) takes
+// db.mu first; the ordering is always db.mu → stripe, never the reverse.
 type envStore struct {
 	heap    *storage.HeapFile
 	instIdx *storage.BTree
@@ -197,6 +196,19 @@ func (s *envStore) view(table string, row types.RowID) *summary.Envelope {
 		return nil
 	}
 	return env.View()
+}
+
+// read calls fn with the stored envelope of a tuple, when it has one,
+// under the stripe read lock. fn must neither keep nor change it; unlike
+// view, read does not mark the envelope lent, so the next write to it
+// need not copy it first.
+func (s *envStore) read(table string, row types.RowID, fn func(env *summary.Envelope)) {
+	st := s.stripeFor(table, row)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if env := st.m[table][row]; env != nil {
+		fn(env)
+	}
 }
 
 // update applies fn to the stored envelope of a tuple, creating an empty

@@ -107,6 +107,21 @@ func TestLoadCorruptSnapshotTable(t *testing.T) {
 				"annotations": [{"id": 1, "text": "x", "targets": [{"table": "t", "row": 99, "cols": 1}]}]}`,
 			wantSub: "missing row",
 		},
+		{
+			name:    "label index outside the classifier's labels",
+			input:   labeledSnapshot(`"labels": {"c": 5}`, ``),
+			wantSub: "label index 5 outside the 2 labels",
+		},
+		{
+			name:    "per-target label outside the classifier's labels",
+			input:   labeledSnapshot(`"labels": {"c": 0}`, `, "labels": {"c": -1}`),
+			wantSub: "label index -1 outside",
+		},
+		{
+			name:    "label recorded for a snippet instance",
+			input:   labeledSnapshot(`"labels": {"s": 0}`, ``),
+			wantSub: "label recorded for Snippet instance",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,4 +139,17 @@ func TestLoadCorruptSnapshotTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// labeledSnapshot is a one-row snapshot with a two-label classifier c and
+// a snippet instance s linked to t, and one annotation carrying ann (its
+// annotation-level fields) and target (appended to its one target).
+func labeledSnapshot(ann, target string) string {
+	return `{"version": 1, "tables": [{"name": "t", "columns": [{"name": "a", "kind": 1}],
+		"rows": [{"id": 1, "values": [{"int": 1}]}]}],
+		"instances": [
+			{"name": "c", "type": "Classifier", "model": {"labels": ["x", "y"], "doc_count": [0, 0], "term_count": [0, 0], "terms": [{}, {}]}},
+			{"name": "s", "type": "Snippet", "snippet_sentences": 2}],
+		"links": [{"instance": "c", "table": "t"}, {"instance": "s", "table": "t"}],
+		"annotations": [{"id": 1, "text": "x", "targets": [{"table": "t", "row": 1, "cols": 1` + target + `}], ` + ann + `}]}`
 }

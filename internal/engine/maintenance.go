@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"insightnotes/internal/annotation"
@@ -24,9 +26,9 @@ import (
 // envelopes instead of queueing behind maintenance.
 //
 // Deferred tasks carry fully resolved targets and the instance set captured
-// at ingest time, and the worker shares the summarize-once digest cache
-// with the synchronous path, so catch-up converges to exactly the state
-// synchronous maintenance would have produced. The state machine per
+// at ingest time, and the worker applies them through the same routine as
+// the synchronous path (applyTasks), so catch-up converges to exactly the
+// state synchronous maintenance would have produced. The state machine per
 // summary is fresh → stale (tasks queued) → catching-up (worker draining)
 // → fresh (queue empty).
 //
@@ -44,23 +46,193 @@ const (
 	maintEWMAAlpha = 0.2
 )
 
-// maintTarget is one resolved attachment scope of a deferred task: the
-// rows and columns of one table, plus the summary instances linked to the
-// table when the annotation committed. Instances are captured at enqueue
-// time so later LINK/UNLINK changes do not rewrite history: catch-up
-// applies exactly what synchronous maintenance would have.
+// maintTarget is one resolved attachment scope of a task: the rows and
+// columns of one table, plus the summary instances linked to the table
+// when the annotation committed. Instances are captured at ingest time so
+// later LINK/UNLINK changes do not rewrite history: catch-up applies
+// exactly what synchronous maintenance would have.
 type maintTarget struct {
 	table     string
 	rows      []types.RowID
 	cols      annotation.ColSet
 	instances []*summary.Instance
+	// labels are classifier label indexes by instance name, recorded by
+	// the checkpoint this target was restored from: those instances keep
+	// the label the annotation got when it was ingested instead of being
+	// classified again under a model trained since.
+	labels map[string]int
 }
 
-// maintTask is one deferred unit of summary maintenance: one ingested
-// annotation (id and timestamp already assigned) and its resolved targets.
+// maintTask is one unit of summary maintenance: one annotation (id and
+// timestamp already assigned) and its resolved targets.
 type maintTask struct {
 	ann     annotation.Annotation
 	targets []maintTarget
+	// full summarizes once per target row even where summarize-once
+	// holds: RebuildSummaries' full-recomputation baseline.
+	full bool
+}
+
+// maintChunk is the number of digests, or of envelope rows, a maintenance
+// worker claims at a time, and the smallest share of a batch worth a
+// goroutine of its own.
+const maintChunk = 64
+
+// applyTasks is the one summary-maintenance routine: ingest, the catch-up
+// worker, LINK backfill, RebuildSummaries, snapshot restore and WAL replay
+// all apply their annotations through it, so each produces the envelopes
+// the others would. It works on a batch in two phases.
+//
+// Digests: one Summarize per (annotation, instance) where summarize-once
+// holds (§2.3) — the digest then serves every target of the annotation —
+// and one per (annotation, instance, row) otherwise. A restored classifier
+// label replaces its Summarize.
+//
+// Envelopes: the digests are grouped by (table, row), in task order within
+// each row — cluster grouping depends on insertion order — and each touched
+// row gets one envs.update: one reindex, one encode and one heap write per
+// batch, however many of its annotations the batch carries.
+//
+// Digests are independent of each other, and so are rows, so each phase
+// is spread over up to GOMAXPROCS workers, one per maintChunk of its work
+// (forChunks); a small batch — every single ADD ANNOTATION — runs inline.
+//
+// db.mu serializes maintenance; each envelope write additionally takes its
+// stripe lock, so concurrent scans block only on the one stripe being
+// updated.
+func (db *DB) applyTasks(tasks []maintTask) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+
+	// job i computes out[i]; a nil instance marks a digest known already.
+	type job struct {
+		in  *summary.Instance
+		ann *annotation.Annotation
+	}
+	type add struct {
+		in   *summary.Instance
+		cols annotation.ColSet
+		d    int // index into out
+	}
+	type rowKey struct {
+		table string
+		row   types.RowID
+	}
+	n := 0 // digests in the common case: one per target and instance
+	for _, t := range tasks {
+		for _, tg := range t.targets {
+			n += len(tg.instances)
+		}
+	}
+	var (
+		jobs   = make([]job, 0, n)
+		out    = make([]summary.Digest, 0, n)
+		byRow  = make(map[rowKey]int)
+		keys   []rowKey
+		adds   [][]add
+		hits   int64
+		misses int64
+	)
+	push := func(in *summary.Instance, ann *annotation.Annotation, d summary.Digest) int {
+		jobs = append(jobs, job{in: in, ann: ann})
+		out = append(out, d)
+		return len(out) - 1
+	}
+	addTo := func(table string, row types.RowID, a add) {
+		k := rowKey{table, row}
+		i, ok := byRow[k]
+		if !ok {
+			i = len(keys)
+			byRow[k] = i
+			keys = append(keys, k)
+			adds = append(adds, nil)
+		}
+		adds[i] = append(adds[i], a)
+	}
+	once := make(map[*summary.Instance]int) // digest of the current task per instance
+	for ti := range tasks {
+		t := &tasks[ti]
+		clear(once)
+		for _, tg := range t.targets {
+			for _, in := range tg.instances {
+				if l, ok := tg.labels[in.Name]; ok {
+					d := push(nil, nil, summary.Digest{Ann: t.ann.ID, LabelIndex: l})
+					for _, row := range tg.rows {
+						addTo(tg.table, row, add{in, tg.cols, d})
+					}
+					continue
+				}
+				if t.full || db.cfg.DisableSummarizeOnce || !in.Props.SummarizeOnce() {
+					// Without the invariant guarantee (or under the E5
+					// ablation, or in a full rebuild) the annotation is
+					// summarized per target tuple.
+					for _, row := range tg.rows {
+						addTo(tg.table, row, add{in, tg.cols, push(in, &t.ann, summary.Digest{})})
+					}
+					continue
+				}
+				d, ok := once[in]
+				if ok {
+					hits++
+				} else {
+					d = push(in, &t.ann, summary.Digest{})
+					once[in] = d
+					misses++
+				}
+				for _, row := range tg.rows {
+					addTo(tg.table, row, add{in, tg.cols, d})
+				}
+			}
+		}
+	}
+	if m := db.metrics; m != nil {
+		m.digestHits.Add(hits)
+		m.digestMisses.Add(misses)
+	}
+
+	forChunks(len(jobs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if j := jobs[i]; j.in != nil {
+				out[i] = j.in.Summarize(*j.ann)
+			}
+		}
+	})
+	forChunks(len(keys), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			db.envs.update(keys[i].table, keys[i].row, func(env *summary.Envelope) {
+				for _, a := range adds[i] {
+					env.Add(a.in, out[a.d], a.cols)
+				}
+			})
+		}
+	})
+}
+
+// forChunks calls fn over [0, n) in chunks of maintChunk, from up to
+// GOMAXPROCS goroutines that claim chunks as they go — or inline when
+// there is at most one chunk's work.
+func forChunks(n int, fn func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), (n+maintChunk-1)/maintChunk)
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(maintChunk)) - maintChunk
+				if lo >= n {
+					return
+				}
+				fn(lo, min(lo+maintChunk, n))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // maintenance owns the degraded-mode state: the bounded task queue, the
@@ -153,42 +325,8 @@ func (db *DB) maintain(tasks []maintTask) {
 		return
 	}
 	start := time.Now()
-	for _, t := range tasks {
-		db.applyMaintenanceTask(t)
-	}
+	db.applyTasks(tasks)
 	db.maint.observeSync(time.Since(start) / time.Duration(len(tasks)))
-}
-
-// applyMaintenanceTask updates every captured instance's summary objects
-// for one annotation — the single maintenance routine shared by the
-// synchronous path and the catch-up worker, so both produce identical
-// envelopes (digest cache included). db.mu serializes summarization and
-// the digest cache; each envelope write additionally takes its stripe
-// lock, so concurrent scans block only on the one stripe being updated.
-func (db *DB) applyMaintenanceTask(t maintTask) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, tg := range t.targets {
-		for _, in := range tg.instances {
-			if db.cfg.DisableSummarizeOnce || !in.Props.SummarizeOnce() {
-				// Without the invariant guarantee (or under the E5
-				// ablation) the annotation is summarized per target tuple.
-				for _, row := range tg.rows {
-					d := in.Summarize(t.ann)
-					db.envs.update(tg.table, row, func(env *summary.Envelope) {
-						env.Add(in, d, tg.cols)
-					})
-				}
-				continue
-			}
-			d := db.digestFor(in, t.ann)
-			for _, row := range tg.rows {
-				db.envs.update(tg.table, row, func(env *summary.Envelope) {
-					env.Add(in, d, tg.cols)
-				})
-			}
-		}
-	}
 }
 
 // deferTasks queues one ingest's tasks when degraded mode (or the ordering
@@ -277,7 +415,7 @@ func (m *maintenance) worker() {
 			m.mu.Unlock()
 			return
 		}
-		m.db.applyMaintenanceTask(t)
+		m.db.applyTasks([]maintTask{t})
 
 		m.mu.Lock()
 		m.applying = false

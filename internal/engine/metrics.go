@@ -81,11 +81,11 @@ func newDBMetrics(db *DB) *dbMetrics {
 		opCurates: reg.CounterVec(metrics.NameExecOpCuratesTotal,
 			"Envelope curation (coverage remap) operations, by operator type.", "op"),
 		digestHits: reg.Counter(metrics.NameSummaryDigestHitsTotal,
-			"Summarize-once digest cache hits (summarization skipped)."),
+			"Summarize-once digest reuses: a further target of an annotation served without summarizing it again."),
 		digestMisses: reg.Counter(metrics.NameSummaryDigestMissesTotal,
-			"Summarize-once digest cache misses (summarization performed)."),
+			"Summarize-once digests computed: one per annotation and instance in a maintenance batch."),
 		retrain: reg.Counter(metrics.NameSummaryRetrainTotal,
-			"Classifier training samples ingested (each invalidates cached digests)."),
+			"Classifier training samples ingested."),
 		zoomRequests: reg.Counter(metrics.NameZoominRequestsTotal,
 			"Zoom-in requests (SQL and programmatic)."),
 		zoomCancelled: reg.Counter(metrics.NameZoominCancelledTotal,
@@ -139,17 +139,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 		func() float64 { return float64(db.envStore().count()) })
 	reg.GaugeFunc(metrics.NameEngineSummaryBytes, "Approximate bytes of the summary store (all tables).",
 		func() float64 { return float64(db.envStore().totalBytes()) })
-	reg.GaugeFunc(metrics.NameEngineDigestEntries, "Cached summarize-once digests.",
-		func() float64 {
-			db.mu.RLock()
-			defer db.mu.RUnlock()
-			n := 0
-			for _, byAnn := range db.digests {
-				n += len(byAnn)
-			}
-			return float64(n)
-		})
-
 	// Summarize calls, summed over all registered instances at scrape time.
 	reg.CounterFunc(metrics.NameSummarySummarizeTotal, "Summarize invocations across all summary instances.",
 		func() float64 {

@@ -192,17 +192,23 @@ func TestZoomInCacheCountersExposed(t *testing.T) {
 
 func TestDigestCacheCounters(t *testing.T) {
 	db := birdDB(t)
-	// The ADD computes each summarize-once digest exactly once (misses).
+	// The ADD computes each summarize-once digest exactly once (misses):
+	// one per linked instance, shared by both matched tuples of its one
+	// target.
 	mustExec(t, db, "ADD ANNOTATION 'observed feeding at dawn' ON birds WHERE id < 3")
-	if misses := metricValue(t, db, "insightnotes_summary_digest_misses_total"); misses == 0 {
-		t.Error("expected digest misses from first summarization")
+	if misses := metricValue(t, db, "insightnotes_summary_digest_misses_total"); misses != 3 {
+		t.Errorf("digest misses = %v, want 3", misses)
 	}
-	// Re-linking backfills from raw annotations; the cached digest is
-	// reused once per (annotation, tuple) pair — two hits here.
+	// Re-linking backfills from the raw annotations as one batch with a
+	// target per tuple: the annotation is summarized once more and its
+	// digest is reused once, for the second tuple.
 	mustExec(t, db, "UNLINK SUMMARY ClassBird1 FROM birds")
 	mustExec(t, db, "LINK SUMMARY ClassBird1 TO birds")
-	if hits := metricValue(t, db, "insightnotes_summary_digest_hits_total"); hits != 2 {
-		t.Errorf("digest hits = %v, want 2", hits)
+	if misses := metricValue(t, db, "insightnotes_summary_digest_misses_total"); misses != 4 {
+		t.Errorf("digest misses = %v, want 4", misses)
+	}
+	if hits := metricValue(t, db, "insightnotes_summary_digest_hits_total"); hits != 1 {
+		t.Errorf("digest hits = %v, want 1", hits)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
 
@@ -18,9 +19,12 @@ import (
 // Snapshot format: one JSON document holding the complete logical state —
 // schemas, rows, indexes, summary instances (with trained models), links,
 // and raw annotations with their targets. Summary objects are NOT stored:
-// they are deterministically rebuilt from the raw annotations on load
-// (per-tuple annotations replay in id order, the same order incremental
-// maintenance observed them).
+// they are deterministically rebuilt from the raw annotations on load, as
+// one maintenance batch (applyTasks) in which each tuple sees its
+// annotations in id order, the same order incremental maintenance observed
+// them. The one thing a rebuild cannot recompute is a classifier label
+// given under a model trained since, so each annotation carries the label
+// index it holds per classifier instance.
 //
 // For durability (see durability.go) the snapshot additionally records
 // the WAL LSN it includes, so recovery can skip already-captured log
@@ -79,12 +83,21 @@ type snapshotAnnotate struct {
 	Title    string           `json:"title,omitempty"`
 	Document string           `json:"document,omitempty"`
 	Targets  []snapshotTarget `json:"targets"`
+	// Labels maps classifier instance name to the label index the
+	// annotation holds in its envelopes (snapshots only: a WAL record is
+	// replayed under the model it was logged under). Absent in older
+	// snapshots, whose annotations are classified again on load.
+	Labels map[string]int `json:"labels,omitempty"`
 }
 
 type snapshotTarget struct {
 	Table string            `json:"table"`
 	Row   types.RowID       `json:"row"`
 	Cols  annotation.ColSet `json:"cols"`
+	// Labels overrides the annotation's Labels for this target: an
+	// instance linked to this table after a retraining classified the
+	// annotation here under the newer model.
+	Labels map[string]int `json:"labels,omitempty"`
 }
 
 // Save writes the complete database state to w. It runs under the shared
@@ -150,7 +163,9 @@ func (db *DB) writeSnapshot(w io.Writer, lsn uint64) error {
 				if err != nil {
 					return err
 				}
-				snap.Annotations = append(snap.Annotations, newSnapshotAnnotate(a, db.anns.TargetsOf(ref.ID)))
+				sa := newSnapshotAnnotate(a, db.anns.TargetsOf(ref.ID))
+				db.recordLabels(&sa)
+				snap.Annotations = append(snap.Annotations, sa)
 			}
 		}
 	}
@@ -171,6 +186,33 @@ func newSnapshotAnnotate(a annotation.Annotation, targets []annotation.Target) s
 		sa.Targets[i] = snapshotTarget{Table: tg.Table, Row: tg.Row, Cols: tg.Columns}
 	}
 	return sa
+}
+
+// recordLabels fills sa's label indexes from the classifier objects of its
+// targets' envelopes. Callers hold the statement lock.
+func (db *DB) recordLabels(sa *snapshotAnnotate) {
+	for j := range sa.Targets {
+		tg := &sa.Targets[j]
+		db.envs.read(tg.Table, tg.Row, func(env *summary.Envelope) {
+			for name := range env.Objects {
+				l, ok := env.Label(name, sa.ID)
+				if !ok {
+					continue
+				}
+				if cur, seen := sa.Labels[name]; !seen {
+					if sa.Labels == nil {
+						sa.Labels = make(map[string]int)
+					}
+					sa.Labels[name] = l
+				} else if cur != l {
+					if tg.Labels == nil {
+						tg.Labels = make(map[string]int)
+					}
+					tg.Labels[name] = l
+				}
+			}
+		})
+	}
 }
 
 // snapshotToFile writes a snapshot atomically: temp file, flush, fsync,
@@ -299,8 +341,9 @@ func (db *DB) applySnapshot(snap *snapshot) error {
 			return corruptf("link %s -> %s: %v", l.Instance, l.Table, err)
 		}
 	}
-	// Restore raw annotations, then replay them through maintenance in id
-	// order (the order the original incremental maintenance saw them).
+	// Restore raw annotations in id order (the order the original
+	// incremental maintenance saw them), then rebuild their summaries as
+	// one maintenance batch.
 	for _, sa := range snap.Annotations {
 		if sa.ID <= 0 {
 			return corruptf("annotation with invalid id %d", sa.ID)
@@ -317,9 +360,9 @@ func (db *DB) applySnapshot(snap *snapshot) error {
 				return corruptf("annotation %d targets missing row %d of %q", sa.ID, tg.Row, tg.Table)
 			}
 		}
-		if err := db.restoreAnnotation(sa); err != nil {
-			return corruptf("annotation %d: %v", sa.ID, err)
-		}
+	}
+	if err := db.applyAnnotates(snap.Annotations); err != nil {
+		return corruptf("%v", err)
 	}
 	db.anns.EnsureNextID(snap.NextAnnotationID)
 	if snap.AnnClock > db.annClock.Load() {
@@ -329,33 +372,70 @@ func (db *DB) applySnapshot(snap *snapshot) error {
 	return nil
 }
 
-// restoreAnnotation re-adds one annotation under its original id and
-// replays it through incremental maintenance — shared by snapshot Load
-// and WAL replay.
-func (db *DB) restoreAnnotation(sa snapshotAnnotate) error {
-	a := annotation.Annotation{
-		ID: sa.ID, Author: sa.Author, Created: sa.Created,
-		Text: sa.Text, Title: sa.Title, Document: sa.Document,
-	}
-	targets := make([]annotation.Target, len(sa.Targets))
-	for i, tg := range sa.Targets {
-		targets[i] = annotation.Target{Table: tg.Table, Row: tg.Row, Columns: tg.Cols}
-	}
-	if err := db.anns.Restore(a, targets); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	for _, tg := range targets {
-		for _, in := range db.cat.InstancesFor(tg.Table) {
-			d := db.digestFor(in, a)
-			db.envs.update(tg.Table, tg.Row, func(env *summary.Envelope) {
-				env.Add(in, d, tg.Columns)
-			})
+// applyAnnotates re-adds persisted annotations under their original ids
+// and maintains their summaries as one batch — snapshot load restores all
+// of its annotations at once, WAL replay one annotate record at a time, so
+// a batch never spans a retraining. A recorded classifier label is kept
+// rather than classified again.
+func (db *DB) applyAnnotates(sas []snapshotAnnotate) error {
+	tasks := make([]maintTask, len(sas))
+	linked := make(map[string][]*summary.Instance)
+	for i, sa := range sas {
+		a := annotation.Annotation{
+			ID: sa.ID, Author: sa.Author, Created: sa.Created,
+			Text: sa.Text, Title: sa.Title, Document: sa.Document,
+		}
+		targets := make([]annotation.Target, len(sa.Targets))
+		tasks[i] = maintTask{ann: a, targets: make([]maintTarget, len(sa.Targets))}
+		for j, tg := range sa.Targets {
+			targets[j] = annotation.Target{Table: tg.Table, Row: tg.Row, Columns: tg.Cols}
+			instances, ok := linked[tg.Table]
+			if !ok {
+				instances = db.cat.InstancesFor(tg.Table)
+				linked[tg.Table] = instances
+			}
+			labels := sa.Labels
+			if tg.Labels != nil {
+				labels = maps.Clone(sa.Labels)
+				if labels == nil {
+					labels = make(map[string]int)
+				}
+				maps.Copy(labels, tg.Labels)
+			}
+			if err := checkLabels(instances, labels); err != nil {
+				return fmt.Errorf("annotation %d: %w", sa.ID, err)
+			}
+			tasks[i].targets[j] = maintTarget{
+				table: tg.Table, rows: []types.RowID{tg.Row}, cols: tg.Cols,
+				instances: instances, labels: labels,
+			}
+		}
+		if err := db.anns.Restore(a, targets); err != nil {
+			return fmt.Errorf("annotation %d: %w", sa.ID, err)
+		}
+		if a.Created > db.annClock.Load() {
+			db.annClock.Store(a.Created)
 		}
 	}
-	db.mu.Unlock()
-	if a.Created > db.annClock.Load() {
-		db.annClock.Store(a.Created)
+	db.applyTasks(tasks)
+	return nil
+}
+
+// checkLabels rejects a recorded label that names a linked instance which
+// is not a classifier, or an index outside its label set. Labels of
+// instances not linked to the target's table are never read.
+func checkLabels(instances []*summary.Instance, labels map[string]int) error {
+	for _, in := range instances {
+		l, ok := labels[in.Name]
+		if !ok {
+			continue
+		}
+		if in.Type != summary.TypeClassifier {
+			return fmt.Errorf("label recorded for %s instance %q", in.Type, in.Name)
+		}
+		if n := len(in.Classifier.Labels()); l < 0 || l >= n {
+			return fmt.Errorf("label index %d outside the %d labels of %q", l, n, in.Name)
+		}
 	}
 	return nil
 }

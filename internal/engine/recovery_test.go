@@ -1,0 +1,94 @@
+package engine
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// An annotation keeps the classifier label it was given at ingest: TRAIN
+// refines only later summarization, and only RebuildSummaries refreshes
+// existing summary objects. A checkpoint therefore records each
+// annotation's label, and recovery from it restores that label instead of
+// classifying the annotation again under the retrained model. A snapshot
+// without labels (written before they were recorded) is classified again.
+func TestRecoveryKeepsPreTrainLabels(t *testing.T) {
+	const text = "seen feeding near the lake"
+	dir := t.TempDir()
+	db, _ := openDurable(t, dir)
+	for _, stmt := range []string{
+		"CREATE TABLE birds (id INT, name TEXT)",
+		"INSERT INTO birds VALUES (1, 'Swan Goose')",
+		"CREATE SUMMARY INSTANCE Cls TYPE Classifier LABELS ('Behavior', 'Disease')",
+		"TRAIN SUMMARY Cls ('feeding at dawn', 'Behavior'), ('lesions from avian pox', 'Disease')",
+		"LINK SUMMARY Cls TO birds",
+		"ADD ANNOTATION '" + text + "' ON birds WHERE id = 1",
+		"TRAIN SUMMARY Cls ('seen near the lake', 'Disease'), ('seen near the lake', 'Disease'), ('near the lake', 'Disease')",
+		"CHECKPOINT",
+	} {
+		mustExec(t, db, stmt)
+	}
+	const pre, post = "Cls [(Behavior, 1), (Disease, 0)]", "Cls [(Behavior, 0), (Disease, 1)]"
+	if got := db.StoredEnvelope("birds", 1).Render(); got != pre {
+		t.Fatalf("live object %s, want %s", got, pre)
+	}
+	in, err := db.Catalog().Instance("Cls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if label, _ := in.Classifier.Classify(text); label != "Disease" {
+		t.Fatalf("the retrained model classifies %q as %s; the test needs a label change", text, label)
+	}
+	db.Close()
+
+	back, _ := openDurable(t, dir)
+	if got := back.StoredEnvelope("birds", 1).Render(); got != pre {
+		t.Errorf("recovered object %s, want the live %s", got, pre)
+	}
+	back.Close()
+
+	// Strip the labels: the snapshot a build without them would have written.
+	path := filepath.Join(dir, snapshotFileName)
+	labeled, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(labeled, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Annotations {
+		if snap.Annotations[i].Labels == nil {
+			t.Fatalf("annotation %d carries no labels", snap.Annotations[i].ID)
+		}
+		snap.Annotations[i].Labels = nil
+	}
+	stripped, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, stripped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := openDurable(t, dir)
+	if got := old.StoredEnvelope("birds", 1).Render(); got != post {
+		t.Errorf("recovered from a label-less snapshot: %s, want %s", got, post)
+	}
+	old.Close()
+
+	// RebuildSummaries is what refreshes labels, and it is logged: the
+	// refreshed label outlives a restart from the labeled snapshot.
+	if err := os.WriteFile(path, labeled, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, _ = openDurable(t, dir)
+	if _, err := db.RebuildSummaries("birds"); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	again, _ := openDurable(t, dir)
+	if got := again.StoredEnvelope("birds", 1).Render(); got != post {
+		t.Errorf("recovered after RebuildSummaries: %s, want %s", got, post)
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/catalog"
 	"insightnotes/internal/failpoint"
-	"insightnotes/internal/summary"
 	"insightnotes/internal/wal"
 )
 
@@ -152,7 +151,7 @@ func (db *DB) InstallReplicaSnapshot(raw []byte) (uint64, error) {
 }
 
 // clearStateLocked discards the full logical state — catalog, annotation
-// and summary stores, digest cache, registered queries, materialized
+// and summary stores, registered queries, materialized
 // zoom-in results — leaving a blank database on the same buffer pool and
 // registries, ready for applySnapshot. Old heap pages are orphaned in
 // the page store until the next restart rebuilds it (the page file is an
@@ -164,7 +163,6 @@ func (db *DB) clearStateLocked() {
 	db.cat = catalog.New(db.pool)
 	db.anns = annotation.NewStore(db.pool)
 	db.envs = newEnvStore(db.pool)
-	db.digests = make(map[string]map[annotation.ID]summary.Digest)
 	db.mu.Unlock()
 	db.annClock.Store(0)
 	db.cache.Clear()

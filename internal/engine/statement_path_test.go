@@ -38,7 +38,7 @@ func TestInsertAtomicAgainstWAL(t *testing.T) {
 }
 
 // annotationStream is a fixed stream with whole-row and column-scoped
-// attachments, repeating texts so the digest cache is hit.
+// attachments, repeating texts.
 func annotationStream() []AnnotationRequest {
 	var reqs []AnnotationRequest
 	for i := 0; i < 12; i++ {

@@ -149,6 +149,23 @@ func (db *DB) Eighth() error {
 	expect(t, bad.CallsOutside(engine, "wal.Sync", "syncWAL"), "Eighth calls wal.Sync")
 }
 
+// Summary maintenance is one routine, applyTasks: ingest, the catch-up
+// worker, LINK backfill, RebuildSummaries, snapshot restore and WAL replay
+// all reach Instance.Summarize through it, so summarize-once is decided
+// in one place and every path builds the envelopes the others would. A
+// second caller — a per-annotation loop beside the batch one — fails here.
+func TestSummarizeHasOneCaller(t *testing.T) {
+	const engine = "internal/engine/"
+	s := tree(t)
+	expect(t, s.CallsOutside(engine, "Summarize", "applyTasks"))
+
+	bad := tree(t, engine+"x.go", `package engine
+func (db *DB) backfill(in *summary.Instance, a annotation.Annotation) {
+	db.envs.update("t", 1, func(env *summary.Envelope) { env.Add(in, in.Summarize(a), 1) })
+}`)
+	expect(t, bad.CallsOutside(engine, "Summarize", "applyTasks"), "backfill calls Summarize")
+}
+
 // The zoom-in cache keeps every result in one spill file that is opened
 // once: a statement's Put and Get are a positional write and read on that
 // handle. Creating, reading whole or removing a file belongs to the

@@ -118,7 +118,7 @@ func TestDeclaredNamesFollowScheme(t *testing.T) {
 		NameEngineStatementSeconds, NameEngineSlowQueriesTotal,
 		NameEngineResultRowsTotal, NameEngineAnnotations,
 		NameEngineAnnotationBytes, NameEngineEnvelopes,
-		NameEngineSummaryBytes, NameEngineDigestEntries,
+		NameEngineSummaryBytes,
 		NameSummarySummarizeTotal, NameSummaryDigestHitsTotal,
 		NameSummaryDigestMissesTotal, NameSummaryRetrainTotal,
 		NameExecOpSeconds, NameExecOpRowsTotal, NameExecOpMergesTotal,

@@ -18,7 +18,6 @@ const (
 	NameEngineAnnotationBytes = "insightnotes_engine_annotation_bytes" // gauge
 	NameEngineEnvelopes       = "insightnotes_engine_envelopes"        // gauge
 	NameEngineSummaryBytes    = "insightnotes_engine_summary_bytes"    // gauge
-	NameEngineDigestEntries   = "insightnotes_engine_digest_entries"   // gauge
 
 	// summary layer — maintenance.
 	NameSummarySummarizeTotal    = "insightnotes_summary_summarize_total"     // counter (per-instance Summarize calls)

@@ -197,13 +197,21 @@ func TestReplicaResumesFromDurableLSNAfterRestart(t *testing.T) {
 	mustExec(t, p.db, "ADD ANNOTATION 'observed feeding on stonewort' ON birds WHERE id = 1")
 
 	// Second incarnation reopens the same dir and resumes at the durable
-	// position — no records reapplied, none skipped.
-	r2 := startReplica(t, rdir, p.addr, ReceiverConfig{})
-	if got := r2.db.ReplicationPosition(); got != resumeAt {
+	// position — no records reapplied, none skipped. The position is read
+	// before the receiver starts, which would move it.
+	rdb = openDB(t, rdir, -1)
+	if got := rdb.ReplicationPosition(); got != resumeAt {
 		t.Fatalf("restarted replica resumes at lsn %d, want %d", got, resumeAt)
 	}
-	waitCaughtUp(t, p, r2.rcv)
-	assertConverged(t, p.db, r2.db)
+	rcv, err = NewReceiver(rdb, ReceiverConfig{PrimaryAddr: p.addr, Backoff: fastBackoff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv.Start()
+	defer rdb.Close()
+	defer rcv.Shutdown(2 * time.Second)
+	waitCaughtUp(t, p, rcv)
+	assertConverged(t, p.db, rdb)
 }
 
 // TestReplicaCrashMidApplyResumes mirrors TestCrashRecovery across the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/textmining"
 )
 
 // benchDigests precomputes n clusterable digests.
@@ -96,5 +97,51 @@ func BenchmarkEnvelopeProjectHalf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := env.Clone()
 		e.Project([]int{0, 1})
+	}
+}
+
+// BenchmarkSummarize is one annotation's digests under the three demo
+// instance types — a trained four-label classifier, a cluster and a
+// snippet instance — the unit of work summary maintenance and recovery
+// repeat per annotation.
+func BenchmarkSummarize(b *testing.B) {
+	model, err := textmining.NewNaiveBayes([]string{"Behavior", "Disease", "Anatomy", "Other"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range [][2]string{
+		{"found eating stonewort near the shore", "Behavior"}, {"observed feeding at dawn in flocks", "Behavior"},
+		{"signs of avian influenza infection", "Disease"}, {"lesions suggest avian pox virus", "Disease"},
+		{"wingspan measured at 1.8 meters", "Anatomy"}, {"large body long neck orange bill", "Anatomy"},
+		{"photo attached from trail camera", "Other"}, {"see the linked wikipedia article", "Other"},
+	} {
+		if err := model.Learn(s[0], s[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cls, err := NewClassifierInstance("C", model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clu, err := NewClusterInstance("S", DefaultSimThreshold)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snp, err := NewSnippetInstance("T", DefaultSnippetSentences)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := annotation.Annotation{
+		ID:    1,
+		Text:  "Observed a large flock of Swan Geese feeding on stonewort beds near the north shore at dawn",
+		Title: "Field report",
+		Document: "Swan geese gathered on the stonewort beds every morning. Counts peaked at forty-one birds " +
+			"near the north shore. Two juveniles showed feeding behavior identical to the adults.",
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, in := range []*Instance{cls, clu, snp} {
+			in.Summarize(a)
+		}
 	}
 }

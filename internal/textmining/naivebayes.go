@@ -1,10 +1,12 @@
 package textmining
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync/atomic"
 )
 
 // NaiveBayes is a multinomial Naive Bayes text classifier with Laplace
@@ -23,6 +25,19 @@ type NaiveBayes struct {
 	termPerWord []map[string]float64 // per-label term frequencies
 	vocab       map[string]struct{}
 	totalDocs   float64
+	// table caches the log terms LogPosteriors adds up; Learn and
+	// UnmarshalJSON drop it, the next LogPosteriors rebuilds it.
+	table atomic.Pointer[nbTable]
+}
+
+// nbTable holds, per label i, the model's log prior and each vocabulary
+// term's log likelihood math.Log((count+1)/denom_i) — the exact values
+// LogPosteriors would compute, so scores are bit-identical with or without
+// it. unseen is the row of a term outside the vocabulary (count 0).
+type nbTable struct {
+	prior  []float64
+	terms  map[string][]float64
+	unseen []float64
 }
 
 // NewNaiveBayes creates an untrained classifier over the given class
@@ -67,6 +82,7 @@ func (nb *NaiveBayes) Learn(text, label string) error {
 	if !ok {
 		return fmt.Errorf("textmining: unknown label %q", label)
 	}
+	nb.table.Store(nil)
 	nb.docCount[li]++
 	nb.totalDocs++
 	for _, t := range Terms(text) {
@@ -104,22 +120,52 @@ func (nb *NaiveBayes) Classify(text string) (label string, index int) {
 }
 
 // LogPosteriors returns the (unnormalized) log posterior of each label for
-// text, in label-index order.
+// text, in label-index order: the Laplace-smoothed log prior plus, term by
+// term, the log likelihood of the term under the label.
 func (nb *NaiveBayes) LogPosteriors(text string) []float64 {
-	terms := Terms(text)
-	v := float64(len(nb.vocab)) + 1 // +1 for the unseen-term pseudo-slot
-	scores := make([]float64, len(nb.labels))
-	for i := range nb.labels {
-		// Laplace-smoothed prior over documents.
-		prior := (nb.docCount[i] + 1) / (nb.totalDocs + float64(len(nb.labels)))
-		s := math.Log(prior)
-		denom := nb.termCount[i] + v
-		for _, t := range terms {
-			s += math.Log((nb.termPerWord[i][t] + 1) / denom)
+	tab := nb.table.Load()
+	if tab == nil {
+		tab = nb.buildTable()
+		nb.table.Store(tab)
+	}
+	scores := append([]float64(nil), tab.prior...)
+	for _, t := range Terms(text) {
+		row, ok := tab.terms[t]
+		if !ok {
+			row = tab.unseen
 		}
-		scores[i] = s
+		for i, l := range row {
+			scores[i] += l
+		}
 	}
 	return scores
+}
+
+// buildTable computes the log terms of the current model. Concurrent
+// callers may each build one; the tables are equal.
+func (nb *NaiveBayes) buildTable() *nbTable {
+	n := len(nb.labels)
+	v := float64(len(nb.vocab)) + 1 // +1 for the unseen-term pseudo-slot
+	tab := &nbTable{
+		prior:  make([]float64, n),
+		terms:  make(map[string][]float64, len(nb.vocab)),
+		unseen: make([]float64, n),
+	}
+	rows := make([]float64, n*len(nb.vocab))
+	for t := range nb.vocab {
+		tab.terms[t], rows = rows[:n:n], rows[n:]
+	}
+	for i := range nb.labels {
+		// Laplace-smoothed prior over documents.
+		prior := (nb.docCount[i] + 1) / (nb.totalDocs + float64(n))
+		tab.prior[i] = math.Log(prior)
+		denom := nb.termCount[i] + v
+		tab.unseen[i] = math.Log(1 / denom)
+		for t, row := range tab.terms {
+			row[i] = math.Log((nb.termPerWord[i][t] + 1) / denom)
+		}
+	}
+	return tab
 }
 
 // nbModel is the serialization shape of a trained model.
@@ -155,7 +201,10 @@ func (nb *NaiveBayes) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*nb = *fresh
+	nb.table.Store(nil)
+	nb.labels, nb.labelIndex = fresh.labels, fresh.labelIndex
+	nb.docCount, nb.termCount = fresh.docCount, fresh.termCount
+	nb.termPerWord, nb.vocab, nb.totalDocs = fresh.termPerWord, fresh.vocab, 0
 	copy(nb.docCount, m.DocCount)
 	copy(nb.termCount, m.TermCount)
 	for i, tm := range m.Terms {
@@ -187,11 +236,11 @@ func (nb *NaiveBayes) TopTermsForLabel(label string, k int) []string {
 	for t, w := range nb.termPerWord[li] {
 		all = append(all, tw{t, w})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
+	slices.SortFunc(all, func(a, b tw) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
 		}
-		return all[i].t < all[j].t
+		return cmp.Compare(a.t, b.t)
 	})
 	if k > len(all) {
 		k = len(all)

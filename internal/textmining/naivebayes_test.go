@@ -2,6 +2,8 @@ package textmining
 
 import (
 	"encoding/json"
+	"math"
+	"sync"
 	"testing"
 )
 
@@ -173,4 +175,83 @@ func TestIncrementalLearningShiftsDecision(t *testing.T) {
 	if got, _ := nb.Classify(text); got != "approve" {
 		t.Errorf("after incremental training Classify = %q, want approve", got)
 	}
+}
+
+// directLogPosteriors is the textbook formula, one math.Log per term and
+// label, that the cached table must reproduce bit for bit.
+func directLogPosteriors(nb *NaiveBayes, text string) []float64 {
+	terms := Terms(text)
+	v := float64(len(nb.vocab)) + 1
+	scores := make([]float64, len(nb.labels))
+	for i := range nb.labels {
+		s := math.Log((nb.docCount[i] + 1) / (nb.totalDocs + float64(len(nb.labels))))
+		denom := nb.termCount[i] + v
+		for _, t := range terms {
+			s += math.Log((nb.termPerWord[i][t] + 1) / denom)
+		}
+		scores[i] = s
+	}
+	return scores
+}
+
+func TestLogPosteriorsTableMatchesDirect(t *testing.T) {
+	nb := trainBirdClassifier(t)
+	texts := []string{
+		"", "observed eating stonewort and grasses", "lesions lesions lesions on the beak",
+		"completely unseen vocabulary xylophone", "the wingspan seems very large, maybe 2 meters",
+		"Énorme cygne observé près du lac",
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, text := range texts {
+			got, want := nb.LogPosteriors(text), directLogPosteriors(nb, text)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: LogPosteriors(%q)[%d] = %v, direct %v", stage, text, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	check("trained")
+	// Learn drops the table: new vocabulary and counts show up at once.
+	nb.Learn("xylophone recital near the shore", "Other")
+	nb.Learn("lesions and mites", "Disease")
+	check("after Learn")
+	data, err := json.Marshal(nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, nb); err != nil {
+		t.Fatal(err)
+	}
+	check("after UnmarshalJSON")
+}
+
+// Classify from many goroutines while the first table is being built: the
+// race detector must stay quiet and every answer must match a sequential
+// run.
+func TestConcurrentClassifyBuildsTable(t *testing.T) {
+	nb := trainBirdClassifier(t)
+	texts := []string{
+		"observed eating stonewort and grasses", "this bird looks infected with avian influenza",
+		"the wingspan seems very large, maybe 2 meters", "volunteer attached a wikipedia article",
+	}
+	want := make([]int, len(texts))
+	for i, text := range texts {
+		_, want[i] = trainBirdClassifier(t).Classify(text)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(texts)
+				if _, got := nb.Classify(texts[i]); got != want[i] {
+					t.Errorf("Classify(%q) = %d, want %d", texts[i], got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

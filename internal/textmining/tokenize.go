@@ -12,13 +12,70 @@ package textmining
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize lowercases text and splits it into word tokens consisting of
 // letters, digits, and internal apostrophes/hyphens. Punctuation is
 // discarded. It performs no stop-word filtering; see Terms for the full
 // pipeline.
+//
+// ASCII input — nearly every annotation — takes a byte loop whose tokens
+// are substrings of text, lowered only when they hold an upper-case
+// letter; any other input takes the rune loop. Both yield the same tokens.
 func Tokenize(text string) []string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return tokenizeRunes(text)
+		}
+	}
+	var tokens []string
+	start := -1 // first byte of the open token, -1 when none is open
+	upper, prevLetter := false, false
+	flush := func(end int) {
+		if start >= 0 {
+			// Trim any trailing connector left by inputs like "word-"; a
+			// token starts with a letter or digit, so it never empties.
+			for text[end-1] == '\'' || text[end-1] == '-' {
+				end--
+			}
+			tok := text[start:end]
+			if upper {
+				tok = strings.ToLower(tok)
+			}
+			if tokens == nil {
+				tokens = make([]string, 0, len(text)/6+1)
+			}
+			tokens = append(tokens, tok)
+		}
+		start, upper = -1, false
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		switch {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case 'A' <= c && c <= 'Z':
+			upper = true
+		case (c == '\'' || c == '-') && prevLetter:
+			// keep intra-word apostrophes and hyphens ("don't", "blue-gray")
+			prevLetter = false
+			continue
+		default:
+			flush(i)
+			prevLetter = false
+			continue
+		}
+		if start < 0 {
+			start = i
+		}
+		prevLetter = true
+	}
+	flush(len(text))
+	return tokens
+}
+
+// tokenizeRunes is Tokenize for input holding non-ASCII text.
+func tokenizeRunes(text string) []string {
 	var tokens []string
 	var b strings.Builder
 	flush := func() {

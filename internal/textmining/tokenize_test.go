@@ -66,3 +66,20 @@ func TestIsStopWord(t *testing.T) {
 		}
 	}
 }
+
+// The ASCII byte loop and the rune loop agree on every input; Tokenize
+// takes the byte loop exactly when the input is ASCII.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range []string{
+		"", "a--b", "don't-", "ÀB", "'lead", "-x-", "A'B'C", "x' y-",
+		"Large one, having size!", "blue-gray wings; don't know", "UPPER Case MiXeD 42",
+		"café au lait", "\xff\xfe broken", "tab\tsep\nline",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Tokenize(s), tokenizeRunes(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokenize(%q) = %q, rune loop %q", s, got, want)
+		}
+	})
+}

@@ -1,9 +1,10 @@
 package textmining
 
 import (
+	"cmp"
 	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -97,23 +98,8 @@ func Cosine(v, u Vector) float64 {
 // TopTerms returns the k highest-weighted terms in v, heaviest first, with
 // ties broken alphabetically for determinism.
 func (v Vector) TopTerms(k int) []string {
-	type tw struct {
-		t string
-		w float64
-	}
-	all := make([]tw, 0, len(v))
-	for t, w := range v {
-		all = append(all, tw{t, w})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
-		}
-		return all[i].t < all[j].t
-	})
-	if k > len(all) {
-		k = len(all)
-	}
+	all := v.ranked()
+	k = min(k, len(all))
 	out := make([]string, k)
 	for i := 0; i < k; i++ {
 		out[i] = all[i].t
@@ -121,23 +107,38 @@ func (v Vector) TopTerms(k int) []string {
 	return out
 }
 
-// Prune keeps only the k heaviest terms of v, dropping the tail in place.
-// Summary objects carry pruned centroids so that cluster merge decisions can
-// be made at query time without the raw annotations.
+// Prune keeps only the k heaviest terms of v (TopTerms' choice), dropping
+// the tail in place. Summary objects carry pruned centroids so that
+// cluster merge decisions can be made at query time without the raw
+// annotations.
 func (v Vector) Prune(k int) {
 	if len(v) <= k {
 		return
 	}
-	keep := v.TopTerms(k)
-	keepSet := make(map[string]struct{}, len(keep))
-	for _, t := range keep {
-		keepSet[t] = struct{}{}
+	for _, e := range v.ranked()[k:] {
+		delete(v, e.t)
 	}
-	for t := range v {
-		if _, ok := keepSet[t]; !ok {
-			delete(v, t)
+}
+
+// termWeight is one entry of a ranked vector.
+type termWeight struct {
+	t string
+	w float64
+}
+
+// ranked returns v's entries heaviest first, ties in term order.
+func (v Vector) ranked() []termWeight {
+	all := make([]termWeight, 0, len(v))
+	for t, w := range v {
+		all = append(all, termWeight{t, w})
+	}
+	slices.SortFunc(all, func(a, b termWeight) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.t, b.t)
+	})
+	return all
 }
 
 // String renders the vector's top terms for debugging, e.g.
