@@ -235,7 +235,7 @@ func printResponse(w io.Writer, resp *server.Response) {
 		return
 	}
 	t := table{
-		message: resp.Message, headers: resp.Columns, qid: resp.QID, stats: resp.Stats,
+		message: resp.Message, headers: resp.Columns, qid: resp.QID, stats: resp.StatsDetail.String(),
 		wide: len(resp.Columns) == 1 && isPlanColumn(resp.Columns[0]),
 	}
 	for _, row := range resp.Rows {

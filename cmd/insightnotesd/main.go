@@ -1,7 +1,7 @@
 // Command insightnotesd runs an InsightNotes engine as standalone network
-// middleware: clients connect over TCP and speak the newline-delimited
-// JSON protocol of internal/server (one request object per line, one
-// response per line).
+// middleware: clients connect over TCP and speak the binary protocol of
+// internal/server (one length-prefixed request frame, one response frame;
+// server.Client or `insightnotes -connect`).
 //
 // Usage:
 //

@@ -86,7 +86,6 @@ func main() {
 	row := resp.Rows[0]
 	fmt.Printf("\nquery result: %v %v\n", row.Values[0], row.Values[1])
 	fmt.Printf("  summaries: %s\n", row.Summaries["ClassBird"])
-	fmt.Printf("  zoomable:  %v\n", row.ZoomLabels["ClassBird"])
 
 	// Zoom in on the Disease label (index 2).
 	zoom, err := watcher.Do(ctx, fmt.Sprintf(

@@ -120,7 +120,7 @@ func LRU() CachePolicy { return zoomin.LRU{} }
 
 // Network middleware types (see internal/server for the wire protocol).
 type (
-	// Server serves a DB over TCP with a newline-delimited JSON protocol.
+	// Server serves a DB over TCP with a length-prefixed binary protocol.
 	Server = server.Server
 	// Client connects to a Server. Statements run through the
 	// context-first Client.Do with functional CallOptions.

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,16 +20,25 @@ import (
 // All statement execution goes through Do, the single context-first entry
 // point; behavior (tracing, parameter binding, retry schedules, mutation
 // safety) is expressed as CallOptions.
+//
+// A transport failure ends the connection: the client surrenders it, and
+// later calls fail without sending until WithRetry or WithMutation redials.
 type Client struct {
 	addr string
-	conn net.Conn
-	r    *bufio.Scanner
-	enc  *json.Encoder
-	w    *bufio.Writer
+	// mu guards conn: Close may run on another goroutine to unblock a
+	// call in flight.
+	mu   sync.Mutex
+	conn net.Conn // nil once surrendered
+	in   *frameReader
+	out  []byte // request frame buffer
 
 	// stmtSeq numbers this client's auto-named prepared statements.
 	stmtSeq int
 }
+
+// ErrConnClosed is returned, without sending, by a call on a Client whose
+// connection was surrendered after a failed exchange or closed by Close.
+var ErrConnClosed = errors.New("server: client connection closed")
 
 // Dial connects to an InsightNotes server at addr.
 func Dial(addr string) (*Client, error) {
@@ -37,9 +46,46 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := newFrameScanner(conn, defaultMaxFrameBytes)
-	w := bufio.NewWriter(conn)
-	return &Client{addr: addr, conn: conn, r: r, enc: json.NewEncoder(w), w: w}, nil
+	return clientOver(conn, addr), nil
+}
+
+// clientOver builds a Client on an open connection.
+func clientOver(conn net.Conn, addr string) *Client {
+	return &Client{addr: addr, conn: conn, in: newFrameReader(conn, defaultMaxFrameBytes)}
+}
+
+// redial replaces the client's connection with a fresh one, keeping the
+// prepared-statement sequence; on failure the client is unchanged.
+func (c *Client) redial() error {
+	nc, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		return err
+	}
+	c.swapConn(nc)
+	c.in = newFrameReader(nc, defaultMaxFrameBytes)
+	return nil
+}
+
+// surrender closes the connection and forgets it.
+func (c *Client) surrender() { c.swapConn(nil) }
+
+// swapConn installs nc (nil: none) and closes the connection it replaces.
+func (c *Client) swapConn(nc net.Conn) error {
+	c.mu.Lock()
+	old := c.conn
+	c.conn = nc
+	c.mu.Unlock()
+	if old == nil {
+		return nil
+	}
+	return old.Close()
+}
+
+// currentConn returns the connection, nil once surrendered or closed.
+func (c *Client) currentConn() net.Conn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.conn
 }
 
 // CallOption configures one Do call.
@@ -194,12 +240,7 @@ func (c *Client) doRetry(ctx context.Context, req Request, attempts int, b Backo
 			// Transport failure: the conn is dead. Redial before the
 			// next attempt; keep the old error if redial also fails.
 			lastErr = err
-			if nc, derr := Dial(c.addr); derr == nil {
-				if c.conn != nil {
-					c.conn.Close()
-				}
-				*c = *nc
-			}
+			c.redial()
 		case errors.Is(resp.Err(), ErrOverloaded):
 			lastErr = resp.Err()
 			if i == attempts-1 {
@@ -236,24 +277,20 @@ func (c *Client) doMutation(ctx context.Context, req Request, attempts int, b Ba
 	}
 	var lastErr error
 	for i := 0; i < attempts; i++ {
-		if c.conn == nil {
+		if c.currentConn() == nil {
 			// The previous attempt surrendered its connection before
 			// sending; a failed dial is retryable for the same reason.
-			nc, err := Dial(c.addr)
-			if err != nil {
+			if err := c.redial(); err != nil {
 				lastErr = err
 				if i < attempts-1 && !sleep(ctx, b.Delay(i)) {
 					return nil, ctx.Err()
 				}
 				continue
 			}
-			*c = *nc
 		}
 		resp, err := c.roundTrip(ctx, req)
 		switch {
 		case err != nil:
-			c.conn.Close()
-			c.conn = nil
 			return nil, fmt.Errorf("server: mutation fate unknown after send failure (not retried): %w", err)
 		case errors.Is(resp.Err(), ErrOverloaded):
 			// Shed before entering the engine, so resending is safe. The
@@ -261,8 +298,7 @@ func (c *Client) doMutation(ctx context.Context, req Request, attempts int, b Ba
 			// refusal; surrender it now so the next attempt redials
 			// rather than writing into a dead stream (which would look
 			// like an unknown fate).
-			c.conn.Close()
-			c.conn = nil
+			c.surrender()
 			lastErr = resp.Err()
 			if i == attempts-1 {
 				return resp, nil // caller sees the final structured shed
@@ -284,39 +320,53 @@ func (c *Client) doMutation(ctx context.Context, req Request, attempts int, b Ba
 // roundTrip performs one request/response exchange. The context's deadline
 // is pushed down onto the connection, bounding the frame write as well as
 // the response read — a full client-side send buffer can no longer park
-// the caller past its deadline in Flush.
+// the caller past its deadline in a write. Any transport failure, a
+// timeout included, surrenders the connection: the stream may still hold
+// the answer to this request, and a later exchange must never read it as
+// its own.
 func (c *Client) roundTrip(ctx context.Context, req Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if dl, ok := ctx.Deadline(); ok && c.conn != nil {
-		c.conn.SetDeadline(dl)
-		defer c.conn.SetDeadline(time.Time{})
+	conn := c.currentConn()
+	if conn == nil {
+		return nil, ErrConnClosed
 	}
-	if err := c.enc.Encode(&req); err != nil {
+	resp, err := c.exchange(ctx, conn, &req)
+	if err != nil {
+		c.surrender()
 		return nil, err
 	}
-	if err := c.w.Flush(); err != nil {
+	return resp, nil
+}
+
+func (c *Client) exchange(ctx context.Context, conn net.Conn, req *Request) (*Response, error) {
+	if dl, ok := ctx.Deadline(); ok {
+		conn.SetDeadline(dl)
+		defer conn.SetDeadline(time.Time{})
+	}
+	c.out = appendRequestFrame(c.out, req)
+	if _, err := conn.Write(c.out); err != nil {
 		return nil, err
 	}
-	if !c.r.Scan() {
-		if err := c.r.Err(); err != nil {
-			return nil, err
+	kind, body, err := c.in.next()
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("server: connection closed")
 		}
-		return nil, fmt.Errorf("server: connection closed")
+		return nil, err
 	}
-	var resp Response
-	if err := json.Unmarshal(c.r.Bytes(), &resp); err != nil {
+	if kind != kindResponse {
+		return nil, fmt.Errorf("server: bad response: frame version/kind 0x%02x", kind)
+	}
+	resp, _, err := decodeResponse(body)
+	if err != nil {
 		return nil, fmt.Errorf("server: bad response: %w", err)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Close closes the connection (a no-op after the connection was
-// surrendered by a failed mutation attempt).
-func (c *Client) Close() error {
-	if c.conn == nil {
-		return nil
-	}
-	return c.conn.Close()
-}
+// surrendered by a failed exchange). It may be called while a call is in
+// flight on another goroutine: that call fails.
+func (c *Client) Close() error { return c.swapConn(nil) }

@@ -124,14 +124,14 @@ func TestServerStatementTimeout(t *testing.T) {
 }
 
 // TestServerStatsLine checks the per-statement summary surfaced in the
-// protocol response, in both its legacy string and structured forms.
+// protocol response, structured and as the one-line string.
 func TestServerStatsLine(t *testing.T) {
 	_, c := startServer(t)
 	mustClient(t, c, "CREATE TABLE t (a INT)")
 	mustClient(t, c, "INSERT INTO t VALUES (1), (2)")
 	resp := mustClient(t, c, "SELECT a FROM t")
-	if !strings.HasPrefix(resp.Stats, "2 row(s) in ") {
-		t.Fatalf("stats = %q", resp.Stats)
+	if line := resp.StatsDetail.String(); !strings.HasPrefix(line, "2 row(s) in ") {
+		t.Fatalf("stats = %q", line)
 	}
 	d := resp.StatsDetail
 	if d == nil || d.Rows != 2 || d.OpRows == 0 || d.WallMicros < 0 {
@@ -147,7 +147,7 @@ func TestServerStatsLine(t *testing.T) {
 		t.Fatalf("stats_detail ops missing scan: %+v", d.Ops)
 	}
 	resp = mustClient(t, c, "EXPLAIN ANALYZE SELECT a FROM t")
-	if resp.Stats == "" {
+	if resp.StatsDetail.String() == "" {
 		t.Fatal("EXPLAIN ANALYZE response missing stats line")
 	}
 	found := false

@@ -6,9 +6,7 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -334,9 +332,9 @@ func TestSlowReaderWriteDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := json.NewEncoder(conn)
+	frame := appendRequestFrame(nil, &Request{Stmt: "SELECT v FROM big"})
 	for i := 0; i < 128; i++ {
-		if err := enc.Encode(Request{Stmt: "SELECT v FROM big"}); err != nil {
+		if _, err := conn.Write(frame); err != nil {
 			break // server already gave up on us — that's the point
 		}
 	}
@@ -391,13 +389,6 @@ func TestFlakyConnFrameReassembly(t *testing.T) {
 	if resp := mustClient(t, c, "SELECT id FROM chaos"); len(resp.Rows) != 0 {
 		t.Fatalf("half-frame INSERT reached the engine: %+v", resp.Rows)
 	}
-}
-
-// clientOver builds a Client on an existing (possibly fault-injected)
-// connection.
-func clientOver(conn net.Conn, addr string) *Client {
-	w := bufio.NewWriter(conn)
-	return &Client{addr: addr, conn: conn, r: newFrameScanner(conn, defaultMaxFrameBytes), enc: json.NewEncoder(w), w: w}
 }
 
 // TestOverloadSoak is the chaos/soak harness: workers at ~4x the admitted
@@ -647,8 +638,8 @@ func TestStaleGaugeVisible(t *testing.T) {
 	if sel.StatsDetail == nil || sel.StatsDetail.StalePending < 1 {
 		t.Errorf("stats_detail stale_pending = %+v", sel.StatsDetail)
 	}
-	if !strings.Contains(sel.Stats, "stale") {
-		t.Errorf("stats line missing stale marker: %q", sel.Stats)
+	if line := sel.StatsDetail.String(); !strings.Contains(line, "stale") {
+		t.Errorf("stats line missing stale marker: %q", line)
 	}
 
 	ts := httptest.NewServer(NewDebugMux(srv.db))

@@ -103,17 +103,9 @@ func TestWireOneShotArgs(t *testing.T) {
 		t.Fatalf("unbound placeholder = %+v", resp)
 	}
 	// Unknown kind is a structured bad-request answer.
-	if err := c.enc.Encode(&Request{Kind: "copy", Name: "x", Stmt: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.r.Scan() {
-		t.Fatal("no response to unknown kind")
-	}
-	if !strings.Contains(c.r.Text(), "unknown kind") {
-		t.Fatalf("unknown-kind response = %s", c.r.Text())
+	resp = rawExchange(t, c, appendRequestFrame(nil, &Request{Kind: "copy", Name: "x", Stmt: "x"}))
+	if resp.OK || !strings.Contains(resp.Error, "unknown kind") {
+		t.Fatalf("unknown-kind response = %+v", resp)
 	}
 }
 

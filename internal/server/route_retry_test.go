@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -188,8 +187,7 @@ func TestExecMutationNoRetryAfterPartialSend(t *testing.T) {
 	addr, reqs := scriptedServer(t, func(conn net.Conn, reqs *atomic.Int64) {
 		// Read the full request (it arrived — maybe it executed), then
 		// drop the connection without answering: the ambiguous case.
-		r := bufio.NewReader(conn)
-		if _, err := r.ReadString('\n'); err == nil {
+		if _, _, err := newFrameReader(conn, defaultMaxFrameBytes).next(); err == nil {
 			reqs.Add(1)
 		}
 		conn.Close()
@@ -219,17 +217,16 @@ func TestExecMutationNoRetryAfterPartialSend(t *testing.T) {
 func TestExecMutationRetriesPreEngineShed(t *testing.T) {
 	addr, reqs := scriptedServer(t, func(conn net.Conn, reqs *atomic.Int64) {
 		defer conn.Close()
-		r := bufio.NewReader(conn)
-		if _, err := r.ReadString('\n'); err != nil {
+		if _, _, err := newFrameReader(conn, defaultMaxFrameBytes).next(); err != nil {
 			return
 		}
 		if reqs.Add(1) == 1 {
 			// First request: shed pre-engine, then close (as the real
 			// server does for connect-time refusals).
-			fmt.Fprintf(conn, `{"ok":false,"error":"server overloaded: test","code":"OVERLOADED","retry_after_ms":1}%s`, "\n")
+			conn.Write(appendResponseFrame(nil, &Response{Error: "server overloaded: test", Code: CodeOverloaded, RetryAfterMS: 1}))
 			return
 		}
-		fmt.Fprintf(conn, `{"ok":true,"message":"done"}%s`, "\n")
+		conn.Write(appendResponseFrame(nil, &Response{OK: true, Message: "done"}))
 	})
 	c, err := Dial(addr)
 	if err != nil {

@@ -1,13 +1,14 @@
 // Package server exposes an InsightNotes engine over TCP with a
-// newline-delimited JSON protocol, making the engine usable as standalone
-// annotation-management middleware (the deployment style of the paper's
-// prototype, which fronted a modified PostgreSQL).
+// length-prefixed binary protocol (wire.go), making the engine usable as
+// standalone annotation-management middleware (the deployment style of the
+// paper's prototype, which fronted a modified PostgreSQL).
 //
-// Protocol: the client sends one request object per line and receives one
-// response object per line. Requests carry a single statement in the full
-// grammar (SQL plus InsightNotes extensions); responses carry the message,
-// QID, result columns, and rows with their rendered summary objects and
-// zoom labels.
+// Protocol: the client sends one request frame and receives one response
+// frame. Requests carry a single statement in the full grammar (SQL plus
+// InsightNotes extensions); responses carry the message, QID, result
+// columns, and rows with their rendered summary objects. A materialized
+// SELECT's rows are the encoded rows section of its zoom-in cache entry,
+// copied into the response as is.
 //
 // Statements execute directly against the engine's statement-level
 // reader/writer lock: reads (SELECT, SHOW, EXPLAIN, ZOOMIN) from separate
@@ -17,9 +18,7 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"insightnotes/internal/codec"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/metrics"
@@ -36,6 +36,7 @@ import (
 	"insightnotes/internal/storage"
 	"insightnotes/internal/trace"
 	"insightnotes/internal/types"
+	"insightnotes/internal/zoomin"
 )
 
 // Request is one client command.
@@ -44,9 +45,9 @@ import (
 // Stmt as statement text; the prepared-statement kinds carry the pieces as
 // structured fields so clients never have to render SQL literals:
 //
-//	{"kind":"prepare","name":"by_id","stmt":"SELECT * FROM t WHERE id = $1"}
-//	{"kind":"execute","name":"by_id","args":[7]}
-//	{"kind":"deallocate","name":"by_id"}
+//	Kind "prepare",    Name "by_id", Stmt "SELECT * FROM t WHERE id = $1"
+//	Kind "execute",    Name "by_id", Args [7]
+//	Kind "deallocate", Name "by_id"
 //
 // An exec-kind request may also carry Args: the server binds them to the
 // statement's $n placeholders for a one-shot parameterized execution (the
@@ -54,103 +55,117 @@ import (
 type Request struct {
 	// Stmt is the statement to execute (the template text for "prepare";
 	// unused for "execute" and "deallocate").
-	Stmt string `json:"stmt,omitempty"`
+	Stmt string
 	// Trace requests the under-the-hood operator log for SELECTs.
-	Trace bool `json:"trace,omitempty"`
+	Trace bool
 	// Kind is the request kind: "" or "exec" (default), "prepare",
 	// "execute", or "deallocate".
-	Kind string `json:"kind,omitempty"`
+	Kind string
 	// Name is the prepared-statement name for the prepared kinds.
-	Name string `json:"name,omitempty"`
+	Name string
 	// Args are positional parameter values: $1 is Args[0]. Used by
 	// "execute" and by parameterized "exec" requests.
-	Args []types.Value `json:"args,omitempty"`
+	Args []types.Value
 }
 
 // Response is the server's reply.
 type Response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
+	OK    bool
+	Error string
 	// Code classifies machine-readable errors (CodeOverloaded,
 	// CodeFrameTooLarge). Empty for success and plain statement errors.
-	Code string `json:"code,omitempty"`
+	Code string
 	// RetryAfterMS accompanies CodeOverloaded: the server's hint for how
-	// long to back off before retrying. Client.ExecRetry honors it.
-	RetryAfterMS int64      `json:"retry_after_ms,omitempty"`
-	Message      string     `json:"message,omitempty"`
-	QID          int        `json:"qid,omitempty"`
-	Columns      []string   `json:"columns,omitempty"`
-	Rows         []RowJSON  `json:"rows,omitempty"`
-	Trace        []TraceRow `json:"trace,omitempty"`
-	// Stats is the per-statement runtime summary line (rows, wall time,
-	// envelope operations) for statements that report one. Kept for
-	// existing clients; StatsDetail carries the same numbers structured.
-	Stats string `json:"stats,omitempty"`
-	// StatsDetail is the structured form of Stats, including the
-	// per-operator breakdown of the statement's plan.
-	StatsDetail *StatsJSON `json:"stats_detail,omitempty"`
+	// long to back off before retrying. WithRetry honors it.
+	RetryAfterMS int64
+	Message      string
+	QID          int
+	Columns      []string
+	Rows         []RowJSON
+	Trace        []TraceRow
+	// StatsDetail is the per-statement runtime summary (rows, wall time,
+	// envelope operations, the per-operator breakdown of the plan) for
+	// statements that report one; its String is the one-line form.
+	StatsDetail *StatsJSON
 	// TraceID is the statement's lifecycle trace id (set on success, on
 	// statement errors, and on sheds — shed traces are always retained, so
 	// a turned-away client can still hand support a fetchable id).
-	TraceID string `json:"trace_id,omitempty"`
+	TraceID string
+
+	// rows, when set, is the encoded rows section the server sends in
+	// place of Rows (see zoomin.ReadRow).
+	rows []byte
 }
 
 // StatsJSON is the structured per-statement runtime summary on the wire.
 type StatsJSON struct {
 	// Rows is the number of result rows returned.
-	Rows int `json:"rows"`
+	Rows int
 	// WallMicros is the statement's elapsed wall time in microseconds.
-	WallMicros int64 `json:"wall_us"`
+	WallMicros int64
 	// OpRows counts rows produced by all plan operators.
-	OpRows int64 `json:"op_rows"`
+	OpRows int64
 	// Merges and Curates count envelope operations.
-	Merges  int64 `json:"merges"`
-	Curates int64 `json:"curates"`
+	Merges  int64
+	Curates int64
 	// QueueWaitMicros is the admission-queue wait before the statement
 	// entered the engine (0 when it was admitted instantly or admission
 	// control is disabled).
-	QueueWaitMicros int64 `json:"queue_wait_us,omitempty"`
+	QueueWaitMicros int64
 	// StalePending, when above zero, is the number of deferred
 	// summary-maintenance tasks outstanding when the statement finished —
 	// the result's summaries may lag the raw annotations (degraded mode).
-	StalePending int `json:"stale_pending,omitempty"`
+	StalePending int
 	// Replica marks a statement served by a read replica. ReplicaLagLSN
 	// and ReplicaLagMS are the explicit staleness bound the result was
 	// served under: the data reflects the primary as of at most this many
 	// records and milliseconds ago (both omitted when fully caught up).
-	Replica       bool   `json:"replica,omitempty"`
-	ReplicaLagLSN uint64 `json:"replica_lag_lsn,omitempty"`
-	ReplicaLagMS  int64  `json:"replica_lag_ms,omitempty"`
+	Replica       bool
+	ReplicaLagLSN uint64
+	ReplicaLagMS  int64
 	// Ops is the per-operator breakdown in depth-first plan order.
-	Ops []OpStatJSON `json:"ops,omitempty"`
+	Ops []OpStatJSON
 	// TraceID duplicates Response.TraceID so tooling consuming only
-	// stats_detail can cross-link the lifecycle trace.
-	TraceID string `json:"trace_id,omitempty"`
+	// StatsDetail can cross-link the lifecycle trace.
+	TraceID string
+}
+
+// String renders the one-line per-statement summary, the same line the
+// engine's StatementStats renders in process.
+func (s *StatsJSON) String() string {
+	if s == nil {
+		return ""
+	}
+	st := engine.StatementStats{
+		Rows: s.Rows, OpRows: s.OpRows, Merges: s.Merges, Curates: s.Curates,
+		Wall:         time.Duration(s.WallMicros) * time.Microsecond,
+		QueueWait:    time.Duration(s.QueueWaitMicros) * time.Microsecond,
+		StalePending: s.StalePending,
+	}
+	return st.String()
 }
 
 // OpStatJSON is one operator's runtime counters on the wire.
 type OpStatJSON struct {
-	Op         string `json:"op"`
-	Rows       int64  `json:"rows"`
-	Merges     int64  `json:"merges,omitempty"`
-	Curates    int64  `json:"curates,omitempty"`
-	WallMicros int64  `json:"wall_us,omitempty"`
+	Op         string
+	Rows       int64
+	Merges     int64
+	Curates    int64
+	WallMicros int64
 }
 
 // RowJSON is one result row on the wire.
 type RowJSON struct {
-	Values []types.Value `json:"values"`
+	Values []types.Value
 	// Summaries maps instance name to the rendered summary object.
-	Summaries map[string]string `json:"summaries,omitempty"`
-	// ZoomLabels maps instance name to its 1-indexed zoomable elements.
-	ZoomLabels map[string][]string `json:"zoom_labels,omitempty"`
+	Summaries map[string]string
 }
 
 // TraceRow is one under-the-hood trace entry on the wire.
 type TraceRow struct {
-	Stage   string        `json:"stage"`
-	Values  []types.Value `json:"values"`
-	Summary string        `json:"summary,omitempty"`
+	Stage   string
+	Values  []types.Value
+	Summary string
 }
 
 // ReplicaSource reports the staleness of a replica-serving engine. When
@@ -195,9 +210,10 @@ type Server struct {
 	// that stops reading cannot park a handler in Flush forever; the
 	// write times out and the connection closes.
 	WriteTimeout time.Duration
-	// MaxFrameBytes caps one request line (default 16 MiB). Oversized
-	// frames are answered with a structured CodeFrameTooLarge error and
-	// the connection closes (the stream position is unrecoverable).
+	// MaxFrameBytes caps one request frame (default 16 MiB, at most
+	// 1 GiB). A length prefix over the cap is answered with a structured
+	// CodeFrameTooLarge error and the connection closes (the stream
+	// position is unrecoverable).
 	MaxFrameBytes int
 
 	listener  net.Listener
@@ -266,27 +282,15 @@ func New(db *engine.DB) *Server {
 	return s
 }
 
-// defaultMaxFrameBytes caps request lines when MaxFrameBytes is unset.
+// defaultMaxFrameBytes caps request frames when MaxFrameBytes is unset,
+// and every response frame a Client reads.
 const defaultMaxFrameBytes = 16 << 20
 
 func (s *Server) maxFrameBytes() int {
 	if s.MaxFrameBytes > 0 {
-		return s.MaxFrameBytes
+		return min(s.MaxFrameBytes, maxFrameCap)
 	}
 	return defaultMaxFrameBytes
-}
-
-// newFrameScanner builds the newline-delimited frame reader both ends of
-// the protocol share: a line scanner with a small initial buffer that can
-// grow to the frame cap.
-func newFrameScanner(r io.Reader, maxFrame int) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	initial := 1 << 20
-	if maxFrame < initial {
-		initial = maxFrame
-	}
-	sc.Buffer(make([]byte, initial), maxFrame)
-	return sc
 }
 
 // Listen binds addr (e.g. "127.0.0.1:7090") and starts accepting
@@ -346,16 +350,11 @@ func (s *Server) acceptLoop() {
 func (s *Server) refuseConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
-	resp := Response{
+	conn.Write(appendResponseFrame(nil, &Response{
 		Error:        fmt.Sprintf("server overloaded: connection limit (%d) reached", s.MaxConns),
 		Code:         CodeOverloaded,
 		RetryAfterMS: 1000,
-	}
-	b, err := json.Marshal(&resp)
-	if err != nil {
-		return
-	}
-	conn.Write(append(b, '\n'))
+	}))
 }
 
 // connState tracks whether a connection is mid-request, so Shutdown can
@@ -380,36 +379,35 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.connections.Inc()
 	s.activeConns.Add(1)
 	defer s.activeConns.Add(-1)
-	in := newFrameScanner(conn, s.maxFrameBytes())
-	out := bufio.NewWriter(conn)
-	enc := json.NewEncoder(out)
+	in := newFrameReader(conn, s.maxFrameBytes())
+	var out []byte // the connection's response frame buffer
 	for {
 		// Idle guard: a connection that sends nothing within the timeout
 		// is closed rather than holding a descriptor forever.
 		if s.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		if !in.Scan() {
-			if errors.Is(in.Err(), bufio.ErrTooLong) {
-				// The frame exceeded the cap; the stream position is lost,
-				// so answer structurally and close.
-				s.writeResponse(conn, out, enc, &Response{
+		kind, body, err := in.next()
+		if err != nil {
+			if errors.Is(err, errFrameTooLarge) {
+				// The stream position is lost, so answer structurally and
+				// close.
+				out = appendResponseFrame(out, &Response{
 					Error: fmt.Sprintf("request frame exceeds %d byte cap", s.maxFrameBytes()),
 					Code:  CodeFrameTooLarge,
 				})
+				if s.writeFrame(conn, out) == nil {
+					lingerClose(conn)
+				}
 			}
 			return
 		}
 		st.busy.Store(true)
-		line := in.Bytes()
-		if len(line) == 0 {
-			st.busy.Store(false)
-			continue
-		}
-		var req Request
-		resp := Response{}
+		var resp Response
 		s.requests.Inc()
-		if err := json.Unmarshal(line, &req); err != nil {
+		if kind != kindRequest {
+			resp.Error = fmt.Sprintf("bad request: frame version/kind 0x%02x, want 0x%02x", kind, kindRequest)
+		} else if req, err := decodeRequest(body); err != nil {
 			resp.Error = fmt.Sprintf("bad request: %v", err)
 		} else {
 			resp = s.execute(req)
@@ -417,7 +415,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if !resp.OK {
 			s.requestErrors.Inc()
 		}
-		if err := s.writeResponse(conn, out, enc, &resp); err != nil {
+		out = appendResponseFrame(out, &resp)
+		if err := s.writeFrame(conn, out); err != nil {
 			return
 		}
 		st.busy.Store(false)
@@ -431,24 +430,32 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// writeResponse encodes and flushes one response under the write deadline:
-// a client that stops reading cannot park this handler (and the engine
-// slot behind it) in Flush forever — the write errors out and the caller
-// closes the connection.
-func (s *Server) writeResponse(conn net.Conn, out *bufio.Writer, enc *json.Encoder, resp *Response) error {
+// writeFrame writes one encoded frame under the write deadline: a client
+// that stops reading cannot park this handler (and the engine slot behind
+// it) in a write forever — the write errors out and the caller closes the
+// connection.
+func (s *Server) writeFrame(conn net.Conn, frame []byte) error {
 	if s.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 	}
-	if err := enc.Encode(resp); err != nil {
-		return err
-	}
-	if err := out.Flush(); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		return err
 	}
 	if s.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Time{})
 	}
 	return nil
+}
+
+// lingerClose ends the sending side and discards what the peer still has
+// in flight, briefly, before the deferred close: closing with unread input
+// would reset the connection and could destroy the answer just written.
+func lingerClose(conn net.Conn) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+	io.CopyN(io.Discard, conn, 1<<20)
 }
 
 // execute runs one statement under a fresh per-statement context.
@@ -542,7 +549,6 @@ func (s *Server) execute(req Request) (resp Response) {
 	}
 	resp = Response{OK: true, Message: res.Message, QID: res.QID, TraceID: res.TraceID}
 	if res.Stats != nil {
-		resp.Stats = res.Stats.String()
 		detail := &StatsJSON{
 			Rows:            res.Stats.Rows,
 			WallMicros:      res.Stats.Wall.Microseconds(),
@@ -575,23 +581,14 @@ func (s *Server) execute(req Request) (resp Response) {
 	for _, c := range res.Schema.Columns {
 		resp.Columns = append(resp.Columns, c.QualifiedName())
 	}
-	for i, row := range res.Rows {
-		rj := RowJSON{Values: row.Tuple}
-		if res.Materialized != nil {
-			// Rendered and labelled once, when the result was materialized.
-			rj.Summaries, rj.ZoomLabels = res.Materialized[i].Rendered, res.Materialized[i].Label
-		} else if row.Env != nil && !row.Env.IsEmpty() {
-			rj.Summaries = map[string]string{}
-			rj.ZoomLabels = map[string][]string{}
-			for _, name := range row.Env.InstanceNames() {
-				obj := row.Env.Object(name)
-				rj.Summaries[name] = obj.Render()
-				for _, el := range obj.Elements() {
-					rj.ZoomLabels[name] = append(rj.ZoomLabels[name], el.Label)
-				}
-			}
-		}
-		resp.Rows = append(resp.Rows, rj)
+	if res.Materialized != nil {
+		// Encoded once, rendered summaries included, when the result was
+		// materialized for zoom-in.
+		resp.rows = res.Materialized.RowsSection()
+	} else if len(res.Rows) > 0 {
+		var w codec.Writer
+		zoomin.AppendRows(&w, res.Rows)
+		resp.rows = w.Bytes()
 	}
 	for _, e := range res.Trace {
 		resp.Trace = append(resp.Trace, TraceRow{Stage: e.Stage, Values: e.Tuple, Summary: e.Summary})

@@ -67,14 +67,17 @@ func TestServerEndToEnd(t *testing.T) {
 	if !strings.Contains(row.Summaries["C"], "(Behavior, 1)") {
 		t.Errorf("summaries = %v", row.Summaries)
 	}
-	if len(row.ZoomLabels["C"]) != 2 {
-		t.Errorf("zoom labels = %v", row.ZoomLabels)
-	}
-
-	// Zoom-in over the wire.
+	// Zoom-in over the wire: C's elements are its two labels, in order.
 	zoom := mustClient(t, c, fmt.Sprintf("ZOOMIN REFERENCE QID %d ON C INDEX 1", resp.QID))
 	if len(zoom.Rows) != 1 || zoom.Rows[0].Values[3].Str() != "observed feeding on stonewort" {
 		t.Fatalf("zoom = %+v", zoom.Rows)
+	}
+	if other := mustClient(t, c, fmt.Sprintf("ZOOMIN REFERENCE QID %d ON C INDEX 2", resp.QID)); len(other.Rows) != 0 {
+		t.Errorf("zoom on Other = %+v", other.Rows)
+	}
+	bad, err := c.Do(context.Background(), fmt.Sprintf("ZOOMIN REFERENCE QID %d ON C INDEX 3", resp.QID))
+	if err != nil || bad.OK || !strings.Contains(bad.Error, "1..2") {
+		t.Errorf("zoom past the last element = %+v, %v", bad, err)
 	}
 }
 
@@ -91,18 +94,19 @@ func TestServerErrorsAndBadInput(t *testing.T) {
 	if r := mustClient(t, c, "SHOW TABLES"); !r.OK {
 		t.Error("connection dead after error")
 	}
-	// Malformed JSON is rejected but the connection keeps working.
-	if _, err := c.conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.r.Scan() {
-		t.Fatal("no response to bad JSON")
-	}
-	if !strings.Contains(c.r.Text(), "bad request") {
-		t.Errorf("response = %q", c.r.Text())
-	}
-	if r := mustClient(t, c, "SHOW TABLES"); !r.OK {
-		t.Error("connection dead after bad JSON")
+	// A well-framed but malformed request, or a frame of another kind,
+	// is rejected but the connection keeps working.
+	for _, frame := range [][]byte{
+		rawFrame(kindRequest, []byte("this is not a request")),
+		rawFrame(kindResponse, nil),
+	} {
+		resp := rawExchange(t, c, frame)
+		if resp.OK || !strings.Contains(resp.Error, "bad request") {
+			t.Errorf("response = %+v", resp)
+		}
+		if r := mustClient(t, c, "SHOW TABLES"); !r.OK {
+			t.Error("connection dead after a bad request")
+		}
 	}
 }
 

@@ -53,6 +53,9 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 		return nil, 0, fmt.Errorf("types: corrupt tuple header")
 	}
 	off := sz
+	if n > uint64(len(buf)-off) { // every value takes at least its kind byte
+		return nil, 0, fmt.Errorf("types: tuple of %d values in %d bytes", n, len(buf)-off)
+	}
 	t := make(Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if off >= len(buf) {
@@ -83,7 +86,7 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 				return nil, 0, fmt.Errorf("types: corrupt TEXT length at value %d", i)
 			}
 			off += sz
-			if off+int(l) > len(buf) {
+			if l > uint64(len(buf)-off) {
 				return nil, 0, fmt.Errorf("types: truncated TEXT at value %d", i)
 			}
 			t = append(t, NewString(string(buf[off:off+int(l)])))

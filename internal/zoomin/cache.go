@@ -200,7 +200,7 @@ func (c *Cache) Clear() {
 // fails (the error is returned): both count as Rejected, stay registered,
 // and are re-executed on demand.
 func (c *Cache) Put(r *CachedResult) error {
-	data, err := r.encode()
+	data := r.encode()
 	size := int64(len(data))
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -209,12 +209,12 @@ func (c *Cache) Put(r *CachedResult) error {
 		c.registry[r.QID%registrySize] = registered{r.QID, r.SQL}
 	}
 	c.drop(r.QID)
-	fits := err == nil && size <= c.budget
-	if fits {
-		c.evict(size)
-		err = c.write(data)
+	if size > c.budget {
+		c.stats.Rejected++
+		return nil
 	}
-	if !fits || err != nil {
+	c.evict(size)
+	if err := c.write(data); err != nil {
 		c.stats.Rejected++
 		return err
 	}

@@ -13,19 +13,33 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"insightnotes/internal/types"
 )
 
 // sized builds a result whose encoding is exactly size bytes (at least
-// ~80): the SQL text is tag plus padding.
+// ~20): the SQL text is tag plus padding.
 func sized(t testing.TB, qid, size int, complexity float64, tag string) *CachedResult {
 	t.Helper()
 	r := &CachedResult{QID: qid, SQL: tag, Complexity: complexity}
-	base, err := r.encode()
-	if err != nil || len(base) > size {
-		t.Fatalf("sized(%d, %d): base encoding is %d bytes, %v", qid, size, len(base), err)
+	for {
+		base := len(r.encode())
+		if base > size {
+			t.Fatalf("sized(%d, %d): base encoding is %d bytes", qid, size, base)
+		}
+		// Padding lengthens the SQL text's length prefix by at most two
+		// bytes.
+		for pad := size - base; pad >= 0 && pad >= size-base-2; pad-- {
+			r.SQL = tag + strings.Repeat(" ", pad)
+			if len(r.encode()) == size {
+				return r
+			}
+		}
+		// No padding lands on size exactly; an empty column shifts the
+		// base.
+		r.SQL = tag
+		r.Columns = append(r.Columns, types.Column{})
 	}
-	r.SQL += strings.Repeat(" ", size-len(base))
-	return r
 }
 
 func newCache(t testing.TB, budget int64, p Policy) *Cache {

@@ -1,12 +1,16 @@
 package zoomin
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/codec"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/sql"
 	"insightnotes/internal/summary"
@@ -23,7 +27,7 @@ func resultSchema() types.Schema {
 
 // figure3Result builds a cached result shaped like Figure 3: rows r1/r2
 // with a two-label classifier (refute/approve) and a snippet object.
-func figure3Result(t *testing.T, qid int) *CachedResult {
+func figure3Result(t testing.TB, qid int) *CachedResult {
 	t.Helper()
 	nb, err := textmining.NewNaiveBayes([]string{"refute", "approve"})
 	if err != nil {
@@ -81,9 +85,23 @@ func TestBuildCachedResultZoomStructure(t *testing.T) {
 	if r.Rows[2].Zoom != nil {
 		t.Error("unannotated row has zoom map")
 	}
-	if !strings.Contains(row.Rendered["NaiveBayesClass"], "refute") {
-		t.Errorf("rendered = %q", row.Rendered["NaiveBayesClass"])
+	if rendered := renderedRows(t, r); !strings.Contains(rendered[0]["NaiveBayesClass"], "refute") {
+		t.Errorf("rendered = %q", rendered[0]["NaiveBayesClass"])
 	}
+}
+
+// renderedRows decodes the rendered summaries of r's rows section.
+func renderedRows(t *testing.T, r *CachedResult) []map[string]string {
+	t.Helper()
+	rd := codec.NewReader(r.RowsSection())
+	out := make([]map[string]string, rd.Count(2))
+	for i := range out {
+		_, out[i] = ReadRow(rd)
+	}
+	if err := rd.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestFilterRowsWithPredicate(t *testing.T) {
@@ -106,11 +124,7 @@ func TestFilterRowsWithPredicate(t *testing.T) {
 
 func TestResultSerializationRoundTrip(t *testing.T) {
 	r := figure3Result(t, 7)
-	data, err := r.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeResult(data)
+	back, err := decodeResult(r.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +142,53 @@ func TestResultSerializationRoundTrip(t *testing.T) {
 	if _, err := decodeResult([]byte("nonsense")); err == nil {
 		t.Error("corrupt data decoded")
 	}
+	// Every proper prefix of an entry is an error, and so is a count
+	// larger than the bytes left.
+	data := r.encode()
+	for n := 0; n < len(data); n++ {
+		if _, err := decodeResult(data[:n]); err == nil {
+			t.Errorf("prefix of %d/%d bytes decoded", n, len(data))
+		}
+	}
+	w := codec.NewWriter(nil)
+	w.Byte(entryVersion)
+	w.Varint(7)
+	w.Str("SELECT 1")
+	w.Uvarint(1 << 20) // columns
+	w.Str("c1")
+	if _, err := decodeResult(w.Bytes()); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "count") {
+		t.Errorf("overcounted columns: %v", err)
+	}
+}
+
+// FuzzDecodeCachedResult: a spill entry decoder never panics, allocates no
+// more than a small multiple of the entry, and is stable under
+// decode → encode → decode.
+func FuzzDecodeCachedResult(f *testing.F) {
+	f.Add(figure3Result(f, 7).encode())
+	f.Add((&CachedResult{QID: 1, SQL: "SELECT 1", Columns: resultSchema().Columns}).encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r *CachedResult
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err = decodeResult(data)
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+64<<10); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		if err != nil {
+			return
+		}
+		again := r.encode()
+		back, err := decodeResult(again)
+		if err != nil {
+			t.Fatalf("re-encoded entry does not decode: %v", err)
+		}
+		if third := back.encode(); !bytes.Equal(third, again) {
+			t.Fatalf("decode → encode → decode changed the entry:\n%x\n%x", again, third)
+		}
+	})
 }
 
 func TestCachePutGetHit(t *testing.T) {
@@ -154,8 +215,7 @@ func TestCachePutGetHit(t *testing.T) {
 
 func TestCacheBudgetEviction(t *testing.T) {
 	r := figure3Result(t, 1)
-	data, _ := r.encode()
-	one := int64(len(data))
+	one := int64(len(r.encode()))
 	c, err := NewCache(t.TempDir(), one*2+one/2, LRU{}) // fits 2 entries
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +238,7 @@ func TestCacheBudgetEviction(t *testing.T) {
 
 func TestCacheRCOPrefersComplexEntries(t *testing.T) {
 	r := figure3Result(t, 1)
-	data, _ := r.encode()
-	one := int64(len(data))
+	one := int64(len(r.encode()))
 	c, err := NewCache(t.TempDir(), one*2+one/2, RCO{})
 	if err != nil {
 		t.Fatal(err)
@@ -288,10 +347,11 @@ func TestCachedElementsMatchObject(t *testing.T) {
 		rows = append(rows, &exec.Row{Tuple: types.Tuple{types.NewInt(int64(r))}, Env: env})
 	}
 	res := BuildCachedResult(7, "SELECT …", resultSchema(), rows, 1)
+	rendered := renderedRows(t, res)
 	for r, cr := range res.Rows {
 		env := rows[r].Env
-		if len(cr.Zoom) != len(env.Objects) || len(cr.Label) != len(env.Objects) || len(cr.Rendered) != len(env.Objects) {
-			t.Fatalf("row %d: %d zoom, %d label, %d rendered entries for %d objects", r, len(cr.Zoom), len(cr.Label), len(cr.Rendered), len(env.Objects))
+		if len(cr.Zoom) != len(env.Objects) || len(cr.Label) != len(env.Objects) || len(rendered[r]) != len(env.Objects) {
+			t.Fatalf("row %d: %d zoom, %d label, %d rendered entries for %d objects", r, len(cr.Zoom), len(cr.Label), len(rendered[r]), len(env.Objects))
 		}
 		for name, obj := range env.Objects {
 			if len(cr.Label[name]) != len(cr.Zoom[name]) || len(cr.Label[name]) == 0 {
@@ -311,8 +371,8 @@ func TestCachedElementsMatchObject(t *testing.T) {
 			if !slices.Equal(union, obj.Members()) {
 				t.Errorf("row %d %s: elements cover %v, members are %v", r, name, union, obj.Members())
 			}
-			if cr.Rendered[name] != obj.Render() {
-				t.Errorf("row %d %s: rendered %q, object renders %q", r, name, cr.Rendered[name], obj.Render())
+			if rendered[r][name] != obj.Render() {
+				t.Errorf("row %d %s: rendered %q, object renders %q", r, name, rendered[r][name], obj.Render())
 			}
 		}
 	}
