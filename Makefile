@@ -60,15 +60,17 @@ soak-scrub:
 
 # fuzz runs each fuzz target briefly — the page record round-trip, the
 # hostile-raw-page read paths, the order-preserving key decoder, the
-# tokenizer's ASCII loop against its rune loop, and the binary decoders of
-# wire request/response frames and zoom-in spill entries. A smoke; raise
-# FUZZTIME locally for real exploration.
+# tokenizer's ASCII loop against its rune loop, the result-path codec's
+# Reader, and the binary decoders of wire request/response frames and
+# zoom-in spill entries. A smoke; raise FUZZTIME locally for real
+# exploration.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzPageRawBytes -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/textmining/
+	$(GO) test -run '^$$' -fuzz FuzzCodec -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCachedResult -fuzztime $(FUZZTIME) ./internal/zoomin/

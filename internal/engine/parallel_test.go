@@ -12,7 +12,7 @@ import (
 
 // equivalenceQueries covers every operator the batch pipeline composes:
 // full scans, absorbed filters and projections, joins, sorting, duplicate
-// elimination, and LIMIT.
+// elimination, grouping, and LIMIT.
 var equivalenceQueries = []string{
 	"SELECT a, b, c FROM R",
 	"SELECT a, c FROM R WHERE b >= 1",
@@ -20,6 +20,7 @@ var equivalenceQueries = []string{
 	"SELECT r.a, r.b, s.y FROM R r, S s WHERE r.a = s.x",
 	"SELECT r.a, s.y FROM R r, S s WHERE r.a = s.x AND r.b >= 0 ORDER BY r.a",
 	"SELECT DISTINCT b FROM R",
+	"SELECT b, COUNT(*) FROM R GROUP BY b",
 	"SELECT a, b FROM R ORDER BY b LIMIT 3",
 }
 

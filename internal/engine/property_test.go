@@ -39,8 +39,10 @@ func randomDB(t *testing.T, seed int64) *DB {
 		t.Fatal(err)
 	}
 	nR, nS := 2+r.Intn(4), 2+r.Intn(3)
-	for i := 0; i < nR; i++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO R VALUES (%d, %d, 'c%d')", i+1, r.Intn(3), i))
+	bs := make([]int, nR)
+	for i := range bs {
+		bs[i] = r.Intn(3)
+		mustExec(t, db, fmt.Sprintf("INSERT INTO R VALUES (%d, %d, 'c%d')", i+1, bs[i], i))
 	}
 	for i := 0; i < nS; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO S VALUES (%d, 'y%d')", i%nR+1, i))
@@ -66,6 +68,12 @@ func randomDB(t *testing.T, seed int64) *DB {
 				{Table: "R", Columns: rCols[r.Intn(len(rCols))], Where: parseWhere(t, fmt.Sprintf("a = %d", r.Intn(nR)+1))},
 				{Table: "S", Columns: sCols[r.Intn(len(sCols))], Where: parseWhere(t, fmt.Sprintf("x = %d", r.Intn(xMax)+1))},
 			}
+		} else if r.Intn(3) == 0 {
+			// Every R row with one b value: a GROUP BY b merges each later
+			// row's group holding this annotation into the group it adopted
+			// from an earlier row.
+			specs = []TargetSpec{{Table: "R", Columns: rCols[r.Intn(len(rCols))],
+				Where: parseWhere(t, fmt.Sprintf("b = %d", bs[r.Intn(nR)]))}}
 		} else if r.Intn(2) == 0 {
 			specs = []TargetSpec{{Table: "R", Columns: rCols[r.Intn(len(rCols))],
 				Where: parseWhere(t, fmt.Sprintf("a = %d", r.Intn(nR)+1))}}

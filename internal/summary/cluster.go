@@ -3,6 +3,7 @@ package summary
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -54,6 +55,9 @@ type repCandidate struct {
 	sim     float64
 }
 
+// clusterGroup is the unit of copy-on-write in a cluster object: once
+// latched shared (by Clone, or by a MergeFrom adopting it) it is immutable,
+// and ownGroup replaces it with a private copy before any change.
 type clusterGroup struct {
 	members    map[annotation.ID]struct{}
 	candidates []repCandidate // sorted by (sim desc, id asc), len ≤ repCandidates
@@ -63,8 +67,9 @@ type clusterGroup struct {
 	// min caches the smallest member id (the canonical group sort key);
 	// maintained on every membership change to avoid rescanning the
 	// member set during sorting, rendering, and zooming.
-	min    annotation.ID
-	hasMin bool
+	min        annotation.ID
+	hasMin     bool
+	sharedFlag // last: it fits in hasMin's padding
 }
 
 func newClusterGroup() *clusterGroup {
@@ -195,6 +200,8 @@ func (c *clusterObject) Add(d Digest) {
 	if best == nil {
 		best = newClusterGroup()
 		c.groups = append(c.groups, best)
+	} else {
+		best = c.ownGroup(best)
 	}
 	best.centroid.Add(d.Vector)
 	best.centroid.Prune(c.inst.CentroidTerms * 2)
@@ -209,30 +216,32 @@ func (c *clusterObject) Add(d Digest) {
 // discards emptied groups. Groups are not re-split — projection curates,
 // it does not re-cluster (§2.1).
 func (c *clusterObject) Remove(drop func(annotation.ID) bool) {
-	changed := map[*clusterGroup]bool{}
+	var ids []annotation.ID
+	hit := map[*clusterGroup]bool{}
 	for id, g := range c.memberGroup {
-		if !drop(id) {
-			continue
+		if drop(id) {
+			ids = append(ids, id)
+			hit[g] = true
 		}
-		g.removeMember(id)
-		delete(c.memberGroup, id)
-		changed[g] = true
 	}
-	if len(changed) == 0 {
+	if len(ids) == 0 {
 		return
 	}
-	kept := c.groups[:0]
-	for _, g := range c.groups {
-		if len(g.members) == 0 {
-			continue
-		}
-		if changed[g] {
+	owned := make([]*clusterGroup, 0, len(hit))
+	for g := range hit {
+		owned = append(owned, c.ownGroup(g))
+	}
+	for _, id := range ids {
+		c.memberGroup[id].removeMember(id)
+		delete(c.memberGroup, id)
+	}
+	for _, g := range owned {
+		if len(g.members) > 0 {
 			g.pruneCandidates()
 			g.electRep()
 		}
-		kept = append(kept, g)
 	}
-	c.groups = kept
+	c.groups = slices.DeleteFunc(c.groups, func(g *clusterGroup) bool { return len(g.members) == 0 })
 }
 
 // MergeFrom implements Object. Groups from both sides that share a member
@@ -241,7 +250,8 @@ func (c *clusterObject) Remove(drop func(annotation.ID) bool) {
 // of merge order. When the instance sets MergeBySimilarity, non-overlapping
 // incoming groups whose centroid is close enough to an existing group are
 // also combined (the Figure 2 A1+B5 behaviour; best-effort under plan
-// reordering, see the type comment).
+// reordering, see the type comment). An incoming group that meets no local
+// group is adopted as is, shared with other.
 func (c *clusterObject) MergeFrom(other Object) {
 	o, ok := other.(*clusterObject)
 	if !ok || o.inst.Name != c.inst.Name {
@@ -269,16 +279,15 @@ func (c *clusterObject) MergeFrom(other Object) {
 				}
 			}
 		}
-		fresh := target == nil
-		if fresh {
-			// A new group starts as og's members and centroid: both maps
-			// are sized once instead of grown from empty.
-			target = &clusterGroup{
-				members:  make(map[annotation.ID]struct{}, len(og.members)),
-				centroid: og.centroid.Clone(),
+		if target == nil {
+			og.share()
+			c.groups = append(c.groups, og)
+			for id := range og.members {
+				c.memberGroup[id] = og
 			}
-			c.groups = append(c.groups, target)
+			continue
 		}
+		target = c.ownGroup(target)
 		added := false
 		for id := range og.members {
 			if c.Contains(id) {
@@ -288,7 +297,7 @@ func (c *clusterObject) MergeFrom(other Object) {
 			c.memberGroup[id] = target
 			added = true
 		}
-		if added && !fresh {
+		if added {
 			target.centroid.Add(og.centroid)
 		}
 		target.candidates = append(target.candidates, og.candidates...)
@@ -307,7 +316,7 @@ func (c *clusterObject) MergeFrom(other Object) {
 func (c *clusterObject) combineGroups(groups []*clusterGroup) *clusterGroup {
 	// Deterministic fuse order: ascending min member id.
 	slices.SortFunc(groups, byMinID)
-	target := groups[0]
+	target := c.ownGroup(groups[0])
 	for _, g := range groups[1:] {
 		for id := range g.members {
 			target.addMember(id)
@@ -334,30 +343,35 @@ func (c *clusterObject) combineGroups(groups []*clusterGroup) *clusterGroup {
 	return target
 }
 
-// Clone implements Object.
+// Clone implements Object: a new group list and member index over the same
+// groups, which both objects then hold shared.
 func (c *clusterObject) Clone() Object {
-	cp := &clusterObject{
-		inst:        c.inst,
-		memberGroup: make(map[annotation.ID]*clusterGroup, len(c.memberGroup)),
-	}
 	for _, g := range c.groups {
-		ng := &clusterGroup{
-			members:  make(map[annotation.ID]struct{}, len(g.members)),
-			centroid: textmining.NewVector(),
-		}
-		for id := range g.members {
-			ng.members[id] = struct{}{}
-		}
-		ng.min, ng.hasMin = g.min, g.hasMin
-		ng.candidates = append([]repCandidate(nil), g.candidates...)
-		ng.centroid = g.centroid.Clone()
-		ng.rep = g.rep
-		ng.repPreview = g.repPreview
-		cp.groups = append(cp.groups, ng)
-		for id := range ng.members {
-			cp.memberGroup[id] = ng
-		}
+		g.share()
 	}
+	return &clusterObject{inst: c.inst, groups: slices.Clone(c.groups), memberGroup: maps.Clone(c.memberGroup)}
+}
+
+// ownGroup returns g ready to be changed in place: a shared group is first
+// replaced, in the group list and the member index, by a private copy.
+func (c *clusterObject) ownGroup(g *clusterGroup) *clusterGroup {
+	if !g.isShared() {
+		return g
+	}
+	cp := &clusterGroup{
+		members:    make(map[annotation.ID]struct{}, len(g.members)),
+		candidates: slices.Clone(g.candidates),
+		centroid:   g.centroid.Clone(),
+		rep:        g.rep,
+		repPreview: g.repPreview,
+		min:        g.min,
+		hasMin:     g.hasMin,
+	}
+	for id := range g.members {
+		cp.members[id] = struct{}{}
+		c.memberGroup[id] = cp
+	}
+	c.groups[slices.Index(c.groups, g)] = cp
 	return cp
 }
 

@@ -116,7 +116,9 @@ func (e *Envelope) own(name string) Object {
 	return obj
 }
 
-// Clone returns a deep copy of the envelope, sharing nothing with e.
+// Clone returns a copy of the envelope with its own maps and objects, which
+// shares nothing with e that either side can change in place (see
+// Object.Clone).
 func (e *Envelope) Clone() *Envelope {
 	cp := &Envelope{
 		Cover:   maps.Clone(e.Cover),

@@ -108,7 +108,9 @@ type Object interface {
 	// MergeFrom combines other (an object of the same instance) into the
 	// receiver. Members already present are not double counted.
 	MergeFrom(other Object)
-	// Clone returns a deep copy sharing only the immutable instance.
+	// Clone returns a copy that shares nothing either side can change in
+	// place: the instance, and a cluster object's groups, which both
+	// copies then hold shared and copy on write.
 	Clone() Object
 	// Members returns the contributing annotation ids, sorted ascending.
 	Members() []annotation.ID
@@ -155,8 +157,9 @@ func zoom(o Object, index int) ([]annotation.ID, error) {
 }
 
 // sharedFlag is embedded in every object type, where it implements share
-// and isShared, and is an envelope's flag for its maps. Envelopes of
-// concurrent statements share objects and stored envelopes, hence atomic.
+// and isShared, and in cluster groups; it is also an envelope's flag for its
+// maps. Envelopes of concurrent statements share objects, groups and stored
+// envelopes, hence atomic.
 type sharedFlag struct{ on atomic.Bool }
 
 func (f *sharedFlag) share() {

@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"maps"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,19 +124,139 @@ func TestMergeAdoptsSharedThenCopiesOnWrite(t *testing.T) {
 	}
 }
 
-// TestCloneSharesNothing: Clone stays a deep copy even of a view.
+// TestCloneSharesNothing: Clone, even of a view, shares nothing that either
+// side can change in place. Maps and objects are the copy's own; the cluster
+// groups both sides then hold are latched shared, so whichever side changes
+// one first copies it.
 func TestCloneSharesNothing(t *testing.T) {
-	lender, _, _, _ := buildTupleEnvelope(t)
+	lender, _, clu, _ := buildTupleEnvelope(t)
+	want := lender.Render()
 	cp := lender.View().Clone()
 	for name, obj := range cp.Objects {
 		if obj == lender.Objects[name] || obj.isShared() {
 			t.Errorf("%s: Clone shares its object", name)
 		}
 	}
-	cp.RemoveAnnotation(1)
-	if lender.Object("ClassBird1").Len() != 3 {
-		t.Error("mutating the clone changed the original")
+	for _, g := range clusterOf(cp, clu.Name).groups {
+		if !g.isShared() {
+			t.Error("a cluster group both copies hold is not latched shared")
+		}
 	}
+	cp.RemoveAnnotation(1)
+	if got := lender.Render(); got != want {
+		t.Errorf("mutating the clone changed the original:\n%s\nwant\n%s", got, want)
+	}
+	wantCopy := cp.Render()
+	lender.RemoveAnnotation(3)
+	if got := cp.Render(); got != wantCopy {
+		t.Errorf("mutating the original changed the clone:\n%s\nwant\n%s", got, wantCopy)
+	}
+}
+
+// TestCombineAdoptsClusterGroupsCopyOnWrite: a Combine whose cluster groups
+// meet none on the left adopts every right-hand group by pointer. A later
+// change to one of them on either side copies it first: the other side stays
+// Equal to what it was and keeps every group it had, and the changing side
+// keeps every group the change did not touch.
+func TestCombineAdoptsClusterGroupsCopyOnWrite(t *testing.T) {
+	clu := clusterInstance(t, "Clu")
+	add := func(e *Envelope, id annotation.ID, term string, col int) {
+		e.Add(clu, Digest{Ann: id, Vector: vec(term, 1), Preview: term}, annotation.Col(col))
+	}
+	// Groups alpha {1, 2}, beta {3, 4} and gamma {5}; 2 and 4 cover
+	// column 1 only.
+	right := func() *Envelope {
+		e := NewEnvelope()
+		add(e, 1, "alpha", 0)
+		add(e, 2, "alpha", 1)
+		add(e, 3, "beta", 0)
+		add(e, 4, "beta", 1)
+		add(e, 5, "gamma", 0)
+		return e
+	}
+	left := func() *Envelope {
+		e := NewEnvelope()
+		add(e, 10, "delta", 0)
+		return e
+	}
+	cases := []struct {
+		name   string
+		mutate func(e *Envelope)
+		// touched lists members of the groups the change must copy.
+		touched []annotation.ID
+	}{
+		{"AddJoiningGroup", func(e *Envelope) { add(e, 20, "alpha", 0) }, []annotation.ID{1}},
+		{"RemoveMember", func(e *Envelope) { e.RemoveAnnotation(3) }, []annotation.ID{3}},
+		{"BridgingMerge", func(e *Envelope) {
+			bridge := NewEnvelope()
+			add(bridge, 1, "alpha", 0)
+			add(bridge, 3, "alpha", 0) // one group holding 1 and 3 fuses alpha and beta
+			e.Combine(bridge)
+		}, []annotation.ID{1, 3}},
+		{"SimilarityMerge", func(e *Envelope) {
+			clu.MergeBySimilarity = true
+			defer func() { clu.MergeBySimilarity = false }()
+			other := NewEnvelope()
+			add(other, 30, "alpha", 0) // disjoint, but joins alpha by similarity
+			e.Combine(other)
+		}, []annotation.ID{1}},
+		{"ProjectDroppingMembers", func(e *Envelope) { e.Project([]int{0}) }, []annotation.ID{2, 4}},
+	}
+	for _, tc := range cases {
+		for _, side := range []string{"adopter", "donor"} {
+			t.Run(tc.name+"/"+side, func(t *testing.T) {
+				l, r := left(), right()
+				l.Combine(r)
+				adopted := groupsOf(l)
+				for g := range groupsOf(r) {
+					if !adopted[g] {
+						t.Fatal("Combine copied a right-hand group no left-hand group overlaps")
+					}
+				}
+				mutated, held, want := l, r, right()
+				if side == "donor" {
+					mutated, held = r, l
+					want = left()
+					want.Combine(right())
+				}
+				heldBefore, mutatedBefore := groupsOf(held), groupsOf(mutated)
+				touched := map[*clusterGroup]bool{}
+				for _, id := range tc.touched {
+					touched[clusterOf(mutated, clu.Name).memberGroup[id]] = true
+				}
+				tc.mutate(mutated)
+				if !held.Equal(want) {
+					t.Errorf("the %s's change reached the other side:\n%s\nwant\n%s", side, held.Render(), want.Render())
+				}
+				if !maps.Equal(groupsOf(held), heldBefore) {
+					t.Error("the other side's groups were replaced")
+				}
+				after := groupsOf(mutated)
+				for g := range mutatedBefore {
+					switch {
+					case touched[g] && after[g]:
+						t.Errorf("group of %d changed in place while shared", g.minID())
+					case !touched[g] && !after[g]:
+						t.Errorf("group of %d copied though the change did not touch it", g.minID())
+					}
+				}
+			})
+		}
+	}
+}
+
+// clusterOf returns e's object of the named cluster instance.
+func clusterOf(e *Envelope, name string) *clusterObject { return e.Objects[name].(*clusterObject) }
+
+// groupsOf returns the groups of e's only cluster object.
+func groupsOf(e *Envelope) map[*clusterGroup]bool {
+	out := map[*clusterGroup]bool{}
+	for _, obj := range e.Objects {
+		for _, g := range obj.(*clusterObject).groups {
+			out[g] = true
+		}
+	}
+	return out
 }
 
 // TestWriteQuotedMatchesStrconv pins the fast path to what %q prints.
