@@ -61,8 +61,9 @@ soak-scrub:
 # fuzz runs each fuzz target briefly — the page record round-trip, the
 # hostile-raw-page read paths, the order-preserving key decoder, the
 # tokenizer's ASCII loop against its rune loop, the result-path codec's
-# Reader, and the binary decoders of wire request/response frames and
-# zoom-in spill entries. A smoke; raise FUZZTIME locally for real
+# Reader, the binary decoders of wire request/response frames and
+# zoom-in spill entries, the WAL tail reader over arbitrary log bytes, and
+# every WAL record body decoder. A smoke; raise FUZZTIME locally for real
 # exploration.
 FUZZTIME ?= 10s
 fuzz:
@@ -74,3 +75,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCachedResult -fuzztime $(FUZZTIME) ./internal/zoomin/
+	$(GO) test -run '^$$' -fuzz FuzzTailReader -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/engine/

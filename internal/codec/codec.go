@@ -1,6 +1,7 @@
-// Package codec is the binary encoding of the result path: the frames
-// between server.Client and server.Server and the zoom-in cache's spill
-// entries. A Writer appends primitives to a byte slice; a Reader consumes
+// Package codec is the repository's binary encoding: the frames between
+// server.Client and server.Server, the zoom-in cache's spill entries, WAL
+// records and their payloads, and the summary store's envelope records. A
+// Writer appends primitives to a byte slice; a Reader consumes
 // them with a sticky error, so a decoder reads a whole structure and checks
 // Err once. Every count and length a Reader hands out has been checked
 // against the bytes left in its buffer, so a corrupt or hostile input can
@@ -236,6 +237,10 @@ func (r *Reader) Tuple() types.Tuple {
 	}
 	return t
 }
+
+// Rest consumes every unread byte and returns them, aliasing the Reader's
+// buffer: the opaque tail of a structure whose layout another decoder owns.
+func (r *Reader) Rest() []byte { return r.take(r.remaining()) }
 
 // Section reads a section written by Section or BeginSection/EndSection
 // and returns its bytes, aliasing the Reader's buffer.

@@ -168,7 +168,7 @@ func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
 		rec.Anns[i] = newSnapshotAnnotate(*a, targets)
 	}
 	db.maintain(tasks)
-	if err := db.logRecord(walTypeAnnotate, rec); err != nil {
+	if err := db.logRecord(walTypeAnnotate, &rec); err != nil {
 		return nil, 0, err
 	}
 	return ids, total, nil
@@ -296,7 +296,7 @@ func (db *DB) execLink(instanceName, table string, unlink bool) error {
 	if err := db.setLink(instanceName, table, unlink); err != nil {
 		return err
 	}
-	return db.logRecord(walTypeLink, walLink{Instance: instanceName, Table: table, Unlink: unlink})
+	return db.logRecord(walTypeLink, &walLink{Instance: instanceName, Table: table, Unlink: unlink})
 }
 
 // setLink applies one link change; WAL replay shares it.
@@ -391,7 +391,7 @@ func (db *DB) RebuildSummaries(table string) (steps int, err error) {
 		if steps, err = db.rebuildSummaries(table); err != nil {
 			return err
 		}
-		return db.logRecord(walTypeRebuild, walRebuild{Table: table})
+		return db.logRecord(walTypeRebuild, &walName{Name: table})
 	})
 	return steps, err
 }
@@ -433,7 +433,7 @@ func (db *DB) execTrain(instanceName string, samples [][2]string) error {
 	if err := db.trainClassifier(instanceName, samples); err != nil {
 		return err
 	}
-	return db.logRecord(walTypeTrain, walTrain{Instance: instanceName, Samples: samples})
+	return db.logRecord(walTypeTrain, &walTrain{Instance: instanceName, Samples: samples})
 }
 
 func (db *DB) trainClassifier(instanceName string, samples [][2]string) error {

@@ -62,7 +62,7 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 		}
 		images = append(images, snapshotRow{ID: row, Values: updated})
 	}
-	if err := db.logRecord(walTypeUpdate, walRows{Table: tbl.Name(), Rows: images}); err != nil {
+	if err := db.logRecord(walTypeUpdate, &walRows{Table: tbl.Name(), Rows: images}); err != nil {
 		return nil, err
 	}
 	return &Result{
@@ -94,7 +94,7 @@ func (db *DB) execDelete(s *sql.Delete) (*Result, error) {
 		}
 		orphanedTotal += len(orphaned)
 	}
-	if err := db.logRecord(walTypeDelete, walDelete{Table: tbl.Name(), Rows: rows}); err != nil {
+	if err := db.logRecord(walTypeDelete, &walDelete{Table: tbl.Name(), Rows: rows}); err != nil {
 		return nil, err
 	}
 	msg := fmt.Sprintf("%d row(s) deleted from %s", len(rows), tbl.Name())
@@ -134,7 +134,7 @@ func (db *DB) execDropAnnotation(id annotation.ID) error {
 	if err := db.dropAnnotation(id); err != nil {
 		return err
 	}
-	return db.logRecord(walTypeDropAnnotation, walDropAnnotation{ID: id})
+	return db.logRecord(walTypeDropAnnotation, &walDropAnnotation{ID: id})
 }
 
 func (db *DB) dropAnnotation(id annotation.ID) error {

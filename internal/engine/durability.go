@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"insightnotes/internal/annotation"
+	"insightnotes/internal/codec"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/metrics"
 	"insightnotes/internal/summary"
@@ -132,6 +132,7 @@ func OpenDurable(cfg Config, opts DurabilityOptions) (*DB, RecoveryInfo, error) 
 
 	res, err := wal.Replay(walPath, info.SnapshotLSN, db.applyWALRecord)
 	if err != nil {
+		db.Close()
 		return nil, info, fmt.Errorf("engine: wal recovery: %w", err)
 	}
 	info.Replayed = res.Replayed
@@ -145,6 +146,7 @@ func OpenDurable(cfg Config, opts DurabilityOptions) (*DB, RecoveryInfo, error) 
 	}
 	log, err := wal.Open(walPath, lastLSN)
 	if err != nil {
+		db.Close()
 		return nil, info, err
 	}
 	db.attachWAL(opts, log, info)
@@ -283,96 +285,6 @@ func (db *DB) maybeAutoCheckpoint() {
 	}
 }
 
-// ---- WAL records ----
-
-// Record types. The payloads carry resolved effects (ids, post-images),
-// making replay deterministic; see the package comment above. Row ingest
-// (INSERT and BULK INSERT) and annotation ingest (one annotation or a
-// batch) each write one type, whatever the size of the statement.
-const (
-	walTypeCreateTable    = "create_table"
-	walTypeCreateIndex    = "create_index"
-	walTypeDropTable      = "drop_table"
-	walTypeInsert         = "insert"
-	walTypeUpdate         = "update"
-	walTypeDelete         = "delete"
-	walTypeCreateInstance = "create_instance"
-	walTypeDropInstance   = "drop_instance"
-	walTypeLink           = "link"
-	walTypeAnnotate       = "annotate"
-	walTypeDropAnnotation = "drop_annotation"
-	walTypeTrain          = "train"
-	walTypeRebuild        = "rebuild"
-	// Retired: no longer written, still replayed — logs written before the
-	// ingest paths were folded, and primaries of that vintage streaming to
-	// this node as a replica, carry them. bulk_insert has the insert
-	// payload; annotate_batch has the annotate payload.
-	walTypeBulkInsertRetired    = "bulk_insert"
-	walTypeAnnotateBatchRetired = "annotate_batch"
-)
-
-type walCreateTable struct {
-	Name    string           `json:"name"`
-	Columns []snapshotColumn `json:"columns"`
-}
-
-type walCreateIndex struct {
-	Table  string `json:"table"`
-	Column string `json:"column"`
-}
-
-type walDropTable struct {
-	Name string `json:"name"`
-}
-
-// walRows serves insert (assigned ids) and update (post-images).
-type walRows struct {
-	Table string        `json:"table"`
-	Rows  []snapshotRow `json:"rows"`
-}
-
-type walDelete struct {
-	Table string        `json:"table"`
-	Rows  []types.RowID `json:"rows"`
-}
-
-type walCreateInstance struct {
-	// Instance is the summary.Instance JSON at creation time (untrained;
-	// later TRAIN records replay the training).
-	Instance json.RawMessage `json:"instance"`
-}
-
-type walDropInstance struct {
-	Name string `json:"name"`
-}
-
-type walLink struct {
-	Instance string `json:"instance"`
-	Table    string `json:"table"`
-	Unlink   bool   `json:"unlink,omitempty"`
-}
-
-// walAnnotate carries one ingest's annotations in id order.
-type walAnnotate struct {
-	Anns []snapshotAnnotate `json:"anns,omitempty"`
-	// Ann is the payload annotate records had while annotate_batch was a
-	// type of its own: one annotation. Read, never written.
-	Ann *snapshotAnnotate `json:"ann,omitempty"`
-}
-
-type walDropAnnotation struct {
-	ID annotation.ID `json:"id"`
-}
-
-type walRebuild struct {
-	Table string `json:"table"`
-}
-
-type walTrain struct {
-	Instance string      `json:"instance"`
-	Samples  [][2]string `json:"samples"`
-}
-
 // logRecord stages one mutation record into the WAL without waiting for
 // its commit fsync, parking the sync token in db.pendingSync. The caller
 // is inside the commit shell, which takes the token (takePendingSync)
@@ -382,13 +294,16 @@ type walTrain struct {
 // progress) is a no-op. On error the statement must be reported failed:
 // the in-memory mutation was applied but is not durable, so the caller
 // should treat the engine as compromised and restart from the log.
-func (db *DB) logRecord(recType string, data any) error {
+func (db *DB) logRecord(recType string, p walPayload) error {
 	if db.wal == nil {
 		return nil
 	}
 	sp := db.writeSpan.Child(trace.SpanWALAppend)
 	sp.Attr("rec", recType)
-	_, tok, err := db.wal.Stage(recType, data)
+	w := codec.NewWriter(db.walBuf[:0])
+	p.encode(w)
+	db.walBuf = w.Bytes()
+	_, tok, err := db.wal.Stage(recType, db.walBuf)
 	sp.End()
 	if err != nil {
 		return fmt.Errorf("engine: wal append (%s): %w", recType, err)
@@ -420,23 +335,16 @@ func (db *DB) syncWAL(tok wal.SyncToken) error {
 	return nil
 }
 
-// walDecode unmarshals a record's payload as T.
-func walDecode[T any](rec wal.Record) (T, error) {
-	var r T
-	err := json.Unmarshal(rec.Data, &r)
-	return r, err
-}
-
 // applyWALRecord redoes one logical record: at recovery, and on a replica
 // for every record the primary ships. Nothing here logs — recovery has no
 // WAL attached yet, and a replica stages the primary's record itself.
 func (db *DB) applyWALRecord(rec wal.Record) error {
-	switch rec.Type {
-	case walTypeCreateTable:
-		r, err := walDecode[walCreateTable](rec)
-		if err != nil {
-			return err
-		}
+	p, err := decodeRecord(rec.Type, rec.Data)
+	if err != nil {
+		return err
+	}
+	switch r := p.(type) {
+	case *walCreateTable:
 		cols := make([]types.Column, len(r.Columns))
 		for i, c := range r.Columns {
 			cols[i] = types.Column{Name: c.Name, Kind: c.Kind}
@@ -448,29 +356,26 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 		db.invalidatePlanCache()
 		_, err = db.cat.CreateTable(r.Name, types.Schema{Columns: cols})
 		return err
-	case walTypeCreateIndex:
-		r, err := walDecode[walCreateIndex](rec)
-		if err != nil {
-			return err
-		}
+	case *walCreateIndex:
 		tbl, err := db.cat.Table(r.Table)
 		if err != nil {
 			return err
 		}
 		db.invalidatePlanCache()
 		return tbl.CreateIndex(r.Column)
-	case walTypeDropTable:
-		r, err := walDecode[walDropTable](rec)
-		if err != nil {
+	case *walName:
+		switch rec.Type {
+		case walTypeDropTable:
+			db.invalidatePlanCache()
+			return db.dropTable(r.Name)
+		case walTypeDropInstance:
+			db.invalidatePlanCache()
+			return db.dropInstance(r.Name)
+		default: // rebuild
+			_, err = db.rebuildSummaries(r.Name)
 			return err
 		}
-		db.invalidatePlanCache()
-		return db.dropTable(r.Name)
-	case walTypeInsert, walTypeBulkInsertRetired, walTypeUpdate:
-		r, err := walDecode[walRows](rec)
-		if err != nil {
-			return err
-		}
+	case *walRows:
 		tbl, err := db.cat.Table(r.Table)
 		if err != nil {
 			return err
@@ -485,11 +390,7 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 			}
 		}
 		return nil
-	case walTypeDelete:
-		r, err := walDecode[walDelete](rec)
-		if err != nil {
-			return err
-		}
+	case *walDelete:
 		tbl, err := db.cat.Table(r.Table)
 		if err != nil {
 			return err
@@ -500,58 +401,20 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 			}
 		}
 		return nil
-	case walTypeCreateInstance:
-		r, err := walDecode[walCreateInstance](rec)
-		if err != nil {
-			return err
-		}
+	case *walCreateInstance:
 		in := new(summary.Instance)
-		if err := json.Unmarshal(r.Instance, in); err != nil {
+		if err := json.Unmarshal([]byte(r.Instance), in); err != nil {
 			return err
 		}
 		return db.cat.RegisterInstance(in)
-	case walTypeDropInstance:
-		r, err := walDecode[walDropInstance](rec)
-		if err != nil {
-			return err
-		}
-		db.invalidatePlanCache()
-		return db.dropInstance(r.Name)
-	case walTypeLink:
-		r, err := walDecode[walLink](rec)
-		if err != nil {
-			return err
-		}
+	case *walLink:
 		return db.setLink(r.Instance, r.Table, r.Unlink)
-	case walTypeAnnotate, walTypeAnnotateBatchRetired:
-		r, err := walDecode[walAnnotate](rec)
-		if err != nil {
-			return err
-		}
-		if r.Ann != nil {
-			r.Anns = append(r.Anns, *r.Ann)
-		}
+	case *walAnnotate:
 		return db.applyAnnotates(r.Anns)
-	case walTypeDropAnnotation:
-		r, err := walDecode[walDropAnnotation](rec)
-		if err != nil {
-			return err
-		}
+	case *walDropAnnotation:
 		return db.dropAnnotation(r.ID)
-	case walTypeTrain:
-		r, err := walDecode[walTrain](rec)
-		if err != nil {
-			return err
-		}
+	case *walTrain:
 		return db.trainClassifier(r.Instance, r.Samples)
-	case walTypeRebuild:
-		r, err := walDecode[walRebuild](rec)
-		if err != nil {
-			return err
-		}
-		_, err = db.rebuildSummaries(r.Table)
-		return err
-	default:
-		return fmt.Errorf("engine: unknown wal record type %q", rec.Type)
 	}
+	return fmt.Errorf("engine: no redo for wal record type %q", rec.Type)
 }

@@ -205,6 +205,9 @@ type DB struct {
 	// fsync after release, so concurrent writers batch their fsyncs.
 	// Guarded by stmtMu (exclusive).
 	pendingSync wal.SyncToken
+	// walBuf is reused to encode each logged record's body. Guarded by
+	// stmtMu (exclusive).
+	walBuf []byte
 	// recoveredLSN is the included-LSN mark of the snapshot this DB was
 	// loaded from (0 when fresh); WAL replay skips records at or below it.
 	recoveredLSN uint64

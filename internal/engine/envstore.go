@@ -1,12 +1,11 @@
 package engine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 
-	"insightnotes/internal/annotation"
+	"insightnotes/internal/codec"
 	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
@@ -63,6 +62,8 @@ type envStripe struct {
 	// rids tracks the heap record of each envelope's persistent form. A
 	// present envelope missing here is memory-only (oversize record).
 	rids map[string]map[types.RowID]storage.RID
+	// buf is reused to encode the records persist writes.
+	buf []byte
 }
 
 func newEnvStore(pool *storage.BufferPool) *envStore {
@@ -91,24 +92,49 @@ func (s *envStore) stripeFor(table string, row types.RowID) *envStripe {
 	return &s.stripes[h%envStripes]
 }
 
-// persistEnvelope is the heap-record form of one envelope: its identity,
-// the coverage map, and the member list of each summary object. The
-// objects' model state (classifier counts, cluster centroids, snippets) is
-// derived from the raw annotations and is not persisted here.
-type persistEnvelope struct {
-	Table   string                              `json:"table"`
-	Row     types.RowID                         `json:"row"`
-	Cover   map[annotation.ID]annotation.ColSet `json:"cover"`
-	Objects map[string][]annotation.ID          `json:"objects"`
+// encodeEnvelope appends the heap-record form of one envelope to dst: its
+// identity (table Str, row uvarint), the coverage map as (annotation id,
+// colset) uvarint pairs, and each object's instance name and member ids.
+// The objects' model state (classifier counts, cluster centroids,
+// snippets) is derived from the raw annotations and is not persisted here.
+func encodeEnvelope(dst []byte, table string, row types.RowID, env *summary.Envelope) []byte {
+	w := codec.NewWriter(dst)
+	w.Str(table)
+	w.Uvarint(uint64(row))
+	w.Uvarint(uint64(len(env.Cover)))
+	for id, cols := range env.Cover {
+		w.Uvarint(uint64(id))
+		w.Uvarint(uint64(cols))
+	}
+	w.Uvarint(uint64(len(env.Objects)))
+	for name, obj := range env.Objects {
+		w.Str(name)
+		members := obj.Members()
+		w.Uvarint(uint64(len(members)))
+		for _, id := range members {
+			w.Uvarint(uint64(id))
+		}
+	}
+	return w.Bytes()
 }
 
-func encodeEnvelope(table string, row types.RowID, env *summary.Envelope) []byte {
-	members := make(map[string][]annotation.ID, len(env.Objects))
-	for name, obj := range env.Objects {
-		members[name] = obj.Members()
+// envelopeRecordKey decodes the whole of an envelope heap record and
+// returns the tuple it belongs to, building nothing from the coverage and
+// member lists it steps over.
+func envelopeRecordKey(data []byte) (string, types.RowID, error) {
+	r := codec.NewReader(data)
+	table, row := r.Str(), types.RowID(r.Uvarint())
+	for n := r.Count(2); n > 0; n-- {
+		r.Uvarint()
+		r.Uvarint()
 	}
-	data, _ := json.Marshal(persistEnvelope{Table: table, Row: row, Cover: env.Cover, Objects: members})
-	return data
+	for n := r.Count(2); n > 0; n-- {
+		r.SkipStr()
+		for m := r.Count(1); m > 0; m-- {
+			r.Uvarint()
+		}
+	}
+	return table, row, r.Done()
 }
 
 // instKey is the B+tree key of one (instance, table) index entry.
@@ -150,7 +176,8 @@ func (s *envStore) reindex(table string, row types.RowID, before map[string]bool
 // held. An envelope too large for a page drops its heap backing and stays
 // memory-only.
 func (s *envStore) persist(st *envStripe, table string, row types.RowID, env *summary.Envelope) {
-	rec := encodeEnvelope(table, row, env)
+	st.buf = encodeEnvelope(st.buf[:0], table, row, env)
+	rec := st.buf
 	if rid, ok := st.rids[table][row]; ok {
 		nrid, err := s.heap.Update(rid, rec)
 		if err == nil {
@@ -329,17 +356,17 @@ func (s *envStore) verifyPage(pid storage.PageID, sample int) error {
 				return false
 			}
 			checked++
-			var rec persistEnvelope
-			if err := json.Unmarshal(data, &rec); err != nil {
+			table, row, err := envelopeRecordKey(data)
+			if err != nil {
 				verr = fmt.Errorf("engine: envelope page %d slot %d: %w", pid, slot, err)
 				return false
 			}
-			st := s.stripeFor(rec.Table, rec.Row)
+			st := s.stripeFor(table, row)
 			st.mu.RLock()
-			rid, ok := st.rids[rec.Table][rec.Row]
+			rid, ok := st.rids[table][row]
 			st.mu.RUnlock()
 			if !ok || rid != (storage.RID{Page: pid, Slot: slot}) {
-				verr = fmt.Errorf("engine: envelope page %d slot %d: (%s, %d) not mapped to this record", pid, slot, rec.Table, rec.Row)
+				verr = fmt.Errorf("engine: envelope page %d slot %d: (%s, %d) not mapped to this record", pid, slot, table, row)
 				return false
 			}
 			return true
@@ -369,7 +396,7 @@ func (s *envStore) repairPage(pid storage.PageID) error {
 					st.mu.RUnlock()
 					return fmt.Errorf("engine: envelope (%s, %d) has a heap record but no live envelope", table, row)
 				}
-				recs = append(recs, storage.SlotRecord{Slot: rid.Slot, Data: encodeEnvelope(table, row, env)})
+				recs = append(recs, storage.SlotRecord{Slot: rid.Slot, Data: encodeEnvelope(nil, table, row, env)})
 			}
 		}
 		st.mu.RUnlock()

@@ -312,7 +312,7 @@ func TestAnnotateBatchDurableReplay(t *testing.T) {
 	defer re.Close()
 	res := mustExec(t, re, "SHOW ANNOTATIONS ON birds")
 	if len(res.Rows) != before {
-		t.Fatalf("replayed annotate_batch rows = %d, want %d", len(res.Rows), before)
+		t.Fatalf("replayed batch rows = %d, want %d", len(res.Rows), before)
 	}
 }
 

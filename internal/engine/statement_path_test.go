@@ -1,15 +1,11 @@
 // Tests of the one statement path: a failed multi-row INSERT leaves nothing
-// behind, one annotation is a batch of one, and logs written with the
-// retired record types still recover.
+// behind, and one annotation is a batch of one.
 
 package engine
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -109,56 +105,4 @@ func TestSingleVsBatchEquivalence(t *testing.T) {
 			})
 		}
 	}
-}
-
-// A WAL written by the commit before row ingest and annotation ingest were
-// folded (testdata/parent_wal/wal.log, written by that commit's engine)
-// carries all four of insert, bulk_insert, annotate and annotate_batch; it
-// must recover to the state the same statements produce today.
-func TestParentWALStillOpens(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent_wal", "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, typ := range []string{"insert", "bulk_insert", "annotate", "annotate_batch"} {
-		if !bytes.Contains(raw, []byte(`"type":"`+typ+`"`)) {
-			t.Fatalf("fixture holds no %s record", typ)
-		}
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walFileName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, info := openDurable(t, dir)
-	if info.TornTruncated || info.Replayed != 9 {
-		t.Fatalf("recovery = %+v, want 9 intact records", info)
-	}
-
-	want := testDB(t)
-	defer want.Close()
-	maintScaffold(t, want) // birds rows 1-3, instances C and S, both linked
-	mustExec(t, want, "INSERT INTO birds VALUES (4, 'Whooper Swan')")
-	mustExec(t, want, "ADD ANNOTATION 'observed feeding on stonewort' ON birds WHERE id = 1")
-	if _, _, err := want.AnnotateBatch([]AnnotationRequest{
-		{Text: "flock sighting at dawn over the reed beds", Table: "birds"},
-		{Text: "aggressive display toward intruders near the nest", Table: "birds", Columns: []string{"name"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	const q = "SELECT id, name FROM birds ORDER BY id"
-	if g, w := fmt.Sprint(rowTuples(mustExec(t, got, q))), fmt.Sprint(rowTuples(mustExec(t, want, q))); g != w {
-		t.Fatalf("recovered rows %s, want %s", g, w)
-	}
-	compareEnvelopes(t, got, want)
-	if g, w := got.Annotations().Count(), want.Annotations().Count(); g != w {
-		t.Fatalf("recovered %d annotation(s), want %d", g, w)
-	}
-}
-
-func rowTuples(res *Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		out[i] = fmt.Sprint(r.Tuple)
-	}
-	return out
 }

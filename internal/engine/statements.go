@@ -247,7 +247,7 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 		// Memoized access paths predate this index; drop them so the next
 		// execution re-costs against it.
 		db.invalidatePlanCache()
-		if err := db.logRecord(walTypeCreateIndex, walCreateIndex{Table: tbl.Name(), Column: s.Column}); err != nil {
+		if err := db.logRecord(walTypeCreateIndex, &walCreateIndex{Table: tbl.Name(), Column: s.Column}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("index created on %s(%s)", tbl.Name(), s.Column)}, nil
@@ -261,7 +261,7 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 			return nil, err
 		}
 		db.invalidatePlanCache()
-		if err := db.logRecord(walTypeDropTable, walDropTable{Name: name}); err != nil {
+		if err := db.logRecord(walTypeDropTable, &walName{Name: name}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: "table dropped"}, nil
@@ -317,7 +317,7 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := db.logRecord(walTypeCreateInstance, walCreateInstance{Instance: raw}); err != nil {
+			if err := db.logRecord(walTypeCreateInstance, &walCreateInstance{Instance: string(raw)}); err != nil {
 				return nil, err
 			}
 		}
@@ -329,7 +329,7 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 		// Cached SELECT templates may carry SUMMARY(...) calls resolved
 		// against this instance at plan time.
 		db.invalidatePlanCache()
-		if err := db.logRecord(walTypeDropInstance, walDropInstance{Name: s.Name}); err != nil {
+		if err := db.logRecord(walTypeDropInstance, &walName{Name: s.Name}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: "summary instance dropped"}, nil
@@ -407,7 +407,7 @@ func (db *DB) execCreateTable(s *sql.CreateTable) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := db.logRecord(walTypeCreateTable, walCreateTable{Name: tbl.Name(), Columns: scols}); err != nil {
+	if err := db.logRecord(walTypeCreateTable, &walCreateTable{Name: tbl.Name(), Columns: scols}); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("table %s created", s.Name)}, nil
@@ -473,7 +473,7 @@ func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 			return nil, err
 		}
 	}
-	if err := db.logRecord(walTypeInsert, walRows{Table: tbl.Name(), Rows: inserted}); err != nil {
+	if err := db.logRecord(walTypeInsert, &walRows{Table: tbl.Name(), Rows: inserted}); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("%d row(s) %s into %s", len(inserted), done, tbl.Name()), Count: len(inserted)}, nil

@@ -7,6 +7,8 @@
 // confined to the functions allowed to make it; the engine's lock protocol
 // is held to one function that way, and FieldWrites keeps a struct's maps
 // written only by the package that owns them (copy-on-write envelopes).
+// Imports keeps a package out of the files that must not use it (no JSON on
+// the durable write path).
 // LeakyOpens reads the tests and examples themselves (neither may leave the
 // zoom-in cache directory Open creates behind), and StaleMakeTargets reads
 // the documentation against the Makefile.
@@ -190,6 +192,28 @@ func (s *Sources) CallsOutside(dir, call string, allowed ...string) []string {
 				}
 				return true
 			})
+		}
+	}
+	return problems
+}
+
+// Imports reports every file whose path contains one of paths and that
+// imports pkg.
+func (s *Sources) Imports(pkg string, paths ...string) []string {
+	var problems []string
+	for _, f := range s.files {
+		p := s.path(f)
+		covered := false
+		for _, want := range paths {
+			covered = covered || strings.Contains(p, want)
+		}
+		if !covered {
+			continue
+		}
+		for _, imp := range f.Imports {
+			if v, err := strconv.Unquote(imp.Path.Value); err == nil && v == pkg {
+				problems = append(problems, fmt.Sprintf("%s: imports %s", s.fset.Position(imp.Pos()), pkg))
+			}
 		}
 	}
 	return problems

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -25,6 +24,11 @@ var ErrIncompleteTail = errors.New("wal: incomplete frame at tail (still being w
 // LSN. A tailing reader below the durable frontier treats this as real
 // log damage.
 var ErrCorrupt = errors.New("wal: corrupt frame")
+
+// ErrFormat reports a CRC-valid frame written in a format this build does
+// not read — a log from before a format change. It is never a torn tail:
+// Replay returns it and leaves the file untouched.
+var ErrFormat = errors.New("wal: unsupported record format")
 
 // ErrRotated reports that the file shrank below the reader's offset: a
 // checkpoint truncated the log underneath the tail. The reader's byte
@@ -69,8 +73,9 @@ func (t *TailReader) Close() error { return t.f.Close() }
 //
 // Returns io.EOF cleanly at the readable end, ErrIncompleteTail for a
 // partially visible final frame (retry after the frontier advances),
-// ErrRotated if the file shrank below the current offset, and ErrCorrupt
-// (wrapped with position detail) for unrecoverable damage.
+// ErrRotated if the file shrank below the current offset, ErrFormat for an
+// intact frame of another format, and ErrCorrupt (both wrapped with
+// position detail) for unrecoverable damage.
 func (t *TailReader) Next(durable int64) (Record, error) {
 	bounded := durable >= 0
 	if bounded && t.offset >= durable {
@@ -144,9 +149,9 @@ func (t *TailReader) Next(durable int64) (Record, error) {
 		}
 		return Record{}, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, t.offset)
 	}
-	var rec Record
-	if err := json.Unmarshal(t.payload, &rec); err != nil {
-		return Record{}, fmt.Errorf("%w: unparsable payload at offset %d: %v", ErrCorrupt, t.offset, err)
+	rec, err := parsePayload(t.payload)
+	if err != nil {
+		return Record{}, fmt.Errorf("%w at offset %d", err, t.offset)
 	}
 	if rec.LSN <= t.prevLSN {
 		return Record{}, fmt.Errorf("%w: LSN %d at offset %d does not advance past %d", ErrCorrupt, rec.LSN, t.offset, t.prevLSN)

@@ -23,7 +23,7 @@ func TestTailReadsCommittedRecords(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
 	for i := 1; i <= 4; i++ {
-		if _, err := l.Append("insert", payload{N: i}); err != nil {
+		if _, err := l.Append("insert", payload(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func TestTailReadsCommittedRecords(t *testing.T) {
 		t.Fatalf("at frontier: err = %v, want io.EOF", err)
 	}
 	// New commits become visible to the same reader.
-	if _, err := l.Append("insert", payload{N: 5}); err != nil {
+	if _, err := l.Append("insert", payload(5, "")); err != nil {
 		t.Fatal(err)
 	}
 	durable, _, _ = l.DurableFrontier()
@@ -59,14 +59,14 @@ func TestTailReadsCommittedRecords(t *testing.T) {
 func TestTailIncompleteFinalFrame(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
-	if _, err := l.Append("insert", payload{N: 1, S: "first"}); err != nil {
+	if _, err := l.Append("insert", payload(1, "first")); err != nil {
 		t.Fatal(err)
 	}
 	full, err := os.ReadFile(l.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append("insert", payload{N: 2, S: "second"}); err != nil {
+	if _, err := l.Append("insert", payload(2, "second")); err != nil {
 		t.Fatal(err)
 	}
 	whole, err := os.ReadFile(l.Path())
@@ -124,11 +124,11 @@ func TestTailIncompleteFinalFrame(t *testing.T) {
 func TestTailDurableBoundSemantics(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
-	if _, err := l.Append("insert", payload{N: 1}); err != nil {
+	if _, err := l.Append("insert", payload(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	firstEnd, _, _ := l.DurableFrontier()
-	if _, err := l.Append("insert", payload{N: 2}); err != nil {
+	if _, err := l.Append("insert", payload(2, "")); err != nil {
 		t.Fatal(err)
 	}
 	tr := openTailT(t, l.Path())
@@ -171,7 +171,7 @@ func TestTailDurableBoundSemantics(t *testing.T) {
 func TestTailCorruptLengthField(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
-	if _, err := l.Append("insert", payload{N: 1}); err != nil {
+	if _, err := l.Append("insert", payload(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(l.Path(), os.O_WRONLY|os.O_APPEND, 0)
@@ -198,7 +198,7 @@ func TestTailRotationDetected(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append("insert", payload{N: i, S: "padding to make frames non-trivial"}); err != nil {
+		if _, err := l.Append("insert", payload(i, "padding to make frames non-trivial")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestSubscribeDurableWakesOnCommitResetAndDeath(t *testing.T) {
 		default:
 		}
 	}
-	if _, err := l.Append("insert", payload{N: 1}); err != nil {
+	if _, err := l.Append("insert", payload(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -297,4 +297,50 @@ func TestSubscribeDurableWakesOnCommitResetAndDeath(t *testing.T) {
 	if _, _, _ = l.DurableFrontier(); len(l.subs) != 0 {
 		t.Fatal("unsubscribe left the subscriber registered")
 	}
+}
+
+// FuzzTailReader feeds arbitrary file bytes to a tail reader: every call
+// yields a record or one of the documented errors, never a panic, and a
+// returned record advances the LSN.
+func FuzzTailReader(f *testing.F) {
+	var log []byte
+	for i, typ := range []string{"insert", "annotate", "m"} {
+		frame, err := appendFrame(nil, uint64(i+1), typ, []byte(payload(i, typ)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		log = append(log, frame...)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-3])
+	f.Add(append(append([]byte{}, log...), rawFrame([]byte(`{"lsn":9,"type":"m"}`))...))
+	f.Add(rawFrame([]byte{formatVersion, 0x80}))
+	f.Add([]byte{})
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "fuzz.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := OpenTail(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		var prev uint64
+		for {
+			rec, err := tr.Next(-1)
+			if err == nil {
+				if rec.LSN <= prev {
+					t.Fatalf("LSN %d after %d", rec.LSN, prev)
+				}
+				prev = rec.LSN
+				continue
+			}
+			if err != io.EOF && !errors.Is(err, ErrIncompleteTail) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFormat) {
+				t.Fatalf("undocumented error %v", err)
+			}
+			return
+		}
+	})
 }

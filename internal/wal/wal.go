@@ -9,7 +9,17 @@
 //
 //	4 bytes  little-endian uint32: payload length
 //	4 bytes  little-endian uint32: IEEE CRC32 of the payload
-//	n bytes  payload: one JSON-encoded Record
+//	n bytes  payload:
+//	         1 byte   format, 2
+//	         uvarint  LSN
+//	         Str      record type (internal/codec: uvarint length, bytes)
+//	         rest     body, opaque to this package (the engine's payload)
+//
+// The format byte tells an older log apart: format 1 wrote each payload as
+// one JSON document, which starts with '{'. A CRC-valid frame of any other
+// format is ErrFormat, which Replay returns as an error and never truncates
+// as a torn tail, so a log this build cannot read is refused whole instead
+// of silently dropped.
 //
 // Records carry a strictly increasing LSN. A snapshot remembers the LSN
 // it includes; replay skips records at or below it, which makes a crash
@@ -33,8 +43,8 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -44,10 +54,14 @@ import (
 	"sync"
 	"time"
 
+	"insightnotes/internal/codec"
 	"insightnotes/internal/failpoint"
 )
 
 const headerBytes = 8
+
+// formatVersion is the first payload byte of every frame this build writes.
+const formatVersion = 2
 
 // maxCommitWindowYields bounds the group-commit window: the batch leader
 // yields at most this many times while committers keep staging behind
@@ -73,8 +87,8 @@ type Record struct {
 	LSN uint64 `json:"lsn"`
 	// Type names the logical mutation (the engine defines the set).
 	Type string `json:"type"`
-	// Data is the type-specific payload.
-	Data json.RawMessage `json:"data,omitempty"`
+	// Data is the type-specific body, encoded by the engine.
+	Data []byte `json:"data,omitempty"`
 }
 
 // Stats are cumulative counters of one Log handle.
@@ -149,6 +163,8 @@ type Log struct {
 	// the same information. The replication sender uses it to decide
 	// when a replica's resume position predates the log.
 	baseLSN uint64
+	// frameBuf is reused by every Stage to build the frame it writes.
+	frameBuf []byte
 }
 
 // Open opens (creating if needed) the log at path for appending.
@@ -172,29 +188,54 @@ func Open(path string, lastLSN uint64) (*Log, error) {
 	return l, nil
 }
 
-// frame builds the on-disk bytes of one record.
-func frame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encoding record: %w", err)
+// appendFrame appends the on-disk bytes of one record to dst.
+func appendFrame(dst []byte, lsn uint64, recType string, body []byte) ([]byte, error) {
+	start := len(dst)
+	w := codec.NewWriter(append(dst, make([]byte, headerBytes)...))
+	w.Byte(formatVersion)
+	w.Uvarint(lsn)
+	w.Str(recType)
+	w.Raw(body)
+	buf := w.Bytes()
+	payload := buf[start+headerBytes:]
+	if len(payload) > maxRecordBytes {
+		return dst, fmt.Errorf("wal: %s record of %d bytes exceeds the %d-byte limit", recType, len(payload), maxRecordBytes)
 	}
-	buf := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[headerBytes:], payload)
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf, nil
+}
+
+// parsePayload decodes a CRC-checked frame payload. A payload of another
+// format is ErrFormat; one that does not parse is ErrCorrupt. The record's
+// Data is a copy: the payload buffer is reused by the next read.
+func parsePayload(payload []byte) (Record, error) {
+	if payload[0] != formatVersion {
+		name := fmt.Sprintf("byte 0x%02x", payload[0])
+		if payload[0] == '{' {
+			name = "format 1 (JSON)"
+		}
+		return Record{}, fmt.Errorf("%w: frame is %s, this build reads format %d (binary) only", ErrFormat, name, formatVersion)
+	}
+	r := codec.NewReader(payload[1:])
+	rec := Record{LSN: r.Uvarint(), Type: r.Str()}
+	rec.Data = bytes.Clone(r.Rest())
+	if err := r.Err(); err != nil {
+		return Record{}, fmt.Errorf("%w: unparsable payload: %v", ErrCorrupt, err)
+	}
+	return rec, nil
 }
 
 // Append commits one record: frame, write, fsync, in that order. It
 // returns the record's LSN. On error nothing is durably appended — the
 // file is rolled back to its last durable size — except under an
 // injected crash-stop, which deliberately leaves a torn record and kills
-// the handle. Equivalent to Stage followed by Sync; concurrent callers
-// that want to share fsyncs call the two halves themselves with their
-// own serialization in between (the engine stages under its statement
-// lock and syncs after releasing it).
-func (l *Log) Append(recType string, data any) (uint64, error) {
-	lsn, tok, err := l.Stage(recType, data)
+// the handle. Equivalent to Stage followed by Sync, for a caller holding
+// its body as text; concurrent callers that want to share fsyncs call the
+// two halves themselves with their own serialization in between (the
+// engine stages under its statement lock and syncs after releasing it).
+func (l *Log) Append(recType, body string) (uint64, error) {
+	lsn, tok, err := l.Stage(recType, []byte(body))
 	if err != nil {
 		return 0, err
 	}
@@ -204,25 +245,22 @@ func (l *Log) Append(recType string, data any) (uint64, error) {
 	return lsn, nil
 }
 
-// Stage assigns the next LSN and writes the framed record into the file
-// without syncing it. The record is NOT durable until a Sync covering
-// the returned token completes. On error nothing is staged and no LSN is
-// consumed (except the injected mid-write crash, which leaves a torn
-// prefix and kills the handle).
-func (l *Log) Stage(recType string, data any) (uint64, SyncToken, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return 0, SyncToken{}, fmt.Errorf("wal: encoding %s payload: %w", recType, err)
-	}
+// Stage assigns the next LSN and writes the framed record, whose encoded
+// body is body, into the file without syncing it. The record is NOT
+// durable until a Sync covering the returned token completes. On error
+// nothing is staged and no LSN is consumed (except the injected mid-write
+// crash, which leaves a torn prefix and kills the handle).
+func (l *Log) Stage(recType string, body []byte) (uint64, SyncToken, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dead {
 		return 0, SyncToken{}, ErrLogDead
 	}
-	buf, err := frame(Record{LSN: l.lastLSN + 1, Type: recType, Data: raw})
+	buf, err := appendFrame(l.frameBuf[:0], l.lastLSN+1, recType, body)
 	if err != nil {
 		return 0, SyncToken{}, err
 	}
+	l.frameBuf = buf
 	if err := failpoint.Eval(failpoint.WALAppendBefore); err != nil {
 		l.stats.AppendErrors++
 		return 0, SyncToken{}, err
@@ -273,10 +311,11 @@ func (l *Log) StageRecord(rec Record) (SyncToken, error) {
 	if rec.LSN <= l.lastLSN {
 		return SyncToken{}, fmt.Errorf("wal: staging stale record lsn=%d (last staged %d)", rec.LSN, l.lastLSN)
 	}
-	buf, err := frame(rec)
+	buf, err := appendFrame(l.frameBuf[:0], rec.LSN, rec.Type, rec.Data)
 	if err != nil {
 		return SyncToken{}, err
 	}
+	l.frameBuf = buf
 	if _, err := l.f.Write(buf); err != nil {
 		_ = l.f.Truncate(l.written)
 		l.stats.AppendErrors++
@@ -582,7 +621,9 @@ type ReplayResult struct {
 // not return — short header, short payload, CRC mismatch, unparsable
 // payload, or non-increasing LSN: nothing is appending, so none of those
 // can still complete — truncates the file there, and reports it. A
-// missing file is an empty log. An apply error aborts the replay: a
+// missing file is an empty log. A frame of another format (ErrFormat) is
+// returned as an error and the file is left as it is: the log was written
+// by a build that reads it, not torn. An apply error aborts the replay: a
 // CRC-valid record that fails to apply means real corruption above the
 // framing layer, and silently dropping committed mutations would be
 // worse than refusing to start.
@@ -600,6 +641,9 @@ func Replay(path string, afterLSN uint64, apply func(Record) error) (ReplayResul
 		rec, err := t.Next(-1)
 		if err == io.EOF {
 			return res, nil // clean end
+		}
+		if errors.Is(err, ErrFormat) {
+			return res, err
 		}
 		if err != nil {
 			break

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,9 +16,15 @@ import (
 	"insightnotes/internal/failpoint"
 )
 
-type payload struct {
-	N int    `json:"n"`
-	S string `json:"s,omitempty"`
+// payload is a record body; the log treats bodies as opaque bytes.
+func payload(n int, s string) string { return fmt.Sprintf("n=%d %s", n, s) }
+
+// rawFrame frames payload as it stands, with a valid length and CRC.
+func rawFrame(payload []byte) []byte {
+	buf := make([]byte, headerBytes, headerBytes+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
 }
 
 func openT(t *testing.T, dir string, lastLSN uint64) *Log {
@@ -32,7 +41,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
 	for i := 1; i <= 5; i++ {
-		lsn, err := l.Append("insert", payload{N: i, S: "row"})
+		lsn, err := l.Append("insert", payload(i, "row"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +66,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replay result = %+v", res)
 	}
 	for i, r := range got {
-		if r.LSN != uint64(i+1) || r.Type != "insert" {
+		if r.LSN != uint64(i+1) || r.Type != "insert" || string(r.Data) != payload(i+1, "row") {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
@@ -67,7 +76,7 @@ func TestReplaySkipsThroughSnapshotLSN(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
 	for i := 1; i <= 6; i++ {
-		if _, err := l.Append("m", payload{N: i}); err != nil {
+		if _, err := l.Append("m", payload(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,13 +127,14 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 			binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(p)+1)
 			return append(buf, p...)
 		}},
-		{"bad_json", func([]byte) []byte {
-			p := []byte("{not json")
-			buf := make([]byte, 8)
-			binary.LittleEndian.PutUint32(buf[0:4], uint32(len(p)))
-			binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(p))
-			return append(buf, p...)
+		// CRC-valid frames of the current format whose payload does not
+		// parse: an LSN uvarint that overflows, one that stops short, and
+		// a type whose length overcounts the bytes left.
+		{"unparsable_payload", func([]byte) []byte {
+			return rawFrame(append([]byte{formatVersion}, bytes.Repeat([]byte{0xff}, 11)...))
 		}},
+		{"truncated_payload", func([]byte) []byte { return rawFrame([]byte{formatVersion, 0x80}) }},
+		{"overcounted_type", func([]byte) []byte { return rawFrame([]byte{formatVersion, 99, 40, 'm'}) }},
 		{"zero_length", func([]byte) []byte { return []byte{0, 0, 0, 0, 1, 2, 3, 4} }},
 	}
 	for _, tc := range cases {
@@ -136,13 +146,13 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 1; i <= 3; i++ {
-				if _, err := l.Append("m", payload{N: i}); err != nil {
+				if _, err := l.Append("m", payload(i, "")); err != nil {
 					t.Fatal(err)
 				}
 			}
 			goodSize := l.Size()
 			l.Close()
-			good, err := frame(Record{LSN: 99, Type: "m", Data: []byte(`{"n":99}`)})
+			good, err := appendFrame(nil, 99, "m", []byte(payload(99, "")))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,12 +192,69 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// A CRC-valid frame of another format — a format 1 JSON payload, or any
+// unknown format byte — is refused with ErrFormat, naming both formats, and
+// the file is left byte for byte as it was: never truncated as a torn tail.
+func TestReplayRefusesOtherFormat(t *testing.T) {
+	for name, p := range map[string][]byte{
+		"json":         []byte(`{"lsn":4,"type":"m","data":{"n":4}}`),
+		"unknown_byte": {formatVersion + 1, 4, 1, 'm'},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "wal.log")
+			l := openT(t, dir, 0)
+			for i := 1; i <= 3; i++ {
+				if _, err := l.Append("m", payload(i, "")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(rawFrame(p)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Replay(path, 0, func(Record) error { return nil })
+			if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "format 2") {
+				t.Fatalf("replay err = %v, want ErrFormat naming format 2", err)
+			}
+			if name == "json" && !strings.Contains(err.Error(), "format 1 (JSON)") {
+				t.Fatalf("replay err = %v, want it to name format 1", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("replay changed the log: %d -> %d bytes", len(before), len(after))
+			}
+			tr := openTailT(t, path)
+			for i := 0; i < 3; i++ {
+				if _, err := tr.Next(-1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tr.Next(-1); !errors.Is(err, ErrFormat) {
+				t.Fatalf("tail err = %v, want ErrFormat", err)
+			}
+		})
+	}
+}
+
 func TestResetContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	l := openT(t, dir, 0)
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append("m", payload{N: i}); err != nil {
+		if _, err := l.Append("m", payload(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +264,7 @@ func TestResetContinuesSequence(t *testing.T) {
 	if l.Size() != 0 {
 		t.Fatalf("size after reset = %d", l.Size())
 	}
-	lsn, err := l.Append("m", payload{N: 4})
+	lsn, err := l.Append("m", payload(4, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,21 +288,21 @@ func TestFailedAppendRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	l := openT(t, dir, 0)
-	if _, err := l.Append("m", payload{N: 1}); err != nil {
+	if _, err := l.Append("m", payload(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk unhappy")
 
 	// before-write: nothing reaches the file.
 	failpoint.EnableError(failpoint.WALAppendBefore, boom)
-	if _, err := l.Append("m", payload{N: 2}); !errors.Is(err, boom) {
+	if _, err := l.Append("m", payload(2, "")); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	failpoint.Disable(failpoint.WALAppendBefore)
 
 	// before-sync (non-crash): frame written then rolled back.
 	failpoint.EnableError(failpoint.WALAppendBeforeSync, boom)
-	if _, err := l.Append("m", payload{N: 3}); !errors.Is(err, boom) {
+	if _, err := l.Append("m", payload(3, "")); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	failpoint.Disable(failpoint.WALAppendBeforeSync)
@@ -244,7 +311,7 @@ func TestFailedAppendRollsBack(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The log is still usable and consistent.
-	if _, err := l.Append("m", payload{N: 4}); err != nil {
+	if _, err := l.Append("m", payload(4, "")); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.LastLSN(); got != 2 {
@@ -266,18 +333,18 @@ func TestInjectedCrashLeavesTornRecordAndKillsLog(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	l := openT(t, dir, 0)
-	if _, err := l.Append("m", payload{N: 1}); err != nil {
+	if _, err := l.Append("m", payload(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	goodSize := l.Size()
 	failpoint.EnableError(failpoint.WALAppendPartial, failpoint.CrashError(failpoint.WALAppendPartial))
-	_, err := l.Append("m", payload{N: 2, S: "torn"})
+	_, err := l.Append("m", payload(2, "torn"))
 	if !failpoint.IsCrash(err) {
 		t.Fatalf("err = %v, want crash", err)
 	}
 	failpoint.Reset()
 	// Dead handle refuses further work.
-	if _, err := l.Append("m", payload{N: 3}); !errors.Is(err, ErrLogDead) {
+	if _, err := l.Append("m", payload(3, "")); !errors.Is(err, ErrLogDead) {
 		t.Fatalf("append on dead log = %v", err)
 	}
 	if err := l.Reset(0); !errors.Is(err, ErrLogDead) {
@@ -312,7 +379,7 @@ func TestFsyncObserver(t *testing.T) {
 		observed++
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append("m", payload{N: i}); err != nil {
+		if _, err := l.Append("m", payload(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +409,7 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			stageMu.Lock()
-			_, tok, err := l.Stage("m", payload{N: i})
+			_, tok, err := l.Stage("m", []byte(payload(i, "")))
 			stageMu.Unlock()
 			if err != nil {
 				t.Errorf("stage %d: %v", i, err)
@@ -387,7 +454,7 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 func TestGroupCommitCheckpointFence(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 0)
-	lsn, tok, err := l.Stage("m", payload{N: 1})
+	lsn, tok, err := l.Stage("m", []byte(payload(1, "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,14 +480,14 @@ func TestGroupCommitWipeFence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	l := openT(t, dir, 0)
-	if _, err := l.Append("m", payload{N: 1}); err != nil {
+	if _, err := l.Append("m", payload(1, "")); err != nil {
 		t.Fatal(err)
 	}
-	_, tok2, err := l.Stage("m", payload{N: 2})
+	_, tok2, err := l.Stage("m", []byte(payload(2, "")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tok3, err := l.Stage("m", payload{N: 3})
+	_, tok3, err := l.Stage("m", []byte(payload(3, "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +504,7 @@ func TestGroupCommitWipeFence(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 lost / 1 committed", st)
 	}
 	// The sequence continues from the durable prefix.
-	lsn, err := l.Append("m", payload{N: 4})
+	lsn, err := l.Append("m", payload(4, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +524,7 @@ func TestApplyErrorAborts(t *testing.T) {
 	path := filepath.Join(dir, "wal.log")
 	l := openT(t, dir, 0)
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append("m", payload{N: i}); err != nil {
+		if _, err := l.Append("m", payload(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
