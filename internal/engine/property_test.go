@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/exec"
 	"insightnotes/internal/workload"
 )
 
@@ -85,7 +86,44 @@ func randomDB(t *testing.T, seed int64) *DB {
 			t.Fatalf("seed %d annotation %d: %v", seed, i, err)
 		}
 	}
+	addBridgeRows(t, db)
 	return db
+}
+
+// bridgeB is the b value of the rows addBridgeRows adds; random rows take
+// b in 0..2.
+const bridgeB = 3
+
+// bridgeTexts are the cluster-relevant texts addBridgeRows attaches, in id
+// order: w alone on the first row, x on rows x and xzy, z on xzy, y on rows
+// y and xzy. Row xzy receives x, then z (close to x, and to y once z is in
+// the centroid), then y, so it holds one group {x, z, y}; rows x and y hold
+// x and y in groups of their own.
+var bridgeTexts = []struct{ text, rows string }{
+	{"falcon talon falcon talon", "c = 'w'"},
+	{"heron estuary", "c = 'x' OR c = 'xzy'"},
+	{"heron estuary plover marsh", "c = 'xzy'"},
+	{"plover marsh", "c = 'y' OR c = 'xzy'"},
+}
+
+// addBridgeRows adds four R rows with b = bridgeB and a = 1 (so they join
+// S), in the order w, x, y, xzy, annotated with bridgeTexts. A GROUP BY b
+// (or a DISTINCT over b) combines them in that order: the accumulator takes
+// w's cluster object, adopts the groups of x and of y by pointer, and then
+// xzy's one group meets both adopted groups and bridges them. The random
+// rows are annotated before these exist, so no random annotation reaches
+// them.
+func addBridgeRows(t *testing.T, db *DB) {
+	t.Helper()
+	for _, c := range []string{"w", "x", "y", "xzy"} {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO R VALUES (1, %d, '%s')", bridgeB, c))
+	}
+	for _, bt := range bridgeTexts {
+		spec := TargetSpec{Table: "R", Where: parseWhere(t, bt.rows)}
+		if _, _, err := db.AnnotateTargets(annotation.Annotation{Text: bt.text, Author: "bridge"}, []TargetSpec{spec}); err != nil {
+			t.Fatalf("bridge annotation %q: %v", bt.text, err)
+		}
+	}
 }
 
 // TestSnapshotRoundTripProperty verifies that save→load preserves every
@@ -197,5 +235,73 @@ func TestPlanEquivalenceRandomized(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGroupByBridgesAdoptedGroups: in every randomDB a GROUP BY b fuses the
+// two cluster groups its accumulator adopted from the x and y bridge rows
+// (addBridgeRows), and the plans of Theorems 1&2 that reach the bridge rows
+// through a join, in either join order and so in another combine order,
+// agree on Envelope.Equal and on rendered text.
+func TestGroupByBridgesAdoptedGroups(t *testing.T) {
+	pairs := [][2]string{
+		{
+			"SELECT r.b, COUNT(*) FROM R r, S s WHERE r.a = s.x GROUP BY r.b",
+			"SELECT r.b, COUNT(*) FROM S s, R r WHERE r.a = s.x GROUP BY r.b",
+		},
+		{
+			"SELECT DISTINCT r.b, s.x FROM R r, S s WHERE r.a = s.x",
+			"SELECT DISTINCT r.b, s.x FROM S s, R r WHERE r.a = s.x",
+		},
+	}
+	ctx := context.Background()
+	for seed := int64(1); seed <= 6; seed++ {
+		db := randomDB(t, seed)
+		res, err := db.Query(ctx, "SELECT b, COUNT(*) FROM R GROUP BY b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int
+		for _, row := range res.Rows {
+			if row.Tuple[0].Int() != bridgeB {
+				continue
+			}
+			for _, el := range row.Env.Object("Clu").Elements() {
+				sizes = append(sizes, len(el.IDs))
+			}
+		}
+		if fmt.Sprint(sizes) != "[1 3]" {
+			t.Fatalf("seed %d: GROUP BY b = %d has cluster groups of sizes %v, want w alone and x, z, y bridged: [1 3]", seed, bridgeB, sizes)
+		}
+		for _, q := range pairs {
+			r1, err := db.Query(ctx, q[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := db.Query(ctx, q[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r1.Rows) != len(r2.Rows) {
+				t.Fatalf("seed %d: %d rows vs %d", seed, len(r1.Rows), len(r2.Rows))
+			}
+			byTuple := map[string]*exec.Row{}
+			for _, row := range r1.Rows {
+				byTuple[row.Tuple.String()] = row
+			}
+			for _, row := range r2.Rows {
+				other, ok := byTuple[row.Tuple.String()]
+				switch {
+				case !ok:
+					t.Errorf("seed %d %q: no row %s in the other join order", seed, q[1], row.Tuple)
+				case (row.Env == nil) != (other.Env == nil):
+					t.Errorf("seed %d %q: row %s has summaries in one join order only", seed, q[1], row.Tuple)
+				case row.Env != nil && !row.Env.Equal(other.Env):
+					t.Errorf("seed %d %q: row %s: envelopes differ:\n%s\nvs\n%s", seed, q[1], row.Tuple, row.Env.Render(), other.Env.Render())
+				case row.Env != nil && row.Env.Render() != other.Env.Render():
+					t.Errorf("seed %d %q: row %s: renderings differ:\n%s\nvs\n%s", seed, q[1], row.Tuple, row.Env.Render(), other.Env.Render())
+				}
+			}
+		}
 	}
 }

@@ -198,8 +198,9 @@ func estimateComplexity(sel *sql.Select, resultRows int) float64 {
 	return c
 }
 
-// resultFor returns the cached result of qid, re-executing the remembered
-// SQL on a cache miss (and re-admitting the fresh result to the cache).
+// resultFor returns the decoded cached result of qid, re-executing the
+// remembered SQL on a cache miss (and re-admitting the fresh result to the
+// cache).
 // The re-execution runs under ctx, so a cancelled zoom-in never writes a
 // partial entry: Collect fails before the cache Put is reached. The
 // boolean reports whether it was a cache hit.
@@ -224,5 +225,7 @@ func (db *DB) resultFor(ctx context.Context, qid int) (*zoomin.CachedResult, boo
 	if err != nil {
 		return nil, false, err
 	}
-	return db.materialize(qid, sqlText, sel, op, rows), false, nil
+	// Read the fresh result the way a hit reads it: decoded from its entry.
+	cached, err = db.materialize(qid, sqlText, sel, op, rows).Decoded()
+	return cached, false, err
 }

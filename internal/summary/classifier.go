@@ -3,6 +3,7 @@ package summary
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"insightnotes/internal/annotation"
@@ -18,6 +19,7 @@ import (
 // raw annotations.
 type classifierObject struct {
 	sharedFlag
+	shown   presentation
 	inst    *Instance
 	members map[annotation.ID]int // annotation id → label index
 	counts  []int                 // per-label member counts
@@ -101,9 +103,21 @@ func (c *classifierObject) LabelCount(i int) int { return c.counts[i] }
 // (the paper's "On NaiveBayesClass Index 1" addresses the first label). A
 // label no member carries has a nil id list.
 func (c *classifierObject) Elements() []Element {
+	return memoised(&c.shown.elems, c.isShared(), c.elements)
+}
+
+// elements computes Elements: the id lists are sized by the label counts
+// and cut from one backing array.
+func (c *classifierObject) elements() []Element {
 	out := make([]Element, len(c.counts))
+	ids := make([]annotation.ID, len(c.members))
+	from := 0
 	for i, l := range c.inst.Classifier.Labels() {
 		out[i].Label = l
+		if n := c.counts[i]; n > 0 {
+			out[i].IDs = ids[from : from : from+n]
+			from += n
+		}
 	}
 	for id, li := range c.members {
 		out[li].IDs = append(out[li].IDs, id)
@@ -118,16 +132,21 @@ func (c *classifierObject) Elements() []Element {
 func (c *classifierObject) Zoom(index int) ([]annotation.ID, error) { return zoom(c, index) }
 
 // Render implements Object.
-func (c *classifierObject) Render() string {
-	labels := c.inst.Classifier.Labels()
+func (c *classifierObject) Render() string { return memoised(&c.shown.text, c.isShared(), c.render) }
+
+func (c *classifierObject) render() string {
 	var b strings.Builder
 	b.WriteString(c.inst.Name)
 	b.WriteString(" [")
-	for i, l := range labels {
+	for i, l := range c.inst.Classifier.Labels() {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "(%s, %d)", l, c.counts[i])
+		b.WriteByte('(')
+		b.WriteString(l)
+		b.WriteString(", ")
+		b.WriteString(strconv.Itoa(c.counts[i]))
+		b.WriteByte(')')
 	}
 	b.WriteString("]")
 	return b.String()

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/textmining"
@@ -42,6 +43,7 @@ const repCandidates = 3
 //     equivalent plans (the Theorem 1&2 property, experiment E3).
 type clusterObject struct {
 	sharedFlag
+	shown  presentation
 	inst   *Instance
 	groups []*clusterGroup
 	// member → its group, the double-count guard and overlap detector.
@@ -57,7 +59,10 @@ type repCandidate struct {
 
 // clusterGroup is the unit of copy-on-write in a cluster object: once
 // latched shared (by Clone, or by a MergeFrom adopting it) it is immutable,
-// and ownGroup replaces it with a private copy before any change.
+// and ownGroup replaces it with a private copy before any change. A shared
+// group memoises its label and sorted member ids the way a shared object
+// memoises its presentation, so every object holding it, an unshared
+// accumulator included, reuses them.
 type clusterGroup struct {
 	members    map[annotation.ID]struct{}
 	candidates []repCandidate // sorted by (sim desc, id asc), len ≤ repCandidates
@@ -69,7 +74,9 @@ type clusterGroup struct {
 	// member set during sorting, rendering, and zooming.
 	min        annotation.ID
 	hasMin     bool
-	sharedFlag // last: it fits in hasMin's padding
+	sharedFlag // after hasMin: it fits in hasMin's padding
+	label      atomic.Pointer[string]
+	ids        atomic.Pointer[[]annotation.ID]
 }
 
 func newClusterGroup() *clusterGroup {
@@ -410,34 +417,34 @@ func (c *clusterObject) Representatives() []annotation.ID {
 // full membership (the paper's "retrieve all annotations in the cluster
 // represented by annotation A2").
 func (c *clusterObject) Elements() []Element {
+	return memoised(&c.shown.elems, c.isShared(), c.elements)
+}
+
+func (c *clusterObject) elements() []Element {
 	gs := c.sortedGroups()
 	out := make([]Element, len(gs))
-	// One backing array for every id list and one string for every label,
-	// sliced per group: a combined object has hundreds of groups.
-	ids := make([]annotation.ID, 0, len(c.memberGroup))
-	var b strings.Builder
-	ends := make([]int, len(gs))
 	for i, g := range gs {
-		from := len(ids)
-		for id := range g.members {
-			ids = append(ids, id)
-		}
-		out[i].IDs = sortedIDs(ids[from:len(ids):len(ids)])
-		g.writeLabel(&b)
-		ends[i] = b.Len()
-	}
-	labels, from := b.String(), 0
-	for i, end := range ends {
-		out[i].Label, from = labels[from:end], end
+		out[i] = Element{Label: g.displayLabel(), IDs: g.sortedIDs()}
 	}
 	return out
 }
 
-// writeLabel appends the group's display label, e.g. `"size seems wrong" ×3`.
-func (g *clusterGroup) writeLabel(b *strings.Builder) {
-	writeQuoted(b, g.repPreview)
-	b.WriteString(" ×")
-	b.WriteString(strconv.Itoa(len(g.members)))
+// displayLabel returns the group's display label, e.g.
+// `"size seems wrong" ×3`.
+func (g *clusterGroup) displayLabel() string {
+	return memoised(&g.label, g.isShared(), func() string {
+		var b strings.Builder
+		b.Grow(len(g.repPreview) + 16)
+		writeQuoted(&b, g.repPreview)
+		b.WriteString(" ×")
+		b.WriteString(strconv.Itoa(len(g.members)))
+		return b.String()
+	})
+}
+
+// sortedIDs returns the group's member ids, sorted ascending.
+func (g *clusterGroup) sortedIDs() []annotation.ID {
+	return memoised(&g.ids, g.isShared(), func() []annotation.ID { return sortedIDs(mapKeys(g.members)) })
 }
 
 // Zoom implements Object.
@@ -445,18 +452,29 @@ func (c *clusterObject) Zoom(index int) ([]annotation.ID, error) { return zoom(c
 
 // Render implements Object, e.g.
 // `SimCluster {[A12 "found eating stonewort…" ×5] [A3 "size seems wrong" ×1]}`.
-func (c *clusterObject) Render() string {
+func (c *clusterObject) Render() string { return memoised(&c.shown.text, c.isShared(), c.render) }
+
+func (c *clusterObject) render() string {
+	gs := c.sortedGroups()
+	labels := make([]string, len(gs))
+	var digits [20]byte
+	n := len(c.inst.Name) + 3 // " {" and "}"
+	for i, g := range gs {
+		labels[i] = g.displayLabel()
+		n += len(labels[i]) + len(strconv.AppendUint(digits[:0], uint64(g.rep), 10)) + 5 // " [A", " ", "]"
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(c.inst.Name)
 	b.WriteString(" {")
-	for i, g := range c.sortedGroups() {
+	for i, g := range gs {
 		if i > 0 {
 			b.WriteString(" ")
 		}
 		b.WriteString("[A")
-		b.WriteString(strconv.FormatUint(uint64(g.rep), 10))
+		b.Write(strconv.AppendUint(digits[:0], uint64(g.rep), 10))
 		b.WriteByte(' ')
-		g.writeLabel(&b)
+		b.WriteString(labels[i])
 		b.WriteByte(']')
 	}
 	b.WriteString("}")

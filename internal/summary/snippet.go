@@ -16,6 +16,7 @@ import (
 // full document stays in the raw store and is fetched only by zoom-in.
 type snippetObject struct {
 	sharedFlag
+	shown   presentation
 	inst    *Instance
 	entries map[annotation.ID]snippetEntry
 }
@@ -92,6 +93,10 @@ func (s *snippetObject) Len() int { return len(s.entries) }
 // to that single document annotation (the paper's "retrieves the complete
 // Wikipedia article attached to r1").
 func (s *snippetObject) Elements() []Element {
+	return memoised(&s.shown.elems, s.isShared(), s.elements)
+}
+
+func (s *snippetObject) elements() []Element {
 	ids := s.Members()
 	out := make([]Element, len(ids))
 	for i, id := range ids {
@@ -100,7 +105,7 @@ func (s *snippetObject) Elements() []Element {
 		if label == "" {
 			label = e.Snippet
 		}
-		out[i] = Element{Label: label, IDs: []annotation.ID{id}}
+		out[i] = Element{Label: label, IDs: ids[i : i+1 : i+1]}
 	}
 	return out
 }
@@ -109,7 +114,9 @@ func (s *snippetObject) Elements() []Element {
 func (s *snippetObject) Zoom(index int) ([]annotation.ID, error) { return zoom(s, index) }
 
 // Render implements Object.
-func (s *snippetObject) Render() string {
+func (s *snippetObject) Render() string { return memoised(&s.shown.text, s.isShared(), s.render) }
+
+func (s *snippetObject) render() string {
 	var b strings.Builder
 	b.WriteString(s.inst.Name)
 	b.WriteString(" [")

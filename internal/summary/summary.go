@@ -118,13 +118,17 @@ type Object interface {
 	Len() int
 	// Elements lists the zoomable elements — class labels, cluster groups,
 	// or snippet positions — in the 1-based index order ZoomIn commands
-	// use, each with its display label and its sorted annotation ids. The
-	// canonical order is computed once per call.
+	// use, each with its display label and its sorted annotation ids. A
+	// shared object computes them once and every later call returns the
+	// same slice (see presentation), so the slice and every Element.IDs in
+	// it are read-only.
 	Elements() []Element
 	// Zoom resolves one 1-based element index to the raw annotation ids
 	// behind it: Elements()[index-1].IDs, or an error when out of range.
+	// The ids are read-only.
 	Zoom(index int) ([]annotation.ID, error)
-	// Render formats the object in the paper's display style.
+	// Render formats the object in the paper's display style; a shared
+	// object formats itself once.
 	Render() string
 	// ApproxBytes estimates the object's in-memory size, the numerator of
 	// the E1 compression measurements.
@@ -169,6 +173,34 @@ func (f *sharedFlag) share() {
 }
 
 func (f *sharedFlag) isShared() bool { return f.on.Load() }
+
+// presentation memoises an object's display form, its Render text and its
+// Elements; every object type embeds one. A memo is stored only while the
+// object is latched shared. A shared object is immutable, so the memo is
+// never invalidated, and every reader of a stored object after the first
+// reuses it. Clone and NewObject build fresh structs, which carry no memo.
+// An unshared object (a GROUP BY accumulator, a join's merged object)
+// computes its presentation on every call.
+type presentation struct {
+	text  atomic.Pointer[string]
+	elems atomic.Pointer[[]Element]
+}
+
+// memoised returns the value p holds, else compute's result, which it
+// stores in p when keep is set. Callers pass keep = isShared(), read before
+// computing: what an unshared object shows may be stale by the time it is
+// latched. Concurrent first calls may each compute; they store equal values.
+func memoised[T any](p *atomic.Pointer[T], keep bool, compute func() T) T {
+	if v := p.Load(); v != nil {
+		return *v
+	}
+	if !keep {
+		return compute()
+	}
+	v := compute()
+	p.Store(&v)
+	return v
+}
 
 // writeQuoted appends strconv.Quote(s) — what %q prints — to b. Previews,
 // titles and snippets rarely hold anything Quote would escape, so the run

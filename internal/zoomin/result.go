@@ -8,7 +8,9 @@
 package zoomin
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"insightnotes/internal/annotation"
@@ -36,14 +38,15 @@ import (
 // with ReadRow. Complexity is cache bookkeeping and is not encoded.
 const entryVersion = 1
 
-// CachedRow is one materialized result row: the data tuple plus the
-// zoom-addressable structure of its summary objects — for every instance,
-// the element labels and the raw-annotation ids behind each 1-based element
-// index. The rendered summaries live only in the encoded rows section.
+// CachedRow is one row of a materialized result: the data tuple and, in a
+// decoded result, the zoom-addressable structure of its summary objects —
+// per instance, the elements in 1-based index order, each with its label and
+// the raw-annotation ids behind it. A result fresh from BuildCachedResult
+// carries tuples only: its elements and rendered summaries live in its
+// encoding, and a zoom-in reads them from the decoded form (Decoded).
 type CachedRow struct {
-	Tuple types.Tuple
-	Zoom  map[string][][]annotation.ID
-	Label map[string][]string
+	Tuple    types.Tuple
+	Elements map[string][]summary.Element
 }
 
 // CachedResult is one materialized query result.
@@ -55,7 +58,7 @@ type CachedResult struct {
 	Complexity float64
 
 	// enc is the spill entry BuildCachedResult encoded; nil for a result
-	// assembled field by field.
+	// assembled field by field or decoded.
 	enc []byte
 	// rows is the encoded rows section (inside enc, or inside the bytes
 	// the result was decoded from).
@@ -65,9 +68,20 @@ type CachedResult struct {
 // Schema reconstructs the result schema.
 func (r *CachedResult) Schema() types.Schema { return types.Schema{Columns: r.Columns} }
 
-// BuildCachedResult encodes executor rows as a spill entry, once, and
-// projects them into the zoom form. complexity is the planner's cost proxy
-// for the query (used by RCO).
+// shownObject is one summary object as an entry shows it: its instance
+// name, rendered text and zoomable elements.
+type shownObject struct {
+	name  string
+	text  string
+	elems []summary.Element
+}
+
+// BuildCachedResult encodes executor rows as a spill entry, once, into one
+// exactly sized buffer. It asks each summary object for its rendering and
+// its elements once (a shared object answers from its memo), sizes the
+// entry from them, then writes the header, the rows section and the zoom
+// section. complexity is the planner's cost proxy for the query (used by
+// RCO).
 func BuildCachedResult(qid int, sqlText string, schema types.Schema,
 	rows []*exec.Row, complexity float64) *CachedResult {
 	out := &CachedResult{
@@ -77,20 +91,53 @@ func BuildCachedResult(qid int, sqlText string, schema types.Schema,
 		Rows:       make([]CachedRow, len(rows)),
 		Complexity: complexity,
 	}
-	w := codec.NewWriter(make([]byte, 0, 512))
+	var shown []shownObject
+	ends := make([]int, len(rows)) // row i shows shown[ends[i-1]:ends[i]]
+	// Each section: its 4-byte length and the row count.
+	size := out.headerSize() + 2*(4+uvarintLen(uint64(len(rows))))
+	for i, row := range rows {
+		out.Rows[i].Tuple = row.Tuple
+		size += types.EncodedSize(row.Tuple)
+		from := len(shown)
+		if row.Env != nil && !row.Env.IsEmpty() {
+			for _, name := range row.Env.InstanceNames() {
+				obj := row.Env.Object(name)
+				s := shownObject{name, obj.Render(), obj.Elements()}
+				shown = append(shown, s)
+				size += strLen(name) + strLen(s.text) + elementsSize(name, s.elems)
+			}
+		}
+		ends[i] = len(shown)
+		size += 2 * uvarintLen(uint64(len(shown)-from)) // the row's instance count, in each section
+	}
+
+	w := codec.NewWriter(make([]byte, 0, size))
 	out.appendHeader(w)
 	mark := w.BeginSection()
 	w.Uvarint(uint64(len(rows)))
-	var zoom codec.Writer
-	zoom.Uvarint(uint64(len(rows)))
+	from := 0
 	for i, row := range rows {
-		names := appendRow(w, row)
-		out.Rows[i] = zoomRow(row, names)
-		appendZoomRow(&zoom, &out.Rows[i], names)
+		w.Tuple(row.Tuple)
+		w.Uvarint(uint64(ends[i] - from))
+		for _, s := range shown[from:ends[i]] {
+			w.Str(s.name)
+			w.Str(s.text)
+		}
+		from = ends[i]
 	}
 	w.EndSection(mark)
 	end := w.Len()
-	w.Section(zoom.Bytes())
+	zoom := w.BeginSection()
+	w.Uvarint(uint64(len(rows)))
+	from = 0
+	for i := range rows {
+		w.Uvarint(uint64(ends[i] - from))
+		for _, s := range shown[from:ends[i]] {
+			appendElements(w, s.name, s.elems)
+		}
+		from = ends[i]
+	}
+	w.EndSection(zoom)
 	out.enc = w.Bytes()
 	out.rows = out.enc[mark:end:end]
 	return out
@@ -101,72 +148,61 @@ func BuildCachedResult(qid int, sqlText string, schema types.Schema,
 func AppendRows(w *codec.Writer, rows []*exec.Row) {
 	w.Uvarint(uint64(len(rows)))
 	for _, row := range rows {
-		appendRow(w, row)
-	}
-}
-
-// appendRow appends one row of the rows section and returns the instance
-// names it wrote, in order (nil for a row without summaries).
-func appendRow(w *codec.Writer, row *exec.Row) []string {
-	w.Tuple(row.Tuple)
-	if row.Env == nil || row.Env.IsEmpty() {
-		w.Uvarint(0)
-		return nil
-	}
-	names := row.Env.InstanceNames()
-	w.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		w.Str(name)
-		w.Str(row.Env.Object(name).Render())
-	}
-	return names
-}
-
-// zoomRow projects row's summary objects into the zoom form.
-func zoomRow(row *exec.Row, names []string) CachedRow {
-	cr := CachedRow{Tuple: row.Tuple}
-	if len(names) == 0 {
-		return cr
-	}
-	cr.Zoom = make(map[string][][]annotation.ID, len(names))
-	cr.Label = make(map[string][]string, len(names))
-	for _, name := range names {
-		cr.Label[name], cr.Zoom[name] = elements(row.Env.Object(name))
-	}
-	return cr
-}
-
-func elements(obj summary.Object) ([]string, [][]annotation.ID) {
-	els := obj.Elements()
-	labels := make([]string, len(els))
-	ids := make([][]annotation.ID, len(els))
-	for i, el := range els {
-		labels[i], ids[i] = el.Label, el.IDs
-	}
-	return labels, ids
-}
-
-// appendZoomRow appends one row of the zoom section, instances in the
-// given order.
-func appendZoomRow(w *codec.Writer, row *CachedRow, names []string) {
-	w.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		w.Str(name)
-		elems, labels := row.Zoom[name], row.Label[name]
-		w.Uvarint(uint64(len(elems)))
-		for j, ids := range elems {
-			label := ""
-			if j < len(labels) {
-				label = labels[j]
-			}
-			w.Str(label)
-			w.Uvarint(uint64(len(ids)))
-			for _, id := range ids {
-				w.Uvarint(uint64(id))
-			}
+		w.Tuple(row.Tuple)
+		if row.Env == nil || row.Env.IsEmpty() {
+			w.Uvarint(0)
+			continue
+		}
+		names := row.Env.InstanceNames()
+		w.Uvarint(uint64(len(names)))
+		for _, name := range names {
+			w.Str(name)
+			w.Str(row.Env.Object(name).Render())
 		}
 	}
 }
+
+// appendElements appends one instance of a zoom section row: its name and
+// its elements.
+func appendElements(w *codec.Writer, name string, els []summary.Element) {
+	w.Str(name)
+	w.Uvarint(uint64(len(els)))
+	for _, el := range els {
+		w.Str(el.Label)
+		w.Uvarint(uint64(len(el.IDs)))
+		for _, id := range el.IDs {
+			w.Uvarint(uint64(id))
+		}
+	}
+}
+
+// elementsSize is the number of bytes appendElements writes.
+func elementsSize(name string, els []summary.Element) int {
+	n := strLen(name) + uvarintLen(uint64(len(els)))
+	for _, el := range els {
+		n += strLen(el.Label) + uvarintLen(uint64(len(el.IDs)))
+		for _, id := range el.IDs {
+			n += uvarintLen(uint64(id))
+		}
+	}
+	return n
+}
+
+// headerSize is the number of bytes appendHeader writes.
+func (r *CachedResult) headerSize() int {
+	var qid [binary.MaxVarintLen64]byte
+	n := 1 + binary.PutVarint(qid[:], int64(r.QID)) + strLen(r.SQL) + uvarintLen(uint64(len(r.Columns)))
+	for _, c := range r.Columns {
+		n += strLen(c.Table) + strLen(c.Name) + 1
+	}
+	return n
+}
+
+// uvarintLen is the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// strLen is the encoded length of a string.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 func (r *CachedResult) appendHeader(w *codec.Writer) {
 	w.Byte(entryVersion)
@@ -202,7 +238,8 @@ func (r *CachedResult) appendRows(w *codec.Writer) {
 }
 
 // encode returns r's spill entry: the bytes BuildCachedResult produced, or
-// for a result assembled field by field, an encoding of its fields.
+// for a result decoded or assembled field by field, an encoding of its
+// fields.
 func (r *CachedResult) encode() []byte {
 	if r.enc != nil {
 		return r.enc
@@ -218,13 +255,16 @@ func (r *CachedResult) encode() []byte {
 	w.EndSection(mark)
 	mark = w.BeginSection()
 	w.Uvarint(uint64(len(r.Rows)))
-	for i := range r.Rows {
-		names := make([]string, 0, len(r.Rows[i].Zoom))
-		for name := range r.Rows[i].Zoom {
+	for _, row := range r.Rows {
+		names := make([]string, 0, len(row.Elements))
+		for name := range row.Elements {
 			names = append(names, name)
 		}
 		slices.Sort(names)
-		appendZoomRow(w, &r.Rows[i], names)
+		w.Uvarint(uint64(len(names)))
+		for _, name := range names {
+			appendElements(w, name, row.Elements[name])
+		}
 	}
 	w.EndSection(mark)
 	return w.Bytes()
@@ -280,24 +320,27 @@ func readZoomRow(r *codec.Reader, row *CachedRow) {
 	if n == 0 {
 		return
 	}
-	row.Zoom = make(map[string][][]annotation.ID, n)
-	row.Label = make(map[string][]string, n)
+	row.Elements = make(map[string][]summary.Element, n)
 	for ; n > 0; n-- {
 		name := r.Str()
-		elems := make([][]annotation.ID, r.Count(2))
-		labels := make([]string, len(elems))
-		for j := range elems {
-			labels[j] = r.Str()
+		els := make([]summary.Element, r.Count(2))
+		for j := range els {
+			els[j].Label = r.Str()
 			if k := r.Count(1); k > 0 {
-				elems[j] = make([]annotation.ID, k)
-				for m := range elems[j] {
-					elems[j][m] = annotation.ID(r.Uvarint())
+				els[j].IDs = make([]annotation.ID, k)
+				for m := range els[j].IDs {
+					els[j].IDs[m] = annotation.ID(r.Uvarint())
 				}
 			}
 		}
-		row.Zoom[name], row.Label[name] = elems, labels
+		row.Elements[name] = els
 	}
 }
+
+// Decoded returns r as Cache.Get returns it: decoded from its spill entry,
+// zoom elements included. A zoom-in that re-executed its query reads the
+// fresh result through it, so every zoom-in reads one form.
+func (r *CachedResult) Decoded() (*CachedResult, error) { return decodeResult(r.encode()) }
 
 // AppendRow appends one row of a rows section from its decoded form, the
 // inverse of ReadRow.
@@ -353,12 +396,12 @@ func (r *CachedResult) FilterRows(pred *exec.Compiled) ([]CachedRow, error) {
 // ZoomIDs resolves the annotation ids behind element index (1-based) of the
 // named instance on one cached row. Rows without that instance return nil.
 func (row *CachedRow) ZoomIDs(instance string, index int) ([]annotation.ID, error) {
-	elems, ok := row.Zoom[instance]
+	els, ok := row.Elements[instance]
 	if !ok {
 		return nil, nil
 	}
-	if index < 1 || index > len(elems) {
-		return nil, fmt.Errorf("zoomin: instance %q has no element %d (1..%d)", instance, index, len(elems))
+	if index < 1 || index > len(els) {
+		return nil, fmt.Errorf("zoomin: instance %q has no element %d (1..%d)", instance, index, len(els))
 	}
-	return elems[index-1], nil
+	return els[index-1].IDs, nil
 }

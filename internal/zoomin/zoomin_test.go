@@ -29,6 +29,12 @@ func resultSchema() types.Schema {
 // with a two-label classifier (refute/approve) and a snippet object.
 func figure3Result(t testing.TB, qid int) *CachedResult {
 	t.Helper()
+	return BuildCachedResult(qid, "SELECT c1, c3 FROM t", resultSchema(), figure3Rows(t), 10)
+}
+
+// figure3Rows are figure3Result's executor rows.
+func figure3Rows(t testing.TB) []*exec.Row {
+	t.Helper()
 	nb, err := textmining.NewNaiveBayes([]string{"refute", "approve"})
 	if err != nil {
 		t.Fatal(err)
@@ -51,16 +57,31 @@ func figure3Result(t testing.TB, qid int) *CachedResult {
 		}
 		return &exec.Row{Tuple: types.Tuple{types.NewString(c1), types.NewInt(c3)}, Env: env}
 	}
-	rows := []*exec.Row{
+	return []*exec.Row{
 		mkRow("x", 5, []annotation.ID{1}, []annotation.ID{101, 102}),
 		mkRow("x", 10, []annotation.ID{2, 3}, nil),
 		mkRow("y", 7, nil, nil),
 	}
-	return BuildCachedResult(qid, "SELECT c1, c3 FROM t", resultSchema(), rows, 10)
+}
+
+// decoded returns r's decoded form, the one ZoomIn reads.
+func decoded(t *testing.T, r *CachedResult) *CachedResult {
+	t.Helper()
+	d, err := r.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestBuildCachedResultZoomStructure(t *testing.T) {
-	r := figure3Result(t, 101)
+	fresh := figure3Result(t, 101)
+	for _, row := range fresh.Rows {
+		if row.Elements != nil {
+			t.Fatal("a fresh result carries zoom elements beside its encoding")
+		}
+	}
+	r := decoded(t, fresh)
 	if len(r.Rows) != 3 || r.QID != 101 {
 		t.Fatalf("%+v", r)
 	}
@@ -81,8 +102,8 @@ func TestBuildCachedResultZoomStructure(t *testing.T) {
 	if ids, err := row.ZoomIDs("NoSuchInstance", 1); err != nil || ids != nil {
 		t.Errorf("missing instance = %v, %v", ids, err)
 	}
-	// Unannotated row has no zoom maps.
-	if r.Rows[2].Zoom != nil {
+	// Unannotated row has no zoom map.
+	if r.Rows[2].Elements != nil {
 		t.Error("unannotated row has zoom map")
 	}
 	if rendered := renderedRows(t, r); !strings.Contains(rendered[0]["NaiveBayesClass"], "refute") {
@@ -102,6 +123,52 @@ func renderedRows(t *testing.T, r *CachedResult) []map[string]string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestEntryRoundTrip pins entry format 1. BuildCachedResult writes the
+// entry into a buffer sized exactly; decoding it and encoding the decoded
+// result again gives the same bytes; and the rows section carries each
+// object's Render. Multi-byte varints (a large QID, large annotation ids)
+// check the sizing.
+func TestEntryRoundTrip(t *testing.T) {
+	rows := figure3Rows(t)
+	big := summary.NewEnvelope()
+	for _, row := range rows[:2] {
+		big.Combine(row.Env.Clone())
+	}
+	cls := big.Object("NaiveBayesClass").Instance()
+	for _, id := range []annotation.ID{300, 1 << 33} {
+		big.Add(cls, cls.Summarize(annotation.Annotation{ID: id, Text: "confirmed verified"}), annotation.WholeRow(2))
+	}
+	rows = append(rows, &exec.Row{Tuple: types.Tuple{types.NewString("z"), types.NewInt(-1 << 40)}, Env: big})
+	for _, qid := range []int{1, 1 << 40} {
+		r := BuildCachedResult(qid, "SELECT c1, c3 FROM t WHERE c3 <> 0", resultSchema(), rows, 3)
+		entry := r.encode()
+		if cap(entry) != len(entry) {
+			t.Errorf("qid %d: a %d-byte entry in a buffer of %d", qid, len(entry), cap(entry))
+		}
+		back := decoded(t, r)
+		if again := back.encode(); !bytes.Equal(again, entry) {
+			t.Errorf("qid %d: decode → encode changed the entry:\n%x\n%x", qid, entry, again)
+		}
+		rendered := renderedRows(t, r)
+		for i, row := range rows {
+			if row.Env == nil || row.Env.IsEmpty() {
+				if rendered[i] != nil {
+					t.Errorf("row %d: rendered %v for no summaries", i, rendered[i])
+				}
+				continue
+			}
+			if len(rendered[i]) != len(row.Env.Objects) {
+				t.Errorf("row %d: %d rendered summaries for %d objects", i, len(rendered[i]), len(row.Env.Objects))
+			}
+			for name, obj := range row.Env.Objects {
+				if rendered[i][name] != obj.Render() {
+					t.Errorf("row %d %s: rendered %q, object renders %q", i, name, rendered[i][name], obj.Render())
+				}
+			}
+		}
+	}
 }
 
 func TestFilterRowsWithPredicate(t *testing.T) {
@@ -346,26 +413,27 @@ func TestCachedElementsMatchObject(t *testing.T) {
 		env.Project([]int{0, 2, 4}) // curates: drops what covers only columns 1, 3, 5
 		rows = append(rows, &exec.Row{Tuple: types.Tuple{types.NewInt(int64(r))}, Env: env})
 	}
-	res := BuildCachedResult(7, "SELECT …", resultSchema(), rows, 1)
+	res := decoded(t, BuildCachedResult(7, "SELECT …", resultSchema(), rows, 1))
 	rendered := renderedRows(t, res)
 	for r, cr := range res.Rows {
 		env := rows[r].Env
-		if len(cr.Zoom) != len(env.Objects) || len(cr.Label) != len(env.Objects) || len(rendered[r]) != len(env.Objects) {
-			t.Fatalf("row %d: %d zoom, %d label, %d rendered entries for %d objects", r, len(cr.Zoom), len(cr.Label), len(rendered[r]), len(env.Objects))
+		if len(cr.Elements) != len(env.Objects) || len(rendered[r]) != len(env.Objects) {
+			t.Fatalf("row %d: %d zoom, %d rendered entries for %d objects", r, len(cr.Elements), len(rendered[r]), len(env.Objects))
 		}
 		for name, obj := range env.Objects {
-			if len(cr.Label[name]) != len(cr.Zoom[name]) || len(cr.Label[name]) == 0 {
-				t.Errorf("row %d %s: %d labels, %d id lists", r, name, len(cr.Label[name]), len(cr.Zoom[name]))
+			els := cr.Elements[name]
+			if len(els) == 0 {
+				t.Errorf("row %d %s: no elements", r, name)
 			}
 			var union []annotation.ID
-			for i, ids := range cr.Zoom[name] {
-				if len(ids) == 0 && !(obj.Instance().Type == summary.TypeClassifier && cr.Label[name][i] == "unused") {
-					t.Errorf("row %d %s: element %d (%s) has no annotations", r, name, i+1, cr.Label[name][i])
+			for i, el := range els {
+				if len(el.IDs) == 0 && !(obj.Instance().Type == summary.TypeClassifier && el.Label == "unused") {
+					t.Errorf("row %d %s: element %d (%s) has no annotations", r, name, i+1, el.Label)
 				}
-				if !slices.IsSorted(ids) {
-					t.Errorf("row %d %s: element %d ids not sorted: %v", r, name, i+1, ids)
+				if !slices.IsSorted(el.IDs) {
+					t.Errorf("row %d %s: element %d ids not sorted: %v", r, name, i+1, el.IDs)
 				}
-				union = append(union, ids...)
+				union = append(union, el.IDs...)
 			}
 			slices.Sort(union)
 			if !slices.Equal(union, obj.Members()) {
