@@ -62,8 +62,9 @@ soak-scrub:
 # hostile-raw-page read paths, the order-preserving key decoder, the
 # tokenizer's ASCII loop against its rune loop, the result-path codec's
 # Reader, the binary decoders of wire request/response frames and
-# zoom-in spill entries, the WAL tail reader over arbitrary log bytes, and
-# every WAL record body decoder. A smoke; raise FUZZTIME locally for real
+# zoom-in spill entries, the WAL tail reader over arbitrary log bytes,
+# every WAL record body decoder, Load over arbitrary checkpoint bytes, and
+# the replication message decoder. A smoke; raise FUZZTIME locally for real
 # exploration.
 FUZZTIME ?= 10s
 fuzz:
@@ -77,3 +78,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCachedResult -fuzztime $(FUZZTIME) ./internal/zoomin/
 	$(GO) test -run '^$$' -fuzz FuzzTailReader -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzReplicationMessage -fuzztime $(FUZZTIME) ./internal/replication/

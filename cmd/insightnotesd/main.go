@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	insightnotesd [-addr :7090] [-data-dir dir] [-snapshot db.json] [-demo]
+//	insightnotesd [-addr :7090] [-data-dir dir] [-snapshot db.ckpt] [-demo]
 //	              [-stmt-timeout 30s] [-drain-timeout 10s] [-checkpoint-bytes 8388608]
 //	              [-metrics-addr 127.0.0.1:7091] [-slow-query-ms 250] [-slow-query-log slow.jsonl]
 //	              [-admit-max 0] [-admit-queue 64] [-admit-timeout 1s] [-max-conns 0]
@@ -17,9 +17,9 @@
 //
 // With -data-dir the engine runs crash-safe: every mutation is written to
 // a fsynced write-ahead log before it is acknowledged, startup recovers
-// the latest snapshot plus the WAL tail, and checkpoints (the CHECKPOINT
+// the latest checkpoint plus the WAL tail, and checkpoints (the CHECKPOINT
 // statement, the -checkpoint-bytes size trigger, and shutdown) rewrite
-// the snapshot and rotate the log.
+// it and rotate the log.
 //
 // With -snapshot (durability off) the server loads the file at startup
 // (if it exists) and writes it back on SIGINT/SIGTERM shutdown. On

@@ -105,7 +105,7 @@ func Open(cfg Config) (*DB, error) { return engine.Open(cfg) }
 // MustOpen is Open that panics on error, for examples and tests.
 func MustOpen(cfg Config) *DB { return engine.MustOpen(cfg) }
 
-// LoadFile restores a database from a snapshot file written by
+// LoadFile restores a database from a checkpoint file written by
 // DB.SaveFile. Summary objects are rebuilt by replaying the persisted raw
 // annotations through incremental maintenance.
 func LoadFile(path string, cfg Config) (*DB, error) { return engine.LoadFile(path, cfg) }

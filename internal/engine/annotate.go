@@ -142,7 +142,7 @@ func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
 	}
 
 	ids := make([]annotation.ID, len(tasks))
-	rec := walAnnotate{Anns: make([]snapshotAnnotate, len(tasks))}
+	rec := walAnnotate{Anns: make([]walAnnotation, len(tasks))}
 	total := 0
 	for i := range tasks {
 		a := &tasks[i].ann
@@ -165,7 +165,7 @@ func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
 		}
 		a.ID, ids[i] = id, id
 		total += len(targets)
-		rec.Anns[i] = newSnapshotAnnotate(*a, targets)
+		rec.Anns[i] = newWALAnnotation(*a, targets)
 	}
 	db.maintain(tasks)
 	if err := db.logRecord(walTypeAnnotate, &rec); err != nil {

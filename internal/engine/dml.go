@@ -43,7 +43,7 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 	// The WAL record carries post-images, not the SET expressions: replay
 	// must not depend on re-matching the WHERE clause against a state
 	// that later records will change.
-	images := make([]snapshotRow, 0, len(rows))
+	images := make([]walRow, 0, len(rows))
 	for _, row := range rows {
 		tu, err := tbl.Get(row)
 		if err != nil {
@@ -60,7 +60,7 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 		if err := tbl.Update(row, updated); err != nil {
 			return nil, err
 		}
-		images = append(images, snapshotRow{ID: row, Values: updated})
+		images = append(images, walRow{ID: row, Values: updated})
 	}
 	if err := db.logRecord(walTypeUpdate, &walRows{Table: tbl.Name(), Rows: images}); err != nil {
 		return nil, err

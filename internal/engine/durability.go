@@ -3,12 +3,14 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"time"
 
+	"insightnotes/internal/annotation"
 	"insightnotes/internal/codec"
-	"insightnotes/internal/failpoint"
 	"insightnotes/internal/metrics"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/trace"
@@ -19,12 +21,13 @@ import (
 // Durability: the raw annotations are the paper's durable source of
 // truth — summary objects are derived, incrementally maintained views
 // over them — so the mutation path must survive process kills and torn
-// writes. OpenDurable pairs the existing full-state snapshot with a
-// write-ahead log of logical mutation records: every mutating statement
-// appends one fsynced record before acknowledging, startup recovers by
-// loading the latest snapshot and replaying the WAL tail (truncating
-// cleanly at a torn record), and CHECKPOINT (manual or size-triggered)
-// rewrites the snapshot and rotates the log.
+// writes. OpenDurable pairs a full-state checkpoint with a write-ahead log
+// of logical mutation records: every mutating statement appends one
+// fsynced record before acknowledging, startup recovers by loading the
+// latest checkpoint and replaying the WAL tail (truncating cleanly at a
+// torn record), and CHECKPOINT (manual or size-triggered) rewrites the
+// checkpoint and rotates the log. Both hold the same records in the same
+// frames (see persist.go), and both are redone by applyWALRecord.
 //
 // Record ordering: a mutation is applied in memory first, then logged,
 // then acknowledged. Records carry fully resolved effects — assigned row
@@ -36,6 +39,8 @@ import (
 const defaultAutoCheckpointBytes = 8 << 20
 
 // snapshotFileName / walFileName are the fixed layout of a data directory.
+// The checkpoint keeps the name snapshot.json, though it is no longer
+// JSON, because tools copy a data directory's files by name.
 const (
 	snapshotFileName = "snapshot.json"
 	walFileName      = "wal.log"
@@ -44,7 +49,7 @@ const (
 
 // DurabilityOptions configures OpenDurable.
 type DurabilityOptions struct {
-	// Dir is the data directory holding snapshot.json and wal.log
+	// Dir is the data directory holding the checkpoint and wal.log
 	// (created if missing).
 	Dir string
 	// AutoCheckpointBytes triggers a checkpoint when the WAL reaches this
@@ -92,10 +97,10 @@ type CheckpointInfo struct {
 }
 
 // OpenDurable opens (or creates) a crash-safe database in dir: it loads
-// dir/snapshot.json when present, replays the dir/wal.log tail past the
-// snapshot's LSN — truncating a torn final record rather than failing —
-// and attaches the log so every subsequent mutation is fsynced before it
-// is acknowledged.
+// the checkpoint dir/snapshot.json when present, replays the dir/wal.log
+// tail past the checkpoint's LSN — truncating a torn final record rather
+// than failing — and attaches the log so every subsequent mutation is
+// fsynced before it is acknowledged.
 func OpenDurable(cfg Config, opts DurabilityOptions) (*DB, RecoveryInfo, error) {
 	var info RecoveryInfo
 	if opts.Dir == "" {
@@ -130,7 +135,11 @@ func OpenDurable(cfg Config, opts DurabilityOptions) (*DB, RecoveryInfo, error) 
 		}
 	}
 
-	res, err := wal.Replay(walPath, info.SnapshotLSN, db.applyWALRecord)
+	rd := redo{db: db}
+	res, err := wal.Replay(walPath, info.SnapshotLSN, rd.apply)
+	if err == nil {
+		err = rd.flush()
+	}
 	if err != nil {
 		db.Close()
 		return nil, info, fmt.Errorf("engine: wal recovery: %w", err)
@@ -218,10 +227,10 @@ func (db *DB) attachWAL(opts DurabilityOptions, log *wal.Log, info RecoveryInfo)
 // Durable reports whether the DB runs with a write-ahead log attached.
 func (db *DB) Durable() bool { return db.wal != nil }
 
-// Checkpoint persists a snapshot of the full state to the data directory
-// and rotates the WAL. Crash orderings are safe: the snapshot is
-// published by atomic rename, and a crash between the rename and the log
-// reset only leaves stale records that recovery skips by LSN.
+// Checkpoint persists the full state to the data directory and rotates the
+// WAL. Crash orderings are safe: the checkpoint is published by atomic
+// rename and a directory fsync before the log is reset, and a crash
+// between the two only leaves stale records that recovery skips by LSN.
 func (db *DB) Checkpoint() (ci CheckpointInfo, err error) {
 	err = db.commit(nil, func() error {
 		ci, err = db.checkpointLocked()
@@ -241,17 +250,11 @@ func (db *DB) checkpointLocked() (CheckpointInfo, error) {
 	ci.LSN = db.wal.LastLSN()
 	ci.ReleasedWALBytes = db.wal.Size()
 	snapPath := filepath.Join(db.walDir, snapshotFileName)
-	if err := db.snapshotToFile(snapPath, ci.LSN); err != nil {
+	if err := publishCheckpoint(snapPath, func(w io.Writer) error { return db.writeCheckpoint(w, ci.LSN) }); err != nil {
 		return ci, fmt.Errorf("engine: checkpoint: %w", err)
 	}
 	if st, err := os.Stat(snapPath); err == nil {
 		ci.SnapshotBytes = st.Size()
-	}
-	// The snapshot is published. From here a crash is recoverable even if
-	// the log rotation below never happens (LSN skip) — modeled by the
-	// after-rename failpoint.
-	if err := failpoint.Eval(failpoint.CheckpointAfterRename); err != nil {
-		return ci, fmt.Errorf("engine: checkpoint: %w", err)
 	}
 	if err := db.wal.Reset(ci.LSN); err != nil {
 		return ci, fmt.Errorf("engine: checkpoint wal rotation: %w", err)
@@ -335,6 +338,42 @@ func (db *DB) syncWAL(tok wal.SyncToken) error {
 	return nil
 }
 
+// redo applies a record stream — a checkpoint, or the log replayed at
+// recovery — through applyWALRecord, holding consecutive annotate records
+// back as one applyAnnotates batch: a checkpoint's annotations are
+// maintained as one batch, as a single ingest's are. Any other record
+// flushes the batch first, so a batch never spans a train record, nor a
+// change to the rows it targets.
+type redo struct {
+	db   *DB
+	anns []walAnnotation
+}
+
+func (rd *redo) apply(rec wal.Record) error {
+	if rec.Type == walTypeAnnotate {
+		p, err := decodeRecord(rec.Type, rec.Data)
+		if err != nil {
+			return err
+		}
+		rd.anns = append(rd.anns, p.(*walAnnotate).Anns...)
+		return nil
+	}
+	if err := rd.flush(); err != nil {
+		return err
+	}
+	return rd.db.applyWALRecord(rec)
+}
+
+// flush applies the held annotations.
+func (rd *redo) flush() error {
+	if len(rd.anns) == 0 {
+		return nil
+	}
+	anns := rd.anns
+	rd.anns = nil
+	return rd.db.applyAnnotates(anns)
+}
+
 // applyWALRecord redoes one logical record: at recovery, and on a replica
 // for every record the primary ships. Nothing here logs — recovery has no
 // WAL attached yet, and a replica stages the primary's record itself.
@@ -345,16 +384,12 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 	}
 	switch r := p.(type) {
 	case *walCreateTable:
-		cols := make([]types.Column, len(r.Columns))
-		for i, c := range r.Columns {
-			cols[i] = types.Column{Name: c.Name, Kind: c.Kind}
-		}
 		// Replayed DDL invalidates cached plans just like the statement
 		// path does — read replicas apply these records while serving
 		// cached SELECTs. Startup recovery starts with an empty cache, so
 		// the calls are free there. Same below for index/drop records.
 		db.invalidatePlanCache()
-		_, err = db.cat.CreateTable(r.Name, types.Schema{Columns: cols})
+		_, err = db.cat.CreateTable(r.Name, types.Schema{Columns: r.Columns})
 		return err
 	case *walCreateIndex:
 		tbl, err := db.cat.Table(r.Table)
@@ -417,4 +452,83 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 		return db.trainClassifier(r.Instance, r.Samples)
 	}
 	return fmt.Errorf("engine: no redo for wal record type %q", rec.Type)
+}
+
+// applyAnnotates re-adds persisted annotations under their original ids
+// and maintains their summaries as one batch. It refuses an annotation
+// with no id or no targets, or one targeting a table or row that does not
+// exist: a record naming them is corrupt, whether it comes from a
+// checkpoint, the log or a primary. A recorded classifier label is kept
+// rather than classified again.
+func (db *DB) applyAnnotates(anns []walAnnotation) error {
+	tasks := make([]maintTask, len(anns))
+	linked := make(map[string][]*summary.Instance)
+	for i := range anns {
+		wa := &anns[i]
+		if wa.ID <= 0 {
+			return fmt.Errorf("annotation with invalid id %d", wa.ID)
+		}
+		if len(wa.Targets) == 0 {
+			return fmt.Errorf("annotation %d has no targets", wa.ID)
+		}
+		targets := make([]annotation.Target, len(wa.Targets))
+		tasks[i] = maintTask{ann: wa.Annotation, targets: make([]maintTarget, len(wa.Targets))}
+		for j, tg := range wa.Targets {
+			tbl, err := db.cat.Table(tg.Table)
+			if err != nil {
+				return fmt.Errorf("annotation %d targets unknown table %q", wa.ID, tg.Table)
+			}
+			if _, err := tbl.Get(tg.Row); err != nil {
+				return fmt.Errorf("annotation %d targets missing row %d of %q", wa.ID, tg.Row, tg.Table)
+			}
+			targets[j] = tg.Target
+			instances, ok := linked[tg.Table]
+			if !ok {
+				instances = db.cat.InstancesFor(tg.Table)
+				linked[tg.Table] = instances
+			}
+			labels := wa.Labels
+			if tg.Labels != nil {
+				labels = maps.Clone(wa.Labels)
+				if labels == nil {
+					labels = make(map[string]int)
+				}
+				maps.Copy(labels, tg.Labels)
+			}
+			if err := checkLabels(instances, labels); err != nil {
+				return fmt.Errorf("annotation %d: %w", wa.ID, err)
+			}
+			tasks[i].targets[j] = maintTarget{
+				table: tg.Table, rows: []types.RowID{tg.Row}, cols: tg.Columns,
+				instances: instances, labels: labels,
+			}
+		}
+		if err := db.anns.Restore(wa.Annotation, targets); err != nil {
+			return fmt.Errorf("annotation %d: %w", wa.ID, err)
+		}
+		if wa.Created > db.annClock.Load() {
+			db.annClock.Store(wa.Created)
+		}
+	}
+	db.applyTasks(tasks)
+	return nil
+}
+
+// checkLabels rejects a recorded label that names a linked instance which
+// is not a classifier, or an index outside its label set. Labels of
+// instances not linked to the target's table are never read.
+func checkLabels(instances []*summary.Instance, labels map[string]int) error {
+	for _, in := range instances {
+		l, ok := labels[in.Name]
+		if !ok {
+			continue
+		}
+		if in.Type != summary.TypeClassifier {
+			return fmt.Errorf("label recorded for %s instance %q", in.Type, in.Name)
+		}
+		if n := len(in.Classifier.Labels()); l < 0 || l >= n {
+			return fmt.Errorf("label index %d outside the %d labels of %q", l, n, in.Name)
+		}
+	}
+	return nil
 }

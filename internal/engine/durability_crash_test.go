@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -145,28 +144,41 @@ func (w *crashWorkload) next() string {
 	}
 }
 
-// canonicalState renders a database's full durable state with row order
-// normalized (heap scan order after deletes legitimately differs between
-// continuous execution and snapshot+replay recovery).
+// canonicalState renders a database's full durable state — its
+// checkpoint's decoded records — with each table's rows merged into one
+// insert record in id order (heap scan order after deletes legitimately
+// differs between continuous execution and checkpoint+replay recovery,
+// and with it where the insert chunks break).
 func canonicalState(t *testing.T, db *DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var snap snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
+	recs, trailer := checkpointRecords(t, buf.Bytes())
+	var out bytes.Buffer
+	var rows *walRows
+	flushRows := func() {
+		if rows != nil {
+			sort.Slice(rows.Rows, func(a, b int) bool { return rows.Rows[a].ID < rows.Rows[b].ID })
+			fmt.Fprintf(&out, "%s %+v\n", walTypeInsert, rows)
+			rows = nil
+		}
 	}
-	for i := range snap.Tables {
-		rows := snap.Tables[i].Rows
-		sort.Slice(rows, func(a, b int) bool { return rows[a].ID < rows[b].ID })
+	for _, r := range recs {
+		if ins, ok := r.p.(*walRows); ok {
+			if rows == nil {
+				rows = &walRows{Table: ins.Table}
+			}
+			rows.Rows = append(rows.Rows, ins.Rows...)
+			continue
+		}
+		flushRows()
+		fmt.Fprintf(&out, "%s %+v\n", r.typ, r.p)
 	}
-	out, err := json.Marshal(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	trailer.Records = 0
+	fmt.Fprintf(&out, "%s %+v\n", walTypeCheckpoint, trailer)
+	return out.Bytes()
 }
 
 // compareRecovered asserts got (the recovered durable DB) matches want

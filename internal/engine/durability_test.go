@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -9,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"insightnotes/internal/annotation"
 	"insightnotes/internal/metrics"
+	"insightnotes/internal/wal"
 )
 
 func durableConfig(t *testing.T) Config {
@@ -267,4 +270,104 @@ func TestWALMetricsExposed(t *testing.T) {
 	if len(res.Rows) == 0 {
 		t.Error("SHOW METRICS LIKE 'insightnotes_wal_%' returned no rows")
 	}
+}
+
+// Redo refuses an annotate record whose target row or table does not
+// exist, whether the record comes from a primary or from the log at
+// recovery: the checks a checkpoint load makes live on the one redo path.
+func TestReplayRefusesAnnotationOnMissingTarget(t *testing.T) {
+	for _, tc := range []struct {
+		target walTarget
+		want   string
+	}{
+		{walTarget{Target: annotation.Target{Table: "birds", Row: 999, Columns: 1}}, "targets missing row 999"},
+		{walTarget{Target: annotation.Target{Table: "ghost", Row: 1, Columns: 1}}, "targets unknown table"},
+	} {
+		rec := wal.Record{Type: walTypeAnnotate,
+			Data: encodeWALBody(&walAnnotate{Anns: []walAnnotation{{Annotation: annotation.Annotation{ID: 1, Text: "x"}, Targets: []walTarget{tc.target}}}})}
+		dir := t.TempDir()
+		db, _, err := OpenDurable(durableConfig(t), DurabilityOptions{Dir: dir, AutoCheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, "CREATE TABLE birds (id INT, name TEXT)")
+		mustExec(t, db, "INSERT INTO birds VALUES (1, 'Swan Goose')")
+		rec.LSN = db.ReplicationPosition() + 1
+		err = db.ApplyReplicated([]wal.Record{rec})
+		db.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("replica apply of an annotation on %+v: err = %v, want %q", tc.target, err, tc.want)
+		}
+
+		log, err := wal.Open(filepath.Join(dir, walFileName), rec.LSN-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(rec.Type, string(rec.Data)); err != nil {
+			t.Fatal(err)
+		}
+		log.Close()
+		back, _, err := OpenDurable(durableConfig(t), DurabilityOptions{Dir: dir, AutoCheckpointBytes: -1})
+		if err == nil {
+			back.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("recovery of an annotation on %+v: err = %v, want %q", tc.target, err, tc.want)
+		}
+	}
+}
+
+// A replica resync ships the very bytes CHECKPOINT publishes at the same
+// LSN: one writer. One flipped byte anywhere in them makes the replica
+// refuse the stream with its own state intact.
+func TestReplicationSnapshotIsTheCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openDurable(t, dir)
+	for _, stmt := range []string{
+		"CREATE TABLE birds (id INT, name TEXT)",
+		"INSERT INTO birds VALUES (1, 'Swan Goose'), (2, 'Mute Swan'), (3, 'Whooper Swan')",
+		"CREATE INDEX ON birds (name)",
+		"CREATE INDEX ON birds (id)",
+		"CREATE SUMMARY INSTANCE Cls TYPE Classifier LABELS ('Behavior', 'Disease')",
+		"TRAIN SUMMARY Cls ('feeding at dawn', 'Behavior'), ('lesions from avian pox', 'Disease')",
+		"CREATE SUMMARY INSTANCE Snip TYPE Snippet",
+		"LINK SUMMARY Cls TO birds",
+		"LINK SUMMARY Snip TO birds",
+		"ADD ANNOTATION 'seen feeding near the lake' ON birds WHERE id = 1",
+		"ADD ANNOTATION 'migration route shared note' ON birds",
+		"DELETE FROM birds WHERE id = 3",
+		"CHECKPOINT",
+	} {
+		mustExec(t, db, stmt)
+	}
+	published, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped bytes.Buffer
+	lsn, err := db.ReplicationSnapshot(&shipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shipped.Bytes(), published) {
+		t.Fatalf("the shipped checkpoint (%d bytes) differs from the published one (%d bytes)", shipped.Len(), len(published))
+	}
+
+	replica, _ := openDurable(t, t.TempDir())
+	mustExec(t, replica, "CREATE TABLE kept (id INT)")
+	raw := shipped.Bytes()
+	for i := range raw {
+		bad := bytes.Clone(raw)
+		bad[i] ^= 0x01
+		if _, err := replica.InstallReplicaSnapshot(bad); err == nil {
+			t.Fatalf("a checkpoint with byte %d of %d flipped was installed", i, len(raw))
+		}
+	}
+	if _, err := replica.Catalog().Table("kept"); err != nil {
+		t.Fatalf("a refused checkpoint disturbed the replica: %v", err)
+	}
+	if got, err := replica.InstallReplicaSnapshot(raw); err != nil || got != lsn {
+		t.Fatalf("install = %d, %v; want lsn %d", got, err, lsn)
+	}
+	compareRecovered(t, replica, db)
 }

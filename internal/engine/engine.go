@@ -208,7 +208,7 @@ type DB struct {
 	// walBuf is reused to encode each logged record's body. Guarded by
 	// stmtMu (exclusive).
 	walBuf []byte
-	// recoveredLSN is the included-LSN mark of the snapshot this DB was
+	// recoveredLSN is the included-LSN mark of the checkpoint this DB was
 	// loaded from (0 when fresh); WAL replay skips records at or below it.
 	recoveredLSN uint64
 	// recovery reports what the last OpenDurable found (for metrics).

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,8 +19,7 @@ import (
 // checksum and structural verification, and repairs what it finds from the
 // cheapest clean source available — a surviving buffer-pool frame, a local
 // in-memory rebuild (summary envelopes and annotation targets are
-// memory-resident), or a full logical snapshot fetched from a connected
-// peer. Pages with no clean source are quarantined: subsequent reads fail
+// memory-resident), or a checkpoint fetched from a connected peer. Pages with no clean source are quarantined: subsequent reads fail
 // fast with the structured corruption error (the server sheds them with
 // code CORRUPT) instead of serving garbage. CHECK TABLE runs the same
 // sweep synchronously for one table; SHOW INTEGRITY surfaces the
@@ -117,7 +116,7 @@ func (s *integrityState) recordSweep(now time.Time, faults []IntegrityFault) {
 
 // SetRepairSource installs the fetch function the repair ladder uses for
 // pages whose contents live only on disk (table heaps, annotation text):
-// it must return a full logical snapshot of a clean peer — typically
+// it must return a checkpoint of a clean peer — typically
 // replication.FetchSnapshot against the primary's replication listener.
 // A nil source (standalone deployments) makes such pages unrepairable:
 // they are quarantined and reads shed with a structured CORRUPT error.
@@ -449,6 +448,7 @@ func (db *DB) repairFaults(lc *trace.Active, faults []scrubFault) []IntegrityFau
 		}
 		return out
 	}
+	defer src.Close()
 	db.stmtMu.Lock()
 	for _, i := range remote {
 		f := faults[i]
@@ -555,15 +555,10 @@ func (db *DB) rebuildTableIndexesLocked(tbl *catalog.Table) error {
 
 // ---- remote repair source ----
 
-// repairSnapshot is a fetched peer snapshot indexed for page repair.
-type repairSnapshot struct {
-	rows map[string]map[types.RowID]types.Tuple
-	anns map[annotation.ID]annotation.Annotation
-}
-
-// fetchRepairSource fetches and indexes a full logical snapshot from the
-// configured peer (SetRepairSource).
-func (db *DB) fetchRepairSource() (*repairSnapshot, error) {
+// fetchRepairSource fetches a checkpoint from the configured peer
+// (SetRepairSource) and loads it into a scratch engine, which the caller
+// closes.
+func (db *DB) fetchRepairSource() (*DB, error) {
 	db.repairMu.RLock()
 	fetch := db.repairFn
 	db.repairMu.RUnlock()
@@ -574,51 +569,34 @@ func (db *DB) fetchRepairSource() (*repairSnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: repair source fetch: %w", err)
 	}
-	var snap snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("engine: repair source snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("engine: repair source snapshot version %d unsupported", snap.Version)
-	}
-	src := &repairSnapshot{
-		rows: make(map[string]map[types.RowID]types.Tuple, len(snap.Tables)),
-		anns: make(map[annotation.ID]annotation.Annotation, len(snap.Annotations)),
-	}
-	for _, st := range snap.Tables {
-		byRow := make(map[types.RowID]types.Tuple, len(st.Rows))
-		for _, row := range st.Rows {
-			byRow[row.ID] = types.Tuple(row.Values)
-		}
-		src.rows[st.Name] = byRow
-	}
-	for _, sa := range snap.Annotations {
-		src.anns[sa.ID] = annotation.Annotation{
-			ID: sa.ID, Author: sa.Author, Created: sa.Created,
-			Text: sa.Text, Title: sa.Title, Document: sa.Document,
-		}
+	src, err := Load(bytes.NewReader(raw), Config{DisableMetrics: true, DisableTracing: true})
+	if err != nil {
+		return nil, fmt.Errorf("engine: repair source: %w", err)
 	}
 	return src, nil
 }
 
 // repairFromSourceLocked rebuilds one table-heap or annotation-heap page
-// from the fetched snapshot. Callers hold the exclusive statement lock.
-func (db *DB) repairFromSourceLocked(t scrubTarget, src *repairSnapshot) error {
+// from the fetched checkpoint. Callers hold the exclusive statement lock.
+func (db *DB) repairFromSourceLocked(t scrubTarget, src *DB) error {
 	switch t.kind {
 	case ownerTable:
 		tbl, err := db.catStore().Table(t.table)
 		if err != nil {
 			return err
 		}
-		byRow := src.rows[t.table]
+		srcTbl, err := src.cat.Table(t.table)
+		if err != nil {
+			return err
+		}
 		return tbl.RepairPage(t.pid, func(row types.RowID) (types.Tuple, bool) {
-			tu, ok := byRow[row]
-			return tu, ok
+			tu, err := srcTbl.Get(row)
+			return tu, err == nil
 		})
 	case ownerAnn:
 		return db.annStore().RepairAnnPage(t.pid, func(id annotation.ID) (annotation.Annotation, bool) {
-			a, ok := src.anns[id]
-			return a, ok
+			a, err := src.anns.Get(id)
+			return a, err == nil
 		})
 	default:
 		return fmt.Errorf("engine: page %d (%s) has no remote repair path", t.pid, t.ownerName())

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"insightnotes/internal/types"
 )
 
 // populateForSnapshot builds a database with every persistable feature:
@@ -116,9 +118,9 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 
 func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 	for _, bad := range []string{
-		"not json",
+		"not a checkpoint",
 		`{"version": 99}`,
-		`{"version": 1, "tables": [{"name": "t", "columns": [{"name": "a", "kind": 200}]}]}`,
+		string(checkpointOf(t, testRecord{walTypeCreateTable, &walCreateTable{Name: "t", Columns: []types.Column{{Name: "a", Kind: 200}}}})),
 	} {
 		if _, err := Load(strings.NewReader(bad), Config{CacheDir: t.TempDir()}); err == nil {
 			t.Errorf("Load(%q) succeeded", bad)
@@ -142,7 +144,7 @@ func TestSnapshotEmptyDatabase(t *testing.T) {
 }
 
 // Save walks annotations row by row; ids ascend with row ids only when
-// rows were annotated in row order. A snapshot must list annotations by
+// rows were annotated in row order. A checkpoint must list annotations by
 // id regardless (load replays them in that order to rebuild summaries).
 func TestSnapshotAnnotationsInIDOrder(t *testing.T) {
 	db := birdDB(t)
@@ -153,16 +155,19 @@ func TestSnapshotAnnotationsInIDOrder(t *testing.T) {
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var snap snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
+	recs, _ := checkpointRecords(t, buf.Bytes())
+	var anns []walAnnotation
+	for _, r := range recs {
+		if a, ok := r.p.(*walAnnotate); ok {
+			anns = append(anns, a.Anns...)
+		}
 	}
-	if len(snap.Annotations) != 5 {
-		t.Fatalf("snapshot holds %d annotations, want 5", len(snap.Annotations))
+	if len(anns) != 5 {
+		t.Fatalf("checkpoint holds %d annotations, want 5", len(anns))
 	}
-	for i, a := range snap.Annotations {
+	for i, a := range anns {
 		if int(a.ID) != i+1 {
-			t.Fatalf("annotation %d in the snapshot has id %d: not in id order", i, a.ID)
+			t.Fatalf("annotation %d in the checkpoint has id %d: not in id order", i, a.ID)
 		}
 	}
 	back, err := Load(&buf, Config{CacheDir: t.TempDir()})
@@ -175,4 +180,39 @@ func TestSnapshotAnnotationsInIDOrder(t *testing.T) {
 			t.Errorf("row %d summaries differ after reload: %v vs %v", row, a, b)
 		}
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to Load: each must produce an error or a
+// database, never a panic. Seeded from a real checkpoint and a labeled one.
+func FuzzLoad(f *testing.F) {
+	db, err := Open(Config{CacheDir: f.TempDir(), DisableMetrics: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, stmt := range []string{
+		"CREATE TABLE birds (id INT, name TEXT)",
+		"INSERT INTO birds VALUES (1, 'Swan Goose'), (2, 'Mute Swan')",
+		"CREATE INDEX ON birds (id)",
+		"CREATE SUMMARY INSTANCE Cls TYPE Classifier LABELS ('Behavior', 'Disease')",
+		"LINK SUMMARY Cls TO birds",
+		"ADD ANNOTATION 'seen feeding near the lake' ON birds WHERE id = 1",
+	} {
+		if _, err := db.Exec(context.Background(), stmt); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	db.Close()
+	f.Add(buf.Bytes())
+	f.Add([]byte(labeled(f, map[string]int{"c": 1}, map[string]int{"c": 0})))
+	cacheDir := f.TempDir() // each engine takes a directory of its own inside
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := Load(bytes.NewReader(data), Config{CacheDir: cacheDir, DisableMetrics: true, DisableTracing: true})
+		if err == nil {
+			db.Close()
+		}
+	})
 }

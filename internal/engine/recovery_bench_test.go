@@ -3,6 +3,8 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,7 +18,7 @@ import (
 // 4 000 birds × 8 annotations (32 000, 5 % with a document) under the
 // three demo instances — the shape of the repository benchmark's
 // point_read corpus — so each iteration rebuilds every summary envelope
-// from snapshot.json.
+// from the checkpoint. ckpt_bytes is the checkpoint's size.
 func BenchmarkRecover(b *testing.B) {
 	const birds, perBird = 4000, 8
 	dir := b.TempDir()
@@ -71,8 +73,13 @@ func BenchmarkRecover(b *testing.B) {
 	if err := db.Close(); err != nil {
 		b.Fatal(err)
 	}
+	st, err := os.Stat(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
 	// The corpus is built once; the sub-benchmark reopens it b.N times.
 	b.Run("32k", func(b *testing.B) {
+		b.ReportMetric(float64(st.Size()), "ckpt_bytes")
 		for i := 0; i < b.N; i++ {
 			back, _, err := engine.OpenDurable(cfg, opts)
 			if err != nil {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,8 +10,8 @@ import (
 // refines only later summarization, and only RebuildSummaries refreshes
 // existing summary objects. A checkpoint therefore records each
 // annotation's label, and recovery from it restores that label instead of
-// classifying the annotation again under the retrained model. A snapshot
-// without labels (written before they were recorded) is classified again.
+// classifying the annotation again under the retrained model. A checkpoint
+// without labels is classified again.
 func TestRecoveryKeepsPreTrainLabels(t *testing.T) {
 	const text = "seen feeding near the lake"
 	dir := t.TempDir()
@@ -48,37 +47,37 @@ func TestRecoveryKeepsPreTrainLabels(t *testing.T) {
 	}
 	back.Close()
 
-	// Strip the labels: the snapshot a build without them would have written.
+	// Strip the labels from the checkpoint's annotate records.
 	path := filepath.Join(dir, snapshotFileName)
 	labeled, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap snapshot
-	if err := json.Unmarshal(labeled, &snap); err != nil {
-		t.Fatal(err)
-	}
-	for i := range snap.Annotations {
-		if snap.Annotations[i].Labels == nil {
-			t.Fatalf("annotation %d carries no labels", snap.Annotations[i].ID)
+	recs, trailer := checkpointRecords(t, labeled)
+	for _, r := range recs {
+		a, ok := r.p.(*walAnnotate)
+		if !ok {
+			continue
 		}
-		snap.Annotations[i].Labels = nil
+		for i := range a.Anns {
+			if a.Anns[i].Labels == nil {
+				t.Fatalf("annotation %d carries no labels", a.Anns[i].ID)
+			}
+			a.Anns[i].Labels = nil
+		}
 	}
-	stripped, err := json.Marshal(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stripped := frameRecords(t, append(recs, testRecord{walTypeCheckpoint, trailer})...)
 	if err := os.WriteFile(path, stripped, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	old, _ := openDurable(t, dir)
 	if got := old.StoredEnvelope("birds", 1).Render(); got != post {
-		t.Errorf("recovered from a label-less snapshot: %s, want %s", got, post)
+		t.Errorf("recovered from a label-less checkpoint: %s, want %s", got, post)
 	}
 	old.Close()
 
 	// RebuildSummaries is what refreshes labels, and it is logged: the
-	// refreshed label outlives a restart from the labeled snapshot.
+	// refreshed label outlives a restart from the labeled checkpoint.
 	if err := os.WriteFile(path, labeled, 0o644); err != nil {
 		t.Fatal(err)
 	}

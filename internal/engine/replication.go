@@ -2,10 +2,8 @@ package engine
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"insightnotes/internal/annotation"
@@ -16,8 +14,8 @@ import (
 
 // Replication support: the engine side of WAL shipping. The primary's
 // sender (internal/replication) tails the WAL file directly — nothing
-// here sits on the commit path — and needs only a consistent full
-// snapshot for replicas too far behind a rotated log. The replica side
+// here sits on the commit path — and needs only a consistent checkpoint
+// for replicas too far behind a rotated log. The replica side
 // applies shipped records through the same logical redo path recovery
 // uses, and persists them into its own WAL under the primary's LSNs so a
 // restart resumes from exactly what it last made durable.
@@ -36,10 +34,11 @@ func (db *DB) ReplicationPosition() uint64 {
 	return db.wal.LastLSN()
 }
 
-// ReplicationSnapshot writes a full-state snapshot to w marked with the
-// current WAL position, for resyncing a replica that fell behind a
-// rotated log. It holds the shared statement lock: concurrent reads
-// proceed, writes wait for the duration of the serialization.
+// ReplicationSnapshot writes a checkpoint to w marked with the current WAL
+// position — the same stream CHECKPOINT publishes — for resyncing a
+// replica that fell behind a rotated log. It holds the shared statement
+// lock: concurrent reads proceed, writes wait for the duration of the
+// serialization.
 func (db *DB) ReplicationSnapshot(w io.Writer) (uint64, error) {
 	if db.wal == nil {
 		return 0, fmt.Errorf("engine: replication snapshot requires durability")
@@ -49,7 +48,7 @@ func (db *DB) ReplicationSnapshot(w io.Writer) (uint64, error) {
 	// Writers are excluded, so the WAL tip cannot move while the state is
 	// serialized: the LSN mark and the snapshot contents agree.
 	lsn := db.wal.LastLSN()
-	if err := db.writeSnapshot(w, lsn); err != nil {
+	if err := db.writeCheckpoint(w, lsn); err != nil {
 		return 0, err
 	}
 	return lsn, nil
@@ -107,24 +106,17 @@ func (db *DB) ApplyReplicated(recs []wal.Record) error {
 }
 
 // InstallReplicaSnapshot replaces the database's entire state with the
-// primary's snapshot (shed-and-resync: the replica fell behind a rotated
-// WAL). The raw snapshot is validated against a scratch engine first so
-// a malformed payload cannot leave the live replica half-cleared; then,
-// under the exclusive statement lock, the state is swapped, the snapshot
-// is published to the data directory, and the local WAL is rotated to
-// the snapshot's LSN. Crash orderings are safe for the same reason
-// checkpointing is: stale log records sit at or below the published
-// snapshot's LSN and recovery skips them.
+// primary's checkpoint (shed-and-resync: the replica fell behind a rotated
+// WAL). The raw stream is validated against a scratch engine first so a
+// malformed payload cannot leave the live replica half-cleared; then,
+// under the exclusive statement lock, the state is swapped, the
+// checkpoint is published to the data directory, and the local WAL is
+// rotated to the checkpoint's LSN. Crash orderings are safe for the same
+// reason checkpointing is: stale log records sit at or below the
+// published checkpoint's LSN and recovery skips them.
 func (db *DB) InstallReplicaSnapshot(raw []byte) (uint64, error) {
 	if db.wal == nil {
 		return 0, fmt.Errorf("engine: snapshot install requires durability")
-	}
-	var snap snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return 0, corruptf("%v", err)
-	}
-	if snap.Version != snapshotVersion {
-		return 0, fmt.Errorf("engine: unsupported snapshot version %d", snap.Version)
 	}
 	scratch, err := Load(bytes.NewReader(raw), Config{DisableMetrics: true, DisableTracing: true})
 	if err != nil {
@@ -135,25 +127,27 @@ func (db *DB) InstallReplicaSnapshot(raw []byte) (uint64, error) {
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
 	db.clearStateLocked()
-	if err := db.applySnapshot(&snap); err != nil {
+	if err := db.loadCheckpoint(raw); err != nil {
 		// Validated above, so this indicates an environment failure
 		// (page store exhaustion or the like); the replica is unusable
 		// and the caller should stop serving.
 		return 0, fmt.Errorf("engine: installing replica snapshot: %w", err)
 	}
-	if err := writeRawSnapshot(filepath.Join(db.walDir, snapshotFileName), raw); err != nil {
+	lsn := db.recoveredLSN
+	write := func(w io.Writer) error { _, err := w.Write(raw); return err }
+	if err := publishCheckpoint(filepath.Join(db.walDir, snapshotFileName), write); err != nil {
 		return 0, fmt.Errorf("engine: persisting replica snapshot: %w", err)
 	}
-	if err := db.wal.Reset(snap.LSN); err != nil {
+	if err := db.wal.Reset(lsn); err != nil {
 		return 0, fmt.Errorf("engine: rotating wal after resync: %w", err)
 	}
-	return snap.LSN, nil
+	return lsn, nil
 }
 
 // clearStateLocked discards the full logical state — catalog, annotation
 // and summary stores, registered queries, materialized
 // zoom-in results — leaving a blank database on the same buffer pool and
-// registries, ready for applySnapshot. Old heap pages are orphaned in
+// registries, ready for loadCheckpoint. Old heap pages are orphaned in
 // the page store until the next restart rebuilds it (the page file is an
 // ephemeral paging layer, recreated on open). Callers hold the exclusive
 // statement lock.
@@ -187,30 +181,4 @@ func (db *DB) catStore() *catalog.Catalog {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.cat
-}
-
-// writeRawSnapshot publishes pre-serialized snapshot bytes atomically:
-// temp file, fsync, rename — the same contract as snapshotToFile, for
-// bytes that were produced elsewhere (the primary).
-func writeRawSnapshot(path string, raw []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -398,16 +398,14 @@ func (db *DB) execExplain(ctx context.Context, s *sql.Explain, so stmtOptions) (
 
 func (db *DB) execCreateTable(s *sql.CreateTable) (*Result, error) {
 	cols := make([]types.Column, len(s.Cols))
-	scols := make([]snapshotColumn, len(s.Cols))
 	for i, c := range s.Cols {
 		cols[i] = types.Column{Name: c.Name, Kind: c.Kind}
-		scols[i] = snapshotColumn{Name: c.Name, Kind: c.Kind}
 	}
 	tbl, err := db.cat.CreateTable(s.Name, types.Schema{Columns: cols})
 	if err != nil {
 		return nil, err
 	}
-	if err := db.logRecord(walTypeCreateTable, &walCreateTable{Name: tbl.Name(), Columns: scols}); err != nil {
+	if err := db.logRecord(walTypeCreateTable, &walCreateTable{Name: tbl.Name(), Columns: cols}); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("table %s created", s.Name)}, nil
@@ -457,7 +455,7 @@ func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	inserted := make([]snapshotRow, len(s.Rows))
+	inserted := make([]walRow, len(s.Rows))
 	for i, row := range s.Rows {
 		tu, err := evalConstExprs(row, verb+" values")
 		if err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/codec"
@@ -11,7 +12,8 @@ import (
 // WAL record bodies. Each record type has one payload struct and one
 // encode/decode pair over internal/codec; the wal package frames the
 // encoded body with its LSN and type name. Payloads carry resolved effects
-// (ids, post-images), making replay deterministic; see durability.go.
+// (ids, post-images), making replay deterministic; see durability.go. A
+// checkpoint is a stream of the same records (see persist.go).
 // Every decoder sizes what it allocates through Reader.Count, so a body
 // can never make replay allocate more than its bytes describe, and
 // decodeRecord ends each one on Reader.Done, so a body with bytes left over
@@ -34,6 +36,9 @@ const (
 	walTypeDropAnnotation = "drop_annotation"
 	walTypeTrain          = "train"
 	walTypeRebuild        = "rebuild"
+	// walTypeCheckpoint is a checkpoint stream's trailer; it is never
+	// logged.
+	walTypeCheckpoint = "checkpoint"
 )
 
 // walPayload is the body of one record type.
@@ -67,6 +72,8 @@ func decodeRecord(recType string, body []byte) (walPayload, error) {
 		p = new(walDropAnnotation)
 	case walTypeTrain:
 		p = new(walTrain)
+	case walTypeCheckpoint:
+		p = new(walCheckpoint)
 	default:
 		return nil, fmt.Errorf("engine: unknown wal record type %q", recType)
 	}
@@ -80,7 +87,7 @@ func decodeRecord(recType string, body []byte) (walPayload, error) {
 
 type walCreateTable struct {
 	Name    string
-	Columns []snapshotColumn
+	Columns []types.Column // Name and Kind
 }
 
 func (p *walCreateTable) encode(w *codec.Writer) {
@@ -94,9 +101,9 @@ func (p *walCreateTable) encode(w *codec.Writer) {
 
 func (p *walCreateTable) decode(r *codec.Reader) {
 	p.Name = r.Str()
-	p.Columns = make([]snapshotColumn, r.Count(2))
+	p.Columns = make([]types.Column, r.Count(2))
 	for i := range p.Columns {
-		p.Columns[i] = snapshotColumn{Name: r.Str(), Kind: types.Kind(r.Byte())}
+		p.Columns[i] = types.Column{Name: r.Str(), Kind: types.Kind(r.Byte())}
 	}
 }
 
@@ -126,7 +133,12 @@ func (p *walName) decode(r *codec.Reader) { p.Name = r.Str() }
 // walRows serves insert (assigned ids) and update (post-images).
 type walRows struct {
 	Table string
-	Rows  []snapshotRow
+	Rows  []walRow
+}
+
+type walRow struct {
+	ID     types.RowID
+	Values types.Tuple
 }
 
 func (p *walRows) encode(w *codec.Writer) {
@@ -140,9 +152,9 @@ func (p *walRows) encode(w *codec.Writer) {
 
 func (p *walRows) decode(r *codec.Reader) {
 	p.Table = r.Str()
-	p.Rows = make([]snapshotRow, r.Count(2))
+	p.Rows = make([]walRow, r.Count(2))
 	for i := range p.Rows {
-		p.Rows[i] = snapshotRow{ID: types.RowID(r.Uvarint()), Values: r.Tuple()}
+		p.Rows[i] = walRow{ID: types.RowID(r.Uvarint()), Values: r.Tuple()}
 	}
 }
 
@@ -168,8 +180,8 @@ func (p *walDelete) decode(r *codec.Reader) {
 }
 
 type walCreateInstance struct {
-	// Instance is the summary.Instance JSON at creation time, the form the
-	// snapshot stores (untrained; later TRAIN records replay the training).
+	// Instance is the summary.Instance JSON: as created when logged (later
+	// TRAIN records replay the training), as trained in a checkpoint.
 	Instance string
 }
 
@@ -193,11 +205,36 @@ func (p *walLink) decode(r *codec.Reader) {
 	p.Unlink = r.Bool()
 }
 
-// walAnnotate carries one ingest's annotations in id order. The label
-// fields of snapshotAnnotate are the snapshot's: a logged annotation is
-// replayed under the model it was logged under, so they are not written.
+// walAnnotate carries annotations in id order: one ingest's when logged,
+// a chunk of the database's in a checkpoint.
 type walAnnotate struct {
-	Anns []snapshotAnnotate
+	Anns []walAnnotation
+}
+
+// walAnnotation is one annotation and its resolved targets. The labels are
+// a checkpoint's: Labels maps a classifier instance to the label index the
+// annotation holds in its envelopes, and a target's Labels override it
+// where an instance linked to that table after a retraining classified the
+// annotation under the newer model. A logged annotation is replayed under
+// the model it was logged under, so its labels are empty.
+type walAnnotation struct {
+	annotation.Annotation
+	Targets []walTarget
+	Labels  map[string]int
+}
+
+type walTarget struct {
+	annotation.Target
+	Labels map[string]int
+}
+
+// newWALAnnotation is the persisted form of one annotation and its targets.
+func newWALAnnotation(a annotation.Annotation, targets []annotation.Target) walAnnotation {
+	wa := walAnnotation{Annotation: a, Targets: make([]walTarget, len(targets))}
+	for i, tg := range targets {
+		wa.Targets[i].Target = tg
+	}
+	return wa
 }
 
 func (p *walAnnotate) encode(w *codec.Writer) {
@@ -213,13 +250,15 @@ func (p *walAnnotate) encode(w *codec.Writer) {
 		for _, tg := range a.Targets {
 			w.Str(tg.Table)
 			w.Uvarint(uint64(tg.Row))
-			w.Uvarint(uint64(tg.Cols))
+			w.Uvarint(uint64(tg.Columns))
+			encodeLabels(w, tg.Labels)
 		}
+		encodeLabels(w, a.Labels)
 	}
 }
 
 func (p *walAnnotate) decode(r *codec.Reader) {
-	p.Anns = make([]snapshotAnnotate, r.Count(7))
+	p.Anns = make([]walAnnotation, r.Count(8))
 	for i := range p.Anns {
 		a := &p.Anns[i]
 		a.ID = annotation.ID(r.Uvarint())
@@ -228,15 +267,46 @@ func (p *walAnnotate) decode(r *codec.Reader) {
 		a.Text = r.Str()
 		a.Title = r.Str()
 		a.Document = r.Str()
-		a.Targets = make([]snapshotTarget, r.Count(3))
+		a.Targets = make([]walTarget, r.Count(4))
 		for j := range a.Targets {
-			a.Targets[j] = snapshotTarget{
-				Table: r.Str(),
-				Row:   types.RowID(r.Uvarint()),
-				Cols:  annotation.ColSet(r.Uvarint()),
-			}
+			tg := &a.Targets[j]
+			tg.Table = r.Str()
+			tg.Row = types.RowID(r.Uvarint())
+			tg.Columns = annotation.ColSet(r.Uvarint())
+			tg.Labels = decodeLabels(r)
 		}
+		a.Labels = decodeLabels(r)
 	}
+}
+
+// encodeLabels writes a label map in name order, so equal maps encode to
+// equal bytes.
+func encodeLabels(w *codec.Writer, labels map[string]int) {
+	w.Uvarint(uint64(len(labels)))
+	if len(labels) == 0 {
+		return
+	}
+	names := make([]string, 0, len(labels))
+	for name := range labels {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		w.Str(name)
+		w.Varint(int64(labels[name]))
+	}
+}
+
+func decodeLabels(r *codec.Reader) map[string]int {
+	n := r.Count(2)
+	if n == 0 {
+		return nil
+	}
+	labels := make(map[string]int, n)
+	for range n {
+		labels[r.Str()] = int(r.Varint())
+	}
+	return labels
 }
 
 type walDropAnnotation struct {
@@ -266,4 +336,44 @@ func (p *walTrain) decode(r *codec.Reader) {
 	for i := range p.Samples {
 		p.Samples[i] = [2]string{r.Str(), r.Str()}
 	}
+}
+
+// walCheckpoint is a checkpoint stream's trailer: the WAL position the
+// checkpoint includes, the id allocators' positions, and the number of
+// records before it.
+type walCheckpoint struct {
+	LSN            uint64
+	NextRows       []walNextRow
+	NextAnnotation annotation.ID
+	AnnClock       int64
+	Records        uint64
+}
+
+// walNextRow is one table's row-id allocator position.
+type walNextRow struct {
+	Table string
+	Next  types.RowID
+}
+
+func (p *walCheckpoint) encode(w *codec.Writer) {
+	w.Uvarint(p.LSN)
+	w.Uvarint(uint64(len(p.NextRows)))
+	for _, nr := range p.NextRows {
+		w.Str(nr.Table)
+		w.Uvarint(uint64(nr.Next))
+	}
+	w.Uvarint(uint64(p.NextAnnotation))
+	w.Varint(p.AnnClock)
+	w.Uvarint(p.Records)
+}
+
+func (p *walCheckpoint) decode(r *codec.Reader) {
+	p.LSN = r.Uvarint()
+	p.NextRows = make([]walNextRow, r.Count(2))
+	for i := range p.NextRows {
+		p.NextRows[i] = walNextRow{Table: r.Str(), Next: types.RowID(r.Uvarint())}
+	}
+	p.NextAnnotation = annotation.ID(r.Uvarint())
+	p.AnnClock = r.Varint()
+	p.Records = r.Uvarint()
 }

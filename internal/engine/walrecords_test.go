@@ -28,27 +28,29 @@ var walRecordCases = []struct {
 	typ string
 	p   walPayload
 }{
-	{walTypeCreateTable, &walCreateTable{Name: "birds", Columns: []snapshotColumn{
+	{walTypeCreateTable, &walCreateTable{Name: "birds", Columns: []types.Column{
 		{Name: "id", Kind: types.KindInt}, {Name: "name", Kind: types.KindString}, {Name: "wingspan", Kind: types.KindFloat}}}},
 	{walTypeCreateIndex, &walCreateIndex{Table: "birds", Column: "id"}},
 	{walTypeDropTable, &walName{Name: "birds"}},
-	{walTypeInsert, &walRows{Table: "birds", Rows: []snapshotRow{
+	{walTypeInsert, &walRows{Table: "birds", Rows: []walRow{
 		{ID: 1, Values: []types.Value{types.NewInt(1), types.NewString("Swan Goose"), types.NewFloat(1.8)}},
 		{ID: 1 << 40, Values: []types.Value{types.NewInt(-7), types.Null(), types.NewBool(true)}}}}},
-	{walTypeUpdate, &walRows{Table: "birds", Rows: []snapshotRow{
+	{walTypeUpdate, &walRows{Table: "birds", Rows: []walRow{
 		{ID: 2, Values: []types.Value{types.NewInt(2), types.NewString("Mute Swan"), types.Null()}}}}},
 	{walTypeDelete, &walDelete{Table: "birds", Rows: []types.RowID{3, 1, 1 << 33}}},
 	{walTypeCreateInstance, &walCreateInstance{Instance: `{"name":"C","type":"classifier","labels":["Behavior","Other"]}`}},
 	{walTypeDropInstance, &walName{Name: "C"}},
 	{walTypeLink, &walLink{Instance: "C", Table: "birds", Unlink: true}},
-	{walTypeAnnotate, &walAnnotate{Anns: []snapshotAnnotate{
-		{ID: 4, Author: "curator", Created: -12, Text: "observed feeding on stonewort", Title: "field notes", Document: "log 7",
-			Targets: []snapshotTarget{{Table: "birds", Row: 1, Cols: annotation.ColSet(5)}, {Table: "birds", Row: 9, Cols: annotation.ColSet(1)}}},
-		{ID: 1 << 35, Created: 1 << 50, Text: "flock at dawn",
-			Targets: []snapshotTarget{{Table: "birds", Row: 2, Cols: annotation.ColSet(0)}}}}}},
+	{walTypeAnnotate, &walAnnotate{Anns: []walAnnotation{
+		{Annotation: annotation.Annotation{ID: 4, Author: "curator", Created: -12, Text: "observed feeding on stonewort", Title: "field notes", Document: "log 7"},
+			Targets: []walTarget{{Target: annotation.Target{Table: "birds", Row: 1, Columns: annotation.ColSet(5)}}, {Target: annotation.Target{Table: "birds", Row: 9, Columns: annotation.ColSet(1)}}}},
+		{Annotation: annotation.Annotation{ID: 1 << 35, Created: 1 << 50, Text: "flock at dawn"}, Labels: map[string]int{"C": 1, "A": 0},
+			Targets: []walTarget{{Target: annotation.Target{Table: "birds", Row: 2, Columns: annotation.ColSet(0)}, Labels: map[string]int{"C": -1}}}}}}},
 	{walTypeDropAnnotation, &walDropAnnotation{ID: 17}},
 	{walTypeTrain, &walTrain{Instance: "C", Samples: [][2]string{{"feeding foraging", "Behavior"}, {"photo record", "Other"}}}},
 	{walTypeRebuild, &walName{Name: "birds"}},
+	{walTypeCheckpoint, &walCheckpoint{LSN: 1 << 36, NextRows: []walNextRow{{Table: "birds", Next: 10}, {Table: "obs", Next: 1}},
+		NextAnnotation: 18, AnnClock: -3, Records: 12}},
 }
 
 // declaredWALTypes returns the value of every walType* constant in
@@ -186,8 +188,8 @@ func TestOldFormatWALIsRefused(t *testing.T) {
 		db.Close()
 		t.Fatal("a format-1 log opened")
 	}
-	if !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "format 2") {
-		t.Errorf("err = %v, want it to name format 1 and format 2", err)
+	if !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "format 3") {
+		t.Errorf("err = %v, want it to name format 1 and format 3", err)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {

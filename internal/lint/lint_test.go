@@ -272,18 +272,25 @@ func (e *Envelope) g() { e.Cover[7] = 0 }`)
 	expect(t, bad.FieldWrites(fields, owners...), "x.go:3:2: writes", "x.go:4:9: writes", "x.go:5:2: writes", "x.go:6:2: writes")
 }
 
-// The durable records ingest writes — WAL frames and payloads, envelope
-// heap records — are encoded with internal/codec. JSON stays at the human
-// edges and in the snapshot; an encoding/json import in the log package or
-// the envelope store would put it back under the statement lock.
+// Everything durable or shipped — WAL frames and payloads, envelope heap
+// records, checkpoints, replication messages — is encoded with
+// internal/codec, and a checkpoint is read by the one redo path. JSON
+// stays at the human edges and in a summary instance's model; an
+// encoding/json import in the log, the envelope store, the checkpoint
+// writer and readers or the replication stream would bring back a second
+// format.
 func TestDurableWritePathHasNoJSON(t *testing.T) {
-	writePath := []string{"internal/wal/", "internal/engine/envstore.go"}
+	writePath := []string{"internal/wal/", "internal/replication/", "internal/engine/envstore.go",
+		"internal/engine/persist.go", "internal/engine/replication.go", "internal/engine/integrity.go"}
 	expect(t, tree(t).Imports("encoding/json", writePath...))
 
 	bad := tree(t,
 		"fake/internal/wal/x.go", `package wal; import "encoding/json"; var _ = json.Marshal`,
-		"fake/internal/engine/envstore.go", `package engine; import ("fmt"; "encoding/json"); var _ = json.Marshal`)
-	expect(t, bad.Imports("encoding/json", writePath...), "wal/x.go:1:21: imports", "envstore.go:1:32: imports")
+		"fake/internal/replication/x.go", `package replication; import "encoding/json"; var _ = json.Marshal`,
+		"fake/internal/engine/envstore.go", `package engine; import ("fmt"; "encoding/json"); var _ = json.Marshal`,
+		"fake/internal/engine/persist.go", `package engine; import "encoding/json"; var _ = json.Marshal`)
+	expect(t, bad.Imports("encoding/json", writePath...), "wal/x.go:1:21: imports", "replication/x.go:1:29: imports",
+		"envstore.go:1:32: imports", "persist.go:1:24: imports")
 }
 
 // Every `make <target>` the documentation tells a reader to run names a

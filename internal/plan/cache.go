@@ -78,10 +78,12 @@ func NewCache(capacity int) *Cache {
 
 // Get returns the cached plan for key, counting a hit or miss.
 func (c *Cache) Get(key string) (*CachedPlan, bool) {
+	var p *CachedPlan
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
 		c.lru.MoveToFront(el)
+		p = el.Value.(*cacheNode).plan // Put may replace it once unlocked
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -89,7 +91,7 @@ func (c *Cache) Get(key string) (*CachedPlan, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheNode).plan, true
+	return p, true
 }
 
 // Contains reports whether key is cached without counting a hit or miss

@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -12,10 +11,10 @@ import (
 const DefaultFetchTimeout = 30 * time.Second
 
 // FetchSnapshot dials a primary's replication listener, requests a
-// one-shot full snapshot (WantSnapshot hello), verifies its CRC32-C, and
-// returns the raw snapshot document — exactly the bytes
-// engine.InstallReplicaSnapshot accepts and the scrubber's repair path
-// parses. timeout <= 0 uses DefaultFetchTimeout.
+// one-shot snapshot (WantSnapshot hello), and returns the primary's
+// checkpoint stream — exactly the bytes engine.InstallReplicaSnapshot
+// accepts and the scrubber's repair path reads, both of which check its
+// per-record CRCs and trailer. timeout <= 0 uses DefaultFetchTimeout.
 func FetchSnapshot(addr string, timeout time.Duration) ([]byte, error) {
 	if timeout <= 0 {
 		timeout = DefaultFetchTimeout
@@ -26,20 +25,18 @@ func FetchSnapshot(addr string, timeout time.Duration) ([]byte, error) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if err := json.NewEncoder(conn).Encode(&message{Type: msgHello, WantSnapshot: true}); err != nil {
+	mc := newMsgConn(conn)
+	if err := mc.write(&message{Kind: msgHello, WantSnapshot: true}); err != nil {
 		return nil, fmt.Errorf("replication: snapshot fetch hello: %w", err)
 	}
-	var m message
-	if err := json.NewDecoder(conn).Decode(&m); err != nil {
+	m, err := mc.read()
+	if err != nil {
 		return nil, fmt.Errorf("replication: snapshot fetch read: %w", err)
 	}
-	if m.Type != msgSnapshot {
-		return nil, fmt.Errorf("replication: snapshot fetch got %q, want %q", m.Type, msgSnapshot)
+	if m.Kind != msgSnapshot {
+		return nil, fmt.Errorf("replication: snapshot fetch got message kind 0x%02x, want 0x%02x", m.Kind, msgSnapshot)
 	}
-	if got := snapshotCRC(m.Snapshot); got != m.CRC {
-		return nil, fmt.Errorf("replication: fetched snapshot CRC mismatch (want 0x%08x, got 0x%08x)", m.CRC, got)
-	}
-	return m.Snapshot, nil
+	return m.Body, nil
 }
 
 // SnapshotFetcher adapts FetchSnapshot to the engine's repair-source

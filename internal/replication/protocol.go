@@ -27,80 +27,110 @@ package replication
 
 import (
 	"bytes"
-	"encoding/json"
-	"hash/crc32"
+	"fmt"
+	"io"
 
-	"insightnotes/internal/wal"
+	"insightnotes/internal/codec"
 )
 
-// castagnoli is the CRC32-C table snapshot payloads are summed with — the
-// same polynomial the storage layer stamps pages with, so a snapshot is
-// integrity-checked end to end: serialized on the primary, checked on the
-// wire, re-checked before installation or page repair.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// snapshotCRC sums a raw snapshot document for the msgSnapshot CRC field.
-func snapshotCRC(raw []byte) uint32 { return crc32.Checksum(raw, castagnoli) }
-
-// compactSnapshot canonicalizes a snapshot document to its compact JSON
-// form — the form json.Marshal emits for a RawMessage — so the CRC the
-// sender sums is over exactly the bytes the receiver decodes.
-func compactSnapshot(raw []byte) []byte {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return raw
-	}
-	return buf.Bytes()
-}
-
-// Message types of the replication stream. The stream is a sequence of
-// JSON values in each direction: primary→replica carries records,
-// snapshots, and heartbeats; replica→primary carries one hello followed
-// by acks.
+// Messages of the replication stream. Each is one codec frame
+// (codec.BeginFrame, codec.FrameReader) whose kind byte is
+// replVersion<<4 | the message type, and whose body is every field of
+// message in order — uvarint from-LSN, bool want-snapshot, uvarint LSN,
+// uvarint tip, str record type, rest: the body — each type setting the
+// fields it uses and leaving the others zero:
+//
+//	hello      from-LSN, want-snapshot   replica→primary, opens a session
+//	record     LSN, tip, type, body      one committed WAL record, body verbatim
+//	snapshot   LSN, tip, body            the primary's checkpoint stream
+//	heartbeat  tip                       sent while the stream is idle
+//	ack        LSN                       replica→primary
+//
+// A hello's from-LSN is the last LSN the replica's own WAL holds durably:
+// streaming resumes at from-LSN+1. want-snapshot asks for one snapshot
+// instead of a stream (FetchSnapshot, for page repair); the sender ships
+// it and closes. Every record, snapshot and heartbeat carries the
+// primary's tip LSN, so a replica measures its lag without a separate
+// channel. A snapshot resyncs a replica whose position predates the
+// primary's log, streaming continuing from its LSN+1; it is the engine's
+// checkpoint byte for byte, so its integrity rests on the checkpoint's
+// own per-record CRCs and trailer count, which the engine checks before
+// installing or repairing from it. An ack reports the highest LSN the
+// replica has applied and made locally durable.
 const (
-	// msgHello opens a session (replica→primary): FromLSN is the last
-	// LSN the replica's own WAL holds durably, i.e. resume streaming at
-	// FromLSN+1.
-	msgHello = "hello"
-	// msgRecord carries one committed WAL record (primary→replica).
-	// TipLSN rides along so the replica can measure its lag without a
-	// separate channel.
-	msgRecord = "record"
-	// msgSnapshot carries a full-state snapshot (primary→replica) when
-	// the replica's position predates the primary's log (shed-and-resync
-	// after WAL rotation). LSN is the snapshot's position; streaming
-	// continues from LSN+1.
-	msgSnapshot = "snapshot"
-	// msgHeartbeat is sent when the stream is idle (primary→replica) so
-	// replicas can keep their staleness measure fresh; TipLSN is the
-	// primary's current position.
-	msgHeartbeat = "heartbeat"
-	// msgAck reports durable application (replica→primary): LSN is the
-	// highest record the replica has applied and made locally durable.
-	msgAck = "ack"
+	replVersion = 1
+
+	msgHello = replVersion<<4 | (iota + 1)
+	msgRecord
+	msgSnapshot
+	msgHeartbeat
+	msgAck
 )
 
 // message is one frame of the replication stream in either direction.
 type message struct {
-	Type string `json:"type"`
-	// FromLSN is the resume position (msgHello).
-	FromLSN uint64 `json:"from_lsn,omitempty"`
-	// WantSnapshot (msgHello) requests a one-shot full snapshot instead of
-	// a record stream: the sender ships one msgSnapshot and closes. The
-	// scrubber's page-repair fetch (FetchSnapshot) uses it.
-	WantSnapshot bool `json:"want_snapshot,omitempty"`
-	// CRC is the CRC32-C of the Snapshot bytes (msgSnapshot); receivers
-	// verify it before installing or repairing from the payload.
-	CRC uint32 `json:"crc,omitempty"`
-	// LSN is the acked position (msgAck) or the snapshot position
-	// (msgSnapshot).
-	LSN uint64 `json:"lsn,omitempty"`
-	// TipLSN is the primary's last committed LSN at send time
-	// (msgRecord, msgSnapshot, msgHeartbeat).
-	TipLSN uint64 `json:"tip_lsn,omitempty"`
-	// Record is the shipped record (msgRecord).
-	Record *wal.Record `json:"record,omitempty"`
-	// Snapshot is the raw snapshot document (msgSnapshot), exactly the
-	// bytes engine.InstallReplicaSnapshot accepts.
-	Snapshot json.RawMessage `json:"snapshot,omitempty"`
+	Kind         byte
+	FromLSN      uint64
+	WantSnapshot bool
+	LSN          uint64
+	TipLSN       uint64
+	RecType      string
+	Body         []byte
+}
+
+// appendMessage encodes m as one frame, reusing dst's storage.
+func appendMessage(dst []byte, m *message) []byte {
+	w := codec.BeginFrame(dst, m.Kind)
+	w.Uvarint(m.FromLSN)
+	w.Bool(m.WantSnapshot)
+	w.Uvarint(m.LSN)
+	w.Uvarint(m.TipLSN)
+	w.Str(m.RecType)
+	w.Raw(m.Body)
+	return codec.EndFrame(w)
+}
+
+// decodeMessage parses one frame. The body it returns is a copy: the
+// frame's buffer is reused by the next read.
+func decodeMessage(kind byte, body []byte) (message, error) {
+	if kind < msgHello || kind > msgAck {
+		return message{}, fmt.Errorf("replication: unknown message kind 0x%02x", kind)
+	}
+	r := codec.NewReader(body)
+	m := message{Kind: kind, FromLSN: r.Uvarint(), WantSnapshot: r.Bool(), LSN: r.Uvarint(), TipLSN: r.Uvarint(), RecType: r.Str()}
+	m.Body = bytes.Clone(r.Rest())
+	if err := r.Done(); err != nil {
+		return message{}, fmt.Errorf("replication: message kind 0x%02x: %w", kind, err)
+	}
+	return m, nil
+}
+
+// msgConn speaks messages over one connection: one frame reader and one
+// reused frame buffer. Reads and writes may run on two goroutines, but
+// each on one only.
+type msgConn struct {
+	in  *codec.FrameReader
+	out io.Writer
+	buf []byte
+}
+
+func newMsgConn(c io.ReadWriter) *msgConn {
+	return &msgConn{in: codec.NewFrameReader(c, codec.MaxFrameCap), out: c}
+}
+
+func (c *msgConn) read() (message, error) {
+	kind, body, err := c.in.Next()
+	if err != nil {
+		return message{}, err
+	}
+	return decodeMessage(kind, body)
+}
+
+func (c *msgConn) write(m *message) error {
+	c.buf = appendMessage(c.buf, m)
+	_, err := c.out.Write(c.buf)
+	if cap(c.buf) > 1<<20 {
+		c.buf = nil // a snapshot's frame is not kept for the heartbeats after it
+	}
+	return err
 }

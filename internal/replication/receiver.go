@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -203,18 +202,17 @@ func (r *Receiver) run() {
 // position, then apply whatever the primary streams until the connection
 // or the receiver dies.
 func (r *Receiver) session(conn net.Conn) {
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(&message{Type: msgHello, FromLSN: r.db.ReplicationPosition()}); err != nil {
+	enc := newMsgConn(conn)
+	if err := enc.write(&message{Kind: msgHello, FromLSN: r.db.ReplicationPosition()}); err != nil {
 		return
 	}
 
 	msgCh := make(chan message, 256)
 	errCh := make(chan error, 1)
 	go func() {
-		dec := json.NewDecoder(conn)
 		for {
-			var m message
-			if err := dec.Decode(&m); err != nil {
+			m, err := enc.read()
+			if err != nil {
 				errCh <- err
 				return
 			}
@@ -264,16 +262,13 @@ func (r *Receiver) session(conn net.Conn) {
 // handle processes one stream message. Records accumulate into batch
 // (flushed by the session loop); snapshots and heartbeats flush first so
 // ordering is preserved.
-func (r *Receiver) handle(m message, batch *[]wal.Record, enc *json.Encoder) error {
-	switch m.Type {
+func (r *Receiver) handle(m message, batch *[]wal.Record, enc *msgConn) error {
+	switch m.Kind {
 	case msgRecord:
-		if m.Record == nil {
-			return errors.New("replication: record message without record")
-		}
 		if m.TipLSN > r.tip.Load() {
 			r.tip.Store(m.TipLSN)
 		}
-		*batch = append(*batch, *m.Record)
+		*batch = append(*batch, wal.Record{LSN: m.LSN, Type: m.RecType, Data: m.Body})
 		return nil
 	case msgSnapshot:
 		if err := r.flush(batch, enc); err != nil {
@@ -292,7 +287,7 @@ func (r *Receiver) handle(m message, batch *[]wal.Record, enc *json.Encoder) err
 		}
 		return nil
 	default:
-		return fmt.Errorf("replication: unexpected message type %q", m.Type)
+		return fmt.Errorf("replication: unexpected message kind 0x%02x", m.Kind)
 	}
 }
 
@@ -302,7 +297,7 @@ func (r *Receiver) handle(m message, batch *[]wal.Record, enc *json.Encoder) err
 // batch is durable but before the ack reaches the primary: on restart
 // the primary resends from the acked position and the LSN check in
 // ApplyReplicated deduplicates.
-func (r *Receiver) flush(batch *[]wal.Record, enc *json.Encoder) error {
+func (r *Receiver) flush(batch *[]wal.Record, enc *msgConn) error {
 	if len(*batch) == 0 {
 		return nil
 	}
@@ -348,26 +343,19 @@ func (r *Receiver) flush(batch *[]wal.Record, enc *json.Encoder) error {
 		}
 		return err
 	}
-	return enc.Encode(&message{Type: msgAck, LSN: lsn})
+	return enc.write(&message{Kind: msgAck, LSN: lsn})
 }
 
 // installSnapshot replaces the replica's full state with a shipped
-// snapshot (the primary shed this replica for falling behind a rotated
-// WAL) and acknowledges the new position.
-func (r *Receiver) installSnapshot(m message, enc *json.Encoder) error {
-	if got := snapshotCRC(m.Snapshot); got != m.CRC {
-		// A corrupted snapshot must never be installed half-checked: drop
-		// the session (the caller closes the connection) and resync on
-		// reconnect.
-		if r.applyErrors != nil {
-			r.applyErrors.Inc()
-		}
-		return fmt.Errorf("replication: snapshot CRC mismatch (want 0x%08x, got 0x%08x)", m.CRC, got)
-	}
+// checkpoint (the primary shed this replica for falling behind a rotated
+// WAL) and acknowledges the new position. The engine checks the stream on
+// a scratch engine first, so a damaged one is refused with the replica's
+// state intact: the session drops and resyncs on reconnect.
+func (r *Receiver) installSnapshot(m message, enc *msgConn) error {
 	at := r.db.Tracer().Start("(replication resync)")
 	sp := at.StartSpan(trace.SpanReplResync, at.Root())
-	sp.AttrInt("snapshot_bytes", int64(len(m.Snapshot)))
-	lsn, err := r.db.InstallReplicaSnapshot(m.Snapshot)
+	sp.AttrInt("snapshot_bytes", int64(len(m.Body)))
+	lsn, err := r.db.InstallReplicaSnapshot(m.Body)
 	sp.End()
 	at.Finish("repl_resync", err)
 	if err != nil {
@@ -386,7 +374,7 @@ func (r *Receiver) installSnapshot(m message, enc *json.Encoder) error {
 	if r.applied.Load() >= r.tip.Load() {
 		r.markFresh()
 	}
-	return enc.Encode(&message{Type: msgAck, LSN: lsn})
+	return enc.write(&message{Kind: msgAck, LSN: lsn})
 }
 
 // Shutdown stops following the primary: in-flight batches flush (apply

@@ -381,7 +381,7 @@ func TestSenderShutdownDrainsAcks(t *testing.T) {
 	}
 	defer conn.Close()
 	// A raw hello with no acks ever: the drain cannot complete.
-	if _, err := conn.Write([]byte(`{"type":"hello","from_lsn":0}` + "\n")); err != nil {
+	if _, err := conn.Write(appendMessage(nil, &message{Kind: msgHello})); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the stream register

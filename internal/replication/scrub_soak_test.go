@@ -3,7 +3,6 @@ package replication
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -37,8 +36,8 @@ func flipPageByte(t *testing.T, path string, pid storage.PageID) {
 	}
 }
 
-// TestFetchSnapshotEndToEnd requests a one-shot CRC-verified snapshot from
-// a live sender and installs it into a fresh replica engine.
+// TestFetchSnapshotEndToEnd requests a one-shot snapshot from a live
+// sender and installs it into a fresh replica engine.
 func TestFetchSnapshotEndToEnd(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), -1, SenderConfig{})
 	seedSchema(t, p.db)
@@ -66,32 +65,50 @@ func TestFetchSnapshotEndToEnd(t *testing.T) {
 	assertConverged(t, p.db, r.db)
 }
 
-// TestFetchSnapshotRejectsBadCRC serves a tampered snapshot from a fake
-// primary and verifies the fetcher refuses it.
+// TestFetchSnapshotRejectsBadCRC serves a snapshot with one flipped byte
+// from a fake primary: the fetch is transport only, and the checkpoint's
+// per-record CRC makes the replica refuse to install it, its state intact.
 func TestFetchSnapshotRejectsBadCRC(t *testing.T) {
+	src := openDB(t, t.TempDir(), -1)
+	defer src.Close()
+	seedSchema(t, src)
+	mustExec(t, src, "INSERT INTO birds VALUES (1, 'Swan Goose'), (2, 'Mute Swan')")
+	var buf bytes.Buffer
+	if _, err := src.ReplicationSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[10] ^= 0x01 // inside the first record's payload, past its 8-byte frame header
+
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	go func() {
-		conn, err := ln.Accept()
+		c, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		defer conn.Close()
-		var hello message
-		if json.NewDecoder(conn).Decode(&hello) != nil {
+		defer c.Close()
+		mc := newMsgConn(c)
+		if hello, err := mc.read(); err != nil || !hello.WantSnapshot {
 			return
 		}
-		raw := []byte(`{"version":1}`)
-		json.NewEncoder(conn).Encode(&message{
-			Type: msgSnapshot, Snapshot: raw, CRC: snapshotCRC(raw) + 1,
-		})
+		mc.write(&message{Kind: msgSnapshot, Body: raw})
 	}()
-	_, err = FetchSnapshot(ln.Addr().String(), 2*time.Second)
-	if err == nil || !strings.Contains(err.Error(), "CRC") {
-		t.Fatalf("tampered snapshot accepted: %v", err)
+	fetched, err := FetchSnapshot(ln.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rdb := openDB(t, t.TempDir(), -1)
+	defer rdb.Close()
+	mustExec(t, rdb, "CREATE TABLE kept (id INT)")
+	if _, err := rdb.InstallReplicaSnapshot(fetched); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("tampered snapshot: err = %v, want a checksum mismatch", err)
+	}
+	if _, err := rdb.Catalog().Table("kept"); err != nil {
+		t.Fatalf("the refused snapshot disturbed the replica: %v", err)
 	}
 }
 
@@ -99,7 +116,7 @@ func TestFetchSnapshotRejectsBadCRC(t *testing.T) {
 // to a replica, random byte flips injected into heap pages on disk, and
 // the scrubber expected to detect every flip and drive each page through
 // the repair ladder — local rebuild for memory-mirrored owners, a
-// CRC-verified snapshot fetched over the replication link for row and
+// checkpoint fetched over the replication link for row and
 // annotation content, and a structured CORRUPT shed when no source exists.
 func TestScrubSoak(t *testing.T) {
 	pdir, rdir := t.TempDir(), t.TempDir()

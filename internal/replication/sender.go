@@ -2,7 +2,6 @@ package replication
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -153,18 +152,18 @@ func (s *Sender) serve(conn net.Conn) {
 	}
 	defer conn.Close()
 
-	dec := json.NewDecoder(conn)
+	mc := newMsgConn(conn)
 	conn.SetReadDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	var hello message
-	if err := dec.Decode(&hello); err != nil || hello.Type != msgHello {
+	hello, err := mc.read()
+	if err != nil || hello.Kind != msgHello {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
 
 	if hello.WantSnapshot {
-		// One-shot snapshot service for page repair: ship a CRC-summed
-		// snapshot and close; no stream state is created.
-		s.serveSnapshot(conn)
+		// One-shot snapshot service for page repair: ship a checkpoint
+		// and close; no stream state is created.
+		s.sendSnapshot(conn, mc)
 		return
 	}
 
@@ -183,11 +182,11 @@ func (s *Sender) serve(conn net.Conn) {
 	go func() {
 		defer close(connDone)
 		for {
-			var m message
-			if err := dec.Decode(&m); err != nil {
+			m, err := mc.read()
+			if err != nil {
 				return
 			}
-			if m.Type == msgAck {
+			if m.Kind == msgAck {
 				rc.acked.Store(m.LSN)
 				select {
 				case rc.ackCh <- struct{}{}:
@@ -197,38 +196,40 @@ func (s *Sender) serve(conn net.Conn) {
 		}
 	}()
 
-	s.stream(conn, rc, hello.FromLSN, connDone)
+	s.stream(conn, mc, rc, hello.FromLSN, connDone)
 }
 
-// serveSnapshot answers a WantSnapshot hello: one CRC-summed full
-// snapshot, then the connection closes (by the serve defer).
-func (s *Sender) serveSnapshot(conn net.Conn) {
-	var buf bytes.Buffer
-	lsn, err := s.db.ReplicationSnapshot(&buf)
-	if err != nil {
-		return
-	}
-	raw := compactSnapshot(buf.Bytes())
+// send writes m under the write deadline, counting a failure.
+func (s *Sender) send(conn net.Conn, mc *msgConn, m *message) bool {
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(&message{Type: msgSnapshot, LSN: lsn, TipLSN: lsn, Snapshot: raw, CRC: snapshotCRC(raw)}); err != nil {
+	if err := mc.write(m); err != nil {
 		if s.sendErrors != nil {
 			s.sendErrors.Inc()
 		}
-		return
+		return false
+	}
+	return true
+}
+
+// sendSnapshot ships a checkpoint taken now and returns its LSN.
+func (s *Sender) sendSnapshot(conn net.Conn, mc *msgConn) (uint64, bool) {
+	var buf bytes.Buffer
+	lsn, err := s.db.ReplicationSnapshot(&buf)
+	if err != nil || !s.send(conn, mc, &message{Kind: msgSnapshot, LSN: lsn, TipLSN: lsn, Body: buf.Bytes()}) {
+		return 0, false
 	}
 	if s.snapshotsSent != nil {
 		s.snapshotsSent.Inc()
 	}
+	return lsn, true
 }
 
 // stream ships records from the replica's resume position to the durable
 // frontier, then follows the frontier as it advances. Rotation (the
 // checkpoint generation changing under the tail) reopens the file; a
 // resume position the file no longer covers triggers a snapshot resync.
-func (s *Sender) stream(conn net.Conn, rc *replicaConn, from uint64, connDone <-chan struct{}) {
+func (s *Sender) stream(conn net.Conn, mc *msgConn, rc *replicaConn, from uint64, connDone <-chan struct{}) {
 	log := s.db.WAL()
-	enc := json.NewEncoder(conn)
 
 	notify := make(chan struct{}, 1)
 	log.SubscribeDurable(notify)
@@ -244,31 +245,13 @@ func (s *Sender) stream(conn net.Conn, rc *replicaConn, from uint64, connDone <-
 		}
 	}()
 
-	send := func(m *message) bool {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := enc.Encode(m); err != nil {
-			if s.sendErrors != nil {
-				s.sendErrors.Inc()
-			}
-			return false
-		}
-		return true
-	}
+	send := func(m *message) bool { return s.send(conn, mc, m) }
 	resync := func() bool {
-		var buf bytes.Buffer
-		lsn, err := s.db.ReplicationSnapshot(&buf)
-		if err != nil {
-			return false
+		lsn, ok := s.sendSnapshot(conn, mc)
+		if ok {
+			last = lsn
 		}
-		raw := compactSnapshot(buf.Bytes())
-		if !send(&message{Type: msgSnapshot, LSN: lsn, TipLSN: lsn, Snapshot: raw, CRC: snapshotCRC(raw)}) {
-			return false
-		}
-		if s.snapshotsSent != nil {
-			s.snapshotsSent.Inc()
-		}
-		last = lsn
-		return true
+		return ok
 	}
 	var gen uint64
 	reopen := func(g uint64) bool {
@@ -320,7 +303,7 @@ func (s *Sender) stream(conn net.Conn, rc *replicaConn, from uint64, connDone <-
 				}
 				continue
 			}
-			if !send(&message{Type: msgRecord, TipLSN: log.LastLSN(), Record: &rec}) {
+			if !send(&message{Kind: msgRecord, LSN: rec.LSN, TipLSN: log.LastLSN(), RecType: rec.Type, Body: rec.Data}) {
 				return
 			}
 			if s.recordsSent != nil {
@@ -339,7 +322,7 @@ func (s *Sender) stream(conn net.Conn, rc *replicaConn, from uint64, connDone <-
 			case <-notify: // durable frontier moved (or rotation/death)
 			case <-rc.ackCh: // ack progress while draining
 			case <-hb.C:
-				if !send(&message{Type: msgHeartbeat, TipLSN: log.LastLSN()}) {
+				if !send(&message{Kind: msgHeartbeat, TipLSN: log.LastLSN()}) {
 					return
 				}
 			case <-connDone:

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"insightnotes/internal/codec"
 	"insightnotes/internal/types"
 )
 
@@ -29,7 +30,7 @@ type Client struct {
 	// call in flight.
 	mu   sync.Mutex
 	conn net.Conn // nil once surrendered
-	in   *frameReader
+	in   *codec.FrameReader
 	out  []byte // request frame buffer
 
 	// stmtSeq numbers this client's auto-named prepared statements.
@@ -51,7 +52,7 @@ func Dial(addr string) (*Client, error) {
 
 // clientOver builds a Client on an open connection.
 func clientOver(conn net.Conn, addr string) *Client {
-	return &Client{addr: addr, conn: conn, in: newFrameReader(conn, defaultMaxFrameBytes)}
+	return &Client{addr: addr, conn: conn, in: codec.NewFrameReader(conn, defaultMaxFrameBytes)}
 }
 
 // redial replaces the client's connection with a fresh one, keeping the
@@ -62,7 +63,7 @@ func (c *Client) redial() error {
 		return err
 	}
 	c.swapConn(nc)
-	c.in = newFrameReader(nc, defaultMaxFrameBytes)
+	c.in = codec.NewFrameReader(nc, defaultMaxFrameBytes)
 	return nil
 }
 
@@ -349,7 +350,7 @@ func (c *Client) exchange(ctx context.Context, conn net.Conn, req *Request) (*Re
 	if _, err := conn.Write(c.out); err != nil {
 		return nil, err
 	}
-	kind, body, err := c.in.next()
+	kind, body, err := c.in.Next()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, fmt.Errorf("server: connection closed")

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"insightnotes/internal/codec"
 	"insightnotes/internal/engine"
 )
 
@@ -187,7 +188,7 @@ func TestExecMutationNoRetryAfterPartialSend(t *testing.T) {
 	addr, reqs := scriptedServer(t, func(conn net.Conn, reqs *atomic.Int64) {
 		// Read the full request (it arrived — maybe it executed), then
 		// drop the connection without answering: the ambiguous case.
-		if _, _, err := newFrameReader(conn, defaultMaxFrameBytes).next(); err == nil {
+		if _, _, err := codec.NewFrameReader(conn, defaultMaxFrameBytes).Next(); err == nil {
 			reqs.Add(1)
 		}
 		conn.Close()
@@ -217,7 +218,7 @@ func TestExecMutationNoRetryAfterPartialSend(t *testing.T) {
 func TestExecMutationRetriesPreEngineShed(t *testing.T) {
 	addr, reqs := scriptedServer(t, func(conn net.Conn, reqs *atomic.Int64) {
 		defer conn.Close()
-		if _, _, err := newFrameReader(conn, defaultMaxFrameBytes).next(); err != nil {
+		if _, _, err := codec.NewFrameReader(conn, defaultMaxFrameBytes).Next(); err != nil {
 			return
 		}
 		if reqs.Add(1) == 1 {

@@ -288,7 +288,7 @@ const defaultMaxFrameBytes = 16 << 20
 
 func (s *Server) maxFrameBytes() int {
 	if s.MaxFrameBytes > 0 {
-		return min(s.MaxFrameBytes, maxFrameCap)
+		return min(s.MaxFrameBytes, codec.MaxFrameCap)
 	}
 	return defaultMaxFrameBytes
 }
@@ -379,7 +379,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.connections.Inc()
 	s.activeConns.Add(1)
 	defer s.activeConns.Add(-1)
-	in := newFrameReader(conn, s.maxFrameBytes())
+	in := codec.NewFrameReader(conn, s.maxFrameBytes())
 	var out []byte // the connection's response frame buffer
 	for {
 		// Idle guard: a connection that sends nothing within the timeout
@@ -387,9 +387,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		kind, body, err := in.next()
+		kind, body, err := in.Next()
 		if err != nil {
-			if errors.Is(err, errFrameTooLarge) {
+			if errors.Is(err, codec.ErrFrameTooLarge) {
 				// The stream position is lost, so answer structurally and
 				// close.
 				out = appendResponseFrame(out, &Response{

@@ -1,22 +1,14 @@
 package server
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-	"slices"
-
 	"insightnotes/internal/codec"
 	"insightnotes/internal/zoomin"
 )
 
-// Wire protocol. Every message is one frame:
-//
-//	uint32   big-endian length of what follows (version/kind byte + body)
-//	byte     wireVersion<<4 | kind (kindRequest or kindResponse)
-//	body     a Request or Response in the codec's encoding
+// Wire protocol. Every message is one codec frame (codec.BeginFrame,
+// codec.FrameReader) whose kind byte is wireVersion<<4 | kind (kindRequest
+// or kindResponse), and whose body is a Request or Response in the codec's
+// encoding.
 //
 // Request body: str kind, str name, str stmt, bool trace, tuple args.
 //
@@ -27,87 +19,24 @@ import (
 // is zoomin's (see zoomin.ReadRow): a materialized SELECT's spill entry
 // carries the very same bytes.
 //
-// The length is checked against the receiver's cap before the frame is
-// read. A peer that does not speak the protocol — a newline-JSON client,
-// say — sends a first byte that makes the length exceed any cap, and is
-// answered with FRAME_TOO_LARGE and a close as soon as that byte arrives.
+// A peer that does not speak the protocol — a newline-JSON client, say —
+// sends a first byte that makes the length exceed any cap, and is answered
+// with FRAME_TOO_LARGE and a close as soon as that byte arrives.
 const (
 	wireVersion  = 1
 	kindRequest  = wireVersion<<4 | 1
 	kindResponse = wireVersion<<4 | 2
-	frameHeader  = 5
-
-	// maxFrameCap bounds every frame cap: a length whose first byte is
-	// 0x40 or more is always too large, so any printable first byte is.
-	maxFrameCap = 1 << 30
 )
-
-// errFrameTooLarge reports a length prefix above the receiver's cap; the
-// stream position is lost with it.
-var errFrameTooLarge = errors.New("frame exceeds the size cap")
-
-// frameReader reads frames from a connection into one reused buffer: a
-// frame's body is valid until the next call.
-type frameReader struct {
-	r   *bufio.Reader
-	buf []byte
-	max int
-}
-
-func newFrameReader(r io.Reader, max int) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 32<<10), max: min(max, maxFrameCap)}
-}
-
-// next reads one frame and returns its version/kind byte and body.
-func (fr *frameReader) next() (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:1]); err != nil {
-		return 0, nil, err
-	}
-	if int(hdr[0])<<24 > fr.max {
-		return 0, nil, errFrameTooLarge
-	}
-	if _, err := io.ReadFull(fr.r, hdr[1:]); err != nil {
-		return 0, nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	switch {
-	case n > fr.max:
-		return 0, nil, errFrameTooLarge
-	case n == 0:
-		return 0, nil, fmt.Errorf("%w: empty frame", codec.ErrCorrupt)
-	}
-	fr.buf = slices.Grow(fr.buf[:0], n)[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	return fr.buf[0], fr.buf[1:], nil
-}
-
-// beginFrame starts a frame of the given kind in dst (truncated).
-func beginFrame(dst []byte, kind byte) *codec.Writer {
-	return codec.NewWriter(append(dst[:0], 0, 0, 0, 0, kind))
-}
-
-// endFrame sets the length of the frame w holds and returns it.
-func endFrame(w *codec.Writer) []byte {
-	b := w.Bytes()
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-	return b
-}
 
 // appendRequestFrame encodes req as one frame, reusing dst's storage.
 func appendRequestFrame(dst []byte, req *Request) []byte {
-	w := beginFrame(dst, kindRequest)
+	w := codec.BeginFrame(dst, kindRequest)
 	w.Str(req.Kind)
 	w.Str(req.Name)
 	w.Str(req.Stmt)
 	w.Bool(req.Trace)
 	w.Tuple(req.Args)
-	return endFrame(w)
+	return codec.EndFrame(w)
 }
 
 // decodeRequest parses a request body.
@@ -124,7 +53,7 @@ func decodeRequest(body []byte) (Request, error) {
 // The rows are the encoded rows section when the server set one, or else
 // Rows.
 func appendResponseFrame(dst []byte, resp *Response) []byte {
-	w := beginFrame(dst, kindResponse)
+	w := codec.BeginFrame(dst, kindResponse)
 	w.Bool(resp.OK)
 	w.Str(resp.Error)
 	w.Str(resp.Code)
@@ -174,7 +103,7 @@ func appendResponseFrame(dst []byte, resp *Response) []byte {
 		}
 		w.EndSection(mark)
 	}
-	return endFrame(w)
+	return codec.EndFrame(w)
 }
 
 // decodeResponse parses a response body. It also returns the encoded rows

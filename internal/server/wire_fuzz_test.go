@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"insightnotes/internal/codec"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/types"
 )
@@ -61,7 +62,7 @@ func allocBound(t *testing.T, n int, fn func()) {
 // readFrameBody reads the frame data starts with; ok is false when it
 // does not hold one.
 func readFrameBody(data []byte) (body []byte, ok bool) {
-	_, body, err := newFrameReader(bytes.NewReader(data), len(data)).next()
+	_, body, err := codec.NewFrameReader(bytes.NewReader(data), len(data)).Next()
 	return body, err == nil
 }
 
@@ -82,7 +83,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			return
 		}
 		again := appendRequestFrame(nil, &req)
-		back, err := decodeRequest(again[frameHeader:])
+		back, err := decodeRequest(again[codec.FrameHeader:])
 		if err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
@@ -109,7 +110,7 @@ func FuzzDecodeResponse(f *testing.F) {
 			return
 		}
 		again := appendResponseFrame(nil, resp)
-		back, _, err := decodeResponse(again[frameHeader:])
+		back, _, err := decodeResponse(again[codec.FrameHeader:])
 		if err != nil {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}

@@ -19,9 +19,9 @@ import (
 
 // rawFrame builds a frame of the given version/kind byte around body.
 func rawFrame(kind byte, body []byte) []byte {
-	w := beginFrame(nil, kind)
+	w := codec.BeginFrame(nil, kind)
 	w.Raw(body)
-	return endFrame(w)
+	return codec.EndFrame(w)
 }
 
 // rawExchange writes frame on c's connection as is and decodes the
@@ -31,7 +31,7 @@ func rawExchange(t *testing.T, c *Client, frame []byte) *Response {
 	if _, err := c.conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	kind, body, err := c.in.next()
+	kind, body, err := c.in.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func rawExchange(t *testing.T, c *Client, frame []byte) *Response {
 func readUntilClose(t *testing.T, conn net.Conn) *Response {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	in := newFrameReader(conn, defaultMaxFrameBytes)
-	kind, body, err := in.next()
+	in := codec.NewFrameReader(conn, defaultMaxFrameBytes)
+	kind, body, err := in.Next()
 	if err != nil {
 		t.Fatalf("no answer before the close: %v", err)
 	}
@@ -62,7 +62,7 @@ func readUntilClose(t *testing.T, conn net.Conn) *Response {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := in.next(); !errors.Is(err, io.EOF) {
+	if _, _, err := in.Next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("after the answer: %v, want EOF", err)
 	}
 	return resp
@@ -191,7 +191,7 @@ func TestResponseRowsAreSpillRows(t *testing.T) {
 	if _, err := c.conn.Write(appendRequestFrame(nil, &Request{Stmt: "SELECT id, name FROM birds"})); err != nil {
 		t.Fatal(err)
 	}
-	_, body, err := c.in.next()
+	_, body, err := c.in.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,16 +237,16 @@ func TestWireRejectsTruncatedAndOvercounted(t *testing.T) {
 		"response": func(b []byte) error { _, _, err := decodeResponse(b); return err },
 	}
 	for name, frame := range frames {
-		if err := decode[name](frame[frameHeader:]); err != nil {
+		if err := decode[name](frame[codec.FrameHeader:]); err != nil {
 			t.Fatalf("%s: the whole frame fails: %v", name, err)
 		}
 		for n := 0; n < len(frame); n++ {
-			if _, _, err := newFrameReader(bytes.NewReader(frame[:n]), defaultMaxFrameBytes).next(); err == nil {
+			if _, _, err := codec.NewFrameReader(bytes.NewReader(frame[:n]), defaultMaxFrameBytes).Next(); err == nil {
 				t.Errorf("%s: frame prefix of %d/%d bytes read", name, n, len(frame))
 			}
-			if n >= frameHeader {
-				if err := decode[name](frame[frameHeader:n]); err == nil {
-					t.Errorf("%s: body prefix of %d/%d bytes decoded", name, n-frameHeader, len(frame)-frameHeader)
+			if n >= codec.FrameHeader {
+				if err := decode[name](frame[codec.FrameHeader:n]); err == nil {
+					t.Errorf("%s: body prefix of %d/%d bytes decoded", name, n-codec.FrameHeader, len(frame)-codec.FrameHeader)
 				}
 			}
 		}
@@ -310,7 +310,7 @@ func BenchmarkResponseCodec(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf = appendResponseFrame(buf, c.resp)
-				if _, _, err := decodeResponse(buf[frameHeader:]); err != nil {
+				if _, _, err := decodeResponse(buf[codec.FrameHeader:]); err != nil {
 					b.Fatal(err)
 				}
 			}

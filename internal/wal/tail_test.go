@@ -305,7 +305,7 @@ func TestSubscribeDurableWakesOnCommitResetAndDeath(t *testing.T) {
 func FuzzTailReader(f *testing.F) {
 	var log []byte
 	for i, typ := range []string{"insert", "annotate", "m"} {
-		frame, err := appendFrame(nil, uint64(i+1), typ, []byte(payload(i, typ)))
+		frame, err := AppendFrame(nil, Record{LSN: uint64(i + 1), Type: typ, Data: []byte(payload(i, typ))})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -1,30 +1,32 @@
 // Package wal is the engine's write-ahead log: an append-only file of
 // length+CRC32-framed, fsync-on-commit records describing logical
-// mutations. Together with periodic snapshots it makes the mutation path
-// crash-safe — on startup the engine loads the latest snapshot and
+// mutations. Together with checkpoints it makes the mutation path
+// crash-safe — on startup the engine loads the latest checkpoint and
 // replays the WAL tail, truncating cleanly at the first torn or corrupt
-// record.
+// record. A checkpoint is itself a stream of these frames (AppendFrame,
+// SplitFrame), so the log's frame is the one format of durable state.
 //
 // On-disk format, per record:
 //
 //	4 bytes  little-endian uint32: payload length
 //	4 bytes  little-endian uint32: IEEE CRC32 of the payload
 //	n bytes  payload:
-//	         1 byte   format, 2
+//	         1 byte   format, 3
 //	         uvarint  LSN
 //	         Str      record type (internal/codec: uvarint length, bytes)
 //	         rest     body, opaque to this package (the engine's payload)
 //
 // The format byte tells an older log apart: format 1 wrote each payload as
-// one JSON document, which starts with '{'. A CRC-valid frame of any other
-// format is ErrFormat, which Replay returns as an error and never truncates
-// as a torn tail, so a log this build cannot read is refused whole instead
-// of silently dropped.
+// one JSON document, which starts with '{'; format 2 wrote annotate bodies
+// without their recorded labels. A CRC-valid frame of any other format is
+// ErrFormat, which Replay returns as an error and never truncates as a torn
+// tail, so a log this build cannot read is refused whole instead of
+// silently dropped.
 //
-// Records carry a strictly increasing LSN. A snapshot remembers the LSN
+// Records carry a strictly increasing LSN. A checkpoint remembers the LSN
 // it includes; replay skips records at or below it, which makes a crash
-// between "snapshot published" and "log reset" harmless (the stale prefix
-// is skipped, never double-applied).
+// between "checkpoint published" and "log reset" harmless (the stale
+// prefix is skipped, never double-applied).
 //
 // Durability contract: Append returns only after the record is fsynced,
 // so an acknowledged mutation survives a process kill. A failed append
@@ -61,7 +63,7 @@ import (
 const headerBytes = 8
 
 // formatVersion is the first payload byte of every frame this build writes.
-const formatVersion = 2
+const formatVersion = 3
 
 // maxCommitWindowYields bounds the group-commit window: the batch leader
 // yields at most this many times while committers keep staging behind
@@ -84,11 +86,11 @@ var ErrRecordLost = errors.New("wal: record lost to a failed group commit")
 // Record is one logical mutation in the log.
 type Record struct {
 	// LSN is the record's log sequence number, strictly increasing.
-	LSN uint64 `json:"lsn"`
+	LSN uint64
 	// Type names the logical mutation (the engine defines the set).
-	Type string `json:"type"`
+	Type string
 	// Data is the type-specific body, encoded by the engine.
-	Data []byte `json:"data,omitempty"`
+	Data []byte
 }
 
 // Stats are cumulative counters of one Log handle.
@@ -188,18 +190,18 @@ func Open(path string, lastLSN uint64) (*Log, error) {
 	return l, nil
 }
 
-// appendFrame appends the on-disk bytes of one record to dst.
-func appendFrame(dst []byte, lsn uint64, recType string, body []byte) ([]byte, error) {
+// AppendFrame appends the on-disk bytes of rec — its frame — to dst.
+func AppendFrame(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
 	w := codec.NewWriter(append(dst, make([]byte, headerBytes)...))
 	w.Byte(formatVersion)
-	w.Uvarint(lsn)
-	w.Str(recType)
-	w.Raw(body)
+	w.Uvarint(rec.LSN)
+	w.Str(rec.Type)
+	w.Raw(rec.Data)
 	buf := w.Bytes()
 	payload := buf[start+headerBytes:]
 	if len(payload) > maxRecordBytes {
-		return dst, fmt.Errorf("wal: %s record of %d bytes exceeds the %d-byte limit", recType, len(payload), maxRecordBytes)
+		return dst, fmt.Errorf("wal: %s record of %d bytes exceeds the %d-byte limit", rec.Type, len(payload), maxRecordBytes)
 	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
@@ -211,11 +213,11 @@ func appendFrame(dst []byte, lsn uint64, recType string, body []byte) ([]byte, e
 // Data is a copy: the payload buffer is reused by the next read.
 func parsePayload(payload []byte) (Record, error) {
 	if payload[0] != formatVersion {
-		name := fmt.Sprintf("byte 0x%02x", payload[0])
+		name := fmt.Sprintf("format %d", payload[0])
 		if payload[0] == '{' {
 			name = "format 1 (JSON)"
 		}
-		return Record{}, fmt.Errorf("%w: frame is %s, this build reads format %d (binary) only", ErrFormat, name, formatVersion)
+		return Record{}, fmt.Errorf("%w: frame is %s, this build reads format %d only", ErrFormat, name, formatVersion)
 	}
 	r := codec.NewReader(payload[1:])
 	rec := Record{LSN: r.Uvarint(), Type: r.Str()}
@@ -256,7 +258,7 @@ func (l *Log) Stage(recType string, body []byte) (uint64, SyncToken, error) {
 	if l.dead {
 		return 0, SyncToken{}, ErrLogDead
 	}
-	buf, err := appendFrame(l.frameBuf[:0], l.lastLSN+1, recType, body)
+	buf, err := AppendFrame(l.frameBuf[:0], Record{LSN: l.lastLSN + 1, Type: recType, Data: body})
 	if err != nil {
 		return 0, SyncToken{}, err
 	}
@@ -311,7 +313,7 @@ func (l *Log) StageRecord(rec Record) (SyncToken, error) {
 	if rec.LSN <= l.lastLSN {
 		return SyncToken{}, fmt.Errorf("wal: staging stale record lsn=%d (last staged %d)", rec.LSN, l.lastLSN)
 	}
-	buf, err := appendFrame(l.frameBuf[:0], rec.LSN, rec.Type, rec.Data)
+	buf, err := AppendFrame(l.frameBuf[:0], rec)
 	if err != nil {
 		return SyncToken{}, err
 	}
