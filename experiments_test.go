@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"insightnotes"
+	"insightnotes/internal/annotation"
 	"insightnotes/internal/baseline"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/metrics"
@@ -432,7 +433,7 @@ func TestE8SummaryVsRaw(t *testing.T) {
 			if got == nil {
 				got = summary.NewEnvelope()
 			}
-			if !reflect.DeepEqual(got.Cover, want.Cover) {
+			if !reflect.DeepEqual(coverage(got), coverage(want)) {
 				t.Errorf("row %v: engine summarizes annotations %v, the raw propagation carried %v (or their column coverage differs)",
 					raw.Tuple, got.Annotations(), want.Annotations())
 			}
@@ -484,4 +485,11 @@ func rawSPJ(t *testing.T, db *insightnotes.DB) ([]*baseline.Row, int64) {
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Tuple.String() < rows[j].Tuple.String() })
 	return rows, bytes
+}
+
+// coverage returns env's coverage as a map, for comparison.
+func coverage(env *summary.Envelope) map[annotation.ID]annotation.ColSet {
+	out := make(map[annotation.ID]annotation.ColSet, env.Len())
+	env.EachCover(func(id annotation.ID, cols annotation.ColSet) { out[id] = cols })
+	return out
 }

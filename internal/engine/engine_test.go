@@ -146,8 +146,8 @@ func TestAnnotateColumnsAndNoMatch(t *testing.T) {
 		t.Fatalf("annotations = %v", anns)
 	}
 	// Coverage is just the wingspan column (ordinal 3).
-	if !env.Cover[anns[0]].Has(3) || env.Cover[anns[0]].Count() != 1 {
-		t.Errorf("coverage = %v", env.Cover[anns[0]])
+	if !env.CoverOf(anns[0]).Has(3) || env.CoverOf(anns[0]).Count() != 1 {
+		t.Errorf("coverage = %v", env.CoverOf(anns[0]))
 	}
 	if _, err := db.Exec(context.Background(), "ADD ANNOTATION 'x' ON birds WHERE id = 99"); err == nil {
 		t.Error("no-match annotation accepted")

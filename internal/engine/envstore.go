@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"insightnotes/internal/annotation"
 	"insightnotes/internal/codec"
 	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
@@ -93,23 +94,24 @@ func (s *envStore) stripeFor(table string, row types.RowID) *envStripe {
 }
 
 // encodeEnvelope appends the heap-record form of one envelope to dst: its
-// identity (table Str, row uvarint), the coverage map as (annotation id,
-// colset) uvarint pairs, and each object's instance name and member ids.
-// The objects' model state (classifier counts, cluster centroids,
+// identity (table Str, row uvarint), the coverage as (annotation id,
+// colset) uvarint pairs in id order, and each object's instance name and
+// member ids in instance-name order, so that the record is a function of
+// the envelope. The objects' model state (classifier counts, cluster centroids,
 // snippets) is derived from the raw annotations and is not persisted here.
 func encodeEnvelope(dst []byte, table string, row types.RowID, env *summary.Envelope) []byte {
 	w := codec.NewWriter(dst)
 	w.Str(table)
 	w.Uvarint(uint64(row))
-	w.Uvarint(uint64(len(env.Cover)))
-	for id, cols := range env.Cover {
+	w.Uvarint(uint64(env.Len()))
+	env.EachCover(func(id annotation.ID, cols annotation.ColSet) {
 		w.Uvarint(uint64(id))
 		w.Uvarint(uint64(cols))
-	}
+	})
 	w.Uvarint(uint64(len(env.Objects)))
-	for name, obj := range env.Objects {
+	for _, name := range env.InstanceNames() {
 		w.Str(name)
-		members := obj.Members()
+		members := env.Objects[name].Members()
 		w.Uvarint(uint64(len(members)))
 		for _, id := range members {
 			w.Uvarint(uint64(id))

@@ -182,13 +182,13 @@ func TestFigure2WorkedExample(t *testing.T) {
 	if len(row.Tuple) != 3 {
 		t.Errorf("output width = %d", len(row.Tuple))
 	}
-	for id, cover := range env.Cover {
+	env.EachCover(func(id annotation.ID, cover annotation.ColSet) {
 		for i := 3; i < 64; i++ {
 			if cover.Has(i) {
 				t.Errorf("annotation %d covers dropped column %d", id, i)
 			}
 		}
-	}
+	})
 }
 
 // TestFigure2ClusterRepReplacement reproduces the A5-replaces-A2 detail:

@@ -168,7 +168,9 @@ func TestViewsLeaveStoredGroupsAlone(t *testing.T) {
 		for _, table := range []string{"birds", "sightings"} {
 			for _, row := range db.Annotations().AnnotatedRows(table) {
 				env := db.StoredEnvelope(table, row)
-				fmt.Fprintf(&b, "%s/%d %v\n", table, row, env.Cover)
+				fmt.Fprintf(&b, "%s/%d", table, row)
+				env.EachCover(func(id annotation.ID, cols annotation.ColSet) { fmt.Fprintf(&b, " %d:%v", id, cols) })
+				b.WriteByte('\n')
 				for _, name := range env.InstanceNames() {
 					fmt.Fprintf(&b, "%s %v\n", env.Object(name).Render(), env.Object(name).Elements())
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
 
@@ -94,7 +95,10 @@ func (s *aggState) result(fn string, starCount int64) (types.Value, error) {
 // group's output envelope — the paper's grouping transformation — with
 // coverage remapped so that an annotation on a key input column follows
 // that key's output position and an annotation on an aggregated input
-// column follows the aggregate's output position.
+// column follows the aggregate's output position. A group keeps its
+// members' remapped envelopes and combines them once, when the input is
+// drained: one merge of all their sorted lists, not one per row into a
+// growing accumulator.
 type GroupAggregate struct {
 	instr
 	child   Operator
@@ -143,7 +147,7 @@ type aggGroup struct {
 	keyVals types.Tuple
 	states  []aggState
 	star    int64
-	env     *Row // env carrier; Tuple unused
+	envs    []*summary.Envelope // the members' remapped envelopes
 }
 
 // Open implements Operator: drains the child and materializes the groups
@@ -173,7 +177,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			}
 		}
 		if grp == nil {
-			grp = &aggGroup{keyVals: keyVals, states: make([]aggState, len(g.aggs)), env: &Row{}}
+			grp = &aggGroup{keyVals: keyVals, states: make([]aggState, len(g.aggs))}
 			groups[h] = append(groups[h], grp)
 			order = append(order, grp)
 		}
@@ -192,7 +196,9 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			g.curated(ec)
 			g.merged(ec)
 		}
-		grp.env.Env = envCombine(grp.env.Env, envRemap(row.Env, g.mapping))
+		if env := envRemap(row.Env, g.mapping); env != nil {
+			grp.envs = append(grp.envs, env)
+		}
 		return nil
 	})
 	if err != nil {
@@ -200,7 +206,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 	}
 	if len(g.keys) == 0 && len(order) == 0 {
 		// Global aggregate over empty input: one row of zero/NULL results.
-		order = append(order, &aggGroup{states: make([]aggState, len(g.aggs)), env: &Row{}})
+		order = append(order, &aggGroup{states: make([]aggState, len(g.aggs))})
 	}
 	g.out = g.out[:0]
 	for _, grp := range order {
@@ -217,7 +223,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			}
 			tu = append(tu, v)
 		}
-		g.out = append(g.out, &Row{Tuple: tu, Env: grp.env.Env})
+		g.out = append(g.out, &Row{Tuple: tu, Env: envCombine(grp.envs)})
 	}
 	g.pos = 0
 	return nil
@@ -243,7 +249,8 @@ func (g *GroupAggregate) Close() error {
 // Distinct eliminates duplicate tuples, combining the envelopes of the
 // eliminated duplicates into the surviving row — the paper's duplicate-
 // elimination transformation: a reported tuple's summaries reflect every
-// input duplicate's annotations.
+// input duplicate's annotations. Like GroupAggregate it combines each
+// survivor's envelopes once, when the input is drained.
 type Distinct struct {
 	instr
 	child Operator
@@ -265,6 +272,7 @@ func (d *Distinct) Open(ec *ExecContext) error {
 		return err
 	}
 	seen := make(map[uint64][]*Row)
+	envs := make(map[*Row][]*summary.Envelope) // survivors with duplicates
 	d.out = d.out[:0]
 	err := drain(ec, d.child, func(row *Row) error {
 		h := row.Tuple.Hash(nil)
@@ -282,12 +290,19 @@ func (d *Distinct) Open(ec *ExecContext) error {
 		}
 		if row.Env != nil {
 			d.merged(ec)
+			l, ok := envs[match]
+			if !ok && match.Env != nil {
+				l = append(l, match.Env)
+			}
+			envs[match] = append(l, row.Env)
 		}
-		match.Env = envCombine(match.Env, row.Env)
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	for row, l := range envs {
+		row.Env = envCombine(l)
 	}
 	d.pos = 0
 	return nil

@@ -139,15 +139,12 @@ func envMerge(left, right *summary.Envelope, leftWidth int) *summary.Envelope {
 	return left
 }
 
-// envCombine merges right into left for same-shape combination (grouping,
-// distinct), tolerating nils.
-func envCombine(left, right *summary.Envelope) *summary.Envelope {
-	if right == nil {
-		return left
+// envCombine combines envs (none nil) into the first of them for
+// same-shape combination (grouping, distinct); no envelopes combine to nil.
+func envCombine(envs []*summary.Envelope) *summary.Envelope {
+	if len(envs) == 0 {
+		return nil
 	}
-	if left == nil {
-		return right
-	}
-	left.Combine(right)
-	return left
+	envs[0].Combine(envs[1:]...)
+	return envs[0]
 }

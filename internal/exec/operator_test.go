@@ -195,7 +195,7 @@ func TestProjectComputedExpressionCoverage(t *testing.T) {
 	if rows[0].Tuple[0].Int() != 3 {
 		t.Fatalf("sum = %v", rows[0].Tuple)
 	}
-	if rows[0].Env == nil || rows[0].Env.Cover[5] != annotation.Col(0) {
+	if rows[0].Env == nil || rows[0].Env.CoverOf(5) != annotation.Col(0) {
 		t.Errorf("computed-column coverage = %v", rows[0].Env)
 	}
 }
@@ -223,8 +223,8 @@ func TestHashJoinMergesEnvelopes(t *testing.T) {
 		t.Errorf("merged members = %d", env.Object("ClassBird2").Len())
 	}
 	// Right-side coverage shifted past left width 3.
-	if env.Cover[11] != annotation.Col(3).Union(annotation.Col(4)) {
-		t.Errorf("right coverage = %v", env.Cover[11])
+	if env.CoverOf(11) != annotation.Col(3).Union(annotation.Col(4)) {
+		t.Errorf("right coverage = %v", env.CoverOf(11))
 	}
 	if got := join.Schema().Len(); got != 5 {
 		t.Errorf("join schema = %d cols", got)

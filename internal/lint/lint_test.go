@@ -245,31 +245,29 @@ func main() { db, _ := insightnotes.Open(insightnotes.Config{}); db.Exec(ctx, "C
 }
 
 // Envelopes are copy-on-write: a scan hands out views that share the
-// stored envelope's Cover and Objects maps, and only the summary package's
-// mutators know to copy a shared map (and clone a shared object) before
-// writing. A direct write anywhere else would reach through a view into
-// the store, or into another statement's result. internal/baseline keeps
-// raw annotations in a Row.Cover of its own; it is a different type.
+// stored envelope's Objects map, and only the summary package's mutators
+// know to copy a shared map (and clone a shared object) before writing. A
+// direct write anywhere else would reach through a view into the store, or
+// into another statement's result. Coverage is unexported, so the compiler
+// keeps it to the summary package.
 func TestEnvelopeMapsAreWrittenOnlyBySummary(t *testing.T) {
-	fields := []string{"Cover", "Objects"}
-	owners := []string{"internal/summary/", "internal/baseline/"}
+	fields := []string{"Objects"}
 	s := tree(t)
 	if err := s.ParseTree("../../examples", "../../benchmark"); err != nil {
 		t.Fatal(err)
 	}
-	expect(t, s.FieldWrites(fields, owners...))
+	expect(t, s.FieldWrites(fields, "internal/summary/"))
 
 	bad := tree(t, "internal/x/x.go", `package x
 func f(env *summary.Envelope, row *exec.Row) {
-	env.Cover[7] = annotation.Col(0)
 	delete(row.Env.Objects, "C")
 	row.Env.Objects["C"], n = obj, 1
-	env.Cover = nil
-	_ = env.Cover[7]
+	env.Objects = nil
+	_ = env.Objects["C"]
 	for range env.Objects {}
 }`, "internal/summary/y.go", `package summary
-func (e *Envelope) g() { e.Cover[7] = 0 }`)
-	expect(t, bad.FieldWrites(fields, owners...), "x.go:3:2: writes", "x.go:4:9: writes", "x.go:5:2: writes", "x.go:6:2: writes")
+func (e *Envelope) g() { e.Objects["C"] = nil }`)
+	expect(t, bad.FieldWrites(fields, "internal/summary/"), "x.go:3:9: writes", "x.go:4:2: writes", "x.go:5:2: writes")
 }
 
 // Everything durable or shipped — WAL frames and payloads, envelope heap

@@ -21,15 +21,22 @@ type classifierObject struct {
 	sharedFlag
 	shown   presentation
 	inst    *Instance
-	members map[annotation.ID]int // annotation id → label index
-	counts  []int                 // per-label member counts
+	members []labelEntry // sorted by annotation id
+	counts  []int        // per-label member counts
 }
+
+// labelEntry is one member annotation and the index of its class label.
+type labelEntry struct {
+	id    annotation.ID
+	label int
+}
+
+func labelID(m labelEntry) annotation.ID { return m.id }
 
 func newClassifierObject(in *Instance) *classifierObject {
 	return &classifierObject{
-		inst:    in,
-		members: make(map[annotation.ID]int),
-		counts:  make([]int, len(in.Classifier.Labels())),
+		inst:   in,
+		counts: make([]int, len(in.Classifier.Labels())),
 	}
 }
 
@@ -38,60 +45,71 @@ func (c *classifierObject) Instance() *Instance { return c.inst }
 
 // Contains implements Object.
 func (c *classifierObject) Contains(id annotation.ID) bool {
-	_, ok := c.members[id]
+	_, ok := search(c.members, id, labelID)
 	return ok
 }
 
 // Add implements Object.
 func (c *classifierObject) Add(d Digest) {
-	if c.Contains(d.Ann) {
+	i, ok := search(c.members, d.Ann, labelID)
+	if ok {
 		return
 	}
 	if d.LabelIndex < 0 || d.LabelIndex >= len(c.counts) {
 		panic(fmt.Sprintf("summary: label index %d out of range for instance %q", d.LabelIndex, c.inst.Name))
 	}
-	c.members[d.Ann] = d.LabelIndex
+	c.members = slices.Insert(c.members, i, labelEntry{d.Ann, d.LabelIndex})
 	c.counts[d.LabelIndex]++
 }
 
 // Remove implements Object.
-func (c *classifierObject) Remove(drop func(annotation.ID) bool) {
-	for id, li := range c.members {
-		if drop(id) {
-			delete(c.members, id)
-			c.counts[li]--
-		}
+func (c *classifierObject) Remove(ids []annotation.ID) Object {
+	kept := without(c.members, ids, labelID, !c.isShared())
+	if len(kept) == len(c.members) {
+		return c
 	}
+	out := c
+	if c.isShared() {
+		out = &classifierObject{inst: c.inst, counts: make([]int, len(c.counts))}
+	}
+	clear(out.counts)
+	for _, m := range kept {
+		out.counts[m.label]++
+	}
+	out.members = kept
+	return out
 }
 
-// MergeFrom implements Object: members already present are not double
-// counted (the paper's "22 instead of 27" rule).
-func (c *classifierObject) MergeFrom(other Object) {
-	o := mustClassifier(other, c.inst)
-	for id, li := range o.members {
-		if !c.Contains(id) {
-			c.members[id] = li
-			c.counts[li]++
+// MergeFrom implements Object: it unions the id lists and adds the
+// per-label counts, less one for each member already present (the paper's
+// "22 instead of 27" rule).
+func (c *classifierObject) MergeFrom(others ...Object) Object {
+	lists := make([][]labelEntry, 1, len(others)+1)
+	lists[0] = c.members
+	counts := slices.Clone(c.counts)
+	for _, other := range others {
+		o := mustClassifier(other, c.inst)
+		lists = append(lists, o.members)
+		for i, n := range o.counts {
+			counts[i] += n
 		}
 	}
+	members := mergeSorted(lists, labelID, func(_ *labelEntry, dup labelEntry) { counts[dup.label]-- })
+	out := c
+	if c.isShared() {
+		out = &classifierObject{inst: c.inst}
+	}
+	out.members, out.counts = members, counts
+	return out
 }
 
 // Clone implements Object.
 func (c *classifierObject) Clone() Object {
-	cp := &classifierObject{
-		inst:    c.inst,
-		members: make(map[annotation.ID]int, len(c.members)),
-		counts:  make([]int, len(c.counts)),
-	}
-	for id, li := range c.members {
-		cp.members[id] = li
-	}
-	copy(cp.counts, c.counts)
-	return cp
+	return &classifierObject{inst: c.inst, members: slices.Clone(c.members), counts: slices.Clone(c.counts)}
 }
 
 // Members implements Object.
-func (c *classifierObject) Members() []annotation.ID { return sortedIDs(mapKeys(c.members)) }
+func (c *classifierObject) Members() []annotation.ID { return idsOf(c.members, labelID) }
 
 // Len implements Object.
 func (c *classifierObject) Len() int { return len(c.members) }
@@ -107,7 +125,8 @@ func (c *classifierObject) Elements() []Element {
 }
 
 // elements computes Elements: the id lists are sized by the label counts
-// and cut from one backing array.
+// and cut from one backing array, and filled in member order, which is id
+// order.
 func (c *classifierObject) elements() []Element {
 	out := make([]Element, len(c.counts))
 	ids := make([]annotation.ID, len(c.members))
@@ -119,11 +138,8 @@ func (c *classifierObject) elements() []Element {
 			from += n
 		}
 	}
-	for id, li := range c.members {
-		out[li].IDs = append(out[li].IDs, id)
-	}
-	for i := range out {
-		slices.Sort(out[i].IDs)
+	for _, m := range c.members {
+		out[m.label].IDs = append(out[m.label].IDs, m.id)
 	}
 	return out
 }
@@ -161,15 +177,7 @@ func (c *classifierObject) ApproxBytes() int {
 // Equal implements Object.
 func (c *classifierObject) Equal(other Object) bool {
 	o, ok := other.(*classifierObject)
-	if !ok || o.inst.Name != c.inst.Name || len(o.members) != len(c.members) {
-		return false
-	}
-	for id, li := range c.members {
-		if oli, ok := o.members[id]; !ok || oli != li {
-			return false
-		}
-	}
-	return true
+	return ok && o.inst.Name == c.inst.Name && slices.Equal(o.members, c.members)
 }
 
 func mustClassifier(o Object, in *Instance) *classifierObject {
@@ -178,17 +186,4 @@ func mustClassifier(o Object, in *Instance) *classifierObject {
 		panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", in.Name))
 	}
 	return c
-}
-
-func mapKeys[V any](m map[annotation.ID]V) []annotation.ID {
-	out := make([]annotation.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	return out
-}
-
-func sortedIDs(ids []annotation.ID) []annotation.ID {
-	slices.Sort(ids)
-	return ids
 }

@@ -40,7 +40,7 @@ func TestClassifierObjectRemove(t *testing.T) {
 	for i := annotation.ID(1); i <= 4; i++ {
 		obj.Add(in.Summarize(ann(i, behaviorText(int(i)))))
 	}
-	obj.Remove(func(id annotation.ID) bool { return id%2 == 0 })
+	obj.Remove([]annotation.ID{2, 4})
 	if obj.Len() != 2 {
 		t.Fatalf("Len after remove = %d", obj.Len())
 	}

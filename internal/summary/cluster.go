@@ -60,30 +60,28 @@ type repCandidate struct {
 // clusterGroup is the unit of copy-on-write in a cluster object: once
 // latched shared (by Clone, or by a MergeFrom adopting it) it is immutable,
 // and ownGroup replaces it with a private copy before any change. A shared
-// group memoises its label and sorted member ids the way a shared object
-// memoises its presentation, so every object holding it, an unshared
-// accumulator included, reuses them.
+// group memoises its label the way a shared object memoises its
+// presentation, so every object holding it, an unshared accumulator
+// included, reuses it.
 type clusterGroup struct {
-	members    map[annotation.ID]struct{}
+	// members is the group's annotation ids, sorted ascending: the list
+	// Elements hands out. It is only ever extended at its tail in place;
+	// any other change writes a new list, so a list once handed out, or
+	// shared with a private copy of the group, never changes.
+	members []annotation.ID
+	// pending holds members a MergeFrom added out of order until it
+	// settles the group, so a merge of many objects into one growing
+	// group sorts once instead of rewriting the list per object.
+	pending    []annotation.ID
 	candidates []repCandidate // sorted by (sim desc, id asc), len ≤ repCandidates
 	centroid   textmining.Vector
 	rep        annotation.ID
 	repPreview string
-	// min caches the smallest member id (the canonical group sort key);
-	// maintained on every membership change to avoid rescanning the
-	// member set during sorting, rendering, and zooming.
+	// min is the smallest member id, pending ones included: the canonical
+	// group sort key.
 	min        annotation.ID
-	hasMin     bool
-	sharedFlag // after hasMin: it fits in hasMin's padding
-	label      atomic.Pointer[string]
-	ids        atomic.Pointer[[]annotation.ID]
-}
-
-func newClusterGroup() *clusterGroup {
-	return &clusterGroup{
-		members:  make(map[annotation.ID]struct{}),
-		centroid: textmining.NewVector(),
-	}
+	sharedFlag
+	label atomic.Pointer[string]
 }
 
 func newClusterObject(in *Instance) *clusterObject {
@@ -97,17 +95,19 @@ func newClusterObject(in *Instance) *clusterObject {
 // repCandidates entries.
 func (g *clusterGroup) addCandidate(c repCandidate) {
 	g.candidates = append(g.candidates, c)
-	sortCandidates(g.candidates)
+	g.trimCandidates()
+}
+
+// trimCandidates sorts the candidate list, drops repeated ids and keeps
+// the top repCandidates entries.
+func (g *clusterGroup) trimCandidates() {
+	slices.SortFunc(g.candidates, func(a, b repCandidate) int {
+		return cmp.Or(cmp.Compare(b.sim, a.sim), cmp.Compare(a.id, b.id))
+	})
 	g.candidates = dedupCandidates(g.candidates)
 	if len(g.candidates) > repCandidates {
 		g.candidates = g.candidates[:repCandidates]
 	}
-}
-
-func sortCandidates(cs []repCandidate) {
-	slices.SortFunc(cs, func(a, b repCandidate) int {
-		return cmp.Or(cmp.Compare(b.sim, a.sim), cmp.Compare(a.id, b.id))
-	})
 }
 
 // dedupCandidates keeps the first entry per annotation id. The lists hold
@@ -122,60 +122,42 @@ func dedupCandidates(cs []repCandidate) []repCandidate {
 	return out
 }
 
-// electRep recomputes the representative: the best surviving candidate, or
-// the smallest member id (with a placeholder preview) when every candidate
-// was curated away. Must be called after any membership change.
-func (g *clusterGroup) electRep() {
-	for _, c := range g.candidates {
-		if _, ok := g.members[c.id]; ok {
-			g.rep = c.id
-			g.repPreview = c.preview
-			return
-		}
+// add makes id a member of g: appended when it sorts last and nothing is
+// pending, else pending until settle.
+func (g *clusterGroup) add(id annotation.ID) {
+	if len(g.members)+len(g.pending) == 0 || id < g.min {
+		g.min = id
 	}
-	g.rep = g.minID()
+	if n := len(g.members); len(g.pending) == 0 && (n == 0 || id > g.members[n-1]) {
+		g.members = append(g.members, id)
+		return
+	}
+	g.pending = append(g.pending, id)
+}
+
+// settle merges the pending members into a new sorted member list.
+func (g *clusterGroup) settle() {
+	if len(g.pending) == 0 {
+		return
+	}
+	slices.Sort(g.pending)
+	g.members = merge2(make([]annotation.ID, 0, len(g.members)+len(g.pending)), g.members, g.pending, idOf, nil)
+	g.pending = nil
+}
+
+// elect drops g's candidates that are no longer its members and elects the
+// representative: the best surviving candidate, or the smallest member id
+// (with a placeholder preview) when every candidate was curated away. Must
+// be called after any membership change, once memberGroup is up to date.
+func (c *clusterObject) elect(g *clusterGroup) {
+	g.candidates = slices.DeleteFunc(g.candidates, func(k repCandidate) bool { return c.memberGroup[k.id] != g })
+	if len(g.candidates) > 0 {
+		g.rep, g.repPreview = g.candidates[0].id, g.candidates[0].preview
+		return
+	}
+	g.rep = g.min
 	g.repPreview = fmt.Sprintf("(annotation %d)", g.rep)
 }
-
-// pruneCandidates drops candidates that are no longer members.
-func (g *clusterGroup) pruneCandidates() {
-	out := g.candidates[:0]
-	for _, c := range g.candidates {
-		if _, ok := g.members[c.id]; ok {
-			out = append(out, c)
-		}
-	}
-	g.candidates = out
-}
-
-// addMember inserts id, maintaining the cached minimum.
-func (g *clusterGroup) addMember(id annotation.ID) {
-	g.members[id] = struct{}{}
-	if !g.hasMin || id < g.min {
-		g.min, g.hasMin = id, true
-	}
-}
-
-// removeMember deletes id, recomputing the cached minimum only when the
-// minimum itself was removed.
-func (g *clusterGroup) removeMember(id annotation.ID) {
-	delete(g.members, id)
-	if g.hasMin && id == g.min {
-		g.recomputeMin()
-	}
-}
-
-func (g *clusterGroup) recomputeMin() {
-	g.hasMin = false
-	for id := range g.members {
-		if !g.hasMin || id < g.min {
-			g.min, g.hasMin = id, true
-		}
-	}
-}
-
-// minID returns the smallest member id, the canonical group sort key.
-func (g *clusterGroup) minID() annotation.ID { return g.min }
 
 // Instance implements Object.
 func (c *clusterObject) Instance() *Instance { return c.inst }
@@ -205,7 +187,7 @@ func (c *clusterObject) Add(d Digest) {
 		}
 	}
 	if best == nil {
-		best = newClusterGroup()
+		best = &clusterGroup{centroid: textmining.NewVector()}
 		c.groups = append(c.groups, best)
 	} else {
 		best = c.ownGroup(best)
@@ -213,62 +195,94 @@ func (c *clusterObject) Add(d Digest) {
 	best.centroid.Add(d.Vector)
 	best.centroid.Prune(c.inst.CentroidTerms * 2)
 	sim := textmining.Cosine(best.centroid, d.Vector)
-	best.addMember(d.Ann)
-	best.addCandidate(repCandidate{id: d.Ann, preview: d.Preview, sim: sim})
-	best.electRep()
+	best.add(d.Ann)
+	best.settle()
 	c.memberGroup[d.Ann] = best
+	best.addCandidate(repCandidate{id: d.Ann, preview: d.Preview, sim: sim})
+	c.elect(best)
 }
 
 // Remove implements Object: drops members, re-elects representatives, and
 // discards emptied groups. Groups are not re-split — projection curates,
 // it does not re-cluster (§2.1).
-func (c *clusterObject) Remove(drop func(annotation.ID) bool) {
-	var ids []annotation.ID
-	hit := map[*clusterGroup]bool{}
-	for id, g := range c.memberGroup {
-		if drop(id) {
-			ids = append(ids, id)
-			hit[g] = true
+func (c *clusterObject) Remove(ids []annotation.ID) Object {
+	hits := 0
+	for _, id := range ids {
+		if c.Contains(id) {
+			hits++
 		}
 	}
-	if len(ids) == 0 {
-		return
+	switch {
+	case hits == 0:
+		return c
+	case c.isShared() && hits == c.Len():
+		return c.inst.NewObject()
+	case c.isShared():
+		c = c.Clone().(*clusterObject)
 	}
-	owned := make([]*clusterGroup, 0, len(hit))
-	for g := range hit {
-		owned = append(owned, c.ownGroup(g))
+	var touched []*clusterGroup
+	seen := map[*clusterGroup]bool{}
+	for _, id := range ids {
+		if g, ok := c.memberGroup[id]; ok && !seen[g] {
+			g = c.ownGroup(g)
+			seen[g] = true
+			touched = append(touched, g)
+		}
 	}
 	for _, id := range ids {
-		c.memberGroup[id].removeMember(id)
 		delete(c.memberGroup, id)
 	}
-	for _, g := range owned {
-		if len(g.members) > 0 {
-			g.pruneCandidates()
-			g.electRep()
+	for _, g := range touched {
+		kept := make([]annotation.ID, 0, len(g.members))
+		for _, id := range g.members {
+			if c.memberGroup[id] == g {
+				kept = append(kept, id)
+			}
+		}
+		g.members = kept
+		if len(kept) > 0 {
+			g.min = kept[0]
+			c.elect(g)
 		}
 	}
 	c.groups = slices.DeleteFunc(c.groups, func(g *clusterGroup) bool { return len(g.members) == 0 })
+	return c
 }
 
-// MergeFrom implements Object. Groups from both sides that share a member
-// annotation are combined — including transitively, so the result is the
-// connected-component join of the two partitions and therefore independent
-// of merge order. When the instance sets MergeBySimilarity, non-overlapping
-// incoming groups whose centroid is close enough to an existing group are
-// also combined (the Figure 2 A1+B5 behaviour; best-effort under plan
-// reordering, see the type comment). An incoming group that meets no local
-// group is adopted as is, shared with other.
-func (c *clusterObject) MergeFrom(other Object) {
-	o, ok := other.(*clusterObject)
-	if !ok || o.inst.Name != c.inst.Name {
-		panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", c.inst.Name))
+// MergeFrom implements Object by folding others into the receiver one
+// after another, then settling the groups that took members out of order.
+// Groups from both sides that share a member annotation are combined —
+// including transitively, so the result is the connected-component join of
+// the partitions and therefore independent of merge order. When the
+// instance sets MergeBySimilarity, non-overlapping incoming groups whose
+// centroid is close enough to an existing group are also combined (the
+// Figure 2 A1+B5 behaviour; best-effort under plan reordering, see the type
+// comment). An incoming group that meets no local group is adopted as is,
+// shared with its object.
+func (c *clusterObject) MergeFrom(others ...Object) Object {
+	if c.isShared() {
+		c = c.Clone().(*clusterObject)
 	}
+	for _, other := range others {
+		o, ok := other.(*clusterObject)
+		if !ok || o.inst.Name != c.inst.Name {
+			panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", c.inst.Name))
+		}
+		c.fold(o)
+	}
+	for _, g := range c.groups {
+		g.settle()
+	}
+	return c
+}
+
+// fold merges one object into c, leaving out-of-order members pending.
+func (c *clusterObject) fold(o *clusterObject) {
 	var overlap []*clusterGroup // reused across incoming groups
 	for _, og := range o.sortedGroups() {
 		// Find every local group sharing a member with og.
 		overlap = overlap[:0]
-		for id := range og.members {
+		for _, id := range og.members {
 			if g, ok := c.memberGroup[id]; ok && !slices.Contains(overlap, g) {
 				overlap = append(overlap, g)
 			}
@@ -289,18 +303,18 @@ func (c *clusterObject) MergeFrom(other Object) {
 		if target == nil {
 			og.share()
 			c.groups = append(c.groups, og)
-			for id := range og.members {
+			for _, id := range og.members {
 				c.memberGroup[id] = og
 			}
 			continue
 		}
 		target = c.ownGroup(target)
 		added := false
-		for id := range og.members {
+		for _, id := range og.members {
 			if c.Contains(id) {
 				continue // already counted (possibly in target itself)
 			}
-			target.addMember(id)
+			target.add(id)
 			c.memberGroup[id] = target
 			added = true
 		}
@@ -308,13 +322,8 @@ func (c *clusterObject) MergeFrom(other Object) {
 			target.centroid.Add(og.centroid)
 		}
 		target.candidates = append(target.candidates, og.candidates...)
-		sortCandidates(target.candidates)
-		target.candidates = dedupCandidates(target.candidates)
-		if len(target.candidates) > repCandidates {
-			target.candidates = target.candidates[:repCandidates]
-		}
-		target.pruneCandidates()
-		target.electRep()
+		target.trimCandidates()
+		c.elect(target)
 	}
 }
 
@@ -325,19 +334,17 @@ func (c *clusterObject) combineGroups(groups []*clusterGroup) *clusterGroup {
 	slices.SortFunc(groups, byMinID)
 	target := c.ownGroup(groups[0])
 	for _, g := range groups[1:] {
-		for id := range g.members {
-			target.addMember(id)
-			c.memberGroup[id] = target
+		for _, ids := range [2][]annotation.ID{g.members, g.pending} {
+			for _, id := range ids {
+				target.add(id)
+				c.memberGroup[id] = target
+			}
 		}
 		target.centroid.Add(g.centroid)
 		target.candidates = append(target.candidates, g.candidates...)
 	}
 	if len(groups) > 1 {
-		sortCandidates(target.candidates)
-		target.candidates = dedupCandidates(target.candidates)
-		if len(target.candidates) > repCandidates {
-			target.candidates = target.candidates[:repCandidates]
-		}
+		target.trimCandidates()
 		kept := c.groups[:0]
 		for _, g := range c.groups {
 			if g == target || !slices.Contains(groups, g) {
@@ -345,7 +352,7 @@ func (c *clusterObject) combineGroups(groups []*clusterGroup) *clusterGroup {
 			}
 		}
 		c.groups = kept
-		target.electRep()
+		c.elect(target)
 	}
 	return target
 }
@@ -360,22 +367,21 @@ func (c *clusterObject) Clone() Object {
 }
 
 // ownGroup returns g ready to be changed in place: a shared group is first
-// replaced, in the group list and the member index, by a private copy.
+// replaced, in the group list and the member index, by a private copy. The
+// copy starts on g's member list, capped so that its first append copies.
 func (c *clusterObject) ownGroup(g *clusterGroup) *clusterGroup {
 	if !g.isShared() {
 		return g
 	}
 	cp := &clusterGroup{
-		members:    make(map[annotation.ID]struct{}, len(g.members)),
+		members:    slices.Clip(g.members),
 		candidates: slices.Clone(g.candidates),
 		centroid:   g.centroid.Clone(),
 		rep:        g.rep,
 		repPreview: g.repPreview,
 		min:        g.min,
-		hasMin:     g.hasMin,
 	}
-	for id := range g.members {
-		cp.members[id] = struct{}{}
+	for _, id := range g.members {
 		c.memberGroup[id] = cp
 	}
 	c.groups[slices.Index(c.groups, g)] = cp
@@ -390,10 +396,16 @@ func (c *clusterObject) sortedGroups() []*clusterGroup {
 	return gs
 }
 
-func byMinID(a, b *clusterGroup) int { return cmp.Compare(a.minID(), b.minID()) }
+func byMinID(a, b *clusterGroup) int { return cmp.Compare(a.min, b.min) }
 
-// Members implements Object.
-func (c *clusterObject) Members() []annotation.ID { return sortedIDs(mapKeys(c.memberGroup)) }
+// Members implements Object: the groups' lists merged.
+func (c *clusterObject) Members() []annotation.ID {
+	lists := make([][]annotation.ID, len(c.groups))
+	for i, g := range c.groups {
+		lists[i] = g.members
+	}
+	return mergeSorted(lists, idOf, nil)
+}
 
 // Len implements Object.
 func (c *clusterObject) Len() int { return len(c.memberGroup) }
@@ -424,7 +436,7 @@ func (c *clusterObject) elements() []Element {
 	gs := c.sortedGroups()
 	out := make([]Element, len(gs))
 	for i, g := range gs {
-		out[i] = Element{Label: g.displayLabel(), IDs: g.sortedIDs()}
+		out[i] = Element{Label: g.displayLabel(), IDs: slices.Clip(g.members)}
 	}
 	return out
 }
@@ -440,11 +452,6 @@ func (g *clusterGroup) displayLabel() string {
 		b.WriteString(strconv.Itoa(len(g.members)))
 		return b.String()
 	})
-}
-
-// sortedIDs returns the group's member ids, sorted ascending.
-func (g *clusterGroup) sortedIDs() []annotation.ID {
-	return memoised(&g.ids, g.isShared(), func() []annotation.ID { return sortedIDs(mapKeys(g.members)) })
 }
 
 // Zoom implements Object.
@@ -508,13 +515,8 @@ func (c *clusterObject) Equal(other Object) bool {
 		return false
 	}
 	for i := range ga {
-		if ga[i].rep != gb[i].rep || len(ga[i].members) != len(gb[i].members) {
+		if ga[i].rep != gb[i].rep || !slices.Equal(ga[i].members, gb[i].members) {
 			return false
-		}
-		for id := range ga[i].members {
-			if _, ok := gb[i].members[id]; !ok {
-				return false
-			}
 		}
 	}
 	return true

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,7 +64,7 @@ func TestClusterRepReElectionOnRemove(t *testing.T) {
 	}
 	rep := obj.Representatives()[0]
 	// Drop the representative; a new one must be elected from survivors.
-	obj.Remove(func(id annotation.ID) bool { return id == rep })
+	obj.Remove([]annotation.ID{rep})
 	if obj.Len() != 3 {
 		t.Fatalf("Len = %d", obj.Len())
 	}
@@ -87,11 +88,11 @@ func TestClusterRemoveDropsEmptyGroups(t *testing.T) {
 	obj := in.NewObject().(*clusterObject)
 	obj.Add(in.Summarize(ann(1, behaviorText(1))))
 	obj.Add(in.Summarize(ann(2, diseaseText(2))))
-	obj.Remove(func(id annotation.ID) bool { return id == 1 })
+	obj.Remove([]annotation.ID{1})
 	if obj.Groups() != 1 || obj.Len() != 1 {
 		t.Errorf("Groups = %d, Len = %d", obj.Groups(), obj.Len())
 	}
-	obj.Remove(func(annotation.ID) bool { return true })
+	obj.Remove(obj.Members())
 	if obj.Groups() != 0 || obj.Len() != 0 {
 		t.Errorf("after removing all: Groups = %d, Len = %d", obj.Groups(), obj.Len())
 	}
@@ -135,13 +136,12 @@ func TestClusterMergeTransitiveBridge(t *testing.T) {
 	right := in.NewObject().(*clusterObject)
 	right.Add(Digest{Ann: 1, Vector: vec("alpha", 3), Preview: "a1"})
 	g := right.memberGroup[1]
-	g.members[2] = struct{}{}
-	g.members[3] = struct{}{}
-	g.addCandidate(repCandidate{id: 2, preview: "a2", sim: 0.5})
-	g.addCandidate(repCandidate{id: 3, preview: "a3", sim: 0.4})
-	g.electRep()
+	g.members = append(g.members, 2, 3)
 	right.memberGroup[2] = g
 	right.memberGroup[3] = g
+	g.addCandidate(repCandidate{id: 2, preview: "a2", sim: 0.5})
+	g.addCandidate(repCandidate{id: 3, preview: "a3", sim: 0.4})
+	right.elect(g)
 
 	left.MergeFrom(right)
 	if left.Groups() != 1 {
@@ -235,7 +235,7 @@ func TestClusterCloneIndependence(t *testing.T) {
 		t.Error("object not Equal to its clone")
 	}
 	// Mutating the clone's group must not affect the original's centroid.
-	cp.Remove(func(annotation.ID) bool { return true })
+	cp.Remove(cp.Members())
 	if obj.Len() != 1 || obj.Groups() != 1 {
 		t.Error("clearing the clone damaged the original")
 	}
@@ -282,20 +282,21 @@ func TestClusterRepFallbackWhenAllCandidatesDropped(t *testing.T) {
 	}
 	// Drop every candidate: the representative falls back to the smallest
 	// surviving member with a placeholder preview.
-	dropped := map[annotation.ID]bool{}
+	var dropped []annotation.ID
 	for _, c := range g.candidates {
-		dropped[c.id] = true
+		dropped = append(dropped, c.id)
 	}
-	obj.Remove(func(id annotation.ID) bool { return dropped[id] })
+	slices.Sort(dropped)
+	obj.Remove(dropped)
 	if obj.Len() != 6-len(dropped) {
 		t.Fatalf("Len = %d", obj.Len())
 	}
 	g = obj.sortedGroups()[0]
-	if _, stillMember := g.members[g.rep]; !stillMember {
+	if !slices.Contains(g.members, g.rep) {
 		t.Fatalf("rep %d is not a member", g.rep)
 	}
-	if g.rep != g.minID() {
-		t.Errorf("fallback rep = %d, want min member %d", g.rep, g.minID())
+	if g.rep != g.min {
+		t.Errorf("fallback rep = %d, want min member %d", g.rep, g.min)
 	}
 	if !strings.Contains(g.repPreview, "(annotation") {
 		t.Errorf("fallback preview = %q", g.repPreview)
@@ -303,7 +304,7 @@ func TestClusterRepFallbackWhenAllCandidatesDropped(t *testing.T) {
 }
 
 func TestClusterCandidateOrderingAndDedup(t *testing.T) {
-	g := newClusterGroup()
+	g := &clusterGroup{}
 	g.addCandidate(repCandidate{id: 3, preview: "c", sim: 0.5})
 	g.addCandidate(repCandidate{id: 1, preview: "a", sim: 0.9})
 	g.addCandidate(repCandidate{id: 2, preview: "b", sim: 0.9}) // tie: lower id first
@@ -327,17 +328,17 @@ func TestClusterMinIDCacheUnderChurn(t *testing.T) {
 		obj.Add(in.Summarize(ann(annotation.ID(i), behaviorText(1))))
 	}
 	g := obj.sortedGroups()[0]
-	if g.minID() != 1 {
-		t.Fatalf("min = %d", g.minID())
+	if g.min != 1 {
+		t.Fatalf("min = %d", g.min)
 	}
 	// Removing the minimum forces a recompute.
-	obj.Remove(func(id annotation.ID) bool { return id == 1 })
-	if g.minID() != 2 {
-		t.Errorf("min after removal = %d", g.minID())
+	obj.Remove([]annotation.ID{1})
+	if g.min != 2 {
+		t.Errorf("min after removal = %d", g.min)
 	}
 	// Removing a non-minimum leaves the cache intact.
-	obj.Remove(func(id annotation.ID) bool { return id == 7 })
-	if g.minID() != 2 {
-		t.Errorf("min after non-min removal = %d", g.minID())
+	obj.Remove([]annotation.ID{7})
+	if g.min != 2 {
+		t.Errorf("min after non-min removal = %d", g.min)
 	}
 }

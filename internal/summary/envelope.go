@@ -1,7 +1,7 @@
 package summary
 
 import (
-	"maps"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -12,41 +12,51 @@ import (
 // query pipeline: one summary object per linked instance, plus the column
 // coverage of every contributing annotation.
 //
-// The coverage map is the compact device that lets the projection operator
-// eliminate the effect of annotations attached only to projected-out
-// columns "without accessing the raw annotations" (§2.1): coverage is a
-// 64-bit set per annotation, not the annotation itself.
+// The coverage list is the compact device that lets the projection
+// operator eliminate the effect of annotations attached only to
+// projected-out columns "without accessing the raw annotations" (§2.1):
+// coverage is a 64-bit set per annotation, not the annotation itself.
 //
-// Envelopes are copy-on-write. View hands out the same maps in O(1); the
-// first mutator called on either side afterwards copies the two maps, and
-// an object both sides reference is cloned only by the side about to
-// change it. Code outside this package reads Cover and Objects and writes
-// them only through the methods (internal/lint enforces it).
+// Envelopes are copy-on-write. View hands out the same coverage list and
+// object map in O(1); the first mutator called on either side afterwards
+// copies the two, and an object both sides reference is cloned only by the
+// side about to change it. Code outside this package reads coverage
+// through CoverOf and EachCover, reads Objects, and writes both only
+// through the methods (internal/lint enforces it for Objects).
 type Envelope struct {
-	// Cover maps each contributing annotation to the columns of the
-	// current tuple shape it covers.
-	Cover map[annotation.ID]annotation.ColSet
+	// cover lists each contributing annotation with the columns of the
+	// current tuple shape it covers, sorted by annotation id.
+	cover []coverEntry
 	// Objects holds the summary objects keyed by instance name.
 	Objects map[string]Object
-	// shared is set while another envelope may reference Cover and
+	// shared is set while another envelope may reference cover and
 	// Objects. Atomic because concurrent readers of the engine's store
 	// each set it on the stored envelope under a read lock.
 	shared sharedFlag
 }
 
+// coverEntry is one annotation's coverage.
+type coverEntry struct {
+	id   annotation.ID
+	cols annotation.ColSet
+}
+
+func coverID(c coverEntry) annotation.ID { return c.id }
+
+func unionCover(kept *coverEntry, dup coverEntry) { kept.cols |= dup.cols }
+
 // NewEnvelope returns an empty envelope.
 func NewEnvelope() *Envelope {
-	return &Envelope{
-		Cover:   make(map[annotation.ID]annotation.ColSet),
-		Objects: make(map[string]Object),
-	}
+	return &Envelope{Objects: make(map[string]Object)}
 }
 
 // Add incorporates one annotation digest under instance in, covering cols
 // of the tuple. The object is created on first use; a digest the object
 // type ignores (e.g. a non-document annotation under a Snippet instance)
 // leaves no empty object behind and contributes coverage only if the
-// annotation is a member of at least one object.
+// annotation is a member of at least one object. An annotation with a
+// larger id than every present one is appended: maintenance, which adds
+// annotations in id order, never copies the lists it extends.
 func (e *Envelope) Add(in *Instance, d Digest, cols annotation.ColSet) {
 	e.write()
 	var obj Object
@@ -60,7 +70,12 @@ func (e *Envelope) Add(in *Instance, d Digest, cols annotation.ColSet) {
 		e.Objects[in.Name] = obj
 	}
 	if obj.Contains(d.Ann) || e.memberAnywhere(d.Ann) {
-		e.Cover[d.Ann] = e.Cover[d.Ann].Union(cols)
+		i, ok := search(e.cover, d.Ann, coverID)
+		if ok {
+			e.cover[i].cols |= cols
+		} else {
+			e.cover = slices.Insert(e.cover, i, coverEntry{d.Ann, cols})
+		}
 	}
 }
 
@@ -74,27 +89,28 @@ func (e *Envelope) memberAnywhere(id annotation.ID) bool {
 	return false
 }
 
-// View returns an envelope with e's contents that shares e's maps and
-// objects until either side is mutated. The caller must exclude concurrent
-// mutators of e (the store's stripe lock); concurrent View calls are fine.
+// View returns an envelope with e's contents that shares e's coverage list
+// and objects until either side is mutated. The caller must exclude
+// concurrent mutators of e (the store's stripe lock); concurrent View
+// calls are fine.
 func (e *Envelope) View() *Envelope {
 	e.shared.share()
-	v := &Envelope{Cover: e.Cover, Objects: e.Objects}
+	v := &Envelope{cover: e.cover, Objects: e.Objects}
 	v.shared.share()
 	return v
 }
 
-// write makes e's maps private before a mutation.
+// write makes e's coverage list and object map private before a mutation.
 func (e *Envelope) write() {
 	if e.shared.isShared() {
-		e.Cover = maps.Clone(e.Cover)
+		e.cover = slices.Clone(e.cover)
 		e.writeObjects()
 	}
 }
 
-// writeObjects is write without the coverage copy, for the caller that
-// replaces Cover anyway. The objects stay where they are and are latched
-// shared: the other holder still references them.
+// writeObjects is write without the coverage copy, for the callers that
+// replace the coverage list anyway. The objects stay where they are and are
+// latched shared: the other holder still references them.
 func (e *Envelope) writeObjects() {
 	objs := make(map[string]Object, len(e.Objects))
 	for name, obj := range e.Objects {
@@ -116,12 +132,12 @@ func (e *Envelope) own(name string) Object {
 	return obj
 }
 
-// Clone returns a copy of the envelope with its own maps and objects, which
-// shares nothing with e that either side can change in place (see
-// Object.Clone).
+// Clone returns a copy of the envelope with its own coverage list and
+// objects, which shares nothing with e that either side can change in place
+// (see Object.Clone).
 func (e *Envelope) Clone() *Envelope {
 	cp := &Envelope{
-		Cover:   maps.Clone(e.Cover),
+		cover:   slices.Clone(e.cover),
 		Objects: make(map[string]Object, len(e.Objects)),
 	}
 	for name, obj := range e.Objects {
@@ -131,12 +147,32 @@ func (e *Envelope) Clone() *Envelope {
 }
 
 // IsEmpty reports whether the envelope carries no annotations.
-func (e *Envelope) IsEmpty() bool { return len(e.Cover) == 0 }
+func (e *Envelope) IsEmpty() bool { return len(e.cover) == 0 }
+
+// Len returns the number of contributing annotations.
+func (e *Envelope) Len() int { return len(e.cover) }
+
+// CoverOf returns the columns annotation id covers, empty when it does not
+// contribute.
+func (e *Envelope) CoverOf(id annotation.ID) annotation.ColSet {
+	if i, ok := search(e.cover, id, coverID); ok {
+		return e.cover[i].cols
+	}
+	return 0
+}
+
+// EachCover calls fn with every contributing annotation and its columns,
+// in ascending id order.
+func (e *Envelope) EachCover(fn func(id annotation.ID, cols annotation.ColSet)) {
+	for _, c := range e.cover {
+		fn(c.id, c.cols)
+	}
+}
 
 // Project applies the paper's project-on-summary-objects operation for an
 // output tuple consisting of the input columns keep (in output order):
 // every annotation whose coverage misses all kept columns is eliminated
-// from the coverage map and from every object (decrementing classifier
+// from the coverage list and from every object (decrementing classifier
 // counts, shrinking cluster groups and re-electing representatives,
 // deleting snippets), and surviving coverage is rebased to output ordinals.
 func (e *Envelope) Project(keep []int) {
@@ -150,104 +186,157 @@ func (e *Envelope) Project(keep []int) {
 // RemapColumns generalizes Project for operators that fan columns in or
 // out (grouping, aggregation): mapping[i] is the output coverage that
 // input column i contributes to (zero = dropped). Annotations left with
-// empty coverage are removed from all objects.
+// empty coverage are removed from all objects. One pass over the coverage
+// list writes the remapped list: over the old one when e is private, into
+// a new one when it is shared.
 func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
-	src := e.Cover
+	src, dst := e.cover, e.cover[:0]
 	if e.shared.isShared() {
-		// The remapped coverage is written straight into the private map.
-		e.Cover = make(map[annotation.ID]annotation.ColSet, len(src))
+		dst = make([]coverEntry, 0, len(src))
 		e.writeObjects()
 	}
-	var dropped map[annotation.ID]bool
-	for id, cover := range src {
-		var out annotation.ColSet
-		for i := 0; i < 64 && i < len(mapping); i++ {
-			if cover.Has(i) {
-				out = out.Union(mapping[i])
+	var dropped []annotation.ID
+	var in, out annotation.ColSet // the last remapped set: neighbours often share it
+	for _, c := range src {
+		if c.cols != in {
+			in, out = c.cols, 0
+			for rest := uint64(c.cols); rest != 0; rest &= rest - 1 {
+				i := bits.TrailingZeros64(rest)
+				if i >= len(mapping) {
+					break
+				}
+				out |= mapping[i]
 			}
 		}
-		if out.Empty() {
-			if dropped == nil {
-				dropped = make(map[annotation.ID]bool)
-			}
-			dropped[id] = true
-			delete(e.Cover, id)
-		} else {
-			e.Cover[id] = out
+		if out == 0 {
+			dropped = append(dropped, c.id)
+			continue
 		}
+		dst = append(dst, coverEntry{c.id, out})
 	}
+	e.cover = dst
 	e.curate(dropped)
 }
 
-// curate retracts the dropped annotations from every object that holds one
-// — only those are cloned when shared — and drops emptied objects.
-func (e *Envelope) curate(dropped map[annotation.ID]bool) {
+// curate retracts the dropped annotations (sorted ascending) from every
+// object: an object holding none of them stays as it is, a shared one
+// holding some is replaced by a changed copy, and an emptied one is
+// dropped.
+func (e *Envelope) curate(dropped []annotation.ID) {
 	if len(dropped) == 0 {
 		return
 	}
-	drop := func(id annotation.ID) bool { return dropped[id] }
 	for name, obj := range e.Objects {
-		hits := 0
-		for id := range dropped {
-			if obj.Contains(id) {
-				hits++
-			}
-		}
-		switch {
-		case hits == obj.Len():
+		switch out := obj.Remove(dropped); {
+		case out.Len() == 0:
 			delete(e.Objects, name)
-		case hits > 0:
-			e.own(name).Remove(drop)
+		case out != obj:
+			e.Objects[name] = out
 		}
 	}
 }
 
 // Merge combines o into e for a join whose output tuple is the left input
-// (width leftWidth) concatenated with the right input: o's coverage shifts
+// (width leftWidth) concatenated with the right input: one two-pointer pass
+// over both coverage lists writes the merged list, o's coverage shifted
 // past leftWidth, and objects of the same instance are merged with the
 // double-count guard; objects present on only one side propagate unchanged
 // (the paper's ClassBird1/TextSummary1 behaviour in Figure 2) — o's are
-// adopted shared, not copied.
+// adopted shared, not copied. o is only read.
 func (e *Envelope) Merge(o *Envelope, leftWidth int) {
-	e.write()
-	for id, c := range o.Cover {
-		e.Cover[id] = e.Cover[id].Union(c.Shift(leftWidth))
+	if e.shared.isShared() {
+		e.writeObjects()
 	}
-	e.mergeObjects(o)
+	a, b := e.cover, o.cover
+	out := make([]coverEntry, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch x, y := a[0], b[0]; {
+		case x.id < y.id:
+			out = append(out, x)
+			a = a[1:]
+		case y.id < x.id:
+			out = append(out, coverEntry{y.id, y.cols.Shift(leftWidth)})
+			b = b[1:]
+		default:
+			out = append(out, coverEntry{x.id, x.cols | y.cols.Shift(leftWidth)})
+			a, b = a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	for _, y := range b {
+		out = append(out, coverEntry{y.id, y.cols.Shift(leftWidth)})
+	}
+	e.cover = out
+	e.mergeObjects([]*Envelope{o})
 }
 
-// Combine merges o into e for operators where both inputs share the output
-// tuple shape (grouping, duplicate elimination): coverage unions without
-// shifting.
-func (e *Envelope) Combine(o *Envelope) {
-	e.write()
-	for id, c := range o.Cover {
-		e.Cover[id] = e.Cover[id].Union(c)
+// Combine merges others into e for operators where all inputs share the
+// output tuple shape (grouping, duplicate elimination): coverage unions
+// without shifting. It is one pass over every input, however many: the
+// coverage lists are merged at once (see mergeSorted), each instance's
+// classifier and snippet objects likewise, and cluster objects are folded
+// in input order. A GROUP BY therefore combines a group's rows once, when
+// its input is drained, rather than merging each row into a growing
+// accumulator. others are only read.
+func (e *Envelope) Combine(others ...*Envelope) {
+	if len(others) == 0 {
+		return
 	}
-	e.mergeObjects(o)
+	lists := make([][]coverEntry, 1, len(others)+1)
+	lists[0] = e.cover
+	for _, o := range others {
+		lists = append(lists, o.cover)
+	}
+	if e.shared.isShared() {
+		e.writeObjects()
+	}
+	e.cover = mergeSorted(lists, coverID, unionCover)
+	e.mergeObjects(others)
 }
 
-func (e *Envelope) mergeObjects(o *Envelope) {
-	for name, obj := range o.Objects {
-		if _, ok := e.Objects[name]; ok {
-			e.own(name).MergeFrom(obj)
-		} else {
-			obj.share()
-			e.Objects[name] = obj
+// mergeObjects merges, per instance, the objects of others into e's, in
+// input order. An instance e lacks starts from the first object others
+// hold, adopted shared.
+func (e *Envelope) mergeObjects(others []*Envelope) {
+	var names [4]string
+	done := names[:0] // instances merged so far; an envelope holds a few
+	var objs []Object
+	for i, o := range others {
+		for name := range o.Objects {
+			if slices.Contains(done, name) {
+				continue
+			}
+			done = append(done, name)
+			objs = objs[:0]
+			for _, later := range others[i:] {
+				if obj, ok := later.Objects[name]; ok {
+					objs = append(objs, obj)
+				}
+			}
+			first, ok := e.Objects[name]
+			if !ok {
+				first, objs = objs[0], objs[1:]
+				first.share()
+			}
+			if len(objs) > 0 {
+				first = first.MergeFrom(objs...)
+			}
+			e.Objects[name] = first
 		}
 	}
 }
 
 // RemoveAnnotation retracts one annotation's effect from every object and
-// the coverage map — the maintenance counterpart of deleting a raw
+// the coverage list — the maintenance counterpart of deleting a raw
 // annotation. Objects emptied by the retraction are dropped.
 func (e *Envelope) RemoveAnnotation(id annotation.ID) {
-	if _, ok := e.Cover[id]; !ok {
+	if e.CoverOf(id).Empty() {
 		return
 	}
 	e.write()
-	delete(e.Cover, id)
-	e.curate(map[annotation.ID]bool{id: true})
+	ids := []annotation.ID{id}
+	e.cover = without(e.cover, ids, coverID, true)
+	e.curate(ids)
 }
 
 // RemoveInstance deletes the named instance's object and drops coverage
@@ -266,17 +355,7 @@ func (e *Envelope) RemoveInstance(name string) {
 // object.
 func (e *Envelope) PruneCover() {
 	e.write()
-	live := make(map[annotation.ID]bool)
-	for _, obj := range e.Objects {
-		for _, id := range obj.Members() {
-			live[id] = true
-		}
-	}
-	for id := range e.Cover {
-		if !live[id] {
-			delete(e.Cover, id)
-		}
-	}
+	e.cover = slices.DeleteFunc(e.cover, func(c coverEntry) bool { return !e.memberAnywhere(c.id) })
 }
 
 // Object returns the object of the named instance, or nil.
@@ -290,8 +369,11 @@ func (e *Envelope) Label(instance string, id annotation.ID) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	li, ok := c.members[id]
-	return li, ok
+	i, ok := search(c.members, id, labelID)
+	if !ok {
+		return 0, false
+	}
+	return c.members[i].label, true
 }
 
 // InstanceNames returns the instance names present, sorted.
@@ -305,21 +387,14 @@ func (e *Envelope) InstanceNames() []string {
 }
 
 // Annotations returns every contributing annotation id, sorted.
-func (e *Envelope) Annotations() []annotation.ID {
-	return sortedIDs(mapKeys(e.Cover))
-}
+func (e *Envelope) Annotations() []annotation.ID { return idsOf(e.cover, coverID) }
 
 // Equal reports whether two envelopes are semantically identical: same
 // coverage and equal objects per instance. This is the comparison behind
 // the plan-equivalence tests (E3).
 func (e *Envelope) Equal(o *Envelope) bool {
-	if len(e.Cover) != len(o.Cover) || len(e.Objects) != len(o.Objects) {
+	if !slices.Equal(e.cover, o.cover) || len(e.Objects) != len(o.Objects) {
 		return false
-	}
-	for id, c := range e.Cover {
-		if oc, ok := o.Cover[id]; !ok || oc != c {
-			return false
-		}
 	}
 	for name, obj := range e.Objects {
 		oobj, ok := o.Objects[name]
@@ -343,10 +418,10 @@ func (e *Envelope) Render() string {
 	return b.String()
 }
 
-// ApproxBytes estimates the envelope's in-memory size (coverage map plus
-// all objects) for the E1 compression benchmarks.
+// ApproxBytes estimates the envelope's in-memory size (coverage plus all
+// objects) for the E1 compression benchmarks.
 func (e *Envelope) ApproxBytes() int {
-	n := 16 * len(e.Cover)
+	n := 16 * len(e.cover)
 	for _, obj := range e.Objects {
 		n += obj.ApproxBytes()
 	}

@@ -71,11 +71,11 @@ func TestEnvelopeProjectCuratesSummaries(t *testing.T) {
 		t.Error("empty snippet object not removed")
 	}
 	// Coverage rebased to output ordinals.
-	if e.Cover[1] != annotation.Col(0).Union(annotation.Col(1)) {
-		t.Errorf("coverage of ann 1 = %v", e.Cover[1])
+	if e.CoverOf(1) != annotation.Col(0).Union(annotation.Col(1)) {
+		t.Errorf("coverage of ann 1 = %v", e.CoverOf(1))
 	}
-	if e.Cover[2] != annotation.Col(1) {
-		t.Errorf("coverage of ann 2 = %v", e.Cover[2])
+	if e.CoverOf(2) != annotation.Col(1) {
+		t.Errorf("coverage of ann 2 = %v", e.CoverOf(2))
 	}
 }
 
@@ -84,13 +84,13 @@ func TestEnvelopeProjectReorder(t *testing.T) {
 	// Output = (col2, col0): annotation 3 (col 2) maps to output 0;
 	// annotation 1 (cols 0,1) maps to output 1; annotation 2 (col 1) drops.
 	e.Project([]int{2, 0})
-	if e.Cover[3] != annotation.Col(0) {
-		t.Errorf("ann 3 coverage = %v", e.Cover[3])
+	if e.CoverOf(3) != annotation.Col(0) {
+		t.Errorf("ann 3 coverage = %v", e.CoverOf(3))
 	}
-	if e.Cover[1] != annotation.Col(1) {
-		t.Errorf("ann 1 coverage = %v", e.Cover[1])
+	if e.CoverOf(1) != annotation.Col(1) {
+		t.Errorf("ann 1 coverage = %v", e.CoverOf(1))
 	}
-	if _, ok := e.Cover[2]; ok {
+	if !e.CoverOf(2).Empty() {
 		t.Error("ann 2 survived projection")
 	}
 }
@@ -102,11 +102,11 @@ func TestEnvelopeMergeShiftsRightCoverage(t *testing.T) {
 	addAnn(left, cls, ann(1, behaviorText(1)), annotation.Col(0))
 	addAnn(right, cls, ann(2, diseaseText(2)), annotation.Col(0))
 	left.Merge(right, 2) // left tuple has 2 columns
-	if left.Cover[1] != annotation.Col(0) {
-		t.Errorf("left ann coverage = %v", left.Cover[1])
+	if left.CoverOf(1) != annotation.Col(0) {
+		t.Errorf("left ann coverage = %v", left.CoverOf(1))
 	}
-	if left.Cover[2] != annotation.Col(2) {
-		t.Errorf("right ann coverage = %v (must shift by left width)", left.Cover[2])
+	if left.CoverOf(2) != annotation.Col(2) {
+		t.Errorf("right ann coverage = %v (must shift by left width)", left.CoverOf(2))
 	}
 	co := left.Object("ClassBird2")
 	if co.Len() != 2 {
@@ -132,8 +132,8 @@ func TestEnvelopeMergeSharedAnnotationNotDoubleCounted(t *testing.T) {
 		t.Errorf("merged members = %d, want 9", got)
 	}
 	// Shared annotations cover columns on both sides.
-	if left.Cover[3] != annotation.Col(0).Union(annotation.Col(1)) {
-		t.Errorf("shared ann coverage = %v", left.Cover[3])
+	if left.CoverOf(3) != annotation.Col(0).Union(annotation.Col(1)) {
+		t.Errorf("shared ann coverage = %v", left.CoverOf(3))
 	}
 }
 
@@ -165,8 +165,8 @@ func TestEnvelopeCombine(t *testing.T) {
 	addAnn(b, cls, ann(1, behaviorText(1)), annotation.Col(1))
 	addAnn(b, cls, ann(2, diseaseText(2)), annotation.Col(0))
 	a.Combine(b)
-	if a.Cover[1] != annotation.Col(0).Union(annotation.Col(1)) {
-		t.Errorf("combined coverage = %v", a.Cover[1])
+	if a.CoverOf(1) != annotation.Col(0).Union(annotation.Col(1)) {
+		t.Errorf("combined coverage = %v", a.CoverOf(1))
 	}
 	if a.Object("C").Len() != 2 {
 		t.Errorf("combined Len = %d", a.Object("C").Len())
@@ -183,8 +183,8 @@ func TestEnvelopeCloneIndependence(t *testing.T) {
 	if e.Equal(cp) {
 		t.Error("clone shares state")
 	}
-	if len(e.Cover) != 4 {
-		t.Errorf("original coverage mutated: %d", len(e.Cover))
+	if e.Len() != 4 {
+		t.Errorf("original coverage mutated: %d", e.Len())
 	}
 }
 

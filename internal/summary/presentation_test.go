@@ -54,7 +54,7 @@ func TestSharedPresentationFollowsClones(t *testing.T) {
 		{"classifier/Add", cls, []Digest{{Ann: 1, LabelIndex: 0}, {Ann: 2, LabelIndex: 1}},
 			func(o Object) { o.Add(Digest{Ann: 3, LabelIndex: 1}) }},
 		{"classifier/Remove", cls, []Digest{{Ann: 1, LabelIndex: 0}, {Ann: 2, LabelIndex: 1}},
-			func(o Object) { o.Remove(func(id annotation.ID) bool { return id == 2 }) }},
+			func(o Object) { o.Remove([]annotation.ID{2}) }},
 		{"classifier/MergeFrom", cls, []Digest{{Ann: 1, LabelIndex: 0}},
 			func(o Object) {
 				other := cls.NewObject()
@@ -65,7 +65,7 @@ func TestSharedPresentationFollowsClones(t *testing.T) {
 		{"snippet/Add", snp, []Digest{doc(1, "one")},
 			func(o Object) { o.Add(doc(2, "two")) }},
 		{"snippet/Remove", snp, []Digest{doc(1, "one"), doc(2, "two")},
-			func(o Object) { o.Remove(func(id annotation.ID) bool { return id == 1 }) }},
+			func(o Object) { o.Remove([]annotation.ID{1}) }},
 		{"snippet/MergeFrom", snp, []Digest{doc(1, "one")},
 			func(o Object) {
 				other := snp.NewObject()
@@ -75,7 +75,7 @@ func TestSharedPresentationFollowsClones(t *testing.T) {
 		{"cluster/AddJoiningGroup", clu, []Digest{cluster(1, "alpha"), cluster(3, "beta")},
 			func(o Object) { o.Add(cluster(2, "alpha")) }},
 		{"cluster/Remove", clu, []Digest{cluster(1, "alpha"), cluster(2, "alpha"), cluster(3, "beta")},
-			func(o Object) { o.Remove(func(id annotation.ID) bool { return id == 1 }) }},
+			func(o Object) { o.Remove([]annotation.ID{1}) }},
 		{"cluster/BridgingMerge", clu, []Digest{cluster(1, "alpha"), cluster(3, "beta"), cluster(5, "gamma")},
 			func(o Object) {
 				bridge := clu.NewObject()

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"insightnotes/internal/annotation"
@@ -18,16 +19,19 @@ type snippetObject struct {
 	sharedFlag
 	shown   presentation
 	inst    *Instance
-	entries map[annotation.ID]snippetEntry
+	entries []snippetEntry // sorted by annotation id
 }
 
 type snippetEntry struct {
+	id      annotation.ID
 	Title   string
 	Snippet string
 }
 
+func snippetID(e snippetEntry) annotation.ID { return e.id }
+
 func newSnippetObject(in *Instance) *snippetObject {
-	return &snippetObject{inst: in, entries: make(map[annotation.ID]snippetEntry)}
+	return &snippetObject{inst: in}
 }
 
 // Instance implements Object.
@@ -35,55 +39,60 @@ func (s *snippetObject) Instance() *Instance { return s.inst }
 
 // Contains implements Object.
 func (s *snippetObject) Contains(id annotation.ID) bool {
-	_, ok := s.entries[id]
+	_, ok := search(s.entries, id, snippetID)
 	return ok
 }
 
 // Add implements Object.
 func (s *snippetObject) Add(d Digest) {
-	if !d.HasDoc || s.Contains(d.Ann) {
+	if !d.HasDoc {
 		return
 	}
-	s.entries[d.Ann] = snippetEntry{Title: d.Title, Snippet: d.Snippet}
+	if i, ok := search(s.entries, d.Ann, snippetID); !ok {
+		s.entries = slices.Insert(s.entries, i, snippetEntry{d.Ann, d.Title, d.Snippet})
+	}
 }
 
 // Remove implements Object — the paper's "the wikipedia article in the
 // snippet object is deleted" projection behaviour.
-func (s *snippetObject) Remove(drop func(annotation.ID) bool) {
-	for id := range s.entries {
-		if drop(id) {
-			delete(s.entries, id)
-		}
+func (s *snippetObject) Remove(ids []annotation.ID) Object {
+	kept := without(s.entries, ids, snippetID, !s.isShared())
+	if len(kept) == len(s.entries) {
+		return s
 	}
+	if s.isShared() {
+		return &snippetObject{inst: s.inst, entries: kept}
+	}
+	s.entries = kept
+	return s
 }
 
 // MergeFrom implements Object.
-func (s *snippetObject) MergeFrom(other Object) {
-	o, ok := other.(*snippetObject)
-	if !ok || o.inst.Name != s.inst.Name {
-		panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", s.inst.Name))
-	}
-	for id, e := range o.entries {
-		if !s.Contains(id) {
-			s.entries[id] = e
+func (s *snippetObject) MergeFrom(others ...Object) Object {
+	lists := make([][]snippetEntry, 1, len(others)+1)
+	lists[0] = s.entries
+	for _, other := range others {
+		o, ok := other.(*snippetObject)
+		if !ok || o.inst.Name != s.inst.Name {
+			panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", s.inst.Name))
 		}
+		lists = append(lists, o.entries)
 	}
+	entries := mergeSorted(lists, snippetID, nil)
+	if s.isShared() {
+		return &snippetObject{inst: s.inst, entries: entries}
+	}
+	s.entries = entries
+	return s
 }
 
 // Clone implements Object.
 func (s *snippetObject) Clone() Object {
-	cp := &snippetObject{
-		inst:    s.inst,
-		entries: make(map[annotation.ID]snippetEntry, len(s.entries)),
-	}
-	for id, e := range s.entries {
-		cp.entries[id] = e
-	}
-	return cp
+	return &snippetObject{inst: s.inst, entries: slices.Clone(s.entries)}
 }
 
 // Members implements Object.
-func (s *snippetObject) Members() []annotation.ID { return sortedIDs(mapKeys(s.entries)) }
+func (s *snippetObject) Members() []annotation.ID { return idsOf(s.entries, snippetID) }
 
 // Len implements Object.
 func (s *snippetObject) Len() int { return len(s.entries) }
@@ -99,8 +108,7 @@ func (s *snippetObject) Elements() []Element {
 func (s *snippetObject) elements() []Element {
 	ids := s.Members()
 	out := make([]Element, len(ids))
-	for i, id := range ids {
-		e := s.entries[id]
+	for i, e := range s.entries {
 		label := e.Title
 		if label == "" {
 			label = e.Snippet
@@ -120,11 +128,10 @@ func (s *snippetObject) render() string {
 	var b strings.Builder
 	b.WriteString(s.inst.Name)
 	b.WriteString(" [")
-	for i, id := range s.Members() {
+	for i, e := range s.entries {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		e := s.entries[id]
 		if e.Title != "" {
 			writeQuoted(&b, e.Title)
 			b.WriteString(": ")
@@ -147,13 +154,5 @@ func (s *snippetObject) ApproxBytes() int {
 // Equal implements Object.
 func (s *snippetObject) Equal(other Object) bool {
 	o, ok := other.(*snippetObject)
-	if !ok || o.inst.Name != s.inst.Name || len(o.entries) != len(s.entries) {
-		return false
-	}
-	for id, e := range s.entries {
-		if oe, ok := o.entries[id]; !ok || oe != e {
-			return false
-		}
-	}
-	return true
+	return ok && o.inst.Name == s.inst.Name && slices.Equal(o.entries, s.entries)
 }

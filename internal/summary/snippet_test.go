@@ -29,7 +29,7 @@ func TestSnippetObjectAddOnlyDocuments(t *testing.T) {
 	}
 	// The snippet must be shorter than the document.
 	so := obj.(*snippetObject)
-	if e := so.entries[2]; len(e.Snippet) >= len(wikiDoc) {
+	if e := so.entries[0]; len(e.Snippet) >= len(wikiDoc) {
 		t.Errorf("snippet not shorter than document: %d vs %d", len(e.Snippet), len(wikiDoc))
 	}
 }
@@ -40,7 +40,7 @@ func TestSnippetRemoveDeletesEntry(t *testing.T) {
 	obj.Add(in.Summarize(docAnn(1, "Experiment E", "Result one. Result two. Result three.")))
 	obj.Add(in.Summarize(docAnn(2, "Wikipedia article", wikiDoc)))
 	// The paper: "the wikipedia article in the snippet object is deleted".
-	obj.Remove(func(id annotation.ID) bool { return id == 2 })
+	obj.Remove([]annotation.ID{2})
 	if obj.Len() != 1 {
 		t.Fatalf("Len = %d", obj.Len())
 	}
@@ -90,7 +90,7 @@ func TestSnippetCloneAndEqual(t *testing.T) {
 	if !obj.Equal(cp) {
 		t.Error("clone not Equal")
 	}
-	cp.Remove(func(annotation.ID) bool { return true })
+	cp.Remove(cp.Members())
 	if obj.Len() != 1 {
 		t.Error("clone shares state")
 	}

@@ -18,6 +18,8 @@
 // projected-out columns), MergeFrom (the join/group/distinct combination
 // with shared-annotation double-count avoidance), and Elements (resolving
 // the summary elements back to raw annotation ids for zoom-in queries).
+// Their per-annotation state is kept in lists sorted by annotation id
+// (sorted.go), so removal and merge are linear walks.
 //
 // Design note: an Object stores, per member annotation, only a compact
 // digest — a class-label index, a pruned term vector and short preview, or
@@ -102,12 +104,16 @@ type Object interface {
 	// Add incorporates one annotation digest. Adding an already-contained
 	// annotation is a no-op.
 	Add(d Digest)
-	// Remove retracts every member annotation for which drop returns true,
-	// updating counts, centroids, and elected representatives.
-	Remove(drop func(annotation.ID) bool)
-	// MergeFrom combines other (an object of the same instance) into the
-	// receiver. Members already present are not double counted.
-	MergeFrom(other Object)
+	// Remove retracts the member annotations among ids (sorted ascending),
+	// updating counts, centroids, and elected representatives, and returns
+	// the result: the receiver, changed in place, unless it is shared and
+	// holds one of ids — then a changed copy, the receiver left as it was.
+	Remove(ids []annotation.ID) Object
+	// MergeFrom combines others (objects of the same instance, only read)
+	// with the receiver in one pass and returns the result: the receiver,
+	// changed in place, unless it is shared — then a new object. A member
+	// present on more than one side is counted once.
+	MergeFrom(others ...Object) Object
 	// Clone returns a copy that shares nothing either side can change in
 	// place: the instance, and a cluster object's groups, which both
 	// copies then hold shared and copy on write.
@@ -162,7 +168,7 @@ func zoom(o Object, index int) ([]annotation.ID, error) {
 
 // sharedFlag is embedded in every object type, where it implements share
 // and isShared, and in cluster groups; it is also an envelope's flag for its
-// maps. Envelopes of concurrent statements share objects, groups and stored
+// coverage list and object map. Envelopes of concurrent statements share objects, groups and stored
 // envelopes, hence atomic.
 type sharedFlag struct{ on atomic.Bool }
 

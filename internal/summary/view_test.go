@@ -235,9 +235,9 @@ func TestCombineAdoptsClusterGroupsCopyOnWrite(t *testing.T) {
 				for g := range mutatedBefore {
 					switch {
 					case touched[g] && after[g]:
-						t.Errorf("group of %d changed in place while shared", g.minID())
+						t.Errorf("group of %d changed in place while shared", g.min)
 					case !touched[g] && !after[g]:
-						t.Errorf("group of %d copied though the change did not touch it", g.minID())
+						t.Errorf("group of %d copied though the change did not touch it", g.min)
 					}
 				}
 			})
