@@ -63,8 +63,9 @@ soak-scrub:
 # tokenizer's ASCII loop against its rune loop, the result-path codec's
 # Reader, the binary decoders of wire request/response frames and
 # zoom-in spill entries, the WAL tail reader over arbitrary log bytes,
-# every WAL record body decoder, Load over arbitrary checkpoint bytes, and
-# the replication message decoder. A smoke; raise FUZZTIME locally for real
+# every WAL record body decoder, Load over arbitrary checkpoint bytes, the
+# replication message decoder, and the summary algebra's operations
+# against its map-based model. A smoke; raise FUZZTIME locally for real
 # exploration.
 FUZZTIME ?= 10s
 fuzz:
@@ -80,3 +81,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzReplicationMessage -fuzztime $(FUZZTIME) ./internal/replication/
+	$(GO) test -run '^$$' -fuzz FuzzEnvelopeOps -fuzztime $(FUZZTIME) ./internal/summary/

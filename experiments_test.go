@@ -238,6 +238,30 @@ func TestE4IncrementalMaintenance(t *testing.T) {
 			t.Errorf("total=%d: rebuild made %d summarizations in %d steps, want %d", total, rebuild, steps, instances*int64(total))
 		}
 	}
+
+	// One more annotation costs the same allocations whatever the row's
+	// envelope already holds: maintenance appends at the tail of its sorted
+	// lists and neither copies nor rehashes them.
+	texts := make([]string, 20)
+	for i := range texts {
+		texts[i] = g.ClassText(workload.BirdClasses[i%len(workload.BirdClasses)])
+	}
+	allocs := func(held int) float64 {
+		db := openWith(t, insightnotes.Config{})
+		if _, err := populate.Birds(db, workload.New(78), populate.BirdCorpusSpec{Tuples: 1, AnnotationsPerTuple: held, TrainPerClass: 8}); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		return testing.AllocsPerRun(len(texts)-1, func() {
+			run(t, db, fmt.Sprintf("ADD ANNOTATION '%s' ON birds WHERE id = 1", texts[i]))
+			i++
+		})
+	}
+	small, large := allocs(8), allocs(512)
+	t.Logf("E4 one ADD ANNOTATION: %.1f allocations on a row holding 8 annotations, %.1f on one holding 512", small, large)
+	if large > small*1.1 || large < small*0.9 {
+		t.Errorf("one ADD ANNOTATION allocates %.1f times on a row holding 8 annotations, %.1f on one holding 512 (want within ±10%%)", small, large)
+	}
 }
 
 // E5 (§2.3, Figure 4): under AnnotationInvariant ∧ DataInvariant an

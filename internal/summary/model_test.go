@@ -43,7 +43,8 @@ func FuzzEnvelopeOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runEnvelopeOps(t, data) })
 }
 
-// opStream hands out the driver's choices, then zeros once data runs out.
+// opStream hands out the driver's choices, then zeros once data runs out;
+// the driver stops there, or after 300 steps.
 type opStream struct{ data []byte }
 
 func (s *opStream) intn(n int) int {
@@ -78,7 +79,7 @@ func runEnvelopeOps(t testing.TB, data []byte) {
 		desc string
 	}
 	var views []held
-	for step := 0; len(src.data) > 0; step++ {
+	for step := 0; len(src.data) > 0 && step < 300; step++ {
 		s := &slots[src.intn(len(slots))]
 		var op string
 		switch src.intn(11) {

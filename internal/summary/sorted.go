@@ -21,7 +21,8 @@ import (
 // entry, or dropped when join is nil. Lists are merged pairwise, a level
 // at a time, O(n log k) for n entries in k lists, through two buffers of
 // n entries, so a merge of many lists neither copies the growing result
-// once per list nor allocates more than twice its size.
+// once per list nor allocates more than twice its size. lists itself is
+// overwritten.
 func mergeSorted[E any](lists [][]E, key func(E) annotation.ID, join func(kept *E, dup E)) []E {
 	n := 0
 	for _, l := range lists {
@@ -36,7 +37,7 @@ func mergeSorted[E any](lists [][]E, key func(E) annotation.ID, join func(kept *
 		return merge2(make([]E, 0, n), lists[0], lists[1], key, join)
 	}
 	buf, spare := make([]E, 0, n), make([]E, 0, n)
-	level := slices.Clone(lists)
+	level := lists
 	for len(level) > 1 {
 		next := level[:0]
 		buf = buf[:0]
