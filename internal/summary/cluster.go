@@ -218,7 +218,7 @@ func (c *clusterObject) Remove(ids []annotation.ID) Object {
 	case c.isShared() && hits == c.Len():
 		return c.inst.NewObject()
 	case c.isShared():
-		c = c.Clone().(*clusterObject)
+		c = c.clone(0, 0)
 	}
 	var touched []*clusterGroup
 	seen := map[*clusterGroup]bool{}
@@ -260,15 +260,27 @@ func (c *clusterObject) Remove(ids []annotation.ID) Object {
 // comment). An incoming group that meets no local group is adopted as is,
 // shared with its object.
 func (c *clusterObject) MergeFrom(others ...Object) Object {
-	if c.isShared() {
-		c = c.Clone().(*clusterObject)
-	}
+	// Size the member index and the group list for the result up front
+	// rather than growing them group by group.
+	members, groups := len(c.memberGroup), len(c.groups)
 	for _, other := range others {
 		o, ok := other.(*clusterObject)
 		if !ok || o.inst.Name != c.inst.Name {
 			panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", c.inst.Name))
 		}
-		c.fold(o)
+		members, groups = members+len(o.memberGroup), groups+len(o.groups)
+	}
+	switch {
+	case c.isShared():
+		c = c.clone(members, groups)
+	case members > 2*len(c.memberGroup):
+		index := make(map[annotation.ID]*clusterGroup, members)
+		maps.Copy(index, c.memberGroup)
+		c.memberGroup = index
+		c.groups = slices.Grow(c.groups, groups-len(c.groups))
+	}
+	for _, other := range others {
+		c.fold(other.(*clusterObject))
 	}
 	for _, g := range c.groups {
 		g.settle()
@@ -359,11 +371,21 @@ func (c *clusterObject) combineGroups(groups []*clusterGroup) *clusterGroup {
 
 // Clone implements Object: a new group list and member index over the same
 // groups, which both objects then hold shared.
-func (c *clusterObject) Clone() Object {
+func (c *clusterObject) Clone() Object { return c.clone(0, 0) }
+
+// clone is Clone with room for the given numbers of members and groups.
+func (c *clusterObject) clone(members, groups int) *clusterObject {
 	for _, g := range c.groups {
 		g.share()
 	}
-	return &clusterObject{inst: c.inst, groups: slices.Clone(c.groups), memberGroup: maps.Clone(c.memberGroup)}
+	cp := &clusterObject{inst: c.inst, groups: append(make([]*clusterGroup, 0, max(groups, len(c.groups))), c.groups...)}
+	if members > len(c.memberGroup) {
+		cp.memberGroup = make(map[annotation.ID]*clusterGroup, members)
+		maps.Copy(cp.memberGroup, c.memberGroup)
+	} else {
+		cp.memberGroup = maps.Clone(c.memberGroup)
+	}
+	return cp
 }
 
 // ownGroup returns g ready to be changed in place: a shared group is first

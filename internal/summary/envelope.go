@@ -193,7 +193,9 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 	src, dst := e.cover, e.cover[:0]
 	if e.shared.isShared() {
 		dst = make([]coverEntry, 0, len(src))
-		e.writeObjects()
+		for _, obj := range e.Objects {
+			obj.share() // the other holder references them
+		}
 	}
 	var dropped []annotation.ID
 	var in, out annotation.ColSet // the last remapped set: neighbours often share it
@@ -221,16 +223,24 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 // curate retracts the dropped annotations (sorted ascending) from every
 // object: an object holding none of them stays as it is, a shared one
 // holding some is replaced by a changed copy, and an emptied one is
-// dropped.
+// dropped. The object map of a shared envelope, whose objects the caller
+// has latched shared, is copied only when one of them changes, so a
+// projection that drops nothing leaves a view's object map shared.
 func (e *Envelope) curate(dropped []annotation.ID) {
 	if len(dropped) == 0 {
 		return
 	}
 	for name, obj := range e.Objects {
-		switch out := obj.Remove(dropped); {
-		case out.Len() == 0:
+		out := obj.Remove(dropped)
+		if out == obj && out.Len() > 0 {
+			continue
+		}
+		if e.shared.isShared() {
+			e.writeObjects()
+		}
+		if out.Len() == 0 {
 			delete(e.Objects, name)
-		case out != obj:
+		} else {
 			e.Objects[name] = out
 		}
 	}

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"maps"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,6 +124,39 @@ func TestMergeAdoptsSharedThenCopiesOnWrite(t *testing.T) {
 		t.Errorf("mutating the donor changed the adopter: %s", left.Render())
 	}
 }
+
+// TestProjectedViewSharesItsObjects: a projection of a view that drops no
+// annotation writes its own coverage but keeps the lender's object map, its
+// objects latched shared so that their presentation is memoised for every
+// later reader; one that drops an annotation copies the map and changes
+// only its own objects.
+func TestProjectedViewSharesItsObjects(t *testing.T) {
+	lender, _, _, _ := buildTupleEnvelope(t)
+	want := lender.Render()
+	v := lender.View()
+	v.Project([]int{3, 2, 1, 0}) // every annotation keeps a column
+	if !sameMap(v.Objects, lender.Objects) {
+		t.Error("a projection that dropped nothing copied the object map")
+	}
+	for name, obj := range v.Objects {
+		if !obj.isShared() {
+			t.Errorf("%s: not latched shared after the projection", name)
+		}
+	}
+	if v.CoverOf(4) != annotation.Col(0) || lender.CoverOf(4) != annotation.Col(3) {
+		t.Errorf("coverage of 4: view %v, lender %v", v.CoverOf(4), lender.CoverOf(4))
+	}
+	v.Project([]int{1, 2, 3}) // drops annotation 4, now on column 0: the snippet object's only member
+	if sameMap(v.Objects, lender.Objects) || v.Object("TextSummary1") != nil {
+		t.Error("a projection that dropped the snippet kept the lender's object map")
+	}
+	if got := lender.Render(); got != want {
+		t.Errorf("projecting the view changed the lender:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// sameMap reports whether a and b are the same map.
+func sameMap(a, b map[string]Object) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
 
 // TestCloneSharesNothing: Clone, even of a view, shares nothing that either
 // side can change in place. Maps and objects are the copy's own; the cluster
