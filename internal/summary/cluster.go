@@ -79,7 +79,7 @@ type clusterGroup struct {
 	repPreview string
 	// min is the smallest member id, pending ones included: the canonical
 	// group sort key.
-	min        annotation.ID
+	min annotation.ID
 	sharedFlag
 	label atomic.Pointer[string]
 }

@@ -156,7 +156,9 @@ func TestProjectedViewSharesItsObjects(t *testing.T) {
 }
 
 // sameMap reports whether a and b are the same map.
-func sameMap(a, b map[string]Object) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+func sameMap(a, b map[string]Object) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
 
 // TestCloneSharesNothing: Clone, even of a view, shares nothing that either
 // side can change in place. Maps and objects are the copy's own; the cluster
