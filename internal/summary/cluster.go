@@ -260,8 +260,6 @@ func (c *clusterObject) Remove(ids []annotation.ID) Object {
 // comment). An incoming group that meets no local group is adopted as is,
 // shared with its object.
 func (c *clusterObject) MergeFrom(others ...Object) Object {
-	// Size the member index and the group list for the result up front
-	// rather than growing them group by group.
 	members, groups := len(c.memberGroup), len(c.groups)
 	for _, other := range others {
 		o, ok := other.(*clusterObject)
@@ -270,14 +268,10 @@ func (c *clusterObject) MergeFrom(others ...Object) Object {
 		}
 		members, groups = members+len(o.memberGroup), groups+len(o.groups)
 	}
-	switch {
-	case c.isShared():
+	if c.isShared() {
+		// The copy's member index and group list are sized for the result
+		// rather than grown group by group.
 		c = c.clone(members, groups)
-	case members > 2*len(c.memberGroup):
-		index := make(map[annotation.ID]*clusterGroup, members)
-		maps.Copy(index, c.memberGroup)
-		c.memberGroup = index
-		c.groups = slices.Grow(c.groups, groups-len(c.groups))
 	}
 	for _, other := range others {
 		c.fold(other.(*clusterObject))
