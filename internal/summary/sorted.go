@@ -10,11 +10,10 @@ import (
 // Sorted id lists. Every per-annotation collection a summary keeps — an
 // envelope's coverage, a classifier's labels, a snippet object's entries,
 // a cluster group's members — is a slice sorted by annotation id with no
-// id repeated. A merge of such lists is a linear merge, and a removal a
-// linear walk, instead of a walk over a hash map; the lists of coverage,
-// labels and members hold no pointers, so the garbage collector does not
-// scan them. The helpers below are that list algebra; key extracts an
-// entry's id.
+// id repeated. A merge of such lists is a linear merge and a removal a
+// linear walk, and the lists of coverage, labels and members hold no
+// pointers, so the garbage collector does not scan them. The helpers below
+// are that list algebra; key extracts an entry's id.
 
 // mergeSorted merges lists into a new sorted list. An entry whose id an
 // earlier list already holds is handed to join together with the kept
