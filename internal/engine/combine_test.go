@@ -37,6 +37,25 @@ func TestCombineScalesWithInterleavedIDs(t *testing.T) {
 // of them with a document.
 func interleavedWorld(t *testing.T, rows, perRow int) *engine.DB {
 	t.Helper()
+	db, g := groupWorld(t, rows)
+	for r := 0; r < perRow; r++ {
+		for i := 1; i <= rows; i++ {
+			doc := ""
+			if i%5 == r {
+				doc = fmt.Sprintf(" TITLE 'report %d' DOCUMENT 'Sighting %d of round %d. The bird was seen near the lake.'", i, i, r)
+			}
+			viewExec(t, db, fmt.Sprintf("ADD ANNOTATION '%s'%s ON obs WHERE id = %d", g.ClassText(groupClasses[(i+r)%4]), doc, i))
+		}
+	}
+	return db
+}
+
+var groupClasses = []string{"Behavior", "Disease", "Anatomy", "Other"}
+
+// groupWorld is a table obs of rows in one group (grp = 1) under the three
+// demo instances, not yet annotated.
+func groupWorld(t *testing.T, rows int) (*engine.DB, *workload.Generator) {
+	t.Helper()
 	db, err := engine.Open(engine.Config{CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -54,17 +73,7 @@ func interleavedWorld(t *testing.T, rows, perRow int) *engine.DB {
 	for _, in := range []string{"ClassBird1", "SimCluster", "TextSummary1"} {
 		viewExec(t, db, "LINK SUMMARY "+in+" TO obs")
 	}
-	classes := []string{"Behavior", "Disease", "Anatomy", "Other"}
-	for r := 0; r < perRow; r++ {
-		for i := 1; i <= rows; i++ {
-			doc := ""
-			if i%5 == r {
-				doc = fmt.Sprintf(" TITLE 'report %d' DOCUMENT 'Sighting %d of round %d. The bird was seen near the lake.'", i, i, r)
-			}
-			viewExec(t, db, fmt.Sprintf("ADD ANNOTATION '%s'%s ON obs WHERE id = %d", g.ClassText(classes[(i+r)%4]), doc, i))
-		}
-	}
-	return db
+	return db, g
 }
 
 // combineBytes returns the bytes one run of q allocates, averaged over
@@ -83,4 +92,72 @@ func combineBytes(t *testing.T, db *engine.DB, q string) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestCombinedEnvelopeIsSizedToItsSummary: when every row of a group
+// carries the same annotations, the group's combined envelope is as small
+// at 4N rows as at N. A combine sized for all the rows' entries at once
+// would keep lists with room for every row's copy of them: the live heap a
+// result holds would grow 4×. The test also logs the most the statement
+// held live while it scanned, sampled once per batch.
+func TestCombinedEnvelopeIsSizedToItsSummary(t *testing.T) {
+	const n = 150
+	for _, q := range []string{
+		"SELECT grp, COUNT(*) FROM obs GROUP BY grp",
+		"SELECT DISTINCT grp FROM obs",
+	} {
+		var held, peak [2]uint64
+		for i, rows := range []int{n, 4 * n} {
+			db, g := groupWorld(t, rows)
+			for _, class := range groupClasses {
+				viewExec(t, db, fmt.Sprintf("ADD ANNOTATION '%s' ON obs WHERE grp = 1", g.ClassText(class)))
+			}
+			held[i], peak[i] = liveHeap(t, db, q)
+		}
+		t.Logf("%s: result holds %d B at %d rows, %d B at %d; at most %d B and %d B live while scanning", q, held[0], n, held[1], 4*n, peak[0], peak[1])
+		if held[1] > 2*held[0]+8<<10 { // 8 KiB for the heap's own noise
+			t.Errorf("%s: result holds %d B at %d rows, %d B at %d rows (want ≤ 2× + 8 KiB)", q, held[0], n, held[1], 4*n)
+		}
+	}
+}
+
+// liveHeap runs q twice and returns, for the second run, the live heap its
+// result holds and the most the statement held live at a scan batch.
+func liveHeap(t *testing.T, db *engine.DB, q string) (held, peak uint64) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		p := &heapProbe{Context: context.Background()}
+		res, err := db.Query(p, q, engine.WithParallelism(1), engine.WithBatchSize(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, peak = heapAlloc()-p.first, p.peak-p.first
+		runtime.KeepAlive(res)
+	}
+	return held, peak
+}
+
+// heapProbe is a statement context whose cancellation poll, made once at
+// the statement's start and once per scan batch, records the live heap.
+type heapProbe struct {
+	context.Context
+	first, peak uint64
+	polled      bool
+}
+
+func (p *heapProbe) Err() error {
+	live := heapAlloc()
+	if !p.polled {
+		p.first, p.polled = live, true
+	}
+	p.peak = max(p.peak, live)
+	return nil
+}
+
+// heapAlloc collects garbage and returns the bytes of live heap objects.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

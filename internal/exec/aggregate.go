@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"insightnotes/internal/annotation"
-	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
 
@@ -95,10 +94,9 @@ func (s *aggState) result(fn string, starCount int64) (types.Value, error) {
 // group's output envelope — the paper's grouping transformation — with
 // coverage remapped so that an annotation on a key input column follows
 // that key's output position and an annotation on an aggregated input
-// column follows the aggregate's output position. A group keeps its
-// members' remapped envelopes and combines them once, when the input is
-// drained: one merge of all their sorted lists, not one per row into a
-// growing accumulator.
+// column follows the aggregate's output position. A group combines its
+// members' remapped envelopes in batches (envGroup): one merge of many
+// sorted lists at a time, not one per row into a growing accumulator.
 type GroupAggregate struct {
 	instr
 	child   Operator
@@ -147,7 +145,7 @@ type aggGroup struct {
 	keyVals types.Tuple
 	states  []aggState
 	star    int64
-	envs    []*summary.Envelope // the members' remapped envelopes
+	env     envGroup // the members' remapped envelopes
 }
 
 // Open implements Operator: drains the child and materializes the groups
@@ -197,7 +195,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			g.merged(ec)
 		}
 		if env := envRemap(row.Env, g.mapping); env != nil {
-			grp.envs = append(grp.envs, env)
+			grp.env.add(env)
 		}
 		return nil
 	})
@@ -223,7 +221,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			}
 			tu = append(tu, v)
 		}
-		g.out = append(g.out, &Row{Tuple: tu, Env: envCombine(grp.envs)})
+		g.out = append(g.out, &Row{Tuple: tu, Env: grp.env.combine()})
 	}
 	g.pos = 0
 	return nil
@@ -250,7 +248,7 @@ func (g *GroupAggregate) Close() error {
 // eliminated duplicates into the surviving row — the paper's duplicate-
 // elimination transformation: a reported tuple's summaries reflect every
 // input duplicate's annotations. Like GroupAggregate it combines each
-// survivor's envelopes once, when the input is drained.
+// survivor's envelopes in batches.
 type Distinct struct {
 	instr
 	child Operator
@@ -272,7 +270,7 @@ func (d *Distinct) Open(ec *ExecContext) error {
 		return err
 	}
 	seen := make(map[uint64][]*Row)
-	envs := make(map[*Row][]*summary.Envelope) // survivors with duplicates
+	envs := make(map[*Row]*envGroup) // survivors with duplicates
 	d.out = d.out[:0]
 	err := drain(ec, d.child, func(row *Row) error {
 		h := row.Tuple.Hash(nil)
@@ -290,19 +288,20 @@ func (d *Distinct) Open(ec *ExecContext) error {
 		}
 		if row.Env != nil {
 			d.merged(ec)
-			l, ok := envs[match]
-			if !ok && match.Env != nil {
-				l = append(l, match.Env)
+			grp, ok := envs[match]
+			if !ok {
+				grp = &envGroup{env: match.Env}
+				envs[match] = grp
 			}
-			envs[match] = append(l, row.Env)
+			grp.add(row.Env)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for row, l := range envs {
-		row.Env = envCombine(l)
+	for row, grp := range envs {
+		row.Env = grp.combine()
 	}
 	d.pos = 0
 	return nil

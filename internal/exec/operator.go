@@ -139,12 +139,43 @@ func envMerge(left, right *summary.Envelope, leftWidth int) *summary.Envelope {
 	return left
 }
 
-// envCombine combines envs (none nil) into the first of them for
-// same-shape combination (grouping, distinct); no envelopes combine to nil.
-func envCombine(envs []*summary.Envelope) *summary.Envelope {
-	if len(envs) == 0 {
-		return nil
+// envGroup combines the envelopes of one output row (a group, a distinct
+// survivor) into the first of them, in input order. The rest wait in
+// pending and are combined in one pass when the input ends, or earlier
+// once they hold combineBatch coverage entries and as many as the
+// combined envelope: what waits never outgrows the summary combined so
+// far or combineBatch, and since each early combine at least doubles the
+// entries merged, every entry is merged O(1) times amortized however the
+// rows' ids interleave.
+type envGroup struct {
+	env     *summary.Envelope
+	pending []*summary.Envelope
+	entries int // coverage entries pending
+}
+
+// combineBatch is the pending coverage entries (16 B each) below which a
+// group is not combined before its input ends.
+const combineBatch = 4096
+
+// add queues e (not nil) for combination.
+func (g *envGroup) add(e *summary.Envelope) {
+	if g.env == nil {
+		g.env = e
+		return
 	}
-	envs[0].Combine(envs[1:]...)
-	return envs[0]
+	g.pending = append(g.pending, e)
+	if g.entries += e.Len(); g.entries >= max(combineBatch, g.env.Len()) {
+		g.combine()
+	}
+}
+
+// combine combines what is pending and returns the group's envelope; a
+// group that was never given one combines to nil.
+func (g *envGroup) combine() *summary.Envelope {
+	if len(g.pending) > 0 {
+		g.env.Combine(g.pending...)
+		clear(g.pending) // let the combined envelopes go
+		g.pending, g.entries = g.pending[:0], 0
+	}
+	return g.env
 }

@@ -576,3 +576,42 @@ func TestValuesOp(t *testing.T) {
 		t.Fatalf("Collect = %v, %v", got, err)
 	}
 }
+
+// TestEnvGroupBoundsPending: a group's waiting envelopes never hold
+// combineBatch coverage entries and as many as the envelope combined so
+// far, whether the rows repeat the same annotations (the combined summary
+// stays small) or each brings new ones whose ids interleave with the
+// others'; and the batches combine to the envelope of all the rows'
+// annotations.
+func TestEnvGroupBoundsPending(t *testing.T) {
+	f := newFixture(t)
+	const rows = 2 * combineBatch / 4 // two batches of four-annotation rows
+	for _, tc := range []struct {
+		name string
+		id   func(row, k int) annotation.ID
+	}{
+		{"repeated", func(row, k int) annotation.ID { return annotation.ID(k + 1) }},
+		{"interleaved", func(row, k int) annotation.ID { return annotation.ID(k*rows + row + 1) }},
+	} {
+		var g envGroup
+		want := summary.NewEnvelope()
+		for row := 0; row < rows; row++ {
+			env := summary.NewEnvelope()
+			for k := 0; k < 4; k++ {
+				d := f.cls.Summarize(annotation.Annotation{ID: tc.id(row, k), Text: "looks wrong needs checking"})
+				env.Add(f.cls, d, annotation.WholeRow(3))
+				want.Add(f.cls, d, annotation.WholeRow(3))
+			}
+			g.add(env)
+			if g.entries >= max(combineBatch, g.env.Len()) {
+				t.Fatalf("%s, row %d: %d entries pending on an envelope of %d", tc.name, row, g.entries, g.env.Len())
+			}
+		}
+		if len(g.pending) == rows-1 {
+			t.Errorf("%s: nothing combined before the input ended", tc.name)
+		}
+		if got := g.combine(); !got.Equal(want) {
+			t.Errorf("%s: combined %d annotations, want %d", tc.name, got.Len(), want.Len())
+		}
+	}
+}

@@ -218,7 +218,7 @@ func (c *clusterObject) Remove(ids []annotation.ID) Object {
 	case c.isShared() && hits == c.Len():
 		return c.inst.NewObject()
 	case c.isShared():
-		c = c.clone(0, 0)
+		c = c.Clone().(*clusterObject)
 	}
 	var touched []*clusterGroup
 	seen := map[*clusterGroup]bool{}
@@ -260,18 +260,13 @@ func (c *clusterObject) Remove(ids []annotation.ID) Object {
 // comment). An incoming group that meets no local group is adopted as is,
 // shared with its object.
 func (c *clusterObject) MergeFrom(others ...Object) Object {
-	members, groups := len(c.memberGroup), len(c.groups)
 	for _, other := range others {
-		o, ok := other.(*clusterObject)
-		if !ok || o.inst.Name != c.inst.Name {
+		if o, ok := other.(*clusterObject); !ok || o.inst.Name != c.inst.Name {
 			panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", c.inst.Name))
 		}
-		members, groups = members+len(o.memberGroup), groups+len(o.groups)
 	}
 	if c.isShared() {
-		// The copy's member index and group list are sized for the result
-		// rather than grown group by group.
-		c = c.clone(members, groups)
+		c = c.Clone().(*clusterObject)
 	}
 	for _, other := range others {
 		c.fold(other.(*clusterObject))
@@ -365,21 +360,11 @@ func (c *clusterObject) combineGroups(groups []*clusterGroup) *clusterGroup {
 
 // Clone implements Object: a new group list and member index over the same
 // groups, which both objects then hold shared.
-func (c *clusterObject) Clone() Object { return c.clone(0, 0) }
-
-// clone is Clone with room for the given numbers of members and groups.
-func (c *clusterObject) clone(members, groups int) *clusterObject {
+func (c *clusterObject) Clone() Object {
 	for _, g := range c.groups {
 		g.share()
 	}
-	cp := &clusterObject{inst: c.inst, groups: append(make([]*clusterGroup, 0, max(groups, len(c.groups))), c.groups...)}
-	if members > len(c.memberGroup) {
-		cp.memberGroup = make(map[annotation.ID]*clusterGroup, members)
-		maps.Copy(cp.memberGroup, c.memberGroup)
-	} else {
-		cp.memberGroup = maps.Clone(c.memberGroup)
-	}
-	return cp
+	return &clusterObject{inst: c.inst, groups: slices.Clone(c.groups), memberGroup: maps.Clone(c.memberGroup)}
 }
 
 // ownGroup returns g ready to be changed in place: a shared group is first

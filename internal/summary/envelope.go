@@ -198,17 +198,14 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 		}
 	}
 	var dropped []annotation.ID
-	var in, out annotation.ColSet // the last remapped set: neighbours often share it
 	for _, c := range src {
-		if c.cols != in {
-			in, out = c.cols, 0
-			for rest := uint64(c.cols); rest != 0; rest &= rest - 1 {
-				i := bits.TrailingZeros64(rest)
-				if i >= len(mapping) {
-					break
-				}
-				out |= mapping[i]
+		var out annotation.ColSet
+		for rest := uint64(c.cols); rest != 0; rest &= rest - 1 {
+			i := bits.TrailingZeros64(rest)
+			if i >= len(mapping) {
+				break
 			}
+			out |= mapping[i]
 		}
 		if out == 0 {
 			dropped = append(dropped, c.id)

@@ -19,9 +19,10 @@ import (
 // earlier list already holds is handed to join together with the kept
 // entry, or dropped when join is nil. Lists are merged pairwise, a level
 // at a time, O(n log k) for n entries in k lists, through two buffers of
-// n entries, so a merge of many lists neither copies the growing result
-// once per list nor allocates more than twice its size. lists itself is
-// overwritten.
+// n entries, so a merge of many lists never copies the growing result once
+// per list. A result shorter than n/2 (ids repeated across the lists) is
+// copied out of its buffer, so that it never keeps more than twice its
+// length alive. lists itself is overwritten.
 func mergeSorted[E any](lists [][]E, key func(E) annotation.ID, join func(kept *E, dup E)) []E {
 	n := 0
 	for _, l := range lists {
@@ -51,6 +52,9 @@ func mergeSorted[E any](lists [][]E, key func(E) annotation.ID, join func(kept *
 		}
 		level = next
 		buf, spare = spare, buf
+	}
+	if out := level[0]; 2*len(out) < n {
+		return slices.Clone(out)
 	}
 	return level[0]
 }
