@@ -143,10 +143,10 @@ func envMerge(left, right *summary.Envelope, leftWidth int) *summary.Envelope {
 // survivor) into the first of them, in input order. The rest wait in
 // pending and are combined in one pass when the input ends, or earlier
 // once they hold combineBatch coverage entries and as many as the
-// combined envelope: what waits never outgrows the summary combined so
-// far or combineBatch, and since each early combine at least doubles the
-// entries merged, every entry is merged O(1) times amortized however the
-// rows' ids interleave.
+// combined envelope: what waits stays under the larger of the two, plus
+// one row, and since an early combine merges at least as many pending
+// entries as combined ones, every entry is merged O(1) times amortized
+// however the rows' ids interleave.
 type envGroup struct {
 	env     *summary.Envelope
 	pending []*summary.Envelope
