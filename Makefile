@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench microbench crash-sim soak soak-repl soak-scrub fuzz check vet race
+.PHONY: build test bench microbench crash-sim soak soak-repl soak-scrub fuzz check vet race loc
 
 build:
 	$(GO) build ./...
@@ -51,10 +51,10 @@ soak-repl:
 
 # soak-scrub is the bit-rot chaos soak on its own: random byte flips
 # injected into heap pages on disk of a primary/replica pair; the scrubber
-# must detect every flip, repair memory-mirrored pages locally, repair row
-# and annotation pages from a CRC-verified snapshot over the replication
-# link, rebuild a disagreeing index from the heap, and shed reads of
-# unrepairable pages with the structured CORRUPT error.
+# must detect every flip, repair row and annotation pages from a
+# CRC-verified checkpoint over the replication link, rebuild a disagreeing
+# index from the heap, and shed reads of unrepairable pages with the
+# structured CORRUPT error.
 soak-scrub:
 	$(GO) test -run TestScrubSoak -count=1 -race -short -v ./internal/replication/
 
@@ -82,3 +82,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzReplicationMessage -fuzztime $(FUZZTIME) ./internal/replication/
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeOps -fuzztime $(FUZZTIME) ./internal/summary/
+
+# loc prints the non-test Go line count of each package under internal/
+# (build-constrained files the host would not compile are left out) and
+# their total.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... | \
+		while read -r pkg files; do printf '%7d %s\n' "$$(cat /dev/null $$files | wc -l)" "$${pkg#*/}"; done | \
+		awk '{ print; n += $$1 } END { printf "%7d total\n", n }'

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -239,28 +240,40 @@ func TestE4IncrementalMaintenance(t *testing.T) {
 		}
 	}
 
-	// One more annotation costs the same allocations whatever the row's
-	// envelope already holds: maintenance appends at the tail of its sorted
-	// lists and neither copies nor rehashes them.
+	// One more annotation costs the same allocations, and the same bytes,
+	// whatever the row already holds: maintenance appends at the tail of
+	// its sorted lists and neither copies nor rehashes them.
 	texts := make([]string, 20)
 	for i := range texts {
 		texts[i] = g.ClassText(workload.BirdClasses[i%len(workload.BirdClasses)])
 	}
-	allocs := func(held int) float64 {
+	// cost is testing.AllocsPerRun (one warm-up call, then the average
+	// over len(texts)-1 calls) reporting bytes beside the allocation count.
+	cost := func(held int) (allocs, bytes float64) {
 		db := openWith(t, insightnotes.Config{})
 		if _, err := populate.Birds(db, workload.New(78), populate.BirdCorpusSpec{Tuples: 1, AnnotationsPerTuple: held, TrainPerClass: 8}); err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		return testing.AllocsPerRun(len(texts)-1, func() {
-			run(t, db, fmt.Sprintf("ADD ANNOTATION '%s' ON birds WHERE id = 1", texts[i]))
-			i++
-		})
+		add := func(text string) { run(t, db, fmt.Sprintf("ADD ANNOTATION '%s' ON birds WHERE id = 1", text)) }
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		add(texts[0])
+		runs := uint64(len(texts) - 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, text := range texts[1:] {
+			add(text)
+		}
+		runtime.ReadMemStats(&after)
+		return float64((after.Mallocs - before.Mallocs) / runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 	}
-	small, large := allocs(8), allocs(512)
-	t.Logf("E4 one ADD ANNOTATION: %.1f allocations on a row holding 8 annotations, %.1f on one holding 512", small, large)
+	small, smallBytes := cost(8)
+	large, largeBytes := cost(512)
+	t.Logf("E4 one ADD ANNOTATION: %.1f allocations (%.0f B) on a row holding 8 annotations, %.1f (%.0f B) on one holding 512", small, smallBytes, large, largeBytes)
 	if large > small*1.1 || large < small*0.9 {
 		t.Errorf("one ADD ANNOTATION allocates %.1f times on a row holding 8 annotations, %.1f on one holding 512 (want within ±10%%)", small, large)
+	}
+	if largeBytes > smallBytes*1.1 || largeBytes < smallBytes*0.9 {
+		t.Errorf("one ADD ANNOTATION allocates %.0f B on a row holding 8 annotations, %.0f B on one holding 512 (want within ±10%%)", smallBytes, largeBytes)
 	}
 }
 

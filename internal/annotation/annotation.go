@@ -180,7 +180,8 @@ func decodeAnnotation(data []byte) (Annotation, error) {
 	}, nil
 }
 
-// encodeTarget serializes one target record.
+// encodeTarget is the record form of one target. Targets are held in
+// memory; only the record's length is kept, counted into RawBytes.
 func encodeTarget(id ID, tg Target) []byte {
 	t := types.Tuple{
 		types.NewInt(int64(id)),
@@ -189,19 +190,4 @@ func encodeTarget(id ID, tg Target) []byte {
 		types.NewInt(int64(tg.Columns)),
 	}
 	return types.EncodeTuple(nil, t)
-}
-
-func decodeTarget(data []byte) (ID, Target, error) {
-	t, _, err := types.DecodeTuple(data)
-	if err != nil {
-		return 0, Target{}, err
-	}
-	if len(t) != 4 {
-		return 0, Target{}, fmt.Errorf("annotation: corrupt target record of %d fields", len(t))
-	}
-	return ID(t[0].Int()), Target{
-		Table:   t[1].Str(),
-		Row:     types.RowID(t[2].Int()),
-		Columns: ColSet(t[3].Int()),
-	}, nil
 }

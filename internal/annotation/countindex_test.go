@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"insightnotes/internal/storage"
 	"insightnotes/internal/types"
 )
 
@@ -99,26 +98,5 @@ func TestCountIndexTracksMutations(t *testing.T) {
 	}
 	if got, want := s.RowsAnnotatedAtLeast("t", 1), []types.RowID{2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("after DetachRow: RowsAnnotatedAtLeast(1) = %v, want %v", got, want)
-	}
-}
-
-// TestCountIndexRebuiltOnOpen: OpenStore rebuilds the count index from the
-// persisted heap records.
-func TestCountIndexRebuiltOnOpen(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemStore(), 64)
-	s := NewStore(pool)
-	addTo(t, s, "t", 1)
-	addTo(t, s, "t", 2)
-	addTo(t, s, "t", 2)
-	annPages, targetPages := s.Pages()
-
-	reopened, err := OpenStore(pool, annPages, targetPages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := reopened.TopAnnotated("t", 10)
-	want := []RowCount{{Row: 2, Count: 2}, {Row: 1, Count: 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TopAnnotated after reopen = %v, want %v", got, want)
 	}
 }

@@ -1,6 +1,8 @@
 package annotation
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,7 +17,7 @@ const annStripes = 32
 
 // rowIndex is the (table, row) → annotation-ref index, sharded N ways by
 // tuple key so parallel scan workers resolving a tuple's refs do not
-// serialize on the store's main mutex. The heap files and the id-keyed
+// serialize on the store's main mutex. The heap file and the id-keyed
 // indexes stay under Store.mu; writers that need both take Store.mu before
 // any stripe lock — the ordering is always Store.mu → stripe, never the
 // reverse.
@@ -29,6 +31,10 @@ type rowIndex struct {
 	counts *storage.BTree
 }
 
+// annStripe holds, per tuple, its refs sorted by annotation id with each
+// id once: refs of one annotation to disjoint column sets of a tuple are
+// merged on arrival, so a tuple's distinct-annotation count is the length
+// of its list.
 type annStripe struct {
 	mu sync.RWMutex
 	m  map[string]map[types.RowID][]Ref
@@ -45,22 +51,6 @@ func newRowIndex() *rowIndex {
 // countKey is the count-index key of (table, n).
 func countKey(table string, n int) []byte {
 	return storage.EncodeCompositeKey(nil, types.NewString(table), types.NewInt(int64(n)))
-}
-
-// distinctIDs counts the distinct annotation ids in a ref list (one
-// annotation may contribute several refs with different column sets).
-func distinctIDs(refs []Ref) int {
-	switch len(refs) {
-	case 0:
-		return 0
-	case 1:
-		return 1
-	}
-	seen := make(map[ID]struct{}, len(refs))
-	for _, r := range refs {
-		seen[r.ID] = struct{}{}
-	}
-	return len(seen)
 }
 
 // recount moves a row's count-index entry from before to after distinct
@@ -91,7 +81,14 @@ func (ix *rowIndex) stripeFor(table string, row types.RowID) *annStripe {
 	return &ix.stripes[h%annStripes]
 }
 
-// add appends a ref to a tuple's list.
+// searchRef locates id in a tuple's sorted ref list.
+func searchRef(refs []Ref, id ID) (int, bool) {
+	return slices.BinarySearchFunc(refs, id, func(r Ref, id ID) int { return cmp.Compare(r.ID, id) })
+}
+
+// add attaches a ref to a tuple: a new id is inserted in id order (an
+// append at the tail when ids arrive ascending), a known one gains the
+// ref's columns.
 func (ix *rowIndex) add(table string, row types.RowID, ref Ref) {
 	st := ix.stripeFor(table, row)
 	st.mu.Lock()
@@ -101,62 +98,50 @@ func (ix *rowIndex) add(table string, row types.RowID, ref Ref) {
 		rows = make(map[types.RowID][]Ref)
 		st.m[table] = rows
 	}
-	before := distinctIDs(rows[row])
-	rows[row] = append(rows[row], ref)
-	ix.recount(table, row, before, distinctIDs(rows[row]))
+	refs := rows[row]
+	i, found := searchRef(refs, ref.ID)
+	if found {
+		refs[i].Columns = refs[i].Columns.Union(ref.Columns)
+		return
+	}
+	rows[row] = slices.Insert(refs, i, ref)
+	ix.recount(table, row, len(refs), len(refs)+1)
 }
 
-// refs returns the refs of a tuple, merged by annotation id (union column
+// refs returns the refs of a tuple, one per annotation id (union column
 // coverage) and sorted by id — a private copy, safe to hold after the
 // stripe lock is released.
 func (ix *rowIndex) refs(table string, row types.RowID) []Ref {
 	st := ix.stripeFor(table, row)
 	st.mu.RLock()
-	raw := st.m[table][row]
-	if len(raw) == 0 {
-		st.mu.RUnlock()
-		return nil
-	}
-	merged := make(map[ID]ColSet, len(raw))
-	for _, r := range raw {
-		merged[r.ID] = merged[r.ID].Union(r.Columns)
-	}
-	st.mu.RUnlock()
-	out := make([]Ref, 0, len(merged))
-	for id, cols := range merged {
-		out = append(out, Ref{ID: id, Columns: cols})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	defer st.mu.RUnlock()
+	return slices.Clone(st.m[table][row])
 }
 
-// dropAnn removes one annotation's refs from a tuple's list, dropping the
+// dropAnn removes one annotation's ref from a tuple's list, dropping the
 // list when it empties.
 func (ix *rowIndex) dropAnn(table string, row types.RowID, id ID) {
 	st := ix.stripeFor(table, row)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	refs := st.m[table][row]
-	before := distinctIDs(refs)
-	kept := refs[:0]
-	for _, r := range refs {
-		if r.ID != id {
-			kept = append(kept, r)
-		}
+	i, found := searchRef(refs, id)
+	if !found {
+		return
 	}
-	if len(kept) == 0 {
+	if len(refs) == 1 {
 		delete(st.m[table], row)
 	} else {
-		st.m[table][row] = kept
+		st.m[table][row] = slices.Delete(refs, i, i+1)
 	}
-	ix.recount(table, row, before, distinctIDs(kept))
+	ix.recount(table, row, len(refs), len(refs)-1)
 }
 
 // deleteRow drops a tuple's ref list entirely (tuple deletion cascade).
 func (ix *rowIndex) deleteRow(table string, row types.RowID) {
 	st := ix.stripeFor(table, row)
 	st.mu.Lock()
-	ix.recount(table, row, distinctIDs(st.m[table][row]), 0)
+	ix.recount(table, row, len(st.m[table][row]), 0)
 	delete(st.m[table], row)
 	st.mu.Unlock()
 }

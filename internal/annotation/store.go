@@ -9,105 +9,43 @@ import (
 	"insightnotes/internal/types"
 )
 
-// Store persists raw annotations and their targets in two heap files and
-// maintains in-memory indexes: annotation id → heap RID, and
-// (table, row) → annotation refs. The indexes are rebuilt from the heaps by
-// OpenStore, mirroring the package storage convention.
+// Store keeps raw annotations in a heap file and their targets in memory,
+// with in-memory indexes: annotation id → heap RID, and (table, row) →
+// annotation refs.
 //
-// Locking: mu guards the heap files and the id-keyed indexes; the hot
+// Locking: mu guards the heap file and the id-keyed indexes; the hot
 // per-tuple ref index lives in rowIdx under its own N-way striped locks
 // (see rowindex.go), so concurrent readers resolving different tuples do
 // not serialize. The ordering is always mu → stripe.
 type Store struct {
-	mu      sync.RWMutex
-	anns    *storage.HeapFile
-	targets *storage.HeapFile
-	nextID  ID
+	mu     sync.RWMutex
+	anns   *storage.HeapFile
+	nextID ID
 
 	byID   map[ID]storage.RID
 	rowIdx *rowIndex
-	// targetsOf maps an annotation to all its targets (with the heap RID
-	// of each target record, so retraction can delete them), for zoom-in
+	// targetsOf maps an annotation to all its targets, for zoom-in
 	// displays, re-summarization after instance changes, and deletion.
-	targetsOf map[ID][]targetEntry
-	// bytes of raw annotation payload, for the E1 size benchmarks.
+	targetsOf map[ID][]Target
+	// rawBytes is the encoded size of every annotation and target record,
+	// for the E1 size benchmarks.
 	rawBytes int64
-}
-
-// targetEntry pairs a target with the heap RID of its record.
-type targetEntry struct {
-	Target
-	rid storage.RID
 }
 
 // NewStore creates an empty store over pool.
 func NewStore(pool *storage.BufferPool) *Store {
 	return &Store{
 		anns:      storage.NewHeapFile(pool),
-		targets:   storage.NewHeapFile(pool),
 		nextID:    1,
 		byID:      make(map[ID]storage.RID),
 		rowIdx:    newRowIndex(),
-		targetsOf: make(map[ID][]targetEntry),
+		targetsOf: make(map[ID][]Target),
 	}
 }
 
-// OpenStore reattaches a store to previously persisted heap pages and
-// rebuilds all indexes.
-func OpenStore(pool *storage.BufferPool, annPages, targetPages []storage.PageID) (*Store, error) {
-	anns, err := storage.OpenHeapFile(pool, annPages)
-	if err != nil {
-		return nil, err
-	}
-	targets, err := storage.OpenHeapFile(pool, targetPages)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{
-		anns:      anns,
-		targets:   targets,
-		nextID:    1,
-		byID:      make(map[ID]storage.RID),
-		rowIdx:    newRowIndex(),
-		targetsOf: make(map[ID][]targetEntry),
-	}
-	var scanErr error
-	anns.Scan(func(rid storage.RID, data []byte) bool {
-		a, err := decodeAnnotation(data)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		s.byID[a.ID] = rid
-		s.rawBytes += int64(len(data))
-		if a.ID >= s.nextID {
-			s.nextID = a.ID + 1
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	targets.Scan(func(rid storage.RID, data []byte) bool {
-		id, tg, err := decodeTarget(data)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		s.rawBytes += int64(len(data))
-		s.indexTarget(id, tg, rid)
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	return s, nil
-}
-
-// Pages returns the heap page lists (annotations, targets) for catalog
-// persistence.
-func (s *Store) Pages() (annPages, targetPages []storage.PageID) {
-	return s.anns.Pages(), s.targets.Pages()
+// Pages returns the annotation heap's page ids, the scrubber's sweep list.
+func (s *Store) Pages() []storage.PageID {
+	return s.anns.Pages()
 }
 
 // VerifyAnnPage checks one annotation-heap page: structural invariants,
@@ -146,48 +84,6 @@ func (s *Store) VerifyAnnPage(pid storage.PageID, sample int) error {
 	})
 }
 
-// VerifyTargetPage checks one target-heap page: structural invariants,
-// then for up to sample records that the record decodes and the in-memory
-// target index holds a matching entry.
-func (s *Store) VerifyTargetPage(pid storage.PageID, sample int) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.targets.ViewPage(pid, func(pg *storage.Page) error {
-		if err := pg.Verify(); err != nil {
-			return err
-		}
-		checked := 0
-		var verr error
-		rerr := pg.Records(func(slot uint16, data []byte) bool {
-			if sample > 0 && checked >= sample {
-				return false
-			}
-			checked++
-			id, _, err := decodeTarget(data)
-			if err != nil {
-				verr = fmt.Errorf("annotation: target page %d slot %d: %w", pid, slot, err)
-				return false
-			}
-			found := false
-			for _, e := range s.targetsOf[id] {
-				if e.rid == (storage.RID{Page: pid, Slot: slot}) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				verr = fmt.Errorf("annotation: target page %d slot %d: id %d has no matching index entry", pid, slot, id)
-				return false
-			}
-			return true
-		})
-		if rerr != nil {
-			return rerr
-		}
-		return verr
-	})
-}
-
 // RepairAnnPage rebuilds annotation-heap page pid: slot placement comes
 // from the in-memory id index, content from fetch (a replica snapshot,
 // typically — annotation payloads live only on the heap). Every id the
@@ -210,27 +106,14 @@ func (s *Store) RepairAnnPage(pid storage.PageID, fetch func(id ID) (Annotation,
 	return s.anns.RepairPage(pid, recs)
 }
 
-// RepairTargetPage rebuilds target-heap page pid from the in-memory target
-// index alone — targets are fully memory-resident, so a corrupt target
-// page is always locally repairable.
-func (s *Store) RepairTargetPage(pid storage.PageID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var recs []storage.SlotRecord
-	for id, entries := range s.targetsOf {
-		for _, e := range entries {
-			if e.rid.Page != pid {
-				continue
-			}
-			recs = append(recs, storage.SlotRecord{Slot: e.rid.Slot, Data: encodeTarget(id, e.Target)})
-		}
+// attach indexes every target of annotation id and counts their records
+// into rawBytes. Called with mu held.
+func (s *Store) attach(id ID, targets []Target) {
+	for _, tg := range targets {
+		s.rowIdx.add(tg.Table, tg.Row, Ref{ID: id, Columns: tg.Columns})
+		s.rawBytes += int64(len(encodeTarget(id, tg)))
 	}
-	return s.targets.RepairPage(pid, recs)
-}
-
-func (s *Store) indexTarget(id ID, tg Target, rid storage.RID) {
-	s.rowIdx.add(tg.Table, tg.Row, Ref{ID: id, Columns: tg.Columns})
-	s.targetsOf[id] = append(s.targetsOf[id], targetEntry{Target: tg, rid: rid})
+	s.targetsOf[id] = append(s.targetsOf[id], targets...)
 }
 
 // Add stores the annotation and attaches it to every target, assigning and
@@ -251,22 +134,14 @@ func (s *Store) Add(a Annotation, targets []Target) (ID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a.ID = s.nextID
-	rid, err := s.anns.Insert(encodeAnnotation(a))
+	rec := encodeAnnotation(a)
+	rid, err := s.anns.Insert(rec)
 	if err != nil {
 		return 0, err
 	}
-	for _, tg := range targets {
-		rid, err := s.targets.Insert(encodeTarget(a.ID, tg))
-		if err != nil {
-			return 0, err
-		}
-		s.indexTarget(a.ID, tg, rid)
-	}
 	s.byID[a.ID] = rid
-	s.rawBytes += int64(len(encodeAnnotation(a)))
-	for _, tg := range targets {
-		s.rawBytes += int64(len(encodeTarget(a.ID, tg)))
-	}
+	s.rawBytes += int64(len(rec))
+	s.attach(a.ID, targets)
 	s.nextID++
 	return a.ID, nil
 }
@@ -285,20 +160,14 @@ func (s *Store) Restore(a Annotation, targets []Target) error {
 	if _, dup := s.byID[a.ID]; dup {
 		return fmt.Errorf("annotation: annotation %d already exists", a.ID)
 	}
-	rid, err := s.anns.Insert(encodeAnnotation(a))
+	rec := encodeAnnotation(a)
+	rid, err := s.anns.Insert(rec)
 	if err != nil {
 		return err
 	}
-	for _, tg := range targets {
-		trid, err := s.targets.Insert(encodeTarget(a.ID, tg))
-		if err != nil {
-			return err
-		}
-		s.indexTarget(a.ID, tg, trid)
-		s.rawBytes += int64(len(encodeTarget(a.ID, tg)))
-	}
 	s.byID[a.ID] = rid
-	s.rawBytes += int64(len(encodeAnnotation(a)))
+	s.rawBytes += int64(len(rec))
+	s.attach(a.ID, targets)
 	if a.ID >= s.nextID {
 		s.nextID = a.ID + 1
 	}
@@ -364,15 +233,11 @@ func (s *Store) ForTuple(table string, row types.RowID) []Ref {
 func (s *Store) TargetsOf(id ID) []Target {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Target, 0, len(s.targetsOf[id]))
-	for _, te := range s.targetsOf[id] {
-		out = append(out, te.Target)
-	}
-	return out
+	return append([]Target(nil), s.targetsOf[id]...)
 }
 
-// Remove retracts annotation id: the annotation record and every one of
-// its target records are deleted and all indexes updated. It returns the
+// Remove retracts annotation id: the annotation record is deleted and
+// every index entry of it and its targets dropped. It returns the
 // targets the annotation previously covered (so callers can curate the
 // affected summary objects).
 func (s *Store) Remove(id ID) ([]Target, error) {
@@ -391,24 +256,16 @@ func (s *Store) Remove(id ID) ([]Target, error) {
 	}
 	s.rawBytes -= int64(len(data))
 	delete(s.byID, id)
-	entries := s.targetsOf[id]
+	out := s.targetsOf[id]
 	delete(s.targetsOf, id)
-	out := make([]Target, 0, len(entries))
-	for _, te := range entries {
-		tdata, err := s.targets.Get(te.rid)
-		if err == nil {
-			s.rawBytes -= int64(len(tdata))
-		}
-		if err := s.targets.Delete(te.rid); err != nil {
-			return nil, err
-		}
-		s.rowIdx.dropAnn(te.Table, te.Row, id)
-		out = append(out, te.Target)
+	for _, tg := range out {
+		s.rawBytes -= int64(len(encodeTarget(id, tg)))
+		s.rowIdx.dropAnn(tg.Table, tg.Row, id)
 	}
 	return out, nil
 }
 
-// DetachRow removes every target record pointing at (table, row) — the
+// DetachRow removes every target pointing at (table, row) — the
 // cascade of a tuple deletion. Annotations left with no targets anywhere
 // are fully removed. It returns the ids that were attached to the row and
 // the subset that became orphaned and was deleted.
@@ -419,25 +276,17 @@ func (s *Store) DetachRow(table string, row types.RowID) (detached, orphaned []I
 	if len(refs) == 0 {
 		return nil, nil, nil
 	}
-	seen := map[ID]bool{}
+	// refs holds each id once, in id order, so detached and orphaned come
+	// out sorted.
 	for _, ref := range refs {
-		if seen[ref.ID] {
-			continue
-		}
-		seen[ref.ID] = true
 		detached = append(detached, ref.ID)
 		kept := s.targetsOf[ref.ID][:0]
-		for _, te := range s.targetsOf[ref.ID] {
-			if te.Table == table && te.Row == row {
-				if tdata, gerr := s.targets.Get(te.rid); gerr == nil {
-					s.rawBytes -= int64(len(tdata))
-				}
-				if derr := s.targets.Delete(te.rid); derr != nil {
-					return nil, nil, derr
-				}
+		for _, tg := range s.targetsOf[ref.ID] {
+			if tg.Table == table && tg.Row == row {
+				s.rawBytes -= int64(len(encodeTarget(ref.ID, tg)))
 				continue
 			}
-			kept = append(kept, te)
+			kept = append(kept, tg)
 		}
 		s.targetsOf[ref.ID] = kept
 		if len(kept) == 0 {
@@ -454,8 +303,6 @@ func (s *Store) DetachRow(table string, row types.RowID) (detached, orphaned []I
 		}
 	}
 	s.rowIdx.deleteRow(table, row)
-	sort.Slice(detached, func(i, j int) bool { return detached[i] < detached[j] })
-	sort.Slice(orphaned, func(i, j int) bool { return orphaned[i] < orphaned[j] })
 	return detached, orphaned, nil
 }
 
@@ -483,9 +330,9 @@ func (s *Store) Count() int {
 	return len(s.byID)
 }
 
-// RawBytes returns the cumulative stored size of the raw annotations and
-// their target records (the encoded heap records) — the denominator of the
-// paper's summary-compression measurements.
+// RawBytes returns the encoded size of the stored raw annotations and of
+// their target records — the denominator of the paper's
+// summary-compression measurements.
 func (s *Store) RawBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"insightnotes/internal/storage"
-	"insightnotes/internal/types"
 )
 
 func newTestStore() *Store {
@@ -198,6 +197,69 @@ func TestStoreRawBytesAndCount(t *testing.T) {
 	if got := s.RawBytes(); got < 5+100+1 || got > 200 {
 		t.Errorf("RawBytes = %d", got)
 	}
+
+	// Retraction and row detachment subtract exactly the records they
+	// drop: RawBytes is always the encoded size of what survives.
+	type stored struct {
+		a       Annotation
+		targets []Target
+	}
+	live := map[ID]*stored{}
+	add := func(a Annotation, targets ...Target) ID {
+		t.Helper()
+		id, err := s.Add(a, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.ID = id
+		live[id] = &stored{a, targets}
+		return id
+	}
+	check := func(when string) {
+		t.Helper()
+		var want int64
+		for id, st := range live {
+			want += int64(len(encodeAnnotation(st.a)))
+			for _, tg := range st.targets {
+				want += int64(len(encodeTarget(id, tg)))
+			}
+		}
+		if got := s.RawBytes(); got != want {
+			t.Errorf("%s: RawBytes = %d, want %d", when, got, want)
+		}
+	}
+	live[1] = &stored{Annotation{ID: 1, Text: "12345", Document: strings.Repeat("d", 100), Title: "T"},
+		[]Target{{Table: "t", Row: 1, Columns: Col(0)}}}
+	multi := add(Annotation{Text: "spans three rows", Author: "x"},
+		Target{Table: "t", Row: 1, Columns: Col(1)},
+		Target{Table: "t", Row: 2, Columns: Col(0)},
+		Target{Table: "u", Row: 3, Columns: Col(2)})
+	gone := add(Annotation{Text: "retracted"}, Target{Table: "t", Row: 2, Columns: Col(1)})
+	check("after adds")
+
+	if _, err := s.Remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	delete(live, gone)
+	check("after Remove")
+
+	// Detaching row t/1 orphans annotation 1 and drops one of multi's
+	// three targets.
+	if _, orphaned, err := s.DetachRow("t", 1); err != nil || len(orphaned) != 1 || orphaned[0] != 1 {
+		t.Fatalf("DetachRow = orphaned %v, %v; want [1]", orphaned, err)
+	}
+	delete(live, 1)
+	live[multi].targets = live[multi].targets[1:]
+	check("after DetachRow")
+
+	if _, err := s.Remove(multi); err != nil {
+		t.Fatal(err)
+	}
+	delete(live, multi)
+	check("after removing everything")
+	if s.RawBytes() != 0 || s.Count() != 0 {
+		t.Errorf("emptied store: RawBytes = %d, Count = %d", s.RawBytes(), s.Count())
+	}
 }
 
 func TestStoreRemove(t *testing.T) {
@@ -311,82 +373,5 @@ func TestAnnotationHasDocument(t *testing.T) {
 	}
 	if !(Annotation{Document: "d"}).HasDocument() {
 		t.Error("document annotation denies it")
-	}
-}
-
-func TestStoreRemoveThenReopen(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemStore(), 64)
-	s := NewStore(pool)
-	id1, _ := s.Add(Annotation{Text: "keep"}, []Target{{Table: "t", Row: 1, Columns: Col(0)}})
-	id2, _ := s.Add(Annotation{Text: "drop"}, []Target{{Table: "t", Row: 2, Columns: Col(0)}})
-	if _, err := s.Remove(id2); err != nil {
-		t.Fatal(err)
-	}
-	annPages, targetPages := s.Pages()
-	s2, err := OpenStore(pool, annPages, targetPages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Count() != 1 {
-		t.Fatalf("reopened Count = %d", s2.Count())
-	}
-	if _, err := s2.Get(id1); err != nil {
-		t.Errorf("survivor unreadable: %v", err)
-	}
-	if _, err := s2.Get(id2); err == nil {
-		t.Error("removed annotation resurrected")
-	}
-}
-
-func TestStorePersistenceRoundTrip(t *testing.T) {
-	pool := storage.NewBufferPool(storage.NewMemStore(), 64)
-	s := NewStore(pool)
-	var lastID ID
-	for i := 0; i < 50; i++ {
-		id, err := s.Add(
-			Annotation{Author: "a", Created: int64(i), Text: fmt.Sprintf("note %d about feeding", i),
-				Document: strings.Repeat("doc ", i%5)},
-			[]Target{
-				{Table: "birds", Row: types.RowID(i % 7), Columns: WholeRow(4)},
-				{Table: "obs", Row: types.RowID(i), Columns: Col(i % 3)},
-			},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastID = id
-	}
-	annPages, targetPages := s.Pages()
-	s2, err := OpenStore(pool, annPages, targetPages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Count() != 50 {
-		t.Fatalf("reopened Count = %d", s2.Count())
-	}
-	if s2.RawBytes() != s.RawBytes() {
-		t.Errorf("RawBytes diverged: %d vs %d", s2.RawBytes(), s.RawBytes())
-	}
-	// Same refs per row.
-	for row := types.RowID(0); row < 7; row++ {
-		a := s.ForTuple("birds", row)
-		b := s2.ForTuple("birds", row)
-		if len(a) != len(b) {
-			t.Fatalf("row %d refs: %d vs %d", row, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("row %d ref %d: %+v vs %+v", row, i, a[i], b[i])
-			}
-		}
-	}
-	// New ids continue after the persisted max.
-	id, err := s2.Add(Annotation{Text: "after reopen"},
-		[]Target{{Table: "birds", Row: 1, Columns: Col(0)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != lastID+1 {
-		t.Errorf("id after reopen = %d, want %d", id, lastID+1)
 	}
 }

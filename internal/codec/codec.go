@@ -1,9 +1,8 @@
 // Package codec is the repository's binary encoding: the frames between
-// server.Client and server.Server, the zoom-in cache's spill entries, WAL
-// records and their payloads, and the summary store's envelope records. A
-// Writer appends primitives to a byte slice; a Reader consumes
-// them with a sticky error, so a decoder reads a whole structure and checks
-// Err once. Every count and length a Reader hands out has been checked
+// server.Client and server.Server, the zoom-in cache's spill entries, and
+// WAL records and their payloads. A Writer appends primitives to a byte
+// slice; a Reader consumes them with a sticky error, so a decoder reads a
+// whole structure and checks Err once. Every count and length a Reader hands out has been checked
 // against the bytes left in its buffer, so a corrupt or hostile input can
 // neither index past the end nor make the caller allocate more than the
 // input could describe.

@@ -43,10 +43,10 @@ type Config struct {
 	PoolFrames int
 	// PageFile, when set, backs the buffer pool with a file-based page
 	// store at this path instead of the in-memory store, so heap pages
-	// (tables, annotations, envelope records) spill to disk when the
-	// working set outgrows PoolFrames. The file is a paging layer, not a
-	// recovery source — Open truncates any existing file; the WAL and
-	// snapshot remain the durable source of truth. OpenDurable defaults it
+	// (table rows, annotation text) spill to disk when the working set
+	// outgrows PoolFrames. The file is a paging layer, not a recovery
+	// source — Open truncates any existing file; the WAL and checkpoint
+	// remain the durable source of truth. OpenDurable defaults it
 	// to <dir>/pages.db.
 	PageFile string
 	// CacheDir is the directory of the zoom-in cache's one spill file,
@@ -271,7 +271,7 @@ func Open(cfg Config) (*DB, error) {
 		store:    store,
 		cat:      catalog.New(pool),
 		anns:     annotation.NewStore(pool),
-		envs:     newEnvStore(pool),
+		envs:     newEnvStore(),
 		cache:    cache,
 		prepared: make(map[string]*preparedStmt),
 		start:    time.Now(),

@@ -1,12 +1,8 @@
 package engine
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
-	"insightnotes/internal/annotation"
-	"insightnotes/internal/codec"
 	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
@@ -23,21 +19,12 @@ const envStripes = 32
 // RWMutex, and so the background catch-up worker blocks readers only on
 // the stripe it is updating.
 //
-// Two storage structures back the in-memory maps:
-//
-//   - heap holds the persistent form of every envelope (coverage map plus
-//     per-instance member lists) as one record per annotated tuple, written
-//     through on every mutation. The live summary objects themselves stay
-//     in memory — they are derived state, rebuilt from the raw annotations
-//     on recovery — but the heap form pages envelope metadata through the
-//     buffer pool like every other store. An envelope whose persistent
-//     form outgrows a page (storage.ErrRecordTooLarge) degrades to
-//     memory-only, which only loses the paging, not the envelope.
-//
-//   - instIdx is a B+tree keyed (instance name, table) → row, one entry
-//     per summary object held by an envelope. Unlink and drop-instance
-//     maintenance use it to touch exactly the envelopes that carry the
-//     instance instead of sweeping every stripe's table map.
+// The envelopes live in memory only: they are derived state, rebuilt
+// from the raw annotations on recovery. Beside the maps, instIdx is a
+// B+tree keyed (instance name, table) → row, one entry per summary object
+// held by an envelope. Unlink and drop-instance maintenance use it to
+// touch exactly the envelopes that carry the instance instead of
+// sweeping every stripe's table map.
 //
 // Locking: each stripe guards its own table→row→envelope maps AND the
 // envelopes within them — a stored envelope is only viewed or mutated
@@ -47,12 +34,11 @@ const envStripes = 32
 // fn calls on an envelope a reader has viewed since the last write copies
 // the maps (and clones just the objects it changes) before writing, so a
 // held view never changes. A never-viewed envelope is written in place
-// at no extra cost. The heap and
-// the B+tree have their own internal locks and are only called from under
-// a stripe lock (leaf order, no cycles). Maintenance (applyTasks) takes
-// db.mu first; the ordering is always db.mu → stripe, never the reverse.
+// at no extra cost. The B+tree has its own internal lock and is only
+// called from under a stripe lock (leaf order, no cycles). Maintenance
+// (applyTasks) takes db.mu first; the ordering is always db.mu → stripe,
+// never the reverse.
 type envStore struct {
-	heap    *storage.HeapFile
 	instIdx *storage.BTree
 	stripes [envStripes]envStripe
 }
@@ -60,21 +46,12 @@ type envStore struct {
 type envStripe struct {
 	mu sync.RWMutex
 	m  map[string]map[types.RowID]*summary.Envelope
-	// rids tracks the heap record of each envelope's persistent form. A
-	// present envelope missing here is memory-only (oversize record).
-	rids map[string]map[types.RowID]storage.RID
-	// buf is reused to encode the records persist writes.
-	buf []byte
 }
 
-func newEnvStore(pool *storage.BufferPool) *envStore {
-	s := &envStore{
-		heap:    storage.NewHeapFile(pool),
-		instIdx: storage.NewBTree(),
-	}
+func newEnvStore() *envStore {
+	s := &envStore{instIdx: storage.NewBTree()}
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[string]map[types.RowID]*summary.Envelope)
-		s.stripes[i].rids = make(map[string]map[types.RowID]storage.RID)
 	}
 	return s
 }
@@ -91,52 +68,6 @@ func (s *envStore) stripeFor(table string, row types.RowID) *envStripe {
 	h ^= uint64(row)
 	h *= 1099511628211
 	return &s.stripes[h%envStripes]
-}
-
-// encodeEnvelope appends the heap-record form of one envelope to dst: its
-// identity (table Str, row uvarint), the coverage as (annotation id,
-// colset) uvarint pairs in id order, and each object's instance name and
-// member ids in instance-name order, so that the record is a function of
-// the envelope. The objects' model state (classifier counts, cluster centroids,
-// snippets) is derived from the raw annotations and is not persisted here.
-func encodeEnvelope(dst []byte, table string, row types.RowID, env *summary.Envelope) []byte {
-	w := codec.NewWriter(dst)
-	w.Str(table)
-	w.Uvarint(uint64(row))
-	w.Uvarint(uint64(env.Len()))
-	env.EachCover(func(id annotation.ID, cols annotation.ColSet) {
-		w.Uvarint(uint64(id))
-		w.Uvarint(uint64(cols))
-	})
-	w.Uvarint(uint64(len(env.Objects)))
-	for _, name := range env.InstanceNames() {
-		w.Str(name)
-		members := env.Objects[name].Members()
-		w.Uvarint(uint64(len(members)))
-		for _, id := range members {
-			w.Uvarint(uint64(id))
-		}
-	}
-	return w.Bytes()
-}
-
-// envelopeRecordKey decodes the whole of an envelope heap record and
-// returns the tuple it belongs to, building nothing from the coverage and
-// member lists it steps over.
-func envelopeRecordKey(data []byte) (string, types.RowID, error) {
-	r := codec.NewReader(data)
-	table, row := r.Str(), types.RowID(r.Uvarint())
-	for n := r.Count(2); n > 0; n-- {
-		r.Uvarint()
-		r.Uvarint()
-	}
-	for n := r.Count(2); n > 0; n-- {
-		r.SkipStr()
-		for m := r.Count(1); m > 0; m-- {
-			r.Uvarint()
-		}
-	}
-	return table, row, r.Done()
 }
 
 // instKey is the B+tree key of one (instance, table) index entry.
@@ -173,46 +104,6 @@ func (s *envStore) reindex(table string, row types.RowID, before map[string]bool
 	}
 }
 
-// persist writes the envelope's persistent form through to the heap,
-// updating in place when a record exists. Called with the stripe lock
-// held. An envelope too large for a page drops its heap backing and stays
-// memory-only.
-func (s *envStore) persist(st *envStripe, table string, row types.RowID, env *summary.Envelope) {
-	st.buf = encodeEnvelope(st.buf[:0], table, row, env)
-	rec := st.buf
-	if rid, ok := st.rids[table][row]; ok {
-		nrid, err := s.heap.Update(rid, rec)
-		if err == nil {
-			st.rids[table][row] = nrid
-			return
-		}
-		s.heap.Delete(rid)
-		delete(st.rids[table], row)
-		if errors.Is(err, storage.ErrRecordTooLarge) {
-			return
-		}
-	}
-	rid, err := s.heap.Insert(rec)
-	if err != nil {
-		return // oversize: memory-only
-	}
-	rids, ok := st.rids[table]
-	if !ok {
-		rids = make(map[types.RowID]storage.RID)
-		st.rids[table] = rids
-	}
-	rids[row] = rid
-}
-
-// unpersist deletes the envelope's heap record. Called with the stripe
-// lock held.
-func (s *envStore) unpersist(st *envStripe, table string, row types.RowID) {
-	if rid, ok := st.rids[table][row]; ok {
-		s.heap.Delete(rid)
-		delete(st.rids[table], row)
-	}
-}
-
 // view returns a copy-on-write view of the stored envelope of a tuple (nil
 // when unannotated), taken under the stripe lock so readers never observe
 // a mid-update envelope. It costs the same whatever the envelope's size.
@@ -242,8 +133,7 @@ func (s *envStore) read(table string, row types.RowID, fn func(env *summary.Enve
 
 // update applies fn to the stored envelope of a tuple, creating an empty
 // envelope first when the tuple has none. fn runs under the stripe lock;
-// the persistent form and the instance index are maintained after fn
-// returns.
+// the instance index is maintained after fn returns.
 func (s *envStore) update(table string, row types.RowID, fn func(env *summary.Envelope)) {
 	st := s.stripeFor(table, row)
 	st.mu.Lock()
@@ -261,13 +151,11 @@ func (s *envStore) update(table string, row types.RowID, fn func(env *summary.En
 	before := instanceSet(env)
 	fn(env)
 	s.reindex(table, row, before, env)
-	s.persist(st, table, row, env)
 }
 
 // mutate applies fn to the stored envelope of a tuple when one exists; a
 // true return drops the (now empty) envelope. fn runs under the stripe
-// lock; the persistent form and the instance index are maintained after
-// fn returns.
+// lock; the instance index is maintained after fn returns.
 func (s *envStore) mutate(table string, row types.RowID, fn func(env *summary.Envelope) (drop bool)) {
 	st := s.stripeFor(table, row)
 	st.mu.Lock()
@@ -280,31 +168,23 @@ func (s *envStore) mutate(table string, row types.RowID, fn func(env *summary.En
 	if fn(env) {
 		delete(st.m[table], row)
 		s.reindex(table, row, before, nil)
-		s.unpersist(st, table, row)
 		return
 	}
 	s.reindex(table, row, before, env)
-	s.persist(st, table, row, env)
 }
 
 // mutateInstance applies fn to exactly the envelopes of table that hold an
 // object of the named instance, resolved through the instance index
 // instead of a full stripe sweep; a true return drops that envelope.
 func (s *envStore) mutateInstance(table, instance string, fn func(row types.RowID, env *summary.Envelope) (drop bool)) {
-	key := instKey(instance, table)
-	var rows []types.RowID
-	s.instIdx.Scan(key, storage.KeySuccessorExact(key), func(_ []byte, v uint64) bool {
-		rows = append(rows, types.RowID(v))
-		return true
-	})
-	for _, row := range rows {
+	for _, row := range s.rowsForInstance(table, instance) {
 		s.mutate(table, row, func(env *summary.Envelope) bool { return fn(row, env) })
 	}
 }
 
 // rowsForInstance returns the rows of table whose envelopes hold an object
 // of the named instance, in index order — the read side of the instance
-// index, for inspection and tests.
+// index.
 func (s *envStore) rowsForInstance(table, instance string) []types.RowID {
 	key := instKey(instance, table)
 	var rows []types.RowID
@@ -321,7 +201,6 @@ func (s *envStore) deleteRow(table string, row types.RowID) {
 	st.mu.Lock()
 	if env := st.m[table][row]; env != nil {
 		s.reindex(table, row, instanceSet(env), nil)
-		s.unpersist(st, table, row)
 	}
 	delete(st.m[table], row)
 	st.mu.Unlock()
@@ -334,81 +213,11 @@ func (s *envStore) dropTable(table string) {
 		st.mu.Lock()
 		for row, env := range st.m[table] {
 			s.reindex(table, row, instanceSet(env), nil)
-			s.unpersist(st, table, row)
 		}
 		delete(st.m, table)
-		delete(st.rids, table)
 		st.mu.Unlock()
 	}
 }
-
-// verifyPage checks one envelope-heap page: structural invariants, then
-// for up to sample records (sample <= 0 checks all) that the record
-// decodes and the owning stripe maps the tuple back to exactly this
-// record.
-func (s *envStore) verifyPage(pid storage.PageID, sample int) error {
-	return s.heap.ViewPage(pid, func(pg *storage.Page) error {
-		if err := pg.Verify(); err != nil {
-			return err
-		}
-		checked := 0
-		var verr error
-		rerr := pg.Records(func(slot uint16, data []byte) bool {
-			if sample > 0 && checked >= sample {
-				return false
-			}
-			checked++
-			table, row, err := envelopeRecordKey(data)
-			if err != nil {
-				verr = fmt.Errorf("engine: envelope page %d slot %d: %w", pid, slot, err)
-				return false
-			}
-			st := s.stripeFor(table, row)
-			st.mu.RLock()
-			rid, ok := st.rids[table][row]
-			st.mu.RUnlock()
-			if !ok || rid != (storage.RID{Page: pid, Slot: slot}) {
-				verr = fmt.Errorf("engine: envelope page %d slot %d: (%s, %d) not mapped to this record", pid, slot, table, row)
-				return false
-			}
-			return true
-		})
-		if rerr != nil {
-			return rerr
-		}
-		return verr
-	})
-}
-
-// repairPage rebuilds envelope-heap page pid from the live in-memory
-// envelopes — envelopes are derived state held in the stripes, so a
-// corrupt envelope page is always locally repairable.
-func (s *envStore) repairPage(pid storage.PageID) error {
-	var recs []storage.SlotRecord
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		for table, rids := range st.rids {
-			for row, rid := range rids {
-				if rid.Page != pid {
-					continue
-				}
-				env := st.m[table][row]
-				if env == nil {
-					st.mu.RUnlock()
-					return fmt.Errorf("engine: envelope (%s, %d) has a heap record but no live envelope", table, row)
-				}
-				recs = append(recs, storage.SlotRecord{Slot: rid.Slot, Data: encodeEnvelope(nil, table, row, env)})
-			}
-		}
-		st.mu.RUnlock()
-	}
-	return s.heap.RepairPage(pid, recs)
-}
-
-// heapPages returns the envelope heap's page ids, the scrubber's sweep
-// list for the summary store.
-func (s *envStore) heapPages() []storage.PageID { return s.heap.Pages() }
 
 // tableBytes sums the approximate envelope sizes of one table.
 func (s *envStore) tableBytes(table string) int64 {

@@ -15,15 +15,16 @@ import (
 	"insightnotes/internal/types"
 )
 
-// Online integrity: the background scrubber sweeps every heap page through
-// checksum and structural verification, and repairs what it finds from the
-// cheapest clean source available — a surviving buffer-pool frame, a local
-// in-memory rebuild (summary envelopes and annotation targets are
-// memory-resident), or a checkpoint fetched from a connected peer. Pages with no clean source are quarantined: subsequent reads fail
-// fast with the structured corruption error (the server sheds them with
-// code CORRUPT) instead of serving garbage. CHECK TABLE runs the same
-// sweep synchronously for one table; SHOW INTEGRITY surfaces the
-// cumulative report.
+// Online integrity: the background scrubber sweeps every heap page — table
+// rows and annotation text, the data nothing else holds — through checksum
+// and structural verification, and repairs what it finds from the cheapest
+// clean source available: a surviving buffer-pool frame, or a checkpoint
+// fetched from a connected peer. Pages with no clean source are
+// quarantined: subsequent reads fail fast with the structured corruption
+// error (the server sheds them with code CORRUPT) instead of serving
+// garbage. Secondary indexes are rebuilt from their table's heap. CHECK
+// TABLE runs the same sweep synchronously for one table; SHOW INTEGRITY
+// surfaces the cumulative report.
 
 // scrubSampleRows caps the per-page sampled heap↔index (and heap↔store)
 // agreement checks, bounding structural verification cost per page.
@@ -36,15 +37,13 @@ const DefaultScrubRate = 256
 // integrityFaultRing bounds the recent-fault list kept for SHOW INTEGRITY.
 const integrityFaultRing = 64
 
-// ownerKind names the store a heap page belongs to; repair sources differ
-// by owner (see repairFaultLocked).
+// ownerKind names the store a heap page belongs to; each owner has its own
+// verification and replica repair (see repairFromSourceLocked).
 type ownerKind int
 
 const (
-	ownerTable  ownerKind = iota // table heap: rows live only here → replica fetch
-	ownerAnn                     // annotation heap: raw text lives only here → replica fetch
-	ownerTarget                  // target heap: mirrored by in-memory targetsOf → local rebuild
-	ownerEnv                     // envelope heap: mirrored by in-memory stripes → local rebuild
+	ownerTable ownerKind = iota // table heap: rows live only here
+	ownerAnn                    // annotation heap: raw text lives only here
 )
 
 type scrubTarget struct {
@@ -54,16 +53,10 @@ type scrubTarget struct {
 }
 
 func (t scrubTarget) ownerName() string {
-	switch t.kind {
-	case ownerTable:
+	if t.kind == ownerTable {
 		return "table:" + t.table
-	case ownerAnn:
-		return "annotations"
-	case ownerTarget:
-		return "targets"
-	default:
-		return "envelopes"
 	}
+	return "annotations"
 }
 
 // IntegrityFault records one page (or index) a sweep found corrupt and
@@ -73,7 +66,7 @@ type IntegrityFault struct {
 	Owner    string
 	Detail   string
 	Repaired bool
-	Source   string // "flush", "rebuild", "replica"; empty when unrepaired
+	Source   string // "flush", "replica", or "rebuild" (indexes); empty when unrepaired
 }
 
 // IntegrityReport is the scrubber's cumulative state, surfaced by
@@ -142,8 +135,8 @@ func (db *DB) FlushPages() error {
 }
 
 // HeapPageInventory returns every heap page id grouped by owner name
-// ("table:<name>", "annotations", "targets", "envelopes") — the page set
-// the scrubber sweeps, exposed for integrity tooling and the chaos soak.
+// ("table:<name>", "annotations") — the page set the scrubber sweeps,
+// exposed for integrity tooling and the chaos soak.
 func (db *DB) HeapPageInventory() (map[string][]storage.PageID, error) {
 	db.stmtMu.RLock()
 	defer db.stmtMu.RUnlock()
@@ -360,15 +353,8 @@ func (db *DB) scrubInventoryLocked(filter string) ([]scrubTarget, []string, erro
 			targets = append(targets, scrubTarget{pid: pid, kind: ownerTable, table: name})
 		}
 	}
-	annPages, tgtPages := db.annStore().Pages()
-	for _, pid := range annPages {
+	for _, pid := range db.annStore().Pages() {
 		targets = append(targets, scrubTarget{pid: pid, kind: ownerAnn})
-	}
-	for _, pid := range tgtPages {
-		targets = append(targets, scrubTarget{pid: pid, kind: ownerTarget})
-	}
-	for _, pid := range db.envStore().heapPages() {
-		targets = append(targets, scrubTarget{pid: pid, kind: ownerEnv})
 	}
 	return targets, tables, nil
 }
@@ -381,30 +367,23 @@ func (db *DB) verifyScrubTargetLocked(t scrubTarget) error {
 	if err := db.pool.VerifyStored(t.pid); err != nil {
 		return err
 	}
-	switch t.kind {
-	case ownerTable:
-		tbl, err := db.catStore().Table(t.table)
-		if err != nil {
-			return nil // dropped mid-sweep
-		}
-		return tbl.VerifyPage(t.pid, scrubSampleRows)
-	case ownerAnn:
+	if t.kind == ownerAnn {
 		return db.annStore().VerifyAnnPage(t.pid, scrubSampleRows)
-	case ownerTarget:
-		return db.annStore().VerifyTargetPage(t.pid, scrubSampleRows)
-	default:
-		return db.envStore().verifyPage(t.pid, scrubSampleRows)
 	}
+	tbl, err := db.catStore().Table(t.table)
+	if err != nil {
+		return nil // dropped mid-sweep
+	}
+	return tbl.VerifyPage(t.pid, scrubSampleRows)
 }
 
 // ---- repair ----
 
 // repairFaults walks the repair ladder for each faulty page: (1) reflush a
-// surviving buffer-pool frame, (2) rebuild from memory-resident state
-// (envelopes, targets), (3) refetch from the configured repair source
-// (table rows, annotation text), (4) quarantine. Local sources run under
-// one exclusive lock section; the remote fetch happens between lock
-// sections so the network never stalls writers.
+// surviving buffer-pool frame, (2) refetch from the configured repair
+// source, (3) quarantine. The reflush runs under one exclusive lock
+// section; the remote fetch happens between lock sections so the network
+// never stalls writers.
 func (db *DB) repairFaults(lc *trace.Active, faults []scrubFault) []IntegrityFault {
 	if len(faults) == 0 {
 		return nil
@@ -419,18 +398,13 @@ func (db *DB) repairFaults(lc *trace.Active, faults []scrubFault) []IntegrityFau
 		} else {
 			out[i].Detail = "quarantined by an earlier sweep"
 		}
-		done, src := db.repairLocalLocked(lc, f.target)
-		if done {
+		if db.reflushLocked(lc, f.target) {
 			out[i].Repaired = true
-			out[i].Source = src
+			out[i].Source = "flush"
 			db.integrity.repairs.Add(1)
 			continue
 		}
-		if f.target.kind == ownerTable || f.target.kind == ownerAnn {
-			remote = append(remote, i)
-			continue
-		}
-		db.pool.Quarantine(f.target.pid, f.err)
+		remote = append(remote, i)
 	}
 	db.stmtMu.Unlock()
 
@@ -476,38 +450,23 @@ func (db *DB) repairFaults(lc *trace.Active, faults []scrubFault) []IntegrityFau
 	return out
 }
 
-// repairLocalLocked tries the two local rungs of the ladder for one page
-// and reports whether it now verifies clean (with the source used).
-// Callers hold the exclusive statement lock.
-func (db *DB) repairLocalLocked(lc *trace.Active, t scrubTarget) (bool, string) {
+// reflushLocked tries the local rung of the ladder for one page — the
+// stored copy is bad but a good frame survives in the pool — and reports
+// whether the page now verifies clean. Callers hold the exclusive
+// statement lock.
+func (db *DB) reflushLocked(lc *trace.Active, t scrubTarget) bool {
 	rsp := lc.StartSpan(trace.SpanScrubRepair, nil)
 	rsp.AttrInt("page", int64(t.pid))
 	rsp.Attr("owner", t.ownerName())
 	defer rsp.End()
-	// Rung 1: the stored copy is bad but a good frame survives in the pool.
 	if ok, err := db.pool.FlushResident(t.pid); err == nil && ok {
 		if db.verifyScrubTargetLocked(t) == nil {
 			rsp.Attr("source", "flush")
-			return true, "flush"
+			return true
 		}
 	}
-	// Rung 2: owners whose logical contents are memory-resident.
-	var rerr error
-	switch t.kind {
-	case ownerEnv:
-		rerr = db.envStore().repairPage(t.pid)
-	case ownerTarget:
-		rerr = db.annStore().RepairTargetPage(t.pid)
-	default:
-		rsp.Attr("source", "none_local")
-		return false, ""
-	}
-	if rerr == nil && db.verifyScrubTargetLocked(t) == nil {
-		rsp.Attr("source", "rebuild")
-		return true, "rebuild"
-	}
-	rsp.Attr("source", "failed")
-	return false, ""
+	rsp.Attr("source", "none_local")
+	return false
 }
 
 // repairIndexes rebuilds every secondary index of the named tables from
@@ -579,28 +538,24 @@ func (db *DB) fetchRepairSource() (*DB, error) {
 // repairFromSourceLocked rebuilds one table-heap or annotation-heap page
 // from the fetched checkpoint. Callers hold the exclusive statement lock.
 func (db *DB) repairFromSourceLocked(t scrubTarget, src *DB) error {
-	switch t.kind {
-	case ownerTable:
-		tbl, err := db.catStore().Table(t.table)
-		if err != nil {
-			return err
-		}
-		srcTbl, err := src.cat.Table(t.table)
-		if err != nil {
-			return err
-		}
-		return tbl.RepairPage(t.pid, func(row types.RowID) (types.Tuple, bool) {
-			tu, err := srcTbl.Get(row)
-			return tu, err == nil
-		})
-	case ownerAnn:
+	if t.kind == ownerAnn {
 		return db.annStore().RepairAnnPage(t.pid, func(id annotation.ID) (annotation.Annotation, bool) {
 			a, err := src.anns.Get(id)
 			return a, err == nil
 		})
-	default:
-		return fmt.Errorf("engine: page %d (%s) has no remote repair path", t.pid, t.ownerName())
 	}
+	tbl, err := db.catStore().Table(t.table)
+	if err != nil {
+		return err
+	}
+	srcTbl, err := src.cat.Table(t.table)
+	if err != nil {
+		return err
+	}
+	return tbl.RepairPage(t.pid, func(row types.RowID) (types.Tuple, bool) {
+		tu, err := srcTbl.Get(row)
+		return tu, err == nil
+	})
 }
 
 // ---- result surfacing ----

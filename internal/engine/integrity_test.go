@@ -176,48 +176,6 @@ func TestScrubStandaloneQuarantinesThenRepairsFromSource(t *testing.T) {
 	}
 }
 
-// TestScrubRepairsTargetPageLocally corrupts an annotation-target heap
-// page; targets are mirrored in memory, so the scrubber rebuilds the page
-// locally without any replica.
-func TestScrubRepairsTargetPageLocally(t *testing.T) {
-	db, pf := integrityDB(t)
-	for i := 0; i < 20; i++ {
-		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'note %d about this row' ON kv WHERE k = %d", i, i))
-	}
-	if err := db.pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	db.pool.DropClean()
-	_, tgtPages := db.annStore().Pages()
-	if len(tgtPages) == 0 {
-		t.Fatal("no target pages")
-	}
-	pid := tgtPages[0]
-	flipOnDisk(t, pf, pid)
-
-	rep, err := db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var found *IntegrityFault
-	for i := range rep.Faults {
-		if rep.Faults[i].Page == pid {
-			found = &rep.Faults[i]
-		}
-	}
-	if found == nil || !found.Repaired || found.Source != "rebuild" {
-		t.Fatalf("faults = %+v, want page %d rebuilt locally", rep.Faults, pid)
-	}
-	// Annotations are still queryable.
-	res, err := db.Exec(context.Background(), "SHOW ANNOTATIONS ON kv")
-	if err != nil {
-		t.Fatalf("annotations after repair: %v", err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("annotations lost after repair")
-	}
-}
-
 // TestScrubRebuildsDisagreeingIndex injects a heap↔index disagreement (a
 // silently dropped index entry) and verifies the sweep detects it and
 // repairs by rebuilding the index from the heap.

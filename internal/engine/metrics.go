@@ -152,7 +152,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 			return float64(n)
 		})
 
-	// Buffer pool: every heap page (tables, annotations, envelope records)
+	// Buffer pool: every heap page (table rows, annotation text)
 	// moves through these frames, so hit/miss/eviction rates are the
 	// first-order signal of whether PoolFrames fits the working set.
 	pool := db.pool

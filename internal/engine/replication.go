@@ -156,7 +156,7 @@ func (db *DB) clearStateLocked() {
 	db.mu.Lock()
 	db.cat = catalog.New(db.pool)
 	db.anns = annotation.NewStore(db.pool)
-	db.envs = newEnvStore(db.pool)
+	db.envs = newEnvStore()
 	db.mu.Unlock()
 	db.annClock.Store(0)
 	db.cache.Clear()

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"insightnotes/internal/metrics"
@@ -15,8 +16,7 @@ import (
 
 // TestPageFileBackedEngine runs a full workload against an engine whose
 // page store is file-backed, with a buffer pool small enough that table
-// heaps, annotation heaps, and envelope records actually page in and out
-// of the file.
+// heaps and annotation heaps actually page in and out of the file.
 func TestPageFileBackedEngine(t *testing.T) {
 	dir := t.TempDir()
 	pf := filepath.Join(dir, "pages.db")
@@ -114,9 +114,9 @@ func TestDurablePageFileDefault(t *testing.T) {
 	}
 }
 
-// TestInstanceIndexAndEnvelopePersistence drives the summary-instance
-// index and the envelope heap through annotate, unlink, and retract.
-func TestInstanceIndexAndEnvelopePersistence(t *testing.T) {
+// TestInstanceIndexThroughUnlinkAndRetract drives the summary-instance
+// index through annotate, unlink, and retract.
+func TestInstanceIndexThroughUnlinkAndRetract(t *testing.T) {
 	db := birdDB(t)
 	// Documents attached so the snippet instance forms objects too (snippet
 	// summaries only cover annotations that carry a document).
@@ -140,11 +140,6 @@ func TestInstanceIndexAndEnvelopePersistence(t *testing.T) {
 			t.Errorf("rowsForInstance(%s) = %v, want %v", inst, got, want)
 		}
 	}
-	// Every envelope is written through to the heap.
-	if n, c := db.envs.heap.Len(), db.envs.count(); n != c {
-		t.Errorf("envelope heap holds %d records, store holds %d envelopes", n, c)
-	}
-
 	// Unlinking one instance removes exactly its index entries; the
 	// envelopes survive with their other objects.
 	mustExec(t, db, "UNLINK SUMMARY ClassBird1 FROM birds")
@@ -154,23 +149,52 @@ func TestInstanceIndexAndEnvelopePersistence(t *testing.T) {
 	if got := db.envs.rowsForInstance("birds", "SimCluster"); len(got) != 2 {
 		t.Errorf("rowsForInstance(SimCluster) after unrelated unlink = %v, want 2 rows", got)
 	}
-	if n, c := db.envs.heap.Len(), db.envs.count(); n != c || c != 2 {
-		t.Errorf("after unlink: heap %d records, store %d envelopes, want 2 and 2", n, c)
+	if c := db.envs.count(); c != 2 {
+		t.Errorf("after unlink: store holds %d envelopes, want 2", c)
 	}
 
 	// Retracting the annotations empties the envelopes, which drops them
-	// from the maps, the instance index, and the heap.
+	// from the maps and the instance index.
 	mustExec(t, db, "DROP ANNOTATION 1")
 	mustExec(t, db, "DROP ANNOTATION 2")
 	if c := db.envs.count(); c != 0 {
 		t.Errorf("envelopes after retracting all annotations = %d, want 0", c)
 	}
-	if n := db.envs.heap.Len(); n != 0 {
-		t.Errorf("envelope heap records after retracting all annotations = %d, want 0", n)
-	}
 	for _, inst := range []string{"ClassBird1", "SimCluster", "TextSummary1"} {
 		if got := db.envs.rowsForInstance("birds", inst); len(got) != 0 {
 			t.Errorf("rowsForInstance(%s) after retraction = %v, want none", inst, got)
 		}
+	}
+}
+
+// TestHeapPageInventoryHoldsTablesAndAnnotations: summaries and targets
+// live in memory only, so once a table is annotated the heap pages are
+// its rows and the annotation text, and every page the store allocated
+// belongs to one of those heaps.
+func TestHeapPageInventoryHoldsTablesAndAnnotations(t *testing.T) {
+	db := birdDB(t)
+	for i := 0; i < 40; i++ {
+		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'observed feeding at dawn, flock %d' DOCUMENT 'The flock fed at dawn.' ON birds WHERE id = %d", i, i%3+1))
+	}
+	mustExec(t, db, "ADD ANNOTATION 'one note on every row' ON birds")
+	if db.envs.count() != 3 {
+		t.Fatalf("setup: %d envelopes, want 3", db.envs.count())
+	}
+	inv, err := db.HeapPageInventory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for owner, pages := range inv {
+		if owner != "annotations" && !strings.HasPrefix(owner, "table:") {
+			t.Errorf("inventory owner %q holds %d pages; want only table:* and annotations", owner, len(pages))
+		}
+		total += len(pages)
+	}
+	if len(inv["annotations"]) == 0 || len(inv["table:birds"]) == 0 {
+		t.Fatalf("inventory = %v, want annotation and birds pages", inv)
+	}
+	if n := int(db.store.NumPages()); n != total {
+		t.Errorf("page store holds %d pages, inventory %d: pages outside every swept heap", n, total)
 	}
 }

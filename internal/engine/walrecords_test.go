@@ -234,8 +234,7 @@ func FuzzWALRecord(f *testing.F) {
 
 // BenchmarkAnnotateDurable measures durable ADD ANNOTATION on a row whose
 // envelope keeps growing: each row takes 256 annotations before the next
-// one starts, and every statement rewrites its row's whole envelope record
-// beside its WAL record. Recorded in EXPERIMENTS.md (E23).
+// one starts. Recorded in EXPERIMENTS.md (E23, E27).
 func BenchmarkAnnotateDurable(b *testing.B) {
 	const perRow = 256
 	db, _, err := OpenDurable(Config{CacheDir: b.TempDir(), DisableMetrics: true},

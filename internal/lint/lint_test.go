@@ -270,8 +270,8 @@ func (e *Envelope) g() { e.Objects["C"] = nil }`)
 	expect(t, bad.FieldWrites(fields, "internal/summary/"), "x.go:3:9: writes", "x.go:4:2: writes", "x.go:5:2: writes")
 }
 
-// Everything durable or shipped — WAL frames and payloads, envelope heap
-// records, checkpoints, replication messages — is encoded with
+// Everything durable or shipped — WAL frames and payloads, checkpoints,
+// replication messages — is encoded with
 // internal/codec, and a checkpoint is read by the one redo path. JSON
 // stays at the human edges and in a summary instance's model; an
 // encoding/json import in the log, the envelope store, the checkpoint

@@ -115,9 +115,9 @@ func TestFetchSnapshotRejectsBadCRC(t *testing.T) {
 // TestScrubSoak is the end-to-end bit-rot chaos soak: a primary streaming
 // to a replica, random byte flips injected into heap pages on disk, and
 // the scrubber expected to detect every flip and drive each page through
-// the repair ladder — local rebuild for memory-mirrored owners, a
-// checkpoint fetched over the replication link for row and
-// annotation content, and a structured CORRUPT shed when no source exists.
+// the repair ladder — a checkpoint fetched over the replication link for
+// row and annotation content, an index rebuilt from its heap, and a
+// structured CORRUPT shed when no source exists.
 func TestScrubSoak(t *testing.T) {
 	pdir, rdir := t.TempDir(), t.TempDir()
 	p := startPrimary(t, pdir, -1, SenderConfig{})
@@ -163,7 +163,6 @@ func TestScrubSoak(t *testing.T) {
 	}
 	pick("table:birds", 4)
 	pick("annotations", 1)
-	pick("targets", 1)
 
 	rep, err := r.db.ScrubNow()
 	if err != nil {
@@ -183,12 +182,8 @@ func TestScrubSoak(t *testing.T) {
 		if !f.Repaired {
 			t.Fatalf("page %d (%s) not repaired: %+v", pid, owner, f)
 		}
-		wantSrc := "replica"
-		if owner == "targets" {
-			wantSrc = "rebuild" // targets are memory-mirrored: local rebuild
-		}
-		if f.Source != wantSrc {
-			t.Fatalf("page %d (%s) repaired from %q, want %q", pid, owner, f.Source, wantSrc)
+		if f.Source != "replica" {
+			t.Fatalf("page %d (%s) repaired from %q, want %q", pid, owner, f.Source, "replica")
 		}
 	}
 	if len(rep.Quarantined) != 0 {

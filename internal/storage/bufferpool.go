@@ -221,13 +221,6 @@ func (bp *BufferPool) Quarantine(id PageID, err error) {
 	}
 }
 
-// Unquarantine clears the quarantine on page id without repairing it.
-func (bp *BufferPool) Unquarantine(id PageID) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	delete(bp.quarantined, id)
-}
-
 // Quarantined returns the ids of currently quarantined pages, sorted.
 func (bp *BufferPool) Quarantined() []PageID {
 	bp.mu.Lock()

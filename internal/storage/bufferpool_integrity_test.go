@@ -77,17 +77,6 @@ func TestBufferPoolReadFailure(t *testing.T) {
 		t.Fatalf("ReadFailures after quarantined fetch = %d, want 1", rf)
 	}
 
-	// The stored copy is actually clean (the rot was injected on read), so
-	// lifting the quarantine restores service.
-	pool.Unquarantine(id)
-	pg, err := pool.Fetch(id)
-	if err != nil {
-		t.Fatalf("Fetch after unquarantine: %v", err)
-	}
-	if got, _ := pg.Get(0); !bytes.Equal(got, []byte("will rot")) {
-		t.Errorf("record after unquarantine = %q", got)
-	}
-	pool.Unpin(id, false)
 }
 
 // TestBufferPoolReadFailureNoDeadlock verifies concurrent fetches of a

@@ -9,9 +9,8 @@ import (
 // fetched through a BufferPool. It is the physical home of both data tuples
 // and raw annotations in the engine.
 //
-// A HeapFile owns a contiguous set of page ids that it allocated from the
-// shared pool; the set is tracked in memory and rebuilt by the catalog on
-// open (the catalog persists each table's page list).
+// A HeapFile owns the set of page ids it allocated from the shared pool;
+// the set is tracked in memory only.
 type HeapFile struct {
 	mu    sync.Mutex
 	pool  *BufferPool
@@ -25,31 +24,6 @@ type HeapFile struct {
 // NewHeapFile creates an empty heap over pool.
 func NewHeapFile(pool *BufferPool) *HeapFile {
 	return &HeapFile{pool: pool, freeHint: make(map[PageID]int)}
-}
-
-// OpenHeapFile reattaches a heap to an existing list of pages (as persisted
-// by the catalog), recomputing free-space hints and the record count.
-func OpenHeapFile(pool *BufferPool, pages []PageID) (*HeapFile, error) {
-	h := &HeapFile{
-		pool:     pool,
-		pages:    append([]PageID(nil), pages...),
-		freeHint: make(map[PageID]int, len(pages)),
-	}
-	for _, pid := range pages {
-		pg, err := pool.Fetch(pid)
-		if err != nil {
-			return nil, err
-		}
-		h.freeHint[pid] = pg.FreeSpace()
-		rerr := pg.Records(func(uint16, []byte) bool { h.records++; return true })
-		if err := pool.Unpin(pid, false); err != nil {
-			return nil, err
-		}
-		if rerr != nil {
-			return nil, withPage(rerr, pid)
-		}
-	}
-	return h, nil
 }
 
 // Pages returns the page ids backing the heap, in order.

@@ -120,34 +120,6 @@ func TestHeapUpdateInPlaceAndMove(t *testing.T) {
 	}
 }
 
-func TestHeapOpenRecountsRecords(t *testing.T) {
-	pool := NewBufferPool(NewMemStore(), 8)
-	h := NewHeapFile(pool)
-	var rids []RID
-	for i := 0; i < 20; i++ {
-		rid, _ := h.Insert([]byte(fmt.Sprintf("r%d", i)))
-		rids = append(rids, rid)
-	}
-	h.Delete(rids[3])
-	h.Delete(rids[7])
-
-	h2, err := OpenHeapFile(pool, h.Pages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Len() != 18 {
-		t.Errorf("reopened Len = %d, want 18", h2.Len())
-	}
-	// New inserts land correctly.
-	rid, err := h2.Insert([]byte("after-reopen"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := h2.Get(rid); !bytes.Equal(got, []byte("after-reopen")) {
-		t.Error("insert after reopen corrupted")
-	}
-}
-
 func TestHeapRejectsHugeRecords(t *testing.T) {
 	h := newHeap(4)
 	if _, err := h.Insert(make([]byte, MaxRecordSize+1)); err != ErrRecordTooLarge {
