@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails when any Go file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l .); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -51,10 +54,11 @@ soak-repl:
 
 # soak-scrub is the bit-rot chaos soak on its own: random byte flips
 # injected into heap pages on disk of a primary/replica pair; the scrubber
-# must detect every flip, repair row and annotation pages from a
-# CRC-verified checkpoint over the replication link, rebuild a disagreeing
-# index from the heap, and shed reads of unrepairable pages with the
-# structured CORRUPT error.
+# must detect every flip and quarantine each page, reads of a quarantined
+# page must shed with the structured CORRUPT error, a restart of either
+# node must rebuild its page file from its own checkpoint and WAL and
+# converge record for record, and a disagreeing index must be rebuilt
+# from the heap.
 soak-scrub:
 	$(GO) test -run TestScrubSoak -count=1 -race -short -v ./internal/replication/
 

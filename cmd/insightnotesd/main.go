@@ -13,7 +13,7 @@
 //	              [-maint-queue 1024] [-maint-latency-ms 0]
 //	              [-page-file pages.db] [-pool-frames 256]
 //	              [-replication-addr :7092] [-replicate-from host:7092] [-max-staleness 0]
-//	              [-scrub-interval 0] [-scrub-rate 256] [-repair-from host:7092]
+//	              [-scrub-interval 0] [-scrub-rate 256]
 //
 // With -data-dir the engine runs crash-safe: every mutation is written to
 // a fsynced write-ahead log before it is acknowledged, startup recovers
@@ -100,7 +100,6 @@ func main() {
 	maxStaleness := flag.Duration("max-staleness", 0, "shed replica reads with a structured STALE error once lag exceeds this (0 serves regardless of lag)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub period (0 disables; CHECK TABLE still verifies on demand)")
 	scrubRate := flag.Int("scrub-rate", 0, "background scrub budget in pages per second (0 = built-in default)")
-	repairFrom := flag.String("repair-from", "", "replication address to fetch clean pages from when corruption is found (defaults to -replicate-from on replicas)")
 	flag.Parse()
 
 	if (*replAddr != "" || *replFrom != "") && *dataDir == "" {
@@ -211,19 +210,6 @@ func main() {
 		}
 		receiver.Start()
 		fmt.Printf("following primary %s (max staleness %v)\n", *replFrom, *maxStaleness)
-	}
-
-	// Repair source: where the scrubber refetches heap pages whose only
-	// clean copy is remote. Replicas default to their primary; a primary
-	// (or standalone) repairs from -repair-from when given, otherwise
-	// corrupt heap pages are quarantined and reads shed with CORRUPT.
-	repairAddr := *repairFrom
-	if repairAddr == "" {
-		repairAddr = *replFrom
-	}
-	if repairAddr != "" {
-		db.SetRepairSource(replication.SnapshotFetcher(repairAddr, 0))
-		fmt.Printf("repairing corrupt pages from %s\n", repairAddr)
 	}
 
 	srv := server.New(db)

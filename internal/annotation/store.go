@@ -84,28 +84,6 @@ func (s *Store) VerifyAnnPage(pid storage.PageID, sample int) error {
 	})
 }
 
-// RepairAnnPage rebuilds annotation-heap page pid: slot placement comes
-// from the in-memory id index, content from fetch (a replica snapshot,
-// typically — annotation payloads live only on the heap). Every id the
-// index places on the page must resolve or the repair refuses.
-func (s *Store) RepairAnnPage(pid storage.PageID, fetch func(id ID) (Annotation, bool)) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var recs []storage.SlotRecord
-	for id, rid := range s.byID {
-		if rid.Page != pid {
-			continue
-		}
-		a, ok := fetch(id)
-		if !ok {
-			return fmt.Errorf("annotation: id %d on page %d has no clean source", id, pid)
-		}
-		a.ID = id
-		recs = append(recs, storage.SlotRecord{Slot: rid.Slot, Data: encodeAnnotation(a)})
-	}
-	return s.anns.RepairPage(pid, recs)
-}
-
 // attach indexes every target of annotation id and counts their records
 // into rawBytes. Called with mu held.
 func (s *Store) attach(id ID, targets []Target) {

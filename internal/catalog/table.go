@@ -391,28 +391,6 @@ func (t *Table) RebuildIndex(col string) error {
 	return nil
 }
 
-// RepairPage rebuilds heap page pid from logical row content: slot
-// placement comes from the in-memory RID map, tuples from fetch (a replica
-// snapshot, typically). Every row the map places on the page must be
-// resolvable or the repair refuses — a partial page would trade corruption
-// for silent data loss.
-func (t *Table) RepairPage(pid storage.PageID, fetch func(row types.RowID) (types.Tuple, bool)) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var recs []storage.SlotRecord
-	for row, rid := range t.byRow {
-		if rid.Page != pid {
-			continue
-		}
-		tu, ok := fetch(row)
-		if !ok {
-			return fmt.Errorf("catalog: table %s row %d on page %d has no clean source", t.name, row, pid)
-		}
-		recs = append(recs, storage.SlotRecord{Slot: rid.Slot, Data: encodeRow(row, tu)})
-	}
-	return t.heap.RepairPage(pid, recs)
-}
-
 // Index returns the index on column col, or nil.
 func (t *Table) Index(col string) *storage.BTree {
 	_, name := types.SplitQualified(col)

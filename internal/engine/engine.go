@@ -188,10 +188,6 @@ type DB struct {
 	// Config.ScrubInterval is set).
 	integrity integrityState
 	scrub     *scrubber
-	// repairFn fetches a clean peer snapshot for heap-page repair
-	// (SetRepairSource; nil standalone).
-	repairMu sync.RWMutex
-	repairFn func() ([]byte, error)
 
 	// Durability state (nil/zero when the DB was opened without OpenDurable;
 	// see durability.go). wal is attached only after recovery completes, so

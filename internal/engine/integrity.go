@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"bytes"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"insightnotes/internal/annotation"
 	"insightnotes/internal/catalog"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/storage"
@@ -16,15 +13,15 @@ import (
 )
 
 // Online integrity: the background scrubber sweeps every heap page — table
-// rows and annotation text, the data nothing else holds — through checksum
-// and structural verification, and repairs what it finds from the cheapest
-// clean source available: a surviving buffer-pool frame, or a checkpoint
-// fetched from a connected peer. Pages with no clean source are
-// quarantined: subsequent reads fail fast with the structured corruption
-// error (the server sheds them with code CORRUPT) instead of serving
-// garbage. Secondary indexes are rebuilt from their table's heap. CHECK
-// TABLE runs the same sweep synchronously for one table; SHOW INTEGRITY
-// surfaces the cumulative report.
+// rows and annotation text — through checksum and structural verification.
+// A page whose stored copy is bad but whose buffer-pool frame survives is
+// reflushed from that frame. Any other bad page is quarantined: reads fail
+// fast with the structured corruption error (the server sheds them with
+// code CORRUPT) instead of serving garbage, and CHECKPOINT refuses, until
+// a restart rebuilds the page file from the checkpoint and WAL. Secondary
+// indexes are rebuilt from their table's heap. CHECK TABLE runs the same
+// sweep synchronously for one table; SHOW INTEGRITY surfaces the
+// cumulative report.
 
 // scrubSampleRows caps the per-page sampled heap↔index (and heap↔store)
 // agreement checks, bounding structural verification cost per page.
@@ -38,7 +35,7 @@ const DefaultScrubRate = 256
 const integrityFaultRing = 64
 
 // ownerKind names the store a heap page belongs to; each owner has its own
-// verification and replica repair (see repairFromSourceLocked).
+// structural verification (see verifyScrubTargetLocked).
 type ownerKind int
 
 const (
@@ -66,7 +63,7 @@ type IntegrityFault struct {
 	Owner    string
 	Detail   string
 	Repaired bool
-	Source   string // "flush", "replica", or "rebuild" (indexes); empty when unrepaired
+	Source   string // "flush" (heap pages) or "rebuild" (indexes); empty when unrepaired
 }
 
 // IntegrityReport is the scrubber's cumulative state, surfaced by
@@ -105,18 +102,6 @@ func (s *integrityState) recordSweep(now time.Time, faults []IntegrityFault) {
 	if len(s.faults) > integrityFaultRing {
 		s.faults = s.faults[:integrityFaultRing]
 	}
-}
-
-// SetRepairSource installs the fetch function the repair ladder uses for
-// pages whose contents live only on disk (table heaps, annotation text):
-// it must return a checkpoint of a clean peer — typically
-// replication.FetchSnapshot against the primary's replication listener.
-// A nil source (standalone deployments) makes such pages unrepairable:
-// they are quarantined and reads shed with a structured CORRUPT error.
-func (db *DB) SetRepairSource(fetch func() ([]byte, error)) {
-	db.repairMu.Lock()
-	db.repairFn = fetch
-	db.repairMu.Unlock()
 }
 
 // FlushPages writes every dirty buffer-pool frame to the page store and
@@ -197,13 +182,12 @@ func (db *DB) CheckTable(name string, lc *trace.Active) (IntegrityReport, error)
 
 // ---- sweep ----
 
-// scrubFault is a sweep-internal fault: the target, the verification
-// error, and whether this is a retry of an already-quarantined page (not
-// re-counted as a new failure).
+// scrubFault is a sweep-internal fault: the target and the verification
+// error, which is nil for a page quarantined before this sweep (reported
+// again, not re-counted as a new failure).
 type scrubFault struct {
 	target scrubTarget
 	err    error
-	retry  bool
 }
 
 // scrubSweep runs one verification pass over the page inventory (filter
@@ -223,9 +207,9 @@ func (db *DB) scrubSweep(lc *trace.Active, filter string, rate int, stop <-chan 
 		return nil, err
 	}
 
-	quarantined := make(map[storage.PageID]error)
+	quarantined := make(map[storage.PageID]bool)
 	for _, pid := range db.pool.Quarantined() {
-		quarantined[pid] = nil
+		quarantined[pid] = true
 	}
 
 	var faults []scrubFault
@@ -256,7 +240,7 @@ func (db *DB) scrubSweep(lc *trace.Active, filter string, rate int, stop <-chan 
 			if !owned[t.pid] {
 				continue
 			}
-			if _, ok := quarantined[t.pid]; ok {
+			if quarantined[t.pid] {
 				// Already known corrupt: goes straight to the repair pass.
 				continue
 			}
@@ -295,24 +279,16 @@ func (db *DB) scrubSweep(lc *trace.Active, filter string, rate int, stop <-chan 
 	}
 	db.stmtMu.RUnlock()
 
-	// Retry pages quarantined by earlier sweeps (or by read-path fetch
-	// failures): a repair source may have appeared since.
+	db.integrity.scanned.Add(scanned)
+	db.integrity.failures.Add(uint64(len(faults) + len(indexFaults)))
+	// Report pages quarantined by earlier sweeps (or by read-path fetch
+	// failures) again, so a check never reads clean while one remains.
 	for _, t := range inv {
-		if qerr, ok := quarantined[t.pid]; ok {
-			faults = append(faults, scrubFault{target: t, err: qerr, retry: true})
+		if quarantined[t.pid] {
+			faults = append(faults, scrubFault{target: t})
 			delete(quarantined, t.pid)
 		}
 	}
-
-	newFailures := uint64(0)
-	for _, f := range faults {
-		if !f.retry {
-			newFailures++
-		}
-	}
-	newFailures += uint64(len(indexFaults))
-	db.integrity.scanned.Add(scanned)
-	db.integrity.failures.Add(newFailures)
 
 	report := db.repairFaults(lc, faults)
 	report = append(report, db.repairIndexes(lc, badIndexTables, indexFaults)...)
@@ -379,24 +355,20 @@ func (db *DB) verifyScrubTargetLocked(t scrubTarget) error {
 
 // ---- repair ----
 
-// repairFaults walks the repair ladder for each faulty page: (1) reflush a
-// surviving buffer-pool frame, (2) refetch from the configured repair
-// source, (3) quarantine. The reflush runs under one exclusive lock
-// section; the remote fetch happens between lock sections so the network
-// never stalls writers.
+// repairFaults walks the repair ladder for each faulty page under one
+// exclusive lock section: reflush a surviving buffer-pool frame, else
+// quarantine the page until a restart rebuilds the page file.
 func (db *DB) repairFaults(lc *trace.Active, faults []scrubFault) []IntegrityFault {
 	if len(faults) == 0 {
 		return nil
 	}
 	out := make([]IntegrityFault, len(faults))
-	var remote []int
 	db.stmtMu.Lock()
+	defer db.stmtMu.Unlock()
 	for i, f := range faults {
-		out[i] = IntegrityFault{Page: f.target.pid, Owner: f.target.ownerName()}
+		out[i] = IntegrityFault{Page: f.target.pid, Owner: f.target.ownerName(), Detail: "found corrupt by an earlier sweep"}
 		if f.err != nil {
 			out[i].Detail = f.err.Error()
-		} else {
-			out[i].Detail = "quarantined by an earlier sweep"
 		}
 		if db.reflushLocked(lc, f.target) {
 			out[i].Repaired = true
@@ -404,49 +376,11 @@ func (db *DB) repairFaults(lc *trace.Active, faults []scrubFault) []IntegrityFau
 			db.integrity.repairs.Add(1)
 			continue
 		}
-		remote = append(remote, i)
-	}
-	db.stmtMu.Unlock()
-
-	if len(remote) == 0 {
-		return out
-	}
-	src, err := db.fetchRepairSource()
-	if err != nil {
-		// No clean source: quarantine so reads shed with CORRUPT rather
-		// than serving garbage, and leave the page for a later sweep.
-		for _, i := range remote {
-			f := faults[i]
+		if f.err != nil {
 			db.pool.Quarantine(f.target.pid, f.err)
-			out[i].Detail += "; no clean source: " + err.Error()
 		}
-		return out
+		out[i].Detail += "; quarantined until restart"
 	}
-	defer src.Close()
-	db.stmtMu.Lock()
-	for _, i := range remote {
-		f := faults[i]
-		rsp := lc.StartSpan(trace.SpanScrubRepair, nil)
-		rsp.AttrInt("page", int64(f.target.pid))
-		rsp.Attr("owner", f.target.ownerName())
-		rerr := db.repairFromSourceLocked(f.target, src)
-		if rerr == nil {
-			rerr = db.verifyScrubTargetLocked(f.target)
-		}
-		if rerr != nil {
-			rsp.Attr("source", "failed")
-			rsp.End()
-			db.pool.Quarantine(f.target.pid, f.err)
-			out[i].Detail += "; replica repair failed: " + rerr.Error()
-			continue
-		}
-		rsp.Attr("source", "replica")
-		rsp.End()
-		out[i].Repaired = true
-		out[i].Source = "replica"
-		db.integrity.repairs.Add(1)
-	}
-	db.stmtMu.Unlock()
 	return out
 }
 
@@ -510,52 +444,6 @@ func (db *DB) rebuildTableIndexesLocked(tbl *catalog.Table) error {
 		}
 	}
 	return tbl.VerifyIndexes()
-}
-
-// ---- remote repair source ----
-
-// fetchRepairSource fetches a checkpoint from the configured peer
-// (SetRepairSource) and loads it into a scratch engine, which the caller
-// closes.
-func (db *DB) fetchRepairSource() (*DB, error) {
-	db.repairMu.RLock()
-	fetch := db.repairFn
-	db.repairMu.RUnlock()
-	if fetch == nil {
-		return nil, fmt.Errorf("engine: no repair source configured (standalone)")
-	}
-	raw, err := fetch()
-	if err != nil {
-		return nil, fmt.Errorf("engine: repair source fetch: %w", err)
-	}
-	src, err := Load(bytes.NewReader(raw), Config{DisableMetrics: true, DisableTracing: true})
-	if err != nil {
-		return nil, fmt.Errorf("engine: repair source: %w", err)
-	}
-	return src, nil
-}
-
-// repairFromSourceLocked rebuilds one table-heap or annotation-heap page
-// from the fetched checkpoint. Callers hold the exclusive statement lock.
-func (db *DB) repairFromSourceLocked(t scrubTarget, src *DB) error {
-	if t.kind == ownerAnn {
-		return db.annStore().RepairAnnPage(t.pid, func(id annotation.ID) (annotation.Annotation, bool) {
-			a, err := src.anns.Get(id)
-			return a, err == nil
-		})
-	}
-	tbl, err := db.catStore().Table(t.table)
-	if err != nil {
-		return err
-	}
-	srcTbl, err := src.cat.Table(t.table)
-	if err != nil {
-		return err
-	}
-	return tbl.RepairPage(t.pid, func(row types.RowID) (types.Tuple, bool) {
-		tu, err := srcTbl.Get(row)
-		return tu, err == nil
-	})
 }
 
 // ---- result surfacing ----

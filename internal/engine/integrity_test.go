@@ -108,34 +108,15 @@ func TestScrubRepairsFromResidentFrame(t *testing.T) {
 	}
 }
 
-// TestScrubStandaloneQuarantinesThenRepairsFromSource corrupts a table
-// heap page with no clean local copy: a standalone engine must quarantine
-// it (reads shed with the structured corruption error, not garbage), and a
-// later sweep with a repair source installed must heal it.
-func TestScrubStandaloneQuarantinesThenRepairsFromSource(t *testing.T) {
-	// Durable open: ReplicationSnapshot (the repair-source format) requires
-	// an attached WAL.
-	dir := t.TempDir()
-	db, _, err := OpenDurable(Config{CacheDir: t.TempDir(), PoolFrames: 64}, DurabilityOptions{Dir: dir})
-	if err != nil {
+// TestScrubStandaloneQuarantinesAndSheds corrupts a table heap page with
+// no clean local copy: the sweep must quarantine it (reads shed with the
+// structured corruption error, not garbage), and every later sweep must
+// report it again as unrepaired without counting a new checksum failure.
+func TestScrubStandaloneQuarantinesAndSheds(t *testing.T) {
+	db, pf := integrityDB(t)
+	if err := db.FlushPages(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
-	mustExec(t, db, "CREATE TABLE kv (k INT, v TEXT)")
-	mustExec(t, db, "CREATE INDEX ON kv (k)")
-	for i := 0; i < 200; i++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'value-%d')", i, i))
-	}
-	pf := filepath.Join(dir, pageFileName)
-	// Capture a clean logical snapshot first — it plays the replica later.
-	var snap bytes.Buffer
-	if _, err := db.ReplicationSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	db.pool.DropClean()
 	pid := tableHeapPage(t, db, "kv")
 	flipOnDisk(t, pf, pid)
 
@@ -155,24 +136,103 @@ func TestScrubStandaloneQuarantinesThenRepairsFromSource(t *testing.T) {
 		t.Fatalf("query over quarantined page = %v, want ErrCorrupt", qerr)
 	}
 
-	// Install a repair source; the next sweep retries the quarantined page.
-	db.SetRepairSource(func() ([]byte, error) { return snap.Bytes(), nil })
 	rep2, err := db.ScrubNow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep2.Faults) != 1 || !rep2.Faults[0].Repaired || rep2.Faults[0].Source != "replica" {
-		t.Fatalf("repair sweep faults = %+v, want replica repair", rep2.Faults)
+	if len(rep2.Faults) != 1 || rep2.Faults[0].Page != pid || rep2.Faults[0].Repaired {
+		t.Fatalf("second sweep faults = %+v, want page %d unrepaired", rep2.Faults, pid)
 	}
-	if len(db.pool.Quarantined()) != 0 {
-		t.Fatal("page still quarantined after replica repair")
+	if rep2.ChecksumFailures != rep.ChecksumFailures {
+		t.Fatalf("checksum failures %d -> %d: a quarantined page was recounted",
+			rep.ChecksumFailures, rep2.ChecksumFailures)
 	}
-	res, err := db.Query(context.Background(), "SELECT v FROM kv WHERE k = 3")
+}
+
+// TestQuarantinedPageRecoversOnRestart corrupts the page holding a row
+// updated after the last checkpoint. The page is quarantined, CHECK TABLE
+// never reads clean, reads and CHECKPOINT refuse, and a restart rebuilds
+// the page file from the checkpoint and WAL with the committed update.
+func TestQuarantinedPageRecoversOnRestart(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	cfg := Config{CacheDir: t.TempDir(), PoolFrames: 64}
+	db, _, err := OpenDurable(cfg, DurabilityOptions{Dir: dir})
 	if err != nil {
-		t.Fatalf("query after repair: %v", err)
+		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0].Tuple[0].Str() != "value-3" {
-		t.Fatalf("repaired read = %+v", res.Rows)
+	t.Cleanup(func() { db.Close() })
+	mustExec(t, db, "CREATE TABLE kv (k INT, v TEXT)")
+	mustExec(t, db, "CREATE INDEX ON kv (k)")
+	for i := 0; i < 200; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'value-%d')", i, i))
+	}
+	mustExec(t, db, "CHECKPOINT")
+	mustExec(t, db, "UPDATE kv SET v = 'committed-later' WHERE k = 3")
+	if err := db.FlushPages(); err != nil {
+		t.Fatal(err)
+	}
+	pf := filepath.Join(dir, pageFileName)
+	raw, err := os.ReadFile(pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := bytes.Index(raw, []byte("committed-later"))
+	if off < 0 {
+		t.Fatal("updated row not in the page file")
+	}
+	pid := storage.PageID(off / storage.PageSize)
+	flipOnDisk(t, pf, pid)
+
+	rep, err := db.ScrubNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != pid {
+		t.Fatalf("quarantined = %v, want [%d]", rep.Quarantined, pid)
+	}
+	res := mustExec(t, db, "CHECK TABLE kv")
+	if len(res.Rows) != 1 {
+		t.Fatalf("CHECK TABLE over quarantined page returned %d rows", len(res.Rows))
+	}
+	if row := res.Rows[0].Tuple; row[0].Int() != int64(pid) || row[3].Bool() {
+		t.Fatalf("fault row = %+v, want page %d unrepaired", row, pid)
+	}
+	if _, err := db.Query(ctx, "SELECT v FROM kv WHERE k = 3"); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("read over quarantined page = %v, want ErrCorrupt", err)
+	}
+	snapPath := filepath.Join(dir, snapshotFileName)
+	published, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(ctx, "CHECKPOINT"); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("CHECKPOINT with a quarantined page = %v, want ErrCorrupt", err)
+	}
+	if after, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(after, published) {
+		t.Fatalf("refused CHECKPOINT changed the published checkpoint (err %v)", err)
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, _, err = OpenDurable(cfg, DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Query(ctx, "SELECT v FROM kv WHERE k = 3")
+	if err != nil {
+		t.Fatalf("read after restart: %v", err)
+	}
+	if len(got.Rows) != 1 || got.Rows[0].Tuple[0].Str() != "committed-later" {
+		t.Fatalf("k = 3 after restart = %+v, want committed-later", got.Rows)
+	}
+	rep, err = db.ScrubNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Faults) != 0 || len(rep.Quarantined) != 0 {
+		t.Fatalf("sweep after restart: faults %+v, quarantined %v", rep.Faults, rep.Quarantined)
 	}
 }
 

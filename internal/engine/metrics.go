@@ -170,9 +170,9 @@ func newDBMetrics(db *DB) *dbMetrics {
 	reg.CounterFunc(metrics.NameIntegrityChecksumFailures,
 		"Page verification failures: scrub-detected faults plus read-path checksum failures.",
 		func() float64 { return float64(db.integrity.failures.Load() + pool.ReadFailures()) })
-	reg.CounterFunc(metrics.NameIntegrityRepairs, "Pages repaired (reflushed, rebuilt locally, or refetched from a peer).",
+	reg.CounterFunc(metrics.NameIntegrityRepairs, "Repairs: heap pages reflushed from a clean resident frame, indexes rebuilt from their heap.",
 		func() float64 { return float64(db.integrity.repairs.Load()) })
-	reg.GaugeFunc(metrics.NameIntegrityQuarantined, "Pages currently quarantined pending a repair source.",
+	reg.GaugeFunc(metrics.NameIntegrityQuarantined, "Pages currently quarantined until a restart rebuilds the page file.",
 		func() float64 { return float64(len(pool.Quarantined())) })
 
 	// Planner decision counters, shared with every planner the DB builds.

@@ -43,8 +43,7 @@ import (
 // holds per classifier instance.
 //
 // Save, CHECKPOINT and a replica resync write this stream; Load,
-// OpenDurable, InstallReplicaSnapshot and the scrubber's repair source
-// read it through readCheckpoint, strictly: nothing appends to a
+// OpenDurable and InstallReplicaSnapshot read it through readCheckpoint, strictly: nothing appends to a
 // checkpoint, so a short or damaged frame, a missing trailer or a record
 // count that does not match makes the whole stream corrupt.
 

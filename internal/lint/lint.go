@@ -10,8 +10,9 @@
 // Imports keeps a package out of the files that must not use it (no JSON on
 // the durable write path).
 // LeakyOpens reads the tests and examples themselves (neither may leave the
-// zoom-in cache directory Open creates behind), and StaleMakeTargets reads
-// the documentation against the Makefile.
+// zoom-in cache directory Open creates behind), StaleMakeTargets reads
+// the documentation against the Makefile, and StaleDaemonFlags reads it
+// against the daemon's flag declarations.
 package lint
 
 import (
@@ -387,6 +388,57 @@ func StaleMakeTargets(makefile, name, doc string) []string {
 		for _, word := range strings.Fields(m[1]) {
 			if !strings.Contains(word, "=") && !declared[word] {
 				problems = append(problems, fmt.Sprintf("%s: `make %s` names no Makefile target", name, word))
+			}
+		}
+	}
+	return problems
+}
+
+var (
+	docContinuation = regexp.MustCompile(`\\[ \t]*\n`)
+	docFlag         = regexp.MustCompile(`^\[?--?([A-Za-z][A-Za-z0-9_-]*)`)
+)
+
+// StaleDaemonFlags reports each -flag written in doc (a text reported
+// under name) on a command line that runs insightnotesd, lines continued
+// with a trailing backslash included, that mainSrc — the daemon's main.go
+// — does not declare with a flag.<Kind>("name", ...) call. A command line
+// ends at a shell separator, a closing parenthesis or the backtick that
+// closes inline code.
+func StaleDaemonFlags(mainSrc, name, doc string) []string {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", mainSrc, parser.SkipObjectResolution)
+	if err != nil {
+		return []string{fmt.Sprintf("%s: %v", name, err)}
+	}
+	declared := map[string]bool{"h": true, "help": true} // the flag package's own
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && strings.HasPrefix(selectorChain(call.Fun), "flag.") {
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					v, _ := strconv.Unquote(lit.Value)
+					declared[v] = true
+					break
+				}
+			}
+		}
+		return true
+	})
+	const terminators = "`|&;)>"
+	var problems []string
+	for _, line := range strings.Split(docContinuation.ReplaceAllString(doc, " "), "\n") {
+		words := strings.Fields(line)
+		for i, word := range words {
+			cmd := strings.TrimLeft(word, "`(")
+			if filepath.Base(strings.TrimRight(cmd, terminators)) != "insightnotesd" || strings.ContainsAny(cmd, terminators) {
+				continue
+			}
+			for _, arg := range words[i+1:] {
+				if m := docFlag.FindStringSubmatch(arg); m != nil && !declared[m[1]] {
+					problems = append(problems, fmt.Sprintf("%s: `insightnotesd -%s` names no flag cmd/insightnotesd declares", name, m[1]))
+				}
+				if strings.ContainsAny(arg, terminators) {
+					break
+				}
 			}
 		}
 	}

@@ -309,3 +309,25 @@ func TestDocumentedMakeTargetsExist(t *testing.T) {
 	expect(t, StaleMakeTargets(makefile, "x.md", "run `make check`, then `make fuzz FUZZTIME=3s` and `make bench-everything soak`"),
 		"`make bench-everything` names no Makefile target")
 }
+
+// Every -flag the documentation passes to insightnotesd is one the daemon
+// declares, so deleting a flag cannot leave stale command lines behind.
+func TestDocumentedDaemonFlagsExist(t *testing.T) {
+	read := func(path string) string {
+		data, err := os.ReadFile("../../" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	mainSrc := read("cmd/insightnotesd/main.go")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmark/README.md", ".claude/skills/verify/SKILL.md"} {
+		expect(t, StaleDaemonFlags(mainSrc, doc, read(doc)))
+	}
+	doc := "go run ./cmd/insightnotesd -addr :7090 -data-dir ./d \\\n" +
+		"\t-scrub-interval 1m -repair-from 127.0.0.1:7092 &\n" +
+		"`/tmp/insightnotesd -demo [-stmt-timeout 30s] [-no-such]` then `-connect` the REPL;\n" +
+		"`insightnotesd` without `-bogus` is prose, and so is `pgrep -f insightnotesd | head -1`.\n"
+	expect(t, StaleDaemonFlags(mainSrc, "x.md", doc),
+		"`insightnotesd -repair-from` names no flag", "`insightnotesd -no-such` names no flag")
+}

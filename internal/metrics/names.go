@@ -137,8 +137,8 @@ const (
 	// acceptance wording and are pinned without the _total suffix.
 	NameIntegrityPagesScanned     = "insightnotes_integrity_pages_scanned"     // counter (pages swept by the scrubber or CHECK TABLE)
 	NameIntegrityChecksumFailures = "insightnotes_integrity_checksum_failures" // counter (pages whose stored CRC or structure failed verification)
-	NameIntegrityRepairs          = "insightnotes_integrity_repairs"           // counter (pages repaired: reflushed, rebuilt locally, or refetched)
-	NameIntegrityQuarantined      = "insightnotes_integrity_quarantined"       // gauge (pages currently quarantined, awaiting a repair source)
+	NameIntegrityRepairs          = "insightnotes_integrity_repairs"           // counter (heap pages reflushed, indexes rebuilt)
+	NameIntegrityQuarantined      = "insightnotes_integrity_quarantined"       // gauge (pages currently quarantined, until a restart)
 
 	// process layer — build identity and age.
 	NameBuildInfo            = "insightnotes_build_info"             // gauge{version} (always 1)

@@ -36,29 +36,29 @@ import (
 // Messages of the replication stream. Each is one codec frame
 // (codec.BeginFrame, codec.FrameReader) whose kind byte is
 // replVersion<<4 | the message type, and whose body is every field of
-// message in order — uvarint from-LSN, bool want-snapshot, uvarint LSN,
-// uvarint tip, str record type, rest: the body — each type setting the
-// fields it uses and leaving the others zero:
+// message in order — uvarint from-LSN, uvarint LSN, uvarint tip, str
+// record type, rest: the body — each type setting the fields it uses and
+// leaving the others zero:
 //
-//	hello      from-LSN, want-snapshot   replica→primary, opens a session
+//	hello      from-LSN                  replica→primary, opens a session
 //	record     LSN, tip, type, body      one committed WAL record, body verbatim
 //	snapshot   LSN, tip, body            the primary's checkpoint stream
 //	heartbeat  tip                       sent while the stream is idle
 //	ack        LSN                       replica→primary
 //
 // A hello's from-LSN is the last LSN the replica's own WAL holds durably:
-// streaming resumes at from-LSN+1. want-snapshot asks for one snapshot
-// instead of a stream (FetchSnapshot, for page repair); the sender ships
-// it and closes. Every record, snapshot and heartbeat carries the
-// primary's tip LSN, so a replica measures its lag without a separate
-// channel. A snapshot resyncs a replica whose position predates the
-// primary's log, streaming continuing from its LSN+1; it is the engine's
-// checkpoint byte for byte, so its integrity rests on the checkpoint's
-// own per-record CRCs and trailer count, which the engine checks before
-// installing or repairing from it. An ack reports the highest LSN the
-// replica has applied and made locally durable.
+// streaming resumes at from-LSN+1. Every record, snapshot and heartbeat
+// carries the primary's tip LSN, so a replica measures its lag without a
+// separate channel. A snapshot resyncs a replica whose position predates
+// the primary's log, streaming continuing from its LSN+1; it is the
+// engine's checkpoint byte for byte, so its integrity rests on the
+// checkpoint's own per-record CRCs and trailer count, which the engine
+// checks before installing it. An ack reports the highest LSN the replica
+// has applied and made locally durable. A peer speaking another version
+// sends kind bytes outside this version's range, so its first frame fails
+// as an unknown kind instead of being misparsed.
 const (
-	replVersion = 1
+	replVersion = 2
 
 	msgHello = replVersion<<4 | (iota + 1)
 	msgRecord
@@ -69,20 +69,18 @@ const (
 
 // message is one frame of the replication stream in either direction.
 type message struct {
-	Kind         byte
-	FromLSN      uint64
-	WantSnapshot bool
-	LSN          uint64
-	TipLSN       uint64
-	RecType      string
-	Body         []byte
+	Kind    byte
+	FromLSN uint64
+	LSN     uint64
+	TipLSN  uint64
+	RecType string
+	Body    []byte
 }
 
 // appendMessage encodes m as one frame, reusing dst's storage.
 func appendMessage(dst []byte, m *message) []byte {
 	w := codec.BeginFrame(dst, m.Kind)
 	w.Uvarint(m.FromLSN)
-	w.Bool(m.WantSnapshot)
 	w.Uvarint(m.LSN)
 	w.Uvarint(m.TipLSN)
 	w.Str(m.RecType)
@@ -97,7 +95,7 @@ func decodeMessage(kind byte, body []byte) (message, error) {
 		return message{}, fmt.Errorf("replication: unknown message kind 0x%02x", kind)
 	}
 	r := codec.NewReader(body)
-	m := message{Kind: kind, FromLSN: r.Uvarint(), WantSnapshot: r.Bool(), LSN: r.Uvarint(), TipLSN: r.Uvarint(), RecType: r.Str()}
+	m := message{Kind: kind, FromLSN: r.Uvarint(), LSN: r.Uvarint(), TipLSN: r.Uvarint(), RecType: r.Str()}
 	m.Body = bytes.Clone(r.Rest())
 	if err := r.Done(); err != nil {
 		return message{}, fmt.Errorf("replication: message kind 0x%02x: %w", kind, err)

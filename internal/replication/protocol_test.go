@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"insightnotes/internal/codec"
@@ -36,7 +37,7 @@ func protocolCases(tb testing.TB) []message {
 		tb.Fatal(err)
 	}
 	return []message{
-		{Kind: msgHello, FromLSN: 41, WantSnapshot: true, Body: []byte{}},
+		{Kind: msgHello, FromLSN: 41, Body: []byte{}},
 		{Kind: msgRecord, LSN: 7, TipLSN: 9, RecType: "annotate", Body: []byte{1, 2, 3}},
 		{Kind: msgSnapshot, LSN: lsn, TipLSN: lsn + 2, Body: ckpt.Bytes()},
 		{Kind: msgHeartbeat, TipLSN: 1 << 40, Body: []byte{}},
@@ -59,6 +60,11 @@ func TestReplicationMessagesRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("round trip:\n got  %+v\n want %+v", got, m)
 		}
+	}
+	// A version-1 hello (from-LSN 41, want-snapshot set) is refused as an
+	// unknown kind, never misparsed under this version's layout.
+	if _, err := decodeMessage(1<<4|1, []byte{41, 1, 0, 0, 0}); err == nil || !strings.Contains(err.Error(), "unknown message kind") {
+		t.Fatalf("version-1 hello: err = %v, want unknown message kind", err)
 	}
 }
 

@@ -32,6 +32,8 @@ func openDB(t *testing.T, dir string, autoCkpt int64) *engine.DB {
 }
 
 // primaryStack is a durable engine with a replication sender listening.
+// The test cleanup closes whichever incarnation is current, so a test may
+// restart the stack in place.
 type primaryStack struct {
 	db     *engine.DB
 	sender *Sender
@@ -52,11 +54,12 @@ func startPrimary(t *testing.T, dir string, autoCkpt int64, cfg SenderConfig) *p
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := &primaryStack{db: db, sender: s, addr: addr}
 	t.Cleanup(func() {
-		s.Shutdown(2 * time.Second)
-		db.Close()
+		p.sender.Shutdown(2 * time.Second)
+		p.db.Close()
 	})
-	return &primaryStack{db: db, sender: s, addr: addr}
+	return p
 }
 
 // replicaStack is a durable engine following a primary.
@@ -77,11 +80,12 @@ func startReplica(t *testing.T, dir, primaryAddr string, cfg ReceiverConfig) *re
 		t.Fatal(err)
 	}
 	r.Start()
+	rs := &replicaStack{db: db, rcv: r}
 	t.Cleanup(func() {
-		r.Shutdown(2 * time.Second)
-		db.Close()
+		rs.rcv.Shutdown(2 * time.Second)
+		rs.db.Close()
 	})
-	return &replicaStack{db: db, rcv: r}
+	return rs
 }
 
 func mustExec(t *testing.T, db *engine.DB, stmt string) {

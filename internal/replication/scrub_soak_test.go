@@ -1,10 +1,8 @@
 package replication
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,88 +34,54 @@ func flipPageByte(t *testing.T, path string, pid storage.PageID) {
 	}
 }
 
-// TestFetchSnapshotEndToEnd requests a one-shot snapshot from a live
-// sender and installs it into a fresh replica engine.
-func TestFetchSnapshotEndToEnd(t *testing.T) {
-	p := startPrimary(t, t.TempDir(), -1, SenderConfig{})
-	seedSchema(t, p.db)
-	mustExec(t, p.db, "INSERT INTO birds VALUES (1, 'Swan Goose'), (2, 'Mute Swan')")
-	mustExec(t, p.db, "ADD ANNOTATION 'observed feeding on stonewort' ON birds WHERE id = 1")
-
-	raw, err := FetchSnapshot(p.addr, 5*time.Second)
+// restartReplica stops r's receiver, closes its engine and reopens it from
+// its own checkpoint and WAL, which recreates the page file, then follows
+// primaryAddr again.
+func restartReplica(t *testing.T, r *replicaStack, dir, primaryAddr string) {
+	t.Helper()
+	if err := r.rcv.Shutdown(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r.db = openDB(t, dir, -1)
+	rcv, err := NewReceiver(r.db, ReceiverConfig{PrimaryAddr: primaryAddr, Backoff: fastBackoff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) == 0 {
-		t.Fatal("empty snapshot")
-	}
-	rdb := openDB(t, t.TempDir(), -1)
-	defer rdb.Close()
-	if _, err := rdb.InstallReplicaSnapshot(raw); err != nil {
-		t.Fatalf("install fetched snapshot: %v", err)
-	}
-	assertConverged(t, p.db, rdb)
-
-	// The regular stream still works after one-shot fetches (the sender
-	// must not wedge its listener).
-	r := startReplica(t, t.TempDir(), p.addr, ReceiverConfig{})
-	waitCaughtUp(t, p, r.rcv)
-	assertConverged(t, p.db, r.db)
+	rcv.Start()
+	r.rcv = rcv
 }
 
-// TestFetchSnapshotRejectsBadCRC serves a snapshot with one flipped byte
-// from a fake primary: the fetch is transport only, and the checkpoint's
-// per-record CRC makes the replica refuse to install it, its state intact.
-func TestFetchSnapshotRejectsBadCRC(t *testing.T) {
-	src := openDB(t, t.TempDir(), -1)
-	defer src.Close()
-	seedSchema(t, src)
-	mustExec(t, src, "INSERT INTO birds VALUES (1, 'Swan Goose'), (2, 'Mute Swan')")
-	var buf bytes.Buffer
-	if _, err := src.ReplicationSnapshot(&buf); err != nil {
+// restartPrimary shuts p's sender down, closes its engine and reopens it
+// from its own checkpoint and WAL, listening again on the same address so
+// its replica reconnects.
+func restartPrimary(t *testing.T, p *primaryStack, dir string) {
+	t.Helper()
+	if err := p.sender.Shutdown(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	raw[10] ^= 0x01 // inside the first record's payload, past its 8-byte frame header
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err := p.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p.db = openDB(t, dir, -1)
+	s, err := NewSender(p.db, SenderConfig{Heartbeat: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		mc := newMsgConn(c)
-		if hello, err := mc.read(); err != nil || !hello.WantSnapshot {
-			return
-		}
-		mc.write(&message{Kind: msgSnapshot, Body: raw})
-	}()
-	fetched, err := FetchSnapshot(ln.Addr().String(), 2*time.Second)
-	if err != nil {
+	if _, err := s.Listen(p.addr); err != nil {
 		t.Fatal(err)
 	}
-	rdb := openDB(t, t.TempDir(), -1)
-	defer rdb.Close()
-	mustExec(t, rdb, "CREATE TABLE kept (id INT)")
-	if _, err := rdb.InstallReplicaSnapshot(fetched); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("tampered snapshot: err = %v, want a checksum mismatch", err)
-	}
-	if _, err := rdb.Catalog().Table("kept"); err != nil {
-		t.Fatalf("the refused snapshot disturbed the replica: %v", err)
-	}
+	p.sender = s
 }
 
 // TestScrubSoak is the end-to-end bit-rot chaos soak: a primary streaming
 // to a replica, random byte flips injected into heap pages on disk, and
-// the scrubber expected to detect every flip and drive each page through
-// the repair ladder — a checkpoint fetched over the replication link for
-// row and annotation content, an index rebuilt from its heap, and a
-// structured CORRUPT shed when no source exists.
+// the scrubber expected to detect every flip. A page with no surviving
+// frame is quarantined, reads over it shed with a structured CORRUPT
+// error, and a restart rebuilds the page file from the node's own
+// checkpoint and WAL; a disagreeing index is rebuilt from its heap.
 func TestScrubSoak(t *testing.T) {
 	pdir, rdir := t.TempDir(), t.TempDir()
 	p := startPrimary(t, pdir, -1, SenderConfig{})
@@ -135,9 +99,8 @@ func TestScrubSoak(t *testing.T) {
 	waitCaughtUp(t, p, r.rcv)
 	assertConverged(t, p.db, r.db)
 
-	// ---- Phase 1: rot the replica; repairs come from the primary over
-	// the replication link. ----
-	r.db.SetRepairSource(SnapshotFetcher(p.addr, 5*time.Second))
+	// ---- Phase 1: rot the replica; every flipped page is quarantined,
+	// and a restart brings the replica back record for record. ----
 	if err := r.db.FlushPages(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,15 +142,23 @@ func TestScrubSoak(t *testing.T) {
 		if !ok {
 			t.Fatalf("flip on page %d (%s) undetected; faults %+v", pid, owner, rep.Faults)
 		}
-		if !f.Repaired {
-			t.Fatalf("page %d (%s) not repaired: %+v", pid, owner, f)
-		}
-		if f.Source != "replica" {
-			t.Fatalf("page %d (%s) repaired from %q, want %q", pid, owner, f.Source, "replica")
+		if f.Repaired {
+			t.Fatalf("page %d (%s) repaired from %q with no surviving frame", pid, owner, f.Source)
 		}
 	}
-	if len(rep.Quarantined) != 0 {
-		t.Fatalf("pages left quarantined after repair: %v", rep.Quarantined)
+	if len(rep.Quarantined) != len(flipped) {
+		t.Fatalf("quarantined = %v, want the %d flipped pages", rep.Quarantined, len(flipped))
+	}
+	for _, pid := range rep.Quarantined {
+		if _, ok := flipped[pid]; !ok {
+			t.Fatalf("page %d quarantined but never flipped", pid)
+		}
+	}
+	restartReplica(t, r, rdir, p.addr)
+	waitCaughtUp(t, p, r.rcv)
+	assertConverged(t, p.db, r.db)
+	if rep, err := r.db.ScrubNow(); err != nil || len(rep.Faults) != 0 || len(rep.Quarantined) != 0 {
+		t.Fatalf("sweep after replica restart: %+v, %v", rep, err)
 	}
 
 	// ---- Phase 2: index disagreement on the replica; the sweep rebuilds
@@ -223,19 +194,9 @@ func TestScrubSoak(t *testing.T) {
 	// Replica converged again, record for record.
 	assertConverged(t, p.db, r.db)
 
-	// ---- Phase 3: rot the primary, which has no repair source — reads
-	// must shed with a structured CORRUPT error, not serve garbage. ----
-	psrv := server.New(p.db)
-	paddr, err := psrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer psrv.Close()
-	pc, err := server.Dial(paddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
+	// ---- Phase 3: rot the primary — reads must shed with a structured
+	// CORRUPT error, not serve garbage. ----
+	psrv, pc := serveOverWire(t, p.db)
 
 	if err := p.db.FlushPages(); err != nil {
 		t.Fatal(err)
@@ -265,28 +226,30 @@ func TestScrubSoak(t *testing.T) {
 		t.Fatalf("CORRUPT shed does not name page %d: %q", badPID, resp.Error)
 	}
 
-	// ---- Phase 4: give the primary a repair source (the converged
-	// replica) and heal it with CHECK TABLE over the wire. ----
-	p.db.SetRepairSource(func() ([]byte, error) {
-		var buf bytes.Buffer
-		if _, err := r.db.ReplicationSnapshot(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
+	// ---- Phase 4: CHECK TABLE over the wire still reports the page
+	// unrepaired; a restart of the primary rebuilds its page file and the
+	// read that shed succeeds. ----
 	resp, err = pc.Do(context.Background(), "CHECK TABLE birds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.OK {
-		t.Fatalf("CHECK TABLE birds: %+v", resp)
+	if !resp.OK || len(resp.Rows) != 1 {
+		t.Fatalf("CHECK TABLE birds over a quarantined page = %+v, want one fault row", resp)
 	}
+	// A restart resets the counters, so check them first.
+	if rep := p.db.IntegrityReport(); rep.ChecksumFailures == 0 || rep.Sweeps < 2 {
+		t.Fatalf("primary integrity report undercounts: %+v", rep)
+	}
+	pc.Close()
+	psrv.Close()
+	restartPrimary(t, p, pdir)
+	psrv, pc = serveOverWire(t, p.db)
 	resp, err = pc.Do(context.Background(), "SELECT name FROM birds WHERE id = 123")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.OK || len(resp.Rows) != 1 {
-		t.Fatalf("read after CHECK TABLE repair = %+v", resp)
+		t.Fatalf("read after primary restart = %+v", resp)
 	}
 
 	// ---- Phase 5: both sides sweep clean and agree. ----
@@ -300,7 +263,22 @@ func TestScrubSoak(t *testing.T) {
 		}
 	}
 	assertConverged(t, p.db, r.db)
-	if rep := p.db.IntegrityReport(); rep.ChecksumFailures == 0 || rep.Repairs == 0 || rep.Sweeps < 2 {
-		t.Fatalf("primary integrity report undercounts: %+v", rep)
+}
+
+// serveOverWire starts a statement server on db and dials it. Both are
+// closed at cleanup if the test has not closed them already.
+func serveOverWire(t *testing.T, db *engine.DB) (*server.Server, *server.Client) {
+	t.Helper()
+	srv := server.New(db)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { srv.Close() })
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return srv, c
 }

@@ -160,13 +160,6 @@ func (s *Sender) serve(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	if hello.WantSnapshot {
-		// One-shot snapshot service for page repair: ship a checkpoint
-		// and close; no stream state is created.
-		s.sendSnapshot(conn, mc)
-		return
-	}
-
 	rc := &replicaConn{conn: conn, ackCh: make(chan struct{}, 1)}
 	rc.acked.Store(hello.FromLSN)
 	s.mu.Lock()

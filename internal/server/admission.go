@@ -17,9 +17,9 @@ import (
 // endpoint — RoutedClient fails over); CodeReadOnly marks a mutation sent
 // to a replica (never retryable here; route it to the primary);
 // CodeCorrupt marks a statement that touched a page detected corrupt with
-// no clean repair source — the page id is in the error text; the data is
-// quarantined, not served (retry only after repair, e.g. CHECK TABLE with
-// a repair source configured).
+// no surviving clean frame — the page id is in the error text; the data
+// is quarantined, not served (retry only after the node restarts, which
+// rebuilds its page file from the checkpoint and WAL).
 const (
 	CodeOverloaded    = "OVERLOADED"
 	CodeFrameTooLarge = "FRAME_TOO_LARGE"

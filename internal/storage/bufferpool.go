@@ -19,8 +19,8 @@ type BufferPool struct {
 	lru      *list.List // of PageID, front = most recently used
 
 	// quarantined maps pages known corrupt to their corruption error.
-	// Fetch fails fast on them with the structured error until a repair
-	// (ReplacePage / FlushResident) clears the entry.
+	// Fetch fails fast on them with the structured error until a reflush
+	// (FlushResident) clears the entry or the process restarts.
 	quarantined map[PageID]error
 
 	// stats
@@ -234,9 +234,8 @@ func (bp *BufferPool) Quarantined() []PageID {
 }
 
 // FlushResident writes the resident copy of page id back to the store when
-// the page is cached and unpinned, clearing any quarantine — the cheapest
-// repair source when the stored copy is corrupt but a good frame survives
-// in memory. It reports whether a resident copy was written.
+// the page is cached and unpinned, clearing any quarantine — the repair
+// when the stored copy is corrupt but a good frame survives in memory. It reports whether a resident copy was written.
 func (bp *BufferPool) FlushResident(id PageID) (bool, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -250,27 +249,6 @@ func (bp *BufferPool) FlushResident(id PageID) (bool, error) {
 	fr.dirty = false
 	delete(bp.quarantined, id)
 	return true, bp.store.Sync()
-}
-
-// ReplacePage installs src as the authoritative content of page id: it
-// writes through to the store, refreshes any resident frame, and clears
-// the page's quarantine — the repair path for a rebuilt page. It fails if
-// the page is currently pinned.
-func (bp *BufferPool) ReplacePage(id PageID, src *Page) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if fr, ok := bp.frames[id]; ok {
-		if fr.pins > 0 {
-			return fmt.Errorf("storage: replace of pinned page %d", id)
-		}
-		fr.page = *src
-		fr.dirty = false
-	}
-	if err := bp.store.WritePage(id, src); err != nil {
-		return err
-	}
-	delete(bp.quarantined, id)
-	return bp.store.Sync()
 }
 
 // DropClean evicts every unpinned, clean resident frame, forcing

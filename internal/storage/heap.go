@@ -237,35 +237,6 @@ func (h *HeapFile) ViewPage(pid PageID, fn func(pg *Page) error) error {
 	return nil
 }
 
-// RepairPage replaces the physical contents of pid — which must belong to
-// this heap — with exactly recs (see RebuildPage), writing through the
-// pool's repair path and refreshing the free-space hint. The record count
-// is untouched: repair restores the same logical rows on a fresh physical
-// page.
-func (h *HeapFile) RepairPage(pid PageID, recs []SlotRecord) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	found := false
-	for _, p := range h.pages {
-		if p == pid {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("storage: repair of page %d not in this heap", pid)
-	}
-	var pg Page
-	if err := RebuildPage(&pg, recs); err != nil {
-		return err
-	}
-	if err := h.pool.ReplacePage(pid, &pg); err != nil {
-		return err
-	}
-	h.freeHint[pid] = pg.FreeSpace()
-	return nil
-}
-
 // String summarizes the heap for debugging.
 func (h *HeapFile) String() string {
 	h.mu.Lock()

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -207,68 +206,5 @@ func TestPageVerifyStructural(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v does not match ErrCorrupt", tc.name, err)
 		}
-	}
-}
-
-// TestRebuildPageByteIdentical verifies that rebuilding an append-only page
-// from its slot records reproduces the original bytes exactly — the
-// property the replica-assisted heap repair relies on to restore a page
-// whose checksum then matches a fresh stamp.
-func TestRebuildPageByteIdentical(t *testing.T) {
-	var orig Page
-	orig.Reset()
-	recs := []SlotRecord{}
-	for _, s := range []string{"one", "twotwo", "three-three", "4"} {
-		slot, err := orig.Insert([]byte(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, SlotRecord{Slot: slot, Data: []byte(s)})
-	}
-	var rebuilt Page
-	if err := RebuildPage(&rebuilt, recs); err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt != orig {
-		t.Fatal("rebuild of append-only page is not byte-identical")
-	}
-}
-
-// TestRebuildPagePreservesSlotsAndTombstones verifies slot-number fidelity:
-// missing slot numbers rebuild as tombstones and records keep their slots.
-func TestRebuildPagePreservesSlotsAndTombstones(t *testing.T) {
-	var p Page
-	if err := RebuildPage(&p, []SlotRecord{
-		{Slot: 1, Data: []byte("kept-one")},
-		{Slot: 3, Data: []byte("kept-three")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Verify(); err != nil {
-		t.Fatalf("rebuilt page fails Verify: %v", err)
-	}
-	if n := p.NumSlots(); n != 4 {
-		t.Fatalf("NumSlots = %d, want 4", n)
-	}
-	for _, dead := range []uint16{0, 2} {
-		if _, err := p.Get(dead); err != ErrNoSuchRecord {
-			t.Errorf("slot %d = %v, want tombstone", dead, err)
-		}
-	}
-	if got, _ := p.Get(1); !bytes.Equal(got, []byte("kept-one")) {
-		t.Errorf("slot 1 = %q", got)
-	}
-	if got, _ := p.Get(3); !bytes.Equal(got, []byte("kept-three")) {
-		t.Errorf("slot 3 = %q", got)
-	}
-	// Rejections: duplicate slots, slot past capacity, oversized payload.
-	if err := RebuildPage(&p, []SlotRecord{{Slot: 0}, {Slot: 0}}); err == nil {
-		t.Error("duplicate slots accepted")
-	}
-	if err := RebuildPage(&p, []SlotRecord{{Slot: maxSlots}}); err == nil {
-		t.Error("slot past capacity accepted")
-	}
-	if err := RebuildPage(&p, []SlotRecord{{Slot: 0, Data: make([]byte, PageSize)}}); err != ErrPageFull {
-		t.Errorf("oversized rebuild = %v, want ErrPageFull", err)
 	}
 }

@@ -358,49 +358,3 @@ func (p *Page) Verify() error {
 	}
 	return nil
 }
-
-// SlotRecord is one live record pinned to a fixed slot number, the unit a
-// corrupt page is rebuilt from.
-type SlotRecord struct {
-	Slot uint16
-	Data []byte
-}
-
-// RebuildPage reconstructs into p a slotted page holding exactly recs, each
-// at its original slot number; absent slots below the maximum become
-// tombstones. Records are laid out in slot order downward from the top of
-// the page — the layout an append-only page has naturally, so rebuilding a
-// page that never saw deletes or moves is byte-identical to the original
-// flush. Pages that had deletes rebuild compacted (dead bytes are not
-// reproduced).
-func RebuildPage(p *Page, recs []SlotRecord) error {
-	sorted := append([]SlotRecord(nil), recs...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Slot < sorted[b].Slot })
-	need := 0
-	nslots := 0
-	for i, r := range sorted {
-		if i > 0 && r.Slot == sorted[i-1].Slot {
-			return fmt.Errorf("storage: rebuild with duplicate slot %d", r.Slot)
-		}
-		if int(r.Slot) >= maxSlots {
-			return fmt.Errorf("storage: rebuild slot %d exceeds page capacity", r.Slot)
-		}
-		need += len(r.Data)
-		nslots = int(r.Slot) + 1
-	}
-	if pageHeaderSize+nslots*slotSize+need > PageSize {
-		return ErrPageFull
-	}
-	p.Reset()
-	p.setSlotCount(uint16(nslots))
-	for i := 0; i < nslots; i++ {
-		p.setSlot(uint16(i), tombstoneOffset, 0)
-	}
-	for _, r := range sorted {
-		newEnd := p.freeEnd() - uint16(len(r.Data))
-		copy(p[newEnd:], r.Data)
-		p.setFreeEnd(newEnd)
-		p.setSlot(r.Slot, newEnd, uint16(len(r.Data)))
-	}
-	return nil
-}

@@ -43,8 +43,8 @@ const (
 	// sweep or a synchronous CHECK TABLE); pages scanned and faults found
 	// are attributes.
 	SpanScrubSweep = "scrub.sweep"
-	// SpanScrubRepair covers one page repair attempt; the source used
-	// (flush, rebuild, replica) or the refusal is an attribute.
+	// SpanScrubRepair covers one page reflush or index rebuild; the source
+	// used (flush, rebuild) or the refusal (none_local, failed) is an attribute.
 	SpanScrubRepair = "scrub.repair"
 )
 

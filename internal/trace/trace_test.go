@@ -137,7 +137,7 @@ func TestFinishIdempotentAndClosesOpenSpans(t *testing.T) {
 func TestEvictionPrefersOrdinary(t *testing.T) {
 	// Single-stripe-sized store: capacity 8 = 1 per stripe. Drive one
 	// stripe directly so insertion order is fully controlled.
-	s := newStore(24) // 3 per stripe
+	s := newStore(24)                                               // 3 per stripe
 	stripeID := func(n uint64) ID { return ID(n*storeStripes + 1) } // all on stripe 1
 	mk := func(n uint64, slow bool, errs string) *Trace {
 		return &Trace{ID: stripeID(n), Start: time.Unix(int64(n), 0), Slow: slow, Err: errs}
