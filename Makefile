@@ -68,8 +68,8 @@ soak-scrub:
 # Reader, the binary decoders of wire request/response frames and
 # zoom-in spill entries, the WAL tail reader over arbitrary log bytes,
 # every WAL record body decoder, Load over arbitrary checkpoint bytes, the
-# replication message decoder, and the summary algebra's operations
-# against its map-based model. A smoke; raise FUZZTIME locally for real
+# replication message decoder, the summary algebra's operations against
+# its map-based model, and the checkpoint's envelope decoder. A smoke; raise FUZZTIME locally for real
 # exploration.
 FUZZTIME ?= 10s
 fuzz:
@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzReplicationMessage -fuzztime $(FUZZTIME) ./internal/replication/
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeOps -fuzztime $(FUZZTIME) ./internal/summary/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/summary/
 
 # loc prints the non-test Go line count of each package under internal/
 # (build-constrained files the host would not compile are left out) and

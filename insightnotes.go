@@ -106,8 +106,7 @@ func Open(cfg Config) (*DB, error) { return engine.Open(cfg) }
 func MustOpen(cfg Config) *DB { return engine.MustOpen(cfg) }
 
 // LoadFile restores a database from a checkpoint file written by
-// DB.SaveFile. Summary objects are rebuilt by replaying the persisted raw
-// annotations through incremental maintenance.
+// DB.SaveFile, installing its stored summary objects as they were saved.
 func LoadFile(path string, cfg Config) (*DB, error) { return engine.LoadFile(path, cfg) }
 
 // RCO returns the paper's Recency-Complexity-Overhead cache replacement

@@ -10,6 +10,9 @@
 // Primitives:
 //
 //	Uvarint, Varint  binary.AppendUvarint / AppendVarint
+//	Float64          the IEEE-754 bits byte-reversed, as a uvarint, so the
+//	                 zero low mantissa bytes of a count cost nothing: 3.0
+//	                 takes 2 bytes
 //	Str              uvarint length, then the bytes
 //	Bool             one byte, 0 or 1
 //	Tuple            types.EncodeTuple
@@ -21,6 +24,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"insightnotes/internal/types"
 )
@@ -53,6 +58,9 @@ func (w *Writer) Uvarint(x uint64) { w.buf = binary.AppendUvarint(w.buf, x) }
 
 // Varint appends x as a zig-zag varint.
 func (w *Writer) Varint(x int64) { w.buf = binary.AppendVarint(w.buf, x) }
+
+// Float64 appends x exactly, NaN payloads included.
+func (w *Writer) Float64(x float64) { w.Uvarint(bits.ReverseBytes64(math.Float64bits(x))) }
 
 // Bool appends b as one byte.
 func (w *Writer) Bool(b bool) {
@@ -172,6 +180,9 @@ func (r *Reader) Varint() int64 {
 	r.off += n
 	return x
 }
+
+// Float64 reads a float written by Writer.Float64.
+func (r *Reader) Float64() float64 { return math.Float64frombits(bits.ReverseBytes64(r.Uvarint())) }
 
 // Int reads a varint that must fit an int.
 func (r *Reader) Int() int {

@@ -20,6 +20,9 @@ func sample() []byte {
 	w.Varint(-42)
 	w.Bool(true)
 	w.Bool(false)
+	for _, x := range sampleFloats {
+		w.Float64(x)
+	}
 	w.Str("")
 	w.Str("naïve café")
 	w.Str("skipped")
@@ -35,6 +38,10 @@ func sample() []byte {
 	w.Raw([]byte{9, 9})
 	return w.Bytes()
 }
+
+// sampleFloats are the floats sample writes: whole, fractional, signed
+// zero, infinite and NaN.
+var sampleFloats = []float64{0, 3, -0.5, 0.3, math.Copysign(0, -1), math.Inf(1), math.NaN()}
 
 func TestRoundTrip(t *testing.T) {
 	buf := sample()
@@ -53,6 +60,11 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !r.Bool() || r.Bool() {
 		t.Error("Bool did not read true, false")
+	}
+	for _, x := range sampleFloats {
+		if got := r.Float64(); math.Float64bits(got) != math.Float64bits(x) {
+			t.Errorf("Float64 = %v, want %v", got, x)
+		}
 	}
 	if got := r.Str(); got != "" {
 		t.Errorf("empty Str = %q", got)
@@ -157,6 +169,7 @@ var readOps = []func(t *testing.T, r *Reader){
 		}
 	},
 	func(t *testing.T, r *Reader) { r.Done() },
+	func(t *testing.T, r *Reader) { r.Float64() },
 }
 
 // FuzzCodec runs arbitrary bytes through a sequence of Reader methods that

@@ -165,7 +165,7 @@ func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
 		}
 		a.ID, ids[i] = id, id
 		total += len(targets)
-		rec.Anns[i] = newWALAnnotation(*a, targets)
+		rec.Anns[i] = walAnnotation{Annotation: *a, Targets: targets}
 	}
 	db.maintain(tasks)
 	if err := db.logRecord(walTypeAnnotate, &rec); err != nil {

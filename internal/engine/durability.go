@@ -1,15 +1,12 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"time"
 
-	"insightnotes/internal/annotation"
 	"insightnotes/internal/codec"
 	"insightnotes/internal/metrics"
 	"insightnotes/internal/summary"
@@ -18,16 +15,16 @@ import (
 	"insightnotes/internal/wal"
 )
 
-// Durability: the raw annotations are the paper's durable source of
-// truth — summary objects are derived, incrementally maintained views
-// over them — so the mutation path must survive process kills and torn
-// writes. OpenDurable pairs a full-state checkpoint with a write-ahead log
+// Durability: the raw annotations and the summary objects maintained over
+// them are the paper's stored state, so the mutation path must survive
+// process kills and torn writes. OpenDurable pairs a full-state
+// checkpoint, summary objects included, with a write-ahead log
 // of logical mutation records: every mutating statement appends one
 // fsynced record before acknowledging, startup recovers by loading the
 // latest checkpoint and replaying the WAL tail (truncating cleanly at a
 // torn record), and CHECKPOINT (manual or size-triggered) rewrites the
 // checkpoint and rotates the log. Both hold the same records in the same
-// frames (see persist.go), and both are redone by applyWALRecord.
+// frames (see persist.go), and both are redone by redo.
 //
 // Record ordering: a mutation is applied in memory first, then logged,
 // then acknowledged. Records carry fully resolved effects — assigned row
@@ -339,24 +336,37 @@ func (db *DB) syncWAL(tok wal.SyncToken) error {
 }
 
 // redo applies a record stream — a checkpoint, or the log replayed at
-// recovery — through applyWALRecord, holding consecutive annotate records
-// back as one applyAnnotates batch: a checkpoint's annotations are
-// maintained as one batch, as a single ingest's are. Any other record
-// flushes the batch first, so a batch never spans a train record, nor a
-// change to the rows it targets.
+// recovery — through applyWALRecord. In a checkpoint, annotate records
+// restore the raw annotations only and summary records install the stored
+// envelopes, so nothing is summarized. In the log, consecutive annotate
+// records are held back as one applyAnnotates batch, maintained as a
+// single ingest's are; any other record flushes the batch first, so a
+// batch never spans a train record, nor a change to the rows it targets.
 type redo struct {
-	db   *DB
-	anns []walAnnotation
+	db         *DB
+	checkpoint bool
+	anns       []walAnnotation
 }
 
 func (rd *redo) apply(rec wal.Record) error {
-	if rec.Type == walTypeAnnotate {
+	switch {
+	case rec.Type == walTypeAnnotate:
 		p, err := decodeRecord(rec.Type, rec.Data)
 		if err != nil {
 			return err
 		}
-		rd.anns = append(rd.anns, p.(*walAnnotate).Anns...)
+		anns := p.(*walAnnotate).Anns
+		if rd.checkpoint {
+			return rd.db.restoreAnnotations(anns)
+		}
+		rd.anns = append(rd.anns, anns...)
 		return nil
+	case rec.Type == walTypeSummary && rd.checkpoint:
+		p, err := decodeRecord(rec.Type, rec.Data)
+		if err != nil {
+			return err
+		}
+		return rd.db.installSummaries(p.(*walSummaries))
 	}
 	if err := rd.flush(); err != nil {
 		return err
@@ -437,11 +447,7 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 		}
 		return nil
 	case *walCreateInstance:
-		in := new(summary.Instance)
-		if err := json.Unmarshal([]byte(r.Instance), in); err != nil {
-			return err
-		}
-		return db.cat.RegisterInstance(in)
+		return db.cat.RegisterInstance(r.Instance)
 	case *walLink:
 		return db.setLink(r.Instance, r.Table, r.Unlink)
 	case *walAnnotate:
@@ -454,26 +460,19 @@ func (db *DB) applyWALRecord(rec wal.Record) error {
 	return fmt.Errorf("engine: no redo for wal record type %q", rec.Type)
 }
 
-// applyAnnotates re-adds persisted annotations under their original ids
-// and maintains their summaries as one batch. It refuses an annotation
-// with no id or no targets, or one targeting a table or row that does not
-// exist: a record naming them is corrupt, whether it comes from a
-// checkpoint, the log or a primary. A recorded classifier label is kept
-// rather than classified again.
-func (db *DB) applyAnnotates(anns []walAnnotation) error {
-	tasks := make([]maintTask, len(anns))
-	linked := make(map[string][]*summary.Instance)
-	for i := range anns {
-		wa := &anns[i]
+// restoreAnnotations re-adds persisted annotations under their original
+// ids. It refuses an annotation with no id or no targets, or one targeting
+// a table or row that does not exist: a record naming them is corrupt,
+// whether it comes from a checkpoint, the log or a primary.
+func (db *DB) restoreAnnotations(anns []walAnnotation) error {
+	for _, wa := range anns {
 		if wa.ID <= 0 {
 			return fmt.Errorf("annotation with invalid id %d", wa.ID)
 		}
 		if len(wa.Targets) == 0 {
 			return fmt.Errorf("annotation %d has no targets", wa.ID)
 		}
-		targets := make([]annotation.Target, len(wa.Targets))
-		tasks[i] = maintTask{ann: wa.Annotation, targets: make([]maintTarget, len(wa.Targets))}
-		for j, tg := range wa.Targets {
+		for _, tg := range wa.Targets {
 			tbl, err := db.cat.Table(tg.Table)
 			if err != nil {
 				return fmt.Errorf("annotation %d targets unknown table %q", wa.ID, tg.Table)
@@ -481,53 +480,67 @@ func (db *DB) applyAnnotates(anns []walAnnotation) error {
 			if _, err := tbl.Get(tg.Row); err != nil {
 				return fmt.Errorf("annotation %d targets missing row %d of %q", wa.ID, tg.Row, tg.Table)
 			}
-			targets[j] = tg.Target
-			instances, ok := linked[tg.Table]
-			if !ok {
-				instances = db.cat.InstancesFor(tg.Table)
-				linked[tg.Table] = instances
-			}
-			labels := wa.Labels
-			if tg.Labels != nil {
-				labels = maps.Clone(wa.Labels)
-				if labels == nil {
-					labels = make(map[string]int)
-				}
-				maps.Copy(labels, tg.Labels)
-			}
-			if err := checkLabels(instances, labels); err != nil {
-				return fmt.Errorf("annotation %d: %w", wa.ID, err)
-			}
-			tasks[i].targets[j] = maintTarget{
-				table: tg.Table, rows: []types.RowID{tg.Row}, cols: tg.Columns,
-				instances: instances, labels: labels,
-			}
 		}
-		if err := db.anns.Restore(wa.Annotation, targets); err != nil {
+		if err := db.anns.Restore(wa.Annotation, wa.Targets); err != nil {
 			return fmt.Errorf("annotation %d: %w", wa.ID, err)
 		}
 		if wa.Created > db.annClock.Load() {
 			db.annClock.Store(wa.Created)
 		}
 	}
+	return nil
+}
+
+// applyAnnotates restores logged annotations and maintains their
+// summaries as one batch.
+func (db *DB) applyAnnotates(anns []walAnnotation) error {
+	if err := db.restoreAnnotations(anns); err != nil {
+		return err
+	}
+	tasks := make([]maintTask, len(anns))
+	linked := make(map[string][]*summary.Instance)
+	for i, wa := range anns {
+		tasks[i] = maintTask{ann: wa.Annotation, targets: make([]maintTarget, len(wa.Targets))}
+		for j, tg := range wa.Targets {
+			instances, ok := linked[tg.Table]
+			if !ok {
+				instances = db.cat.InstancesFor(tg.Table)
+				linked[tg.Table] = instances
+			}
+			tasks[i].targets[j] = maintTarget{table: tg.Table, rows: []types.RowID{tg.Row}, cols: tg.Columns, instances: instances}
+		}
+	}
 	db.applyTasks(tasks)
 	return nil
 }
 
-// checkLabels rejects a recorded label that names a linked instance which
-// is not a classifier, or an index outside its label set. Labels of
-// instances not linked to the target's table are never read.
-func checkLabels(instances []*summary.Instance, labels map[string]int) error {
-	for _, in := range instances {
-		l, ok := labels[in.Name]
-		if !ok {
-			continue
+// installSummaries installs a checkpoint's stored envelopes: each must
+// belong to a row of the table that has none yet, and name only instances
+// linked to the table (see summary.DecodeEnvelope for the rest).
+func (db *DB) installSummaries(p *walSummaries) error {
+	tbl, err := db.cat.Table(p.Table)
+	if err != nil {
+		return fmt.Errorf("envelopes of unknown table %q", p.Table)
+	}
+	instances := db.cat.InstancesFor(p.Table)
+	linked := func(name string) *summary.Instance {
+		for _, in := range instances {
+			if in.Name == name {
+				return in
+			}
 		}
-		if in.Type != summary.TypeClassifier {
-			return fmt.Errorf("label recorded for %s instance %q", in.Type, in.Name)
+		return nil
+	}
+	for _, e := range p.Envs {
+		if _, err := tbl.Get(e.Row); err != nil {
+			return fmt.Errorf("an envelope for missing row %d of %q", e.Row, p.Table)
 		}
-		if n := len(in.Classifier.Labels()); l < 0 || l >= n {
-			return fmt.Errorf("label index %d outside the %d labels of %q", l, n, in.Name)
+		env, err := summary.DecodeEnvelope(e.Body, linked)
+		if err != nil {
+			return fmt.Errorf("row %d of %q: %w", e.Row, p.Table, err)
+		}
+		if !db.envs.install(p.Table, e.Row, env) {
+			return fmt.Errorf("a second envelope for row %d of %q", e.Row, p.Table)
 		}
 	}
 	return nil

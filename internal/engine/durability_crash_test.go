@@ -174,6 +174,10 @@ func canonicalState(t *testing.T, db *DB) []byte {
 			continue
 		}
 		flushRows()
+		if in, ok := r.p.(*walCreateInstance); ok {
+			fmt.Fprintf(&out, "%s %x\n", r.typ, encodeWALBody(in))
+			continue
+		}
 		fmt.Fprintf(&out, "%s %+v\n", r.typ, r.p)
 	}
 	trailer.Records = 0
@@ -182,7 +186,8 @@ func canonicalState(t *testing.T, db *DB) []byte {
 }
 
 // compareRecovered asserts got (the recovered durable DB) matches want
-// (the shadow) on raw state and on summary objects rebuilt from it.
+// (the shadow) on its durable state, stored summary objects included, and
+// on summary objects rebuilt from the raw annotations.
 func compareRecovered(t *testing.T, got, want *DB) {
 	t.Helper()
 	g, w := canonicalState(t, got), canonicalState(t, want)

@@ -277,14 +277,14 @@ func TestWALMetricsExposed(t *testing.T) {
 // recovery: the checks a checkpoint load makes live on the one redo path.
 func TestReplayRefusesAnnotationOnMissingTarget(t *testing.T) {
 	for _, tc := range []struct {
-		target walTarget
+		target annotation.Target
 		want   string
 	}{
-		{walTarget{Target: annotation.Target{Table: "birds", Row: 999, Columns: 1}}, "targets missing row 999"},
-		{walTarget{Target: annotation.Target{Table: "ghost", Row: 1, Columns: 1}}, "targets unknown table"},
+		{annotation.Target{Table: "birds", Row: 999, Columns: 1}, "targets missing row 999"},
+		{annotation.Target{Table: "ghost", Row: 1, Columns: 1}, "targets unknown table"},
 	} {
 		rec := wal.Record{Type: walTypeAnnotate,
-			Data: encodeWALBody(&walAnnotate{Anns: []walAnnotation{{Annotation: annotation.Annotation{ID: 1, Text: "x"}, Targets: []walTarget{tc.target}}}})}
+			Data: encodeWALBody(&walAnnotate{Anns: []walAnnotation{{Annotation: annotation.Annotation{ID: 1, Text: "x"}, Targets: []annotation.Target{tc.target}}}})}
 		dir := t.TempDir()
 		db, _, err := OpenDurable(durableConfig(t), DurabilityOptions{Dir: dir, AutoCheckpointBytes: -1})
 		if err != nil {

@@ -19,12 +19,13 @@ const envStripes = 32
 // RWMutex, and so the background catch-up worker blocks readers only on
 // the stripe it is updating.
 //
-// The envelopes live in memory only: they are derived state, rebuilt
-// from the raw annotations on recovery. Beside the maps, instIdx is a
-// B+tree keyed (instance name, table) → row, one entry per summary object
-// held by an envelope. Unlink and drop-instance maintenance use it to
-// touch exactly the envelopes that carry the instance instead of
-// sweeping every stripe's table map.
+// The envelopes live in memory and in checkpoints: a checkpoint stores
+// each one (read, not viewed, so writing it latches nothing shared) and
+// recovery installs it, summarizing only the annotations logged since.
+// Beside the maps, instIdx is a B+tree keyed (instance name, table) →
+// row, one entry per summary object held by an envelope. Unlink and
+// drop-instance maintenance use it to touch exactly the envelopes that
+// carry the instance instead of sweeping every stripe's table map.
 //
 // Locking: each stripe guards its own table→row→envelope maps AND the
 // envelopes within them — a stored envelope is only viewed or mutated
@@ -138,11 +139,7 @@ func (s *envStore) update(table string, row types.RowID, fn func(env *summary.En
 	st := s.stripeFor(table, row)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	rows, ok := st.m[table]
-	if !ok {
-		rows = make(map[types.RowID]*summary.Envelope)
-		st.m[table] = rows
-	}
+	rows := st.rows(table)
 	env, ok := rows[row]
 	if !ok {
 		env = summary.NewEnvelope()
@@ -151,6 +148,32 @@ func (s *envStore) update(table string, row types.RowID, fn func(env *summary.En
 	before := instanceSet(env)
 	fn(env)
 	s.reindex(table, row, before, env)
+}
+
+// install stores env, read from a checkpoint, as the envelope of a tuple
+// that has none, and reports whether it did.
+func (s *envStore) install(table string, row types.RowID, env *summary.Envelope) bool {
+	st := s.stripeFor(table, row)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	rows := st.rows(table)
+	if _, ok := rows[row]; ok {
+		return false
+	}
+	rows[row] = env
+	s.reindex(table, row, nil, env)
+	return true
+}
+
+// rows returns the row map of table, created when missing. Callers hold
+// the stripe lock.
+func (st *envStripe) rows(table string) map[types.RowID]*summary.Envelope {
+	rows, ok := st.m[table]
+	if !ok {
+		rows = make(map[types.RowID]*summary.Envelope)
+		st.m[table] = rows
+	}
+	return rows
 }
 
 // mutate applies fn to the stored envelope of a tuple when one exists; a

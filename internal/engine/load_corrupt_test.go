@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/codec"
+	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 	"insightnotes/internal/wal"
 )
@@ -67,24 +69,47 @@ func rawFrame(payload []byte) []byte {
 var (
 	tableT   = testRecord{walTypeCreateTable, &walCreateTable{Name: "t", Columns: []types.Column{{Name: "a", Kind: types.KindInt}}}}
 	rowT1    = testRecord{walTypeInsert, &walRows{Table: "t", Rows: []walRow{{ID: 1, Values: types.Tuple{types.NewInt(1)}}}}}
-	classC   = testRecord{walTypeCreateInstance, &walCreateInstance{Instance: `{"name": "c", "type": "Classifier", "model": {"labels": ["x", "y"], "doc_count": [0, 0], "term_count": [0, 0], "terms": [{}, {}]}}`}}
-	snippetS = testRecord{walTypeCreateInstance, &walCreateInstance{Instance: `{"name": "s", "type": "Snippet", "snippet_sentences": 2}`}}
+	classC   = testRecord{walTypeCreateInstance, &walCreateInstance{Instance: trainedClassifier("c")}}
+	snippetS = testRecord{walTypeCreateInstance, &walCreateInstance{Instance: &summary.Instance{Name: "s", Type: summary.TypeSnippet, SnippetSentences: 2}}}
 )
 
 // annotateT is an annotate record of one annotation on row of t.
-func annotateT(id annotation.ID, row types.RowID, labels, targetLabels map[string]int) testRecord {
-	return testRecord{walTypeAnnotate, &walAnnotate{Anns: []walAnnotation{{Annotation: annotation.Annotation{ID: id, Text: "x"}, Labels: labels,
-		Targets: []walTarget{{Target: annotation.Target{Table: "t", Row: row, Columns: 1}, Labels: targetLabels}}}}}}
+func annotateT(id annotation.ID, row types.RowID) testRecord {
+	return testRecord{walTypeAnnotate, &walAnnotate{Anns: []walAnnotation{{Annotation: annotation.Annotation{ID: id, Text: "x"},
+		Targets: []annotation.Target{{Table: "t", Row: row, Columns: 1}}}}}}
 }
 
-// labeled is a one-row checkpoint with a two-label classifier c and a
-// snippet instance s linked to t, and one annotation carrying labels and
-// targetLabels.
-func labeled(t testing.TB, labels, targetLabels map[string]int) string {
-	return string(checkpointOf(t, tableT, rowT1, classC, snippetS,
-		testRecord{walTypeLink, &walLink{Instance: "c", Table: "t"}},
-		testRecord{walTypeLink, &walLink{Instance: "s", Table: "t"}},
-		annotateT(1, 1, labels, targetLabels)))
+// envelopeBody encodes an envelope that holds annotation 1, on column 0,
+// in the classifier object of instance, under label.
+func envelopeBody(instance string, label uint64) []byte {
+	w := codec.NewWriter(nil)
+	w.Uvarint(1) // coverage: annotation 1 on column 0
+	w.Uvarint(1)
+	w.Uvarint(1)
+	w.Uvarint(1) // one object
+	w.Str(instance)
+	w.Uvarint(1) // one member: annotation 1 under label
+	w.Uvarint(1)
+	w.Uvarint(label)
+	return w.Bytes()
+}
+
+// summaryT is a summary record of table holding body for each row.
+func summaryT(table string, body []byte, rows ...types.RowID) testRecord {
+	p := &walSummaries{Table: table}
+	for _, row := range rows {
+		p.Envs = append(p.Envs, walEnvelope{Row: row, Body: body})
+	}
+	return testRecord{walTypeSummary, p}
+}
+
+// withSummaries is a one-row checkpoint with a two-label classifier c and
+// a snippet instance s linked to t, one annotation on the row, and sums.
+func withSummaries(t testing.TB, sums ...testRecord) string {
+	return string(checkpointOf(t, append([]testRecord{tableT, rowT1, classC, snippetS,
+		{walTypeLink, &walLink{Instance: "c", Table: "t"}},
+		{walTypeLink, &walLink{Instance: "s", Table: "t"}},
+		annotateT(1, 1)}, sums...)...))
 }
 
 // TestLoadCorruptSnapshotTable feeds Load broken checkpoints: each must
@@ -93,7 +118,7 @@ func labeled(t testing.TB, labels, targetLabels map[string]int) string {
 // sees after disk trouble, so this is the first line of the durability
 // defence. The semantic checks live on the redo path every reader shares.
 func TestLoadCorruptSnapshotTable(t *testing.T) {
-	valid := checkpointOf(t, tableT, rowT1, annotateT(1, 1, nil, nil))
+	valid := checkpointOf(t, tableT, rowT1, annotateT(1, 1))
 	flipped := bytes.Clone(valid)
 	flipped[10] ^= 0x01 // inside the first record's payload
 	cases := []struct {
@@ -105,9 +130,10 @@ func TestLoadCorruptSnapshotTable(t *testing.T) {
 		{"truncated json", `{"version": 1, "tables": [{"name": "t", "col`, "JSON snapshot from an older build"},
 		{"json snapshot", `{"version":1,"tables":[],"instances":[],"links":[],"annotations":[]}`, "JSON snapshot from an older build"},
 		{"not json at all", "\x00\x01\x02 garbage", "corrupt checkpoint"},
-		// A stream of format-2 frames: the log format before annotate
-		// records carried labels.
+		// Streams of format-2 and format-3 frames: the log formats before
+		// checkpoints stored summary objects.
 		{"unsupported version", string(rawFrame([]byte{2, 1, 1, 'x'})), "format 2"},
+		{"format-3 checkpoint", string(rawFrame([]byte{3, 1, 1, 'x'})), "format 3"},
 		{"zero version", string(rawFrame([]byte{0, 1, 1, 'x'})), "format 0"},
 		{"truncated stream", string(valid[:len(valid)-3]), "corrupt checkpoint"},
 		{"missing trailer", string(frameRecords(t, tableT, rowT1)), "without its trailer"},
@@ -123,15 +149,17 @@ func TestLoadCorruptSnapshotTable(t *testing.T) {
 		{"duplicate table names", string(checkpointOf(t, tableT, tableT)), "create_table record 2"},
 		{"duplicate row ids", string(checkpointOf(t, tableT, rowT1, rowT1)), "already has row 1"},
 		{"index on unknown column", string(checkpointOf(t, tableT, testRecord{walTypeCreateIndex, &walCreateIndex{Table: "t", Column: "nope"}})), "create_index record 2"},
-		{"instance garbage", string(checkpointOf(t, testRecord{walTypeCreateInstance, &walCreateInstance{Instance: `{"name": "x", "type": "NoSuchType"}`}})), "create_instance record 1"},
+		{"instance garbage", string(checkpointOf(t, testRecord{walTypeCreateInstance, &walCreateInstance{Instance: &summary.Instance{Name: "x", Type: "NoSuchType"}}})), "create_instance record 1"},
 		{"link to unknown table", string(checkpointOf(t, classC, testRecord{walTypeLink, &walLink{Instance: "c", Table: "ghost"}})), "link record 2"},
-		{"annotation with invalid id", string(checkpointOf(t, tableT, rowT1, annotateT(0, 1, nil, nil))), "invalid id"},
+		{"annotation with invalid id", string(checkpointOf(t, tableT, rowT1, annotateT(0, 1))), "invalid id"},
 		{"annotation without targets", string(checkpointOf(t, testRecord{walTypeAnnotate, &walAnnotate{Anns: []walAnnotation{{Annotation: annotation.Annotation{ID: 1, Text: "x"}}}}})), "no targets"},
-		{"annotation targeting unknown table", string(checkpointOf(t, annotateT(1, 1, nil, nil))), "unknown table"},
-		{"annotation targeting missing row", string(checkpointOf(t, tableT, rowT1, annotateT(1, 99, nil, nil))), "missing row"},
-		{"label index outside the classifier's labels", labeled(t, map[string]int{"c": 5}, nil), "label index 5 outside the 2 labels"},
-		{"per-target label outside the classifier's labels", labeled(t, map[string]int{"c": 0}, map[string]int{"c": -1}), "label index -1 outside"},
-		{"label recorded for a snippet instance", labeled(t, map[string]int{"s": 0}, nil), "label recorded for Snippet instance"},
+		{"annotation targeting unknown table", string(checkpointOf(t, annotateT(1, 1))), "unknown table"},
+		{"annotation targeting missing row", string(checkpointOf(t, tableT, rowT1, annotateT(1, 99))), "missing row"},
+		{"label index outside the classifier's labels", withSummaries(t, summaryT("t", envelopeBody("c", 5), 1)), "label 5 outside the 2 labels"},
+		{"envelope of an unlinked instance", withSummaries(t, summaryT("t", envelopeBody("x", 0), 1)), `instance "x" is not linked`},
+		{"envelope for a missing row", withSummaries(t, summaryT("t", envelopeBody("c", 0), 99)), "an envelope for missing row 99"},
+		{"envelopes of an unknown table", withSummaries(t, summaryT("ghost", envelopeBody("c", 0), 1)), `envelopes of unknown table "ghost"`},
+		{"two envelopes for a row", withSummaries(t, summaryT("t", envelopeBody("c", 0), 1), summaryT("t", envelopeBody("c", 1), 1)), "a second envelope for row 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,9 +177,11 @@ func TestLoadCorruptSnapshotTable(t *testing.T) {
 			}
 		})
 	}
-	db, err := Load(bytes.NewReader(valid), Config{CacheDir: t.TempDir(), DisableMetrics: true})
-	if err != nil {
-		t.Fatalf("the stream the cases break does not load: %v", err)
+	for _, ok := range []string{string(valid), withSummaries(t, summaryT("t", envelopeBody("c", 1), 1))} {
+		db, err := Load(strings.NewReader(ok), Config{CacheDir: t.TempDir(), DisableMetrics: true})
+		if err != nil {
+			t.Fatalf("a stream the cases break does not load: %v", err)
+		}
+		db.Close()
 	}
-	db.Close()
 }

@@ -32,9 +32,10 @@ import (
 // summary is fresh → stale (tasks queued) → catching-up (worker draining)
 // → fresh (queue empty).
 //
-// Durability does not depend on the queue: snapshots persist raw
-// annotations only and recovery replays maintenance synchronously, so a
-// crash with a non-empty queue recovers to the fully-caught-up state.
+// Durability does not depend on the queue: a checkpoint drains it before
+// it stores the envelopes, and recovery maintains the logged annotations
+// synchronously, so a crash with a non-empty queue recovers to the
+// fully-caught-up state.
 
 const (
 	// defaultMaintQueueDepth bounds the deferred-maintenance queue when
@@ -56,11 +57,6 @@ type maintTarget struct {
 	rows      []types.RowID
 	cols      annotation.ColSet
 	instances []*summary.Instance
-	// labels are classifier label indexes by instance name, recorded by
-	// the checkpoint this target was restored from: those instances keep
-	// the label the annotation got when it was ingested instead of being
-	// classified again under a model trained since.
-	labels map[string]int
 }
 
 // maintTask is one unit of summary maintenance: one annotation (id and
@@ -79,14 +75,14 @@ type maintTask struct {
 const maintChunk = 64
 
 // applyTasks is the one summary-maintenance routine: ingest, the catch-up
-// worker, LINK backfill, RebuildSummaries, snapshot restore and WAL replay
-// all apply their annotations through it, so each produces the envelopes
-// the others would. It works on a batch in two phases.
+// worker, LINK backfill, RebuildSummaries and the redo of logged
+// annotations (WAL replay, a replica) all apply their annotations through
+// it, so each produces the envelopes the others would. It works on a
+// batch in two phases.
 //
 // Digests: one Summarize per (annotation, instance) where summarize-once
 // holds (§2.3) — the digest then serves every target of the annotation —
-// and one per (annotation, instance, row) otherwise. A restored classifier
-// label replaces its Summarize.
+// and one per (annotation, instance, row) otherwise.
 //
 // Envelopes: the digests are grouped by (table, row), in task order within
 // each row — cluster grouping depends on insertion order — and each touched
@@ -104,7 +100,7 @@ func (db *DB) applyTasks(tasks []maintTask) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 
-	// job i computes out[i]; a nil instance marks a digest known already.
+	// job i computes out[i].
 	type job struct {
 		in  *summary.Instance
 		ann *annotation.Annotation
@@ -133,9 +129,9 @@ func (db *DB) applyTasks(tasks []maintTask) {
 		hits   int64
 		misses int64
 	)
-	push := func(in *summary.Instance, ann *annotation.Annotation, d summary.Digest) int {
+	push := func(in *summary.Instance, ann *annotation.Annotation) int {
 		jobs = append(jobs, job{in: in, ann: ann})
-		out = append(out, d)
+		out = append(out, summary.Digest{})
 		return len(out) - 1
 	}
 	addTo := func(table string, row types.RowID, a add) {
@@ -155,19 +151,12 @@ func (db *DB) applyTasks(tasks []maintTask) {
 		clear(once)
 		for _, tg := range t.targets {
 			for _, in := range tg.instances {
-				if l, ok := tg.labels[in.Name]; ok {
-					d := push(nil, nil, summary.Digest{Ann: t.ann.ID, LabelIndex: l})
-					for _, row := range tg.rows {
-						addTo(tg.table, row, add{in, tg.cols, d})
-					}
-					continue
-				}
 				if t.full || db.cfg.DisableSummarizeOnce || !in.Props.SummarizeOnce() {
 					// Without the invariant guarantee (or under the E5
 					// ablation, or in a full rebuild) the annotation is
 					// summarized per target tuple.
 					for _, row := range tg.rows {
-						addTo(tg.table, row, add{in, tg.cols, push(in, &t.ann, summary.Digest{})})
+						addTo(tg.table, row, add{in, tg.cols, push(in, &t.ann)})
 					}
 					continue
 				}
@@ -175,7 +164,7 @@ func (db *DB) applyTasks(tasks []maintTask) {
 				if ok {
 					hits++
 				} else {
-					d = push(in, &t.ann, summary.Digest{})
+					d = push(in, &t.ann)
 					once[in] = d
 					misses++
 				}
@@ -192,9 +181,7 @@ func (db *DB) applyTasks(tasks []maintTask) {
 
 	forChunks(len(jobs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if j := jobs[i]; j.in != nil {
-				out[i] = j.in.Summarize(*j.ann)
-			}
+			out[i] = jobs[i].in.Summarize(*jobs[i].ann)
 		}
 	})
 	forChunks(len(keys), func(lo, hi int) {
@@ -346,7 +333,7 @@ func (m *maintenance) deferTasks(tasks []maintTask) bool {
 	}
 	// A crashed worker (failpoint kill mid-catch-up) never drains the
 	// queue; skip backpressure so the dying process doesn't hang — the
-	// summaries are rebuilt from raw annotations at recovery anyway.
+	// logged annotations are maintained again at recovery anyway.
 	for len(m.queue) >= m.capacity && !m.closed && !m.crashed {
 		m.cond.Wait()
 	}
@@ -406,7 +393,7 @@ func (m *maintenance) worker() {
 		if err := failpoint.Eval(failpoint.MaintenanceApply); err != nil {
 			// The process "died" mid-catch-up: freeze the queue (the task
 			// goes back so pending counts stay honest) and stop. Recovery
-			// rebuilds summaries synchronously from the raw annotations.
+			// maintains the logged annotations synchronously.
 			m.mu.Lock()
 			m.queue = append([]maintTask{t}, m.queue...)
 			m.applying = false

@@ -25,30 +25,31 @@ import (
 //	create_table, insert…, create_index…   per table
 //	create_instance, link…                 per summary instance (trained)
 //	annotate…                              in id order
+//	summary…                               stored envelopes, in (table, row) order
 //	checkpoint                             the trailer
 //
-// Record i carries sequence number i; insert and annotate records are cut
-// into chunks of about checkpointChunkBytes. The trailer holds the WAL LSN
-// the checkpoint includes, so recovery skips log records at or below it;
-// the id-allocator positions (each table's next row id, the next
+// Record i carries sequence number i; insert, annotate and summary records
+// are cut into chunks of about checkpointChunkBytes. The trailer holds the
+// WAL LSN the checkpoint includes, so recovery skips log records at or
+// below it; the id-allocator positions (each table's next row id, the next
 // annotation id, the annotation clock), so ids assigned after recovery
 // never collide with ids deleted before the checkpoint; and the number of
 // records before it.
 //
-// Summary objects are NOT stored: loading replays the annotate records as
-// one maintenance batch (see redo) in which each tuple sees its
-// annotations in id order, the order incremental maintenance saw them.
-// The one thing a rebuild cannot recompute is a classifier label given
-// under a model trained since, so each annotation carries the label it
-// holds per classifier instance.
+// Summary objects are stored: the summary records hold every non-empty
+// envelope (summary.Envelope.Encode), which loading installs as it stands.
+// The annotate records restore the raw annotations zoom-in reads and
+// summarize nothing, so a load runs no Summarize call; only the log tail
+// replayed after it does (see redo).
 //
 // Save, CHECKPOINT and a replica resync write this stream; Load,
-// OpenDurable and InstallReplicaSnapshot read it through readCheckpoint, strictly: nothing appends to a
-// checkpoint, so a short or damaged frame, a missing trailer or a record
-// count that does not match makes the whole stream corrupt.
+// OpenDurable and InstallReplicaSnapshot read it through readCheckpoint,
+// strictly: nothing appends to a checkpoint, so a short or damaged frame, a
+// missing trailer or a record count that does not match makes the whole
+// stream corrupt.
 
-// checkpointChunkBytes bounds the body of one insert or annotate record of
-// a checkpoint, well under the log's 64 MiB frame cap.
+// checkpointChunkBytes bounds the body of one insert, annotate or summary
+// record of a checkpoint, well under the log's 64 MiB frame cap.
 const checkpointChunkBytes = 1 << 20
 
 // Save writes the complete database state to w. It runs under the shared
@@ -69,6 +70,12 @@ func (db *DB) SaveFile(path string) error {
 // writeCheckpoint writes the database as a checkpoint stream including the
 // WAL up to lsn. Callers hold the statement lock (shared or exclusive).
 func (db *DB) writeCheckpoint(w io.Writer, lsn uint64) error {
+	// The envelopes are stored as they stand, so deferred maintenance must
+	// have reached them first.
+	db.maint.drain()
+	if n := db.maint.pending(); n > 0 {
+		return fmt.Errorf("engine: %d deferred summary update(s) pending with the catch-up worker stopped", n)
+	}
 	bw := bufio.NewWriterSize(w, 64<<10)
 	var n uint64 // records written
 	var body, frame []byte
@@ -121,11 +128,7 @@ func (db *DB) writeCheckpoint(w io.Writer, lsn uint64) error {
 		if err != nil {
 			return err
 		}
-		raw, err := in.MarshalJSON()
-		if err != nil {
-			return err
-		}
-		put(walTypeCreateInstance, &walCreateInstance{Instance: string(raw)})
+		put(walTypeCreateInstance, &walCreateInstance{Instance: in})
 		for _, tbl := range db.cat.TablesFor(name) {
 			put(walTypeLink, &walLink{Instance: name, Table: tbl})
 		}
@@ -143,6 +146,29 @@ func (db *DB) writeCheckpoint(w io.Writer, lsn uint64) error {
 		put(walTypeAnnotate, &walAnnotate{Anns: anns[:n]})
 		anns = anns[n:]
 	}
+	var env []byte // one envelope's encoding
+	for _, name := range tables {
+		sums, size := walSummaries{Table: name}, 0
+		for _, row := range db.anns.AnnotatedRows(name) {
+			db.envs.read(name, row, func(e *summary.Envelope) {
+				if e.IsEmpty() {
+					return
+				}
+				enc := codec.NewWriter(env[:0])
+				e.Encode(enc)
+				env = enc.Bytes()
+				sums.Envs = append(sums.Envs, walEnvelope{Row: row, Body: slices.Clone(env)})
+				size += len(env) + 10
+			})
+			if size >= checkpointChunkBytes {
+				put(walTypeSummary, &sums)
+				sums.Envs, size = sums.Envs[:0], 0
+			}
+		}
+		if len(sums.Envs) > 0 {
+			put(walTypeSummary, &sums)
+		}
+	}
 	trailer.Records = n
 	put(walTypeCheckpoint, &trailer)
 	if werr != nil {
@@ -152,7 +178,7 @@ func (db *DB) writeCheckpoint(w io.Writer, lsn uint64) error {
 }
 
 // annotationsInIDOrder returns every annotation on tables, deduplicated
-// across multi-tuple targets, with its recorded labels, in id order.
+// across multi-tuple targets, in id order.
 func (db *DB) annotationsInIDOrder(tables []string) ([]walAnnotation, error) {
 	var out []walAnnotation
 	seen := map[annotation.ID]bool{}
@@ -167,9 +193,7 @@ func (db *DB) annotationsInIDOrder(tables []string) ([]walAnnotation, error) {
 				if err != nil {
 					return nil, err
 				}
-				wa := newWALAnnotation(a, db.anns.TargetsOf(ref.ID))
-				db.recordLabels(&wa)
-				out = append(out, wa)
+				out = append(out, walAnnotation{Annotation: a, Targets: db.anns.TargetsOf(ref.ID)})
 			}
 		}
 	}
@@ -184,33 +208,6 @@ func annotationBytes(wa *walAnnotation) int {
 		n += 16 + len(tg.Table)
 	}
 	return n
-}
-
-// recordLabels fills wa's label indexes from the classifier objects of its
-// targets' envelopes. Callers hold the statement lock.
-func (db *DB) recordLabels(wa *walAnnotation) {
-	for j := range wa.Targets {
-		tg := &wa.Targets[j]
-		db.envs.read(tg.Table, tg.Row, func(env *summary.Envelope) {
-			for name := range env.Objects {
-				l, ok := env.Label(name, wa.ID)
-				if !ok {
-					continue
-				}
-				if cur, seen := wa.Labels[name]; !seen {
-					if wa.Labels == nil {
-						wa.Labels = make(map[string]int)
-					}
-					wa.Labels[name] = l
-				} else if cur != l {
-					if tg.Labels == nil {
-						tg.Labels = make(map[string]int)
-					}
-					tg.Labels[name] = l
-				}
-			}
-		})
-	}
 }
 
 // publishCheckpoint atomically replaces path with what write produces:
@@ -272,7 +269,7 @@ func corruptf(format string, args ...any) error {
 // is no migration.
 func readCheckpoint(raw []byte, apply func(wal.Record) error) (*walCheckpoint, error) {
 	if len(raw) > 0 && raw[0] == '{' {
-		return nil, fmt.Errorf("engine: a JSON snapshot from an older build; this build reads record-stream checkpoints (WAL format 3) only")
+		return nil, fmt.Errorf("engine: a JSON snapshot from an older build; this build reads record-stream checkpoints (WAL format 4) only")
 	}
 	for n := uint64(0); ; n++ {
 		if len(raw) == 0 {
@@ -305,19 +302,24 @@ func readCheckpoint(raw []byte, apply func(wal.Record) error) (*walCheckpoint, e
 }
 
 // Load restores a database from a checkpoint written by Save into a fresh
-// DB with the given configuration. Summary objects are rebuilt by
-// replaying the raw annotations through the maintenance path.
+// DB with the given configuration. The stored summary objects are
+// installed as they were saved, not recomputed.
 //
 // Load validates defensively — a damaged or truncated stream, duplicate
 // tables or rows, unknown instance types, annotations targeting missing
-// tables or rows all produce a descriptive error, never a panic: a corrupt
-// checkpoint must fail the recovery cleanly rather than take down (or
-// silently skew) the engine.
+// tables or rows, envelopes that break their invariants (see
+// summary.DecodeEnvelope) all produce a descriptive error, never a panic:
+// a corrupt checkpoint must fail the recovery cleanly rather than take
+// down (or silently skew) the engine.
 func Load(r io.Reader, cfg Config) (*DB, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	return load(raw, cfg)
+}
+
+func load(raw []byte, cfg Config) (*DB, error) {
 	db, err := Open(cfg)
 	if err != nil {
 		return nil, err
@@ -335,13 +337,10 @@ func Load(r io.Reader, cfg Config) (*DB, error) {
 // lock story (Load's DB is unshared; the resync path holds it
 // exclusively).
 func (db *DB) loadCheckpoint(raw []byte) error {
-	rd := redo{db: db}
+	rd := redo{db: db, checkpoint: true}
 	trailer, err := readCheckpoint(raw, rd.apply)
 	if err != nil {
 		return err
-	}
-	if err := rd.flush(); err != nil {
-		return corruptf("annotate records: %v", err)
 	}
 	for _, nr := range trailer.NextRows {
 		tbl, err := db.cat.Table(nr.Table)
@@ -358,12 +357,12 @@ func (db *DB) loadCheckpoint(raw []byte) error {
 	return nil
 }
 
-// LoadFile is Load from a file path.
+// LoadFile is Load from a file path, read in one buffer sized by the
+// file.
 func LoadFile(path string, cfg Config) (*DB, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f, cfg)
+	return load(raw, cfg)
 }

@@ -183,7 +183,8 @@ func TestSnapshotAnnotationsInIDOrder(t *testing.T) {
 }
 
 // FuzzLoad feeds arbitrary bytes to Load: each must produce an error or a
-// database, never a panic. Seeded from a real checkpoint and a labeled one.
+// database, never a panic. Seeded from a real checkpoint, whose summary
+// records hold objects of all three types, and a hand-built one.
 func FuzzLoad(f *testing.F) {
 	db, err := Open(Config{CacheDir: f.TempDir(), DisableMetrics: true})
 	if err != nil {
@@ -194,8 +195,12 @@ func FuzzLoad(f *testing.F) {
 		"INSERT INTO birds VALUES (1, 'Swan Goose'), (2, 'Mute Swan')",
 		"CREATE INDEX ON birds (id)",
 		"CREATE SUMMARY INSTANCE Cls TYPE Classifier LABELS ('Behavior', 'Disease')",
-		"LINK SUMMARY Cls TO birds",
+		"CREATE SUMMARY INSTANCE Clu TYPE Cluster",
+		"CREATE SUMMARY INSTANCE Snp TYPE Snippet",
+		"LINK SUMMARY Cls TO birds", "LINK SUMMARY Clu TO birds", "LINK SUMMARY Snp TO birds",
 		"ADD ANNOTATION 'seen feeding near the lake' ON birds WHERE id = 1",
+		"ADD ANNOTATION 'feeding near the lake at dawn' ON birds",
+		"ADD ANNOTATION 'report' TITLE 'Field notes' DOCUMENT 'Feeding was heavy. Counts were high.' ON birds (name) WHERE id = 2",
 	} {
 		if _, err := db.Exec(context.Background(), stmt); err != nil {
 			f.Fatal(err)
@@ -207,7 +212,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	db.Close()
 	f.Add(buf.Bytes())
-	f.Add([]byte(labeled(f, map[string]int{"c": 1}, map[string]int{"c": 0})))
+	f.Add([]byte(withSummaries(f, summaryT("t", envelopeBody("c", 1), 1))))
 	cacheDir := f.TempDir() // each engine takes a directory of its own inside
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := Load(bytes.NewReader(data), Config{CacheDir: cacheDir, DisableMetrics: true, DisableTracing: true})

@@ -17,8 +17,10 @@ import (
 // BenchmarkRecover times OpenDurable on a checkpointed data directory of
 // 4 000 birds × 8 annotations (32 000, 5 % with a document) under the
 // three demo instances — the shape of the repository benchmark's
-// point_read corpus — so each iteration rebuilds every summary envelope
-// from the checkpoint. ckpt_bytes is the checkpoint's size.
+// point_read corpus — so each iteration installs every summary envelope
+// from the checkpoint. ckpt_bytes is the checkpoint's size; summarize/op
+// counts the Summarize calls an open makes, 0 when the checkpoint stores
+// every object.
 func BenchmarkRecover(b *testing.B) {
 	const birds, perBird = 4000, 8
 	dir := b.TempDir()
@@ -80,13 +82,19 @@ func BenchmarkRecover(b *testing.B) {
 	// The corpus is built once; the sub-benchmark reopens it b.N times.
 	b.Run("32k", func(b *testing.B) {
 		b.ReportMetric(float64(st.Size()), "ckpt_bytes")
+		var calls int64
 		for i := 0; i < b.N; i++ {
 			back, _, err := engine.OpenDurable(cfg, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
+			for _, name := range back.Catalog().InstanceNames() {
+				in, _ := back.Catalog().Instance(name)
+				calls += in.SummarizeCalls()
+			}
 			back.Close()
 		}
+		b.ReportMetric(float64(calls)/float64(b.N), "summarize/op")
 	})
 }
 

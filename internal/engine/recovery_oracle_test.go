@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"insightnotes/internal/annotation"
@@ -13,16 +17,17 @@ import (
 	"insightnotes/internal/workload"
 )
 
-// Recovery rebuilds exactly the summary objects the live engine maintains,
+// Recovery restores exactly the summary objects the live engine maintains,
 // whatever the history: a seeded stream of multi-target, column-scoped and
 // document annotations, batches, DROP ANNOTATION, TRAIN between ingests
 // and LINK/UNLINK after ingest, checkpointed at a random statement, is
 // reopened under GOMAXPROCS 1 and 4 and installed on a replica by snapshot
 // resync, with summarize-once on and off. Every stored envelope must be
 // Envelope.Equal to the live one, and the reopened instances must have
-// summarized exactly as often as the snapshot and the WAL tail imply: once
-// per annotation and instance (per target row without summarize-once),
-// never for a classifier label the checkpoint recorded.
+// summarized exactly as often as the WAL tail implies: the checkpoint
+// stores the objects, so it costs no Summarize call, and a resync none.
+// The recovered engines must then stay equal to the live one under the
+// same further annotations and DROP ANNOTATION (continueOn).
 func TestRecoveryRebuildsLiveEnvelopes(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, once := range []bool{true, false} {
@@ -66,14 +71,13 @@ func oracleRecovery(t *testing.T, seed int64, once bool) {
 	s.scaffold()
 
 	const statements = 40
-	var snapCalls int64
 	at := s.r.Intn(statements + 1)
 	for i := 0; i <= statements; i++ {
 		if i == at {
 			if _, err := db.Checkpoint(); err != nil {
 				t.Fatalf("seed %d: checkpoint: %v", seed, err)
 			}
-			snapCalls, s.checkpointed = s.snapshotCalls(), true
+			s.checkpointed = true
 		}
 		if i < statements {
 			s.step()
@@ -84,8 +88,6 @@ func oracleRecovery(t *testing.T, seed int64, once bool) {
 	if _, err := db.ReplicationSnapshot(&resync); err != nil {
 		t.Fatal(err)
 	}
-	resyncCalls := s.snapshotCalls()
-	db.Close()
 
 	check := func(how string, got *DB, wantCalls int64) {
 		t.Helper()
@@ -104,16 +106,37 @@ func oracleRecovery(t *testing.T, seed int64, once bool) {
 			}
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		back, _, err := OpenDurable(cfg(), opts(dir))
+	// reopen recovers a copy of the live engine's data directory; the log
+	// is fsynced at every commit, so the copy is what a crash would leave.
+	reopen := func() *DB {
+		t.Helper()
+		copyDir := t.TempDir()
+		for _, name := range []string{snapshotFileName, walFileName} {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(copyDir, name), data, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		back, _, err := OpenDurable(cfg(), opts(copyDir))
 		if err != nil {
 			t.Fatalf("seed %d: reopen: %v", seed, err)
 		}
-		check(fmt.Sprintf("reopened at GOMAXPROCS=%d", procs), back, snapCalls+s.tail)
-		back.Close()
+		return back
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var back *DB
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if back != nil {
+			back.Close()
+		}
+		back = reopen()
+		check(fmt.Sprintf("reopened at GOMAXPROCS=%d", procs), back, s.tail)
+	}
+	defer back.Close()
 	replica, _, err := OpenDurable(cfg(), opts(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +145,74 @@ func oracleRecovery(t *testing.T, seed int64, once bool) {
 	if _, err := replica.InstallReplicaSnapshot(resync.Bytes()); err != nil {
 		t.Fatalf("seed %d: resync: %v", seed, err)
 	}
-	check("resynced replica", replica, resyncCalls)
+	check("resynced replica", replica, 0)
+	if !t.Failed() {
+		s.continueOn(back, replica)
+	}
+}
+
+// continueOn feeds the same further annotations, and one DROP ANNOTATION
+// of an annotation from before, to the live engine and to each recovered
+// one, which must then hold Envelope.Equal envelopes and render the same
+// SELECT output: a restored object carries everything later maintenance
+// reads (a cluster group's centroid and candidates too).
+func (s *oracleStream) continueOn(recovered ...*DB) {
+	type request struct {
+		a     annotation.Annotation
+		specs []TargetSpec
+	}
+	var reqs []request
+	for n := 0; n < 12; n++ {
+		a, specs := s.request()
+		reqs = append(reqs, request{a, specs})
+	}
+	var drop annotation.ID
+	if len(s.ids) > 0 {
+		drop = s.ids[s.r.Intn(len(s.ids))]
+	}
+	dbs := append([]*DB{s.db}, recovered...)
+	for _, db := range dbs {
+		for i, q := range reqs {
+			id, _, err := db.AnnotateTargets(q.a, q.specs)
+			if err != nil {
+				s.t.Fatal(err)
+			}
+			if drop == 0 && i == 0 {
+				drop = id
+			}
+		}
+		if err := db.DropAnnotation(drop); err != nil {
+			s.t.Fatal(err)
+		}
+	}
+	want, wantOut := envelopesOf(s.db), selectOutput(s.t, s.db)
+	for i, db := range recovered {
+		got := envelopesOf(db)
+		for k, env := range want {
+			if g := got[k]; g == nil || !g.Equal(env) {
+				s.t.Errorf("recovered engine %d after further maintenance: %s/%d:\n%v\nwant\n%s", i, k.table, k.row, render(g), env.Render())
+			}
+		}
+		if len(got) != len(want) {
+			s.t.Errorf("recovered engine %d holds %d envelopes, the live one %d", i, len(got), len(want))
+		}
+		if out := selectOutput(s.t, db); out != wantOut {
+			s.t.Errorf("recovered engine %d renders\n%s\nthe live one\n%s", i, out, wantOut)
+		}
+	}
+}
+
+// selectOutput renders every row of R and S with its summaries, one line
+// per row, sorted.
+func selectOutput(t *testing.T, db *DB) string {
+	var lines []string
+	for _, q := range []string{"SELECT a, b, c FROM R", "SELECT x, y FROM S"} {
+		for _, row := range mustExec(t, db, q).Rows {
+			lines = append(lines, row.Tuple.String()+" "+render(row.Env))
+		}
+	}
+	slices.Sort(lines)
+	return strings.Join(lines, "\n")
 }
 
 // scaffold creates R (one row per a, enough rows that a whole-table
@@ -265,34 +355,23 @@ func (s *oracleStream) request() (annotation.Annotation, []TargetSpec) {
 
 // added records a new annotation and, after the checkpoint, the calls its
 // replayed annotate record will make: everything linked to its targets'
-// tables summarizes it, recorded labels exist only in snapshots.
+// tables summarizes it.
 func (s *oracleStream) added(id annotation.ID) {
 	s.ids = append(s.ids, id)
 	if s.checkpointed {
-		s.tail += s.calls(id, func(*summary.Instance) bool { return true })
+		s.tail += s.calls(id)
 	}
-}
-
-// snapshotCalls is the number of Summarize calls rebuilding the current
-// state from a snapshot costs: every annotation under every linked
-// instance except the classifiers, whose labels the snapshot records.
-func (s *oracleStream) snapshotCalls() int64 {
-	var n int64
-	for _, id := range s.ids {
-		n += s.calls(id, func(in *summary.Instance) bool { return in.Type != summary.TypeClassifier })
-	}
-	return n
 }
 
 // calls counts the Summarize calls maintaining annotation id costs under
-// the linked instances selected by pick: one per instance where
-// summarize-once holds, one per target row and instance otherwise.
-func (s *oracleStream) calls(id annotation.ID, pick func(*summary.Instance) bool) int64 {
+// the linked instances: one per instance where summarize-once holds, one
+// per target row and instance otherwise.
+func (s *oracleStream) calls(id annotation.ID) int64 {
 	var n int64
 	seen := map[string]bool{}
 	for _, tg := range s.db.anns.TargetsOf(id) {
 		for _, in := range s.db.cat.InstancesFor(tg.Table) {
-			if pick(in) && (!s.once || !seen[in.Name]) {
+			if !s.once || !seen[in.Name] {
 				n++
 			}
 			seen[in.Name] = true

@@ -1,17 +1,13 @@
 package engine
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 // An annotation keeps the classifier label it was given at ingest: TRAIN
 // refines only later summarization, and only RebuildSummaries refreshes
-// existing summary objects. A checkpoint therefore records each
-// annotation's label, and recovery from it restores that label instead of
-// classifying the annotation again under the retrained model. A checkpoint
-// without labels is classified again.
+// existing summary objects. A checkpoint stores the classifier object, so
+// recovery restores that label without classifying the annotation again.
 func TestRecoveryKeepsPreTrainLabels(t *testing.T) {
 	const text = "seen feeding near the lake"
 	dir := t.TempDir()
@@ -45,47 +41,16 @@ func TestRecoveryKeepsPreTrainLabels(t *testing.T) {
 	if got := back.StoredEnvelope("birds", 1).Render(); got != pre {
 		t.Errorf("recovered object %s, want the live %s", got, pre)
 	}
-	back.Close()
-
-	// Strip the labels from the checkpoint's annotate records.
-	path := filepath.Join(dir, snapshotFileName)
-	labeled, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if n := summarizeCalls(back); n != 0 {
+		t.Errorf("recovery summarized %d time(s), want 0", n)
 	}
-	recs, trailer := checkpointRecords(t, labeled)
-	for _, r := range recs {
-		a, ok := r.p.(*walAnnotate)
-		if !ok {
-			continue
-		}
-		for i := range a.Anns {
-			if a.Anns[i].Labels == nil {
-				t.Fatalf("annotation %d carries no labels", a.Anns[i].ID)
-			}
-			a.Anns[i].Labels = nil
-		}
-	}
-	stripped := frameRecords(t, append(recs, testRecord{walTypeCheckpoint, trailer})...)
-	if err := os.WriteFile(path, stripped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, _ := openDurable(t, dir)
-	if got := old.StoredEnvelope("birds", 1).Render(); got != post {
-		t.Errorf("recovered from a label-less checkpoint: %s, want %s", got, post)
-	}
-	old.Close()
 
 	// RebuildSummaries is what refreshes labels, and it is logged: the
-	// refreshed label outlives a restart from the labeled checkpoint.
-	if err := os.WriteFile(path, labeled, 0o644); err != nil {
+	// refreshed label outlives a restart.
+	if _, err := back.RebuildSummaries("birds"); err != nil {
 		t.Fatal(err)
 	}
-	db, _ = openDurable(t, dir)
-	if _, err := db.RebuildSummaries("birds"); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
+	back.Close()
 	again, _ := openDurable(t, dir)
 	if got := again.StoredEnvelope("birds", 1).Render(); got != post {
 		t.Errorf("recovered after RebuildSummaries: %s, want %s", got, post)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -312,14 +311,8 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 		if err := db.cat.RegisterInstance(in); err != nil {
 			return nil, err
 		}
-		if db.wal != nil {
-			raw, err := json.Marshal(in)
-			if err != nil {
-				return nil, err
-			}
-			if err := db.logRecord(walTypeCreateInstance, &walCreateInstance{Instance: string(raw)}); err != nil {
-				return nil, err
-			}
+		if err := db.logRecord(walTypeCreateInstance, &walCreateInstance{Instance: in}); err != nil {
+			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("summary instance %s (%s) created", in.Name, in.Type)}, nil
 	case *sql.DropSummaryInstance:

@@ -2,10 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/codec"
+	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
 
@@ -36,8 +36,10 @@ const (
 	walTypeDropAnnotation = "drop_annotation"
 	walTypeTrain          = "train"
 	walTypeRebuild        = "rebuild"
-	// walTypeCheckpoint is a checkpoint stream's trailer; it is never
-	// logged.
+	// walTypeSummary and walTypeCheckpoint appear only in a checkpoint
+	// stream, which they end: the stored summary envelopes, and the
+	// trailer. Neither is ever logged.
+	walTypeSummary    = "summary"
 	walTypeCheckpoint = "checkpoint"
 )
 
@@ -72,6 +74,8 @@ func decodeRecord(recType string, body []byte) (walPayload, error) {
 		p = new(walDropAnnotation)
 	case walTypeTrain:
 		p = new(walTrain)
+	case walTypeSummary:
+		p = new(walSummaries)
 	case walTypeCheckpoint:
 		p = new(walCheckpoint)
 	default:
@@ -180,13 +184,13 @@ func (p *walDelete) decode(r *codec.Reader) {
 }
 
 type walCreateInstance struct {
-	// Instance is the summary.Instance JSON: as created when logged (later
-	// TRAIN records replay the training), as trained in a checkpoint.
-	Instance string
+	// Instance is as created when logged (later TRAIN records replay the
+	// training), as trained in a checkpoint.
+	Instance *summary.Instance
 }
 
-func (p *walCreateInstance) encode(w *codec.Writer) { w.Str(p.Instance) }
-func (p *walCreateInstance) decode(r *codec.Reader) { p.Instance = r.Str() }
+func (p *walCreateInstance) encode(w *codec.Writer) { p.Instance.Encode(w) }
+func (p *walCreateInstance) decode(r *codec.Reader) { p.Instance = summary.DecodeInstance(r) }
 
 type walLink struct {
 	Instance, Table string
@@ -211,30 +215,10 @@ type walAnnotate struct {
 	Anns []walAnnotation
 }
 
-// walAnnotation is one annotation and its resolved targets. The labels are
-// a checkpoint's: Labels maps a classifier instance to the label index the
-// annotation holds in its envelopes, and a target's Labels override it
-// where an instance linked to that table after a retraining classified the
-// annotation under the newer model. A logged annotation is replayed under
-// the model it was logged under, so its labels are empty.
+// walAnnotation is one annotation and its resolved targets.
 type walAnnotation struct {
 	annotation.Annotation
-	Targets []walTarget
-	Labels  map[string]int
-}
-
-type walTarget struct {
-	annotation.Target
-	Labels map[string]int
-}
-
-// newWALAnnotation is the persisted form of one annotation and its targets.
-func newWALAnnotation(a annotation.Annotation, targets []annotation.Target) walAnnotation {
-	wa := walAnnotation{Annotation: a, Targets: make([]walTarget, len(targets))}
-	for i, tg := range targets {
-		wa.Targets[i].Target = tg
-	}
-	return wa
+	Targets []annotation.Target
 }
 
 func (p *walAnnotate) encode(w *codec.Writer) {
@@ -251,9 +235,7 @@ func (p *walAnnotate) encode(w *codec.Writer) {
 			w.Str(tg.Table)
 			w.Uvarint(uint64(tg.Row))
 			w.Uvarint(uint64(tg.Columns))
-			encodeLabels(w, tg.Labels)
 		}
-		encodeLabels(w, a.Labels)
 	}
 }
 
@@ -267,46 +249,11 @@ func (p *walAnnotate) decode(r *codec.Reader) {
 		a.Text = r.Str()
 		a.Title = r.Str()
 		a.Document = r.Str()
-		a.Targets = make([]walTarget, r.Count(4))
+		a.Targets = make([]annotation.Target, r.Count(3))
 		for j := range a.Targets {
-			tg := &a.Targets[j]
-			tg.Table = r.Str()
-			tg.Row = types.RowID(r.Uvarint())
-			tg.Columns = annotation.ColSet(r.Uvarint())
-			tg.Labels = decodeLabels(r)
+			a.Targets[j] = annotation.Target{Table: r.Str(), Row: types.RowID(r.Uvarint()), Columns: annotation.ColSet(r.Uvarint())}
 		}
-		a.Labels = decodeLabels(r)
 	}
-}
-
-// encodeLabels writes a label map in name order, so equal maps encode to
-// equal bytes.
-func encodeLabels(w *codec.Writer, labels map[string]int) {
-	w.Uvarint(uint64(len(labels)))
-	if len(labels) == 0 {
-		return
-	}
-	names := make([]string, 0, len(labels))
-	for name := range labels {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		w.Str(name)
-		w.Varint(int64(labels[name]))
-	}
-}
-
-func decodeLabels(r *codec.Reader) map[string]int {
-	n := r.Count(2)
-	if n == 0 {
-		return nil
-	}
-	labels := make(map[string]int, n)
-	for range n {
-		labels[r.Str()] = int(r.Varint())
-	}
-	return labels
 }
 
 type walDropAnnotation struct {
@@ -335,6 +282,36 @@ func (p *walTrain) decode(r *codec.Reader) {
 	p.Samples = make([][2]string, r.Count(2))
 	for i := range p.Samples {
 		p.Samples[i] = [2]string{r.Str(), r.Str()}
+	}
+}
+
+// walSummaries carries stored summary envelopes of one table, in row
+// order: a chunk of a checkpoint's. Each body is a summary.Envelope
+// encoding, decoded at install, where the catalog resolves its instances.
+type walSummaries struct {
+	Table string
+	Envs  []walEnvelope
+}
+
+type walEnvelope struct {
+	Row  types.RowID
+	Body []byte
+}
+
+func (p *walSummaries) encode(w *codec.Writer) {
+	w.Str(p.Table)
+	w.Uvarint(uint64(len(p.Envs)))
+	for _, e := range p.Envs {
+		w.Uvarint(uint64(e.Row))
+		w.Section(e.Body)
+	}
+}
+
+func (p *walSummaries) decode(r *codec.Reader) {
+	p.Table = r.Str()
+	p.Envs = make([]walEnvelope, r.Count(5))
+	for i := range p.Envs {
+		p.Envs[i] = walEnvelope{Row: types.RowID(r.Uvarint()), Body: r.Section()}
 	}
 }
 

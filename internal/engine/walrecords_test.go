@@ -3,12 +3,10 @@ package engine
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +17,8 @@ import (
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/codec"
+	"insightnotes/internal/summary"
+	"insightnotes/internal/textmining"
 	"insightnotes/internal/types"
 	"insightnotes/internal/wal"
 )
@@ -38,19 +38,38 @@ var walRecordCases = []struct {
 	{walTypeUpdate, &walRows{Table: "birds", Rows: []walRow{
 		{ID: 2, Values: []types.Value{types.NewInt(2), types.NewString("Mute Swan"), types.Null()}}}}},
 	{walTypeDelete, &walDelete{Table: "birds", Rows: []types.RowID{3, 1, 1 << 33}}},
-	{walTypeCreateInstance, &walCreateInstance{Instance: `{"name":"C","type":"classifier","labels":["Behavior","Other"]}`}},
+	{walTypeCreateInstance, &walCreateInstance{Instance: trainedClassifier("C", [2]string{"feeding foraging", "Behavior"})}},
 	{walTypeDropInstance, &walName{Name: "C"}},
 	{walTypeLink, &walLink{Instance: "C", Table: "birds", Unlink: true}},
 	{walTypeAnnotate, &walAnnotate{Anns: []walAnnotation{
 		{Annotation: annotation.Annotation{ID: 4, Author: "curator", Created: -12, Text: "observed feeding on stonewort", Title: "field notes", Document: "log 7"},
-			Targets: []walTarget{{Target: annotation.Target{Table: "birds", Row: 1, Columns: annotation.ColSet(5)}}, {Target: annotation.Target{Table: "birds", Row: 9, Columns: annotation.ColSet(1)}}}},
-		{Annotation: annotation.Annotation{ID: 1 << 35, Created: 1 << 50, Text: "flock at dawn"}, Labels: map[string]int{"C": 1, "A": 0},
-			Targets: []walTarget{{Target: annotation.Target{Table: "birds", Row: 2, Columns: annotation.ColSet(0)}, Labels: map[string]int{"C": -1}}}}}}},
+			Targets: []annotation.Target{{Table: "birds", Row: 1, Columns: annotation.ColSet(5)}, {Table: "birds", Row: 9, Columns: annotation.ColSet(1)}}},
+		{Annotation: annotation.Annotation{ID: 1 << 35, Created: 1 << 50, Text: "flock at dawn"},
+			Targets: []annotation.Target{{Table: "birds", Row: 2, Columns: annotation.ColSet(0)}}}}}},
 	{walTypeDropAnnotation, &walDropAnnotation{ID: 17}},
 	{walTypeTrain, &walTrain{Instance: "C", Samples: [][2]string{{"feeding foraging", "Behavior"}, {"photo record", "Other"}}}},
 	{walTypeRebuild, &walName{Name: "birds"}},
+	{walTypeSummary, &walSummaries{Table: "birds", Envs: []walEnvelope{{Row: 3, Body: []byte("an envelope")}, {Row: 1 << 40, Body: []byte{}}}}},
 	{walTypeCheckpoint, &walCheckpoint{LSN: 1 << 36, NextRows: []walNextRow{{Table: "birds", Next: 10}, {Table: "obs", Next: 1}},
 		NextAnnotation: 18, AnnClock: -3, Records: 12}},
+}
+
+// trainedClassifier is a two-label classifier instance trained on samples.
+func trainedClassifier(name string, samples ...[2]string) *summary.Instance {
+	model, err := textmining.NewNaiveBayes([]string{"Behavior", "Other"})
+	if err != nil {
+		panic(err)
+	}
+	for _, s := range samples {
+		if err := model.Learn(s[0], s[1]); err != nil {
+			panic(err)
+		}
+	}
+	in, err := summary.NewClassifierInstance(name, model)
+	if err != nil {
+		panic(err)
+	}
+	return in
 }
 
 // declaredWALTypes returns the value of every walType* constant in
@@ -167,36 +186,41 @@ func TestWALRecordsRejectTruncatedAndTrailingBodies(t *testing.T) {
 	}
 }
 
-// A log written before records moved to the binary codec — format 1, one
-// JSON document per frame — is refused at open with an error naming both
-// formats, and the file is left byte for byte as it was: never truncated
-// as a torn tail, which would drop every committed record in it.
+// A log of an older format is refused at open with an error naming its
+// format and this build's, and the file is left byte for byte as it was:
+// never truncated as a torn tail, which would drop every committed record
+// in it. Format 1 wrote one JSON document per frame; format 3 wrote the
+// binary records, with classifier labels on annotate records.
 func TestOldFormatWALIsRefused(t *testing.T) {
-	payload := []byte(`{"lsn":1,"type":"create_table","data":{"name":"t","columns":[{"name":"id","kind":1}]}}`)
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
-	dir := t.TempDir()
-	path := filepath.Join(dir, walFileName)
-	if err := os.WriteFile(path, frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db, _, err := OpenDurable(durableConfig(t), DurabilityOptions{Dir: dir, AutoCheckpointBytes: -1})
-	if err == nil {
-		db.Close()
-		t.Fatal("a format-1 log opened")
-	}
-	if !strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "format 3") {
-		t.Errorf("err = %v, want it to name format 1 and format 3", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, frame) {
-		t.Fatalf("the refused log changed: %d -> %d bytes", len(frame), len(after))
+	format3 := codec.NewWriter([]byte{3})
+	format3.Uvarint(1)
+	format3.Str(walTypeCreateTable)
+	format3.Raw(encodeWALBody(walRecordCases[0].p))
+	for format, payload := range map[string][]byte{
+		"format 1": []byte(`{"lsn":1,"type":"create_table","data":{"name":"t","columns":[{"name":"id","kind":1}]}}`),
+		"format 3": format3.Bytes(),
+	} {
+		frame := rawFrame(payload)
+		dir := t.TempDir()
+		path := filepath.Join(dir, walFileName)
+		if err := os.WriteFile(path, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, _, err := OpenDurable(durableConfig(t), DurabilityOptions{Dir: dir, AutoCheckpointBytes: -1})
+		if err == nil {
+			db.Close()
+			t.Fatalf("a %s log opened", format)
+		}
+		if !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), "format 4") {
+			t.Errorf("err = %v, want it to name %s and format 4", err, format)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, frame) {
+			t.Fatalf("the refused %s log changed: %d -> %d bytes", format, len(frame), len(after))
+		}
 	}
 }
 

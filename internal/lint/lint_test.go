@@ -270,16 +270,17 @@ func (e *Envelope) g() { e.Objects["C"] = nil }`)
 	expect(t, bad.FieldWrites(fields, "internal/summary/"), "x.go:3:9: writes", "x.go:4:2: writes", "x.go:5:2: writes")
 }
 
-// Everything durable or shipped — WAL frames and payloads, checkpoints,
-// replication messages — is encoded with
-// internal/codec, and a checkpoint is read by the one redo path. JSON
-// stays at the human edges and in a summary instance's model; an
-// encoding/json import in the log, the envelope store, the checkpoint
-// writer and readers or the replication stream would bring back a second
-// format.
+// Everything durable or shipped — WAL frames and payloads, checkpoints
+// with their summary objects and instance models, replication messages —
+// is encoded with internal/codec, and a checkpoint is read by the one redo
+// path. JSON stays at the human edges; an encoding/json import in the log,
+// the envelope store, the checkpoint writer and readers, the statements
+// that log, the summary and model codecs or the replication stream would
+// bring back a second format.
 func TestDurableWritePathHasNoJSON(t *testing.T) {
 	writePath := []string{"internal/wal/", "internal/replication/", "internal/engine/envstore.go",
-		"internal/engine/persist.go", "internal/engine/replication.go", "internal/engine/integrity.go"}
+		"internal/engine/persist.go", "internal/engine/replication.go", "internal/engine/integrity.go",
+		"internal/engine/durability.go", "internal/engine/statements.go", "internal/summary/", "internal/textmining/"}
 	expect(t, tree(t).Imports("encoding/json", writePath...))
 
 	bad := tree(t,

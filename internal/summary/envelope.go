@@ -368,21 +368,6 @@ func (e *Envelope) PruneCover() {
 // Object returns the object of the named instance, or nil.
 func (e *Envelope) Object(instance string) Object { return e.Objects[instance] }
 
-// Label returns the label index the named classifier instance's object
-// gave annotation id, and whether the object holds id (false for any other
-// object type).
-func (e *Envelope) Label(instance string, id annotation.ID) (int, bool) {
-	c, ok := e.Objects[instance].(*classifierObject)
-	if !ok {
-		return 0, false
-	}
-	i, ok := search(c.members, id, labelID)
-	if !ok {
-		return 0, false
-	}
-	return c.members[i].label, true
-}
-
 // InstanceNames returns the instance names present, sorted.
 func (e *Envelope) InstanceNames() []string {
 	out := make([]string, 0, len(e.Objects))

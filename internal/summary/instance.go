@@ -1,7 +1,6 @@
 package summary
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -150,60 +149,4 @@ func (in *Instance) NewObject() Object {
 		return newSnippetObject(in)
 	}
 	panic(fmt.Sprintf("summary: instance %q has invalid type %q", in.Name, in.Type))
-}
-
-// instanceConfig is the JSON persistence shape of an instance (the
-// catalog's durable record of level 2).
-type instanceConfig struct {
-	Name              string                 `json:"name"`
-	Type              TypeName               `json:"type"`
-	Props             Properties             `json:"properties"`
-	Model             *textmining.NaiveBayes `json:"model,omitempty"`
-	SimThreshold      float64                `json:"sim_threshold,omitempty"`
-	CentroidTerms     int                    `json:"centroid_terms,omitempty"`
-	PreviewLen        int                    `json:"preview_len,omitempty"`
-	MergeBySimilarity bool                   `json:"merge_by_similarity,omitempty"`
-	SnippetSentences  int                    `json:"snippet_sentences,omitempty"`
-}
-
-// MarshalJSON serializes the instance configuration, including a trained
-// classifier model.
-func (in *Instance) MarshalJSON() ([]byte, error) {
-	return json.Marshal(instanceConfig{
-		Name:              in.Name,
-		Type:              in.Type,
-		Props:             in.Props,
-		Model:             in.Classifier,
-		SimThreshold:      in.SimThreshold,
-		CentroidTerms:     in.CentroidTerms,
-		PreviewLen:        in.PreviewLen,
-		MergeBySimilarity: in.MergeBySimilarity,
-		SnippetSentences:  in.SnippetSentences,
-	})
-}
-
-// UnmarshalJSON restores an instance serialized by MarshalJSON.
-func (in *Instance) UnmarshalJSON(data []byte) error {
-	var c instanceConfig
-	if err := json.Unmarshal(data, &c); err != nil {
-		return err
-	}
-	if _, err := ParseTypeName(string(c.Type)); err != nil {
-		return err
-	}
-	if c.Type == TypeClassifier && c.Model == nil {
-		return fmt.Errorf("summary: persisted classifier instance %q missing model", c.Name)
-	}
-	*in = Instance{
-		Name:              c.Name,
-		Type:              c.Type,
-		Props:             c.Props,
-		Classifier:        c.Model,
-		SimThreshold:      c.SimThreshold,
-		CentroidTerms:     c.CentroidTerms,
-		PreviewLen:        c.PreviewLen,
-		MergeBySimilarity: c.MergeBySimilarity,
-		SnippetSentences:  c.SnippetSentences,
-	}
-	return nil
 }

@@ -1,8 +1,10 @@
 package summary
 
 import (
-	"encoding/json"
+	"reflect"
 	"testing"
+
+	"insightnotes/internal/codec"
 )
 
 func TestParseTypeName(t *testing.T) {
@@ -98,22 +100,24 @@ func TestSummarizeCallCounter(t *testing.T) {
 	}
 }
 
+// encodeInstance is in's create_instance body.
+func encodeInstance(in *Instance) []byte {
+	w := codec.NewWriter(nil)
+	in.Encode(w)
+	return w.Bytes()
+}
+
 func TestInstanceSerializationRoundTrip(t *testing.T) {
-	for _, in := range []*Instance{
-		classifierInstance(t, "ClassBird1"),
-		clusterInstance(t, "SimCluster"),
-		snippetInstance(t, "TextSummary1"),
-	} {
-		data, err := json.Marshal(in)
-		if err != nil {
+	clu := clusterInstance(t, "SimCluster")
+	clu.MergeBySimilarity, clu.PreviewLen, clu.SimThreshold = true, 40, 0.45
+	for _, in := range []*Instance{classifierInstance(t, "ClassBird1"), clu, snippetInstance(t, "TextSummary1")} {
+		r := codec.NewReader(encodeInstance(in))
+		back := DecodeInstance(r)
+		if err := r.Done(); err != nil {
 			t.Fatalf("%s: %v", in.Name, err)
 		}
-		var back Instance
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("%s: %v", in.Name, err)
-		}
-		if back.Name != in.Name || back.Type != in.Type || back.Props != in.Props {
-			t.Errorf("%s: round trip lost config: %s/%s/%+v", in.Name, back.Name, back.Type, back.Props)
+		if !reflect.DeepEqual(back, in) {
+			t.Errorf("%s: round trip changed the instance:\n got  %+v\n want %+v", in.Name, back, in)
 		}
 		// A restored instance must produce working objects.
 		obj := back.NewObject()
@@ -132,15 +136,32 @@ func TestInstanceSerializationRoundTrip(t *testing.T) {
 }
 
 func TestInstanceUnmarshalRejectsBadConfigs(t *testing.T) {
-	var in Instance
-	cases := []string{
-		`{"name":"x","type":"Histogram"}`,
-		`{"name":"x","type":"Classifier"}`, // classifier without model
-		`not json`,
+	header := func(name, typ string) *codec.Writer {
+		w := codec.NewWriter(nil)
+		w.Str(name)
+		w.Str(typ)
+		w.Bool(true)
+		w.Bool(true)
+		return w
 	}
-	for _, bad := range cases {
-		if err := json.Unmarshal([]byte(bad), &in); err == nil {
-			t.Errorf("bad config %q accepted", bad)
+	unnamed := header("", "Snippet")
+	unnamed.Varint(2)
+	threshold := header("x", "Cluster")
+	threshold.Float64(1.5)
+	threshold.Varint(8)
+	threshold.Varint(60)
+	threshold.Bool(false)
+	for name, bad := range map[string][]byte{
+		"unknown type":                header("x", "Histogram").Bytes(),
+		"classifier without model":    header("x", "Classifier").Bytes(),
+		"snippet without a name":      unnamed.Bytes(),
+		"cluster threshold above one": threshold.Bytes(),
+		"truncated":                   encodeInstance(clusterInstance(t, "c"))[:5],
+		"not an instance":             []byte("not an instance"),
+	} {
+		r := codec.NewReader(bad)
+		if in := DecodeInstance(r); r.Done() == nil || in != nil {
+			t.Errorf("%s: bad config accepted", name)
 		}
 	}
 }

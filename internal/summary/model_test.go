@@ -22,7 +22,8 @@ import (
 // two: coverage per id, classifier label per id and counts, snippet
 // entries, cluster partition and representatives. It also checks the
 // sorted lists' invariants and that no envelope a View was taken of, on
-// either side, has changed since.
+// either side, has changed since, and that each envelope survives its
+// checkpoint encoding.
 
 // TestEnvelopeOpsMatchModel runs the driver over seeded random streams.
 func TestEnvelopeOpsMatchModel(t *testing.T) {
@@ -162,6 +163,9 @@ func runEnvelopeOps(t testing.TB, data []byte) {
 		for i := range slots {
 			if err := slots[i].m.check(slots[i].env); err != nil {
 				t.Fatalf("step %d %s: envelope %d: %v\nenvelope: %s", step, op, i, err, describeEnvelope(slots[i].env))
+			}
+			if err := checkRoundTrip(slots[i].env, instances...); err != nil {
+				t.Fatalf("step %d %s: envelope %d round trip: %v\nenvelope: %s", step, op, i, err, describeEnvelope(slots[i].env))
 			}
 		}
 		for i, h := range views {

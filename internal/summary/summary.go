@@ -65,8 +65,8 @@ func ParseTypeName(s string) (TypeName, error) {
 // depend on t's data values. When both hold, the engine summarizes an
 // annotation once even if it is attached to many tuples.
 type Properties struct {
-	AnnotationInvariant bool `json:"annotation_invariant"`
-	DataInvariant       bool `json:"data_invariant"`
+	AnnotationInvariant bool
+	DataInvariant       bool
 }
 
 // SummarizeOnce reports whether the summarize-once optimization applies.

@@ -1,12 +1,11 @@
 package textmining
 
 import (
-	"cmp"
-	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
+
+	"insightnotes/internal/codec"
 )
 
 // NaiveBayes is a multinomial Naive Bayes text classifier with Laplace
@@ -25,8 +24,8 @@ type NaiveBayes struct {
 	termPerWord []map[string]float64 // per-label term frequencies
 	vocab       map[string]struct{}
 	totalDocs   float64
-	// table caches the log terms LogPosteriors adds up; Learn and
-	// UnmarshalJSON drop it, the next LogPosteriors rebuilds it.
+	// table caches the log terms LogPosteriors adds up; Learn drops it,
+	// the next LogPosteriors rebuilds it.
 	table atomic.Pointer[nbTable]
 }
 
@@ -168,86 +167,66 @@ func (nb *NaiveBayes) buildTable() *nbTable {
 	return tab
 }
 
-// nbModel is the serialization shape of a trained model.
-type nbModel struct {
-	Labels    []string             `json:"labels"`
-	DocCount  []float64            `json:"doc_count"`
-	TermCount []float64            `json:"term_count"`
-	Terms     []map[string]float64 `json:"terms"`
-}
-
-// MarshalJSON serializes the trained model so summary instances can persist
-// their TrainingModel field (Figure 4 of the paper).
-func (nb *NaiveBayes) MarshalJSON() ([]byte, error) {
-	return json.Marshal(nbModel{
-		Labels:    nb.labels,
-		DocCount:  nb.docCount,
-		TermCount: nb.termCount,
-		Terms:     nb.termPerWord,
-	})
-}
-
-// UnmarshalJSON restores a model serialized by MarshalJSON.
-func (nb *NaiveBayes) UnmarshalJSON(data []byte) error {
-	var m nbModel
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
+// Encode appends the trained model to w: the labels, then per label its
+// document count and its term counts in term order, so that equal models
+// encode to equal bytes. The per-label term totals, the vocabulary and the
+// document total are sums of these and are not written.
+func (nb *NaiveBayes) Encode(w *codec.Writer) {
+	w.Uvarint(uint64(len(nb.labels)))
+	for _, l := range nb.labels {
+		w.Str(l)
 	}
-	if len(m.Labels) < 2 || len(m.DocCount) != len(m.Labels) ||
-		len(m.TermCount) != len(m.Labels) || len(m.Terms) != len(m.Labels) {
-		return fmt.Errorf("textmining: corrupt classifier model")
-	}
-	fresh, err := NewNaiveBayes(m.Labels)
-	if err != nil {
-		return err
-	}
-	nb.table.Store(nil)
-	nb.labels, nb.labelIndex = fresh.labels, fresh.labelIndex
-	nb.docCount, nb.termCount = fresh.docCount, fresh.termCount
-	nb.termPerWord, nb.vocab, nb.totalDocs = fresh.termPerWord, fresh.vocab, 0
-	copy(nb.docCount, m.DocCount)
-	copy(nb.termCount, m.TermCount)
-	for i, tm := range m.Terms {
-		for t, c := range tm {
-			nb.termPerWord[i][t] = c
-			nb.vocab[t] = struct{}{}
+	for i, terms := range nb.termPerWord {
+		w.Float64(nb.docCount[i])
+		w.Uvarint(uint64(len(terms)))
+		for _, t := range Vector(terms).SortedTerms() {
+			w.Str(t)
+			w.Float64(terms[t])
 		}
-		nb.totalDocs += 0 // doc totals derived below
 	}
-	for _, c := range m.DocCount {
-		nb.totalDocs += c
-	}
-	return nil
 }
 
-// TopTermsForLabel returns the k most indicative terms of a label by
-// per-label frequency — useful for explaining classifier summaries in the
-// front end.
-func (nb *NaiveBayes) TopTermsForLabel(label string, k int) []string {
-	li, ok := nb.labelIndex[label]
-	if !ok {
+// DecodeNaiveBayes reads a model written by Encode, recording a failure
+// on r and returning nil for a corrupt one: fewer than two labels, a
+// repeated label, terms out of order or repeated, or a count that is
+// negative or not finite.
+func DecodeNaiveBayes(r *codec.Reader) *NaiveBayes {
+	labels := make([]string, r.Count(1))
+	for i := range labels {
+		labels[i] = r.Str()
+	}
+	if r.Err() != nil {
 		return nil
 	}
-	type tw struct {
-		t string
-		w float64
+	nb, err := NewNaiveBayes(labels)
+	if err != nil {
+		r.Fail(err)
+		return nil
 	}
-	all := make([]tw, 0, len(nb.termPerWord[li]))
-	for t, w := range nb.termPerWord[li] {
-		all = append(all, tw{t, w})
-	}
-	slices.SortFunc(all, func(a, b tw) int {
-		if c := cmp.Compare(b.w, a.w); c != 0 {
-			return c
+	count := func() float64 {
+		c := r.Float64()
+		if !(c >= 0 && c <= math.MaxFloat64) {
+			r.Fail(fmt.Errorf("textmining: corrupt classifier model: count %v", c))
 		}
-		return cmp.Compare(a.t, b.t)
-	})
-	if k > len(all) {
-		k = len(all)
+		return c
 	}
-	out := make([]string, k)
-	for i := range out {
-		out[i] = all[i].t
+	for i, terms := range nb.termPerWord {
+		nb.docCount[i] = count()
+		nb.totalDocs += nb.docCount[i]
+		prev := ""
+		for k, n := 0, r.Count(2); k < n && r.Err() == nil; k++ {
+			t := r.Str()
+			if k > 0 && t <= prev {
+				r.Fail(fmt.Errorf("textmining: corrupt classifier model: term %q after %q", t, prev))
+			}
+			terms[t] = count()
+			nb.termCount[i] += terms[t]
+			nb.vocab[t] = struct{}{}
+			prev = t
+		}
 	}
-	return out
+	if r.Err() != nil {
+		return nil
+	}
+	return nb
 }

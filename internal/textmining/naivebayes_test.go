@@ -1,10 +1,12 @@
 package textmining
 
 import (
-	"encoding/json"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
+
+	"insightnotes/internal/codec"
 )
 
 // trainBirdClassifier builds the demo paper's four-class ornithological
@@ -108,18 +110,26 @@ func TestLogPosteriorsShape(t *testing.T) {
 	}
 }
 
+// roundTrip encodes nb and decodes the bytes.
+func roundTrip(t *testing.T, nb *NaiveBayes) *NaiveBayes {
+	t.Helper()
+	w := codec.NewWriter(nil)
+	nb.Encode(w)
+	r := codec.NewReader(w.Bytes())
+	back := DecodeNaiveBayes(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// A decoded model is the encoded one, the sums Encode leaves out
+// included, and classifies alike; equal models encode to equal bytes.
 func TestNaiveBayesSerializationRoundTrip(t *testing.T) {
 	nb := trainBirdClassifier(t)
-	data, err := json.Marshal(nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back NaiveBayes
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !back.Trained() {
-		t.Fatal("deserialized model not trained")
+	back := roundTrip(t, nb)
+	if !reflect.DeepEqual(back, nb) {
+		t.Fatalf("round trip changed the model:\n got  %+v\n want %+v", back, nb)
 	}
 	for _, text := range []string{
 		"eating stonewort", "avian influenza", "wingspan large", "wikipedia article",
@@ -130,36 +140,63 @@ func TestNaiveBayesSerializationRoundTrip(t *testing.T) {
 			t.Errorf("Classify(%q) diverged after round trip: %q vs %q", text, l1, l2)
 		}
 	}
+	w1, w2 := codec.NewWriter(nil), codec.NewWriter(nil)
+	nb.Encode(w1)
+	back.Encode(w2)
+	if string(w1.Bytes()) != string(w2.Bytes()) {
+		t.Error("a decoded model encodes to other bytes")
+	}
 }
 
 func TestUnmarshalCorruptModel(t *testing.T) {
-	var nb NaiveBayes
-	for _, bad := range []string{
-		`{"labels":["a"]}`,
-		`{"labels":["a","b"],"doc_count":[1],"term_count":[1,1],"terms":[{},{}]}`,
-		`not json`,
-	} {
-		if err := json.Unmarshal([]byte(bad), &nb); err == nil {
-			t.Errorf("corrupt model %q accepted", bad)
+	model := func(write func(w *codec.Writer)) []byte {
+		w := codec.NewWriter(nil)
+		write(w)
+		return w.Bytes()
+	}
+	labels := func(w *codec.Writer, ls ...string) {
+		w.Uvarint(uint64(len(ls)))
+		for _, l := range ls {
+			w.Str(l)
 		}
 	}
-}
-
-func TestTopTermsForLabel(t *testing.T) {
-	nb := trainBirdClassifier(t)
-	top := nb.TopTermsForLabel("Disease", 3)
-	if len(top) != 3 {
-		t.Fatalf("len = %d", len(top))
-	}
-	seen := map[string]bool{}
-	for _, term := range top {
-		seen[term] = true
-	}
-	if !seen["avian"] && !seen["infect"] && !seen["viru"] && !seen["sick"] && !seen["influenza"] {
-		t.Errorf("Disease top terms %v contain no disease vocabulary", top)
-	}
-	if nb.TopTermsForLabel("missing", 3) != nil {
-		t.Error("unknown label returned terms")
+	for name, bad := range map[string][]byte{
+		"one label":      model(func(w *codec.Writer) { labels(w, "a") }),
+		"repeated label": model(func(w *codec.Writer) { labels(w, "a", "a") }),
+		"truncated":      model(func(w *codec.Writer) { labels(w, "a", "b"); w.Float64(1) }),
+		"negative count": model(func(w *codec.Writer) {
+			labels(w, "a", "b")
+			w.Float64(-1)
+			w.Uvarint(0)
+			w.Float64(0)
+			w.Uvarint(0)
+		}),
+		"infinite term count": model(func(w *codec.Writer) {
+			labels(w, "a", "b")
+			w.Float64(1)
+			w.Uvarint(1)
+			w.Str("swan")
+			w.Float64(math.Inf(1))
+			w.Float64(0)
+			w.Uvarint(0)
+		}),
+		"terms out of order": model(func(w *codec.Writer) {
+			labels(w, "a", "b")
+			w.Float64(2)
+			w.Uvarint(2)
+			w.Str("swan")
+			w.Float64(1)
+			w.Str("goose")
+			w.Float64(1)
+			w.Float64(0)
+			w.Uvarint(0)
+		}),
+		"not a model": []byte("not a model"),
+	} {
+		r := codec.NewReader(bad)
+		if nb := DecodeNaiveBayes(r); r.Done() == nil || nb != nil {
+			t.Errorf("%s: corrupt model accepted", name)
+		}
 	}
 }
 
@@ -217,14 +254,8 @@ func TestLogPosteriorsTableMatchesDirect(t *testing.T) {
 	nb.Learn("xylophone recital near the shore", "Other")
 	nb.Learn("lesions and mites", "Disease")
 	check("after Learn")
-	data, err := json.Marshal(nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, nb); err != nil {
-		t.Fatal(err)
-	}
-	check("after UnmarshalJSON")
+	nb = roundTrip(t, nb)
+	check("after decoding")
 }
 
 // Classify from many goroutines while the first table is being built: the

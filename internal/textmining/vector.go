@@ -40,25 +40,15 @@ func (v Vector) Add(u Vector) {
 	}
 }
 
-// Sub removes u from v (v -= u), deleting terms that reach zero or below.
-// It is the inverse of Add and is used when an annotation's contribution is
-// retracted from a cluster centroid during summary curation.
-func (v Vector) Sub(u Vector) {
-	for k, w := range u {
-		nv := v[k] - w
-		if nv <= 1e-12 {
-			delete(v, k)
-		} else {
-			v[k] = nv
-		}
+// SortedTerms returns v's terms in ascending order, the order that makes
+// an encoded vector a function of its contents.
+func (v Vector) SortedTerms() []string {
+	out := make([]string, 0, len(v))
+	for t := range v {
+		out = append(out, t)
 	}
-}
-
-// Scale multiplies every weight by f.
-func (v Vector) Scale(f float64) {
-	for k := range v {
-		v[k] *= f
-	}
+	slices.Sort(out)
+	return out
 }
 
 // Norm returns the Euclidean norm of v.

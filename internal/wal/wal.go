@@ -11,14 +11,15 @@
 //	4 bytes  little-endian uint32: payload length
 //	4 bytes  little-endian uint32: IEEE CRC32 of the payload
 //	n bytes  payload:
-//	         1 byte   format, 3
+//	         1 byte   format, 4
 //	         uvarint  LSN
 //	         Str      record type (internal/codec: uvarint length, bytes)
 //	         rest     body, opaque to this package (the engine's payload)
 //
 // The format byte tells an older log apart: format 1 wrote each payload as
 // one JSON document, which starts with '{'; format 2 wrote annotate bodies
-// without their recorded labels. A CRC-valid frame of any other format is
+// without recorded classifier labels, format 3 with them, and both held
+// an instance's model as JSON. A CRC-valid frame of any other format is
 // ErrFormat, which Replay returns as an error and never truncates as a torn
 // tail, so a log this build cannot read is refused whole instead of
 // silently dropped.
@@ -63,7 +64,7 @@ import (
 const headerBytes = 8
 
 // formatVersion is the first payload byte of every frame this build writes.
-const formatVersion = 3
+const formatVersion = 4
 
 // maxCommitWindowYields bounds the group-commit window: the batch leader
 // yields at most this many times while committers keep staging behind

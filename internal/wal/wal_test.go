@@ -193,13 +193,14 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 }
 
 // A CRC-valid frame of another format — a format 1 JSON payload, a
-// format 2 binary one, or any unknown format byte — is refused with
+// format 2 or 3 binary one, or any unknown format byte — is refused with
 // ErrFormat, naming both formats, and the file is left byte for byte as it
 // was: never truncated as a torn tail.
 func TestReplayRefusesOtherFormat(t *testing.T) {
 	for name, p := range map[string][]byte{
 		"json":         []byte(`{"lsn":4,"type":"m","data":{"n":4}}`),
 		"format_2":     {2, 4, 1, 'm'},
+		"format_3":     {3, 4, 1, 'm'},
 		"unknown_byte": {formatVersion + 1, 4, 1, 'm'},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -225,8 +226,8 @@ func TestReplayRefusesOtherFormat(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = Replay(path, 0, func(Record) error { return nil })
-			if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "format 3") {
-				t.Fatalf("replay err = %v, want ErrFormat naming format 3", err)
+			if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "format 4") {
+				t.Fatalf("replay err = %v, want ErrFormat naming format 4", err)
 			}
 			if name == "json" && !strings.Contains(err.Error(), "format 1 (JSON)") {
 				t.Fatalf("replay err = %v, want it to name format 1", err)
