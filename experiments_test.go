@@ -243,27 +243,41 @@ func TestE4IncrementalMaintenance(t *testing.T) {
 	// One more annotation costs the same allocations, and the same bytes,
 	// whatever the row already holds: maintenance appends at the tail of
 	// its sorted lists and neither copies nor rehashes them.
-	texts := make([]string, 20)
-	for i := range texts {
-		texts[i] = g.ClassText(workload.BirdClasses[i%len(workload.BirdClasses)])
+	// The statements are formatted up front and the tracer is off, so the
+	// window measures the statement path and maintenance alone: under
+	// -race, sync.Pool drops fmt's and the tracer's buffers at random.
+	adds := make([]string, 20)
+	for i := range adds {
+		adds[i] = fmt.Sprintf("ADD ANNOTATION '%s' ON birds WHERE id = 1", g.ClassText(workload.BirdClasses[i%len(workload.BirdClasses)]))
 	}
 	// cost is testing.AllocsPerRun (one warm-up call, then the average
-	// over len(texts)-1 calls) reporting bytes beside the allocation count.
+	// over len(adds)-1 calls) reporting bytes beside the allocation count.
 	cost := func(held int) (allocs, bytes float64) {
-		db := openWith(t, insightnotes.Config{})
+		db := openWith(t, insightnotes.Config{DisableTracing: true})
 		if _, err := populate.Birds(db, workload.New(78), populate.BirdCorpusSpec{Tuples: 1, AnnotationsPerTuple: held, TrainPerClass: 8}); err != nil {
 			t.Fatal(err)
 		}
-		add := func(text string) { run(t, db, fmt.Sprintf("ADD ANNOTATION '%s' ON birds WHERE id = 1", text)) }
+		// Pad the annotation heap through a second row until it takes a
+		// fresh 8 KiB page: the records of the 20 ADDs below fit in it, so
+		// no page allocation lands in either row's measured window.
+		run(t, db, "INSERT INTO birds VALUES (2, 'pad', 'pad', 'pad', 1.0)")
+		pages := len(db.Annotations().Pages())
+		for len(db.Annotations().Pages()) == pages {
+			run(t, db, "ADD ANNOTATION 'padding' ON birds WHERE id = 2")
+		}
+		pages = len(db.Annotations().Pages())
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		add(texts[0])
-		runs := uint64(len(texts) - 1)
+		run(t, db, adds[0])
+		runs := uint64(len(adds) - 1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, text := range texts[1:] {
-			add(text)
+		for _, stmt := range adds[1:] {
+			run(t, db, stmt)
 		}
 		runtime.ReadMemStats(&after)
+		if got := len(db.Annotations().Pages()); got != pages {
+			t.Fatalf("held=%d: the annotation heap grew from %d to %d pages inside the measured window", held, pages, got)
+		}
 		return float64((after.Mallocs - before.Mallocs) / runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 	}
 	small, smallBytes := cost(8)

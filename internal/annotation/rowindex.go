@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"insightnotes/internal/storage"
 	"insightnotes/internal/types"
 )
 
@@ -23,12 +22,6 @@ const annStripes = 32
 // reverse.
 type rowIndex struct {
 	stripes [annStripes]annStripe
-	// counts is a B+tree keyed (table, distinct-annotation count) → row,
-	// maintained on every ref change, so "most annotated tuples of T" and
-	// "rows with at least n annotations" resolve by range scan instead of
-	// sweeping every stripe. The tree has its own internal lock and is only
-	// called from under a stripe lock (leaf order, no cycles).
-	counts *storage.BTree
 }
 
 // annStripe holds, per tuple, its refs sorted by annotation id with each
@@ -41,30 +34,11 @@ type annStripe struct {
 }
 
 func newRowIndex() *rowIndex {
-	ix := &rowIndex{counts: storage.NewBTree()}
+	ix := &rowIndex{}
 	for i := range ix.stripes {
 		ix.stripes[i].m = make(map[string]map[types.RowID][]Ref)
 	}
 	return ix
-}
-
-// countKey is the count-index key of (table, n).
-func countKey(table string, n int) []byte {
-	return storage.EncodeCompositeKey(nil, types.NewString(table), types.NewInt(int64(n)))
-}
-
-// recount moves a row's count-index entry from before to after distinct
-// annotations. Called with the row's stripe lock held.
-func (ix *rowIndex) recount(table string, row types.RowID, before, after int) {
-	if before == after {
-		return
-	}
-	if before > 0 {
-		ix.counts.Delete(countKey(table, before), uint64(row))
-	}
-	if after > 0 {
-		ix.counts.Insert(countKey(table, after), uint64(row))
-	}
 }
 
 // stripeFor hashes (table, row) to a stripe — FNV-1a over the table name
@@ -105,7 +79,6 @@ func (ix *rowIndex) add(table string, row types.RowID, ref Ref) {
 		return
 	}
 	rows[row] = slices.Insert(refs, i, ref)
-	ix.recount(table, row, len(refs), len(refs)+1)
 }
 
 // refs returns the refs of a tuple, one per annotation id (union column
@@ -134,33 +107,14 @@ func (ix *rowIndex) dropAnn(table string, row types.RowID, id ID) {
 	} else {
 		st.m[table][row] = slices.Delete(refs, i, i+1)
 	}
-	ix.recount(table, row, len(refs), len(refs)-1)
 }
 
 // deleteRow drops a tuple's ref list entirely (tuple deletion cascade).
 func (ix *rowIndex) deleteRow(table string, row types.RowID) {
 	st := ix.stripeFor(table, row)
 	st.mu.Lock()
-	ix.recount(table, row, len(st.m[table][row]), 0)
 	delete(st.m[table], row)
 	st.mu.Unlock()
-}
-
-// countRange scans the count index of table ascending over [atLeast, ∞),
-// reporting each (row, count) pair.
-func (ix *rowIndex) countRange(table string, atLeast int, fn func(row types.RowID, count int) bool) {
-	if atLeast < 1 {
-		atLeast = 1
-	}
-	lo := countKey(table, atLeast)
-	hi := storage.KeySuccessor(storage.EncodeCompositeKey(nil, types.NewString(table)))
-	ix.counts.Scan(lo, hi, func(k []byte, v uint64) bool {
-		vals, err := storage.DecodeCompositeKey(k)
-		if err != nil || len(vals) != 2 {
-			return true
-		}
-		return fn(types.RowID(v), int(vals[1].Float()))
-	})
 }
 
 // rows returns the annotated rows of table, sorted.

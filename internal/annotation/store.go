@@ -2,7 +2,6 @@ package annotation
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"insightnotes/internal/storage"
@@ -185,19 +184,6 @@ func (s *Store) Get(id ID) (Annotation, error) {
 	return decodeAnnotation(data)
 }
 
-// GetMany retrieves several annotations, in the order given.
-func (s *Store) GetMany(ids []ID) ([]Annotation, error) {
-	out := make([]Annotation, 0, len(ids))
-	for _, id := range ids {
-		a, err := s.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // ForTuple returns the annotation refs attached to (table, row), sorted by
 // annotation id. Refs for the same annotation covering disjoint column sets
 // are merged into one ref with the union coverage. It takes only the
@@ -284,23 +270,6 @@ func (s *Store) DetachRow(table string, row types.RowID) (detached, orphaned []I
 	return detached, orphaned, nil
 }
 
-// RowsOf returns the distinct rows of table that annotation id is attached
-// to.
-func (s *Store) RowsOf(id ID, table string) []types.RowID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := map[types.RowID]bool{}
-	var out []types.RowID
-	for _, tg := range s.targetsOf[id] {
-		if tg.Table == table && !seen[tg.Row] {
-			seen[tg.Row] = true
-			out = append(out, tg.Row)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Count returns the number of stored annotations.
 func (s *Store) Count() int {
 	s.mu.RLock()
@@ -321,41 +290,4 @@ func (s *Store) RawBytes() int64 {
 // annotation, sorted.
 func (s *Store) AnnotatedRows(table string) []types.RowID {
 	return s.rowIdx.rows(table)
-}
-
-// RowCount pairs a row with its distinct-annotation count.
-type RowCount struct {
-	Row   types.RowID
-	Count int
-}
-
-// TopAnnotated returns the k most-annotated rows of table, highest count
-// first (ties in index order), resolved through the per-tuple count index
-// rather than a sweep over every annotated row.
-func (s *Store) TopAnnotated(table string, k int) []RowCount {
-	if k <= 0 {
-		return nil
-	}
-	var all []RowCount
-	s.rowIdx.countRange(table, 1, func(row types.RowID, count int) bool {
-		all = append(all, RowCount{Row: row, Count: count})
-		return true
-	})
-	// The index scan is ascending by count; the top k sit at the tail.
-	out := make([]RowCount, 0, k)
-	for i := len(all) - 1; i >= 0 && len(out) < k; i-- {
-		out = append(out, all[i])
-	}
-	return out
-}
-
-// RowsAnnotatedAtLeast returns the rows of table carrying at least n
-// distinct annotations, in ascending count order, via the count index.
-func (s *Store) RowsAnnotatedAtLeast(table string, n int) []types.RowID {
-	var out []types.RowID
-	s.rowIdx.countRange(table, n, func(row types.RowID, _ int) bool {
-		out = append(out, row)
-		return true
-	})
-	return out
 }

@@ -2,11 +2,13 @@ package annotation
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"insightnotes/internal/storage"
+	"insightnotes/internal/types"
 )
 
 func newTestStore() *Store {
@@ -143,11 +145,13 @@ func TestStoreMultiTupleAttachment(t *testing.T) {
 		{Table: "birds", Row: 2, Columns: WholeRow(2)},
 		{Table: "obs", Row: 7, Columns: Col(1)},
 	})
-	if got := s.RowsOf(id, "birds"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("RowsOf(birds) = %v", got)
+	want := []Target{
+		{Table: "birds", Row: 1, Columns: WholeRow(2)},
+		{Table: "birds", Row: 2, Columns: WholeRow(2)},
+		{Table: "obs", Row: 7, Columns: Col(1)},
 	}
-	if got := s.TargetsOf(id); len(got) != 3 {
-		t.Errorf("TargetsOf = %v", got)
+	if got := s.TargetsOf(id); !reflect.DeepEqual(got, want) {
+		t.Errorf("TargetsOf = %v, want %v", got, want)
 	}
 	if got := s.AnnotatedRows("birds"); len(got) != 2 {
 		t.Errorf("AnnotatedRows = %v", got)
@@ -168,20 +172,66 @@ func TestStoreRefsSortedByID(t *testing.T) {
 	}
 }
 
-func TestStoreGetMany(t *testing.T) {
+// addTo attaches one fresh whole-row annotation to (table, row).
+func addTo(t *testing.T, s *Store, table string, row types.RowID) ID {
+	t.Helper()
+	id, err := s.Add(
+		Annotation{Text: fmt.Sprintf("note on %s/%d", table, row)},
+		[]Target{{Table: table, Row: row, Columns: WholeRow(2)}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// TestCountIndexCountsDistinctAnnotations: one annotation targeting the
+// same row through several column sets counts once in the row's refs.
+func TestCountIndexCountsDistinctAnnotations(t *testing.T) {
 	s := newTestStore()
-	var ids []ID
-	for i := 0; i < 3; i++ {
-		id, _ := s.Add(Annotation{Text: fmt.Sprintf("a%d", i)},
-			[]Target{{Table: "t", Row: 1, Columns: Col(0)}})
-		ids = append(ids, id)
+	if _, err := s.Add(Annotation{Text: "multi-target"}, []Target{
+		{Table: "t", Row: 1, Columns: Col(0)},
+		{Table: "t", Row: 1, Columns: Col(1)},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	got, err := s.GetMany([]ID{ids[2], ids[0]})
-	if err != nil || len(got) != 2 || got[0].Text != "a2" || got[1].Text != "a0" {
-		t.Errorf("GetMany = %v, %v", got, err)
+	addTo(t, s, "t", 1)
+	if got := len(s.ForTuple("t", 1)); got != 2 {
+		t.Errorf("len(ForTuple) = %d, want 2 (distinct annotations, not refs)", got)
 	}
-	if _, err := s.GetMany([]ID{99}); err == nil {
-		t.Error("GetMany(missing) succeeded")
+	if got, want := s.AnnotatedRows("t"), []types.RowID{1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("AnnotatedRows = %v, want %v", got, want)
+	}
+}
+
+// TestCountIndexTracksMutations drives a row's distinct-annotation count
+// through Remove and DetachRow, the two retraction paths.
+func TestCountIndexTracksMutations(t *testing.T) {
+	s := newTestStore()
+	a1 := addTo(t, s, "t", 1)
+	addTo(t, s, "t", 1)
+	addTo(t, s, "t", 2)
+
+	if got := len(s.ForTuple("t", 1)); got != 2 {
+		t.Fatalf("len(ForTuple(t, 1)) = %d, want 2", got)
+	}
+	if _, err := s.Remove(a1); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.ForTuple("t", 1)); got != 1 {
+		t.Errorf("after Remove: len(ForTuple(t, 1)) = %d, want 1", got)
+	}
+	if got, want := s.AnnotatedRows("t"), []types.RowID{1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after Remove: AnnotatedRows = %v, want %v", got, want)
+	}
+	if _, _, err := s.DetachRow("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ForTuple("t", 1); got != nil {
+		t.Errorf("after DetachRow: ForTuple(t, 1) = %v, want none", got)
+	}
+	if got, want := s.AnnotatedRows("t"), []types.RowID{2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after DetachRow: AnnotatedRows = %v, want %v", got, want)
 	}
 }
 
@@ -329,8 +379,8 @@ func TestStoreDetachRow(t *testing.T) {
 	if _, err := s.Get(shared); err != nil {
 		t.Errorf("shared annotation removed: %v", err)
 	}
-	if got := s.RowsOf(shared, "t"); len(got) != 1 || got[0] != 2 {
-		t.Errorf("shared rows = %v", got)
+	if got, want := s.TargetsOf(shared), []Target{{Table: "t", Row: 2, Columns: Col(0)}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("shared targets = %v, want %v", got, want)
 	}
 	// Detaching an unannotated row is a no-op.
 	d, o, err := s.DetachRow("t", 99)

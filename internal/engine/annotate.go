@@ -370,9 +370,10 @@ func (db *DB) unlinkInstance(instanceName, table string) error {
 	if err := db.cat.Unlink(instanceName, tbl.Name()); err != nil {
 		return err
 	}
-	// The instance index names exactly the envelopes carrying this
-	// instance's objects — no full sweep over the table's stripe maps.
-	db.envs.mutateInstance(tbl.Name(), instanceName, func(_ types.RowID, env *summary.Envelope) bool {
+	// Only the envelopes holding this instance's objects are written; the
+	// rest of the table's envelopes, and views readers hold of them, are
+	// left as they are.
+	db.envs.mutateInstance(tbl.Name(), instanceName, func(env *summary.Envelope) bool {
 		env.RemoveInstance(instanceName)
 		return env.IsEmpty()
 	})

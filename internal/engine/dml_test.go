@@ -75,8 +75,8 @@ func TestDeleteStatementCascadesAnnotations(t *testing.T) {
 	if _, err := db.Annotations().Get(sharedID); err != nil {
 		t.Errorf("shared annotation removed: %v", err)
 	}
-	if got := db.Annotations().RowsOf(sharedID, "birds"); len(got) != 1 || got[0] != 2 {
-		t.Errorf("shared annotation rows = %v", got)
+	if got := db.Annotations().TargetsOf(sharedID); len(got) != 1 || got[0].Table != "birds" || got[0].Row != 2 {
+		t.Errorf("shared annotation targets = %v", got)
 	}
 	// Envelope of the deleted tuple is gone.
 	if db.StoredEnvelope("birds", 1) != nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 
-	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
@@ -22,10 +21,6 @@ const envStripes = 32
 // The envelopes live in memory and in checkpoints: a checkpoint stores
 // each one (read, not viewed, so writing it latches nothing shared) and
 // recovery installs it, summarizing only the annotations logged since.
-// Beside the maps, instIdx is a B+tree keyed (instance name, table) →
-// row, one entry per summary object held by an envelope. Unlink and
-// drop-instance maintenance use it to touch exactly the envelopes that
-// carry the instance instead of sweeping every stripe's table map.
 //
 // Locking: each stripe guards its own table→row→envelope maps AND the
 // envelopes within them — a stored envelope is only viewed or mutated
@@ -35,12 +30,9 @@ const envStripes = 32
 // fn calls on an envelope a reader has viewed since the last write copies
 // the maps (and clones just the objects it changes) before writing, so a
 // held view never changes. A never-viewed envelope is written in place
-// at no extra cost. The B+tree has its own internal lock and is only
-// called from under a stripe lock (leaf order, no cycles). Maintenance
-// (applyTasks) takes db.mu first; the ordering is always db.mu → stripe,
-// never the reverse.
+// at no extra cost. Maintenance (applyTasks) takes db.mu first; the
+// ordering is always db.mu → stripe, never the reverse.
 type envStore struct {
-	instIdx *storage.BTree
 	stripes [envStripes]envStripe
 }
 
@@ -50,7 +42,7 @@ type envStripe struct {
 }
 
 func newEnvStore() *envStore {
-	s := &envStore{instIdx: storage.NewBTree()}
+	s := &envStore{}
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[string]map[types.RowID]*summary.Envelope)
 	}
@@ -69,40 +61,6 @@ func (s *envStore) stripeFor(table string, row types.RowID) *envStripe {
 	h ^= uint64(row)
 	h *= 1099511628211
 	return &s.stripes[h%envStripes]
-}
-
-// instKey is the B+tree key of one (instance, table) index entry.
-func instKey(instance, table string) []byte {
-	return storage.EncodeCompositeKey(nil, types.NewString(instance), types.NewString(table))
-}
-
-// instanceSet snapshots the instance names an envelope currently holds.
-func instanceSet(env *summary.Envelope) map[string]bool {
-	if env == nil || len(env.Objects) == 0 {
-		return nil
-	}
-	out := make(map[string]bool, len(env.Objects))
-	for name := range env.Objects {
-		out[name] = true
-	}
-	return out
-}
-
-// reindex reconciles the instance index after a mutation: entries for
-// instances the envelope gained are inserted, entries for instances it
-// lost are deleted. A nil env drops every before entry.
-func (s *envStore) reindex(table string, row types.RowID, before map[string]bool, env *summary.Envelope) {
-	after := instanceSet(env)
-	for name := range after {
-		if !before[name] {
-			s.instIdx.Insert(instKey(name, table), uint64(row))
-		}
-	}
-	for name := range before {
-		if !after[name] {
-			s.instIdx.Delete(instKey(name, table), uint64(row))
-		}
-	}
 }
 
 // view returns a copy-on-write view of the stored envelope of a tuple (nil
@@ -133,8 +91,7 @@ func (s *envStore) read(table string, row types.RowID, fn func(env *summary.Enve
 }
 
 // update applies fn to the stored envelope of a tuple, creating an empty
-// envelope first when the tuple has none. fn runs under the stripe lock;
-// the instance index is maintained after fn returns.
+// envelope first when the tuple has none. fn runs under the stripe lock.
 func (s *envStore) update(table string, row types.RowID, fn func(env *summary.Envelope)) {
 	st := s.stripeFor(table, row)
 	st.mu.Lock()
@@ -145,9 +102,7 @@ func (s *envStore) update(table string, row types.RowID, fn func(env *summary.En
 		env = summary.NewEnvelope()
 		rows[row] = env
 	}
-	before := instanceSet(env)
 	fn(env)
-	s.reindex(table, row, before, env)
 }
 
 // install stores env, read from a checkpoint, as the envelope of a tuple
@@ -161,7 +116,6 @@ func (s *envStore) install(table string, row types.RowID, env *summary.Envelope)
 		return false
 	}
 	rows[row] = env
-	s.reindex(table, row, nil, env)
 	return true
 }
 
@@ -178,53 +132,38 @@ func (st *envStripe) rows(table string) map[types.RowID]*summary.Envelope {
 
 // mutate applies fn to the stored envelope of a tuple when one exists; a
 // true return drops the (now empty) envelope. fn runs under the stripe
-// lock; the instance index is maintained after fn returns.
+// lock.
 func (s *envStore) mutate(table string, row types.RowID, fn func(env *summary.Envelope) (drop bool)) {
 	st := s.stripeFor(table, row)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	env := st.m[table][row]
-	if env == nil {
-		return
-	}
-	before := instanceSet(env)
-	if fn(env) {
+	if env := st.m[table][row]; env != nil && fn(env) {
 		delete(st.m[table], row)
-		s.reindex(table, row, before, nil)
-		return
-	}
-	s.reindex(table, row, before, env)
-}
-
-// mutateInstance applies fn to exactly the envelopes of table that hold an
-// object of the named instance, resolved through the instance index
-// instead of a full stripe sweep; a true return drops that envelope.
-func (s *envStore) mutateInstance(table, instance string, fn func(row types.RowID, env *summary.Envelope) (drop bool)) {
-	for _, row := range s.rowsForInstance(table, instance) {
-		s.mutate(table, row, func(env *summary.Envelope) bool { return fn(row, env) })
 	}
 }
 
-// rowsForInstance returns the rows of table whose envelopes hold an object
-// of the named instance, in index order — the read side of the instance
-// index.
-func (s *envStore) rowsForInstance(table, instance string) []types.RowID {
-	key := instKey(instance, table)
-	var rows []types.RowID
-	s.instIdx.Scan(key, storage.KeySuccessorExact(key), func(_ []byte, v uint64) bool {
-		rows = append(rows, types.RowID(v))
-		return true
-	})
-	return rows
+// mutateInstance sweeps the envelopes of table stripe by stripe and
+// applies fn, under the stripe lock, to exactly those holding an object
+// of the named instance; a true return drops that envelope. The others
+// are only looked at, never written, so views readers hold of them stay
+// shared.
+func (s *envStore) mutateInstance(table, instance string, fn func(env *summary.Envelope) (drop bool)) {
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		for row, env := range st.m[table] {
+			if _, ok := env.Objects[instance]; ok && fn(env) {
+				delete(st.m[table], row)
+			}
+		}
+		st.mu.Unlock()
+	}
 }
 
 // deleteRow drops the stored envelope of a tuple.
 func (s *envStore) deleteRow(table string, row types.RowID) {
 	st := s.stripeFor(table, row)
 	st.mu.Lock()
-	if env := st.m[table][row]; env != nil {
-		s.reindex(table, row, instanceSet(env), nil)
-	}
 	delete(st.m[table], row)
 	st.mu.Unlock()
 }
@@ -234,9 +173,6 @@ func (s *envStore) dropTable(table string) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		for row, env := range st.m[table] {
-			s.reindex(table, row, instanceSet(env), nil)
-		}
 		delete(st.m, table)
 		st.mu.Unlock()
 	}

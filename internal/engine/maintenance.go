@@ -86,8 +86,8 @@ const maintChunk = 64
 //
 // Envelopes: the digests are grouped by (table, row), in task order within
 // each row — cluster grouping depends on insertion order — and each touched
-// row gets one envs.update: one reindex, one encode and one heap write per
-// batch, however many of its annotations the batch carries.
+// row gets one envs.update, one stripe-lock hold, per batch, however many
+// of its annotations the batch carries.
 //
 // Digests are independent of each other, and so are rows, so each phase
 // is spread over up to GOMAXPROCS workers, one per maintChunk of its work

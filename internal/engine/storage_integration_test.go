@@ -12,6 +12,7 @@ import (
 
 	"insightnotes/internal/metrics"
 	"insightnotes/internal/storage"
+	"insightnotes/internal/types"
 )
 
 // TestPageFileBackedEngine runs a full workload against an engine whose
@@ -114,56 +115,86 @@ func TestDurablePageFileDefault(t *testing.T) {
 	}
 }
 
-// TestInstanceIndexThroughUnlinkAndRetract drives the summary-instance
-// index through annotate, unlink, and retract.
+// rowsHolding sweeps the stored envelopes of table and returns, sorted,
+// the rows whose envelope holds an object of the named instance.
+func rowsHolding(db *DB, table, instance string) []types.RowID {
+	var rows []types.RowID
+	for i := range db.envs.stripes {
+		st := &db.envs.stripes[i]
+		st.mu.RLock()
+		for row, env := range st.m[table] {
+			if _, ok := env.Objects[instance]; ok {
+				rows = append(rows, row)
+			}
+		}
+		st.mu.RUnlock()
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+	return rows
+}
+
+// TestInstanceIndexThroughUnlinkAndRetract drives the stored envelopes'
+// summary objects through annotate, unlink, drop-instance and retract.
 func TestInstanceIndexThroughUnlinkAndRetract(t *testing.T) {
 	db := birdDB(t)
 	// Documents attached so the snippet instance forms objects too (snippet
 	// summaries only cover annotations that carry a document).
 	mustExec(t, db, "ADD ANNOTATION 'observed feeding at dawn' DOCUMENT 'The flock fed at dawn. It moved on at noon.' ON birds WHERE id = 1")
 	mustExec(t, db, "ADD ANNOTATION 'lesions suggest avian pox' DOCUMENT 'Lesions were found on the bill. Pox is suspected.' ON birds WHERE id = 2")
+	// A second table linked to SimCluster, so unlinking from birds must
+	// leave the instance's objects on nests alone.
+	mustExec(t, db, "CREATE TABLE nests (id INT, site TEXT)")
+	mustExec(t, db, "INSERT INTO nests VALUES (1, 'reed bed'), (2, 'island')")
+	mustExec(t, db, "LINK SUMMARY SimCluster TO nests")
+	mustExec(t, db, "ADD ANNOTATION 'nest abandoned after flooding' ON nests WHERE id = 2")
 
-	var want []int64
-	for _, r := range db.Annotations().AnnotatedRows("birds") {
-		want = append(want, int64(r))
-	}
+	want := db.Annotations().AnnotatedRows("birds")
 	if len(want) != 2 {
 		t.Fatalf("AnnotatedRows = %v, want 2 rows", want)
 	}
 	for _, inst := range []string{"ClassBird1", "SimCluster", "TextSummary1"} {
-		var got []int64
-		for _, r := range db.envs.rowsForInstance("birds", inst) {
-			got = append(got, int64(r))
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("rowsForInstance(%s) = %v, want %v", inst, got, want)
+		if got := rowsHolding(db, "birds", inst); !reflect.DeepEqual(got, want) {
+			t.Errorf("birds rows holding %s = %v, want %v", inst, got, want)
 		}
 	}
-	// Unlinking one instance removes exactly its index entries; the
-	// envelopes survive with their other objects.
+	if got, want := rowsHolding(db, "nests", "SimCluster"), []types.RowID{2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("nests rows holding SimCluster = %v, want %v", got, want)
+	}
+	// Unlinking one instance removes exactly its objects; the envelopes
+	// survive with their other objects.
 	mustExec(t, db, "UNLINK SUMMARY ClassBird1 FROM birds")
-	if got := db.envs.rowsForInstance("birds", "ClassBird1"); len(got) != 0 {
-		t.Errorf("rowsForInstance(ClassBird1) after unlink = %v, want none", got)
+	if got := rowsHolding(db, "birds", "ClassBird1"); len(got) != 0 {
+		t.Errorf("birds rows holding ClassBird1 after unlink = %v, want none", got)
 	}
-	if got := db.envs.rowsForInstance("birds", "SimCluster"); len(got) != 2 {
-		t.Errorf("rowsForInstance(SimCluster) after unrelated unlink = %v, want 2 rows", got)
+	if got := rowsHolding(db, "birds", "SimCluster"); !reflect.DeepEqual(got, want) {
+		t.Errorf("birds rows holding SimCluster after unrelated unlink = %v, want %v", got, want)
+	}
+	if c := db.envs.count(); c != 3 {
+		t.Errorf("after unlink: store holds %d envelopes, want 3", c)
+	}
+	// Unlinking SimCluster from birds leaves the nests envelope holding it.
+	mustExec(t, db, "UNLINK SUMMARY SimCluster FROM birds")
+	if got := rowsHolding(db, "birds", "SimCluster"); len(got) != 0 {
+		t.Errorf("birds rows holding SimCluster after unlink = %v, want none", got)
+	}
+	if got, want := rowsHolding(db, "nests", "SimCluster"), []types.RowID{2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("nests rows holding SimCluster after unlink from birds = %v, want %v", got, want)
+	}
+	// Dropping the instance unlinks it from nests too; the nests envelope
+	// held nothing else, so it goes.
+	mustExec(t, db, "DROP SUMMARY INSTANCE SimCluster")
+	if got := rowsHolding(db, "nests", "SimCluster"); len(got) != 0 {
+		t.Errorf("nests rows holding SimCluster after drop = %v, want none", got)
 	}
 	if c := db.envs.count(); c != 2 {
-		t.Errorf("after unlink: store holds %d envelopes, want 2", c)
+		t.Errorf("after drop: store holds %d envelopes, want 2", c)
 	}
 
-	// Retracting the annotations empties the envelopes, which drops them
-	// from the maps and the instance index.
+	// Retracting the annotations empties the envelopes, which drops them.
 	mustExec(t, db, "DROP ANNOTATION 1")
 	mustExec(t, db, "DROP ANNOTATION 2")
 	if c := db.envs.count(); c != 0 {
-		t.Errorf("envelopes after retracting all annotations = %d, want 0", c)
-	}
-	for _, inst := range []string{"ClassBird1", "SimCluster", "TextSummary1"} {
-		if got := db.envs.rowsForInstance("birds", inst); len(got) != 0 {
-			t.Errorf("rowsForInstance(%s) after retraction = %v, want none", inst, got)
-		}
+		t.Errorf("envelopes after retracting all birds annotations = %d, want 0", c)
 	}
 }
 

@@ -122,7 +122,7 @@ func FuzzDecodeKey(f *testing.F) {
 	f.Add([]byte{0x01})
 	f.Add(EncodeKey(nil, types.NewInt(42)))
 	f.Add(EncodeKey(nil, types.NewString("fuzz")))
-	f.Add(EncodeCompositeKey(nil, types.NewInt(-1), types.NewString("x\x00y")))
+	f.Add(encodeTuple(types.NewInt(-1), types.NewString("x\x00y")))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		v, _, err := DecodeKey(b)
 		if err == nil {
@@ -135,6 +135,6 @@ func FuzzDecodeKey(f *testing.F) {
 				t.Fatalf("encoding not a fixed point: %x vs %x", e1, e2)
 			}
 		}
-		DecodeCompositeKey(b) // may error, must not panic
+		decodeTuple(b) // may error, must not panic
 	})
 }

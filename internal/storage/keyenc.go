@@ -60,15 +60,6 @@ func EncodeKey(dst []byte, v types.Value) []byte {
 	return dst
 }
 
-// EncodeCompositeKey encodes several values into one composite key whose
-// byte order equals lexicographic value order.
-func EncodeCompositeKey(dst []byte, vs ...types.Value) []byte {
-	for _, v := range vs {
-		dst = EncodeKey(dst, v)
-	}
-	return dst
-}
-
 func appendOrderedFloat(dst []byte, f float64) []byte {
 	bits := math.Float64bits(f)
 	if bits&(1<<63) != 0 {
@@ -135,27 +126,4 @@ func DecodeKey(b []byte) (types.Value, []byte, error) {
 		return types.NewBool(b[0] != 0), b[1:], nil
 	}
 	return types.Value{}, nil, fmt.Errorf("%w: unknown tag 0x%02x", ErrBadKey, tag)
-}
-
-// DecodeCompositeKey decodes an entire composite key into its component
-// values, failing on trailing garbage.
-func DecodeCompositeKey(b []byte) ([]types.Value, error) {
-	var out []types.Value
-	for len(b) > 0 {
-		v, rest, err := DecodeKey(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		b = rest
-	}
-	return out, nil
-}
-
-// KeySuccessor returns the smallest key strictly greater than any key with
-// prefix k — used to build exclusive upper bounds for prefix range scans.
-func KeySuccessor(k []byte) []byte {
-	out := make([]byte, len(k), len(k)+1)
-	copy(out, k)
-	return append(out, 0xFF)
 }

@@ -47,8 +47,33 @@ func compareTuples(a, b []types.Value) int {
 	return 0
 }
 
+// encodeTuple concatenates the key encodings of vs: the encoding is
+// self-delimiting, so the result orders like the tuple of values.
+func encodeTuple(vs ...types.Value) []byte {
+	var out []byte
+	for _, v := range vs {
+		out = EncodeKey(out, v)
+	}
+	return out
+}
+
+// decodeTuple decodes every value of a concatenated key, failing on
+// trailing garbage.
+func decodeTuple(b []byte) ([]types.Value, error) {
+	var out []types.Value
+	for len(b) > 0 {
+		v, rest, err := DecodeKey(b)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+		b = rest
+	}
+	return out, nil
+}
+
 // TestKeyEncodingOrderProperty is the property the B+tree range scans rely
-// on: for random composite keys, bytes.Compare over the encodings agrees
+// on: for random concatenated keys, bytes.Compare over the encodings agrees
 // in sign with the logical lexicographic value order.
 func TestKeyEncodingOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -64,8 +89,8 @@ func TestKeyEncodingOrderProperty(t *testing.T) {
 				b[i] = randValue(rng)
 			}
 		}
-		ea := EncodeCompositeKey(nil, a...)
-		eb := EncodeCompositeKey(nil, b...)
+		ea := encodeTuple(a...)
+		eb := encodeTuple(b...)
 		want := sign(compareTuples(a, b))
 		got := sign(bytes.Compare(ea, eb))
 		if got != want {
@@ -86,8 +111,8 @@ func TestKeyEncodingRoundTripProperty(t *testing.T) {
 		for i := range vs {
 			vs[i] = randValue(rng)
 		}
-		enc := EncodeCompositeKey(nil, vs...)
-		dec, err := DecodeCompositeKey(enc)
+		enc := encodeTuple(vs...)
+		dec, err := decodeTuple(enc)
 		if err != nil {
 			t.Fatalf("decode %v: %v", vs, err)
 		}
@@ -102,7 +127,7 @@ func TestKeyEncodingRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestKeyEncodingPrefixOrder pins the prefix rule composite scans use: a
+// TestKeyEncodingPrefixOrder pins the prefix rule of concatenated keys: a
 // key that extends another with more components sorts strictly after it.
 func TestKeyEncodingPrefixOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -112,8 +137,8 @@ func TestKeyEncodingPrefixOrder(t *testing.T) {
 		for i := range vs {
 			vs[i] = randValue(rng)
 		}
-		short := EncodeCompositeKey(nil, vs[:arity]...)
-		long := EncodeCompositeKey(nil, vs...)
+		short := encodeTuple(vs[:arity]...)
+		long := encodeTuple(vs...)
 		if bytes.Compare(short, long) >= 0 {
 			t.Fatalf("prefix %v not < extension %v", vs[:arity], vs)
 		}
@@ -135,9 +160,9 @@ func TestDecodeKeyRejectsGarbage(t *testing.T) {
 			t.Errorf("DecodeKey(% x) accepted garbage", b)
 		}
 	}
-	// Trailing garbage after a valid component fails the composite decode.
+	// Trailing garbage after a valid component fails the tuple decode.
 	enc := EncodeKey(nil, types.NewInt(7))
-	if _, err := DecodeCompositeKey(append(enc, 0x99)); err == nil {
-		t.Error("DecodeCompositeKey accepted trailing garbage")
+	if _, err := decodeTuple(append(enc, 0x99)); err == nil {
+		t.Error("decodeTuple accepted trailing garbage")
 	}
 }

@@ -108,30 +108,17 @@ func TestEncodeKeyStringsWithNulBytes(t *testing.T) {
 func TestCompositeKeyOrder(t *testing.T) {
 	// ("a", 2) < ("a", 10) < ("b", 1): composite order is lexicographic by
 	// component value, not by raw bytes of concatenated strings.
-	k1 := EncodeCompositeKey(nil, types.NewString("a"), types.NewInt(2))
-	k2 := EncodeCompositeKey(nil, types.NewString("a"), types.NewInt(10))
-	k3 := EncodeCompositeKey(nil, types.NewString("b"), types.NewInt(1))
+	k1 := encodeTuple(types.NewString("a"), types.NewInt(2))
+	k2 := encodeTuple(types.NewString("a"), types.NewInt(10))
+	k3 := encodeTuple(types.NewString("b"), types.NewInt(1))
 	if !(bytes.Compare(k1, k2) < 0 && bytes.Compare(k2, k3) < 0) {
 		t.Errorf("composite order broken: %x %x %x", k1, k2, k3)
 	}
 	// No-prefix property: "ab" as one string vs ("a","b") composite differ.
-	s1 := EncodeCompositeKey(nil, types.NewString("ab"))
-	s2 := EncodeCompositeKey(nil, types.NewString("a"), types.NewString("b"))
+	s1 := encodeTuple(types.NewString("ab"))
+	s2 := encodeTuple(types.NewString("a"), types.NewString("b"))
 	if bytes.Equal(s1, s2) {
 		t.Error("composite encoding ambiguous")
-	}
-}
-
-func TestKeySuccessor(t *testing.T) {
-	k := EncodeKey(nil, types.NewString("swan"))
-	succ := KeySuccessor(k)
-	if bytes.Compare(k, succ) >= 0 {
-		t.Error("successor not greater")
-	}
-	// The successor must still be <= the next distinct string key.
-	next := EncodeKey(nil, types.NewString("swao"))
-	if bytes.Compare(succ, next) > 0 {
-		t.Error("successor overshoots")
 	}
 }
 
