@@ -35,7 +35,7 @@ func TestCombineScalesWithInterleavedIDs(t *testing.T) {
 // interleavedWorld is one group of rows under the three demo instances,
 // annotated round-robin: round r gives every row one annotation, a fifth
 // of them with a document.
-func interleavedWorld(t *testing.T, rows, perRow int) *engine.DB {
+func interleavedWorld(t testing.TB, rows, perRow int) *engine.DB {
 	t.Helper()
 	db, g := groupWorld(t, rows)
 	for r := 0; r < perRow; r++ {
@@ -54,7 +54,7 @@ var groupClasses = []string{"Behavior", "Disease", "Anatomy", "Other"}
 
 // groupWorld is a table obs of rows in one group (grp = 1) under the three
 // demo instances, not yet annotated.
-func groupWorld(t *testing.T, rows int) (*engine.DB, *workload.Generator) {
+func groupWorld(t testing.TB, rows int) (*engine.DB, *workload.Generator) {
 	t.Helper()
 	db, err := engine.Open(engine.Config{CacheDir: t.TempDir()})
 	if err != nil {

@@ -140,17 +140,31 @@ func newJoinScanWorld(b *testing.B) *engine.DB {
 const groupByQuery = "SELECT region, COUNT(*) FROM birds WHERE id > 8 GROUP BY region"
 
 // BenchmarkGroupByEnvelopes is the executor's share of join_scan's slowest
-// statement: 492 stored envelopes handed to the scan, rebased onto the
-// grouping column and combined per region. The plan is ablated, so nothing
-// is materialized.
+// statement. runs is that statement: 492 stored envelopes handed to the
+// scan, curated, combined per region and rebased onto the grouping column;
+// each bird's annotation ids are one run. interleaved is one group of 492
+// rows annotated round-robin (interleavedWorld), so every row's ids
+// interleave with every other row's and a merge cannot copy runs. The plan
+// is ablated, so nothing is materialized.
 func BenchmarkGroupByEnvelopes(b *testing.B) {
-	db := newJoinScanWorld(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(context.Background(), groupByQuery, engine.WithPlanOptions(plan.Options{})); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		world func(b *testing.B) *engine.DB
+		query string
+	}{
+		{"runs", newJoinScanWorld, groupByQuery},
+		{"interleaved", func(b *testing.B) *engine.DB { return interleavedWorld(b, 492, 16) }, "SELECT grp, COUNT(*) FROM obs GROUP BY grp"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			db := bc.world(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(context.Background(), bc.query, engine.WithPlanOptions(plan.Options{})); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

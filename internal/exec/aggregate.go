@@ -94,9 +94,13 @@ func (s *aggState) result(fn string, starCount int64) (types.Value, error) {
 // group's output envelope — the paper's grouping transformation — with
 // coverage remapped so that an annotation on a key input column follows
 // that key's output position and an annotation on an aggregated input
-// column follows the aggregate's output position. A group combines its
-// members' remapped envelopes in batches (envGroup): one merge of many
-// sorted lists at a time, not one per row into a growing accumulator.
+// column follows the aggregate's output position. Each row's envelope is
+// only curated (an annotation on no column the output draws on is
+// dropped), so a row that loses nothing hands on its stored view as is. A
+// group combines its members' envelopes in batches (envGroup): one merge
+// of many sorted lists at a time, not one per row into a growing
+// accumulator. The combined envelope is rebased once: a union of coverage
+// and a remap commute per column, and curation still precedes the merge.
 type GroupAggregate struct {
 	instr
 	child   Operator
@@ -104,6 +108,7 @@ type GroupAggregate struct {
 	aggs    []AggSpec
 	schema  types.Schema
 	mapping []annotation.ColSet
+	keep    annotation.ColSet // the input columns mapping sends somewhere
 
 	out []*Row
 	pos int
@@ -134,8 +139,14 @@ func NewGroupAggregate(child Operator, keys []*Compiled, keyCols []types.Column,
 			}
 		}
 	}
+	var keep annotation.ColSet
+	for in, out := range mapping {
+		if out != 0 {
+			keep |= annotation.Col(in)
+		}
+	}
 	return &GroupAggregate{child: child, keys: keys, aggs: aggs,
-		schema: types.Schema{Columns: cols}, mapping: mapping}
+		schema: types.Schema{Columns: cols}, mapping: mapping, keep: keep}
 }
 
 // Schema implements Operator.
@@ -145,7 +156,7 @@ type aggGroup struct {
 	keyVals types.Tuple
 	states  []aggState
 	star    int64
-	env     envGroup // the members' remapped envelopes
+	env     envGroup // the members' curated envelopes
 }
 
 // Open implements Operator: drains the child and materializes the groups
@@ -194,7 +205,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			g.curated(ec)
 			g.merged(ec)
 		}
-		if env := envRemap(row.Env, g.mapping); env != nil {
+		if env := envCurate(row.Env, g.keep); env != nil {
 			grp.env.add(env)
 		}
 		return nil
@@ -221,7 +232,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			}
 			tu = append(tu, v)
 		}
-		g.out = append(g.out, &Row{Tuple: tu, Env: grp.env.combine()})
+		g.out = append(g.out, &Row{Tuple: tu, Env: envRemap(grp.env.combine(), g.mapping)})
 	}
 	g.pos = 0
 	return nil

@@ -106,6 +106,19 @@ func envProject(e *summary.Envelope, keep []int) *summary.Envelope {
 	return e
 }
 
+// envCurate drops the annotations on none of the keep columns; empty
+// results collapse to nil.
+func envCurate(e *summary.Envelope, keep annotation.ColSet) *summary.Envelope {
+	if e == nil {
+		return nil
+	}
+	e.Curate(keep)
+	if e.IsEmpty() {
+		return nil
+	}
+	return e
+}
+
 // envRemap applies a generalized column remapping; empty results collapse
 // to nil.
 func envRemap(e *summary.Envelope, mapping []annotation.ColSet) *summary.Envelope {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -347,6 +348,77 @@ func TestGroupAggregateValuesAndEnvelopes(t *testing.T) {
 	// Both group members' annotations combined.
 	if g1.Env == nil || g1.Env.Object("ClassBird2").Len() != 2 {
 		t.Errorf("group envelope = %v", g1.Env)
+	}
+}
+
+// TestGroupAggregateCuratesEachRowBeforeCombining: GROUP BY rebases a
+// group's combined envelope once, but curates every row before the merge.
+// The aggregate drops column c. Annotation 1 covers only c on the first
+// row of the group and the kept column b on the second; on the first row
+// it shares a cluster group with annotation 2, on the second with
+// annotation 3. The group's envelope must be what remapping each row and
+// then combining gives: 2 alone, and 1 with 3. Combining first would
+// bridge all three into one group.
+func TestGroupAggregateCuratesEachRowBeforeCombining(t *testing.T) {
+	f := newFixture(t)
+	clu, err := summary.NewClusterInstance("Clu", summary.DefaultSimThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, c := annotation.Col(1), annotation.Col(2)
+	type covered struct {
+		id   annotation.ID
+		cols annotation.ColSet
+	}
+	envOf := func(anns ...covered) *summary.Envelope {
+		env := summary.NewEnvelope()
+		for _, an := range anns {
+			a := annotation.Annotation{ID: an.id, Text: fmt.Sprintf("observed feeding on stonewort near the lake shore site %d", an.id)}
+			env.Add(f.cls, f.cls.Summarize(a), an.cols)
+			env.Add(clu, clu.Summarize(a), an.cols)
+		}
+		return env
+	}
+	rowEnvs := []*summary.Envelope{
+		envOf(covered{1, c}, covered{2, b}),
+		envOf(covered{1, b}, covered{3, b}),
+	}
+	for i, env := range rowEnvs {
+		if n := len(env.Object("Clu").Elements()); n != 1 {
+			t.Fatalf("setup: row %d holds %d cluster groups, want 1", i, n)
+		}
+		row, err := f.r.Insert(types.Tuple{types.NewInt(1), types.NewInt(int64(10 * (i + 1))), types.NewString("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.envs["R"][row] = env
+	}
+	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	op := NewGroupAggregate(scan, []*Compiled{colRef(t, "r.a", scan.Schema())},
+		[]types.Column{{Name: "a", Kind: types.KindInt}},
+		[]AggSpec{{Func: "SUM", Arg: colRef(t, "r.b", scan.Schema())}},
+		[]types.Column{{Name: "sum", Kind: types.KindInt}})
+	rows, err := Collect(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Env == nil {
+		t.Fatalf("rows = %v", rows)
+	}
+	// The per-row path: each row remapped (a → 0, b → 1, c dropped), then
+	// the rows combined.
+	mapping := []annotation.ColSet{annotation.Col(0), annotation.Col(1), 0}
+	want := rowEnvs[0].Clone()
+	want.RemapColumns(mapping)
+	second := rowEnvs[1].Clone()
+	second.RemapColumns(mapping)
+	want.Combine(second)
+	got := rows[0].Env
+	if !got.Equal(want) || got.Render() != want.Render() {
+		t.Errorf("group envelope\n%s\nwant\n%s", got.Render(), want.Render())
+	}
+	if n := len(got.Object("Clu").Elements()); n != 2 {
+		t.Errorf("group holds %d cluster groups, want 2: %s", n, got.Render())
 	}
 }
 

@@ -3,7 +3,6 @@ package summary
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -36,18 +35,20 @@ const repCandidates = 3
 //     assignment and optional similarity-based merging, both tolerant of
 //     that approximation.
 //   - MergeFrom combines member-overlapping groups transitively (the
-//     connected-component join of the two partitions), which is
-//     independent of merge order; candidate lists merge by taking the top
-//     candidates of the union, which is likewise order-independent. These
-//     two facts are what make summary propagation identical across
-//     equivalent plans (the Theorem 1&2 property, experiment E3).
+//     connected-component join of the partitions), which is independent
+//     of merge order; candidate lists merge by taking the top candidates
+//     of the union, which is likewise order-independent. These two facts
+//     are what make summary propagation identical across equivalent plans
+//     (the Theorem 1&2 property, experiment E3).
+//
+// The object is its groups' sorted member lists and nothing else: there is
+// no member index. Contains binary-searches the lists, and MergeFrom finds
+// the groups that share a member in one k-way pass over them.
 type clusterObject struct {
 	sharedFlag
 	shown  presentation
 	inst   *Instance
 	groups []*clusterGroup
-	// member → its group, the double-count guard and overlap detector.
-	memberGroup map[annotation.ID]*clusterGroup
 }
 
 // repCandidate is one potential representative retained with its preview.
@@ -68,27 +69,19 @@ type clusterGroup struct {
 	// Elements hands out. It is only ever extended at its tail in place;
 	// any other change writes a new list, so a list once handed out, or
 	// shared with a private copy of the group, never changes.
-	members []annotation.ID
-	// pending holds members a MergeFrom added out of order until it
-	// settles the group, so a merge of many objects into one growing
-	// group sorts once instead of rewriting the list per object.
-	pending    []annotation.ID
+	members    []annotation.ID
 	candidates []repCandidate // sorted by (sim desc, id asc), len ≤ repCandidates
 	centroid   textmining.Vector
 	rep        annotation.ID
 	repPreview string
-	// min is the smallest member id, pending ones included: the canonical
-	// group sort key.
+	// min is the smallest member id: the canonical group sort key.
 	min annotation.ID
 	sharedFlag
 	label atomic.Pointer[string]
 }
 
 func newClusterObject(in *Instance) *clusterObject {
-	return &clusterObject{
-		inst:        in,
-		memberGroup: make(map[annotation.ID]*clusterGroup),
-	}
+	return &clusterObject{inst: in}
 }
 
 // addCandidate inserts c into the sorted candidate list, keeping the top
@@ -122,35 +115,30 @@ func dedupCandidates(cs []repCandidate) []repCandidate {
 	return out
 }
 
-// add makes id a member of g: appended when it sorts last and nothing is
-// pending, else pending until settle.
-func (g *clusterGroup) add(id annotation.ID) {
-	if len(g.members)+len(g.pending) == 0 || id < g.min {
-		g.min = id
-	}
-	if n := len(g.members); len(g.pending) == 0 && (n == 0 || id > g.members[n-1]) {
+// insert makes id, which g does not hold, a member of g: appended when it
+// sorts last, else inserted into a new list.
+func (g *clusterGroup) insert(id annotation.ID) {
+	i, _ := slices.BinarySearch(g.members, id)
+	if i == len(g.members) {
 		g.members = append(g.members, id)
-		return
+	} else {
+		g.members = slices.Insert(slices.Clip(g.members), i, id)
 	}
-	g.pending = append(g.pending, id)
+	g.min = g.members[0]
 }
 
-// settle merges the pending members into a new sorted member list.
-func (g *clusterGroup) settle() {
-	if len(g.pending) == 0 {
-		return
-	}
-	slices.Sort(g.pending)
-	g.members = merge2(make([]annotation.ID, 0, len(g.members)+len(g.pending)), g.members, g.pending, idOf, nil)
-	g.pending = nil
+// holds reports whether id is a member of g.
+func (g *clusterGroup) holds(id annotation.ID) bool {
+	_, ok := slices.BinarySearch(g.members, id)
+	return ok
 }
 
 // elect drops g's candidates that are no longer its members and elects the
 // representative: the best surviving candidate, or the smallest member id
 // (with a placeholder preview) when every candidate was curated away. Must
-// be called after any membership change, once memberGroup is up to date.
-func (c *clusterObject) elect(g *clusterGroup) {
-	g.candidates = slices.DeleteFunc(g.candidates, func(k repCandidate) bool { return c.memberGroup[k.id] != g })
+// be called after any membership change.
+func elect(g *clusterGroup) {
+	g.candidates = slices.DeleteFunc(g.candidates, func(k repCandidate) bool { return !g.holds(k.id) })
 	if len(g.candidates) > 0 {
 		g.rep, g.repPreview = g.candidates[0].id, g.candidates[0].preview
 		return
@@ -164,8 +152,7 @@ func (c *clusterObject) Instance() *Instance { return c.inst }
 
 // Contains implements Object.
 func (c *clusterObject) Contains(id annotation.ID) bool {
-	_, ok := c.memberGroup[id]
-	return ok
+	return slices.ContainsFunc(c.groups, func(g *clusterGroup) bool { return g.holds(id) })
 }
 
 // Add implements Object: online stream clustering in the style of the
@@ -195,104 +182,255 @@ func (c *clusterObject) Add(d Digest) {
 	best.centroid.Add(d.Vector)
 	best.centroid.Prune(c.inst.CentroidTerms * 2)
 	sim := textmining.Cosine(best.centroid, d.Vector)
-	best.add(d.Ann)
-	best.settle()
-	c.memberGroup[d.Ann] = best
+	best.insert(d.Ann)
 	best.addCandidate(repCandidate{id: d.Ann, preview: d.Preview, sim: sim})
-	c.elect(best)
+	elect(best)
 }
 
 // Remove implements Object: drops members, re-elects representatives, and
 // discards emptied groups. Groups are not re-split — projection curates,
 // it does not re-cluster (§2.1).
 func (c *clusterObject) Remove(ids []annotation.ID) Object {
-	hits := 0
-	for _, id := range ids {
-		if c.Contains(id) {
-			hits++
+	var kept [][]annotation.ID // per group, allocated at the first hit
+	left := 0
+	for i, g := range c.groups {
+		k := without(g.members, ids, idOf, false)
+		if len(k) != len(g.members) && kept == nil {
+			kept = make([][]annotation.ID, len(c.groups))
 		}
+		if kept != nil {
+			kept[i] = k
+		}
+		left += len(k)
 	}
 	switch {
-	case hits == 0:
+	case kept == nil:
 		return c
-	case c.isShared() && hits == c.Len():
+	case c.isShared() && left == 0:
 		return c.inst.NewObject()
 	case c.isShared():
 		c = c.Clone().(*clusterObject)
 	}
-	var touched []*clusterGroup
-	seen := map[*clusterGroup]bool{}
-	for _, id := range ids {
-		if g, ok := c.memberGroup[id]; ok && !seen[g] {
-			g = c.ownGroup(g)
-			seen[g] = true
-			touched = append(touched, g)
+	for i, g := range c.groups {
+		if kept[i] == nil || len(kept[i]) == len(g.members) {
+			continue
 		}
-	}
-	for _, id := range ids {
-		delete(c.memberGroup, id)
-	}
-	for _, g := range touched {
-		kept := make([]annotation.ID, 0, len(g.members))
-		for _, id := range g.members {
-			if c.memberGroup[id] == g {
-				kept = append(kept, id)
-			}
-		}
-		g.members = kept
-		if len(kept) > 0 {
-			g.min = kept[0]
-			c.elect(g)
+		g = c.ownGroup(g)
+		if g.members = kept[i]; len(g.members) > 0 {
+			g.min = g.members[0]
+			elect(g)
 		}
 	}
 	c.groups = slices.DeleteFunc(c.groups, func(g *clusterGroup) bool { return len(g.members) == 0 })
 	return c
 }
 
-// MergeFrom implements Object by folding others into the receiver one
-// after another, then settling the groups that took members out of order.
-// Groups from both sides that share a member annotation are combined —
-// including transitively, so the result is the connected-component join of
-// the partitions and therefore independent of merge order. When the
-// instance sets MergeBySimilarity, non-overlapping incoming groups whose
-// centroid is close enough to an existing group are also combined (the
-// Figure 2 A1+B5 behaviour; best-effort under plan reordering, see the type
-// comment). An incoming group that meets no local group is adopted as is,
-// shared with its object.
+// MergeFrom implements Object: groups from any side that share a member
+// annotation are combined, including transitively, so the result is the
+// connected-component join of the partitions and independent of merge
+// order. It is one pass over all inputs (see join). When the instance sets
+// MergeBySimilarity, non-overlapping incoming groups whose centroid is
+// close enough to an existing group are also combined (the Figure 2 A1+B5
+// behaviour; best-effort under plan reordering, see the type comment):
+// that depends on the order the groups meet, so the inputs are then folded
+// in one after another.
 func (c *clusterObject) MergeFrom(others ...Object) Object {
+	objs := make([]*clusterObject, 1, len(others)+1)
+	objs[0] = c
 	for _, other := range others {
-		if o, ok := other.(*clusterObject); !ok || o.inst.Name != c.inst.Name {
+		o, ok := other.(*clusterObject)
+		if !ok || o.inst.Name != c.inst.Name {
 			panic(fmt.Sprintf("summary: merge of incompatible objects (instance %q)", c.inst.Name))
 		}
+		objs = append(objs, o)
 	}
+	if c.inst.MergeBySimilarity {
+		if c.isShared() {
+			c = c.Clone().(*clusterObject)
+		}
+		for _, o := range objs[1:] {
+			c.fold(o)
+		}
+		return c
+	}
+	groups := join(objs, !c.isShared())
 	if c.isShared() {
-		c = c.Clone().(*clusterObject)
+		return &clusterObject{inst: c.inst, groups: groups}
 	}
-	for _, other := range others {
-		c.fold(other.(*clusterObject))
-	}
-	for _, g := range c.groups {
-		g.settle()
-	}
+	c.groups = groups
 	return c
 }
 
-// fold merges one object into c, leaving out-of-order members pending.
+// join returns the connected-component join of the objects' groups. One
+// k-way pass over every group's member list (kwayMerge) unions, by
+// union-find, the groups that yield the same id. A group alone in its
+// component is adopted as is: latched shared, unless it is one of the first
+// object's and ownFirst is set. The groups of a larger component are fused
+// (see fuse) in ascending order of their smallest member, and a group adds
+// its centroid only if it brings an id no earlier object holds. Objects
+// whose id ranges are disjoint share no member and skip the pass.
+func join(objs []*clusterObject, ownFirst bool) []*clusterGroup {
+	n := 0
+	for _, o := range objs {
+		n += len(o.groups)
+	}
+	gs := make([]*clusterGroup, 0, n)
+	for _, o := range objs {
+		gs = append(gs, o.groups...)
+	}
+	adopt := func(i int32) *clusterGroup {
+		if int(i) >= len(objs[0].groups) || !ownFirst {
+			gs[i].share()
+		}
+		return gs[i]
+	}
+	var brings []bool  // holds an id no earlier object holds
+	var parent []int32 // union-find forest, made at the first shared id
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	if !disjoint(objs) {
+		lists := make([][]annotation.ID, n)
+		for i, g := range gs {
+			lists[i] = g.members
+		}
+		brings = make([]bool, n)
+		kwayMerge(lists, idOf,
+			func(i int, _ []annotation.ID) { brings[i] = true },
+			func(i, j int, _ annotation.ID) {
+				if parent == nil {
+					parent = make([]int32, n)
+					for k := range parent {
+						parent[k] = int32(k)
+					}
+				}
+				if a, b := find(int32(i)), find(int32(j)); a != b {
+					parent[max(a, b)] = min(a, b)
+				}
+			})
+	}
+	if parent == nil { // every group alone in its component
+		for i := range gs {
+			adopt(int32(i))
+		}
+		return gs
+	}
+	// Components in index order of their root, each's groups in
+	// ascending order of their smallest member.
+	order := make([]int32, n)
+	comps := 0
+	for i := range order {
+		order[i], parent[i] = int32(i), find(int32(i))
+		if parent[i] == int32(i) {
+			comps++
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(parent[a], parent[b]), byMinID(gs[a], gs[b]), cmp.Compare(a, b))
+	})
+	out := make([]*clusterGroup, 0, comps)
+	var part []*clusterGroup
+	var partBrings []bool
+	var cands []repCandidate
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && parent[order[hi]] == parent[order[lo]] {
+			hi++
+		}
+		if hi-lo == 1 {
+			out = append(out, adopt(order[lo]))
+		} else {
+			part, partBrings = part[:0], partBrings[:0]
+			for _, i := range order[lo:hi] {
+				part = append(part, gs[i])
+				partBrings = append(partBrings, brings[i])
+			}
+			var g *clusterGroup
+			g, cands = fuse(part, partBrings, cands[:0])
+			out = append(out, g)
+		}
+		lo = hi
+	}
+	return out
+}
+
+// disjoint reports whether the objects' id ranges, from smallest to
+// largest member, are disjoint, so that no two objects share a member.
+func disjoint(objs []*clusterObject) bool {
+	type span struct{ lo, hi annotation.ID }
+	spans := make([]span, 0, len(objs))
+	for _, o := range objs {
+		if len(o.groups) == 0 {
+			continue
+		}
+		sp := span{o.groups[0].min, 0}
+		for _, g := range o.groups {
+			sp.lo, sp.hi = min(sp.lo, g.min), max(sp.hi, g.members[len(g.members)-1])
+		}
+		spans = append(spans, sp)
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo <= spans[i-1].hi {
+			return false
+		}
+	}
+	return true
+}
+
+// fuse returns a new group of the members of gs, which are in ascending
+// order of their smallest member. Its centroid sums, in that order, the
+// centroids of the groups brings marks (every group when brings is nil).
+// Its candidates are the top repCandidates of theirs, built in buf and
+// copied out of it; fuse returns buf for reuse.
+func fuse(gs []*clusterGroup, brings []bool, buf []repCandidate) (*clusterGroup, []repCandidate) {
+	lists := make([][]annotation.ID, len(gs))
+	fused := &clusterGroup{}
+	for i, g := range gs {
+		lists[i] = g.members
+		switch {
+		case brings != nil && !brings[i]:
+		case fused.centroid == nil:
+			fused.centroid = g.centroid.Clone()
+		default:
+			fused.centroid.Add(g.centroid)
+		}
+		buf = append(buf, g.candidates...)
+	}
+	if fused.centroid == nil {
+		fused.centroid = textmining.NewVector()
+	}
+	fused.members = mergeSorted(lists, idOf, nil)
+	fused.min = fused.members[0]
+	fused.candidates = buf
+	fused.trimCandidates()
+	fused.candidates = slices.Clone(fused.candidates)
+	elect(fused)
+	return fused, buf[:0]
+}
+
+// fold merges o into c one incoming group at a time, in canonical order,
+// the order MergeBySimilarity depends on: a group is fused with every group
+// of c it shares a member with, else joins the group of c whose centroid is
+// most similar at the instance threshold or above, else is adopted shared.
+// It adds its centroid to the group it joins only if it brings a member.
 func (c *clusterObject) fold(o *clusterObject) {
 	var overlap []*clusterGroup // reused across incoming groups
 	for _, og := range o.sortedGroups() {
-		// Find every local group sharing a member with og.
 		overlap = overlap[:0]
-		for _, id := range og.members {
-			if g, ok := c.memberGroup[id]; ok && !slices.Contains(overlap, g) {
+		for _, g := range c.groups {
+			if slices.ContainsFunc(og.members, g.holds) {
 				overlap = append(overlap, g)
 			}
 		}
 		var target *clusterGroup
-		switch {
-		case len(overlap) > 0:
+		if len(overlap) > 0 {
 			target = c.combineGroups(overlap)
-		case c.inst.MergeBySimilarity:
+		} else {
 			bestSim := 0.0
 			for _, g := range c.sortedGroups() {
 				sim := textmining.Cosine(g.centroid, og.centroid)
@@ -304,72 +442,45 @@ func (c *clusterObject) fold(o *clusterObject) {
 		if target == nil {
 			og.share()
 			c.groups = append(c.groups, og)
-			for _, id := range og.members {
-				c.memberGroup[id] = og
-			}
 			continue
 		}
 		target = c.ownGroup(target)
-		added := false
-		for _, id := range og.members {
-			if c.Contains(id) {
-				continue // already counted (possibly in target itself)
-			}
-			target.add(id)
-			c.memberGroup[id] = target
-			added = true
-		}
-		if added {
+		members := mergeSorted([][]annotation.ID{target.members, og.members}, idOf, nil)
+		if len(members) > len(target.members) {
 			target.centroid.Add(og.centroid)
 		}
+		target.members, target.min = members, members[0]
 		target.candidates = append(target.candidates, og.candidates...)
 		target.trimCandidates()
-		c.elect(target)
+		elect(target)
 	}
 }
 
-// combineGroups fuses a set of local groups into one (bridged by an
-// incoming group) and returns the fused group.
+// combineGroups replaces c's groups that an incoming group bridges by
+// their fusion and returns it.
 func (c *clusterObject) combineGroups(groups []*clusterGroup) *clusterGroup {
-	// Deterministic fuse order: ascending min member id.
+	if len(groups) == 1 {
+		return groups[0]
+	}
 	slices.SortFunc(groups, byMinID)
-	target := c.ownGroup(groups[0])
-	for _, g := range groups[1:] {
-		for _, ids := range [2][]annotation.ID{g.members, g.pending} {
-			for _, id := range ids {
-				target.add(id)
-				c.memberGroup[id] = target
-			}
-		}
-		target.centroid.Add(g.centroid)
-		target.candidates = append(target.candidates, g.candidates...)
-	}
-	if len(groups) > 1 {
-		target.trimCandidates()
-		kept := c.groups[:0]
-		for _, g := range c.groups {
-			if g == target || !slices.Contains(groups, g) {
-				kept = append(kept, g)
-			}
-		}
-		c.groups = kept
-		c.elect(target)
-	}
+	target, _ := fuse(groups, nil, nil)
+	c.groups = slices.DeleteFunc(c.groups, func(g *clusterGroup) bool { return slices.Contains(groups, g) })
+	c.groups = append(c.groups, target)
 	return target
 }
 
-// Clone implements Object: a new group list and member index over the same
-// groups, which both objects then hold shared.
+// Clone implements Object: a new group list over the same groups, which
+// both objects then hold shared.
 func (c *clusterObject) Clone() Object {
 	for _, g := range c.groups {
 		g.share()
 	}
-	return &clusterObject{inst: c.inst, groups: slices.Clone(c.groups), memberGroup: maps.Clone(c.memberGroup)}
+	return &clusterObject{inst: c.inst, groups: slices.Clone(c.groups)}
 }
 
 // ownGroup returns g ready to be changed in place: a shared group is first
-// replaced, in the group list and the member index, by a private copy. The
-// copy starts on g's member list, capped so that its first append copies.
+// replaced, in the group list, by a private copy. The copy starts on g's
+// member list, capped so that its first append copies.
 func (c *clusterObject) ownGroup(g *clusterGroup) *clusterGroup {
 	if !g.isShared() {
 		return g
@@ -381,9 +492,6 @@ func (c *clusterObject) ownGroup(g *clusterGroup) *clusterGroup {
 		rep:        g.rep,
 		repPreview: g.repPreview,
 		min:        g.min,
-	}
-	for _, id := range g.members {
-		c.memberGroup[id] = cp
 	}
 	c.groups[slices.Index(c.groups, g)] = cp
 	return cp
@@ -409,7 +517,13 @@ func (c *clusterObject) Members() []annotation.ID {
 }
 
 // Len implements Object.
-func (c *clusterObject) Len() int { return len(c.memberGroup) }
+func (c *clusterObject) Len() int {
+	n := 0
+	for _, g := range c.groups {
+		n += len(g.members)
+	}
+	return n
+}
 
 // Groups returns the number of groups.
 func (c *clusterObject) Groups() int { return len(c.groups) }

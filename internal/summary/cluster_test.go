@@ -135,13 +135,11 @@ func TestClusterMergeTransitiveBridge(t *testing.T) {
 	// The right side has one group containing both 1 and 2 → bridge.
 	right := in.NewObject().(*clusterObject)
 	right.Add(Digest{Ann: 1, Vector: vec("alpha", 3), Preview: "a1"})
-	g := right.memberGroup[1]
+	g := groupOf(right, 1)
 	g.members = append(g.members, 2, 3)
-	right.memberGroup[2] = g
-	right.memberGroup[3] = g
 	g.addCandidate(repCandidate{id: 2, preview: "a2", sim: 0.5})
 	g.addCandidate(repCandidate{id: 3, preview: "a3", sim: 0.4})
-	right.elect(g)
+	elect(g)
 
 	left.MergeFrom(right)
 	if left.Groups() != 1 {

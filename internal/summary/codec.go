@@ -22,8 +22,8 @@ import (
 //	              centroid's (term, weight) in term order
 //	  Snippet     (id, title, snippet) per entry, in id order
 //
-// Decoding recomputes the rest: classifier counts, a cluster object's
-// member index, each group's minimum and its elected representative.
+// Decoding recomputes the rest: classifier counts, each cluster group's
+// minimum and its elected representative.
 
 // Encode appends the instance's configuration, a classifier's trained
 // model included, to w.
@@ -190,12 +190,6 @@ func decodeObject(r *codec.Reader, in *Instance) Object {
 				g.members[j] = annotation.ID(r.Uvarint())
 			}
 			ascending(r, g.members, idOf, in.Name)
-			for _, id := range g.members {
-				if c.memberGroup[id] != nil {
-					failf(r, "annotation %d in two groups of %q", id, in.Name)
-				}
-				c.memberGroup[id] = g
-			}
 			if len(g.members) == 0 {
 				failf(r, "an empty group of %q", in.Name)
 			}
@@ -216,10 +210,21 @@ func decodeObject(r *codec.Reader, in *Instance) Object {
 			c.groups[i] = g
 		}
 		if r.Err() == nil {
+			lists := make([][]annotation.ID, len(c.groups))
+			for i, g := range c.groups {
+				lists[i] = g.members
+			}
+			kwayMerge(lists, idOf, func(int, []annotation.ID) {}, func(_, _ int, id annotation.ID) {
+				if r.Err() == nil {
+					failf(r, "annotation %d in two groups of %q", id, in.Name)
+				}
+			})
+		}
+		if r.Err() == nil {
 			for _, g := range c.groups {
 				g.min = g.members[0]
 				g.trimCandidates()
-				c.elect(g)
+				elect(g)
 			}
 		}
 		return c

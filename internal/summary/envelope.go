@@ -217,6 +217,29 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 	e.curate(dropped)
 }
 
+// Curate drops every annotation whose coverage misses keep, from the
+// coverage list and from every object: the curation RemapColumns does,
+// without rebasing the coverage. An envelope that loses nothing is left as
+// it is, a view still shared, and nothing is allocated.
+func (e *Envelope) Curate(keep annotation.ColSet) {
+	var dropped []annotation.ID
+	for _, c := range e.cover {
+		if c.cols&keep == 0 {
+			dropped = append(dropped, c.id)
+		}
+	}
+	if len(dropped) == 0 {
+		return
+	}
+	if e.shared.isShared() {
+		for _, obj := range e.Objects {
+			obj.share() // the other holder references them
+		}
+	}
+	e.cover = without(e.cover, dropped, coverID, !e.shared.isShared())
+	e.curate(dropped)
+}
+
 // curate retracts the dropped annotations (sorted ascending) from every
 // object: an object holding none of them stays as it is, a shared one
 // holding some is replaced by a changed copy, and an emptied one is
@@ -279,12 +302,11 @@ func (e *Envelope) Merge(o *Envelope, leftWidth int) {
 
 // Combine merges others into e for operators where all inputs share the
 // output tuple shape (grouping, duplicate elimination): coverage unions
-// without shifting. It is one pass over every input, however many: the
-// coverage lists are merged at once (see mergeSorted), each instance's
-// classifier and snippet objects likewise, and cluster objects are folded
-// in input order. A GROUP BY therefore combines a group's rows once, when
-// its input is drained, rather than merging each row into a growing
-// accumulator. others are only read.
+// without shifting. It is one k-way pass over every input, however many:
+// over the coverage lists (see mergeSorted), and over each instance's
+// objects (see the MergeFrom methods). A GROUP BY therefore combines a
+// group's rows once, when its input is drained, rather than merging each
+// row into a growing accumulator. others are only read.
 func (e *Envelope) Combine(others ...*Envelope) {
 	if len(others) == 0 {
 		return

@@ -92,6 +92,16 @@ func diseaseText(i int) string {
 	return fmt.Sprintf("signs of avian influenza infection in specimen %d", i)
 }
 
+// groupOf returns the first of c's groups that holds id, or nil.
+func groupOf(c *clusterObject, id annotation.ID) *clusterGroup {
+	for _, g := range c.groups {
+		if g.holds(id) {
+			return g
+		}
+	}
+	return nil
+}
+
 // elementLabels lists the labels of obj's zoomable elements in index order.
 func elementLabels(obj Object) []string {
 	els := obj.Elements()

@@ -578,18 +578,18 @@ func (m *modelEnv) checkCluster(obj Object) error {
 	}
 	c := obj.(*clusterObject)
 	gs, want := c.sortedGroups(), m.clu.sorted()
-	if len(gs) != len(want) || len(c.memberGroup) != len(m.clu.of) {
+	if len(gs) != len(want) || c.Len() != len(m.clu.of) {
 		return fmt.Errorf("cluster %s, model %s", describeGroups(c), describeModel(m.clu))
 	}
 	for i, g := range gs {
 		ids := want[i].ids()
 		if !slices.Equal(g.members, ids) || g.rep != want[i].rep || g.repPreview != want[i].preview ||
-			len(g.pending) > 0 || g.min != g.members[0] {
+			g.min != g.members[0] {
 			return fmt.Errorf("cluster %s, model %s", describeGroups(c), describeModel(m.clu))
 		}
 		for _, id := range g.members {
-			if c.memberGroup[id] != g {
-				return fmt.Errorf("member %d not indexed to its group", id)
+			if groupOf(c, id) != g {
+				return fmt.Errorf("member %d in another group too", id)
 			}
 		}
 	}
@@ -599,7 +599,7 @@ func (m *modelEnv) checkCluster(obj Object) error {
 func describeGroups(c *clusterObject) string {
 	var b strings.Builder
 	for _, g := range c.sortedGroups() {
-		fmt.Fprintf(&b, "[rep %d %q %v +%v]", g.rep, g.repPreview, g.members, g.pending)
+		fmt.Fprintf(&b, "[rep %d %q %v]", g.rep, g.repPreview, g.members)
 	}
 	return b.String()
 }

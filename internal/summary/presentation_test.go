@@ -149,14 +149,14 @@ func TestUnsharedGroupsRecomputeTheirLabels(t *testing.T) {
 	donor := clu.NewObject().(*clusterObject)
 	donor.Add(Digest{Ann: 5, Vector: vec("beta", 1), Preview: "beta"})
 	acc.MergeFrom(donor) // adopts beta's group, latched shared
-	adopted := acc.memberGroup[5]
-	if !adopted.isShared() || adopted != donor.memberGroup[5] {
+	adopted := groupOf(acc, 5)
+	if !adopted.isShared() || adopted != groupOf(donor, 5) {
 		t.Fatal("setup: the beta group was not adopted")
 	}
 	if got := acc.Render(); got != `Clu {[A1 "alpha" ×1] [A5 "beta" ×1]}` {
 		t.Fatalf("Render = %s", got)
 	}
-	if adopted.label.Load() == nil || acc.memberGroup[1].label.Load() != nil {
+	if adopted.label.Load() == nil || groupOf(acc, 1).label.Load() != nil {
 		t.Error("want a label memo on the adopted group only")
 	}
 	acc.Add(Digest{Ann: 2, Vector: vec("alpha", 1), Preview: "alpha"})

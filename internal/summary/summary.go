@@ -211,10 +211,15 @@ func memoised[T any](p *atomic.Pointer[T], keep bool, compute func() T) T {
 // writeQuoted appends strconv.Quote(s) — what %q prints — to b. Previews,
 // titles and snippets rarely hold anything Quote would escape, so the run
 // of printable characters other than `"` and `\` is copied as is and only
-// what follows it, if anything, goes through strconv.
+// what follows it, if anything, goes through strconv. The run is checked
+// eight bytes at a time while they are plain ASCII.
 func writeQuoted(b *strings.Builder, s string) {
 	i := 0
 	for i < len(s) {
+		if i+8 <= len(s) && plainASCII(s[i:i+8]) {
+			i += 8
+			continue
+		}
 		if c := s[i]; c < utf8.RuneSelf {
 			if c < ' ' || c > '~' || c == '"' || c == '\\' {
 				break
@@ -236,3 +241,23 @@ func writeQuoted(b *strings.Builder, s string) {
 	}
 	b.WriteString(strconv.Quote(s[i:])[1:])
 }
+
+// Masks for the byte-parallel tests on a 64-bit word: ones has 1 in every
+// byte, high the top bit of every byte.
+const (
+	ones = 0x0101010101010101
+	high = 0x8080808080808080
+)
+
+// plainASCII reports whether the eight bytes of w are all printable ASCII
+// (' ' to '~') other than `"` and `\`, the bytes Quote copies as is.
+func plainASCII(w string) bool {
+	x := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+		uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+	// Once no top bit is set, x-' '*ones&^x sets a byte's top bit if and
+	// only if a byte is below ' ', and zero(x^c*ones) if a byte is c.
+	return x&high|(x-' '*ones)&^x&high|zero(x^'"'*ones)|zero(x^'\\'*ones)|zero(x^0x7f*ones) == 0
+}
+
+// zero returns a non-zero word if and only if a byte of x is zero.
+func zero(x uint64) uint64 { return (x - ones) &^ x & high }

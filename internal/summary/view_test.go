@@ -258,7 +258,7 @@ func TestCombineAdoptsClusterGroupsCopyOnWrite(t *testing.T) {
 				heldBefore, mutatedBefore := groupsOf(held), groupsOf(mutated)
 				touched := map[*clusterGroup]bool{}
 				for _, id := range tc.touched {
-					touched[clusterOf(mutated, clu.Name).memberGroup[id]] = true
+					touched[groupOf(clusterOf(mutated, clu.Name), id)] = true
 				}
 				tc.mutate(mutated)
 				if !held.Equal(want) {
@@ -307,4 +307,23 @@ func TestWriteQuotedMatchesStrconv(t *testing.T) {
 			t.Errorf("writeQuoted(%q) = %s, want %s", s, b.String(), want)
 		}
 	}
+}
+
+// FuzzWriteQuoted compares writeQuoted with strconv.Quote on arbitrary
+// strings: invalid UTF-8, runes Quote escapes as \u, and escapes on either
+// side of the eight-byte words the fast path reads.
+func FuzzWriteQuoted(f *testing.F) {
+	for _, s := range []string{
+		"", "a preview longer than one word", "1234567\"", "12345678\\x", "abcdefg\xff", "abcdefgh\u200bij",
+		"abcdefgh\x7fijklmnop", "日本語 text é…", "tab\there\nand more", "\x1f2345678", "1234567~ 1234567}",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var b strings.Builder
+		writeQuoted(&b, s)
+		if want := strconv.Quote(s); b.String() != want {
+			t.Errorf("writeQuoted(%q) = %s, want %s", s, b.String(), want)
+		}
+	})
 }
