@@ -87,27 +87,22 @@ func newClusterObject(in *Instance) *clusterObject {
 // addCandidate inserts c into the sorted candidate list, keeping the top
 // repCandidates entries.
 func (g *clusterGroup) addCandidate(c repCandidate) {
-	g.candidates = append(g.candidates, c)
-	g.trimCandidates()
+	g.candidates = topCandidates(append(g.candidates, c))
 }
 
-// trimCandidates sorts the candidate list, drops repeated ids and keeps
-// the top repCandidates entries.
-func (g *clusterGroup) trimCandidates() {
-	slices.SortFunc(g.candidates, func(a, b repCandidate) int {
+// topCandidates sorts cs in place, drops repeated ids and returns the top
+// repCandidates entries. The top of a union is the top of its parts' tops,
+// so callers trim as they append and cs stays short. The scan for repeats
+// compares each entry with at most repCandidates kept ones: no map.
+func topCandidates(cs []repCandidate) []repCandidate {
+	slices.SortFunc(cs, func(a, b repCandidate) int {
 		return cmp.Or(cmp.Compare(b.sim, a.sim), cmp.Compare(a.id, b.id))
 	})
-	g.candidates = dedupCandidates(g.candidates)
-	if len(g.candidates) > repCandidates {
-		g.candidates = g.candidates[:repCandidates]
-	}
-}
-
-// dedupCandidates keeps the first entry per annotation id. The lists hold
-// at most 2×repCandidates entries, so a quadratic scan beats a map.
-func dedupCandidates(cs []repCandidate) []repCandidate {
 	out := cs[:0]
 	for _, c := range cs {
+		if len(out) == repCandidates {
+			break
+		}
 		if !slices.ContainsFunc(out, func(o repCandidate) bool { return o.id == c.id }) {
 			out = append(out, c)
 		}
@@ -268,7 +263,8 @@ func (c *clusterObject) MergeFrom(others ...Object) Object {
 // object's and ownFirst is set. The groups of a larger component are fused
 // (see fuse) in ascending order of their smallest member, and a group adds
 // its centroid only if it brings an id no earlier object holds. Objects
-// whose id ranges are disjoint share no member and skip the pass.
+// whose id ranges are disjoint share no member and skip the pass, which
+// would step through them one id at a time: an object's groups interleave.
 func join(objs []*clusterObject, ownFirst bool) []*clusterGroup {
 	n := 0
 	for _, o := range objs {
@@ -385,8 +381,8 @@ func disjoint(objs []*clusterObject) bool {
 // fuse returns a new group of the members of gs, which are in ascending
 // order of their smallest member. Its centroid sums, in that order, the
 // centroids of the groups brings marks (every group when brings is nil).
-// Its candidates are the top repCandidates of theirs, built in buf and
-// copied out of it; fuse returns buf for reuse.
+// Its candidates are the top repCandidates of theirs, trimmed in buf after
+// each group's and copied out of it; fuse returns buf for reuse.
 func fuse(gs []*clusterGroup, brings []bool, buf []repCandidate) (*clusterGroup, []repCandidate) {
 	lists := make([][]annotation.ID, len(gs))
 	fused := &clusterGroup{}
@@ -399,16 +395,16 @@ func fuse(gs []*clusterGroup, brings []bool, buf []repCandidate) (*clusterGroup,
 		default:
 			fused.centroid.Add(g.centroid)
 		}
-		buf = append(buf, g.candidates...)
+		if buf = append(buf, g.candidates...); len(buf) > repCandidates {
+			buf = topCandidates(buf)
+		}
 	}
 	if fused.centroid == nil {
 		fused.centroid = textmining.NewVector()
 	}
 	fused.members = mergeSorted(lists, idOf, nil)
 	fused.min = fused.members[0]
-	fused.candidates = buf
-	fused.trimCandidates()
-	fused.candidates = slices.Clone(fused.candidates)
+	fused.candidates = slices.Clone(topCandidates(buf))
 	elect(fused)
 	return fused, buf[:0]
 }
@@ -450,8 +446,7 @@ func (c *clusterObject) fold(o *clusterObject) {
 			target.centroid.Add(og.centroid)
 		}
 		target.members, target.min = members, members[0]
-		target.candidates = append(target.candidates, og.candidates...)
-		target.trimCandidates()
+		target.candidates = topCandidates(append(target.candidates, og.candidates...))
 		elect(target)
 	}
 }

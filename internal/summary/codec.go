@@ -209,21 +209,10 @@ func decodeObject(r *codec.Reader, in *Instance) Object {
 			}
 			c.groups[i] = g
 		}
-		if r.Err() == nil {
-			lists := make([][]annotation.ID, len(c.groups))
-			for i, g := range c.groups {
-				lists[i] = g.members
-			}
-			kwayMerge(lists, idOf, func(int, []annotation.ID) {}, func(_, _ int, id annotation.ID) {
-				if r.Err() == nil {
-					failf(r, "annotation %d in two groups of %q", id, in.Name)
-				}
-			})
-		}
-		if r.Err() == nil {
+		if r.Err() == nil { // checkCoverage fails an id in two groups
 			for _, g := range c.groups {
 				g.min = g.members[0]
-				g.trimCandidates()
+				g.candidates = topCandidates(g.candidates)
 				elect(g)
 			}
 		}
@@ -247,8 +236,9 @@ func ascending[E any](r *codec.Reader, list []E, key func(E) annotation.ID, what
 	}
 }
 
-// checkCoverage fails r unless e holds an object and its coverage lists
-// exactly its objects' members.
+// checkCoverage fails r unless e holds an object, no cluster object holds
+// an id in two groups (its Len then exceeds its merged members) and e's
+// coverage lists exactly its objects' members.
 func checkCoverage(r *codec.Reader, e *Envelope) {
 	if len(e.Objects) == 0 {
 		failf(r, "an envelope without objects")
@@ -256,7 +246,12 @@ func checkCoverage(r *codec.Reader, e *Envelope) {
 	}
 	hit := make([]bool, len(e.cover))
 	for name, obj := range e.Objects {
-		for _, id := range obj.Members() {
+		members := obj.Members()
+		if c, ok := obj.(*clusterObject); ok && len(members) < c.Len() {
+			failf(r, "annotation %d in two groups of %q", c.repeatedMember(), name)
+			return
+		}
+		for _, id := range members {
 			i, ok := search(e.cover, id, coverID)
 			if !ok {
 				failf(r, "%s member %d outside the coverage", name, id)
@@ -272,4 +267,19 @@ func checkCoverage(r *codec.Reader, e *Envelope) {
 
 func failf(r *codec.Reader, format string, args ...any) {
 	r.Fail(fmt.Errorf("summary: "+format, args...))
+}
+
+// repeatedMember returns an id that two of c's groups hold.
+func (c *clusterObject) repeatedMember() annotation.ID {
+	var all []annotation.ID
+	for _, g := range c.groups {
+		all = append(all, g.members...)
+	}
+	slices.Sort(all)
+	for i := 1; i < len(all); i++ {
+		if all[i] == all[i-1] {
+			return all[i]
+		}
+	}
+	return 0
 }

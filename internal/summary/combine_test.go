@@ -2,7 +2,9 @@ package summary
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"insightnotes/internal/annotation"
 )
@@ -80,6 +82,48 @@ func TestCombineInOnePassEqualsFolding(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestCombineScalesWithABridgedComponent: rows whose last annotation is
+// the next row's first bridge every row's cluster group into one component,
+// fused in one step. Its candidate list is trimmed as each group's is
+// appended, so combining 4N rows costs about 4× combining N; a list built
+// from every group's candidates and trimmed once at the end, whose repeats
+// are found by a quadratic scan, costs about 16×. The bound is 8×, on the
+// fastest of five runs.
+func TestCombineScalesWithABridgedComponent(t *testing.T) {
+	const n = 2000
+	clu := clusterInstance(t, "S")
+	var took [2]time.Duration
+	for i, k := range []int{n, 4 * n} {
+		rows := make([]*Envelope, k)
+		for r := range rows {
+			rows[r] = NewEnvelope()
+			for _, id := range span(2*r+1, 3, 1) {
+				addAnn(rows[r], clu, ann(id, behaviorText(int(id))), annotation.Col(0))
+			}
+		}
+		for run := 0; run < 5; run++ {
+			acc := rows[0].Clone()
+			views := make([]*Envelope, 0, k-1)
+			for _, r := range rows[1:] {
+				views = append(views, r.View())
+			}
+			runtime.GC()
+			start := time.Now()
+			acc.Combine(views...)
+			if d := time.Since(start); run == 0 || d < took[i] {
+				took[i] = d
+			}
+			if g := acc.Object("S").(*clusterObject).groups; len(g) != 1 || len(g[0].members) != 2*k+1 || len(g[0].candidates) != repCandidates {
+				t.Fatalf("%d bridged rows combined to %d groups", k, len(g))
+			}
+		}
+	}
+	t.Logf("%v at %d rows, %v at %d (%.1f×)", took[0], n, took[1], 4*n, float64(took[1])/float64(took[0]))
+	if took[1] > 8*took[0] {
+		t.Errorf("combining %d bridged rows took %v, %d rows %v (%.1f×, want ≤ 8×)", n, took[0], 4*n, took[1], float64(took[1])/float64(took[0]))
 	}
 }
 

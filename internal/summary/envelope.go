@@ -188,24 +188,29 @@ func (e *Envelope) Project(keep []int) {
 // input column i contributes to (zero = dropped). Annotations left with
 // empty coverage are removed from all objects. One pass over the coverage
 // list writes the remapped list: over the old one when e is private, into
-// a new one when it is shared.
+// a new one, from the first entry that changes, when it is shared. A shared
+// envelope that nothing changes is left as it is and costs no allocation.
 func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
-	src, dst := e.cover, e.cover[:0]
-	if e.shared.isShared() {
-		dst = make([]coverEntry, 0, len(src))
-		for _, obj := range e.Objects {
-			obj.share() // the other holder references them
-		}
+	shared := e.shared.isShared()
+	src, dst := e.cover, []coverEntry(nil)
+	if !shared {
+		dst = src[:0]
 	}
 	var dropped []annotation.ID
-	for _, c := range src {
+	for i, c := range src {
 		var out annotation.ColSet
 		for rest := uint64(c.cols); rest != 0; rest &= rest - 1 {
-			i := bits.TrailingZeros64(rest)
-			if i >= len(mapping) {
+			col := bits.TrailingZeros64(rest)
+			if col >= len(mapping) {
 				break
 			}
-			out |= mapping[i]
+			out |= mapping[col]
+		}
+		if shared && dst == nil {
+			if out == c.cols {
+				continue
+			}
+			dst = append(make([]coverEntry, 0, len(src)), src[:i]...)
 		}
 		if out == 0 {
 			dropped = append(dropped, c.id)
@@ -213,31 +218,28 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 		}
 		dst = append(dst, coverEntry{c.id, out})
 	}
-	e.cover = dst
-	e.curate(dropped)
-}
-
-// Curate drops every annotation whose coverage misses keep, from the
-// coverage list and from every object: the curation RemapColumns does,
-// without rebasing the coverage. An envelope that loses nothing is left as
-// it is, a view still shared, and nothing is allocated.
-func (e *Envelope) Curate(keep annotation.ColSet) {
-	var dropped []annotation.ID
-	for _, c := range e.cover {
-		if c.cols&keep == 0 {
-			dropped = append(dropped, c.id)
-		}
-	}
-	if len(dropped) == 0 {
+	if shared && dst == nil {
 		return
 	}
-	if e.shared.isShared() {
+	e.cover = dst
+	if shared {
 		for _, obj := range e.Objects {
 			obj.share() // the other holder references them
 		}
 	}
-	e.cover = without(e.cover, dropped, coverID, !e.shared.isShared())
 	e.curate(dropped)
+}
+
+// Curate drops every annotation whose coverage misses keep, from the
+// coverage list and from every object: RemapColumns with the kept columns
+// mapped to themselves.
+func (e *Envelope) Curate(keep annotation.ColSet) {
+	var mapping [64]annotation.ColSet
+	for rest := uint64(keep); rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(rest)
+		mapping[i] = annotation.Col(i)
+	}
+	e.RemapColumns(mapping[:])
 }
 
 // curate retracts the dropped annotations (sorted ascending) from every
