@@ -53,12 +53,12 @@ soak-repl:
 	$(GO) test -run TestReplicationSoak -count=1 -race -short -v ./internal/replication/
 
 # soak-scrub is the bit-rot chaos soak on its own: random byte flips
-# injected into heap pages on disk of a primary/replica pair; the scrubber
-# must detect every flip and quarantine each page, reads of a quarantined
-# page must shed with the structured CORRUPT error, a restart of either
-# node must rebuild its page file from its own checkpoint and WAL and
-# converge record for record, and a disagreeing index must be rebuilt
-# from the heap.
+# injected into the annotation-text pages on disk of a primary/replica
+# pair; the scrubber must detect every flip and quarantine each page,
+# zoom-ins over a quarantined page must shed with the structured CORRUPT
+# error, a restart of either node must rebuild its page file from its own
+# checkpoint and WAL and converge record for record, and a disagreeing
+# index must be rebuilt from its table's rows.
 soak-scrub:
 	$(GO) test -run TestScrubSoak -count=1 -race -short -v ./internal/replication/
 

@@ -90,15 +90,15 @@ func main() {
 	execWorkers := flag.Int("exec-workers", 0, "scan worker pool size (0 = GOMAXPROCS, 1 = inline; a scan never uses more workers than it has morsels)")
 	batchSize := flag.Int("batch-size", 0, "executor rows-per-batch granularity (0 = built-in default)")
 	planCache := flag.Int("plan-cache", 0, "engine plan cache capacity in entries (0 = 256 default, negative disables)")
-	pageFile := flag.String("page-file", "", "file-backed page store path (default <data-dir>/pages.db with -data-dir, in-memory otherwise)")
-	poolFrames := flag.Int("pool-frames", 0, "buffer-pool capacity in 8 KiB frames (0 = 256 default)")
+	pageFile := flag.String("page-file", "", "file-backed page store of the annotation text (default <data-dir>/pages.db with -data-dir, in-memory otherwise)")
+	poolFrames := flag.Int("pool-frames", 0, "annotation-text buffer-pool capacity in 8 KiB frames (0 = 256 default)")
 	traceSample := flag.Float64("trace-sample", 0, "probability a statement gets detailed span collection and ordinary traces are retained (0 = 0.05 default, negative keeps only slow/errored shells)")
 	traceCapacity := flag.Int("trace-capacity", 0, "retained-trace ring capacity (0 = 512 default)")
 	noTracing := flag.Bool("no-tracing", false, "disable statement lifecycle tracing entirely")
 	replAddr := flag.String("replication-addr", "", "WAL-shipping listener for read replicas (primary role; requires -data-dir)")
 	replFrom := flag.String("replicate-from", "", "primary's replication address to follow (read-replica role; requires -data-dir)")
 	maxStaleness := flag.Duration("max-staleness", 0, "shed replica reads with a structured STALE error once lag exceeds this (0 serves regardless of lag)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub period (0 disables; CHECK TABLE still verifies on demand)")
+	scrubInterval := flag.Duration("scrub-interval", 0, "background integrity scrub period of the annotation pages and table indexes (0 disables; CHECK TABLE still checks a table's indexes on demand)")
 	scrubRate := flag.Int("scrub-rate", 0, "background scrub budget in pages per second (0 = built-in default)")
 	flag.Parse()
 

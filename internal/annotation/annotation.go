@@ -12,8 +12,10 @@ package annotation
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
+	"insightnotes/internal/storage"
 	"insightnotes/internal/types"
 )
 
@@ -150,7 +152,12 @@ type Ref struct {
 
 // encodeAnnotation serializes an annotation as a storage tuple.
 func encodeAnnotation(a Annotation) []byte {
-	t := types.Tuple{
+	return types.EncodeTuple(nil, annotationTuple(a))
+}
+
+// annotationTuple is the tuple an annotation's record encodes.
+func annotationTuple(a Annotation) types.Tuple {
+	return types.Tuple{
 		types.NewInt(int64(a.ID)),
 		types.NewString(a.Author),
 		types.NewInt(a.Created),
@@ -158,7 +165,19 @@ func encodeAnnotation(a Annotation) []byte {
 		types.NewString(a.Title),
 		types.NewString(a.Document),
 	}
-	return types.EncodeTuple(nil, t)
+}
+
+// CheckSize reports whether a's record fits on a heap page whatever id and
+// timestamp are assigned to it later: both are sized at their widest
+// encoding. Batch ingest checks every annotation before storing the first,
+// so a batch is never half stored.
+func CheckSize(a Annotation) error {
+	a.ID, a.Created = 1<<63, math.MinInt64
+	if n := types.EncodedSize(annotationTuple(a)); n > storage.MaxRecordSize {
+		return fmt.Errorf("annotation: record of %d bytes exceeds the %d a page holds: %w",
+			n, storage.MaxRecordSize, storage.ErrRecordTooLarge)
+	}
+	return nil
 }
 
 // decodeAnnotation parses a storage tuple back into an annotation.

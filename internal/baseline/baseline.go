@@ -67,7 +67,7 @@ func (s *Scan) Open() error {
 	s.rows = s.rows[:0]
 	s.pos = 0
 	var scanErr error
-	err := s.table.Scan(func(rowID types.RowID, tu types.Tuple) bool {
+	s.table.Scan(func(rowID types.RowID, tu types.Tuple) bool {
 		row := &Row{Tuple: tu.Clone()}
 		refs := s.store.ForTuple(s.table.Name(), rowID)
 		if len(refs) > 0 {
@@ -85,9 +85,6 @@ func (s *Scan) Open() error {
 		s.rows = append(s.rows, row)
 		return true
 	})
-	if err != nil {
-		return err
-	}
 	return scanErr
 }
 

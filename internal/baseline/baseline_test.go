@@ -19,7 +19,7 @@ type bworld struct {
 func newBWorld(t *testing.T) *bworld {
 	t.Helper()
 	pool := storage.NewBufferPool(storage.NewMemStore(), 128)
-	cat := catalog.New(pool)
+	cat := catalog.New()
 	r, err := cat.CreateTable("R", types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindInt},

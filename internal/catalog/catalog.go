@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
@@ -15,24 +14,19 @@ import (
 // instance↔relation links.
 type Catalog struct {
 	mu        sync.RWMutex
-	pool      *storage.BufferPool
 	tables    map[string]*Table            // lower(name) → table
 	instances map[string]*summary.Instance // instance name → instance
 	links     map[string]map[string]bool   // lower(table) → instance names
 }
 
-// New creates an empty catalog over pool.
-func New(pool *storage.BufferPool) *Catalog {
+// New creates an empty catalog.
+func New() *Catalog {
 	return &Catalog{
-		pool:      pool,
 		tables:    make(map[string]*Table),
 		instances: make(map[string]*summary.Instance),
 		links:     make(map[string]map[string]bool),
 	}
 }
-
-// Pool returns the shared buffer pool.
-func (c *Catalog) Pool() *storage.BufferPool { return c.pool }
 
 func key(name string) string { return strings.ToLower(name) }
 
@@ -70,7 +64,7 @@ func (c *Catalog) CreateTable(name string, schema types.Schema) (*Table, error) 
 	if _, dup := c.tables[key(name)]; dup {
 		return nil, fmt.Errorf("catalog: table %s already exists", name)
 	}
-	tbl := newTable(name, schema.WithTable(name), storage.NewHeapFile(c.pool))
+	tbl := newTable(name, schema.WithTable(name))
 	c.tables[key(name)] = tbl
 	return tbl, nil
 }

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"testing"
 
-	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
 
 func newCatalog() *Catalog {
-	return New(storage.NewBufferPool(storage.NewMemStore(), 128))
+	return New()
 }
 
 func birdSchema() types.Schema {
@@ -154,6 +153,71 @@ func TestTableScanOrderAndStop(t *testing.T) {
 	tbl.Scan(func(types.RowID, types.Tuple) bool { n++; return n < 10 })
 	if n != 10 {
 		t.Errorf("early stop = %d", n)
+	}
+}
+
+// TestTableRowsAscendAndStayImmutable drives the row store through
+// deletes past its compaction point and restores below the highest id:
+// scans stay in ascending row-id order and agree with Get, and a tuple
+// once handed out never changes under later DML or caller edits.
+func TestTableRowsAscendAndStayImmutable(t *testing.T) {
+	tbl, _ := newCatalog().CreateTable("birds", birdSchema())
+	tuple := func(i int) types.Tuple {
+		return types.Tuple{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("b%d", i)), types.NewFloat(0)}
+	}
+	for i := 1; i <= 40; i++ {
+		tbl.Insert(tuple(i))
+	}
+	held, _ := tbl.Get(7)
+	mine := tuple(99)
+	if err := tbl.Update(7, mine); err != nil {
+		t.Fatal(err)
+	}
+	mine[1] = types.NewString("edited by the caller")
+	if held[0].Int() != 7 {
+		t.Errorf("a held tuple changed under Update: %v", held)
+	}
+	if got, _ := tbl.Get(7); got[1].Str() != "b99" {
+		t.Errorf("row 7 = %v: the store kept the caller's tuple", got)
+	}
+	want := map[types.RowID]int64{7: 99}
+	for row := types.RowID(1); row <= 40; row++ {
+		if row%4 != 0 && row != 7 {
+			if err := tbl.Delete(row); err != nil {
+				t.Fatal(err)
+			}
+		} else if row != 7 {
+			want[row] = int64(row)
+		}
+	}
+	// Restores below the highest id, one of them a deleted id.
+	for _, row := range []types.RowID{3, 33} {
+		if err := tbl.InsertWithID(row, tuple(int(row))); err != nil {
+			t.Fatal(err)
+		}
+		want[row] = int64(row)
+	}
+	if err := tbl.InsertWithID(8, tuple(8)); err == nil {
+		t.Error("InsertWithID over a live row accepted")
+	}
+	var prev types.RowID
+	n := 0
+	tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
+		if row <= prev {
+			t.Errorf("scan visited row %d after %d", row, prev)
+		}
+		prev = row
+		if got, _ := tbl.Get(row); tu[0].Int() != want[row] || got[0].Int() != want[row] {
+			t.Errorf("row %d: scan %v, get %v, want id %d", row, tu, got, want[row])
+		}
+		n++
+		return true
+	})
+	if n != len(want) || tbl.Len() != len(want) {
+		t.Errorf("scan saw %d rows, Len %d, want %d", n, tbl.Len(), len(want))
+	}
+	if next := tbl.NextRow(); next != 41 {
+		t.Errorf("NextRow = %d, want 41", next)
 	}
 }
 

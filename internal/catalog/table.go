@@ -1,12 +1,12 @@
-// Package catalog manages the engine's metadata and physical table access:
-// relation schemas and their heap files, secondary B+tree indexes, the
-// registry of summary instances (level 2 of the paper's hierarchy), and
-// the many-to-many links between instances and relations (Figure 4).
+// Package catalog manages the engine's metadata and table access: relation
+// schemas and their rows, secondary B+tree indexes, the registry of summary
+// instances (level 2 of the paper's hierarchy), and the many-to-many links
+// between instances and relations (Figure 4).
 package catalog
 
 import (
-	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 
 	"insightnotes/internal/failpoint"
@@ -14,25 +14,37 @@ import (
 	"insightnotes/internal/types"
 )
 
-// Table is one user relation: a schema, a heap file of rows, a row-id
-// allocator, and optional secondary indexes.
+// Table is one user relation: a schema, its rows, a row-id allocator, and
+// optional secondary indexes.
+//
+// Rows live once, in memory, as immutable tuples in ascending row-id
+// order: Get is a map lookup, a full scan walks the slice and shares the
+// stored tuples. Update and Delete replace or drop a tuple and never
+// mutate one in place, so a tuple handed out stays valid for as long as
+// its holder keeps it. The checkpoint and WAL are the rows' durable copy.
 type Table struct {
 	mu      sync.RWMutex
 	name    string
 	schema  types.Schema
-	heap    *storage.HeapFile
+	rows    []storedRow         // ascending id; deleted entries have a nil tuple
+	byRow   map[types.RowID]int // live row id → position in rows
+	dead    int                 // deleted entries still in rows
 	nextRow types.RowID
-	byRow   map[types.RowID]storage.RID
 	indexes map[string]*storage.BTree // column name → index
 }
 
-func newTable(name string, schema types.Schema, heap *storage.HeapFile) *Table {
+// storedRow is one entry of Table.rows.
+type storedRow struct {
+	id types.RowID
+	tu types.Tuple
+}
+
+func newTable(name string, schema types.Schema) *Table {
 	return &Table{
 		name:    name,
 		schema:  schema,
-		heap:    heap,
 		nextRow: 1,
-		byRow:   make(map[types.RowID]storage.RID),
+		byRow:   make(map[types.RowID]int),
 		indexes: make(map[string]*storage.BTree),
 	}
 }
@@ -49,25 +61,6 @@ func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.byRow)
-}
-
-// encodeRow prefixes the tuple encoding with its row id.
-func encodeRow(row types.RowID, tu types.Tuple) []byte {
-	buf := binary.AppendUvarint(nil, uint64(row))
-	return types.EncodeTuple(buf, tu)
-}
-
-// decodeRow splits a heap record into row id and tuple.
-func decodeRow(data []byte) (types.RowID, types.Tuple, error) {
-	id, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("catalog: corrupt row header")
-	}
-	tu, _, err := types.DecodeTuple(data[n:])
-	if err != nil {
-		return 0, nil, err
-	}
-	return types.RowID(id), tu, nil
 }
 
 // Validate checks a tuple against the schema without inserting it, so
@@ -99,7 +92,7 @@ func (t *Table) validate(tu types.Tuple) error {
 	return nil
 }
 
-// Insert appends a row and returns its id.
+// Insert appends a copy of tu and returns its row id.
 func (t *Table) Insert(tu types.Tuple) (types.RowID, error) {
 	if err := t.validate(tu); err != nil {
 		return 0, err
@@ -107,26 +100,19 @@ func (t *Table) Insert(tu types.Tuple) (types.RowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	row := t.nextRow
-	rid, err := t.heap.Insert(encodeRow(row, tu))
-	if err != nil {
-		return 0, err
-	}
-	t.byRow[row] = rid
+	t.place(row, tu.Clone())
 	t.nextRow++
-	// Crash window between the heap write and the index maintenance below:
+	// Crash window between the row write and the index maintenance below:
 	// the kill-and-recover suite proves recovery reconciles the two.
 	if err := failpoint.Eval(failpoint.CatalogInsertIndex); err != nil {
 		return 0, err
 	}
-	for col, idx := range t.indexes {
-		ci, _ := t.schema.ColumnIndex(col)
-		idx.Insert(storage.EncodeKey(nil, tu[ci]), uint64(row))
-	}
+	t.indexRow(row, tu)
 	return row, nil
 }
 
-// InsertWithID restores a row under a specific id (snapshot load). The id
-// must not be in use; the allocator advances past it.
+// InsertWithID restores a copy of tu under a specific id (snapshot load,
+// WAL replay). The id must not be in use; the allocator advances past it.
 func (t *Table) InsertWithID(row types.RowID, tu types.Tuple) error {
 	if err := t.validate(tu); err != nil {
 		return err
@@ -136,19 +122,48 @@ func (t *Table) InsertWithID(row types.RowID, tu types.Tuple) error {
 	if _, dup := t.byRow[row]; dup {
 		return fmt.Errorf("catalog: table %s already has row %d", t.name, row)
 	}
-	rid, err := t.heap.Insert(encodeRow(row, tu))
-	if err != nil {
-		return err
-	}
-	t.byRow[row] = rid
+	t.place(row, tu.Clone())
 	if row >= t.nextRow {
 		t.nextRow = row + 1
 	}
+	t.indexRow(row, tu)
+	return nil
+}
+
+// place stores tu under row, keeping rows in ascending id order. Ids are
+// assigned ascending, so this is an append; only a restore of an id below
+// the highest stored one shifts the tail. Called with mu held.
+func (t *Table) place(row types.RowID, tu types.Tuple) {
+	n := len(t.rows)
+	if n == 0 || t.rows[n-1].id < row {
+		t.byRow[row] = n
+		t.rows = append(t.rows, storedRow{id: row, tu: tu})
+		return
+	}
+	at := sort.Search(n, func(i int) bool { return t.rows[i].id >= row })
+	if t.rows[at].id == row { // a deleted entry of the same id
+		t.rows[at].tu = tu
+		t.dead--
+		t.byRow[row] = at
+		return
+	}
+	t.rows = append(t.rows, storedRow{})
+	copy(t.rows[at+1:], t.rows[at:])
+	t.rows[at] = storedRow{id: row, tu: tu}
+	for i := at; i <= n; i++ {
+		if t.rows[i].tu != nil {
+			t.byRow[t.rows[i].id] = i
+		}
+	}
+}
+
+// indexRow adds row's entries to every secondary index. Called with mu
+// held.
+func (t *Table) indexRow(row types.RowID, tu types.Tuple) {
 	for col, idx := range t.indexes {
 		ci, _ := t.schema.ColumnIndex(col)
 		idx.Insert(storage.EncodeKey(nil, tu[ci]), uint64(row))
 	}
-	return nil
 }
 
 // NextRow exposes the row-id allocator position (snapshot persistence):
@@ -171,98 +186,99 @@ func (t *Table) EnsureNextRow(next types.RowID) {
 	}
 }
 
-// Get returns the tuple of row id.
+// Get returns the stored tuple of row id. It is shared: callers must not
+// modify it.
 func (t *Table) Get(row types.RowID) (types.Tuple, error) {
 	t.mu.RLock()
-	rid, ok := t.byRow[row]
-	t.mu.RUnlock()
+	defer t.mu.RUnlock()
+	i, ok := t.byRow[row]
 	if !ok {
 		return nil, fmt.Errorf("catalog: table %s has no row %d", t.name, row)
 	}
-	data, err := t.heap.Get(rid)
-	if err != nil {
-		return nil, err
-	}
-	_, tu, err := decodeRow(data)
-	return tu, err
+	return t.rows[i].tu, nil
 }
 
-// Update replaces the tuple of row id.
+// GetRows returns the stored tuples of rows, in order, under one lock
+// acquisition; see Get.
+func (t *Table) GetRows(rows []types.RowID) ([]types.Tuple, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]types.Tuple, len(rows))
+	for i, row := range rows {
+		j, ok := t.byRow[row]
+		if !ok {
+			return nil, fmt.Errorf("catalog: table %s has no row %d", t.name, row)
+		}
+		out[i] = t.rows[j].tu
+	}
+	return out, nil
+}
+
+// Update replaces the tuple of row id with a copy of tu.
 func (t *Table) Update(row types.RowID, tu types.Tuple) error {
 	if err := t.validate(tu); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, ok := t.byRow[row]
+	i, ok := t.byRow[row]
 	if !ok {
 		return fmt.Errorf("catalog: table %s has no row %d", t.name, row)
 	}
-	old, err := t.heap.Get(rid)
-	if err != nil {
-		return err
-	}
-	_, oldTu, err := decodeRow(old)
-	if err != nil {
-		return err
-	}
-	nrid, err := t.heap.Update(rid, encodeRow(row, tu))
-	if err != nil {
-		return err
-	}
-	t.byRow[row] = nrid
+	old := t.rows[i].tu
+	t.rows[i].tu = tu.Clone()
 	for col, idx := range t.indexes {
 		ci, _ := t.schema.ColumnIndex(col)
-		if !types.Equal(oldTu[ci], tu[ci]) {
-			idx.Delete(storage.EncodeKey(nil, oldTu[ci]), uint64(row))
+		if !types.Equal(old[ci], tu[ci]) {
+			idx.Delete(storage.EncodeKey(nil, old[ci]), uint64(row))
 			idx.Insert(storage.EncodeKey(nil, tu[ci]), uint64(row))
 		}
 	}
 	return nil
 }
 
-// Delete removes row id.
+// Delete removes row id. The entry is dropped from rows once deleted
+// entries make up half of it, so deletes cost amortized constant time.
 func (t *Table) Delete(row types.RowID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, ok := t.byRow[row]
+	i, ok := t.byRow[row]
 	if !ok {
 		return fmt.Errorf("catalog: table %s has no row %d", t.name, row)
 	}
-	data, err := t.heap.Get(rid)
-	if err != nil {
-		return err
-	}
-	_, tu, err := decodeRow(data)
-	if err != nil {
-		return err
-	}
-	if err := t.heap.Delete(rid); err != nil {
-		return err
-	}
+	tu := t.rows[i].tu
+	t.rows[i].tu = nil
+	t.dead++
 	delete(t.byRow, row)
 	for col, idx := range t.indexes {
 		ci, _ := t.schema.ColumnIndex(col)
 		idx.Delete(storage.EncodeKey(nil, tu[ci]), uint64(row))
 	}
+	if t.dead > len(t.rows)/2 {
+		live := t.rows[:0]
+		for _, r := range t.rows {
+			if r.tu != nil {
+				t.byRow[r.id] = len(live)
+				live = append(live, r)
+			}
+		}
+		clear(t.rows[len(live):])
+		t.rows, t.dead = live, 0
+	}
 	return nil
 }
 
-// Scan calls fn for every row in heap order; fn returning false stops.
-func (t *Table) Scan(fn func(row types.RowID, tu types.Tuple) bool) error {
-	var decodeErr error
-	err := t.heap.Scan(func(_ storage.RID, data []byte) bool {
-		row, tu, err := decodeRow(data)
-		if err != nil {
-			decodeErr = err
-			return false
+// Scan calls fn for every row in ascending row-id order with the stored
+// tuple, which fn must not modify; fn returning false stops. fn must not
+// write to the table.
+func (t *Table) Scan(fn func(row types.RowID, tu types.Tuple) bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, r := range t.rows {
+		if r.tu != nil && !fn(r.id, r.tu) {
+			return
 		}
-		return fn(row, tu)
-	})
-	if err != nil {
-		return err
 	}
-	return decodeErr
 }
 
 // CreateIndex builds a secondary index over column col, indexing existing
@@ -281,67 +297,11 @@ func (t *Table) CreateIndex(col string) error {
 	idx := storage.NewBTree()
 	t.indexes[name] = idx
 	t.mu.Unlock()
-	return t.Scan(func(row types.RowID, tu types.Tuple) bool {
+	t.Scan(func(row types.RowID, tu types.Tuple) bool {
 		idx.Insert(storage.EncodeKey(nil, tu[ci]), uint64(row))
 		return true
 	})
-}
-
-// HeapPages returns the ids of the heap pages backing the table, in heap
-// order — the scrubber's sweep list.
-func (t *Table) HeapPages() []storage.PageID {
-	return t.heap.Pages()
-}
-
-// VerifyPage checks heap page pid: the page's structural invariants, then
-// for up to sample live records (sample <= 0 checks all) that the record
-// decodes, that the row-id map points back at exactly this record, and
-// that every secondary index contains the row under its key — the
-// heap↔index agreement half of the scrub contract.
-func (t *Table) VerifyPage(pid storage.PageID, sample int) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.heap.ViewPage(pid, func(pg *storage.Page) error {
-		if err := pg.Verify(); err != nil {
-			return err
-		}
-		checked := 0
-		var verr error
-		rerr := pg.Records(func(slot uint16, data []byte) bool {
-			if sample > 0 && checked >= sample {
-				return false
-			}
-			checked++
-			row, tu, err := decodeRow(data)
-			if err != nil {
-				verr = fmt.Errorf("catalog: table %s page %d slot %d: %w", t.name, pid, slot, err)
-				return false
-			}
-			if rid, ok := t.byRow[row]; !ok || rid != (storage.RID{Page: pid, Slot: slot}) {
-				verr = fmt.Errorf("catalog: table %s page %d slot %d: row %d not mapped to this record", t.name, pid, slot, row)
-				return false
-			}
-			for col, idx := range t.indexes {
-				ci, _ := t.schema.ColumnIndex(col)
-				found := false
-				for _, v := range idx.Seek(storage.EncodeKey(nil, tu[ci])) {
-					if v == uint64(row) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					verr = fmt.Errorf("catalog: index %s.%s missing row %d", t.name, col, row)
-					return false
-				}
-			}
-			return true
-		})
-		if rerr != nil {
-			return rerr
-		}
-		return verr
-	})
+	return nil
 }
 
 // VerifyIndexes checks every secondary index's structural invariants (key
@@ -362,7 +322,7 @@ func (t *Table) VerifyIndexes() error {
 	return nil
 }
 
-// RebuildIndex rebuilds the secondary index on col from the heap and swaps
+// RebuildIndex rebuilds the secondary index on col from the rows and swaps
 // it in — the repair for a corrupt or disagreeing index. The caller must
 // hold the engine statement lock exclusively so no DML races the rebuild
 // scan (the same discipline CreateIndex relies on).
@@ -379,12 +339,10 @@ func (t *Table) RebuildIndex(col string) error {
 		return err
 	}
 	idx := storage.NewBTree()
-	if err := t.Scan(func(row types.RowID, tu types.Tuple) bool {
+	t.Scan(func(row types.RowID, tu types.Tuple) bool {
 		idx.Insert(storage.EncodeKey(nil, tu[ci]), uint64(row))
 		return true
-	}); err != nil {
-		return err
-	}
+	})
 	t.mu.Lock()
 	t.indexes[name] = idx
 	t.mu.Unlock()
@@ -449,19 +407,18 @@ func (t *Table) LookupByIndexRange(col string, lo, hi *types.Value, loInc, hiInc
 }
 
 // TableStats are the cardinality statistics the planner's cost model reads:
-// live row count and heap page count. Both are maintained exactly (not
-// sampled), so estimates for full scans are precise; index estimates come
-// from capped B+tree dives (EstimateIndexEquality / EstimateIndexRange).
+// the live row count, maintained exactly (not sampled), so estimates for
+// full scans are precise; index estimates come from capped B+tree dives
+// (EstimateIndexEquality / EstimateIndexRange).
 type TableStats struct {
-	Rows  int
-	Pages int
+	Rows int
 }
 
 // Stats returns the table's current cardinality statistics.
 func (t *Table) Stats() TableStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return TableStats{Rows: len(t.byRow), Pages: t.heap.NumPages()}
+	return TableStats{Rows: len(t.byRow)}
 }
 
 // EstimateIndexEquality estimates the number of rows whose col equals v by

@@ -105,17 +105,21 @@ type annotateItem struct {
 
 // annotate is annotation ingest; one annotation is a batch of one. Every
 // item is resolved against the catalog first — a bad table, column or
-// predicate, or a scope matching no tuple, fails the batch before anything
-// has mutated. Then ids and timestamps are assigned, the raw annotations
-// stored, their summary maintenance routed as one batch (see maintain),
-// and one WAL record logged carrying the resolved annotations — id,
-// timestamp, matched rows — so replay never re-evaluates a WHERE clause.
+// predicate, a scope matching no tuple, or a record too large for a page
+// fails the batch before anything has mutated. Then ids and timestamps
+// are assigned, the raw annotations stored, their summary maintenance
+// routed as one batch (see maintain), and one WAL record logged carrying
+// the resolved annotations — id, timestamp, matched rows — so replay
+// never re-evaluates a WHERE clause.
 // Callers are inside the commit shell.
 func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
 	tasks := make([]maintTask, len(items))
 	for i, it := range items {
 		if len(it.specs) == 0 {
 			return nil, 0, fmt.Errorf("engine: annotation needs at least one target")
+		}
+		if err := annotation.CheckSize(it.ann); err != nil {
+			return nil, 0, err
 		}
 		tasks[i].ann = it.ann
 		for _, spec := range it.specs {
@@ -194,7 +198,7 @@ func resolveColumns(schema types.Schema, names []string) (annotation.ColSet, err
 // nil), in ascending row-id order. The access path is cost-based: when an
 // indexed conjunct's estimated cost undercuts the full scan, candidates
 // come from the index and the full predicate is re-evaluated per
-// candidate; otherwise the heap is scanned. Callers hold the exclusive
+// candidate; otherwise the table is scanned. Callers hold the exclusive
 // statement lock (UPDATE, DELETE, ANNOTATE all mutate), so the decision
 // is recorded on a stmt.plan span under db.writeSpan when one is active.
 func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]types.RowID, error) {
@@ -245,7 +249,7 @@ func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]types.RowID, erro
 				rows = append(rows, row)
 			}
 		}
-		// Heap scans yield ascending row ids; index candidates arrive in key
+		// Full scans yield ascending row ids; index candidates arrive in key
 		// order. Sort so downstream effects (WAL records, messages) are
 		// identical whichever path won.
 		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
@@ -254,7 +258,7 @@ func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]types.RowID, erro
 
 	var rows []types.RowID
 	var evalErr error
-	err := tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
+	tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
 		if pred != nil {
 			v, err := pred.Eval(tu)
 			if err != nil {
@@ -268,9 +272,6 @@ func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]types.RowID, erro
 		rows = append(rows, row)
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
 	if evalErr != nil {
 		return nil, evalErr
 	}

@@ -106,8 +106,8 @@ func OpenDurable(cfg Config, opts DurabilityOptions) (*DB, RecoveryInfo, error) 
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, info, err
 	}
-	// Durable databases page through a file-backed store in the data
-	// directory by default, so heap pages are not bound by RAM. The file is
+	// Durable databases page annotation text through a file-backed store in
+	// the data directory by default, so it is not bound by RAM. The file is
 	// recreated on open (see Config.PageFile); only the snapshot and WAL
 	// carry recovery state.
 	if cfg.PageFile == "" {

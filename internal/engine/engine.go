@@ -39,12 +39,13 @@ const DefaultTraceSample = 0.05
 // Config tunes a DB instance. The zero value plus defaults gives an
 // in-memory engine with a temp-dir zoom-in cache.
 type Config struct {
-	// PoolFrames is the buffer-pool capacity in 8 KiB frames (default 256).
+	// PoolFrames is the capacity, in 8 KiB frames, of the buffer pool over
+	// the raw annotation text (default 256). Table rows are not paged: they
+	// live in memory.
 	PoolFrames int
 	// PageFile, when set, backs the buffer pool with a file-based page
-	// store at this path instead of the in-memory store, so heap pages
-	// (table rows, annotation text) spill to disk when the working set
-	// outgrows PoolFrames. The file is a paging layer, not a recovery
+	// store at this path instead of the in-memory store, so annotation-text
+	// pages spill to disk when they outgrow PoolFrames. The file is a paging layer, not a recovery
 	// source — Open truncates any existing file; the WAL and checkpoint
 	// remain the durable source of truth. OpenDurable defaults it
 	// to <dir>/pages.db.
@@ -104,9 +105,10 @@ type Config struct {
 	// spans are collected and SHOW TRACES reports tracing disabled.
 	DisableTracing bool
 	// ScrubInterval, when positive, starts the background integrity
-	// scrubber: every interval it sweeps all heap pages through checksum
-	// and structural verification and repairs (or quarantines) what it
-	// finds. Zero leaves only the synchronous paths (CHECK TABLE, ScrubNow).
+	// scrubber: every interval it sweeps all annotation pages through
+	// checksum and structural verification and repairs (or quarantines)
+	// what it finds, then checks every table's indexes. Zero leaves only
+	// the synchronous paths (CHECK TABLE, ScrubNow).
 	ScrubInterval time.Duration
 	// ScrubRate caps the background sweep at this many pages per second
 	// (default DefaultScrubRate). Synchronous checks are never throttled.
@@ -265,7 +267,7 @@ func Open(cfg Config) (*DB, error) {
 		cfg:      cfg,
 		pool:     pool,
 		store:    store,
-		cat:      catalog.New(pool),
+		cat:      catalog.New(),
 		anns:     annotation.NewStore(pool),
 		envs:     newEnvStore(),
 		cache:    cache,

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"insightnotes/internal/annotation"
 	"insightnotes/internal/catalog"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/storage"
@@ -12,19 +13,21 @@ import (
 	"insightnotes/internal/types"
 )
 
-// Online integrity: the background scrubber sweeps every heap page — table
-// rows and annotation text — through checksum and structural verification.
-// A page whose stored copy is bad but whose buffer-pool frame survives is
-// reflushed from that frame. Any other bad page is quarantined: reads fail
-// fast with the structured corruption error (the server sheds them with
-// code CORRUPT) instead of serving garbage, and CHECKPOINT refuses, until
-// a restart rebuilds the page file from the checkpoint and WAL. Secondary
-// indexes are rebuilt from their table's heap. CHECK TABLE runs the same
-// sweep synchronously for one table; SHOW INTEGRITY surfaces the
-// cumulative report.
+// Online integrity: the background scrubber sweeps every page of the page
+// file — which holds the raw annotation text and nothing else — through
+// checksum and structural verification. A page whose stored copy is bad
+// but whose buffer-pool frame survives is reflushed from that frame. Any
+// other bad page is quarantined: reads of it (zoom-ins, link backfills,
+// retractions) fail fast with the structured corruption error (the server
+// sheds them with code CORRUPT) instead of serving garbage, and CHECKPOINT
+// refuses, until a restart rebuilds the page file from the checkpoint and
+// WAL. Table rows live in memory and are not swept; each sweep checks
+// every secondary index against its table's rows and rebuilds one that
+// disagrees. CHECK TABLE runs that index check synchronously for one
+// table; SHOW INTEGRITY surfaces the cumulative report.
 
-// scrubSampleRows caps the per-page sampled heap↔index (and heap↔store)
-// agreement checks, bounding structural verification cost per page.
+// scrubSampleRows caps the per-page sampled page↔store agreement checks,
+// bounding structural verification cost per page.
 const scrubSampleRows = 8
 
 // DefaultScrubRate is the background sweep's page-per-second budget when
@@ -34,27 +37,9 @@ const DefaultScrubRate = 256
 // integrityFaultRing bounds the recent-fault list kept for SHOW INTEGRITY.
 const integrityFaultRing = 64
 
-// ownerKind names the store a heap page belongs to; each owner has its own
-// structural verification (see verifyScrubTargetLocked).
-type ownerKind int
-
-const (
-	ownerTable ownerKind = iota // table heap: rows live only here
-	ownerAnn                    // annotation heap: raw text lives only here
-)
-
-type scrubTarget struct {
-	pid   storage.PageID
-	kind  ownerKind
-	table string // ownerTable only
-}
-
-func (t scrubTarget) ownerName() string {
-	if t.kind == ownerTable {
-		return "table:" + t.table
-	}
-	return "annotations"
-}
+// annotationsOwner is the owner of every page fault: the annotation heap
+// is the page file's only tenant.
+const annotationsOwner = "annotations"
 
 // IntegrityFault records one page (or index) a sweep found corrupt and
 // what became of it.
@@ -63,7 +48,7 @@ type IntegrityFault struct {
 	Owner    string
 	Detail   string
 	Repaired bool
-	Source   string // "flush" (heap pages) or "rebuild" (indexes); empty when unrepaired
+	Source   string // "flush" (annotation pages) or "rebuild" (indexes); empty when unrepaired
 }
 
 // IntegrityReport is the scrubber's cumulative state, surfaced by
@@ -119,23 +104,6 @@ func (db *DB) FlushPages() error {
 	return nil
 }
 
-// HeapPageInventory returns every heap page id grouped by owner name
-// ("table:<name>", "annotations") — the page set the scrubber sweeps,
-// exposed for integrity tooling and the chaos soak.
-func (db *DB) HeapPageInventory() (map[string][]storage.PageID, error) {
-	db.stmtMu.RLock()
-	defer db.stmtMu.RUnlock()
-	inv, _, err := db.scrubInventoryLocked("")
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]storage.PageID)
-	for _, t := range inv {
-		out[t.ownerName()] = append(out[t.ownerName()], t.pid)
-	}
-	return out, nil
-}
-
 // IntegrityReport returns the scrubber's cumulative state.
 func (db *DB) IntegrityReport() IntegrityReport {
 	st := &db.integrity
@@ -155,26 +123,32 @@ func (db *DB) IntegrityReport() IntegrityReport {
 
 // ScrubNow runs one full synchronous sweep (verify + repair, unthrottled)
 // and returns the report including the faults of this sweep.
-func (db *DB) ScrubNow() (IntegrityReport, error) {
+func (db *DB) ScrubNow() IntegrityReport {
 	lc := db.tracer.Start("SCRUB")
-	faults, err := db.scrubSweep(lc, "", 0, nil)
-	lc.Finish("scrub", err)
-	if err != nil {
-		return IntegrityReport{}, err
-	}
+	faults := db.scrubSweep(lc, 0, nil)
+	lc.Finish("scrub", nil)
 	rep := db.IntegrityReport()
 	rep.Faults = faults
-	return rep, nil
+	return rep
 }
 
-// CheckTable synchronously verifies every heap page and every secondary
-// index of one table, repairing what it can; the returned report's Faults
-// are this check's findings only. lc may be nil (untraced).
+// CheckTable synchronously verifies every secondary index of one table
+// against its rows, rebuilding one that disagrees; the returned report's
+// Faults are this check's findings only. Page faults are the scrubber's:
+// ScrubNow and SHOW INTEGRITY report them. lc may be nil (untraced).
 func (db *DB) CheckTable(name string, lc *trace.Active) (IntegrityReport, error) {
-	faults, err := db.scrubSweep(lc, name, 0, nil)
+	db.stmtMu.RLock()
+	tbl, err := db.catStore().Table(name)
+	db.stmtMu.RUnlock()
 	if err != nil {
 		return IntegrityReport{}, err
 	}
+	ssp := lc.StartSpan(trace.SpanScrubSweep, nil)
+	ssp.Attr("table", tbl.Name())
+	faults := db.sweepIndexes(lc, []string{tbl.Name()})
+	ssp.AttrInt("faults", int64(len(faults)))
+	ssp.End()
+	db.integrity.recordSweep(time.Now(), faults)
 	rep := db.IntegrityReport()
 	rep.Faults = faults
 	return rep, nil
@@ -182,30 +156,27 @@ func (db *DB) CheckTable(name string, lc *trace.Active) (IntegrityReport, error)
 
 // ---- sweep ----
 
-// scrubFault is a sweep-internal fault: the target and the verification
+// scrubFault is a sweep-internal fault: the page and the verification
 // error, which is nil for a page quarantined before this sweep (reported
 // again, not re-counted as a new failure).
 type scrubFault struct {
-	target scrubTarget
-	err    error
+	pid storage.PageID
+	err error
 }
 
-// scrubSweep runs one verification pass over the page inventory (filter
-// restricts it to one table; "" sweeps everything) followed by a repair
-// pass over what it found, plus any still-quarantined pages from earlier
-// sweeps. rate caps verified pages per second (<=0 = unthrottled); stop
-// aborts between batches. It acquires the statement lock internally —
-// callers must not hold it.
-func (db *DB) scrubSweep(lc *trace.Active, filter string, rate int, stop <-chan struct{}) ([]IntegrityFault, error) {
+// scrubSweep runs one verification pass over the annotation pages
+// followed by a repair pass over what it found, plus any still-quarantined
+// pages from earlier sweeps, then checks and repairs every table's
+// indexes. rate caps verified pages per second (<=0 = unthrottled); stop
+// aborts between batches, returning nothing. It acquires the statement
+// lock internally — callers must not hold it.
+func (db *DB) scrubSweep(lc *trace.Active, rate int, stop <-chan struct{}) []IntegrityFault {
 	ssp := lc.StartSpan(trace.SpanScrubSweep, nil)
 	defer ssp.End()
 
 	db.stmtMu.RLock()
-	inv, tables, err := db.scrubInventoryLocked(filter)
+	pages := db.annStore().Pages()
 	db.stmtMu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
 
 	quarantined := make(map[storage.PageID]bool)
 	for _, pid := range db.pool.Quarantined() {
@@ -214,143 +185,100 @@ func (db *DB) scrubSweep(lc *trace.Active, filter string, rate int, stop <-chan 
 
 	var faults []scrubFault
 	var scanned uint64
-	batch := len(inv)
+	batch := len(pages)
 	if rate > 0 && rate < batch {
 		batch = rate
 	}
-	for idx := 0; idx < len(inv); idx += batch {
-		end := idx + batch
-		if end > len(inv) {
-			end = len(inv)
-		}
+	for idx := 0; idx < len(pages); idx += batch {
+		end := min(idx+batch, len(pages))
 		db.stmtMu.RLock()
-		// Re-resolve ownership: tables can be dropped and heaps reshaped
-		// between batches of a throttled sweep; stale targets are skipped,
-		// not faulted.
-		cur, _, ierr := db.scrubInventoryLocked(filter)
-		if ierr != nil {
-			db.stmtMu.RUnlock()
-			return nil, ierr
+		// Re-resolve ownership: a replica resync replaces the annotation
+		// store between batches of a throttled sweep; stale pages are
+		// skipped, not faulted.
+		anns := db.annStore()
+		owned := make(map[storage.PageID]bool)
+		for _, pid := range anns.Pages() {
+			owned[pid] = true
 		}
-		owned := make(map[storage.PageID]bool, len(cur))
-		for _, t := range cur {
-			owned[t.pid] = true
-		}
-		for _, t := range inv[idx:end] {
-			if !owned[t.pid] {
-				continue
-			}
-			if quarantined[t.pid] {
-				// Already known corrupt: goes straight to the repair pass.
+		for _, pid := range pages[idx:end] {
+			if !owned[pid] || quarantined[pid] {
+				// Stale, or already known corrupt: the latter goes straight
+				// to the repair pass.
 				continue
 			}
 			scanned++
-			if verr := db.verifyScrubTargetLocked(t); verr != nil {
-				faults = append(faults, scrubFault{target: t, err: verr})
+			if verr := db.verifyPageLocked(anns, pid); verr != nil {
+				faults = append(faults, scrubFault{pid: pid, err: verr})
 			}
 		}
 		db.stmtMu.RUnlock()
-		if rate > 0 && end < len(inv) {
+		if rate > 0 && end < len(pages) {
 			select {
 			case <-stop:
-				return nil, nil
+				return nil
 			case <-time.After(time.Second):
 			}
 		}
 	}
 
-	// Secondary indexes are memory-resident: verify their internal
-	// ordering/fencing and their agreement with the heap's row count.
-	var indexFaults []IntegrityFault
+	db.integrity.scanned.Add(scanned)
+	db.integrity.failures.Add(uint64(len(faults)))
+	// Report pages quarantined by earlier sweeps (or by read-path fetch
+	// failures) again, so a sweep never reads clean while one remains.
+	for _, pid := range pages {
+		if quarantined[pid] {
+			faults = append(faults, scrubFault{pid: pid})
+			delete(quarantined, pid)
+		}
+	}
+	report := db.repairFaults(lc, faults)
+
+	db.stmtMu.RLock()
+	tables := db.catStore().TableNames()
+	db.stmtMu.RUnlock()
+	report = append(report, db.sweepIndexes(lc, tables)...)
+
+	ssp.AttrInt("pages", int64(scanned))
+	ssp.AttrInt("faults", int64(len(report)))
+	db.integrity.recordSweep(time.Now(), report)
+	return report
+}
+
+// verifyPageLocked checks one annotation page: the stored copy's CRC
+// (direct store read, bypassing the cache), then the page's structure and
+// its agreement with the store's id index through the pool. Callers hold
+// the statement lock (shared suffices: writers are excluded).
+func (db *DB) verifyPageLocked(anns *annotation.Store, pid storage.PageID) error {
+	if err := db.pool.VerifyStored(pid); err != nil {
+		return err
+	}
+	return anns.VerifyAnnPage(pid, scrubSampleRows)
+}
+
+// sweepIndexes verifies the secondary indexes of the named tables —
+// memory-resident, so their internal ordering and fencing and their
+// agreement with the table's row count — and rebuilds those that fail,
+// returning one fault per table with a bad index.
+func (db *DB) sweepIndexes(lc *trace.Active, tables []string) []IntegrityFault {
+	var faults []IntegrityFault
+	var bad []string
 	db.stmtMu.RLock()
 	cat := db.catStore()
-	var badIndexTables []string
 	for _, name := range tables {
-		tbl, terr := cat.Table(name)
-		if terr != nil {
-			continue
+		tbl, err := cat.Table(name)
+		if err != nil {
+			continue // dropped mid-sweep
 		}
 		if verr := tbl.VerifyIndexes(); verr != nil {
-			badIndexTables = append(badIndexTables, name)
-			indexFaults = append(indexFaults, IntegrityFault{
+			bad = append(bad, name)
+			faults = append(faults, IntegrityFault{
 				Page: storage.InvalidPageID, Owner: "index:" + name, Detail: verr.Error(),
 			})
 		}
 	}
 	db.stmtMu.RUnlock()
-
-	db.integrity.scanned.Add(scanned)
-	db.integrity.failures.Add(uint64(len(faults) + len(indexFaults)))
-	// Report pages quarantined by earlier sweeps (or by read-path fetch
-	// failures) again, so a check never reads clean while one remains.
-	for _, t := range inv {
-		if quarantined[t.pid] {
-			faults = append(faults, scrubFault{target: t})
-			delete(quarantined, t.pid)
-		}
-	}
-
-	report := db.repairFaults(lc, faults)
-	report = append(report, db.repairIndexes(lc, badIndexTables, indexFaults)...)
-
-	ssp.AttrInt("pages", int64(scanned))
-	ssp.AttrInt("faults", int64(len(report)))
-	if filter != "" {
-		ssp.Attr("table", filter)
-	}
-	db.integrity.recordSweep(time.Now(), report)
-	return report, nil
-}
-
-// scrubInventoryLocked enumerates every heap page with its owner, plus the
-// table names whose indexes the sweep should verify. Callers hold the
-// shared statement lock.
-func (db *DB) scrubInventoryLocked(filter string) ([]scrubTarget, []string, error) {
-	cat := db.catStore()
-	var targets []scrubTarget
-	var tables []string
-	if filter != "" {
-		tbl, err := cat.Table(filter)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, pid := range tbl.HeapPages() {
-			targets = append(targets, scrubTarget{pid: pid, kind: ownerTable, table: tbl.Name()})
-		}
-		return targets, []string{tbl.Name()}, nil
-	}
-	for _, name := range cat.TableNames() {
-		tbl, err := cat.Table(name)
-		if err != nil {
-			continue
-		}
-		tables = append(tables, name)
-		for _, pid := range tbl.HeapPages() {
-			targets = append(targets, scrubTarget{pid: pid, kind: ownerTable, table: name})
-		}
-	}
-	for _, pid := range db.annStore().Pages() {
-		targets = append(targets, scrubTarget{pid: pid, kind: ownerAnn})
-	}
-	return targets, tables, nil
-}
-
-// verifyScrubTargetLocked checks one page: the stored copy's CRC (direct
-// store read, bypassing the cache), then the owner's structural and
-// cross-store invariants through the pool. Callers hold the statement
-// lock (shared suffices: writers are excluded).
-func (db *DB) verifyScrubTargetLocked(t scrubTarget) error {
-	if err := db.pool.VerifyStored(t.pid); err != nil {
-		return err
-	}
-	if t.kind == ownerAnn {
-		return db.annStore().VerifyAnnPage(t.pid, scrubSampleRows)
-	}
-	tbl, err := db.catStore().Table(t.table)
-	if err != nil {
-		return nil // dropped mid-sweep
-	}
-	return tbl.VerifyPage(t.pid, scrubSampleRows)
+	db.integrity.failures.Add(uint64(len(faults)))
+	return db.repairIndexes(lc, bad, faults)
 }
 
 // ---- repair ----
@@ -366,18 +294,18 @@ func (db *DB) repairFaults(lc *trace.Active, faults []scrubFault) []IntegrityFau
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
 	for i, f := range faults {
-		out[i] = IntegrityFault{Page: f.target.pid, Owner: f.target.ownerName(), Detail: "found corrupt by an earlier sweep"}
+		out[i] = IntegrityFault{Page: f.pid, Owner: annotationsOwner, Detail: "found corrupt by an earlier sweep"}
 		if f.err != nil {
 			out[i].Detail = f.err.Error()
 		}
-		if db.reflushLocked(lc, f.target) {
+		if db.reflushLocked(lc, f.pid) {
 			out[i].Repaired = true
 			out[i].Source = "flush"
 			db.integrity.repairs.Add(1)
 			continue
 		}
 		if f.err != nil {
-			db.pool.Quarantine(f.target.pid, f.err)
+			db.pool.Quarantine(f.pid, f.err)
 		}
 		out[i].Detail += "; quarantined until restart"
 	}
@@ -388,13 +316,13 @@ func (db *DB) repairFaults(lc *trace.Active, faults []scrubFault) []IntegrityFau
 // stored copy is bad but a good frame survives in the pool — and reports
 // whether the page now verifies clean. Callers hold the exclusive
 // statement lock.
-func (db *DB) reflushLocked(lc *trace.Active, t scrubTarget) bool {
+func (db *DB) reflushLocked(lc *trace.Active, pid storage.PageID) bool {
 	rsp := lc.StartSpan(trace.SpanScrubRepair, nil)
-	rsp.AttrInt("page", int64(t.pid))
-	rsp.Attr("owner", t.ownerName())
+	rsp.AttrInt("page", int64(pid))
+	rsp.Attr("owner", annotationsOwner)
 	defer rsp.End()
-	if ok, err := db.pool.FlushResident(t.pid); err == nil && ok {
-		if db.verifyScrubTargetLocked(t) == nil {
+	if ok, err := db.pool.FlushResident(pid); err == nil && ok {
+		if db.verifyPageLocked(db.annStore(), pid) == nil {
 			rsp.Attr("source", "flush")
 			return true
 		}
@@ -404,7 +332,7 @@ func (db *DB) reflushLocked(lc *trace.Active, t scrubTarget) bool {
 }
 
 // repairIndexes rebuilds every secondary index of the named tables from
-// their heaps and re-verifies, annotating the given fault records.
+// their rows and re-verifies, annotating the given fault records.
 func (db *DB) repairIndexes(lc *trace.Active, tables []string, faults []IntegrityFault) []IntegrityFault {
 	if len(tables) == 0 {
 		return faults
@@ -514,8 +442,8 @@ func (s *scrubber) run() {
 			return
 		case <-ticker.C:
 			lc := s.db.tracer.Start("SCRUB")
-			_, err := s.db.scrubSweep(lc, "", s.rate, s.stop)
-			lc.Finish("scrub", err)
+			s.db.scrubSweep(lc, s.rate, s.stop)
+			lc.Finish("scrub", nil)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,9 @@ import (
 )
 
 // integrityDB opens a file-backed engine with a populated, indexed table
-// and returns it with its page-file path.
+// whose rows carry enough annotation text to span several pages, under a
+// linked classifier so zoom-ins read it back, and returns it with its
+// page-file path.
 func integrityDB(t *testing.T, extra ...func(*Config)) (*DB, string) {
 	t.Helper()
 	pf := filepath.Join(t.TempDir(), "pages.db")
@@ -28,12 +31,38 @@ func integrityDB(t *testing.T, extra ...func(*Config)) (*DB, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	seedIntegrity(t, db)
+	return db, pf
+}
+
+// seedIntegrity creates kv(k, v) with 200 rows, an index on k, a
+// classifier C linked to kv, and one annotation of label 1 on each of the
+// first 60 rows.
+func seedIntegrity(t *testing.T, db *DB) {
+	t.Helper()
 	mustExec(t, db, "CREATE TABLE kv (k INT, v TEXT)")
 	mustExec(t, db, "CREATE INDEX ON kv (k)")
 	for i := 0; i < 200; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'value-%d')", i, i))
 	}
-	return db, pf
+	mustExec(t, db, "CREATE SUMMARY INSTANCE C TYPE Classifier LABELS ('x', 'y')")
+	mustExec(t, db, "TRAIN SUMMARY C ('alpha text', 'x'), ('beta text', 'y')")
+	mustExec(t, db, "LINK SUMMARY C TO kv")
+	pad := strings.Repeat("alpha ", 60)
+	for i := 0; i < 60; i++ {
+		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'alpha note %d %s' ON kv WHERE k = %d", i, pad, i))
+	}
+}
+
+// zoomRow runs a SELECT of row k of kv and zooms into label 1 of C on it.
+func zoomRow(t *testing.T, db *DB, k int) ([]ZoomRowResult, error) {
+	t.Helper()
+	res, err := db.Query(context.Background(), fmt.Sprintf("SELECT v FROM kv WHERE k = %d", k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := db.ZoomIn(context.Background(), ZoomInRequest{QID: res.QID, Instance: "C", Index: 1})
+	return out, err
 }
 
 // flipOnDisk flips one payload byte of page pid in the page file. The
@@ -56,35 +85,29 @@ func flipOnDisk(t *testing.T, path string, pid storage.PageID) {
 	}
 }
 
-// tableHeapPage returns one heap page id of the named table.
-func tableHeapPage(t *testing.T, db *DB, name string) storage.PageID {
+// annotationPage returns the first annotation page, which holds the
+// annotations of the first rows of kv.
+func annotationPage(t *testing.T, db *DB) storage.PageID {
 	t.Helper()
-	tbl, err := db.catStore().Table(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pages := tbl.HeapPages()
-	if len(pages) == 0 {
-		t.Fatal("table has no heap pages")
+	pages := db.Annotations().Pages()
+	if len(pages) < 2 {
+		t.Fatalf("annotation text spans %d page(s), want several", len(pages))
 	}
 	return pages[0]
 }
 
-// TestScrubRepairsFromResidentFrame corrupts the stored copy of a heap
-// page while a clean frame survives in the pool: the cheapest repair rung
+// TestScrubRepairsFromResidentFrame corrupts the stored copy of an
+// annotation page while a clean frame survives in the pool: the cheapest repair rung
 // (reflush) must heal it without any replica.
 func TestScrubRepairsFromResidentFrame(t *testing.T) {
 	db, pf := integrityDB(t)
 	if err := db.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	pid := tableHeapPage(t, db, "kv")
+	pid := annotationPage(t, db)
 	flipOnDisk(t, pf, pid)
 
-	rep, err := db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := db.ScrubNow()
 	if len(rep.Faults) != 1 {
 		t.Fatalf("faults = %+v, want exactly one", rep.Faults)
 	}
@@ -99,47 +122,38 @@ func TestScrubRepairsFromResidentFrame(t *testing.T) {
 		t.Fatalf("quarantined = %v, want none", rep.Quarantined)
 	}
 	// The next sweep is clean.
-	rep2, err := db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := db.ScrubNow()
 	if len(rep2.Faults) != 0 {
 		t.Fatalf("second sweep faults = %+v", rep2.Faults)
 	}
 }
 
-// TestScrubStandaloneQuarantinesAndSheds corrupts a table heap page with
-// no clean local copy: the sweep must quarantine it (reads shed with the
-// structured corruption error, not garbage), and every later sweep must
-// report it again as unrepaired without counting a new checksum failure.
+// TestScrubStandaloneQuarantinesAndSheds corrupts an annotation page with
+// no clean local copy: the sweep must quarantine it (a zoom-in over it
+// sheds with the structured corruption error, not garbage), and every
+// later sweep must report it again as unrepaired without counting a new
+// checksum failure.
 func TestScrubStandaloneQuarantinesAndSheds(t *testing.T) {
 	db, pf := integrityDB(t)
 	if err := db.FlushPages(); err != nil {
 		t.Fatal(err)
 	}
-	pid := tableHeapPage(t, db, "kv")
+	pid := annotationPage(t, db)
 	flipOnDisk(t, pf, pid)
 
-	rep, err := db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := db.ScrubNow()
 	if len(rep.Faults) != 1 || rep.Faults[0].Repaired {
 		t.Fatalf("faults = %+v, want one unrepaired", rep.Faults)
 	}
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != pid {
 		t.Fatalf("quarantined = %v, want [%d]", rep.Quarantined, pid)
 	}
-	// Reads of the poisoned table shed with the structured error.
-	_, qerr := db.Query(context.Background(), "SELECT v FROM kv WHERE k = 3")
-	if qerr == nil || !errors.Is(qerr, storage.ErrCorrupt) {
-		t.Fatalf("query over quarantined page = %v, want ErrCorrupt", qerr)
+	// A zoom-in over the poisoned text sheds with the structured error.
+	if _, zerr := zoomRow(t, db, 3); !errors.Is(zerr, storage.ErrCorrupt) {
+		t.Fatalf("zoom-in over quarantined page = %v, want ErrCorrupt", zerr)
 	}
 
-	rep2, err := db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := db.ScrubNow()
 	if len(rep2.Faults) != 1 || rep2.Faults[0].Page != pid || rep2.Faults[0].Repaired {
 		t.Fatalf("second sweep faults = %+v, want page %d unrepaired", rep2.Faults, pid)
 	}
@@ -149,10 +163,11 @@ func TestScrubStandaloneQuarantinesAndSheds(t *testing.T) {
 	}
 }
 
-// TestQuarantinedPageRecoversOnRestart corrupts the page holding a row
-// updated after the last checkpoint. The page is quarantined, CHECK TABLE
-// never reads clean, reads and CHECKPOINT refuse, and a restart rebuilds
-// the page file from the checkpoint and WAL with the committed update.
+// TestQuarantinedPageRecoversOnRestart corrupts the page holding an
+// annotation added after the last checkpoint. The page is quarantined,
+// SHOW INTEGRITY never reads clean, zoom-ins and CHECKPOINT refuse, and a
+// restart rebuilds the page file from the checkpoint and WAL with the
+// committed annotation.
 func TestQuarantinedPageRecoversOnRestart(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -162,13 +177,9 @@ func TestQuarantinedPageRecoversOnRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	mustExec(t, db, "CREATE TABLE kv (k INT, v TEXT)")
-	mustExec(t, db, "CREATE INDEX ON kv (k)")
-	for i := 0; i < 200; i++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'value-%d')", i, i))
-	}
+	seedIntegrity(t, db)
 	mustExec(t, db, "CHECKPOINT")
-	mustExec(t, db, "UPDATE kv SET v = 'committed-later' WHERE k = 3")
+	mustExec(t, db, "ADD ANNOTATION 'alpha committed-later' ON kv WHERE k = 150")
 	if err := db.FlushPages(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,27 +190,27 @@ func TestQuarantinedPageRecoversOnRestart(t *testing.T) {
 	}
 	off := bytes.Index(raw, []byte("committed-later"))
 	if off < 0 {
-		t.Fatal("updated row not in the page file")
+		t.Fatal("new annotation not in the page file")
 	}
 	pid := storage.PageID(off / storage.PageSize)
 	flipOnDisk(t, pf, pid)
 
-	rep, err := db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := db.ScrubNow()
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != pid {
 		t.Fatalf("quarantined = %v, want [%d]", rep.Quarantined, pid)
 	}
-	res := mustExec(t, db, "CHECK TABLE kv")
+	res := mustExec(t, db, "SHOW INTEGRITY")
 	if len(res.Rows) != 1 {
-		t.Fatalf("CHECK TABLE over quarantined page returned %d rows", len(res.Rows))
+		t.Fatalf("SHOW INTEGRITY over a quarantined page returned %d rows", len(res.Rows))
 	}
-	if row := res.Rows[0].Tuple; row[0].Int() != int64(pid) || row[3].Bool() {
-		t.Fatalf("fault row = %+v, want page %d unrepaired", row, pid)
+	if row := res.Rows[0].Tuple; row[0].Int() != int64(pid) || row[1].Str() != "annotations" || row[3].Bool() {
+		t.Fatalf("fault row = %+v, want annotation page %d unrepaired", row, pid)
 	}
-	if _, err := db.Query(ctx, "SELECT v FROM kv WHERE k = 3"); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("read over quarantined page = %v, want ErrCorrupt", err)
+	if !strings.Contains(res.Message, fmt.Sprintf("1 quarantined [%d]", pid)) {
+		t.Fatalf("SHOW INTEGRITY message = %q, want page %d quarantined", res.Message, pid)
+	}
+	if _, err := zoomRow(t, db, 150); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("zoom-in over quarantined page = %v, want ErrCorrupt", err)
 	}
 	snapPath := filepath.Join(dir, snapshotFileName)
 	published, err := os.ReadFile(snapPath)
@@ -220,25 +231,22 @@ func TestQuarantinedPageRecoversOnRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Query(ctx, "SELECT v FROM kv WHERE k = 3")
+	got, err := zoomRow(t, db, 150)
 	if err != nil {
-		t.Fatalf("read after restart: %v", err)
+		t.Fatalf("zoom-in after restart: %v", err)
 	}
-	if len(got.Rows) != 1 || got.Rows[0].Tuple[0].Str() != "committed-later" {
-		t.Fatalf("k = 3 after restart = %+v, want committed-later", got.Rows)
+	if len(got) != 1 || len(got[0].Annotations) != 1 || got[0].Annotations[0].Text != "alpha committed-later" {
+		t.Fatalf("k = 150 zoom-in after restart = %+v, want the committed annotation", got)
 	}
-	rep, err = db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = db.ScrubNow()
 	if len(rep.Faults) != 0 || len(rep.Quarantined) != 0 {
 		t.Fatalf("sweep after restart: faults %+v, quarantined %v", rep.Faults, rep.Quarantined)
 	}
 }
 
-// TestScrubRebuildsDisagreeingIndex injects a heap↔index disagreement (a
+// TestScrubRebuildsDisagreeingIndex injects a row↔index disagreement (a
 // silently dropped index entry) and verifies the sweep detects it and
-// repairs by rebuilding the index from the heap.
+// repairs by rebuilding the index from the rows.
 func TestScrubRebuildsDisagreeingIndex(t *testing.T) {
 	db, _ := integrityDB(t)
 	tbl, err := db.catStore().Table("kv")
@@ -259,10 +267,7 @@ func TestScrubRebuildsDisagreeingIndex(t *testing.T) {
 		idx.Delete(key, vals[0])
 	}
 
-	rep, err := db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := db.ScrubNow()
 	var found *IntegrityFault
 	for i := range rep.Faults {
 		if rep.Faults[i].Owner == "index:kv" {
@@ -283,8 +288,9 @@ func TestScrubRebuildsDisagreeingIndex(t *testing.T) {
 }
 
 // TestCheckTableAndShowIntegritySQL exercises the statement surface:
-// CHECK TABLE runs a synchronous scoped sweep and reports its faults as
-// rows; SHOW INTEGRITY surfaces the cumulative report.
+// CHECK TABLE checks one table's indexes against its rows synchronously
+// and reports its faults as rows; page faults are the scrubber's, and
+// SHOW INTEGRITY surfaces the cumulative report of both.
 func TestCheckTableAndShowIntegritySQL(t *testing.T) {
 	db, pf := integrityDB(t)
 	res := mustExec(t, db, "CHECK TABLE kv")
@@ -295,26 +301,51 @@ func TestCheckTableAndShowIntegritySQL(t *testing.T) {
 		t.Fatal("CHECK TABLE returned no message")
 	}
 
+	// An index that lost an entry is attributed to the table and rebuilt.
+	tbl, err := db.catStore().Table("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := storage.EncodeKey(nil, types.NewInt(42))
+	vals := tbl.Index("k").Seek(key)
+	if len(vals) == 0 {
+		t.Fatal("no index entry for k=42")
+	}
+	tbl.Index("k").Delete(key, vals[0])
+	res = mustExec(t, db, "CHECK TABLE kv")
+	if len(res.Rows) != 1 {
+		t.Fatalf("CHECK TABLE over a disagreeing index returned %d rows", len(res.Rows))
+	}
+	if row := res.Rows[0].Tuple; row[1].Str() != "index:kv" || !row[3].Bool() || row[4].Str() != "rebuild" {
+		t.Fatalf("fault row = %+v, want index:kv rebuilt", row)
+	}
+	if res := mustExec(t, db, "CHECK TABLE kv"); len(res.Rows) != 0 {
+		t.Fatalf("CHECK TABLE after the rebuild returned %d fault rows", len(res.Rows))
+	}
+
+	// A corrupt annotation page is the sweep's to find, not CHECK TABLE's.
 	if err := db.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	pid := tableHeapPage(t, db, "kv")
+	pid := annotationPage(t, db)
 	flipOnDisk(t, pf, pid)
-	res = mustExec(t, db, "CHECK TABLE kv")
-	if len(res.Rows) != 1 {
-		t.Fatalf("CHECK TABLE over corrupt page returned %d rows", len(res.Rows))
+	if res := mustExec(t, db, "CHECK TABLE kv"); len(res.Rows) != 0 {
+		t.Fatalf("CHECK TABLE reported %d page fault(s)", len(res.Rows))
 	}
-	row := res.Rows[0].Tuple
-	if row[0].Int() != int64(pid) || !row[3].Bool() {
-		t.Fatalf("fault row = %+v, want page %d repaired", row, pid)
-	}
-
+	db.ScrubNow()
 	show := mustExec(t, db, "SHOW INTEGRITY")
 	if show.Message == "" {
 		t.Fatal("SHOW INTEGRITY returned no message")
 	}
-	if len(show.Rows) == 0 {
-		t.Fatal("SHOW INTEGRITY shows no recorded faults")
+	owners := map[string]bool{}
+	for _, r := range show.Rows {
+		owners[r.Tuple[1].Str()] = true
+		if r.Tuple[1].Str() == "annotations" && (r.Tuple[0].Int() != int64(pid) || !r.Tuple[3].Bool()) {
+			t.Fatalf("page fault row = %+v, want page %d repaired", r.Tuple, pid)
+		}
+	}
+	if !owners["annotations"] || !owners["index:kv"] {
+		t.Fatalf("SHOW INTEGRITY owners = %v, want the page and the index fault", owners)
 	}
 	// Unknown table errors cleanly.
 	if _, err := db.Exec(context.Background(), "CHECK TABLE nope"); err == nil {
@@ -333,7 +364,7 @@ func TestBackgroundScrubberHeals(t *testing.T) {
 	if err := db.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	pid := tableHeapPage(t, db, "kv")
+	pid := annotationPage(t, db)
 	flipOnDisk(t, pf, pid)
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -358,11 +389,9 @@ func TestIntegrityMetricsExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.pool.DropClean()
-	pid := tableHeapPage(t, db, "kv")
+	pid := annotationPage(t, db)
 	flipOnDisk(t, pf, pid)
-	if _, err := db.ScrubNow(); err != nil {
-		t.Fatal(err)
-	}
+	db.ScrubNow()
 	res := mustExec(t, db, "SHOW METRICS")
 	got := map[string]string{}
 	for _, r := range res.Rows {

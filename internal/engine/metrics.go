@@ -152,9 +152,9 @@ func newDBMetrics(db *DB) *dbMetrics {
 			return float64(n)
 		})
 
-	// Buffer pool: every heap page (table rows, annotation text)
-	// moves through these frames, so hit/miss/eviction rates are the
-	// first-order signal of whether PoolFrames fits the working set.
+	// Buffer pool: every page of annotation text moves through these
+	// frames, so hit/miss/eviction rates are the first-order signal of
+	// whether PoolFrames fits the working set.
 	pool := db.pool
 	reg.CounterFunc(metrics.NameBufferpoolHits, "Buffer-pool pins served from a resident frame.",
 		func() float64 { h, _ := pool.Stats(); return float64(h) })
@@ -165,12 +165,12 @@ func newDBMetrics(db *DB) *dbMetrics {
 
 	// Integrity: scrubber progress from the engine's bookkeeping, plus the
 	// pool's own read-path verification failures and quarantine set.
-	reg.CounterFunc(metrics.NameIntegrityPagesScanned, "Pages verified by scrub sweeps and CHECK TABLE.",
+	reg.CounterFunc(metrics.NameIntegrityPagesScanned, "Pages verified by scrub sweeps.",
 		func() float64 { return float64(db.integrity.scanned.Load()) })
 	reg.CounterFunc(metrics.NameIntegrityChecksumFailures,
 		"Page verification failures: scrub-detected faults plus read-path checksum failures.",
 		func() float64 { return float64(db.integrity.failures.Load() + pool.ReadFailures()) })
-	reg.CounterFunc(metrics.NameIntegrityRepairs, "Repairs: heap pages reflushed from a clean resident frame, indexes rebuilt from their heap.",
+	reg.CounterFunc(metrics.NameIntegrityRepairs, "Repairs: pages reflushed from a clean resident frame, indexes rebuilt from their table's rows.",
 		func() float64 { return float64(db.integrity.repairs.Load()) })
 	reg.GaugeFunc(metrics.NameIntegrityQuarantined, "Pages currently quarantined until a restart rebuilds the page file.",
 		func() float64 { return float64(len(pool.Quarantined())) })

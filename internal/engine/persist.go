@@ -102,7 +102,7 @@ func (db *DB) writeCheckpoint(w io.Writer, lsn uint64) error {
 		}
 		put(walTypeCreateTable, &walCreateTable{Name: name, Columns: tbl.Schema().Columns})
 		rows, size := walRows{Table: name}, 0
-		if err := tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
+		tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
 			rows.Rows = append(rows.Rows, walRow{ID: row, Values: tu})
 			tuple = types.EncodeTuple(tuple[:0], tu)
 			if size += len(tuple) + 10; size >= checkpointChunkBytes {
@@ -110,9 +110,7 @@ func (db *DB) writeCheckpoint(w io.Writer, lsn uint64) error {
 				rows.Rows, size = rows.Rows[:0], 0
 			}
 			return werr == nil
-		}); err != nil {
-			return err
-		}
+		})
 		if len(rows.Rows) > 0 {
 			put(walTypeInsert, &rows)
 		}

@@ -147,14 +147,14 @@ func (db *DB) InstallReplicaSnapshot(raw []byte) (uint64, error) {
 // clearStateLocked discards the full logical state — catalog, annotation
 // and summary stores, registered queries, materialized
 // zoom-in results — leaving a blank database on the same buffer pool and
-// registries, ready for loadCheckpoint. Old heap pages are orphaned in
+// registries, ready for loadCheckpoint. Old annotation pages are orphaned in
 // the page store until the next restart rebuilds it (the page file is an
 // ephemeral paging layer, recreated on open). Callers hold the exclusive
 // statement lock.
 func (db *DB) clearStateLocked() {
 	db.maint.drain()
 	db.mu.Lock()
-	db.cat = catalog.New(db.pool)
+	db.cat = catalog.New()
 	db.anns = annotation.NewStore(db.pool)
 	db.envs = newEnvStore()
 	db.mu.Unlock()

@@ -339,7 +339,7 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
 
-// execCheckTable runs CHECK TABLE and tabulates what the sweep found.
+// execCheckTable runs CHECK TABLE and tabulates what the index check found.
 func (db *DB) execCheckTable(s *sql.CheckTable, so stmtOptions) (*Result, error) {
 	rep, err := db.CheckTable(s.Table, so.lifecycle)
 	if err != nil {
@@ -354,7 +354,7 @@ func (db *DB) execCheckTable(s *sql.CheckTable, so stmtOptions) (*Result, error)
 	return &Result{
 		Schema: integritySchema(),
 		Rows:   integrityRows(rep.Faults),
-		Message: fmt.Sprintf("table %s: %d fault(s), %d repaired, %d quarantined",
+		Message: fmt.Sprintf("table %s: %d fault(s), %d repaired, %d unrepaired",
 			s.Table, len(rep.Faults), repaired, len(rep.Faults)-repaired),
 		Count: len(rep.Faults),
 	}, nil

@@ -54,7 +54,7 @@ var accessPaths = []struct {
 // indexed column — B+tree seek vs full heap scan — at three table sizes.
 // Recorded in EXPERIMENTS.md (E15).
 func BenchmarkStoragePointLookup(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
+	for _, n := range []int{10_000, 100_000} {
 		db := storageBenchDB(b, n)
 		for _, path := range accessPaths {
 			b.Run(fmt.Sprintf("rows=%d/%s", n, path.name), func(b *testing.B) {
@@ -79,7 +79,7 @@ func BenchmarkStoragePointLookup(b *testing.B) {
 // indexed column — B+tree range scan vs full heap scan. Recorded in
 // EXPERIMENTS.md (E15).
 func BenchmarkStorageRangeScan(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
+	for _, n := range []int{10_000, 100_000} {
 		db := storageBenchDB(b, n)
 		for _, path := range accessPaths {
 			b.Run(fmt.Sprintf("rows=%d/%s", n, path.name), func(b *testing.B) {

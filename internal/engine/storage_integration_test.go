@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -16,8 +17,9 @@ import (
 )
 
 // TestPageFileBackedEngine runs a full workload against an engine whose
-// page store is file-backed, with a buffer pool small enough that table
-// heaps and annotation heaps actually page in and out of the file.
+// page store is file-backed, with a buffer pool small enough that the
+// annotation text actually pages in and out of the file. Table rows are
+// not paged: scans and lookups never touch the pool.
 func TestPageFileBackedEngine(t *testing.T) {
 	dir := t.TempDir()
 	pf := filepath.Join(dir, "pages.db")
@@ -31,7 +33,12 @@ func TestPageFileBackedEngine(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'value-%d')", i, i))
 	}
-	mustExec(t, db, "ADD ANNOTATION 'paged out and back in' ON kv WHERE k = 7")
+	pad := strings.Repeat("alpha ", 50)
+	for i := 0; i < 200; i++ {
+		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'alpha note %d %s' ON kv WHERE k = %d", i, pad, i))
+	}
+	mustExec(t, db, "ADD ANNOTATION 'alpha paged out and back in' ON kv WHERE k = 7")
+	hits0, misses0 := db.pool.Stats()
 
 	res, err := db.Query(context.Background(), "SELECT v FROM kv WHERE k = 1234")
 	if err != nil {
@@ -46,6 +53,22 @@ func TestPageFileBackedEngine(t *testing.T) {
 	}
 	if len(res.Rows) != rows {
 		t.Fatalf("full scan returned %d rows, want %d", len(res.Rows), rows)
+	}
+	if hits, misses := db.pool.Stats(); hits != hits0 || misses != misses0 {
+		t.Errorf("SELECTs touched the pool: %d hits, %d misses", hits-hits0, misses-misses0)
+	}
+	// Linking an instance summarizes every stored annotation, reading the
+	// text back through the pool; a zoom-in reads one annotation again.
+	mustExec(t, db, "CREATE SUMMARY INSTANCE C TYPE Classifier LABELS ('x', 'y')")
+	mustExec(t, db, "TRAIN SUMMARY C ('alpha text', 'x'), ('beta text', 'y')")
+	mustExec(t, db, "LINK SUMMARY C TO kv")
+	res = mustExec(t, db, "SELECT v FROM kv WHERE k = 7")
+	zoom, _, err := db.ZoomIn(context.Background(), ZoomInRequest{QID: res.QID, Instance: "C", Index: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(zoom) != 1 || len(zoom[0].Annotations) != 2 || zoom[0].Annotations[1].Text != "alpha paged out and back in" {
+		t.Fatalf("zoom-in on k = 7 = %+v", zoom)
 	}
 
 	// The workload is far bigger than 4 frames: the pool must have missed
@@ -100,7 +123,8 @@ func TestPageFileBackedEngine(t *testing.T) {
 }
 
 // TestDurablePageFileDefault asserts OpenDurable places the page file
-// inside the data directory by default.
+// inside the data directory by default, and that the annotation text is
+// what it holds.
 func TestDurablePageFileDefault(t *testing.T) {
 	dir := t.TempDir()
 	db, _, err := OpenDurable(Config{CacheDir: t.TempDir()}, DurabilityOptions{Dir: dir, AutoCheckpointBytes: -1})
@@ -110,8 +134,16 @@ func TestDurablePageFileDefault(t *testing.T) {
 	defer db.Close()
 	mustExec(t, db, "CREATE TABLE t (id INT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1)")
-	if _, err := os.Stat(filepath.Join(dir, pageFileName)); err != nil {
-		t.Errorf("durable engine did not create %s in the data dir: %v", pageFileName, err)
+	mustExec(t, db, "ADD ANNOTATION 'kept in the page file' ON t")
+	if err := db.FlushPages(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, pageFileName))
+	if err != nil {
+		t.Fatalf("durable engine did not create %s in the data dir: %v", pageFileName, err)
+	}
+	if len(raw) != storage.PageSize || !bytes.Contains(raw, []byte("kept in the page file")) {
+		t.Errorf("%s holds %d bytes; want one page of annotation text", pageFileName, len(raw))
 	}
 }
 
@@ -198,11 +230,10 @@ func TestInstanceIndexThroughUnlinkAndRetract(t *testing.T) {
 	}
 }
 
-// TestHeapPageInventoryHoldsTablesAndAnnotations: summaries and targets
-// live in memory only, so once a table is annotated the heap pages are
-// its rows and the annotation text, and every page the store allocated
-// belongs to one of those heaps.
-func TestHeapPageInventoryHoldsTablesAndAnnotations(t *testing.T) {
+// TestPageStoreHoldsOnlyAnnotationText: rows, summaries and targets live
+// in memory, so every page the store allocated belongs to the annotation
+// heap, the page set the scrubber sweeps.
+func TestPageStoreHoldsOnlyAnnotationText(t *testing.T) {
 	db := birdDB(t)
 	for i := 0; i < 40; i++ {
 		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'observed feeding at dawn, flock %d' DOCUMENT 'The flock fed at dawn.' ON birds WHERE id = %d", i, i%3+1))
@@ -211,21 +242,11 @@ func TestHeapPageInventoryHoldsTablesAndAnnotations(t *testing.T) {
 	if db.envs.count() != 3 {
 		t.Fatalf("setup: %d envelopes, want 3", db.envs.count())
 	}
-	inv, err := db.HeapPageInventory()
-	if err != nil {
-		t.Fatal(err)
+	pages := db.Annotations().Pages()
+	if len(pages) == 0 {
+		t.Fatal("annotation heap holds no pages")
 	}
-	total := 0
-	for owner, pages := range inv {
-		if owner != "annotations" && !strings.HasPrefix(owner, "table:") {
-			t.Errorf("inventory owner %q holds %d pages; want only table:* and annotations", owner, len(pages))
-		}
-		total += len(pages)
-	}
-	if len(inv["annotations"]) == 0 || len(inv["table:birds"]) == 0 {
-		t.Fatalf("inventory = %v, want annotation and birds pages", inv)
-	}
-	if n := int(db.store.NumPages()); n != total {
-		t.Errorf("page store holds %d pages, inventory %d: pages outside every swept heap", n, total)
+	if n := int(db.store.NumPages()); n != len(pages) {
+		t.Errorf("page store holds %d pages, annotation heap %d: pages outside the swept heap", n, len(pages))
 	}
 }

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"errors"
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/sql"
+	"insightnotes/internal/storage"
 	"insightnotes/internal/types"
 )
 
@@ -78,9 +80,13 @@ func (db *DB) expandZoom(ctx context.Context, req ZoomInRequest) ([]ZoomRowResul
 		}
 		// Cached results are snapshots: annotations retracted since the
 		// query ran are silently skipped rather than failing the zoom-in.
+		// A damaged page is not skipped: the zoom-in sheds with it.
 		anns := make([]annotation.Annotation, 0, len(ids))
 		for _, id := range ids {
 			a, err := db.anns.Get(id)
+			if errors.Is(err, storage.ErrCorrupt) {
+				return nil, hit, err
+			}
 			if err != nil {
 				continue
 			}

@@ -8,7 +8,6 @@ import (
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/catalog"
 	"insightnotes/internal/sql"
-	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/textmining"
 	"insightnotes/internal/types"
@@ -37,7 +36,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	cat := catalog.New(storage.NewBufferPool(storage.NewMemStore(), 128))
+	cat := catalog.New()
 	r, err := cat.CreateTable("R", types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindInt},
@@ -102,7 +101,7 @@ func TestScanProducesRowsWithEnvelopes(t *testing.T) {
 	f := newFixture(t)
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 3, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(2), types.NewInt(3), types.NewString("v")}, 0, 0, 0)
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	rows, err := Collect(scan)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestFilterPassesEnvelopesUnchanged(t *testing.T) {
 	f := newFixture(t)
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 2, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(5), types.NewInt(2), types.NewString("v")}, 10, 1, annotation.WholeRow(3))
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	pred := compileWhere(t, "r.a = 1", scan.Schema())
 	rows, err := Collect(NewFilter(scan, pred))
 	if err != nil {
@@ -154,7 +153,7 @@ func TestProjectCuratesEnvelope(t *testing.T) {
 	env.Add(f.cls, f.cls.Summarize(annotation.Annotation{ID: 2, Text: "derived from experiment"}), annotation.Col(2))
 	f.envs["R"][row] = env
 
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	items := []ProjectItem{
 		{Expr: colRef(t, "r.a", scan.Schema()), Col: types.Column{Table: "r", Name: "a", Kind: types.KindInt}},
 		{Expr: colRef(t, "r.b", scan.Schema()), Col: types.Column{Table: "r", Name: "b", Kind: types.KindInt}},
@@ -181,7 +180,7 @@ func TestProjectComputedExpressionCoverage(t *testing.T) {
 	env := summary.NewEnvelope()
 	env.Add(f.cls, f.cls.Summarize(annotation.Annotation{ID: 5, Text: "note"}), annotation.Col(1))
 	f.envs["R"][row] = env
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	// Output: a+b — annotation on b must follow the computed column.
 	sum, err := Compile(&sql.BinaryExpr{Op: "+", L: &sql.ColRef{Name: "r.a"}, R: &sql.ColRef{Name: "r.b"}}, scan.Schema())
 	if err != nil {
@@ -207,8 +206,8 @@ func TestHashJoinMergesEnvelopes(t *testing.T) {
 	f.addRow(t, f.s, types.Tuple{types.NewInt(1), types.NewString("z1")}, 11, 1, annotation.WholeRow(2))
 	f.addRow(t, f.s, types.Tuple{types.NewInt(9), types.NewString("z9")}, 12, 1, annotation.WholeRow(2))
 
-	left := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
-	right := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
+	left := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
+	right := NewScan(f.s, "s", f.envs, FullTable(), nil, 1)
 	join := NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())})
@@ -245,8 +244,8 @@ func TestHashJoinSharedAnnotationDedup(t *testing.T) {
 	f.envs["R"][rRow] = rEnv
 	f.envs["S"][sRow] = sEnv
 
-	left := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
-	right := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
+	left := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
+	right := NewScan(f.s, "s", f.envs, FullTable(), nil, 1)
 	rows, err := Collect(NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())}))
@@ -262,8 +261,8 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	f := newFixture(t)
 	f.r.Insert(types.Tuple{types.Null(), types.NewInt(2), types.NewString("u")})
 	f.s.Insert(types.Tuple{types.Null(), types.NewString("z")})
-	left := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
-	right := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
+	left := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
+	right := NewScan(f.s, "s", f.envs, FullTable(), nil, 1)
 	rows, err := Collect(NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())}))
@@ -280,8 +279,8 @@ func TestNestedLoopJoinCondition(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(5), types.NewInt(2), types.NewString("v")}, 0, 0, 0)
 	f.addRow(t, f.s, types.Tuple{types.NewInt(3), types.NewString("z")}, 21, 1, annotation.WholeRow(2))
-	left := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
-	right := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
+	left := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
+	right := NewScan(f.s, "s", f.envs, FullTable(), nil, 1)
 	joined := left.Schema().Concat(right.Schema())
 	cond, err := Compile(&sql.BinaryExpr{Op: "<", L: &sql.ColRef{Name: "r.a"}, R: &sql.ColRef{Name: "s.x"}}, joined)
 	if err != nil {
@@ -298,8 +297,8 @@ func TestNestedLoopJoinCondition(t *testing.T) {
 		t.Error("NL join envelope merge wrong")
 	}
 	// Cross join (nil condition).
-	left2 := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
-	right2 := NewScan(f.s, "s", f.envs, FullHeap(), nil, 1)
+	left2 := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
+	right2 := NewScan(f.s, "s", f.envs, FullTable(), nil, 1)
 	rows, err = Collect(NewNestedLoopJoin(left2, right2, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +313,7 @@ func TestGroupAggregateValuesAndEnvelopes(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(10), types.NewString("g1")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(20), types.NewString("g1")}, 2, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(2), types.NewInt(30), types.NewString("g2")}, 3, 1, annotation.WholeRow(3))
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	keys := []*Compiled{colRef(t, "r.a", scan.Schema())}
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, keys,
@@ -393,7 +392,7 @@ func TestGroupAggregateCuratesEachRowBeforeCombining(t *testing.T) {
 		}
 		f.envs["R"][row] = env
 	}
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	op := NewGroupAggregate(scan, []*Compiled{colRef(t, "r.a", scan.Schema())},
 		[]types.Column{{Name: "a", Kind: types.KindInt}},
 		[]AggSpec{{Func: "SUM", Arg: colRef(t, "r.b", scan.Schema())}},
@@ -424,7 +423,7 @@ func TestGroupAggregateCuratesEachRowBeforeCombining(t *testing.T) {
 
 func TestGroupAggregateGlobalOverEmptyInput(t *testing.T) {
 	f := newFixture(t)
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, nil, nil,
 		[]AggSpec{{Func: "COUNT"}, {Func: "SUM", Arg: bArg}},
@@ -445,7 +444,7 @@ func TestGroupAggregateCountDistinctNulls(t *testing.T) {
 	f := newFixture(t)
 	f.r.Insert(types.Tuple{types.NewInt(1), types.Null(), types.NewString("x")})
 	f.r.Insert(types.Tuple{types.NewInt(1), types.NewInt(5), types.NewString("x")})
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, nil, nil,
 		[]AggSpec{{Func: "COUNT"}, {Func: "COUNT", Arg: bArg}},
@@ -465,7 +464,7 @@ func TestDistinctCombinesDuplicateEnvelopes(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("dup")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("dup")}, 2, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(9), types.NewInt(9), types.NewString("uniq")}, 0, 0, 0)
-	rows, err := Collect(NewDistinct(NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)))
+	rows, err := Collect(NewDistinct(NewScan(f.r, "r", f.envs, FullTable(), nil, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +483,7 @@ func TestSortAndLimit(t *testing.T) {
 	for _, v := range []int64{3, 1, 2} {
 		f.r.Insert(types.Tuple{types.NewInt(v), types.NewInt(0), types.NewString("x")})
 	}
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	keys := []SortKey{{Expr: colRef(t, "r.a", scan.Schema()), Desc: false}}
 	rows, err := Collect(NewSort(scan, keys))
 	if err != nil {
@@ -494,13 +493,13 @@ func TestSortAndLimit(t *testing.T) {
 		t.Errorf("sorted = %v %v %v", rows[0].Tuple, rows[1].Tuple, rows[2].Tuple)
 	}
 	// DESC.
-	scan2 := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan2 := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	rows, _ = Collect(NewSort(scan2, []SortKey{{Expr: colRef(t, "r.a", scan2.Schema()), Desc: true}}))
 	if rows[0].Tuple[0].Int() != 3 {
 		t.Errorf("desc sorted head = %v", rows[0].Tuple)
 	}
 	// Limit.
-	scan3 := NewScan(f.r, "r", f.envs, FullHeap(), nil, 1)
+	scan3 := NewScan(f.r, "r", f.envs, FullTable(), nil, 1)
 	rows, _ = Collect(NewLimit(NewSort(scan3, []SortKey{{Expr: colRef(t, "r.a", scan3.Schema())}}), 2))
 	if len(rows) != 2 {
 		t.Errorf("limit rows = %d", len(rows))
@@ -551,7 +550,7 @@ func morselFixture(t *testing.T, n, workers int) (*fixture, *Scan) {
 		f.addRow(t, f.r, types.Tuple{types.NewInt(int64(i)), types.NewInt(0), types.NewString("x")},
 			annotation.ID(100+i), 1, annotation.WholeRow(3))
 	}
-	scan := NewScan(f.r, "r", f.envs, FullHeap(), nil, workers)
+	scan := NewScan(f.r, "r", f.envs, FullTable(), nil, workers)
 	scan.morsel = 2
 	return f, scan
 }

@@ -24,11 +24,11 @@ type EnvelopeSource interface {
 	EnvelopeFor(table string, row types.RowID) *summary.Envelope
 }
 
-// RowSource is how a Scan finds the rows it reads: the whole heap, an
+// RowSource is how a Scan finds the rows it reads: the whole table, an
 // index equality lookup, or an index range. It is the only part of a scan
 // that varies with the access path — the planner picks one, the Scan
 // resolves it to row IDs in Open, and everything after that is shared.
-// The zero value is the full heap.
+// The zero value is the full table.
 type RowSource struct {
 	kind         sourceKind
 	col          string       // indexed column (index sources)
@@ -40,13 +40,13 @@ type RowSource struct {
 type sourceKind uint8
 
 const (
-	sourceHeap sourceKind = iota
+	sourceTable sourceKind = iota
 	sourceIndexEq
 	sourceIndexRange
 )
 
-// FullHeap reads every row of the table.
-func FullHeap() RowSource { return RowSource{} }
+// FullTable reads every row of the table.
+func FullTable() RowSource { return RowSource{} }
 
 // IndexEq reads the rows whose indexed column col equals val. The column
 // must be indexed; the planner checks before choosing this source.
@@ -71,7 +71,8 @@ func (rs RowSource) opName() string {
 	return [...]string{"scan", "index_scan", "index_range_scan"}[rs.kind]
 }
 
-// describe renders the index condition for EXPLAIN (empty for the heap).
+// describe renders the index condition for EXPLAIN (empty for the full
+// table).
 func (rs RowSource) describe() string {
 	switch rs.kind {
 	case sourceIndexEq:
@@ -95,26 +96,29 @@ func (rs RowSource) describe() string {
 	return ""
 }
 
-// resolve yields the row IDs of tbl the source selects. The heap walk has
-// every tuple in hand, so it also snapshots them (cloned, so later DML
-// does not disturb the iteration); index sources return no tuples and
-// leave the heap fetch to the morsel workers.
+// resolve yields the row IDs of tbl the source selects and their tuples.
+// The table's stored tuples are immutable, so sharing them is safe
+// against later DML.
 func (rs RowSource) resolve(tbl *catalog.Table) (rows []types.RowID, tups []types.Tuple, err error) {
 	switch rs.kind {
 	case sourceIndexEq:
 		rows, err = tbl.LookupByIndex(rs.col, rs.val)
-		return rows, nil, err
 	case sourceIndexRange:
 		rows, err = tbl.LookupByIndexRange(rs.col, rs.lo, rs.hi, rs.loInc, rs.hiInc)
-		return rows, nil, err
+	default:
+		n := tbl.Len()
+		rows, tups = make([]types.RowID, 0, n), make([]types.Tuple, 0, n)
+		tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
+			rows = append(rows, row)
+			tups = append(tups, tu)
+			return true
+		})
+		return rows, tups, nil
 	}
-	n := tbl.Len()
-	rows, tups = make([]types.RowID, 0, n), make([]types.Tuple, 0, n)
-	err = tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
-		rows = append(rows, row)
-		tups = append(tups, tu.Clone())
-		return true
-	})
+	if err != nil {
+		return nil, nil, err
+	}
+	tups, err = tbl.GetRows(rows)
 	return rows, tups, err
 }
 
@@ -154,7 +158,7 @@ type Scan struct {
 	// run state, rebuilt by Open
 	ec      *ExecContext
 	rows    []types.RowID
-	tups    []types.Tuple // heap snapshot; empty for index sources
+	tups    []types.Tuple // the tuples of rows
 	morsels []morselResult
 	claim   atomic.Int64
 	stop    atomic.Bool
@@ -300,7 +304,7 @@ func (s *Scan) worker(w int) {
 }
 
 // processMorsel runs the summary-propagation path over morsel i as worker
-// w: tuple and envelope fetch, predicate, projection + curation.
+// w: envelope fetch, predicate, projection + curation.
 // Cancellation is polled once per morsel.
 func (s *Scan) processMorsel(w, i int) ([]*Row, error) {
 	wec := s.forks[w]
@@ -317,15 +321,7 @@ func (s *Scan) processMorsel(w, i int) ([]*Row, error) {
 	st := &s.workerSts[w]
 	out := make([]*Row, 0, hi-lo)
 	for k := lo; k < hi; k++ {
-		var tu types.Tuple
-		if k < len(s.tups) {
-			tu = s.tups[k]
-		} else {
-			var err error
-			if tu, err = s.table.Get(s.rows[k]); err != nil {
-				return nil, err
-			}
-		}
+		tu := s.tups[k]
 		if s.pred != nil {
 			v, err := s.pred.Eval(tu)
 			if err != nil {

@@ -55,11 +55,11 @@ const (
 	StorageReadBitrot   = "fp/storage/read_bitrot"
 	StorageFlushCorrupt = "fp/storage/flush_corrupt"
 
-	// Table insert path (internal/catalog), evaluated after the row is in
-	// the heap but before secondary indexes are updated. A crash action
+	// Table insert path (internal/catalog), evaluated after the row is
+	// stored but before secondary indexes are updated. A crash action
 	// models the process dying between the two writes: the WAL never logged
 	// the insert (logging happens after success), so recovery must converge
 	// to a state where the row is absent and every index agrees with its
-	// heap.
+	// table's rows.
 	CatalogInsertIndex = "fp/catalog/insert_index"
 )

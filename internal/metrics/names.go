@@ -137,7 +137,7 @@ const (
 	// acceptance wording and are pinned without the _total suffix.
 	NameIntegrityPagesScanned     = "insightnotes_integrity_pages_scanned"     // counter (pages swept by the scrubber or CHECK TABLE)
 	NameIntegrityChecksumFailures = "insightnotes_integrity_checksum_failures" // counter (pages whose stored CRC or structure failed verification)
-	NameIntegrityRepairs          = "insightnotes_integrity_repairs"           // counter (heap pages reflushed, indexes rebuilt)
+	NameIntegrityRepairs          = "insightnotes_integrity_repairs"           // counter (pages reflushed, indexes rebuilt)
 	NameIntegrityQuarantined      = "insightnotes_integrity_quarantined"       // gauge (pages currently quarantined, until a restart)
 
 	// process layer — build identity and age.

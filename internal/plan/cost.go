@@ -1,7 +1,7 @@
 // Cost-based access-path selection. For each base relation the planner
-// compares the estimated cost of a sequential heap scan against the best
-// index lookup or range scan a pushed-down predicate admits, using exact
-// table statistics (row and page counts are maintained, not sampled) and
+// compares the estimated cost of a full scan against the best index
+// lookup or range scan a pushed-down predicate admits, using exact table
+// statistics (the row count is maintained, not sampled) and
 // capped B+tree "index dives" for match-count estimates — the classic
 // System R recipe scaled down to the engine's two access-path families.
 package plan
@@ -15,16 +15,16 @@ import (
 	"insightnotes/internal/types"
 )
 
-// Cost-model constants, in abstract units of one sequential page read.
-// The absolute values are meaningless; the ratios encode the two physical
-// facts the choice hinges on: a heap scan touches every page once but
-// amortizes per-row work, while an index lookup pays a B+tree descent and
-// then one random page fetch per matching row.
+// Cost-model constants, in units of one row of a full scan. A full scan
+// walks the table's in-memory rows in order and evaluates the predicate on
+// every one; an index lookup pays a B+tree descent, then per matching row
+// the index entry, a row-id map lookup and the predicate. Fitted to E15
+// (EXPERIMENTS.md, E32): a forced index range costs as much as the full
+// scan at 30–40% of the table, so the index wins below a third of it.
 const (
-	costSeqPage = 1.0   // sequential page read (full scan)
-	costSeqRow  = 0.005 // per-row decode + predicate evaluation
-	costIdxSeek = 1.0   // B+tree descent to the first matching entry
-	costIdxRow  = 2.0   // random heap fetch + decode per matching row
+	costSeqRow  = 1.0 // per-row walk + predicate evaluation (full scan)
+	costIdxSeek = 4.0 // B+tree descent to the first matching entry
+	costIdxRow  = 3.0 // index entry + row lookup + predicate per matching row
 )
 
 // diveCap bounds the B+tree index dives used for match estimates: counting
@@ -33,9 +33,9 @@ const (
 // the range (plus a small floor for tiny tables).
 const diveCapFloor = 64
 
-// seqScanCost is the cost of a full heap scan of a table.
+// seqScanCost is the cost of a full scan of a table.
 func seqScanCost(st catalog.TableStats) float64 {
-	return float64(st.Pages)*costSeqPage + float64(st.Rows)*costSeqRow
+	return float64(st.Rows) * costSeqRow
 }
 
 // indexCost is the cost of resolving est matching rows through an index.
@@ -100,7 +100,7 @@ func bestIndexCandidate(tbl *catalog.Table, schema types.Schema, conjuncts []sql
 
 // chooseAccessPath picks the cheapest row source for relation r given its
 // pushed-down local predicates: the best eligible index candidate when its
-// estimated cost undercuts the sequential scan, the full heap otherwise.
+// estimated cost undercuts the full scan, the full table otherwise.
 // It returns the source with the planner's row estimate for it.
 func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) (exec.RowSource, int) {
 	alias := strings.ToLower(r.ref.EffectiveAlias())
@@ -113,7 +113,7 @@ func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) (exec.RowSourc
 		if src, replayed := replayPath(r, local, ch); replayed {
 			p.opts.Span.Attr("path_memo."+alias, ch.kind)
 			if ch.kind == "full" {
-				ch.est = st.Rows // the heap's size is read, never memoized
+				ch.est = st.Rows // the table's size is read, never memoized
 			}
 			return src, ch.est
 		}
@@ -139,7 +139,7 @@ func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) (exec.RowSourc
 		return src, best.est
 	}
 	memo.record(alias, pathChoice{kind: "full"})
-	return exec.FullHeap(), st.Rows
+	return exec.FullTable(), st.Rows
 }
 
 // replayPath rebuilds the memoized row source for r, pulling probe values
@@ -148,7 +148,7 @@ func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) (exec.RowSourc
 // to full cost-based selection.
 func replayPath(r *relation, local []sql.Expr, ch pathChoice) (exec.RowSource, bool) {
 	if ch.kind == "full" {
-		return exec.FullHeap(), true
+		return exec.FullTable(), true
 	}
 	for _, e := range local {
 		switch ch.kind {

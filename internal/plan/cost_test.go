@@ -84,6 +84,23 @@ func TestCostModelPicksFullScanForNonSelectivePredicate(t *testing.T) {
 	}
 }
 
+// TestCostModelFollowsMeasuredCrossover pins the planner to the measured
+// E15 crossover (EXPERIMENTS.md, E32): a forced index range breaks even
+// with the full scan at 30–40% of the table, so a range matching 20% of it
+// takes the index and one matching 50% scans.
+func TestCostModelFollowsMeasuredCrossover(t *testing.T) {
+	w := newWorld(t)
+	costWorld(t, w)
+	out := explainOf(t, w, "SELECT v FROM T WHERE k BETWEEN 0 AND 399", Options{})
+	if !strings.Contains(out, "path=index_range ON k [>= 0, <= 399]") {
+		t.Errorf("a 20%% range did not take the index:\n%s", out)
+	}
+	out = explainOf(t, w, "SELECT v FROM T WHERE k BETWEEN 0 AND 999", Options{})
+	if !strings.Contains(out, "path=full") {
+		t.Errorf("a 50%% range did not scan:\n%s", out)
+	}
+}
+
 func TestCostModelPrefersMostSelectiveIndex(t *testing.T) {
 	w := newWorld(t)
 	costWorld(t, w)

@@ -12,7 +12,7 @@ import (
 )
 
 // DMLPath is the access path chosen for an UPDATE or DELETE row match.
-// When Name is "full_scan" the caller scans the heap; otherwise it fetches
+// When Name is "full_scan" the caller scans the table; otherwise it fetches
 // candidate row ids through the named index column and re-evaluates the
 // full predicate per candidate.
 type DMLPath struct {

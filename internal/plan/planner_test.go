@@ -8,7 +8,6 @@ import (
 	"insightnotes/internal/catalog"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/sql"
-	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/textmining"
 	"insightnotes/internal/types"
@@ -35,7 +34,7 @@ type world struct {
 // the spirit of the Figure 2 example.
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	cat := catalog.New(storage.NewBufferPool(storage.NewMemStore(), 128))
+	cat := catalog.New()
 	r, err := cat.CreateTable("R", types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt},
 		types.Column{Name: "b", Kind: types.KindInt},

@@ -77,22 +77,23 @@ func restartPrimary(t *testing.T, p *primaryStack, dir string) {
 }
 
 // TestScrubSoak is the end-to-end bit-rot chaos soak: a primary streaming
-// to a replica, random byte flips injected into heap pages on disk, and
-// the scrubber expected to detect every flip. A page with no surviving
-// frame is quarantined, reads over it shed with a structured CORRUPT
+// to a replica, random byte flips injected into annotation pages on disk,
+// and the scrubber expected to detect every flip. A page with no surviving
+// frame is quarantined, zoom-ins over it shed with a structured CORRUPT
 // error, and a restart rebuilds the page file from the node's own
-// checkpoint and WAL; a disagreeing index is rebuilt from its heap.
+// checkpoint and WAL; a disagreeing index is rebuilt from its rows.
 func TestScrubSoak(t *testing.T) {
 	pdir, rdir := t.TempDir(), t.TempDir()
 	p := startPrimary(t, pdir, -1, SenderConfig{})
 	seedSchema(t, p.db)
 	mustExec(t, p.db, "CREATE INDEX ON birds (id)")
-	// Append-only workload, padded rows so the heap spans many pages.
-	pad := strings.Repeat("x", 160)
+	// Append-only workload, padded annotations so their text spans many
+	// pages.
+	pad := strings.Repeat("stonewort ", 40)
 	for i := 1; i <= 400; i++ {
-		mustExec(t, p.db, fmt.Sprintf("INSERT INTO birds VALUES (%d, 'Swan %d %s')", i, i, pad))
-		if i%20 == 0 {
-			mustExec(t, p.db, fmt.Sprintf("ADD ANNOTATION 'observed feeding on stonewort run %d' ON birds WHERE id = %d", i, i))
+		mustExec(t, p.db, fmt.Sprintf("INSERT INTO birds VALUES (%d, 'Swan %d')", i, i))
+		if i%4 == 0 {
+			mustExec(t, p.db, fmt.Sprintf("ADD ANNOTATION 'observed feeding on stonewort run %d %s' ON birds WHERE id = %d", i, pad, i))
 		}
 	}
 	r := startReplica(t, rdir, p.addr, ReceiverConfig{})
@@ -104,46 +105,33 @@ func TestScrubSoak(t *testing.T) {
 	if err := r.db.FlushPages(); err != nil {
 		t.Fatal(err)
 	}
-	inv, err := r.db.HeapPageInventory()
-	if err != nil {
-		t.Fatal(err)
+	pages := r.db.Annotations().Pages()
+	const flips = 5
+	if len(pages) < flips {
+		t.Fatalf("annotation text spans only %d pages, want %d", len(pages), flips)
 	}
 	rpf := filepath.Join(rdir, "pages.db")
-	flipped := map[storage.PageID]string{}
-	pick := func(owner string, n int) {
-		pages := inv[owner]
-		if len(pages) < n {
-			t.Fatalf("owner %s has only %d pages, want %d (inventory %v)", owner, len(pages), n, inv)
-		}
-		for i := 0; i < n; i++ {
-			pid := pages[i*len(pages)/n] // spread across the heap
-			if _, dup := flipped[pid]; dup {
-				pid = pages[i]
-			}
-			flipped[pid] = owner
-			flipPageByte(t, rpf, pid)
-		}
+	flipped := map[storage.PageID]bool{}
+	for i := 0; i < flips; i++ {
+		pid := pages[i*len(pages)/flips] // spread across the heap
+		flipped[pid] = true
+		flipPageByte(t, rpf, pid)
 	}
-	pick("table:birds", 4)
-	pick("annotations", 1)
 
-	rep, err := r.db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := r.db.ScrubNow()
 	found := map[storage.PageID]engine.IntegrityFault{}
 	for _, f := range rep.Faults {
 		if f.Page != storage.InvalidPageID {
 			found[f.Page] = f
 		}
 	}
-	for pid, owner := range flipped {
+	for pid := range flipped {
 		f, ok := found[pid]
 		if !ok {
-			t.Fatalf("flip on page %d (%s) undetected; faults %+v", pid, owner, rep.Faults)
+			t.Fatalf("flip on page %d undetected; faults %+v", pid, rep.Faults)
 		}
-		if f.Repaired {
-			t.Fatalf("page %d (%s) repaired from %q with no surviving frame", pid, owner, f.Source)
+		if f.Repaired || f.Owner != "annotations" {
+			t.Fatalf("page %d: fault %+v, want an unrepaired annotations fault", pid, f)
 		}
 	}
 	if len(rep.Quarantined) != len(flipped) {
@@ -157,12 +145,12 @@ func TestScrubSoak(t *testing.T) {
 	restartReplica(t, r, rdir, p.addr)
 	waitCaughtUp(t, p, r.rcv)
 	assertConverged(t, p.db, r.db)
-	if rep, err := r.db.ScrubNow(); err != nil || len(rep.Faults) != 0 || len(rep.Quarantined) != 0 {
-		t.Fatalf("sweep after replica restart: %+v, %v", rep, err)
+	if rep := r.db.ScrubNow(); len(rep.Faults) != 0 || len(rep.Quarantined) != 0 {
+		t.Fatalf("sweep after replica restart: %+v", rep)
 	}
 
 	// ---- Phase 2: index disagreement on the replica; the sweep rebuilds
-	// the index from the heap. ----
+	// the index from the rows. ----
 	tbl, err := r.db.Catalog().Table("birds")
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +165,7 @@ func TestScrubSoak(t *testing.T) {
 		t.Fatal("no index entry for id=123")
 	}
 	idx.Delete(key, vals[0])
-	rep, err = r.db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = r.db.ScrubNow()
 	fixed := false
 	for _, f := range rep.Faults {
 		if f.Owner == "index:birds" && f.Repaired && f.Source == "rebuild" {
@@ -194,47 +179,54 @@ func TestScrubSoak(t *testing.T) {
 	// Replica converged again, record for record.
 	assertConverged(t, p.db, r.db)
 
-	// ---- Phase 3: rot the primary — reads must shed with a structured
-	// CORRUPT error, not serve garbage. ----
+	// ---- Phase 3: rot the primary — a zoom-in over the rotten text must
+	// shed with a structured CORRUPT error, not serve garbage. ----
 	psrv, pc := serveOverWire(t, p.db)
+	sel, err := pc.Do(context.Background(), "SELECT name FROM birds WHERE id = 4")
+	if err != nil || !sel.OK {
+		t.Fatalf("SELECT = %+v, %v", sel, err)
+	}
+	zoom := fmt.Sprintf("ZOOMIN REFERENCE QID %d ON C INDEX 1", sel.QID)
 
 	if err := p.db.FlushPages(); err != nil {
 		t.Fatal(err)
 	}
-	pinv, err := p.db.HeapPageInventory()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ppf := filepath.Join(pdir, "pages.db")
-	badPID := pinv["table:birds"][0]
+	badPID := p.db.Annotations().Pages()[0] // holds the annotation of id 4
 	flipPageByte(t, ppf, badPID)
-	prep, err := p.db.ScrubNow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prep := p.db.ScrubNow()
 	if len(prep.Quarantined) != 1 || prep.Quarantined[0] != badPID {
 		t.Fatalf("standalone primary quarantine = %v, want [%d]", prep.Quarantined, badPID)
 	}
-	resp, err := pc.Do(context.Background(), "SELECT name FROM birds")
+	resp, err := pc.Do(context.Background(), zoom)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK || resp.Code != server.CodeCorrupt {
-		t.Fatalf("read over quarantined page = %+v, want code %s", resp, server.CodeCorrupt)
+		t.Fatalf("zoom-in over quarantined page = %+v, want code %s", resp, server.CodeCorrupt)
 	}
 	if !strings.Contains(resp.Error, fmt.Sprint(badPID)) {
 		t.Fatalf("CORRUPT shed does not name page %d: %q", badPID, resp.Error)
 	}
 
-	// ---- Phase 4: CHECK TABLE over the wire still reports the page
-	// unrepaired; a restart of the primary rebuilds its page file and the
-	// read that shed succeeds. ----
+	// ---- Phase 4: SHOW INTEGRITY over the wire still reports the page
+	// unrepaired, CHECK TABLE the table sound; a restart of the primary rebuilds its page file and the
+	// zoom-in that shed succeeds. ----
+	resp, err = pc.Do(context.Background(), "SHOW INTEGRITY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK || len(resp.Rows) == 0 || resp.Rows[0].Values[0].Int() != int64(badPID) || resp.Rows[0].Values[3].Bool() {
+		t.Fatalf("SHOW INTEGRITY over a quarantined page = %+v, want page %d unrepaired first", resp, badPID)
+	}
+	// CHECK TABLE checks the table's indexes, which are sound: the page
+	// fault is the scrubber's to report.
 	resp, err = pc.Do(context.Background(), "CHECK TABLE birds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.OK || len(resp.Rows) != 1 {
-		t.Fatalf("CHECK TABLE birds over a quarantined page = %+v, want one fault row", resp)
+	if !resp.OK || len(resp.Rows) != 0 {
+		t.Fatalf("CHECK TABLE birds = %+v, want no fault rows", resp)
 	}
 	// A restart resets the counters, so check them first.
 	if rep := p.db.IntegrityReport(); rep.ChecksumFailures == 0 || rep.Sweeps < 2 {
@@ -244,20 +236,21 @@ func TestScrubSoak(t *testing.T) {
 	psrv.Close()
 	restartPrimary(t, p, pdir)
 	psrv, pc = serveOverWire(t, p.db)
-	resp, err = pc.Do(context.Background(), "SELECT name FROM birds WHERE id = 123")
+	sel, err = pc.Do(context.Background(), "SELECT name FROM birds WHERE id = 4")
+	if err != nil || !sel.OK || len(sel.Rows) != 1 {
+		t.Fatalf("read after primary restart = %+v, %v", sel, err)
+	}
+	resp, err = pc.Do(context.Background(), fmt.Sprintf("ZOOMIN REFERENCE QID %d ON C INDEX 1", sel.QID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.OK || len(resp.Rows) != 1 {
-		t.Fatalf("read after primary restart = %+v", resp)
+		t.Fatalf("zoom-in after primary restart = %+v", resp)
 	}
 
 	// ---- Phase 5: both sides sweep clean and agree. ----
 	for _, db := range []*engine.DB{p.db, r.db} {
-		rep, err := db.ScrubNow()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := db.ScrubNow()
 		if len(rep.Faults) != 0 || len(rep.Quarantined) != 0 {
 			t.Fatalf("final sweep not clean: %+v", rep)
 		}

@@ -28,8 +28,8 @@ var (
 	// mutating prepared statement). Route it to the primary.
 	ErrReadOnly = errors.New("server: replica is read-only")
 	// ErrCorrupt: the statement touched a quarantined or checksum-failed
-	// page. Not retryable here; the scrubber or CHECK TABLE must repair
-	// the page (possibly from a peer) first.
+	// page. Not retryable here; the page stays quarantined until a restart
+	// of the node rebuilds its page file.
 	ErrCorrupt = errors.New("server: data corrupt")
 )
 

@@ -651,8 +651,7 @@ func resolveRequest(req Request) (sql.Statement, string, error) {
 // (sql.Class): writes are rejected with CodeReadOnly, reads past the
 // staleness bound are shed with CodeStale, admissible reads and node-local
 // statements pass through (false). CHECK TABLE is node-local because it
-// verifies and repairs this node's own pages, and a replica is exactly
-// where on-demand repair from the primary matters; PREPARE and DEALLOCATE
+// verifies and repairs this node's own indexes; PREPARE and DEALLOCATE
 // because they touch only the local registry — EXECUTE is where the
 // template's class is enforced. Unparsable statements pass through too:
 // the engine produces its usual error. When the request resolved to a

@@ -400,9 +400,8 @@ type Deallocate struct{ Name string }
 // Errors when the engine was opened without durability.
 type Checkpoint struct{}
 
-// CheckTable is CHECK TABLE t: synchronously verify every page of the
-// table's heap (checksums and structural invariants) and every secondary
-// index against it, attempting repair of anything found corrupt.
+// CheckTable is CHECK TABLE t: synchronously verify every secondary index
+// of the table against its rows, rebuilding one that disagrees.
 type CheckTable struct {
 	Table string
 }

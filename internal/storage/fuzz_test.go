@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzPageRoundTrip drives a slotted page through an arbitrary sequence of
-// inserts, deletes, updates, and compactions decoded from the fuzz input,
+// inserts, deletes, and delete-then-reinserts decoded from the fuzz input,
 // then checks the invariants the integrity machinery depends on: Verify
 // passes on every page the API can produce, the checksum round-trips
 // through a stamp, and every live record is retrievable at its slot.
@@ -47,7 +47,9 @@ func FuzzPageRoundTrip(f *testing.F) {
 				if p.Delete(slot) == nil {
 					delete(live, slot)
 				}
-			case 2: // update: slot byte, length byte, data
+			case 2: // replace: slot byte, length byte, data; the slot is
+				// deleted and the record inserted into whichever slot
+				// Insert picks
 				if len(script) < 2 {
 					return
 				}
@@ -59,12 +61,12 @@ func FuzzPageRoundTrip(f *testing.F) {
 				}
 				rec := script[:n]
 				script = script[n:]
-				if p.Update(slot, rec) == nil {
-					live[slot] = append([]byte(nil), rec...)
+				if p.Delete(slot) == nil {
+					delete(live, slot)
 				}
-			}
-			if op%7 == 0 {
-				p.Compact()
+				if s, err := p.Insert(rec); err == nil {
+					live[s] = append([]byte(nil), rec...)
+				}
 			}
 		}
 		if err := p.Verify(); err != nil {

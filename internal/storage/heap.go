@@ -1,13 +1,10 @@
 package storage
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // HeapFile stores variable-length records across a chain of slotted pages
-// fetched through a BufferPool. It is the physical home of both data tuples
-// and raw annotations in the engine.
+// fetched through a BufferPool. It is the physical home of the engine's raw
+// annotation text; records are inserted, read and deleted, never rewritten.
 //
 // A HeapFile owns the set of page ids it allocated from the shared pool;
 // the set is tracked in memory only.
@@ -38,14 +35,6 @@ func (h *HeapFile) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.records
-}
-
-// NumPages returns the number of pages backing the heap — the sequential
-// I/O volume of a full scan, used by the planner's cost model.
-func (h *HeapFile) NumPages() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.pages)
 }
 
 // Insert stores record and returns its RID.
@@ -145,81 +134,6 @@ func (h *HeapFile) Delete(rid RID) error {
 	return h.pool.Unpin(rid.Page, true)
 }
 
-// Update replaces the record at rid in place when possible; when the new
-// version does not fit on its page the record is moved and the new RID is
-// returned. Callers must treat the returned RID as authoritative.
-func (h *HeapFile) Update(rid RID, record []byte) (RID, error) {
-	if len(record) > MaxRecordSize {
-		return RID{}, ErrRecordTooLarge
-	}
-	h.mu.Lock()
-	pg, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		h.mu.Unlock()
-		return RID{}, err
-	}
-	err = pg.Update(rid.Slot, record)
-	switch err {
-	case nil:
-		h.freeHint[rid.Page] = pg.FreeSpace()
-		uerr := h.pool.Unpin(rid.Page, true)
-		h.mu.Unlock()
-		return rid, uerr
-	case ErrPageFull:
-		// Move: delete here, reinsert elsewhere.
-		if derr := pg.Delete(rid.Slot); derr != nil {
-			h.pool.Unpin(rid.Page, false)
-			h.mu.Unlock()
-			return RID{}, derr
-		}
-		h.freeHint[rid.Page] = pg.FreeSpace()
-		if uerr := h.pool.Unpin(rid.Page, true); uerr != nil {
-			h.mu.Unlock()
-			return RID{}, uerr
-		}
-		h.records-- // Insert will re-increment
-		h.mu.Unlock()
-		return h.Insert(record)
-	default:
-		h.pool.Unpin(rid.Page, false)
-		h.mu.Unlock()
-		return RID{}, withPage(err, rid.Page)
-	}
-}
-
-// Scan calls fn for every live record in heap order. The data slice passed
-// to fn aliases pool memory and must not be retained; fn returning false
-// stops the scan.
-func (h *HeapFile) Scan(fn func(rid RID, data []byte) bool) error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for _, pid := range pages {
-		pg, err := h.pool.Fetch(pid)
-		if err != nil {
-			return err
-		}
-		stop := false
-		rerr := pg.Records(func(slot uint16, data []byte) bool {
-			if !fn(RID{Page: pid, Slot: slot}, data) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if err := h.pool.Unpin(pid, false); err != nil {
-			return err
-		}
-		if rerr != nil {
-			return withPage(rerr, pid)
-		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
-}
-
 // ViewPage pins page pid, calls fn with read-only access, and unpins it.
 // Structural corruption errors from fn gain the page id.
 func (h *HeapFile) ViewPage(pid PageID, fn func(pg *Page) error) error {
@@ -235,11 +149,4 @@ func (h *HeapFile) ViewPage(pid PageID, fn func(pg *Page) error) error {
 		return withPage(ferr, pid)
 	}
 	return nil
-}
-
-// String summarizes the heap for debugging.
-func (h *HeapFile) String() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return fmt.Sprintf("heap{pages: %d, records: %d}", len(h.pages), h.records)
 }

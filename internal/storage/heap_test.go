@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -56,78 +55,13 @@ func TestHeapSpansPages(t *testing.T) {
 	}
 }
 
-func TestHeapScan(t *testing.T) {
-	h := newHeap(8)
-	want := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		rec := fmt.Sprintf("record-%03d", i)
-		if _, err := h.Insert([]byte(rec)); err != nil {
-			t.Fatal(err)
-		}
-		want[rec] = true
-	}
-	got := map[string]bool{}
-	err := h.Scan(func(rid RID, data []byte) bool {
-		got[string(data)] = true
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Errorf("scanned %d records, want %d", len(got), len(want))
-	}
-	// Early termination.
-	n := 0
-	h.Scan(func(RID, []byte) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Errorf("early stop visited %d", n)
-	}
-}
-
-func TestHeapUpdateInPlaceAndMove(t *testing.T) {
-	h := newHeap(8)
-	rid, _ := h.Insert([]byte("short"))
-	// Fill the rest of the page so a grow-update must move.
-	filler := bytes.Repeat([]byte("f"), 2000)
-	for i := 0; i < 4; i++ {
-		h.Insert(filler)
-	}
-	rid2, err := h.Update(rid, []byte("tiny"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rid2 != rid {
-		t.Errorf("shrink update moved the record: %v -> %v", rid, rid2)
-	}
-	big := bytes.Repeat([]byte("B"), 4000)
-	rid3, err := h.Update(rid2, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := h.Get(rid3)
-	if err != nil || !bytes.Equal(got, big) {
-		t.Fatalf("after move Get = len %d, %v", len(got), err)
-	}
-	if rid3 != rid2 {
-		// moved: old RID must now be dead
-		if _, err := h.Get(rid2); err != ErrNoSuchRecord {
-			t.Errorf("old RID still live after move: %v", err)
-		}
-	}
-	if h.Len() != 5 {
-		t.Errorf("Len = %d, want 5", h.Len())
-	}
-}
-
 func TestHeapRejectsHugeRecords(t *testing.T) {
 	h := newHeap(4)
 	if _, err := h.Insert(make([]byte, MaxRecordSize+1)); err != ErrRecordTooLarge {
 		t.Errorf("Insert = %v", err)
 	}
-	rid, _ := h.Insert([]byte("x"))
-	if _, err := h.Update(rid, make([]byte, MaxRecordSize+1)); err != ErrRecordTooLarge {
-		t.Errorf("Update = %v", err)
+	if h.Len() != 0 || len(h.Pages()) != 0 {
+		t.Errorf("rejected insert left %d records on %d pages", h.Len(), len(h.Pages()))
 	}
 }
 
@@ -147,7 +81,7 @@ func TestHeapRandomizedWorkload(t *testing.T) {
 			}
 			live[rid] = rec
 			order = append(order, rid)
-		case r.Intn(2) == 0: // delete
+		default: // delete
 			i := r.Intn(len(order))
 			rid := order[i]
 			order = append(order[:i], order[i+1:]...)
@@ -155,20 +89,6 @@ func TestHeapRandomizedWorkload(t *testing.T) {
 				t.Fatalf("Delete(%v): %v", rid, err)
 			}
 			delete(live, rid)
-		default: // update
-			i := r.Intn(len(order))
-			rid := order[i]
-			rec := make([]byte, r.Intn(400)+1)
-			r.Read(rec)
-			nrid, err := h.Update(rid, rec)
-			if err != nil {
-				t.Fatalf("Update(%v): %v", rid, err)
-			}
-			if nrid != rid {
-				delete(live, rid)
-				order[i] = nrid
-			}
-			live[nrid] = rec
 		}
 	}
 	if h.Len() != len(live) {
@@ -180,17 +100,24 @@ func TestHeapRandomizedWorkload(t *testing.T) {
 			t.Fatalf("Get(%v) mismatch: %v", rid, err)
 		}
 	}
-	// Scan agrees with the model.
+	// Every page holds exactly the modeled records.
 	n := 0
-	h.Scan(func(rid RID, data []byte) bool {
-		want, ok := live[rid]
-		if !ok || !bytes.Equal(data, want) {
-			t.Errorf("scan saw unexpected record at %v", rid)
+	for _, pid := range h.Pages() {
+		err := h.ViewPage(pid, func(pg *Page) error {
+			return pg.Records(func(slot uint16, data []byte) bool {
+				want, ok := live[RID{Page: pid, Slot: slot}]
+				if !ok || !bytes.Equal(data, want) {
+					t.Errorf("page %d slot %d holds an unexpected record", pid, slot)
+				}
+				n++
+				return true
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		n++
-		return true
-	})
+	}
 	if n != len(live) {
-		t.Errorf("scan count = %d, want %d", n, len(live))
+		t.Errorf("pages hold %d records, want %d", n, len(live))
 	}
 }

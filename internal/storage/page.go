@@ -197,8 +197,8 @@ func (p *Page) Get(slot uint16) ([]byte, error) {
 	return p[off : int(off)+int(length)], nil
 }
 
-// Delete tombstones the record at slot. The data space is reclaimed by
-// Compact.
+// Delete tombstones the record at slot. Its slot is reused by a later
+// Insert; its data bytes are not reclaimed.
 func (p *Page) Delete(slot uint16) error {
 	if slot >= p.slotCount() {
 		return ErrNoSuchRecord
@@ -211,76 +211,6 @@ func (p *Page) Delete(slot uint16) error {
 	}
 	p.setSlot(slot, tombstoneOffset, 0)
 	return nil
-}
-
-// Update replaces the record at slot. If the new record fits in the old
-// space it is updated in place; otherwise new space is allocated on the
-// page (compacting first if that makes it fit). Returns ErrPageFull when
-// the page cannot hold the new version — callers then delete and reinsert
-// elsewhere.
-func (p *Page) Update(slot uint16, record []byte) error {
-	if slot >= p.slotCount() {
-		return ErrNoSuchRecord
-	}
-	if slot >= maxSlots {
-		return p.corrupt("slot count %d exceeds page capacity %d", p.slotCount(), maxSlots)
-	}
-	off, length := p.slot(slot)
-	if off == tombstoneOffset {
-		return ErrNoSuchRecord
-	}
-	if len(record) > MaxRecordSize {
-		return ErrRecordTooLarge
-	}
-	if err := p.checkExtent(slot, off, length); err != nil {
-		return err
-	}
-	if len(record) <= int(length) {
-		copy(p[off:], record)
-		p.setSlot(slot, off, uint16(len(record)))
-		return nil
-	}
-	used := pageHeaderSize + int(p.slotCount())*slotSize
-	if int(p.freeEnd())-used < len(record) {
-		p.Compact()
-		used = pageHeaderSize + int(p.slotCount())*slotSize
-		if int(p.freeEnd())-used < len(record) {
-			return ErrPageFull
-		}
-		off, _ = p.slot(slot) // compaction moved the record
-	}
-	newEnd := p.freeEnd() - uint16(len(record))
-	copy(p[newEnd:], record)
-	p.setFreeEnd(newEnd)
-	p.setSlot(slot, newEnd, uint16(len(record)))
-	return nil
-}
-
-// Compact rewrites the data region to squeeze out space left by deletes and
-// in-place shrinking updates. Slot numbers are stable across compaction.
-func (p *Page) Compact() {
-	type rec struct {
-		slot uint16
-		data []byte
-	}
-	n := p.slotCount()
-	recs := make([]rec, 0, n)
-	for i := uint16(0); i < n; i++ {
-		off, length := p.slot(i)
-		if off == tombstoneOffset || p.checkExtent(i, off, length) != nil {
-			continue
-		}
-		cp := make([]byte, length)
-		copy(cp, p[off:off+length])
-		recs = append(recs, rec{i, cp})
-	}
-	p.setFreeEnd(PageSize)
-	for _, r := range recs {
-		newEnd := p.freeEnd() - uint16(len(r.data))
-		copy(p[newEnd:], r.data)
-		p.setFreeEnd(newEnd)
-		p.setSlot(r.slot, newEnd, uint16(len(r.data)))
-	}
 }
 
 // Records calls fn for every live record on the page, in slot order.

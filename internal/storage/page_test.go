@@ -62,25 +62,7 @@ func TestPageDeleteAndSlotReuse(t *testing.T) {
 	}
 }
 
-func TestPageUpdateInPlaceAndGrow(t *testing.T) {
-	p := newPage()
-	s, _ := p.Insert([]byte("abcdef"))
-	if err := p.Update(s, []byte("xyz")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := p.Get(s); !bytes.Equal(got, []byte("xyz")) {
-		t.Errorf("after shrink update: %q", got)
-	}
-	long := bytes.Repeat([]byte("L"), 100)
-	if err := p.Update(s, long); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := p.Get(s); !bytes.Equal(got, long) {
-		t.Errorf("after grow update: %q", got)
-	}
-}
-
-func TestPageFullAndCompact(t *testing.T) {
+func TestPageFullKeepsRecords(t *testing.T) {
 	p := newPage()
 	rec := bytes.Repeat([]byte("x"), 1000)
 	var slots []uint16
@@ -97,21 +79,21 @@ func TestPageFullAndCompact(t *testing.T) {
 	if len(slots) != 8 { // 8 * 1004ish bytes fits, 9th doesn't
 		t.Logf("filled %d records", len(slots))
 	}
-	// Delete two and verify space is reusable after compaction via Update.
+	// Deleting tombstones slots without reclaiming their bytes: a record
+	// needing fresh data space still does not fit.
 	p.Delete(slots[0])
 	p.Delete(slots[1])
-	big := bytes.Repeat([]byte("y"), 1800)
-	if err := p.Update(slots[2], big); err != nil {
-		t.Fatalf("Update after deletes should compact and fit: %v", err)
-	}
-	if got, _ := p.Get(slots[2]); !bytes.Equal(got, big) {
-		t.Error("record corrupted after compacting update")
+	if _, err := p.Insert(bytes.Repeat([]byte("y"), 1800)); err != ErrPageFull {
+		t.Fatalf("Insert into a full page after deletes = %v, want ErrPageFull", err)
 	}
 	// Remaining records intact.
-	for _, s := range slots[3:] {
+	for _, s := range slots[2:] {
 		if got, err := p.Get(s); err != nil || !bytes.Equal(got, rec) {
-			t.Errorf("slot %d corrupted after Compact: %v", s, err)
+			t.Errorf("slot %d corrupted after deletes: %v", s, err)
 		}
+	}
+	if err := p.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -119,10 +101,6 @@ func TestPageRecordTooLarge(t *testing.T) {
 	p := newPage()
 	if _, err := p.Insert(make([]byte, MaxRecordSize+1)); err != ErrRecordTooLarge {
 		t.Errorf("Insert(huge) = %v, want ErrRecordTooLarge", err)
-	}
-	s, _ := p.Insert([]byte("ok"))
-	if err := p.Update(s, make([]byte, MaxRecordSize+1)); err != ErrRecordTooLarge {
-		t.Errorf("Update(huge) = %v, want ErrRecordTooLarge", err)
 	}
 	// Max-size record fits on an empty page.
 	p2 := newPage()
@@ -161,9 +139,6 @@ func TestPageGetInvalidSlot(t *testing.T) {
 	}
 	if err := p.Delete(7); err != ErrNoSuchRecord {
 		t.Errorf("Delete(7) = %v", err)
-	}
-	if err := p.Update(7, []byte("x")); err != ErrNoSuchRecord {
-		t.Errorf("Update(7) = %v", err)
 	}
 }
 

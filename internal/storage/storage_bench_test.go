@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"testing"
 
 	"insightnotes/internal/types"
@@ -26,21 +25,6 @@ func BenchmarkHeapInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := h.Insert(rec); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHeapScan(b *testing.B) {
-	h := NewHeapFile(NewBufferPool(NewMemStore(), 256))
-	for i := 0; i < 10000; i++ {
-		h.Insert([]byte(fmt.Sprintf("record-%06d", i)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		h.Scan(func(RID, []byte) bool { n++; return true })
-		if n != 10000 {
-			b.Fatal("short scan")
 		}
 	}
 }

@@ -39,9 +39,9 @@ const (
 	// SpanReplResync covers installing a full snapshot shipped by the
 	// primary after the replica fell behind a rotated WAL.
 	SpanReplResync = "repl.resync"
-	// SpanScrubSweep covers one scrubber pass over the page set (background
-	// sweep or a synchronous CHECK TABLE); pages scanned and faults found
-	// are attributes.
+	// SpanScrubSweep covers one scrubber pass over the page set and the
+	// indexes (background sweep), or one table's indexes (CHECK TABLE);
+	// pages scanned and faults found are attributes.
 	SpanScrubSweep = "scrub.sweep"
 	// SpanScrubRepair covers one page reflush or index rebuild; the source
 	// used (flush, rebuild) or the refusal (none_local, failed) is an attribute.
