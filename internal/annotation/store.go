@@ -93,44 +93,32 @@ func (s *Store) attach(id ID, targets []Target) {
 	s.targetsOf[id] = append(s.targetsOf[id], targets...)
 }
 
-// Add stores the annotation and attaches it to every target, assigning and
-// returning its ID. At least one target is required; a zero Columns set in
-// a target is rejected (use WholeRow for row-level annotations).
+// Add stores the annotation under the next id and attaches it to every
+// target; see Restore. Concurrent adders must serialise, as the engine's
+// writers do.
 func (s *Store) Add(a Annotation, targets []Target) (ID, error) {
-	if len(targets) == 0 {
-		return 0, fmt.Errorf("annotation: at least one target required")
-	}
-	for _, tg := range targets {
-		if tg.Columns.Empty() {
-			return 0, fmt.Errorf("annotation: empty column set for table %q row %d", tg.Table, tg.Row)
-		}
-		if tg.Table == "" {
-			return 0, fmt.Errorf("annotation: target missing table name")
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a.ID = s.nextID
-	rec := encodeAnnotation(a)
-	rid, err := s.anns.Insert(rec)
-	if err != nil {
-		return 0, err
-	}
-	s.byID[a.ID] = rid
-	s.rawBytes += int64(len(rec))
-	s.attach(a.ID, targets)
-	s.nextID++
-	return a.ID, nil
+	a.ID = s.NextID()
+	return a.ID, s.Restore(a, targets)
 }
 
-// Restore re-adds an annotation under its original id (snapshot load).
-// The id must be unused; the allocator advances past it.
+// Restore stores an annotation under its own id and attaches it to every
+// target. The id must be unused; the allocator advances past it. At least
+// one target is required, each naming a table and a non-empty column set
+// (use WholeRow for row-level annotations).
 func (s *Store) Restore(a Annotation, targets []Target) error {
 	if a.ID == 0 {
 		return fmt.Errorf("annotation: Restore requires an id")
 	}
 	if len(targets) == 0 {
 		return fmt.Errorf("annotation: at least one target required")
+	}
+	for _, tg := range targets {
+		if tg.Columns.Empty() {
+			return fmt.Errorf("annotation: empty column set for table %q row %d", tg.Table, tg.Row)
+		}
+		if tg.Table == "" {
+			return fmt.Errorf("annotation: target missing table name")
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

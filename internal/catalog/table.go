@@ -92,27 +92,16 @@ func (t *Table) validate(tu types.Tuple) error {
 	return nil
 }
 
-// Insert appends a copy of tu and returns its row id.
+// Insert appends a copy of tu under the next row id and returns the id.
+// Concurrent inserters must serialise, as the engine's writers do.
 func (t *Table) Insert(tu types.Tuple) (types.RowID, error) {
-	if err := t.validate(tu); err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := t.nextRow
-	t.place(row, tu.Clone())
-	t.nextRow++
-	// Crash window between the row write and the index maintenance below:
-	// the kill-and-recover suite proves recovery reconciles the two.
-	if err := failpoint.Eval(failpoint.CatalogInsertIndex); err != nil {
-		return 0, err
-	}
-	t.indexRow(row, tu)
-	return row, nil
+	row := t.NextRow()
+	return row, t.InsertWithID(row, tu)
 }
 
-// InsertWithID restores a copy of tu under a specific id (snapshot load,
-// WAL replay). The id must not be in use; the allocator advances past it.
+// InsertWithID stores a copy of tu under a specific id: the row ingest
+// record's apply, which the engine runs for a statement, at recovery and
+// on a replica. The id must not be in use; the allocator advances past it.
 func (t *Table) InsertWithID(row types.RowID, tu types.Tuple) error {
 	if err := t.validate(tu); err != nil {
 		return err
@@ -125,6 +114,11 @@ func (t *Table) InsertWithID(row types.RowID, tu types.Tuple) error {
 	t.place(row, tu.Clone())
 	if row >= t.nextRow {
 		t.nextRow = row + 1
+	}
+	// Crash window between the row write and the index maintenance below:
+	// the kill-and-recover suite proves recovery reconciles the two.
+	if err := failpoint.Eval(failpoint.CatalogInsertIndex); err != nil {
+		return err
 	}
 	t.indexRow(row, tu)
 	return nil

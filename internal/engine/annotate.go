@@ -107,13 +107,12 @@ type annotateItem struct {
 // item is resolved against the catalog first — a bad table, column or
 // predicate, a scope matching no tuple, or a record too large for a page
 // fails the batch before anything has mutated. Then ids and timestamps
-// are assigned, the raw annotations stored, their summary maintenance
-// routed as one batch (see maintain), and one WAL record logged carrying
-// the resolved annotations — id, timestamp, matched rows — so replay
-// never re-evaluates a WHERE clause.
-// Callers are inside the commit shell.
+// are assigned, and the resolved annotations — id, timestamp, matched
+// rows — are applied and logged as one annotate record, so replay never
+// re-evaluates a WHERE clause. Callers are inside the commit shell.
 func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
-	tasks := make([]maintTask, len(items))
+	rec := walAnnotate{Anns: make([]walAnnotation, len(items))}
+	total := 0
 	for i, it := range items {
 		if len(it.specs) == 0 {
 			return nil, 0, fmt.Errorf("engine: annotation needs at least one target")
@@ -121,7 +120,8 @@ func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
 		if err := annotation.CheckSize(it.ann); err != nil {
 			return nil, 0, err
 		}
-		tasks[i].ann = it.ann
+		wa := &rec.Anns[i]
+		wa.Annotation = it.ann
 		for _, spec := range it.specs {
 			tbl, err := db.cat.Table(spec.Table)
 			if err != nil {
@@ -138,41 +138,25 @@ func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
 			if len(rows) == 0 {
 				return nil, 0, fmt.Errorf("engine: annotation matches no tuples of %s", spec.Table)
 			}
-			tasks[i].targets = append(tasks[i].targets, maintTarget{
-				table: tbl.Name(), rows: rows, cols: cols,
-				instances: db.cat.InstancesFor(tbl.Name()),
-			})
+			for _, row := range rows {
+				wa.Targets = append(wa.Targets, annotation.Target{Table: tbl.Name(), Row: row, Columns: cols})
+			}
+			wa.scopes = append(wa.scopes, len(rows))
 		}
+		total += len(wa.Targets)
 	}
 
-	ids := make([]annotation.ID, len(tasks))
-	rec := walAnnotate{Anns: make([]walAnnotation, len(tasks))}
-	total := 0
-	for i := range tasks {
-		a := &tasks[i].ann
+	ids := make([]annotation.ID, len(items))
+	next := db.anns.NextID()
+	for i := range rec.Anns {
+		a := &rec.Anns[i].Annotation
+		a.ID = next + annotation.ID(i)
 		if a.Created == 0 {
 			a.Created = db.nextAnnotationTime()
 		}
-		n := 0
-		for _, tg := range tasks[i].targets {
-			n += len(tg.rows)
-		}
-		targets := make([]annotation.Target, 0, n)
-		for _, tg := range tasks[i].targets {
-			for _, row := range tg.rows {
-				targets = append(targets, annotation.Target{Table: tg.table, Row: row, Columns: tg.cols})
-			}
-		}
-		id, err := db.anns.Add(*a, targets)
-		if err != nil {
-			return nil, 0, err
-		}
-		a.ID, ids[i] = id, id
-		total += len(targets)
-		rec.Anns[i] = walAnnotation{Annotation: *a, Targets: targets}
+		ids[i] = a.ID
 	}
-	db.maintain(tasks)
-	if err := db.logRecord(walTypeAnnotate, &rec); err != nil {
+	if _, err := db.mutate(walTypeAnnotate, &rec); err != nil {
 		return nil, 0, err
 	}
 	return ids, total, nil
@@ -282,30 +266,15 @@ func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]types.RowID, erro
 // table's existing annotations under it (the Figure 4 behaviour: the
 // maintained summary objects change when links change).
 func (db *DB) LinkInstance(instanceName, table string) error {
-	return db.commit(nil, func() error { return db.execLink(instanceName, table, false) })
+	_, err := db.commitRecord(walTypeLink, &walLink{Instance: instanceName, Table: table})
+	return err
 }
 
 // UnlinkInstance unlinks an instance from a table and removes its objects
 // from the table's maintained envelopes.
 func (db *DB) UnlinkInstance(instanceName, table string) error {
-	return db.commit(nil, func() error { return db.execLink(instanceName, table, true) })
-}
-
-// execLink applies and logs one link change. Callers are inside the commit
-// shell.
-func (db *DB) execLink(instanceName, table string, unlink bool) error {
-	if err := db.setLink(instanceName, table, unlink); err != nil {
-		return err
-	}
-	return db.logRecord(walTypeLink, &walLink{Instance: instanceName, Table: table, Unlink: unlink})
-}
-
-// setLink applies one link change; WAL replay shares it.
-func (db *DB) setLink(instanceName, table string, unlink bool) error {
-	if unlink {
-		return db.unlinkInstance(instanceName, table)
-	}
-	return db.linkInstance(instanceName, table)
+	_, err := db.commitRecord(walTypeLink, &walLink{Instance: instanceName, Table: table, Unlink: true})
+	return err
 }
 
 func (db *DB) linkInstance(instanceName, table string) error {
@@ -320,12 +289,13 @@ func (db *DB) linkInstance(instanceName, table string) error {
 	if err != nil {
 		return err
 	}
-	if err := db.cat.Link(instanceName, tbl.Name()); err != nil {
-		return err
-	}
-	// Backfill: summarize existing annotations under the new instance.
+	// Backfill: summarize existing annotations under the new instance,
+	// read before the link so a failed read leaves it unmade.
 	tasks, err := db.tableTasks(tbl.Name(), []*summary.Instance{in})
 	if err != nil {
+		return err
+	}
+	if err := db.cat.Link(instanceName, tbl.Name()); err != nil {
 		return err
 	}
 	db.applyTasks(tasks)
@@ -388,14 +358,8 @@ func (db *DB) unlinkInstance(instanceName, table string) error {
 // after TRAIN. It is logged, so the refreshed labels survive a restart.
 // It returns the number of (annotation, tuple) summarization steps
 // performed.
-func (db *DB) RebuildSummaries(table string) (steps int, err error) {
-	err = db.commit(nil, func() error {
-		if steps, err = db.rebuildSummaries(table); err != nil {
-			return err
-		}
-		return db.logRecord(walTypeRebuild, &walName{Name: table})
-	})
-	return steps, err
+func (db *DB) RebuildSummaries(table string) (int, error) {
+	return db.commitRecord(walTypeRebuild, &walName{Name: table})
 }
 
 func (db *DB) rebuildSummaries(table string) (int, error) {
@@ -426,16 +390,8 @@ func (db *DB) rebuildSummaries(table string) (int, error) {
 // Training refines future summarization; existing summary objects are
 // refreshed only by RebuildSummaries (documented behaviour).
 func (db *DB) TrainClassifier(instanceName string, samples [][2]string) error {
-	return db.commit(nil, func() error { return db.execTrain(instanceName, samples) })
-}
-
-// execTrain applies and logs one training batch. Callers are inside the
-// commit shell.
-func (db *DB) execTrain(instanceName string, samples [][2]string) error {
-	if err := db.trainClassifier(instanceName, samples); err != nil {
-		return err
-	}
-	return db.logRecord(walTypeTrain, &walTrain{Instance: instanceName, Samples: samples})
+	_, err := db.commitRecord(walTypeTrain, &walTrain{Instance: instanceName, Samples: samples})
+	return err
 }
 
 func (db *DB) trainClassifier(instanceName string, samples [][2]string) error {
@@ -448,6 +404,13 @@ func (db *DB) trainClassifier(instanceName string, samples [][2]string) error {
 	}
 	if in.Type != summary.TypeClassifier {
 		return fmt.Errorf("engine: TRAIN SUMMARY targets classifier instances; %q is a %s", instanceName, in.Type)
+	}
+	// Every label is checked before the first sample is learned, so a bad
+	// one trains nothing.
+	for _, s := range samples {
+		if in.Classifier.LabelIndex(s[1]) < 0 {
+			return fmt.Errorf("engine: %s has no label %q", instanceName, s[1])
+		}
 	}
 	for _, s := range samples {
 		if err := in.Classifier.Learn(s[0], s[1]); err != nil {

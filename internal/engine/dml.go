@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"insightnotes/internal/annotation"
-	"insightnotes/internal/catalog"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/sql"
 	"insightnotes/internal/summary"
@@ -40,29 +39,28 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The WAL record carries post-images, not the SET expressions: replay
-	// must not depend on re-matching the WHERE clause against a state
-	// that later records will change.
-	images := make([]walRow, 0, len(rows))
-	for _, row := range rows {
+	// The record carries validated post-images, not the SET expressions:
+	// a row that fails to evaluate fails the statement before any row
+	// changes, and replay never re-matches the WHERE clause against a
+	// state that later records will change.
+	images := make([]walRow, len(rows))
+	for i, row := range rows {
 		tu, err := tbl.Get(row)
 		if err != nil {
 			return nil, err
 		}
 		updated := tu.Clone()
 		for _, a := range assigns {
-			v, err := a.expr.Eval(tu)
-			if err != nil {
+			if updated[a.col], err = a.expr.Eval(tu); err != nil {
 				return nil, err
 			}
-			updated[a.col] = v
 		}
-		if err := tbl.Update(row, updated); err != nil {
+		if err := tbl.Validate(updated); err != nil {
 			return nil, err
 		}
-		images = append(images, walRow{ID: row, Values: updated})
+		images[i] = walRow{ID: row, Values: updated}
 	}
-	if err := db.logRecord(walTypeUpdate, &walRows{Table: tbl.Name(), Rows: images}); err != nil {
+	if _, err := db.mutate(walTypeUpdate, &walRows{Table: tbl.Name(), Rows: images}); err != nil {
 		return nil, err
 	}
 	return &Result{
@@ -79,44 +77,44 @@ func (db *DB) execDelete(s *sql.Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A queued task for a deleted row would recreate its envelope after
-	// the delete dropped it; catch up first.
-	db.maint.drain()
 	rows, err := db.matchRows(tbl, s.Where)
 	if err != nil {
 		return nil, err
 	}
-	orphanedTotal := 0
-	for _, row := range rows {
-		orphaned, err := db.deleteRow(tbl, row)
-		if err != nil {
-			return nil, err
-		}
-		orphanedTotal += len(orphaned)
-	}
-	if err := db.logRecord(walTypeDelete, &walDelete{Table: tbl.Name(), Rows: rows}); err != nil {
+	orphaned, err := db.mutate(walTypeDelete, &walDelete{Table: tbl.Name(), Rows: rows})
+	if err != nil {
 		return nil, err
 	}
 	msg := fmt.Sprintf("%d row(s) deleted from %s", len(rows), tbl.Name())
-	if orphanedTotal > 0 {
-		msg += fmt.Sprintf(" (%d orphaned annotation(s) removed)", orphanedTotal)
+	if orphaned > 0 {
+		msg += fmt.Sprintf(" (%d orphaned annotation(s) removed)", orphaned)
 	}
 	return &Result{Message: msg, Count: len(rows)}, nil
 }
 
-// deleteRow deletes one row, detaches its annotations, and drops its
-// summary envelope, returning the annotation ids orphaned by the
-// deletion. Shared by DELETE execution and WAL replay. Callers hold the
-// exclusive statement lock.
-func (db *DB) deleteRow(tbl *catalog.Table, row types.RowID) ([]annotation.ID, error) {
-	if err := tbl.Delete(row); err != nil {
-		return nil, err
-	}
-	_, orphaned, err := db.anns.DetachRow(tbl.Name(), row)
+// deleteRows deletes rows of table, detaches their annotations and drops
+// their summary envelopes, returning the number of annotations the
+// deletion orphaned and removed.
+func (db *DB) deleteRows(table string, rows []types.RowID) (int, error) {
+	tbl, err := db.cat.Table(table)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	db.envs.deleteRow(tbl.Name(), row)
+	// A queued task for a deleted row would recreate its envelope after
+	// the delete dropped it; catch up first.
+	db.maint.drain()
+	orphaned := 0
+	for _, row := range rows {
+		if err := tbl.Delete(row); err != nil {
+			return 0, err
+		}
+		_, gone, err := db.anns.DetachRow(tbl.Name(), row)
+		if err != nil {
+			return 0, err
+		}
+		orphaned += len(gone)
+		db.envs.deleteRow(tbl.Name(), row)
+	}
 	return orphaned, nil
 }
 
@@ -125,16 +123,8 @@ func (db *DB) deleteRow(tbl *catalog.Table, row types.RowID) ([]annotation.ID, e
 // object — classifier counts decrement, cluster groups shrink and re-elect
 // representatives, snippets disappear.
 func (db *DB) DropAnnotation(id annotation.ID) error {
-	return db.commit(nil, func() error { return db.execDropAnnotation(id) })
-}
-
-// execDropAnnotation applies and logs one retraction. Callers are inside
-// the commit shell.
-func (db *DB) execDropAnnotation(id annotation.ID) error {
-	if err := db.dropAnnotation(id); err != nil {
-		return err
-	}
-	return db.logRecord(walTypeDropAnnotation, &walDropAnnotation{ID: id})
+	_, err := db.commitRecord(walTypeDropAnnotation, &walDropAnnotation{ID: id})
+	return err
 }
 
 func (db *DB) dropAnnotation(id annotation.ID) error {

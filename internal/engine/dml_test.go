@@ -84,6 +84,82 @@ func TestDeleteStatementCascadesAnnotations(t *testing.T) {
 	}
 }
 
+// DROP TABLE detaches its rows' annotations by DELETE's rule: one attached
+// nowhere else is removed, a shared one keeps its other targets. None may
+// resurface on a new table of the same name, in memory, on a caught-up
+// replica, or in a checkpoint that must load again.
+func TestDropTableDetachesAnnotations(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openDurable(t, dir)
+	mustExec(t, db, "CREATE TABLE t (a INT)")
+	mustExec(t, db, "CREATE TABLE u (a INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (4), (3)")
+	mustExec(t, db, "INSERT INTO u VALUES (7)")
+	mustExec(t, db, "ADD ANNOTATION 'old' ON t WHERE a = 3")
+	shared, _, err := db.AnnotateTargets(annotation.Annotation{Text: "shared"},
+		[]TargetSpec{{Table: "t", Where: parseWhere(t, "a = 4")}, {Table: "u"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "DROP TABLE t")
+	mustExec(t, db, "CREATE TABLE t (a INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (9)")
+	check := func(who string, db *DB) {
+		t.Helper()
+		if rows := mustExec(t, db, "SHOW ANNOTATIONS ON t").Rows; len(rows) != 0 {
+			t.Errorf("%s: the new table t carries %d annotation(s) of the dropped one", who, len(rows))
+		}
+		if n := db.Annotations().Count(); n != 1 {
+			t.Errorf("%s: %d annotation(s) stored, want the shared one", who, n)
+		}
+		if got := db.Annotations().TargetsOf(shared); len(got) != 1 || got[0].Table != "u" {
+			t.Errorf("%s: shared annotation targets = %v, want its row of u", who, got)
+		}
+	}
+	check("primary", db)
+	check("replica", replicaOf(t, dir))
+	mustExec(t, db, "CHECKPOINT")
+	db.Close()
+	back, _ := openDurable(t, dir)
+	check("reopened", back)
+}
+
+// A log written when DROP TABLE still left its annotations in place may
+// drop one of them by id afterwards. Redo has already removed it with the
+// table, so that drop is a no-op: recovery and a replica both accept the
+// log and end without the annotation.
+func TestRedoDropOfAnnotationDetachedByDropTable(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openDurable(t, dir)
+	mustExec(t, db, "CREATE TABLE t (a INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (4), (3)")
+	id, _, err := db.AnnotateTargets(annotation.Annotation{Text: "old"},
+		[]TargetSpec{{Table: "t", Where: parseWhere(t, "a = 3")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "DROP TABLE t")
+	// The drop the older engine logged, staged as it wrote it.
+	_, tok, err := db.wal.Stage(walTypeDropAnnotation, encodeWALBody(&walDropAnnotation{ID: id}))
+	if err == nil {
+		err = db.wal.Sync(tok)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := replicaOf(t, dir).Annotations().Count(); n != 0 {
+		t.Errorf("replica: %d annotation(s) stored, want 0", n)
+	}
+	db.wal.Kill()
+	back, _ := openDurable(t, dir)
+	if n := back.Annotations().Count(); n != 0 {
+		t.Errorf("recovered: %d annotation(s) stored, want 0", n)
+	}
+	if err := back.DropAnnotation(id); err == nil {
+		t.Error("a statement dropped an annotation that no longer exists")
+	}
+}
+
 func TestDropAnnotationCuratesSummaries(t *testing.T) {
 	db := birdDB(t)
 	mustExec(t, db, "ADD ANNOTATION 'observed feeding at dawn' ON birds WHERE id = 1")

@@ -26,11 +26,12 @@ import (
 // checkpoint and rotates the log. Both hold the same records in the same
 // frames (see persist.go), and both are redone by redo.
 //
-// Record ordering: a mutation is applied in memory first, then logged,
-// then acknowledged. Records carry fully resolved effects — assigned row
-// ids, annotation ids, matched target rows, post-image values — so
-// replay is deterministic regardless of what the original WHERE clauses
-// would match against a recovered state.
+// Record ordering: resolve → record → apply → log. A mutation resolves
+// every step that can fail (WHERE matches, validated post-images, ids,
+// timestamps), builds its record from the result, applies it, logs it,
+// and is acknowledged after the fsync. Redo is apply on the same record,
+// so replay never re-evaluates a WHERE clause; only a page-file I/O fault
+// can fail apply midway, and the record is then not logged.
 
 // Default auto-checkpoint threshold when DurabilityOptions leaves it 0.
 const defaultAutoCheckpointBytes = 8 << 20
@@ -133,10 +134,12 @@ func OpenDurable(cfg Config, opts DurabilityOptions) (*DB, RecoveryInfo, error) 
 	}
 
 	rd := redo{db: db}
+	db.redoing = true
 	res, err := wal.Replay(walPath, info.SnapshotLSN, rd.apply)
 	if err == nil {
 		err = rd.flush()
 	}
+	db.redoing = false
 	if err != nil {
 		db.Close()
 		return nil, info, fmt.Errorf("engine: wal recovery: %w", err)
@@ -285,15 +288,36 @@ func (db *DB) maybeAutoCheckpoint() {
 	}
 }
 
-// logRecord stages one mutation record into the WAL without waiting for
+// mutate applies one resolved record and then stages it into the WAL: the
+// last two steps of every mutation, after its resolution has done every
+// step that can fail. It returns apply's count.
+func (db *DB) mutate(recType string, p walPayload) (int, error) {
+	n, err := db.apply(recType, p)
+	if err != nil {
+		return 0, err
+	}
+	return n, db.logRecord(recType, p)
+}
+
+// commitRecord is mutate inside the commit shell: the whole of a
+// programmatic mutator whose record needs no resolution.
+func (db *DB) commitRecord(recType string, p walPayload) (n int, err error) {
+	err = db.commit(nil, func() error {
+		n, err = db.mutate(recType, p)
+		return err
+	})
+	return n, err
+}
+
+// logRecord stages one applied record into the WAL without waiting for
 // its commit fsync, parking the sync token in db.pendingSync. The caller
 // is inside the commit shell, which takes the token (takePendingSync)
 // before unlocking and calls syncWAL after, so concurrent writers share
 // commit fsyncs (group commit) instead of serializing an fsync each under
-// the exclusive lock. A nil WAL (no durability, or recovery replay in
-// progress) is a no-op. On error the statement must be reported failed:
-// the in-memory mutation was applied but is not durable, so the caller
-// should treat the engine as compromised and restart from the log.
+// the exclusive lock. A nil WAL (no durability) is a no-op. On error the
+// statement must be reported failed: the in-memory mutation was applied
+// but is not durable, so the caller should treat the engine as
+// compromised and restart from the log.
 func (db *DB) logRecord(recType string, p walPayload) error {
 	if db.wal == nil {
 		return nil
@@ -336,12 +360,13 @@ func (db *DB) syncWAL(tok wal.SyncToken) error {
 }
 
 // redo applies a record stream — a checkpoint, or the log replayed at
-// recovery — through applyWALRecord. In a checkpoint, annotate records
-// restore the raw annotations only and summary records install the stored
-// envelopes, so nothing is summarized. In the log, consecutive annotate
-// records are held back as one applyAnnotates batch, maintained as a
-// single ingest's are; any other record flushes the batch first, so a
-// batch never spans a train record, nor a change to the rows it targets.
+// recovery — by decoding each record and handing it to apply. In a
+// checkpoint, annotate records restore the raw annotations only and summary
+// records install the stored envelopes, so nothing is summarized. In the
+// log, consecutive annotate records are held back and applied as one,
+// maintained as a single ingest's are; any other record flushes them
+// first, so a batch never spans a train record, nor a change to the rows
+// it targets.
 type redo struct {
 	db         *DB
 	checkpoint bool
@@ -349,29 +374,27 @@ type redo struct {
 }
 
 func (rd *redo) apply(rec wal.Record) error {
-	switch {
-	case rec.Type == walTypeAnnotate:
-		p, err := decodeRecord(rec.Type, rec.Data)
-		if err != nil {
-			return err
-		}
-		anns := p.(*walAnnotate).Anns
+	p, err := decodeRecord(rec.Type, rec.Data)
+	if err != nil {
+		return err
+	}
+	switch r := p.(type) {
+	case *walAnnotate:
 		if rd.checkpoint {
-			return rd.db.restoreAnnotations(anns)
+			return rd.db.restoreAnnotations(r.Anns)
 		}
-		rd.anns = append(rd.anns, anns...)
+		rd.anns = append(rd.anns, r.Anns...)
 		return nil
-	case rec.Type == walTypeSummary && rd.checkpoint:
-		p, err := decodeRecord(rec.Type, rec.Data)
-		if err != nil {
-			return err
+	case *walSummaries:
+		if rd.checkpoint {
+			return rd.db.installSummaries(r)
 		}
-		return rd.db.installSummaries(p.(*walSummaries))
 	}
 	if err := rd.flush(); err != nil {
 		return err
 	}
-	return rd.db.applyWALRecord(rec)
+	_, err = rd.db.apply(rec.Type, p)
+	return err
 }
 
 // flush applies the held annotations.
@@ -379,91 +402,89 @@ func (rd *redo) flush() error {
 	if len(rd.anns) == 0 {
 		return nil
 	}
-	anns := rd.anns
+	p := &walAnnotate{Anns: rd.anns}
 	rd.anns = nil
-	return rd.db.applyAnnotates(anns)
+	_, err := rd.db.apply(walTypeAnnotate, p)
+	return err
 }
 
-// applyWALRecord redoes one logical record: at recovery, and on a replica
-// for every record the primary ships. Nothing here logs — recovery has no
-// WAL attached yet, and a replica stages the primary's record itself.
-func (db *DB) applyWALRecord(rec wal.Record) error {
-	p, err := decodeRecord(rec.Type, rec.Data)
-	if err != nil {
-		return err
-	}
+// apply is the one code that changes logical state for a record type. A
+// statement or a programmatic mutator resolves its effects into a record
+// and applies it through mutate; recovery and a replica decode the logged
+// record and apply it here too, so all three run the same lines. It
+// returns orphaned annotations for delete, summarization steps for
+// rebuild, 0 otherwise. A record naming what does not exist is refused
+// as corrupt. Nothing here logs. Callers hold the statement lock.
+func (db *DB) apply(recType string, p walPayload) (int, error) {
 	switch r := p.(type) {
 	case *walCreateTable:
-		// Replayed DDL invalidates cached plans just like the statement
-		// path does — read replicas apply these records while serving
-		// cached SELECTs. Startup recovery starts with an empty cache, so
-		// the calls are free there. Same below for index/drop records.
+		// DDL invalidates cached plans: read replicas apply these records
+		// while serving cached SELECTs. Startup recovery starts with an
+		// empty cache, so the calls are free there. Same below for index,
+		// drop and instance records.
 		db.invalidatePlanCache()
-		_, err = db.cat.CreateTable(r.Name, types.Schema{Columns: r.Columns})
-		return err
+		_, err := db.cat.CreateTable(r.Name, types.Schema{Columns: r.Columns})
+		return 0, err
 	case *walCreateIndex:
 		tbl, err := db.cat.Table(r.Table)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		db.invalidatePlanCache()
-		return tbl.CreateIndex(r.Column)
+		return 0, tbl.CreateIndex(r.Column)
 	case *walName:
-		switch rec.Type {
+		switch recType {
 		case walTypeDropTable:
 			db.invalidatePlanCache()
-			return db.dropTable(r.Name)
+			return 0, db.dropTable(r.Name)
 		case walTypeDropInstance:
+			// Cached SELECT templates may carry SUMMARY(...) calls
+			// resolved against this instance at plan time.
 			db.invalidatePlanCache()
-			return db.dropInstance(r.Name)
-		default: // rebuild
-			_, err = db.rebuildSummaries(r.Name)
-			return err
+			return 0, db.dropInstance(r.Name)
 		}
+		return db.rebuildSummaries(r.Name)
 	case *walRows:
 		tbl, err := db.cat.Table(r.Table)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		apply := tbl.InsertWithID
-		if rec.Type == walTypeUpdate {
-			apply = tbl.Update
+		put := tbl.InsertWithID
+		if recType == walTypeUpdate {
+			put = tbl.Update
 		}
 		for _, row := range r.Rows {
-			if err := apply(row.ID, row.Values); err != nil {
-				return err
+			if err := put(row.ID, row.Values); err != nil {
+				return 0, err
 			}
 		}
-		return nil
+		return 0, nil
 	case *walDelete:
-		tbl, err := db.cat.Table(r.Table)
-		if err != nil {
-			return err
-		}
-		for _, row := range r.Rows {
-			if _, err := db.deleteRow(tbl, row); err != nil {
-				return err
-			}
-		}
-		return nil
+		return db.deleteRows(r.Table, r.Rows)
 	case *walCreateInstance:
-		return db.cat.RegisterInstance(r.Instance)
+		return 0, db.cat.RegisterInstance(r.Instance)
 	case *walLink:
-		return db.setLink(r.Instance, r.Table, r.Unlink)
+		if r.Unlink {
+			return 0, db.unlinkInstance(r.Instance, r.Table)
+		}
+		return 0, db.linkInstance(r.Instance, r.Table)
 	case *walAnnotate:
-		return db.applyAnnotates(r.Anns)
+		return 0, db.applyAnnotates(r.Anns)
 	case *walDropAnnotation:
-		return db.dropAnnotation(r.ID)
+		if db.redoing && db.detached[r.ID] {
+			return 0, nil
+		}
+		return 0, db.dropAnnotation(r.ID)
 	case *walTrain:
-		return db.trainClassifier(r.Instance, r.Samples)
+		return 0, db.trainClassifier(r.Instance, r.Samples)
 	}
-	return fmt.Errorf("engine: no redo for wal record type %q", rec.Type)
+	return 0, fmt.Errorf("engine: no apply for wal record type %q", recType)
 }
 
-// restoreAnnotations re-adds persisted annotations under their original
-// ids. It refuses an annotation with no id or no targets, or one targeting
-// a table or row that does not exist: a record naming them is corrupt,
-// whether it comes from a checkpoint, the log or a primary.
+// restoreAnnotations re-adds annotations under their resolved ids. It
+// refuses an annotation with no id or no targets, or one targeting a
+// table or row that does not exist: a record naming them is corrupt,
+// whether it comes from a statement, a checkpoint, the log or a primary.
 func (db *DB) restoreAnnotations(anns []walAnnotation) error {
 	for _, wa := range anns {
 		if wa.ID <= 0 {
@@ -491,27 +512,53 @@ func (db *DB) restoreAnnotations(anns []walAnnotation) error {
 	return nil
 }
 
-// applyAnnotates restores logged annotations and maintains their
-// summaries as one batch.
+// applyAnnotates restores annotations and maintains their summaries as one
+// batch: through maintain for a statement, which may defer the batch in
+// degraded mode, and synchronously while redoing, so that recovery ends
+// and a replica serves with its summaries caught up.
 func (db *DB) applyAnnotates(anns []walAnnotation) error {
 	if err := db.restoreAnnotations(anns); err != nil {
 		return err
 	}
+	tasks := db.annotationTasks(anns)
+	if db.redoing {
+		db.applyTasks(tasks)
+	} else {
+		db.maintain(tasks)
+	}
+	return nil
+}
+
+// annotationTasks turns resolved annotations into maintenance tasks, one
+// per annotation and one target per scope: a statement's annotation keeps
+// each scope's matched rows in one target (walAnnotation.scopes), a logged
+// one has a target per row.
+func (db *DB) annotationTasks(anns []walAnnotation) []maintTask {
 	tasks := make([]maintTask, len(anns))
 	linked := make(map[string][]*summary.Instance)
 	for i, wa := range anns {
-		tasks[i] = maintTask{ann: wa.Annotation, targets: make([]maintTarget, len(wa.Targets))}
-		for j, tg := range wa.Targets {
+		tasks[i].ann = wa.Annotation
+		scopes := wa.scopes
+		for t := 0; t < len(wa.Targets); {
+			n := 1
+			if len(scopes) > 0 {
+				n, scopes = scopes[0], scopes[1:]
+			}
+			tg := wa.Targets[t]
+			rows := make([]types.RowID, n)
+			for j := range rows {
+				rows[j] = wa.Targets[t+j].Row
+			}
 			instances, ok := linked[tg.Table]
 			if !ok {
 				instances = db.cat.InstancesFor(tg.Table)
 				linked[tg.Table] = instances
 			}
-			tasks[i].targets[j] = maintTarget{table: tg.Table, rows: []types.RowID{tg.Row}, cols: tg.Columns, instances: instances}
+			tasks[i].targets = append(tasks[i].targets, maintTarget{table: tg.Table, rows: rows, cols: tg.Columns, instances: instances})
+			t += n
 		}
 	}
-	db.applyTasks(tasks)
-	return nil
+	return tasks
 }
 
 // installSummaries installs a checkpoint's stored envelopes: each must

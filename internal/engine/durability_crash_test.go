@@ -214,7 +214,7 @@ func compareRecovered(t *testing.T, got, want *DB) {
 }
 
 // TestCrashBetweenHeapAndIndexInsert covers the storage-layer crash
-// window: Table.Insert writes the row to the heap, then updates every
+// window: Table.InsertWithID writes the row to the heap, then updates every
 // secondary index, and only after the statement succeeds does the engine
 // log it to the WAL. fp/catalog/insert_index kills the process after the
 // heap write but before the index insert — the dying engine is visibly

@@ -206,6 +206,14 @@ type DB struct {
 	// walBuf is reused to encode each logged record's body. Guarded by
 	// stmtMu (exclusive).
 	walBuf []byte
+	// redoing is set while recovery or a replica applies logged records:
+	// their annotations are then maintained synchronously, never deferred
+	// (see applyAnnotates). Guarded by stmtMu (exclusive).
+	redoing bool
+	// detached holds the ids of annotations a redone drop_table removed:
+	// an older log, whose DROP TABLE left them in place, may drop one by
+	// id later, and redoing that drop is a no-op. Guarded by stmtMu.
+	detached map[annotation.ID]bool
 	// recoveredLSN is the included-LSN mark of the checkpoint this DB was
 	// loaded from (0 when fresh); WAL replay skips records at or below it.
 	recoveredLSN uint64
@@ -272,6 +280,7 @@ func Open(cfg Config) (*DB, error) {
 		envs:     newEnvStore(),
 		cache:    cache,
 		prepared: make(map[string]*preparedStmt),
+		detached: make(map[annotation.ID]bool),
 		start:    time.Now(),
 
 		ownsCacheDir: ownsCacheDir,

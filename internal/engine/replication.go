@@ -55,14 +55,14 @@ func (db *DB) ReplicationSnapshot(w io.Writer) (uint64, error) {
 }
 
 // ApplyReplicated applies a batch of replicated WAL records: each record
-// mutates memory through the recovery redo path, then is staged into the
-// replica's own WAL under the primary's LSN; one shared commit fsync at
-// the end makes the batch durable. Records at or below the local WAL
-// position are skipped — after a crash between apply and ack the primary
-// resends them, and idempotence comes from the LSN, exactly as in
-// recovery replay. The fp/replication/apply crash point models the
-// replica process dying mid-batch: the WAL handle is killed and the
-// error is returned for the receiver to treat as process death.
+// is decoded and applied as recovery and the original statement apply it,
+// then staged into the replica's own WAL under the primary's LSN; one
+// shared commit fsync at the end makes the batch durable. Records at or
+// below the local WAL position are skipped — after a crash between apply
+// and ack the primary resends them, and idempotence comes from the LSN,
+// exactly as in recovery replay. The fp/replication/apply crash point
+// models the replica process dying mid-batch: the WAL handle is killed
+// and the error is returned for the receiver to treat as process death.
 func (db *DB) ApplyReplicated(recs []wal.Record) error {
 	if db.wal == nil {
 		return fmt.Errorf("engine: replica apply requires durability")
@@ -73,7 +73,11 @@ func (db *DB) ApplyReplicated(recs []wal.Record) error {
 	var tok wal.SyncToken
 	err := func() error {
 		db.stmtMu.Lock()
-		defer db.stmtMu.Unlock()
+		db.redoing = true
+		defer func() {
+			db.redoing = false
+			db.stmtMu.Unlock()
+		}()
 		for _, rec := range recs {
 			if rec.LSN <= db.wal.LastLSN() {
 				continue
@@ -84,7 +88,11 @@ func (db *DB) ApplyReplicated(recs []wal.Record) error {
 				}
 				return err
 			}
-			if err := db.applyWALRecord(rec); err != nil {
+			p, err := decodeRecord(rec.Type, rec.Data)
+			if err == nil {
+				_, err = db.apply(rec.Type, p)
+			}
+			if err != nil {
 				return fmt.Errorf("engine: applying replicated record lsn=%d type=%s: %w", rec.LSN, rec.Type, err)
 			}
 			t, err := db.wal.StageRecord(rec)
@@ -159,6 +167,7 @@ func (db *DB) clearStateLocked() {
 	db.envs = newEnvStore()
 	db.mu.Unlock()
 	db.annClock.Store(0)
+	db.detached = make(map[annotation.ID]bool)
 	db.cache.Clear()
 }
 

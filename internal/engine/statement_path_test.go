@@ -1,35 +1,75 @@
-// Tests of the one statement path: a failed multi-row INSERT leaves nothing
-// behind, and one annotation is a batch of one.
+// Tests of the one statement path: a failed write leaves nothing behind,
+// and one annotation is a batch of one.
 
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
+
+	"insightnotes/internal/wal"
 )
 
-// A multi-row INSERT whose second row is malformed must leave no row
-// visible — in memory, where it was never logged, or after a restart.
-func TestInsertAtomicAgainstWAL(t *testing.T) {
-	dir := t.TempDir()
-	db, _ := openDurable(t, dir)
-	mustExec(t, db, "CREATE TABLE b (id INT, name TEXT)")
+// replicaOf opens a fresh durable engine and applies every record of the
+// log in dir to it, as a replica caught up on that primary would.
+func replicaOf(t *testing.T, dir string) *DB {
+	t.Helper()
+	replica, _ := openDurable(t, t.TempDir())
+	var recs []wal.Record
+	if _, err := wal.Replay(filepath.Join(dir, walFileName), 0, func(r wal.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.ApplyReplicated(recs); err != nil {
+		t.Fatal(err)
+	}
+	return replica
+}
+
+// A write that fails partway — a multi-row INSERT whose second row is
+// malformed, an UPDATE whose SET yields a bad value for its second row, a
+// TRAIN whose second sample names an unknown label — changes nothing:
+// memory, where it was never logged, a reopen and a replica caught up on
+// the log all hold the rows, classifier and summaries as they were.
+func TestFailedWriteAtomicAgainstWAL(t *testing.T) {
 	for _, stmt := range []string{
 		"INSERT INTO b VALUES (1, 'a'), ('oops', 'b')",
 		"BULK INSERT INTO b VALUES (1, 'a'), ('oops', 'b')",
+		"UPDATE b SET id = id / 2",
+		"TRAIN SUMMARY Cls ('lesions from avian pox', 'Disease'), ('seen twice', 'Nope')",
 	} {
+		dir := t.TempDir()
+		db, _ := openDurable(t, dir)
+		for _, setup := range []string{
+			"CREATE TABLE b (id INT, name TEXT)",
+			"INSERT INTO b VALUES (4, 'x'), (3, 'y')",
+			"CREATE SUMMARY INSTANCE Cls TYPE Classifier LABELS ('Behavior', 'Disease')",
+			"LINK SUMMARY Cls TO b",
+			"TRAIN SUMMARY Cls ('feeding at dawn', 'Behavior')",
+			"ADD ANNOTATION 'lesions from avian pox' ON b WHERE id = 3",
+		} {
+			mustExec(t, db, setup)
+		}
+		want := canonicalState(t, db)
 		if _, err := db.Exec(context.Background(), stmt); err == nil {
 			t.Fatalf("%s succeeded", stmt)
 		}
-		if rows := mustExec(t, db, "SELECT id FROM b").Rows; len(rows) != 0 {
-			t.Fatalf("%s failed but left %d row(s) visible", stmt, len(rows))
+		check := func(who string, db *DB) {
+			t.Helper()
+			if got := canonicalState(t, db); !bytes.Equal(got, want) {
+				t.Errorf("%s failed, but %s holds\n%s\nwant\n%s", stmt, who, got, want)
+			}
 		}
-	}
-	db.Close()
-	back, _ := openDurable(t, dir)
-	if rows := mustExec(t, back, "SELECT id FROM b").Rows; len(rows) != 0 {
-		t.Fatalf("%d row(s) after restart, none before it", len(rows))
+		check("memory", db)
+		check("a caught-up replica", replicaOf(t, dir))
+		db.Close()
+		back, _ := openDurable(t, dir)
+		check("the reopened engine", back)
 	}
 }
 

@@ -228,25 +228,27 @@ func (db *DB) execRead(ctx context.Context, stmt sql.Statement, sqlText string, 
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
 
-// execWrite executes one mutating statement. Callers are inside the commit
-// shell, which syncs the WAL record staged here after releasing the lock.
+// execWrite executes one mutating statement: it resolves the statement
+// into a record — every step that can fail comes first — and applies and
+// logs that record through mutate. Callers are inside the commit shell,
+// which syncs the staged record after releasing the lock.
 func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sql.CreateTable:
-		db.invalidatePlanCache()
-		return db.execCreateTable(s)
+		cols := make([]types.Column, len(s.Cols))
+		for i, c := range s.Cols {
+			cols[i] = types.Column{Name: c.Name, Kind: c.Kind}
+		}
+		if _, err := db.mutate(walTypeCreateTable, &walCreateTable{Name: s.Name, Columns: cols}); err != nil {
+			return nil, err
+		}
+		return &Result{Message: fmt.Sprintf("table %s created", s.Name)}, nil
 	case *sql.CreateIndex:
 		tbl, err := db.cat.Table(s.Table)
 		if err != nil {
 			return nil, err
 		}
-		if err := tbl.CreateIndex(s.Column); err != nil {
-			return nil, err
-		}
-		// Memoized access paths predate this index; drop them so the next
-		// execution re-costs against it.
-		db.invalidatePlanCache()
-		if err := db.logRecord(walTypeCreateIndex, &walCreateIndex{Table: tbl.Name(), Column: s.Column}); err != nil {
+		if _, err := db.mutate(walTypeCreateIndex, &walCreateIndex{Table: tbl.Name(), Column: s.Column}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("index created on %s(%s)", tbl.Name(), s.Column)}, nil
@@ -255,12 +257,7 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := tbl.Name()
-		if err := db.dropTable(name); err != nil {
-			return nil, err
-		}
-		db.invalidatePlanCache()
-		if err := db.logRecord(walTypeDropTable, &walName{Name: name}); err != nil {
+		if _, err := db.mutate(walTypeDropTable, &walName{Name: tbl.Name()}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: "table dropped"}, nil
@@ -283,12 +280,12 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 			Count:   n,
 		}, nil
 	case *sql.DropAnnotation:
-		if err := db.execDropAnnotation(annotation.ID(s.ID)); err != nil {
+		if _, err := db.mutate(walTypeDropAnnotation, &walDropAnnotation{ID: annotation.ID(s.ID)}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("annotation %d retracted", s.ID), Count: 1}, nil
 	case *sql.TrainSummary:
-		if err := db.execTrain(s.Name, s.Samples); err != nil {
+		if _, err := db.mutate(walTypeTrain, &walTrain{Instance: s.Name, Samples: s.Samples}); err != nil {
 			return nil, err
 		}
 		return &Result{
@@ -296,7 +293,7 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 			Count:   len(s.Samples),
 		}, nil
 	case *sql.LinkSummary:
-		if err := db.execLink(s.Instance, s.Table, s.Unlink); err != nil {
+		if _, err := db.mutate(walTypeLink, &walLink{Instance: s.Instance, Table: s.Table, Unlink: s.Unlink}); err != nil {
 			return nil, err
 		}
 		if s.Unlink {
@@ -308,21 +305,12 @@ func (db *DB) execWrite(stmt sql.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := db.cat.RegisterInstance(in); err != nil {
-			return nil, err
-		}
-		if err := db.logRecord(walTypeCreateInstance, &walCreateInstance{Instance: in}); err != nil {
+		if _, err := db.mutate(walTypeCreateInstance, &walCreateInstance{Instance: in}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("summary instance %s (%s) created", in.Name, in.Type)}, nil
 	case *sql.DropSummaryInstance:
-		if err := db.dropInstance(s.Name); err != nil {
-			return nil, err
-		}
-		// Cached SELECT templates may carry SUMMARY(...) calls resolved
-		// against this instance at plan time.
-		db.invalidatePlanCache()
-		if err := db.logRecord(walTypeDropInstance, &walName{Name: s.Name}); err != nil {
+		if _, err := db.mutate(walTypeDropInstance, &walName{Name: s.Name}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: "summary instance dropped"}, nil
@@ -389,38 +377,30 @@ func (db *DB) execExplain(ctx context.Context, s *sql.Explain, so stmtOptions) (
 	return &Result{Schema: schema, Rows: rows, Stats: stats}, nil
 }
 
-func (db *DB) execCreateTable(s *sql.CreateTable) (*Result, error) {
-	cols := make([]types.Column, len(s.Cols))
-	for i, c := range s.Cols {
-		cols[i] = types.Column{Name: c.Name, Kind: c.Kind}
-	}
-	tbl, err := db.cat.CreateTable(s.Name, types.Schema{Columns: cols})
-	if err != nil {
-		return nil, err
-	}
-	if err := db.logRecord(walTypeCreateTable, &walCreateTable{Name: tbl.Name(), Columns: cols}); err != nil {
-		return nil, err
-	}
-	return &Result{Message: fmt.Sprintf("table %s created", s.Name)}, nil
-}
-
-// dropTable removes a table and its maintained envelopes; name must be
-// the canonical table name. Shared by the DROP TABLE statement and WAL
-// replay. Callers hold the exclusive statement lock.
+// dropTable removes a table and its maintained envelopes, detaching its
+// rows' annotations as DELETE does: annotations attached nowhere else are
+// removed; while redoing, their ids are kept in db.detached. name must be
+// the canonical table name.
 func (db *DB) dropTable(name string) error {
 	// Queued maintenance targeting this table must not recreate its
 	// envelopes after the drop.
 	db.maint.drain()
-	if err := db.cat.DropTable(name); err != nil {
-		return err
+	for _, row := range db.anns.AnnotatedRows(name) {
+		_, gone, err := db.anns.DetachRow(name, row)
+		if err != nil {
+			return err
+		}
+		for _, id := range gone {
+			if db.redoing {
+				db.detached[id] = true
+			}
+		}
 	}
 	db.envs.dropTable(name)
-	return nil
+	return db.cat.DropTable(name)
 }
 
-// dropInstance unlinks an instance everywhere and deregisters it. Shared
-// by the DROP SUMMARY INSTANCE statement and WAL replay. Callers hold
-// the exclusive statement lock.
+// dropInstance unlinks an instance everywhere and deregisters it.
 func (db *DB) dropInstance(name string) error {
 	// Queued tasks capture instance pointers; drain so none re-adds this
 	// instance's objects after the drop (unlinkInstance drains too, but an
@@ -435,10 +415,9 @@ func (db *DB) dropInstance(name string) error {
 }
 
 // execInsert is row ingest, INSERT and BULK INSERT alike: every row is
-// evaluated and validated before any is inserted, so a statement with a
-// malformed row mutates nothing, and the rows are logged as one WAL record
-// carrying their assigned ids — N rows cost one lock handoff and one
-// group-commit fsync.
+// evaluated, validated and given its id before any is inserted, so a
+// statement with a malformed row mutates nothing, and the rows are one
+// insert record — N rows cost one lock handoff and one group-commit fsync.
 func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 	verb, done := "INSERT", "inserted"
 	if s.Bulk {
@@ -449,6 +428,7 @@ func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 		return nil, err
 	}
 	inserted := make([]walRow, len(s.Rows))
+	next := tbl.NextRow()
 	for i, row := range s.Rows {
 		tu, err := evalConstExprs(row, verb+" values")
 		if err != nil {
@@ -457,14 +437,9 @@ func (db *DB) execInsert(s *sql.Insert) (*Result, error) {
 		if err := tbl.Validate(tu); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i+1, err)
 		}
-		inserted[i].Values = tu
+		inserted[i] = walRow{ID: next + types.RowID(i), Values: tu}
 	}
-	for i := range inserted {
-		if inserted[i].ID, err = tbl.Insert(inserted[i].Values); err != nil {
-			return nil, err
-		}
-	}
-	if err := db.logRecord(walTypeInsert, &walRows{Table: tbl.Name(), Rows: inserted}); err != nil {
+	if _, err := db.mutate(walTypeInsert, &walRows{Table: tbl.Name(), Rows: inserted}); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("%d row(s) %s into %s", len(inserted), done, tbl.Name()), Count: len(inserted)}, nil

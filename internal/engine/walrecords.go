@@ -219,6 +219,11 @@ type walAnnotate struct {
 type walAnnotation struct {
 	annotation.Annotation
 	Targets []annotation.Target
+	// scopes counts Targets per attachment scope, in order, for the
+	// statement that resolved them; maintenance keeps a scope's rows in
+	// one target (see annotationTasks). It is not logged: a decoded
+	// record has none.
+	scopes []int
 }
 
 func (p *walAnnotate) encode(w *codec.Writer) {

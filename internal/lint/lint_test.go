@@ -166,6 +166,26 @@ func (db *DB) backfill(in *summary.Instance, a annotation.Annotation) {
 	expect(t, bad.CallsOutside(engine, "Summarize", "applyTasks"), "backfill calls Summarize")
 }
 
+// A mutation resolves its effects into a record, then applies and logs it
+// through mutate, the one caller of logRecord: apply first, then stage,
+// with apply the code recovery and replicas run on the same record. A
+// mutator that staged a record itself could log what it never applied,
+// or apply what replay does not.
+func TestLogRecordHasOneCaller(t *testing.T) {
+	const engine = "internal/engine/"
+	s := tree(t)
+	expect(t, s.CallsOutside(engine, "logRecord", "mutate"))
+
+	bad := tree(t, engine+"x.go", `package engine
+func (db *DB) execRename(from, to string) error {
+	if err := db.cat.Rename(from, to); err != nil {
+		return err
+	}
+	return db.logRecord("rename", &walName{Name: to})
+}`)
+	expect(t, bad.CallsOutside(engine, "logRecord", "mutate"), "execRename calls logRecord")
+}
+
 // The zoom-in cache keeps every result in one spill file that is opened
 // once: a statement's Put and Get are a positional write and read on that
 // handle. Creating, reading whole or removing a file belongs to the

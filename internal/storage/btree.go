@@ -11,8 +11,9 @@ import (
 // (key, value) and entries are totally ordered by key then value, so
 // Delete removes exactly one logical entry.
 //
-// Indexes are memory-resident and rebuilt from heap pages on open (see the
-// package comment); within a session the tree is safe for concurrent use.
+// A tree lives in memory only: an index is built from its table's rows
+// when it is created or recovered, never read from pages. The tree is
+// safe for concurrent use.
 type BTree struct {
 	mu   sync.RWMutex
 	root btNode

@@ -1,13 +1,14 @@
-// Package storage implements the relational storage substrate underneath
-// the InsightNotes engine: 8 KiB slotted pages, pluggable page stores
+// Package storage implements the storage substrate underneath the
+// InsightNotes engine: 8 KiB slotted pages, pluggable page stores
 // (memory-backed and file-backed), a pinning buffer pool with LRU eviction,
-// heap files for tuple storage, an ordered B+tree index, and an
-// order-preserving key encoding for index keys.
+// heap files for the raw annotation text, an ordered B+tree for secondary
+// indexes, and an order-preserving key encoding for index keys.
 //
 // The paper's prototype extends PostgreSQL; this package is the substitute
-// host storage layer (see DESIGN.md §4). Indexes are memory-resident and
-// rebuilt from the heap on open, in the style of early-generation embedded
-// Go stores; heap pages are the durable representation.
+// host storage layer (see DESIGN.md §4). Table rows and their indexes live
+// in memory (internal/catalog); the page file is an ephemeral paging
+// layer, recreated on open. The checkpoint and the WAL are the durable
+// representation.
 package storage
 
 import (
