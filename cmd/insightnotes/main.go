@@ -330,8 +330,8 @@ func replCommand(db *engine.DB, w io.Writer, cmd string) bool {
 		fmt.Fprintln(w, help)
 	case cmd == `\stats`:
 		st := db.Cache().Stats()
-		fmt.Fprintf(w, "zoom-in cache [%s]: %d entries, %d bytes, %d hits, %d misses, %d evictions\n",
-			db.Cache().PolicyName(), st.Entries, st.UsedBytes, st.Hits, st.Misses, st.Evictions)
+		fmt.Fprintf(w, "zoom-in cache [%s]: %d entries, %d bytes, %d hits, %d misses, %d evictions, %d spills\n",
+			db.Cache().PolicyName(), st.Entries, st.UsedBytes, st.Hits, st.Misses, st.Evictions, st.Spills)
 	case strings.HasPrefix(cmd, `\trace `):
 		q := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(cmd, `\trace `)), ";")
 		res, err := db.Query(context.Background(), q, engine.WithTrace())

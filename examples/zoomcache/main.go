@@ -1,5 +1,6 @@
 // Zoomcache: the §2.2 demonstration of zoom-in query processing over the
-// limited disk-based materialization cache. The example runs the same
+// limited materialization cache, which keeps results in memory and spills
+// the ones zoom-ins referenced to disk. The example runs the same
 // skewed zoom-in reference stream under the paper's RCO policy and the LRU
 // baseline, printing hit rates and latencies, and shows a transparent
 // cache-miss re-execution.

@@ -10,8 +10,8 @@
 // of attached documents — and extends every relational operator to curate
 // and merge those objects inside the pipeline. Users interactively
 // "zoom in" on reported summaries to retrieve the raw annotations behind
-// them, served by a disk-based materialization cache under the RCO
-// replacement policy.
+// them, served by a materialization cache under the RCO replacement
+// policy that keeps results in memory and spills the zoomed ones to disk.
 //
 // # Quick start
 //

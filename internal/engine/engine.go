@@ -51,10 +51,12 @@ type Config struct {
 	// to <dir>/pages.db.
 	PageFile string
 	// CacheDir is the directory of the zoom-in cache's one spill file,
-	// which is truncated on open (default: a fresh temp directory, removed
+	// which holds the results zoom-ins referenced once they leave memory
+	// and is truncated on open (default: a fresh temp directory, removed
 	// again by Close).
 	CacheDir string
-	// CacheBudget bounds the zoom-in cache in bytes (default 4 MiB).
+	// CacheBudget bounds the zoom-in cache in bytes, live results and
+	// spilled ones together (default 4 MiB).
 	CacheBudget int64
 	// CachePolicy selects the replacement policy (default RCO).
 	CachePolicy zoomin.Policy

@@ -425,7 +425,7 @@ func zoomDB(t *testing.T, cfg Config) *DB {
 func TestSelectSurvivesCacheWriteFailure(t *testing.T) {
 	db := zoomDB(t, Config{CacheDir: t.TempDir()})
 	defer db.Close()
-	db.Cache().Close() // every spill write fails from here on
+	db.Cache().Close() // a closed cache admits nothing
 	res, err := db.Exec(context.Background(), "SELECT a FROM t")
 	if err != nil {
 		t.Fatalf("SELECT failed over a cache write: %v", err)
@@ -449,7 +449,7 @@ func TestZoomInExpiredQID(t *testing.T) {
 	defer db.Close()
 	res := mustExec(t, db, "SELECT a FROM t")
 	// The QID 65 536 later takes the same registry slot.
-	db.Cache().Put(&zoomin.CachedResult{QID: res.QID + 1<<16, SQL: "SELECT a FROM t"})
+	db.Cache().Put(&zoomin.LiveResult{QID: res.QID + 1<<16, SQL: "SELECT a FROM t"})
 	_, _, err := db.ZoomIn(context.Background(), ZoomInRequest{QID: res.QID, Instance: "C", Index: 1})
 	if !errors.Is(err, zoomin.ErrQIDExpired) {
 		t.Errorf("zoom-in on an expired QID: %v", err)

@@ -104,11 +104,13 @@ func newDBMetrics(db *DB) *dbMetrics {
 		func() float64 { return float64(cache.Stats().Misses) })
 	reg.CounterFunc(metrics.NameZoominCacheEvictionsTotal, "Zoom-in cache evictions under the byte budget.",
 		func() float64 { return float64(cache.Stats().Evictions) })
-	reg.CounterFunc(metrics.NameZoominCachePutsTotal, "Results admitted into the zoom-in cache.",
+	reg.CounterFunc(metrics.NameZoominCachePutsTotal, "Results admitted into the zoom-in cache, each as a live result held in memory.",
 		func() float64 { return float64(cache.Stats().Puts) })
+	reg.CounterFunc(metrics.NameZoominCacheSpillsTotal, "Live zoom-in cache results a zoom-in had referenced, encoded and written to the spill file when they left memory.",
+		func() float64 { return float64(cache.Stats().Spills) })
 	reg.CounterFunc(metrics.NameZoominCacheRejectedTotal, "Results too large for the zoom-in cache budget.",
 		func() float64 { return float64(cache.Stats().Rejected) })
-	reg.GaugeFunc(metrics.NameZoominCacheBytes, "Bytes resident in the zoom-in cache.",
+	reg.GaugeFunc(metrics.NameZoominCacheBytes, "Bytes the zoom-in cache holds: live results at their estimated size in memory, spilled ones at their encoded size.",
 		func() float64 { return float64(cache.Stats().UsedBytes) })
 	reg.GaugeFunc(metrics.NameZoominCacheEntries, "Entries resident in the zoom-in cache.",
 		func() float64 { return float64(cache.Stats().Entries) })

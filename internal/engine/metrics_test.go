@@ -98,6 +98,7 @@ func TestShowMetricsStatement(t *testing.T) {
 	for _, want := range []string{
 		`insightnotes_engine_statements_total{kind="select"}`,
 		"insightnotes_zoomin_cache_puts_total",
+		"insightnotes_zoomin_cache_spills_total",
 		"insightnotes_plan_plans_total",
 	} {
 		if !seen[want] {

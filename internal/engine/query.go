@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"insightnotes/internal/exec"
@@ -62,13 +63,9 @@ type Result struct {
 	// Schema describes Rows for SELECT and ZOOMIN results.
 	Schema types.Schema
 	// Rows holds the result tuples with their propagated summary
-	// envelopes.
+	// envelopes. A SELECT's rows (not the slice) are shared with the
+	// zoom-in cache's live entry for its QID, so they are read-only.
 	Rows []*exec.Row
-	// Materialized is the zoom-in cache entry of a SELECT registered under
-	// a QID: Rows encoded once, rendered summaries included, in the form
-	// the server sends as is. Nil otherwise (ablated plans are never
-	// materialized).
-	Materialized *zoomin.CachedResult
 	// Message summarizes DDL/DML outcomes.
 	Message string
 	// Count is the number of rows affected/ingested for DML.
@@ -106,7 +103,7 @@ func statementStats(ec *exec.ExecContext, rows int) *StatementStats {
 }
 
 // querySelect runs a SELECT and, unless its plan was ablated, registers it
-// under a fresh QID and materializes it for zoom-in.
+// under a fresh QID and admits it to the zoom-in cache.
 func (db *DB) querySelect(ec *exec.ExecContext, sel *sql.Select, sqlText string, so stmtOptions) (*Result, error) {
 	op, rows, ops, err := db.collectSelect(ec, sel, so)
 	if err != nil {
@@ -127,7 +124,7 @@ func (db *DB) querySelect(ec *exec.ExecContext, sel *sql.Select, sqlText string,
 		return res, nil
 	}
 	res.QID = db.allocateQID()
-	res.Materialized = db.materialize(res.QID, sqlText, sel, op, rows)
+	db.admit(res.QID, sqlText, sel, res.Schema, rows)
 	return res, nil
 }
 
@@ -172,15 +169,19 @@ func (db *DB) collectSelect(ec *exec.ExecContext, sel *sql.Select, so stmtOption
 	return op, rows, ops, err
 }
 
-// materialize registers one executed SELECT under qid and admits its
-// result to the zoom-in cache.
-func (db *DB) materialize(qid int, sqlText string, sel *sql.Select, op exec.Operator, rows []*exec.Row) *zoomin.CachedResult {
-	cached := zoomin.BuildCachedResult(qid, sqlText, op.Schema(), rows, estimateComplexity(sel, len(rows)))
-	// The rows are computed and the QID is registered either way: a result
-	// the cache could not store (counted as rejected) is re-executed by the
-	// zoom-in that wants it, so its statement does not fail over it.
-	_ = db.cache.Put(cached)
-	return cached
+// admit registers one executed SELECT under qid and admits its result to
+// the zoom-in cache as it is, rows by reference. The cache keeps its own
+// row slice, so a caller may reorder the result's.
+func (db *DB) admit(qid int, sqlText string, sel *sql.Select, schema types.Schema, rows []*exec.Row) *zoomin.LiveResult {
+	live := &zoomin.LiveResult{
+		QID: qid, SQL: sqlText, Columns: schema.Columns, Rows: slices.Clone(rows),
+		Complexity: estimateComplexity(sel, len(rows)),
+	}
+	// The QID is registered either way: a result the cache could not keep
+	// is re-executed by the zoom-in that wants it, so its statement does
+	// not fail over a spill write.
+	_ = db.cache.Put(live)
+	return live
 }
 
 // estimateComplexity is the RCO cost proxy: relations joined, aggregation,
@@ -198,19 +199,15 @@ func estimateComplexity(sel *sql.Select, resultRows int) float64 {
 	return c
 }
 
-// resultFor returns the decoded cached result of qid, re-executing the
-// remembered SQL on a cache miss (and re-admitting the fresh result to the
-// cache).
-// The re-execution runs under ctx, so a cancelled zoom-in never writes a
-// partial entry: Collect fails before the cache Put is reached. The
+// resultFor returns the cached result of qid, re-executing the remembered
+// SQL on a cache miss (and admitting the fresh result to the cache). The
+// re-execution runs under ctx, so a cancelled zoom-in never admits a
+// partial result: Collect fails before the cache Put is reached. The
 // boolean reports whether it was a cache hit.
-func (db *DB) resultFor(ctx context.Context, qid int) (*zoomin.CachedResult, bool, error) {
+func (db *DB) resultFor(ctx context.Context, qid int) (zoomin.Zoomable, bool, error) {
 	cached, hit, err := db.cache.Get(qid)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		return cached, true, nil
+	if err != nil || hit {
+		return cached, hit, err
 	}
 	sqlText, err := db.cache.Query(qid)
 	if err != nil {
@@ -225,7 +222,5 @@ func (db *DB) resultFor(ctx context.Context, qid int) (*zoomin.CachedResult, boo
 	if err != nil {
 		return nil, false, err
 	}
-	// Read the fresh result the way a hit reads it: decoded from its entry.
-	cached, err = db.materialize(qid, sqlText, sel, op, rows).Decoded()
-	return cached, false, err
+	return db.admit(qid, sqlText, sel, op.Schema(), rows), false, nil
 }

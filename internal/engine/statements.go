@@ -25,9 +25,10 @@ func (db *DB) Exec(ctx context.Context, sqlText string, opts ...StatementOption)
 
 // Query is Exec for callers that expect a SELECT: any other statement is
 // refused before it runs. A SELECT is planned and executed under ctx
-// (polled at batch granularity), assigned a QID, and materialized into the
-// zoom-in cache; a statement carrying WithPlanOptions is not QID-registered
-// and never touches that cache.
+// (polled at batch granularity), assigned a QID, and its result kept live
+// in the zoom-in cache; a statement carrying WithPlanOptions is not
+// QID-registered and never touches that cache. The result's rows are
+// shared with the cache, so the caller must not change them.
 func (db *DB) Query(ctx context.Context, sqlText string, opts ...StatementOption) (*Result, error) {
 	return db.run(ctx, nil, sqlText, true, opts)
 }

@@ -9,6 +9,7 @@ import (
 	"insightnotes/internal/sql"
 	"insightnotes/internal/storage"
 	"insightnotes/internal/types"
+	"insightnotes/internal/zoomin"
 )
 
 // ZoomRowResult is the zoom-in expansion of one matched result row: the
@@ -65,24 +66,17 @@ func (db *DB) expandZoom(ctx context.Context, req ZoomInRequest) ([]ZoomRowResul
 			return nil, hit, err
 		}
 	}
-	rows, err := cached.FilterRows(pred)
+	rows, err := zoomin.Expand(cached, pred, req.Instance, req.Index)
 	if err != nil {
 		return nil, hit, err
 	}
 	var out []ZoomRowResult
-	for i := range rows {
-		ids, err := rows[i].ZoomIDs(req.Instance, req.Index)
-		if err != nil {
-			return nil, hit, err
-		}
-		if len(ids) == 0 {
-			continue
-		}
+	for _, row := range rows {
 		// Cached results are snapshots: annotations retracted since the
 		// query ran are silently skipped rather than failing the zoom-in.
 		// A damaged page is not skipped: the zoom-in sheds with it.
-		anns := make([]annotation.Annotation, 0, len(ids))
-		for _, id := range ids {
+		anns := make([]annotation.Annotation, 0, len(row.IDs))
+		for _, id := range row.IDs {
 			a, err := db.anns.Get(id)
 			if errors.Is(err, storage.ErrCorrupt) {
 				return nil, hit, err
@@ -95,7 +89,7 @@ func (db *DB) expandZoom(ctx context.Context, req ZoomInRequest) ([]ZoomRowResul
 		if len(anns) == 0 {
 			continue
 		}
-		out = append(out, ZoomRowResult{Tuple: rows[i].Tuple, Annotations: anns})
+		out = append(out, ZoomRowResult{Tuple: row.Tuple, Annotations: anns})
 	}
 	return out, hit, nil
 }

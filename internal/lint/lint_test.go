@@ -186,8 +186,8 @@ func (db *DB) execRename(from, to string) error {
 	expect(t, bad.CallsOutside(engine, "logRecord", "mutate"), "execRename calls logRecord")
 }
 
-// The zoom-in cache keeps every result in one spill file that is opened
-// once: a statement's Put and Get are a positional write and read on that
+// The zoom-in cache keeps every spilled result in one spill file that is
+// opened once: a spill and a Get are a positional write and read on that
 // handle. Creating, reading whole or removing a file belongs to the
 // cache's lifecycle and to compaction only, so a per-statement file
 // create or unlink — the cost this layout exists to avoid — fails here.

@@ -125,6 +125,7 @@ func TestDeclaredNamesFollowScheme(t *testing.T) {
 		NameExecOpCuratesTotal, NamePlanPlansTotal, NamePlanAccessPathsTotal,
 		NameZoominCacheHitsTotal, NameZoominCacheMissesTotal,
 		NameZoominCacheEvictionsTotal, NameZoominCachePutsTotal,
+		NameZoominCacheSpillsTotal,
 		NameZoominCacheRejectedTotal, NameZoominCacheBytes,
 		NameZoominCacheEntries, NameZoominRequestsTotal,
 		NameZoominCancelledTotal, NameServerConnectionsTotal,

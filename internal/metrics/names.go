@@ -61,6 +61,7 @@ const (
 	NameZoominCacheMissesTotal    = "insightnotes_zoomin_cache_misses_total"    // counter
 	NameZoominCacheEvictionsTotal = "insightnotes_zoomin_cache_evictions_total" // counter
 	NameZoominCachePutsTotal      = "insightnotes_zoomin_cache_puts_total"      // counter
+	NameZoominCacheSpillsTotal    = "insightnotes_zoomin_cache_spills_total"    // counter
 	NameZoominCacheRejectedTotal  = "insightnotes_zoomin_cache_rejected_total"  // counter (results larger than the budget)
 	NameZoominCacheBytes          = "insightnotes_zoomin_cache_bytes"           // gauge
 	NameZoominCacheEntries        = "insightnotes_zoomin_cache_entries"         // gauge

@@ -6,9 +6,9 @@
 // Protocol: the client sends one request frame and receives one response
 // frame. Requests carry a single statement in the full grammar (SQL plus
 // InsightNotes extensions); responses carry the message, QID, result
-// columns, and rows with their rendered summary objects. A materialized
-// SELECT's rows are the encoded rows section of its zoom-in cache entry,
-// copied into the response as is.
+// columns, and rows with their rendered summary objects. A SELECT's rows
+// are encoded once, straight from the result into the response frame, in
+// the rows section of a zoom-in spill entry (zoomin.AppendRows).
 //
 // Statements execute directly against the engine's statement-level
 // reader/writer lock: reads (SELECT, SHOW, EXPLAIN, ZOOMIN) from separate
@@ -30,13 +30,13 @@ import (
 
 	"insightnotes/internal/codec"
 	"insightnotes/internal/engine"
+	"insightnotes/internal/exec"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/metrics"
 	"insightnotes/internal/sql"
 	"insightnotes/internal/storage"
 	"insightnotes/internal/trace"
 	"insightnotes/internal/types"
-	"insightnotes/internal/zoomin"
 )
 
 // Request is one client command.
@@ -92,9 +92,9 @@ type Response struct {
 	// a turned-away client can still hand support a fetchable id).
 	TraceID string
 
-	// rows, when set, is the encoded rows section the server sends in
-	// place of Rows (see zoomin.ReadRow).
-	rows []byte
+	// rows, when set, are the executor rows the server encodes in place
+	// of Rows, straight into the frame (zoomin.AppendRows).
+	rows []*exec.Row
 }
 
 // StatsJSON is the structured per-statement runtime summary on the wire.
@@ -581,15 +581,7 @@ func (s *Server) execute(req Request) (resp Response) {
 	for _, c := range res.Schema.Columns {
 		resp.Columns = append(resp.Columns, c.QualifiedName())
 	}
-	if res.Materialized != nil {
-		// Encoded once, rendered summaries included, when the result was
-		// materialized for zoom-in.
-		resp.rows = res.Materialized.RowsSection()
-	} else if len(res.Rows) > 0 {
-		var w codec.Writer
-		zoomin.AppendRows(&w, res.Rows)
-		resp.rows = w.Bytes()
-	}
+	resp.rows = res.Rows
 	for _, e := range res.Trace {
 		resp.Trace = append(resp.Trace, TraceRow{Stage: e.Stage, Values: e.Tuple, Summary: e.Summary})
 	}

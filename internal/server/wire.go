@@ -16,7 +16,7 @@ import (
 // str message, varint qid, str trace_id, uvarint column count + str
 // columns, byte stats present + StatsJSON, uvarint trace row count +
 // (str stage, tuple values, str summary), section rows. The rows section
-// is zoomin's (see zoomin.ReadRow): a materialized SELECT's spill entry
+// is zoomin's (see zoomin.ReadRow): the spill entry of a SELECT's result
 // carries the very same bytes.
 //
 // A peer that does not speak the protocol — a newline-JSON client, say —
@@ -93,16 +93,16 @@ func appendResponseFrame(dst []byte, resp *Response) []byte {
 		w.Tuple(tr.Values)
 		w.Str(tr.Summary)
 	}
+	mark := w.BeginSection()
 	if resp.rows != nil {
-		w.Section(resp.rows)
+		zoomin.AppendRows(w, resp.rows)
 	} else {
-		mark := w.BeginSection()
 		w.Uvarint(uint64(len(resp.Rows)))
 		for _, row := range resp.Rows {
 			zoomin.AppendRow(w, row.Values, row.Summaries)
 		}
-		w.EndSection(mark)
 	}
+	w.EndSection(mark)
 	return codec.EndFrame(w)
 }
 

@@ -15,6 +15,7 @@ import (
 	"insightnotes/internal/codec"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/types"
+	"insightnotes/internal/zoomin"
 )
 
 // rawFrame builds a frame of the given version/kind byte around body.
@@ -177,8 +178,9 @@ func TestRefusedConnectionFrame(t *testing.T) {
 	}
 }
 
-// TestResponseRowsAreSpillRows: a SELECT's response carries the rows
-// section of its zoom-in cache entry byte for byte.
+// TestResponseRowsAreSpillRows: a SELECT's response carries, byte for byte,
+// the rows section of the spill entry BuildCachedResult encodes for the same
+// result, which the zoom-in cache holds live.
 func TestResponseRowsAreSpillRows(t *testing.T) {
 	srv, c := startServer(t)
 	mustClient(t, c, "CREATE TABLE birds (id INT, name TEXT)")
@@ -203,11 +205,26 @@ func TestResponseRowsAreSpillRows(t *testing.T) {
 		t.Errorf("summaries = %v", resp.Rows[0].Summaries)
 	}
 	cached, hit, err := srv.db.Cache().Get(resp.QID)
-	if err != nil || !hit {
-		t.Fatalf("QID %d not in the cache: %v", resp.QID, err)
+	live, ok := cached.(*zoomin.LiveResult)
+	if err != nil || !hit || !ok {
+		t.Fatalf("QID %d not live in the cache: %T, %v", resp.QID, cached, err)
 	}
-	if !bytes.Equal(section, cached.RowsSection()) {
-		t.Fatalf("response rows section differs from the spill's:\n%x\n%x", section, cached.RowsSection())
+	// The entry's header (see zoomin's entryVersion), then its rows section.
+	r := codec.NewReader(zoomin.BuildCachedResult(live))
+	r.Byte()
+	r.Int()
+	r.Str()
+	for n := r.Count(3); n > 0; n-- {
+		r.Str()
+		r.Str()
+		r.Byte()
+	}
+	spilled := r.Section()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(section, spilled) {
+		t.Fatalf("response rows section differs from the spill's:\n%x\n%x", section, spilled)
 	}
 }
 

@@ -47,6 +47,7 @@ const repCandidates = 3
 type clusterObject struct {
 	sharedFlag
 	shown  presentation
+	size   atomic.Pointer[int] // ApproxBytes, memoised while shared
 	inst   *Instance
 	groups []*clusterGroup
 }
@@ -61,9 +62,9 @@ type repCandidate struct {
 // clusterGroup is the unit of copy-on-write in a cluster object: once
 // latched shared (by Clone, or by a MergeFrom adopting it) it is immutable,
 // and ownGroup replaces it with a private copy before any change. A shared
-// group memoises its label the way a shared object memoises its
-// presentation, so every object holding it, an unshared accumulator
-// included, reuses it.
+// group memoises its label and its size the way a shared object memoises
+// its presentation, so every object holding it, an unshared accumulator
+// included, reuses them.
 type clusterGroup struct {
 	// members is the group's annotation ids, sorted ascending: the list
 	// Elements hands out. It is only ever extended at its tail in place;
@@ -78,6 +79,7 @@ type clusterGroup struct {
 	min annotation.ID
 	sharedFlag
 	label atomic.Pointer[string]
+	size  atomic.Pointer[int]
 }
 
 func newClusterObject(in *Instance) *clusterObject {
@@ -598,17 +600,27 @@ func (c *clusterObject) render() string {
 	return b.String()
 }
 
-// ApproxBytes implements Object.
+// ApproxBytes implements Object. Walking every centroid is the cost, so a
+// shared object, and each shared group, counts once.
 func (c *clusterObject) ApproxBytes() int {
+	return memoised(&c.size, c.isShared(), c.approxBytes)
+}
+
+func (c *clusterObject) approxBytes() int {
 	n := 0
 	for _, g := range c.groups {
-		n += 8 + 8*len(g.members) // rep + member ids
-		for _, cand := range g.candidates {
-			n += 16 + len(cand.preview)
-		}
-		for t := range g.centroid {
-			n += len(t) + 8
-		}
+		n += memoised(&g.size, g.isShared(), g.approxBytes)
+	}
+	return n
+}
+
+func (g *clusterGroup) approxBytes() int {
+	n := 8 + 8*len(g.members) // rep + member ids
+	for _, cand := range g.candidates {
+		n += 16 + len(cand.preview)
+	}
+	for t := range g.centroid {
+		n += len(t) + 8
 	}
 	return n
 }

@@ -103,7 +103,7 @@ func TestSharedPresentationFollowsClones(t *testing.T) {
 			}
 			orig := build()
 			orig.share()
-			text, els := orig.Render(), orig.Elements()
+			text, els, size := orig.Render(), orig.Elements(), orig.ApproxBytes()
 			if p := presentationOf(orig); p.text.Load() == nil || p.elems.Load() == nil {
 				t.Fatal("a shared object did not memoise its presentation")
 			}
@@ -111,11 +111,11 @@ func TestSharedPresentationFollowsClones(t *testing.T) {
 				t.Error("a shared object recomputed its elements")
 			}
 			cp := orig.Clone()
-			if cp.Render() != text || !sameElements(cp.Elements(), els) {
-				t.Errorf("clone shows %s %v, original %s %v", cp.Render(), cp.Elements(), text, els)
+			if cp.Render() != text || !sameElements(cp.Elements(), els) || cp.ApproxBytes() != size {
+				t.Errorf("clone shows %s %v (%d bytes), original %s %v (%d bytes)", cp.Render(), cp.Elements(), cp.ApproxBytes(), text, els, size)
 			}
 			// The clone's cluster groups are now shared with the original,
-			// and the calls above memoised their labels and ids.
+			// and the calls above memoised their labels, ids and sizes.
 			tc.mutate(cp)
 			want := build()
 			tc.mutate(want)
@@ -125,7 +125,10 @@ func TestSharedPresentationFollowsClones(t *testing.T) {
 			if got := cp.Elements(); !sameElements(got, want.Elements()) {
 				t.Errorf("changed clone has elements %v, want %v", got, want.Elements())
 			}
-			if orig.Render() != text || !sameElements(orig.Elements(), els) {
+			if got := cp.ApproxBytes(); got != want.ApproxBytes() {
+				t.Errorf("changed clone counts %d bytes, want %d", got, want.ApproxBytes())
+			}
+			if orig.Render() != text || !sameElements(orig.Elements(), els) || orig.ApproxBytes() != size {
 				t.Errorf("changing the clone changed the original: %s %v, was %s %v", orig.Render(), orig.Elements(), text, els)
 			}
 			fresh := build()

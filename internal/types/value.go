@@ -70,10 +70,10 @@ func KindFromName(name string) (Kind, error) {
 // only one of the payload fields is meaningful, selected by Kind.
 type Value struct {
 	kind Kind
+	b    bool // beside kind, in its padding: a Value is 40 bytes, not 48
 	i    int64
 	f    float64
 	s    string
-	b    bool
 }
 
 // Null returns the NULL value.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -38,6 +39,18 @@ func TestKindFromName(t *testing.T) {
 	}
 	if _, err := KindFromName("blob"); err == nil {
 		t.Error("KindFromName(blob) succeeded, want error")
+	}
+}
+
+// A Value is 40 bytes on 64-bit hosts: the bool shares kind's padding
+// word. Every stored tuple and every live zoom-in result holds Values, so
+// a field added in the wrong place grows all of them by a fifth.
+func TestValueIs40Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 40", got)
 	}
 }
 

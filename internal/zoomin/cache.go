@@ -12,7 +12,7 @@ import (
 )
 
 // spillName is the one file under the cache directory that holds every
-// materialized result.
+// spilled result.
 const spillName = "zoomin.spill"
 
 // registrySize is how many of the most recent QIDs keep their SQL text for
@@ -23,15 +23,18 @@ const registrySize = 1 << 16
 // among the registrySize most recent ones: its SQL text is gone.
 var ErrQIDExpired = errors.New("expired from the zoom-in registry")
 
-// entryMeta is the bookkeeping of one resident result: where its bytes lie
-// in the spill file and what the replacement policies score.
+// entryMeta is the bookkeeping of one resident result, in either form, and
+// what the replacement policies score.
 type entryMeta struct {
-	QID        int
+	QID int
+	// Size is what the entry counts against the budget: its live size, or
+	// once spilled its encoded length.
 	Size       int64
 	Complexity float64
-	LastRef    int64 // logical clock of the last reference
-	RefCount   int
-	off        int64 // offset of the encoded result in the spill file
+	LastRef    int64       // logical clock of the last reference
+	RefCount   int         // zoom-ins that referenced the entry
+	live       *LiveResult // the result while it is in memory; nil once spilled
+	off        int64       // spilled: offset of the encoded result in the spill file
 }
 
 // Policy gives every resident entry a retention value; under pressure the
@@ -46,8 +49,8 @@ type Policy interface {
 // RCO is the paper's replacement policy: Recency, Complexity, and Overhead.
 // An entry's retention value grows with the cost of recreating it (query
 // complexity), how often and how recently zoom-ins referenced it, and
-// shrinks with the disk space it occupies. The entry with the lowest value
-// is evicted.
+// shrinks with the space it occupies. The entry with the lowest value is
+// evicted.
 type RCO struct{}
 
 // Name implements Policy.
@@ -70,39 +73,53 @@ func (LRU) Score(m *entryMeta, _ int64) float64 { return float64(m.LastRef) }
 // CacheStats reports cache effectiveness for the E6 benchmarks and the
 // metrics registry's function-backed collectors.
 type CacheStats struct {
-	Hits      int64
-	Misses    int64
+	Hits   int64
+	Misses int64
+	// Evictions counts entries that left the cache under the budget: live
+	// results no zoom-in referenced, and spilled entries.
 	Evictions int64
-	// Puts counts results admitted into the cache.
+	// Puts counts results admitted into the cache, all of them live.
 	Puts int64
+	// Spills counts live results written to the spill file when they left
+	// memory, because a zoom-in had referenced them.
+	Spills int64
 	// Rejected counts results that were not admitted: larger than the whole
-	// budget, or lost to a spill-file I/O failure. Either way the query is
-	// re-executed on demand instead.
-	Rejected  int64
+	// budget or offered to a closed cache, or lost to a spill-file I/O
+	// failure. Either way the query is re-executed on demand instead.
+	Rejected int64
+	// UsedBytes is what the resident entries count against the budget.
 	UsedBytes int64
 	Entries   int
 }
 
-// Cache is the limited disk-based materialization cache for query results.
-// Every result is one extent of a single spill file, written once at the
-// tail; the resident set is an in-memory index over those extents, and the
-// extents compete for a byte budget under the configured replacement
-// policy. Evicting or replacing an entry only edits the index — its bytes
-// go dead in place — and compact reclaims dead bytes once the file has
-// grown past twice the budget. The cache also remembers the SQL text of
-// the most recent QIDs, so a zoom-in on an evicted result can re-execute.
+// Cache is the limited materialization cache for query results. One index
+// holds the resident set, and each entry is in one of two forms. A live
+// entry is the result as the executor produced it, held by reference, and
+// counts at its live size: Put admits every result so, with no encoding and
+// no I/O. A spilled entry is one extent of a single spill file, written
+// once at the tail, and counts at its encoded length. One byte budget caps
+// the two forms together. Under pressure entries are taken in ascending
+// order of the configured policy's score: a live entry that a zoom-in has
+// referenced is encoded and spilled, and stays; any other entry leaves, its
+// QID still registered, so a zoom-in on it re-executes. A result thus
+// reaches the disk only by demonstrated use. Evicting or replacing a
+// spilled entry only edits the index — its bytes go dead in place — and
+// compact reclaims dead bytes once the file has grown past twice the
+// budget. The cache also remembers the SQL text of the most recent QIDs, so
+// a zoom-in on an evicted result can re-execute.
 type Cache struct {
 	mu     sync.Mutex
 	budget int64
 	policy Policy
+	closed bool
 
 	spillPath string
 	spill     *os.File
-	tail      int64 // next write offset: live plus dead bytes
+	tail      int64 // next write offset: spilled plus dead bytes
 
 	entries []entryMeta // the resident set, unordered
 	index   map[int]int // QID → position in entries
-	used    int64       // live bytes
+	used    int64       // the entries' Size, summed
 	clock   int64
 	stats   CacheStats
 	victims []victim // evict's scratch heap, reused between passes
@@ -168,6 +185,7 @@ func (c *Cache) PolicyName() string { return c.policy.Name() }
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
 	c.entries, c.used = nil, 0
 	clear(c.index)
 	err := c.spill.Close()
@@ -179,7 +197,7 @@ func (c *Cache) Close() error {
 
 // Clear drops every entry and forgets every registered query. Used when
 // the whole database state is replaced underneath the cache (replica
-// snapshot resync): every materialized result may reference rows that no
+// snapshot resync): every cached result may reference rows that no
 // longer exist. Cumulative stats are preserved.
 func (c *Cache) Clear() {
 	c.mu.Lock()
@@ -187,21 +205,21 @@ func (c *Cache) Clear() {
 	c.entries, c.used = c.entries[:0], 0
 	clear(c.index)
 	clear(c.registry)
-	// With nothing live the file can shrink in place. If it cannot, the
+	// With nothing spilled the file can shrink in place. If it cannot, the
 	// bytes are merely dead and the next compaction drops them.
 	if c.spill.Truncate(0) == nil {
 		c.tail = 0
 	}
 }
 
-// Put registers r's SQL text under its QID and materializes r into the
-// cache, evicting victims until the budget admits it. A result larger than
-// the entire budget is not admitted, and neither is one whose spill write
-// fails (the error is returned): both count as Rejected, stay registered,
-// and are re-executed on demand.
-func (c *Cache) Put(r *CachedResult) error {
-	data := r.encode()
-	size := int64(len(data))
+// Put registers r's SQL text under its QID and admits r as a live entry,
+// evicting until the budget admits it. It encodes nothing of r and writes
+// nothing of r. A result larger than the entire budget, or offered to a
+// closed cache, is not admitted: it counts as Rejected, stays registered,
+// and is re-executed on demand. A spill write that fails while making room
+// loses that victim, counts it as Rejected, and is returned.
+func (c *Cache) Put(r *LiveResult) error {
+	size := r.size()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock++
@@ -209,25 +227,38 @@ func (c *Cache) Put(r *CachedResult) error {
 		c.registry[r.QID%registrySize] = registered{r.QID, r.SQL}
 	}
 	c.drop(r.QID)
-	if size > c.budget {
+	if c.closed || size > c.budget {
 		c.stats.Rejected++
 		return nil
 	}
-	c.evict(size)
+	err := c.evict(size)
+	c.index[r.QID] = len(c.entries)
+	c.entries = append(c.entries, entryMeta{QID: r.QID, Size: size, Complexity: r.Complexity, LastRef: c.clock, live: r})
+	c.used += size
+	c.stats.Puts++
+	return err
+}
+
+// spillEntry encodes the live entry e, appends it to the spill file and
+// turns e into a spilled entry of that length. An entry whose encoding is
+// larger than the budget, or cannot be written, is dropped instead.
+// Requires c.mu held.
+func (c *Cache) spillEntry(e *entryMeta) error {
+	data := BuildCachedResult(e.live)
+	n := int64(len(data))
+	if n > c.budget {
+		c.drop(e.QID)
+		c.stats.Evictions++
+		return nil
+	}
 	if err := c.write(data); err != nil {
+		c.drop(e.QID)
 		c.stats.Rejected++
 		return err
 	}
-	c.index[r.QID] = len(c.entries)
-	c.entries = append(c.entries, entryMeta{
-		QID:        r.QID,
-		Size:       size,
-		Complexity: r.Complexity,
-		LastRef:    c.clock,
-		off:        c.tail - size,
-	})
-	c.used += size
-	c.stats.Puts++
+	c.used += n - e.Size
+	e.Size, e.live, e.off = n, nil, c.tail-n
+	c.stats.Spills++
 	return nil
 }
 
@@ -246,25 +277,28 @@ func (c *Cache) write(data []byte) error {
 	return nil
 }
 
-// compact copies the live extents into a fresh spill file, in file order,
-// and swaps it in, which drops every dead byte. On failure the old file
-// stays in use. Requires c.mu held, so no read is in flight.
+// compact copies the spilled extents into a fresh spill file, in file
+// order, and swaps it in, which drops every dead byte. On failure the old
+// file stays in use. Requires c.mu held, so no read is in flight.
 func (c *Cache) compact() error {
-	slices.SortFunc(c.entries, func(a, b entryMeta) int { return cmp.Compare(a.off, b.off) })
+	var extents []*entryMeta
 	for i := range c.entries {
-		c.index[c.entries[i].QID] = i
+		if c.entries[i].live == nil {
+			extents = append(extents, &c.entries[i])
+		}
 	}
+	slices.SortFunc(extents, func(a, b *entryMeta) int { return cmp.Compare(a.off, b.off) })
 	fresh, err := os.OpenFile(c.spillPath+".tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	// One copy per run of adjacent live extents, file to file: the kernel
-	// copies (copy_file_range) and nothing passes through a buffer of ours.
-	for i := 0; i < len(c.entries) && err == nil; {
-		start := c.entries[i].off
+	// One copy per run of adjacent extents, file to file: the kernel copies
+	// (copy_file_range) and nothing passes through a buffer of ours.
+	for i := 0; i < len(extents) && err == nil; {
+		start := extents[i].off
 		end := start
-		for ; i < len(c.entries) && c.entries[i].off == end; i++ {
-			end += c.entries[i].Size
+		for ; i < len(extents) && extents[i].off == end; i++ {
+			end += extents[i].Size
 		}
 		if _, err = c.spill.Seek(start, io.SeekStart); err == nil {
 			_, err = io.CopyN(fresh, c.spill, end-start)
@@ -284,15 +318,15 @@ func (c *Cache) compact() error {
 	}
 	c.spill.Close() // unlinked above; only the handle kept it alive
 	c.spill, c.tail = fresh, 0
-	for i := range c.entries {
-		c.entries[i].off = c.tail
-		c.tail += c.entries[i].Size
+	for _, m := range extents {
+		m.off = c.tail
+		c.tail += m.Size
 	}
 	return nil
 }
 
-// drop removes qid from the resident set, if present; its bytes go dead.
-// Requires c.mu held.
+// drop removes qid from the resident set, if present; a spilled entry's
+// bytes go dead. Requires c.mu held.
 func (c *Cache) drop(qid int) {
 	i, ok := c.index[qid]
 	if !ok {
@@ -308,31 +342,43 @@ func (c *Cache) drop(qid int) {
 	delete(c.index, qid)
 }
 
-// evict makes room for size more bytes. One pass scores every resident
-// entry and evicts in ascending score order — exactly the victims, in the
-// order, that evicting one at a time would choose — and it goes on past
-// the budget down to the low-water mark of 15/16 of it, so the O(resident)
-// scoring is paid once per budget/16 bytes admitted, not once per Put.
-// Requires c.mu held.
-func (c *Cache) evict(size int64) {
+// evict makes room for size more bytes. A pass scores every resident entry
+// and takes them in ascending score order — exactly the victims, in the
+// order, that taking one at a time would choose — and it goes on past the
+// budget down to the low-water mark of 15/16 of it, so the O(resident)
+// scoring is paid once per budget/16 bytes admitted, not once per Put. A
+// live victim that a zoom-in has referenced is spilled, and counts at its
+// encoding from then on; every other victim leaves the cache. Should a
+// pass spill every entry and still fall short, the next one takes spilled
+// entries. It returns the first spill write error. Requires c.mu held.
+func (c *Cache) evict(size int64) error {
 	if c.used+size <= c.budget {
-		return
+		return nil
 	}
-	h := c.victims[:0]
-	for i := range c.entries {
-		h = append(h, victim{c.policy.Score(&c.entries[i], c.clock), c.entries[i].QID})
+	var err error
+	for low := c.budget - c.budget/16; c.used+size > low && len(c.entries) > 0; {
+		h := c.victims[:0]
+		for i := range c.entries {
+			h = append(h, victim{c.policy.Score(&c.entries[i], c.clock), c.entries[i].QID})
+		}
+		c.victims = h
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
+		}
+		for ; c.used+size > low && len(h) > 0; h = h[:len(h)-1] {
+			if e := &c.entries[c.index[h[0].qid]]; e.live != nil && e.RefCount > 0 {
+				if serr := c.spillEntry(e); err == nil {
+					err = serr
+				}
+			} else {
+				c.drop(e.QID)
+				c.stats.Evictions++
+			}
+			h[0] = h[len(h)-1]
+			siftDown(h[:len(h)-1], 0)
+		}
 	}
-	c.victims = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for low := c.budget - c.budget/16; c.used+size > low && len(h) > 0; {
-		c.drop(h[0].qid)
-		c.stats.Evictions++
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDown(h, 0)
-	}
+	return err
 }
 
 // siftDown restores the min-heap order of h below position i.
@@ -353,13 +399,14 @@ func siftDown(h []victim, i int) {
 	}
 }
 
-// Get loads a cached result, updating reference statistics. The boolean
-// reports a cache hit. The bytes are read under the lock, so a hit is
-// always the extent the index names: a concurrent Put that evicts or
-// replaces qid, or compacts the file, comes wholly before or wholly after.
-// An entry that cannot be read back or decoded is dropped and its error
+// Get returns a resident result for a zoom-in, updating reference
+// statistics; the boolean reports a cache hit. A live entry is returned as
+// is. A spilled entry's bytes are read under the lock, so a hit is always
+// the extent the index names: a concurrent Put that evicts or replaces
+// qid, or compacts the file, comes wholly before or wholly after. A spilled
+// entry that cannot be read back or decoded is dropped and its error
 // returned; the next zoom-in misses and re-executes.
-func (c *Cache) Get(qid int) (*CachedResult, bool, error) {
+func (c *Cache) Get(qid int) (Zoomable, bool, error) {
 	c.mu.Lock()
 	c.clock++
 	i, ok := c.index[qid]
@@ -372,6 +419,10 @@ func (c *Cache) Get(qid int) (*CachedResult, bool, error) {
 	e.LastRef = c.clock
 	e.RefCount++
 	c.stats.Hits++
+	if live := e.live; live != nil {
+		c.mu.Unlock()
+		return live, true, nil
+	}
 	data := make([]byte, e.Size)
 	_, err := c.spill.ReadAt(data, e.off)
 	c.mu.Unlock()
@@ -405,7 +456,8 @@ func (c *Cache) Query(qid int) (string, error) {
 	return slot.sql, nil
 }
 
-// Contains reports whether qid is resident without touching statistics.
+// Contains reports whether qid is resident, in either form, without
+// touching statistics.
 func (c *Cache) Contains(qid int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -17,29 +17,15 @@ import (
 	"insightnotes/internal/types"
 )
 
-// sized builds a result whose encoding is exactly size bytes (at least
-// ~20): the SQL text is tag plus padding.
-func sized(t testing.TB, qid, size int, complexity float64, tag string) *CachedResult {
+// sized builds a row-less live result whose size is exactly size bytes (at
+// least liveOverhead plus the tag): the SQL text is tag plus padding.
+func sized(t testing.TB, qid, size int, complexity float64, tag string) *LiveResult {
 	t.Helper()
-	r := &CachedResult{QID: qid, SQL: tag, Complexity: complexity}
-	for {
-		base := len(r.encode())
-		if base > size {
-			t.Fatalf("sized(%d, %d): base encoding is %d bytes", qid, size, base)
-		}
-		// Padding lengthens the SQL text's length prefix by at most two
-		// bytes.
-		for pad := size - base; pad >= 0 && pad >= size-base-2; pad-- {
-			r.SQL = tag + strings.Repeat(" ", pad)
-			if len(r.encode()) == size {
-				return r
-			}
-		}
-		// No padding lands on size exactly; an empty column shifts the
-		// base.
-		r.SQL = tag
-		r.Columns = append(r.Columns, types.Column{})
+	pad := size - liveOverhead - len(tag)
+	if pad < 0 {
+		t.Fatalf("sized(%d, %d): tag %q does not fit", qid, size, tag)
 	}
+	return &LiveResult{QID: qid, SQL: tag + strings.Repeat(" ", pad), Complexity: complexity}
 }
 
 func newCache(t testing.TB, budget int64, p Policy) *Cache {
@@ -61,9 +47,25 @@ func spillSize(t testing.TB, c *Cache) int64 {
 	return fi.Size()
 }
 
-// One Put that overflows the budget evicts down to the low-water mark in a
-// single pass; the victims must be exactly the lowest-scored entries, as
-// many as evicting one at a time (re-scoring each time) would have taken.
+// formBytes sums the resident entries' sizes by form.
+func formBytes(c *Cache) (live, spilled int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.entries {
+		if e.live != nil {
+			live += e.Size
+		} else {
+			spilled += e.Size
+		}
+	}
+	return live, spilled
+}
+
+// One Put that overflows the budget makes room down to the low-water mark
+// in a single pass; the victims must be exactly the lowest-scored entries,
+// as many as taking them one at a time (re-scoring each time) would have
+// taken. A victim a zoom-in referenced is spilled, which frees what its
+// encoding saves; any other leaves the cache.
 func TestCacheEvictsInExactPolicyOrder(t *testing.T) {
 	const n, size = 64, 200
 	for _, p := range []Policy{RCO{}, LRU{}} {
@@ -71,20 +73,28 @@ func TestCacheEvictsInExactPolicyOrder(t *testing.T) {
 			c := newCache(t, n*size, p)
 			rng := rand.New(rand.NewSource(7))
 			for qid := 1; qid <= n; qid++ {
-				c.Put(sized(t, qid, size, float64(1+rng.Intn(1000)), ""))
+				// The older half, which zoom-ins reference, is cheap to
+				// recompute, so that RCO too takes victims of both kinds.
+				complexity := float64(1 + rng.Intn(1000))
+				if qid <= n/2 {
+					complexity = float64(1 + rng.Intn(10))
+				}
+				c.Put(sized(t, qid, size, complexity, ""))
+				if qid == n/2 {
+					for k := 0; k < n; k++ { // uneven recency and frequency, on the older half
+						c.Get(1 + rng.Intn(n/2))
+					}
+				}
 			}
-			for k := 0; k < 3*n; k++ { // uneven recency and frequency
-				c.Get(1 + rng.Intn(n))
-			}
-			if st := c.Stats(); st.Entries != n || st.Evictions != 0 || st.UsedBytes != n*size {
+			if st := c.Stats(); st.Entries != n || st.Evictions != 0 || st.Spills != 0 || st.UsedBytes != n*size {
 				t.Fatalf("before the overflow: %+v", st)
 			}
 
-			// What one-at-a-time eviction would do at the Put's clock.
+			// What taking one victim at a time would do at the Put's clock.
 			clock := c.clock + 1
 			resident := append([]entryMeta(nil), c.entries...)
-			var want []int
-			for used := int64(n * size); used+size > n*size-n*size/16; used -= size {
+			var spilled, dropped []int
+			for used := int64(n * size); used+size > n*size-n*size/16; {
 				least := 0
 				for i := range resident {
 					si, sl := p.Score(&resident[i], clock), p.Score(&resident[least], clock)
@@ -92,20 +102,31 @@ func TestCacheEvictsInExactPolicyOrder(t *testing.T) {
 						least = i
 					}
 				}
-				want = append(want, resident[least].QID)
+				if m := resident[least]; m.RefCount > 0 {
+					spilled = append(spilled, m.QID)
+					used -= m.Size - int64(len(BuildCachedResult(m.live)))
+				} else {
+					dropped = append(dropped, m.QID)
+					used -= m.Size
+				}
 				resident = append(resident[:least], resident[least+1:]...)
 			}
-			if len(want) != n/16+1 {
-				t.Fatalf("expected %d victims, computed %d", n/16+1, len(want))
+			if len(spilled) == 0 || len(dropped) == 0 {
+				t.Fatalf("victims spilled %v, dropped %v: the overflow must take both kinds", spilled, dropped)
 			}
 
 			c.Put(sized(t, n+1, size, 500, ""))
-			if st := c.Stats(); st.Evictions != int64(len(want)) || st.Entries != n+1-len(want) {
-				t.Fatalf("after the overflow: %+v, want %d evictions", st, len(want))
+			if st := c.Stats(); st.Evictions != int64(len(dropped)) || st.Spills != int64(len(spilled)) || st.Entries != n+1-len(dropped) {
+				t.Fatalf("after the overflow: %+v, want %d spilled and %d dropped", st, len(spilled), len(dropped))
 			}
-			for _, qid := range want {
+			for _, qid := range spilled {
+				if form := formOf(c, qid); form != "spilled" {
+					t.Errorf("QID %d is %q, want spilled (victims spilled %v, dropped %v)", qid, form, spilled, dropped)
+				}
+			}
+			for _, qid := range dropped {
 				if c.Contains(qid) {
-					t.Errorf("QID %d should have been evicted (victims %v)", qid, want)
+					t.Errorf("QID %d should have been evicted (victims spilled %v, dropped %v)", qid, spilled, dropped)
 				}
 			}
 		})
@@ -113,37 +134,75 @@ func TestCacheEvictsInExactPolicyOrder(t *testing.T) {
 }
 
 // The cache against a map-based reference that re-scores and sorts on
-// every overflow and keeps payloads in memory.
+// every overflow and keeps payloads in memory: a victim a zoom-in
+// referenced is spilled and counts at its encoded length from then on, any
+// other leaves, and the two forms together stay within the budget.
 func TestCacheMatchesModel(t *testing.T) {
 	const budget = 8 << 10
+	// Columns are in a result's encoding but not in its live size, so a
+	// result given these spills to more bytes than it held live.
+	wide := []types.Column{{Table: strings.Repeat("t", 60), Name: strings.Repeat("c", 60)}, {Name: strings.Repeat("d", 120)}}
 	for _, p := range []Policy{RCO{}, LRU{}} {
 		t.Run(p.Name(), func(t *testing.T) {
 			c := newCache(t, budget, p)
 			rng := rand.New(rand.NewSource(20150531))
 
 			type modelEntry struct {
-				meta entryMeta
-				sql  string
+				meta      entryMeta
+				sql       string
+				live      bool
+				spillSize int64 // the encoded length, the size once spilled
 			}
 			model := map[int]*modelEntry{}
 			var used, clock int64
 			var stats CacheStats
+			var largest int64 // the largest entry written to the spill
 			drop := func(qid int) {
 				if e, ok := model[qid]; ok {
 					used -= e.meta.Size
 					delete(model, qid)
 				}
 			}
+			evict := func(size int64) {
+				if used+size <= budget {
+					return
+				}
+				for used+size > budget-budget/16 && len(model) > 0 {
+					order := make([]*modelEntry, 0, len(model))
+					for _, e := range model {
+						order = append(order, e)
+					}
+					sort.Slice(order, func(i, j int) bool {
+						si, sj := p.Score(&order[i].meta, clock), p.Score(&order[j].meta, clock)
+						return si < sj || si == sj && order[i].meta.QID < order[j].meta.QID
+					})
+					for _, e := range order {
+						if used+size <= budget-budget/16 {
+							break
+						}
+						if !e.live || e.meta.RefCount == 0 || e.spillSize > budget {
+							drop(e.meta.QID)
+							stats.Evictions++
+							continue
+						}
+						used += e.spillSize - e.meta.Size
+						e.meta.Size, e.live = e.spillSize, false
+						largest = max(largest, e.spillSize)
+						stats.Spills++
+					}
+				}
+			}
 
-			var largest int64
 			compactions, version := 0, 0
 			for op := 0; op < 6000; op++ {
-				qid := 1 + rng.Intn(120)
-				switch k := rng.Intn(100); {
-				case k < 1:
+				qid := 1 + rng.Intn(40) // about as many as the budget holds
+				// A Clear empties the spill file, so it is rare enough for
+				// the spill to fill up and compact between two of them.
+				switch k := rng.Intn(1000); {
+				case k < 2:
 					c.Clear()
 					model, used = map[int]*modelEntry{}, 0
-				case k < 40:
+				case k < 450:
 					r, hit, err := c.Get(qid)
 					if err != nil {
 						t.Fatalf("op %d: Get(%d): %v", op, qid, err)
@@ -159,8 +218,16 @@ func TestCacheMatchesModel(t *testing.T) {
 					}
 					stats.Hits++
 					e.meta.LastRef, e.meta.RefCount = clock, e.meta.RefCount+1
-					if r.QID != qid || r.SQL != e.sql {
-						t.Fatalf("op %d: Get(%d) returned QID %d, SQL %.40q; want %.40q", op, qid, r.QID, r.SQL, e.sql)
+					var gotQID int
+					var gotSQL string
+					switch r := r.(type) {
+					case *LiveResult:
+						gotQID, gotSQL = r.QID, r.SQL
+					case *CachedResult:
+						gotQID, gotSQL = r.QID, r.SQL
+					}
+					if _, isLive := r.(*LiveResult); gotQID != qid || gotSQL != e.sql || isLive != e.live {
+						t.Fatalf("op %d: Get(%d) returned %T QID %d, SQL %.40q; want live=%v %.40q", op, qid, r, gotQID, gotSQL, e.live, e.sql)
 					}
 				default:
 					size := 100 + rng.Intn(900)
@@ -172,6 +239,9 @@ func TestCacheMatchesModel(t *testing.T) {
 					}
 					version++
 					r := sized(t, qid, size, float64(1+rng.Intn(50)), fmt.Sprintf("q%d v%d", qid, version))
+					if rng.Intn(4) == 0 {
+						r.Columns = wide
+					}
 					before := c.tail
 					if err := c.Put(r); err != nil {
 						t.Fatalf("op %d: Put(%d): %v", op, qid, err)
@@ -185,27 +255,12 @@ func TestCacheMatchesModel(t *testing.T) {
 						stats.Rejected++
 						break
 					}
-					largest = max(largest, int64(size))
-					if used+int64(size) > budget {
-						order := make([]*modelEntry, 0, len(model))
-						for _, e := range model {
-							order = append(order, e)
-						}
-						sort.Slice(order, func(i, j int) bool {
-							si, sj := p.Score(&order[i].meta, clock), p.Score(&order[j].meta, clock)
-							return si < sj || si == sj && order[i].meta.QID < order[j].meta.QID
-						})
-						for _, e := range order {
-							if used+int64(size) <= budget-budget/16 {
-								break
-							}
-							drop(e.meta.QID)
-							stats.Evictions++
-						}
-					}
+					evict(int64(size))
 					model[qid] = &modelEntry{
-						meta: entryMeta{QID: qid, Size: int64(size), Complexity: r.Complexity, LastRef: clock},
-						sql:  r.SQL,
+						meta:      entryMeta{QID: qid, Size: int64(size), Complexity: r.Complexity, LastRef: clock},
+						sql:       r.SQL,
+						live:      true,
+						spillSize: int64(len(BuildCachedResult(r))),
 					}
 					used += int64(size)
 					stats.Puts++
@@ -215,17 +270,19 @@ func TestCacheMatchesModel(t *testing.T) {
 				if got := c.Stats(); got != stats {
 					t.Fatalf("op %d: stats %+v, model %+v", op, got, stats)
 				}
-				if used > budget {
-					t.Fatalf("op %d: %d live bytes over the %d budget", op, used, budget)
+				live, spilled := formBytes(c)
+				if live+spilled != used || live > budget || spilled > budget || used > budget {
+					t.Fatalf("op %d: %d live and %d spilled bytes, model %d in all; the budget is %d", op, live, spilled, used, budget)
 				}
 				if sz := spillSize(t, c); sz > 2*budget+largest {
 					t.Fatalf("op %d: spill file is %d bytes, bound %d", op, sz, 2*budget+largest)
 				}
 			}
+			t.Logf("%d compactions, %+v", compactions, stats)
 			if compactions < 3 {
 				t.Fatalf("only %d compactions; the test must cross at least three", compactions)
 			}
-			if stats.Hits == 0 || stats.Evictions == 0 || stats.Rejected == 0 {
+			if stats.Hits == 0 || stats.Evictions == 0 || stats.Rejected == 0 || stats.Spills == 0 {
 				t.Fatalf("stream did not exercise every path: %+v", stats)
 			}
 		})
@@ -233,18 +290,24 @@ func TestCacheMatchesModel(t *testing.T) {
 }
 
 // Goroutines Put, Get and Clear overlapping QIDs in a cache of a few
-// entries, so hits race evictions, replacements and compactions. A Get is a
-// miss or the payload of a Put of that QID no older than the last one
-// finished before the Get began — never an error, never another QID's
-// bytes. Run under -race.
+// entries, so hits race evictions, spills, replacements and compactions.
+// Every result shares one set of rows with summary envelopes, so zoom-ins
+// on live hits read the objects that spills of other entries are encoding.
+// A Get is a miss or the payload of a Put of that QID no older than the
+// last one finished before the Get began — never an error, never another
+// QID's bytes — and expands to the same rows in either form. Run under
+// -race.
 func TestCacheConcurrentHammer(t *testing.T) {
 	const qids, workers, opsEach = 12, 8, 3000
-	c := newCache(t, 1200, RCO{})
+	rows := figure3Rows(t)
+	budget := 4 * (&LiveResult{Rows: rows}).size()
+	c := newCache(t, budget, RCO{})
 	var (
 		putMu   [qids]sync.Mutex // serializes Puts per QID, so versions are ordered
 		started [qids]atomic.Int64
 		done    [qids]atomic.Int64
 		hits    atomic.Int64
+		spilled atomic.Int64
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -260,7 +323,13 @@ func TestCacheConcurrentHammer(t *testing.T) {
 				case k < 50:
 					putMu[q].Lock()
 					v := started[q].Add(1)
-					err := c.Put(sized(t, q+1, 100+rng.Intn(300), float64(1+q), fmt.Sprintf("q%d v%d", q+1, v)))
+					err := c.Put(&LiveResult{
+						QID:        q + 1,
+						SQL:        fmt.Sprintf("q%d v%d", q+1, v) + strings.Repeat(" ", rng.Intn(300)),
+						Columns:    resultSchema().Columns,
+						Rows:       rows,
+						Complexity: float64(1 + q),
+					})
 					done[q].Store(v)
 					putMu[q].Unlock()
 					if err != nil {
@@ -277,50 +346,69 @@ func TestCacheConcurrentHammer(t *testing.T) {
 						continue
 					}
 					hits.Add(1)
+					var gotQID int
+					var sql string
+					switch r := r.(type) {
+					case *LiveResult:
+						gotQID, sql = r.QID, r.SQL
+					case *CachedResult:
+						gotQID, sql = r.QID, r.SQL
+						spilled.Add(1)
+					}
 					var gotQ int
 					var gotV int64
-					if _, err := fmt.Sscanf(r.SQL, "q%d v%d", &gotQ, &gotV); err != nil {
-						t.Errorf("Get(%d): payload %.30q: %v", q+1, r.SQL, err)
+					if _, err := fmt.Sscanf(sql, "q%d v%d", &gotQ, &gotV); err != nil {
+						t.Errorf("Get(%d): payload %.30q: %v", q+1, sql, err)
 					}
-					if r.QID != q+1 || gotQ != q+1 || gotV < lo || gotV > hi {
-						t.Errorf("Get(%d) returned QID %d payload %.30q; want version %d..%d", q+1, r.QID, r.SQL, lo, hi)
+					if gotQID != q+1 || gotQ != q+1 || gotV < lo || gotV > hi {
+						t.Errorf("Get(%d) returned QID %d payload %.30q; want version %d..%d", q+1, gotQID, sql, lo, hi)
+					}
+					if got, err := Expand(r, nil, "NaiveBayesClass", 1); err != nil || len(got) != 2 || len(got[1].IDs) != 2 {
+						t.Errorf("Get(%d): %T expands to %v, %v", q+1, r, got, err)
 					}
 				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-	if hits.Load() == 0 {
-		t.Error("no Get ever hit; the hammer checked nothing")
+	if hits.Load() == 0 || spilled.Load() == 0 {
+		t.Errorf("%d hits, %d of them spilled; the hammer must hit both forms", hits.Load(), spilled.Load())
 	}
-	if st := c.Stats(); st.UsedBytes > 1200 {
-		t.Errorf("live bytes over budget: %+v", st)
+	if live, spilled := formBytes(c); live+spilled > budget {
+		t.Errorf("bytes over budget: %d live, %d spilled, budget %d", live, spilled, budget)
 	}
 }
 
-// A spill write that fails loses the entry, not the statement's QID: the
-// result is counted as rejected and its SQL stays registered.
+// A spill that cannot be read back, or cannot be written, loses the entry,
+// not the statement's QID: the result is re-executed on demand.
 func TestCachePutSurvivesSpillFailure(t *testing.T) {
-	c := newCache(t, 1<<20, RCO{})
-	c.Put(sized(t, 1, 200, 1, "SELECT 1"))
+	c := newCache(t, 1000, LRU{})
+	c.Put(sized(t, 1, 400, 1, "SELECT 1"))
+	c.Get(1)
+	c.Put(sized(t, 2, 400, 1, "SELECT 2"))
+	c.Put(sized(t, 3, 400, 1, "SELECT 3")) // 1 is spilled, 2 leaves
+	if formOf(c, 1) != "spilled" || c.Contains(2) {
+		t.Fatalf("QID 1 is %q, Contains(2)=%v", formOf(c, 1), c.Contains(2))
+	}
 	c.spill.Close() // every later read and write fails
-	err := c.Put(sized(t, 2, 200, 1, "SELECT 2"))
-	if err == nil {
-		t.Fatal("Put on a closed spill file reported success")
-	}
-	if st := c.Stats(); st.Rejected != 1 || st.Puts != 1 || c.Contains(2) {
-		t.Errorf("stats %+v, Contains(2)=%v", st, c.Contains(2))
-	}
-	if sql, err := c.Query(2); err != nil || !strings.HasPrefix(sql, "SELECT 2") {
-		t.Errorf("Query(2) = %q, %v", sql, err)
-	}
-	// The resident entry that can no longer be read is dropped: one error,
+	// The spilled entry that can no longer be read is dropped: one error,
 	// then a plain miss.
 	if _, hit, err := c.Get(1); hit || err == nil {
 		t.Errorf("Get(1) on a closed spill file: hit=%v err=%v", hit, err)
 	}
 	if _, hit, err := c.Get(1); hit || err != nil {
 		t.Errorf("second Get(1): hit=%v err=%v, want a clean miss", hit, err)
+	}
+	c.Get(3)
+	c.Put(sized(t, 4, 400, 1, "SELECT 4"))
+	if err := c.Put(sized(t, 5, 400, 1, "SELECT 5")); err == nil { // 3 cannot be spilled
+		t.Fatal("a Put whose victim could not be spilled reported success")
+	}
+	if st := c.Stats(); st.Rejected != 1 || st.Puts != 5 || st.Spills != 1 || c.Contains(3) || formOf(c, 5) != "live" {
+		t.Errorf("stats %+v, Contains(3)=%v, QID 5 %q", st, c.Contains(3), formOf(c, 5))
+	}
+	if sql, err := c.Query(3); err != nil || !strings.HasPrefix(sql, "SELECT 3") {
+		t.Errorf("Query(3) = %q, %v", sql, err)
 	}
 }
 
@@ -370,17 +458,18 @@ func TestNewCacheRemovesStaleResultFiles(t *testing.T) {
 	}
 }
 
-// putSteadyState fills a cache of the given budget with 1 KiB results and
-// returns a function that admits one more, evicting as it must.
+// putSteadyState fills a cache of the given budget, both forms, with 1 KiB
+// results a zoom-in referenced, and returns a function that admits one
+// more and references it, evicting and spilling as it must.
 func putSteadyState(tb testing.TB, budget int64) func() {
 	c := newCache(tb, budget, RCO{})
 	qid := 0
 	next := func() {
 		qid++
-		r := CachedResult{QID: qid, SQL: strings.Repeat("x", 1000), Complexity: float64(1 + qid%97)}
-		if err := c.Put(&r); err != nil {
+		if err := c.Put(&LiveResult{QID: qid, SQL: strings.Repeat("x", 1000), Complexity: float64(1 + qid%97)}); err != nil {
 			tb.Fatal(err)
 		}
+		c.Get(qid)
 	}
 	for c.Stats().Evictions == 0 {
 		next()
@@ -388,8 +477,9 @@ func putSteadyState(tb testing.TB, budget int64) func() {
 	return next
 }
 
-// BenchmarkCachePutSteadyState is one Put into a full cache. Its cost must
-// not depend on the budget, that is on how many entries are resident.
+// BenchmarkCachePutSteadyState is one Put and one Get into a full cache.
+// Its cost must not depend on the budget, that is on how many entries are
+// resident.
 func BenchmarkCachePutSteadyState(b *testing.B) {
 	for _, mib := range []int64{4, 64} {
 		b.Run(fmt.Sprintf("budget=%dMiB", mib), func(b *testing.B) {
@@ -411,8 +501,8 @@ func TestCachePutAllocationIndependentOfBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills a 64 MiB cache")
 	}
-	// 8192 Puts of 1 KiB cross two eviction passes at 64 MiB, and two
-	// compactions at 4 MiB.
+	// 8192 Puts of 1 KiB cross eviction passes at either budget, and a
+	// compaction at 4 MiB.
 	const puts = 8192
 	var allocs, bytes [2]float64
 	for i, mib := range []int64{4, 64} {

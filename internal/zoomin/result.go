@@ -1,16 +1,17 @@
 // Package zoomin implements the paper's zoom-in query processing (§2.2):
-// query results receive QIDs and are materialized into a limited disk-based
-// cache so that later ZOOMIN commands — which reference a QID, refine its
-// tuples with predicates, and expand one summary element back into raw
-// annotations — execute without re-running the query. Cache admission and
-// eviction follow the paper's RCO policy (Recency, Complexity, Overhead);
-// an LRU policy is provided as the benchmark baseline.
+// query results receive QIDs and are kept in a limited cache so that later
+// ZOOMIN commands — which reference a QID, refine its tuples with
+// predicates, and expand one summary element back into raw annotations —
+// execute without re-running the query. A result is kept as the executor
+// produced it (live) while it is in memory. Only a result some zoom-in has
+// referenced is encoded into the disk spill when it leaves memory; any
+// other result is re-executed if a zoom-in ever asks for it. Replacement
+// follows the paper's RCO policy (Recency, Complexity, Overhead); an LRU
+// policy is provided as the benchmark baseline.
 package zoomin
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"insightnotes/internal/annotation"
@@ -20,7 +21,7 @@ import (
 	"insightnotes/internal/types"
 )
 
-// A spill entry is one materialized result in the codec's encoding:
+// A spill entry is one result in the codec's encoding:
 //
 //	byte     entryVersion
 //	varint   QID
@@ -33,118 +34,172 @@ import (
 //	         instance in name order: str instance, uvarint element count;
 //	         per element: str label, uvarint id count, uvarint ids
 //
-// The rows section is also the rows of a SELECT's wire response: the
-// server copies it into the response frame as is, and the client decodes it
-// with ReadRow. Complexity is cache bookkeeping and is not encoded.
+// The rows section is also the rows of a SELECT's wire response: both are
+// written by AppendRows, and the client decodes them with ReadRow.
+// Complexity is cache bookkeeping and is not encoded.
 const entryVersion = 1
 
-// CachedRow is one row of a materialized result: the data tuple and, in a
-// decoded result, the zoom-addressable structure of its summary objects —
-// per instance, the elements in 1-based index order, each with its label and
-// the raw-annotation ids behind it. A result fresh from BuildCachedResult
-// carries tuples only: its elements and rendered summaries live in its
-// encoding, and a zoom-in reads them from the decoded form (Decoded).
+// liveOverhead is what a live entry counts beyond its SQL text and rows,
+// so that even an empty result has a cost against the budget.
+const liveOverhead = 64
+
+// LiveResult is a query result as the executor produced it. The cache holds
+// it by reference: stored tuples are immutable and envelopes copy on write,
+// so later writes to the rows it came from change neither, and a zoom-in
+// sees the result as the query returned it. Nobody may change Rows.
+type LiveResult struct {
+	QID        int
+	SQL        string
+	Columns    []types.Column
+	Rows       []*exec.Row
+	Complexity float64 // the planner's cost proxy for the query (used by RCO)
+}
+
+// Schema reconstructs the result schema.
+func (r *LiveResult) Schema() types.Schema { return types.Schema{Columns: r.Columns} }
+
+// size is what the live entry counts against the budget: the tuples'
+// encoded size plus the envelopes' in-memory estimate.
+func (r *LiveResult) size() int64 {
+	n := liveOverhead + len(r.SQL)
+	for _, row := range r.Rows {
+		n += types.EncodedSize(row.Tuple)
+		if row.Env != nil {
+			n += row.Env.ApproxBytes()
+		}
+	}
+	return int64(n)
+}
+
+func (r *LiveResult) rowCount() int           { return len(r.Rows) }
+func (r *LiveResult) tuple(i int) types.Tuple { return r.Rows[i].Tuple }
+
+func (r *LiveResult) elements(i int, instance string) ([]summary.Element, bool) {
+	env := r.Rows[i].Env
+	if env == nil || env.IsEmpty() {
+		return nil, false
+	}
+	obj := env.Object(instance)
+	if obj == nil {
+		return nil, false
+	}
+	return obj.Elements(), true
+}
+
+// CachedRow is one row of a spilled result, decoded: the data tuple and the
+// zoom-addressable structure of its summary objects — per instance, the
+// elements in 1-based index order, each with its label and the
+// raw-annotation ids behind it.
 type CachedRow struct {
 	Tuple    types.Tuple
 	Elements map[string][]summary.Element
 }
 
-// CachedResult is one materialized query result.
+// CachedResult is one spilled result, decoded from its spill entry.
 type CachedResult struct {
-	QID        int
-	SQL        string
-	Columns    []types.Column
-	Rows       []CachedRow
-	Complexity float64
-
-	// enc is the spill entry BuildCachedResult encoded; nil for a result
-	// assembled field by field or decoded.
-	enc []byte
-	// rows is the encoded rows section (inside enc, or inside the bytes
-	// the result was decoded from).
-	rows []byte
+	QID     int
+	SQL     string
+	Columns []types.Column
+	Rows    []CachedRow
 }
 
 // Schema reconstructs the result schema.
 func (r *CachedResult) Schema() types.Schema { return types.Schema{Columns: r.Columns} }
 
-// shownObject is one summary object as an entry shows it: its instance
-// name, rendered text and zoomable elements.
-type shownObject struct {
-	name  string
-	text  string
-	elems []summary.Element
+func (r *CachedResult) rowCount() int           { return len(r.Rows) }
+func (r *CachedResult) tuple(i int) types.Tuple { return r.Rows[i].Tuple }
+
+func (r *CachedResult) elements(i int, instance string) ([]summary.Element, bool) {
+	els, ok := r.Rows[i].Elements[instance]
+	return els, ok
 }
 
-// BuildCachedResult encodes executor rows as a spill entry, once, into one
-// exactly sized buffer. It asks each summary object for its rendering and
-// its elements once (a shared object answers from its memo), sizes the
-// entry from them, then writes the header, the rows section and the zoom
-// section. complexity is the planner's cost proxy for the query (used by
-// RCO).
-func BuildCachedResult(qid int, sqlText string, schema types.Schema,
-	rows []*exec.Row, complexity float64) *CachedResult {
-	out := &CachedResult{
-		QID:        qid,
-		SQL:        sqlText,
-		Columns:    schema.Columns,
-		Rows:       make([]CachedRow, len(rows)),
-		Complexity: complexity,
-	}
-	var shown []shownObject
-	ends := make([]int, len(rows)) // row i shows shown[ends[i-1]:ends[i]]
-	// Each section: its 4-byte length and the row count.
-	size := out.headerSize() + 2*(4+uvarintLen(uint64(len(rows))))
-	for i, row := range rows {
-		out.Rows[i].Tuple = row.Tuple
-		size += types.EncodedSize(row.Tuple)
-		from := len(shown)
-		if row.Env != nil && !row.Env.IsEmpty() {
-			for _, name := range row.Env.InstanceNames() {
-				obj := row.Env.Object(name)
-				s := shownObject{name, obj.Render(), obj.Elements()}
-				shown = append(shown, s)
-				size += strLen(name) + strLen(s.text) + elementsSize(name, s.elems)
+// Zoomable is a result as a zoom-in reads it, in either of the cache's
+// forms: a *LiveResult, or a spilled entry decoded (*CachedResult).
+type Zoomable interface {
+	Schema() types.Schema
+	rowCount() int
+	tuple(i int) types.Tuple
+	// elements returns row i's elements of the named instance; ok is false
+	// when the row carries no such summary object.
+	elements(i int, instance string) (els []summary.Element, ok bool)
+}
+
+// Expansion is one row a zoom-in expanded: its tuple and the raw-annotation
+// ids behind the addressed element.
+type Expansion struct {
+	Tuple types.Tuple
+	IDs   []annotation.ID
+}
+
+// Expand runs a ZOOMIN over r: it keeps the rows satisfying pred (nil keeps
+// all; compiled against r's schema) and resolves element index (1-based) of
+// the named instance on each. Rows without that instance, and elements with
+// no ids, yield nothing. The ids are read-only.
+func Expand(r Zoomable, pred *exec.Compiled, instance string, index int) ([]Expansion, error) {
+	var out []Expansion
+	for i := 0; i < r.rowCount(); i++ {
+		t := r.tuple(i)
+		if pred != nil {
+			v, err := pred.Eval(t)
+			if err != nil {
+				return nil, err
+			}
+			if !v.Truthy() {
+				continue
 			}
 		}
-		ends[i] = len(shown)
-		size += 2 * uvarintLen(uint64(len(shown)-from)) // the row's instance count, in each section
-	}
-
-	w := codec.NewWriter(make([]byte, 0, size))
-	out.appendHeader(w)
-	mark := w.BeginSection()
-	w.Uvarint(uint64(len(rows)))
-	from := 0
-	for i, row := range rows {
-		w.Tuple(row.Tuple)
-		w.Uvarint(uint64(ends[i] - from))
-		for _, s := range shown[from:ends[i]] {
-			w.Str(s.name)
-			w.Str(s.text)
+		els, ok := r.elements(i, instance)
+		if !ok {
+			continue
 		}
-		from = ends[i]
-	}
-	w.EndSection(mark)
-	end := w.Len()
-	zoom := w.BeginSection()
-	w.Uvarint(uint64(len(rows)))
-	from = 0
-	for i := range rows {
-		w.Uvarint(uint64(ends[i] - from))
-		for _, s := range shown[from:ends[i]] {
-			appendElements(w, s.name, s.elems)
+		if index < 1 || index > len(els) {
+			return nil, fmt.Errorf("zoomin: instance %q has no element %d (1..%d)", instance, index, len(els))
 		}
-		from = ends[i]
+		if ids := els[index-1].IDs; len(ids) > 0 {
+			out = append(out, Expansion{Tuple: t, IDs: ids})
+		}
 	}
-	w.EndSection(zoom)
-	out.enc = w.Bytes()
-	out.rows = out.enc[mark:end:end]
-	return out
+	return out, nil
 }
 
-// AppendRows appends rows as a rows section body (see entryVersion): the
-// wire form of a result that was never materialized.
+// BuildCachedResult encodes a live result as its spill entry. Each summary
+// object is asked for its rendering and its elements once; a shared object
+// answers from its memo.
+func BuildCachedResult(r *LiveResult) []byte {
+	w := codec.NewWriter(nil)
+	w.Byte(entryVersion)
+	w.Varint(int64(r.QID))
+	w.Str(r.SQL)
+	w.Uvarint(uint64(len(r.Columns)))
+	for _, c := range r.Columns {
+		w.Str(c.Table)
+		w.Str(c.Name)
+		w.Byte(byte(c.Kind))
+	}
+	mark := w.BeginSection()
+	AppendRows(w, r.Rows)
+	w.EndSection(mark)
+	mark = w.BeginSection()
+	w.Uvarint(uint64(len(r.Rows)))
+	for _, row := range r.Rows {
+		if row.Env == nil || row.Env.IsEmpty() {
+			w.Uvarint(0)
+			continue
+		}
+		names := row.Env.InstanceNames()
+		w.Uvarint(uint64(len(names)))
+		for _, name := range names {
+			appendElements(w, name, row.Env.Object(name).Elements())
+		}
+	}
+	w.EndSection(mark)
+	return w.Bytes()
+}
+
+// AppendRows appends rows as a rows section body (see entryVersion): what a
+// SELECT's response carries, and the rows section of the result's spill
+// entry.
 func AppendRows(w *codec.Writer, rows []*exec.Row) {
 	w.Uvarint(uint64(len(rows)))
 	for _, row := range rows {
@@ -176,102 +231,8 @@ func appendElements(w *codec.Writer, name string, els []summary.Element) {
 	}
 }
 
-// elementsSize is the number of bytes appendElements writes.
-func elementsSize(name string, els []summary.Element) int {
-	n := strLen(name) + uvarintLen(uint64(len(els)))
-	for _, el := range els {
-		n += strLen(el.Label) + uvarintLen(uint64(len(el.IDs)))
-		for _, id := range el.IDs {
-			n += uvarintLen(uint64(id))
-		}
-	}
-	return n
-}
-
-// headerSize is the number of bytes appendHeader writes.
-func (r *CachedResult) headerSize() int {
-	var qid [binary.MaxVarintLen64]byte
-	n := 1 + binary.PutVarint(qid[:], int64(r.QID)) + strLen(r.SQL) + uvarintLen(uint64(len(r.Columns)))
-	for _, c := range r.Columns {
-		n += strLen(c.Table) + strLen(c.Name) + 1
-	}
-	return n
-}
-
-// uvarintLen is the encoded length of x as a uvarint.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// strLen is the encoded length of a string.
-func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-func (r *CachedResult) appendHeader(w *codec.Writer) {
-	w.Byte(entryVersion)
-	w.Varint(int64(r.QID))
-	w.Str(r.SQL)
-	w.Uvarint(uint64(len(r.Columns)))
-	for _, c := range r.Columns {
-		w.Str(c.Table)
-		w.Str(c.Name)
-		w.Byte(byte(c.Kind))
-	}
-}
-
-// RowsSection returns the encoded rows section (see entryVersion): what a
-// SELECT's response carries as its rows.
-func (r *CachedResult) RowsSection() []byte {
-	if r.rows != nil {
-		return r.rows
-	}
-	w := codec.NewWriter(nil)
-	r.appendRows(w)
-	return w.Bytes()
-}
-
-// appendRows appends the rows section body of a result assembled field by
-// field: its tuples, with no rendered summaries.
-func (r *CachedResult) appendRows(w *codec.Writer) {
-	w.Uvarint(uint64(len(r.Rows)))
-	for i := range r.Rows {
-		w.Tuple(r.Rows[i].Tuple)
-		w.Uvarint(0)
-	}
-}
-
-// encode returns r's spill entry: the bytes BuildCachedResult produced, or
-// for a result decoded or assembled field by field, an encoding of its
-// fields.
-func (r *CachedResult) encode() []byte {
-	if r.enc != nil {
-		return r.enc
-	}
-	w := codec.NewWriter(make([]byte, 0, 256+len(r.SQL)+len(r.rows)))
-	r.appendHeader(w)
-	mark := w.BeginSection()
-	if r.rows != nil {
-		w.Raw(r.rows)
-	} else {
-		r.appendRows(w)
-	}
-	w.EndSection(mark)
-	mark = w.BeginSection()
-	w.Uvarint(uint64(len(r.Rows)))
-	for _, row := range r.Rows {
-		names := make([]string, 0, len(row.Elements))
-		for name := range row.Elements {
-			names = append(names, name)
-		}
-		slices.Sort(names)
-		w.Uvarint(uint64(len(names)))
-		for _, name := range names {
-			appendElements(w, name, row.Elements[name])
-		}
-	}
-	w.EndSection(mark)
-	return w.Bytes()
-}
-
-// decodeResult parses a spill entry. The result's rows section aliases
-// data.
+// decodeResult parses a spill entry. Rendered summaries are skipped: a
+// zoom-in reads tuples and elements only.
 func decodeResult(data []byte) (*CachedResult, error) {
 	r := codec.NewReader(data)
 	if v := r.Byte(); v != entryVersion && r.Err() == nil {
@@ -284,13 +245,13 @@ func decodeResult(data []byte) (*CachedResult, error) {
 			out.Columns[i] = types.Column{Table: r.Str(), Name: r.Str(), Kind: types.Kind(r.Byte())}
 		}
 	}
-	out.rows = r.Section()
+	rows := r.Section()
 	zoom := r.Section()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("zoomin: corrupt cached result: %w", err)
 	}
 
-	rr := codec.NewReader(out.rows)
+	rr := codec.NewReader(rows)
 	out.Rows = make([]CachedRow, rr.Count(2))
 	for i := range out.Rows {
 		out.Rows[i].Tuple = rr.Tuple()
@@ -337,11 +298,6 @@ func readZoomRow(r *codec.Reader, row *CachedRow) {
 	}
 }
 
-// Decoded returns r as Cache.Get returns it: decoded from its spill entry,
-// zoom elements included. A zoom-in that re-executed its query reads the
-// fresh result through it, so every zoom-in reads one form.
-func (r *CachedResult) Decoded() (*CachedResult, error) { return decodeResult(r.encode()) }
-
 // AppendRow appends one row of a rows section from its decoded form, the
 // inverse of ReadRow.
 func AppendRow(w *codec.Writer, t types.Tuple, summaries map[string]string) {
@@ -372,36 +328,4 @@ func ReadRow(r *codec.Reader) (types.Tuple, map[string]string) {
 		m[name] = r.Str()
 	}
 	return t, m
-}
-
-// FilterRows returns the cached rows satisfying pred (nil = all), compiled
-// against the result schema — the ZOOMIN WHERE refinement.
-func (r *CachedResult) FilterRows(pred *exec.Compiled) ([]CachedRow, error) {
-	if pred == nil {
-		return r.Rows, nil
-	}
-	var out []CachedRow
-	for _, row := range r.Rows {
-		v, err := pred.Eval(row.Tuple)
-		if err != nil {
-			return nil, err
-		}
-		if v.Truthy() {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// ZoomIDs resolves the annotation ids behind element index (1-based) of the
-// named instance on one cached row. Rows without that instance return nil.
-func (row *CachedRow) ZoomIDs(instance string, index int) ([]annotation.ID, error) {
-	els, ok := row.Elements[instance]
-	if !ok {
-		return nil, nil
-	}
-	if index < 1 || index > len(els) {
-		return nil, fmt.Errorf("zoomin: instance %q has no element %d (1..%d)", instance, index, len(els))
-	}
-	return els[index-1].IDs, nil
 }

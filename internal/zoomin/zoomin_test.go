@@ -25,11 +25,11 @@ func resultSchema() types.Schema {
 	)
 }
 
-// figure3Result builds a cached result shaped like Figure 3: rows r1/r2
+// figure3Result builds a live result shaped like Figure 3: rows r1/r2
 // with a two-label classifier (refute/approve) and a snippet object.
-func figure3Result(t testing.TB, qid int) *CachedResult {
+func figure3Result(t testing.TB, qid int) *LiveResult {
 	t.Helper()
-	return BuildCachedResult(qid, "SELECT c1, c3 FROM t", resultSchema(), figure3Rows(t), 10)
+	return &LiveResult{QID: qid, SQL: "SELECT c1, c3 FROM t", Columns: resultSchema().Columns, Rows: figure3Rows(t), Complexity: 10}
 }
 
 // figure3Rows are figure3Result's executor rows.
@@ -64,57 +64,94 @@ func figure3Rows(t testing.TB) []*exec.Row {
 	}
 }
 
-// decoded returns r's decoded form, the one ZoomIn reads.
-func decoded(t *testing.T, r *CachedResult) *CachedResult {
+// decoded returns r's spilled form: its spill entry, decoded.
+func decoded(t testing.TB, r *LiveResult) *CachedResult {
 	t.Helper()
-	d, err := r.Decoded()
+	d, err := decodeResult(BuildCachedResult(r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
-func TestBuildCachedResultZoomStructure(t *testing.T) {
-	fresh := figure3Result(t, 101)
-	for _, row := range fresh.Rows {
-		if row.Elements != nil {
-			t.Fatal("a fresh result carries zoom elements beside its encoding")
+// expand runs Expand over r with the WHERE clause where ("" keeps every
+// row).
+func expand(t *testing.T, r Zoomable, where, instance string, index int) ([]Expansion, error) {
+	t.Helper()
+	var pred *exec.Compiled
+	if where != "" {
+		stmt, err := sql.Parse("SELECT c1 FROM t WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred, err = exec.Compile(stmt.(*sql.Select).Where, r.Schema()); err != nil {
+			t.Fatal(err)
 		}
 	}
-	r := decoded(t, fresh)
-	if len(r.Rows) != 3 || r.QID != 101 {
+	return Expand(r, pred, instance, index)
+}
+
+// bothForms returns r as the cache holds it live and spilled.
+func bothForms(t *testing.T, r *LiveResult) map[string]Zoomable {
+	return map[string]Zoomable{"live": r, "spilled": decoded(t, r)}
+}
+
+func TestBuildCachedResultZoomStructure(t *testing.T) {
+	live := figure3Result(t, 101)
+	for form, r := range bothForms(t, live) {
+		// Classifier index 1 = "refute".
+		got, err := expand(t, r, "c3 = 5", "NaiveBayesClass", 1)
+		if err != nil || len(got) != 1 || !slices.Equal(got[0].IDs, []annotation.ID{1}) {
+			t.Errorf("%s: refute = %v, %v", form, got, err)
+		}
+		// Snippet index 2 = second document.
+		got, err = expand(t, r, "c3 = 5", "TextSummary", 2)
+		if err != nil || len(got) != 1 || !slices.Equal(got[0].IDs, []annotation.ID{102}) {
+			t.Errorf("%s: snippet 2 = %v, %v", form, got, err)
+		}
+		if _, err := expand(t, r, "c3 = 5", "NaiveBayesClass", 9); err == nil {
+			t.Errorf("%s: out-of-range index accepted", form)
+		}
+		if got, err := expand(t, r, "", "NoSuchInstance", 1); err != nil || got != nil {
+			t.Errorf("%s: missing instance = %v, %v", form, got, err)
+		}
+		// The unannotated row has no elements, so no index is out of range.
+		if got, err := expand(t, r, "c3 = 7", "NaiveBayesClass", 9); err != nil || got != nil {
+			t.Errorf("%s: unannotated row = %v, %v", form, got, err)
+		}
+	}
+	if r := decoded(t, live); len(r.Rows) != 3 || r.QID != 101 || r.Rows[2].Elements != nil {
 		t.Fatalf("%+v", r)
 	}
-	row := r.Rows[0]
-	// Classifier index 1 = "refute".
-	ids, err := row.ZoomIDs("NaiveBayesClass", 1)
-	if err != nil || len(ids) != 1 || ids[0] != 1 {
-		t.Errorf("ZoomIDs(refute) = %v, %v", ids, err)
-	}
-	// Snippet index 2 = second document.
-	ids, err = row.ZoomIDs("TextSummary", 2)
-	if err != nil || len(ids) != 1 || ids[0] != 102 {
-		t.Errorf("ZoomIDs(snippet 2) = %v, %v", ids, err)
-	}
-	if _, err := row.ZoomIDs("NaiveBayesClass", 9); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	if ids, err := row.ZoomIDs("NoSuchInstance", 1); err != nil || ids != nil {
-		t.Errorf("missing instance = %v, %v", ids, err)
-	}
-	// Unannotated row has no zoom map.
-	if r.Rows[2].Elements != nil {
-		t.Error("unannotated row has zoom map")
-	}
-	if rendered := renderedRows(t, r); !strings.Contains(rendered[0]["NaiveBayesClass"], "refute") {
+	if rendered := renderedRows(t, BuildCachedResult(live)); !strings.Contains(rendered[0]["NaiveBayesClass"], "refute") {
 		t.Errorf("rendered = %q", rendered[0]["NaiveBayesClass"])
 	}
 }
 
-// renderedRows decodes the rendered summaries of r's rows section.
-func renderedRows(t *testing.T, r *CachedResult) []map[string]string {
+// rowsSection returns the rows section of a spill entry.
+func rowsSection(t *testing.T, entry []byte) []byte {
 	t.Helper()
-	rd := codec.NewReader(r.RowsSection())
+	r := codec.NewReader(entry)
+	r.Byte()
+	r.Int()
+	r.Str()
+	for n := r.Count(3); n > 0; n-- {
+		r.Str()
+		r.Str()
+		r.Byte()
+	}
+	rows := r.Section()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// renderedRows decodes the rendered summaries of a spill entry's rows
+// section.
+func renderedRows(t *testing.T, entry []byte) []map[string]string {
+	t.Helper()
+	rd := codec.NewReader(rowsSection(t, entry))
 	out := make([]map[string]string, rd.Count(2))
 	for i := range out {
 		_, out[i] = ReadRow(rd)
@@ -125,11 +162,52 @@ func renderedRows(t *testing.T, r *CachedResult) []map[string]string {
 	return out
 }
 
-// TestEntryRoundTrip pins entry format 1. BuildCachedResult writes the
-// entry into a buffer sized exactly; decoding it and encoding the decoded
-// result again gives the same bytes; and the rows section carries each
-// object's Render. Multi-byte varints (a large QID, large annotation ids)
-// check the sizing.
+// encodeEntry writes a spill entry from its decoded parts field by field,
+// as the format comment at entryVersion lays it out: the reference
+// BuildCachedResult must match, and the inverse of decodeResult. rendered
+// holds each row's rendered summaries; nil writes none.
+func encodeEntry(r *CachedResult, rendered []map[string]string) []byte {
+	w := codec.NewWriter(nil)
+	w.Byte(entryVersion)
+	w.Varint(int64(r.QID))
+	w.Str(r.SQL)
+	w.Uvarint(uint64(len(r.Columns)))
+	for _, c := range r.Columns {
+		w.Str(c.Table)
+		w.Str(c.Name)
+		w.Byte(byte(c.Kind))
+	}
+	mark := w.BeginSection()
+	w.Uvarint(uint64(len(r.Rows)))
+	for i, row := range r.Rows {
+		var summaries map[string]string
+		if rendered != nil {
+			summaries = rendered[i]
+		}
+		AppendRow(w, row.Tuple, summaries)
+	}
+	w.EndSection(mark)
+	mark = w.BeginSection()
+	w.Uvarint(uint64(len(r.Rows)))
+	for _, row := range r.Rows {
+		names := make([]string, 0, len(row.Elements))
+		for name := range row.Elements {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		w.Uvarint(uint64(len(names)))
+		for _, name := range names {
+			appendElements(w, name, row.Elements[name])
+		}
+	}
+	w.EndSection(mark)
+	return w.Bytes()
+}
+
+// TestEntryRoundTrip pins entry format 1. The entry BuildCachedResult
+// writes is the one the format comment describes for its decoded parts,
+// byte for byte, and the rows section carries each object's Render.
+// Multi-byte varints (a large QID, large annotation ids) are among them.
 func TestEntryRoundTrip(t *testing.T) {
 	rows := figure3Rows(t)
 	big := summary.NewEnvelope()
@@ -142,16 +220,12 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 	rows = append(rows, &exec.Row{Tuple: types.Tuple{types.NewString("z"), types.NewInt(-1 << 40)}, Env: big})
 	for _, qid := range []int{1, 1 << 40} {
-		r := BuildCachedResult(qid, "SELECT c1, c3 FROM t WHERE c3 <> 0", resultSchema(), rows, 3)
-		entry := r.encode()
-		if cap(entry) != len(entry) {
-			t.Errorf("qid %d: a %d-byte entry in a buffer of %d", qid, len(entry), cap(entry))
+		live := &LiveResult{QID: qid, SQL: "SELECT c1, c3 FROM t WHERE c3 <> 0", Columns: resultSchema().Columns, Rows: rows}
+		entry := BuildCachedResult(live)
+		rendered := renderedRows(t, entry)
+		if again := encodeEntry(decoded(t, live), rendered); !bytes.Equal(again, entry) {
+			t.Errorf("qid %d: the entry differs from its parts encoded field by field:\n%x\n%x", qid, entry, again)
 		}
-		back := decoded(t, r)
-		if again := back.encode(); !bytes.Equal(again, entry) {
-			t.Errorf("qid %d: decode → encode changed the entry:\n%x\n%x", qid, entry, again)
-		}
-		rendered := renderedRows(t, r)
 		for i, row := range rows {
 			if row.Env == nil || row.Env.IsEmpty() {
 				if rendered[i] != nil {
@@ -171,27 +245,38 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFilterRowsWithPredicate: Expand keeps the rows the ZOOMIN WHERE
+// clause selects, in either form.
 func TestFilterRowsWithPredicate(t *testing.T) {
-	r := figure3Result(t, 101)
-	// Figure 3(a): Where C1 = 'x' selects r1 and r2.
-	stmt, _ := sql.Parse("SELECT c1 FROM t WHERE c1 = 'x'")
-	pred, err := exec.Compile(stmt.(*sql.Select).Where, r.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := r.FilterRows(pred)
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("FilterRows = %d rows, %v", len(rows), err)
-	}
-	all, _ := r.FilterRows(nil)
-	if len(all) != 3 {
-		t.Errorf("nil predicate rows = %d", len(all))
+	for form, r := range bothForms(t, figure3Result(t, 101)) {
+		for _, c := range []struct {
+			where string
+			want  []int64 // c3 of the rows expanded
+		}{
+			{"", []int64{5, 10}}, // the third row carries no classifier
+			{"c1 = 'x'", []int64{5, 10}},
+			{"c3 > 5", []int64{10}},
+			{"c1 = 'y'", nil},
+		} {
+			got, err := expand(t, r, c.where, "NaiveBayesClass", 1)
+			if err != nil {
+				t.Fatalf("%s %q: %v", form, c.where, err)
+			}
+			var c3 []int64
+			for _, e := range got {
+				c3 = append(c3, e.Tuple[1].Int())
+			}
+			if !slices.Equal(c3, c.want) {
+				t.Errorf("%s %q: expanded rows with c3 %v, want %v", form, c.where, c3, c.want)
+			}
+		}
 	}
 }
 
 func TestResultSerializationRoundTrip(t *testing.T) {
 	r := figure3Result(t, 7)
-	back, err := decodeResult(r.encode())
+	data := BuildCachedResult(r)
+	back, err := decodeResult(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +287,14 @@ func TestResultSerializationRoundTrip(t *testing.T) {
 	if back.Rows[0].Tuple[1].Kind() != types.KindInt || back.Rows[0].Tuple[1].Int() != 5 {
 		t.Errorf("tuple = %v", back.Rows[0].Tuple)
 	}
-	ids, err := back.Rows[1].ZoomIDs("NaiveBayesClass", 1)
-	if err != nil || len(ids) != 2 {
-		t.Errorf("zoom after round trip = %v, %v", ids, err)
+	if got, err := expand(t, back, "c3 = 10", "NaiveBayesClass", 1); err != nil || len(got) != 1 || len(got[0].IDs) != 2 {
+		t.Errorf("zoom after round trip = %v, %v", got, err)
 	}
 	if _, err := decodeResult([]byte("nonsense")); err == nil {
 		t.Error("corrupt data decoded")
 	}
 	// Every proper prefix of an entry is an error, and so is a count
 	// larger than the bytes left.
-	data := r.encode()
 	for n := 0; n < len(data); n++ {
 		if _, err := decodeResult(data[:n]); err == nil {
 			t.Errorf("prefix of %d/%d bytes decoded", n, len(data))
@@ -232,8 +315,8 @@ func TestResultSerializationRoundTrip(t *testing.T) {
 // more than a small multiple of the entry, and is stable under
 // decode → encode → decode.
 func FuzzDecodeCachedResult(f *testing.F) {
-	f.Add(figure3Result(f, 7).encode())
-	f.Add((&CachedResult{QID: 1, SQL: "SELECT 1", Columns: resultSchema().Columns}).encode())
+	f.Add(BuildCachedResult(figure3Result(f, 7)))
+	f.Add(BuildCachedResult(&LiveResult{QID: 1, SQL: "SELECT 1", Columns: resultSchema().Columns}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r *CachedResult
 		var err error
@@ -247,15 +330,30 @@ func FuzzDecodeCachedResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again := r.encode()
+		again := encodeEntry(r, nil)
 		back, err := decodeResult(again)
 		if err != nil {
 			t.Fatalf("re-encoded entry does not decode: %v", err)
 		}
-		if third := back.encode(); !bytes.Equal(third, again) {
+		if third := encodeEntry(back, nil); !bytes.Equal(third, again) {
 			t.Fatalf("decode → encode → decode changed the entry:\n%x\n%x", again, third)
 		}
 	})
+}
+
+// formOf reports whether qid is resident "live" or "spilled", or "" when
+// it is not resident.
+func formOf(c *Cache, qid int) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, ok := c.index[qid]
+	switch {
+	case !ok:
+		return ""
+	case c.entries[i].live != nil:
+		return "live"
+	}
+	return "spilled"
 }
 
 func TestCachePutGetHit(t *testing.T) {
@@ -268,7 +366,7 @@ func TestCachePutGetHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, hit, err := c.Get(1)
-	if err != nil || !hit || got.QID != 1 {
+	if err != nil || !hit || got != Zoomable(r) {
 		t.Fatalf("Get = %v, %v, %v", got, hit, err)
 	}
 	if _, hit, _ := c.Get(99); hit {
@@ -282,7 +380,7 @@ func TestCachePutGetHit(t *testing.T) {
 
 func TestCacheBudgetEviction(t *testing.T) {
 	r := figure3Result(t, 1)
-	one := int64(len(r.encode()))
+	one := r.size()
 	c, err := NewCache(t.TempDir(), one*2+one/2, LRU{}) // fits 2 entries
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +403,7 @@ func TestCacheBudgetEviction(t *testing.T) {
 
 func TestCacheRCOPrefersComplexEntries(t *testing.T) {
 	r := figure3Result(t, 1)
-	one := int64(len(r.encode()))
+	one := r.size()
 	c, err := NewCache(t.TempDir(), one*2+one/2, RCO{})
 	if err != nil {
 		t.Fatal(err)
@@ -413,8 +511,9 @@ func TestCachedElementsMatchObject(t *testing.T) {
 		env.Project([]int{0, 2, 4}) // curates: drops what covers only columns 1, 3, 5
 		rows = append(rows, &exec.Row{Tuple: types.Tuple{types.NewInt(int64(r))}, Env: env})
 	}
-	res := decoded(t, BuildCachedResult(7, "SELECT …", resultSchema(), rows, 1))
-	rendered := renderedRows(t, res)
+	live := &LiveResult{QID: 7, SQL: "SELECT …", Columns: resultSchema().Columns, Rows: rows}
+	res := decoded(t, live)
+	rendered := renderedRows(t, BuildCachedResult(live))
 	for r, cr := range res.Rows {
 		env := rows[r].Env
 		if len(cr.Elements) != len(env.Objects) || len(rendered[r]) != len(env.Objects) {
