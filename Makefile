@@ -70,7 +70,7 @@ soak-scrub:
 # every WAL record body decoder, Load over arbitrary checkpoint bytes, the
 # replication message decoder, the summary algebra's operations against
 # its map-based model, the checkpoint's envelope decoder, and the summary
-# renderer's quoting against strconv.Quote. A smoke; raise FUZZTIME locally for real
+# renderer's quoting and plain test against strconv.Quote. A smoke; raise FUZZTIME locally for real
 # exploration.
 FUZZTIME ?= 10s
 fuzz:
@@ -88,7 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplicationMessage -fuzztime $(FUZZTIME) ./internal/replication/
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeOps -fuzztime $(FUZZTIME) ./internal/summary/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/summary/
-	$(GO) test -run '^$$' -fuzz FuzzWriteQuoted -fuzztime $(FUZZTIME) ./internal/summary/
+	$(GO) test -run '^$$' -fuzz FuzzAppendQuoted -fuzztime $(FUZZTIME) ./internal/summary/
 
 # loc prints the non-test Go line count of each package under internal/
 # (build-constrained files the host would not compile are left out) and

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"insightnotes/internal/codec"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/plan"
 	"insightnotes/internal/workload"
@@ -193,6 +194,35 @@ func BenchmarkAdmit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkAppendRows is what a SELECT pays to write its response's rows
+// section, with the same two results as BenchmarkAdmit. group_by renders
+// each group's combined objects afresh; point copies the memoised
+// rendering of each shared object. The section is written into a reused
+// buffer, as a connection's response frames are.
+func BenchmarkAppendRows(b *testing.B) {
+	db := newJoinScanWorld(b)
+	for _, bc := range []struct{ name, query string }{
+		{"group_by", groupByQuery},
+		{"point", "SELECT id, name, region FROM birds WHERE id = 7"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			res, err := db.Query(context.Background(), bc.query, engine.WithPlanOptions(plan.Options{}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := codec.NewWriter(buf[:0])
+				zoomin.AppendRows(w, res.Rows)
+				buf = w.Bytes()
+			}
+			b.SetBytes(int64(len(buf)))
 		})
 	}
 }

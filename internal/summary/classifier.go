@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"insightnotes/internal/annotation"
 )
@@ -148,24 +147,22 @@ func (c *classifierObject) elements() []Element {
 func (c *classifierObject) Zoom(index int) ([]annotation.ID, error) { return zoom(c, index) }
 
 // Render implements Object.
-func (c *classifierObject) Render() string { return memoised(&c.shown.text, c.isShared(), c.render) }
+func (c *classifierObject) Render() string { return rendered(&c.shown, c) }
 
-func (c *classifierObject) render() string {
-	var b strings.Builder
-	b.WriteString(c.inst.Name)
-	b.WriteString(" [")
+func (c *classifierObject) appendRender(dst []byte) []byte {
+	dst = append(dst, c.inst.Name...)
+	dst = append(dst, " ["...)
 	for i, l := range c.inst.Classifier.Labels() {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteByte('(')
-		b.WriteString(l)
-		b.WriteString(", ")
-		b.WriteString(strconv.Itoa(c.counts[i]))
-		b.WriteByte(')')
+		dst = append(dst, '(')
+		dst = append(dst, l...)
+		dst = append(dst, ", "...)
+		dst = strconv.AppendInt(dst, int64(c.counts[i]), 10)
+		dst = append(dst, ')')
 	}
-	b.WriteString("]")
-	return b.String()
+	return append(dst, ']')
 }
 
 // ApproxBytes implements Object.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"insightnotes/internal/annotation"
@@ -75,6 +74,8 @@ type clusterGroup struct {
 	centroid   textmining.Vector
 	rep        annotation.ID
 	repPreview string
+	// plain is isPlain(repPreview), derived by elect and never encoded.
+	plain bool
 	// min is the smallest member id: the canonical group sort key.
 	min annotation.ID
 	sharedFlag
@@ -138,10 +139,11 @@ func elect(g *clusterGroup) {
 	g.candidates = slices.DeleteFunc(g.candidates, func(k repCandidate) bool { return !g.holds(k.id) })
 	if len(g.candidates) > 0 {
 		g.rep, g.repPreview = g.candidates[0].id, g.candidates[0].preview
+		g.plain = isPlain(g.repPreview)
 		return
 	}
 	g.rep = g.min
-	g.repPreview = fmt.Sprintf("(annotation %d)", g.rep)
+	g.repPreview, g.plain = fmt.Sprintf("(annotation %d)", g.rep), true
 }
 
 // Instance implements Object.
@@ -488,6 +490,7 @@ func (c *clusterObject) ownGroup(g *clusterGroup) *clusterGroup {
 		centroid:   g.centroid.Clone(),
 		rep:        g.rep,
 		repPreview: g.repPreview,
+		plain:      g.plain,
 		min:        g.min,
 	}
 	c.groups[slices.Index(c.groups, g)] = cp
@@ -556,14 +559,13 @@ func (c *clusterObject) elements() []Element {
 // displayLabel returns the group's display label, e.g.
 // `"size seems wrong" ×3`.
 func (g *clusterGroup) displayLabel() string {
-	return memoised(&g.label, g.isShared(), func() string {
-		var b strings.Builder
-		b.Grow(len(g.repPreview) + 16)
-		writeQuoted(&b, g.repPreview)
-		b.WriteString(" ×")
-		b.WriteString(strconv.Itoa(len(g.members)))
-		return b.String()
-	})
+	return memoised(&g.label, g.isShared(), func() string { return string(g.appendLabel(nil)) })
+}
+
+func (g *clusterGroup) appendLabel(dst []byte) []byte {
+	dst = appendPlainOrQuoted(dst, g.repPreview, g.plain)
+	dst = append(dst, " ×"...)
+	return strconv.AppendInt(dst, int64(len(g.members)), 10)
 }
 
 // Zoom implements Object.
@@ -571,33 +573,26 @@ func (c *clusterObject) Zoom(index int) ([]annotation.ID, error) { return zoom(c
 
 // Render implements Object, e.g.
 // `SimCluster {[A12 "found eating stonewort…" ×5] [A3 "size seems wrong" ×1]}`.
-func (c *clusterObject) Render() string { return memoised(&c.shown.text, c.isShared(), c.render) }
+func (c *clusterObject) Render() string { return rendered(&c.shown, c) }
 
-func (c *clusterObject) render() string {
-	gs := c.sortedGroups()
-	labels := make([]string, len(gs))
-	var digits [20]byte
-	n := len(c.inst.Name) + 3 // " {" and "}"
-	for i, g := range gs {
-		labels[i] = g.displayLabel()
-		n += len(labels[i]) + len(strconv.AppendUint(digits[:0], uint64(g.rep), 10)) + 5 // " [A", " ", "]"
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(c.inst.Name)
-	b.WriteString(" {")
-	for i, g := range gs {
+func (c *clusterObject) appendRender(dst []byte) []byte {
+	dst = append(dst, c.inst.Name...)
+	dst = append(dst, " {"...)
+	for i, g := range c.sortedGroups() {
 		if i > 0 {
-			b.WriteString(" ")
+			dst = append(dst, ' ')
 		}
-		b.WriteString("[A")
-		b.Write(strconv.AppendUint(digits[:0], uint64(g.rep), 10))
-		b.WriteByte(' ')
-		b.WriteString(labels[i])
-		b.WriteByte(']')
+		dst = append(dst, "[A"...)
+		dst = strconv.AppendUint(dst, uint64(g.rep), 10)
+		dst = append(dst, ' ')
+		if g.isShared() {
+			dst = append(dst, g.displayLabel()...)
+		} else {
+			dst = g.appendLabel(dst)
+		}
+		dst = append(dst, ']')
 	}
-	b.WriteString("}")
-	return b.String()
+	return append(dst, '}')
 }
 
 // ApproxBytes implements Object. Walking every centroid is the cost, so a

@@ -221,7 +221,7 @@ func decodeObject(r *codec.Reader, in *Instance) Object {
 	s := newSnippetObject(in)
 	s.entries = make([]snippetEntry, r.Count(3))
 	for i := range s.entries {
-		s.entries[i] = snippetEntry{annotation.ID(r.Uvarint()), r.Str(), r.Str()}
+		s.entries[i] = newSnippetEntry(annotation.ID(r.Uvarint()), r.Str(), r.Str())
 	}
 	ascending(r, s.entries, snippetID, in.Name)
 	return s

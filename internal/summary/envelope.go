@@ -3,7 +3,6 @@ package summary
 import (
 	"math/bits"
 	"slices"
-	"strings"
 
 	"insightnotes/internal/annotation"
 )
@@ -394,12 +393,19 @@ func (e *Envelope) Object(instance string) Object { return e.Objects[instance] }
 
 // InstanceNames returns the instance names present, sorted.
 func (e *Envelope) InstanceNames() []string {
-	out := make([]string, 0, len(e.Objects))
+	return e.AppendInstanceNames(make([]string, 0, len(e.Objects)))
+}
+
+// AppendInstanceNames appends the instance names present, sorted, to dst,
+// for a caller that walks many envelopes' objects in name order with one
+// reused slice.
+func (e *Envelope) AppendInstanceNames(dst []string) []string {
+	n := len(dst)
 	for name := range e.Objects {
-		out = append(out, name)
+		dst = append(dst, name)
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Annotations returns every contributing annotation id, sorted.
@@ -424,14 +430,14 @@ func (e *Envelope) Equal(o *Envelope) bool {
 // Render formats the envelope's objects in instance-name order, one per
 // line.
 func (e *Envelope) Render() string {
-	var b strings.Builder
+	var b []byte
 	for i, name := range e.InstanceNames() {
 		if i > 0 {
-			b.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		b.WriteString(e.Objects[name].Render())
+		b = AppendRender(b, e.Objects[name])
 	}
-	return b.String()
+	return string(b)
 }
 
 // ApproxBytes estimates the envelope's in-memory size (coverage plus all

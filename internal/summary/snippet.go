@@ -3,7 +3,6 @@ package summary
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"insightnotes/internal/annotation"
 )
@@ -26,6 +25,13 @@ type snippetEntry struct {
 	id      annotation.ID
 	Title   string
 	Snippet string
+	// plain is set when both Title and Snippet are plain (see isPlain):
+	// derived where the entry is made, never encoded.
+	plain bool
+}
+
+func newSnippetEntry(id annotation.ID, title, snippet string) snippetEntry {
+	return snippetEntry{id, title, snippet, isPlain(title) && isPlain(snippet)}
 }
 
 func snippetID(e snippetEntry) annotation.ID { return e.id }
@@ -49,7 +55,7 @@ func (s *snippetObject) Add(d Digest) {
 		return
 	}
 	if i, ok := search(s.entries, d.Ann, snippetID); !ok {
-		s.entries = slices.Insert(s.entries, i, snippetEntry{d.Ann, d.Title, d.Snippet})
+		s.entries = slices.Insert(s.entries, i, newSnippetEntry(d.Ann, d.Title, d.Snippet))
 	}
 }
 
@@ -122,24 +128,22 @@ func (s *snippetObject) elements() []Element {
 func (s *snippetObject) Zoom(index int) ([]annotation.ID, error) { return zoom(s, index) }
 
 // Render implements Object.
-func (s *snippetObject) Render() string { return memoised(&s.shown.text, s.isShared(), s.render) }
+func (s *snippetObject) Render() string { return rendered(&s.shown, s) }
 
-func (s *snippetObject) render() string {
-	var b strings.Builder
-	b.WriteString(s.inst.Name)
-	b.WriteString(" [")
+func (s *snippetObject) appendRender(dst []byte) []byte {
+	dst = append(dst, s.inst.Name...)
+	dst = append(dst, " ["...)
 	for i, e := range s.entries {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
 		if e.Title != "" {
-			writeQuoted(&b, e.Title)
-			b.WriteString(": ")
+			dst = appendPlainOrQuoted(dst, e.Title, e.plain)
+			dst = append(dst, ": "...)
 		}
-		writeQuoted(&b, e.Snippet)
+		dst = appendPlainOrQuoted(dst, e.Snippet, e.plain)
 	}
-	b.WriteString("]")
-	return b.String()
+	return append(dst, ']')
 }
 
 // ApproxBytes implements Object.

@@ -32,7 +32,6 @@ package summary
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"unicode/utf8"
 
@@ -148,7 +147,24 @@ type Object interface {
 	// replaces it with its Clone before the first call that changes it.
 	share()
 	isShared() bool
+	// appendRender appends the Render text to dst, computing it afresh:
+	// the one place each object type formats itself.
+	appendRender(dst []byte) []byte
 }
+
+// AppendRender appends o's Render text to dst. A shared object's is its
+// memo (see RendersOnce); any other object formats itself into dst, with
+// no intermediate string.
+func AppendRender(dst []byte, o Object) []byte {
+	if o.isShared() {
+		return append(dst, o.Render()...)
+	}
+	return o.appendRender(dst)
+}
+
+// RendersOnce reports whether o is latched shared: immutable, so that
+// Render formats it once and returns the same string to every later call.
+func RendersOnce(o Object) bool { return o.isShared() }
 
 // Element is one zoomable element of a summary object.
 type Element struct {
@@ -192,6 +208,12 @@ type presentation struct {
 	elems atomic.Pointer[[]Element]
 }
 
+// rendered is the Render body of every object type: o's text, memoised in
+// p while o is shared.
+func rendered(p *presentation, o Object) string {
+	return memoised(&p.text, o.isShared(), func() string { return string(o.appendRender(nil)) })
+}
+
 // memoised returns the value p holds, else compute's result, which it
 // stores in p when keep is set. Callers pass keep = isShared(), read before
 // computing: what an unshared object shows may be stale by the time it is
@@ -208,12 +230,32 @@ func memoised[T any](p *atomic.Pointer[T], keep bool, compute func() T) T {
 	return v
 }
 
-// writeQuoted appends strconv.Quote(s) — what %q prints — to b. Previews,
-// titles and snippets rarely hold anything Quote would escape, so the run
-// of printable characters other than `"` and `\` is copied as is and only
-// what follows it, if anything, goes through strconv. The run is checked
-// eight bytes at a time while they are plain ASCII.
-func writeQuoted(b *strings.Builder, s string) {
+// appendQuoted appends strconv.Quote(s) — what %q prints — to dst. Callers
+// that know s is plain (see isPlain) append it between two quotes instead.
+// Otherwise the run of s that plainPrefix measures is copied as is and only
+// what follows it goes through strconv.
+func appendQuoted(dst []byte, s string) []byte {
+	i := plainPrefix(s)
+	dst = append(dst, '"')
+	dst = append(dst, s[:i]...)
+	if i == len(s) {
+		return append(dst, '"')
+	}
+	mark := len(dst)
+	dst = strconv.AppendQuote(dst, s[i:])
+	return append(dst[:mark], dst[mark+1:]...) // drop AppendQuote's opening quote
+}
+
+// isPlain reports whether strconv.Quote(s) is s between two quotes. An
+// object decides it once, where a title, snippet or preview enters it, so
+// that rendering copies a plain string and scans it no more.
+func isPlain(s string) bool { return plainPrefix(s) == len(s) }
+
+// plainPrefix returns the length of the longest prefix of s that Quote
+// copies as is: printable runes other than `"` and `\`. Previews, titles
+// and snippets rarely hold anything else. The run is checked eight bytes at
+// a time while they are plain ASCII.
+func plainPrefix(s string) int {
 	i := 0
 	for i < len(s) {
 		if i+8 <= len(s) && plainASCII(s[i:i+8]) {
@@ -222,24 +264,29 @@ func writeQuoted(b *strings.Builder, s string) {
 		}
 		if c := s[i]; c < utf8.RuneSelf {
 			if c < ' ' || c > '~' || c == '"' || c == '\\' {
-				break
+				return i
 			}
 			i++
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if size == 1 || !strconv.IsPrint(r) { // invalid UTF-8, or escaped as \u
-			break
+			return i
 		}
 		i += size
 	}
-	b.WriteByte('"')
-	b.WriteString(s[:i])
-	if i == len(s) {
-		b.WriteByte('"')
-		return
+	return i
+}
+
+// appendPlainOrQuoted appends s quoted, copying it between two quotes when
+// plain says Quote would.
+func appendPlainOrQuoted(dst []byte, s string, plain bool) []byte {
+	if !plain {
+		return appendQuoted(dst, s)
 	}
-	b.WriteString(strconv.Quote(s[i:])[1:])
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // Masks for the byte-parallel tests on a 64-bit word: ones has 1 in every

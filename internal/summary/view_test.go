@@ -3,8 +3,6 @@ package summary
 import (
 	"maps"
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 
 	"insightnotes/internal/annotation"
@@ -293,37 +291,4 @@ func groupsOf(e *Envelope) map[*clusterGroup]bool {
 		}
 	}
 	return out
-}
-
-// TestWriteQuotedMatchesStrconv pins the fast path to what %q prints.
-func TestWriteQuotedMatchesStrconv(t *testing.T) {
-	for _, s := range []string{
-		"", "size seems wrong", "found eating stonewort…", `say "hi"`, `back\slash`,
-		"tab\there", "naïve café", "…leading", "bad\xffutf8", "del\x7f", "nul\x00", "日本語 text", "é\u200bzero-width", "\ufffd legit", "tail\xe2\x80",
-	} {
-		var b strings.Builder
-		writeQuoted(&b, s)
-		if want := strconv.Quote(s); b.String() != want {
-			t.Errorf("writeQuoted(%q) = %s, want %s", s, b.String(), want)
-		}
-	}
-}
-
-// FuzzWriteQuoted compares writeQuoted with strconv.Quote on arbitrary
-// strings: invalid UTF-8, runes Quote escapes as \u, and escapes on either
-// side of the eight-byte words the fast path reads.
-func FuzzWriteQuoted(f *testing.F) {
-	for _, s := range []string{
-		"", "a preview longer than one word", "1234567\"", "12345678\\x", "abcdefg\xff", "abcdefgh\u200bij",
-		"abcdefgh\x7fijklmnop", "日本語 text é…", "tab\there\nand more", "\x1f2345678", "1234567~ 1234567}",
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		var b strings.Builder
-		writeQuoted(&b, s)
-		if want := strconv.Quote(s); b.String() != want {
-			t.Errorf("writeQuoted(%q) = %s, want %s", s, b.String(), want)
-		}
-	})
 }

@@ -182,12 +182,14 @@ func BuildCachedResult(r *LiveResult) []byte {
 	w.EndSection(mark)
 	mark = w.BeginSection()
 	w.Uvarint(uint64(len(r.Rows)))
+	var buf [4]string // an envelope holds a few objects
+	names := buf[:0]
 	for _, row := range r.Rows {
 		if row.Env == nil || row.Env.IsEmpty() {
 			w.Uvarint(0)
 			continue
 		}
-		names := row.Env.InstanceNames()
+		names = row.Env.AppendInstanceNames(names[:0])
 		w.Uvarint(uint64(len(names)))
 		for _, name := range names {
 			appendElements(w, name, row.Env.Object(name).Elements())
@@ -199,20 +201,32 @@ func BuildCachedResult(r *LiveResult) []byte {
 
 // AppendRows appends rows as a rows section body (see entryVersion): what a
 // SELECT's response carries, and the rows section of the result's spill
-// entry.
+// entry. A shared object's rendering is its memo, copied into w once. Any
+// other object renders into a scratch buffer that the rows reuse, which is
+// then copied into w: no string is built for it.
 func AppendRows(w *codec.Writer, rows []*exec.Row) {
 	w.Uvarint(uint64(len(rows)))
+	var buf [4]string // an envelope holds a few objects
+	names := buf[:0]
+	var scratch []byte
 	for _, row := range rows {
 		w.Tuple(row.Tuple)
 		if row.Env == nil || row.Env.IsEmpty() {
 			w.Uvarint(0)
 			continue
 		}
-		names := row.Env.InstanceNames()
+		names = row.Env.AppendInstanceNames(names[:0])
 		w.Uvarint(uint64(len(names)))
 		for _, name := range names {
 			w.Str(name)
-			w.Str(row.Env.Object(name).Render())
+			obj := row.Env.Object(name)
+			if summary.RendersOnce(obj) {
+				w.Str(obj.Render())
+				continue
+			}
+			scratch = summary.AppendRender(scratch[:0], obj)
+			w.Uvarint(uint64(len(scratch)))
+			w.Raw(scratch)
 		}
 	}
 }
