@@ -106,7 +106,7 @@ func TestCombinedEnvelopeIsSizedToItsSummary(t *testing.T) {
 		"SELECT grp, COUNT(*) FROM obs GROUP BY grp",
 		"SELECT DISTINCT grp FROM obs",
 	} {
-		var held, peak [2]uint64
+		var held, peak [2]int64
 		for i, rows := range []int{n, 4 * n} {
 			db, g := groupWorld(t, rows)
 			for _, class := range groupClasses {
@@ -122,8 +122,10 @@ func TestCombinedEnvelopeIsSizedToItsSummary(t *testing.T) {
 }
 
 // liveHeap runs q twice and returns, for the second run, the live heap its
-// result holds and the most the statement held live at a scan batch.
-func liveHeap(t *testing.T, db *engine.DB, q string) (held, peak uint64) {
+// result holds and the most the statement held live at a scan batch. Both
+// are signed: collection can leave the heap smaller than at the
+// statement's start.
+func liveHeap(t *testing.T, db *engine.DB, q string) (held, peak int64) {
 	t.Helper()
 	for i := 0; i < 2; i++ {
 		p := &heapProbe{Context: context.Background()}
@@ -131,7 +133,7 @@ func liveHeap(t *testing.T, db *engine.DB, q string) (held, peak uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held, peak = heapAlloc()-p.first, p.peak-p.first
+		held, peak = int64(heapAlloc())-int64(p.first), int64(p.peak)-int64(p.first)
 		runtime.KeepAlive(res)
 	}
 	return held, peak

@@ -152,7 +152,7 @@ func (s *envStore) mutateInstance(table, instance string, fn func(env *summary.E
 		st := &s.stripes[i]
 		st.mu.Lock()
 		for row, env := range st.m[table] {
-			if _, ok := env.Objects[instance]; ok && fn(env) {
+			if env.Object(instance) != nil && fn(env) {
 				delete(st.m[table], row)
 			}
 		}

@@ -155,7 +155,7 @@ func rowsHolding(db *DB, table, instance string) []types.RowID {
 		st := &db.envs.stripes[i]
 		st.mu.RLock()
 		for row, env := range st.m[table] {
-			if _, ok := env.Objects[instance]; ok {
+			if env.Object(instance) != nil {
 				rows = append(rows, row)
 			}
 		}

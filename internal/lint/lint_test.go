@@ -264,32 +264,6 @@ func main() { db, _ := insightnotes.Open(insightnotes.Config{}); db.Exec(ctx, "C
 	expect(t, bad.LeakyOpens(), "main opens an engine")
 }
 
-// Envelopes are copy-on-write: a scan hands out views that share the
-// stored envelope's Objects map, and only the summary package's mutators
-// know to copy a shared map (and clone a shared object) before writing. A
-// direct write anywhere else would reach through a view into the store, or
-// into another statement's result. Coverage is unexported, so the compiler
-// keeps it to the summary package.
-func TestEnvelopeMapsAreWrittenOnlyBySummary(t *testing.T) {
-	fields := []string{"Objects"}
-	s := tree(t)
-	if err := s.ParseTree("../../examples", "../../benchmark"); err != nil {
-		t.Fatal(err)
-	}
-	expect(t, s.FieldWrites(fields, "internal/summary/"))
-
-	bad := tree(t, "internal/x/x.go", `package x
-func f(env *summary.Envelope, row *exec.Row) {
-	delete(row.Env.Objects, "C")
-	row.Env.Objects["C"], n = obj, 1
-	env.Objects = nil
-	_ = env.Objects["C"]
-	for range env.Objects {}
-}`, "internal/summary/y.go", `package summary
-func (e *Envelope) g() { e.Objects["C"] = nil }`)
-	expect(t, bad.FieldWrites(fields, "internal/summary/"), "x.go:3:9: writes", "x.go:4:2: writes", "x.go:5:2: writes")
-}
-
 // Everything durable or shipped — WAL frames and payloads, checkpoints
 // with their summary objects and instance models, replication messages —
 // is encoded with internal/codec, and a checkpoint is read by the one redo

@@ -80,11 +80,10 @@ func (e *Envelope) Encode(w *codec.Writer) {
 		w.Uvarint(uint64(c.id))
 		w.Uvarint(uint64(c.cols))
 	}
-	names := e.InstanceNames()
-	w.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		w.Str(name)
-		switch o := e.Objects[name].(type) {
+	w.Uvarint(uint64(len(e.objs)))
+	for _, x := range e.objs {
+		w.Str(x.name)
+		switch o := x.obj.(type) {
 		case *classifierObject:
 			w.Uvarint(uint64(len(o.members)))
 			for _, m := range o.members {
@@ -136,7 +135,7 @@ func DecodeEnvelope(body []byte, instance func(name string) *Instance) (*Envelop
 	}
 	ascending(r, e.cover, coverID, "coverage")
 	n := r.Count(2)
-	e.Objects = make(map[string]Object, n)
+	e.objs = make([]namedObject, 0, n)
 	prev := ""
 	for k := 0; k < n && r.Err() == nil; k++ {
 		name := r.Str()
@@ -151,7 +150,7 @@ func DecodeEnvelope(body []byte, instance func(name string) *Instance) (*Envelop
 			if r.Err() == nil && obj.Len() == 0 {
 				failf(r, "empty %s object", name)
 			}
-			e.Objects[name] = obj
+			e.objs = append(e.objs, namedObject{name, obj})
 		}
 		prev = name
 	}
@@ -240,21 +239,21 @@ func ascending[E any](r *codec.Reader, list []E, key func(E) annotation.ID, what
 // an id in two groups (its Len then exceeds its merged members) and e's
 // coverage lists exactly its objects' members.
 func checkCoverage(r *codec.Reader, e *Envelope) {
-	if len(e.Objects) == 0 {
+	if len(e.objs) == 0 {
 		failf(r, "an envelope without objects")
 		return
 	}
 	hit := make([]bool, len(e.cover))
-	for name, obj := range e.Objects {
-		members := obj.Members()
-		if c, ok := obj.(*clusterObject); ok && len(members) < c.Len() {
-			failf(r, "annotation %d in two groups of %q", c.repeatedMember(), name)
+	for _, x := range e.objs {
+		members := x.obj.Members()
+		if c, ok := x.obj.(*clusterObject); ok && len(members) < c.Len() {
+			failf(r, "annotation %d in two groups of %q", c.repeatedMember(), x.name)
 			return
 		}
 		for _, id := range members {
 			i, ok := search(e.cover, id, coverID)
 			if !ok {
-				failf(r, "%s member %d outside the coverage", name, id)
+				failf(r, "%s member %d outside the coverage", x.name, id)
 				return
 			}
 			hit[i] = true

@@ -198,6 +198,20 @@ func TestDecodeEnvelopeRejectsHostileBodies(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorNamesTheFirstBadObject: when two objects each hold a
+// member outside the coverage, the error names the first in name order,
+// on every decode.
+func TestDecodeErrorNamesTheFirstBadObject(t *testing.T) {
+	cls, snp := classifierInstance(t, "C"), snippetInstance(t, "T")
+	body := envBody([]annotation.ID{1}, classifierBody("C", [2]uint64{2, 0}), snippetBody("T", 3))
+	for i := 0; i < 100; i++ {
+		_, err := DecodeEnvelope(body, linked(cls, snp))
+		if err == nil || !strings.Contains(err.Error(), "C member 2 outside the coverage") {
+			t.Fatalf("decode %d: err = %v, want it to name C member 2", i, err)
+		}
+	}
+}
+
 // FuzzDecodeEnvelope feeds arbitrary bodies to DecodeEnvelope under a
 // classifier, a cluster and a snippet instance: none may panic, and a body
 // it accepts re-encodes to bytes that decode to an equal envelope with the

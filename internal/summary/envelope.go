@@ -3,6 +3,7 @@ package summary
 import (
 	"math/bits"
 	"slices"
+	"strings"
 
 	"insightnotes/internal/annotation"
 )
@@ -17,21 +18,28 @@ import (
 // coverage is a 64-bit set per annotation, not the annotation itself.
 //
 // Envelopes are copy-on-write. View hands out the same coverage list and
-// object map in O(1); the first mutator called on either side afterwards
+// object list in O(1); the first mutator called on either side afterwards
 // copies the two, and an object both sides reference is cloned only by the
 // side about to change it. Code outside this package reads coverage
-// through CoverOf and EachCover, reads Objects, and writes both only
-// through the methods (internal/lint enforces it for Objects).
+// through CoverOf and EachCover and objects through Object and ObjectAt,
+// and changes both only through the methods.
 type Envelope struct {
 	// cover lists each contributing annotation with the columns of the
 	// current tuple shape it covers, sorted by annotation id.
 	cover []coverEntry
-	// Objects holds the summary objects keyed by instance name.
-	Objects map[string]Object
-	// shared is set while another envelope may reference cover and
-	// Objects. Atomic because concurrent readers of the engine's store
-	// each set it on the stored envelope under a read lock.
+	// objs holds one non-empty summary object per instance, strictly
+	// ascending by instance name.
+	objs []namedObject
+	// shared is set while another envelope may reference cover and objs.
+	// Atomic because concurrent readers of the engine's store each set it
+	// on the stored envelope under a read lock.
 	shared sharedFlag
+}
+
+// namedObject is one instance's object.
+type namedObject struct {
+	name string
+	obj  Object
 }
 
 // coverEntry is one annotation's coverage.
@@ -45,8 +53,12 @@ func coverID(c coverEntry) annotation.ID { return c.id }
 func unionCover(kept *coverEntry, dup coverEntry) { kept.cols |= dup.cols }
 
 // NewEnvelope returns an empty envelope.
-func NewEnvelope() *Envelope {
-	return &Envelope{Objects: make(map[string]Object)}
+func NewEnvelope() *Envelope { return &Envelope{} }
+
+// find returns the position of the named instance's object in e.objs, or
+// where it would be inserted, and whether it is there.
+func (e *Envelope) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(e.objs, name, func(o namedObject, name string) int { return strings.Compare(o.name, name) })
 }
 
 // Add incorporates one annotation digest under instance in, covering cols
@@ -58,15 +70,16 @@ func NewEnvelope() *Envelope {
 // annotations in id order, never copies the lists it extends.
 func (e *Envelope) Add(in *Instance, d Digest, cols annotation.ColSet) {
 	e.write()
+	i, existed := e.find(in.Name)
 	var obj Object
-	if _, existed := e.Objects[in.Name]; existed {
-		obj = e.own(in.Name)
+	if existed {
+		obj = e.own(i)
 	} else {
 		obj = in.NewObject()
 	}
 	obj.Add(d)
-	if obj.Len() > 0 {
-		e.Objects[in.Name] = obj
+	if !existed && obj.Len() > 0 {
+		e.objs = slices.Insert(e.objs, i, namedObject{in.Name, obj})
 	}
 	if obj.Contains(d.Ann) || e.memberAnywhere(d.Ann) {
 		i, ok := search(e.cover, d.Ann, coverID)
@@ -80,8 +93,8 @@ func (e *Envelope) Add(in *Instance, d Digest, cols annotation.ColSet) {
 
 // memberAnywhere reports whether id contributes to any object.
 func (e *Envelope) memberAnywhere(id annotation.ID) bool {
-	for _, obj := range e.Objects {
-		if obj.Contains(id) {
+	for _, o := range e.objs {
+		if o.obj.Contains(id) {
 			return true
 		}
 	}
@@ -94,12 +107,12 @@ func (e *Envelope) memberAnywhere(id annotation.ID) bool {
 // calls are fine.
 func (e *Envelope) View() *Envelope {
 	e.shared.share()
-	v := &Envelope{cover: e.cover, Objects: e.Objects}
+	v := &Envelope{cover: e.cover, objs: e.objs}
 	v.shared.share()
 	return v
 }
 
-// write makes e's coverage list and object map private before a mutation.
+// write makes e's coverage list and object list private before a mutation.
 func (e *Envelope) write() {
 	if e.shared.isShared() {
 		e.cover = slices.Clone(e.cover)
@@ -111,22 +124,20 @@ func (e *Envelope) write() {
 // replace the coverage list anyway. The objects stay where they are and are
 // latched shared: the other holder still references them.
 func (e *Envelope) writeObjects() {
-	objs := make(map[string]Object, len(e.Objects))
-	for name, obj := range e.Objects {
-		obj.share()
-		objs[name] = obj
+	for _, o := range e.objs {
+		o.obj.share()
 	}
-	e.Objects = objs
+	e.objs = slices.Clone(e.objs)
 	e.shared.on.Store(false)
 }
 
-// own returns e's object of the named instance ready to be changed: a
-// shared one is first replaced by its clone. Callers have called write.
-func (e *Envelope) own(name string) Object {
-	obj := e.Objects[name]
+// own returns e's i-th object ready to be changed: a shared one is first
+// replaced by its clone. Callers have called write.
+func (e *Envelope) own(i int) Object {
+	obj := e.objs[i].obj
 	if obj.isShared() {
 		obj = obj.Clone()
-		e.Objects[name] = obj
+		e.objs[i].obj = obj
 	}
 	return obj
 }
@@ -135,12 +146,9 @@ func (e *Envelope) own(name string) Object {
 // objects, which shares nothing with e that either side can change in place
 // (see Object.Clone).
 func (e *Envelope) Clone() *Envelope {
-	cp := &Envelope{
-		cover:   slices.Clone(e.cover),
-		Objects: make(map[string]Object, len(e.Objects)),
-	}
-	for name, obj := range e.Objects {
-		cp.Objects[name] = obj.Clone()
+	cp := &Envelope{cover: slices.Clone(e.cover), objs: make([]namedObject, len(e.objs))}
+	for i, o := range e.objs {
+		cp.objs[i] = namedObject{o.name, o.obj.Clone()}
 	}
 	return cp
 }
@@ -222,8 +230,8 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 	}
 	e.cover = dst
 	if shared {
-		for _, obj := range e.Objects {
-			obj.share() // the other holder references them
+		for _, o := range e.objs {
+			o.obj.share() // the other holder references them
 		}
 	}
 	e.curate(dropped)
@@ -244,25 +252,28 @@ func (e *Envelope) Curate(keep annotation.ColSet) {
 // curate retracts the dropped annotations (sorted ascending) from every
 // object: an object holding none of them stays as it is, a shared one
 // holding some is replaced by a changed copy, and an emptied one is
-// dropped. The object map of a shared envelope, whose objects the caller
+// dropped. The object list of a shared envelope, whose objects the caller
 // has latched shared, is copied only when one of them changes, so a
-// projection that drops nothing leaves a view's object map shared.
+// projection that drops nothing leaves a view's object list shared.
 func (e *Envelope) curate(dropped []annotation.ID) {
 	if len(dropped) == 0 {
 		return
 	}
-	for name, obj := range e.Objects {
+	for i := 0; i < len(e.objs); {
+		obj := e.objs[i].obj
 		out := obj.Remove(dropped)
 		if out == obj && out.Len() > 0 {
+			i++
 			continue
 		}
 		if e.shared.isShared() {
 			e.writeObjects()
 		}
 		if out.Len() == 0 {
-			delete(e.Objects, name)
+			e.objs = slices.Delete(e.objs, i, i+1)
 		} else {
-			e.Objects[name] = out
+			e.objs[i].obj = out
+			i++
 		}
 	}
 }
@@ -326,32 +337,36 @@ func (e *Envelope) Combine(others ...*Envelope) {
 
 // mergeObjects merges, per instance, the objects of others into e's, in
 // input order. An instance e lacks starts from the first object others
-// hold, adopted shared.
+// hold, adopted shared. An empty e is sized once, for the first input's
+// instances.
 func (e *Envelope) mergeObjects(others []*Envelope) {
+	if cap(e.objs) == 0 {
+		e.objs = make([]namedObject, 0, len(others[0].objs))
+	}
 	var names [4]string
 	done := names[:0] // instances merged so far; an envelope holds a few
 	var objs []Object
 	for i, o := range others {
-		for name := range o.Objects {
-			if slices.Contains(done, name) {
+		for _, x := range o.objs {
+			if slices.Contains(done, x.name) {
 				continue
 			}
-			done = append(done, name)
+			done = append(done, x.name)
 			objs = objs[:0]
 			for _, later := range others[i:] {
-				if obj, ok := later.Objects[name]; ok {
+				if obj := later.Object(x.name); obj != nil {
 					objs = append(objs, obj)
 				}
 			}
-			first, ok := e.Objects[name]
+			j, ok := e.find(x.name)
 			if !ok {
-				first, objs = objs[0], objs[1:]
-				first.share()
+				objs[0].share()
+				e.objs = slices.Insert(e.objs, j, namedObject{x.name, objs[0]})
+				objs = objs[1:]
 			}
 			if len(objs) > 0 {
-				first = first.MergeFrom(objs...)
+				e.objs[j].obj = e.objs[j].obj.MergeFrom(objs...)
 			}
-			e.Objects[name] = first
 		}
 	}
 }
@@ -373,11 +388,12 @@ func (e *Envelope) RemoveAnnotation(id annotation.ID) {
 // entries for annotations no longer contributing to any remaining object —
 // the envelope side of unlinking an instance from a relation.
 func (e *Envelope) RemoveInstance(name string) {
-	if _, ok := e.Objects[name]; !ok {
+	i, ok := e.find(name)
+	if !ok {
 		return
 	}
 	e.write()
-	delete(e.Objects, name)
+	e.objs = slices.Delete(e.objs, i, i+1)
 	e.PruneCover()
 }
 
@@ -389,23 +405,30 @@ func (e *Envelope) PruneCover() {
 }
 
 // Object returns the object of the named instance, or nil.
-func (e *Envelope) Object(instance string) Object { return e.Objects[instance] }
+func (e *Envelope) Object(instance string) Object {
+	if i, ok := e.find(instance); ok {
+		return e.objs[i].obj
+	}
+	return nil
+}
+
+// NumObjects returns the number of objects; ObjectAt(i) for i below it
+// walks them in instance-name order.
+func (e *Envelope) NumObjects() int { return len(e.objs) }
+
+// ObjectAt returns the i-th object in instance-name order and its
+// instance's name.
+func (e *Envelope) ObjectAt(i int) (instance string, obj Object) {
+	return e.objs[i].name, e.objs[i].obj
+}
 
 // InstanceNames returns the instance names present, sorted.
 func (e *Envelope) InstanceNames() []string {
-	return e.AppendInstanceNames(make([]string, 0, len(e.Objects)))
-}
-
-// AppendInstanceNames appends the instance names present, sorted, to dst,
-// for a caller that walks many envelopes' objects in name order with one
-// reused slice.
-func (e *Envelope) AppendInstanceNames(dst []string) []string {
-	n := len(dst)
-	for name := range e.Objects {
-		dst = append(dst, name)
+	names := make([]string, len(e.objs))
+	for i, o := range e.objs {
+		names[i] = o.name
 	}
-	slices.Sort(dst[n:])
-	return dst
+	return names
 }
 
 // Annotations returns every contributing annotation id, sorted.
@@ -415,27 +438,20 @@ func (e *Envelope) Annotations() []annotation.ID { return idsOf(e.cover, coverID
 // coverage and equal objects per instance. This is the comparison behind
 // the plan-equivalence tests (E3).
 func (e *Envelope) Equal(o *Envelope) bool {
-	if !slices.Equal(e.cover, o.cover) || len(e.Objects) != len(o.Objects) {
-		return false
-	}
-	for name, obj := range e.Objects {
-		oobj, ok := o.Objects[name]
-		if !ok || !obj.Equal(oobj) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(e.cover, o.cover) && slices.EqualFunc(e.objs, o.objs, func(x, y namedObject) bool {
+		return x.name == y.name && x.obj.Equal(y.obj)
+	})
 }
 
 // Render formats the envelope's objects in instance-name order, one per
 // line.
 func (e *Envelope) Render() string {
 	var b []byte
-	for i, name := range e.InstanceNames() {
+	for i, o := range e.objs {
 		if i > 0 {
 			b = append(b, '\n')
 		}
-		b = AppendRender(b, e.Objects[name])
+		b = AppendRender(b, o.obj)
 	}
 	return string(b)
 }
@@ -444,8 +460,8 @@ func (e *Envelope) Render() string {
 // objects) for the E1 compression benchmarks.
 func (e *Envelope) ApproxBytes() int {
 	n := 16 * len(e.cover)
-	for _, obj := range e.Objects {
-		n += obj.ApproxBytes()
+	for _, o := range e.objs {
+		n += o.obj.ApproxBytes()
 	}
 	return n
 }

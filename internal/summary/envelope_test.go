@@ -10,7 +10,7 @@ import (
 // buildTupleEnvelope assembles an envelope like tuple r of Figure 2: a
 // classifier, a cluster, and a snippet instance over annotations covering
 // different columns of a 4-column tuple.
-func buildTupleEnvelope(t *testing.T) (*Envelope, *Instance, *Instance, *Instance) {
+func buildTupleEnvelope(t testing.TB) (*Envelope, *Instance, *Instance, *Instance) {
 	t.Helper()
 	cls := classifierInstance(t, "ClassBird1")
 	clu := clusterInstance(t, "SimCluster")

@@ -21,9 +21,10 @@ import (
 // each to the envelope and to its model, and after every step compares the
 // two: coverage per id, classifier label per id and counts, snippet
 // entries, cluster partition and representatives. It also checks the
-// sorted lists' invariants and that no envelope a View was taken of, on
-// either side, has changed since, and that each envelope survives its
-// checkpoint encoding.
+// sorted lists' invariants (object names too ascend strictly, and no
+// object is empty), that no envelope a View was taken of, on either side,
+// has changed since, and that each envelope survives its checkpoint
+// encoding.
 
 // TestEnvelopeOpsMatchModel runs the driver over seeded random streams.
 func TestEnvelopeOpsMatchModel(t *testing.T) {
@@ -508,18 +509,21 @@ func (m *modelEnv) check(env *Envelope) error {
 	if !maps.Equal(got, m.cover) {
 		return fmt.Errorf("coverage %v, model %v", got, m.cover)
 	}
-	for name, obj := range env.Objects {
-		if obj.Len() == 0 {
-			return fmt.Errorf("empty %s object kept", name)
+	for i, o := range env.objs {
+		if i > 0 && o.name <= env.objs[i-1].name {
+			return fmt.Errorf("object names not strictly ascending: %v", env.InstanceNames())
+		}
+		if o.obj.Len() == 0 {
+			return fmt.Errorf("empty %s object kept", o.name)
 		}
 	}
-	if err := m.checkClassifier(env.Objects["C"]); err != nil {
+	if err := m.checkClassifier(env.Object("C")); err != nil {
 		return err
 	}
-	if err := m.checkSnippet(env.Objects["T"]); err != nil {
+	if err := m.checkSnippet(env.Object("T")); err != nil {
 		return err
 	}
-	return m.checkCluster(env.Objects["S"])
+	return m.checkCluster(env.Object("S"))
 }
 
 func strictlySorted(ids []annotation.ID) bool {
@@ -617,8 +621,8 @@ func describeModel(c *modelCluster) string {
 func describeEnvelope(env *Envelope) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cover %v\n", env.cover)
-	for _, name := range env.InstanceNames() {
-		obj := env.Objects[name]
+	for _, o := range env.objs {
+		obj := o.obj
 		fmt.Fprintf(&b, "%s %v %v\n", obj.Render(), obj.Members(), obj.Elements())
 		if c, ok := obj.(*clusterObject); ok {
 			b.WriteString(describeGroups(c))

@@ -184,8 +184,8 @@ func zoom(o Object, index int) ([]annotation.ID, error) {
 
 // sharedFlag is embedded in every object type, where it implements share
 // and isShared, and in cluster groups; it is also an envelope's flag for its
-// coverage list and object map. Envelopes of concurrent statements share objects, groups and stored
-// envelopes, hence atomic.
+// coverage list and object list. Envelopes of concurrent statements share
+// objects, groups and stored envelopes, hence atomic.
 type sharedFlag struct{ on atomic.Bool }
 
 func (f *sharedFlag) share() {

@@ -72,8 +72,8 @@ func TestViewMutatorsLeaveLenderUnchanged(t *testing.T) {
 					mutated, held = lender, view
 				}
 				before := map[string]Object{}
-				for name, obj := range held.Objects {
-					before[name] = obj
+				for _, o := range held.objs {
+					before[o.name] = o.obj
 				}
 				changed := map[string]bool{}
 				for _, name := range tc.mutate(t, mutated, cls, clu, snp) {
@@ -83,13 +83,13 @@ func TestViewMutatorsLeaveLenderUnchanged(t *testing.T) {
 					t.Errorf("the %s's mutator changed the other side:\n%s\nwant\n%s", side, held.Render(), want.Render())
 				}
 				for name, obj := range before {
-					if held.Objects[name] != obj {
+					if held.Object(name) != obj {
 						t.Errorf("%s: the untouched side replaced its own object", name)
 					}
-					if got, ok := mutated.Objects[name]; ok && !changed[name] && got != obj {
+					if got := mutated.Object(name); got != nil && !changed[name] && got != obj {
 						t.Errorf("%s: an object no mutator touched was copied", name)
 					}
-					if got := mutated.Objects[name]; changed[name] && got == obj {
+					if got := mutated.Object(name); changed[name] && got == obj {
 						t.Errorf("%s: changed in place while shared", name)
 					}
 				}
@@ -108,7 +108,7 @@ func TestMergeAdoptsSharedThenCopiesOnWrite(t *testing.T) {
 	addAnn(right, cls, ann(2, diseaseText(2)), annotation.Col(0))
 	left := NewEnvelope()
 	left.Merge(right, 2)
-	if left.Objects["C"] != right.Objects["C"] {
+	if left.Object("C") != right.Object("C") {
 		t.Fatal("right-only object was copied by Merge")
 	}
 	want := right.Clone()
@@ -124,51 +124,51 @@ func TestMergeAdoptsSharedThenCopiesOnWrite(t *testing.T) {
 }
 
 // TestProjectedViewSharesItsObjects: a projection of a view that drops no
-// annotation writes its own coverage but keeps the lender's object map, its
-// objects latched shared so that their presentation is memoised for every
-// later reader; one that drops an annotation copies the map and changes
-// only its own objects.
+// annotation writes its own coverage but keeps the lender's object list,
+// its objects latched shared so that their presentation is memoised for
+// every later reader; one that drops an annotation copies the list and
+// changes only its own objects.
 func TestProjectedViewSharesItsObjects(t *testing.T) {
 	lender, _, _, _ := buildTupleEnvelope(t)
 	want := lender.Render()
 	v := lender.View()
 	v.Project([]int{3, 2, 1, 0}) // every annotation keeps a column
-	if !sameMap(v.Objects, lender.Objects) {
-		t.Error("a projection that dropped nothing copied the object map")
+	if !sameList(v.objs, lender.objs) {
+		t.Error("a projection that dropped nothing copied the object list")
 	}
-	for name, obj := range v.Objects {
-		if !obj.isShared() {
-			t.Errorf("%s: not latched shared after the projection", name)
+	for _, o := range v.objs {
+		if !o.obj.isShared() {
+			t.Errorf("%s: not latched shared after the projection", o.name)
 		}
 	}
 	if v.CoverOf(4) != annotation.Col(0) || lender.CoverOf(4) != annotation.Col(3) {
 		t.Errorf("coverage of 4: view %v, lender %v", v.CoverOf(4), lender.CoverOf(4))
 	}
 	v.Project([]int{1, 2, 3}) // drops annotation 4, now on column 0: the snippet object's only member
-	if sameMap(v.Objects, lender.Objects) || v.Object("TextSummary1") != nil {
-		t.Error("a projection that dropped the snippet kept the lender's object map")
+	if sameList(v.objs, lender.objs) || v.Object("TextSummary1") != nil {
+		t.Error("a projection that dropped the snippet kept the lender's object list")
 	}
 	if got := lender.Render(); got != want {
 		t.Errorf("projecting the view changed the lender:\n%s\nwant\n%s", got, want)
 	}
 }
 
-// sameMap reports whether a and b are the same map.
-func sameMap(a, b map[string]Object) bool {
+// sameList reports whether a and b are the same list.
+func sameList(a, b []namedObject) bool {
 	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
 }
 
 // TestCloneSharesNothing: Clone, even of a view, shares nothing that either
-// side can change in place. Maps and objects are the copy's own; the cluster
+// side can change in place. Lists and objects are the copy's own; the cluster
 // groups both sides then hold are latched shared, so whichever side changes
 // one first copies it.
 func TestCloneSharesNothing(t *testing.T) {
 	lender, _, clu, _ := buildTupleEnvelope(t)
 	want := lender.Render()
 	cp := lender.View().Clone()
-	for name, obj := range cp.Objects {
-		if obj == lender.Objects[name] || obj.isShared() {
-			t.Errorf("%s: Clone shares its object", name)
+	for _, o := range cp.objs {
+		if o.obj == lender.Object(o.name) || o.obj.isShared() {
+			t.Errorf("%s: Clone shares its object", o.name)
 		}
 	}
 	for _, g := range clusterOf(cp, clu.Name).groups {
@@ -280,13 +280,13 @@ func TestCombineAdoptsClusterGroupsCopyOnWrite(t *testing.T) {
 }
 
 // clusterOf returns e's object of the named cluster instance.
-func clusterOf(e *Envelope, name string) *clusterObject { return e.Objects[name].(*clusterObject) }
+func clusterOf(e *Envelope, name string) *clusterObject { return e.Object(name).(*clusterObject) }
 
 // groupsOf returns the groups of e's only cluster object.
 func groupsOf(e *Envelope) map[*clusterGroup]bool {
 	out := map[*clusterGroup]bool{}
-	for _, obj := range e.Objects {
-		for _, g := range obj.(*clusterObject).groups {
+	for _, o := range e.objs {
+		for _, g := range o.obj.(*clusterObject).groups {
 			out[g] = true
 		}
 	}

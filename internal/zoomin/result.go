@@ -182,17 +182,15 @@ func BuildCachedResult(r *LiveResult) []byte {
 	w.EndSection(mark)
 	mark = w.BeginSection()
 	w.Uvarint(uint64(len(r.Rows)))
-	var buf [4]string // an envelope holds a few objects
-	names := buf[:0]
 	for _, row := range r.Rows {
 		if row.Env == nil || row.Env.IsEmpty() {
 			w.Uvarint(0)
 			continue
 		}
-		names = row.Env.AppendInstanceNames(names[:0])
-		w.Uvarint(uint64(len(names)))
-		for _, name := range names {
-			appendElements(w, name, row.Env.Object(name).Elements())
+		w.Uvarint(uint64(row.Env.NumObjects()))
+		for i := range row.Env.NumObjects() {
+			name, obj := row.Env.ObjectAt(i)
+			appendElements(w, name, obj.Elements())
 		}
 	}
 	w.EndSection(mark)
@@ -206,8 +204,6 @@ func BuildCachedResult(r *LiveResult) []byte {
 // then copied into w: no string is built for it.
 func AppendRows(w *codec.Writer, rows []*exec.Row) {
 	w.Uvarint(uint64(len(rows)))
-	var buf [4]string // an envelope holds a few objects
-	names := buf[:0]
 	var scratch []byte
 	for _, row := range rows {
 		w.Tuple(row.Tuple)
@@ -215,11 +211,10 @@ func AppendRows(w *codec.Writer, rows []*exec.Row) {
 			w.Uvarint(0)
 			continue
 		}
-		names = row.Env.AppendInstanceNames(names[:0])
-		w.Uvarint(uint64(len(names)))
-		for _, name := range names {
+		w.Uvarint(uint64(row.Env.NumObjects()))
+		for i := range row.Env.NumObjects() {
+			name, obj := row.Env.ObjectAt(i)
 			w.Str(name)
-			obj := row.Env.Object(name)
 			if summary.RendersOnce(obj) {
 				w.Str(obj.Render())
 				continue

@@ -233,10 +233,11 @@ func TestEntryRoundTrip(t *testing.T) {
 				}
 				continue
 			}
-			if len(rendered[i]) != len(row.Env.Objects) {
-				t.Errorf("row %d: %d rendered summaries for %d objects", i, len(rendered[i]), len(row.Env.Objects))
+			if len(rendered[i]) != row.Env.NumObjects() {
+				t.Errorf("row %d: %d rendered summaries for %d objects", i, len(rendered[i]), row.Env.NumObjects())
 			}
-			for name, obj := range row.Env.Objects {
+			for k := range row.Env.NumObjects() {
+				name, obj := row.Env.ObjectAt(k)
 				if rendered[i][name] != obj.Render() {
 					t.Errorf("row %d %s: rendered %q, object renders %q", i, name, rendered[i][name], obj.Render())
 				}
@@ -516,10 +517,11 @@ func TestCachedElementsMatchObject(t *testing.T) {
 	rendered := renderedRows(t, BuildCachedResult(live))
 	for r, cr := range res.Rows {
 		env := rows[r].Env
-		if len(cr.Elements) != len(env.Objects) || len(rendered[r]) != len(env.Objects) {
-			t.Fatalf("row %d: %d zoom, %d rendered entries for %d objects", r, len(cr.Elements), len(rendered[r]), len(env.Objects))
+		if len(cr.Elements) != env.NumObjects() || len(rendered[r]) != env.NumObjects() {
+			t.Fatalf("row %d: %d zoom, %d rendered entries for %d objects", r, len(cr.Elements), len(rendered[r]), env.NumObjects())
 		}
-		for name, obj := range env.Objects {
+		for k := range env.NumObjects() {
+			name, obj := env.ObjectAt(k)
 			els := cr.Elements[name]
 			if len(els) == 0 {
 				t.Errorf("row %d %s: no elements", r, name)
