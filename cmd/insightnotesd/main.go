@@ -87,7 +87,6 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "per-response write deadline against slow readers (0 disables)")
 	maintQueue := flag.Int("maint-queue", 0, "deferred summary-maintenance queue depth (0 = 1024 default)")
 	maintLatencyMS := flag.Int("maint-latency-ms", 0, "auto-degrade summary maintenance when its latency average crosses this (0 disables)")
-	execWorkers := flag.Int("exec-workers", 0, "scan worker pool size (0 = GOMAXPROCS, 1 = inline; a scan never uses more workers than it has morsels)")
 	batchSize := flag.Int("batch-size", 0, "executor rows-per-batch granularity (0 = built-in default)")
 	planCache := flag.Int("plan-cache", 0, "engine plan cache capacity in entries (0 = 256 default, negative disables)")
 	pageFile := flag.String("page-file", "", "file-backed page store of the annotation text (default <data-dir>/pages.db with -data-dir, in-memory otherwise)")
@@ -115,7 +114,6 @@ func main() {
 	cfg := engine.Config{
 		MaintenanceQueueDepth:       *maintQueue,
 		MaintenanceLatencyThreshold: time.Duration(*maintLatencyMS) * time.Millisecond,
-		ExecWorkers:                 *execWorkers,
 		BatchSize:                   *batchSize,
 		PlanCacheSize:               *planCache,
 		PageFile:                    *pageFile,

@@ -17,7 +17,7 @@
 //
 // The statement API is context-first: every entry point takes a
 // context.Context and optional per-statement options (WithTrace,
-// WithParallelism, WithBatchSize, WithPlanOptions).
+// WithBatchSize, WithPlanOptions).
 //
 //	db, err := insightnotes.Open(insightnotes.Config{})
 //	ctx := context.Background()
@@ -91,8 +91,6 @@ var (
 	// WithPlanOptions substitutes ablation plan options for one statement;
 	// such SELECTs are not QID-registered and skip the zoom-in cache.
 	WithPlanOptions = engine.WithPlanOptions
-	// WithParallelism overrides the scan worker count.
-	WithParallelism = engine.WithParallelism
 	// WithBatchSize overrides the executor's rows-per-batch granularity.
 	WithBatchSize = engine.WithBatchSize
 )

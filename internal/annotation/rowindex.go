@@ -10,12 +10,12 @@ import (
 )
 
 // annStripes is the stripe count of the per-tuple ref index. Power of two
-// so the stripe pick stays cheap; 32 stripes keep parallel-scan workers on
+// so the stripe pick stays cheap; 32 stripes keep concurrent statements on
 // distinct locks with high probability.
 const annStripes = 32
 
 // rowIndex is the (table, row) → annotation-ref index, sharded N ways by
-// tuple key so parallel scan workers resolving a tuple's refs do not
+// tuple key so concurrent statements resolving a tuple's refs do not
 // serialize on the store's main mutex. The heap file and the id-keyed
 // indexes stay under Store.mu; writers that need both take Store.mu before
 // any stripe lock — the ordering is always Store.mu → stripe, never the

@@ -175,7 +175,7 @@ func (s *Store) Get(id ID) (Annotation, error) {
 // ForTuple returns the annotation refs attached to (table, row), sorted by
 // annotation id. Refs for the same annotation covering disjoint column sets
 // are merged into one ref with the union coverage. It takes only the
-// tuple's stripe lock, so parallel scan workers resolving different tuples
+// tuple's stripe lock, so concurrent statements resolving different tuples
 // read the index concurrently.
 func (s *Store) ForTuple(table string, row types.RowID) []Ref {
 	return s.rowIdx.refs(table, row)

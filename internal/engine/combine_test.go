@@ -86,7 +86,7 @@ func combineBytes(t *testing.T, db *engine.DB, q string) float64 {
 		if i == 1 {
 			runtime.ReadMemStats(&before)
 		}
-		if _, err := db.Query(context.Background(), q, engine.WithParallelism(1)); err != nil {
+		if _, err := db.Query(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func liveHeap(t *testing.T, db *engine.DB, q string) (held, peak int64) {
 	t.Helper()
 	for i := 0; i < 2; i++ {
 		p := &heapProbe{Context: context.Background()}
-		res, err := db.Query(p, q, engine.WithParallelism(1), engine.WithBatchSize(8))
+		res, err := db.Query(p, q, engine.WithBatchSize(8))
 		if err != nil {
 			t.Fatal(err)
 		}

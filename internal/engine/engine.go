@@ -67,11 +67,6 @@ type Config struct {
 	// (every statement re-parses and re-costs; prepared statements still
 	// work, they just lose the cache). See prepared.go.
 	PlanCacheSize int
-	// ExecWorkers is the worker count base-table scans request for their
-	// morsel pool: 0 means GOMAXPROCS, 1 runs every scan inline, n > 1
-	// allows up to n workers per scan (a scan never uses more workers
-	// than it has morsels). Per-statement WithParallelism overrides it.
-	ExecWorkers int
 	// BatchSize is the executor's rows-per-batch pipeline granularity
 	// (default exec.DefaultBatchSize). Per-statement WithBatchSize
 	// overrides it.
@@ -148,8 +143,8 @@ type DB struct {
 	mu sync.RWMutex
 	// envs is the striped summary store: the maintained per-tuple summary
 	// objects of every annotated tuple (table → row → envelope), sharded
-	// by (table, row) so parallel scan workers don't serialize on one
-	// RWMutex.
+	// by (table, row) so concurrent statements' scans don't serialize on
+	// one RWMutex.
 	envs *envStore
 
 	// cache materializes SELECT results for zoom-in and keeps the QID → SQL
@@ -344,7 +339,7 @@ func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 // maintained envelope of a base tuple (nil when unannotated). The caller
 // may mutate it through the summary methods; the stored envelope is never
 // affected. The view is taken under the tuple's stripe lock — not the
-// database mutex — so parallel scan workers fetching envelopes contend
+// database mutex — so concurrent statements fetching envelopes contend
 // only per stripe, and never race with the background catch-up worker
 // mutating the live envelope mid-read.
 func (db *DB) EnvelopeFor(table string, row types.RowID) *summary.Envelope {

@@ -8,13 +8,13 @@ import (
 )
 
 // envStripes is the stripe count of the summary store's lock. Power of two
-// so the stripe pick is a mask; 32 stripes keep parallel-scan workers on
+// so the stripe pick is a mask; 32 stripes keep concurrent statements on
 // distinct locks with high probability without bloating the DB struct.
 const envStripes = 32
 
 // envStore is the striped summary store: the maintained per-tuple summary
 // envelopes of every annotated tuple, sharded N ways by (table, row) so
-// parallel scan workers fetching envelopes do not serialize on one
+// concurrent statements fetching envelopes do not serialize on one
 // RWMutex, and so the background catch-up worker blocks readers only on
 // the stripe it is updating.
 //

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -28,7 +27,7 @@ var equivalenceQueries = []string{
 // index-equality and index-range access paths, each with a residual
 // predicate and a narrowing projection absorbed into the scan. The last
 // one replays a memoized index-range choice over a range wide enough to
-// span several morsels, so the index path runs on the worker pool too.
+// fill several batches, so the index path crosses batch boundaries too.
 var indexedEquivalenceQueries = []string{
 	"SELECT v FROM T WHERE k = 82 AND v >= 0",
 	"SELECT k, v FROM T WHERE k BETWEEN 118 AND 123 AND v <> 3",
@@ -84,19 +83,18 @@ func renderResult(res *Result) string {
 }
 
 // TestBatchParallelEquivalence is the executor's core correctness property:
-// for every query shape, every batch size × worker count combination must
-// produce byte-identical output (tuples, summary envelopes, and result row
-// counts) to the serial reference. The ordered morsel gather makes parallel
-// scans deterministic, so this holds exactly, not just as multisets.
+// for every query shape, every batch size must produce byte-identical
+// output (tuples, summary envelopes, and result row counts) to a run at
+// the default batch size. Scans emit rows in source order, so this holds
+// exactly, not just as multisets.
 func TestBatchParallelEquivalence(t *testing.T) {
 	batchSizes := []int{1, 3, 64, 1024}
-	workerCounts := []int{1, 2, 4, 8}
 	ctx := context.Background()
 	for _, seed := range []int64{7, 0xC0FFEE} {
 		db := randomDB(t, seed)
 		addIndexedTable(t, db)
 		for qi, q := range append(equivalenceQueries, indexedEquivalenceQueries...) {
-			ref, err := db.Exec(ctx, q, WithParallelism(1))
+			ref, err := db.Exec(ctx, q)
 			if err != nil {
 				t.Fatalf("seed %d: reference %q: %v", seed, q, err)
 			}
@@ -105,29 +103,27 @@ func TestBatchParallelEquivalence(t *testing.T) {
 				checkIndexedReference(t, db, q, ref, want)
 			}
 			for _, bs := range batchSizes {
-				for _, workers := range workerCounts {
-					name := fmt.Sprintf("seed %d batch=%d workers=%d %q", seed, bs, workers, q)
-					res, err := db.Exec(ctx, q, WithParallelism(workers), WithBatchSize(bs))
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if got := renderResult(res); got != want {
-						t.Errorf("%s: output diverged from serial reference:\n--- serial\n%s--- got\n%s", name, want, got)
-					}
-					if res.Stats == nil || ref.Stats == nil {
-						t.Fatalf("%s: missing statement stats", name)
-					}
-					if res.Stats.Rows != ref.Stats.Rows {
-						t.Errorf("%s: stats rows %d, serial reference %d", name, res.Stats.Rows, ref.Stats.Rows)
-					}
+				name := fmt.Sprintf("seed %d batch=%d %q", seed, bs, q)
+				res, err := db.Exec(ctx, q, WithBatchSize(bs))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := renderResult(res); got != want {
+					t.Errorf("%s: output diverged from the default-batch reference:\n--- reference\n%s--- got\n%s", name, want, got)
+				}
+				if res.Stats == nil || ref.Stats == nil {
+					t.Fatalf("%s: missing statement stats", name)
+				}
+				if res.Stats.Rows != ref.Stats.Rows {
+					t.Errorf("%s: stats rows %d, reference %d", name, res.Stats.Rows, ref.Stats.Rows)
 				}
 			}
 		}
 	}
 }
 
-// checkIndexedReference pins what the indexed queries are for: the serial
-// reference went through an index path (over more than one morsel for the
+// checkIndexedReference pins what the indexed queries are for: the
+// reference went through an index path (over more than one batch for the
 // wide range) and returned what the forced full scan returns.
 func checkIndexedReference(t *testing.T, db *DB, q string, ref *Result, want string) {
 	t.Helper()
@@ -140,8 +136,8 @@ func checkIndexedReference(t *testing.T, db *DB, q string, ref *Result, want str
 	if scan == nil {
 		t.Fatalf("%q: no index path in ops: %+v", q, ref.Ops)
 	}
-	if strings.HasPrefix(q, "EXECUTE wide") && (scan.Op != "index_range_scan" || scan.Morsels < 2) {
-		t.Errorf("%q: want an index range scan over several morsels, got %+v", q, *scan)
+	if strings.HasPrefix(q, "EXECUTE wide") && (scan.Op != "index_range_scan" || scan.Batches < 2) {
+		t.Errorf("%q: want an index range scan over several batches, got %+v", q, *scan)
 	}
 	full, err := db.Exec(context.Background(), q, WithPlanOptions(plan.Options{DisableIndexScan: true}))
 	if err != nil {
@@ -152,57 +148,11 @@ func checkIndexedReference(t *testing.T, db *DB, q string, ref *Result, want str
 	}
 }
 
-// workersAttr matches the one host-dependent token of EXPLAIN output.
-var workersAttr = regexp.MustCompile(`workers=\d+`)
-
-// TestPlanShapeHostIndependent pins that the requested worker count — the
-// only thing the host's core count feeds into planning — changes nothing
-// observable but the workers= attribute: same operator names in the
-// statement stats, same EXPLAIN text, same rows and summary objects.
-func TestPlanShapeHostIndependent(t *testing.T) {
-	db := randomDB(t, 11)
-	addIndexedTable(t, db)
-	ctx := context.Background()
-	for _, q := range append(equivalenceQueries, indexedEquivalenceQueries[:3]...) {
-		var explains, opNames, outputs [2]string
-		for i, workers := range []int{1, 4} {
-			ex, err := db.Exec(ctx, "EXPLAIN "+q, WithParallelism(workers))
-			if err != nil {
-				t.Fatalf("EXPLAIN %q: %v", q, err)
-			}
-			if !strings.Contains(renderResult(ex), fmt.Sprintf("workers=%d", workers)) {
-				t.Errorf("%q: EXPLAIN does not show workers=%d:\n%s", q, workers, renderResult(ex))
-			}
-			explains[i] = workersAttr.ReplaceAllString(renderResult(ex), "workers=n")
-			res, err := db.Query(ctx, q, WithParallelism(workers))
-			if err != nil {
-				t.Fatalf("%q: %v", q, err)
-			}
-			for _, op := range res.Ops {
-				opNames[i] += op.Op + " "
-			}
-			outputs[i] = renderResult(res)
-		}
-		if explains[0] != explains[1] {
-			t.Errorf("%q: EXPLAIN differs beyond workers=:\n%s\n---\n%s", q, explains[0], explains[1])
-		}
-		if opNames[0] != opNames[1] {
-			t.Errorf("%q: operator names differ: %q vs %q", q, opNames[0], opNames[1])
-		}
-		if outputs[0] != outputs[1] {
-			t.Errorf("%q: rows or summaries differ:\n%s---\n%s", q, outputs[0], outputs[1])
-		}
-	}
-}
-
-// TestScanReportsWorkers verifies EXPLAIN ANALYZE aggregates per-worker
-// stats correctly: the scan row reports the pool size, the morsel total,
-// and the exact produced row count (not a double count from per-worker
-// folds).
-func TestScanReportsWorkers(t *testing.T) {
+// TestScanRowsAreResultRows pins that a scan's reported row count is the
+// number of rows it produced: a plain scan's rows are the result's rows.
+func TestScanRowsAreResultRows(t *testing.T) {
 	db := randomDB(t, 42)
-	ctx := context.Background()
-	res, err := db.Query(ctx, "SELECT a, b, c FROM R", WithParallelism(4))
+	res, err := db.Query(context.Background(), "SELECT a, b, c FROM R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +166,7 @@ func TestScanReportsWorkers(t *testing.T) {
 	if scan == nil {
 		t.Fatalf("no scan operator in ops: %+v", res.Ops)
 	}
-	// R fits one morsel, and the pool never exceeds the morsel count.
-	if scan.Workers != 1 || scan.Morsels != 1 {
-		t.Errorf("workers = %d morsels = %d, want 1 and 1", scan.Workers, scan.Morsels)
-	}
 	if scan.Rows != int64(len(res.Rows)) {
-		t.Errorf("scan rows = %d, result rows = %d (per-worker stats double-counted?)", scan.Rows, len(res.Rows))
+		t.Errorf("scan rows = %d, result rows = %d", scan.Rows, len(res.Rows))
 	}
 }

@@ -38,9 +38,6 @@ type dbMetrics struct {
 	opMerges  *metrics.CounterVec   // {op}
 	opCurates *metrics.CounterVec   // {op}
 
-	scanMorsels *metrics.Counter
-	scanWorkers *metrics.Counter
-
 	digestHits   *metrics.Counter
 	digestMisses *metrics.Counter
 	retrain      *metrics.Counter
@@ -90,10 +87,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 			"Zoom-in requests (SQL and programmatic)."),
 		zoomCancelled: reg.Counter(metrics.NameZoominCancelledTotal,
 			"Zoom-in requests aborted by context cancellation or deadline."),
-		scanMorsels: reg.Counter(metrics.NameExecScanMorselsTotal,
-			"Morsels processed by base-table scans."),
-		scanWorkers: reg.Counter(metrics.NameExecScanWorkersTotal,
-			"Workers that ran base-table scans: one per inline scan, the pool size otherwise."),
 	}
 
 	// Zoom-in materialization cache: the cache's own stats are authoritative.
@@ -303,7 +296,7 @@ func (db *DB) foldOpStats(op exec.Operator, ec *exec.ExecContext) []OpStat {
 		ops = append(ops, OpStat{
 			Op: name, Rows: st.Rows, Merges: st.Merges, Curates: st.Curates,
 			WallMicros: st.Wall.Microseconds(),
-			Batches:    st.Batches, Workers: st.Workers, Morsels: st.Morsels,
+			Batches:    st.Batches,
 		})
 		if m == nil {
 			return
@@ -318,12 +311,6 @@ func (db *DB) foldOpStats(op exec.Operator, ec *exec.ExecContext) []OpStat {
 		if st.Curates > 0 {
 			m.opCurates.With(name).Add(st.Curates)
 		}
-		if st.Morsels > 0 {
-			m.scanMorsels.Add(st.Morsels)
-		}
-		if st.Workers > 0 {
-			m.scanWorkers.Add(int64(st.Workers))
-		}
 		if timed {
 			m.opSeconds.With(name).Observe(st.Wall.Seconds())
 		}
@@ -334,8 +321,7 @@ func (db *DB) foldOpStats(op exec.Operator, ec *exec.ExecContext) []OpStat {
 // synthOpSpans records the executed plan's operator tree as spans under
 // the statement's exec span. Operator spans are synthesized after the plan
 // drains — from the same OpStats the metrics fold reads — rather than
-// opened live, so parallel workers never touch the single-goroutine trace
-// builder. Each span inherits its parent's start offset and carries the
+// opened live, so operators pay no span bookkeeping per batch. Each span inherits its parent's start offset and carries the
 // operator's cumulative wall (inclusive of children; the renderer derives
 // self-time), so tree shape and relative weight survive even though exact
 // interleavings are not recorded. Walls are non-zero only for the
@@ -349,12 +335,6 @@ func synthOpSpans(parent *trace.SpanHandle, op exec.Operator) {
 	}
 	sp := parent.AddChild(trace.OpSpan(exec.OperatorName(op)), st.Wall)
 	sp.AttrInt("rows", st.Rows)
-	if st.Workers > 0 {
-		sp.AttrInt("workers", int64(st.Workers))
-	}
-	if st.Morsels > 0 {
-		sp.AttrInt("morsels", st.Morsels)
-	}
 	if d, ok := op.(exec.Described); ok {
 		for _, child := range d.Children() {
 			synthOpSpans(sp, child)

@@ -70,7 +70,7 @@ func TestStatementMetrics(t *testing.T) {
 		`insightnotes_plan_access_paths_total{path="index_scan"}`:       1,
 		`insightnotes_plan_access_paths_total{path="index_range_scan"}`: 1,
 		`insightnotes_plan_access_paths_total{path="full_scan"}`:        2,
-		`insightnotes_exec_scan_morsels_total`:                          4,
+		`insightnotes_exec_op_batches_total{op="index_range_scan"}`:     1,
 	} {
 		if got := metricValue(t, db, name); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)

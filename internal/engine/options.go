@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"time"
 
 	"insightnotes/internal/plan"
@@ -19,8 +18,6 @@ type stmtOptions struct {
 	// planOpts, when non-nil, replaces the engine-wide plan options for
 	// this statement (the benchmark ablation switches).
 	planOpts *plan.Options
-	// parallelism overrides the scan worker count (0 = engine default).
-	parallelism int
 	// batchSize overrides the executor batch size (0 = engine default).
 	batchSize int
 	// lifecycle is the statement's active lifecycle trace. The server seeds
@@ -61,16 +58,6 @@ func WithPlanOptions(po plan.Options) StatementOption {
 	return func(so *stmtOptions) { so.planOpts = &po }
 }
 
-// WithParallelism sets the worker count this statement's scans request: 1
-// runs every scan inline, n > 1 gives each scan a pool of up to n workers
-// (never more than it has morsels). Values below 1 are treated as 1.
-func WithParallelism(n int) StatementOption {
-	if n < 1 {
-		n = 1
-	}
-	return func(so *stmtOptions) { so.parallelism = n }
-}
-
 // WithBatchSize sets this statement's executor batch size (rows per
 // operator NextBatch call). Values below 1 fall back to the engine default.
 func WithBatchSize(n int) StatementOption {
@@ -92,37 +79,14 @@ func WithQueueWait(d time.Duration) StatementOption {
 	return func(so *stmtOptions) { so.queueWait = d }
 }
 
-// parallelism resolves the scan worker count for one statement: the
-// per-statement override wins, then Config.ExecWorkers, where 0 means
-// GOMAXPROCS and 1 runs every scan inline.
-func (db *DB) parallelism(so stmtOptions) int {
-	n := db.cfg.ExecWorkers
-	if so.parallelism > 0 {
-		n = so.parallelism
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // planOptions resolves the plan options for one statement: the engine-wide
 // configuration unless the statement overrides it, with the statement's
-// trace flag and resolved parallelism applied on top. An explicit
-// Parallelism inside WithPlanOptions is honored as-is.
+// trace flag applied on top.
 func (db *DB) planOptions(so stmtOptions) plan.Options {
 	opts := db.cfg.PlanOptions
 	if so.planOpts != nil {
 		opts = *so.planOpts
 	}
 	opts.Trace = so.trace
-	if so.parallelism > 0 {
-		opts.Parallelism = so.parallelism
-	} else if opts.Parallelism == 0 {
-		opts.Parallelism = db.parallelism(so)
-	}
 	return opts
 }

@@ -52,13 +52,12 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	}
 }
 
-// scanQuery's filter and projection are absorbed into the scan workers, so
-// the per-tuple summary path (envelope clone, predicate, curation) is what
-// parallelizes.
+// scanQuery's filter and projection are absorbed into the scan, so the
+// per-tuple summary path (envelope view, predicate, curation) runs there.
 const scanQuery = "SELECT id, name, wingspan FROM birds WHERE wingspan >= 0.4"
 
-// newScanWorld builds a birds table of many morsels (1024 rows each) with
-// the three summary instances linked and every 8th row annotated.
+// newScanWorld builds a birds table of many batches with the three summary
+// instances linked and every 8th row annotated.
 func newScanWorld(b *testing.B, tuples int) *engine.DB {
 	b.Helper()
 	db := openBench(b, engine.Config{})
@@ -88,25 +87,8 @@ func newScanWorld(b *testing.B, tuples int) *engine.DB {
 	return db
 }
 
-// BenchmarkParallelScan is E14a: morsel-driven scan scaling over the worker
-// pool size. Speedup tracks physical cores; on one CPU all counts collapse
-// to serial throughput.
-func BenchmarkParallelScan(b *testing.B) {
-	db := newScanWorld(b, 8192)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(context.Background(), scanQuery,
-					engine.WithPlanOptions(plan.Options{}), engine.WithParallelism(workers)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBatchPipeline is E14b: the vectorized batch protocol vs
-// row-at-a-time execution (batch size 1) on the serial plan.
+// row-at-a-time execution (batch size 1).
 func BenchmarkBatchPipeline(b *testing.B) {
 	db := newScanWorld(b, 8192)
 	for _, c := range []struct {
@@ -116,7 +98,7 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Query(context.Background(), scanQuery,
-					engine.WithPlanOptions(plan.Options{}), engine.WithParallelism(1),
+					engine.WithPlanOptions(plan.Options{}),
 					engine.WithBatchSize(c.size)); err != nil {
 					b.Fatal(err)
 				}

@@ -211,7 +211,7 @@ func TestPointSelectMaterializesInConstantAllocs(t *testing.T) {
 		viewExec(t, db, q) // latches the row's stored objects shared
 		var buf []byte
 		return testing.AllocsPerRun(20, func() {
-			res, err := db.Query(context.Background(), q, engine.WithParallelism(1))
+			res, err := db.Query(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

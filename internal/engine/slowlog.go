@@ -18,10 +18,6 @@ type OpStat struct {
 	Merges     int64  `json:"merges,omitempty"`
 	Curates    int64  `json:"curates,omitempty"`
 	WallMicros int64  `json:"wall_us,omitempty"`
-	// Workers and Morsels are set by base-table scans: the workers that ran
-	// the scan (1 when it ran inline) and the morsels they processed.
-	Workers int   `json:"workers,omitempty"`
-	Morsels int64 `json:"morsels,omitempty"`
 }
 
 // SlowQueryEntry is one structured slow-query record: everything needed to

@@ -17,7 +17,7 @@ import (
 
 // Exec parses and executes one statement of any kind — SQL or InsightNotes
 // extension — under ctx and returns its result. Options are honored for
-// SELECTs (WithTrace, WithPlanOptions, WithParallelism, WithBatchSize) and
+// SELECTs (WithTrace, WithPlanOptions, WithBatchSize) and
 // ignored by statements they do not apply to.
 func (db *DB) Exec(ctx context.Context, sqlText string, opts ...StatementOption) (*Result, error) {
 	return db.run(ctx, nil, sqlText, false, opts)

@@ -115,39 +115,36 @@ func TestViewsNeverMutateTheStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		for _, stmt := range viewStatements {
-			opts := []engine.StatementOption{engine.WithParallelism(workers), engine.WithBatchSize(7)}
-			first := viewExec(t, db, stmt, opts...)
-			want := make([]*summary.Envelope, len(first.Rows))
-			for i, row := range first.Rows {
-				if row.Env != nil {
-					want[i] = row.Env.Clone()
+	for _, stmt := range viewStatements {
+		first := viewExec(t, db, stmt, engine.WithBatchSize(7))
+		want := make([]*summary.Envelope, len(first.Rows))
+		for i, row := range first.Rows {
+			if row.Env != nil {
+				want[i] = row.Env.Clone()
+			}
+		}
+		var prev *summary.Envelope
+		for _, row := range first.Rows {
+			if row.Env != nil {
+				mutateEverything(row.Env, prev, cls)
+				prev = row.Env
+			}
+		}
+		for table, rows := range saved {
+			for row, env := range rows {
+				if got := db.StoredEnvelope(table, row); !got.Equal(env) {
+					t.Fatalf("%s: stored envelope of %s/%d changed through a result row:\n%s\nwant\n%s",
+						stmt, table, row, got.Render(), env.Render())
 				}
 			}
-			var prev *summary.Envelope
-			for _, row := range first.Rows {
-				if row.Env != nil {
-					mutateEverything(row.Env, prev, cls)
-					prev = row.Env
-				}
-			}
-			for table, rows := range saved {
-				for row, env := range rows {
-					if got := db.StoredEnvelope(table, row); !got.Equal(env) {
-						t.Fatalf("workers=%d %s: stored envelope of %s/%d changed through a result row:\n%s\nwant\n%s",
-							workers, stmt, table, row, got.Render(), env.Render())
-					}
-				}
-			}
-			second := viewExec(t, db, stmt, opts...)
-			if len(second.Rows) != len(first.Rows) {
-				t.Fatalf("workers=%d %s: %d rows, then %d", workers, stmt, len(first.Rows), len(second.Rows))
-			}
-			for i, row := range second.Rows {
-				if (row.Env == nil) != (want[i] == nil) || row.Env != nil && !row.Env.Equal(want[i]) {
-					t.Fatalf("workers=%d %s: row %d differs on the second execution", workers, stmt, i)
-				}
+		}
+		second := viewExec(t, db, stmt, engine.WithBatchSize(7))
+		if len(second.Rows) != len(first.Rows) {
+			t.Fatalf("%s: %d rows, then %d", stmt, len(first.Rows), len(second.Rows))
+		}
+		for i, row := range second.Rows {
+			if (row.Env == nil) != (want[i] == nil) || row.Env != nil && !row.Env.Equal(want[i]) {
+				t.Fatalf("%s: row %d differs on the second execution", stmt, i)
 			}
 		}
 	}
@@ -299,7 +296,7 @@ func TestScanSharesUnprojectedEnvelopes(t *testing.T) {
 				// An ablated plan: executed and drained, not materialized
 				// (materializing renders every element, which does scale).
 				if _, err := db.Query(context.Background(), tc.stmt,
-					engine.WithPlanOptions(plan.Options{}), engine.WithParallelism(1)); err != nil {
+					engine.WithPlanOptions(plan.Options{})); err != nil {
 					t.Fatal(err)
 				}
 			})

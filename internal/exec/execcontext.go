@@ -13,12 +13,6 @@ import (
 // enough to keep a batch of tuples plus envelopes cache-resident.
 const DefaultBatchSize = 256
 
-// DefaultMorselSize is the number of base-table rows in one morsel of a
-// scan — the unit of work a worker claims at a time. A few
-// batches' worth: big enough that claiming is cheap, small enough that
-// work stays balanced across workers.
-const DefaultMorselSize = 1024
-
 // StatementTotals are the statement-wide execution counters accumulated
 // across every operator of one statement's plan.
 type StatementTotals struct {
@@ -40,11 +34,9 @@ type StatementTotals struct {
 // the per-statement trace sink.
 //
 // One ExecContext belongs to exactly one statement execution on one
-// goroutine; it is not safe for concurrent use. Scans give
-// each worker a private fork (forkWorker) and fold the workers' counters
-// back when the pipeline drains. A nil *ExecContext is tolerated
-// everywhere (no cancellation, no stats, no trace), which keeps ad-hoc
-// operator drivers in tests simple.
+// goroutine; it is not safe for concurrent use. A nil *ExecContext is
+// tolerated everywhere (no cancellation, no stats, no trace), which keeps
+// ad-hoc operator drivers in tests simple.
 type ExecContext struct {
 	ctx   context.Context
 	batch int
@@ -132,31 +124,6 @@ func (ec *ExecContext) BatchSize() int {
 	return ec.batch
 }
 
-// forkWorker returns a private execution context for one worker of a
-// scan: it shares the cancellation context, batch size, and timing flag,
-// but owns its counters — the scan folds worker counters back into the
-// parent when it finishes, so the parent's totals are never written
-// concurrently.
-func (ec *ExecContext) forkWorker() *ExecContext {
-	if ec == nil {
-		return nil
-	}
-	// The lifecycle span handle stays with the parent: workers must not
-	// write spans concurrently; operator spans are synthesized post-drain.
-	return &ExecContext{ctx: ec.ctx, batch: ec.batch, timed: ec.timed, sampled: ec.sampled, start: ec.start}
-}
-
-// foldWorker adds a drained worker fork's statement totals into ec. Called
-// by the owning scan after the worker has stopped.
-func (ec *ExecContext) foldWorker(w *ExecContext) {
-	if ec == nil || w == nil {
-		return
-	}
-	ec.totals.OpRows += w.totals.OpRows
-	ec.totals.Merges += w.totals.Merges
-	ec.totals.Curates += w.totals.Curates
-}
-
 // Context returns the underlying cancellation context.
 func (ec *ExecContext) Context() context.Context {
 	if ec == nil {
@@ -204,9 +171,9 @@ func (ec *ExecContext) Err() error {
 }
 
 // checkCancel is the batch-granularity cancellation poll: row-producing
-// leaf operators (and scan workers, per morsel) call it once per
-// NextBatch, so a statement observes cancellation within one batch of
-// rows without paying a context poll per row.
+// leaf operators call it once per batch of input rows, so a statement
+// observes cancellation within one batch of rows without paying a context
+// poll per row.
 func (ec *ExecContext) checkCancel() error {
 	if ec == nil {
 		return nil
@@ -228,16 +195,8 @@ type OpStats struct {
 	// Curates counts envelope curation (coverage remap) operations.
 	Curates int64
 	// Wall is cumulative time spent inside NextBatch, inclusive of
-	// children. For scans it is the busiest worker's time (the operator's
-	// critical path), not the sum across workers.
-	// Collected only when the context enables timing.
+	// children. Collected only when the context enables timing.
 	Wall time.Duration
-	// Workers is the number of workers that ran a scan: min(requested,
-	// morsels), 1 meaning it ran inline (0 for other operators).
-	Workers int
-	// Morsels is the number of morsels a scan processed (0 for other
-	// operators).
-	Morsels int64
 }
 
 // Instrumented is implemented by operators exposing runtime counters; all

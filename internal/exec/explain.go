@@ -57,12 +57,8 @@ func explainAnalyzeInto(b *strings.Builder, op Operator, depth int) {
 	}
 	if in, ok := op.(Instrumented); ok {
 		st := in.Stats()
-		fmt.Fprintf(b, "  (rows=%d batches=%d merges=%d curates=%d time=%s",
+		fmt.Fprintf(b, "  (rows=%d batches=%d merges=%d curates=%d time=%s)",
 			st.Rows, st.Batches, st.Merges, st.Curates, st.Wall.Round(time.Microsecond))
-		if st.Workers > 0 {
-			fmt.Fprintf(b, " workers=%d morsels=%d", st.Workers, st.Morsels)
-		}
-		b.WriteString(")")
 	}
 	b.WriteByte('\n')
 	if described {

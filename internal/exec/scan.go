@@ -3,9 +3,6 @@ package exec
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/catalog"
@@ -126,20 +123,8 @@ func (rs RowSource) resolve(tbl *catalog.Table) (rows []types.RowID, tups []type
 // under an alias, each carrying its stored summary envelope, and runs the
 // whole per-tuple summary path itself — envelope fetch from the store, the
 // absorbed data predicate, and the absorbed projection with its envelope
-// curation.
-//
-// Execution is morsel-driven (Leis et al.): the row IDs are partitioned
-// into fixed-size morsels claimed by a pool of worker goroutines, so the
-// expensive propagation work parallelizes, not just the tuple copy. The
-// pool is min(requested workers, morsels); at one worker the gatherer
-// processes morsels inline and no goroutine is started, so a point lookup
-// or a one-core host runs the same code serially.
-//
-// NextBatch is an ordered gather: morsel results are emitted strictly in
-// morsel-index order, regardless of worker completion order. That makes
-// the output byte-identical at every worker count, which preserves the
-// stability contract of any Sort above (equal keys keep input order) and
-// lets the equivalence property test compare results verbatim.
+// curation. Rows come out in source order, so a Sort above keeps equal
+// keys in input order at every batch size.
 type Scan struct {
 	instr
 	table   *catalog.Table
@@ -151,61 +136,34 @@ type Scan struct {
 	items   []ProjectItem
 	mapping []annotation.ColSet // input ordinal → output coverage
 	out     types.Schema        // output schema (post-projection)
-	workers int                 // requested pool size
-	morsel  int
-	est     int // planner's cardinality estimate; -1 = none attached
+	est     int                 // planner's cardinality estimate; -1 = none attached
 
 	// run state, rebuilt by Open
-	ec      *ExecContext
-	rows    []types.RowID
-	tups    []types.Tuple // the tuples of rows
-	morsels []morselResult
-	claim   atomic.Int64
-	stop    atomic.Bool
-	wg      sync.WaitGroup
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	failure   error
-	workerSts []OpStats // per-worker counters; nil once folded by finish
-	forks     []*ExecContext
-
-	gather  int // next morsel index to emit
-	emitPos int // row offset within the gathered morsel
-}
-
-// morselResult is one morsel's processed rows; with a pool, done flips
-// under Scan.mu when the owning worker finishes it.
-type morselResult struct {
-	rows []*Row
-	done bool
+	rows []types.RowID
+	tups []types.Tuple // the tuples of rows
+	pos  int           // next index into rows
 }
 
 // NewScan creates a scan of tbl under alias (empty means the table name)
-// reading the rows src selects with up to workers goroutines (values below
-// 1 mean 1). envs may be nil for summary-less execution. pred, when
-// non-nil, is the absorbed data predicate compiled against the table
-// schema under alias.
+// reading the rows src selects. envs may be nil for summary-less
+// execution. pred, when non-nil, is the absorbed data predicate compiled
+// against the table schema under alias.
 func NewScan(tbl *catalog.Table, alias string, envs EnvelopeSource,
-	src RowSource, pred *Compiled, workers int) *Scan {
+	src RowSource, pred *Compiled) *Scan {
 	if alias == "" {
 		alias = tbl.Name()
 	}
 	schema := tbl.Schema().WithTable(alias)
-	s := &Scan{
-		table:   tbl,
-		alias:   alias,
-		envs:    envs,
-		src:     src,
-		schema:  schema,
-		pred:    pred,
-		out:     schema,
-		workers: max(workers, 1),
-		morsel:  DefaultMorselSize,
-		est:     -1,
+	return &Scan{
+		table:  tbl,
+		alias:  alias,
+		envs:   envs,
+		src:    src,
+		schema: schema,
+		pred:   pred,
+		out:    schema,
+		est:    -1,
 	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
 // SetEstimatedRows attaches the planner's cardinality estimate, rendered
@@ -241,208 +199,90 @@ func (s *Scan) AbsorbProject(items []ProjectItem) {
 // Schema implements Operator.
 func (s *Scan) Schema() types.Schema { return s.out }
 
-// Open implements Operator: it resolves the row source (serially, so
-// concurrent DML does not disturb the iteration), partitions the row IDs
-// into morsels, and starts the worker pool when more than one worker has
-// a morsel to claim.
+// Open implements Operator: it resolves the row source once, so DML
+// running after Open does not disturb the iteration.
 func (s *Scan) Open(ec *ExecContext) error {
-	s.finish() // a re-Open without Close must not overlap the previous run
 	if err := ec.Err(); err != nil {
 		return err
 	}
 	var err error
 	s.rows, s.tups, err = s.src.resolve(s.table)
-	if err != nil {
-		return err
-	}
-	n := (len(s.rows) + s.morsel - 1) / s.morsel
-	s.ec = ec
-	s.morsels = make([]morselResult, n)
-	s.claim.Store(0)
-	s.stop.Store(false)
-	s.failure = nil
-	s.gather = 0
-	s.emitPos = 0
-	workers := min(s.workers, n)
-	s.st.Workers = workers
-	s.workerSts = make([]OpStats, workers)
-	s.forks = make([]*ExecContext, workers)
-	for w := range s.forks {
-		s.forks[w] = ec.forkWorker()
-	}
-	if workers > 1 {
-		s.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go s.worker(w)
-		}
-	}
-	return nil
+	s.pos = 0
+	return err
 }
 
-// worker claims morsels off the shared counter until the scan is drained,
-// stopped, or failed. Results are published under s.mu and signalled to
-// the gatherer.
-func (s *Scan) worker(w int) {
-	defer s.wg.Done()
-	for !s.stop.Load() {
-		i := int(s.claim.Add(1)) - 1
-		if i >= len(s.morsels) {
-			return
-		}
-		rows, err := s.processMorsel(w, i)
-		s.mu.Lock()
-		if err != nil && s.failure == nil {
-			s.failure = err
-		}
-		s.morsels[i] = morselResult{rows: rows, done: true}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if err != nil {
-			return
-		}
-	}
-}
-
-// processMorsel runs the summary-propagation path over morsel i as worker
-// w: envelope fetch, predicate, projection + curation.
-// Cancellation is polled once per morsel.
-func (s *Scan) processMorsel(w, i int) ([]*Row, error) {
-	wec := s.forks[w]
-	if err := wec.checkCancel(); err != nil {
-		return nil, err
-	}
-	timed := wec != nil && wec.timed
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	lo := i * s.morsel
-	hi := min(lo+s.morsel, len(s.rows))
-	st := &s.workerSts[w]
-	out := make([]*Row, 0, hi-lo)
-	for k := lo; k < hi; k++ {
-		tu := s.tups[k]
-		if s.pred != nil {
-			v, err := s.pred.Eval(tu)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		var env *summary.Envelope
-		if s.envs != nil {
-			env = s.envs.EnvelopeFor(s.table.Name(), s.rows[k])
-		}
-		if len(s.items) > 0 {
-			proj := make(types.Tuple, len(s.items))
-			for ii, it := range s.items {
-				v, err := it.Expr.Eval(tu)
-				if err != nil {
-					return nil, err
-				}
-				proj[ii] = v
-			}
-			if env != nil {
-				st.Curates++
-				if wec != nil {
-					wec.totals.Curates++
-				}
-			}
-			tu, env = proj, envRemap(env, s.mapping)
-		}
-		out = append(out, &Row{Tuple: tu, Env: env})
-	}
-	st.Morsels++
-	if timed {
-		st.Wall += time.Since(start)
-	}
-	return out, nil
-}
-
-// await returns morsel i's processed rows: computed here when the scan
-// runs without a pool, waited for otherwise. Any worker's failure fails
-// the scan at once, whichever morsel it hit.
-func (s *Scan) await(i int) ([]*Row, error) {
-	if len(s.forks) == 1 {
-		m := &s.morsels[i]
-		if !m.done {
-			rows, err := s.processMorsel(0, i)
-			if err != nil {
-				return nil, err
-			}
-			*m = morselResult{rows: rows, done: true}
-		}
-		return m.rows, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.morsels[i].done && s.failure == nil {
-		s.cond.Wait()
-	}
-	return s.morsels[i].rows, s.failure
-}
-
-// NextBatch implements Operator: the ordered gather. It obtains the
-// next-in-order morsel, then emits its rows in batch-size slices.
+// NextBatch implements Operator: it reads rows in source order until it
+// holds a batch of rows that pass the absorbed predicate or the source
+// runs out, polling cancellation once per batch-size stretch of input.
 func (s *Scan) NextBatch(ec *ExecContext) (*Batch, error) {
-	if err := ec.checkCancel(); err != nil {
-		return nil, err
-	}
 	start := s.begin(ec)
-	for s.gather < len(s.morsels) {
-		rows, err := s.await(s.gather)
+	n := ec.BatchSize()
+	out := make([]*Row, 0, min(n, len(s.rows)-s.pos))
+	for len(out) < n && s.pos < len(s.rows) {
+		if err := ec.checkCancel(); err != nil {
+			return nil, err
+		}
+		for end := min(s.pos+n-len(out), len(s.rows)); s.pos < end; s.pos++ {
+			row, err := s.read(ec, s.pos)
+			if err != nil {
+				return nil, err
+			}
+			if row != nil {
+				out = append(out, row)
+			}
+		}
+	}
+	var b *Batch
+	if len(out) > 0 {
+		b = &Batch{Rows: out}
+	}
+	s.produced(ec, start, b)
+	return b, nil
+}
+
+// read runs the summary path over the k-th selected row: the absorbed
+// predicate, the envelope fetch, then the absorbed projection with its
+// curation. A row the predicate rejects reads as nil.
+func (s *Scan) read(ec *ExecContext, k int) (*Row, error) {
+	tu := s.tups[k]
+	if s.pred != nil {
+		v, err := s.pred.Eval(tu)
+		if err != nil || !v.Truthy() {
+			return nil, err
+		}
+	}
+	var env *summary.Envelope
+	if s.envs != nil {
+		env = s.envs.EnvelopeFor(s.table.Name(), s.rows[k])
+	}
+	if len(s.items) == 0 {
+		return &Row{Tuple: tu, Env: env}, nil
+	}
+	proj := make(types.Tuple, len(s.items))
+	for i, it := range s.items {
+		v, err := it.Expr.Eval(tu)
 		if err != nil {
 			return nil, err
 		}
-		if b := sliceBatch(rows, &s.emitPos, ec.BatchSize()); b != nil {
-			s.produced(ec, start, b)
-			return b, nil
-		}
-		s.morsels[s.gather].rows = nil // emitted; release the morsel's memory early
-		s.gather++
-		s.emitPos = 0
+		proj[i] = v
 	}
-	s.finish()
-	return nil, nil
-}
-
-// finish stops the pool and folds per-worker counters into the operator's
-// stats and the statement totals — rows summed by the gather-side
-// produced(), curation summed across workers, wall time reported as the
-// busiest worker's (the critical path), plus the morsel count.
-// Idempotent; called at end of stream, from Close, and before a re-Open.
-func (s *Scan) finish() {
-	s.stop.Store(true)
-	s.wg.Wait()
-	for w := range s.workerSts {
-		st := &s.workerSts[w]
-		s.st.Curates += st.Curates
-		s.st.Morsels += st.Morsels
-		if st.Wall > s.st.Wall {
-			s.st.Wall = st.Wall
-		}
-		s.ec.foldWorker(s.forks[w])
+	if env != nil {
+		s.curated(ec)
 	}
-	s.workerSts = nil // folded; a second finish adds nothing
+	return &Row{Tuple: proj, Env: envRemap(env, s.mapping)}, nil
 }
 
 // Close implements Operator.
 func (s *Scan) Close() error {
-	s.finish()
-	s.ec = nil
-	s.rows = nil
-	s.tups = nil
-	s.morsels = nil
+	s.rows, s.tups = nil, nil
 	return nil
 }
 
 // Describe implements Described.
 func (s *Scan) Describe() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Scan %s AS %s path=%s%s workers=%d",
-		s.table.Name(), s.alias, s.src.Path(), s.src.describe(), s.workers)
+	fmt.Fprintf(&b, "Scan %s AS %s path=%s%s",
+		s.table.Name(), s.alias, s.src.Path(), s.src.describe())
 	if s.est >= 0 {
 		fmt.Fprintf(&b, " (est≈%d rows)", s.est)
 	}

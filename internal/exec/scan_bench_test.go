@@ -9,7 +9,7 @@ import (
 	"insightnotes/internal/types"
 )
 
-// BenchmarkScanCrossover times one single-worker scan of kv(k, v) for a
+// BenchmarkScanCrossover times one scan of kv(k, v) for a
 // range of k that matches a fixed share of the table, read through the
 // index and through the full table, at 10k and 100k rows. It forces each
 // path, which the planner never does, so it shows where the scan operator
@@ -54,7 +54,7 @@ func BenchmarkScanCrossover(b *testing.B) {
 			} {
 				b.Run(fmt.Sprintf("rows=%d/match=%d%%/%s", n, pct, path.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						rows, err := Collect(NewScan(tbl, "kv", nil, path.src, pred, 1))
+						rows, err := Collect(NewScan(tbl, "kv", nil, path.src, pred))
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -3,7 +3,8 @@
 // declared once — metric names in internal/metrics/names.go, failpoint
 // names in internal/failpoint/names.go, lifecycle span names in
 // internal/trace/names.go — and the naming lints keep the rest of the tree
-// from growing names those files do not list. CallsOutside keeps a call
+// from growing names those files do not list, and Unreferenced from
+// keeping names nothing uses. CallsOutside keeps a call
 // confined to the functions allowed to make it; the engine's lock protocol
 // is held to one function that way. Imports keeps a package out of the
 // files that must not use it (no JSON on the durable write path).
@@ -125,6 +126,44 @@ func (s *Sources) Malformed(scheme *regexp.Regexp, catalog string) []string {
 	for _, name := range s.Declared(catalog) {
 		if !scheme.MatchString(name) {
 			problems = append(problems, fmt.Sprintf("%s: declared name %q violates %s", catalog, name, scheme))
+		}
+	}
+	return problems
+}
+
+// Unreferenced reports the constants the catalog file declares whose
+// names begin with prefix and that no other file refers to: a declared
+// name that nothing registers or reads. The compiler does not flag an
+// unused exported constant.
+func (s *Sources) Unreferenced(catalog, prefix string) []string {
+	used := map[string]bool{}
+	var declared []*ast.Ident
+	for _, f := range s.files {
+		if !strings.HasSuffix(s.path(f), catalog) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					used[id.Name] = true
+				}
+				return true
+			})
+			continue
+		}
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if strings.HasPrefix(id.Name, prefix) {
+							declared = append(declared, id)
+						}
+					}
+				}
+			}
+		}
+	}
+	var problems []string
+	for _, id := range declared {
+		if !used[id.Name] {
+			problems = append(problems, fmt.Sprintf("%s: %s is declared but never referenced", s.fset.Position(id.Pos()), id.Name))
 		}
 	}
 	return problems

@@ -86,6 +86,18 @@ func TestMetricNames(t *testing.T) {
 		`"insightnotes_replication_lag" violates`, `"insightnotes_engine" violates`)
 }
 
+// Every Name* constant in internal/metrics/names.go is referenced by some
+// non-test file besides names.go: a metric whose code was deleted must
+// not leave its name behind in the catalog.
+func TestMetricNamesAreUsed(t *testing.T) {
+	expect(t, tree(t).Unreferenced(metricCatalog, "Name"))
+
+	bad := tree(t,
+		"fake/"+metricCatalog, `package metrics; const (NameUsed = "insightnotes_exec_used_total"; NameGone = "insightnotes_exec_gone_total"; other = 1)`,
+		"internal/x/x.go", `package x; var n = metrics.NameUsed`)
+	expect(t, bad.Unreferenced(metricCatalog, "Name"), "NameGone is declared but never referenced")
+}
+
 // Every fp/* literal in non-test code is declared in
 // internal/failpoint/names.go: the declarations are the catalog the
 // crash-recovery suite iterates over, so an inline literal would be a

@@ -32,10 +32,6 @@ const (
 	NameExecOpMergesTotal  = "insightnotes_exec_op_merges_total"  // counter{op}
 	NameExecOpCuratesTotal = "insightnotes_exec_op_curates_total" // counter{op}
 
-	// exec layer — morsel-driven base-table scans.
-	NameExecScanMorselsTotal = "insightnotes_exec_scan_morsels_total" // counter (morsels processed)
-	NameExecScanWorkersTotal = "insightnotes_exec_scan_workers_total" // counter (scan workers: 1 per inline scan, the pool size otherwise)
-
 	// bufferpool layer — frame cache over the page store. These counters
 	// predate the _total convention in ISSUE 6's acceptance wording and are
 	// pinned to these exact names.

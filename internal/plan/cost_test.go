@@ -73,14 +73,8 @@ func TestCostModelPicksFullScanForNonSelectivePredicate(t *testing.T) {
 	// k >= 100 matches 95% of the table: the index would resolve ~1900
 	// random lookups, so the sequential scan must win.
 	out := explainOf(t, w, "SELECT v FROM T WHERE k >= 100", Options{})
-	if !strings.Contains(out, "Scan T AS T path=full workers=1") {
+	if !strings.Contains(out, "Scan T AS T path=full") {
 		t.Errorf("expected a full scan:\n%s", out)
-	}
-	// The requested worker count changes the workers= attribute and
-	// nothing else about the plan.
-	par := explainOf(t, w, "SELECT v FROM T WHERE k >= 100", Options{Parallelism: 4})
-	if want := strings.Replace(out, "workers=1", "workers=4", 1); par != want {
-		t.Errorf("plan under parallelism:\n%s\nwant:\n%s", par, want)
 	}
 }
 

@@ -35,9 +35,9 @@ type Options struct {
 	// The entries land in the per-statement sink owned by the ExecContext
 	// the plan is executed under.
 	Trace bool
-	// Parallelism is the worker count requested for each base-table scan's
-	// morsel pool; a scan never runs more workers than it has morsels, and
-	// runs inline at one. 0 and 1 request one worker.
+	// Parallelism is ignored: every scan runs inline on the statement's
+	// goroutine. It remains only because the benchmark's traced pass still
+	// sets it; it goes with the next change to the benchmark.
 	Parallelism int
 	// Counters, when set, receives planning-decision counts (plans built,
 	// access paths chosen). Shared across planner instances; safe for
@@ -370,7 +370,7 @@ func (p *Planner) accessPath(r *relation, preds []sql.Expr) (*exec.Scan, error) 
 	// full_scan, index_scan, index_range_scan: the values of the
 	// access_paths_total{path} label the counters above feed.
 	p.opts.Span.Attr("path."+strings.ToLower(r.ref.EffectiveAlias()), src.Path()+"_scan")
-	scan := exec.NewScan(r.table, r.ref.EffectiveAlias(), p.envs, src, pred, p.opts.Parallelism)
+	scan := exec.NewScan(r.table, r.ref.EffectiveAlias(), p.envs, src, pred)
 	scan.SetEstimatedRows(est)
 	return scan, nil
 }

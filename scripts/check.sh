@@ -7,8 +7,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 make vet
-# One core and several: the planner and executor must not let the host's
-# shape decide what a test observes.
+# One core and several: the executor reads no core count, but maintenance
+# spreads digests over GOMAXPROCS workers (forChunks) and concurrent
+# statements interleave differently, so both shapes must stay race-free
+# and observe the same results.
 for procs in 1 4; do
 	GOMAXPROCS=$procs make race
 done
