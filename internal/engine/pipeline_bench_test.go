@@ -151,6 +151,25 @@ func BenchmarkGroupByEnvelopes(b *testing.B) {
 	}
 }
 
+// BenchmarkScanProjectEnvelopes is join_scan's scan statement without its
+// LIMIT: 500 stored envelopes handed to a scan whose absorbed projection
+// keeps id, region and the filter's wingspan, and a Project above it that
+// drops wingspan. The corpus annotates whole rows, so neither drops an
+// annotation, and each row's view keeps its stored coverage under the two
+// column maps' composition. The plan is ablated, so nothing is
+// materialized.
+func BenchmarkScanProjectEnvelopes(b *testing.B) {
+	db := newJoinScanWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(context.Background(), "SELECT id, region FROM birds WHERE wingspan >= 0",
+			engine.WithPlanOptions(plan.Options{})); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdmit is the other half: what a SELECT pays to keep its result
 // for zoom-in, admitting it to the cache as a live entry (its size estimate
 // and the Put, with the evictions a full cache makes). group_by is that

@@ -13,12 +13,15 @@ import (
 	"testing"
 
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/codec"
 	"insightnotes/internal/engine"
+	"insightnotes/internal/exec"
 	"insightnotes/internal/plan"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 	"insightnotes/internal/workload"
 	"insightnotes/internal/workload/populate"
+	"insightnotes/internal/zoomin"
 )
 
 const viewBirds = 24
@@ -96,7 +99,7 @@ func mutateEverything(env *summary.Envelope, other *summary.Envelope, cls *summa
 		env.Combine(other)
 	}
 	env.Project([]int{0})
-	env.RemapColumns([]annotation.ColSet{annotation.Col(1)})
+	env.RemapColumns(summary.NewColMap([]annotation.ColSet{annotation.Col(1)}))
 	for _, id := range env.Annotations() {
 		env.RemoveAnnotation(id)
 		break
@@ -303,6 +306,102 @@ func TestScanSharesUnprojectedEnvelopes(t *testing.T) {
 		}
 		if a, b := perRun(small), perRun(large); b > a*(1+tc.band) || b < a*(1-tc.band) {
 			t.Errorf("%s: %.0f allocs at 16 annotations per row, %.0f at 64", tc.stmt, a, b)
+		}
+	}
+}
+
+// TestPendingMapsUnderConcurrentZoomIns: live zoom-in cache entries whose
+// rows carry pending column maps (a scan's projection that drops no
+// annotation, and a Project above it) are read by concurrent ZOOMINs,
+// re-rendered and compared while ADD ANNOTATION changes the stored
+// envelopes the rows were viewed from. The cached rows read the same
+// throughout, and the stored envelopes end equal to a second database's
+// that took the same writes with no reader running. Run with -race.
+func TestPendingMapsUnderConcurrentZoomIns(t *testing.T) {
+	db, quiet := viewWorld(t, 6, false), viewWorld(t, 6, false)
+	ctx := context.Background()
+	render := func(rows []*exec.Row) string {
+		w := codec.NewWriter(nil)
+		zoomin.AppendRows(w, rows)
+		return string(w.Bytes())
+	}
+	type entry struct {
+		res    *engine.Result
+		text   string
+		clones []*summary.Envelope
+	}
+	var entries []entry
+	for _, stmt := range []string{
+		"SELECT id, region FROM birds WHERE wingspan >= 0.4",
+		"SELECT name, id FROM birds",
+		"SELECT b.id, b.name, s.sid FROM birds b, sightings s WHERE b.id = s.bird_id",
+	} {
+		res := viewExec(t, db, stmt)
+		e := entry{res: res, text: render(res.Rows)}
+		for _, row := range res.Rows {
+			if row.Env != nil {
+				e.clones = append(e.clones, row.Env.Clone())
+			}
+		}
+		if len(e.clones) == 0 {
+			t.Fatalf("%s: no row carries an envelope", stmt)
+		}
+		entries = append(entries, e)
+	}
+	// same reports whether e's rows read as they did when cached.
+	same := func(e entry) bool {
+		k := 0
+		for _, row := range e.res.Rows {
+			if row.Env != nil {
+				if !row.Env.Equal(e.clones[k]) {
+					return false
+				}
+				k++
+			}
+		}
+		return render(e.res.Rows) == e.text
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e := entries[(r+i)%len(entries)]
+				if _, hit, err := db.ZoomIn(ctx, engine.ZoomInRequest{QID: e.res.QID, Instance: "ClassBird1", Index: 1 + i%4}); err != nil || !hit {
+					t.Errorf("zoom-in of QID %d: hit %v, %v", e.res.QID, hit, err)
+					return
+				}
+				if !same(e) {
+					t.Errorf("QID %d: a cached row changed under a concurrent write", e.res.QID)
+					return
+				}
+			}
+		}(r)
+	}
+	g := workload.New(7)
+	for i := 0; i < 40; i++ {
+		stmt := fmt.Sprintf("ADD ANNOTATION '%s' ON birds WHERE id = %d", g.ClassText(workload.BirdClasses[i%4]), i%viewBirds+1)
+		viewExec(t, db, stmt)
+		viewExec(t, quiet, stmt)
+	}
+	close(stop)
+	readers.Wait()
+	for _, e := range entries {
+		if !same(e) {
+			t.Errorf("QID %d: a cached row changed", e.res.QID)
+		}
+	}
+	for _, row := range db.Annotations().AnnotatedRows("birds") {
+		got, want := db.StoredEnvelope("birds", row), quiet.StoredEnvelope("birds", row)
+		if !got.Equal(want) || got.Render() != want.Render() {
+			t.Fatalf("stored envelope of birds/%d:\n%s\nwant\n%s", row, got.Render(), want.Render())
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
 
@@ -103,12 +104,11 @@ func (s *aggState) result(fn string, starCount int64) (types.Value, error) {
 // and a remap commute per column, and curation still precedes the merge.
 type GroupAggregate struct {
 	instr
-	child   Operator
-	keys    []*Compiled
-	aggs    []AggSpec
-	schema  types.Schema
-	mapping []annotation.ColSet
-	keep    annotation.ColSet // the input columns mapping sends somewhere
+	child  Operator
+	keys   []*Compiled
+	aggs   []AggSpec
+	schema types.Schema
+	cmap   *summary.ColMap // the output rebase
 
 	out []*Row
 	pos int
@@ -139,14 +139,8 @@ func NewGroupAggregate(child Operator, keys []*Compiled, keyCols []types.Column,
 			}
 		}
 	}
-	var keep annotation.ColSet
-	for in, out := range mapping {
-		if out != 0 {
-			keep |= annotation.Col(in)
-		}
-	}
 	return &GroupAggregate{child: child, keys: keys, aggs: aggs,
-		schema: types.Schema{Columns: cols}, mapping: mapping, keep: keep}
+		schema: types.Schema{Columns: cols}, cmap: summary.NewColMap(mapping)}
 }
 
 // Schema implements Operator.
@@ -205,7 +199,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			g.curated(ec)
 			g.merged(ec)
 		}
-		if env := envCurate(row.Env, g.keep); env != nil {
+		if env := envCurate(row.Env, g.cmap.Live()); env != nil {
 			grp.env.add(env)
 		}
 		return nil
@@ -232,7 +226,7 @@ func (g *GroupAggregate) Open(ec *ExecContext) error {
 			}
 			tu = append(tu, v)
 		}
-		g.out = append(g.out, &Row{Tuple: tu, Env: envRemap(grp.env.combine(), g.mapping)})
+		g.out = append(g.out, &Row{Tuple: tu, Env: envRemap(grp.env.combine(), g.cmap)})
 	}
 	g.pos = 0
 	return nil

@@ -93,19 +93,6 @@ func envView(e *summary.Envelope) *summary.Envelope {
 	return e.View()
 }
 
-// envProject narrows an envelope to the kept input columns; empty results
-// collapse to nil.
-func envProject(e *summary.Envelope, keep []int) *summary.Envelope {
-	if e == nil {
-		return nil
-	}
-	e.Project(keep)
-	if e.IsEmpty() {
-		return nil
-	}
-	return e
-}
-
 // envCurate drops the annotations on none of the keep columns; empty
 // results collapse to nil.
 func envCurate(e *summary.Envelope, keep annotation.ColSet) *summary.Envelope {
@@ -119,13 +106,12 @@ func envCurate(e *summary.Envelope, keep annotation.ColSet) *summary.Envelope {
 	return e
 }
 
-// envRemap applies a generalized column remapping; empty results collapse
-// to nil.
-func envRemap(e *summary.Envelope, mapping []annotation.ColSet) *summary.Envelope {
+// envRemap applies an operator's column map; empty results collapse to nil.
+func envRemap(e *summary.Envelope, m *summary.ColMap) *summary.Envelope {
 	if e == nil {
 		return nil
 	}
-	e.RemapColumns(mapping)
+	e.RemapColumns(m)
 	if e.IsEmpty() {
 		return nil
 	}

@@ -406,7 +406,7 @@ func TestGroupAggregateCuratesEachRowBeforeCombining(t *testing.T) {
 	}
 	// The per-row path: each row remapped (a → 0, b → 1, c dropped), then
 	// the rows combined.
-	mapping := []annotation.ColSet{annotation.Col(0), annotation.Col(1), 0}
+	mapping := summary.NewColMap([]annotation.ColSet{annotation.Col(0), annotation.Col(1), 0})
 	want := rowEnvs[0].Clone()
 	want.RemapColumns(mapping)
 	second := rowEnvs[1].Clone()

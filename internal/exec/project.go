@@ -2,6 +2,7 @@ package exec
 
 import (
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
 
@@ -74,10 +75,10 @@ type ProjectItem struct {
 // eliminated from the summary objects (Figure 2, step 1).
 type Project struct {
 	instr
-	child   Operator
-	items   []ProjectItem
-	schema  types.Schema
-	mapping []annotation.ColSet // input ordinal → output coverage
+	child  Operator
+	items  []ProjectItem
+	schema types.Schema
+	cmap   *summary.ColMap // input ordinal → output coverage
 }
 
 // NewProject wraps child with projection items.
@@ -86,18 +87,24 @@ func NewProject(child Operator, items []ProjectItem) *Project {
 	for i, it := range items {
 		cols[i] = it.Col
 	}
-	mapping := make([]annotation.ColSet, child.Schema().Len())
+	return &Project{
+		child:  child,
+		items:  items,
+		schema: types.Schema{Columns: cols},
+		cmap:   itemsColMap(items, child.Schema().Len()),
+	}
+}
+
+// itemsColMap is a projection's column map over width input columns: an
+// input column contributes to every item whose expression reads it.
+func itemsColMap(items []ProjectItem, width int) *summary.ColMap {
+	mapping := make([]annotation.ColSet, width)
 	for out, it := range items {
 		for _, in := range it.Expr.Cols() {
 			mapping[in] = mapping[in].Union(annotation.Col(out))
 		}
 	}
-	return &Project{
-		child:   child,
-		items:   items,
-		schema:  types.Schema{Columns: cols},
-		mapping: mapping,
-	}
+	return summary.NewColMap(mapping)
 }
 
 // Schema implements Operator.
@@ -141,7 +148,7 @@ func (p *Project) projectRow(ec *ExecContext, row *Row) (*Row, error) {
 	if row.Env != nil {
 		p.curated(ec)
 	}
-	return &Row{Tuple: out, Env: envRemap(row.Env, p.mapping)}, nil
+	return &Row{Tuple: out, Env: envRemap(row.Env, p.cmap)}, nil
 }
 
 // Close implements Operator.

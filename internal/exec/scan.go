@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"insightnotes/internal/annotation"
 	"insightnotes/internal/catalog"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
@@ -127,16 +126,16 @@ func (rs RowSource) resolve(tbl *catalog.Table) (rows []types.RowID, tups []type
 // keys in input order at every batch size.
 type Scan struct {
 	instr
-	table   *catalog.Table
-	alias   string
-	envs    EnvelopeSource
-	src     RowSource
-	schema  types.Schema // table schema under alias (pre-projection)
-	pred    *Compiled    // absorbed data predicate; nil = none
-	items   []ProjectItem
-	mapping []annotation.ColSet // input ordinal → output coverage
-	out     types.Schema        // output schema (post-projection)
-	est     int                 // planner's cardinality estimate; -1 = none attached
+	table  *catalog.Table
+	alias  string
+	envs   EnvelopeSource
+	src    RowSource
+	schema types.Schema // table schema under alias (pre-projection)
+	pred   *Compiled    // absorbed data predicate; nil = none
+	items  []ProjectItem
+	cmap   *summary.ColMap // input ordinal → output coverage
+	out    types.Schema    // output schema (post-projection)
+	est    int             // planner's cardinality estimate; -1 = none attached
 
 	// run state, rebuilt by Open
 	rows []types.RowID
@@ -179,7 +178,7 @@ func (s *Scan) SetEstimatedRows(n int) { s.est = n }
 func (s *Scan) AbsorbProject(items []ProjectItem) {
 	s.items = items
 	s.out = s.schema
-	s.mapping = nil
+	s.cmap = nil
 	if len(items) == 0 {
 		return
 	}
@@ -188,12 +187,7 @@ func (s *Scan) AbsorbProject(items []ProjectItem) {
 		cols[i] = it.Col
 	}
 	s.out = types.Schema{Columns: cols}
-	s.mapping = make([]annotation.ColSet, s.schema.Len())
-	for outIdx, it := range items {
-		for _, in := range it.Expr.Cols() {
-			s.mapping[in] = s.mapping[in].Union(annotation.Col(outIdx))
-		}
-	}
+	s.cmap = itemsColMap(items, s.schema.Len())
 }
 
 // Schema implements Operator.
@@ -269,7 +263,7 @@ func (s *Scan) read(ec *ExecContext, k int) (*Row, error) {
 	if env != nil {
 		s.curated(ec)
 	}
-	return &Row{Tuple: proj, Env: envRemap(env, s.mapping)}, nil
+	return &Row{Tuple: proj, Env: envRemap(env, s.cmap)}, nil
 }
 
 // Close implements Operator.

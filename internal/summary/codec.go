@@ -73,12 +73,12 @@ func DecodeInstance(r *codec.Reader) *Instance {
 	return in
 }
 
-// Encode appends the envelope to w.
+// Encode appends the envelope to w, its coverage through the pending map.
 func (e *Envelope) Encode(w *codec.Writer) {
 	w.Uvarint(uint64(len(e.cover)))
 	for _, c := range e.cover {
 		w.Uvarint(uint64(c.id))
-		w.Uvarint(uint64(c.cols))
+		w.Uvarint(uint64(e.cmap.apply(c.cols)))
 	}
 	w.Uvarint(uint64(len(e.objs)))
 	for _, x := range e.objs {

@@ -172,7 +172,7 @@ func TestCurateDropsOnlyUncoveredAnnotations(t *testing.T) {
 		t.Error("a Curate that drops nothing made the view private")
 	}
 	want := e.Clone()
-	want.RemapColumns([]annotation.ColSet{annotation.Col(0), annotation.Col(1), 0, annotation.Col(3)})
+	want.RemapColumns(NewColMap([]annotation.ColSet{annotation.Col(0), annotation.Col(1), 0, annotation.Col(3)}))
 	before := describeEnvelope(e)
 	view.Curate(keep)
 	if !view.Equal(want) || view.Render() != want.Render() {
@@ -183,5 +183,109 @@ func TestCurateDropsOnlyUncoveredAnnotations(t *testing.T) {
 	}
 	if describeEnvelope(e) != before {
 		t.Error("curating a view changed the envelope it was taken of")
+	}
+}
+
+// TestViewRemapDefersColumns: a View remapped through a map that drops no
+// annotation keeps the stored coverage list, records the map and latches
+// the stored objects shared (so they render memoised), with no allocation;
+// so does a second such remap, the Project a plan puts above a scan, which
+// records the two maps' composition, built once. The views read as the
+// eagerly remapped envelope does.
+func TestViewRemapDefersColumns(t *testing.T) {
+	stored, _, _, _ := buildTupleEnvelope(t)
+	c := annotation.Col
+	want := stored.Clone()
+	const runs = 50
+	views := make([]*Envelope, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range views {
+		views[i] = stored.View()
+	}
+	for _, m := range []*ColMap{
+		NewColMap([]annotation.ColSet{c(3), c(2) | c(0), c(1), c(0)}),
+		NewColMap([]annotation.ColSet{c(0), c(1), c(0), 0}), // drops column 3, but no annotation
+	} {
+		n := 0
+		if a := testing.AllocsPerRun(runs, func() { views[n].RemapColumns(m); n++ }); a != 0 {
+			t.Errorf("a remap that drops nothing allocated %.0f times", a)
+		}
+		want.RemapColumns(m)
+		for _, v := range views {
+			if v.cmap == nil || &v.cover[0] != &stored.cover[0] || !v.Equal(want) || v.Render() != want.Render() {
+				t.Fatalf("view reads\n%s\nwant\n%s", describeEnvelope(v), describeEnvelope(want))
+			}
+		}
+	}
+	for i := range stored.NumObjects() {
+		if _, obj := stored.ObjectAt(i); !obj.isShared() {
+			t.Errorf("stored object %d not latched shared", i)
+		}
+	}
+}
+
+// TestCombineAppliesMapsWithoutCopies: Combine over inputs holding
+// different pending maps (and none) applies each in its one pass: it
+// allocates exactly what the same Combine over the inputs remapped
+// beforehand does, and gives the same envelope.
+func TestCombineAppliesMapsWithoutCopies(t *testing.T) {
+	cls, clu, snp := classifierInstance(t, "C"), clusterInstance(t, "S"), snippetInstance(t, "T")
+	c := annotation.Col
+	cmaps := []*ColMap{
+		NewColMap([]annotation.ColSet{c(1), c(0), c(2)}),
+		nil,
+		NewColMap([]annotation.ColSet{c(2), c(2), c(0) | c(1)}),
+		NewColMap([]annotation.ColSet{c(0), c(1), c(2)}),
+	}
+	const k = 8
+	stored := make([]*Envelope, k)
+	for r := range stored {
+		stored[r] = NewEnvelope()
+		for _, id := range span(r*3+1, 6, 1) { // overlapping runs
+			a := ann(id, combineText(id))
+			for _, in := range []*Instance{cls, clu, snp} {
+				stored[r].Add(in, in.Summarize(a), c(int(id)%3))
+			}
+		}
+	}
+	// inputs returns k views: each remapped through its map, left pending
+	// or resolved at once.
+	inputs := func(pending bool) []*Envelope {
+		out := make([]*Envelope, k)
+		for r, s := range stored {
+			m := cmaps[r%len(cmaps)]
+			if pending {
+				out[r] = s.View()
+			} else {
+				out[r] = s.Clone()
+			}
+			if m != nil {
+				out[r].RemapColumns(m)
+			}
+			if !pending {
+				out[r] = out[r].View()
+			}
+			if (out[r].cmap != nil) != (pending && m != nil) {
+				t.Fatalf("input %d: pending map %p", r, out[r].cmap)
+			}
+		}
+		return out
+	}
+	const runs = 20
+	allocs := map[bool]float64{}
+	var got [2]*Envelope
+	for i, pending := range []bool{true, false} {
+		sets := make([][]*Envelope, runs+1)
+		for j := range sets {
+			sets[j] = inputs(pending)
+		}
+		n := 0
+		allocs[pending] = testing.AllocsPerRun(runs, func() { sets[n][0].Combine(sets[n][1:]...); n++ })
+		got[i] = sets[0][0]
+	}
+	if allocs[true] != allocs[false] {
+		t.Errorf("Combine over pending maps allocated %.0f times, over remapped inputs %.0f", allocs[true], allocs[false])
+	}
+	if !got[0].Equal(got[1]) || got[0].Render() != got[1].Render() {
+		t.Errorf("Combine over pending maps gives\n%s\nwant\n%s", describeEnvelope(got[0]), describeEnvelope(got[1]))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"insightnotes/internal/annotation"
 )
@@ -20,20 +21,92 @@ import (
 // Envelopes are copy-on-write. View hands out the same coverage list and
 // object list in O(1); the first mutator called on either side afterwards
 // copies the two, and an object both sides reference is cloned only by the
-// side about to change it. Code outside this package reads coverage
-// through CoverOf and EachCover and objects through Object and ObjectAt,
-// and changes both only through the methods.
+// side about to change it. A projection of a shared envelope that drops no
+// annotation copies nothing either: the envelope keeps the shared list and
+// records the operator's ColMap, which every reader of coverage applies
+// (see RemapColumns). Code outside this package reads coverage through
+// CoverOf and EachCover and objects through Object and ObjectAt, and
+// changes both only through the methods.
 type Envelope struct {
-	// cover lists each contributing annotation with the columns of the
-	// current tuple shape it covers, sorted by annotation id.
+	// cover lists each contributing annotation with the columns it covers,
+	// sorted by annotation id: columns of the current tuple shape, or of
+	// the shape before cmap when cmap is set.
 	cover []coverEntry
 	// objs holds one non-empty summary object per instance, strictly
 	// ascending by instance name.
 	objs []namedObject
+	// cmap is the pending column map: nil, or set only while cover is
+	// shared, and then sending every entry's columns somewhere, so that
+	// it defers column bits only and never hides a dropped annotation.
+	cmap *ColMap
 	// shared is set while another envelope may reference cover and objs.
 	// Atomic because concurrent readers of the engine's store each set it
 	// on the stored envelope under a read lock.
 	shared sharedFlag
+}
+
+// ColMap is a column remapping for an operator that projects, reorders or
+// fans columns in or out (grouping, aggregation): input column i
+// contributes to the output columns mapping[i] (zero = dropped). It is
+// built once per operator and its mapping never changes, so envelopes may
+// hold it as their pending map.
+type ColMap struct {
+	mapping []annotation.ColSet
+	live    annotation.ColSet // input columns mapped to a non-zero output
+	image   annotation.ColSet // the union of the outputs
+	fixed   annotation.ColSet // input columns mapped to exactly themselves
+	// composed memoises the last composition after (see after).
+	composed atomic.Pointer[composition]
+}
+
+// composition is the map that applies inner, then the map memoising it.
+type composition struct{ inner, whole *ColMap }
+
+// NewColMap builds the map over mapping, which it keeps: the caller must
+// not change mapping afterwards.
+func NewColMap(mapping []annotation.ColSet) *ColMap {
+	m := &ColMap{mapping: mapping}
+	for i, out := range m.mapping {
+		if out != 0 {
+			m.live |= annotation.Col(i)
+		}
+		if out == annotation.Col(i) {
+			m.fixed |= annotation.Col(i)
+		}
+		m.image |= out
+	}
+	return m
+}
+
+// Live returns the input columns the map sends somewhere.
+func (m *ColMap) Live() annotation.ColSet { return m.live }
+
+// after returns the map that applies inner, then m. The rows an operator
+// remaps all carry the same map from the operator below it, so it is built
+// once and memoised for the last inner map.
+func (m *ColMap) after(inner *ColMap) *ColMap {
+	if c := m.composed.Load(); c != nil && c.inner == inner {
+		return c.whole
+	}
+	mapping := make([]annotation.ColSet, len(inner.mapping))
+	for i, out := range inner.mapping {
+		mapping[i] = m.apply(out)
+	}
+	whole := NewColMap(mapping)
+	m.composed.Store(&composition{inner, whole})
+	return whole
+}
+
+// apply returns the output columns of cols; a nil map is the identity.
+func (m *ColMap) apply(cols annotation.ColSet) annotation.ColSet {
+	if m == nil {
+		return cols
+	}
+	var out annotation.ColSet
+	for rest := uint64(cols & m.live); rest != 0; rest &= rest - 1 {
+		out |= m.mapping[bits.TrailingZeros64(rest)]
+	}
+	return out
 }
 
 // namedObject is one instance's object.
@@ -49,8 +122,6 @@ type coverEntry struct {
 }
 
 func coverID(c coverEntry) annotation.ID { return c.id }
-
-func unionCover(kept *coverEntry, dup coverEntry) { kept.cols |= dup.cols }
 
 // NewEnvelope returns an empty envelope.
 func NewEnvelope() *Envelope { return &Envelope{} }
@@ -107,28 +178,47 @@ func (e *Envelope) memberAnywhere(id annotation.ID) bool {
 // calls are fine.
 func (e *Envelope) View() *Envelope {
 	e.shared.share()
-	v := &Envelope{cover: e.cover, objs: e.objs}
+	v := &Envelope{cover: e.cover, objs: e.objs, cmap: e.cmap}
 	v.shared.share()
 	return v
 }
 
-// write makes e's coverage list and object list private before a mutation.
+// write makes e's coverage list and object list private before a mutation,
+// resolving the pending map in the coverage copy.
 func (e *Envelope) write() {
 	if e.shared.isShared() {
-		e.cover = slices.Clone(e.cover)
+		e.cover, e.cmap = e.resolvedCover(), nil
 		e.writeObjects()
 	}
+}
+
+// resolvedCover returns a copy of e's coverage with the pending map
+// applied.
+func (e *Envelope) resolvedCover() []coverEntry {
+	out := slices.Clone(e.cover)
+	if m := e.cmap; m != nil {
+		for i := range out {
+			out[i].cols = m.apply(out[i].cols)
+		}
+	}
+	return out
 }
 
 // writeObjects is write without the coverage copy, for the callers that
 // replace the coverage list anyway. The objects stay where they are and are
 // latched shared: the other holder still references them.
 func (e *Envelope) writeObjects() {
+	e.shareObjects()
+	e.objs = slices.Clone(e.objs)
+	e.shared.on.Store(false)
+}
+
+// shareObjects latches every object shared: another envelope references
+// them, and a shared object memoises its presentation.
+func (e *Envelope) shareObjects() {
 	for _, o := range e.objs {
 		o.obj.share()
 	}
-	e.objs = slices.Clone(e.objs)
-	e.shared.on.Store(false)
 }
 
 // own returns e's i-th object ready to be changed: a shared one is first
@@ -146,14 +236,15 @@ func (e *Envelope) own(i int) Object {
 // objects, which shares nothing with e that either side can change in place
 // (see Object.Clone).
 func (e *Envelope) Clone() *Envelope {
-	cp := &Envelope{cover: slices.Clone(e.cover), objs: make([]namedObject, len(e.objs))}
+	cp := &Envelope{cover: e.resolvedCover(), objs: make([]namedObject, len(e.objs))}
 	for i, o := range e.objs {
 		cp.objs[i] = namedObject{o.name, o.obj.Clone()}
 	}
 	return cp
 }
 
-// IsEmpty reports whether the envelope carries no annotations.
+// IsEmpty reports whether the envelope carries no annotations. It, Len and
+// Annotations read the coverage list as it is: a pending map drops no entry.
 func (e *Envelope) IsEmpty() bool { return len(e.cover) == 0 }
 
 // Len returns the number of contributing annotations.
@@ -163,7 +254,7 @@ func (e *Envelope) Len() int { return len(e.cover) }
 // contribute.
 func (e *Envelope) CoverOf(id annotation.ID) annotation.ColSet {
 	if i, ok := search(e.cover, id, coverID); ok {
-		return e.cover[i].cols
+		return e.cmap.apply(e.cover[i].cols)
 	}
 	return 0
 }
@@ -172,7 +263,7 @@ func (e *Envelope) CoverOf(id annotation.ID) annotation.ColSet {
 // in ascending id order.
 func (e *Envelope) EachCover(fn func(id annotation.ID, cols annotation.ColSet)) {
 	for _, c := range e.cover {
-		fn(c.id, c.cols)
+		fn(c.id, e.cmap.apply(c.cols))
 	}
 }
 
@@ -187,17 +278,54 @@ func (e *Envelope) Project(keep []int) {
 	for out, in := range keep {
 		mapping[in] = mapping[in].Union(annotation.Col(out))
 	}
-	e.RemapColumns(mapping)
+	e.RemapColumns(NewColMap(mapping))
 }
 
-// RemapColumns generalizes Project for operators that fan columns in or
-// out (grouping, aggregation): mapping[i] is the output coverage that
-// input column i contributes to (zero = dropped). Annotations left with
-// empty coverage are removed from all objects. One pass over the coverage
-// list writes the remapped list: over the old one when e is private, into
-// a new one, from the first entry that changes, when it is shared. A shared
-// envelope that nothing changes is left as it is and costs no allocation.
-func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
+// RemapColumns generalizes Project to any column map m (see ColMap).
+// Annotations left with empty coverage are removed from all objects. A
+// shared envelope keeps its coverage list when the remap drops nothing: it
+// records m, or m composed after the map it already holds, as its pending
+// map, at one AND per entry and no allocation; and a map that leaves every
+// column of the pending map's image as it is costs nothing at all.
+// Otherwise one pass over the coverage list writes the remapped list: over
+// the old list when e is private, into a new one, from the first entry that
+// changes, when it is shared.
+func (e *Envelope) RemapColumns(m *ColMap) {
+	switch {
+	case e.cmap != nil && e.cmap.image&^m.fixed == 0:
+		return
+	case e.cmap != nil:
+		m = m.after(e.cmap)
+	case !e.shared.isShared():
+		e.remap(m, ^annotation.ColSet(0))
+		return
+	}
+	if slices.ContainsFunc(e.cover, func(c coverEntry) bool { return c.cols&m.live == 0 }) {
+		e.remap(m, ^annotation.ColSet(0))
+		return
+	}
+	if e.cmap == nil {
+		e.shareObjects()
+	}
+	e.cmap = m
+}
+
+// Curate drops every annotation whose coverage misses keep, from the
+// coverage list and from every object: RemapColumns with the kept columns
+// mapped to themselves. An envelope whose pending map yields only columns
+// in keep is left as it is.
+func (e *Envelope) Curate(keep annotation.ColSet) {
+	if e.cmap != nil && e.cmap.image&^keep == 0 {
+		return
+	}
+	e.remap(e.cmap, keep)
+}
+
+// remap rewrites the columns of each entry of the coverage list as it is
+// stored (m replaces any pending map) through m, then the mask keep, and
+// retracts the annotations left with none. A shared envelope that nothing
+// changes keeps its list and costs no allocation.
+func (e *Envelope) remap(m *ColMap, keep annotation.ColSet) {
 	shared := e.shared.isShared()
 	src, dst := e.cover, []coverEntry(nil)
 	if !shared {
@@ -205,14 +333,7 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 	}
 	var dropped []annotation.ID
 	for i, c := range src {
-		var out annotation.ColSet
-		for rest := uint64(c.cols); rest != 0; rest &= rest - 1 {
-			col := bits.TrailingZeros64(rest)
-			if col >= len(mapping) {
-				break
-			}
-			out |= mapping[col]
-		}
+		out := m.apply(c.cols) & keep
 		if shared && dst == nil {
 			if out == c.cols {
 				continue
@@ -225,28 +346,15 @@ func (e *Envelope) RemapColumns(mapping []annotation.ColSet) {
 		}
 		dst = append(dst, coverEntry{c.id, out})
 	}
+	e.cmap = nil
 	if shared && dst == nil {
 		return
 	}
 	e.cover = dst
 	if shared {
-		for _, o := range e.objs {
-			o.obj.share() // the other holder references them
-		}
+		e.shareObjects() // the other holder references them
 	}
 	e.curate(dropped)
-}
-
-// Curate drops every annotation whose coverage misses keep, from the
-// coverage list and from every object: RemapColumns with the kept columns
-// mapped to themselves.
-func (e *Envelope) Curate(keep annotation.ColSet) {
-	var mapping [64]annotation.ColSet
-	for rest := uint64(keep); rest != 0; rest &= rest - 1 {
-		i := bits.TrailingZeros64(rest)
-		mapping[i] = annotation.Col(i)
-	}
-	e.RemapColumns(mapping[:])
 }
 
 // curate retracts the dropped annotations (sorted ascending) from every
@@ -284,38 +392,42 @@ func (e *Envelope) curate(dropped []annotation.ID) {
 // past leftWidth, and objects of the same instance are merged with the
 // double-count guard; objects present on only one side propagate unchanged
 // (the paper's ClassBird1/TextSummary1 behaviour in Figure 2) — o's are
-// adopted shared, not copied. o is only read.
+// adopted shared, not copied. Each side's pending map is applied in the
+// pass. o is only read.
 func (e *Envelope) Merge(o *Envelope, leftWidth int) {
 	if e.shared.isShared() {
 		e.writeObjects()
 	}
 	a, b := e.cover, o.cover
+	am, bm := e.cmap, o.cmap
 	out := make([]coverEntry, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
 		switch x, y := a[0], b[0]; {
 		case x.id < y.id:
-			out = append(out, x)
+			out = append(out, coverEntry{x.id, am.apply(x.cols)})
 			a = a[1:]
 		case y.id < x.id:
-			out = append(out, coverEntry{y.id, y.cols.Shift(leftWidth)})
+			out = append(out, coverEntry{y.id, bm.apply(y.cols).Shift(leftWidth)})
 			b = b[1:]
 		default:
-			out = append(out, coverEntry{x.id, x.cols | y.cols.Shift(leftWidth)})
+			out = append(out, coverEntry{x.id, am.apply(x.cols) | bm.apply(y.cols).Shift(leftWidth)})
 			a, b = a[1:], b[1:]
 		}
 	}
-	out = append(out, a...)
-	for _, y := range b {
-		out = append(out, coverEntry{y.id, y.cols.Shift(leftWidth)})
+	for _, x := range a {
+		out = append(out, coverEntry{x.id, am.apply(x.cols)})
 	}
-	e.cover = out
+	for _, y := range b {
+		out = append(out, coverEntry{y.id, bm.apply(y.cols).Shift(leftWidth)})
+	}
+	e.cover, e.cmap = out, nil
 	e.mergeObjects([]*Envelope{o})
 }
 
 // Combine merges others into e for operators where all inputs share the
 // output tuple shape (grouping, duplicate elimination): coverage unions
 // without shifting. It is one k-way pass over every input, however many:
-// over the coverage lists (see mergeSorted), and over each instance's
+// over the coverage lists (see combineCover), and over each instance's
 // objects (see the MergeFrom methods). A GROUP BY therefore combines a
 // group's rows once, when its input is drained, rather than merging each
 // row into a growing accumulator. others are only read.
@@ -331,8 +443,45 @@ func (e *Envelope) Combine(others ...*Envelope) {
 	if e.shared.isShared() {
 		e.writeObjects()
 	}
-	e.cover = mergeSorted(lists, coverID, unionCover)
+	e.cover = combineCover(lists, func(i int) *ColMap {
+		if i == 0 {
+			return e.cmap
+		}
+		return others[i-1].cmap
+	})
+	e.cmap = nil
 	e.mergeObjects(others)
+}
+
+// combineCover merges coverage lists in one pass (see mergeSorted), taking
+// each entry's columns through its list's pending map, cmapOf(list), as it
+// copies them: a union and a remap commute per column. lists itself is
+// overwritten.
+func combineCover(lists [][]coverEntry, cmapOf func(list int) *ColMap) []coverEntry {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]coverEntry, 0, n)
+	kwayMerge(lists, coverID,
+		func(list int, run []coverEntry) {
+			m := cmapOf(list)
+			if m == nil {
+				out = append(out, run...)
+				return
+			}
+			for _, c := range run {
+				out = append(out, coverEntry{c.id, m.apply(c.cols)})
+			}
+		},
+		func(_, list int, dup coverEntry) { out[len(out)-1].cols |= cmapOf(list).apply(dup.cols) })
+	if 2*len(out) < n {
+		return slices.Clone(out)
+	}
+	return out
 }
 
 // mergeObjects merges, per instance, the objects of others into e's, in
@@ -438,7 +587,9 @@ func (e *Envelope) Annotations() []annotation.ID { return idsOf(e.cover, coverID
 // coverage and equal objects per instance. This is the comparison behind
 // the plan-equivalence tests (E3).
 func (e *Envelope) Equal(o *Envelope) bool {
-	return slices.Equal(e.cover, o.cover) && slices.EqualFunc(e.objs, o.objs, func(x, y namedObject) bool {
+	return slices.EqualFunc(e.cover, o.cover, func(x, y coverEntry) bool {
+		return x.id == y.id && e.cmap.apply(x.cols) == o.cmap.apply(y.cols)
+	}) && slices.EqualFunc(e.objs, o.objs, func(x, y namedObject) bool {
 		return x.name == y.name && x.obj.Equal(y.obj)
 	})
 }

@@ -3,6 +3,7 @@ package summary
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"insightnotes/internal/annotation"
 )
@@ -248,5 +249,13 @@ func TestEnvelopeProjectBeforeMergeTheorem(t *testing.T) {
 	b.Merge(bc, 1)
 	if !a.Equal(b) {
 		t.Errorf("plan-equivalence violated:\nA: %s\nB: %s", a.Render(), b.Render())
+	}
+}
+
+// TestEnvelopeFitsItsSizeClass: every View a scan takes allocates one
+// Envelope, which must stay in the 64-byte size class.
+func TestEnvelopeFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Envelope{}); n > 64 {
+		t.Errorf("Envelope is %d bytes, over 64", n)
 	}
 }

@@ -15,16 +15,21 @@ import (
 
 // The envelope algebra against a map-based reference model. runEnvelopeOps
 // reads a stream of bytes as a sequence of operations — Add, Project,
-// RemapColumns, a join's Merge (with a shift), the group Combine of several
-// inputs, RemoveAnnotation, RemoveInstance, Clone, and View — over three
-// envelopes under a classifier, a cluster and a snippet instance, applies
-// each to the envelope and to its model, and after every step compares the
-// two: coverage per id, classifier label per id and counts, snippet
-// entries, cluster partition and representatives. It also checks the
-// sorted lists' invariants (object names too ascend strictly, and no
-// object is empty), that no envelope a View was taken of, on either side,
-// has changed since, and that each envelope survives its checkpoint
-// encoding.
+// RemapColumns, Curate, a join's Merge (with a shift), the group Combine of
+// several inputs, RemoveAnnotation, RemoveInstance, Clone, View, and a
+// scan's projection (a View of one envelope remapped through a ColMap,
+// which usually leaves the view with a pending map) — over three envelopes
+// under a classifier, a cluster and a snippet instance, applies each to
+// the envelope and to its model, and after every step compares the two:
+// coverage per id (through EachCover and CoverOf), classifier label per id
+// and counts, snippet entries, cluster partition and representatives. The
+// model is eager, so every later operation on a view holding a pending map
+// is checked against curation done at once. It also checks the sorted
+// lists' invariants (object names too ascend strictly, and no object is
+// empty), that a pending map is held only by a shared envelope and never
+// hides a dropped annotation, that an envelope equals its Clone, that no
+// envelope a View was taken of, on either side, has changed since, and
+// that each envelope survives its checkpoint encoding.
 
 // TestEnvelopeOpsMatchModel runs the driver over seeded random streams.
 func TestEnvelopeOpsMatchModel(t *testing.T) {
@@ -84,7 +89,7 @@ func runEnvelopeOps(t testing.TB, data []byte) {
 	for step := 0; len(src.data) > 0 && step < 300; step++ {
 		s := &slots[src.intn(len(slots))]
 		var op string
-		switch src.intn(11) {
+		switch src.intn(13) {
 		case 0, 1, 2:
 			id := annotation.ID(1 + src.intn(modelIDs))
 			cols := annotation.ColSet(1 + src.intn(15))
@@ -113,7 +118,7 @@ func runEnvelopeOps(t testing.TB, data []byte) {
 				mapping[i] = annotation.ColSet(src.intn(16))
 			}
 			op = fmt.Sprintf("RemapColumns(%v)", mapping)
-			s.env.RemapColumns(mapping)
+			s.env.RemapColumns(NewColMap(mapping))
 			s.m.remap(mapping)
 		case 5:
 			o := &slots[src.intn(len(slots))]
@@ -160,6 +165,32 @@ func runEnvelopeOps(t testing.TB, data []byte) {
 			if len(views) > 6 {
 				views = views[1:]
 			}
+		case 11:
+			// A scan's projection: o stays the stored envelope, s becomes
+			// a view of it remapped through a map that usually drops
+			// nothing.
+			o := &slots[src.intn(len(slots))]
+			mapping := make([]annotation.ColSet, 4+src.intn(4))
+			for i := range mapping {
+				mapping[i] = annotation.ColSet(1 + src.intn(15))
+			}
+			if src.intn(3) == 0 {
+				mapping[src.intn(len(mapping))] = 0
+			}
+			op = fmt.Sprintf("View remapped(%v)", mapping)
+			v, vm := o.env.View(), o.m.clone()
+			v.RemapColumns(NewColMap(mapping))
+			vm.remap(mapping)
+			s.env, s.m = v, vm
+		case 12:
+			keep := annotation.ColSet(src.intn(256))
+			op = fmt.Sprintf("Curate(%v)", keep)
+			s.env.Curate(keep)
+			mapping := make([]annotation.ColSet, 8)
+			for i := range mapping {
+				mapping[i] = keep & annotation.Col(i)
+			}
+			s.m.remap(mapping)
 		}
 		for i := range slots {
 			if err := slots[i].m.check(slots[i].env); err != nil {
@@ -504,10 +535,28 @@ func (m *modelEnv) check(env *Envelope) error {
 		len(slices.CompactFunc(slices.Clone(env.cover), func(a, b coverEntry) bool { return a.id == b.id })) != len(env.cover) {
 		return fmt.Errorf("coverage not strictly sorted: %v", env.cover)
 	}
+	if cm := env.cmap; cm != nil {
+		if !env.shared.isShared() {
+			return fmt.Errorf("a private envelope holds a pending map")
+		}
+		for _, c := range env.cover {
+			if c.cols&cm.live == 0 {
+				return fmt.Errorf("pending map hides dropped annotation %d", c.id)
+			}
+		}
+	}
 	got := map[annotation.ID]annotation.ColSet{}
 	env.EachCover(func(id annotation.ID, cols annotation.ColSet) { got[id] = cols })
 	if !maps.Equal(got, m.cover) {
 		return fmt.Errorf("coverage %v, model %v", got, m.cover)
+	}
+	for id := annotation.ID(0); id <= modelIDs; id++ {
+		if got := env.CoverOf(id); got != m.cover[id] {
+			return fmt.Errorf("CoverOf(%d) = %v, model %v", id, got, m.cover[id])
+		}
+	}
+	if !env.Equal(env.Clone()) {
+		return fmt.Errorf("envelope differs from its clone %s", describeEnvelope(env.Clone()))
 	}
 	for i, o := range env.objs {
 		if i > 0 && o.name <= env.objs[i-1].name {
@@ -620,7 +669,7 @@ func describeModel(c *modelCluster) string {
 // lists behind it.
 func describeEnvelope(env *Envelope) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cover %v\n", env.cover)
+	fmt.Fprintf(&b, "cover %v\n", env.resolvedCover())
 	for _, o := range env.objs {
 		obj := o.obj
 		fmt.Fprintf(&b, "%s %v %v\n", obj.Render(), obj.Members(), obj.Elements())

@@ -37,7 +37,7 @@ func TestViewMutatorsLeaveLenderUnchanged(t *testing.T) {
 			return nil
 		}},
 		{"RemapColumns", func(t *testing.T, e *Envelope, _, _, snp *Instance) []string {
-			e.RemapColumns([]annotation.ColSet{annotation.Col(0), annotation.Col(0), annotation.Col(1)})
+			e.RemapColumns(NewColMap([]annotation.ColSet{annotation.Col(0), annotation.Col(0), annotation.Col(1)}))
 			return []string{snp.Name}
 		}},
 		{"Merge", func(t *testing.T, e *Envelope, cls, _, _ *Instance) []string {
