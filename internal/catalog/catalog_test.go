@@ -110,16 +110,28 @@ func TestTableInsertGetValidate(t *testing.T) {
 	}
 }
 
+// An envelope lives in its row's slot: Update keeps it, Delete drops it
+// with the row, and a row restored under the same id starts without one.
 func TestTableUpdateDelete(t *testing.T) {
 	c := newCatalog()
 	tbl, _ := c.CreateTable("birds", birdSchema())
 	row, _ := tbl.Insert(types.Tuple{types.NewInt(1), types.NewString("a"), types.NewFloat(1)})
+	// A second row keeps the deleted entry in place (no compaction), so
+	// the restore below reuses its slot.
+	tbl.Insert(types.Tuple{types.NewInt(2), types.NewString("c"), types.NewFloat(1)})
+	env := summary.NewEnvelope()
+	if !tbl.SetEnvelope(row, env) {
+		t.Fatal("SetEnvelope of a live row failed")
+	}
 	if err := tbl.Update(row, types.Tuple{types.NewInt(1), types.NewString("b"), types.NewFloat(2)}); err != nil {
 		t.Fatal(err)
 	}
 	tu, _ := tbl.Get(row)
 	if tu[1].Str() != "b" {
 		t.Errorf("after update: %v", tu)
+	}
+	if tbl.Envelope(row) != env {
+		t.Error("Update lost the row's envelope")
 	}
 	if err := tbl.Delete(row); err != nil {
 		t.Fatal(err)
@@ -132,6 +144,15 @@ func TestTableUpdateDelete(t *testing.T) {
 	}
 	if err := tbl.Delete(row); err == nil {
 		t.Error("double Delete succeeded")
+	}
+	if tbl.SetEnvelope(row, env) {
+		t.Error("SetEnvelope of a deleted row succeeded")
+	}
+	if err := tbl.InsertWithID(row, tu); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := tbl.EnvelopeStats(); tbl.Envelope(row) != nil || n != 0 {
+		t.Errorf("a row restored under a deleted id has an envelope (%d stored)", n)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/storage"
+	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
 
@@ -18,25 +19,34 @@ import (
 // optional secondary indexes.
 //
 // Rows live once, in memory, as immutable tuples in ascending row-id
-// order: Get is a map lookup, a full scan walks the slice and shares the
-// stored tuples. Update and Delete replace or drop a tuple and never
-// mutate one in place, so a tuple handed out stays valid for as long as
-// its holder keeps it. The checkpoint and WAL are the rows' durable copy.
+// order, each in a slot beside its summary envelope: Get is a map lookup,
+// a full scan walks the slots and shares the stored tuples. Update and
+// Delete replace or drop a tuple and never mutate one in place, so a tuple
+// handed out stays valid for as long as its holder keeps it. The
+// checkpoint and WAL are the rows' durable copy.
+//
+// mu guards the slots, and of an envelope only its pointer: the engine
+// writes a stored envelope in place only under its exclusive statement
+// lock, and replaces the pointer when it must not (see SetEnvelope).
 type Table struct {
 	mu      sync.RWMutex
 	name    string
 	schema  types.Schema
-	rows    []storedRow         // ascending id; deleted entries have a nil tuple
+	rows    []Row               // ascending id; deleted entries have a nil tuple
 	byRow   map[types.RowID]int // live row id → position in rows
 	dead    int                 // deleted entries still in rows
 	nextRow types.RowID
 	indexes map[string]*storage.BTree // column name → index
 }
 
-// storedRow is one entry of Table.rows.
-type storedRow struct {
-	id types.RowID
-	tu types.Tuple
+// Row is one row slot: the row's id, its stored tuple and its maintained
+// summary envelope (nil when the row has none). Rows and GetRows hand out
+// copies of slots whose tuple and envelope are the stored ones, which the
+// holder must not modify.
+type Row struct {
+	ID    types.RowID
+	Tuple types.Tuple
+	Env   *summary.Envelope
 }
 
 func newTable(name string, schema types.Schema) *Table {
@@ -129,24 +139,24 @@ func (t *Table) InsertWithID(row types.RowID, tu types.Tuple) error {
 // the highest stored one shifts the tail. Called with mu held.
 func (t *Table) place(row types.RowID, tu types.Tuple) {
 	n := len(t.rows)
-	if n == 0 || t.rows[n-1].id < row {
+	if n == 0 || t.rows[n-1].ID < row {
 		t.byRow[row] = n
-		t.rows = append(t.rows, storedRow{id: row, tu: tu})
+		t.rows = append(t.rows, Row{ID: row, Tuple: tu})
 		return
 	}
-	at := sort.Search(n, func(i int) bool { return t.rows[i].id >= row })
-	if t.rows[at].id == row { // a deleted entry of the same id
-		t.rows[at].tu = tu
+	at := sort.Search(n, func(i int) bool { return t.rows[i].ID >= row })
+	if t.rows[at].ID == row { // a deleted entry of the same id
+		t.rows[at].Tuple = tu
 		t.dead--
 		t.byRow[row] = at
 		return
 	}
-	t.rows = append(t.rows, storedRow{})
+	t.rows = append(t.rows, Row{})
 	copy(t.rows[at+1:], t.rows[at:])
-	t.rows[at] = storedRow{id: row, tu: tu}
+	t.rows[at] = Row{ID: row, Tuple: tu}
 	for i := at; i <= n; i++ {
-		if t.rows[i].tu != nil {
-			t.byRow[t.rows[i].id] = i
+		if t.rows[i].Tuple != nil {
+			t.byRow[t.rows[i].ID] = i
 		}
 	}
 }
@@ -189,23 +199,90 @@ func (t *Table) Get(row types.RowID) (types.Tuple, error) {
 	if !ok {
 		return nil, fmt.Errorf("catalog: table %s has no row %d", t.name, row)
 	}
-	return t.rows[i].tu, nil
+	return t.rows[i].Tuple, nil
 }
 
-// GetRows returns the stored tuples of rows, in order, under one lock
-// acquisition; see Get.
-func (t *Table) GetRows(rows []types.RowID) ([]types.Tuple, error) {
+// GetRows returns the slots of rows, in order, under one lock
+// acquisition; see Row.
+func (t *Table) GetRows(rows []types.RowID) ([]Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]types.Tuple, len(rows))
+	out := make([]Row, len(rows))
 	for i, row := range rows {
 		j, ok := t.byRow[row]
 		if !ok {
 			return nil, fmt.Errorf("catalog: table %s has no row %d", t.name, row)
 		}
-		out[i] = t.rows[j].tu
+		out[i] = t.rows[j]
 	}
 	return out, nil
+}
+
+// Rows returns the slots of every row in ascending row-id order, under
+// one lock acquisition; see Row.
+func (t *Table) Rows() []Row {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]Row, 0, len(t.byRow))
+	for _, r := range t.rows {
+		if r.Tuple != nil {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Envelope returns the stored envelope of row: nil when the row has none
+// or does not exist. The caller must not modify it unless it holds the
+// engine's exclusive statement lock; View gives a copy it may change.
+func (t *Table) Envelope(row types.RowID) *summary.Envelope {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if i, ok := t.byRow[row]; ok {
+		return t.rows[i].Env
+	}
+	return nil
+}
+
+// SetEnvelope stores env as the envelope of row, nil dropping it, and
+// reports whether the row exists. A reader that took the old pointer
+// keeps a whole envelope: replacing the pointer is how a writer running
+// beside readers publishes a new version.
+func (t *Table) SetEnvelope(row types.RowID, env *summary.Envelope) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i, ok := t.byRow[row]
+	if ok {
+		t.rows[i].Env = env
+	}
+	return ok
+}
+
+// EditEnvelopes calls fn with every stored envelope, in row-id order under
+// the table's write lock, and stores what fn returns in its place: nil
+// drops it. fn may change an envelope in place only as Envelope allows.
+func (t *Table) EditEnvelopes(fn func(env *summary.Envelope) *summary.Envelope) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.rows {
+		if t.rows[i].Env != nil {
+			t.rows[i].Env = fn(t.rows[i].Env)
+		}
+	}
+}
+
+// EnvelopeStats returns the number of stored envelopes and the sum of
+// their approximate sizes.
+func (t *Table) EnvelopeStats() (count int, bytes int64) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, r := range t.rows {
+		if r.Env != nil {
+			count++
+			bytes += int64(r.Env.ApproxBytes())
+		}
+	}
+	return count, bytes
 }
 
 // Update replaces the tuple of row id with a copy of tu.
@@ -219,8 +296,8 @@ func (t *Table) Update(row types.RowID, tu types.Tuple) error {
 	if !ok {
 		return fmt.Errorf("catalog: table %s has no row %d", t.name, row)
 	}
-	old := t.rows[i].tu
-	t.rows[i].tu = tu.Clone()
+	old := t.rows[i].Tuple
+	t.rows[i].Tuple = tu.Clone()
 	for col, idx := range t.indexes {
 		ci, _ := t.schema.ColumnIndex(col)
 		if !types.Equal(old[ci], tu[ci]) {
@@ -231,8 +308,9 @@ func (t *Table) Update(row types.RowID, tu types.Tuple) error {
 	return nil
 }
 
-// Delete removes row id. The entry is dropped from rows once deleted
-// entries make up half of it, so deletes cost amortized constant time.
+// Delete removes row id and its envelope. The entry is dropped from rows
+// once deleted entries make up half of it, so deletes cost amortized
+// constant time.
 func (t *Table) Delete(row types.RowID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -240,8 +318,8 @@ func (t *Table) Delete(row types.RowID) error {
 	if !ok {
 		return fmt.Errorf("catalog: table %s has no row %d", t.name, row)
 	}
-	tu := t.rows[i].tu
-	t.rows[i].tu = nil
+	tu := t.rows[i].Tuple
+	t.rows[i] = Row{ID: row}
 	t.dead++
 	delete(t.byRow, row)
 	for col, idx := range t.indexes {
@@ -251,8 +329,8 @@ func (t *Table) Delete(row types.RowID) error {
 	if t.dead > len(t.rows)/2 {
 		live := t.rows[:0]
 		for _, r := range t.rows {
-			if r.tu != nil {
-				t.byRow[r.id] = len(live)
+			if r.Tuple != nil {
+				t.byRow[r.ID] = len(live)
 				live = append(live, r)
 			}
 		}
@@ -269,7 +347,7 @@ func (t *Table) Scan(fn func(row types.RowID, tu types.Tuple) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, r := range t.rows {
-		if r.tu != nil && !fn(r.id, r.tu) {
+		if r.Tuple != nil && !fn(r.ID, r.Tuple) {
 			return
 		}
 	}

@@ -298,7 +298,7 @@ func (db *DB) linkInstance(instanceName, table string) error {
 	if err := db.cat.Link(instanceName, tbl.Name()); err != nil {
 		return err
 	}
-	db.applyTasks(tasks)
+	db.applyTasks(tasks, false)
 	return nil
 }
 
@@ -341,12 +341,15 @@ func (db *DB) unlinkInstance(instanceName, table string) error {
 	if err := db.cat.Unlink(instanceName, tbl.Name()); err != nil {
 		return err
 	}
-	// Only the envelopes holding this instance's objects are written; the
-	// rest of the table's envelopes, and views readers hold of them, are
-	// left as they are.
-	db.envs.mutateInstance(tbl.Name(), instanceName, func(env *summary.Envelope) bool {
-		env.RemoveInstance(instanceName)
-		return env.IsEmpty()
+	// Only the envelopes holding this instance's objects are written, so
+	// the rest, and views readers hold of them, are left as they are.
+	tbl.EditEnvelopes(func(env *summary.Envelope) *summary.Envelope {
+		if env.Object(instanceName) != nil {
+			if env.RemoveInstance(instanceName); env.IsEmpty() {
+				return nil
+			}
+		}
+		return env
 	})
 	return nil
 }
@@ -381,8 +384,8 @@ func (db *DB) rebuildSummaries(table string) (int, error) {
 		tasks[i].full = true
 		steps += len(tasks[i].targets) * len(instances)
 	}
-	db.envs.dropTable(tbl.Name())
-	db.applyTasks(tasks)
+	tbl.EditEnvelopes(func(*summary.Envelope) *summary.Envelope { return nil })
+	db.applyTasks(tasks, false)
 	return steps, nil
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/sql"
-	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 	"insightnotes/internal/workload"
 )
@@ -138,14 +137,13 @@ func BenchmarkAnnotateHotRow(b *testing.B) {
 				b.StartTimer()
 				start := time.Now()
 				db.stmtMu.Lock()
-				db.applyTasks([]maintTask{task})
+				db.applyTasks([]maintTask{task}, false)
 				db.stmtMu.Unlock()
 				lat = append(lat, time.Since(start))
 				b.StopTimer()
-				db.envs.mutate("birds", 1, func(env *summary.Envelope) bool {
+				if env := tbl.Envelope(1); env != nil {
 					env.RemoveAnnotation(a.ID)
-					return env.IsEmpty()
-				})
+				}
 				b.StartTimer()
 			}
 			reportP99(b, lat)

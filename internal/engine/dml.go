@@ -6,7 +6,6 @@ import (
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/sql"
-	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
 
@@ -92,8 +91,8 @@ func (db *DB) execDelete(s *sql.Delete) (*Result, error) {
 	return &Result{Message: msg, Count: len(rows)}, nil
 }
 
-// deleteRows deletes rows of table, detaches their annotations and drops
-// their summary envelopes, returning the number of annotations the
+// deleteRows deletes rows of table, with their summary envelopes, and
+// detaches their annotations, returning the number of annotations the
 // deletion orphaned and removed.
 func (db *DB) deleteRows(table string, rows []types.RowID) (int, error) {
 	tbl, err := db.cat.Table(table)
@@ -113,7 +112,6 @@ func (db *DB) deleteRows(table string, rows []types.RowID) (int, error) {
 			return 0, err
 		}
 		orphaned += len(gone)
-		db.envs.deleteRow(tbl.Name(), row)
 	}
 	return orphaned, nil
 }
@@ -135,19 +133,19 @@ func (db *DB) dropAnnotation(id annotation.ID) error {
 	if err != nil {
 		return err
 	}
-	seen := map[string]map[types.RowID]bool{}
+	// A tuple the annotation targets twice (two column sets) is visited
+	// twice; the second RemoveAnnotation finds nothing to remove.
 	for _, tg := range targets {
-		if seen[tg.Table] == nil {
-			seen[tg.Table] = map[types.RowID]bool{}
-		}
-		if seen[tg.Table][tg.Row] {
+		tbl, err := db.cat.Table(tg.Table)
+		if err != nil {
 			continue
 		}
-		seen[tg.Table][tg.Row] = true
-		db.envs.mutate(tg.Table, tg.Row, func(env *summary.Envelope) bool {
+		if env := tbl.Envelope(tg.Row); env != nil {
 			env.RemoveAnnotation(id)
-			return env.IsEmpty()
-		})
+			if env.IsEmpty() {
+				tbl.SetEnvelope(tg.Row, nil)
+			}
+		}
 	}
 	return nil
 }

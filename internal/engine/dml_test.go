@@ -23,7 +23,7 @@ func TestUpdateStatement(t *testing.T) {
 	// Annotations survive updates: they annotate tuple identity.
 	mustExec(t, db, "ADD ANNOTATION 'observed feeding at dawn' ON birds WHERE id = 2")
 	mustExec(t, db, "UPDATE birds SET wingspan = 9.9 WHERE id = 2")
-	env := db.StoredEnvelope("birds", 2)
+	env := db.EnvelopeFor("birds", 2)
 	if env == nil || env.Object("ClassBird1") == nil {
 		t.Error("annotation lost across UPDATE")
 	}
@@ -79,7 +79,7 @@ func TestDeleteStatementCascadesAnnotations(t *testing.T) {
 		t.Errorf("shared annotation targets = %v", got)
 	}
 	// Envelope of the deleted tuple is gone.
-	if db.StoredEnvelope("birds", 1) != nil {
+	if db.EnvelopeFor("birds", 1) != nil {
 		t.Error("envelope survived DELETE")
 	}
 }
@@ -87,20 +87,34 @@ func TestDeleteStatementCascadesAnnotations(t *testing.T) {
 // DROP TABLE detaches its rows' annotations by DELETE's rule: one attached
 // nowhere else is removed, a shared one keeps its other targets. None may
 // resurface on a new table of the same name, in memory, on a caught-up
-// replica, or in a checkpoint that must load again.
+// replica, or in a checkpoint that must load again. The envelopes go with
+// their rows: row 1 of the new table has none, and neither has a DELETEd
+// row.
 func TestDropTableDetachesAnnotations(t *testing.T) {
 	dir := t.TempDir()
 	db, _ := openDurable(t, dir)
 	mustExec(t, db, "CREATE TABLE t (a INT)")
 	mustExec(t, db, "CREATE TABLE u (a INT)")
+	mustExec(t, db, "CREATE SUMMARY INSTANCE C TYPE Classifier LABELS ('Behavior', 'Other')")
+	mustExec(t, db, "LINK SUMMARY C TO t")
+	mustExec(t, db, "LINK SUMMARY C TO u")
 	mustExec(t, db, "INSERT INTO t VALUES (4), (3)")
-	mustExec(t, db, "INSERT INTO u VALUES (7)")
+	mustExec(t, db, "INSERT INTO u VALUES (7), (8)")
 	mustExec(t, db, "ADD ANNOTATION 'old' ON t WHERE a = 3")
+	mustExec(t, db, "ADD ANNOTATION 'deleted with its row' ON u WHERE a = 8")
 	shared, _, err := db.AnnotateTargets(annotation.Annotation{Text: "shared"},
-		[]TargetSpec{{Table: "t", Where: parseWhere(t, "a = 4")}, {Table: "u"}})
+		[]TargetSpec{{Table: "t", Where: parseWhere(t, "a = 4")}, {Table: "u", Where: parseWhere(t, "a = 7")}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, table := range []string{"t", "u"} {
+		for row := types.RowID(1); row <= 2; row++ {
+			if db.EnvelopeFor(table, row) == nil {
+				t.Fatalf("setup: row %d of %s has no envelope", row, table)
+			}
+		}
+	}
+	mustExec(t, db, "DELETE FROM u WHERE a = 8")
 	mustExec(t, db, "DROP TABLE t")
 	mustExec(t, db, "CREATE TABLE t (a INT)")
 	mustExec(t, db, "INSERT INTO t VALUES (9)")
@@ -114,6 +128,18 @@ func TestDropTableDetachesAnnotations(t *testing.T) {
 		}
 		if got := db.Annotations().TargetsOf(shared); len(got) != 1 || got[0].Table != "u" {
 			t.Errorf("%s: shared annotation targets = %v, want its row of u", who, got)
+		}
+		if env := db.EnvelopeFor("t", 1); env != nil {
+			t.Errorf("%s: row 1 of the new table t has an envelope:\n%s", who, env.Render())
+		}
+		if env := db.EnvelopeFor("u", 2); env != nil {
+			t.Errorf("%s: the DELETEd row 2 of u has an envelope:\n%s", who, env.Render())
+		}
+		if db.EnvelopeFor("u", 1) == nil {
+			t.Errorf("%s: row 1 of u lost the shared annotation's envelope", who)
+		}
+		if n := envelopeCount(db); n != 1 {
+			t.Errorf("%s: %d envelope(s) stored, want row 1 of u's only", who, n)
 		}
 	}
 	check("primary", db)
@@ -165,13 +191,13 @@ func TestDropAnnotationCuratesSummaries(t *testing.T) {
 	mustExec(t, db, "ADD ANNOTATION 'observed feeding at dawn' ON birds WHERE id = 1")
 	res := mustExec(t, db, "ADD ANNOTATION 'signs of avian influenza' ON birds WHERE id = 1")
 	_ = res
-	env := db.StoredEnvelope("birds", 1)
+	env := db.EnvelopeFor("birds", 1)
 	if env.Object("ClassBird1").Len() != 2 {
 		t.Fatalf("setup: %d members", env.Object("ClassBird1").Len())
 	}
 	// Retract the first annotation (id 1).
 	mustExec(t, db, "DROP ANNOTATION 1")
-	env = db.StoredEnvelope("birds", 1)
+	env = db.EnvelopeFor("birds", 1)
 	if env.Object("ClassBird1").Len() != 1 {
 		t.Fatalf("after retraction: %d members", env.Object("ClassBird1").Len())
 	}
@@ -187,7 +213,7 @@ func TestDropAnnotationCuratesSummaries(t *testing.T) {
 	}
 	// Retracting the last annotation empties the envelope entirely.
 	mustExec(t, db, "DROP ANNOTATION 2")
-	if db.StoredEnvelope("birds", 1) != nil {
+	if db.EnvelopeFor("birds", 1) != nil {
 		t.Error("empty envelope kept")
 	}
 }
@@ -203,7 +229,7 @@ func TestDropAnnotationMultiTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	for row := 1; row <= 3; row++ {
-		if env := db.StoredEnvelope("birds", annRow(row)); env != nil {
+		if env := db.EnvelopeFor("birds", annRow(row)); env != nil {
 			t.Errorf("row %d envelope survived retraction", row)
 		}
 	}

@@ -522,7 +522,7 @@ func (db *DB) applyAnnotates(anns []walAnnotation) error {
 	}
 	tasks := db.annotationTasks(anns)
 	if db.redoing {
-		db.applyTasks(tasks)
+		db.applyTasks(tasks, false)
 	} else {
 		db.maintain(tasks)
 	}
@@ -579,15 +579,15 @@ func (db *DB) installSummaries(p *walSummaries) error {
 		return nil
 	}
 	for _, e := range p.Envs {
-		if _, err := tbl.Get(e.Row); err != nil {
-			return fmt.Errorf("an envelope for missing row %d of %q", e.Row, p.Table)
-		}
 		env, err := summary.DecodeEnvelope(e.Body, linked)
 		if err != nil {
 			return fmt.Errorf("row %d of %q: %w", e.Row, p.Table, err)
 		}
-		if !db.envs.install(p.Table, e.Row, env) {
+		if tbl.Envelope(e.Row) != nil {
 			return fmt.Errorf("a second envelope for row %d of %q", e.Row, p.Table)
+		}
+		if !tbl.SetEnvelope(e.Row, env) {
+			return fmt.Errorf("an envelope for missing row %d of %q", e.Row, p.Table)
 		}
 	}
 	return nil

@@ -200,7 +200,7 @@ func compareRecovered(t *testing.T, got, want *DB) {
 		}
 	}
 	for _, row := range want.Annotations().AnnotatedRows("birds") {
-		ge, we := got.StoredEnvelope("birds", row), want.StoredEnvelope("birds", row)
+		ge, we := got.EnvelopeFor("birds", row), want.EnvelopeFor("birds", row)
 		if we == nil {
 			continue
 		}

@@ -61,7 +61,7 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 	if back.Annotations().Count() != 1 {
 		t.Errorf("recovered annotations = %d, want 1", back.Annotations().Count())
 	}
-	if env := back.StoredEnvelope("birds", 1); env == nil {
+	if env := back.EnvelopeFor("birds", 1); env == nil {
 		t.Error("summary envelope not rebuilt during recovery")
 	}
 

@@ -136,16 +136,17 @@ type DB struct {
 	// stmtMu is the statement-level reader/writer lock described above.
 	stmtMu sync.RWMutex
 
-	// mu serializes summary maintenance (applyTasks) and guards the store
-	// pointers a replica resync replaces. The summary envelopes themselves
-	// live in envs, under N-way striped locks; writers that need both take
-	// mu before any stripe lock.
-	mu sync.RWMutex
-	// envs is the striped summary store: the maintained per-tuple summary
-	// objects of every annotated tuple (table → row → envelope), sharded
-	// by (table, row) so concurrent statements' scans don't serialize on
-	// one RWMutex.
-	envs *envStore
+	// mu serializes summary maintenance (applyTasks).
+	//
+	// Each tuple's summary envelope lives in its row's slot in the catalog
+	// table (catalog.Row) and goes with the row. A stored envelope is
+	// written in place only under the exclusive statement lock, so the
+	// readers holding the shared one (SELECT, ZOOMIN, Save) never see a
+	// write. The catch-up worker, which holds no statement lock, writes a
+	// view and swaps it into the slot (applyTasks). Readers outside any
+	// statement (EnvelopeFor, SummaryBytes, metric scrapes) take the
+	// shared statement lock, then the table lock.
+	mu sync.Mutex
 
 	// cache materializes SELECT results for zoom-in and keeps the QID → SQL
 	// registry for re-execution on a miss. ownsCacheDir: Open created its
@@ -274,7 +275,6 @@ func Open(cfg Config) (*DB, error) {
 		store:    store,
 		cat:      catalog.New(),
 		anns:     annotation.NewStore(pool),
-		envs:     newEnvStore(),
 		cache:    cache,
 		prepared: make(map[string]*preparedStmt),
 		detached: make(map[annotation.ID]bool),
@@ -336,27 +336,44 @@ func (db *DB) Cache() *zoomin.Cache { return db.cache }
 func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 
 // EnvelopeFor implements exec.EnvelopeSource: a copy-on-write view of the
-// maintained envelope of a base tuple (nil when unannotated). The caller
-// may mutate it through the summary methods; the stored envelope is never
-// affected. The view is taken under the tuple's stripe lock — not the
-// database mutex — so concurrent statements fetching envelopes contend
-// only per stripe, and never race with the background catch-up worker
-// mutating the live envelope mid-read.
+// maintained envelope of a base tuple (nil when unannotated), which the
+// caller may change through the summary methods without affecting the
+// stored one. It is safe outside any statement: it takes the shared
+// statement lock, so it never overlaps an in-place write.
 func (db *DB) EnvelopeFor(table string, row types.RowID) *summary.Envelope {
-	return db.envs.view(table, row)
+	db.stmtMu.RLock()
+	defer db.stmtMu.RUnlock()
+	if tbl, err := db.cat.Table(table); err == nil {
+		if env := tbl.Envelope(row); env != nil {
+			return env.View()
+		}
+	}
+	return nil
 }
 
 // SummaryBytes reports the total approximate size of the summary store for
-// table — the numerator of the E1 compression experiment.
+// table — the numerator of the E1 compression experiment. Like
+// EnvelopeFor, it is safe outside any statement.
 func (db *DB) SummaryBytes(table string) int64 {
-	return db.envs.tableBytes(table)
+	db.stmtMu.RLock()
+	defer db.stmtMu.RUnlock()
+	_, n := db.envelopeStats(table)
+	return n
 }
 
-// StoredEnvelope returns a view of the maintained envelope of a tuple (nil
-// when unannotated) — the inspection hook used by SHOW, the REPL, and
-// tests.
-func (db *DB) StoredEnvelope(table string, row types.RowID) *summary.Envelope {
-	return db.envs.view(table, row)
+// envelopeStats counts and sizes the stored envelopes of tables, of every
+// table when none is named. Callers hold the statement lock.
+func (db *DB) envelopeStats(tables ...string) (count int, bytes int64) {
+	if len(tables) == 0 {
+		tables = db.cat.TableNames()
+	}
+	for _, name := range tables {
+		if tbl, err := db.cat.Table(name); err == nil {
+			n, b := tbl.EnvelopeStats()
+			count, bytes = count+n, bytes+b
+		}
+	}
+	return count, bytes
 }
 
 // Close stops the maintenance catch-up worker (draining its queue),

@@ -117,7 +117,7 @@ func TestAnnotateMaintainsSummaries(t *testing.T) {
 	if res.Count != 1 {
 		t.Fatalf("annotated %d tuples", res.Count)
 	}
-	env := db.StoredEnvelope("birds", 1)
+	env := db.EnvelopeFor("birds", 1)
 	if env == nil {
 		t.Fatal("no envelope maintained")
 	}
@@ -140,7 +140,7 @@ func TestAnnotateMaintainsSummaries(t *testing.T) {
 func TestAnnotateColumnsAndNoMatch(t *testing.T) {
 	db := birdDB(t)
 	mustExec(t, db, "ADD ANNOTATION 'size seems wrong' ON birds (wingspan) WHERE id = 1")
-	env := db.StoredEnvelope("birds", 1)
+	env := db.EnvelopeFor("birds", 1)
 	anns := env.Annotations()
 	if len(anns) != 1 {
 		t.Fatalf("annotations = %v", anns)
@@ -163,7 +163,7 @@ func TestDocumentAnnotationProducesSnippet(t *testing.T) {
 		TITLE 'Wikipedia: Swan Goose'
 		DOCUMENT 'The swan goose is a large goose. It breeds in Mongolia. It eats stonewort in lakes. The species was described in 1758.'
 		ON birds WHERE id = 1`)
-	env := db.StoredEnvelope("birds", 1)
+	env := db.EnvelopeFor("birds", 1)
 	snp := env.Object("TextSummary1")
 	if snp == nil || snp.Len() != 1 {
 		t.Fatalf("snippet object = %v", snp)
@@ -202,7 +202,7 @@ func TestSummarizeOnceOptimization(t *testing.T) {
 		t.Errorf("SummarizeCalls = %d, want 1 (summarize-once)", got)
 	}
 	for row := types.RowID(1); row <= 3; row++ {
-		env := db.StoredEnvelope("birds", row)
+		env := db.EnvelopeFor("birds", row)
 		if env == nil || env.Object("ClassBird1").Len() != 1 {
 			t.Errorf("row %d missing the shared annotation's summary", row)
 		}
@@ -237,13 +237,13 @@ func TestLinkBackfillsAndUnlinkRemoves(t *testing.T) {
 	// A new instance linked later summarizes pre-existing annotations.
 	mustExec(t, db, "CREATE SUMMARY INSTANCE LateCluster TYPE Cluster WITH (threshold = 0.3)")
 	mustExec(t, db, "LINK SUMMARY LateCluster TO birds")
-	env := db.StoredEnvelope("birds", 2)
+	env := db.EnvelopeFor("birds", 2)
 	if env.Object("LateCluster") == nil || env.Object("LateCluster").Len() != 1 {
 		t.Fatalf("backfill missing: %v", env.InstanceNames())
 	}
 	// Unlink removes the instance's objects.
 	mustExec(t, db, "UNLINK SUMMARY LateCluster FROM birds")
-	env = db.StoredEnvelope("birds", 2)
+	env = db.EnvelopeFor("birds", 2)
 	if env.Object("LateCluster") != nil {
 		t.Error("unlink left objects behind")
 	}
@@ -256,7 +256,7 @@ func TestDropSummaryInstanceUnlinksEverywhere(t *testing.T) {
 	db := birdDB(t)
 	mustExec(t, db, "ADD ANNOTATION 'note' ON birds WHERE id = 1")
 	mustExec(t, db, "DROP SUMMARY INSTANCE SimCluster")
-	env := db.StoredEnvelope("birds", 1)
+	env := db.EnvelopeFor("birds", 1)
 	if env != nil && env.Object("SimCluster") != nil {
 		t.Error("dropped instance still has objects")
 	}
@@ -270,7 +270,7 @@ func TestRebuildSummariesMatchesIncremental(t *testing.T) {
 	mustExec(t, db, "ADD ANNOTATION 'found eating stonewort' ON birds WHERE id = 1")
 	mustExec(t, db, "ADD ANNOTATION 'influenza suspected in flock' ON birds WHERE id = 1")
 	mustExec(t, db, "ADD ANNOTATION 'large wingspan measured' ON birds (wingspan) WHERE id = 1")
-	incr := db.StoredEnvelope("birds", 1)
+	incr := db.EnvelopeFor("birds", 1)
 	steps, err := db.RebuildSummaries("birds")
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestRebuildSummariesMatchesIncremental(t *testing.T) {
 	if steps == 0 {
 		t.Fatal("rebuild did nothing")
 	}
-	rebuilt := db.StoredEnvelope("birds", 1)
+	rebuilt := db.EnvelopeFor("birds", 1)
 	// Classifier and snippet objects must be identical; cluster grouping is
 	// stream-order dependent but here insertion order matches.
 	if !incr.Object("ClassBird1").Equal(rebuilt.Object("ClassBird1")) {
@@ -544,10 +544,10 @@ func TestMultiTableAnnotationScopedPerTable(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	if db.StoredEnvelope("a", 1) == nil {
+	if db.EnvelopeFor("a", 1) == nil {
 		t.Error("annotation missing on a")
 	}
-	if db.StoredEnvelope("b", 1) != nil {
+	if db.EnvelopeFor("b", 1) != nil {
 		t.Error("annotation leaked to b")
 	}
 }

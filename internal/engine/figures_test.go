@@ -210,7 +210,7 @@ func TestFigure2ClusterRepReplacement(t *testing.T) {
 	mk("swan feeding stonewort lake shore", "b")
 	repCandidate := mk("swan feeding stonewort lake shore observed", "c")
 
-	stored := db.StoredEnvelope("R", 1)
+	stored := db.EnvelopeFor("R", 1)
 	cluBefore := stored.Object("SimCluster").(interface {
 		Representatives() []annotation.ID
 	})
@@ -374,10 +374,10 @@ func TestFigure4ExtensibilityHierarchy(t *testing.T) {
 	mustExec(t, db, "ADD ANNOTATION 'imported from genbank release 42' ON genes")
 	mustExec(t, db, "ADD ANNOTATION 'feeding behavior observed at dawn' ON birds")
 	// Level 3: each linked relation's tuples carry the instance's objects.
-	if env := db.StoredEnvelope("genes", 1); env.Object("GeneClass") == nil {
+	if env := db.EnvelopeFor("genes", 1); env.Object("GeneClass") == nil {
 		t.Error("genes tuple missing GeneClass object")
 	}
-	env := db.StoredEnvelope("birds", 1)
+	env := db.EnvelopeFor("birds", 1)
 	if env.Object("GeneClass") == nil || env.Object("BirdClass") == nil {
 		t.Errorf("birds tuple objects = %v", env.InstanceNames())
 	}

@@ -138,7 +138,7 @@ func (db *DB) ScrubNow() IntegrityReport {
 // ScrubNow and SHOW INTEGRITY report them. lc may be nil (untraced).
 func (db *DB) CheckTable(name string, lc *trace.Active) (IntegrityReport, error) {
 	db.stmtMu.RLock()
-	tbl, err := db.catStore().Table(name)
+	tbl, err := db.cat.Table(name)
 	db.stmtMu.RUnlock()
 	if err != nil {
 		return IntegrityReport{}, err
@@ -175,7 +175,7 @@ func (db *DB) scrubSweep(lc *trace.Active, rate int, stop <-chan struct{}) []Int
 	defer ssp.End()
 
 	db.stmtMu.RLock()
-	pages := db.annStore().Pages()
+	pages := db.anns.Pages()
 	db.stmtMu.RUnlock()
 
 	quarantined := make(map[storage.PageID]bool)
@@ -195,7 +195,7 @@ func (db *DB) scrubSweep(lc *trace.Active, rate int, stop <-chan struct{}) []Int
 		// Re-resolve ownership: a replica resync replaces the annotation
 		// store between batches of a throttled sweep; stale pages are
 		// skipped, not faulted.
-		anns := db.annStore()
+		anns := db.anns
 		owned := make(map[storage.PageID]bool)
 		for _, pid := range anns.Pages() {
 			owned[pid] = true
@@ -234,7 +234,7 @@ func (db *DB) scrubSweep(lc *trace.Active, rate int, stop <-chan struct{}) []Int
 	report := db.repairFaults(lc, faults)
 
 	db.stmtMu.RLock()
-	tables := db.catStore().TableNames()
+	tables := db.cat.TableNames()
 	db.stmtMu.RUnlock()
 	report = append(report, db.sweepIndexes(lc, tables)...)
 
@@ -263,7 +263,7 @@ func (db *DB) sweepIndexes(lc *trace.Active, tables []string) []IntegrityFault {
 	var faults []IntegrityFault
 	var bad []string
 	db.stmtMu.RLock()
-	cat := db.catStore()
+	cat := db.cat
 	for _, name := range tables {
 		tbl, err := cat.Table(name)
 		if err != nil {
@@ -322,7 +322,7 @@ func (db *DB) reflushLocked(lc *trace.Active, pid storage.PageID) bool {
 	rsp.Attr("owner", annotationsOwner)
 	defer rsp.End()
 	if ok, err := db.pool.FlushResident(pid); err == nil && ok {
-		if db.verifyPageLocked(db.annStore(), pid) == nil {
+		if db.verifyPageLocked(db.anns, pid) == nil {
 			rsp.Attr("source", "flush")
 			return true
 		}
@@ -339,7 +339,7 @@ func (db *DB) repairIndexes(lc *trace.Active, tables []string, faults []Integrit
 	}
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
-	cat := db.catStore()
+	cat := db.cat
 	for i, name := range tables {
 		rsp := lc.StartSpan(trace.SpanScrubRepair, nil)
 		rsp.Attr("owner", "index:"+name)

@@ -249,7 +249,7 @@ func TestQuarantinedPageRecoversOnRestart(t *testing.T) {
 // repairs by rebuilding the index from the rows.
 func TestScrubRebuildsDisagreeingIndex(t *testing.T) {
 	db, _ := integrityDB(t)
-	tbl, err := db.catStore().Table("kv")
+	tbl, err := db.cat.Table("kv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestCheckTableAndShowIntegritySQL(t *testing.T) {
 	}
 
 	// An index that lost an entry is attributed to the table and rebuilt.
-	tbl, err := db.catStore().Table("kv")
+	tbl, err := db.cat.Table("kv")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"insightnotes/internal/annotation"
+	"insightnotes/internal/catalog"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/metrics"
 	"insightnotes/internal/summary"
@@ -86,17 +87,18 @@ const maintChunk = 64
 //
 // Envelopes: the digests are grouped by (table, row), in task order within
 // each row — cluster grouping depends on insertion order — and each touched
-// row gets one envs.update, one stripe-lock hold, per batch, however many
-// of its annotations the batch carries.
+// row's envelope is looked up in its slot once per batch, however many of
+// its annotations the batch carries.
 //
 // Digests are independent of each other, and so are rows, so each phase
 // is spread over up to GOMAXPROCS workers, one per maintChunk of its work
 // (forChunks); a small batch — every single ADD ANNOTATION — runs inline.
 //
-// db.mu serializes maintenance; each envelope write additionally takes its
-// stripe lock, so concurrent scans block only on the one stripe being
-// updated.
-func (db *DB) applyTasks(tasks []maintTask) {
+// db.mu serializes maintenance. Callers under the exclusive statement lock
+// add to the stored envelopes in place: no reader runs beside them. The
+// catch-up worker, which runs beside readers, sets publish: it adds to a
+// view that then replaces the stored envelope in the row's slot.
+func (db *DB) applyTasks(tasks []maintTask, publish bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 
@@ -111,8 +113,12 @@ func (db *DB) applyTasks(tasks []maintTask) {
 		d    int // index into out
 	}
 	type rowKey struct {
-		table string
-		row   types.RowID
+		tbl *catalog.Table
+		row types.RowID
+	}
+	type slot struct { // a touched row and the envelope it gets
+		rowKey
+		env *summary.Envelope
 	}
 	n := 0 // digests in the common case: one per target and instance
 	for _, t := range tasks {
@@ -124,7 +130,7 @@ func (db *DB) applyTasks(tasks []maintTask) {
 		jobs   = make([]job, 0, n)
 		out    = make([]summary.Digest, 0, n)
 		byRow  = make(map[rowKey]int)
-		keys   []rowKey
+		keys   []slot
 		adds   [][]add
 		hits   int64
 		misses int64
@@ -134,13 +140,13 @@ func (db *DB) applyTasks(tasks []maintTask) {
 		out = append(out, summary.Digest{})
 		return len(out) - 1
 	}
-	addTo := func(table string, row types.RowID, a add) {
-		k := rowKey{table, row}
+	addTo := func(tbl *catalog.Table, row types.RowID, a add) {
+		k := rowKey{tbl, row}
 		i, ok := byRow[k]
 		if !ok {
 			i = len(keys)
 			byRow[k] = i
-			keys = append(keys, k)
+			keys = append(keys, slot{rowKey: k})
 			adds = append(adds, nil)
 		}
 		adds[i] = append(adds[i], a)
@@ -150,13 +156,17 @@ func (db *DB) applyTasks(tasks []maintTask) {
 		t := &tasks[ti]
 		clear(once)
 		for _, tg := range t.targets {
+			tbl, err := db.cat.Table(tg.table)
+			if err != nil {
+				continue // dropped with its rows' envelopes
+			}
 			for _, in := range tg.instances {
 				if t.full || db.cfg.DisableSummarizeOnce || !in.Props.SummarizeOnce() {
 					// Without the invariant guarantee (or under the E5
 					// ablation, or in a full rebuild) the annotation is
 					// summarized per target tuple.
 					for _, row := range tg.rows {
-						addTo(tg.table, row, add{in, tg.cols, push(in, &t.ann)})
+						addTo(tbl, row, add{in, tg.cols, push(in, &t.ann)})
 					}
 					continue
 				}
@@ -169,7 +179,7 @@ func (db *DB) applyTasks(tasks []maintTask) {
 					misses++
 				}
 				for _, row := range tg.rows {
-					addTo(tg.table, row, add{in, tg.cols, d})
+					addTo(tbl, row, add{in, tg.cols, d})
 				}
 			}
 		}
@@ -184,15 +194,24 @@ func (db *DB) applyTasks(tasks []maintTask) {
 			out[i] = jobs[i].in.Summarize(*jobs[i].ann)
 		}
 	})
+	for i := range keys {
+		k := &keys[i]
+		if k.env = k.tbl.Envelope(k.row); k.env == nil {
+			k.env = summary.NewEnvelope()
+		} else if publish {
+			k.env = k.env.View()
+		}
+	}
 	forChunks(len(keys), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			db.envs.update(keys[i].table, keys[i].row, func(env *summary.Envelope) {
-				for _, a := range adds[i] {
-					env.Add(a.in, out[a.d], a.cols)
-				}
-			})
+			for _, a := range adds[i] {
+				keys[i].env.Add(a.in, out[a.d], a.cols)
+			}
 		}
 	})
+	for _, k := range keys {
+		k.tbl.SetEnvelope(k.row, k.env)
+	}
 }
 
 // forChunks calls fn over [0, n) in chunks of maintChunk, from up to
@@ -312,7 +331,7 @@ func (db *DB) maintain(tasks []maintTask) {
 		return
 	}
 	start := time.Now()
-	db.applyTasks(tasks)
+	db.applyTasks(tasks, false)
 	db.maint.observeSync(time.Since(start) / time.Duration(len(tasks)))
 }
 
@@ -402,7 +421,7 @@ func (m *maintenance) worker() {
 			m.mu.Unlock()
 			return
 		}
-		m.db.applyTasks([]maintTask{t})
+		m.db.applyTasks([]maintTask{t}, true)
 
 		m.mu.Lock()
 		m.applying = false
@@ -421,10 +440,10 @@ func (m *maintenance) worker() {
 }
 
 // drain blocks until every deferred task has been applied — the barrier in
-// front of mutations that read or rewrite the summary store (deletes,
+// front of mutations that read or rewrite the stored envelopes (deletes,
 // drops, link changes, retraining, rebuilds). Callers hold the exclusive
-// statement lock; the worker needs only db.mu and envelope stripe locks,
-// never the statement lock, so progress is guaranteed.
+// statement lock; the worker needs only db.mu and table locks, never the
+// statement lock, so progress is guaranteed.
 // A crashed worker or a closed engine returns immediately: those tasks can
 // never apply.
 func (m *maintenance) drain() {

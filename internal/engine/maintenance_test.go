@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"insightnotes/internal/exec"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/metrics"
+	"insightnotes/internal/summary"
+	"insightnotes/internal/types"
 )
 
 // parkMaintenance blocks the catch-up worker inside the MaintenanceApply
@@ -54,7 +57,7 @@ func compareEnvelopes(t *testing.T, got, want *DB) {
 		t.Fatalf("annotated rows: got %d, want %d", g, len(rows))
 	}
 	for _, row := range rows {
-		ge, we := got.StoredEnvelope("birds", row), want.StoredEnvelope("birds", row)
+		ge, we := got.EnvelopeFor("birds", row), want.EnvelopeFor("birds", row)
 		if we == nil {
 			if ge != nil {
 				t.Fatalf("row %d: unexpected envelope %s", row, ge.Render())
@@ -232,11 +235,90 @@ func TestMaintenanceDrainBarriers(t *testing.T) {
 	db.WaitMaintenanceIdle()
 	compareEnvelopes(t, db, shadow)
 
-	if env := db.StoredEnvelope("birds", db.Annotations().AnnotatedRows("birds")[0]); env != nil {
+	if env := db.EnvelopeFor("birds", db.Annotations().AnnotatedRows("birds")[0]); env != nil {
 		if strings.Contains(env.Render(), "first observed") {
 			t.Fatalf("retracted annotation resurrected by catch-up: %s", env.Render())
 		}
 	}
+}
+
+// TestCatchUpPublishesBesideOpenScans: the catch-up worker never writes a
+// stored envelope in place, it replaces it in the row's slot. A scan
+// opened before the worker catches up — under the shared statement lock,
+// as a SELECT runs — yields each row's envelope whole, as stored when the
+// scan opened, and a fresh query then shows the caught-up envelopes,
+// identical to synchronous maintenance. Run with -race.
+func TestCatchUpPublishesBesideOpenScans(t *testing.T) {
+	db := MustOpen(Config{CacheDir: t.TempDir(), DisableMetrics: true})
+	defer db.Close()
+	shadow := MustOpen(Config{CacheDir: t.TempDir(), DisableMetrics: true})
+	defer shadow.Close()
+	maintScaffold(t, db)
+	maintScaffold(t, shadow)
+	both := func(stmt string) {
+		mustExec(t, db, stmt)
+		mustExec(t, shadow, stmt)
+	}
+	for id := 1; id <= 3; id++ {
+		both(fmt.Sprintf("ADD ANNOTATION 'observed feeding %d' ON birds WHERE id = %d", id, id))
+	}
+	stored := make([]*summary.Envelope, 3)
+	for i := range stored {
+		stored[i] = db.EnvelopeFor("birds", types.RowID(i+1)).Clone()
+	}
+
+	release := parkMaintenance(t)
+	db.SetDegraded(true)
+	both("ADD ANNOTATION 'observed roosting on every row' ON birds")
+	both("ADD ANNOTATION 'lesions suggest disease' ON birds WHERE id = 2")
+	if n := db.MaintenanceStats().Pending; n != 2 {
+		t.Fatalf("pending = %d, want the 2 deferred annotations", n)
+	}
+
+	tbl, err := db.Catalog().Table("birds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := exec.NewScan(tbl, "", exec.FullTable(), nil)
+	ec := exec.NewContext(context.Background()).WithBatchSize(1)
+	db.stmtMu.RLock()
+	if err := scan.Open(ec); err != nil {
+		t.Fatal(err)
+	}
+	first, err := scan.NextBatch(ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	db.SetDegraded(false)
+	db.WaitMaintenanceIdle()
+	rows := first.Rows
+	for {
+		b, err := scan.NextBatch(ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		rows = append(rows, b.Rows...)
+	}
+	scan.Close()
+	db.stmtMu.RUnlock()
+
+	if len(rows) != len(stored) {
+		t.Fatalf("scan yielded %d rows, want %d", len(rows), len(stored))
+	}
+	for i, row := range rows {
+		if row.Env == nil || !row.Env.Equal(stored[i]) {
+			t.Errorf("row %d: the open scan's envelope is not the one stored when it opened", i+1)
+		}
+		if fresh := db.EnvelopeFor("birds", types.RowID(i+1)); fresh.Len() <= stored[i].Len() {
+			t.Errorf("row %d: the caught-up envelope holds %d annotation(s), want more than %d",
+				i+1, fresh.Len(), stored[i].Len())
+		}
+	}
+	compareEnvelopes(t, db, shadow)
 }
 
 // TestMaintenanceAutoDegrade exercises the latency trigger: a threshold

@@ -123,29 +123,25 @@ func newDBMetrics(db *DB) *dbMetrics {
 
 	// Metadata store sizes — the paper's motivating quantity ("even
 	// metadata is getting big").
-	// Store pointers are snapshotted under db.mu: a replica snapshot
-	// resync replaces them wholesale, and scrapes arrive off the statement
-	// lock.
 	reg.GaugeFunc(metrics.NameEngineAnnotations, "Raw annotations stored.",
-		func() float64 { return float64(db.annStore().Count()) })
+		db.readLocked(func() float64 { return float64(db.anns.Count()) }))
 	reg.GaugeFunc(metrics.NameEngineAnnotationBytes, "Approximate bytes of raw annotation text stored.",
-		func() float64 { return float64(db.annStore().RawBytes()) })
+		db.readLocked(func() float64 { return float64(db.anns.RawBytes()) }))
 	reg.GaugeFunc(metrics.NameEngineEnvelopes, "Maintained per-tuple summary envelopes.",
-		func() float64 { return float64(db.envStore().count()) })
+		db.readLocked(func() float64 { n, _ := db.envelopeStats(); return float64(n) }))
 	reg.GaugeFunc(metrics.NameEngineSummaryBytes, "Approximate bytes of the summary store (all tables).",
-		func() float64 { return float64(db.envStore().totalBytes()) })
+		db.readLocked(func() float64 { _, n := db.envelopeStats(); return float64(n) }))
 	// Summarize calls, summed over all registered instances at scrape time.
 	reg.CounterFunc(metrics.NameSummarySummarizeTotal, "Summarize invocations across all summary instances.",
-		func() float64 {
-			cat := db.catStore()
+		db.readLocked(func() float64 {
 			var n int64
-			for _, name := range cat.InstanceNames() {
-				if in, err := cat.Instance(name); err == nil {
+			for _, name := range db.cat.InstanceNames() {
+				if in, err := db.cat.Instance(name); err == nil {
 					n += in.SummarizeCalls()
 				}
 			}
 			return float64(n)
-		})
+		}))
 
 	// Buffer pool: every page of annotation text moves through these
 	// frames, so hit/miss/eviction rates are the first-order signal of
@@ -204,6 +200,18 @@ func newDBMetrics(db *DB) *dbMetrics {
 		func() float64 { return time.Since(db.start).Seconds() })
 
 	return m
+}
+
+// readLocked wraps a collector that reads the catalog or the annotation
+// store. Scrapes arrive off any statement, so it takes the shared
+// statement lock: a replica snapshot resync replaces the stores
+// wholesale, and envelopes are written in place under the exclusive lock.
+func (db *DB) readLocked(fn func() float64) func() float64 {
+	return func() float64 {
+		db.stmtMu.RLock()
+		defer db.stmtMu.RUnlock()
+		return fn()
+	}
 }
 
 // Metrics exposes the engine's metric registry for scraping (the /metrics

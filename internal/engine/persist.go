@@ -12,7 +12,6 @@ import (
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/codec"
 	"insightnotes/internal/failpoint"
-	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 	"insightnotes/internal/wal"
 )
@@ -146,18 +145,20 @@ func (db *DB) writeCheckpoint(w io.Writer, lsn uint64) error {
 	}
 	var env []byte // one envelope's encoding
 	for _, name := range tables {
+		tbl, err := db.cat.Table(name)
+		if err != nil {
+			return err
+		}
 		sums, size := walSummaries{Table: name}, 0
-		for _, row := range db.anns.AnnotatedRows(name) {
-			db.envs.read(name, row, func(e *summary.Envelope) {
-				if e.IsEmpty() {
-					return
-				}
-				enc := codec.NewWriter(env[:0])
-				e.Encode(enc)
-				env = enc.Bytes()
-				sums.Envs = append(sums.Envs, walEnvelope{Row: row, Body: slices.Clone(env)})
-				size += len(env) + 10
-			})
+		for _, r := range tbl.Rows() {
+			if r.Env == nil || r.Env.IsEmpty() {
+				continue
+			}
+			enc := codec.NewWriter(env[:0])
+			r.Env.Encode(enc)
+			env = enc.Bytes()
+			sums.Envs = append(sums.Envs, walEnvelope{Row: r.ID, Body: slices.Clone(env)})
+			size += len(env) + 10
 			if size >= checkpointChunkBytes {
 				put(walTypeSummary, &sums)
 				sums.Envs, size = sums.Envs[:0], 0

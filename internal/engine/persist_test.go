@@ -54,8 +54,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Summary objects rebuilt identically (same replay order).
 	for _, row := range []int{1, 2} {
-		a := db.StoredEnvelope("birds", annRow(row))
-		b := back.StoredEnvelope("birds", annRow(row))
+		a := db.EnvelopeFor("birds", annRow(row))
+		b := back.EnvelopeFor("birds", annRow(row))
 		if (a == nil) != (b == nil) {
 			t.Fatalf("row %d envelope presence differs", row)
 		}
@@ -72,7 +72,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Instances, links, and trained models survive: classification of new
 	// text agrees.
 	mustExec(t, back, "ADD ANNOTATION 'lesions suggest avian pox virus' ON birds WHERE id = 2")
-	env := back.StoredEnvelope("birds", 2)
+	env := back.EnvelopeFor("birds", 2)
 	if env == nil || !strings.Contains(env.Object("ClassBird1").Render(), "(Disease, 1)") {
 		t.Errorf("restored classifier misbehaves: %v", env)
 	}
@@ -175,7 +175,7 @@ func TestSnapshotAnnotationsInIDOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for row := 1; row <= 3; row++ {
-		a, b := db.StoredEnvelope("birds", annRow(row)), back.StoredEnvelope("birds", annRow(row))
+		a, b := db.EnvelopeFor("birds", annRow(row)), back.EnvelopeFor("birds", annRow(row))
 		if a == nil || b == nil || !a.Equal(b) {
 			t.Errorf("row %d summaries differ after reload: %v vs %v", row, a, b)
 		}

@@ -147,8 +147,8 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		}
 		for _, table := range []string{"R", "S"} {
 			for _, row := range db.Annotations().AnnotatedRows(table) {
-				a := db.StoredEnvelope(table, row)
-				b := back.StoredEnvelope(table, row)
+				a := db.EnvelopeFor(table, row)
+				b := back.EnvelopeFor(table, row)
 				if (a == nil) != (b == nil) {
 					t.Logf("seed %d: %s/%d envelope presence differs", seed, table, row)
 					return false

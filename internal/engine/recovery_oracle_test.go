@@ -390,7 +390,7 @@ func envelopesOf(db *DB) map[tableRow]*summary.Envelope {
 	out := map[tableRow]*summary.Envelope{}
 	for _, table := range oracleTables {
 		for _, row := range db.anns.AnnotatedRows(table) {
-			if env := db.StoredEnvelope(table, row); env != nil {
+			if env := db.EnvelopeFor(table, row); env != nil {
 				out[tableRow{table, row}] = env
 			}
 		}

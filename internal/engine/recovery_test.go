@@ -25,7 +25,7 @@ func TestRecoveryKeepsPreTrainLabels(t *testing.T) {
 		mustExec(t, db, stmt)
 	}
 	const pre, post = "Cls [(Behavior, 1), (Disease, 0)]", "Cls [(Behavior, 0), (Disease, 1)]"
-	if got := db.StoredEnvelope("birds", 1).Render(); got != pre {
+	if got := db.EnvelopeFor("birds", 1).Render(); got != pre {
 		t.Fatalf("live object %s, want %s", got, pre)
 	}
 	in, err := db.Catalog().Instance("Cls")
@@ -38,7 +38,7 @@ func TestRecoveryKeepsPreTrainLabels(t *testing.T) {
 	db.Close()
 
 	back, _ := openDurable(t, dir)
-	if got := back.StoredEnvelope("birds", 1).Render(); got != pre {
+	if got := back.EnvelopeFor("birds", 1).Render(); got != pre {
 		t.Errorf("recovered object %s, want the live %s", got, pre)
 	}
 	if n := summarizeCalls(back); n != 0 {
@@ -52,7 +52,7 @@ func TestRecoveryKeepsPreTrainLabels(t *testing.T) {
 	}
 	back.Close()
 	again, _ := openDurable(t, dir)
-	if got := again.StoredEnvelope("birds", 1).Render(); got != post {
+	if got := again.EnvelopeFor("birds", 1).Render(); got != post {
 		t.Errorf("recovered after RebuildSummaries: %s, want %s", got, post)
 	}
 }

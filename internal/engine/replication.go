@@ -152,8 +152,8 @@ func (db *DB) InstallReplicaSnapshot(raw []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// clearStateLocked discards the full logical state — catalog, annotation
-// and summary stores, registered queries, materialized
+// clearStateLocked discards the full logical state — the catalog with its
+// rows' envelopes, the annotation store, registered queries, materialized
 // zoom-in results — leaving a blank database on the same buffer pool and
 // registries, ready for loadCheckpoint. Old annotation pages are orphaned in
 // the page store until the next restart rebuilds it (the page file is an
@@ -161,33 +161,9 @@ func (db *DB) InstallReplicaSnapshot(raw []byte) (uint64, error) {
 // statement lock.
 func (db *DB) clearStateLocked() {
 	db.maint.drain()
-	db.mu.Lock()
 	db.cat = catalog.New()
 	db.anns = annotation.NewStore(db.pool)
-	db.envs = newEnvStore()
-	db.mu.Unlock()
 	db.annClock.Store(0)
 	db.detached = make(map[annotation.ID]bool)
 	db.cache.Clear()
-}
-
-// annStore / envStore / catStore snapshot the store pointers under
-// db.mu for readers outside the statement lock (metric scrapes): a
-// replica snapshot resync replaces the stores wholesale.
-func (db *DB) annStore() *annotation.Store {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.anns
-}
-
-func (db *DB) envStore() *envStore {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.envs
-}
-
-func (db *DB) catStore() *catalog.Catalog {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.cat
 }

@@ -121,7 +121,7 @@ func TestAnnotateBatchAllOrNone(t *testing.T) {
 		if refs := anns.ForTuple("birds", 1); len(refs) != 0 {
 			t.Errorf("%s: row 1 carries refs %v, want none", how, refs)
 		}
-		if env := db.StoredEnvelope("birds", 1); env != nil {
+		if env := db.EnvelopeFor("birds", 1); env != nil {
 			t.Errorf("%s: row 1 has an envelope:\n%s", how, env.Render())
 		}
 		if next := anns.NextID(); next != 1 {

@@ -153,6 +153,8 @@ func (db *DB) dispatch(ctx context.Context, stmt sql.Statement, sqlText string, 
 		// The sweep verifies under the shared lock and repairs under the
 		// exclusive one, in sections of its own.
 		return db.execCheckTable(s, so)
+	case *sql.Show: // SHOW METRICS
+		return db.execShow(s)
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
@@ -378,10 +380,10 @@ func (db *DB) execExplain(ctx context.Context, s *sql.Explain, so stmtOptions) (
 	return &Result{Schema: schema, Rows: rows, Stats: stats}, nil
 }
 
-// dropTable removes a table and its maintained envelopes, detaching its
-// rows' annotations as DELETE does: annotations attached nowhere else are
-// removed; while redoing, their ids are kept in db.detached. name must be
-// the canonical table name.
+// dropTable removes a table, whose rows' envelopes go with it, detaching
+// its rows' annotations as DELETE does: annotations attached nowhere else
+// are removed; while redoing, their ids are kept in db.detached. name must
+// be the canonical table name.
 func (db *DB) dropTable(name string) error {
 	// Queued maintenance targeting this table must not recreate its
 	// envelopes after the drop.
@@ -397,7 +399,6 @@ func (db *DB) dropTable(name string) error {
 			}
 		}
 	}
-	db.envs.dropTable(name)
 	return db.cat.DropTable(name)
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -147,22 +146,28 @@ func TestDurablePageFileDefault(t *testing.T) {
 	}
 }
 
-// rowsHolding sweeps the stored envelopes of table and returns, sorted,
+// rowsHolding walks the row slots of table and returns, in row-id order,
 // the rows whose envelope holds an object of the named instance.
 func rowsHolding(db *DB, table, instance string) []types.RowID {
-	var rows []types.RowID
-	for i := range db.envs.stripes {
-		st := &db.envs.stripes[i]
-		st.mu.RLock()
-		for row, env := range st.m[table] {
-			if env.Object(instance) != nil {
-				rows = append(rows, row)
-			}
-		}
-		st.mu.RUnlock()
+	tbl, err := db.Catalog().Table(table)
+	if err != nil {
+		return nil
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+	var rows []types.RowID
+	for _, r := range tbl.Rows() {
+		if r.Env != nil && r.Env.Object(instance) != nil {
+			rows = append(rows, r.ID)
+		}
+	}
 	return rows
+}
+
+// envelopeCount is the value of the stored-envelopes gauge.
+func envelopeCount(db *DB) int {
+	db.stmtMu.RLock()
+	defer db.stmtMu.RUnlock()
+	n, _ := db.envelopeStats()
+	return n
 }
 
 // TestInstanceIndexThroughUnlinkAndRetract drives the stored envelopes'
@@ -201,7 +206,7 @@ func TestInstanceIndexThroughUnlinkAndRetract(t *testing.T) {
 	if got := rowsHolding(db, "birds", "SimCluster"); !reflect.DeepEqual(got, want) {
 		t.Errorf("birds rows holding SimCluster after unrelated unlink = %v, want %v", got, want)
 	}
-	if c := db.envs.count(); c != 3 {
+	if c := envelopeCount(db); c != 3 {
 		t.Errorf("after unlink: store holds %d envelopes, want 3", c)
 	}
 	// Unlinking SimCluster from birds leaves the nests envelope holding it.
@@ -218,14 +223,14 @@ func TestInstanceIndexThroughUnlinkAndRetract(t *testing.T) {
 	if got := rowsHolding(db, "nests", "SimCluster"); len(got) != 0 {
 		t.Errorf("nests rows holding SimCluster after drop = %v, want none", got)
 	}
-	if c := db.envs.count(); c != 2 {
+	if c := envelopeCount(db); c != 2 {
 		t.Errorf("after drop: store holds %d envelopes, want 2", c)
 	}
 
 	// Retracting the annotations empties the envelopes, which drops them.
 	mustExec(t, db, "DROP ANNOTATION 1")
 	mustExec(t, db, "DROP ANNOTATION 2")
-	if c := db.envs.count(); c != 0 {
+	if c := envelopeCount(db); c != 0 {
 		t.Errorf("envelopes after retracting all birds annotations = %d, want 0", c)
 	}
 }
@@ -239,8 +244,8 @@ func TestPageStoreHoldsOnlyAnnotationText(t *testing.T) {
 		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'observed feeding at dawn, flock %d' DOCUMENT 'The flock fed at dawn.' ON birds WHERE id = %d", i, i%3+1))
 	}
 	mustExec(t, db, "ADD ANNOTATION 'one note on every row' ON birds")
-	if db.envs.count() != 3 {
-		t.Fatalf("setup: %d envelopes, want 3", db.envs.count())
+	if envelopeCount(db) != 3 {
+		t.Fatalf("setup: %d envelopes, want 3", envelopeCount(db))
 	}
 	pages := db.Annotations().Pages()
 	if len(pages) == 0 {

@@ -75,7 +75,7 @@ func storedClones(db *engine.DB) map[string]map[types.RowID]*summary.Envelope {
 	for _, table := range []string{"birds", "sightings"} {
 		out[table] = map[types.RowID]*summary.Envelope{}
 		for _, row := range db.Annotations().AnnotatedRows(table) {
-			out[table][row] = db.StoredEnvelope(table, row).Clone()
+			out[table][row] = db.EnvelopeFor(table, row).Clone()
 		}
 	}
 	return out
@@ -135,7 +135,7 @@ func TestViewsNeverMutateTheStore(t *testing.T) {
 		}
 		for table, rows := range saved {
 			for row, env := range rows {
-				if got := db.StoredEnvelope(table, row); !got.Equal(env) {
+				if got := db.EnvelopeFor(table, row); !got.Equal(env) {
 					t.Fatalf("%s: stored envelope of %s/%d changed through a result row:\n%s\nwant\n%s",
 						stmt, table, row, got.Render(), env.Render())
 				}
@@ -167,7 +167,7 @@ func TestViewsLeaveStoredGroupsAlone(t *testing.T) {
 		var b strings.Builder
 		for _, table := range []string{"birds", "sightings"} {
 			for _, row := range db.Annotations().AnnotatedRows(table) {
-				env := db.StoredEnvelope(table, row)
+				env := db.EnvelopeFor(table, row)
 				fmt.Fprintf(&b, "%s/%d", table, row)
 				env.EachCover(func(id annotation.ID, cols annotation.ColSet) { fmt.Fprintf(&b, " %d:%v", id, cols) })
 				b.WriteByte('\n')
@@ -227,7 +227,7 @@ func TestReadersSeeWholeEnvelopesUnderWrites(t *testing.T) {
 				}
 				// Let writers at the rows the views came from, then compare.
 				for _, id := range []int{1, 2, 3} {
-					if env := db.StoredEnvelope("birds", types.RowID(id)); env != nil {
+					if env := db.EnvelopeFor("birds", types.RowID(id)); env != nil {
 						env.Render()
 					}
 				}
@@ -306,6 +306,42 @@ func TestScanSharesUnprojectedEnvelopes(t *testing.T) {
 		}
 		if a, b := perRun(small), perRun(large); b > a*(1+tc.band) || b < a*(1-tc.band) {
 			t.Errorf("%s: %.0f allocs at 16 annotations per row, %.0f at 64", tc.stmt, a, b)
+		}
+	}
+}
+
+// TestAbsorbedPredicateColumnsStayInTheScan: a predicate the scan absorbs
+// reads the tuple before the scan projects it, so the scan projects only
+// the columns needed above it, and the rows carry the summaries they carry
+// with projection pushdown off: the wingspan-only annotations are curated
+// away either way.
+func TestAbsorbedPredicateColumnsStayInTheScan(t *testing.T) {
+	db := viewWorld(t, 2, true)
+	ctx := context.Background()
+	const stmt = "SELECT id, region FROM birds WHERE wingspan >= 0"
+	var lines []string
+	projected := false
+	for _, row := range viewExec(t, db, "EXPLAIN "+stmt).Rows {
+		lines = append(lines, row.Tuple[0].Str())
+		projected = projected || strings.HasSuffix(row.Tuple[0].Str(), "Filter (wingspan >= 0) Project+Curate [birds.id, birds.region]")
+	}
+	if !projected {
+		t.Errorf("the scan does not project [id, region]:\n%s", strings.Join(lines, "\n"))
+	}
+	pushed, err := db.Query(ctx, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := db.Query(ctx, stmt, engine.WithPlanOptions(plan.Options{DisableProjectionPushdown: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pushed.Rows) != viewBirds || len(whole.Rows) != viewBirds {
+		t.Fatalf("rows: %d pushed, %d unpushed, want %d", len(pushed.Rows), len(whole.Rows), viewBirds)
+	}
+	for i := range pushed.Rows {
+		if p, w := pushed.Rows[i].Env, whole.Rows[i].Env; !p.Equal(w) {
+			t.Errorf("row %d: pushed summaries\n%s\nunpushed\n%s", i, p.Render(), w.Render())
 		}
 	}
 }
@@ -399,7 +435,7 @@ func TestPendingMapsUnderConcurrentZoomIns(t *testing.T) {
 		}
 	}
 	for _, row := range db.Annotations().AnnotatedRows("birds") {
-		got, want := db.StoredEnvelope("birds", row), quiet.StoredEnvelope("birds", row)
+		got, want := db.EnvelopeFor("birds", row), quiet.EnvelopeFor("birds", row)
 		if !got.Equal(want) || got.Render() != want.Render() {
 			t.Fatalf("stored envelope of birds/%d:\n%s\nwant\n%s", row, got.Render(), want.Render())
 		}

@@ -13,24 +13,11 @@ import (
 	"insightnotes/internal/types"
 )
 
-// testEnvSource is a map-backed EnvelopeSource. Like the engine's store,
-// it hands out clones — the pipeline mutates what it receives.
-type testEnvSource map[string]map[types.RowID]*summary.Envelope
-
-func (s testEnvSource) EnvelopeFor(table string, row types.RowID) *summary.Envelope {
-	env := s[table][row]
-	if env == nil {
-		return nil
-	}
-	return env.Clone()
-}
-
 // fixture builds tables R(a,b,c) and S(x,z) echoing Figure 2, a classifier
-// instance, and per-row envelopes.
+// instance, and per-row envelopes installed in the tables' row slots.
 type fixture struct {
 	cat  *catalog.Catalog
 	r, s *catalog.Table
-	envs testEnvSource
 	cls  *summary.Instance
 }
 
@@ -62,11 +49,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{
-		cat: cat, r: r, s: s,
-		envs: testEnvSource{"R": {}, "S": {}},
-		cls:  cls,
-	}
+	return &fixture{cat: cat, r: r, s: s, cls: cls}
 }
 
 // addRow inserts a tuple and attaches n comment annotations covering cols.
@@ -83,7 +66,7 @@ func (f *fixture) addRow(t *testing.T, tbl *catalog.Table, tu types.Tuple,
 			a := annotation.Annotation{ID: startAnn + annotation.ID(i), Text: "looks wrong needs checking"}
 			env.Add(f.cls, f.cls.Summarize(a), cols)
 		}
-		f.envs[tbl.Name()][row] = env
+		tbl.SetEnvelope(row, env)
 	}
 	return row
 }
@@ -101,7 +84,7 @@ func TestScanProducesRowsWithEnvelopes(t *testing.T) {
 	f := newFixture(t)
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 3, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(2), types.NewInt(3), types.NewString("v")}, 0, 0, 0)
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	rows, err := Collect(scan)
 	if err != nil {
 		t.Fatal(err)
@@ -115,10 +98,10 @@ func TestScanProducesRowsWithEnvelopes(t *testing.T) {
 	if rows[1].Env != nil {
 		t.Error("unannotated row has envelope")
 	}
-	// Scan clones: mutating the result must not corrupt the store.
+	// Scan views: mutating the result must not change the stored envelope.
 	rows[0].Env.Project([]int{0})
-	if f.envs["R"][1].Object("ClassBird2").Len() != 3 {
-		t.Error("scan did not clone the stored envelope")
+	if f.r.Envelope(1).Object("ClassBird2").Len() != 3 {
+		t.Error("scan changed the stored envelope")
 	}
 	if got := scan.Schema().Columns[0].QualifiedName(); got != "r.a" {
 		t.Errorf("alias schema = %q", got)
@@ -129,7 +112,7 @@ func TestFilterPassesEnvelopesUnchanged(t *testing.T) {
 	f := newFixture(t)
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 2, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(5), types.NewInt(2), types.NewString("v")}, 10, 1, annotation.WholeRow(3))
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	pred := compileWhere(t, "r.a = 1", scan.Schema())
 	rows, err := Collect(NewFilter(scan, pred))
 	if err != nil {
@@ -151,9 +134,9 @@ func TestProjectCuratesEnvelope(t *testing.T) {
 	// ann 1 on column a (0); ann 2 on column c (2).
 	env.Add(f.cls, f.cls.Summarize(annotation.Annotation{ID: 1, Text: "looks wrong"}), annotation.Col(0))
 	env.Add(f.cls, f.cls.Summarize(annotation.Annotation{ID: 2, Text: "derived from experiment"}), annotation.Col(2))
-	f.envs["R"][row] = env
+	f.r.SetEnvelope(row, env)
 
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	items := []ProjectItem{
 		{Expr: colRef(t, "r.a", scan.Schema()), Col: types.Column{Table: "r", Name: "a", Kind: types.KindInt}},
 		{Expr: colRef(t, "r.b", scan.Schema()), Col: types.Column{Table: "r", Name: "b", Kind: types.KindInt}},
@@ -179,8 +162,8 @@ func TestProjectComputedExpressionCoverage(t *testing.T) {
 	row, _ := f.r.Insert(types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")})
 	env := summary.NewEnvelope()
 	env.Add(f.cls, f.cls.Summarize(annotation.Annotation{ID: 5, Text: "note"}), annotation.Col(1))
-	f.envs["R"][row] = env
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	f.r.SetEnvelope(row, env)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	// Output: a+b — annotation on b must follow the computed column.
 	sum, err := Compile(&sql.BinaryExpr{Op: "+", L: &sql.ColRef{Name: "r.a"}, R: &sql.ColRef{Name: "r.b"}}, scan.Schema())
 	if err != nil {
@@ -206,8 +189,8 @@ func TestHashJoinMergesEnvelopes(t *testing.T) {
 	f.addRow(t, f.s, types.Tuple{types.NewInt(1), types.NewString("z1")}, 11, 1, annotation.WholeRow(2))
 	f.addRow(t, f.s, types.Tuple{types.NewInt(9), types.NewString("z9")}, 12, 1, annotation.WholeRow(2))
 
-	left := NewScan(f.r, "r", f.envs, FullTable(), nil)
-	right := NewScan(f.s, "s", f.envs, FullTable(), nil)
+	left := NewScan(f.r, "r", FullTable(), nil)
+	right := NewScan(f.s, "s", FullTable(), nil)
 	join := NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())})
@@ -241,11 +224,11 @@ func TestHashJoinSharedAnnotationDedup(t *testing.T) {
 	rEnv.Add(f.cls, f.cls.Summarize(shared), annotation.WholeRow(3))
 	sEnv := summary.NewEnvelope()
 	sEnv.Add(f.cls, f.cls.Summarize(shared), annotation.WholeRow(2))
-	f.envs["R"][rRow] = rEnv
-	f.envs["S"][sRow] = sEnv
+	f.r.SetEnvelope(rRow, rEnv)
+	f.s.SetEnvelope(sRow, sEnv)
 
-	left := NewScan(f.r, "r", f.envs, FullTable(), nil)
-	right := NewScan(f.s, "s", f.envs, FullTable(), nil)
+	left := NewScan(f.r, "r", FullTable(), nil)
+	right := NewScan(f.s, "s", FullTable(), nil)
 	rows, err := Collect(NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())}))
@@ -261,8 +244,8 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	f := newFixture(t)
 	f.r.Insert(types.Tuple{types.Null(), types.NewInt(2), types.NewString("u")})
 	f.s.Insert(types.Tuple{types.Null(), types.NewString("z")})
-	left := NewScan(f.r, "r", f.envs, FullTable(), nil)
-	right := NewScan(f.s, "s", f.envs, FullTable(), nil)
+	left := NewScan(f.r, "r", FullTable(), nil)
+	right := NewScan(f.s, "s", FullTable(), nil)
 	rows, err := Collect(NewHashJoin(left, right,
 		[]*Compiled{colRef(t, "r.a", left.Schema())},
 		[]*Compiled{colRef(t, "s.x", right.Schema())}))
@@ -279,8 +262,8 @@ func TestNestedLoopJoinCondition(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("u")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(5), types.NewInt(2), types.NewString("v")}, 0, 0, 0)
 	f.addRow(t, f.s, types.Tuple{types.NewInt(3), types.NewString("z")}, 21, 1, annotation.WholeRow(2))
-	left := NewScan(f.r, "r", f.envs, FullTable(), nil)
-	right := NewScan(f.s, "s", f.envs, FullTable(), nil)
+	left := NewScan(f.r, "r", FullTable(), nil)
+	right := NewScan(f.s, "s", FullTable(), nil)
 	joined := left.Schema().Concat(right.Schema())
 	cond, err := Compile(&sql.BinaryExpr{Op: "<", L: &sql.ColRef{Name: "r.a"}, R: &sql.ColRef{Name: "s.x"}}, joined)
 	if err != nil {
@@ -297,8 +280,8 @@ func TestNestedLoopJoinCondition(t *testing.T) {
 		t.Error("NL join envelope merge wrong")
 	}
 	// Cross join (nil condition).
-	left2 := NewScan(f.r, "r", f.envs, FullTable(), nil)
-	right2 := NewScan(f.s, "s", f.envs, FullTable(), nil)
+	left2 := NewScan(f.r, "r", FullTable(), nil)
+	right2 := NewScan(f.s, "s", FullTable(), nil)
 	rows, err = Collect(NewNestedLoopJoin(left2, right2, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +296,7 @@ func TestGroupAggregateValuesAndEnvelopes(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(10), types.NewString("g1")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(20), types.NewString("g1")}, 2, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(2), types.NewInt(30), types.NewString("g2")}, 3, 1, annotation.WholeRow(3))
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	keys := []*Compiled{colRef(t, "r.a", scan.Schema())}
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, keys,
@@ -390,9 +373,9 @@ func TestGroupAggregateCuratesEachRowBeforeCombining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.envs["R"][row] = env
+		f.r.SetEnvelope(row, env)
 	}
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	op := NewGroupAggregate(scan, []*Compiled{colRef(t, "r.a", scan.Schema())},
 		[]types.Column{{Name: "a", Kind: types.KindInt}},
 		[]AggSpec{{Func: "SUM", Arg: colRef(t, "r.b", scan.Schema())}},
@@ -423,7 +406,7 @@ func TestGroupAggregateCuratesEachRowBeforeCombining(t *testing.T) {
 
 func TestGroupAggregateGlobalOverEmptyInput(t *testing.T) {
 	f := newFixture(t)
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, nil, nil,
 		[]AggSpec{{Func: "COUNT"}, {Func: "SUM", Arg: bArg}},
@@ -444,7 +427,7 @@ func TestGroupAggregateCountDistinctNulls(t *testing.T) {
 	f := newFixture(t)
 	f.r.Insert(types.Tuple{types.NewInt(1), types.Null(), types.NewString("x")})
 	f.r.Insert(types.Tuple{types.NewInt(1), types.NewInt(5), types.NewString("x")})
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	bArg := colRef(t, "r.b", scan.Schema())
 	op := NewGroupAggregate(scan, nil, nil,
 		[]AggSpec{{Func: "COUNT"}, {Func: "COUNT", Arg: bArg}},
@@ -464,7 +447,7 @@ func TestDistinctCombinesDuplicateEnvelopes(t *testing.T) {
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("dup")}, 1, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(1), types.NewInt(2), types.NewString("dup")}, 2, 1, annotation.WholeRow(3))
 	f.addRow(t, f.r, types.Tuple{types.NewInt(9), types.NewInt(9), types.NewString("uniq")}, 0, 0, 0)
-	rows, err := Collect(NewDistinct(NewScan(f.r, "r", f.envs, FullTable(), nil)))
+	rows, err := Collect(NewDistinct(NewScan(f.r, "r", FullTable(), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +466,7 @@ func TestSortAndLimit(t *testing.T) {
 	for _, v := range []int64{3, 1, 2} {
 		f.r.Insert(types.Tuple{types.NewInt(v), types.NewInt(0), types.NewString("x")})
 	}
-	scan := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan := NewScan(f.r, "r", FullTable(), nil)
 	keys := []SortKey{{Expr: colRef(t, "r.a", scan.Schema()), Desc: false}}
 	rows, err := Collect(NewSort(scan, keys))
 	if err != nil {
@@ -493,13 +476,13 @@ func TestSortAndLimit(t *testing.T) {
 		t.Errorf("sorted = %v %v %v", rows[0].Tuple, rows[1].Tuple, rows[2].Tuple)
 	}
 	// DESC.
-	scan2 := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan2 := NewScan(f.r, "r", FullTable(), nil)
 	rows, _ = Collect(NewSort(scan2, []SortKey{{Expr: colRef(t, "r.a", scan2.Schema()), Desc: true}}))
 	if rows[0].Tuple[0].Int() != 3 {
 		t.Errorf("desc sorted head = %v", rows[0].Tuple)
 	}
 	// Limit.
-	scan3 := NewScan(f.r, "r", f.envs, FullTable(), nil)
+	scan3 := NewScan(f.r, "r", FullTable(), nil)
 	rows, _ = Collect(NewLimit(NewSort(scan3, []SortKey{{Expr: colRef(t, "r.a", scan3.Schema())}}), 2))
 	if len(rows) != 2 {
 		t.Errorf("limit rows = %d", len(rows))
@@ -515,7 +498,7 @@ func TestIndexScan(t *testing.T) {
 	if err := f.r.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(NewScan(f.r, "r", f.envs, IndexEq("a", types.NewInt(1)), nil))
+	rows, err := Collect(NewScan(f.r, "r", IndexEq("a", types.NewInt(1)), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +514,7 @@ func TestIndexScan(t *testing.T) {
 		}
 	}
 	lo, hi := types.NewInt(1), types.NewInt(2)
-	rows, err = Collect(NewScan(f.r, "r", f.envs, IndexRange("a", &lo, &hi, false, true), nil))
+	rows, err = Collect(NewScan(f.r, "r", IndexRange("a", &lo, &hi, false, true), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +532,7 @@ func scanFixture(t *testing.T, n int) *Scan {
 		f.addRow(t, f.r, types.Tuple{types.NewInt(int64(i)), types.NewInt(0), types.NewString("x")},
 			annotation.ID(100+i), 1, annotation.WholeRow(3))
 	}
-	return NewScan(f.r, "r", f.envs, FullTable(), nil)
+	return NewScan(f.r, "r", FullTable(), nil)
 }
 
 func TestScanEmptyTableStartsNoWorkers(t *testing.T) {

@@ -10,12 +10,10 @@ import (
 )
 
 // EnvelopeSource supplies the stored summary envelope of a base-table
-// tuple; the engine's summary store implements it. Implementations return
-// nil for unannotated tuples and otherwise an envelope the pipeline may
-// mutate through the summary methods without the store noticing — a
-// summary.Envelope.View of the live envelope (or a private copy): the
-// engine's background catch-up worker may be updating the live envelope
-// concurrently with scans.
+// tuple as a copy-on-write view (nil for an unannotated tuple). Nothing in
+// the pipeline calls it: a Scan reads each envelope from its row's slot in
+// the table. It remains only because the benchmark's traced pass hands the
+// engine to plan.New; it goes with the next change to the benchmark.
 type EnvelopeSource interface {
 	EnvelopeFor(table string, row types.RowID) *summary.Envelope
 }
@@ -92,43 +90,37 @@ func (rs RowSource) describe() string {
 	return ""
 }
 
-// resolve yields the row IDs of tbl the source selects and their tuples.
-// The table's stored tuples are immutable, so sharing them is safe
-// against later DML.
-func (rs RowSource) resolve(tbl *catalog.Table) (rows []types.RowID, tups []types.Tuple, err error) {
+// resolve yields the slots of the rows of tbl the source selects: each
+// row's tuple and envelope pointer, read under the table lock. The stored
+// tuples are immutable, so sharing them is safe against later DML; the
+// envelopes are viewed as they are read (Scan.read).
+func (rs RowSource) resolve(tbl *catalog.Table) ([]catalog.Row, error) {
+	var rows []types.RowID
+	var err error
 	switch rs.kind {
 	case sourceIndexEq:
 		rows, err = tbl.LookupByIndex(rs.col, rs.val)
 	case sourceIndexRange:
 		rows, err = tbl.LookupByIndexRange(rs.col, rs.lo, rs.hi, rs.loInc, rs.hiInc)
 	default:
-		n := tbl.Len()
-		rows, tups = make([]types.RowID, 0, n), make([]types.Tuple, 0, n)
-		tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
-			rows = append(rows, row)
-			tups = append(tups, tu)
-			return true
-		})
-		return rows, tups, nil
+		return tbl.Rows(), nil
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tups, err = tbl.GetRows(rows)
-	return rows, tups, err
+	return tbl.GetRows(rows)
 }
 
 // Scan is the base-table scan: it reads the rows its RowSource selects
 // under an alias, each carrying its stored summary envelope, and runs the
-// whole per-tuple summary path itself — envelope fetch from the store, the
-// absorbed data predicate, and the absorbed projection with its envelope
-// curation. Rows come out in source order, so a Sort above keeps equal
-// keys in input order at every batch size.
+// whole per-tuple summary path itself — the absorbed data predicate, a
+// view of the envelope in the row's slot, and the absorbed projection with
+// its envelope curation. Rows come out in source order, so a Sort above
+// keeps equal keys in input order at every batch size.
 type Scan struct {
 	instr
 	table  *catalog.Table
 	alias  string
-	envs   EnvelopeSource
 	src    RowSource
 	schema types.Schema // table schema under alias (pre-projection)
 	pred   *Compiled    // absorbed data predicate; nil = none
@@ -138,17 +130,14 @@ type Scan struct {
 	est    int             // planner's cardinality estimate; -1 = none attached
 
 	// run state, rebuilt by Open
-	rows []types.RowID
-	tups []types.Tuple // the tuples of rows
-	pos  int           // next index into rows
+	rows []catalog.Row
+	pos  int // next index into rows
 }
 
 // NewScan creates a scan of tbl under alias (empty means the table name)
-// reading the rows src selects. envs may be nil for summary-less
-// execution. pred, when non-nil, is the absorbed data predicate compiled
-// against the table schema under alias.
-func NewScan(tbl *catalog.Table, alias string, envs EnvelopeSource,
-	src RowSource, pred *Compiled) *Scan {
+// reading the rows src selects. pred, when non-nil, is the absorbed data
+// predicate compiled against the table schema under alias.
+func NewScan(tbl *catalog.Table, alias string, src RowSource, pred *Compiled) *Scan {
 	if alias == "" {
 		alias = tbl.Name()
 	}
@@ -156,7 +145,6 @@ func NewScan(tbl *catalog.Table, alias string, envs EnvelopeSource,
 	return &Scan{
 		table:  tbl,
 		alias:  alias,
-		envs:   envs,
 		src:    src,
 		schema: schema,
 		pred:   pred,
@@ -200,7 +188,7 @@ func (s *Scan) Open(ec *ExecContext) error {
 		return err
 	}
 	var err error
-	s.rows, s.tups, err = s.src.resolve(s.table)
+	s.rows, err = s.src.resolve(s.table)
 	s.pos = 0
 	return err
 }
@@ -235,10 +223,11 @@ func (s *Scan) NextBatch(ec *ExecContext) (*Batch, error) {
 }
 
 // read runs the summary path over the k-th selected row: the absorbed
-// predicate, the envelope fetch, then the absorbed projection with its
-// curation. A row the predicate rejects reads as nil.
+// predicate, a view of the row's envelope, then the absorbed projection
+// with its curation. A row the predicate rejects reads as nil, and its
+// envelope is never viewed.
 func (s *Scan) read(ec *ExecContext, k int) (*Row, error) {
-	tu := s.tups[k]
+	tu := s.rows[k].Tuple
 	if s.pred != nil {
 		v, err := s.pred.Eval(tu)
 		if err != nil || !v.Truthy() {
@@ -246,8 +235,8 @@ func (s *Scan) read(ec *ExecContext, k int) (*Row, error) {
 		}
 	}
 	var env *summary.Envelope
-	if s.envs != nil {
-		env = s.envs.EnvelopeFor(s.table.Name(), s.rows[k])
+	if stored := s.rows[k].Env; stored != nil {
+		env = stored.View()
 	}
 	if len(s.items) == 0 {
 		return &Row{Tuple: tu, Env: env}, nil
@@ -268,7 +257,7 @@ func (s *Scan) read(ec *ExecContext, k int) (*Row, error) {
 
 // Close implements Operator.
 func (s *Scan) Close() error {
-	s.rows, s.tups = nil, nil
+	s.rows = nil
 	return nil
 }
 

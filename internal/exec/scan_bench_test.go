@@ -54,7 +54,7 @@ func BenchmarkScanCrossover(b *testing.B) {
 			} {
 				b.Run(fmt.Sprintf("rows=%d/match=%d%%/%s", n, pct, path.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						rows, err := Collect(NewScan(tbl, "kv", nil, path.src, pred))
+						rows, err := Collect(NewScan(tbl, "kv", path.src, pred))
 						if err != nil {
 							b.Fatal(err)
 						}

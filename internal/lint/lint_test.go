@@ -173,7 +173,8 @@ func TestSummarizeHasOneCaller(t *testing.T) {
 
 	bad := tree(t, engine+"x.go", `package engine
 func (db *DB) backfill(in *summary.Instance, a annotation.Annotation) {
-	db.envs.update("t", 1, func(env *summary.Envelope) { env.Add(in, in.Summarize(a), 1) })
+	tbl, _ := db.cat.Table("t")
+	tbl.Envelope(1).Add(in, in.Summarize(a), 1)
 }`)
 	expect(t, bad.CallsOutside(engine, "Summarize", "applyTasks"), "backfill calls Summarize")
 }
@@ -280,11 +281,11 @@ func main() { db, _ := insightnotes.Open(insightnotes.Config{}); db.Exec(ctx, "C
 // with their summary objects and instance models, replication messages —
 // is encoded with internal/codec, and a checkpoint is read by the one redo
 // path. JSON stays at the human edges; an encoding/json import in the log,
-// the envelope store, the checkpoint writer and readers, the statements
-// that log, the summary and model codecs or the replication stream would
-// bring back a second format.
+// the catalog (whose row slots hold the envelopes), the checkpoint writer
+// and readers, the statements that log, the summary and model codecs or
+// the replication stream would bring back a second format.
 func TestDurableWritePathHasNoJSON(t *testing.T) {
-	writePath := []string{"internal/wal/", "internal/replication/", "internal/engine/envstore.go",
+	writePath := []string{"internal/wal/", "internal/replication/", "internal/catalog/",
 		"internal/engine/persist.go", "internal/engine/replication.go", "internal/engine/integrity.go",
 		"internal/engine/durability.go", "internal/engine/statements.go", "internal/summary/", "internal/textmining/"}
 	expect(t, tree(t).Imports("encoding/json", writePath...))
@@ -292,10 +293,10 @@ func TestDurableWritePathHasNoJSON(t *testing.T) {
 	bad := tree(t,
 		"fake/internal/wal/x.go", `package wal; import "encoding/json"; var _ = json.Marshal`,
 		"fake/internal/replication/x.go", `package replication; import "encoding/json"; var _ = json.Marshal`,
-		"fake/internal/engine/envstore.go", `package engine; import ("fmt"; "encoding/json"); var _ = json.Marshal`,
+		"fake/internal/catalog/table.go", `package catalog; import ("fmt"; "encoding/json"); var _ = json.Marshal`,
 		"fake/internal/engine/persist.go", `package engine; import "encoding/json"; var _ = json.Marshal`)
 	expect(t, bad.Imports("encoding/json", writePath...), "wal/x.go:1:21: imports", "replication/x.go:1:29: imports",
-		"envstore.go:1:32: imports", "persist.go:1:24: imports")
+		"table.go:1:33: imports", "persist.go:1:24: imports")
 }
 
 // Every `make <target>` the documentation tells a reader to run names a

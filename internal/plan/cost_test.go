@@ -43,7 +43,7 @@ func explainOf(t *testing.T, w *world, q string, opts Options) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := New(w.cat, w.envs, opts).PlanSelect(stmt.(*sql.Select))
+	op, err := New(w.cat, nil, opts).PlanSelect(stmt.(*sql.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCostModelCountersTrackChoices(t *testing.T) {
 		"SELECT v FROM T WHERE k >= 100", // full scan
 	} {
 		stmt, _ := sql.Parse(q)
-		if _, err := New(w.cat, w.envs, opts).PlanSelect(stmt.(*sql.Select)); err != nil {
+		if _, err := New(w.cat, nil, opts).PlanSelect(stmt.(*sql.Select)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,21 +13,10 @@ import (
 	"insightnotes/internal/types"
 )
 
-type envSource map[string]map[types.RowID]*summary.Envelope
-
-func (s envSource) EnvelopeFor(table string, row types.RowID) *summary.Envelope {
-	env := s[table][row]
-	if env == nil {
-		return nil
-	}
-	return env.Clone()
-}
-
 type world struct {
-	cat  *catalog.Catalog
-	envs envSource
-	cls  *summary.Instance
-	clu  *summary.Instance
+	cat *catalog.Catalog
+	cls *summary.Instance
+	clu *summary.Instance
 }
 
 // newWorld builds R(a,b,c,d), S(x,y,z) with a few rows and annotations, in
@@ -58,7 +47,7 @@ func newWorld(t *testing.T) *world {
 	cls, _ := summary.NewClassifierInstance("ClassBird2", nb)
 	clu, _ := summary.NewClusterInstance("SimCluster", summary.DefaultSimThreshold)
 
-	w := &world{cat: cat, envs: envSource{"R": {}, "S": {}}, cls: cls, clu: clu}
+	w := &world{cat: cat, cls: cls, clu: clu}
 	// Register and link the instances so summary-based predicates resolve.
 	cat.RegisterInstance(cls)
 	cat.RegisterInstance(clu)
@@ -92,10 +81,14 @@ func newWorld(t *testing.T) *world {
 func (w *world) attach(t *testing.T, table string, row types.RowID, id annotation.ID,
 	text string, cols annotation.ColSet) {
 	t.Helper()
-	env := w.envs[table][row]
+	tbl, err := w.cat.Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := tbl.Envelope(row)
 	if env == nil {
 		env = summary.NewEnvelope()
-		w.envs[table][row] = env
+		tbl.SetEnvelope(row, env)
 	}
 	a := annotation.Annotation{ID: id, Text: text}
 	env.Add(w.cls, w.cls.Summarize(a), cols)
@@ -108,7 +101,7 @@ func (w *world) run(t *testing.T, query string, opts Options) ([]*exec.Row, type
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	p := New(w.cat, w.envs, opts)
+	p := New(w.cat, nil, opts)
 	op, err := p.PlanSelect(stmt.(*sql.Select))
 	if err != nil {
 		t.Fatalf("plan %q: %v", query, err)
@@ -126,7 +119,7 @@ func (w *world) planErr(t *testing.T, query string) error {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	_, err = New(w.cat, w.envs, Options{}).PlanSelect(stmt.(*sql.Select))
+	_, err = New(w.cat, nil, Options{}).PlanSelect(stmt.(*sql.Select))
 	if err == nil {
 		t.Fatalf("plan %q succeeded, want error", query)
 	}
@@ -545,7 +538,7 @@ func TestPlanIndexRangeScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt, _ := sql.Parse("SELECT a FROM Big WHERE b > 1995")
-	op, err := New(w.cat, w.envs, Options{}).PlanSelect(stmt.(*sql.Select))
+	op, err := New(w.cat, nil, Options{}).PlanSelect(stmt.(*sql.Select))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func assertConverged(t *testing.T, primary, replica *engine.DB) {
 	if !bytes.Equal(ps, rs) {
 		t.Fatalf("replica diverged from primary:\nprimary: %s\nreplica: %s", ps, rs)
 	}
-	penv, renv := primary.StoredEnvelope("birds", 1), replica.StoredEnvelope("birds", 1)
+	penv, renv := primary.EnvelopeFor("birds", 1), replica.EnvelopeFor("birds", 1)
 	switch {
 	case penv == nil && renv == nil:
 	case penv == nil || renv == nil:

@@ -425,7 +425,6 @@ type Show struct {
 // that says what a statement is. The engine's dispatcher, its statement
 // metrics and the replica gate all read it.
 func (*Select) Class() Class                { return Class{"select", Read} }
-func (*Show) Class() Class                  { return Class{"show", Read} }
 func (*Explain) Class() Class               { return Class{"explain", Read} }
 func (*ZoomIn) Class() Class                { return Class{"zoomin", Read} }
 func (*CreateTable) Class() Class           { return Class{"create_table", Write} }
@@ -445,6 +444,15 @@ func (*CheckTable) Class() Class            { return Class{"check", NodeLocal} }
 func (*Prepare) Class() Class               { return Class{"prepare", NodeLocal} }
 func (*Execute) Class() Class               { return Class{"execute", NodeLocal} }
 func (*Deallocate) Class() Class            { return Class{"deallocate", NodeLocal} }
+
+// SHOW METRICS reads only this node's metric registry, whose store-size
+// gauges take the shared statement lock themselves.
+func (s *Show) Class() Class {
+	if s.What == "METRICS" {
+		return Class{"show", NodeLocal}
+	}
+	return Class{"show", Read}
+}
 
 // String implements Statement.
 func (s *Prepare) String() string {

@@ -20,6 +20,7 @@ func TestClassification(t *testing.T) {
 	}{
 		{"SELECT a FROM t", "select", Read},
 		{"SHOW TABLES", "show", Read},
+		{"SHOW METRICS", "show", NodeLocal},
 		{"EXPLAIN ANALYZE SELECT a FROM t", "explain", Read},
 		{"ZOOMIN REFERENCE QID 7 ON c INDEX 1", "zoomin", Read},
 		{"CREATE TABLE t (a INT)", "create_table", Write},

@@ -40,8 +40,8 @@ type Envelope struct {
 	// it defers column bits only and never hides a dropped annotation.
 	cmap *ColMap
 	// shared is set while another envelope may reference cover and objs.
-	// Atomic because concurrent readers of the engine's store each set it
-	// on the stored envelope under a read lock.
+	// Atomic because concurrent readers each set it on the stored
+	// envelope they view.
 	shared sharedFlag
 }
 
@@ -174,8 +174,9 @@ func (e *Envelope) memberAnywhere(id annotation.ID) bool {
 
 // View returns an envelope with e's contents that shares e's coverage list
 // and objects until either side is mutated. The caller must exclude
-// concurrent mutators of e (the store's stripe lock); concurrent View
-// calls are fine.
+// concurrent mutators of e (the engine writes a stored envelope in place
+// only under its exclusive statement lock); concurrent View calls are
+// fine.
 func (e *Envelope) View() *Envelope {
 	e.shared.share()
 	v := &Envelope{cover: e.cover, objs: e.objs, cmap: e.cmap}

@@ -67,7 +67,7 @@ func TestPopulateGenes(t *testing.T) {
 	if n != 12 {
 		t.Fatalf("annotations = %d", n)
 	}
-	env := db.StoredEnvelope("genes", 1)
+	env := db.EnvelopeFor("genes", 1)
 	if env == nil || env.Object("GeneClass") == nil {
 		t.Fatal("gene envelopes missing")
 	}
