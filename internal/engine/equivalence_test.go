@@ -170,3 +170,80 @@ func TestScanRowsAreResultRows(t *testing.T) {
 		t.Errorf("scan rows = %d, result rows = %d", scan.Rows, len(res.Rows))
 	}
 }
+
+// TestKeyedProbeMatchesFullScan pins the keyed probe: a hash join whose
+// probe side is an indexed table reads, when the build side holds few
+// enough distinct keys, only the probe rows holding one of them, through
+// the index — and renders byte-identical results to the forced full scan.
+// Q's build keys repeat and include NULLs; P.f holds P.id as a FLOAT (a
+// few rows off by a half), so an INT key meets a FLOAT column; the third
+// query's build side is over the break-even and falls back to the full
+// scan; a P row the first query joins is deleted and the queries rerun.
+func TestKeyedProbeMatchesFullScan(t *testing.T) {
+	db := randomDB(t, 7)
+	mustExec(t, db, "CREATE TABLE P (id INT, f FLOAT, name TEXT)")
+	mustExec(t, db, "CREATE TABLE Q (sid INT, pid INT, obs INT)")
+	var p, q strings.Builder
+	p.WriteString("BULK INSERT INTO P VALUES ")
+	for i := 1; i <= 500; i++ {
+		f := fmt.Sprint(i, ".0")
+		if i%7 == 0 {
+			f = fmt.Sprint(i, ".5")
+		}
+		fmt.Fprintf(&p, "(%d, %s, 'n%d'), ", i, f, i)
+	}
+	// Q row i keys P row 1 + 37i%500 under obs = i%20, so each obs value
+	// selects 50 rows holding 25 keys twice, out of row-id order; two more
+	// rows hold NULL.
+	q.WriteString("BULK INSERT INTO Q VALUES (1000, NULL, 3), (1001, NULL, 5), ")
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&q, "(%d, %d, %d), ", i, 1+37*i%500, i%20)
+	}
+	mustExec(t, db, strings.TrimSuffix(p.String(), ", "))
+	mustExec(t, db, strings.TrimSuffix(q.String(), ", "))
+	mustExec(t, db, "CREATE INDEX ON P (id)")
+	mustExec(t, db, "CREATE INDEX ON P (f)")
+	for _, stmt := range []string{"LINK SUMMARY Cls TO P", "LINK SUMMARY Snp TO P", "LINK SUMMARY Cls TO Q"} {
+		mustExec(t, db, stmt)
+	}
+	for i := 1; i <= 500; i += 3 {
+		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'observed feeding behavior near nest %d' AUTHOR 'ann' ON P%s WHERE id = %d",
+			i, []string{"", " (name)", " (f)"}[i%3], i))
+	}
+	for i := 0; i < 1000; i += 9 {
+		mustExec(t, db, fmt.Sprintf("ADD ANNOTATION 'sighting %d logged' AUTHOR 'obs' ON Q WHERE sid = %d", i, i))
+	}
+	queries := []struct {
+		q        string
+		op       string // the probe scan's op label
+		scanRows int64  // rows it reads
+	}{
+		{"SELECT p.id, p.name, q.sid FROM P p, Q q WHERE p.id = q.pid AND q.obs = 3", "index_keys_scan", 25},
+		{"SELECT p.name, q.sid, p.f FROM P p, Q q WHERE p.f = q.pid AND q.obs = 5", "index_keys_scan", 25},
+		{"SELECT p.id, q.sid FROM P p, Q q WHERE q.pid = p.id AND q.obs < 8", "scan", 500},
+		{"SELECT p.id, q.sid FROM P p, Q q WHERE q.pid = p.id AND q.obs = 3 AND p.name <> 'n52'", "index_keys_scan", 25},
+	}
+	check := func(deleted int64) {
+		t.Helper()
+		for _, c := range queries {
+			res := mustExec(t, db, c.q)
+			full, err := db.Exec(context.Background(), c.q, WithPlanOptions(plan.Options{DisableIndexScan: true}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := renderResult(res), renderResult(full); got != want {
+				t.Errorf("%q: keyed probe diverged from the full scan:\n--- full scan\n%s--- keyed\n%s", c.q, want, got)
+			}
+			if len(res.Rows) == 0 {
+				t.Errorf("%q: no rows", c.q)
+			}
+			probe := res.Ops[len(res.Ops)-2] // the join's left child, before the build scan
+			if probe.Op != c.op || probe.Rows > c.scanRows-deleted {
+				t.Errorf("%q: probe %+v; want %s over at most %d rows\nops: %+v", c.q, probe, c.op, c.scanRows-deleted, res.Ops)
+			}
+		}
+	}
+	check(0)
+	mustExec(t, db, "DELETE FROM P WHERE id = 52")
+	check(1)
+}

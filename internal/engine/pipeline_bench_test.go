@@ -170,6 +170,53 @@ func BenchmarkScanProjectEnvelopes(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinProbe is join_scan's join statement: 500 birds with 16
+// annotations each, indexed on id, joined with 1 000 sightings (a quarter
+// annotated) under an observers filter that keeps 25 of them. keyed lets
+// the join read birds through the index for the build side's keys;
+// fullScan (DisableIndexScan) reads and curates all 500 birds. The plan is
+// ablated, so nothing is materialized.
+func BenchmarkJoinProbe(b *testing.B) {
+	db := newJoinScanWorld(b)
+	g := workload.New(6)
+	rows := make([]string, 1000)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("(%d, %d, %d, 'site%d')", i+1, 1+g.Intn(500), i%40, i%7)
+	}
+	for _, stmt := range []string{
+		"CREATE INDEX ON birds (id)",
+		"CREATE TABLE sightings (sid INT, bird_id INT, observers INT, site TEXT)",
+		"BULK INSERT INTO sightings VALUES " + strings.Join(rows, ", "),
+		"LINK SUMMARY ClassBird1 TO sightings",
+		"LINK SUMMARY SimCluster TO sightings",
+	} {
+		if _, err := db.Exec(context.Background(), stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 1; i <= 1000; i += 4 {
+		if _, err := db.Exec(context.Background(), fmt.Sprintf("ADD ANNOTATION '%s' AUTHOR '%s' ON sightings WHERE sid = %d",
+			g.ClassText(workload.BirdClasses[i%4]), g.AuthorName(), i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		opts plan.Options
+	}{{"keyed", plan.Options{}}, {"fullScan", plan.Options{DisableIndexScan: true}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := fmt.Sprintf("SELECT b.id, b.name, s.sid FROM birds b, sightings s WHERE b.id = s.bird_id AND s.observers = %d", i%40)
+				if _, err := db.Query(context.Background(), q, engine.WithPlanOptions(bc.opts)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAdmit is the other half: what a SELECT pays to keep its result
 // for zoom-in, admitting it to the cache as a live entry (its size estimate
 // and the Put, with the evictions a full cache makes). group_by is that

@@ -10,6 +10,7 @@ import (
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/exec"
+	"insightnotes/internal/plan"
 	"insightnotes/internal/workload"
 )
 
@@ -168,7 +169,9 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 
 // TestPlanEquivalenceRandomized verifies Theorems 1&2 end to end on
 // randomized annotation populations: reversed join orders produce
-// identical summaries for every output tuple.
+// identical summaries for every output tuple, and with R indexed on its
+// join key the first order renders byte-identically with and without
+// index access paths (a keyed probe, when the build side allows one).
 func TestPlanEquivalenceRandomized(t *testing.T) {
 	queries := [][2]string{
 		{
@@ -186,10 +189,20 @@ func TestPlanEquivalenceRandomized(t *testing.T) {
 	}
 	f := func(seed int64, pick uint8) bool {
 		db := randomDB(t, seed)
+		mustExec(t, db, "CREATE INDEX ON R (a)")
 		q := queries[int(pick)%len(queries)]
 		r1, err := db.Query(context.Background(), q[0])
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		r3, err := db.Query(context.Background(), q[0], WithPlanOptions(plan.Options{DisableIndexScan: true}))
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if renderResult(r1) != renderResult(r3) {
+			t.Logf("seed %d: %q differs without index access paths:\n%s\nvs\n%s", seed, q[0], renderResult(r1), renderResult(r3))
 			return false
 		}
 		r2, err := db.Query(context.Background(), q[1])

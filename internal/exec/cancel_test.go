@@ -3,10 +3,12 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"insightnotes/internal/catalog"
 	"insightnotes/internal/types"
 )
 
@@ -22,6 +24,25 @@ func intValues(n int) *ValuesOp {
 		rows[i] = &Row{Tuple: types.Tuple{types.NewInt(int64(i))}}
 	}
 	return NewValues(schema, rows)
+}
+
+// intTable builds a catalog table of one indexed integer column n holding
+// 0..n-1.
+func intTable(t *testing.T, n int) *catalog.Table {
+	t.Helper()
+	tbl, err := catalog.New().CreateTable("ints", types.NewSchema(types.Column{Name: "n", Kind: types.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := tbl.Insert(types.Tuple{types.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.CreateIndex("n"); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 // cancelAfter passes batches through and fires cancel once the wrapped
@@ -106,27 +127,43 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestCancelMidHashJoinBuild cancels a join's build under two probe
+// inputs: plain values, and a keyable scan that would take the build's
+// keys once the build finished.
 func TestCancelMidHashJoinBuild(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	left := &closeTracker{Operator: intValues(4)}
-	buildInput := &closeTracker{Operator: intValues(40 * testBatchSize)}
-	right := &cancelAfter{Operator: buildInput, n: 5, cancel: cancel}
-	join := NewHashJoin(left, right,
-		[]*Compiled{colRef(t, "n", left.Schema())},
-		[]*Compiled{colRef(t, "n", buildInput.Schema())})
-	_, err := CollectContext(NewContext(ctx).WithBatchSize(testBatchSize), join)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	// The join's Open failed mid-build after opening both children; the
-	// collector must still cascade Close through the whole tree.
-	if !left.opened || !buildInput.opened {
-		t.Fatal("join children were not opened before the build cancellation")
-	}
-	if !left.closed || !buildInput.closed {
-		t.Fatalf("leaked open operators after cancelled build: left closed=%v right closed=%v",
-			left.closed, buildInput.closed)
+	for _, keyed := range []bool{false, true} {
+		t.Run(fmt.Sprint("keyed=", keyed), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var probe Operator = intValues(4)
+			var scan *Scan
+			if keyed {
+				scan = NewScan(intTable(t, 4), "", FullTable(), nil)
+				probe = scan
+			}
+			left := &closeTracker{Operator: probe}
+			buildInput := &closeTracker{Operator: intValues(40 * testBatchSize)}
+			right := &cancelAfter{Operator: buildInput, n: 5, cancel: cancel}
+			join := NewHashJoin(left, right,
+				[]*Compiled{colRef(t, "n", left.Schema())},
+				[]*Compiled{colRef(t, "n", buildInput.Schema())})
+			if keyed {
+				join.KeyProbe(scan, 0, "n", 70)
+			}
+			_, err := CollectContext(NewContext(ctx).WithBatchSize(testBatchSize), join)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("got %v, want context.Canceled", err)
+			}
+			// The join's Open failed mid-build after opening both children;
+			// the collector must still cascade Close through the whole tree.
+			if !left.opened || !buildInput.opened {
+				t.Fatal("join children were not opened before the build cancellation")
+			}
+			if !left.closed || !buildInput.closed {
+				t.Fatalf("leaked open operators after cancelled build: left closed=%v right closed=%v",
+					left.closed, buildInput.closed)
+			}
+		})
 	}
 }
 

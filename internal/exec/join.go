@@ -14,8 +14,11 @@ type HashJoin struct {
 	left, right         Operator
 	leftKeys, rightKeys []*Compiled
 	schema              types.Schema
+	probe               *Scan // keyable probe-side scan (KeyProbe); nil = none
+	probeKey            int   // the key whose build values probe is handed
 
-	build map[uint64][]*Row
+	build   map[uint64][]*Row
+	scratch types.Tuple // key values of the row keyHash last evaluated
 	// probe state: buffered left batch, current left row, pending matches
 	leftBuf []*Row
 	leftIdx int
@@ -33,13 +36,28 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []*Compiled) *HashJoi
 		leftKeys:  leftKeys,
 		rightKeys: rightKeys,
 		schema:    left.Schema().Concat(right.Schema()),
+		scratch:   make(types.Tuple, len(leftKeys)),
+	}
+}
+
+// KeyProbe has the join read its probe side through an index. scan is the
+// full-table scan the left input reads, keyable on its indexed column col,
+// which left key i reads as a plain column. After the build the join hands
+// scan the values right key i holds; when at most limit of them are
+// distinct, scan reads only the rows holding one, in row-id order, and
+// otherwise the whole table. keysEqual still decides every match, so the
+// join's output is the full scan's.
+func (j *HashJoin) KeyProbe(scan *Scan, i int, col string, limit int) {
+	if scan.keyBy(col, limit) {
+		j.probe, j.probeKey = scan, i
 	}
 }
 
 // Schema implements Operator.
 func (j *HashJoin) Schema() types.Schema { return j.schema }
 
-// Open implements Operator: builds the hash table over the right input.
+// Open implements Operator: opens both inputs, builds the hash table over
+// the right input, then hands a keyable probe scan the build's keys.
 // Cancellation during the build aborts via the row-batch polls of the
 // right input's leaf operators.
 func (j *HashJoin) Open(ec *ExecContext) error {
@@ -50,6 +68,7 @@ func (j *HashJoin) Open(ec *ExecContext) error {
 		return err
 	}
 	j.build = make(map[uint64][]*Row)
+	var keys []types.Value
 	err := drain(ec, j.right, func(row *Row) error {
 		key, null, err := j.keyHash(row.Tuple, j.rightKeys)
 		if err != nil {
@@ -57,11 +76,19 @@ func (j *HashJoin) Open(ec *ExecContext) error {
 		}
 		if !null { // NULL keys never join
 			j.build[key] = append(j.build[key], row)
+			if j.probe != nil {
+				keys = append(keys, j.scratch[j.probeKey])
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	if j.probe != nil {
+		if err := j.probe.takeKeys(keys); err != nil {
+			return err
+		}
 	}
 	j.leftBuf = nil
 	j.leftIdx = 0
@@ -71,10 +98,9 @@ func (j *HashJoin) Open(ec *ExecContext) error {
 	return nil
 }
 
-// keyHash evaluates the key expressions and hashes the resulting values;
-// null reports whether any key value was NULL.
+// keyHash evaluates the key expressions into j.scratch and hashes the
+// resulting values; null reports whether any key value was NULL.
 func (j *HashJoin) keyHash(tu types.Tuple, keys []*Compiled) (uint64, bool, error) {
-	vals := make(types.Tuple, len(keys))
 	for i, k := range keys {
 		v, err := k.Eval(tu)
 		if err != nil {
@@ -83,9 +109,9 @@ func (j *HashJoin) keyHash(tu types.Tuple, keys []*Compiled) (uint64, bool, erro
 		if v.IsNull() {
 			return 0, true, nil
 		}
-		vals[i] = v
+		j.scratch[i] = v
 	}
-	return vals.Hash(nil), false, nil
+	return j.scratch.Hash(nil), false, nil
 }
 
 // keysEqual verifies a hash match value-by-value.

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"insightnotes/internal/annotation"
@@ -254,6 +255,64 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	}
 	if len(rows) != 0 {
 		t.Errorf("NULL keys joined: %d rows", len(rows))
+	}
+}
+
+// TestHashJoinKeyProbe joins R (indexed on a) as the probe side with S's
+// keys 2, 2, 5, NULL and 99: within the limit the scan reads only R's rows
+// 2 and 5, over it the whole table, and both give the plain join's rows,
+// summaries and order.
+func TestHashJoinKeyProbe(t *testing.T) {
+	f := newFixture(t)
+	for i := int64(0); i < 10; i++ {
+		f.addRow(t, f.r, types.Tuple{types.NewInt(i), types.NewInt(i), types.NewString("x")},
+			annotation.ID(100+i), 1, annotation.WholeRow(3))
+	}
+	if err := f.r.CreateIndex("a"); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range []types.Value{types.NewInt(5), types.NewInt(2), types.Null(), types.NewInt(2), types.NewInt(99)} {
+		f.addRow(t, f.s, types.Tuple{x, types.NewString("z")}, annotation.ID(200+i), 1, annotation.WholeRow(2))
+	}
+	run := func(limit int) ([]*Row, *Scan) {
+		left := NewScan(f.r, "r", FullTable(), nil)
+		right := NewScan(f.s, "s", FullTable(), nil)
+		join := NewHashJoin(left, right,
+			[]*Compiled{colRef(t, "r.a", left.Schema())},
+			[]*Compiled{colRef(t, "s.x", right.Schema())})
+		if limit >= 0 {
+			join.KeyProbe(left, 0, "a", limit)
+		}
+		rows, err := Collect(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, left
+	}
+	render := func(rows []*Row) string {
+		var b strings.Builder
+		for _, r := range rows {
+			b.WriteString(r.Tuple.String() + " " + r.Env.Render() + "\n")
+		}
+		return b.String()
+	}
+	want, _ := run(-1)
+	if len(want) != 3 || want[0].Tuple[0].Int() != 2 || want[2].Tuple[0].Int() != 5 {
+		t.Fatalf("plain join rows = %v", want)
+	}
+	for _, c := range []struct {
+		limit    int
+		op       string
+		scanRows int64
+	}{{3, "index_keys_scan", 2}, {2, "scan", 10}} {
+		got, scan := run(c.limit)
+		if render(got) != render(want) {
+			t.Errorf("limit %d: keyed join diverged:\n%s\nwant\n%s", c.limit, render(got), render(want))
+		}
+		if OperatorName(scan) != c.op || scan.Stats().Rows != c.scanRows {
+			t.Errorf("limit %d: probe scan %s read %d rows; want %s reading %d\n%s",
+				c.limit, OperatorName(scan), scan.Stats().Rows, c.op, c.scanRows, scan.Describe())
+		}
 	}
 }
 

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"insightnotes/internal/catalog"
+	"insightnotes/internal/storage"
 	"insightnotes/internal/summary"
 	"insightnotes/internal/types"
 )
@@ -19,16 +21,18 @@ type EnvelopeSource interface {
 }
 
 // RowSource is how a Scan finds the rows it reads: the whole table, an
-// index equality lookup, or an index range. It is the only part of a scan
-// that varies with the access path — the planner picks one, the Scan
-// resolves it to row IDs in Open, and everything after that is shared.
-// The zero value is the full table.
+// index equality lookup, an index range, or the join keys a hash join
+// hands over. It is the only part of a scan that varies with the access
+// path — the planner picks one, the Scan resolves it to row IDs (in Open,
+// or for join keys when they arrive), and everything after that is
+// shared. The zero value is the full table.
 type RowSource struct {
 	kind         sourceKind
 	col          string       // indexed column (index sources)
 	val          types.Value  // equality probe
 	lo, hi       *types.Value // range bounds; nil is open
 	loInc, hiInc bool
+	limit        int // join keys: the most distinct keys read by index
 }
 
 type sourceKind uint8
@@ -37,6 +41,7 @@ const (
 	sourceTable sourceKind = iota
 	sourceIndexEq
 	sourceIndexRange
+	sourceIndexKeys
 )
 
 // FullTable reads every row of the table.
@@ -54,21 +59,19 @@ func IndexRange(col string, lo, hi *types.Value, loInc, hiInc bool) RowSource {
 	return RowSource{kind: sourceIndexRange, col: col, lo: lo, hi: hi, loInc: loInc, hiInc: hiInc}
 }
 
-// Path names the source: "full", "index" or "index_range". EXPLAIN prints
-// it as path= and the plan cache memoizes access-path choices under it.
+// Path names the source: "full", "index", "index_range" or "index_keys".
+// EXPLAIN prints it as path= and the plan cache memoizes access-path
+// choices under it.
 func (rs RowSource) Path() string {
-	return [...]string{"full", "index", "index_range"}[rs.kind]
-}
-
-// opName is the scan's metric label under this source.
-func (rs RowSource) opName() string {
-	return [...]string{"scan", "index_scan", "index_range_scan"}[rs.kind]
+	return [...]string{"full", "index", "index_range", "index_keys"}[rs.kind]
 }
 
 // describe renders the index condition for EXPLAIN (empty for the full
 // table).
 func (rs RowSource) describe() string {
 	switch rs.kind {
+	case sourceIndexKeys:
+		return fmt.Sprintf(" ON %s IN join keys (≤ %d keys)", rs.col, rs.limit)
 	case sourceIndexEq:
 		return fmt.Sprintf(" ON %s = %s", rs.col, rs.val)
 	case sourceIndexRange:
@@ -93,7 +96,8 @@ func (rs RowSource) describe() string {
 // resolve yields the slots of the rows of tbl the source selects: each
 // row's tuple and envelope pointer, read under the table lock. The stored
 // tuples are immutable, so sharing them is safe against later DML; the
-// envelopes are viewed as they are read (Scan.read).
+// envelopes are viewed as they are read (Scan.read). Join keys resolve
+// through resolveKeys instead.
 func (rs RowSource) resolve(tbl *catalog.Table) ([]catalog.Row, error) {
 	var rows []types.RowID
 	var err error
@@ -109,6 +113,35 @@ func (rs RowSource) resolve(tbl *catalog.Table) ([]catalog.Row, error) {
 		return nil, err
 	}
 	return tbl.GetRows(rows)
+}
+
+// resolveKeys yields the slots of the rows of tbl whose indexed column
+// holds one of keys, in ascending row-id order — the full table's order —
+// and n, the number of distinct keys, where distinct means distinct index
+// keys (INT 3 and FLOAT 3.0 count once). Past the source's limit it stops
+// counting at limit+1 and resolves nothing: the caller reads the table.
+func (rs RowSource) resolveKeys(tbl *catalog.Table, keys []types.Value) (rows []catalog.Row, n int, err error) {
+	seen := make(map[string]bool, min(len(keys), rs.limit+1))
+	var ids []types.RowID
+	var enc []byte
+	for _, k := range keys {
+		enc = storage.EncodeKey(enc[:0], k)
+		if seen[string(enc)] {
+			continue
+		}
+		if len(seen) == rs.limit {
+			return nil, rs.limit + 1, nil
+		}
+		seen[string(enc)] = true
+		match, err := tbl.LookupByIndex(rs.col, k)
+		if err != nil {
+			return nil, 0, err
+		}
+		ids = append(ids, match...)
+	}
+	slices.Sort(ids)
+	rows, err = tbl.GetRows(slices.Compact(ids))
+	return rows, len(seen), err
 }
 
 // Scan is the base-table scan: it reads the rows its RowSource selects
@@ -130,8 +163,10 @@ type Scan struct {
 	est    int             // planner's cardinality estimate; -1 = none attached
 
 	// run state, rebuilt by Open
-	rows []catalog.Row
-	pos  int // next index into rows
+	rows    []catalog.Row
+	pos     int  // next index into rows
+	pending bool // join-keys source: rows await takeKeys or the first NextBatch
+	keys    int  // distinct join keys handed over (at most limit+1); -1 = none
 }
 
 // NewScan creates a scan of tbl under alias (empty means the table name)
@@ -150,6 +185,7 @@ func NewScan(tbl *catalog.Table, alias string, src RowSource, pred *Compiled) *S
 		pred:   pred,
 		out:    schema,
 		est:    -1,
+		keys:   -1,
 	}
 }
 
@@ -182,21 +218,77 @@ func (s *Scan) AbsorbProject(items []ProjectItem) {
 func (s *Scan) Schema() types.Schema { return s.out }
 
 // Open implements Operator: it resolves the row source once, so DML
-// running after Open does not disturb the iteration.
+// running after Open does not disturb the iteration. A join-keys source
+// resolves later, when its keys arrive (takeKeys) or on the first
+// NextBatch; the statement lock keeps DML out of the interval.
 func (s *Scan) Open(ec *ExecContext) error {
 	if err := ec.Err(); err != nil {
 		return err
 	}
+	s.rows, s.pos, s.keys = nil, 0, -1
+	s.pending = s.src.kind == sourceIndexKeys
+	if s.pending {
+		return nil
+	}
 	var err error
 	s.rows, err = s.src.resolve(s.table)
-	s.pos = 0
 	return err
+}
+
+// keyBy makes a full-table scan keyable on its indexed column col (see
+// HashJoin.KeyProbe) and reports whether it did: a scan already reading
+// through an index keeps its source.
+func (s *Scan) keyBy(col string, limit int) bool {
+	if s.src.kind != sourceTable {
+		return false
+	}
+	s.src = RowSource{kind: sourceIndexKeys, col: col, limit: limit}
+	return true
+}
+
+// takeKeys hands a keyable scan, after Open, the key values its rows are
+// wanted for; duplicates need not be removed, NULLs must be. It resolves
+// the rows by index when the distinct keys are within the limit, and the
+// whole table otherwise. It does nothing to another scan or once the rows
+// resolved.
+func (s *Scan) takeKeys(keys []types.Value) error {
+	if !s.pending {
+		return nil
+	}
+	s.pending = false
+	rows, n, err := s.src.resolveKeys(s.table, keys)
+	if err != nil {
+		return err
+	}
+	s.keys = n
+	if !s.byKeys() {
+		rows = s.table.Rows()
+	}
+	s.rows = rows
+	return nil
+}
+
+// byKeys reports whether the rows were read by join keys, through the
+// index.
+func (s *Scan) byKeys() bool { return s.keys >= 0 && s.keys <= s.src.limit }
+
+// opName is the scan's metric label: its source's, except that a
+// join-keys source reads as a plain scan unless its rows were read by keys.
+func (s *Scan) opName() string {
+	if s.src.kind == sourceIndexKeys && !s.byKeys() {
+		return "scan"
+	}
+	return [...]string{"scan", "index_scan", "index_range_scan", "index_keys_scan"}[s.src.kind]
 }
 
 // NextBatch implements Operator: it reads rows in source order until it
 // holds a batch of rows that pass the absorbed predicate or the source
 // runs out, polling cancellation once per batch-size stretch of input.
 func (s *Scan) NextBatch(ec *ExecContext) (*Batch, error) {
+	if s.pending {
+		s.pending = false
+		s.rows = s.table.Rows()
+	}
 	start := s.begin(ec)
 	n := ec.BatchSize()
 	out := make([]*Row, 0, min(n, len(s.rows)-s.pos))
@@ -257,15 +349,22 @@ func (s *Scan) read(ec *ExecContext, k int) (*Row, error) {
 
 // Close implements Operator.
 func (s *Scan) Close() error {
-	s.rows = nil
+	s.rows, s.pending = nil, false
 	return nil
 }
 
-// Describe implements Described.
+// Describe implements Described. Once handed its keys, a join-keys
+// source also says how its rows were read: by index, or by the table.
 func (s *Scan) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scan %s AS %s path=%s%s",
 		s.table.Name(), s.alias, s.src.Path(), s.src.describe())
+	switch {
+	case s.byKeys():
+		fmt.Fprintf(&b, " read by %d keys", s.keys)
+	case s.keys >= 0:
+		fmt.Fprintf(&b, " read by table: over %d keys", s.src.limit)
+	}
 	if s.est >= 0 {
 		fmt.Fprintf(&b, " (est≈%d rows)", s.est)
 	}

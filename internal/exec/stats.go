@@ -7,7 +7,7 @@ package exec
 func OperatorName(op Operator) string {
 	switch op := op.(type) {
 	case *Scan:
-		return op.src.opName()
+		return op.opName()
 	case *ValuesOp:
 		return "values"
 	case *Filter:

@@ -43,6 +43,15 @@ func indexCost(est int) float64 {
 	return costIdxSeek + float64(est)*costIdxRow
 }
 
+// probeKeyLimit is the break-even of a hash join's keyed probe over a table
+// (exec.HashJoin.KeyProbe): the most distinct join keys n for which
+// indexCost's fixed descent plus a descent and a row per key, costIdxSeek +
+// n·(costIdxSeek + costIdxRow), is no dearer than the full scan. About 70
+// keys for 500 rows.
+func probeKeyLimit(st catalog.TableStats) int {
+	return max(0, int((seqScanCost(st)-costIdxSeek)/(costIdxSeek+costIdxRow)))
+}
+
 // diveLimit is the index-dive cap for a table: one entry past the count at
 // which the index is guaranteed to lose to the sequential scan.
 func diveLimit(seqCost float64) int {

@@ -159,3 +159,31 @@ func TestCostModelCountersTrackChoices(t *testing.T) {
 		t.Errorf("counters = %s", got)
 	}
 }
+
+// TestKeyProbeEligibility pins when a hash join's probe side is keyable:
+// its bare full-table scan, joined on a plain reference to an indexed
+// column, with index access paths on. The limit is probeKeyLimit's
+// break-even, (2000 − 4) / 7 = 285 keys for T.
+func TestKeyProbeEligibility(t *testing.T) {
+	w := newWorld(t)
+	costWorld(t, w)
+	const keyed = "Scan T AS t path=index_keys ON k IN join keys (≤ 285 keys)"
+	for _, c := range []struct {
+		q    string
+		opts Options
+		want string
+	}{
+		{"SELECT t.v, r.b FROM T t, R r WHERE t.k = r.a", Options{}, keyed},
+		{"SELECT t.v, r.b FROM T t, R r WHERE r.b = t.v AND r.a = t.k", Options{}, keyed},
+		{"SELECT t.v, r.b FROM T t, R r WHERE t.k = r.a", Options{DisableIndexScan: true}, "Scan T AS t path=full"},
+		{"SELECT t.v, r.b FROM T t, R r WHERE t.v = r.a", Options{}, "Scan T AS t path=full"},
+		{"SELECT t.v, r.b FROM T t, R r WHERE t.k + 0 = r.a", Options{}, "Scan T AS t path=full"},
+		{"SELECT t.v, r.b FROM T t, R r WHERE t.k = r.a", Options{Trace: true}, "Scan T AS t path=full"},
+		{"SELECT t.v, r.b FROM R r, T t WHERE t.k = r.a", Options{}, "Scan T AS t path=full"},
+		{"SELECT t.v, r.b FROM T t, R r WHERE t.k = r.a AND t.k = 5", Options{}, "Scan T AS t path=index ON k = 5"},
+	} {
+		if out := explainOf(t, w, c.q, c.opts); !strings.Contains(out, c.want) {
+			t.Errorf("%q %+v: want %q in\n%s", c.q, c.opts, c.want, out)
+		}
+	}
+}

@@ -227,7 +227,7 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 	for _, r := range rels[1:] {
 		joinSchema := curSchema.Concat(r.schema)
 		var eqLeft, eqRight []*exec.Compiled
-		var leftover []sql.Expr
+		var leftExprs, leftover []sql.Expr
 		for _, e := range remaining {
 			if !exec.ReferencesOnly(e, joinSchema) {
 				leftover = append(leftover, e)
@@ -245,13 +245,17 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 				}
 				eqLeft = append(eqLeft, lc)
 				eqRight = append(eqRight, rc)
+				leftExprs = append(leftExprs, l)
 				continue
 			}
 			leftover = append(leftover, e)
 		}
 		if len(eqLeft) > 0 {
-			cur = p.trace(exec.NewHashJoin(cur, r.op, eqLeft, eqRight),
-				"join("+r.ref.EffectiveAlias()+")")
+			join := exec.NewHashJoin(cur, r.op, eqLeft, eqRight)
+			if scan, ok := cur.(*exec.Scan); ok {
+				p.keyProbe(join, scan, rels[0], leftExprs)
+			}
+			cur = p.trace(join, "join("+r.ref.EffectiveAlias()+")")
 		} else {
 			// Collect any resolvable non-equi condition into the NL join.
 			var cond sql.Expr
@@ -375,6 +379,30 @@ func (p *Planner) accessPath(r *relation, preds []sql.Expr) (*exec.Scan, error) 
 	scan := exec.NewScan(r.table, r.ref.EffectiveAlias(), src, pred)
 	scan.SetEstimatedRows(est)
 	return scan, nil
+}
+
+// keyProbe lets join read its probe side, scan over relation r, through
+// an index: the first left key that is a plain reference to an indexed
+// column of r keys the scan, up to probeKeyLimit distinct build keys.
+// Rows, summaries and their order stay the full scan's.
+func (p *Planner) keyProbe(join *exec.HashJoin, scan *exec.Scan, r *relation, leftKeys []sql.Expr) {
+	if p.opts.DisableIndexScan {
+		return
+	}
+	for i, e := range leftKeys {
+		cr, ok := e.(*sql.ColRef)
+		if !ok {
+			continue
+		}
+		ix, err := r.schema.ColumnIndex(cr.Name)
+		if err != nil {
+			continue
+		}
+		if col := r.schema.Columns[ix].Name; r.table.Index(col) != nil {
+			join.KeyProbe(scan, i, col, probeKeyLimit(r.table.Stats()))
+			return
+		}
+	}
 }
 
 // pushProjection narrows scan's output to the needed column ordinals of

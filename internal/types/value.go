@@ -7,7 +7,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -205,38 +204,48 @@ func compareFloat(a, b float64) int {
 // Note that, as in SQL DISTINCT/GROUP BY semantics, NULL equals NULL here.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Hash returns a 64-bit hash of the value such that Equal values hash
-// equally (including the INT/FLOAT widening rule).
+// Hash returns a 64-bit FNV-1a hash of the value such that Equal values
+// hash equally (including the INT/FLOAT widening rule). It allocates
+// nothing, so hashing a join or grouping key per row costs no garbage.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	switch v.kind {
 	case KindNull:
-		h.Write([]byte{0})
+		h = fnvByte(h, 0)
 	case KindInt:
-		writeFloatHash(h, float64(v.i))
+		h = fnvFloat(h, float64(v.i))
 	case KindFloat:
-		writeFloatHash(h, v.f)
+		h = fnvFloat(h, v.f)
 	case KindString:
-		h.Write([]byte{3})
-		h.Write([]byte(v.s))
-	case KindBool:
-		if v.b {
-			h.Write([]byte{4, 1})
-		} else {
-			h.Write([]byte{4, 0})
+		h = fnvByte(h, 3)
+		for i := 0; i < len(v.s); i++ {
+			h = fnvByte(h, v.s[i])
 		}
+	case KindBool:
+		var b byte
+		if v.b {
+			b = 1
+		}
+		h = fnvByte(fnvByte(h, 4), b)
 	}
-	return h.Sum64()
+	return h
 }
 
-func writeFloatHash(h interface{ Write([]byte) (int, error) }, f float64) {
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvFloat hashes a tag byte 2 and the float's bits, low byte first.
+func fnvFloat(h uint64, f float64) uint64 {
 	bits := math.Float64bits(f)
-	var buf [9]byte
-	buf[0] = 2
+	h = fnvByte(h, 2)
 	for i := 0; i < 8; i++ {
-		buf[i+1] = byte(bits >> (8 * i))
+		h = fnvByte(h, byte(bits>>(8*i)))
 	}
-	h.Write(buf[:])
+	return h
 }
 
 // String renders the value for display. Strings are returned verbatim

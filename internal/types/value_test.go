@@ -1,6 +1,9 @@
 package types
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -136,6 +139,39 @@ func TestHashEqualConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashIsFNV1a pins Value.Hash to hash/fnv's 64-bit FNV-1a over the
+// value's tagged bytes, and checks that it allocates nothing.
+func TestHashIsFNV1a(t *testing.T) {
+	fnv1a := func(b ...byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	floatBytes := func(f float64) []byte {
+		out := []byte{2}
+		return binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
+	}
+	for _, c := range []struct {
+		v    Value
+		want uint64
+	}{
+		{Null(), fnv1a(0)},
+		{NewInt(-7), fnv1a(floatBytes(-7)...)},
+		{NewFloat(2.5), fnv1a(floatBytes(2.5)...)},
+		{NewString("swan"), fnv1a(append([]byte{3}, "swan"...)...)},
+		{NewBool(false), fnv1a(4, 0)},
+		{NewBool(true), fnv1a(4, 1)},
+	} {
+		if got := c.v.Hash(); got != c.want {
+			t.Errorf("%#v.Hash() = %x, want %x", c.v, got, c.want)
+		}
+	}
+	v := NewString("a longer string value")
+	if n := testing.AllocsPerRun(100, func() { _ = v.Hash() }); n != 0 {
+		t.Errorf("Hash allocates %v times per call", n)
 	}
 }
 
