@@ -10,8 +10,9 @@
 //	              [-metrics-addr 127.0.0.1:7091] [-slow-query-ms 250] [-slow-query-log slow.jsonl]
 //	              [-admit-max 0] [-admit-queue 64] [-admit-timeout 1s] [-max-conns 0]
 //	              [-max-frame-bytes 16777216] [-idle-timeout 0] [-write-timeout 0]
-//	              [-maint-queue 1024] [-maint-latency-ms 0]
+//	              [-maint-queue 1024] [-maint-latency-ms 0] [-batch-size 0] [-plan-cache 256]
 //	              [-page-file pages.db] [-pool-frames 256]
+//	              [-trace-sample 0.05] [-trace-capacity 512] [-no-tracing]
 //	              [-replication-addr :7092] [-replicate-from host:7092] [-max-staleness 0]
 //	              [-scrub-interval 0] [-scrub-rate 256]
 //

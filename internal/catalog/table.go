@@ -369,11 +369,16 @@ func (t *Table) CreateIndex(col string) error {
 	idx := storage.NewBTree()
 	t.indexes[name] = idx
 	t.mu.Unlock()
+	t.fillIndex(idx, ci)
+	return nil
+}
+
+// fillIndex inserts every row's key in column ci into idx.
+func (t *Table) fillIndex(idx *storage.BTree, ci int) {
 	t.Scan(func(row types.RowID, tu types.Tuple) bool {
 		idx.Insert(storage.EncodeKey(nil, tu[ci]), uint64(row))
 		return true
 	})
-	return nil
 }
 
 // VerifyIndexes checks every secondary index's structural invariants (key
@@ -411,10 +416,7 @@ func (t *Table) RebuildIndex(col string) error {
 		return err
 	}
 	idx := storage.NewBTree()
-	t.Scan(func(row types.RowID, tu types.Tuple) bool {
-		idx.Insert(storage.EncodeKey(nil, tu[ci]), uint64(row))
-		return true
-	})
+	t.fillIndex(idx, ci)
 	t.mu.Lock()
 	t.indexes[name] = idx
 	t.mu.Unlock()

@@ -4,11 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/catalog"
-	"insightnotes/internal/exec"
 	"insightnotes/internal/plan"
 	"insightnotes/internal/sql"
 	"insightnotes/internal/summary"
@@ -139,7 +137,7 @@ func (db *DB) annotate(items []annotateItem) ([]annotation.ID, int, error) {
 				return nil, 0, fmt.Errorf("engine: annotation matches no tuples of %s", spec.Table)
 			}
 			for _, row := range rows {
-				wa.Targets = append(wa.Targets, annotation.Target{Table: tbl.Name(), Row: row, Columns: cols})
+				wa.Targets = append(wa.Targets, annotation.Target{Table: tbl.Name(), Row: row.ID, Columns: cols})
 			}
 			wa.scopes = append(wa.scopes, len(rows))
 		}
@@ -178,88 +176,40 @@ func resolveColumns(schema types.Schema, names []string) (annotation.ColSet, err
 	return cols, nil
 }
 
-// matchRows returns the row ids of tbl satisfying where (all rows when
-// nil), in ascending row-id order. The access path is cost-based: when an
-// indexed conjunct's estimated cost undercuts the full scan, candidates
-// come from the index and the full predicate is re-evaluated per
-// candidate; otherwise the table is scanned. Callers hold the exclusive
-// statement lock (UPDATE, DELETE, ANNOTATE all mutate), so the decision
-// is recorded on a stmt.plan span under db.writeSpan when one is active.
-func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]types.RowID, error) {
-	path := plan.ChooseDMLPath(tbl, where, db.cfg.PlanOptions.DisableIndexScan)
-	if sp := db.writeSpan.Child(trace.SpanPlan); sp != nil {
-		sp.Attr("path", path.Name)
-		sp.AttrFloat("cost_seq", path.CostSeq)
-		if path.Col != "" {
-			sp.Attr("index_col", path.Col)
-			sp.AttrFloat("cost_index", path.CostIndex)
-			sp.AttrInt("est_rows", int64(path.Est))
-		}
-		sp.End()
+// matchRows returns the rows of tbl satisfying where (all rows when nil),
+// in ascending row-id order, read through the row source SELECT's chooser
+// picks (plan.MatchSource); an index serves one conjunct and the whole
+// predicate still decides. Callers hold the exclusive statement lock
+// (UPDATE, DELETE, ANNOTATE all mutate), so the decision is recorded on a
+// stmt.plan span under db.writeSpan when one is active.
+func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]catalog.Row, error) {
+	sp := db.writeSpan.Child(trace.SpanPlan)
+	src, pred, err := plan.MatchSource(tbl, where, plan.Options{DisableIndexScan: db.cfg.PlanOptions.DisableIndexScan, Span: sp})
+	sp.End()
+	if err != nil {
+		return nil, err
 	}
-
-	var pred *exec.Compiled
-	if where != nil {
-		var err error
-		pred, err = exec.Compile(where, tbl.Schema())
-		if err != nil {
-			return nil, err
-		}
+	rows, err := src.Rows(tbl)
+	if err != nil {
+		return nil, err
 	}
-
-	if path.Name != "full_scan" {
-		var cand []types.RowID
-		var err error
-		if path.IsRange {
-			cand, err = tbl.LookupByIndexRange(path.Col, path.Lo, path.Hi, path.LoInc, path.HiInc)
-		} else {
-			cand, err = tbl.LookupByIndex(path.Col, path.Val)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// The index served one conjunct; the full predicate still decides.
-		var rows []types.RowID
-		for _, row := range cand {
-			tu, err := tbl.Get(row)
-			if err != nil {
-				return nil, err
-			}
-			v, err := pred.Eval(tu)
-			if err != nil {
-				return nil, err
-			}
-			if v.Truthy() {
-				rows = append(rows, row)
-			}
-		}
-		// Full scans yield ascending row ids; index candidates arrive in key
-		// order. Sort so downstream effects (WAL records, messages) are
-		// identical whichever path won.
-		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-		return rows, nil
-	}
-
-	var rows []types.RowID
-	var evalErr error
-	tbl.Scan(func(row types.RowID, tu types.Tuple) bool {
+	matched := rows[:0]
+	for _, r := range rows {
 		if pred != nil {
-			v, err := pred.Eval(tu)
+			v, err := pred.Eval(r.Tuple)
 			if err != nil {
-				evalErr = err
-				return false
+				return nil, err
 			}
 			if !v.Truthy() {
-				return true
+				continue
 			}
 		}
-		rows = append(rows, row)
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
+		matched = append(matched, r)
 	}
-	return rows, nil
+	// Index rows arrive in key order. Sort so downstream effects (WAL
+	// records, messages) are identical whichever path won.
+	slices.SortFunc(matched, func(a, b catalog.Row) int { return cmp.Compare(a.ID, b.ID) })
+	return matched, nil
 }
 
 // LinkInstance links a registered instance to a table and summarizes the

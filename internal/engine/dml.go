@@ -44,20 +44,16 @@ func (db *DB) execUpdate(s *sql.Update) (*Result, error) {
 	// state that later records will change.
 	images := make([]walRow, len(rows))
 	for i, row := range rows {
-		tu, err := tbl.Get(row)
-		if err != nil {
-			return nil, err
-		}
-		updated := tu.Clone()
+		updated := row.Tuple.Clone()
 		for _, a := range assigns {
-			if updated[a.col], err = a.expr.Eval(tu); err != nil {
+			if updated[a.col], err = a.expr.Eval(row.Tuple); err != nil {
 				return nil, err
 			}
 		}
 		if err := tbl.Validate(updated); err != nil {
 			return nil, err
 		}
-		images[i] = walRow{ID: row, Values: updated}
+		images[i] = walRow{ID: row.ID, Values: updated}
 	}
 	if _, err := db.mutate(walTypeUpdate, &walRows{Table: tbl.Name(), Rows: images}); err != nil {
 		return nil, err
@@ -80,7 +76,11 @@ func (db *DB) execDelete(s *sql.Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	orphaned, err := db.mutate(walTypeDelete, &walDelete{Table: tbl.Name(), Rows: rows})
+	ids := make([]types.RowID, len(rows))
+	for i, row := range rows {
+		ids[i] = row.ID
+	}
+	orphaned, err := db.mutate(walTypeDelete, &walDelete{Table: tbl.Name(), Rows: ids})
 	if err != nil {
 		return nil, err
 	}

@@ -93,12 +93,13 @@ func (rs RowSource) describe() string {
 	return ""
 }
 
-// resolve yields the slots of the rows of tbl the source selects: each
-// row's tuple and envelope pointer, read under the table lock. The stored
-// tuples are immutable, so sharing them is safe against later DML; the
-// envelopes are viewed as they are read (Scan.read). Join keys resolve
-// through resolveKeys instead.
-func (rs RowSource) resolve(tbl *catalog.Table) ([]catalog.Row, error) {
+// Rows yields the slots of the rows of tbl the source selects: each row's
+// tuple and envelope pointer, read under the table lock, in row-id order
+// for the full table and in key order through an index. The stored tuples
+// are immutable, so sharing them is safe against later DML; a Scan views
+// the envelopes as it reads them (Scan.read). The slice is the caller's.
+// Join keys resolve through resolveKeys instead.
+func (rs RowSource) Rows(tbl *catalog.Table) ([]catalog.Row, error) {
 	var rows []types.RowID
 	var err error
 	switch rs.kind {
@@ -231,7 +232,7 @@ func (s *Scan) Open(ec *ExecContext) error {
 		return nil
 	}
 	var err error
-	s.rows, err = s.src.resolve(s.table)
+	s.rows, err = s.src.Rows(s.table)
 	return err
 }
 

@@ -11,7 +11,8 @@
 // LeakyOpens reads the tests and examples themselves (neither may leave the
 // zoom-in cache directory Open creates behind), StaleMakeTargets reads
 // the documentation against the Makefile, and StaleDaemonFlags reads it
-// against the daemon's flag declarations.
+// against the daemon's flag declarations, which UndocumentedDaemonFlags
+// holds to the daemon's usage block.
 package lint
 
 import (
@@ -395,18 +396,9 @@ func StaleDaemonFlags(mainSrc, name, doc string) []string {
 		return []string{fmt.Sprintf("%s: %v", name, err)}
 	}
 	declared := map[string]bool{"h": true, "help": true} // the flag package's own
-	ast.Inspect(f, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && strings.HasPrefix(selectorChain(call.Fun), "flag.") {
-			for _, arg := range call.Args {
-				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					v, _ := strconv.Unquote(lit.Value)
-					declared[v] = true
-					break
-				}
-			}
-		}
-		return true
-	})
+	for _, flag := range declaredFlags(f) {
+		declared[flag] = true
+	}
 	const terminators = "`|&;)>"
 	var problems []string
 	for _, line := range strings.Split(docContinuation.ReplaceAllString(doc, " "), "\n") {
@@ -427,4 +419,48 @@ func StaleDaemonFlags(mainSrc, name, doc string) []string {
 		}
 	}
 	return problems
+}
+
+// UndocumentedDaemonFlags reports each flag mainSrc — the daemon's main.go
+// — declares that the Usage block of its package comment (the lines after
+// "Usage:" up to the first blank line after them) does not show as -name.
+func UndocumentedDaemonFlags(mainSrc string) []string {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", mainSrc, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	_, usage, _ := strings.Cut(f.Doc.Text(), "Usage:")
+	usage, _, _ = strings.Cut(strings.TrimLeft(usage, "\n"), "\n\n")
+	shown := map[string]bool{}
+	for _, word := range strings.Fields(usage) {
+		if m := docFlag.FindStringSubmatch(word); m != nil {
+			shown[m[1]] = true
+		}
+	}
+	var problems []string
+	for _, flag := range declaredFlags(f) {
+		if !shown[flag] {
+			problems = append(problems, fmt.Sprintf("flag -%s is missing from the Usage block of the insightnotesd package comment", flag))
+		}
+	}
+	return problems
+}
+
+// declaredFlags returns the names f declares with flag.<Kind>("name", ...)
+// calls, in source order.
+func declaredFlags(f *ast.File) []string {
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && strings.HasPrefix(selectorChain(call.Fun), "flag.") {
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					v, _ := strconv.Unquote(lit.Value)
+					names = append(names, v)
+					break
+				}
+			}
+		}
+		return true
+	})
+	return names
 }

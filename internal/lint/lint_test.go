@@ -339,3 +339,17 @@ func TestDocumentedDaemonFlagsExist(t *testing.T) {
 	expect(t, StaleDaemonFlags(mainSrc, "x.md", doc),
 		"`insightnotesd -repair-from` names no flag", "`insightnotesd -no-such` names no flag")
 }
+
+// Every flag the daemon declares is shown in the Usage block of its
+// package comment, so adding a flag cannot leave the usage incomplete.
+func TestDaemonFlagsInUsage(t *testing.T) {
+	data, err := os.ReadFile("../../cmd/insightnotesd/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(t, UndocumentedDaemonFlags(string(data)))
+	src := "// Command d serves.\n//\n// Usage:\n//\n//\td [-addr :1] [-demo]\n//\n// With -secret it hides.\n" +
+		"package main\n\nimport \"flag\"\n\nfunc main() {\n" +
+		"\tflag.String(\"addr\", \"\", \"\")\n\tflag.Bool(\"demo\", false, \"\")\n\tflag.Int(\"secret\", 0, \"\")\n}\n"
+	expect(t, UndocumentedDaemonFlags(src), "flag -secret is missing")
+}

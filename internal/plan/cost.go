@@ -7,8 +7,6 @@
 package plan
 
 import (
-	"strings"
-
 	"insightnotes/internal/catalog"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/sql"
@@ -110,17 +108,25 @@ func bestIndexCandidate(tbl *catalog.Table, schema types.Schema, conjuncts []sql
 // chooseAccessPath picks the cheapest row source for relation r given its
 // pushed-down local predicates: the best eligible index candidate when its
 // estimated cost undercuts the full scan, the full table otherwise.
-// It returns the source with the planner's row estimate for it.
-func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) (exec.RowSource, int) {
-	alias := strings.ToLower(r.ref.EffectiveAlias())
+// It returns the source with the planner's row estimate for it, and
+// records the decision on the plan span under keys ending in suffix:
+// "."+alias for a SELECT relation, "" for a mutating statement's match.
+// The suffix also keys the relation's plan-cache memo entry.
+func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr, suffix string) (src exec.RowSource, est int) {
+	sp := p.opts.Span
+	if sp != nil {
+		// Every return records the path: full_scan, index_scan or
+		// index_range_scan, the values of access_paths_total{path}.
+		defer func() { sp.Attr("path"+suffix, src.Path()+"_scan") }()
+	}
 	st := r.table.Stats()
 	memo := p.opts.Memo
 	if p.opts.DisableIndexScan {
 		memo = nil
 	}
-	if ch, ok := memo.lookup(alias); ok {
+	if ch, ok := memo.lookup(suffix); ok {
 		if src, replayed := replayPath(r, local, ch); replayed {
-			p.opts.Span.Attr("path_memo."+alias, ch.kind)
+			sp.Attr("path_memo"+suffix, ch.kind)
 			if ch.kind == "full" {
 				ch.est = st.Rows // the table's size is read, never memoized
 			}
@@ -134,21 +140,36 @@ func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr) (exec.RowSourc
 		best = bestIndexCandidate(r.table, r.schema, local, diveLimit(seq))
 	}
 
-	if sp := p.opts.Span; sp != nil {
-		sp.AttrFloat("cost_seq."+alias, seq)
+	if sp != nil {
+		sp.AttrFloat("cost_seq"+suffix, seq)
 		if best != nil {
-			sp.AttrFloat("cost_index."+alias, indexCost(best.est))
-			sp.Attr("index_col."+alias, best.col)
-			sp.AttrInt("est_rows."+alias, int64(best.est))
+			sp.AttrFloat("cost_index"+suffix, indexCost(best.est))
+			sp.Attr("index_col"+suffix, best.col)
+			sp.AttrInt("est_rows"+suffix, int64(best.est))
 		}
 	}
 	if best != nil && indexCost(best.est) < seq {
-		src := best.source()
-		memo.record(alias, pathChoice{kind: src.Path(), col: best.col, est: best.est})
+		src = best.source()
+		memo.record(suffix, pathChoice{kind: src.Path(), col: best.col, est: best.est})
 		return src, best.est
 	}
-	memo.record(alias, pathChoice{kind: "full"})
+	memo.record(suffix, pathChoice{kind: "full"})
 	return exec.FullTable(), st.Rows
+}
+
+// MatchSource picks the row source through which a mutating statement —
+// UPDATE, DELETE or ADD ANNOTATION — reads the rows of tbl its WHERE
+// clause may select, with the chooser SELECT uses, and compiles where
+// against the table's schema (nil for a nil where: every row matches).
+// Of opts only DisableIndexScan and Span apply: no memo, no counters.
+func MatchSource(tbl *catalog.Table, where sql.Expr, opts Options) (exec.RowSource, *exec.Compiled, error) {
+	p := &Planner{opts: Options{DisableIndexScan: opts.DisableIndexScan, Span: opts.Span}}
+	src, _ := p.chooseAccessPath(&relation{table: tbl, schema: tbl.Schema()}, exec.SplitConjuncts(where), "")
+	if where == nil {
+		return src, nil, nil
+	}
+	pred, err := exec.Compile(where, tbl.Schema())
+	return src, pred, err
 }
 
 // replayPath rebuilds the memoized row source for r, pulling probe values

@@ -362,7 +362,7 @@ func (p *Planner) accessPath(r *relation, preds []sql.Expr) (*exec.Scan, error) 
 			return nil, err
 		}
 	}
-	src, est := p.chooseAccessPath(r, local)
+	src, est := p.chooseAccessPath(r, local, "."+strings.ToLower(r.ref.EffectiveAlias()))
 	if c := p.opts.Counters; c != nil {
 		switch src.Path() {
 		case "index":
@@ -373,9 +373,6 @@ func (p *Planner) accessPath(r *relation, preds []sql.Expr) (*exec.Scan, error) 
 			c.FullScans.Add(1)
 		}
 	}
-	// full_scan, index_scan, index_range_scan: the values of the
-	// access_paths_total{path} label the counters above feed.
-	p.opts.Span.Attr("path."+strings.ToLower(r.ref.EffectiveAlias()), src.Path()+"_scan")
 	scan := exec.NewScan(r.table, r.ref.EffectiveAlias(), src, pred)
 	scan.SetEstimatedRows(est)
 	return scan, nil

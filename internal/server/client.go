@@ -146,14 +146,10 @@ func (c *Client) Do(ctx context.Context, stmt string, opts ...CallOption) (*Resp
 		opt(&co)
 	}
 	req := Request{Stmt: stmt, Trace: co.trace, Args: co.args}
-	switch {
-	case co.mutation:
-		return c.doMutation(ctx, req, co.attempts, co.backoff)
-	case co.attempts > 1:
-		return c.doRetry(ctx, req, co.attempts, co.backoff)
-	default:
+	if !co.mutation && co.attempts <= 1 {
 		return c.roundTrip(ctx, req)
 	}
+	return c.do(ctx, req, co)
 }
 
 // stmtSeed desynchronizes auto-generated prepared-statement names across
@@ -222,97 +218,50 @@ func (st *Stmt) Close(ctx context.Context) error {
 	return resp.Err()
 }
 
-// doRetry retries statements shed with ErrOverloaded. The server's
-// RetryAfter hint acts as a floor under the jittered backoff schedule, so
-// clients back off at least as hard as the server asks while still
-// desynchronizing their retries. A connection the server closed (e.g.
-// refused at the -max-conns cap after its one structured answer) is
-// redialed transparently between attempts. Transport failures retry too:
-// without WithMutation the statement is assumed idempotent.
-func (c *Client) doRetry(ctx context.Context, req Request, attempts int, b Backoff) (*Response, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
+// do runs req for up to attempts tries under the backoff schedule,
+// retrying statements shed with ErrOverloaded. The server's RetryAfter
+// hint acts as a floor under each jittered delay, so clients back off at
+// least as hard as the server asks while still desynchronizing their
+// retries. A missing connection (surrendered after a failed exchange) is
+// redialed at the top of each attempt; a failed dial sent nothing and is
+// retried. A transport failure after the send is retried only without
+// mutation: a mutation's fate is then unknown, and resending could apply
+// it twice. A mutation's shed also surrenders the connection, which the
+// server may close after a connect-time refusal, so the next attempt
+// redials rather than writing into a dead stream.
+func (c *Client) do(ctx context.Context, req Request, co callOptions) (*Response, error) {
+	attempts := max(co.attempts, 1)
 	var lastErr error
 	for i := 0; i < attempts; i++ {
-		resp, err := c.roundTrip(ctx, req)
-		switch {
-		case err != nil:
-			// Transport failure: the conn is dead. Redial before the
-			// next attempt; keep the old error if redial also fails.
-			lastErr = err
-			c.redial()
-		case errors.Is(resp.Err(), ErrOverloaded):
-			lastErr = resp.Err()
-			if i == attempts-1 {
-				return resp, nil // caller sees the final structured shed
-			}
-			d := b.Delay(i)
-			if hint := time.Duration(resp.RetryAfterMS) * time.Millisecond; d < hint {
-				d = hint
-			}
-			if !sleep(ctx, d) {
-				return nil, ctx.Err()
-			}
-			continue
-		default:
-			return resp, nil
-		}
-		if i < attempts-1 && !sleep(ctx, b.Delay(i)) {
-			return nil, ctx.Err()
-		}
-	}
-	return nil, fmt.Errorf("server: %d attempt(s) exhausted: %w", attempts, lastErr)
-}
-
-// doMutation sends one mutating statement with retry semantics safe for
-// non-idempotent work: an attempt is retried only when the statement
-// provably never entered the engine — the dial failed, or the server
-// answered with a structured pre-engine shed (ErrOverloaded, issued
-// before the execution slot). Once the request has gone onto the wire
-// (fully or partially), any transport failure is terminal. Reads don't
-// need this caution; plain Do / WithRetry resend freely.
-func (c *Client) doMutation(ctx context.Context, req Request, attempts int, b Backoff) (*Response, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
+		var resp *Response
+		var err error
 		if c.currentConn() == nil {
-			// The previous attempt surrendered its connection before
-			// sending; a failed dial is retryable for the same reason.
-			if err := c.redial(); err != nil {
-				lastErr = err
-				if i < attempts-1 && !sleep(ctx, b.Delay(i)) {
-					return nil, ctx.Err()
-				}
-				continue
+			err = c.redial()
+		}
+		if err == nil {
+			resp, err = c.roundTrip(ctx, req)
+			if err != nil && co.mutation {
+				return nil, fmt.Errorf("server: mutation fate unknown after send failure (not retried): %w", err)
 			}
 		}
-		resp, err := c.roundTrip(ctx, req)
+		var hint time.Duration
 		switch {
 		case err != nil:
-			return nil, fmt.Errorf("server: mutation fate unknown after send failure (not retried): %w", err)
+			lastErr = err
 		case errors.Is(resp.Err(), ErrOverloaded):
-			// Shed before entering the engine, so resending is safe. The
-			// server may close the connection after a connect-time
-			// refusal; surrender it now so the next attempt redials
-			// rather than writing into a dead stream (which would look
-			// like an unknown fate).
-			c.surrender()
+			if co.mutation {
+				c.surrender()
+			}
 			lastErr = resp.Err()
 			if i == attempts-1 {
 				return resp, nil // caller sees the final structured shed
 			}
-			d := b.Delay(i)
-			if hint := time.Duration(resp.RetryAfterMS) * time.Millisecond; d < hint {
-				d = hint
-			}
-			if !sleep(ctx, d) {
-				return nil, ctx.Err()
-			}
+			hint = time.Duration(resp.RetryAfterMS) * time.Millisecond
 		default:
 			return resp, nil
+		}
+		if i < attempts-1 && !sleep(ctx, max(co.backoff.Delay(i), hint)) {
+			return nil, ctx.Err()
 		}
 	}
 	return nil, fmt.Errorf("server: %d attempt(s) exhausted: %w", attempts, lastErr)
