@@ -92,10 +92,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/summary/
 	$(GO) test -run '^$$' -fuzz FuzzAppendQuoted -fuzztime $(FUZZTIME) ./internal/summary/
 
-# loc prints the non-test Go line count of each package under internal/
-# (build-constrained files the host would not compile are left out) and
-# their total.
+# loc prints, for each package under internal/, its non-test and its test
+# Go line counts (test: TestGoFiles and XTestGoFiles; build-constrained
+# files the host would not compile are left out), then both totals.
 loc:
-	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... | \
-		while read -r pkg files; do printf '%7d %s\n' "$$(cat /dev/null $$files | wc -l)" "$${pkg#*/}"; done | \
-		awk '{ print; n += $$1 } END { printf "%7d total\n", n }'
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}|{{range .TestGoFiles}} {{$$.Dir}}/{{.}}{{end}}{{range .XTestGoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... | \
+		while IFS='|' read -r src tests; do set -- $$src; pkg=$$1; shift; \
+			printf '%7d %7d %s\n' "$$(cat /dev/null "$$@" | wc -l)" "$$(cat /dev/null $$tests | wc -l)" "$${pkg#*/}"; done | \
+		awk 'BEGIN { print "non-test    test" } { print; n += $$1; t += $$2 } END { printf "%7d %7d total\n", n, t }'

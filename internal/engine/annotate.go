@@ -176,8 +176,9 @@ func resolveColumns(schema types.Schema, names []string) (annotation.ColSet, err
 	return cols, nil
 }
 
-// matchRows returns the rows of tbl satisfying where (all rows when nil),
-// in ascending row-id order, read through the row source SELECT's chooser
+// matchRows returns the ids and tuples of the rows of tbl satisfying where
+// (all rows when nil), in ascending row-id order, copying no other row's
+// slot. It reads them through the row source SELECT's chooser
 // picks (plan.MatchSource); an index serves one conjunct and the whole
 // predicate still decides. Callers hold the exclusive statement lock
 // (UPDATE, DELETE, ANNOTATE all mutate), so the decision is recorded on a
@@ -189,22 +190,18 @@ func (db *DB) matchRows(tbl *catalog.Table, where sql.Expr) ([]catalog.Row, erro
 	if err != nil {
 		return nil, err
 	}
-	rows, err := src.Rows(tbl)
-	if err != nil {
-		return nil, err
-	}
-	matched := rows[:0]
-	for _, r := range rows {
+	var matched []catalog.Row
+	err = src.Each(tbl, func(id types.RowID, tu types.Tuple) error {
 		if pred != nil {
-			v, err := pred.Eval(r.Tuple)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
+			if v, err := pred.Eval(tu); err != nil || !v.Truthy() {
+				return err
 			}
 		}
-		matched = append(matched, r)
+		matched = append(matched, catalog.Row{ID: id, Tuple: tu})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Index rows arrive in key order. Sort so downstream effects (WAL
 	// records, messages) are identical whichever path won.

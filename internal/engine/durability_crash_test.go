@@ -1,13 +1,11 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
 
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/plan"
 	"insightnotes/internal/types"
@@ -58,159 +56,21 @@ var crashScenarios = []crashScenario{
 	{name: "checkpoint_after_rename", fp: failpoint.CheckpointAfterRename, checkpoint: true},
 }
 
-// crashWorkload drives the same random mutation stream into any number
-// of databases, keeping its own bookkeeping of live rows and annotation
-// ids so generated statements are always well-formed.
-type crashWorkload struct {
-	rng    *rand.Rand
-	nextID int   // next value for the id column
-	live   []int // id-column values currently in the table
-	anns   int   // annotations added so far (ids are sequential from 1)
-	// annRow maps live annotation ids to the id-column value they
-	// target: deleting a row orphans (and removes) its annotations, so
-	// the generator must stop referencing them.
-	annRow map[int]int
-}
-
-func newCrashWorkload(seed int64) *crashWorkload {
-	return &crashWorkload{rng: rand.New(rand.NewSource(seed)), nextID: 1, annRow: map[int]int{}}
-}
-
-// scaffold returns the fixed schema-setup statements.
-func (w *crashWorkload) scaffold() []string {
-	return []string{
-		"CREATE TABLE birds (id INT, name TEXT)",
-		"CREATE INDEX ON birds (id)",
-		"CREATE SUMMARY INSTANCE C TYPE Classifier LABELS ('Behavior', 'Other')",
-		"CREATE SUMMARY INSTANCE S TYPE Snippet",
-		"LINK SUMMARY C TO birds",
-		"LINK SUMMARY S TO birds",
-	}
-}
-
-// next generates one random mutation statement. Statements either fully
-// succeed or fail before mutating anything, so every database given the
-// same stream ends in the same state.
-func (w *crashWorkload) next() string {
-	for {
-		switch w.rng.Intn(10) {
-		case 0, 1, 2: // insert
-			id := w.nextID
-			w.nextID++
-			w.live = append(w.live, id)
-			return fmt.Sprintf("INSERT INTO birds VALUES (%d, 'bird-%d')", id, id)
-		case 3: // update
-			if len(w.live) == 0 {
-				continue
-			}
-			id := w.live[w.rng.Intn(len(w.live))]
-			return fmt.Sprintf("UPDATE birds SET name = 'seen-%d' WHERE id = %d", w.rng.Intn(100), id)
-		case 4: // delete (orphans the row's annotations)
-			if len(w.live) < 3 {
-				continue
-			}
-			i := w.rng.Intn(len(w.live))
-			id := w.live[i]
-			w.live = append(w.live[:i], w.live[i+1:]...)
-			for ann, row := range w.annRow {
-				if row == id {
-					delete(w.annRow, ann)
-				}
-			}
-			return fmt.Sprintf("DELETE FROM birds WHERE id = %d", id)
-		case 5, 6, 7: // annotate a live row
-			if len(w.live) == 0 {
-				continue
-			}
-			id := w.live[w.rng.Intn(len(w.live))]
-			w.anns++
-			w.annRow[w.anns] = id
-			return fmt.Sprintf("ADD ANNOTATION 'observed behavior %d feeding' ON birds WHERE id = %d", w.anns, id)
-		case 8: // train the classifier
-			return fmt.Sprintf("TRAIN SUMMARY C ('feeding foraging sample %d', 'Behavior')", w.rng.Intn(50))
-		default: // drop an annotation that still exists
-			if len(w.annRow) == 0 {
-				continue
-			}
-			ids := make([]int, 0, len(w.annRow))
-			for ann := range w.annRow {
-				ids = append(ids, ann)
-			}
-			sort.Ints(ids)
-			id := ids[w.rng.Intn(len(ids))]
-			delete(w.annRow, id)
-			return fmt.Sprintf("DROP ANNOTATION %d", id)
-		}
-	}
-}
-
-// canonicalState renders a database's full durable state — its
-// checkpoint's decoded records — with each table's rows merged into one
-// insert record in id order (heap scan order after deletes legitimately
-// differs between continuous execution and checkpoint+replay recovery,
-// and with it where the insert chunks break).
-func canonicalState(t *testing.T, db *DB) []byte {
+// sameRecovered asserts got (the recovered durable DB) holds want's (the
+// shadow's) state and annotation clock, and still does once both rebuild
+// their summary objects from the raw annotations.
+func sameRecovered(t *testing.T, got, want *DB) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs, trailer := checkpointRecords(t, buf.Bytes())
-	var out bytes.Buffer
-	var rows *walRows
-	flushRows := func() {
-		if rows != nil {
-			sort.Slice(rows.Rows, func(a, b int) bool { return rows.Rows[a].ID < rows.Rows[b].ID })
-			fmt.Fprintf(&out, "%s %+v\n", walTypeInsert, rows)
-			rows = nil
-		}
-	}
-	for _, r := range recs {
-		if ins, ok := r.p.(*walRows); ok {
-			if rows == nil {
-				rows = &walRows{Table: ins.Table}
-			}
-			rows.Rows = append(rows.Rows, ins.Rows...)
-			continue
-		}
-		flushRows()
-		if in, ok := r.p.(*walCreateInstance); ok {
-			fmt.Fprintf(&out, "%s %x\n", r.typ, encodeWALBody(in))
-			continue
-		}
-		fmt.Fprintf(&out, "%s %+v\n", r.typ, r.p)
-	}
-	trailer.Records = 0
-	fmt.Fprintf(&out, "%s %+v\n", walTypeCheckpoint, trailer)
-	return out.Bytes()
-}
-
-// compareRecovered asserts got (the recovered durable DB) matches want
-// (the shadow) on its durable state, stored summary objects included, and
-// on summary objects rebuilt from the raw annotations.
-func compareRecovered(t *testing.T, got, want *DB) {
-	t.Helper()
-	g, w := canonicalState(t, got), canonicalState(t, want)
-	if !bytes.Equal(g, w) {
-		t.Fatalf("recovered state diverges from shadow replay\nrecovered: %s\nshadow:    %s", g, w)
+	difftest.SameState(t, got, want)
+	if g, w := got.annClock.Load(), want.annClock.Load(); g != w {
+		t.Fatalf("recovered annotation clock %d, shadow %d", g, w)
 	}
 	for _, db := range []*DB{got, want} {
 		if _, err := db.RebuildSummaries("birds"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, row := range want.Annotations().AnnotatedRows("birds") {
-		ge, we := got.EnvelopeFor("birds", row), want.EnvelopeFor("birds", row)
-		if we == nil {
-			continue
-		}
-		if ge == nil {
-			t.Fatalf("row %d: recovered DB lost its summary envelope", row)
-		}
-		if ge.Render() != we.Render() {
-			t.Fatalf("row %d summary diverges\nrecovered: %s\nshadow:    %s", row, ge.Render(), we.Render())
-		}
-	}
+	difftest.SameState(t, got, want)
 }
 
 // TestCrashBetweenHeapAndIndexInsert covers the storage-layer crash
@@ -236,7 +96,7 @@ func TestCrashBetweenHeapAndIndexInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := newCrashWorkload(7200)
+	wl := difftest.NewStream(7200)
 	run := func(stmt string) {
 		t.Helper()
 		if _, err := db.Exec(ctx, stmt); err != nil {
@@ -246,11 +106,11 @@ func TestCrashBetweenHeapAndIndexInsert(t *testing.T) {
 			t.Fatalf("shadow %q: %v", stmt, err)
 		}
 	}
-	for _, stmt := range wl.scaffold() {
+	for _, stmt := range wl.Scaffold() {
 		run(stmt)
 	}
 	for i := 0; i < 24; i++ {
-		run(wl.next())
+		run(wl.Next())
 		if i == 12 {
 			if _, err := db.Checkpoint(); err != nil {
 				t.Fatalf("mid-stream checkpoint: %v", err)
@@ -261,7 +121,7 @@ func TestCrashBetweenHeapAndIndexInsert(t *testing.T) {
 	// Crash between the heap write and the index insert. The workload's
 	// bookkeeping is NOT advanced: the statement never becomes durable,
 	// so the shadow never runs it either.
-	crashedID := wl.nextID
+	crashedID := wl.NextID()
 	stmt := fmt.Sprintf("INSERT INTO birds VALUES (%d, 'crashed-%d')", crashedID, crashedID)
 	failpoint.EnableError(failpoint.CatalogInsertIndex, failpoint.CrashError(failpoint.CatalogInsertIndex))
 	if _, err := db.Exec(ctx, stmt); err == nil {
@@ -293,7 +153,7 @@ func TestCrashBetweenHeapAndIndexInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
-	compareRecovered(t, recovered, shadow)
+	sameRecovered(t, recovered, shadow)
 
 	// Heap and index agree again: the crashed row is gone from both, and
 	// every id resolves identically through the index, a forced full
@@ -305,7 +165,7 @@ func TestCrashBetweenHeapAndIndexInsert(t *testing.T) {
 	if got := rt.Stats().Rows; got != want.Stats().Rows {
 		t.Fatalf("recovered heap rows = %d, want %d", got, want.Stats().Rows)
 	}
-	probe := append([]int{crashedID}, wl.live...)
+	probe := append([]int{crashedID}, wl.Live()...)
 	for _, id := range probe {
 		q := fmt.Sprintf("SELECT name FROM birds WHERE id = %d", id)
 		viaIndex, err := recovered.Query(ctx, q)
@@ -341,16 +201,14 @@ func TestCrashBetweenHeapAndIndexInsert(t *testing.T) {
 			t.Fatalf("post-recovery shadow %q: %v", stmt, err)
 		}
 	}
-	run2(fmt.Sprintf("INSERT INTO birds VALUES (%d, 'bird-%d')", crashedID, crashedID))
-	wl.nextID++
-	wl.live = append(wl.live, crashedID)
+	run2(wl.Insert())
 	for i := 0; i < 4; i++ {
-		run2(wl.next())
+		run2(wl.Next())
 	}
 	if ids, err := rt.LookupByIndex("id", types.NewInt(int64(crashedID))); err != nil || len(ids) != 1 {
 		t.Fatalf("re-inserted id not indexed: %v, %v", ids, err)
 	}
-	compareRecovered(t, recovered, shadow)
+	sameRecovered(t, recovered, shadow)
 }
 
 // TestCrashRecovery is the fault-injection suite described above. The
@@ -375,7 +233,7 @@ func TestCrashRecovery(t *testing.T) {
 			}
 
 			seed := int64(7100 + si)
-			wl := newCrashWorkload(seed)
+			wl := difftest.NewStream(seed)
 			run := func(stmt string) {
 				t.Helper()
 				if _, err := db.Exec(context.Background(), stmt); err != nil {
@@ -385,11 +243,11 @@ func TestCrashRecovery(t *testing.T) {
 					t.Fatalf("shadow %q: %v", stmt, err)
 				}
 			}
-			for _, stmt := range wl.scaffold() {
+			for _, stmt := range wl.Scaffold() {
 				run(stmt)
 			}
 			for i := 0; i < ops; i++ {
-				run(wl.next())
+				run(wl.Next())
 				if i == ops/2 {
 					// A clean mid-stream checkpoint, so recovery
 					// exercises snapshot load + tail replay, not just
@@ -407,7 +265,7 @@ func TestCrashRecovery(t *testing.T) {
 					t.Fatal("checkpoint survived its injected crash")
 				}
 			} else {
-				crashed := wl.next()
+				crashed := wl.Next()
 				if _, err := db.Exec(context.Background(), crashed); err == nil {
 					t.Fatalf("statement %q survived its injected crash", crashed)
 				}
@@ -431,7 +289,7 @@ func TestCrashRecovery(t *testing.T) {
 				t.Errorf("recovery = %+v, want a torn tail truncation", info)
 			}
 
-			compareRecovered(t, recovered, shadow)
+			sameRecovered(t, recovered, shadow)
 
 			// The recovered engine must accept writes and survive one
 			// more clean cycle (full crash-recover-continue loop).
@@ -445,7 +303,7 @@ func TestCrashRecovery(t *testing.T) {
 				}
 			}
 			for i := 0; i < 4; i++ {
-				run2(wl.next())
+				run2(wl.Next())
 			}
 			recovered.Close()
 			final, _, err := OpenDurable(durableConfig(t), DurabilityOptions{Dir: dir, AutoCheckpointBytes: -1})
@@ -453,7 +311,7 @@ func TestCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer final.Close()
-			compareRecovered(t, final, shadow)
+			sameRecovered(t, final, shadow)
 		})
 	}
 }

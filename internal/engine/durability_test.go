@@ -369,5 +369,5 @@ func TestReplicationSnapshotIsTheCheckpoint(t *testing.T) {
 	if got, err := replica.InstallReplicaSnapshot(raw); err != nil || got != lsn {
 		t.Fatalf("install = %d, %v; want lsn %d", got, err, lsn)
 	}
-	compareRecovered(t, replica, db)
+	sameRecovered(t, replica, db)
 }

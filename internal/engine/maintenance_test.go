@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/metrics"
@@ -45,31 +46,6 @@ func maintScaffold(t *testing.T, db *DB) {
 		"LINK SUMMARY S TO birds",
 	} {
 		mustExec(t, db, stmt)
-	}
-}
-
-// compareEnvelopes asserts both databases maintain identical summary
-// objects for every annotated row of birds.
-func compareEnvelopes(t *testing.T, got, want *DB) {
-	t.Helper()
-	rows := want.Annotations().AnnotatedRows("birds")
-	if g := len(got.Annotations().AnnotatedRows("birds")); g != len(rows) {
-		t.Fatalf("annotated rows: got %d, want %d", g, len(rows))
-	}
-	for _, row := range rows {
-		ge, we := got.EnvelopeFor("birds", row), want.EnvelopeFor("birds", row)
-		if we == nil {
-			if ge != nil {
-				t.Fatalf("row %d: unexpected envelope %s", row, ge.Render())
-			}
-			continue
-		}
-		if ge == nil {
-			t.Fatalf("row %d: missing envelope, want %s", row, we.Render())
-		}
-		if ge.Render() != we.Render() {
-			t.Fatalf("row %d summary diverges\ndeferred: %s\nsync:     %s", row, ge.Render(), we.Render())
-		}
 	}
 }
 
@@ -134,7 +110,7 @@ func TestDeferredMaintenanceConverges(t *testing.T) {
 			t.Fatalf("instance %s still stale: %d", name, n)
 		}
 	}
-	compareEnvelopes(t, db, shadow)
+	difftest.SameState(t, db, shadow)
 
 	// Fresh again: the next annotation applies synchronously.
 	mustExec(t, db, "ADD ANNOTATION 'post recovery note' ON birds WHERE id = 1")
@@ -142,7 +118,7 @@ func TestDeferredMaintenanceConverges(t *testing.T) {
 	if st := db.MaintenanceStats(); st.Deferred != anns {
 		t.Fatalf("fresh engine deferred again: %+v", st)
 	}
-	compareEnvelopes(t, db, shadow)
+	difftest.SameState(t, db, shadow)
 }
 
 // TestMaintenanceMetricsAndStats covers the staleness surfaces: the
@@ -233,7 +209,7 @@ func TestMaintenanceDrainBarriers(t *testing.T) {
 	}
 	db.SetDegraded(false)
 	db.WaitMaintenanceIdle()
-	compareEnvelopes(t, db, shadow)
+	difftest.SameState(t, db, shadow)
 
 	if env := db.EnvelopeFor("birds", db.Annotations().AnnotatedRows("birds")[0]); env != nil {
 		if strings.Contains(env.Render(), "first observed") {
@@ -318,7 +294,7 @@ func TestCatchUpPublishesBesideOpenScans(t *testing.T) {
 				i+1, fresh.Len(), stored[i].Len())
 		}
 	}
-	compareEnvelopes(t, db, shadow)
+	difftest.SameState(t, db, shadow)
 }
 
 // TestMaintenanceAutoDegrade exercises the latency trigger: a threshold
@@ -408,7 +384,7 @@ func TestMaintenanceKillAndRecover(t *testing.T) {
 	if st := recovered.MaintenanceStats(); st.Pending != 0 || st.Degraded {
 		t.Fatalf("recovered engine not fresh: %+v", st)
 	}
-	compareEnvelopes(t, recovered, shadow)
+	difftest.SameState(t, recovered, shadow)
 }
 
 // TestMaintenanceBackpressure verifies the bounded queue blocks ingestion

@@ -5,9 +5,13 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"insightnotes/internal/catalog"
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/plan"
 	"insightnotes/internal/wal"
 )
@@ -112,9 +116,7 @@ func TestDMLMatchIndependentOfAccessPath(t *testing.T) {
 	if n := strings.Count(strings.Join(full.errs, "\n"), noMatch); n != 3 {
 		t.Errorf("%d statements failed with %q, want 3: %q", n, noMatch, full.errs)
 	}
-	if g, w := canonicalState(t, idx.db), canonicalState(t, full.db); !bytes.Equal(g, w) {
-		t.Errorf("state diverges\nindex path: %s\nfull scan:  %s", g, w)
-	}
+	difftest.SameState(t, idx.db, full.db)
 	records := func(r *run) []wal.Record {
 		var recs []wal.Record
 		if _, err := wal.Replay(filepath.Join(r.dir, walFileName), 0, func(rec wal.Record) error {
@@ -133,5 +135,35 @@ func TestDMLMatchIndependentOfAccessPath(t *testing.T) {
 		if gi[i].Type != gf[i].Type || !bytes.Equal(gi[i].Data, gf[i].Data) {
 			t.Errorf("record %d differs: index path %s %x, full scan %s %x", i, gi[i].Type, gi[i].Data, gf[i].Type, gf[i].Data)
 		}
+	}
+}
+
+// An unindexed match copies only the rows its predicate accepts: matching
+// one row of 2 000 allocates far less than one row slot per table row.
+func TestUnindexedMatchCopiesOnlyMatches(t *testing.T) {
+	db := testDB(t)
+	mustExec(t, db, "CREATE TABLE obs (id INT, name TEXT)")
+	vals := make([]string, 2000)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d, 'n%d')", i, i)
+	}
+	mustExec(t, db, "BULK INSERT INTO obs VALUES "+strings.Join(vals, ", "))
+	tbl, err := db.cat.Table("obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := parseWhere(t, "id = 1234")
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if rows, err := db.matchRows(tbl, where); err != nil || len(rows) != 1 {
+			t.Fatalf("matchRows = %d rows, %v; want 1", len(rows), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perMatch := (after.TotalAlloc - before.TotalAlloc) / runs
+	if slots := uint64(len(vals)) * uint64(unsafe.Sizeof(catalog.Row{})); perMatch > slots/10 {
+		t.Errorf("a one-row unindexed match allocates %d bytes; one slot per row is %d", perMatch, slots)
 	}
 }

@@ -171,7 +171,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 	reg.CounterFunc(metrics.NamePlanPlansTotal, "SELECT plans built.",
 		func() float64 { return float64(pc.Plans.Load()) })
 	paths := reg.CounterVec(metrics.NamePlanAccessPathsTotal,
-		"Access paths chosen per planned base relation, by path type.", "path")
+		"Access paths planned per base relation, by path type. A keyed probe (a join's probe side read through an index by the build side's keys) is planned and counted as full_scan; the op label index_keys_scan shows that it read by index.", "path")
 	paths.WithFunc("full_scan", func() float64 { return float64(pc.FullScans.Load()) })
 	paths.WithFunc("index_scan", func() float64 { return float64(pc.IndexScans.Load()) })
 	paths.WithFunc("index_range_scan", func() float64 { return float64(pc.IndexRangeScans.Load()) })
@@ -299,7 +299,7 @@ func (db *DB) foldOpStats(op exec.Operator, ec *exec.ExecContext) []OpStat {
 	}
 	var ops []OpStat
 	m := db.metrics
-	timed := ec.HistogramSampled()
+	timed := ec.Timed()
 	exec.WalkStats(op, func(name string, st exec.OpStats) {
 		ops = append(ops, OpStat{
 			Op: name, Rows: st.Rows, Merges: st.Merges, Curates: st.Curates,

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/types"
 )
 
@@ -40,34 +41,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Data survives, including the id gap.
-	q1 := mustExec(t, db, "SELECT id, name, wingspan FROM birds ORDER BY id")
-	q2 := mustExec(t, back, "SELECT id, name, wingspan FROM birds ORDER BY id")
-	if len(q1.Rows) != len(q2.Rows) {
-		t.Fatalf("row counts: %d vs %d", len(q1.Rows), len(q2.Rows))
-	}
-	for i := range q1.Rows {
-		if !q1.Rows[i].Tuple.EqualOn(q2.Rows[i].Tuple, nil) {
-			t.Errorf("row %d: %v vs %v", i, q1.Rows[i].Tuple, q2.Rows[i].Tuple)
-		}
-	}
-
-	// Summary objects rebuilt identically (same replay order).
-	for _, row := range []int{1, 2} {
-		a := db.EnvelopeFor("birds", annRow(row))
-		b := back.EnvelopeFor("birds", annRow(row))
-		if (a == nil) != (b == nil) {
-			t.Fatalf("row %d envelope presence differs", row)
-		}
-		if a != nil && !a.Equal(b) {
-			t.Errorf("row %d summaries differ:\n%s\nvs\n%s", row, a.Render(), b.Render())
-		}
-	}
-
-	// Raw annotations and counts.
-	if db.Annotations().Count() != back.Annotations().Count() {
-		t.Errorf("annotation counts: %d vs %d", db.Annotations().Count(), back.Annotations().Count())
-	}
+	// Rows (with the id gap), indexes, instances, links, annotations and
+	// summary objects survive.
+	difftest.SameState(t, back, db)
 
 	// Instances, links, and trained models survive: classification of new
 	// text agrees.
@@ -75,12 +51,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	env := back.EnvelopeFor("birds", 2)
 	if env == nil || !strings.Contains(env.Object("ClassBird1").Render(), "(Disease, 1)") {
 		t.Errorf("restored classifier misbehaves: %v", env)
-	}
-
-	// Index survives.
-	tbl, _ := back.Catalog().Table("birds")
-	if tbl.Index("name") == nil {
-		t.Error("index not restored")
 	}
 
 	// New ids continue past the persisted maximum.
@@ -107,9 +77,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Annotations().Count() != db.Annotations().Count() {
-		t.Error("file round trip lost annotations")
-	}
+	difftest.SameState(t, back, db)
 	// Overwrite is atomic and repeatable.
 	if err := back.SaveFile(path); err != nil {
 		t.Fatal(err)

@@ -7,13 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
-	"strings"
 	"testing"
 
 	"insightnotes/internal/annotation"
-	"insightnotes/internal/summary"
-	"insightnotes/internal/types"
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/workload"
 )
 
@@ -22,8 +19,8 @@ import (
 // document annotations, batches, DROP ANNOTATION, TRAIN between ingests
 // and LINK/UNLINK after ingest, checkpointed at a random statement, is
 // reopened under GOMAXPROCS 1 and 4 and installed on a replica by snapshot
-// resync, with summarize-once on and off. Every stored envelope must be
-// Envelope.Equal to the live one, and the reopened instances must have
+// resync, with summarize-once on and off. Each must hold the live
+// engine's state (difftest.State), and the reopened instances must have
 // summarized exactly as often as the WAL tail implies: the checkpoint
 // stores the objects, so it costs no Summarize call, and a resync none.
 // The recovered engines must then stay equal to the live one under the
@@ -83,7 +80,6 @@ func oracleRecovery(t *testing.T, seed int64, once bool) {
 			s.step()
 		}
 	}
-	live := envelopesOf(db)
 	var resync bytes.Buffer
 	if _, err := db.ReplicationSnapshot(&resync); err != nil {
 		t.Fatal(err)
@@ -94,17 +90,7 @@ func oracleRecovery(t *testing.T, seed int64, once bool) {
 		if calls := summarizeCalls(got); calls != wantCalls {
 			t.Errorf("seed %d %s: %d Summarize calls, want %d", seed, how, calls, wantCalls)
 		}
-		rebuilt := envelopesOf(got)
-		for k, want := range live {
-			if env := rebuilt[k]; env == nil || !env.Equal(want) {
-				t.Errorf("seed %d %s: %s/%d:\n%v\nwant\n%s", seed, how, k.table, k.row, render(env), want.Render())
-			}
-		}
-		for k, env := range rebuilt {
-			if live[k] == nil {
-				t.Errorf("seed %d %s: %s/%d has an envelope the live engine lacks:\n%s", seed, how, k.table, k.row, env.Render())
-			}
-		}
+		difftest.SameState(t, got, db)
 	}
 	// reopen recovers a copy of the live engine's data directory; the log
 	// is fsynced at every commit, so the copy is what a crash would leave.
@@ -153,8 +139,8 @@ func oracleRecovery(t *testing.T, seed int64, once bool) {
 
 // continueOn feeds the same further annotations, and one DROP ANNOTATION
 // of an annotation from before, to the live engine and to each recovered
-// one, which must then hold Envelope.Equal envelopes and render the same
-// SELECT output: a restored object carries everything later maintenance
+// one, which must then hold the live engine's state and return the same
+// SELECT answers: a restored object carries everything later maintenance
 // reads (a cluster group's centroid and candidates too).
 func (s *oracleStream) continueOn(recovered ...*DB) {
 	type request struct {
@@ -185,34 +171,14 @@ func (s *oracleStream) continueOn(recovered ...*DB) {
 			s.t.Fatal(err)
 		}
 	}
-	want, wantOut := envelopesOf(s.db), selectOutput(s.t, s.db)
-	for i, db := range recovered {
-		got := envelopesOf(db)
-		for k, env := range want {
-			if g := got[k]; g == nil || !g.Equal(env) {
-				s.t.Errorf("recovered engine %d after further maintenance: %s/%d:\n%v\nwant\n%s", i, k.table, k.row, render(g), env.Render())
+	for _, db := range recovered {
+		difftest.SameState(s.t, db, s.db)
+		for _, q := range []string{"SELECT a, b, c FROM R", "SELECT x, y FROM S"} {
+			if d := difftest.Rows(mustExec(s.t, db, q).Rows, mustExec(s.t, s.db, q).Rows); d != "" {
+				s.t.Errorf("%s on a recovered engine: %s", q, d)
 			}
 		}
-		if len(got) != len(want) {
-			s.t.Errorf("recovered engine %d holds %d envelopes, the live one %d", i, len(got), len(want))
-		}
-		if out := selectOutput(s.t, db); out != wantOut {
-			s.t.Errorf("recovered engine %d renders\n%s\nthe live one\n%s", i, out, wantOut)
-		}
 	}
-}
-
-// selectOutput renders every row of R and S with its summaries, one line
-// per row, sorted.
-func selectOutput(t *testing.T, db *DB) string {
-	var lines []string
-	for _, q := range []string{"SELECT a, b, c FROM R", "SELECT x, y FROM S"} {
-		for _, row := range mustExec(t, db, q).Rows {
-			lines = append(lines, row.Tuple.String()+" "+render(row.Env))
-		}
-	}
-	slices.Sort(lines)
-	return strings.Join(lines, "\n")
 }
 
 // scaffold creates R (one row per a, enough rows that a whole-table
@@ -380,24 +346,6 @@ func (s *oracleStream) calls(id annotation.ID) int64 {
 	return n
 }
 
-type tableRow struct {
-	table string
-	row   types.RowID
-}
-
-// envelopesOf collects the stored envelope of every annotated row.
-func envelopesOf(db *DB) map[tableRow]*summary.Envelope {
-	out := map[tableRow]*summary.Envelope{}
-	for _, table := range oracleTables {
-		for _, row := range db.anns.AnnotatedRows(table) {
-			if env := db.EnvelopeFor(table, row); env != nil {
-				out[tableRow{table, row}] = env
-			}
-		}
-	}
-	return out
-}
-
 func summarizeCalls(db *DB) int64 {
 	var n int64
 	for _, name := range db.cat.InstanceNames() {
@@ -405,11 +353,4 @@ func summarizeCalls(db *DB) int64 {
 		n += in.SummarizeCalls()
 	}
 	return n
-}
-
-func render(env *summary.Envelope) string {
-	if env == nil {
-		return "(none)"
-	}
-	return env.Render()
 }

@@ -4,12 +4,12 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
 
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/wal"
 )
 
@@ -35,7 +35,7 @@ func replicaOf(t *testing.T, dir string) *DB {
 // malformed, an UPDATE whose SET yields a bad value for its second row, a
 // TRAIN whose second sample names an unknown label — changes nothing:
 // memory, where it was never logged, a reopen and a replica caught up on
-// the log all hold the rows, classifier and summaries as they were.
+// the log all hold the state and annotation clock as they were.
 func TestFailedWriteAtomicAgainstWAL(t *testing.T) {
 	for _, stmt := range []string{
 		"INSERT INTO b VALUES (1, 'a'), ('oops', 'b')",
@@ -55,14 +55,20 @@ func TestFailedWriteAtomicAgainstWAL(t *testing.T) {
 		} {
 			mustExec(t, db, setup)
 		}
-		want := canonicalState(t, db)
+		want, err := difftest.State(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := db.annClock.Load()
 		if _, err := db.Exec(context.Background(), stmt); err == nil {
 			t.Fatalf("%s succeeded", stmt)
 		}
 		check := func(who string, db *DB) {
 			t.Helper()
-			if got := canonicalState(t, db); !bytes.Equal(got, want) {
-				t.Errorf("%s failed, but %s holds\n%s\nwant\n%s", stmt, who, got, want)
+			got, err := difftest.State(db)
+			if d := difftest.Diff(got, want); err != nil || d != "" || db.annClock.Load() != clock {
+				t.Errorf("%s failed, but %s holds other state (annotation clock %d, want %d): %v%s",
+					stmt, who, db.annClock.Load(), clock, err, d)
 			}
 		}
 		check("memory", db)
@@ -134,14 +140,11 @@ func TestSingleVsBatchEquivalence(t *testing.T) {
 					db.SetDegraded(false)
 					db.WaitMaintenanceIdle()
 				}
-				compareEnvelopes(t, db, reference)
+				difftest.SameState(t, db, reference)
 				// Kill: no Close, no checkpoint — recovery has only the WAL.
 				db.wal.Kill()
 				back, _ := openDurable(t, dir)
-				compareEnvelopes(t, back, reference)
-				if got, want := back.Annotations().Count(), reference.Annotations().Count(); got != want {
-					t.Fatalf("recovered %d annotation(s), want %d", got, want)
-				}
+				difftest.SameState(t, back, reference)
 			})
 		}
 	}

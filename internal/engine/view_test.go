@@ -14,6 +14,7 @@ import (
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/codec"
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/plan"
@@ -69,16 +70,15 @@ func viewExec(t testing.TB, db *engine.DB, stmt string, opts ...engine.Statement
 	return res
 }
 
-// storedClones deep-copies every stored envelope of the two tables.
-func storedClones(db *engine.DB) map[string]map[types.RowID]*summary.Envelope {
-	out := map[string]map[types.RowID]*summary.Envelope{}
-	for _, table := range []string{"birds", "sightings"} {
-		out[table] = map[types.RowID]*summary.Envelope{}
-		for _, row := range db.Annotations().AnnotatedRows(table) {
-			out[table][row] = db.EnvelopeFor(table, row).Clone()
-		}
+// state is db's difftest.State: a copy of every stored envelope that
+// shares nothing with the store.
+func state(t *testing.T, db *engine.DB) []string {
+	t.Helper()
+	s, err := difftest.State(db)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return s
 }
 
 var viewStatements = []string{
@@ -113,7 +113,7 @@ func mutateEverything(env *summary.Envelope, other *summary.Envelope, cls *summa
 
 func TestViewsNeverMutateTheStore(t *testing.T) {
 	db := viewWorld(t, 6, true)
-	saved := storedClones(db)
+	saved := state(t, db)
 	cls, err := db.Catalog().Instance("ClassBird1")
 	if err != nil {
 		t.Fatal(err)
@@ -133,13 +133,8 @@ func TestViewsNeverMutateTheStore(t *testing.T) {
 				prev = row.Env
 			}
 		}
-		for table, rows := range saved {
-			for row, env := range rows {
-				if got := db.EnvelopeFor(table, row); !got.Equal(env) {
-					t.Fatalf("%s: stored envelope of %s/%d changed through a result row:\n%s\nwant\n%s",
-						stmt, table, row, got.Render(), env.Render())
-				}
-			}
+		if d := difftest.Diff(state(t, db), saved); d != "" {
+			t.Fatalf("%s: the store changed through a result row: %s", stmt, d)
 		}
 		second := viewExec(t, db, stmt, engine.WithBatchSize(7))
 		if len(second.Rows) != len(first.Rows) {
@@ -153,32 +148,16 @@ func TestViewsNeverMutateTheStore(t *testing.T) {
 	}
 }
 
-// TestViewsLeaveStoredGroupsAlone is TestViewsNeverMutateTheStore with a
-// snapshot taken as text rather than by Clone, which shares cluster groups
-// with the store copy-on-write: a group changed in place while shared
-// would change such a snapshot too.
+// TestViewsLeaveStoredGroupsAlone is TestViewsNeverMutateTheStore without
+// cloning the result rows, and so without the sharing a Clone adds to
+// their cluster groups: the store's State must not change either way.
 func TestViewsLeaveStoredGroupsAlone(t *testing.T) {
 	db := viewWorld(t, 6, true)
 	cls, err := db.Catalog().Instance("ClassBird1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := func() string {
-		var b strings.Builder
-		for _, table := range []string{"birds", "sightings"} {
-			for _, row := range db.Annotations().AnnotatedRows(table) {
-				env := db.EnvelopeFor(table, row)
-				fmt.Fprintf(&b, "%s/%d", table, row)
-				env.EachCover(func(id annotation.ID, cols annotation.ColSet) { fmt.Fprintf(&b, " %d:%v", id, cols) })
-				b.WriteByte('\n')
-				for _, name := range env.InstanceNames() {
-					fmt.Fprintf(&b, "%s %v\n", env.Object(name).Render(), env.Object(name).Elements())
-				}
-			}
-		}
-		return b.String()
-	}
-	want := snapshot()
+	want := state(t, db)
 	for _, stmt := range viewStatements {
 		var prev *summary.Envelope
 		for _, row := range viewExec(t, db, stmt).Rows {
@@ -187,8 +166,8 @@ func TestViewsLeaveStoredGroupsAlone(t *testing.T) {
 				prev = row.Env
 			}
 		}
-		if snapshot() != want {
-			t.Fatalf("%s: a stored envelope changed through a result row", stmt)
+		if d := difftest.Diff(state(t, db), want); d != "" {
+			t.Fatalf("%s: a stored envelope changed through a result row: %s", stmt, d)
 		}
 	}
 }

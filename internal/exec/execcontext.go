@@ -40,13 +40,12 @@ type StatementTotals struct {
 type ExecContext struct {
 	ctx   context.Context
 	batch int
-	// timed enables per-operator wall-time collection; sampled additionally
-	// feeds those walls into the insightnotes_exec_op_seconds histograms.
-	// Both are set together by WithTiming; lifecycle tracing (WithSpan)
-	// leaves them off so traced statements don't pay per-batch clock reads.
-	timed   bool
-	sampled bool
-	trace   *TraceSink
+	// timed enables per-operator wall-time collection and feeds those walls
+	// into the insightnotes_exec_op_seconds histograms. WithTiming sets
+	// it; lifecycle tracing (WithSpan) leaves it off so traced statements
+	// don't pay per-batch clock reads.
+	timed bool
+	trace *TraceSink
 	// span is the statement's lifecycle exec span; operator spans are
 	// synthesized under it from the per-operator stats after the plan
 	// drains, so stats and spans share this one plumbing.
@@ -80,9 +79,12 @@ func (ec *ExecContext) WithTrace() *ExecContext {
 // operator per batch.
 func (ec *ExecContext) WithTiming() *ExecContext {
 	ec.timed = true
-	ec.sampled = true
 	return ec
 }
+
+// Timed reports whether WithTiming enabled per-operator wall-time
+// collection, whose walls then feed the latency histograms.
+func (ec *ExecContext) Timed() bool { return ec != nil && ec.timed }
 
 // WithSpan attaches the statement's lifecycle exec span and returns ec.
 // Attaching a span deliberately does NOT enable per-batch wall-time
@@ -103,10 +105,6 @@ func (ec *ExecContext) Span() *trace.SpanHandle {
 	}
 	return ec.span
 }
-
-// HistogramSampled reports whether this statement's operator walls feed
-// the latency histograms (the sampled subset of timed statements).
-func (ec *ExecContext) HistogramSampled() bool { return ec != nil && ec.sampled }
 
 // WithBatchSize overrides the pipeline batch size (rows per NextBatch
 // call) and returns ec. Values below one fall back to DefaultBatchSize.

@@ -116,6 +116,25 @@ func (rs RowSource) Rows(tbl *catalog.Table) ([]catalog.Row, error) {
 	return tbl.GetRows(rows)
 }
 
+// Each calls fn with the id and stored tuple of each row of tbl the source
+// selects, in the order Rows yields them, and returns fn's first error.
+// Unlike Rows it copies no slot of a full table. fn must not write to tbl.
+func (rs RowSource) Each(tbl *catalog.Table, fn func(types.RowID, types.Tuple) error) error {
+	if rs.kind != sourceTable {
+		rows, err := rs.Rows(tbl)
+		for i := 0; i < len(rows) && err == nil; i++ {
+			err = fn(rows[i].ID, rows[i].Tuple)
+		}
+		return err
+	}
+	var err error
+	tbl.Scan(func(id types.RowID, tu types.Tuple) bool {
+		err = fn(id, tu)
+		return err == nil
+	})
+	return err
+}
+
 // resolveKeys yields the slots of the rows of tbl whose indexed column
 // holds one of keys, in ascending row-id order — the full table's order —
 // and n, the number of distinct keys, where distinct means distinct index

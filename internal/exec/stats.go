@@ -57,9 +57,6 @@ func WalkStats(op Operator, fn func(name string, st OpStats)) {
 	}
 }
 
-// Timed reports whether per-operator wall-time collection is enabled.
-func (ec *ExecContext) Timed() bool { return ec != nil && ec.timed }
-
 // LikeMatch reports whether s matches the SQL LIKE pattern (% matches any
 // run of characters, _ any single rune). Exported for SHOW METRICS LIKE,
 // which reuses the expression evaluator's matcher against metric names.

@@ -1,13 +1,13 @@
 package replication
 
 import (
-	"bytes"
 	"context"
 	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/server"
@@ -118,37 +118,6 @@ func waitCaughtUp(t *testing.T, p *primaryStack, r *Receiver) {
 	}
 }
 
-// stateOf serializes a database's full logical state deterministically.
-func stateOf(t *testing.T, db *engine.DB) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// assertConverged compares two databases record for record: the full
-// serialized state (tables, rows, annotations, instances, links) plus
-// the maintained summary rendering of a probe row.
-func assertConverged(t *testing.T, primary, replica *engine.DB) {
-	t.Helper()
-	ps, rs := stateOf(t, primary), stateOf(t, replica)
-	if !bytes.Equal(ps, rs) {
-		t.Fatalf("replica diverged from primary:\nprimary: %s\nreplica: %s", ps, rs)
-	}
-	penv, renv := primary.EnvelopeFor("birds", 1), replica.EnvelopeFor("birds", 1)
-	switch {
-	case penv == nil && renv == nil:
-	case penv == nil || renv == nil:
-		t.Fatalf("summary envelope presence differs: primary=%v replica=%v", penv != nil, renv != nil)
-	default:
-		if p, r := penv.Object("C").Render(), renv.Object("C").Render(); p != r {
-			t.Fatalf("summary rendering diverged: primary=%q replica=%q", p, r)
-		}
-	}
-}
-
 func TestReplicationStreamsCommits(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), -1, SenderConfig{})
 	r := startReplica(t, t.TempDir(), p.addr, ReceiverConfig{})
@@ -162,13 +131,13 @@ func TestReplicationStreamsCommits(t *testing.T) {
 		t.Fatal("malformed INSERT succeeded")
 	}
 	waitCaughtUp(t, p, r.rcv)
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 
 	// The stream is continuous: later commits flow without reconnecting.
 	mustExec(t, p.db, "UPDATE birds SET name = 'Anser cygnoides' WHERE id = 1")
 	mustExec(t, p.db, "ADD ANNOTATION 'photo in repository' ON birds WHERE id = 2")
 	waitCaughtUp(t, p, r.rcv)
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 
 	if lagLSN, _, stale := r.rcv.Staleness(); lagLSN != 0 || stale {
 		t.Fatalf("caught-up replica reports lag %d stale=%v", lagLSN, stale)
@@ -215,7 +184,7 @@ func TestReplicaResumesFromDurableLSNAfterRestart(t *testing.T) {
 	defer rdb.Close()
 	defer rcv.Shutdown(2 * time.Second)
 	waitCaughtUp(t, p, rcv)
-	assertConverged(t, p.db, rdb)
+	difftest.SameState(t, p.db, rdb)
 }
 
 // TestReplicaCrashMidApplyResumes mirrors TestCrashRecovery across the
@@ -256,7 +225,7 @@ func TestReplicaCrashMidApplyResumes(t *testing.T) {
 
 			r2 := startReplica(t, rdir, p.addr, ReceiverConfig{})
 			waitCaughtUp(t, p, r2.rcv)
-			assertConverged(t, p.db, r2.db)
+			difftest.SameState(t, p.db, r2.db)
 		})
 	}
 }
@@ -278,7 +247,7 @@ func TestReplicaResyncsAfterRotation(t *testing.T) {
 
 	r := startReplica(t, t.TempDir(), p.addr, ReceiverConfig{})
 	waitCaughtUp(t, p, r.rcv)
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 
 	// The replica follows rotations mid-stream too: a checkpoint while
 	// connected reopens the tail without a resync (it is caught up).
@@ -288,7 +257,7 @@ func TestReplicaResyncsAfterRotation(t *testing.T) {
 	}
 	mustExec(t, p.db, "UPDATE birds SET name = 'Cygnus cygnus' WHERE id = 3")
 	waitCaughtUp(t, p, r.rcv)
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 }
 
 // TestReplicationSurvivesFlakyLink runs the stream over connections that
@@ -316,7 +285,7 @@ func TestReplicationSurvivesFlakyLink(t *testing.T) {
 	}
 	mustExec(t, p.db, "ADD ANNOTATION 'observed feeding on stonewort' ON birds WHERE id = 1")
 	waitCaughtUp(t, p, r.rcv)
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 }
 
 // TestSenderShutdownDrainsAcks is the graceful-drain regression test:

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/server"
 	"insightnotes/internal/storage"
@@ -98,7 +99,7 @@ func TestScrubSoak(t *testing.T) {
 	}
 	r := startReplica(t, rdir, p.addr, ReceiverConfig{})
 	waitCaughtUp(t, p, r.rcv)
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 
 	// ---- Phase 1: rot the replica; every flipped page is quarantined,
 	// and a restart brings the replica back record for record. ----
@@ -144,7 +145,7 @@ func TestScrubSoak(t *testing.T) {
 	}
 	restartReplica(t, r, rdir, p.addr)
 	waitCaughtUp(t, p, r.rcv)
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 	if rep := r.db.ScrubNow(); len(rep.Faults) != 0 || len(rep.Quarantined) != 0 {
 		t.Fatalf("sweep after replica restart: %+v", rep)
 	}
@@ -177,7 +178,7 @@ func TestScrubSoak(t *testing.T) {
 	}
 
 	// Replica converged again, record for record.
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 
 	// ---- Phase 3: rot the primary — a zoom-in over the rotten text must
 	// shed with a structured CORRUPT error, not serve garbage. ----
@@ -255,7 +256,7 @@ func TestScrubSoak(t *testing.T) {
 			t.Fatalf("final sweep not clean: %+v", rep)
 		}
 	}
-	assertConverged(t, p.db, r.db)
+	difftest.SameState(t, p.db, r.db)
 }
 
 // serveOverWire starts a statement server on db and dials it. Both are

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/engine"
 	"insightnotes/internal/failpoint"
 	"insightnotes/internal/server"
@@ -24,7 +25,7 @@ import (
 //     outage,
 //   - the restarted replica resumes from its last durable LSN (or
 //     resyncs via snapshot if the log rotated past it) and converges,
-//   - final states match record for record across all three engines,
+//   - final states are the same difftest.State across all three engines,
 //   - once the primary's sender is gone, replicas shed reads with the
 //     structured STALE error and the routed client fails over.
 func TestReplicationSoak(t *testing.T) {
@@ -34,7 +35,7 @@ func TestReplicationSoak(t *testing.T) {
 	pdir := t.TempDir()
 	pdb, _, err := engine.OpenDurable(
 		engine.Config{CacheDir: t.TempDir()},
-		engine.DurabilityOptions{Dir: pdir, AutoCheckpointBytes: 32 << 10},
+		engine.DurabilityOptions{Dir: pdir, AutoCheckpointBytes: 8 << 10},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -110,35 +111,32 @@ func TestReplicationSoak(t *testing.T) {
 		}
 		return resp
 	}
-	next := 0
-	// writeBatch inserts n rows (annotating every tenth) and asserts
-	// read-your-writes on the primary for the last one.
+	wl := difftest.NewStream(5400)
+	// newest is the newest row still in the table.
+	newest := func() int { live := wl.Live(); return live[len(live)-1] }
+	// writeBatch runs n statements of the shared stream and asserts
+	// read-your-writes on the primary for the newest row.
 	writeBatch := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			next++
-			mustOK(fmt.Sprintf("INSERT INTO birds VALUES (%d, 'Swan %d')", next, next))
-			if next%10 == 0 {
-				mustOK(fmt.Sprintf("ADD ANNOTATION 'observed feeding on stonewort run %d' ON birds WHERE id = %d", next, next))
-			}
+			mustOK(wl.Next())
 		}
-		resp := mustOK(fmt.Sprintf("SELECT id FROM birds WHERE id = %d", next))
+		resp := mustOK(fmt.Sprintf("SELECT id FROM birds WHERE id = %d", newest()))
 		if len(resp.Rows) != 1 {
-			t.Fatalf("read-your-writes violated: id %d missing after insert", next)
+			t.Fatalf("read-your-writes violated: id %d missing after insert", newest())
 		}
 	}
 
-	mustOK("CREATE TABLE birds (id INT, name TEXT)")
-	mustOK("CREATE SUMMARY INSTANCE C TYPE Classifier LABELS ('Behavior', 'Other')")
-	mustOK("TRAIN SUMMARY C ('feeding foraging stonewort', 'Behavior'), ('photo camera record', 'Other')")
-	mustOK("LINK SUMMARY C TO birds")
+	for _, stmt := range wl.Scaffold() {
+		mustOK(stmt)
+	}
 
 	// Phase 1: steady streaming; both replicas converge.
 	writeBatch(60)
 	p := &primaryStack{db: pdb, sender: sender, addr: repAddr}
 	for _, r := range replicas {
 		waitCaughtUp(t, p, r.rcv)
-		assertConverged(t, pdb, r.db)
+		difftest.SameState(t, pdb, r.db)
 	}
 
 	// Phase 2: kill exactly one replica mid-apply. The failpoint action
@@ -180,7 +178,7 @@ func TestReplicationSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	resp, err := sc.Do(context.Background(), fmt.Sprintf("SELECT id FROM birds WHERE id = %d", next))
+	resp, err := sc.Do(context.Background(), fmt.Sprintf("SELECT id FROM birds WHERE id = %d", newest()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +205,7 @@ func TestReplicationSoak(t *testing.T) {
 
 	// Phase 4: quiesce and compare record for record.
 	for _, r := range replicas {
-		assertConverged(t, pdb, r.db)
+		difftest.SameState(t, pdb, r.db)
 	}
 
 	// Phase 5: sever replication; replicas cross the staleness bound and
@@ -240,7 +238,7 @@ func TestReplicationSoak(t *testing.T) {
 		Replicas: []string{replicas[0].addr, replicas[1].addr},
 	})
 	defer routed.Close()
-	resp, err = routed.ExecRead(context.Background(), fmt.Sprintf("SELECT id FROM birds WHERE id = %d", next), 2)
+	resp, err = routed.ExecRead(context.Background(), fmt.Sprintf("SELECT id FROM birds WHERE id = %d", newest()), 2)
 	if err != nil {
 		t.Fatalf("routed read should fail over past stale replicas: %v", err)
 	}
@@ -251,9 +249,7 @@ func TestReplicationSoak(t *testing.T) {
 		t.Fatal("routed read was served by a stale replica")
 	}
 	// And writes still land on the primary through the routed client.
-	next++
-	wresp, err := routed.ExecWrite(context.Background(),
-		fmt.Sprintf("INSERT INTO birds VALUES (%d, 'Swan %d')", next, next), 2)
+	wresp, err := routed.ExecWrite(context.Background(), wl.Insert(), 2)
 	if err != nil || !wresp.OK {
 		t.Fatalf("routed write = %+v, %v", wresp, err)
 	}
