@@ -65,7 +65,9 @@ soak-scrub:
 # fuzz runs each fuzz target briefly — the page record round-trip, the
 # hostile-raw-page read paths, the order-preserving key decoder, the
 # tokenizer's ASCII loop against its rune loop, the SQL parser's $n
-# placeholder binding and re-rendering, the result-path codec's
+# placeholder binding and re-rendering, the statement renderers as a
+# fixpoint of the parser (and an identity expression Rewrite as a no-op),
+# the result-path codec's
 # Reader, the binary decoders of wire request/response frames and
 # zoom-in spill entries, the WAL tail reader over arbitrary log bytes,
 # every WAL record body decoder, Load over arbitrary checkpoint bytes, the
@@ -80,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeKey -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/textmining/
 	$(GO) test -run '^$$' -fuzz FuzzParsePlaceholders -fuzztime $(FUZZTIME) ./internal/sql/
+	$(GO) test -run '^$$' -fuzz FuzzStatementFixpoint -fuzztime $(FUZZTIME) ./internal/sql/
 	$(GO) test -run '^$$' -fuzz FuzzCodec -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME) ./internal/server/

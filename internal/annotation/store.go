@@ -1,7 +1,9 @@
 package annotation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"insightnotes/internal/storage"
@@ -10,19 +12,20 @@ import (
 
 // Store keeps raw annotations in a heap file and their targets in memory,
 // with in-memory indexes: annotation id → heap RID, and (table, row) →
-// annotation refs.
-//
-// Locking: mu guards the heap file and the id-keyed indexes; the hot
-// per-tuple ref index lives in rowIdx under its own N-way striped locks
-// (see rowindex.go), so concurrent readers resolving different tuples do
-// not serialize. The ordering is always mu → stripe.
+// annotation refs. mu guards all of it. No statement reads the per-tuple
+// refs on its SELECT or ZOOMIN path (rows carry their stored envelopes),
+// so one lock serves the few that do.
 type Store struct {
 	mu     sync.RWMutex
 	anns   *storage.HeapFile
 	nextID ID
 
-	byID   map[ID]storage.RID
-	rowIdx *rowIndex
+	byID map[ID]storage.RID
+	// rows holds, per table and tuple, its refs sorted by annotation id
+	// with each id once: refs of one annotation to disjoint column sets of
+	// a tuple are merged on arrival, so a tuple's distinct-annotation
+	// count is the length of its list.
+	rows map[string]map[types.RowID][]Ref
 	// targetsOf maps an annotation to all its targets, for zoom-in
 	// displays, re-summarization after instance changes, and deletion.
 	targetsOf map[ID][]Target
@@ -37,7 +40,7 @@ func NewStore(pool *storage.BufferPool) *Store {
 		anns:      storage.NewHeapFile(pool),
 		nextID:    1,
 		byID:      make(map[ID]storage.RID),
-		rowIdx:    newRowIndex(),
+		rows:      make(map[string]map[types.RowID][]Ref),
 		targetsOf: make(map[ID][]Target),
 	}
 }
@@ -87,10 +90,47 @@ func (s *Store) VerifyAnnPage(pid storage.PageID, sample int) error {
 // into rawBytes. Called with mu held.
 func (s *Store) attach(id ID, targets []Target) {
 	for _, tg := range targets {
-		s.rowIdx.add(tg.Table, tg.Row, Ref{ID: id, Columns: tg.Columns})
+		s.addRef(tg.Table, tg.Row, Ref{ID: id, Columns: tg.Columns})
 		s.rawBytes += int64(len(encodeTarget(id, tg)))
 	}
 	s.targetsOf[id] = append(s.targetsOf[id], targets...)
+}
+
+// searchRef locates id in a tuple's sorted ref list.
+func searchRef(refs []Ref, id ID) (int, bool) {
+	return slices.BinarySearchFunc(refs, id, func(r Ref, id ID) int { return cmp.Compare(r.ID, id) })
+}
+
+// addRef attaches a ref to a tuple: a new id is inserted in id order (an
+// append at the tail when ids arrive ascending), a known one gains the
+// ref's columns. Called with mu held.
+func (s *Store) addRef(table string, row types.RowID, ref Ref) {
+	rows, ok := s.rows[table]
+	if !ok {
+		rows = make(map[types.RowID][]Ref)
+		s.rows[table] = rows
+	}
+	refs := rows[row]
+	i, found := searchRef(refs, ref.ID)
+	if found {
+		refs[i].Columns = refs[i].Columns.Union(ref.Columns)
+		return
+	}
+	rows[row] = slices.Insert(refs, i, ref)
+}
+
+// dropRef removes one annotation's ref from a tuple's list, dropping the
+// list when it empties. Called with mu held.
+func (s *Store) dropRef(table string, row types.RowID, id ID) {
+	refs := s.rows[table][row]
+	i, found := searchRef(refs, id)
+	switch {
+	case !found:
+	case len(refs) == 1:
+		delete(s.rows[table], row)
+	default:
+		s.rows[table][row] = slices.Delete(refs, i, i+1)
+	}
 }
 
 // Add stores the annotation under the next id and attaches it to every
@@ -173,12 +213,12 @@ func (s *Store) Get(id ID) (Annotation, error) {
 }
 
 // ForTuple returns the annotation refs attached to (table, row), sorted by
-// annotation id. Refs for the same annotation covering disjoint column sets
-// are merged into one ref with the union coverage. It takes only the
-// tuple's stripe lock, so concurrent statements resolving different tuples
-// read the index concurrently.
+// annotation id: a private copy. Refs for the same annotation covering
+// disjoint column sets are merged into one ref with the union coverage.
 func (s *Store) ForTuple(table string, row types.RowID) []Ref {
-	return s.rowIdx.refs(table, row)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.rows[table][row])
 }
 
 // TargetsOf returns every target of annotation id.
@@ -212,7 +252,7 @@ func (s *Store) Remove(id ID) ([]Target, error) {
 	delete(s.targetsOf, id)
 	for _, tg := range out {
 		s.rawBytes -= int64(len(encodeTarget(id, tg)))
-		s.rowIdx.dropAnn(tg.Table, tg.Row, id)
+		s.dropRef(tg.Table, tg.Row, id)
 	}
 	return out, nil
 }
@@ -224,7 +264,7 @@ func (s *Store) Remove(id ID) ([]Target, error) {
 func (s *Store) DetachRow(table string, row types.RowID) (detached, orphaned []ID, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	refs := s.rowIdx.refs(table, row)
+	refs := s.rows[table][row]
 	if len(refs) == 0 {
 		return nil, nil, nil
 	}
@@ -254,7 +294,7 @@ func (s *Store) DetachRow(table string, row types.RowID) (detached, orphaned []I
 			orphaned = append(orphaned, ref.ID)
 		}
 	}
-	s.rowIdx.deleteRow(table, row)
+	delete(s.rows[table], row)
 	return detached, orphaned, nil
 }
 
@@ -277,5 +317,12 @@ func (s *Store) RawBytes() int64 {
 // AnnotatedRows returns the rows of table that carry at least one
 // annotation, sorted.
 func (s *Store) AnnotatedRows(table string) []types.RowID {
-	return s.rowIdx.rows(table)
+	s.mu.RLock()
+	out := make([]types.RowID, 0, len(s.rows[table]))
+	for r := range s.rows[table] {
+		out = append(out, r)
+	}
+	s.mu.RUnlock()
+	slices.Sort(out)
+	return out
 }

@@ -8,6 +8,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -273,15 +274,22 @@ func TestScanSharesUnprojectedEnvelopes(t *testing.T) {
 		{"SELECT region, COUNT(*) FROM birds GROUP BY region", 0.10},
 		{"SELECT DISTINCT region FROM birds", 0.10},
 	} {
+		// AllocsPerRun counts every goroutine's mallocs, and the others
+		// can only add to the statement's own: the least of three runs is
+		// the statement's.
 		perRun := func(db *engine.DB) float64 {
-			return testing.AllocsPerRun(20, func() {
-				// An ablated plan: executed and drained, not materialized
-				// (materializing renders every element, which does scale).
-				if _, err := db.Query(context.Background(), tc.stmt,
-					engine.WithPlanOptions(plan.Options{})); err != nil {
-					t.Fatal(err)
-				}
-			})
+			least := math.Inf(1)
+			for range 3 {
+				least = min(least, testing.AllocsPerRun(20, func() {
+					// An ablated plan: executed and drained, not materialized
+					// (materializing renders every element, which does scale).
+					if _, err := db.Query(context.Background(), tc.stmt,
+						engine.WithPlanOptions(plan.Options{})); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			return least
 		}
 		if a, b := perRun(small), perRun(large); b > a*(1+tc.band) || b < a*(1-tc.band) {
 			t.Errorf("%s: %.0f allocs at 16 annotations per row, %.0f at 64", tc.stmt, a, b)
@@ -321,6 +329,36 @@ func TestAbsorbedPredicateColumnsStayInTheScan(t *testing.T) {
 	for i := range pushed.Rows {
 		if p, w := pushed.Rows[i].Env, whole.Rows[i].Env; !p.Equal(w) {
 			t.Errorf("row %d: pushed summaries\n%s\nunpushed\n%s", i, p.Render(), w.Render())
+		}
+	}
+}
+
+// TestCountStarKeepsEveryColumnInTheScan: COUNT(*) aggregates whole
+// tuples, so every input column's annotations follow it, and the scan
+// beneath it may curate none of them away. The summaries equal those with
+// projection pushdown off, the wingspan-only annotations included.
+func TestCountStarKeepsEveryColumnInTheScan(t *testing.T) {
+	db := viewWorld(t, 2, true)
+	ctx := context.Background()
+	for _, stmt := range []string{
+		"SELECT COUNT(*) FROM birds",
+		"SELECT region, COUNT(*) FROM birds GROUP BY region",
+	} {
+		pushed, err := db.Query(ctx, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := db.Query(ctx, stmt, engine.WithPlanOptions(plan.Options{DisableProjectionPushdown: true}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pushed.Rows) == 0 || len(pushed.Rows) != len(whole.Rows) {
+			t.Fatalf("%s: %d rows pushed, %d unpushed", stmt, len(pushed.Rows), len(whole.Rows))
+		}
+		for i := range pushed.Rows {
+			if p, w := pushed.Rows[i].Env, whole.Rows[i].Env; !p.Equal(w) {
+				t.Errorf("%s: row %d: pushed summaries\n%s\nunpushed\n%s", stmt, i, p.Render(), w.Render())
+			}
 		}
 	}
 }

@@ -535,36 +535,12 @@ func SplitConjuncts(e sql.Expr) []sql.Expr {
 // resolving them).
 func ReferencedColumns(e sql.Expr) []string {
 	var out []string
-	var walk func(sql.Expr)
-	walk = func(e sql.Expr) {
-		switch x := e.(type) {
-		case *sql.ColRef:
-			out = append(out, x.Name)
-		case *sql.BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *sql.UnaryExpr:
-			walk(x.X)
-		case *sql.IsNullExpr:
-			walk(x.X)
-		case *sql.InExpr:
-			walk(x.X)
-			for _, it := range x.List {
-				walk(it)
-			}
-		case *sql.BetweenExpr:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sql.FuncCall:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
+	sql.Walk(e, func(e sql.Expr) bool {
+		if c, ok := e.(*sql.ColRef); ok {
+			out = append(out, c.Name)
 		}
-	}
-	if e != nil {
-		walk(e)
-	}
+		return true
+	})
 	return out
 }
 
@@ -572,36 +548,12 @@ func ReferencedColumns(e sql.Expr) []string {
 // term.
 func HasSummaryCall(e sql.Expr) bool {
 	found := false
-	var walk func(sql.Expr)
-	walk = func(e sql.Expr) {
-		switch x := e.(type) {
-		case *sql.SummaryCall:
+	sql.Walk(e, func(e sql.Expr) bool {
+		if _, ok := e.(*sql.SummaryCall); ok {
 			found = true
-		case *sql.BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *sql.UnaryExpr:
-			walk(x.X)
-		case *sql.IsNullExpr:
-			walk(x.X)
-		case *sql.InExpr:
-			walk(x.X)
-			for _, it := range x.List {
-				walk(it)
-			}
-		case *sql.BetweenExpr:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sql.FuncCall:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
 		}
-	}
-	if e != nil {
-		walk(e)
-	}
+		return !found
+	})
 	return found
 }
 
@@ -609,48 +561,26 @@ func HasSummaryCall(e sql.Expr) bool {
 // terms in e.
 func SummaryInstancesIn(e sql.Expr) []string {
 	var out []string
-	var walk func(sql.Expr)
-	walk = func(e sql.Expr) {
-		switch x := e.(type) {
-		case *sql.SummaryCall:
-			out = append(out, x.Instance)
-		case *sql.BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *sql.UnaryExpr:
-			walk(x.X)
-		case *sql.IsNullExpr:
-			walk(x.X)
-		case *sql.InExpr:
-			walk(x.X)
-			for _, it := range x.List {
-				walk(it)
-			}
-		case *sql.BetweenExpr:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sql.FuncCall:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
+	sql.Walk(e, func(e sql.Expr) bool {
+		if c, ok := e.(*sql.SummaryCall); ok {
+			out = append(out, c.Instance)
 		}
-	}
-	if e != nil {
-		walk(e)
-	}
+		return true
+	})
 	return out
 }
 
 // ReferencesOnly reports whether every column reference in e resolves in
 // schema — the pushdown test for single-relation predicates.
 func ReferencesOnly(e sql.Expr, schema types.Schema) bool {
-	for _, ref := range ReferencedColumns(e) {
-		if !schema.HasColumn(ref) {
-			return false
+	ok := true
+	sql.Walk(e, func(e sql.Expr) bool {
+		if c, isRef := e.(*sql.ColRef); isRef && !schema.HasColumn(c.Name) {
+			ok = false
 		}
-	}
-	return true
+		return ok
+	})
+	return ok
 }
 
 // ColumnLabel derives a display name for a select item: the alias when

@@ -11,98 +11,53 @@ import (
 
 // collectAggregates finds the distinct aggregate calls (by canonical text)
 // appearing in the select items and HAVING clause, in first-appearance
-// order.
+// order. An aggregate's argument is not searched.
 func collectAggregates(items []sql.SelectItem, having sql.Expr) []*sql.FuncCall {
 	var out []*sql.FuncCall
 	seen := map[string]bool{}
-	var walk func(sql.Expr)
-	walk = func(e sql.Expr) {
-		switch x := e.(type) {
-		case *sql.FuncCall:
-			key := canonical(x)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, x)
-			}
-		case *sql.BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *sql.UnaryExpr:
-			walk(x.X)
-		case *sql.IsNullExpr:
-			walk(x.X)
-		case *sql.InExpr:
-			walk(x.X)
-			for _, it := range x.List {
-				walk(it)
-			}
-		case *sql.BetweenExpr:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
+	visit := func(e sql.Expr) bool {
+		x, ok := e.(*sql.FuncCall)
+		if !ok {
+			return true
 		}
+		if key := canonical(x); !seen[key] {
+			seen[key] = true
+			out = append(out, x)
+		}
+		return false
 	}
 	for _, it := range items {
-		walk(it.Expr)
+		sql.Walk(it.Expr, visit)
 	}
-	if having != nil {
-		walk(having)
-	}
+	sql.Walk(having, visit)
 	return out
 }
 
 func canonical(e sql.Expr) string { return strings.ToLower(e.String()) }
 
 // validateGrouping enforces that every non-aggregate select item appears in
-// the GROUP BY list (textually).
+// the GROUP BY list (textually): a subexpression equal to a key or inside
+// an aggregate is fine, a column reference anywhere else is not.
 func validateGrouping(items []sql.SelectItem, groupBy []sql.Expr) error {
 	keys := map[string]bool{}
 	for _, g := range groupBy {
 		keys[canonical(g)] = true
 	}
-	var check func(e sql.Expr) error
-	check = func(e sql.Expr) error {
-		if keys[canonical(e)] {
-			return nil
-		}
-		switch x := e.(type) {
-		case *sql.Literal:
-			return nil
-		case *sql.FuncCall:
-			return nil // aggregates are always fine
-		case *sql.ColRef:
-			return fmt.Errorf("plan: column %s must appear in GROUP BY or inside an aggregate", x.Name)
-		case *sql.BinaryExpr:
-			if err := check(x.L); err != nil {
-				return err
-			}
-			return check(x.R)
-		case *sql.UnaryExpr:
-			return check(x.X)
-		case *sql.IsNullExpr:
-			return check(x.X)
-		case *sql.InExpr:
-			if err := check(x.X); err != nil {
-				return err
-			}
-			for _, it := range x.List {
-				if err := check(it); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *sql.BetweenExpr:
-			for _, sub := range []sql.Expr{x.X, x.Lo, x.Hi} {
-				if err := check(sub); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return nil
-	}
+	var err error
 	for _, it := range items {
-		if err := check(it.Expr); err != nil {
+		sql.Walk(it.Expr, func(e sql.Expr) bool {
+			if err != nil || keys[canonical(e)] {
+				return false
+			}
+			switch x := e.(type) {
+			case *sql.FuncCall:
+				return false
+			case *sql.ColRef:
+				err = fmt.Errorf("plan: column %s must appear in GROUP BY or inside an aggregate", x.Name)
+			}
+			return err == nil
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -110,71 +65,26 @@ func validateGrouping(items []sql.SelectItem, groupBy []sql.Expr) error {
 }
 
 // rewriteForGroups replaces group-key expressions and aggregate calls in e
-// with references to the internal aggregation schema columns.
+// with references to the internal aggregation schema columns. The key
+// test comes first, so a key that is itself a column or a call is found.
 func rewriteForGroups(e sql.Expr, groupNames map[string]string, aggNames map[string]string) (sql.Expr, error) {
-	if name, ok := groupNames[canonical(e)]; ok {
-		return &sql.ColRef{Name: name}, nil
-	}
-	switch x := e.(type) {
-	case *sql.Literal:
-		return x, nil
-	case *sql.ColRef:
-		return nil, fmt.Errorf("plan: %s referenced outside GROUP BY and aggregates", x.Name)
-	case *sql.FuncCall:
-		if name, ok := aggNames[canonical(x)]; ok {
-			return &sql.ColRef{Name: name}, nil
+	return sql.Rewrite(e, func(e sql.Expr) (sql.Expr, bool, error) {
+		if name, ok := groupNames[canonical(e)]; ok {
+			return &sql.ColRef{Name: name}, true, nil
 		}
-		return nil, fmt.Errorf("plan: aggregate %s not computed", x)
-	case *sql.BinaryExpr:
-		l, err := rewriteForGroups(x.L, groupNames, aggNames)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rewriteForGroups(x.R, groupNames, aggNames)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.BinaryExpr{Op: x.Op, L: l, R: r}, nil
-	case *sql.UnaryExpr:
-		in, err := rewriteForGroups(x.X, groupNames, aggNames)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.UnaryExpr{Op: x.Op, X: in}, nil
-	case *sql.IsNullExpr:
-		in, err := rewriteForGroups(x.X, groupNames, aggNames)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.IsNullExpr{X: in, Negate: x.Negate}, nil
-	case *sql.InExpr:
-		nx, err := rewriteForGroups(x.X, groupNames, aggNames)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]sql.Expr, len(x.List))
-		for i, it := range x.List {
-			if list[i], err = rewriteForGroups(it, groupNames, aggNames); err != nil {
-				return nil, err
+		switch x := e.(type) {
+		case *sql.ColRef:
+			return nil, true, fmt.Errorf("plan: %s referenced outside GROUP BY and aggregates", x.Name)
+		case *sql.FuncCall:
+			if name, ok := aggNames[canonical(x)]; ok {
+				return &sql.ColRef{Name: name}, true, nil
 			}
+			return nil, true, fmt.Errorf("plan: aggregate %s not computed", x)
+		case *sql.SummaryCall, *sql.Param:
+			return nil, true, fmt.Errorf("plan: unsupported expression %T under grouping", e)
 		}
-		return &sql.InExpr{X: nx, List: list, Negate: x.Negate}, nil
-	case *sql.BetweenExpr:
-		nx, err := rewriteForGroups(x.X, groupNames, aggNames)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := rewriteForGroups(x.Lo, groupNames, aggNames)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := rewriteForGroups(x.Hi, groupNames, aggNames)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.BetweenExpr{X: nx, Lo: lo, Hi: hi, Negate: x.Negate}, nil
-	}
-	return nil, fmt.Errorf("plan: unsupported expression %T under grouping", e)
+		return nil, false, nil
+	})
 }
 
 // planAggregate builds GroupAggregate → HAVING filter → final projection.

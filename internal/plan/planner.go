@@ -11,6 +11,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -171,7 +172,7 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 		}
 	}
 	// Needed columns per relation: everything referenced above the scans.
-	needed, err := p.neededColumns(rels, combined, items, remaining, s)
+	needed, err := p.neededColumns(rels, combined, items, aggs, remaining, s)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +351,7 @@ func (p *Planner) accessPath(r *relation, preds []sql.Expr) (*exec.Scan, error) 
 	var local []sql.Expr
 	var all sql.Expr
 	for _, e := range preds {
-		if exec.ReferencesOnly(e, r.schema) && referencesRelation(e, r.schema) {
+		if bindsTo(e, r.schema) {
 			local = append(local, e)
 			all = andExpr(all, e)
 		}
@@ -435,78 +436,76 @@ func pushProjection(scan *exec.Scan, schema types.Schema, needed map[int]bool) (
 
 // neededColumns computes, per relation, the set of column ordinals
 // referenced above the scans (select items, the predicates preds no scan
-// absorbs, grouping, having, order by).
+// absorbs, grouping, having, order by). A COUNT(*) among aggs needs every
+// column: it aggregates whole tuples, so every input column's annotations
+// follow it (exec.NewGroupAggregate), and none may be curated away below.
 func (p *Planner) neededColumns(rels []*relation, combined types.Schema,
-	items []sql.SelectItem, preds []sql.Expr, s *sql.Select) ([]map[int]bool, error) {
+	items []sql.SelectItem, aggs []*sql.FuncCall, preds []sql.Expr, s *sql.Select) ([]map[int]bool, error) {
+	countStar := slices.ContainsFunc(aggs, func(a *sql.FuncCall) bool { return a.Star })
 	needed := make([]map[int]bool, len(rels))
-	for i := range needed {
+	for i, r := range rels {
 		needed[i] = map[int]bool{}
-	}
-	mark := func(ref string) error {
-		for i, r := range rels {
-			if ix, err := r.schema.ColumnIndex(ref); err == nil {
+		for ix := range r.schema.Columns {
+			if countStar {
 				needed[i][ix] = true
-				return nil
 			}
 		}
-		// Aliases of output columns (ORDER BY n) resolve later; report
-		// unknown references against the combined schema for a good error.
-		if _, err := combined.ColumnIndex(ref); err != nil {
-			return err
-		}
-		return nil
 	}
-	markExpr := func(e sql.Expr) error {
-		for _, ref := range exec.ReferencedColumns(e) {
-			if err := mark(ref); err != nil {
-				return err
+	// mark marks the columns e reads. A strict reference that resolves in
+	// no relation is reported against the combined schema, for a good
+	// error; HAVING and ORDER BY may name output aliases, which resolve
+	// later (the aggregation rewrite and the sort validate them).
+	var err error
+	mark := func(e sql.Expr, strict bool) {
+		sql.Walk(e, func(e sql.Expr) bool {
+			c, ok := e.(*sql.ColRef)
+			if !ok || err != nil {
+				return err == nil
 			}
-		}
-		return nil
+			for i, r := range rels {
+				if ix, rerr := r.schema.ColumnIndex(c.Name); rerr == nil {
+					needed[i][ix] = true
+					return true
+				}
+			}
+			if strict {
+				_, err = combined.ColumnIndex(c.Name)
+			}
+			return err == nil
+		})
 	}
 	for _, it := range items {
-		if err := markExpr(it.Expr); err != nil {
-			return nil, err
-		}
+		mark(it.Expr, true)
 	}
 	for _, e := range preds {
-		if err := markExpr(e); err != nil {
-			return nil, err
-		}
+		mark(e, true)
 	}
 	for _, g := range s.GroupBy {
-		if err := markExpr(g); err != nil {
-			return nil, err
-		}
+		mark(g, true)
 	}
-	if s.Having != nil {
-		for _, ref := range exec.ReferencedColumns(s.Having) {
-			_ = mark(ref) // may be an alias; aggregation rewrite validates
-		}
-	}
+	mark(s.Having, false)
 	for _, o := range s.OrderBy {
-		for _, ref := range exec.ReferencedColumns(o.Expr) {
-			_ = mark(ref) // may reference an output alias
-		}
+		mark(o.Expr, false)
 	}
-	return needed, nil
+	return needed, err
 }
 
 // predConsumed reports whether e was a single-relation predicate (it was
 // applied inside some access path).
 func predConsumed(e sql.Expr, rels []*relation) bool {
 	for _, r := range rels {
-		if exec.ReferencesOnly(e, r.schema) && referencesRelation(e, r.schema) {
+		if bindsTo(e, r.schema) {
 			return true
 		}
 	}
 	return false
 }
 
-// referencesRelation reports whether e references at least one column (so
-// constant predicates don't bind to arbitrary relations).
-func referencesRelation(e sql.Expr, schema types.Schema) bool {
-	return len(exec.ReferencedColumns(e)) > 0
+// bindsTo reports whether e reads at least one column and every column it
+// reads resolves in schema (so constant predicates don't bind to arbitrary
+// relations).
+func bindsTo(e sql.Expr, schema types.Schema) bool {
+	return exec.ReferencesOnly(e, schema) && len(exec.ReferencedColumns(e)) > 0
 }
 
 // equiJoinKeys recognizes `l = r` with one side resolving in left and the
@@ -516,12 +515,10 @@ func equiJoinKeys(e sql.Expr, left, right types.Schema) (sql.Expr, sql.Expr, boo
 	if !ok || b.Op != "=" {
 		return nil, nil, false
 	}
-	if exec.ReferencesOnly(b.L, left) && exec.ReferencesOnly(b.R, right) &&
-		len(exec.ReferencedColumns(b.L)) > 0 && len(exec.ReferencedColumns(b.R)) > 0 {
+	if bindsTo(b.L, left) && bindsTo(b.R, right) {
 		return b.L, b.R, true
 	}
-	if exec.ReferencesOnly(b.R, left) && exec.ReferencesOnly(b.L, right) &&
-		len(exec.ReferencedColumns(b.L)) > 0 && len(exec.ReferencedColumns(b.R)) > 0 {
+	if bindsTo(b.R, left) && bindsTo(b.L, right) {
 		return b.R, b.L, true
 	}
 	return nil, nil, false

@@ -196,10 +196,13 @@ func (e *BetweenExpr) String() string {
 // String implements Expr.
 func (e *SummaryCall) String() string {
 	if e.Func == "SUMMARY_COUNT" {
-		return fmt.Sprintf("%s(%s, '%s')", e.Func, e.Instance, strings.ReplaceAll(e.Label, "'", "''"))
+		return fmt.Sprintf("%s(%s, %s)", e.Func, e.Instance, quote(e.Label))
 	}
 	return fmt.Sprintf("%s(%s)", e.Func, e.Instance)
 }
+
+// quote renders s as a SQL string literal.
+func quote(s string) string { return types.NewString(s).SQLString() }
 
 // ---- statements ----
 
@@ -628,7 +631,7 @@ func (s *DropAnnotation) String() string {
 // String implements Statement.
 func (s *AddAnnotation) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ADD ANNOTATION '%s' ON %s", s.Text, s.Table)
+	fmt.Fprintf(&b, "ADD ANNOTATION %s ON %s", quote(s.Text), s.Table)
 	if len(s.Columns) > 0 {
 		fmt.Fprintf(&b, " (%s)", strings.Join(s.Columns, ", "))
 	}
@@ -676,7 +679,7 @@ func (s *Show) String() string {
 	case s.What == "ANNOTATIONS":
 		return "SHOW ANNOTATIONS ON " + s.Table
 	case s.What == "METRICS" && s.Pattern != "":
-		return "SHOW METRICS LIKE '" + s.Pattern + "'"
+		return "SHOW METRICS LIKE " + quote(s.Pattern)
 	case s.What == "TRACES" && s.Limit > 0:
 		return fmt.Sprintf("SHOW TRACES LIMIT %d", s.Limit)
 	case s.What == "TRACE":

@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"encoding/binary"
-	"math"
 	"time"
+
+	"insightnotes/internal/codec"
 )
 
 // Retained traces are sealed: the span tree — the pointer-rich bulk of a
@@ -17,11 +17,10 @@ import (
 // and errored), decoding only on the human-driven read path, so both sides
 // are off the hot path by construction.
 //
-// Layout (all integers varint unless noted): span count, then per span:
-// name (len-prefixed bytes), parent+1, start, dur, attr count, then per
-// attr: key (len-prefixed), kind byte, and a kind-dependent payload —
-// len-prefixed bytes for strings, zigzag varint for ints, 8 fixed
-// little-endian bytes for floats.
+// Layout, in internal/codec's encoding: span count, then per span: name,
+// parent (-1 for the root), start, dur, attr count, then per attr: key,
+// kind byte, and a kind-dependent payload — a string, a varint, or a
+// Float64. The bytes never leave the process.
 
 // sealed is one retained trace in its GC-quiet resting form. The header
 // fields SHOW TRACES lists stay directly readable; spans live in enc.
@@ -45,32 +44,40 @@ func sealSpans(spans []Span) []byte {
 			n += len(a.Key) + len(a.s) + 16
 		}
 	}
-	enc := make([]byte, 0, n)
-	enc = binary.AppendUvarint(enc, uint64(len(spans)))
+	w := codec.NewWriter(make([]byte, 0, n))
+	w.Uvarint(uint64(len(spans)))
 	for _, sp := range spans {
-		enc = appendString(enc, sp.Name)
-		enc = binary.AppendUvarint(enc, uint64(sp.Parent+1))
-		enc = binary.AppendUvarint(enc, uint64(sp.Start))
-		enc = binary.AppendUvarint(enc, uint64(sp.Dur))
-		enc = binary.AppendUvarint(enc, uint64(len(sp.Attrs)))
+		w.Str(sp.Name)
+		w.Varint(int64(sp.Parent))
+		w.Varint(int64(sp.Start))
+		w.Varint(int64(sp.Dur))
+		w.Uvarint(uint64(len(sp.Attrs)))
 		for _, a := range sp.Attrs {
-			enc = appendString(enc, a.Key)
-			enc = append(enc, byte(a.kind))
+			w.Str(a.Key)
+			w.Byte(byte(a.kind))
 			switch a.kind {
 			case attrInt:
-				enc = binary.AppendVarint(enc, a.i)
+				w.Varint(a.i)
 			case attrFloat:
-				enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(a.f))
+				w.Float64(a.f)
 			default:
-				enc = appendString(enc, a.s)
+				w.Str(a.s)
 			}
 		}
 	}
-	return enc
+	return w.Bytes()
 }
 
+// The fewest bytes a sealed span and a sealed attr take, which bound the
+// counts a damaged buffer may claim.
+const (
+	minSpanBytes = 5
+	minAttrBytes = 3
+)
+
 // unseal reconstructs the full Trace. Every call returns a fresh copy, so
-// readers can never alias each other or the (long recycled) builder.
+// readers can never alias each other or the (long recycled) builder. A
+// damaged buffer yields the spans decoded before the damage.
 func (s *sealed) unseal() *Trace {
 	t := &Trace{
 		ID:        s.id,
@@ -81,103 +88,35 @@ func (s *sealed) unseal() *Trace {
 		Err:       s.err,
 		Slow:      s.slow,
 	}
-	d := decoder{buf: s.enc}
-	count := d.uvarint()
-	if count > uint64(len(s.enc)) { // corrupt; impossible via seal, defensive
-		return t
-	}
+	r := codec.NewReader(s.enc)
+	count := r.Count(minSpanBytes)
 	t.Spans = make([]Span, 0, count)
-	for i := uint64(0); i < count && !d.bad; i++ {
+	for i := 0; i < count; i++ {
 		sp := Span{
-			Name:   d.string(),
-			Parent: int(d.uvarint()) - 1,
-			Start:  time.Duration(d.uvarint()),
-			Dur:    time.Duration(d.uvarint()),
+			Name:   r.Str(),
+			Parent: r.Int(),
+			Start:  time.Duration(r.Varint()),
+			Dur:    time.Duration(r.Varint()),
 		}
-		nattr := d.uvarint()
-		if nattr > 0 && nattr <= uint64(len(s.enc)) {
+		if nattr := r.Count(minAttrBytes); nattr > 0 {
 			sp.Attrs = make([]Attr, 0, nattr)
-			for j := uint64(0); j < nattr && !d.bad; j++ {
-				a := Attr{Key: d.string(), kind: attrKind(d.byte())}
+			for j := 0; j < nattr; j++ {
+				a := Attr{Key: r.Str(), kind: attrKind(r.Byte())}
 				switch a.kind {
 				case attrInt:
-					a.i = d.varint()
+					a.i = r.Varint()
 				case attrFloat:
-					a.f = math.Float64frombits(d.fixed64())
+					a.f = r.Float64()
 				default:
-					a.s = d.string()
+					a.s = r.Str()
 				}
 				sp.Attrs = append(sp.Attrs, a)
 			}
 		}
-		if d.bad {
+		if r.Err() != nil {
 			break
 		}
 		t.Spans = append(t.Spans, sp)
 	}
 	return t
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// decoder is a cursor over a sealed buffer. A malformed buffer flips bad
-// and every subsequent read returns zero values instead of panicking.
-type decoder struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.off >= len(d.buf) {
-		d.bad = true
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *decoder) fixed64() uint64 {
-	if d.off+8 > len(d.buf) {
-		d.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.bad || d.off+int(n) > len(d.buf) {
-		d.bad = true
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
 }

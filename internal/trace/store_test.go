@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -101,5 +103,32 @@ func TestStoreCapacityFloor(t *testing.T) {
 	st := s.stats()
 	if st.Resident != storeStripes {
 		t.Fatalf("resident = %d; want one per stripe (%d)", st.Resident, storeStripes)
+	}
+}
+
+// TestUnsealDamagedBuffer: a sealed buffer cut at any byte, or one that
+// claims a name longer than any buffer, unseals without panicking to the
+// spans decoded before the damage.
+func TestUnsealDamagedBuffer(t *testing.T) {
+	spans := []Span{
+		{Name: "stmt", Parent: -1, Dur: 90 * time.Microsecond, Attrs: []Attr{
+			{Key: "kind", s: "select"}, {Key: "rows", kind: attrInt, i: -12}}},
+		{Name: "plan", Start: 3 * time.Microsecond, Dur: 20 * time.Microsecond, Attrs: []Attr{
+			{Key: "ratio", kind: attrFloat, f: 0.5}}},
+		{Name: "exec", Start: 30 * time.Microsecond, Dur: 50 * time.Microsecond},
+	}
+	enc := sealSpans(spans)
+	if got := (&sealed{enc: enc}).unseal().Spans; !reflect.DeepEqual(got, spans) {
+		t.Fatalf("unsealed %+v, sealed %+v", got, spans)
+	}
+	for n := 0; n < len(enc); n++ {
+		got := (&sealed{enc: enc[:n]}).unseal().Spans
+		if len(got) == len(spans) || !reflect.DeepEqual(got, spans[:len(got)]) {
+			t.Errorf("cut at byte %d of %d: unsealed %+v", n, len(enc), got)
+		}
+	}
+	huge := binary.AppendUvarint([]byte{1}, 1<<63)
+	if got := (&sealed{enc: huge}).unseal().Spans; len(got) != 0 {
+		t.Errorf("a name of 2^63 bytes unsealed to %+v", got)
 	}
 }

@@ -267,10 +267,18 @@ func (v Value) String() string {
 }
 
 // SQLString renders the value as a SQL literal that the engine's parser can
-// read back.
+// read back as the same value: a float is written without an exponent and
+// with a decimal point, which the lexer needs to read a FLOAT.
 func (v Value) SQLString() string {
-	if v.kind == KindString {
+	switch v.kind {
+	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+	case KindFloat:
+		s := strconv.FormatFloat(v.f, 'f', -1, 64)
+		if math.Trunc(v.f) == v.f && !math.IsInf(v.f, 0) {
+			s += ".0"
+		}
+		return s
 	}
 	return v.String()
 }

@@ -184,6 +184,9 @@ func TestStringRendering(t *testing.T) {
 		{Null(), "NULL", "NULL"},
 		{NewInt(-7), "-7", "-7"},
 		{NewFloat(1.25), "1.25", "1.25"},
+		{NewFloat(2), "2", "2.0"},
+		{NewFloat(1e6), "1e+06", "1000000.0"},
+		{NewFloat(-0.5), "-0.5", "-0.5"},
 		{NewString("o'brien"), "o'brien", "'o''brien'"},
 		{NewBool(true), "true", "true"},
 	}
