@@ -161,10 +161,12 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 }
 
 // TestPlanEquivalenceRandomized verifies Theorems 1&2 end to end on
-// randomized annotation populations: reversed join orders return the same
-// bag of rows with Envelope.Equal summaries, and with R indexed on its
-// join key the first order returns the same rows in the same order with
-// and without index access paths. Some cases read R through a keyed probe.
+// randomized annotation populations: reversed join orders (and bare
+// against qualified spellings) return the same bag of rows with
+// Envelope.Equal summaries, and with R indexed on its join key the first
+// query returns the same rows in the same order with and without index
+// access paths and projection pushdown. Some cases read R through a keyed
+// probe.
 func TestPlanEquivalenceRandomized(t *testing.T) {
 	queries := [][2]string{
 		{
@@ -179,6 +181,10 @@ func TestPlanEquivalenceRandomized(t *testing.T) {
 			"SELECT DISTINCT r.b, s.x FROM R r, S s WHERE r.a = s.x",
 			"SELECT DISTINCT r.b, s.x FROM S s, R r WHERE r.a = s.x",
 		},
+		{
+			"SELECT a, b, y FROM R r, S s WHERE a = x",
+			"SELECT r.a, r.b, s.y FROM R r, S s WHERE r.a = s.x",
+		},
 	}
 	keyed := 0
 	f := func(seed int64, pick uint8) bool {
@@ -191,11 +197,19 @@ func TestPlanEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		r4, err := db.Query(context.Background(), q[0], WithPlanOptions(plan.Options{DisableProjectionPushdown: true}))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		if slices.ContainsFunc(r1.Ops, func(op OpStat) bool { return op.Op == "index_keys_scan" }) {
 			keyed++
 		}
 		if d := difftest.Rows(r1.Rows, r3.Rows); d != "" {
 			t.Logf("seed %d: %q differs without index access paths: %s", seed, q[0], d)
+			return false
+		}
+		if d := difftest.Rows(r1.Rows, r4.Rows); d != "" {
+			t.Logf("seed %d: %q differs without projection pushdown: %s", seed, q[0], d)
 			return false
 		}
 		if d := difftest.Bag(r2.Rows, r1.Rows); d != "" {

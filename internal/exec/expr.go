@@ -531,32 +531,6 @@ func SplitConjuncts(e sql.Expr) []sql.Expr {
 	return []sql.Expr{e}
 }
 
-// ReferencedColumns returns the column references in an expression (without
-// resolving them).
-func ReferencedColumns(e sql.Expr) []string {
-	var out []string
-	sql.Walk(e, func(e sql.Expr) bool {
-		if c, ok := e.(*sql.ColRef); ok {
-			out = append(out, c.Name)
-		}
-		return true
-	})
-	return out
-}
-
-// HasSummaryCall reports whether e contains a summary-based predicate
-// term.
-func HasSummaryCall(e sql.Expr) bool {
-	found := false
-	sql.Walk(e, func(e sql.Expr) bool {
-		if _, ok := e.(*sql.SummaryCall); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // SummaryInstancesIn returns the instance names referenced by summary
 // terms in e.
 func SummaryInstancesIn(e sql.Expr) []string {
@@ -568,19 +542,6 @@ func SummaryInstancesIn(e sql.Expr) []string {
 		return true
 	})
 	return out
-}
-
-// ReferencesOnly reports whether every column reference in e resolves in
-// schema — the pushdown test for single-relation predicates.
-func ReferencesOnly(e sql.Expr, schema types.Schema) bool {
-	ok := true
-	sql.Walk(e, func(e sql.Expr) bool {
-		if c, isRef := e.(*sql.ColRef); isRef && !schema.HasColumn(c.Name) {
-			ok = false
-		}
-		return ok
-	})
-	return ok
 }
 
 // ColumnLabel derives a display name for a select item: the alias when

@@ -227,22 +227,6 @@ func TestSplitConjuncts(t *testing.T) {
 	}
 }
 
-func TestReferencedColumnsAndReferencesOnly(t *testing.T) {
-	stmt, _ := sql.Parse("SELECT x FROM t WHERE t.a = 1 AND u.b + t.s = 2")
-	w := stmt.(*sql.Select).Where
-	refs := ReferencedColumns(w)
-	if len(refs) != 3 {
-		t.Errorf("refs = %v", refs)
-	}
-	if ReferencesOnly(w, exprSchema()) {
-		t.Error("cross-schema expression claimed single-schema")
-	}
-	stmt2, _ := sql.Parse("SELECT x FROM t WHERE t.a = 1 AND s LIKE 'x%'")
-	if !ReferencesOnly(stmt2.(*sql.Select).Where, exprSchema()) {
-		t.Error("single-schema expression rejected")
-	}
-}
-
 func TestColumnLabel(t *testing.T) {
 	stmt, _ := sql.Parse("SELECT t.a, b AS beta, a + 1 FROM t")
 	items := stmt.(*sql.Select).Items

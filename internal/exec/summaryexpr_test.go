@@ -195,20 +195,16 @@ func TestCompileRejectsSummaryCalls(t *testing.T) {
 func TestHasSummaryCallAndInstances(t *testing.T) {
 	stmt, _ := sql.Parse(
 		"SELECT x FROM t WHERE SUMMARY_COUNT(A, 'x') > 1 AND NOT (SUMMARY_TOTAL(B) = 0) AND id IS NOT NULL")
-	w := stmt.(*sql.Select).Where
-	if !HasSummaryCall(w) {
-		t.Error("HasSummaryCall = false")
-	}
-	insts := SummaryInstancesIn(w)
+	insts := SummaryInstancesIn(stmt.(*sql.Select).Where)
 	if len(insts) != 2 || insts[0] != "A" || insts[1] != "B" {
 		t.Errorf("instances = %v", insts)
 	}
 	stmt2, _ := sql.Parse("SELECT x FROM t WHERE id = 1")
-	if HasSummaryCall(stmt2.(*sql.Select).Where) {
-		t.Error("plain predicate flagged")
+	if insts := SummaryInstancesIn(stmt2.(*sql.Select).Where); len(insts) != 0 {
+		t.Errorf("plain predicate: instances = %v", insts)
 	}
-	if HasSummaryCall(nil) {
-		t.Error("nil flagged")
+	if insts := SummaryInstancesIn(nil); len(insts) != 0 {
+		t.Errorf("nil: instances = %v", insts)
 	}
 }
 

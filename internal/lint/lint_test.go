@@ -199,6 +199,23 @@ func (db *DB) execRename(from, to string) error {
 	expect(t, bad.CallsOutside(engine, "logRecord", "mutate"), "execRename calls logRecord")
 }
 
+// The planner decides what a column name means in one place, bind: every
+// other pass reads the relation and ordinal it bound, so no plan option
+// or spelling can make two passes disagree. A second resolver probing a
+// schema by name beside it fails here.
+func TestPlanBindsNamesOnce(t *testing.T) {
+	const plan = "internal/plan/"
+	s := tree(t)
+	expect(t, s.CallsOutside(plan, "ColumnIndex", "bind"))
+
+	bad := tree(t, plan+"x.go", `package plan
+func bindsTo(e *sql.ColRef, schema types.Schema) bool {
+	_, err := schema.ColumnIndex(e.Name)
+	return err == nil
+}`)
+	expect(t, bad.CallsOutside(plan, "ColumnIndex", "bind"), "bindsTo calls ColumnIndex")
+}
+
 // The zoom-in cache keeps every spilled result in one spill file that is
 // opened once: a spill and a Get are a positional write and read on that
 // handle. Creating, reading whole or removing a file belongs to the

@@ -2,17 +2,16 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"insightnotes/internal/exec"
 	"insightnotes/internal/sql"
 	"insightnotes/internal/types"
 )
 
-// collectAggregates finds the distinct aggregate calls (by canonical text)
+// collectAggregates finds the distinct aggregate calls (by binding key)
 // appearing in the select items and HAVING clause, in first-appearance
 // order. An aggregate's argument is not searched.
-func collectAggregates(items []sql.SelectItem, having sql.Expr) []*sql.FuncCall {
+func collectAggregates(b *binding, items []sql.SelectItem, having sql.Expr) []*sql.FuncCall {
 	var out []*sql.FuncCall
 	seen := map[string]bool{}
 	visit := func(e sql.Expr) bool {
@@ -20,7 +19,7 @@ func collectAggregates(items []sql.SelectItem, having sql.Expr) []*sql.FuncCall 
 		if !ok {
 			return true
 		}
-		if key := canonical(x); !seen[key] {
+		if key := b.key(x); !seen[key] {
 			seen[key] = true
 			out = append(out, x)
 		}
@@ -33,20 +32,18 @@ func collectAggregates(items []sql.SelectItem, having sql.Expr) []*sql.FuncCall 
 	return out
 }
 
-func canonical(e sql.Expr) string { return strings.ToLower(e.String()) }
-
 // validateGrouping enforces that every non-aggregate select item appears in
-// the GROUP BY list (textually): a subexpression equal to a key or inside
-// an aggregate is fine, a column reference anywhere else is not.
-func validateGrouping(items []sql.SelectItem, groupBy []sql.Expr) error {
+// the GROUP BY list (by binding key): a subexpression equal to a key or
+// inside an aggregate is fine, a column reference anywhere else is not.
+func validateGrouping(b *binding, items []sql.SelectItem, groupBy []sql.Expr) error {
 	keys := map[string]bool{}
 	for _, g := range groupBy {
-		keys[canonical(g)] = true
+		keys[b.key(g)] = true
 	}
 	var err error
 	for _, it := range items {
 		sql.Walk(it.Expr, func(e sql.Expr) bool {
-			if err != nil || keys[canonical(e)] {
+			if err != nil || keys[b.key(e)] {
 				return false
 			}
 			switch x := e.(type) {
@@ -67,16 +64,16 @@ func validateGrouping(items []sql.SelectItem, groupBy []sql.Expr) error {
 // rewriteForGroups replaces group-key expressions and aggregate calls in e
 // with references to the internal aggregation schema columns. The key
 // test comes first, so a key that is itself a column or a call is found.
-func rewriteForGroups(e sql.Expr, groupNames map[string]string, aggNames map[string]string) (sql.Expr, error) {
+func rewriteForGroups(b *binding, e sql.Expr, groupNames map[string]string, aggNames map[string]string) (sql.Expr, error) {
 	return sql.Rewrite(e, func(e sql.Expr) (sql.Expr, bool, error) {
-		if name, ok := groupNames[canonical(e)]; ok {
+		if name, ok := groupNames[b.key(e)]; ok {
 			return &sql.ColRef{Name: name}, true, nil
 		}
 		switch x := e.(type) {
 		case *sql.ColRef:
 			return nil, true, fmt.Errorf("plan: %s referenced outside GROUP BY and aggregates", x.Name)
 		case *sql.FuncCall:
-			if name, ok := aggNames[canonical(x)]; ok {
+			if name, ok := aggNames[b.key(x)]; ok {
 				return &sql.ColRef{Name: name}, true, nil
 			}
 			return nil, true, fmt.Errorf("plan: aggregate %s not computed", x)
@@ -88,7 +85,7 @@ func rewriteForGroups(e sql.Expr, groupNames map[string]string, aggNames map[str
 }
 
 // planAggregate builds GroupAggregate → HAVING filter → final projection.
-func (p *Planner) planAggregate(input exec.Operator, inSchema types.Schema,
+func (p *Planner) planAggregate(input exec.Operator, inSchema types.Schema, b *binding,
 	items []sql.SelectItem, s *sql.Select, aggs []*sql.FuncCall) (exec.Operator, error) {
 	// Compile group keys.
 	keys := make([]*exec.Compiled, len(s.GroupBy))
@@ -101,8 +98,8 @@ func (p *Planner) planAggregate(input exec.Operator, inSchema types.Schema,
 		}
 		keys[i] = c
 		name := fmt.Sprintf("#g%d", i)
-		keyCols[i] = types.Column{Name: name, Kind: inferKind(g, inSchema)}
-		groupNames[canonical(g)] = name
+		keyCols[i] = types.Column{Name: name, Kind: inferKind(g, b)}
+		groupNames[b.key(g)] = name
 	}
 	// Compile aggregate specs.
 	specs := make([]exec.AggSpec, len(aggs))
@@ -119,14 +116,14 @@ func (p *Planner) planAggregate(input exec.Operator, inSchema types.Schema,
 		}
 		specs[i] = spec
 		name := fmt.Sprintf("#a%d", i)
-		aggCols[i] = types.Column{Name: name, Kind: aggKind(a, inSchema)}
-		aggNames[canonical(a)] = name
+		aggCols[i] = types.Column{Name: name, Kind: aggKind(a, b)}
+		aggNames[b.key(a)] = name
 	}
 	op := exec.Operator(exec.NewGroupAggregate(input, keys, keyCols, specs, aggCols))
 	internal := op.Schema()
 
 	if s.Having != nil {
-		rewritten, err := rewriteForGroups(s.Having, groupNames, aggNames)
+		rewritten, err := rewriteForGroups(b, s.Having, groupNames, aggNames)
 		if err != nil {
 			return nil, fmt.Errorf("plan: HAVING: %w", err)
 		}
@@ -139,7 +136,7 @@ func (p *Planner) planAggregate(input exec.Operator, inSchema types.Schema,
 	// Final projection from the internal schema to the select items.
 	projItems := make([]exec.ProjectItem, len(items))
 	for i, it := range items {
-		rewritten, err := rewriteForGroups(it.Expr, groupNames, aggNames)
+		rewritten, err := rewriteForGroups(b, it.Expr, groupNames, aggNames)
 		if err != nil {
 			return nil, err
 		}
@@ -150,15 +147,14 @@ func (p *Planner) planAggregate(input exec.Operator, inSchema types.Schema,
 		tbl, name := exec.ColumnLabel(it)
 		projItems[i] = exec.ProjectItem{
 			Expr: c,
-			Col:  types.Column{Table: tbl, Name: name, Kind: inferKind(it.Expr, inSchema)},
+			Col:  types.Column{Table: tbl, Name: name, Kind: inferKind(it.Expr, b)},
 		}
 	}
 	return exec.NewProject(op, projItems), nil
 }
 
 // planProjection builds the final projection for non-aggregate queries.
-func (p *Planner) planProjection(input exec.Operator, inSchema types.Schema,
-	items []sql.SelectItem) (exec.Operator, error) {
+func (p *Planner) planProjection(input exec.Operator, b *binding, items []sql.SelectItem) (exec.Operator, error) {
 	projItems := make([]exec.ProjectItem, len(items))
 	for i, it := range items {
 		c, err := exec.Compile(it.Expr, input.Schema())
@@ -168,7 +164,7 @@ func (p *Planner) planProjection(input exec.Operator, inSchema types.Schema,
 		tbl, name := exec.ColumnLabel(it)
 		projItems[i] = exec.ProjectItem{
 			Expr: c,
-			Col:  types.Column{Table: tbl, Name: name, Kind: inferKind(it.Expr, input.Schema())},
+			Col:  types.Column{Table: tbl, Name: name, Kind: inferKind(it.Expr, b)},
 		}
 	}
 	return exec.NewProject(input, projItems), nil
@@ -176,22 +172,22 @@ func (p *Planner) planProjection(input exec.Operator, inSchema types.Schema,
 
 // inferKind derives a static result kind for display purposes. It is a
 // best-effort inference; runtime values govern actual behaviour.
-func inferKind(e sql.Expr, schema types.Schema) types.Kind {
+func inferKind(e sql.Expr, b *binding) types.Kind {
 	switch x := e.(type) {
 	case *sql.Literal:
 		return x.Val.Kind()
 	case *sql.ColRef:
-		if ix, err := schema.ColumnIndex(x.Name); err == nil {
-			return schema.Columns[ix].Kind
+		if col, ok := b.column(x); ok {
+			return col.Kind
 		}
 		return types.KindNull
 	case *sql.FuncCall:
-		return aggKind(x, schema)
+		return aggKind(x, b)
 	case *sql.UnaryExpr:
 		if x.Op == "NOT" {
 			return types.KindBool
 		}
-		return inferKind(x.X, schema)
+		return inferKind(x.X, b)
 	case *sql.IsNullExpr:
 		return types.KindBool
 	case *sql.InExpr, *sql.BetweenExpr:
@@ -203,8 +199,8 @@ func inferKind(e sql.Expr, schema types.Schema) types.Kind {
 		case "/":
 			return types.KindFloat
 		default:
-			lk := inferKind(x.L, schema)
-			rk := inferKind(x.R, schema)
+			lk := inferKind(x.L, b)
+			rk := inferKind(x.R, b)
 			if lk == types.KindString && rk == types.KindString {
 				return types.KindString
 			}
@@ -217,7 +213,7 @@ func inferKind(e sql.Expr, schema types.Schema) types.Kind {
 	return types.KindNull
 }
 
-func aggKind(a *sql.FuncCall, schema types.Schema) types.Kind {
+func aggKind(a *sql.FuncCall, b *binding) types.Kind {
 	switch a.Name {
 	case "COUNT":
 		return types.KindInt
@@ -225,7 +221,7 @@ func aggKind(a *sql.FuncCall, schema types.Schema) types.Kind {
 		return types.KindFloat
 	default: // SUM, MIN, MAX follow the argument
 		if a.Arg != nil {
-			return inferKind(a.Arg, schema)
+			return inferKind(a.Arg, b)
 		}
 		return types.KindFloat
 	}

@@ -83,16 +83,16 @@ func (c *indexCandidate) source() exec.RowSource {
 // that an index of tbl can serve, or nil when there is none. Estimates are
 // index dives capped at limit; a capped dive already proves the index
 // loses, so its candidate is dropped.
-func bestIndexCandidate(tbl *catalog.Table, schema types.Schema, conjuncts []sql.Expr, limit int) *indexCandidate {
+func bestIndexCandidate(tbl *catalog.Table, conjuncts []sql.Expr, limit int) *indexCandidate {
 	var best *indexCandidate
 	for _, e := range conjuncts {
 		var c indexCandidate
 		var capped, ok bool
-		if col, val, isEq := constEquality(e, schema); isEq {
+		if col, val, isEq := constEquality(e); isEq {
 			_, c.col = types.SplitQualified(col)
 			c.val = val
 			c.est, capped, ok = tbl.EstimateIndexEquality(c.col, val, limit)
-		} else if rng, isRange := constRange(e, schema); isRange {
+		} else if rng, isRange := constRange(e); isRange {
 			_, c.col = types.SplitQualified(rng.col)
 			c.isRange, c.rng = true, rng
 			c.est, capped, ok = tbl.EstimateIndexRange(c.col, rng.lo, rng.hi, rng.loInc, rng.hiInc, limit)
@@ -125,7 +125,7 @@ func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr, suffix string)
 		memo = nil
 	}
 	if ch, ok := memo.lookup(suffix); ok {
-		if src, replayed := replayPath(r, local, ch); replayed {
+		if src, replayed := replayPath(local, ch); replayed {
 			sp.Attr("path_memo"+suffix, ch.kind)
 			if ch.kind == "full" {
 				ch.est = st.Rows // the table's size is read, never memoized
@@ -137,7 +137,7 @@ func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr, suffix string)
 	seq := seqScanCost(st)
 	var best *indexCandidate
 	if !p.opts.DisableIndexScan {
-		best = bestIndexCandidate(r.table, r.schema, local, diveLimit(seq))
+		best = bestIndexCandidate(r.table, local, diveLimit(seq))
 	}
 
 	if sp != nil {
@@ -161,10 +161,16 @@ func (p *Planner) chooseAccessPath(r *relation, local []sql.Expr, suffix string)
 // UPDATE, DELETE or ADD ANNOTATION — reads the rows of tbl its WHERE
 // clause may select, with the chooser SELECT uses, and compiles where
 // against the table's schema (nil for a nil where: every row matches).
-// Of opts only DisableIndexScan and Span apply: no memo, no counters.
+// Its names are bound as a SELECT's are. Of opts only DisableIndexScan
+// and Span apply: no memo, no counters.
 func MatchSource(tbl *catalog.Table, where sql.Expr, opts Options) (exec.RowSource, *exec.Compiled, error) {
 	p := &Planner{opts: Options{DisableIndexScan: opts.DisableIndexScan, Span: opts.Span}}
-	src, _ := p.chooseAccessPath(&relation{table: tbl, schema: tbl.Schema()}, exec.SplitConjuncts(where), "")
+	r := &relation{table: tbl, schema: tbl.Schema()}
+	conj := exec.SplitConjuncts(where)
+	if _, _, err := bind([]*relation{r}, nil, conj, nil); err != nil {
+		return exec.RowSource{}, nil, err
+	}
+	src, _ := p.chooseAccessPath(r, conj, "")
 	if where == nil {
 		return src, nil, nil
 	}
@@ -172,24 +178,24 @@ func MatchSource(tbl *catalog.Table, where sql.Expr, opts Options) (exec.RowSour
 	return src, pred, err
 }
 
-// replayPath rebuilds the memoized row source for r, pulling probe values
-// from the current (bound) predicates. It reports false when the recorded
+// replayPath rebuilds a memoized row source, pulling probe values from
+// the current (bound) predicates of its relation. It reports false when the recorded
 // shape no longer matches the predicate set — the caller then falls back
 // to full cost-based selection.
-func replayPath(r *relation, local []sql.Expr, ch pathChoice) (exec.RowSource, bool) {
+func replayPath(local []sql.Expr, ch pathChoice) (exec.RowSource, bool) {
 	if ch.kind == "full" {
 		return exec.FullTable(), true
 	}
 	for _, e := range local {
 		switch ch.kind {
 		case "index":
-			if col, val, ok := constEquality(e, r.schema); ok {
+			if col, val, ok := constEquality(e); ok {
 				if _, name := types.SplitQualified(col); name == ch.col {
 					return exec.IndexEq(ch.col, val), true
 				}
 			}
 		case "index_range":
-			if rng, ok := constRange(e, r.schema); ok {
+			if rng, ok := constRange(e); ok {
 				if _, name := types.SplitQualified(rng.col); name == ch.col {
 					return exec.IndexRange(ch.col, rng.lo, rng.hi, rng.loInc, rng.hiInc), true
 				}

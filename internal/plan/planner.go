@@ -12,7 +12,6 @@ package plan
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -86,8 +85,18 @@ func New(cat *catalog.Catalog, envs exec.EnvelopeSource, opts Options) *Planner 
 type relation struct {
 	ref    sql.TableRef
 	table  *catalog.Table
-	schema types.Schema // aliased
+	schema types.Schema // aliased; bound ordinals index it
+	needed []bool       // the ordinals of schema read above the scan (bind)
 	op     exec.Operator
+	out    types.Schema // op's schema
+}
+
+// mark marks ordinal ord as read above r's scan.
+func (r *relation) mark(ord int) {
+	if r.needed == nil {
+		r.needed = make([]bool, r.schema.Len())
+	}
+	r.needed[ord] = true
 }
 
 // PlanSelect builds the physical plan for s.
@@ -129,195 +138,163 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 		}
 	}
 
-	// Gather predicates: WHERE conjuncts plus JOIN ON conjuncts.
-	// Summary-based conjuncts (§2.1) are routed separately: they evaluate
+	// Bind every name once, over the star-expanded items and the WHERE
+	// and JOIN ON conjuncts. Summary-based conjuncts (§2.1) evaluate
 	// against summary envelopes, never participate in index selection or
 	// join-key extraction, and relations they touch keep their full column
 	// set so the predicate observes the stored summaries.
-	var preds, summaryPreds []sql.Expr
-	for _, e := range append(exec.SplitConjuncts(s.Where), joinConjuncts(s)...) {
-		if exec.HasSummaryCall(e) {
-			summaryPreds = append(summaryPreds, e)
-		} else {
-			preds = append(preds, e)
-		}
-	}
-
-	// Full combined schema, for validation of multi-relation expressions.
-	combined := types.Schema{}
-	for _, r := range rels {
-		combined = combined.Concat(r.schema)
-	}
-
-	// Expand stars and collect aggregates before computing needed columns.
-	items, err := expandStars(s.Items, rels, combined)
+	items, err := expandStars(s.Items, rels)
 	if err != nil {
 		return nil, err
 	}
-	aggs := collectAggregates(items, s.Having)
+	b, conj, err := bind(rels, items, append(exec.SplitConjuncts(s.Where), joinConjuncts(s)...), s)
+	if err != nil {
+		return nil, err
+	}
+	aggs := collectAggregates(b, items, s.Having)
 	hasAgg := len(aggs) > 0 || len(s.GroupBy) > 0
 	if hasAgg {
-		if err := validateGrouping(items, s.GroupBy); err != nil {
+		if err := validateGrouping(b, items, s.GroupBy); err != nil {
 			return nil, err
 		}
 	}
-
-	// The predicates no access path absorbs. An absorbed one reads the
-	// tuple before its scan projects it, so its columns are not needed
-	// above the scan.
-	remaining := make([]sql.Expr, 0, len(preds))
-	for _, e := range preds {
-		if !predConsumed(e, rels) {
-			remaining = append(remaining, e)
+	// A COUNT(*) aggregates whole tuples, so every input column's
+	// annotations follow it (exec.NewGroupAggregate) and none may be
+	// curated away below it.
+	if slices.ContainsFunc(aggs, func(a *sql.FuncCall) bool { return a.Star }) {
+		for _, r := range rels {
+			for ord := range r.schema.Columns {
+				r.mark(ord)
+			}
 		}
 	}
-	// Needed columns per relation: everything referenced above the scans.
-	needed, err := p.neededColumns(rels, combined, items, aggs, remaining, s)
-	if err != nil {
-		return nil, err
-	}
 
-	// Build per-relation access paths with pushed-down single-relation
-	// predicates and (unless disabled) projection pushdown for
-	// curate-before-merge. Summary predicates bound to one relation apply
+	// Build per-relation access paths with the conjuncts that read only
+	// that relation absorbed and (unless disabled) projection pushdown for
+	// curate-before-merge. Summary conjuncts bound to one relation apply
 	// above its scan, before any projection, so they see the full stored
 	// summaries.
-	remainingSummary := make([]sql.Expr, 0, len(summaryPreds))
+	var remaining, remainingSummary []conjunct
+	for _, c := range conj {
+		switch {
+		case c.summary && p.summaryHome(c, rels) < 0:
+			remainingSummary = append(remainingSummary, c)
+		case !c.summary && !c.scanned():
+			remaining = append(remaining, c)
+		}
+	}
 	for i, r := range rels {
-		scan, err := p.accessPath(r, preds)
+		var local []sql.Expr
+		for _, c := range conj {
+			if !c.summary && c.rels == 1<<i {
+				local = append(local, c.e)
+			}
+		}
+		scan, err := p.accessPath(r, local)
 		if err != nil {
 			return nil, err
 		}
-		r.op = scan
+		r.op, r.out = scan, r.schema
 		pushedSummary := false
-		for _, e := range summaryPreds {
-			if !p.summaryPredBindsTo(e, r, rels) {
+		for _, c := range conj {
+			if !c.summary || p.summaryHome(c, rels) != i {
 				continue
 			}
-			c, err := exec.CompileRow(e, r.schema)
+			f, err := exec.CompileRow(c.e, r.schema)
 			if err != nil {
 				return nil, err
 			}
-			r.op = exec.NewFilter(r.op, c)
+			r.op = exec.NewFilter(r.op, f)
 			pushedSummary = true
 		}
 		// A summary filter suppresses the push-down, so the scan is still
 		// the relation's whole pipeline whenever a projection is pushed.
 		if !p.opts.DisableProjectionPushdown && !pushedSummary {
-			if r.schema, err = pushProjection(scan, r.schema, needed[i]); err != nil {
+			if r.out, err = pushProjection(scan, r.schema, r.needed); err != nil {
 				return nil, err
 			}
 		}
 		r.op = p.trace(r.op, "scan+curate("+r.ref.EffectiveAlias()+")")
 	}
-	for _, e := range summaryPreds {
-		bound := false
-		for _, r := range rels {
-			if p.summaryPredBindsTo(e, r, rels) {
-				bound = true
-				break
-			}
-		}
-		if !bound {
-			remainingSummary = append(remainingSummary, e)
-		}
-	}
-	// Left-deep joins in declaration order.
-	cur := rels[0].op
-	curSchema := rels[0].schema
-	for _, r := range rels[1:] {
-		joinSchema := curSchema.Concat(r.schema)
+	// Left-deep joins in declaration order. A conjunct applies at the
+	// first join whose inputs hold every relation it reads: as a hash-join
+	// key when it equates a column expression of each side, otherwise as a
+	// filter above the hash join or in the nested-loop join's condition.
+	cur, curSchema := rels[0].op, rels[0].out
+	joined := relSet(1)
+	for i, r := range rels[1:] {
+		right := relSet(1) << (i + 1)
+		left := joined
+		joined |= right
+		joinSchema := curSchema.Concat(r.out)
 		var eqLeft, eqRight []*exec.Compiled
-		var leftExprs, leftover []sql.Expr
-		for _, e := range remaining {
-			if !exec.ReferencesOnly(e, joinSchema) {
-				leftover = append(leftover, e)
+		var leftExprs, filters []sql.Expr
+		var later []conjunct
+		for _, c := range remaining {
+			if c.rels&^joined != 0 {
+				later = append(later, c)
 				continue
 			}
-			l, rKey, ok := equiJoinKeys(e, curSchema, r.schema)
-			if ok {
-				lc, err := exec.Compile(l, curSchema)
-				if err != nil {
-					return nil, err
-				}
-				rc, err := exec.Compile(rKey, r.schema)
-				if err != nil {
-					return nil, err
-				}
-				eqLeft = append(eqLeft, lc)
-				eqRight = append(eqRight, rc)
-				leftExprs = append(leftExprs, l)
+			l, rKey, ok := equiJoinKeys(b, c.e, left, right)
+			if !ok {
+				filters = append(filters, c.e)
 				continue
 			}
-			leftover = append(leftover, e)
+			lc, err := exec.Compile(l, curSchema)
+			if err != nil {
+				return nil, err
+			}
+			rc, err := exec.Compile(rKey, r.out)
+			if err != nil {
+				return nil, err
+			}
+			eqLeft = append(eqLeft, lc)
+			eqRight = append(eqRight, rc)
+			leftExprs = append(leftExprs, l)
 		}
+		remaining = later
 		if len(eqLeft) > 0 {
 			join := exec.NewHashJoin(cur, r.op, eqLeft, eqRight)
 			if scan, ok := cur.(*exec.Scan); ok {
-				p.keyProbe(join, scan, rels[0], leftExprs)
+				p.keyProbe(join, scan, b, leftExprs)
 			}
 			cur = p.trace(join, "join("+r.ref.EffectiveAlias()+")")
-		} else {
-			// Collect any resolvable non-equi condition into the NL join.
-			var cond sql.Expr
-			var still []sql.Expr
-			for _, e := range leftover {
-				if exec.ReferencesOnly(e, joinSchema) {
-					cond = andExpr(cond, e)
-				} else {
-					still = append(still, e)
-				}
-			}
-			leftover = still
-			var compiled *exec.Compiled
-			if cond != nil {
-				var err error
-				compiled, err = exec.Compile(cond, joinSchema)
+			for _, e := range filters {
+				f, err := exec.Compile(e, joinSchema)
 				if err != nil {
 					return nil, err
 				}
+				cur = exec.NewFilter(cur, f)
 			}
-			cur = p.trace(exec.NewNestedLoopJoin(cur, r.op, compiled),
-				"nljoin("+r.ref.EffectiveAlias()+")")
+		} else {
+			cond, err := compileAll(filters, joinSchema)
+			if err != nil {
+				return nil, err
+			}
+			cur = p.trace(exec.NewNestedLoopJoin(cur, r.op, cond), "nljoin("+r.ref.EffectiveAlias()+")")
 		}
 		curSchema = joinSchema
-		// Apply now-resolvable leftover predicates as filters.
-		var still []sql.Expr
-		for _, e := range leftover {
-			if exec.ReferencesOnly(e, curSchema) {
-				c, err := exec.Compile(e, curSchema)
-				if err != nil {
-					return nil, err
-				}
-				cur = exec.NewFilter(cur, c)
-			} else {
-				still = append(still, e)
-			}
-		}
-		remaining = still
 	}
-	if len(remaining) > 0 {
-		return nil, fmt.Errorf("plan: unresolved predicate %s", remaining[0])
-	}
-	// Multi-relation (or unbound) summary predicates apply to the joined
-	// rows, observing the merged summaries.
-	for _, e := range remainingSummary {
-		c, err := exec.CompileRow(e, curSchema)
+	// What is left reads no relation (a constant conjunct of a
+	// one-relation query), and the summary conjuncts no one scan takes
+	// observe the merged summaries: both filter the joined rows.
+	for _, c := range append(remaining, remainingSummary...) {
+		f, err := exec.CompileRow(c.e, curSchema)
 		if err != nil {
 			return nil, err
 		}
-		cur = exec.NewFilter(cur, c)
+		cur = exec.NewFilter(cur, f)
 	}
 
 	// Aggregation and final projection.
 	if hasAgg {
-		cur, err = p.planAggregate(cur, curSchema, items, s, aggs)
+		cur, err = p.planAggregate(cur, curSchema, b, items, s, aggs)
 		if err != nil {
 			return nil, err
 		}
 		cur = p.trace(cur, "aggregate+project")
 	} else {
-		cur, err = p.planProjection(cur, curSchema, items)
+		cur, err = p.planProjection(cur, b, items)
 		if err != nil {
 			return nil, err
 		}
@@ -346,22 +323,11 @@ func (p *Planner) PlanSelect(s *sql.Select) (exec.Operator, error) {
 }
 
 // accessPath builds r's scan: the cheapest row source (cost.go) with the
-// conjunction of r's single-relation predicates absorbed into it.
-func (p *Planner) accessPath(r *relation, preds []sql.Expr) (*exec.Scan, error) {
-	var local []sql.Expr
-	var all sql.Expr
-	for _, e := range preds {
-		if bindsTo(e, r.schema) {
-			local = append(local, e)
-			all = andExpr(all, e)
-		}
-	}
-	var pred *exec.Compiled
-	if all != nil {
-		var err error
-		if pred, err = exec.Compile(all, r.schema); err != nil {
-			return nil, err
-		}
+// conjunction of local, the predicates that read only r, absorbed into it.
+func (p *Planner) accessPath(r *relation, local []sql.Expr) (*exec.Scan, error) {
+	pred, err := compileAll(local, r.schema)
+	if err != nil {
+		return nil, err
 	}
 	src, est := p.chooseAccessPath(r, local, "."+strings.ToLower(r.ref.EffectiveAlias()))
 	if c := p.opts.Counters; c != nil {
@@ -379,25 +345,22 @@ func (p *Planner) accessPath(r *relation, preds []sql.Expr) (*exec.Scan, error) 
 	return scan, nil
 }
 
-// keyProbe lets join read its probe side, scan over relation r, through
-// an index: the first left key that is a plain reference to an indexed
-// column of r keys the scan, up to probeKeyLimit distinct build keys.
-// Rows, summaries and their order stay the full scan's.
-func (p *Planner) keyProbe(join *exec.HashJoin, scan *exec.Scan, r *relation, leftKeys []sql.Expr) {
+// keyProbe lets join read its probe side, scan over rels[0], through an
+// index: the first left key that is a plain reference to an indexed column
+// keys the scan, up to probeKeyLimit distinct build keys. Rows, summaries
+// and their order stay the full scan's.
+func (p *Planner) keyProbe(join *exec.HashJoin, scan *exec.Scan, b *binding, leftKeys []sql.Expr) {
 	if p.opts.DisableIndexScan {
 		return
 	}
+	r := b.rels[0]
 	for i, e := range leftKeys {
 		cr, ok := e.(*sql.ColRef)
 		if !ok {
 			continue
 		}
-		ix, err := r.schema.ColumnIndex(cr.Name)
-		if err != nil {
-			continue
-		}
-		if col := r.schema.Columns[ix].Name; r.table.Index(col) != nil {
-			join.KeyProbe(scan, i, col, probeKeyLimit(r.table.Stats()))
+		if col, _ := b.column(cr); r.table.Index(col.Name) != nil {
+			join.KeyProbe(scan, i, col.Name, probeKeyLimit(r.table.Stats()))
 			return
 		}
 	}
@@ -407,15 +370,16 @@ func (p *Planner) keyProbe(join *exec.HashJoin, scan *exec.Scan, r *relation, le
 // its relation schema, curating summary envelopes before any merge (the
 // theorem discipline), and returns the relation's schema afterwards. All
 // columns are kept when the relation is fully referenced.
-func pushProjection(scan *exec.Scan, schema types.Schema, needed map[int]bool) (types.Schema, error) {
-	if len(needed) >= schema.Len() {
+func pushProjection(scan *exec.Scan, schema types.Schema, needed []bool) (types.Schema, error) {
+	idxs := make([]int, 0, len(needed))
+	for i, n := range needed {
+		if n {
+			idxs = append(idxs, i)
+		}
+	}
+	if len(idxs) == schema.Len() {
 		return schema, nil
 	}
-	idxs := make([]int, 0, len(needed))
-	for i := range needed {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
 	if len(idxs) == 0 {
 		// A relation no one references (pure cartesian filter) keeps its
 		// first column so the tuple is non-empty.
@@ -434,92 +398,19 @@ func pushProjection(scan *exec.Scan, schema types.Schema, needed map[int]bool) (
 	return scan.Schema(), nil
 }
 
-// neededColumns computes, per relation, the set of column ordinals
-// referenced above the scans (select items, the predicates preds no scan
-// absorbs, grouping, having, order by). A COUNT(*) among aggs needs every
-// column: it aggregates whole tuples, so every input column's annotations
-// follow it (exec.NewGroupAggregate), and none may be curated away below.
-func (p *Planner) neededColumns(rels []*relation, combined types.Schema,
-	items []sql.SelectItem, aggs []*sql.FuncCall, preds []sql.Expr, s *sql.Select) ([]map[int]bool, error) {
-	countStar := slices.ContainsFunc(aggs, func(a *sql.FuncCall) bool { return a.Star })
-	needed := make([]map[int]bool, len(rels))
-	for i, r := range rels {
-		needed[i] = map[int]bool{}
-		for ix := range r.schema.Columns {
-			if countStar {
-				needed[i][ix] = true
-			}
-		}
-	}
-	// mark marks the columns e reads. A strict reference that resolves in
-	// no relation is reported against the combined schema, for a good
-	// error; HAVING and ORDER BY may name output aliases, which resolve
-	// later (the aggregation rewrite and the sort validate them).
-	var err error
-	mark := func(e sql.Expr, strict bool) {
-		sql.Walk(e, func(e sql.Expr) bool {
-			c, ok := e.(*sql.ColRef)
-			if !ok || err != nil {
-				return err == nil
-			}
-			for i, r := range rels {
-				if ix, rerr := r.schema.ColumnIndex(c.Name); rerr == nil {
-					needed[i][ix] = true
-					return true
-				}
-			}
-			if strict {
-				_, err = combined.ColumnIndex(c.Name)
-			}
-			return err == nil
-		})
-	}
-	for _, it := range items {
-		mark(it.Expr, true)
-	}
-	for _, e := range preds {
-		mark(e, true)
-	}
-	for _, g := range s.GroupBy {
-		mark(g, true)
-	}
-	mark(s.Having, false)
-	for _, o := range s.OrderBy {
-		mark(o.Expr, false)
-	}
-	return needed, err
-}
-
-// predConsumed reports whether e was a single-relation predicate (it was
-// applied inside some access path).
-func predConsumed(e sql.Expr, rels []*relation) bool {
-	for _, r := range rels {
-		if bindsTo(e, r.schema) {
-			return true
-		}
-	}
-	return false
-}
-
-// bindsTo reports whether e reads at least one column and every column it
-// reads resolves in schema (so constant predicates don't bind to arbitrary
-// relations).
-func bindsTo(e sql.Expr, schema types.Schema) bool {
-	return exec.ReferencesOnly(e, schema) && len(exec.ReferencedColumns(e)) > 0
-}
-
-// equiJoinKeys recognizes `l = r` with one side resolving in left and the
-// other in right.
-func equiJoinKeys(e sql.Expr, left, right types.Schema) (sql.Expr, sql.Expr, bool) {
-	b, ok := e.(*sql.BinaryExpr)
-	if !ok || b.Op != "=" {
+// equiJoinKeys recognizes `l = r` with one side reading only relations of
+// left and the other only relations of right.
+func equiJoinKeys(b *binding, e sql.Expr, left, right relSet) (sql.Expr, sql.Expr, bool) {
+	x, ok := e.(*sql.BinaryExpr)
+	if !ok || x.Op != "=" {
 		return nil, nil, false
 	}
-	if bindsTo(b.L, left) && bindsTo(b.R, right) {
-		return b.L, b.R, true
+	l, r := b.set(x.L), b.set(x.R)
+	if within(l, left) && within(r, right) {
+		return x.L, x.R, true
 	}
-	if bindsTo(b.R, left) && bindsTo(b.L, right) {
-		return b.R, b.L, true
+	if within(r, left) && within(l, right) {
+		return x.R, x.L, true
 	}
 	return nil, nil, false
 }
@@ -532,85 +423,57 @@ type valueRange struct {
 }
 
 // constRange recognizes `col OP literal` for OP in {<, <=, >, >=} (either
-// orientation) and non-negated `col BETWEEN lo AND hi` against schema.
-func constRange(e sql.Expr, schema types.Schema) (valueRange, bool) {
-	switch x := e.(type) {
-	case *sql.BetweenExpr:
-		if x.Negate {
-			return valueRange{}, false
-		}
-		cr, ok := x.X.(*sql.ColRef)
-		if !ok || !schema.HasColumn(cr.Name) {
-			return valueRange{}, false
-		}
+// orientation) and non-negated `col BETWEEN lo AND hi`.
+func constRange(e sql.Expr) (valueRange, bool) {
+	if x, ok := e.(*sql.BetweenExpr); ok {
+		cr, okCol := x.X.(*sql.ColRef)
 		lo, okLo := x.Lo.(*sql.Literal)
 		hi, okHi := x.Hi.(*sql.Literal)
-		if !okLo || !okHi {
+		if x.Negate || !okCol || !okLo || !okHi {
 			return valueRange{}, false
 		}
 		return valueRange{col: cr.Name, lo: &lo.Val, hi: &hi.Val, loInc: true, hiInc: true}, true
-	case *sql.BinaryExpr:
-		op := x.Op
-		var col string
-		var lit types.Value
-		if cr, ok := x.L.(*sql.ColRef); ok {
-			l, ok2 := x.R.(*sql.Literal)
-			if !ok2 || !schema.HasColumn(cr.Name) {
-				return valueRange{}, false
-			}
-			col, lit = cr.Name, l.Val
-		} else if cr, ok := x.R.(*sql.ColRef); ok {
-			l, ok2 := x.L.(*sql.Literal)
-			if !ok2 || !schema.HasColumn(cr.Name) {
-				return valueRange{}, false
-			}
-			col, lit = cr.Name, l.Val
-			// Flip the operator: `lit OP col` ≡ `col flip(OP) lit`.
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			}
-		} else {
-			return valueRange{}, false
-		}
-		switch op {
-		case "<":
-			return valueRange{col: col, hi: &lit}, true
-		case "<=":
-			return valueRange{col: col, hi: &lit, hiInc: true}, true
-		case ">":
-			return valueRange{col: col, lo: &lit}, true
-		case ">=":
-			return valueRange{col: col, lo: &lit, loInc: true}, true
-		}
+	}
+	col, op, lit, ok := colLiteral(e)
+	switch {
+	case !ok:
+	case op == "<", op == "<=":
+		return valueRange{col: col, hi: &lit, hiInc: op == "<="}, true
+	case op == ">", op == ">=":
+		return valueRange{col: col, lo: &lit, loInc: op == ">="}, true
 	}
 	return valueRange{}, false
 }
 
-// constEquality recognizes `col = literal` (either side) against schema.
-func constEquality(e sql.Expr, schema types.Schema) (string, types.Value, bool) {
-	b, ok := e.(*sql.BinaryExpr)
-	if !ok || b.Op != "=" {
-		return "", types.Value{}, false
-	}
-	if cr, ok := b.L.(*sql.ColRef); ok {
-		if lit, ok := b.R.(*sql.Literal); ok && schema.HasColumn(cr.Name) {
-			return cr.Name, lit.Val, true
-		}
-	}
-	if cr, ok := b.R.(*sql.ColRef); ok {
-		if lit, ok := b.L.(*sql.Literal); ok && schema.HasColumn(cr.Name) {
-			return cr.Name, lit.Val, true
-		}
-	}
-	return "", types.Value{}, false
+// constEquality recognizes `col = literal` (either side).
+func constEquality(e sql.Expr) (string, types.Value, bool) {
+	col, op, lit, ok := colLiteral(e)
+	return col, lit, ok && op == "="
 }
+
+// colLiteral recognizes a comparison of a column with a literal, either
+// side, and returns the operator as read from the column: `1 < a` is
+// `a > 1`.
+func colLiteral(e sql.Expr) (col, op string, lit types.Value, ok bool) {
+	x, ok := e.(*sql.BinaryExpr)
+	if !ok {
+		return "", "", types.Value{}, false
+	}
+	if cr, ok := x.L.(*sql.ColRef); ok {
+		if l, ok := x.R.(*sql.Literal); ok {
+			return cr.Name, x.Op, l.Val, true
+		}
+	}
+	if cr, ok := x.R.(*sql.ColRef); ok {
+		if l, ok := x.L.(*sql.Literal); ok {
+			return cr.Name, flipped[x.Op], l.Val, true
+		}
+	}
+	return "", "", types.Value{}, false
+}
+
+// flipped maps a comparison to the one that holds with its sides swapped.
+var flipped = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 // joinConjuncts flattens every JOIN ON clause into conjuncts.
 func joinConjuncts(s *sql.Select) []sql.Expr {
@@ -621,44 +484,27 @@ func joinConjuncts(s *sql.Select) []sql.Expr {
 	return out
 }
 
-// summaryPredBindsTo reports whether summary conjunct e belongs above
-// relation r's scan: every column reference resolves in r, and every
-// referenced summary instance is linked to r's table. Predicates that bind
-// to several relations are kept post-join instead.
-func (p *Planner) summaryPredBindsTo(e sql.Expr, r *relation, rels []*relation) bool {
-	if !exec.ReferencesOnly(e, r.schema) {
-		return false
-	}
-	instances := exec.SummaryInstancesIn(e)
+// summaryHome returns the relation above whose scan summary conjunct c
+// applies, or -1 when it applies to the joined rows instead: c must read
+// no other relation's columns and name summary instances that are all
+// linked to that relation's table. A conjunct that reads no column and
+// whose instances are linked to two relations' tables is ambiguous.
+func (p *Planner) summaryHome(c conjunct, rels []*relation) int {
+	instances := exec.SummaryInstancesIn(c.e)
 	if len(instances) == 0 {
-		return false
+		return -1
 	}
-	for _, in := range instances {
-		if !p.cat.IsLinked(in, r.table.Name()) {
-			return false
-		}
-	}
-	// If another relation also satisfies the binding (same instance linked
-	// there and no distinguishing columns), the predicate is ambiguous and
-	// stays post-join.
-	for _, other := range rels {
-		if other == r {
+	home := -1
+	for i, r := range rels {
+		if c.rels&^(1<<i) != 0 || slices.ContainsFunc(instances, func(in string) bool { return !p.cat.IsLinked(in, r.table.Name()) }) {
 			continue
 		}
-		if exec.ReferencesOnly(e, other.schema) && len(exec.ReferencedColumns(e)) == 0 {
-			allLinked := true
-			for _, in := range instances {
-				if !p.cat.IsLinked(in, other.table.Name()) {
-					allLinked = false
-					break
-				}
-			}
-			if allLinked {
-				return false
-			}
+		if home >= 0 {
+			return -1
 		}
+		home = i
 	}
-	return true
+	return home
 }
 
 // trace wraps op with a logging stage when tracing is enabled.
@@ -669,15 +515,20 @@ func (p *Planner) trace(op exec.Operator, stage string) exec.Operator {
 	return exec.NewTrace(op, stage)
 }
 
-func andExpr(a, b sql.Expr) sql.Expr {
-	if a == nil {
-		return b
+// compileAll compiles the conjunction of es against schema: nil for none.
+func compileAll(es []sql.Expr, schema types.Schema) (*exec.Compiled, error) {
+	if len(es) == 0 {
+		return nil, nil
 	}
-	return &sql.BinaryExpr{Op: "AND", L: a, R: b}
+	all := es[0]
+	for _, e := range es[1:] {
+		all = &sql.BinaryExpr{Op: "AND", L: all, R: e}
+	}
+	return exec.Compile(all, schema)
 }
 
 // expandStars replaces * and t.* items with explicit column references.
-func expandStars(items []sql.SelectItem, rels []*relation, combined types.Schema) ([]sql.SelectItem, error) {
+func expandStars(items []sql.SelectItem, rels []*relation) ([]sql.SelectItem, error) {
 	var out []sql.SelectItem
 	for _, it := range items {
 		if !it.Star {

@@ -6,6 +6,7 @@ import (
 
 	"insightnotes/internal/annotation"
 	"insightnotes/internal/catalog"
+	"insightnotes/internal/difftest"
 	"insightnotes/internal/exec"
 	"insightnotes/internal/sql"
 	"insightnotes/internal/summary"
@@ -21,7 +22,7 @@ type world struct {
 
 // newWorld builds R(a,b,c,d), S(x,y,z) with a few rows and annotations, in
 // the spirit of the Figure 2 example.
-func newWorld(t *testing.T) *world {
+func newWorld(t testing.TB) *world {
 	t.Helper()
 	cat := catalog.New()
 	r, err := cat.CreateTable("R", types.NewSchema(
@@ -78,7 +79,7 @@ func newWorld(t *testing.T) *world {
 	return w
 }
 
-func (w *world) attach(t *testing.T, table string, row types.RowID, id annotation.ID,
+func (w *world) attach(t testing.TB, table string, row types.RowID, id annotation.ID,
 	text string, cols annotation.ColSet) {
 	t.Helper()
 	tbl, err := w.cat.Table(table)
@@ -357,6 +358,56 @@ func TestPlanErrors(t *testing.T) {
 	w.planErr(t, "SELECT a FROM R r, R r WHERE r.a = 1") // duplicate alias
 	w.planErr(t, "SELECT q.* FROM R r")                  // star matches nothing
 	w.planErr(t, "SELECT a FROM R WHERE u.v = 1")        // unknown relation
+	// A bare name two relations hold is ambiguous under every plan option,
+	// in the select list and in a conjunct alike.
+	for _, q := range []string{
+		"SELECT b FROM R r1, R r2 WHERE r1.a = r2.a",
+		"SELECT r1.b FROM R r1, R r2 WHERE r1.a = r2.a AND a = 1",
+	} {
+		for _, opts := range []Options{{}, {DisableProjectionPushdown: true}} {
+			stmt, _ := sql.Parse(q)
+			_, err := New(w.cat, nil, opts).PlanSelect(stmt.(*sql.Select))
+			if err == nil || !strings.Contains(err.Error(), "ambiguous column reference") {
+				t.Errorf("%q (pushdown off: %v): err = %v, want an ambiguous column reference", q, opts.DisableProjectionPushdown, err)
+			}
+		}
+	}
+}
+
+// TestPlanGroupByMatchesBoundColumns: GROUP BY keys match select items by
+// the column a name binds to, not by its spelling, so a bare and a
+// qualified name of one column group alike; each output label stays as
+// the item spells it.
+func TestPlanGroupByMatchesBoundColumns(t *testing.T) {
+	w := newWorld(t)
+	for _, opts := range []Options{{}, {DisableProjectionPushdown: true}} {
+		want, _ := w.run(t, "SELECT b, COUNT(*) FROM R GROUP BY b", opts)
+		for q, label := range map[string]string{
+			"SELECT b, COUNT(*) FROM R GROUP BY R.b":   "b",
+			"SELECT R.b, COUNT(*) FROM R GROUP BY b":   "R.b",
+			"SELECT r.b, COUNT(*) FROM R r GROUP BY b": "r.b",
+		} {
+			got, schema := w.run(t, q, opts)
+			if d := difftest.Rows(got, want); d != "" {
+				t.Errorf("%q (pushdown off: %v): %s", q, opts.DisableProjectionPushdown, d)
+			}
+			if l := schema.Columns[0].QualifiedName(); l != label {
+				t.Errorf("%q: label %q, want %q", q, l, label)
+			}
+		}
+	}
+}
+
+// TestPlanConstantConjunct: a conjunct that reads no relation filters the
+// rows of a one-relation query as it does a join's.
+func TestPlanConstantConjunct(t *testing.T) {
+	w := newWorld(t)
+	if rows, _ := w.run(t, "SELECT a FROM R WHERE 1 = 1", Options{}); len(rows) != 3 {
+		t.Errorf("WHERE 1 = 1: rows = %d, want 3", len(rows))
+	}
+	if rows, _ := w.run(t, "SELECT a FROM R WHERE 1 = 2", Options{}); len(rows) != 0 {
+		t.Errorf("WHERE 1 = 2: rows = %d, want 0", len(rows))
+	}
 }
 
 func TestPlanSelfJoinWithAliases(t *testing.T) {

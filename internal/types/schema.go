@@ -66,12 +66,6 @@ func (s Schema) ColumnIndex(ref string) (int, error) {
 	return found, nil
 }
 
-// HasColumn reports whether ref resolves to exactly one column.
-func (s Schema) HasColumn(ref string) bool {
-	_, err := s.ColumnIndex(ref)
-	return err == nil
-}
-
 // Project returns a schema containing the columns at the given indexes, in
 // order.
 func (s Schema) Project(idxs []int) Schema {

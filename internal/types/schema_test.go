@@ -67,8 +67,11 @@ func TestSchemaProjectConcatAlias(t *testing.T) {
 	if got := a.Columns[1].QualifiedName(); got != "b.name" {
 		t.Errorf("QualifiedName = %q", got)
 	}
-	if !s.HasColumn("name") || s.HasColumn("beak") {
-		t.Error("HasColumn misreported")
+	if _, err := s.ColumnIndex("name"); err != nil {
+		t.Errorf("ColumnIndex(name): %v", err)
+	}
+	if _, err := s.ColumnIndex("beak"); err == nil {
+		t.Error("ColumnIndex(beak) resolved")
 	}
 }
 
